@@ -7,28 +7,29 @@
 //! - **Scheduling conditions (Section 4)**: forward tasks execute in
 //!   minibatch order, backward tasks execute in minibatch order, and
 //!   tasks are served FIFO per GPU. How forwards and backwards
-//!   interleave on a GPU is the schedule's decision: the paper's wave
-//!   schedule ([`Schedule::HetPipeWave`]) dispatches ready tasks in
-//!   dependency-arrival order with the last stage fused; fill-drain /
-//!   1F1B / depth-expanded interleaved execute their per-stage
-//!   [`ScheduleOp`] streams in strict stream order; and the composite
-//!   interleaved schedule executes one merged per-GPU [`GpuStream`]
-//!   per physical GPU (`GpuStreamOrder`), so the *schedule* — not
-//!   arrival order — decides how co-located chunks share the GPU
-//!   timeline, exactly as Megatron-LM orders its interleaved chunk
-//!   groups.
+//!   interleave on a GPU is the schedule's decision, under one of two
+//!   disciplines:
+//!   - **arrival-FIFO**: the paper's wave schedule
+//!     ([`Schedule::HetPipeWave`]) dispatches ready tasks in
+//!     dependency-arrival order with the last stage fused;
+//!   - **lanes**: every other schedule executes its [`Lane`]s — ordered
+//!     op queues, each bound to one GPU — in strict order. Fill-drain,
+//!     1F1B and depth-expanded interleaved get one lane per virtual
+//!     stage; composite interleaved gets one lane per physical GPU, so
+//!     the *schedule* — not arrival order — decides how co-located
+//!     chunks share the GPU timeline, exactly as Megatron-LM orders
+//!     its interleaved chunk groups.
 //! - **Wave pushes (Section 5)**: when the last minibatch of wave `c`
 //!   completes, the VW pushes one *aggregated* update (its full
-//!   parameter footprint, once — not per minibatch) to the shards. In
-//!   stream-order schedules this is the explicit
-//!   [`ScheduleOp::Push`] op; the wave schedule triggers it on
-//!   completion count.
+//!   parameter footprint, once — not per minibatch) to the shards. On
+//!   lanes this is the explicit [`ScheduleOp::Push`] op; the wave
+//!   schedule triggers it on completion count.
 //! - **D-bounded pulls**: after pushing wave `c`, the VW requests global
 //!   weights covering wave `c − D` and waits (while continuing to run
 //!   already-admissible minibatches) until every VW has pushed that
 //!   wave. The injection gate is [`WspParams::required_wave`] for the
-//!   wave schedule and the explicit [`ScheduleOp::PullGate`] op for
-//!   stream-order schedules. Consecutive waves' push transfers run
+//!   wave schedule and the explicit [`ScheduleOp::PullGate`] op on
+//!   lanes. Consecutive waves' push transfers run
 //!   concurrently (per-wave chunk counters), contending on the NIC
 //!   timelines rather than being serialized behind one another.
 //! - **Enforced activation windows**: each stage's declared peak
@@ -36,8 +37,8 @@
 //!   same number the memory model charges and the partitioner
 //!   certifies against) is enforced at dispatch time. Arrival-FIFO
 //!   stages gate forward dispatch on the window (deferring arrivals
-//!   until a backward releases a slot); stream-order stages respect it
-//!   structurally, and both paths keep occupancy books that are
+//!   until a backward releases a slot); lanes respect it structurally,
+//!   and both disciplines keep occupancy books that are
 //!   asserted against the declaration. `crate::audit` measures the
 //!   realized peaks from the span trace as the first-class
 //!   measured ≤ declared invariant.
@@ -54,10 +55,8 @@
 //! lanes (latency + bandwidth, no contention). Parameter-server apply
 //! time is not modelled (the paper does not model it either).
 //!
-//! The pre-refactor single-schedule executor is preserved verbatim in
-//! [`crate::golden`]; a tier-1 golden test asserts that
-//! [`Schedule::HetPipeWave`] through this executor reproduces its span
-//! traces exactly.
+//! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
+//! including draining and reordering segments.
 
 use crate::pserver::{ShardMap, SyncChunk};
 use crate::sync::{GateBus, ServePoll, WspParams};
@@ -68,8 +67,7 @@ use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, Trace};
 use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{
-    Dispatch, GpuOp, GpuStream, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
-    ScheduleStream,
+    lanes, Dispatch, GpuOp, Lane, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -177,11 +175,10 @@ pub struct RateEvent {
 /// runtime (`hetpipe-runtime`) splices: a bounded run that may start
 /// under pre-existing fault rates, experience scheduled rate changes,
 /// stop injecting work at a wave boundary (and drain), and optionally
-/// relax strict composite-stream order within a bounded window.
+/// relax strict lane order within a bounded window.
 ///
 /// The default options reproduce [`run`] exactly: no faults, no stop,
-/// strict order — the zero-fault golden-trace invariance the tier-1
-/// tests pin.
+/// strict order — the zero-fault invariance the tier-1 tests pin.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentOpts {
     /// Stop *injecting* minibatches after this one (1-indexed,
@@ -196,14 +193,16 @@ pub struct SegmentOpts {
     pub initial_rates: Vec<(RateTarget, f64)>,
     /// Rate changes that fire during the segment.
     pub rate_events: Vec<RateEvent>,
-    /// `SkipStraggler` support: when > 0, a GPU whose composite-stream
-    /// head op is blocked on a data dependency may execute a *ready
-    /// backward* (with its recompute prefix) from up to this many ops
-    /// ahead in its own stream. Backwards only — they release
-    /// activations, never acquire them — and never past a closed
-    /// [`ScheduleOp::PullGate`] or an earlier op of the same stage, so
-    /// the declared occupancy and staleness bounds hold unchanged.
-    /// 0 (the default) is strict stream order.
+    /// `SkipStraggler` support: when > 0, a lane whose head op is
+    /// blocked on a data dependency may execute a *ready backward*
+    /// (with its recompute prefix) from up to this many ops ahead in
+    /// the lane. Backwards only — they release activations, never
+    /// acquire them — and never past a closed [`ScheduleOp::PullGate`]
+    /// or an earlier op of the same stage, so the declared occupancy
+    /// and staleness bounds hold unchanged. This applies to every lane;
+    /// on a one-stage lane every op shares the head's stage, so it is a
+    /// no-op there (as it is under arrival-FIFO dispatch). 0 (the
+    /// default) is strict lane order.
     pub reorder_window: usize,
 }
 
@@ -321,19 +320,6 @@ struct VwState {
     stats: VwStats,
 }
 
-/// The kinds of GPU task a stream op maps to.
-#[derive(Debug, Clone, Copy)]
-enum StreamTask {
-    Forward,
-    Backward,
-    Fused,
-    /// A stage-local forward re-run ahead of a backward (activation
-    /// recomputation). Nothing downstream depends on its completion —
-    /// its backward is reserved right behind it on the same FIFO GPU
-    /// timeline — so it schedules no event.
-    Recompute,
-}
-
 /// One stage's executor-enforced activation window (all dispatch
 /// disciplines).
 struct StageWindow {
@@ -349,47 +335,26 @@ struct StageWindow {
     deferred: VecDeque<u64>,
 }
 
-/// One stage's position in its schedule stream (stream-order dispatch
-/// only).
-struct StageCursor {
-    stream: ScheduleStream,
-    /// The op the stage is waiting to execute (peeked, not consumed).
-    next: Option<ScheduleOp>,
-    /// Newest minibatch whose forward activations have arrived from
-    /// the previous stage (arrivals are FIFO, so a high-water mark
-    /// suffices).
-    fwd_arrived: u64,
-    /// Newest minibatch whose output gradients have arrived from the
-    /// next stage.
-    bwd_arrived: u64,
-    /// Drain mode only (`SegmentOpts::stop_after_mb`): this stage has
-    /// emitted every backward up to the stop point, so its cursor is
-    /// parked permanently.
-    drained: bool,
-}
-
-/// One physical GPU's position in its *composite* stream
-/// (`GpuStreamOrder` dispatch only): the GPU executes one merged
-/// timeline over all of its co-located virtual-stage chunks, so the
-/// cursor and the arrival high-water marks are keyed by GPU and
-/// chunk rather than by virtual stage.
-struct GpuCursor {
-    stream: GpuStream,
-    /// Ops pulled from the stream but not yet executed. `buf[0]` is
-    /// the head (strict-order) op; under a non-zero
+/// One lane's position (lane dispatch only). Stage `s` of a VW with
+/// `n` lanes runs on lane `s % n` as chunk `s / n`: one chunk per lane
+/// for per-stage lanes, one per co-located virtual stage for composite
+/// lanes.
+struct LaneCursor {
+    lane: Lane,
+    /// Ops pulled from the lane but not yet executed. `buf[0]` is the
+    /// head (strict-order) op; under a non-zero
     /// [`SegmentOpts::reorder_window`] the executor may serve a ready
     /// backward from deeper in the buffer while the head is blocked.
     buf: VecDeque<GpuOp>,
     /// Newest minibatch whose forward activations have arrived at
-    /// each local chunk (chunk `c` is virtual stage
-    /// `c × gpus + gpu`).
+    /// each chunk (arrivals are FIFO, so a high-water mark suffices).
     fwd_arrived: Vec<u64>,
     /// Newest minibatch whose output gradients have arrived at each
-    /// local chunk.
+    /// chunk.
     bwd_arrived: Vec<u64>,
-    /// Highest backward minibatch consumed (executed or, in drain
-    /// mode, discarded) per local chunk — the GPU's drain progress.
-    bwd_consumed: Vec<u64>,
+    /// Drain mode only: which chunks have reached their first
+    /// backward past the stop point.
+    drained: Vec<bool>,
 }
 
 /// How the executor learns about *other* virtual workers' push
@@ -420,13 +385,10 @@ struct Exec<'a> {
     bwd: Vec<Vec<SimTime>>,
     /// Per-VW sync chunk lists (same for every wave).
     chunks: Vec<Vec<SyncChunk>>,
-    /// Per-VW per-stage stream cursors (stream-order dispatch only).
-    cursors: Vec<Vec<StageCursor>>,
-    /// Per-VW per-physical-GPU composite stream cursors
-    /// (`GpuStreamOrder` dispatch only).
-    gpu_cursors: Vec<Vec<GpuCursor>>,
+    /// Per-VW lane cursors (lane dispatch only).
+    lanes: Vec<Vec<LaneCursor>>,
     /// Per-VW per-stage activation windows (arrival-FIFO dispatch
-    /// gates on these; both paths debug-assert against them).
+    /// gates on these; both disciplines debug-assert against them).
     windows: Vec<Vec<StageWindow>>,
     dispatch: Dispatch,
     opts: SegmentOpts,
@@ -491,61 +453,24 @@ impl<'a> Exec<'a> {
             .collect();
 
         let dispatch = p.schedule.dispatch();
-        // Per-stage effective recompute: stages whose window is 1 (and
-        // fused last stages) skip checkpointing — the streams, the
-        // cost model, and the memory accounting all key on the same
-        // `recomputes_at` decision.
-        let effective = |stage: usize, k: usize| -> RecomputePolicy {
-            if p.schedule.recomputes_at(stage, k, p.wsp.nm, p.recompute) {
-                p.recompute
-            } else {
-                RecomputePolicy::None
-            }
-        };
-        let cursors = match dispatch {
-            Dispatch::ArrivalFifo | Dispatch::GpuStreamOrder => Vec::new(),
-            Dispatch::StreamOrder => p
+        let lanes = match dispatch {
+            Dispatch::ArrivalFifo => Vec::new(),
+            Dispatch::StreamOrder | Dispatch::GpuStreamOrder => p
                 .vws
                 .iter()
                 .map(|vw| {
                     let k = vw.stages();
-                    (0..k)
-                        .map(|stage| StageCursor {
-                            stream: p
-                                .schedule
-                                .stream(stage, k, p.wsp)
-                                .with_recompute(effective(stage, k)),
-                            next: None,
-                            fwd_arrived: 0,
-                            bwd_arrived: 0,
-                            drained: false,
-                        })
-                        .collect()
-                })
-                .collect(),
-        };
-        let gpu_cursors = match dispatch {
-            Dispatch::ArrivalFifo | Dispatch::StreamOrder => Vec::new(),
-            Dispatch::GpuStreamOrder => p
-                .vws
-                .iter()
-                .map(|vw| {
-                    let chunks = p.schedule.colocated_stages();
-                    let gpus = vw.stages() / chunks;
-                    // One *shared* joint timetable per VW, fanned into
-                    // the per-GPU handles — the slot simulation runs
-                    // once per VW instead of once per GPU, with
-                    // identical per-GPU op sequences.
-                    p.schedule
-                        .gpu_streams_with(gpus, p.wsp, p.recompute)
-                        .expect("GpuStreamOrder schedules declare composite streams")
+                    let k_gpus = k / p.schedule.colocated_stages();
+                    let lanes = lanes(&p.schedule, k_gpus, p.wsp, p.recompute);
+                    let chunks = k / lanes.len();
+                    lanes
                         .into_iter()
-                        .map(|stream| GpuCursor {
-                            stream,
+                        .map(|lane| LaneCursor {
+                            lane,
                             buf: VecDeque::new(),
                             fwd_arrived: vec![0; chunks],
                             bwd_arrived: vec![0; chunks],
-                            bwd_consumed: vec![0; chunks],
+                            drained: vec![false; chunks],
                         })
                         .collect()
                 })
@@ -583,8 +508,7 @@ impl<'a> Exec<'a> {
             fwd,
             bwd,
             chunks,
-            cursors,
-            gpu_cursors,
+            lanes,
             windows,
             dispatch,
             opts,
@@ -702,15 +626,14 @@ impl<'a> Exec<'a> {
         }
         match self.dispatch {
             Dispatch::ArrivalFifo => self.handle_arrival_fifo(ev),
-            Dispatch::StreamOrder => self.handle_stream_order(ev),
-            Dispatch::GpuStreamOrder => self.handle_gpu_stream_order(ev),
+            Dispatch::StreamOrder | Dispatch::GpuStreamOrder => self.handle_lanes(ev),
         }
     }
 
     // ------------------------------------------------------------------
-    // Arrival-FIFO dispatch: the paper's wave schedule. This path is the
-    // seed executor's event logic, unchanged (see `crate::golden` and
-    // the golden-trace test).
+    // Arrival-FIFO dispatch: the paper's wave schedule. Ready tasks are
+    // served in dependency-arrival order; `tests/trace_pins.rs` pins
+    // its traces.
     // ------------------------------------------------------------------
 
     fn handle_arrival_fifo(&mut self, ev: Ev) {
@@ -958,74 +881,67 @@ impl<'a> Exec<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Stream-order dispatch: fill-drain, 1F1B, interleaved. Each stage
-    // executes its ScheduleOp stream in order; an op runs once its data
-    // dependency has arrived.
+    // Lane dispatch: fill-drain, 1F1B and both interleaved forms. Each
+    // lane is one ordered op queue bound to one GPU — a virtual stage's
+    // stream, or a physical GPU's composite stream over its co-located
+    // chunks — executed in strict order, so the schedule (not
+    // dependency-arrival order) decides how work shares the GPU.
     // ------------------------------------------------------------------
 
-    fn handle_stream_order(&mut self, ev: Ev) {
+    fn handle_lanes(&mut self, ev: Ev) {
         match ev {
-            Ev::TryInject { vw } => self.advance(vw as usize, 0),
-            Ev::FwdArrive { vw, stage, mb } => {
+            Ev::TryInject { vw } => self.advance_lane(vw as usize, 0),
+            Ev::FwdArrive { vw, stage, mb } | Ev::BwdArrive { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let cur = &mut self.cursors[vw][stage];
-                debug_assert!(mb > cur.fwd_arrived, "activations arrive in order");
-                cur.fwd_arrived = mb;
-                self.advance(vw, stage);
+                let (lane, chunk) = self.lane_of(vw, stage);
+                let cur = &mut self.lanes[vw][lane];
+                let arrived = if matches!(ev, Ev::FwdArrive { .. }) {
+                    &mut cur.fwd_arrived[chunk]
+                } else {
+                    &mut cur.bwd_arrived[chunk]
+                };
+                debug_assert!(mb > *arrived, "activations and gradients arrive in order");
+                *arrived = mb;
+                self.advance_lane(vw, lane);
             }
             Ev::FwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                if self.window_tracked(vw, stage) {
-                    // Stream order keeps occupancy within the declared
-                    // window structurally (the stream interleaves
-                    // forwards with the backwards that release them);
-                    // keep completion-based books so the invariant is
-                    // checked, not assumed. An activation set exists
-                    // from forward completion to backward completion.
-                    let w = &mut self.windows[vw][stage];
-                    w.outstanding += 1;
-                    debug_assert!(
-                        w.outstanding <= w.window,
-                        "stream execution exceeded the declared activation window \
-                         ({} > {}) at vw{vw} stage {stage}",
-                        w.outstanding,
-                        w.window
-                    );
-                }
+                // Lanes keep every stage within its declared window
+                // structurally (the streams interleave forwards with
+                // the backwards that release them); completion-based
+                // books check the invariant rather than assume it. An
+                // activation set exists from forward completion to
+                // backward completion.
+                let w = &mut self.windows[vw][stage];
+                w.outstanding += 1;
+                debug_assert!(
+                    w.outstanding <= w.window,
+                    "lane execution exceeded the declared activation window \
+                     ({} > {}) at vw{vw} stage {stage}",
+                    w.outstanding,
+                    w.window
+                );
                 if stage + 1 < self.p.vws[vw].stages() {
-                    // Identical transfer modelling to the arrival path.
                     self.fwd_done(vw, stage, mb);
                 }
             }
-            Ev::BwdArrive { vw, stage, mb } => {
-                let (vw, stage) = (vw as usize, stage as usize);
-                let cur = &mut self.cursors[vw][stage];
-                debug_assert!(mb > cur.bwd_arrived, "gradients arrive in order");
-                cur.bwd_arrived = mb;
-                self.advance(vw, stage);
-            }
             Ev::BwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                if self.window_tracked(vw, stage) {
-                    // Stream order enforces the window structurally;
-                    // keep the occupancy books so the invariant is
-                    // checked, not assumed.
-                    let w = &mut self.windows[vw][stage];
-                    debug_assert!(w.outstanding >= 1, "window release without a holder");
-                    w.outstanding -= 1;
-                }
+                let w = &mut self.windows[vw][stage];
+                debug_assert!(w.outstanding >= 1, "window release without a holder");
+                w.outstanding -= 1;
                 if stage > 0 {
                     self.send_gradient_left(vw, stage, mb);
                     return;
                 }
-                // Minibatch complete: the stage-0 cursor may be parked
-                // on a Push op waiting for this completion.
+                // Minibatch complete: lane 0 may be parked on a Push op
+                // waiting for this completion.
                 let now = self.engine.now();
                 let st = &mut self.states[vw];
                 st.completed += 1;
                 st.stats.completions.push(now);
                 debug_assert_eq!(st.completed, mb, "backwards complete in minibatch order");
-                self.advance(vw, 0);
+                self.advance_lane(vw, 0);
             }
             Ev::PushChunkDone { vw, wave } => self.push_chunk_done(vw as usize, wave),
             Ev::PullChunkDone { vw } => self.pull_chunk_done(vw as usize),
@@ -1033,10 +949,16 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// The WSP pull gate, shared by every stream-order dispatch path:
-    /// true (with blocked-time bookkeeping closed out) when the local
-    /// weights reflect `wave`, false (with the blocked window opened)
-    /// when the cursor must stay parked on the gate.
+    /// The lane hosting `stage` and the stage's chunk index on it.
+    fn lane_of(&self, vw: usize, stage: usize) -> (usize, usize) {
+        let n = self.lanes[vw].len();
+        (stage % n, stage / n)
+    }
+
+    /// The WSP pull gate: true (with blocked-time bookkeeping closed
+    /// out) when the local weights reflect `wave`, false (with the
+    /// blocked window opened) when the lane must stay parked on the
+    /// gate.
     fn pull_gate_open(&mut self, vw: usize, wave: u64, now: SimTime) -> bool {
         let st = &mut self.states[vw];
         if st.pulled >= wave as i64 {
@@ -1053,205 +975,34 @@ impl<'a> Exec<'a> {
     }
 
     /// Whether `wave`'s last backward has completed, so its explicit
-    /// [`ScheduleOp::Push`] may fire (shared by every stream-order
-    /// dispatch path).
+    /// [`ScheduleOp::Push`] may fire.
     fn wave_push_ready(&self, vw: usize, wave: u64) -> bool {
         self.states[vw].completed >= self.p.wsp.last_of_wave(wave)
     }
 
-    /// Executes stage ops in stream order for as long as their
-    /// dependencies are satisfied, reserving GPU time slots eagerly
-    /// (the FIFO timeline serializes them in stream order).
-    fn advance(&mut self, vw: usize, stage: usize) {
-        let now = self.engine.now();
-        let k = self.p.vws[vw].stages();
-        loop {
-            if self.cursors[vw][stage].drained {
-                return;
-            }
-            let op = {
-                let cur = &mut self.cursors[vw][stage];
-                if cur.next.is_none() {
-                    cur.next = cur.stream.next();
-                }
-                cur.next.expect("schedule streams are infinite")
-            };
-            // Segment drain: ops of minibatches past the splice
-            // boundary never execute. Forwards (and their recomputes)
-            // are discarded so the stream can reach the remaining
-            // in-boundary backwards behind them; the stage's first
-            // past-boundary backward (per-stage backwards are in
-            // order) proves every boundary backward was consumed, so
-            // the cursor parks permanently there.
-            if let Some(mb) = op.minibatch() {
-                if self.past_stop(mb) {
-                    if op.has_backward() {
-                        self.cursors[vw][stage].drained = true;
-                        return;
-                    }
-                    self.cursors[vw][stage].next = None;
-                    continue;
-                }
-            }
-            match op {
-                ScheduleOp::PullGate { wave } => {
-                    if self.pull_gate_open(vw, wave, now) {
-                        self.cursors[vw][stage].next = None;
-                    } else {
-                        return;
-                    }
-                }
-                ScheduleOp::Push { wave } => {
-                    if self.wave_push_ready(vw, wave) {
-                        self.cursors[vw][stage].next = None;
-                        self.start_push(vw, wave);
-                    } else {
-                        return;
-                    }
-                }
-                ScheduleOp::Forward { mb } => {
-                    if stage > 0 && self.cursors[vw][stage].fwd_arrived < mb {
-                        return;
-                    }
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Forward) {
-                        return;
-                    }
-                    self.cursors[vw][stage].next = None;
-                }
-                ScheduleOp::FusedFwdBwd { mb } => {
-                    if stage > 0 && self.cursors[vw][stage].fwd_arrived < mb {
-                        return;
-                    }
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Fused) {
-                        return;
-                    }
-                    self.cursors[vw][stage].next = None;
-                }
-                ScheduleOp::Backward { mb } => {
-                    // At the last stage the backward's input is its own
-                    // forward, which precedes it on the same GPU
-                    // timeline; elsewhere it waits for the gradient
-                    // from the right.
-                    if stage + 1 < k && self.cursors[vw][stage].bwd_arrived < mb {
-                        return;
-                    }
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Backward) {
-                        return;
-                    }
-                    self.cursors[vw][stage].next = None;
-                }
-                ScheduleOp::Recompute { mb } => {
-                    // Gated on the same dependency as the backward it
-                    // precedes, so the rematerialized activations do
-                    // not sit idle while the gradient is in flight.
-                    if stage + 1 < k && self.cursors[vw][stage].bwd_arrived < mb {
-                        return;
-                    }
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Recompute) {
-                        return;
-                    }
-                    self.cursors[vw][stage].next = None;
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Per-GPU composite stream dispatch: the Megatron-style interleaved
-    // schedule. Each physical GPU executes ONE merged op timeline over
-    // all of its co-located virtual-stage chunks, in strict stream
-    // order — the schedule (not dependency-arrival order) decides how
-    // the chunks interleave on the GPU.
-    // ------------------------------------------------------------------
-
-    fn handle_gpu_stream_order(&mut self, ev: Ev) {
-        match ev {
-            Ev::TryInject { vw } => self.advance_gpu(vw as usize, 0),
-            Ev::FwdArrive { vw, stage, mb } => {
-                let (vw, stage) = (vw as usize, stage as usize);
-                let gpus = self.gpu_cursors[vw].len();
-                let (gpu, chunk) = (stage % gpus, stage / gpus);
-                let cur = &mut self.gpu_cursors[vw][gpu];
-                debug_assert!(mb > cur.fwd_arrived[chunk], "activations arrive in order");
-                cur.fwd_arrived[chunk] = mb;
-                self.advance_gpu(vw, gpu);
-            }
-            Ev::FwdDone { vw, stage, mb } => {
-                let (vw, stage) = (vw as usize, stage as usize);
-                // Completion-based occupancy books, identical to the
-                // stream-order path: the composite stream keeps every
-                // chunk within its declared window structurally; the
-                // books check the invariant rather than assume it.
-                let w = &mut self.windows[vw][stage];
-                w.outstanding += 1;
-                debug_assert!(
-                    w.outstanding <= w.window,
-                    "composite stream exceeded the declared activation window \
-                     ({} > {}) at vw{vw} stage {stage}",
-                    w.outstanding,
-                    w.window
-                );
-                if stage + 1 < self.p.vws[vw].stages() {
-                    self.fwd_done(vw, stage, mb);
-                }
-            }
-            Ev::BwdArrive { vw, stage, mb } => {
-                let (vw, stage) = (vw as usize, stage as usize);
-                let gpus = self.gpu_cursors[vw].len();
-                let (gpu, chunk) = (stage % gpus, stage / gpus);
-                let cur = &mut self.gpu_cursors[vw][gpu];
-                debug_assert!(mb > cur.bwd_arrived[chunk], "gradients arrive in order");
-                cur.bwd_arrived[chunk] = mb;
-                self.advance_gpu(vw, gpu);
-            }
-            Ev::BwdDone { vw, stage, mb } => {
-                let (vw, stage) = (vw as usize, stage as usize);
-                let w = &mut self.windows[vw][stage];
-                debug_assert!(w.outstanding >= 1, "window release without a holder");
-                w.outstanding -= 1;
-                if stage > 0 {
-                    self.send_gradient_left(vw, stage, mb);
-                    return;
-                }
-                // Minibatch complete: GPU 0's cursor may be parked on a
-                // Push op waiting for this completion.
-                let now = self.engine.now();
-                let st = &mut self.states[vw];
-                st.completed += 1;
-                st.stats.completions.push(now);
-                debug_assert_eq!(st.completed, mb, "backwards complete in minibatch order");
-                self.advance_gpu(vw, 0);
-            }
-            Ev::PushChunkDone { vw, wave } => self.push_chunk_done(vw as usize, wave),
-            Ev::PullChunkDone { vw } => self.pull_chunk_done(vw as usize),
-            Ev::Fault { .. } => unreachable!("faults are handled centrally"),
-        }
-    }
-
-    /// Ensures `gpu`'s op buffer holds at least `len` ops, pulling
-    /// from the composite stream as needed.
-    fn fill_gpu_buf(&mut self, vw: usize, gpu: usize, len: usize) {
-        let cur = &mut self.gpu_cursors[vw][gpu];
+    /// Ensures `lane`'s op buffer holds at least `len` ops, pulling
+    /// from the lane as needed.
+    fn fill_lane_buf(&mut self, vw: usize, lane: usize, len: usize) {
+        let cur = &mut self.lanes[vw][lane];
         while cur.buf.len() < len {
-            let gop = cur.stream.next().expect("gpu streams are infinite");
+            let gop = cur.lane.next().expect("lanes are infinite");
             cur.buf.push_back(gop);
         }
     }
 
-    /// Executes `gpu`'s composite stream in order for as long as op
-    /// dependencies are satisfied, reserving GPU time slots eagerly
-    /// (the FIFO timeline serializes them in stream order) — the
-    /// per-GPU analogue of [`Exec::advance`]. Two segment-mode
-    /// extensions, both off by default:
+    /// Executes `lane` in order for as long as op dependencies are
+    /// satisfied, reserving GPU time slots eagerly (the FIFO timeline
+    /// serializes them in lane order). Two segment-mode extensions,
+    /// both off by default:
     ///
     /// - **drain** ([`SegmentOpts::stop_after_mb`]): past-boundary ops
-    ///   are discarded unexecuted. Unlike the per-stage streams, a
-    ///   composite stream interleaves chunks, and a deep chunk's
-    ///   backward of `mb + 1` can legitimately precede a shallow
-    ///   chunk's backward of `mb` on the same GPU timeline — so
-    ///   past-boundary *backwards* are discarded too (marking their
-    ///   chunk fully drained), and the cursor parks once every local
-    ///   chunk has consumed its boundary backward.
+    ///   are discarded unexecuted. A composite lane interleaves
+    ///   chunks, and a deep chunk's backward of `mb + 1` can
+    ///   legitimately precede a shallow chunk's backward of `mb` — so
+    ///   a chunk's first past-boundary backward (backwards are
+    ///   per-stage in order) only marks that chunk drained, and the
+    ///   lane parks for good at that backward once every chunk is
+    ///   drained. Gates and pushes ahead of it still run.
     /// - **bounded reorder** ([`SegmentOpts::reorder_window`]): when
     ///   the head op is blocked on a data dependency, a *ready
     ///   backward* (with its recompute prefix) from up to `window`
@@ -1260,46 +1011,30 @@ impl<'a> Exec<'a> {
     ///   gradient is late. Backwards only (they release activation
     ///   windows, never acquire), never past a closed pull gate, and
     ///   never past an earlier op of their own stage, so declared
-    ///   occupancy, per-stage order, and staleness all hold.
-    fn advance_gpu(&mut self, vw: usize, gpu: usize) {
+    ///   occupancy, per-stage order, and staleness all hold. On a
+    ///   one-stage lane every op behind the head shares its stage, so
+    ///   reorder is a no-op there.
+    fn advance_lane(&mut self, vw: usize, lane: usize) {
         let now = self.engine.now();
-        let k = self.p.vws[vw].stages();
-        let gpus = self.gpu_cursors[vw].len();
         loop {
-            self.fill_gpu_buf(vw, gpu, 1);
-            let gop = self.gpu_cursors[vw][gpu].buf[0];
-            let stage = gop.stage;
-            debug_assert_eq!(stage % gpus, gpu, "op on a foreign GPU");
-            let chunk = stage / gpus;
-            // Segment drain: discard past-boundary ops; park once all
-            // local chunks crossed the boundary (keeping the head
-            // available for the boundary wave's Push / PullGate).
-            if let Some(stop) = self.opts.stop_after_mb {
-                if let Some(mb) = gop.op.minibatch() {
-                    if mb > stop {
-                        let cur = &mut self.gpu_cursors[vw][gpu];
-                        if gop.op.has_backward() {
-                            // Backwards are per-stage in order: the
-                            // first past-boundary one proves the chunk
-                            // is drained.
-                            cur.bwd_consumed[chunk] = cur.bwd_consumed[chunk].max(stop);
-                        }
-                        cur.buf.pop_front();
-                        if self.gpu_cursors[vw][gpu]
-                            .bwd_consumed
-                            .iter()
-                            .all(|&m| m >= stop)
-                        {
-                            return;
-                        }
-                        continue;
+            self.fill_lane_buf(vw, lane, 1);
+            let GpuOp { stage, op } = self.lanes[vw][lane].buf[0];
+            if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
+                let chunk = self.lane_of(vw, stage).1;
+                let cur = &mut self.lanes[vw][lane];
+                if op.has_backward() {
+                    cur.drained[chunk] = true;
+                    if cur.drained.iter().all(|&d| d) {
+                        return;
                     }
                 }
+                cur.buf.pop_front();
+                continue;
             }
-            let executed = match gop.op {
+            let ready = match op {
                 ScheduleOp::PullGate { wave } => {
                     if self.pull_gate_open(vw, wave, now) {
-                        self.gpu_cursors[vw][gpu].buf.pop_front();
+                        self.lanes[vw][lane].buf.pop_front();
                         continue;
                     }
                     // Nothing may run past a closed gate (staleness).
@@ -1307,75 +1042,44 @@ impl<'a> Exec<'a> {
                 }
                 ScheduleOp::Push { wave } => {
                     if self.wave_push_ready(vw, wave) {
-                        self.gpu_cursors[vw][gpu].buf.pop_front();
+                        self.lanes[vw][lane].buf.pop_front();
                         self.start_push(vw, wave);
                         continue;
                     }
                     false
                 }
-                ScheduleOp::Forward { mb } => {
-                    if stage > 0 && self.gpu_cursors[vw][gpu].fwd_arrived[chunk] < mb {
-                        false
-                    } else if !self.reserve_compute(vw, stage, mb, StreamTask::Forward) {
-                        return;
-                    } else {
-                        true
-                    }
-                }
-                ScheduleOp::Backward { mb } => {
-                    // At the pipeline's last virtual stage the
-                    // backward's input is its own forward, which
-                    // precedes it on this GPU's timeline; elsewhere it
-                    // waits for the gradient from the right.
-                    if stage + 1 < k && self.gpu_cursors[vw][gpu].bwd_arrived[chunk] < mb {
-                        false
-                    } else if !self.reserve_compute(vw, stage, mb, StreamTask::Backward) {
-                        return;
-                    } else {
-                        let cur = &mut self.gpu_cursors[vw][gpu];
-                        cur.bwd_consumed[chunk] = mb;
-                        true
-                    }
-                }
-                ScheduleOp::Recompute { mb } => {
-                    if stage + 1 < k && self.gpu_cursors[vw][gpu].bwd_arrived[chunk] < mb {
-                        false
-                    } else if !self.reserve_compute(vw, stage, mb, StreamTask::Recompute) {
-                        return;
-                    } else {
-                        true
-                    }
-                }
-                ScheduleOp::FusedFwdBwd { .. } => {
-                    unreachable!("composite streams never fuse")
-                }
+                ScheduleOp::FusedFwdBwd { .. } => unreachable!("lane schedules never fuse"),
+                _ => self.input_ready(vw, stage, op),
             };
-            if executed {
-                self.gpu_cursors[vw][gpu].buf.pop_front();
+            if ready {
+                if !self.reserve_compute(vw, stage, op) {
+                    return;
+                }
+                self.lanes[vw][lane].buf.pop_front();
                 continue;
             }
             // Head blocked on a data dependency (or an unready push):
             // bounded out-of-order service of a ready backward.
-            if self.opts.reorder_window == 0 || !self.reorder_backward(vw, gpu, k, gpus) {
+            if self.opts.reorder_window == 0 || !self.reorder_backward(vw, lane) {
                 return;
             }
         }
     }
 
     /// Scans up to `reorder_window` ops past the blocked head of
-    /// `gpu`'s buffer for a ready backward (with its recompute prefix)
+    /// `lane`'s buffer for a ready backward (with its recompute prefix)
     /// and executes it out of line. Returns whether anything ran. See
-    /// [`Exec::advance_gpu`] for the soundness constraints.
-    fn reorder_backward(&mut self, vw: usize, gpu: usize, k: usize, gpus: usize) -> bool {
+    /// [`Exec::advance_lane`] for the soundness constraints.
+    fn reorder_backward(&mut self, vw: usize, lane: usize) -> bool {
         let window = self.opts.reorder_window;
         for j in 1..=window {
-            self.fill_gpu_buf(vw, gpu, j + 1);
-            let gop = self.gpu_cursors[vw][gpu].buf[j];
-            let (stage, chunk) = (gop.stage, gop.stage / gpus);
+            self.fill_lane_buf(vw, lane, j + 1);
+            let gop = self.lanes[vw][lane].buf[j];
+            let stage = gop.stage;
             // Preserve per-stage order: never overtake an earlier op
             // of the same stage (covers "backward before its own
             // forward" too, since the forward precedes it in-stage).
-            let overtakes_same_stage = self.gpu_cursors[vw][gpu]
+            let overtakes_same_stage = self.lanes[vw][lane]
                 .buf
                 .iter()
                 .take(j)
@@ -1384,53 +1088,39 @@ impl<'a> Exec<'a> {
                 continue;
             }
             match gop.op {
-                ScheduleOp::Backward { mb } => {
-                    if self.past_stop(mb) {
+                ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
+                    if self.past_stop(mb) || !self.input_ready(vw, stage, gop.op) {
                         continue;
                     }
-                    if stage + 1 < k && self.gpu_cursors[vw][gpu].bwd_arrived[chunk] < mb {
-                        continue;
-                    }
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Backward) {
-                        return false;
-                    }
-                    let cur = &mut self.gpu_cursors[vw][gpu];
-                    cur.bwd_consumed[chunk] = mb;
-                    cur.buf.remove(j);
-                    return true;
-                }
-                ScheduleOp::Recompute { mb } => {
                     // A checkpointing stage's backward rides directly
                     // behind its recompute; serve them as a unit.
-                    if self.past_stop(mb) {
-                        continue;
+                    let backward = GpuOp {
+                        stage,
+                        op: ScheduleOp::Backward { mb },
+                    };
+                    let recompute = gop != backward;
+                    if recompute {
+                        self.fill_lane_buf(vw, lane, j + 2);
+                        debug_assert_eq!(
+                            self.lanes[vw][lane].buf[j + 1],
+                            backward,
+                            "recompute must precede its own backward"
+                        );
                     }
-                    if stage + 1 < k && self.gpu_cursors[vw][gpu].bwd_arrived[chunk] < mb {
-                        continue;
-                    }
-                    self.fill_gpu_buf(vw, gpu, j + 2);
-                    debug_assert_eq!(
-                        self.gpu_cursors[vw][gpu].buf[j + 1],
-                        GpuOp {
-                            stage,
-                            op: ScheduleOp::Backward { mb }
-                        },
-                        "recompute must precede its own backward"
-                    );
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Recompute) {
+                    if !self.reserve_compute(vw, stage, gop.op) {
                         return false;
                     }
-                    self.gpu_cursors[vw][gpu].buf.remove(j);
-                    // Backward now sits at index j. Reserving it can
-                    // only fail at the horizon edge — then it stays
-                    // buffered, exactly like a strict-order cursor
-                    // parked after its recompute.
-                    if !self.reserve_compute(vw, stage, mb, StreamTask::Backward) {
-                        return false;
+                    self.lanes[vw][lane].buf.remove(j);
+                    // The backward now sits at index j. Reserving it
+                    // can only fail at the horizon edge — then it stays
+                    // buffered, exactly like a strict-order lane parked
+                    // after its recompute.
+                    if recompute {
+                        if !self.reserve_compute(vw, stage, backward.op) {
+                            return false;
+                        }
+                        self.lanes[vw][lane].buf.remove(j);
                     }
-                    let cur = &mut self.gpu_cursors[vw][gpu];
-                    cur.bwd_consumed[chunk] = mb;
-                    cur.buf.remove(j);
                     return true;
                 }
                 // Forwards acquire activation slots — not reordered.
@@ -1438,32 +1128,44 @@ impl<'a> Exec<'a> {
                 ScheduleOp::Forward { .. } | ScheduleOp::Push { .. } => continue,
                 // A gate fences everything behind it: stop the scan.
                 ScheduleOp::PullGate { .. } => return false,
-                ScheduleOp::FusedFwdBwd { .. } => {
-                    unreachable!("composite streams never fuse")
-                }
+                ScheduleOp::FusedFwdBwd { .. } => unreachable!("lane schedules never fuse"),
             }
         }
         false
     }
 
-    /// Reserves a compute task on the stage's GPU, records its span,
-    /// and schedules its completion event; returns false when past the
-    /// horizon (stops eager reservation — the caller must then leave
-    /// its cursor parked on the op, and clear the cursor on success).
-    fn reserve_compute(&mut self, vw: usize, stage: usize, mb: u64, task: StreamTask) -> bool {
+    /// Whether lane compute `op` of `stage` has its input: a forward
+    /// waits for activations from the left (stage 0 reads its own
+    /// data); a backward, and the recompute ahead of it, for the
+    /// gradient from the right — at the pipeline's last virtual stage
+    /// its input is its own forward, which precedes it on this GPU's
+    /// timeline.
+    fn input_ready(&self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
+        let (lane, chunk) = self.lane_of(vw, stage);
+        let cur = &self.lanes[vw][lane];
+        match op {
+            ScheduleOp::Forward { mb } => stage == 0 || cur.fwd_arrived[chunk] >= mb,
+            ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
+                stage + 1 == self.p.vws[vw].stages() || cur.bwd_arrived[chunk] >= mb
+            }
+            _ => unreachable!("{op:?} is not a lane compute op"),
+        }
+    }
+
+    /// Reserves lane compute `op` (forward, backward or recompute) on
+    /// the stage's GPU, records its span, and schedules its completion
+    /// event; returns false when past the horizon (stops eager
+    /// reservation — the caller must then leave the op at its lane's
+    /// head, and pop it on success).
+    fn reserve_compute(&mut self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
         let gpu = self.gpu_of(vw, stage);
         if self.pool.get(gpu).free_at() >= self.horizon {
             return false;
         }
-        let dur = match task {
-            StreamTask::Forward | StreamTask::Recompute => self.fwd[vw][stage],
-            StreamTask::Backward => self.bwd[vw][stage],
-            StreamTask::Fused => self.fwd[vw][stage] + self.bwd[vw][stage],
-        };
-        let (s, e) = self.gpu_reserve(gpu, dur);
         let (vw32, stage32) = (vw as u32, stage as u32);
-        let (tag, done) = match task {
-            StreamTask::Forward => (
+        let (dur, tag, done) = match op {
+            ScheduleOp::Forward { mb } => (
+                self.fwd[vw][stage],
                 SpanTag::Forward {
                     vw: vw32,
                     stage: stage32,
@@ -1475,9 +1177,11 @@ impl<'a> Exec<'a> {
                     mb,
                 }),
             ),
-            // Nothing waits on a recompute: its backward is reserved
-            // right behind it on the same FIFO timeline.
-            StreamTask::Recompute => (
+            // A stage-local forward re-run: nothing waits on it, since
+            // its backward is reserved right behind it on the same
+            // FIFO timeline.
+            ScheduleOp::Recompute { mb } => (
+                self.fwd[vw][stage],
                 SpanTag::Recompute {
                     vw: vw32,
                     stage: stage32,
@@ -1485,9 +1189,8 @@ impl<'a> Exec<'a> {
                 },
                 None,
             ),
-            // Fused tasks are traced as Backward, matching the wave
-            // path's fused last stage.
-            StreamTask::Backward | StreamTask::Fused => (
+            ScheduleOp::Backward { mb } => (
+                self.bwd[vw][stage],
                 SpanTag::Backward {
                     vw: vw32,
                     stage: stage32,
@@ -1499,7 +1202,9 @@ impl<'a> Exec<'a> {
                     mb,
                 }),
             ),
+            _ => unreachable!("{op:?} is not a lane compute op"),
         };
+        let (s, e) = self.gpu_reserve(gpu, dur);
         self.trace.record(gpu, s, e, tag);
         if let Some(done) = done {
             self.engine.schedule_at(e, done);
@@ -1508,7 +1213,7 @@ impl<'a> Exec<'a> {
     }
 
     /// Sends the gradient w.r.t. a stage's inputs to the previous
-    /// stage (shared by both dispatch paths).
+    /// stage (shared by both disciplines).
     fn send_gradient_left(&mut self, vw: usize, stage: usize, mb: u64) {
         let range_start = self.p.vws[vw].plan.ranges[stage].start;
         let bytes = self.p.graph.input_bytes_of(range_start);
@@ -1536,17 +1241,14 @@ impl<'a> Exec<'a> {
     }
 
     // ------------------------------------------------------------------
-    // WSP push/pull protocol (shared by both dispatch paths).
+    // WSP push/pull protocol (shared by both disciplines).
     // ------------------------------------------------------------------
 
     fn start_push(&mut self, vw: usize, wave: u64) {
         // Consecutive waves' pushes run *concurrently*: each wave
         // tracks its own chunk counter, and its transfers contend on
         // the NIC timelines like any other traffic instead of being
-        // serialized FIFO behind the previous wave's completion. (The
-        // frozen seed executor in `crate::golden` keeps a single
-        // unguarded counter; none of the golden-tested configurations
-        // overlap pushes, so trace equality is unaffected.)
+        // serialized FIFO behind the previous wave's completion.
         let chunk_list = if self.p.sync_transfers {
             self.chunks[vw].clone()
         } else {
@@ -1818,8 +1520,8 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// with [`SegmentOpts`] — pre-existing and scheduled resource-rate
 /// changes (fault injection), an optional stop-and-drain point at a
 /// wave boundary (the splice the reactive runtime re-plans at), and a
-/// bounded composite-stream reorder window. Default options make this
-/// identical to [`run`] — the zero-fault golden-trace invariance.
+/// bounded lane reorder window. Default options make this identical
+/// to [`run`] — the zero-fault invariance.
 pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) -> RunStats {
     if let Some(stop) = opts.stop_after_mb {
         assert!(

@@ -39,7 +39,6 @@ pub mod alloc;
 pub mod audit;
 pub mod convergence;
 pub mod exec;
-pub mod golden;
 pub mod metrics;
 pub mod plankey;
 pub mod pserver;

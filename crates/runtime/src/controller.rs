@@ -34,7 +34,7 @@
 //!
 //! - [`Policy::Static`] — today's behaviour: observe, never react.
 //! - [`Policy::SkipStraggler`] — on a straggler, enable the
-//!   executor's bounded composite-stream reorder window
+//!   executor's bounded lane reorder window
 //!   ([`SegmentOpts::reorder_window`]): GPUs blocked on the
 //!   straggler's late gradients serve ready backwards from other
 //!   chunks instead of head-of-line blocking (the ROADMAP's
@@ -81,10 +81,11 @@ pub enum Policy {
     /// Never react (today's static behaviour; the baseline).
     Static,
     /// On a straggler, enable bounded out-of-order service of ready
-    /// backwards within `window` ops of each composite GPU stream.
-    /// Only composite-stream schedules (`Dispatch::GpuStreamOrder`)
-    /// have a stream to reorder; for others this behaves like
-    /// [`Policy::Static`].
+    /// backwards within `window` ops of each executor lane. The
+    /// reorder applies to every lane, but only a lane hosting several
+    /// stages (composite interleaved) can overtake anything: on a
+    /// one-stage lane, and under arrival-FIFO dispatch, this behaves
+    /// like [`Policy::Static`].
     SkipStraggler {
         /// Lookahead window, in stream ops.
         window: usize,

@@ -28,7 +28,7 @@
 //! - [`Policy`] / [`run`] — the reactive controller:
 //!   [`Policy::Static`] (baseline), [`Policy::SkipStraggler`]
 //!   (bounded out-of-order service of ready backwards in the
-//!   composite per-GPU streams), and [`Policy::Replan`] (re-run the
+//!   executor's lanes), and [`Policy::Replan`] (re-run the
 //!   fast planner with observed costs and surviving GPUs —
 //!   warm-started from the incumbent plan — and splice the new plan
 //!   at a wave boundary). With [`RuntimeParams::planner`] set,

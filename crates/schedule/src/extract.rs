@@ -18,6 +18,7 @@
 //! interleaving to dependency-arrival times. Analyses must not assume
 //! more order than the executor enforces.
 
+use crate::lane::{lanes, Lane};
 use crate::ops::{Dispatch, GpuOp, ScheduleOp};
 use crate::recompute::RecomputePolicy;
 use crate::schedules::PipelineSchedule;
@@ -111,12 +112,9 @@ fn pull_horizon(
 /// worker, covering every compute op of minibatches `1..=max_mb` and
 /// every wave decoration of the waves completing within that horizon.
 ///
-/// Composite schedules ([`Dispatch::GpuStreamOrder`]) yield one
-/// ordered queue per physical GPU; all other schedules yield one
-/// queue per virtual stage, ordered iff the dispatch is
-/// [`Dispatch::StreamOrder`]. Recompute placement follows
-/// [`PipelineSchedule::recomputes_at`], exactly as the executor and
-/// the validators apply it.
+/// There is one queue per [`lanes`] lane: one per physical GPU for
+/// composite schedules, one per virtual stage otherwise. Queues are
+/// ordered unless the dispatch is [`Dispatch::ArrivalFifo`].
 pub fn committed_queues(
     sched: &dyn PipelineSchedule,
     k_gpus: usize,
@@ -124,65 +122,32 @@ pub fn committed_queues(
     recompute: RecomputePolicy,
     max_mb: u64,
 ) -> Vec<CommittedQueue> {
+    let ordered = sched.dispatch() != Dispatch::ArrivalFifo;
+    let lanes = lanes(sched, k_gpus, wsp, recompute);
     let k = sched.virtual_stages(k_gpus);
+    let n = lanes.len();
     // Worst case per minibatch per stage: forward + recompute +
     // backward, plus two decorations per wave and stream warmup slack.
     let per_stage_budget = (max_mb as usize) * 4 + 4 * wsp.nm + 64;
-    match sched.dispatch() {
-        Dispatch::GpuStreamOrder => {
-            let streams = sched
-                .gpu_streams_with(k_gpus, wsp, recompute)
-                .expect("GpuStreamOrder schedules declare composite streams");
-            streams
-                .into_iter()
-                .enumerate()
-                .map(|(gpu, mut stream)| {
-                    let stages: Vec<usize> = (0..k).filter(|s| s % k_gpus == gpu).collect();
-                    let budget = per_stage_budget * stages.len();
-                    let ops = pull_horizon(
-                        || stream.next().expect("composite streams are infinite"),
-                        &stages,
-                        wsp,
-                        max_mb,
-                        budget,
-                    );
-                    CommittedQueue {
-                        kind: QueueKind::Gpu(gpu),
-                        ordered: true,
-                        ops,
-                    }
-                })
-                .collect()
-        }
-        dispatch => {
-            let ordered = dispatch == Dispatch::StreamOrder;
-            (0..k)
-                .map(|stage| {
-                    let effective = if sched.recomputes_at(stage, k, wsp.nm, recompute) {
-                        recompute
-                    } else {
-                        RecomputePolicy::None
-                    };
-                    let mut stream = sched.stream(stage, k, wsp).with_recompute(effective);
-                    let ops = pull_horizon(
-                        || GpuOp {
-                            stage,
-                            op: stream.next().expect("schedule streams are infinite"),
-                        },
-                        &[stage],
-                        wsp,
-                        max_mb,
-                        per_stage_budget,
-                    );
-                    CommittedQueue {
-                        kind: QueueKind::Stage(stage),
-                        ordered,
-                        ops,
-                    }
-                })
-                .collect()
-        }
-    }
+    lanes
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut lane)| {
+            let stages: Vec<usize> = (0..k).filter(|s| s % n == i).collect();
+            let kind = match lane {
+                Lane::Stage { .. } => QueueKind::Stage(i),
+                Lane::Gpu(_) => QueueKind::Gpu(i),
+            };
+            let ops = pull_horizon(
+                || lane.next().expect("lanes are infinite"),
+                &stages,
+                wsp,
+                max_mb,
+                per_stage_budget * stages.len(),
+            );
+            CommittedQueue { kind, ordered, ops }
+        })
+        .collect()
 }
 
 /// One pull gate's position in the stage-0 stream: how many stage-0

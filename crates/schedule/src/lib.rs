@@ -19,6 +19,10 @@
 //!   [`PipelineSchedule::dispatch`] is `GpuStreamOrder` are executed
 //!   from these streams; the per-stage streams remain as projections
 //!   for stage-local analyses.
+//! - [`Lane`] / [`lanes`] — the ordered op queues a virtual worker
+//!   executes, one per virtual stage or, for composite schedules, one
+//!   per physical GPU. The executor and [`committed_queues`] both
+//!   build them here.
 //! - [`PipelineSchedule`] — the trait: op streams (per stage and,
 //!   for composite schedules, per GPU), the dispatch discipline, and
 //!   per-stage peak-memory accounting (in-flight activations and
@@ -48,8 +52,8 @@
 //!   stashed parameter copies) when certifying that a stage fits its
 //!   GPU.
 //! - The **executor** enforces the same window at dispatch time:
-//!   stream-order schedules execute their declared op streams in
-//!   order, and arrival-FIFO schedules gate forward dispatch at each
+//!   stream-order schedules execute their declared lanes in order,
+//!   and arrival-FIFO schedules gate forward dispatch at each
 //!   stage on the declared window, so a stage can never accumulate
 //!   more activation sets than were certified — even if a schedule's
 //!   stream over-promises.
@@ -88,6 +92,7 @@
 //! ```
 
 pub mod extract;
+pub mod lane;
 pub mod ops;
 pub mod recompute;
 pub mod schedules;
@@ -98,6 +103,7 @@ pub use extract::{
     committed_queues, ps_interaction_points, CommittedQueue, GatePoint, PsInteractions, PushPoint,
     QueueKind,
 };
+pub use lane::{lanes, Lane};
 pub use ops::{Dispatch, GpuOp, ScheduleOp};
 pub use recompute::RecomputePolicy;
 pub use schedules::{

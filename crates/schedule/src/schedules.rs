@@ -61,8 +61,7 @@ pub trait PipelineSchedule {
     /// ([`GpuOp`]). `Some` exactly for schedules whose
     /// [`PipelineSchedule::dispatch`] is
     /// [`Dispatch::GpuStreamOrder`]; flat and depth-expanded
-    /// schedules return `None` and are executed from their per-stage
-    /// streams.
+    /// schedules return `None`.
     fn gpu_stream(&self, gpu: usize, k_gpus: usize, wsp: WspParams) -> Option<GpuStream> {
         let _ = (gpu, k_gpus, wsp);
         None

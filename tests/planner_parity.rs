@@ -13,13 +13,13 @@
 //! (b) the parallel order search returns the same plan as the serial
 //!     search, and the optimized solver the same plan as the naive
 //!     reference solver;
-//! (c) the wave schedule's golden traces are still bit-identical to
-//!     the frozen seed executor — the planner refactor may not leak
-//!     into runtime behaviour.
+//! (c) the optimized and reference solvers' plans simulate to
+//!     bit-identical wave-schedule traces — the planner refactor may
+//!     not leak into runtime behaviour (`tests/trace_pins.rs` pins
+//!     that run's digest).
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, LinkKind};
 use hetpipe::core::exec::{self, ExecParams};
-use hetpipe::core::golden;
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
@@ -27,8 +27,8 @@ use hetpipe::model::memory::nm_saturation_limit;
 use hetpipe::model::{ModelGraph, StageMemoryTerms, TrainingMemoryModel};
 use hetpipe::partition::order::{best_order, search_orders, search_orders_par};
 use hetpipe::partition::{
-    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionProblem, PartitionSolver,
-    StageCostModel,
+    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
+    PartitionProblem, PartitionSolver, StageCostModel,
 };
 use hetpipe::schedule::PipelineSchedule;
 use rand::rngs::SmallRng;
@@ -214,9 +214,9 @@ fn parallel_order_search_matches_serial() {
     }
 }
 
-/// (c) The wave schedule through the schedule-generic executor is
-/// still bit-identical to the frozen seed executor: nothing in the
-/// planner/trace/timetable optimizations leaks into runtime traces.
+/// (c) The wave schedule simulated from the optimized solver's plans
+/// and from the reference solver's plans gives bit-identical traces:
+/// nothing in the planner optimizations leaks into runtime traces.
 #[test]
 fn golden_wave_still_bit_identical() {
     let cluster = Cluster::paper_testbed();
@@ -225,42 +225,44 @@ fn golden_wave_still_bit_identical() {
         .map(|j| (0..4).map(|n| DeviceId(n * 4 + j)).collect())
         .collect();
     let nm = 4;
-    let vws: Vec<VirtualWorker> = groups
-        .iter()
-        .enumerate()
-        .map(|(i, devices)| {
-            let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(&cluster, devices);
-            let plan = PartitionSolver::solve(&PartitionProblem::new(&graph, gpus, links, nm))
-                .expect("feasible");
-            VirtualWorker {
-                index: i,
-                devices: devices.clone(),
-                plan,
-                nm,
-            }
-        })
-        .collect();
-    let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
-    let params = ExecParams {
-        cluster: &cluster,
-        graph: &graph,
-        vws: &vws,
-        wsp: WspParams::new(nm, 0),
-        shards: &shards,
-        sync_transfers: true,
-        schedule: Schedule::HetPipeWave,
-        recompute: RecomputePolicy::None,
+    type Solve = fn(&PartitionProblem) -> Result<PartitionPlan, PartitionError>;
+    let run = |solve: Solve| {
+        let vws: Vec<VirtualWorker> = groups
+            .iter()
+            .enumerate()
+            .map(|(i, devices)| {
+                let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
+                let links = VirtualWorker::links(&cluster, devices);
+                let plan =
+                    solve(&PartitionProblem::new(&graph, gpus, links, nm)).expect("feasible");
+                VirtualWorker {
+                    index: i,
+                    devices: devices.clone(),
+                    plan,
+                    nm,
+                }
+            })
+            .collect();
+        let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
+        exec::run(
+            ExecParams {
+                cluster: &cluster,
+                graph: &graph,
+                vws: &vws,
+                wsp: WspParams::new(nm, 0),
+                shards: &shards,
+                sync_transfers: true,
+                schedule: Schedule::HetPipeWave,
+                recompute: RecomputePolicy::None,
+            },
+            SimTime::from_secs(10.0),
+        )
     };
-    let horizon = SimTime::from_secs(10.0);
-    let new = exec::run(params.clone(), horizon);
-    let old = golden::run(params, horizon);
-    assert!(new.trace.len() > 100, "trivial trace proves nothing");
-    assert_eq!(new.trace.len(), old.trace.len());
-    for (i, (x, y)) in new.trace.spans().iter().zip(old.trace.spans()).enumerate() {
-        assert_eq!(x, y, "span {i} differs");
-    }
-    for (x, y) in new.vws.iter().zip(&old.vws) {
+    let fast = run(PartitionSolver::solve);
+    let slow = run(PartitionSolver::solve_reference);
+    assert!(fast.trace.len() > 100, "trivial trace proves nothing");
+    assert_eq!(fast.trace.spans(), slow.trace.spans());
+    for (x, y) in fast.vws.iter().zip(&slow.vws) {
         assert_eq!(x.completions, y.completions);
         assert_eq!(x.waves_pushed, y.waves_pushed);
     }
