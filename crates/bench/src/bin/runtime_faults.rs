@@ -19,7 +19,7 @@
 //!   (script, policy) cell, fault edges / signals / splices included
 //!   as instant markers.
 
-use hetpipe_bench::print_table;
+use hetpipe_bench::{arg_value, print_table, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -28,20 +28,12 @@ use hetpipe_des::SimTime;
 use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{self as runtime, FaultScript, MonitorConfig, Policy, RuntimeParams};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let horizon = SimTime::from_secs(
-        arg_value("--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(40.0),
-    );
-    let trace_prefix = arg_value("--trace-out");
+    let horizon_secs: f64 = arg_value("--horizon")
+        .unwrap_or_else(|e| usage_error(&e))
+        .unwrap_or(40.0);
+    let horizon = SimTime::from_secs(horizon_secs);
+    let trace_prefix: Option<String> = arg_value("--trace-out").unwrap_or_else(|e| usage_error(&e));
 
     // The acceptance configuration: one whimpy 4×RTX 2060 node,
     // ResNet-152, boundary-only recompute (the lever that buys the

@@ -25,7 +25,7 @@
 //! - `--trace-out <prefix>`: write chrome traces for the canonical
 //!   lease cells and the first few chaos seeds.
 
-use hetpipe_bench::print_table;
+use hetpipe_bench::{arg_value, print_table, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -35,22 +35,15 @@ use hetpipe_fleet::trace_fingerprint;
 use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{self as runtime, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
     let horizon_secs: f64 = arg_value("--horizon")
-        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or(60.0);
     let horizon = SimTime::from_secs(horizon_secs);
     let seeds: u64 = arg_value("--seeds")
-        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or(32);
-    let trace_prefix = arg_value("--trace-out");
+    let trace_prefix: Option<String> = arg_value("--trace-out").unwrap_or_else(|e| usage_error(&e));
 
     // The acceptance configuration: one whimpy 4×RTX 2060 node,
     // ResNet-152, boundary-only recompute.

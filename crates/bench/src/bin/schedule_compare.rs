@@ -35,7 +35,7 @@
 //!   scenario's shape), or `seeded:<n>` (a deterministic random
 //!   script).
 
-use hetpipe_bench::{maybe_write_json, print_table};
+use hetpipe_bench::{arg_value, maybe_write_json, print_table, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind};
 use hetpipe_core::WspParams;
 use hetpipe_core::{
@@ -43,51 +43,10 @@ use hetpipe_core::{
     SystemConfig,
 };
 use hetpipe_des::SimTime;
+use hetpipe_fleet::trace_fingerprint;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
 use hetpipe_runtime::{FaultScript, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use serde_json::json;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// FNV-1a fingerprint of a run's span trace. Sweep cells whose traces
-/// are identical (e.g. recompute on vs off where no stage actually
-/// checkpoints) serialize once; later cells copy the already-written
-/// file instead of re-serializing the same spans.
-fn trace_fingerprint(stats: &hetpipe_core::exec::RunStats) -> u64 {
-    use hetpipe_core::exec::SpanTag;
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    mix(stats.trace.len() as u64);
-    for span in stats.trace.spans() {
-        mix(span.resource.0 as u64);
-        mix(span.start.as_nanos());
-        mix(span.end.as_nanos());
-        let (kind, a, b, c) = match span.tag {
-            SpanTag::Forward { vw, stage, mb } => (1, vw as u64, stage as u64, mb),
-            SpanTag::Backward { vw, stage, mb } => (2, vw as u64, stage as u64, mb),
-            SpanTag::Recompute { vw, stage, mb } => (3, vw as u64, stage as u64, mb),
-            SpanTag::ActTransfer {
-                vw,
-                stage,
-                backward,
-            } => (4, vw as u64, stage as u64, backward as u64),
-            SpanTag::SyncTransfer { vw, wave, pull } => (5, vw as u64, wave, pull as u64),
-        };
-        mix(kind);
-        mix(a);
-        mix(b);
-        mix(c);
-    }
-    h
-}
 
 fn homogeneous_testbed() -> Cluster {
     // Four 4-GPU TITAN V nodes: the "rich" cluster HetPipe's whimpy
@@ -104,11 +63,11 @@ fn whimpy_testbed() -> Cluster {
 
 /// Resolves the `--faults` spec: a named canonical script, a seeded
 /// generator, or a JSON file path (scenario or legacy fault form).
-fn load_script(spec: &str, horizon_secs: f64) -> ScenarioScript {
+fn load_script(spec: &str, horizon_secs: f64) -> Result<ScenarioScript, String> {
     // Canonical onsets land 10% into the run (capped at the acceptance
     // scenario's 5 s) so short CI horizons still see the perturbation.
     let onset = (horizon_secs * 0.1).min(5.0);
-    match spec {
+    Ok(match spec {
         "canonical-straggler" => FaultScript::canonical_straggler(0, onset).into(),
         "canonical-gpu-loss" => FaultScript::canonical_gpu_loss(0, onset).into(),
         // Preempt GPU 0 a tenth into the run, re-grant at 60% of the
@@ -116,25 +75,28 @@ fn load_script(spec: &str, horizon_secs: f64) -> ScenarioScript {
         "canonical-lease" => ScenarioScript::canonical_lease(0, onset, horizon_secs * 0.6),
         other => {
             if let Some(seed) = other.strip_prefix("seeded:") {
-                let seed: u64 = seed.parse().expect("--faults seeded:<n> needs an integer");
-                return FaultScript::seeded(seed, horizon_secs, 16, 4, 4).into();
+                let seed: u64 = seed
+                    .parse()
+                    .map_err(|_| format!("--faults seeded:<n> needs an integer, got {seed:?}"))?;
+                return Ok(FaultScript::seeded(seed, horizon_secs, 16, 4, 4).into());
             }
             let text = std::fs::read_to_string(other)
-                .unwrap_or_else(|e| panic!("cannot read fault script {other}: {e}"));
+                .map_err(|e| format!("cannot read fault script {other}: {e}"))?;
             ScenarioScript::from_json(&text)
-                .unwrap_or_else(|e| panic!("cannot parse fault script {other}: {e}"))
+                .map_err(|e| format!("cannot parse fault script {other}: {e}"))?
         }
-    }
+    })
 }
 
 fn main() {
-    let horizon = SimTime::from_secs(
-        arg_value("--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(60.0),
-    );
-    let trace_prefix = arg_value("--trace-out");
-    let script = arg_value("--faults").map(|spec| load_script(&spec, horizon.as_secs()));
+    let horizon_secs: f64 = arg_value("--horizon")
+        .unwrap_or_else(|e| usage_error(&e))
+        .unwrap_or(60.0);
+    let horizon = SimTime::from_secs(horizon_secs);
+    let trace_prefix: Option<String> = arg_value("--trace-out").unwrap_or_else(|e| usage_error(&e));
+    let script = arg_value::<String>("--faults")
+        .unwrap_or_else(|e| usage_error(&e))
+        .map(|spec| load_script(&spec, horizon.as_secs()).unwrap_or_else(|e| usage_error(&e)));
 
     let clusters: Vec<(&str, Cluster)> = vec![
         ("paper", Cluster::paper_testbed()),
@@ -256,7 +218,7 @@ fn main() {
                                 // on/off with no checkpointing stage,
                                 // for instance) copies the file
                                 // instead of re-serializing.
-                                match written_traces.entry(trace_fingerprint(&stats)) {
+                                match written_traces.entry(trace_fingerprint(stats.trace.spans())) {
                                     std::collections::hash_map::Entry::Occupied(prev) => {
                                         std::fs::copy(prev.get(), &path)
                                             .map(|_| ())

@@ -9,6 +9,7 @@ use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig, SystemReport};
 use hetpipe_des::SimTime;
 use hetpipe_model::ModelGraph;
+use std::str::FromStr;
 
 /// Default simulated horizon for throughput experiments.
 pub const HORIZON_SECS: f64 = 60.0;
@@ -39,6 +40,34 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for r in rows {
         line(r.clone());
     }
+}
+
+/// The value following flag `name` in `args`, parsed as `T`:
+/// `Ok(None)` when the flag is absent, `Err` when it has no value or
+/// the value does not parse.
+pub fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{name}: cannot parse {value:?}"))
+}
+
+/// [`parse_flag`] over this process's command line.
+pub fn arg_value<T: FromStr>(name: &str) -> Result<Option<T>, String> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag(&args, name)
+}
+
+/// Reports a malformed command line and exits with status 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// Writes a JSON value to the path given after a `--json` CLI flag, if
@@ -144,6 +173,28 @@ mod tests {
             let derived: String = devices.iter().map(|&d| cluster.kind_of(d).code()).collect();
             assert_eq!(derived, label);
         }
+    }
+
+    #[test]
+    fn parse_flag_is_strict() {
+        let args: Vec<String> = ["bin", "--horizon", "abc", "--seeds", "8", "--last"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(parse_flag::<u64>(&args, "--seeds"), Ok(Some(8)));
+        assert_eq!(parse_flag::<f64>(&args, "--absent"), Ok(None));
+        assert_eq!(
+            parse_flag::<f64>(&args, "--horizon"),
+            Err("--horizon: cannot parse \"abc\"".to_string())
+        );
+        assert_eq!(
+            parse_flag::<String>(&args, "--last"),
+            Err("--last needs a value".to_string())
+        );
+        assert_eq!(
+            parse_flag::<String>(&args, "--horizon"),
+            Ok(Some("abc".to_string()))
+        );
     }
 
     #[test]
