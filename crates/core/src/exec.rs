@@ -336,9 +336,7 @@ struct StageWindow {
 }
 
 /// One lane's position (lane dispatch only). Stage `s` of a VW with
-/// `n` lanes runs on lane `s % n` as chunk `s / n`: one chunk per lane
-/// for per-stage lanes, one per co-located virtual stage for composite
-/// lanes.
+/// `n` lanes runs on lane `s % n`.
 struct LaneCursor {
     lane: Lane,
     /// Ops pulled from the lane but not yet executed. `buf[0]` is the
@@ -346,15 +344,19 @@ struct LaneCursor {
     /// [`SegmentOpts::reorder_window`] the executor may serve a ready
     /// backward from deeper in the buffer while the head is blocked.
     buf: VecDeque<GpuOp>,
-    /// Newest minibatch whose forward activations have arrived at
-    /// each chunk (arrivals are FIFO, so a high-water mark suffices).
-    fwd_arrived: Vec<u64>,
-    /// Newest minibatch whose output gradients have arrived at each
-    /// chunk.
-    bwd_arrived: Vec<u64>,
-    /// Drain mode only: which chunks have reached their first
-    /// backward past the stop point.
-    drained: Vec<bool>,
+}
+
+/// One virtual stage's inputs (lane dispatch only).
+#[derive(Clone, Default)]
+struct LaneStage {
+    /// Newest minibatch whose forward activations have arrived
+    /// (arrivals are FIFO, so a high-water mark suffices).
+    fwd_arrived: u64,
+    /// Newest minibatch whose output gradients have arrived.
+    bwd_arrived: u64,
+    /// Drain mode only: the stage has reached its first backward past
+    /// the stop point.
+    drained: bool,
 }
 
 /// How the executor learns about *other* virtual workers' push
@@ -385,8 +387,9 @@ struct Exec<'a> {
     bwd: Vec<Vec<SimTime>>,
     /// Per-VW sync chunk lists (same for every wave).
     chunks: Vec<Vec<SyncChunk>>,
-    /// Per-VW lane cursors (lane dispatch only).
+    /// Per-VW lane cursors and per-stage inputs (lane dispatch only).
     lanes: Vec<Vec<LaneCursor>>,
+    lane_stages: Vec<Vec<LaneStage>>,
     /// Per-VW per-stage activation windows (arrival-FIFO dispatch
     /// gates on these; both disciplines debug-assert against them).
     windows: Vec<Vec<StageWindow>>,
@@ -459,23 +462,22 @@ impl<'a> Exec<'a> {
                 .vws
                 .iter()
                 .map(|vw| {
-                    let k = vw.stages();
-                    let k_gpus = k / p.schedule.colocated_stages();
-                    let lanes = lanes(&p.schedule, k_gpus, p.wsp, p.recompute);
-                    let chunks = k / lanes.len();
-                    lanes
+                    let k_gpus = vw.stages() / p.schedule.colocated_stages();
+                    lanes(&p.schedule, k_gpus, p.wsp, p.recompute)
                         .into_iter()
                         .map(|lane| LaneCursor {
                             lane,
                             buf: VecDeque::new(),
-                            fwd_arrived: vec![0; chunks],
-                            bwd_arrived: vec![0; chunks],
-                            drained: vec![false; chunks],
                         })
                         .collect()
                 })
                 .collect(),
         };
+        let lane_stages = p
+            .vws
+            .iter()
+            .map(|vw| vec![LaneStage::default(); vw.stages()])
+            .collect();
 
         // The executor-enforced activation windows: exactly what the
         // memory model charges per stage (PipelineSchedule is the
@@ -509,6 +511,7 @@ impl<'a> Exec<'a> {
             bwd,
             chunks,
             lanes,
+            lane_stages,
             windows,
             dispatch,
             opts,
@@ -893,16 +896,15 @@ impl<'a> Exec<'a> {
             Ev::TryInject { vw } => self.advance_lane(vw as usize, 0),
             Ev::FwdArrive { vw, stage, mb } | Ev::BwdArrive { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let (lane, chunk) = self.lane_of(vw, stage);
-                let cur = &mut self.lanes[vw][lane];
+                let st = &mut self.lane_stages[vw][stage];
                 let arrived = if matches!(ev, Ev::FwdArrive { .. }) {
-                    &mut cur.fwd_arrived[chunk]
+                    &mut st.fwd_arrived
                 } else {
-                    &mut cur.bwd_arrived[chunk]
+                    &mut st.bwd_arrived
                 };
                 debug_assert!(mb > *arrived, "activations and gradients arrive in order");
                 *arrived = mb;
-                self.advance_lane(vw, lane);
+                self.advance_lane(vw, stage % self.lanes[vw].len());
             }
             Ev::FwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
@@ -949,12 +951,6 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// The lane hosting `stage` and the stage's chunk index on it.
-    fn lane_of(&self, vw: usize, stage: usize) -> (usize, usize) {
-        let n = self.lanes[vw].len();
-        (stage % n, stage / n)
-    }
-
     /// The WSP pull gate: true (with blocked-time bookkeeping closed
     /// out) when the local weights reflect `wave`, false (with the
     /// blocked window opened) when the lane must stay parked on the
@@ -997,12 +993,12 @@ impl<'a> Exec<'a> {
     ///
     /// - **drain** ([`SegmentOpts::stop_after_mb`]): past-boundary ops
     ///   are discarded unexecuted. A composite lane interleaves
-    ///   chunks, and a deep chunk's backward of `mb + 1` can
-    ///   legitimately precede a shallow chunk's backward of `mb` — so
-    ///   a chunk's first past-boundary backward (backwards are
-    ///   per-stage in order) only marks that chunk drained, and the
-    ///   lane parks for good at that backward once every chunk is
-    ///   drained. Gates and pushes ahead of it still run.
+    ///   stages, and a deep stage's backward of `mb + 1` can
+    ///   legitimately precede a shallow stage's backward of `mb` — so
+    ///   a stage's first past-boundary backward (backwards are
+    ///   per-stage in order) only marks that stage drained, and the
+    ///   lane parks for good at that backward once all of its stages
+    ///   are drained. Gates and pushes ahead of it still run.
     /// - **bounded reorder** ([`SegmentOpts::reorder_window`]): when
     ///   the head op is blocked on a data dependency, a *ready
     ///   backward* (with its recompute prefix) from up to `window`
@@ -1020,15 +1016,15 @@ impl<'a> Exec<'a> {
             self.fill_lane_buf(vw, lane, 1);
             let GpuOp { stage, op } = self.lanes[vw][lane].buf[0];
             if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
-                let chunk = self.lane_of(vw, stage).1;
-                let cur = &mut self.lanes[vw][lane];
                 if op.has_backward() {
-                    cur.drained[chunk] = true;
-                    if cur.drained.iter().all(|&d| d) {
+                    let stages = &mut self.lane_stages[vw];
+                    stages[stage].drained = true;
+                    let n = self.lanes[vw].len();
+                    if (lane..stages.len()).step_by(n).all(|s| stages[s].drained) {
                         return;
                     }
                 }
-                cur.buf.pop_front();
+                self.lanes[vw][lane].buf.pop_front();
                 continue;
             }
             let ready = match op {
@@ -1141,12 +1137,11 @@ impl<'a> Exec<'a> {
     /// its input is its own forward, which precedes it on this GPU's
     /// timeline.
     fn input_ready(&self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
-        let (lane, chunk) = self.lane_of(vw, stage);
-        let cur = &self.lanes[vw][lane];
+        let stages = &self.lane_stages[vw];
         match op {
-            ScheduleOp::Forward { mb } => stage == 0 || cur.fwd_arrived[chunk] >= mb,
+            ScheduleOp::Forward { mb } => stage == 0 || stages[stage].fwd_arrived >= mb,
             ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
-                stage + 1 == self.p.vws[vw].stages() || cur.bwd_arrived[chunk] >= mb
+                stage + 1 == stages.len() || stages[stage].bwd_arrived >= mb
             }
             _ => unreachable!("{op:?} is not a lane compute op"),
         }
