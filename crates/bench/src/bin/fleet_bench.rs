@@ -32,6 +32,7 @@
 //! `BENCH_fleet.json`), `--trace <path>` (merged chrome trace of the
 //! smallest fleet).
 
+use hetpipe_bench::{arg_value, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind, Node};
 use hetpipe_core::exec::{run, ExecParams, RunStats, SegmentOpts};
 use hetpipe_core::pserver::ShardMap;
@@ -174,13 +175,10 @@ fn check_stats_parity(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let arg_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out = arg_after("--out").unwrap_or_else(|| "BENCH_fleet.json".into());
-    let trace_out = arg_after("--trace");
+    let out: String = arg_value("--out")
+        .unwrap_or_else(|e| usage_error(&e))
+        .unwrap_or_else(|| "BENCH_fleet.json".into());
+    let trace_out: Option<String> = arg_value("--trace").unwrap_or_else(|e| usage_error(&e));
     let counts: &[usize] = if quick { &[4, 16] } else { &[16, 64, 256] };
     // Per-size timing horizon: simulated work scales inversely with
     // fleet size so every wall time is measurable without the large

@@ -35,6 +35,7 @@
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
 
+use hetpipe_bench::{arg_value, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind, LinkKind};
 use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig};
 use hetpipe_des::SimTime;
@@ -77,10 +78,8 @@ fn vrgq() -> Vec<hetpipe_cluster::gpu::GpuSpec> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
+    let out: String = arg_value("--out")
+        .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or_else(|| "BENCH_planner.json".into());
     let (solve_reps, search_reps, tt_reps) = if quick { (5, 2, 2) } else { (60, 8, 6) };
 

@@ -26,6 +26,7 @@
 //! Flags: `--quick` (fewer samples, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
 
+use hetpipe_bench::{arg_value, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::VirtualWorker;
 use hetpipe_model::ModelGraph;
@@ -154,10 +155,8 @@ fn summarize(mut samples: Vec<f64>) -> (f64, Value) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
+    let out: String = arg_value("--out")
+        .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or_else(|| "BENCH_planner.json".into());
     let lat_samples = if quick { 200 } else { 600 };
     let requests_per_client = if quick { 40 } else { 150 };

@@ -35,7 +35,7 @@
 //!   scenario's shape), or `seeded:<n>` (a deterministic random
 //!   script).
 
-use hetpipe_bench::{arg_value, maybe_write_json, print_table, usage_error};
+use hetpipe_bench::{arg_value, check_horizon, maybe_write_json, print_table, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind};
 use hetpipe_core::WspParams;
 use hetpipe_core::{
@@ -45,7 +45,7 @@ use hetpipe_core::{
 use hetpipe_des::SimTime;
 use hetpipe_fleet::trace_fingerprint;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
-use hetpipe_runtime::{FaultScript, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
+use hetpipe_runtime::{MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use serde_json::json;
 
 fn homogeneous_testbed() -> Cluster {
@@ -62,14 +62,14 @@ fn whimpy_testbed() -> Cluster {
 }
 
 /// Resolves the `--faults` spec: a named canonical script, a seeded
-/// generator, or a JSON file path (scenario or legacy fault form).
+/// generator, or a JSON file path (an `events` or `faults` document).
 fn load_script(spec: &str, horizon_secs: f64) -> Result<ScenarioScript, String> {
     // Canonical onsets land 10% into the run (capped at the acceptance
     // scenario's 5 s) so short CI horizons still see the perturbation.
     let onset = (horizon_secs * 0.1).min(5.0);
     Ok(match spec {
-        "canonical-straggler" => FaultScript::canonical_straggler(0, onset).into(),
-        "canonical-gpu-loss" => FaultScript::canonical_gpu_loss(0, onset).into(),
+        "canonical-straggler" => ScenarioScript::canonical_straggler(0, onset),
+        "canonical-gpu-loss" => ScenarioScript::canonical_gpu_loss(0, onset),
         // Preempt GPU 0 a tenth into the run, re-grant at 60% of the
         // horizon: the elastic acceptance scenario's lease shape.
         "canonical-lease" => ScenarioScript::canonical_lease(0, onset, horizon_secs * 0.6),
@@ -78,7 +78,7 @@ fn load_script(spec: &str, horizon_secs: f64) -> Result<ScenarioScript, String> 
                 let seed: u64 = seed
                     .parse()
                     .map_err(|_| format!("--faults seeded:<n> needs an integer, got {seed:?}"))?;
-                return Ok(FaultScript::seeded(seed, horizon_secs, 16, 4, 4).into());
+                return Ok(ScenarioScript::seeded(seed, horizon_secs, 16, 4, 4));
             }
             let text = std::fs::read_to_string(other)
                 .map_err(|e| format!("cannot read fault script {other}: {e}"))?;
@@ -89,9 +89,9 @@ fn load_script(spec: &str, horizon_secs: f64) -> Result<ScenarioScript, String> 
 }
 
 fn main() {
-    let horizon_secs: f64 = arg_value("--horizon")
-        .unwrap_or_else(|e| usage_error(&e))
-        .unwrap_or(60.0);
+    let horizon_secs = arg_value("--horizon")
+        .and_then(|h| check_horizon(h.unwrap_or(60.0)))
+        .unwrap_or_else(|e| usage_error(&e));
     let horizon = SimTime::from_secs(horizon_secs);
     let trace_prefix: Option<String> = arg_value("--trace-out").unwrap_or_else(|e| usage_error(&e));
     let script = arg_value::<String>("--faults")
@@ -103,6 +103,13 @@ fn main() {
         ("homogeneous", homogeneous_testbed()),
         ("whimpy", whimpy_testbed()),
     ];
+    if let Some(script) = &script {
+        for (cluster_name, cluster) in &clusters {
+            script.check_devices(cluster).unwrap_or_else(|e| {
+                usage_error(&format!("--faults {}: {e} ({cluster_name})", script.name))
+            });
+        }
+    }
     let models: Vec<(&str, ModelGraph)> =
         vec![("VGG-19", vgg19(32)), ("ResNet-152", resnet152(32))];
 

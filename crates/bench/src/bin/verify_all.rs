@@ -58,9 +58,10 @@
 //! on which zoo model's layers fill the stages — one proof per shape
 //! covers every model.
 
+use hetpipe_bench::{parse_flag, usage_error};
 use hetpipe_des::check_bounds;
 use hetpipe_fleet::SyncPlan;
-use hetpipe_runtime::{FaultScript, ScenarioScript};
+use hetpipe_runtime::ScenarioScript;
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule, WspParams};
 use hetpipe_verify::{
     check_broken_gate_protocol, check_broken_protocol, check_gate_protocol, check_seq_protocol,
@@ -91,33 +92,32 @@ impl Gate {
 
 fn main() {
     let started = Instant::now();
-    let mut report_path: Option<String> = None;
-    let mut budget_secs: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let args: Vec<String> = std::env::args().collect();
+    let report_path: Option<String> =
+        parse_flag(&args, "--report").unwrap_or_else(|e| usage_error(&e));
+    let budget_secs: Option<f64> =
+        parse_flag(&args, "--budget-secs").unwrap_or_else(|e| usage_error(&e));
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--report" => report_path = args.next(),
-            "--budget-secs" => {
-                budget_secs = args.next().and_then(|v| v.parse().ok());
+            "--report" | "--budget-secs" => {
+                rest.next();
             }
-            other => {
-                eprintln!("verify_all: unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
 
     let mut gate = Gate::default();
 
-    // The canonical fault and scenario scripts composed into every
-    // isolation certificate: environment rate edges must stay
-    // write-only and External-owned (replicable to every engine
-    // without coupling). The lease script exercises the full
-    // grant → preempt → re-grant edge shape the elastic controller
-    // splices around, so its footprints are certified by the same
-    // gate as the pure-fault ones.
-    let straggler = FaultScript::canonical_straggler(0, 5.0);
-    let gpu_loss = FaultScript::canonical_gpu_loss(0, 5.0);
+    // The canonical scenario scripts composed into every isolation
+    // certificate: environment rate edges must stay write-only and
+    // External-owned (replicable to every engine without coupling).
+    // The lease script exercises the full grant → preempt → re-grant
+    // edge shape the elastic controller splices around, so its
+    // footprints are certified by the same gate as the pure-fault
+    // ones.
+    let straggler = ScenarioScript::canonical_straggler(0, 5.0);
+    let gpu_loss = ScenarioScript::canonical_gpu_loss(0, 5.0);
     let lease = ScenarioScript::canonical_lease(0, 5.0, 12.0);
     let scripts: [(&str, Vec<hetpipe_des::Footprint>); 3] = [
         (&straggler.name, straggler.edge_footprints()),

@@ -64,6 +64,18 @@ pub fn arg_value<T: FromStr>(name: &str) -> Result<Option<T>, String> {
     parse_flag(&args, name)
 }
 
+/// `secs` as a simulated horizon: `Err` unless it is finite and
+/// positive (the canonical scripts place their events inside it).
+pub fn check_horizon(secs: f64) -> Result<f64, String> {
+    if secs.is_finite() && secs > 0.0 {
+        Ok(secs)
+    } else {
+        Err(format!(
+            "--horizon must be a positive number of seconds, got {secs}"
+        ))
+    }
+}
+
 /// Reports a malformed command line and exits with status 2.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -195,6 +207,15 @@ mod tests {
             parse_flag::<String>(&args, "--horizon"),
             Ok(Some("abc".to_string()))
         );
+    }
+
+    #[test]
+    fn check_horizon_rejects_non_positive_and_non_finite() {
+        assert_eq!(check_horizon(5.0), Ok(5.0));
+        assert_eq!(check_horizon(1e-3), Ok(1e-3));
+        for bad in [0.0, -0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(check_horizon(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

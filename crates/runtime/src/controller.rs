@@ -38,7 +38,8 @@
 //!   ([`SegmentOpts::reorder_window`]): GPUs blocked on the
 //!   straggler's late gradients serve ready backwards from other
 //!   chunks instead of head-of-line blocking (the ROADMAP's
-//!   composite-vs-arrival adaptivity lever).
+//!   composite-vs-arrival adaptivity lever). Composite schedules
+//!   only: elsewhere no lane hosts a second chunk to serve.
 //! - [`Policy::Replan`] — re-run the fast planner
 //!   ([`hetpipe_core::replan_vw_from_observed`], warm-started from
 //!   the incumbent plan) with every straggler's GPU derated to its
@@ -72,7 +73,7 @@ use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
 use hetpipe_des::{SimTime, Trace};
 use hetpipe_model::ModelGraph;
-use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+use hetpipe_schedule::{Dispatch, PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reactive policy: what the controller does with monitor signals.
@@ -81,11 +82,11 @@ pub enum Policy {
     /// Never react (today's static behaviour; the baseline).
     Static,
     /// On a straggler, enable bounded out-of-order service of ready
-    /// backwards within `window` ops of each executor lane. The
-    /// reorder applies to every lane, but only a lane hosting several
-    /// stages (composite interleaved) can overtake anything: on a
-    /// one-stage lane, and under arrival-FIFO dispatch, this behaves
-    /// like [`Policy::Static`].
+    /// backwards within `window` ops of each executor lane. Only a
+    /// lane hosting several stages can overtake anything, so the
+    /// controller reacts only on schedules with composite lanes
+    /// ([`Dispatch::GpuStreamOrder`]); on every other schedule it never
+    /// splices and the run is [`Policy::Static`]'s, bit for bit.
     SkipStraggler {
         /// Lookahead window, in stream ops.
         window: usize,
@@ -140,8 +141,7 @@ pub struct RuntimeParams<'a> {
     pub schedule: Schedule,
     /// Activation recomputation policy.
     pub recompute: RecomputePolicy,
-    /// The scenario script to inject (fault scripts convert with
-    /// `.into()`).
+    /// The scenario script to inject.
     pub script: ScenarioScript,
     /// The reactive policy.
     pub policy: Policy,
@@ -602,8 +602,10 @@ impl<'a> Controller<'a> {
         match self.p.policy {
             Policy::Static => None,
             Policy::SkipStraggler { window } => {
-                if self.reorder > 0 {
-                    return None; // Already reordering; nothing to add.
+                // Already reordering, or one-stage lanes the reorder
+                // cannot change: a splice would only cost a refill.
+                if self.reorder > 0 || self.p.schedule.dispatch() != Dispatch::GpuStreamOrder {
+                    return None;
                 }
                 signals
                     .iter()

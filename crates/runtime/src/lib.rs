@@ -6,21 +6,21 @@
 //! static infinite iterator; this crate adds the dynamic layer that
 //! reacts when the hardware stops matching the plan:
 //!
-//! - [`FaultScript`] / [`Fault`] — a deterministic, replayable
-//!   perturbation model (GPU slowdown windows, link degradation, GPU
-//!   loss and recovery) compiled to resource service-rate edges the
+//! - [`ScenarioScript`] / [`ScenarioEvent`] — the one script type: a
+//!   deterministic, replayable sequence of perturbations ([`Fault`]:
+//!   GPU slowdown windows, link degradation, GPU loss and recovery)
+//!   and lease events ([`ScenarioEvent::GpuGranted`] /
+//!   [`ScenarioEvent::GpuPreempted`]: spot GPUs handed to the job and
+//!   taken back), compiled to resource service-rate edges the
 //!   executor fires as first-class DES events
-//!   (`hetpipe_core::exec::SegmentOpts`).
-//! - [`ScenarioScript`] / [`ScenarioEvent`] — the elastic superset:
-//!   lease events ([`ScenarioEvent::GpuGranted`] /
-//!   [`ScenarioEvent::GpuPreempted`]) model spot GPUs handed to the
-//!   job and taken back. Unavailable lease intervals compile to the
-//!   same rate-0 windows as GPU loss (min-composed with fault
-//!   windows), but leases also surface as *control-plane* transitions
-//!   ([`ScenarioScript::lease_transitions`]) the controller reacts to
-//!   with hysteresis: a preemption drops the GPU at a wave boundary,
-//!   a re-grant re-admits it (a **grow-splice**), and a flap shorter
-//!   than the hysteresis window produces no splice at all.
+//!   (`hetpipe_core::exec::SegmentOpts`). Unavailable lease intervals
+//!   compile to the same rate-0 windows as GPU loss (min-composed with
+//!   fault windows), but leases also surface as *control-plane*
+//!   transitions ([`ScenarioScript::lease_transitions`]) the
+//!   controller reacts to with hysteresis: a preemption drops the GPU
+//!   at a wave boundary, a re-grant re-admits it (a **grow-splice**),
+//!   and a flap shorter than the hysteresis window produces no splice
+//!   at all.
 //! - [`Monitor`] / [`Signal`] — the feedback path: a per-stage EWMA
 //!   of observed vs planned task durations folded from the span
 //!   trace, raising `Straggler` / `GpuLost` / `Recovered` signals.
@@ -90,11 +90,9 @@
 //! (`tests/runtime_faults.rs` pins both properties).
 
 pub mod controller;
-pub mod fault;
 pub mod monitor;
 pub mod scenario;
 
 pub use controller::{run, Epoch, Policy, RuntimeParams, RuntimeReport};
-pub use fault::{Fault, FaultScript};
 pub use monitor::{Monitor, MonitorConfig, Signal};
-pub use scenario::{LeaseTransition, ScenarioEvent, ScenarioScript};
+pub use scenario::{Fault, LeaseTransition, ScenarioEvent, ScenarioScript};

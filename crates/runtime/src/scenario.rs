@@ -1,17 +1,24 @@
-//! The elastic scenario model: leases, preemptions, and faults in
-//! one replayable script.
+//! The scenario model: faults, leases, and preemptions in one
+//! replayable script.
 //!
-//! A [`ScenarioScript`] is a strict superset of [`FaultScript`]: on
-//! top of the perturbation classes ([`Fault::GpuSlowdown`],
-//! [`Fault::LinkDegrade`], [`Fault::GpuLoss`]/[`Fault::GpuRecovery`])
-//! it adds *lease* events — [`ScenarioEvent::GpuGranted`] and
-//! [`ScenarioEvent::GpuPreempted`] — modelling spot-instance GPUs
-//! that are handed to the job, taken back, and handed out again.
+//! A [`ScenarioScript`] is a deterministic description of the hardware
+//! misbehaviour HetPipe's whimpy clusters actually exhibit. It mixes
+//! two kinds of [`ScenarioEvent`]:
 //!
-//! The two layers compile to the same substrate. A GPU is *available*
-//! while its lease holds and *unavailable* otherwise; unavailable
-//! intervals become rate-0 windows min-composed with the fault
-//! windows, so the executor needs no new mechanism — a preempted GPU
+//! - **Faults** ([`ScenarioEvent::Fault`]): GPUs that throttle for a
+//!   while ([`Fault::GpuSlowdown`]), links that degrade
+//!   ([`Fault::LinkDegrade`]), GPUs that die mid-epoch
+//!   ([`Fault::GpuLoss`]) and come back ([`Fault::GpuRecovery`]).
+//! - **Leases** ([`ScenarioEvent::GpuGranted`] /
+//!   [`ScenarioEvent::GpuPreempted`]): spot-instance GPUs that are
+//!   handed to the job, taken back, and handed out again.
+//!
+//! Both compile to the same substrate: per-resource rate windows,
+//! min-composed into service-rate edges
+//! ([`hetpipe_core::exec::RateEvent`]) that the executor fires as
+//! first-class DES events — a task reserved after an edge is scaled by
+//! the new rate. A GPU is *unavailable* while its lease is revoked,
+//! and unavailable intervals become rate-0 windows, so a preempted GPU
 //! looks exactly like a lost one until its re-grant. What leases add
 //! is the **control plane**: [`ScenarioScript::lease_transitions`]
 //! exposes the grant/preempt schedule as typed transitions the
@@ -19,28 +26,86 @@
 //! boundary, re-admitting it on re-grant), which pure fault windows —
 //! observable only through the trace — cannot express.
 //!
-//! Like fault scripts, scenarios are data: a canonical lease trace
-//! ([`ScenarioScript::canonical_lease`]) anchors the acceptance
-//! measurements, the seeded chaos generator
-//! ([`ScenarioScript::chaos`]) covers the space deterministically
-//! (same seed ⇒ same script ⇒ same simulation), and JSON
-//! round-tripping ([`ScenarioScript::to_json`] /
-//! [`ScenarioScript::from_json`]) lets the CI bins load them from
-//! files; the parser also accepts the legacy [`FaultScript`] form.
+//! Scripts are data: canonical instances
+//! ([`ScenarioScript::canonical_straggler`],
+//! [`ScenarioScript::canonical_gpu_loss`],
+//! [`ScenarioScript::canonical_lease`]) anchor the acceptance
+//! measurements and CI gates, seeded generators
+//! ([`ScenarioScript::seeded`], [`ScenarioScript::chaos`]) cover the
+//! space deterministically (same seed ⇒ same script ⇒ same
+//! simulation), and JSON round-tripping ([`ScenarioScript::to_json`] /
+//! [`ScenarioScript::from_json`]) lets `schedule_compare --faults` and
+//! the CI bins load them from files.
 
-use crate::fault::{
-    compile_edges, fault_from_json, fault_to_json, footprints_from_edges, split_segment_rates,
-    Fault, FaultScript, RateWindow,
-};
+use hetpipe_cluster::Cluster;
 use hetpipe_core::exec::{RateEvent, RateTarget};
 use hetpipe_des::SimTime;
 use serde_json::{json, Value};
+use std::collections::BTreeMap;
+
+/// One scripted perturbation, in *global* simulated seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fault {
+    /// GPU `gpu` (cluster device index) runs `factor`× slower over
+    /// `[from_secs, until_secs)`; `None` means "for the rest of the
+    /// run".
+    GpuSlowdown {
+        /// Cluster device index.
+        gpu: usize,
+        /// Slowdown factor (≥ 1; 1.3 = 30% slower).
+        factor: f64,
+        /// Window start, seconds.
+        from_secs: f64,
+        /// Window end, seconds (`None` = permanent).
+        until_secs: Option<f64>,
+    },
+    /// Node `node`'s NIC serves transfers `factor`× slower over the
+    /// window (inter-node traffic only: intra-node PCIe lanes carry no
+    /// shared timeline).
+    LinkDegrade {
+        /// Node index.
+        node: usize,
+        /// Degradation factor (≥ 1).
+        factor: f64,
+        /// Window start, seconds.
+        from_secs: f64,
+        /// Window end, seconds (`None` = permanent).
+        until_secs: Option<f64>,
+    },
+    /// GPU `gpu` dies at `at_secs`: work reserved on it never
+    /// completes until a [`Fault::GpuRecovery`] restores it.
+    GpuLoss {
+        /// Cluster device index.
+        gpu: usize,
+        /// Failure instant, seconds.
+        at_secs: f64,
+    },
+    /// GPU `gpu` returns to nominal speed at `at_secs`.
+    GpuRecovery {
+        /// Cluster device index.
+        gpu: usize,
+        /// Recovery instant, seconds.
+        at_secs: f64,
+    },
+}
+
+impl Fault {
+    /// A short human-readable label for trace markers.
+    pub fn label(&self) -> String {
+        match *self {
+            Fault::GpuSlowdown { gpu, factor, .. } => format!("fault: gpu{gpu} x{factor:.2}"),
+            Fault::LinkDegrade { node, factor, .. } => format!("fault: nic{node} x{factor:.2}"),
+            Fault::GpuLoss { gpu, .. } => format!("fault: gpu{gpu} lost"),
+            Fault::GpuRecovery { gpu, .. } => format!("fault: gpu{gpu} recovered"),
+        }
+    }
+}
 
 /// One scripted scenario event, in *global* simulated seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
-    /// A classic perturbation (slowdown, link degrade, loss,
-    /// recovery) — see [`Fault`].
+    /// A perturbation (slowdown, link degrade, loss, recovery) — see
+    /// [`Fault`].
     Fault(Fault),
     /// GPU `gpu` (cluster device index) is leased to the job at
     /// `at_secs`. A grant at time 0 states the GPU is part of the
@@ -86,6 +151,11 @@ pub struct LeaseTransition {
     pub available: bool,
 }
 
+/// One event's effect compiled to a resource key (`(0, i)` = GPU `i`,
+/// `(1, i)` = NIC `i`), a closed-open time window (`None` end =
+/// open-ended), and the service rate it imposes while active.
+type RateWindow = ((u8, usize), SimTime, Option<SimTime>, f64);
+
 /// A named, deterministic sequence of [`ScenarioEvent`]s.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioScript {
@@ -93,15 +163,6 @@ pub struct ScenarioScript {
     pub name: String,
     /// The events, in any order (edges are sorted at compile time).
     pub events: Vec<ScenarioEvent>,
-}
-
-impl From<FaultScript> for ScenarioScript {
-    fn from(s: FaultScript) -> Self {
-        ScenarioScript {
-            name: s.name,
-            events: s.faults.into_iter().map(ScenarioEvent::Fault).collect(),
-        }
-    }
 }
 
 impl ScenarioScript {
@@ -117,6 +178,30 @@ impl ScenarioScript {
     /// True when the script perturbs nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// The canonical straggler: `gpu` throttles to 30% slower
+    /// (`×1.3`) from `from_secs` for the rest of the run — the
+    /// acceptance scenario of the fault-aware runtime and the
+    /// `schedule_compare --faults` perturbation column.
+    pub fn canonical_straggler(gpu: usize, from_secs: f64) -> ScenarioScript {
+        ScenarioScript {
+            name: "canonical-straggler".into(),
+            events: vec![ScenarioEvent::Fault(Fault::GpuSlowdown {
+                gpu,
+                factor: 1.3,
+                from_secs,
+                until_secs: None,
+            })],
+        }
+    }
+
+    /// The canonical GPU loss: `gpu` dies at `at_secs` and stays dead.
+    pub fn canonical_gpu_loss(gpu: usize, at_secs: f64) -> ScenarioScript {
+        ScenarioScript {
+            name: "canonical-gpu-loss".into(),
+            events: vec![ScenarioEvent::Fault(Fault::GpuLoss { gpu, at_secs })],
+        }
     }
 
     /// The canonical lease trace: `gpu` is part of the initial lease,
@@ -144,6 +229,41 @@ impl ScenarioScript {
         }
     }
 
+    /// A deterministic seeded fault script: `count` slowdown /
+    /// link-degradation windows drawn over `[0, horizon_secs)` across
+    /// `gpus` devices and `nodes` NICs. Same seed ⇒ same script ⇒
+    /// same simulation, which is what makes perturbed runs replayable.
+    pub fn seeded(seed: u64, horizon_secs: f64, gpus: usize, nodes: usize, count: usize) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        let mut events = Vec::with_capacity(count);
+        for _ in 0..count {
+            let from = rng.unit() * horizon_secs * 0.8;
+            let len = 0.1 * horizon_secs + rng.unit() * 0.4 * horizon_secs;
+            let factor = 1.1 + rng.unit() * 0.9; // ×1.1 .. ×2.0
+            let until_secs = Some((from + len).min(horizon_secs));
+            let fault = if nodes > 0 && rng.next().is_multiple_of(4) {
+                Fault::LinkDegrade {
+                    node: (rng.next() % nodes as u64) as usize,
+                    factor,
+                    from_secs: from,
+                    until_secs,
+                }
+            } else {
+                Fault::GpuSlowdown {
+                    gpu: (rng.next() % gpus.max(1) as u64) as usize,
+                    factor,
+                    from_secs: from,
+                    until_secs,
+                }
+            };
+            events.push(ScenarioEvent::Fault(fault));
+        }
+        ScenarioScript {
+            name: format!("seeded-{seed}"),
+            events,
+        }
+    }
+
     /// A deterministic seeded chaos script: `count` events drawn over
     /// `[0, horizon_secs)` mixing slowdown windows, link degradation,
     /// and preempt/re-grant lease pairs across `gpus` devices and
@@ -153,35 +273,26 @@ impl ScenarioScript {
     /// fewer than two GPUs available at any instant (a candidate
     /// window that would is skipped). Same seed ⇒ same script.
     pub fn chaos(seed: u64, horizon_secs: f64, gpus: usize, nodes: usize, count: usize) -> Self {
-        // SplitMix64: dependency-free, stable across platforms.
-        let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
-        let mut next = move || {
-            let mut z = state;
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let unit = move |r: &mut dyn FnMut() -> u64| (r() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut rng = SplitMix64::new(seed);
         let mut events = Vec::with_capacity(count);
         // Closed preemption windows already committed, for the
         // ≥2-available invariant (every preemption here is paired
         // with a re-grant, so intervals are closed).
         let mut outages: Vec<(usize, f64, f64)> = Vec::new();
         for _ in 0..count {
-            let from = unit(&mut next) * horizon_secs * 0.8;
-            let len = 0.05 * horizon_secs + unit(&mut next) * 0.3 * horizon_secs;
+            let from = rng.unit() * horizon_secs * 0.8;
+            let len = 0.05 * horizon_secs + rng.unit() * 0.3 * horizon_secs;
             let until = (from + len).min(horizon_secs * 0.95);
-            match next() % 4 {
+            match rng.next() % 4 {
                 0 if nodes > 0 => events.push(ScenarioEvent::Fault(Fault::LinkDegrade {
-                    node: (next() % nodes as u64) as usize,
-                    factor: 1.1 + unit(&mut next) * 0.9,
+                    node: (rng.next() % nodes as u64) as usize,
+                    factor: 1.1 + rng.unit() * 0.9,
                     from_secs: from,
                     until_secs: Some(until),
                 })),
                 1 if gpus > 1 => {
                     // gpu 0 is exempt: a preemption target in 1..gpus.
-                    let gpu = 1 + (next() % (gpus as u64 - 1)) as usize;
+                    let gpu = 1 + (rng.next() % (gpus as u64 - 1)) as usize;
                     let overlap =
                         |&(g, f, u): &(usize, f64, f64)| g != gpu && f < until && from < u;
                     let concurrent = outages.iter().filter(|o| overlap(o)).count();
@@ -197,8 +308,8 @@ impl ScenarioScript {
                     }
                 }
                 _ => events.push(ScenarioEvent::Fault(Fault::GpuSlowdown {
-                    gpu: (next() % gpus.max(1) as u64) as usize,
-                    factor: 1.1 + unit(&mut next) * 0.9,
+                    gpu: (rng.next() % gpus.max(1) as u64) as usize,
+                    factor: 1.1 + rng.unit() * 0.9,
                     from_secs: from,
                     until_secs: Some(until),
                 })),
@@ -210,21 +321,30 @@ impl ScenarioScript {
         }
     }
 
-    /// The plain-fault view of the script (lease events excluded).
-    fn fault_windows(&self) -> Vec<RateWindow> {
-        let faults: Vec<Fault> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                ScenarioEvent::Fault(f) => Some(f.clone()),
-                _ => None,
-            })
-            .collect();
-        FaultScript {
-            name: self.name.clone(),
-            faults,
+    /// Checks every `gpu` and `node` index of the script against
+    /// `cluster`: the executor indexes its resources by them, so an
+    /// out-of-range device must be rejected before a run.
+    pub fn check_devices(&self, cluster: &Cluster) -> Result<(), String> {
+        let (gpus, nodes) = (cluster.device_count(), cluster.node_count());
+        for e in &self.events {
+            let (what, index, count) = match *e {
+                ScenarioEvent::Fault(Fault::LinkDegrade { node, .. }) => ("node", node, nodes),
+                ScenarioEvent::Fault(
+                    Fault::GpuSlowdown { gpu, .. }
+                    | Fault::GpuLoss { gpu, .. }
+                    | Fault::GpuRecovery { gpu, .. },
+                )
+                | ScenarioEvent::GpuGranted { gpu, .. }
+                | ScenarioEvent::GpuPreempted { gpu, .. } => ("gpu", gpu, gpus),
+            };
+            if index >= count {
+                return Err(format!(
+                    "'{}' names {what} {index}, but the cluster has {count} {what}s",
+                    e.label()
+                ));
+            }
         }
-        .windows()
+        Ok(())
     }
 
     /// Every lease event of one GPU, sorted by time (preemptions
@@ -278,12 +398,64 @@ impl ScenarioScript {
         out
     }
 
-    /// All rate windows of the script: the fault windows plus one
-    /// rate-0 window per unavailable lease interval (a preempted GPU
-    /// is indistinguishable from a lost one until its re-grant, and
-    /// a late-joining GPU is dead until its first grant).
+    /// All rate windows of the script. Each slowdown or link fault is
+    /// one window at rate `1/factor`; a [`Fault::GpuLoss`] is a
+    /// rate-0 window closed by the earliest later
+    /// [`Fault::GpuRecovery`] on the same GPU (which itself
+    /// contributes no window). Each unavailable lease interval is one
+    /// more rate-0 window (a preempted GPU is indistinguishable from
+    /// a lost one until its re-grant, and a late-joining GPU is dead
+    /// until its first grant).
     fn windows(&self) -> Vec<RateWindow> {
-        let mut windows = self.fault_windows();
+        let slowdown = |key, factor: f64, from_secs, until_secs: Option<f64>| {
+            (
+                key,
+                SimTime::from_secs(from_secs),
+                until_secs.map(SimTime::from_secs),
+                1.0 / factor.max(1.0),
+            )
+        };
+        let mut windows = Vec::with_capacity(self.events.len());
+        for e in &self.events {
+            let ScenarioEvent::Fault(fault) = e else {
+                continue;
+            };
+            match *fault {
+                Fault::GpuSlowdown {
+                    gpu,
+                    factor,
+                    from_secs,
+                    until_secs,
+                } => windows.push(slowdown((0u8, gpu), factor, from_secs, until_secs)),
+                Fault::LinkDegrade {
+                    node,
+                    factor,
+                    from_secs,
+                    until_secs,
+                } => windows.push(slowdown((1u8, node), factor, from_secs, until_secs)),
+                Fault::GpuLoss { gpu, at_secs } => {
+                    let until = self
+                        .events
+                        .iter()
+                        .filter_map(|e| match *e {
+                            ScenarioEvent::Fault(Fault::GpuRecovery { gpu: g, at_secs: r })
+                                if g == gpu && r > at_secs =>
+                            {
+                                Some(r)
+                            }
+                            _ => None,
+                        })
+                        .reduce(f64::min);
+                    windows.push((
+                        (0u8, gpu),
+                        SimTime::from_secs(at_secs),
+                        until.map(SimTime::from_secs),
+                        0.0,
+                    ));
+                }
+                Fault::GpuRecovery { .. } => {}
+            }
+        }
         let mut open: Option<f64> = None; // unavailable since
         let mut cur: Option<(usize, bool)> = None;
         let mut flush = |gpu: usize, open: &mut Option<f64>, until: Option<f64>| {
@@ -328,141 +500,511 @@ impl ScenarioScript {
         windows
     }
 
-    /// All effective rate edges of the script, sorted by time; lease
-    /// unavailability min-composes with fault windows exactly like
-    /// [`FaultScript::edges`] (the worst active window dominates).
+    /// All effective rate edges of the script, sorted by time. Windows
+    /// *compose*: at any instant a resource runs at the **minimum**
+    /// rate over all of its active windows (the worst active window
+    /// dominates), so a window closing while another is still open
+    /// restores the surviving window's rate — never a blanket 1.0 —
+    /// and a lost or preempted GPU stays dead until its own recovery
+    /// or re-grant even if a slowdown window on it expires in between.
     pub fn edges(&self) -> Vec<(SimTime, RateTarget, f64)> {
         compile_edges(&self.windows())
     }
 
-    /// The declared footprint of every rate edge, in edge order — the
-    /// successor of [`FaultScript::edge_footprints`] for the static
-    /// VW-isolation pass: lease edges, like fault edges, write exactly
-    /// one environment-owned rate register and read nothing, so a
-    /// scenario script replicated into every per-VW engine leaves the
-    /// dependency DAG untouched.
+    /// The declared footprint of every rate edge of the script, in
+    /// edge order — the scenario runtime's contribution to the static
+    /// VW-isolation pass. Each edge writes exactly one
+    /// environment-owned [`hetpipe_des::FootprintResource::Rate`]
+    /// register (the GPU's or NIC's service rate) and reads nothing,
+    /// so `hetpipe-verify` can certify that scripts never create a
+    /// VW-to-VW dependence: replicating a script into every per-VW
+    /// engine leaves the dependency DAG untouched.
     pub fn edge_footprints(&self) -> Vec<hetpipe_des::Footprint> {
         footprints_from_edges(&self.edges())
     }
 
     /// Compiles the script for a segment starting at global time
-    /// `offset` (see [`FaultScript::segment_rates`]).
+    /// `offset`: the rates already in effect at the splice (latest
+    /// edge per resource at or before `offset`) and the future edges
+    /// rebased to segment-local time.
     pub fn segment_rates(&self, offset: SimTime) -> (Vec<(RateTarget, f64)>, Vec<RateEvent>) {
         split_segment_rates(self.edges(), offset)
     }
 
-    /// Trace markers (global time + label) for every event onset and
-    /// window end, for chrome-trace instant events.
+    /// Trace markers (global time + label + category) for every event
+    /// onset and window end, for chrome-trace instant events.
     pub fn instants(&self) -> Vec<(SimTime, String, &'static str)> {
-        let faults: Vec<Fault> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                ScenarioEvent::Fault(f) => Some(f.clone()),
-                _ => None,
-            })
-            .collect();
-        let mut out = FaultScript {
-            name: self.name.clone(),
-            faults,
-        }
-        .instants();
+        let at = SimTime::from_secs;
+        let mut out = Vec::with_capacity(self.events.len());
         for e in &self.events {
             match *e {
+                ScenarioEvent::Fault(
+                    Fault::GpuSlowdown {
+                        from_secs,
+                        until_secs,
+                        ..
+                    }
+                    | Fault::LinkDegrade {
+                        from_secs,
+                        until_secs,
+                        ..
+                    },
+                ) => {
+                    out.push((at(from_secs), e.label(), "fault"));
+                    if let Some(until) = until_secs {
+                        out.push((at(until), format!("{} ends", e.label()), "fault"));
+                    }
+                }
+                ScenarioEvent::Fault(
+                    Fault::GpuLoss { at_secs, .. } | Fault::GpuRecovery { at_secs, .. },
+                ) => out.push((at(at_secs), e.label(), "fault")),
                 ScenarioEvent::GpuGranted { at_secs, .. }
                 | ScenarioEvent::GpuPreempted { at_secs, .. } => {
-                    out.push((SimTime::from_secs(at_secs), e.label(), "lease"));
+                    out.push((at(at_secs), e.label(), "lease"))
                 }
-                ScenarioEvent::Fault(_) => {}
             }
         }
-        out.sort_by_key(|i| i.0);
+        // Same-instant markers: faults before leases, each in script
+        // order (the sort is stable).
+        out.sort_by_key(|&(t, _, kind)| (t, kind));
         out
     }
 
-    /// Serializes the script as JSON (an `events` array; fault events
-    /// use their [`FaultScript`] encoding).
+    /// Serializes the script as JSON: a `name` and an `events` array.
     pub fn to_json(&self) -> Value {
-        let events: Vec<Value> = self
-            .events
-            .iter()
-            .map(|e| match *e {
-                ScenarioEvent::Fault(ref f) => fault_to_json(f),
-                ScenarioEvent::GpuGranted { gpu, at_secs } => json!({
-                    "kind": "gpu-granted",
-                    "gpu": gpu as u64,
-                    "at": at_secs,
-                }),
-                ScenarioEvent::GpuPreempted { gpu, at_secs } => json!({
-                    "kind": "gpu-preempted",
-                    "gpu": gpu as u64,
-                    "at": at_secs,
-                }),
-            })
-            .collect();
+        let events: Vec<Value> = self.events.iter().map(event_to_json).collect();
         json!({ "name": self.name.clone(), "events": events })
     }
 
-    /// Parses a script from its JSON form; a legacy [`FaultScript`]
-    /// object (a `faults` array) is accepted and upgraded. Returns a
-    /// description of the first problem on malformed input.
+    /// Parses a script from its JSON form. A fault-only document that
+    /// lists its events under `faults` instead of `events` is read
+    /// the same way. Returns a description of the first problem on
+    /// malformed input.
     pub fn from_json(text: &str) -> Result<ScenarioScript, String> {
         let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let Value::Object(map) = &value else {
             return Err("scenario script must be a JSON object".into());
         };
-        if map.get("faults").is_some() && map.get("events").is_none() {
-            return FaultScript::from_json(text).map(ScenarioScript::from);
-        }
         let name = match map.get("name") {
             Some(Value::String(s)) => s.clone(),
             None => "unnamed".into(),
             _ => return Err("'name' must be a string".into()),
         };
-        let Some(Value::Array(items)) = map.get("events") else {
-            return Err("'events' must be an array".into());
+        let key = if map.get("events").is_none() && map.get("faults").is_some() {
+            "faults"
+        } else {
+            "events"
         };
-        let mut events = Vec::with_capacity(items.len());
-        for item in items {
-            let Value::Object(m) = item else {
-                return Err("each event must be an object".into());
-            };
-            let kind = match m.get("kind") {
-                Some(Value::String(s)) => s.as_str(),
-                _ => return Err("each event needs a string 'kind'".into()),
-            };
-            let lease = |key: &str| -> Result<(usize, f64), String> {
-                let gpu = match m.get("gpu") {
-                    Some(Value::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as usize,
-                    _ => return Err("'gpu' must be a non-negative integer".into()),
-                };
-                let at = match m.get(key) {
-                    Some(Value::Number(n)) => *n,
-                    _ => return Err(format!("'{key}' must be a number")),
-                };
-                Ok((gpu, at))
-            };
-            events.push(match kind {
-                "gpu-granted" => {
-                    let (gpu, at_secs) = lease("at")?;
-                    ScenarioEvent::GpuGranted { gpu, at_secs }
-                }
-                "gpu-preempted" => {
-                    let (gpu, at_secs) = lease("at")?;
-                    ScenarioEvent::GpuPreempted { gpu, at_secs }
-                }
-                // Anything else must be a fault kind: delegate to the
-                // fault parser (which also validates factors ≥ 1).
-                _ => ScenarioEvent::Fault(fault_from_json(item)?),
-            });
-        }
+        let Some(Value::Array(items)) = map.get(key) else {
+            return Err(format!("'{key}' must be an array"));
+        };
+        let events = items
+            .iter()
+            .map(event_from_json)
+            .collect::<Result<_, _>>()?;
         Ok(ScenarioScript { name, events })
     }
+}
+
+/// SplitMix64: a dependency-free generator, stable across platforms —
+/// the source of every seeded script.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    const GAMMA: u64 = 0x9e3779b97f4a7c15;
+
+    fn new(seed: u64) -> Self {
+        SplitMix64(seed.wrapping_add(Self::GAMMA))
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut z = self.0;
+        self.0 = self.0.wrapping_add(Self::GAMMA);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Compiles rate windows to effective rate edges, sorted by time: at
+/// every boundary instant of a resource, its rate is the minimum over
+/// the windows active there (1.0 when none is), and an edge is emitted
+/// only where that rate changes.
+fn compile_edges(windows: &[RateWindow]) -> Vec<(SimTime, RateTarget, f64)> {
+    // Boundary instants per resource.
+    let mut boundaries: BTreeMap<(u8, usize), Vec<SimTime>> = BTreeMap::new();
+    for &(key, from, until, _) in windows {
+        let b = boundaries.entry(key).or_default();
+        b.push(from);
+        if let Some(until) = until {
+            b.push(until);
+        }
+    }
+    let mut edges = Vec::new();
+    for (key, mut times) in boundaries {
+        times.sort();
+        times.dedup();
+        let target = match key {
+            (0, i) => RateTarget::Gpu(i),
+            (_, i) => RateTarget::Nic(i),
+        };
+        let mut prev = 1.0f64;
+        for t in times {
+            let rate = windows
+                .iter()
+                .filter(|&&(k, from, until, _)| {
+                    k == key && from <= t && until.is_none_or(|u| t < u)
+                })
+                .map(|&(_, _, _, r)| r)
+                .fold(1.0f64, f64::min);
+            if rate != prev {
+                edges.push((t, target, rate));
+                prev = rate;
+            }
+        }
+    }
+    edges.sort_by_key(|&(at, _, _)| at);
+    edges
+}
+
+/// The declared footprint of each rate edge, in edge order (see
+/// [`ScenarioScript::edge_footprints`]).
+fn footprints_from_edges(edges: &[(SimTime, RateTarget, f64)]) -> Vec<hetpipe_des::Footprint> {
+    use hetpipe_des::{Footprint, FootprintResource, RateKind};
+    edges
+        .iter()
+        .map(|&(_, target, _)| {
+            let resource = match target {
+                RateTarget::Gpu(index) => FootprintResource::Rate {
+                    kind: RateKind::Gpu,
+                    index,
+                },
+                RateTarget::Nic(index) => FootprintResource::Rate {
+                    kind: RateKind::Nic,
+                    index,
+                },
+            };
+            Footprint {
+                reads: Vec::new(),
+                writes: vec![resource],
+            }
+        })
+        .collect()
+}
+
+/// Splits compiled edges for a segment starting at global `offset`
+/// (see [`ScenarioScript::segment_rates`]).
+fn split_segment_rates(
+    edges: Vec<(SimTime, RateTarget, f64)>,
+    offset: SimTime,
+) -> (Vec<(RateTarget, f64)>, Vec<RateEvent>) {
+    let mut initial: BTreeMap<(u8, usize), (RateTarget, f64)> = BTreeMap::new();
+    let mut future = Vec::new();
+    for (at, target, rate) in edges {
+        let key = match target {
+            RateTarget::Gpu(i) => (0u8, i),
+            RateTarget::Nic(i) => (1u8, i),
+        };
+        if at <= offset {
+            initial.insert(key, (target, rate));
+        } else {
+            future.push(RateEvent {
+                at: at - offset,
+                target,
+                rate,
+            });
+        }
+    }
+    (initial.into_values().collect(), future)
+}
+
+/// Serializes one event.
+fn event_to_json(e: &ScenarioEvent) -> Value {
+    let until = |u: Option<f64>| u.map(Value::Number).unwrap_or(Value::Null);
+    let instant = |kind: &str, gpu: usize, at: f64| {
+        json!({
+            "kind": kind,
+            "gpu": gpu as u64,
+            "at": at,
+        })
+    };
+    match *e {
+        ScenarioEvent::Fault(Fault::GpuSlowdown {
+            gpu,
+            factor,
+            from_secs,
+            until_secs,
+        }) => json!({
+            "kind": "gpu-slowdown",
+            "gpu": gpu as u64,
+            "factor": factor,
+            "from": from_secs,
+            "until": until(until_secs),
+        }),
+        ScenarioEvent::Fault(Fault::LinkDegrade {
+            node,
+            factor,
+            from_secs,
+            until_secs,
+        }) => json!({
+            "kind": "link-degrade",
+            "node": node as u64,
+            "factor": factor,
+            "from": from_secs,
+            "until": until(until_secs),
+        }),
+        ScenarioEvent::Fault(Fault::GpuLoss { gpu, at_secs }) => instant("gpu-loss", gpu, at_secs),
+        ScenarioEvent::Fault(Fault::GpuRecovery { gpu, at_secs }) => {
+            instant("gpu-recovery", gpu, at_secs)
+        }
+        ScenarioEvent::GpuGranted { gpu, at_secs } => instant("gpu-granted", gpu, at_secs),
+        ScenarioEvent::GpuPreempted { gpu, at_secs } => instant("gpu-preempted", gpu, at_secs),
+    }
+}
+
+/// Parses one event object.
+fn event_from_json(item: &Value) -> Result<ScenarioEvent, String> {
+    let Value::Object(m) = item else {
+        return Err("each event must be an object".into());
+    };
+    let num = |key: &str| -> Result<f64, String> {
+        match m.get(key) {
+            Some(Value::Number(n)) => Ok(*n),
+            _ => Err(format!("'{key}' must be a number")),
+        }
+    };
+    // A factor below 1 would compile to a rate above nominal — a
+    // mistyped script (0.13 for 1.3) must fail loudly, not run
+    // unperturbed.
+    let factor = || -> Result<f64, String> {
+        let f = num("factor")?;
+        if f < 1.0 {
+            return Err(format!(
+                "'factor' must be >= 1 (a x{f} slowdown is a speedup)"
+            ));
+        }
+        Ok(f)
+    };
+    let idx = |key: &str| -> Result<usize, String> {
+        let n = num(key)?;
+        if n < 0.0 || n.fract() != 0.0 {
+            return Err(format!("'{key}' must be a non-negative integer"));
+        }
+        Ok(n as usize)
+    };
+    let until = || -> Result<Option<f64>, String> {
+        match m.get("until") {
+            None | Some(Value::Null) => Ok(None),
+            Some(Value::Number(n)) => Ok(Some(*n)),
+            _ => Err("'until' must be a number or null".into()),
+        }
+    };
+    let kind = match m.get("kind") {
+        Some(Value::String(s)) => s.as_str(),
+        _ => return Err("each event needs a string 'kind'".into()),
+    };
+    Ok(match kind {
+        "gpu-slowdown" => ScenarioEvent::Fault(Fault::GpuSlowdown {
+            gpu: idx("gpu")?,
+            factor: factor()?,
+            from_secs: num("from")?,
+            until_secs: until()?,
+        }),
+        "link-degrade" => ScenarioEvent::Fault(Fault::LinkDegrade {
+            node: idx("node")?,
+            factor: factor()?,
+            from_secs: num("from")?,
+            until_secs: until()?,
+        }),
+        "gpu-loss" => ScenarioEvent::Fault(Fault::GpuLoss {
+            gpu: idx("gpu")?,
+            at_secs: num("at")?,
+        }),
+        "gpu-recovery" => ScenarioEvent::Fault(Fault::GpuRecovery {
+            gpu: idx("gpu")?,
+            at_secs: num("at")?,
+        }),
+        "gpu-granted" => ScenarioEvent::GpuGranted {
+            gpu: idx("gpu")?,
+            at_secs: num("at")?,
+        },
+        "gpu-preempted" => ScenarioEvent::GpuPreempted {
+            gpu: idx("gpu")?,
+            at_secs: num("at")?,
+        },
+        other => return Err(format!("unknown event kind '{other}'")),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A script of plain faults.
+    fn faults(name: &str, faults: Vec<Fault>) -> ScenarioScript {
+        ScenarioScript {
+            name: name.into(),
+            events: faults.into_iter().map(ScenarioEvent::Fault).collect(),
+        }
+    }
+
+    #[test]
+    fn windows_compile_to_paired_edges() {
+        let s = faults(
+            "w",
+            vec![Fault::GpuSlowdown {
+                gpu: 2,
+                factor: 2.0,
+                from_secs: 1.0,
+                until_secs: Some(3.0),
+            }],
+        );
+        let edges = s.edges();
+        assert_eq!(edges.len(), 2);
+        assert_eq!(edges[0], (SimTime::from_secs(1.0), RateTarget::Gpu(2), 0.5));
+        assert_eq!(edges[1], (SimTime::from_secs(3.0), RateTarget::Gpu(2), 1.0));
+    }
+
+    #[test]
+    fn edge_footprints_are_external_write_only() {
+        use hetpipe_des::{FootprintResource, Owner, RateKind};
+        let s = ScenarioScript {
+            name: "mixed".into(),
+            events: vec![
+                ScenarioEvent::Fault(Fault::GpuSlowdown {
+                    gpu: 2,
+                    factor: 2.0,
+                    from_secs: 1.0,
+                    until_secs: Some(3.0),
+                }),
+                ScenarioEvent::Fault(Fault::LinkDegrade {
+                    node: 1,
+                    factor: 4.0,
+                    from_secs: 2.0,
+                    until_secs: None,
+                }),
+                ScenarioEvent::GpuPreempted {
+                    gpu: 3,
+                    at_secs: 4.0,
+                },
+            ],
+        };
+        let fps = s.edge_footprints();
+        assert_eq!(fps.len(), s.edges().len(), "one footprint per edge");
+        for fp in &fps {
+            assert!(fp.reads.is_empty(), "rate edges read nothing");
+            assert_eq!(fp.writes.len(), 1, "exactly one rate register");
+            assert_eq!(fp.writes[0].owner(), Owner::External);
+        }
+        // The GPU slowdown window contributes its onset+restore edges
+        // on gpu2's register, the open-ended link fault one edge on
+        // nic1's, and the preemption one edge on gpu3's.
+        for (kind, index) in [(RateKind::Gpu, 2), (RateKind::Nic, 1), (RateKind::Gpu, 3)] {
+            assert!(fps
+                .iter()
+                .any(|fp| fp.writes[0] == FootprintResource::Rate { kind, index }));
+        }
+    }
+
+    #[test]
+    fn segment_rates_split_at_offset() {
+        let s = faults(
+            "w",
+            vec![
+                Fault::GpuSlowdown {
+                    gpu: 0,
+                    factor: 1.3,
+                    from_secs: 1.0,
+                    until_secs: None,
+                },
+                Fault::GpuLoss {
+                    gpu: 1,
+                    at_secs: 10.0,
+                },
+            ],
+        );
+        let (initial, future) = s.segment_rates(SimTime::from_secs(5.0));
+        assert_eq!(initial.len(), 1, "slowdown already in effect");
+        assert_eq!(initial[0].0, RateTarget::Gpu(0));
+        assert!((initial[0].1 - 1.0 / 1.3).abs() < 1e-12);
+        assert_eq!(future.len(), 1, "loss still ahead");
+        assert_eq!(
+            future[0].at,
+            SimTime::from_secs(5.0),
+            "rebased to local time"
+        );
+        assert_eq!(future[0].rate, 0.0);
+    }
+
+    #[test]
+    fn overlapping_faults_compose_by_min_rate() {
+        // A slowdown window expiring while the GPU is lost must NOT
+        // revive it; overlapping slowdowns keep the worst active one.
+        let s = faults(
+            "overlap",
+            vec![
+                Fault::GpuSlowdown {
+                    gpu: 0,
+                    factor: 2.0,
+                    from_secs: 1.0,
+                    until_secs: Some(5.0),
+                },
+                Fault::GpuLoss {
+                    gpu: 0,
+                    at_secs: 3.0,
+                },
+                Fault::GpuRecovery {
+                    gpu: 0,
+                    at_secs: 8.0,
+                },
+                // A second, milder slowdown outlasting the first.
+                Fault::GpuSlowdown {
+                    gpu: 0,
+                    factor: 1.25,
+                    from_secs: 2.0,
+                    until_secs: Some(10.0),
+                },
+            ],
+        );
+        let edges = s.edges();
+        let expect = vec![
+            (SimTime::from_secs(1.0), 0.5), // x2 window opens
+            (SimTime::from_secs(3.0), 0.0), // loss dominates
+            // 5.0: x2 window ends — GPU stays LOST, no edge emitted.
+            (SimTime::from_secs(8.0), 0.8), // recovery -> surviving x1.25
+            (SimTime::from_secs(10.0), 1.0), // last window ends
+        ];
+        assert_eq!(edges.len(), expect.len(), "{edges:?}");
+        for ((at, target, rate), (eat, erate)) in edges.iter().zip(&expect) {
+            assert_eq!(*target, RateTarget::Gpu(0));
+            assert_eq!(at, eat, "{edges:?}");
+            assert!((rate - erate).abs() < 1e-12, "{edges:?}");
+        }
+        // And a loss with no recovery stays dead past every window end.
+        let s = faults(
+            "dead",
+            vec![
+                Fault::GpuLoss {
+                    gpu: 1,
+                    at_secs: 3.0,
+                },
+                Fault::GpuSlowdown {
+                    gpu: 1,
+                    factor: 2.0,
+                    from_secs: 1.0,
+                    until_secs: Some(5.0),
+                },
+            ],
+        );
+        let (initial, future) = s.segment_rates(SimTime::from_secs(6.0));
+        assert_eq!(initial, vec![(RateTarget::Gpu(1), 0.0)], "still dead");
+        assert!(future.is_empty());
+    }
 
     #[test]
     fn canonical_lease_compiles_to_loss_recovery_edges() {
@@ -479,9 +1021,9 @@ mod tests {
             ]
         );
         // ...exactly the edges of the equivalent loss/recovery script.
-        let f = FaultScript {
-            name: "x".into(),
-            faults: vec![
+        let f = faults(
+            "x",
+            vec![
                 Fault::GpuLoss {
                     gpu: 2,
                     at_secs: 8.0,
@@ -491,7 +1033,7 @@ mod tests {
                     at_secs: 16.0,
                 },
             ],
-        };
+        );
         assert_eq!(edges, f.edges());
     }
 
@@ -593,16 +1135,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scenario_json_roundtrip_and_legacy_upgrade() {
-        let s = ScenarioScript {
+    /// One event of every kind.
+    fn every_kind() -> ScenarioScript {
+        ScenarioScript {
             name: "mix".into(),
             events: vec![
                 ScenarioEvent::Fault(Fault::GpuSlowdown {
                     gpu: 1,
                     factor: 1.3,
                     from_secs: 5.0,
+                    until_secs: Some(20.0),
+                }),
+                ScenarioEvent::Fault(Fault::LinkDegrade {
+                    node: 0,
+                    factor: 2.0,
+                    from_secs: 2.0,
                     until_secs: None,
+                }),
+                ScenarioEvent::Fault(Fault::GpuLoss {
+                    gpu: 3,
+                    at_secs: 8.0,
+                }),
+                ScenarioEvent::Fault(Fault::GpuRecovery {
+                    gpu: 3,
+                    at_secs: 12.0,
                 }),
                 ScenarioEvent::GpuPreempted {
                     gpu: 2,
@@ -613,22 +1169,109 @@ mod tests {
                     at_secs: 16.0,
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn json_rejects_sub_unit_factors() {
+        let text = r#"{"name":"typo","faults":[{"kind":"gpu-slowdown","gpu":1,"factor":0.13,"from":5.0}]}"#;
+        let err = ScenarioScript::from_json(text).unwrap_err();
+        assert!(err.contains("factor"), "{err}");
+    }
+
+    #[test]
+    fn json_roundtrip() {
+        let s = every_kind();
         let text = s.to_json().to_string();
-        let back = ScenarioScript::from_json(&text).unwrap();
-        assert_eq!(back, s);
-        // A legacy FaultScript document upgrades transparently.
-        let f = FaultScript::canonical_straggler(0, 5.0);
-        let upgraded = ScenarioScript::from_json(&f.to_json().to_string()).unwrap();
-        assert_eq!(upgraded, ScenarioScript::from(f));
-        // Bad inputs still fail loudly, including through the fault
-        // delegation (sub-unit factors).
+        assert_eq!(ScenarioScript::from_json(&text).unwrap(), s);
+        assert!(ScenarioScript::from_json("{\"faults\": 3}").is_err());
+        assert!(ScenarioScript::from_json("[]").is_err());
+    }
+
+    #[test]
+    fn scenario_json_roundtrip_and_legacy_upgrade() {
+        let s = ScenarioScript::canonical_straggler(0, 5.0);
+        let text = s.to_json().to_string();
+        assert_eq!(ScenarioScript::from_json(&text).unwrap(), s);
+        // A fault-only document listing its events under `faults`
+        // reads the same as its `events` form.
+        let legacy = text.replace("\"events\"", "\"faults\"");
+        assert_ne!(legacy, text);
+        assert_eq!(ScenarioScript::from_json(&legacy).unwrap(), s);
+        // Bad inputs still fail loudly, including sub-unit factors in
+        // the `events` form.
         assert!(ScenarioScript::from_json("{\"events\": 3}").is_err());
         let typo =
             r#"{"name":"t","events":[{"kind":"gpu-slowdown","gpu":1,"factor":0.13,"from":5.0}]}"#;
         assert!(ScenarioScript::from_json(typo)
             .unwrap_err()
             .contains("factor"));
+    }
+
+    #[test]
+    fn json_parser_never_panics_on_mutations() {
+        // Every prefix, every single-byte replacement from a small
+        // JSON alphabet, and every single-byte deletion of a document
+        // mixing every event kind must parse to `Ok` or `Err`.
+        let doc = every_kind().to_json().to_string();
+        let bytes = doc.as_bytes();
+        let alphabet = b"{}[]\":,.-+0123456789eEnul \\x";
+        let mut inputs: Vec<Vec<u8>> = (0..bytes.len()).map(|i| bytes[..i].to_vec()).collect();
+        for i in 0..bytes.len() {
+            for &b in alphabet {
+                if bytes[i] != b {
+                    let mut m = bytes.to_vec();
+                    m[i] = b;
+                    inputs.push(m);
+                }
+            }
+            let mut m = bytes.to_vec();
+            m.remove(i);
+            inputs.push(m);
+        }
+        let mut ok = 0;
+        for input in &inputs {
+            let text = std::str::from_utf8(input).expect("ASCII stays UTF-8");
+            ok += ScenarioScript::from_json(text).is_ok() as usize;
+        }
+        assert!(
+            0 < ok && ok < inputs.len(),
+            "{ok} of {} parsed",
+            inputs.len()
+        );
+    }
+
+    #[test]
+    fn check_devices_rejects_out_of_range_indices() {
+        let cluster = Cluster::testbed_subset(&[hetpipe_cluster::GpuKind::Rtx2060; 2]);
+        assert_eq!(cluster.device_count(), 8);
+        assert_eq!(every_kind().check_devices(&cluster), Ok(()));
+        let gpu = ScenarioScript::canonical_straggler(8, 1.0);
+        let err = gpu.check_devices(&cluster).unwrap_err();
+        assert!(err.contains("gpu 8") && err.contains("8 gpus"), "{err}");
+        let lease = ScenarioScript::canonical_lease(99, 1.0, 2.0);
+        assert!(lease.check_devices(&cluster).is_err());
+        let node = faults(
+            "nic",
+            vec![Fault::LinkDegrade {
+                node: 2,
+                factor: 2.0,
+                from_secs: 0.0,
+                until_secs: None,
+            }],
+        );
+        let err = node.check_devices(&cluster).unwrap_err();
+        assert!(err.contains("node 2") && err.contains("2 nodes"), "{err}");
+    }
+
+    #[test]
+    fn seeded_scripts_are_deterministic() {
+        let a = ScenarioScript::seeded(42, 60.0, 16, 4, 5);
+        let b = ScenarioScript::seeded(42, 60.0, 16, 4, 5);
+        assert_eq!(a, b);
+        assert_eq!(a.events.len(), 5);
+        let c = ScenarioScript::seeded(43, 60.0, 16, 4, 5);
+        assert_ne!(a, c, "different seeds give different scripts");
     }
 
     #[test]

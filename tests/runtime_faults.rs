@@ -17,9 +17,10 @@ use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
+use hetpipe::fleet::trace_fingerprint;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
-use hetpipe::runtime::{self, FaultScript, MonitorConfig, Policy, RuntimeParams};
+use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use hetpipe::schedule::PipelineSchedule;
 
 /// One standalone virtual worker over `devices` (the paper's
@@ -79,7 +80,7 @@ fn runtime_params<'a>(
     nm: usize,
     schedule: Schedule,
     recompute: RecomputePolicy,
-    script: FaultScript,
+    script: ScenarioScript,
     policy: Policy,
 ) -> RuntimeParams<'a> {
     RuntimeParams {
@@ -91,7 +92,7 @@ fn runtime_params<'a>(
         sync_transfers: false,
         schedule,
         recompute,
-        script: script.into(),
+        script,
         policy,
         monitor: MonitorConfig::default(),
         max_reactions: 8,
@@ -144,7 +145,7 @@ fn zero_fault_script_keeps_traces_bit_identical() {
                     nm,
                     schedule,
                     RecomputePolicy::None,
-                    FaultScript::none(),
+                    ScenarioScript::none(),
                     policy,
                 ),
                 horizon,
@@ -181,7 +182,7 @@ fn zero_fault_script_keeps_traces_bit_identical() {
 #[test]
 fn same_seed_and_script_is_deterministic_across_threads() {
     let (cluster, graph, nm) = whimpy_resnet();
-    let script = FaultScript::seeded(7, 30.0, 4, 1, 3);
+    let script = ScenarioScript::seeded(7, 30.0, 4, 1, 3);
     let run_once = || {
         let vw = standalone_vw(
             &cluster,
@@ -257,7 +258,7 @@ fn replan_recovers_straggler_throughput() {
     // here — a mid-pipeline straggler recovers ~1.14x, the fused last
     // stage ~1.09x, all above zero but only stage 0 clears the
     // acceptance bar with margin).
-    let script = FaultScript::canonical_straggler(0, 5.0);
+    let script = ScenarioScript::canonical_straggler(0, 5.0);
     let completed_after = |policy: Policy| {
         let vw = standalone_vw(
             &cluster,
@@ -340,7 +341,7 @@ fn skip_straggler_is_sound_on_composite_streams() {
     )
     .expect("feasible");
     let horizon = SimTime::from_secs(40.0);
-    let script = FaultScript::canonical_straggler(2, 5.0);
+    let script = ScenarioScript::canonical_straggler(2, 5.0);
     let run_policy = |policy: Policy| {
         let vw = standalone_vw(
             &cluster,
@@ -374,6 +375,49 @@ fn skip_straggler_is_sound_on_composite_streams() {
     );
 }
 
+/// On the wave schedule every lane hosts one stage, so the reorder
+/// window can overtake nothing: `SkipStraggler` must not splice (a
+/// splice would only cost a refill bubble) and must commit exactly
+/// `Static`'s run.
+#[test]
+fn skip_straggler_never_splices_one_stage_lanes() {
+    let (cluster, graph, _) = whimpy_resnet();
+    let recompute = RecomputePolicy::BoundaryOnly;
+    let nm = 4;
+    let run_policy = |policy: Policy| {
+        let vw = standalone_vw(
+            &cluster,
+            &graph,
+            (0..4).map(DeviceId).collect(),
+            nm,
+            Schedule::HetPipeWave,
+            recompute,
+        );
+        runtime::run(
+            runtime_params(
+                &cluster,
+                &graph,
+                vec![vw],
+                nm,
+                Schedule::HetPipeWave,
+                recompute,
+                ScenarioScript::canonical_straggler(0, 5.0),
+                policy,
+            ),
+            SimTime::from_secs(40.0),
+        )
+    };
+    let st = run_policy(Policy::Static);
+    let skip = run_policy(Policy::SkipStraggler { window: 8 });
+    assert_eq!(skip.epochs.len(), 1, "skip-straggler must not splice");
+    assert_eq!(
+        trace_fingerprint(skip.trace.spans()),
+        trace_fingerprint(st.trace.spans()),
+        "skip-straggler must commit Static's trace"
+    );
+    assert_eq!(skip.completions, st.completions);
+}
+
 /// After a GPU loss, `Replan` shrinks the pipeline to the survivors,
 /// the new plan passes the exact joint per-GPU memory check, and
 /// every epoch stays audit-sound while completions keep flowing.
@@ -395,7 +439,7 @@ fn replan_after_gpu_loss_is_certified_and_continues() {
     )
     .expect("feasible");
     let horizon = SimTime::from_secs(40.0);
-    let script = FaultScript::canonical_gpu_loss(2, 8.0);
+    let script = ScenarioScript::canonical_gpu_loss(2, 8.0);
     let vw = standalone_vw(
         &cluster,
         &graph,
@@ -470,8 +514,8 @@ fn service_backed_replan_matches_in_process_path() {
     let nm = 4;
     let horizon = SimTime::from_secs(40.0);
     for script in [
-        FaultScript::canonical_straggler(0, 5.0),
-        FaultScript::canonical_gpu_loss(2, 8.0),
+        ScenarioScript::canonical_straggler(0, 5.0),
+        ScenarioScript::canonical_gpu_loss(2, 8.0),
     ] {
         let vw = standalone_vw(
             &cluster,
