@@ -5,8 +5,9 @@
 //! ranks, in `2 (N-1)` steps. The ring's speed is set by its slowest
 //! link. On the paper's testbed, Horovod over TensorFlow sustains far
 //! less than raw link bandwidth (host-staged reductions, tensor-by-
-//! tensor launches), captured by [`ALLREDUCE_EFFICIENCY`] — fitted so
-//! the Horovod columns of Table 4 land near the paper's measurements.
+//! tensor launches), captured by [`ALLREDUCE_PCIE_EFFICIENCY`] and
+//! [`ALLREDUCE_IB_EFFICIENCY`] — fitted so the Horovod columns of
+//! Table 4 land near the paper's measurements.
 
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId};

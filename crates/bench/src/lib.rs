@@ -83,19 +83,25 @@ pub fn usage_error(msg: &str) -> ! {
 }
 
 /// Writes a JSON value to the path given after a `--json` CLI flag, if
-/// present.
+/// present. A `--json` with no path exits with status 2
+/// ([`usage_error`]); a failed write exits with status 1.
 pub fn maybe_write_json(value: &serde_json::Value) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(i + 1) {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(value).expect("serializable"),
-            )
-            .unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
-            println!("(json written to {path})");
-        }
+    let Some(path) = arg_value::<String>("--json").unwrap_or_else(|e| usage_error(&e)) else {
+        return;
+    };
+    if let Err(e) = write_json(&path, value) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
     }
+    println!("(json written to {path})");
+}
+
+/// Writes `value` to `path` as pretty-printed JSON.
+fn write_json(path: &str, value: &serde_json::Value) -> std::io::Result<()> {
+    std::fs::write(
+        path,
+        serde_json::to_string_pretty(value).expect("serializable"),
+    )
 }
 
 /// The seven single-VW configurations of Figure 3 as device lists on
@@ -207,6 +213,25 @@ mod tests {
             parse_flag::<String>(&args, "--horizon"),
             Ok(Some("abc".to_string()))
         );
+    }
+
+    #[test]
+    fn json_flag_is_strict_and_writes_fail_loudly() {
+        let args: Vec<String> = ["fig3", "--json"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            parse_flag::<String>(&args, "--json"),
+            Err("--json needs a value".to_string())
+        );
+        let value = serde_json::json!({ "rows": [1, 2] });
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("hetpipe-bench-json-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        write_json(path, &value).expect("writable temp dir");
+        let back = std::fs::read_to_string(path).expect("written");
+        std::fs::remove_file(path).expect("removable");
+        assert_eq!(serde_json::from_str(&back).expect("valid JSON"), value);
+        let missing = dir.join("hetpipe-bench-no-such-dir").join("out.json");
+        assert!(write_json(missing.to_str().expect("utf-8"), &value).is_err());
     }
 
     #[test]

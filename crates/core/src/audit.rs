@@ -10,15 +10,19 @@
 //! measured ≤ declared as a first-class invariant, per stage and per
 //! physical GPU.
 //!
+//! The measurement is one pass over the trace into dense per-stage
+//! event vectors (one allocation per stage, none per span), folded by
+//! [`peak_of_events`], the trace's single definition of a measured
+//! peak.
+//!
 //! Used by the tier-1 `schedule_conditions` tests and by the
 //! `schedule_compare` CI smoke run, which fails the build on any
 //! violation.
 
 use crate::exec::{RunStats, SpanTag};
 use crate::vw::VirtualWorker;
-use hetpipe_des::SimTime;
+use hetpipe_des::{peak_of_events, SimTime};
 use hetpipe_schedule::{PipelineSchedule, Schedule};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One stage's measured-vs-declared occupancy.
@@ -102,6 +106,13 @@ impl OccupancyAudit {
     /// (released). The wave schedule's fused last-stage task carries
     /// both, so it contributes a net-zero handoff; recompute spans are
     /// stage-local re-runs and contribute nothing.
+    ///
+    /// One pass over the trace appends each event to its stage's
+    /// vector, laid out by [`VirtualWorker::stage_offsets`]: the pass
+    /// allocates per stage, never per span. A GPU's peak is its stage's peak when
+    /// stages are not co-located; otherwise it is the peak of the
+    /// co-located stages' events merged. Every peak goes through
+    /// [`peak_of_events`].
     pub fn measure(
         stats: &RunStats,
         vws: &[VirtualWorker],
@@ -110,59 +121,46 @@ impl OccupancyAudit {
     ) -> OccupancyAudit {
         let fused = schedule.fused_last_stage();
         let colocated = schedule.colocated_stages();
-        // Key stages by (vw, stage) and GPUs by (vw, physical gpu).
-        let stage_events = |tag: &SpanTag, end: SimTime| -> Vec<((usize, usize), SimTime, i64)> {
-            match *tag {
-                SpanTag::Forward { vw, stage, .. } => {
-                    vec![((vw as usize, stage as usize), end, 1)]
-                }
-                SpanTag::Backward { vw, stage, .. } => {
-                    let (vw, stage) = (vw as usize, stage as usize);
-                    let mut evs = vec![((vw, stage), end, -1)];
-                    if fused && stage + 1 == vws[vw].stages() {
-                        // The fused task is its own forward.
-                        evs.push(((vw, stage), end, 1));
-                    }
-                    evs
-                }
-                _ => Vec::new(),
-            }
-        };
-        // One pass over the trace builds both keyings (per stage and
-        // per physical GPU) — the trace is the run's largest artifact,
-        // so it is scanned once, not once per keying.
-        let mut stage_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
-        let mut gpu_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
+        let offset = VirtualWorker::stage_offsets(vws);
+        let mut events: Vec<Vec<(SimTime, i64)>> = vec![Vec::new(); offset[vws.len()]];
         for span in stats.trace.spans() {
-            for ((vw, stage), at, delta) in stage_events(&span.tag, span.end) {
-                let gpus = vws[vw].stages() / colocated;
-                stage_evs.entry((vw, stage)).or_default().push((at, delta));
-                gpu_evs
-                    .entry((vw, stage % gpus))
-                    .or_default()
-                    .push((at, delta));
+            let (vw, stage, delta) = match span.tag {
+                SpanTag::Forward { vw, stage, .. } => (vw as usize, stage as usize, 1),
+                SpanTag::Backward { vw, stage, .. } => (vw as usize, stage as usize, -1),
+                _ => continue,
+            };
+            let slot = offset[vw] + stage;
+            debug_assert!(slot < offset[vw + 1], "vw{vw} has no stage {stage}");
+            events[slot].push((span.end, delta));
+            if fused && delta < 0 && slot + 1 == offset[vw + 1] {
+                // The fused task is its own forward.
+                events[slot].push((span.end, 1));
             }
         }
-        let stage_peaks: BTreeMap<(usize, usize), i64> = stage_evs
-            .into_iter()
-            .map(|(key, evs)| (key, hetpipe_des::peak_of_events(evs)))
-            .collect();
-        let gpu_peaks: BTreeMap<(usize, usize), i64> = gpu_evs
-            .into_iter()
-            .map(|(key, evs)| (key, hetpipe_des::peak_of_events(evs)))
-            .collect();
 
         let mut stages = Vec::new();
         let mut gpus = Vec::new();
         for (vwi, vw) in vws.iter().enumerate() {
             let k = vw.stages();
             let physical = k / colocated;
-            for stage in 0..k {
-                let measured = stage_peaks.get(&(vwi, stage)).copied().unwrap_or(0);
+            let evs = &mut events[offset[vwi]..offset[vwi + 1]];
+            // Merge co-located stages before their peaks consume them.
+            let merged: Vec<i64> = if colocated == 1 {
+                Vec::new()
+            } else {
+                (0..physical)
+                    .map(|gpu| {
+                        let on_gpu = evs.iter().skip(gpu).step_by(physical);
+                        peak_of_events(on_gpu.flatten().copied().collect())
+                    })
+                    .collect()
+            };
+            let first = stages.len();
+            for (stage, e) in evs.iter_mut().enumerate() {
                 stages.push(StageOccupancy {
                     vw: vwi,
                     stage,
-                    measured,
+                    measured: peak_of_events(std::mem::take(e)),
                     declared: schedule.max_in_flight(stage, k, nm) as i64,
                 });
             }
@@ -171,10 +169,15 @@ impl OccupancyAudit {
                     .filter(|s| s % physical == gpu)
                     .map(|s| schedule.max_in_flight(s, k, nm) as i64)
                     .sum();
+                let measured = if colocated == 1 {
+                    stages[first + gpu].measured
+                } else {
+                    merged[gpu]
+                };
                 gpus.push(GpuOccupancy {
                     vw: vwi,
                     gpu,
-                    measured: gpu_peaks.get(&(vwi, gpu)).copied().unwrap_or(0),
+                    measured,
                     declared,
                 });
             }

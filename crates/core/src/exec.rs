@@ -1543,7 +1543,7 @@ pub enum StepOutcome {
 }
 
 /// One virtual worker's simulation as an externally-drivable engine:
-/// a single-VW [`Exec`] coupled to a [`GateBus`] instead of the
+/// a single-VW `Exec` coupled to a [`GateBus`] instead of the
 /// in-process `min_clock` scan. The fleet driver (`hetpipe-fleet`)
 /// owns many of these — one [`hetpipe_des::EngineCore`] each — and
 /// steps them on a thread pool; the bus is the *only* channel between

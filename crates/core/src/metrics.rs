@@ -1,14 +1,18 @@
 //! Post-run reports.
 //!
-//! Turns raw [`RunStats`](crate::exec::RunStats) into the quantities the
+//! Turns raw [`RunStats`] into the quantities the
 //! paper's evaluation section reports: throughput in images/second
 //! (all figures), per-GPU utilization (Figure 3), waiting vs true idle
 //! time during synchronization (Section 8.4), and the cross-node traffic
 //! split (the 515 MB vs 103 MB comparison in Section 8.3).
+//!
+//! The report is one pass over the span trace: every GPU span is
+//! clipped into the measurement window and into the wait windows it
+//! overlaps, accumulating integer busy time per (device, window).
 
-use crate::exec::{RunStats, SpanTag};
+use crate::exec::RunStats;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_des::SimTime;
+use hetpipe_des::{SimTime, Span};
 
 /// A complete report of one simulated training run.
 #[derive(Debug, Clone)]
@@ -46,7 +50,21 @@ impl SystemReport {
     /// Builds the report from raw run statistics.
     ///
     /// `vw_devices` lists each VW's stage devices (used for utilization
-    /// aggregation).
+    /// aggregation; interleaved VWs repeat a GPU once per chunk, and
+    /// the idle-time mean weights it that many times).
+    ///
+    /// One pass over `stats.trace`: NIC spans are skipped, and each
+    /// GPU span is clipped into `[warmup, horizon)` and into every wait
+    /// window of the VWs running on its device. Each VW's wait windows
+    /// are sorted and disjoint (a VW has at most one pull outstanding),
+    /// so the first window a span can overlap is a per-device cursor
+    /// step, or a binary search for a span starting before its
+    /// predecessor. Busy time accumulates as integer [`SimTime`] per
+    /// (device, window); the `f64` folds then run in the order of the
+    /// per-window queries they replace, so every field equals a
+    /// [`Trace::busy_within`](hetpipe_des::Trace::busy_within) query
+    /// per (device, window) bit for bit. Allocates per device and per
+    /// wait window, never per span.
     pub fn from_stats(
         stats: &RunStats,
         cluster: &Cluster,
@@ -62,15 +80,92 @@ impl SystemReport {
             .collect();
         let waves_per_vw: Vec<u64> = stats.vws.iter().map(|v| v.waves_pushed).collect();
 
-        // One windowed query per device per wait window below: build
-        // the per-resource span index once instead of rescanning the
-        // full trace per query.
-        let index = stats.trace.index();
+        // Dense resource → device map; NIC resources map to nothing.
+        let rid_end = stats.gpu_resources.iter().map(|r| r.0 + 1).max();
+        let mut device_of = vec![usize::MAX; rid_end.unwrap_or(0)];
+        for (d, r) in stats.gpu_resources.iter().enumerate() {
+            device_of[r.0] = d;
+        }
+        // Each VW's distinct stage devices become columns of its wait
+        // books; `readers[d]` lists the columns device `d` feeds.
+        let mut readers: Vec<Vec<Reader>> = vec![Vec::new(); stats.gpu_resources.len()];
+        let mut books: Vec<WaitBooks> = stats
+            .vws
+            .iter()
+            .zip(vw_devices)
+            .enumerate()
+            .map(|(i, (v, devs))| {
+                let windows = &v.wait_windows;
+                debug_assert!(
+                    windows.iter().all(|&(from, to)| from <= to)
+                        && windows.windows(2).all(|p| p[0].1 <= p[1].0),
+                    "vw{i}: wait windows must be sorted and disjoint"
+                );
+                let mut distinct: Vec<DeviceId> = Vec::new();
+                let column = devs
+                    .iter()
+                    .map(|&d| {
+                        distinct.iter().position(|&x| x == d).unwrap_or_else(|| {
+                            readers[d.0].push(Reader {
+                                vw: i,
+                                column: distinct.len(),
+                                next: 0,
+                            });
+                            distinct.push(d);
+                            distinct.len() - 1
+                        })
+                    })
+                    .collect();
+                WaitBooks {
+                    windows,
+                    column,
+                    busy: vec![SimTime::ZERO; windows.len() * distinct.len()],
+                    columns: distinct.len(),
+                }
+            })
+            .collect();
+
+        let mut busy = vec![SimTime::ZERO; stats.gpu_resources.len()];
+        for span in stats.trace.spans() {
+            let Some(&d) = device_of.get(span.resource.0) else {
+                continue;
+            };
+            if d == usize::MAX || span.end <= span.start {
+                continue;
+            }
+            busy[d] += clipped(span, warmup, horizon);
+            for r in &mut readers[d] {
+                let b = &mut books[r.vw];
+                // The first window ending after the span starts. A
+                // device's spans come in start order, so this is the
+                // previous span's window or a step past it; a span
+                // starting earlier falls back to a binary search.
+                let mut first = r.next;
+                if first > 0 && b.windows[first - 1].1 > span.start {
+                    first = b.windows.partition_point(|&(_, to)| to <= span.start);
+                }
+                while first < b.windows.len() && b.windows[first].1 <= span.start {
+                    first += 1;
+                }
+                r.next = first;
+                for (w, &(from, to)) in b.windows.iter().enumerate().skip(first) {
+                    if from >= span.end {
+                        break;
+                    }
+                    b.busy[w * b.columns + r.column] += clipped(span, from, to);
+                }
+            }
+        }
+
         let gpu_utilization: Vec<(DeviceId, f64)> = cluster
             .devices()
             .map(|d| {
-                let rid = stats.gpu_resources[d.0];
-                (d, index.utilization_within(rid, warmup, horizon))
+                let u = if horizon <= warmup {
+                    0.0
+                } else {
+                    busy[d.0].as_secs() / (horizon - warmup).as_secs()
+                };
+                (d, u)
             })
             .collect();
 
@@ -85,26 +180,17 @@ impl SystemReport {
 
         // True idle inside waiting windows: window length minus mean GPU
         // busy time of the VW's stages within the window.
-        let idle_in_wait_per_vw: Vec<SimTime> = stats
-            .vws
+        let idle_in_wait_per_vw: Vec<SimTime> = books
             .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let devs = &vw_devices[i];
+            .map(|b| {
                 let mut idle = SimTime::ZERO;
-                for &(from, to) in &v.wait_windows {
-                    if devs.is_empty() {
-                        continue;
-                    }
-                    let busy_avg: f64 = devs
-                        .iter()
-                        .map(|d| {
-                            index
-                                .busy_within(stats.gpu_resources[d.0], from, to)
-                                .as_secs()
-                        })
-                        .sum::<f64>()
-                        / devs.len() as f64;
+                if b.column.is_empty() {
+                    return idle;
+                }
+                for (w, &(from, to)) in b.windows.iter().enumerate() {
+                    let row = &b.busy[w * b.columns..(w + 1) * b.columns];
+                    let busy_avg: f64 = b.column.iter().map(|&c| row[c].as_secs()).sum::<f64>()
+                        / b.column.len() as f64;
                     let window = (to - from).as_secs();
                     idle += SimTime::from_secs((window - busy_avg).max(0.0));
                 }
@@ -163,10 +249,29 @@ impl SystemReport {
     }
 }
 
-/// Helper: counts spans of a given kind in a trace (used by tests and
-/// the benches' sanity checks).
-pub fn count_tag(stats: &RunStats, pred: impl Fn(&SpanTag) -> bool) -> usize {
-    stats.trace.count_where(|t| pred(t))
+/// One VW's busy time per (wait window, distinct stage device), filled
+/// by the report pass.
+struct WaitBooks<'a> {
+    windows: &'a [(SimTime, SimTime)],
+    /// The column of each stage device; repeated devices share one.
+    column: Vec<usize>,
+    /// Row-major, one row of `columns` entries per window.
+    busy: Vec<SimTime>,
+    columns: usize,
+}
+
+/// One wait-book column a device feeds, with the index of the first
+/// window the device's latest span could overlap.
+#[derive(Clone)]
+struct Reader {
+    vw: usize,
+    column: usize,
+    next: usize,
+}
+
+/// The part of `span` inside `[from, to)`.
+fn clipped<T>(span: &Span<T>, from: SimTime, to: SimTime) -> SimTime {
+    span.end.min(to) - span.start.max(from)
 }
 
 #[cfg(test)]

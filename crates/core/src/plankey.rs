@@ -220,7 +220,7 @@ struct Stamped<V> {
     touched: u64,
 }
 
-/// A concurrent map sharded across [`SHARD_COUNT`] `Mutex<HashMap>`
+/// A concurrent map sharded across `SHARD_COUNT` `Mutex<HashMap>`
 /// shards, with hit/miss accounting and a bounded capacity enforced
 /// by **true LRU eviction**: every `get`, `insert`, and `update`
 /// refreshes the entry's recency stamp, and an insert into a full

@@ -57,6 +57,17 @@ impl VirtualWorker {
             .collect()
     }
 
+    /// The flat layout of per-stage state over `vws`: stage `s` of VW
+    /// `v` is entry `offsets[v] + s`, and the last offset is the total
+    /// stage count.
+    pub fn stage_offsets(vws: &[VirtualWorker]) -> Vec<usize> {
+        let mut offsets = vec![0];
+        for vw in vws {
+            offsets.push(offsets[offsets.len() - 1] + vw.stages());
+        }
+        offsets
+    }
+
     /// A short label like `"VVQQ"` describing the VW's GPU kinds.
     pub fn label(&self, cluster: &Cluster) -> String {
         self.devices

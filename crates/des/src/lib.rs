@@ -40,4 +40,4 @@ pub use event::EventQueue;
 pub use footprint::{Footprint, FootprintResource, Owner, RateKind};
 pub use resource::{Resource, ResourceId, ResourcePool};
 pub use time::SimTime;
-pub use trace::{peak_of_events, Span, Trace, TraceIndex};
+pub use trace::{peak_of_events, Span, Trace};

@@ -8,7 +8,6 @@
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -83,9 +82,10 @@ impl<T> Trace<T> {
     /// Total busy time of `resource` within the window `[from, to)`,
     /// clipping spans that straddle the window edges.
     ///
-    /// Scans the whole trace; callers issuing many windowed queries
-    /// (per stage, per GPU, per wait window) should build a
-    /// [`TraceIndex`] once and query that instead.
+    /// Scans the whole trace per call: the naive reference. Reports
+    /// that need many windows fold the trace once instead (the
+    /// run report in `hetpipe-core` does, and its parity test checks it
+    /// against this query).
     pub fn busy_within(&self, resource: ResourceId, from: SimTime, to: SimTime) -> SimTime {
         let mut acc = SimTime::ZERO;
         for s in &self.spans {
@@ -101,36 +101,6 @@ impl<T> Trace<T> {
         acc
     }
 
-    /// Builds a per-resource span index over the current trace
-    /// contents, for repeated windowed occupancy queries without
-    /// rescanning the full trace per call.
-    pub fn index(&self) -> TraceIndex {
-        let mut per_resource: BTreeMap<ResourceId, IndexedSpans> = BTreeMap::new();
-        for s in &self.spans {
-            per_resource
-                .entry(s.resource)
-                .or_default()
-                .spans
-                .push((s.start, s.end));
-        }
-        for idx in per_resource.values_mut() {
-            // Executors record each resource's FIFO timeline in start
-            // order already; sort defensively so the binary searches
-            // below never depend on that.
-            idx.spans.sort();
-            let mut cummax = SimTime::ZERO;
-            idx.cummax_end = idx
-                .spans
-                .iter()
-                .map(|&(_, end)| {
-                    cummax = cummax.max(end);
-                    cummax
-                })
-                .collect();
-        }
-        TraceIndex { per_resource }
-    }
-
     /// Utilization of `resource` within `[from, to)`.
     ///
     /// Returns 0 for an empty window.
@@ -139,50 +109,6 @@ impl<T> Trace<T> {
             return 0.0;
         }
         self.busy_within(resource, from, to).as_secs() / (to - from).as_secs()
-    }
-
-    /// Sums the durations of all spans whose tag satisfies `pred`.
-    pub fn total_where(&self, mut pred: impl FnMut(&T) -> bool) -> SimTime {
-        let mut acc = SimTime::ZERO;
-        for s in &self.spans {
-            if pred(&s.tag) {
-                acc += s.duration();
-            }
-        }
-        acc
-    }
-
-    /// Counts spans whose tag satisfies `pred`.
-    pub fn count_where(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        self.spans.iter().filter(|s| pred(&s.tag)).count()
-    }
-
-    /// Trace-measured peak concurrency: `events` maps each span to any
-    /// number of `(key, instant, delta)` occupancy events (e.g. +1
-    /// when a forward pass completes and its activations materialize,
-    /// −1 when the matching backward completes and releases them);
-    /// returns, per key, the maximum running sum ever reached.
-    ///
-    /// Events at the same instant are applied releases-first
-    /// (ascending `delta`), so a handoff at an instant does not count
-    /// as overlap. This is the measurement half of the
-    /// measured ≤ declared memory invariant: executors *declare* peak
-    /// activation occupancy through their schedule's accounting, and
-    /// this computes what a run actually did.
-    pub fn peak_concurrent<K: Ord>(
-        &self,
-        mut events: impl FnMut(&Span<T>) -> Vec<(K, SimTime, i64)>,
-    ) -> BTreeMap<K, i64> {
-        let mut per_key: BTreeMap<K, Vec<(SimTime, i64)>> = BTreeMap::new();
-        for span in &self.spans {
-            for (key, at, delta) in events(span) {
-                per_key.entry(key).or_default().push((at, delta));
-            }
-        }
-        per_key
-            .into_iter()
-            .map(|(key, evs)| (key, peak_of_events(evs)))
-            .collect()
     }
 
     /// Writes the trace in the `chrome://tracing` / Perfetto JSON
@@ -290,13 +216,16 @@ impl<T> Trace<T> {
     }
 }
 
-/// The peak running sum of `(instant, delta)` occupancy events.
+/// The peak running sum of `(instant, delta)` occupancy events (e.g.
+/// +1 when a forward pass completes and its activations materialize,
+/// −1 when the matching backward completes and releases them).
 /// Same-instant events apply releases-first (ascending `delta`), so a
 /// handoff at an instant does not count as overlap. This is the single
-/// definition of a "measured peak": [`Trace::peak_concurrent`] folds
-/// every key through it, and external one-pass aggregations (e.g. the
-/// occupancy audit's dual keying) must use it too so measured values
-/// can never drift from the trace's own semantics.
+/// definition of a "measured peak", the measurement half of the
+/// measured ≤ declared memory invariant: every aggregation over a
+/// trace (the occupancy audit's per-stage and per-GPU keyings, the
+/// fleet's per-VW partials) folds its events through it, so measured
+/// values can never drift apart.
 pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
     // Unstable sort: equal `(instant, delta)` tuples are
     // interchangeable under the running sum, and skipping the stable
@@ -309,67 +238,6 @@ pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
         peak = peak.max(live);
     }
     peak
-}
-
-/// A per-resource span index over a [`Trace`], answering windowed
-/// busy-time / utilization queries in `O(log s + hits)` over that
-/// resource's own spans instead of a full-trace scan per call — the
-/// post-run reports ask one such query per (device × wait window) and
-/// per (device × measurement window).
-///
-/// A snapshot: spans recorded after [`Trace::index`] are not visible
-/// to the index.
-#[derive(Debug, Clone)]
-pub struct TraceIndex {
-    per_resource: BTreeMap<ResourceId, IndexedSpans>,
-}
-
-/// One resource's spans sorted by start, with the running maximum of
-/// span ends alongside — `cummax_end` is nondecreasing, so "the first
-/// span that can overlap a window starting at `from`" is a binary
-/// search even when spans overlap each other.
-#[derive(Debug, Clone, Default)]
-struct IndexedSpans {
-    /// `(start, end)` pairs sorted by start.
-    spans: Vec<(SimTime, SimTime)>,
-    /// `cummax_end[i]` = max end over `spans[..=i]`.
-    cummax_end: Vec<SimTime>,
-}
-
-impl TraceIndex {
-    /// Total busy time of `resource` within `[from, to)`, clipping
-    /// spans that straddle the window edges. Identical semantics to
-    /// [`Trace::busy_within`].
-    pub fn busy_within(&self, resource: ResourceId, from: SimTime, to: SimTime) -> SimTime {
-        let Some(idx) = self.per_resource.get(&resource) else {
-            return SimTime::ZERO;
-        };
-        // Every span before `first` ends at or before `from` (the
-        // running max of ends is ≤ from there), so none can overlap;
-        // past `first`, stop at the first span starting at/after `to`.
-        let first = idx.cummax_end.partition_point(|&end| end <= from);
-        let mut acc = SimTime::ZERO;
-        for &(start, end) in &idx.spans[first..] {
-            if start >= to {
-                break;
-            }
-            let lo = start.max(from);
-            let hi = end.min(to);
-            if hi > lo {
-                acc += hi - lo;
-            }
-        }
-        acc
-    }
-
-    /// Utilization of `resource` within `[from, to)`; 0 for an empty
-    /// window. Identical semantics to [`Trace::utilization_within`].
-    pub fn utilization_within(&self, resource: ResourceId, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        self.busy_within(resource, from, to).as_secs() / (to - from).as_secs()
-    }
 }
 
 #[cfg(test)]
@@ -492,85 +360,22 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_full_scan_queries() {
-        // Overlapping spans, out-of-order recording, multiple
-        // resources: the index must answer exactly like the scans.
-        let mut tr = Trace::new();
-        let (a, b) = (ResourceId(0), ResourceId(7));
-        tr.record(
-            a,
-            SimTime::from_nanos(20),
-            SimTime::from_nanos(90),
-            Tag::Fwd,
-        );
-        tr.record(a, SimTime::from_nanos(0), SimTime::from_nanos(10), Tag::Fwd);
-        tr.record(a, SimTime::from_nanos(5), SimTime::from_nanos(8), Tag::Bwd);
-        tr.record(
-            b,
-            SimTime::from_nanos(40),
-            SimTime::from_nanos(60),
-            Tag::Bwd,
-        );
-        let idx = tr.index();
-        for r in [a, b, ResourceId(3)] {
-            for from in [0u64, 5, 9, 30, 95] {
-                for to in [0u64, 7, 25, 60, 100] {
-                    let (from, to) = (SimTime::from_nanos(from), SimTime::from_nanos(to));
-                    assert_eq!(
-                        idx.busy_within(r, from, to),
-                        tr.busy_within(r, from, to),
-                        "res {r:?} window {from}..{to}"
-                    );
-                    assert_eq!(
-                        idx.utilization_within(r, from, to).to_bits(),
-                        tr.utilization_within(r, from, to).to_bits(),
-                        "res {r:?} window {from}..{to}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn peak_concurrent_counts_overlap_and_handoffs() {
-        let mut tr = Trace::new();
-        let r = ResourceId(0);
-        // Three "holders" keyed by resource: +1 at start, -1 at end.
-        tr.record(r, SimTime::from_nanos(0), SimTime::from_nanos(10), Tag::Fwd);
-        tr.record(r, SimTime::from_nanos(5), SimTime::from_nanos(15), Tag::Fwd);
-        // A handoff: starts exactly when the second ends.
-        tr.record(
-            r,
-            SimTime::from_nanos(15),
-            SimTime::from_nanos(20),
-            Tag::Fwd,
-        );
-        let peaks = tr.peak_concurrent(|s| vec![(s.resource, s.start, 1), (s.resource, s.end, -1)]);
-        // Spans 1 and 2 overlap (peak 2); the handoff does not add.
-        assert_eq!(peaks.get(&r), Some(&2));
-        // A key with no events is absent.
-        assert!(!peaks.contains_key(&ResourceId(9)));
-    }
-
-    #[test]
-    fn tag_queries() {
-        let mut tr = Trace::new();
-        let r = ResourceId(0);
-        tr.record(r, SimTime::from_nanos(0), SimTime::from_nanos(10), Tag::Fwd);
-        tr.record(
-            r,
-            SimTime::from_nanos(10),
-            SimTime::from_nanos(25),
-            Tag::Bwd,
-        );
-        tr.record(
-            r,
-            SimTime::from_nanos(25),
-            SimTime::from_nanos(30),
-            Tag::Fwd,
-        );
-        assert_eq!(tr.total_where(|t| *t == Tag::Fwd), SimTime::from_nanos(15));
-        assert_eq!(tr.count_where(|t| *t == Tag::Bwd), 1);
-        assert_eq!(tr.len(), 3);
+    fn peak_of_events_counts_overlap_and_handoffs() {
+        // Three holders, +1 at start and -1 at end, recorded out of
+        // order: [0, 10), a handoff [15, 20) starting exactly when the
+        // third ends, and [5, 15).
+        let holders = [(0u64, 10u64), (15, 20), (5, 15)];
+        let events = holders
+            .iter()
+            .flat_map(|&(from, to)| {
+                [
+                    (SimTime::from_nanos(from), 1),
+                    (SimTime::from_nanos(to), -1),
+                ]
+            })
+            .collect();
+        // [0, 10) and [5, 15) overlap (peak 2); the handoff does not add.
+        assert_eq!(peak_of_events(events), 2);
+        assert_eq!(peak_of_events(Vec::new()), 0);
     }
 }

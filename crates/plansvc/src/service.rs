@@ -294,7 +294,7 @@ impl PlanService {
         }
     }
 
-    /// Test hook: enqueue one [`JobKind::Stall`] per worker so the
+    /// Test hook: enqueue one `JobKind::Stall` per worker so the
     /// whole pool is busy (slow, not dead) for `d`. Queued solve jobs
     /// behind the stalls still complete once the stalls drain.
     pub fn stall_workers(&self, d: std::time::Duration) {

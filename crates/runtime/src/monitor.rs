@@ -144,7 +144,9 @@ impl Signal {
     }
 }
 
-/// One (vw, stage)'s EWMA fold state.
+/// One (vw, stage)'s EWMA fold state; `seen == 0` until the stage's
+/// first compute span.
+#[derive(Clone, Default)]
 struct StageState {
     ewma: f64,
     seen: usize,
@@ -179,6 +181,9 @@ impl Monitor {
     /// wave schedule's fused last-stage tasks, whose planned time is
     /// forward + backward. Returns all signals ordered by detection
     /// time.
+    ///
+    /// The fold state and the derates are flat per-stage vectors laid
+    /// out by [`VirtualWorker::stage_offsets`].
     pub fn analyze(
         &self,
         stats: &RunStats,
@@ -188,7 +193,14 @@ impl Monitor {
     ) -> Vec<Signal> {
         let cfg = self.config;
         let fused_last = schedule.fused_last_stage();
-        let mut stages: BTreeMap<(usize, usize), StageState> = BTreeMap::new();
+        let offset = VirtualWorker::stage_offsets(vws);
+        let mut stages = vec![StageState::default(); offset[vws.len()]];
+        let mut derate = vec![1.0; stages.len()];
+        for (&(vw, stage), &r) in applied {
+            if vw < vws.len() && stage < vws[vw].stages() {
+                derate[offset[vw] + stage] = r;
+            }
+        }
         for span in stats.trace.spans() {
             let (vw, stage, planned) = match span.tag {
                 SpanTag::Forward { vw, stage, .. } | SpanTag::Recompute { vw, stage, .. } => {
@@ -210,14 +222,8 @@ impl Monitor {
                 continue;
             }
             let ratio = span.duration().as_secs() / planned.as_secs();
-            let st = stages.entry((vw, stage)).or_insert(StageState {
-                ewma: 1.0,
-                seen: 0,
-                crossed_up: None,
-                crossed_down: None,
-                below_since: None,
-                lost: None,
-            });
+            let slot = offset[vw] + stage;
+            let st = &mut stages[slot];
             if ratio >= cfg.lost_ratio && st.lost.is_none() {
                 st.lost = Some(span.start);
             }
@@ -227,7 +233,7 @@ impl Monitor {
                 cfg.alpha * ratio + (1.0 - cfg.alpha) * st.ewma
             };
             st.seen += 1;
-            let base = applied.get(&(vw, stage)).copied().unwrap_or(1.0);
+            let base = derate[slot];
             if st.ewma > base * cfg.straggler_ratio && st.crossed_up.is_none() {
                 st.crossed_up = Some(span.end);
             }
@@ -249,21 +255,24 @@ impl Monitor {
         }
 
         let mut signals = Vec::new();
-        for ((vw, stage), st) in &stages {
-            if let Some(at) = st.lost {
-                signals.push(Signal::GpuLost {
-                    vw: *vw,
-                    stage: *stage,
-                    at,
-                });
+        // Slots are laid out in (vw, stage) order.
+        let keys = vws
+            .iter()
+            .enumerate()
+            .flat_map(|(vw, w)| (0..w.stages()).map(move |stage| (vw, stage)));
+        for (((vw, stage), st), &base) in keys.zip(&stages).zip(&derate) {
+            if st.seen == 0 {
                 continue;
             }
-            let base = applied.get(&(*vw, *stage)).copied().unwrap_or(1.0);
+            if let Some(at) = st.lost {
+                signals.push(Signal::GpuLost { vw, stage, at });
+                continue;
+            }
             if st.ewma > base * cfg.straggler_ratio {
                 if let Some(at) = st.crossed_up {
                     signals.push(Signal::Straggler {
-                        vw: *vw,
-                        stage: *stage,
+                        vw,
+                        stage,
                         severity: st.ewma,
                         at,
                     });
@@ -271,8 +280,8 @@ impl Monitor {
             } else if base > cfg.recover_ratio && st.ewma < cfg.recover_ratio {
                 if let Some(at) = st.crossed_down {
                     signals.push(Signal::Recovered {
-                        vw: *vw,
-                        stage: *stage,
+                        vw,
+                        stage,
                         severity: st.ewma,
                         at,
                     });

@@ -36,10 +36,10 @@
 //!
 //! `fresh_epoch_stream_is_the_spliced_continuation` pins the
 //! unchanged-shape specialization of that claim: for the drained base
-//! patterns ([`BasePattern::FillDrain`], [`BasePattern::Fused`]) a
+//! patterns (`BasePattern::FillDrain`, `BasePattern::Fused`) a
 //! renumbered fresh stream emits op-for-op the `resume_from` tail,
 //! modulo the boundary wave's own gate (already satisfied by the
-//! splice). For [`BasePattern::Interleave`] (1F1B overlap across the
+//! splice). For `BasePattern::Interleave` (1F1B overlap across the
 //! boundary) the fresh stream re-warms instead of inheriting the
 //! resumed stream's in-flight window — still a correct continuation
 //! (minibatches ≤ boundary complete, > boundary untouched), just not
@@ -498,7 +498,7 @@ impl Timetable {
 /// model charges — so the stream's structural occupancy never
 /// exceeds its certification and the WSP injection cap stays intact.
 ///
-/// A virtual worker's handles share **one** joint [`Timetable`]
+/// A virtual worker's handles share **one** joint `Timetable`
 /// behind an `Arc` ([`GpuStream::shared_set`]): each slot is
 /// simulated once and its ops fan into per-GPU queues, instead of
 /// every handle independently replaying the whole timetable (G× the
