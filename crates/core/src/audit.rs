@@ -2,8 +2,9 @@
 //!
 //! The memory model certifies partition plans against each schedule's
 //! declared per-stage activation window
-//! ([`PipelineSchedule::max_in_flight`]), and the executor enforces
-//! that window at dispatch time. This module closes the loop: it
+//! ([`PipelineSchedule::max_in_flight`]), and the executor keeps every
+//! run within that window: lanes by their stream order, arrival-FIFO
+//! by its `Nm` injection cap. This module closes the loop: it
 //! measures the *realized* peak occupancy from a run's span trace — a
 //! minibatch holds an activation set at a stage from its forward's
 //! completion until its backward's completion — and asserts

@@ -8,10 +8,12 @@
 //!   minibatch order, backward tasks execute in minibatch order, and
 //!   tasks are served FIFO per GPU. How forwards and backwards
 //!   interleave on a GPU is the schedule's decision, under one of two
-//!   disciplines:
+//!   disciplines that share one event handler and one GPU-reservation
+//!   primitive, and differ only in *when* an op is reserved:
 //!   - **arrival-FIFO**: the paper's wave schedule
-//!     ([`Schedule::HetPipeWave`]) dispatches ready tasks in
-//!     dependency-arrival order with the last stage fused;
+//!     ([`Schedule::HetPipeWave`]) reserves each task the moment its
+//!     input arrives, so a GPU serves ready tasks in dependency-arrival
+//!     order; the last stage is fused;
 //!   - **lanes**: every other schedule executes its [`Lane`]s — ordered
 //!     op queues, each bound to one GPU — in strict order. Fill-drain,
 //!     1F1B and depth-expanded interleaved get one lane per virtual
@@ -32,16 +34,16 @@
 //!   lanes. Consecutive waves' push transfers run
 //!   concurrently (per-wave chunk counters), contending on the NIC
 //!   timelines rather than being serialized behind one another.
-//! - **Enforced activation windows**: each stage's declared peak
+//! - **Bounded activation windows**: each stage's declared peak
 //!   activation occupancy ([`PipelineSchedule::max_in_flight`] — the
 //!   same number the memory model charges and the partitioner
-//!   certifies against) is enforced at dispatch time. Arrival-FIFO
-//!   stages gate forward dispatch on the window (deferring arrivals
-//!   until a backward releases a slot); lanes respect it structurally,
-//!   and both disciplines keep occupancy books that are
-//!   asserted against the declaration. `crate::audit` measures the
-//!   realized peaks from the span trace as the first-class
-//!   measured ≤ declared invariant.
+//!   certifies against) holds without a dispatch-time gate. Lanes
+//!   respect it structurally; on arrival-FIFO the `Nm` injection cap
+//!   bounds every stage, so each non-fused stage must declare at least
+//!   `Nm` (checked at construction). Both disciplines keep
+//!   completion-based occupancy books that are asserted against the
+//!   declaration, and `crate::audit` measures the realized peaks from
+//!   the span trace as the first-class measured ≤ declared invariant.
 //! - **Activation recomputation**: under
 //!   [`RecomputePolicy::BoundaryOnly`], every non-fused backward is
 //!   preceded by a stage-local forward re-run (an explicit
@@ -186,7 +188,8 @@ pub struct SegmentOpts {
     /// discarded unexecuted, so the segment ends — at the splice
     /// point — once every in-flight minibatch and the boundary wave's
     /// push/pull traffic completes. Must be a wave boundary
-    /// (a multiple of `Nm`) so the WSP clock is whole at the splice.
+    /// (a multiple of `Nm`) so the WSP clock is whole at the splice;
+    /// [`run_segment`] and [`VwEngine::new`] panic otherwise.
     pub stop_after_mb: Option<u64>,
     /// Rates already in effect when the segment starts (fault windows
     /// opened in an earlier segment).
@@ -320,21 +323,6 @@ struct VwState {
     stats: VwStats,
 }
 
-/// One stage's executor-enforced activation window (all dispatch
-/// disciplines).
-struct StageWindow {
-    /// The declared occupancy bound ([`PipelineSchedule::max_in_flight`]).
-    window: u64,
-    /// Minibatches holding (or about to hold) an activation set here:
-    /// forward *dispatched* (GPU slot reserved), backward not yet
-    /// completed. An upper bound on trace-measured occupancy, which
-    /// counts from forward *completion*.
-    outstanding: u64,
-    /// Forward arrivals deferred by the gate, in arrival (= minibatch)
-    /// order, released one per backward completion.
-    deferred: VecDeque<u64>,
-}
-
 /// One lane's position (lane dispatch only). Stage `s` of a VW with
 /// `n` lanes runs on lane `s % n`.
 struct LaneCursor {
@@ -346,9 +334,16 @@ struct LaneCursor {
     buf: VecDeque<GpuOp>,
 }
 
-/// One virtual stage's inputs (lane dispatch only).
-#[derive(Clone, Default)]
-struct LaneStage {
+/// One virtual stage's executor state: its occupancy books (both
+/// disciplines) and its inputs (lane dispatch only).
+struct StageState {
+    /// The declared occupancy bound ([`PipelineSchedule::max_in_flight`]).
+    window: u64,
+    /// Minibatches holding an activation set here: forward completed,
+    /// backward not yet completed — the span-trace definition
+    /// `crate::audit` measures. A fused last stage holds nothing
+    /// between tasks and is not booked.
+    held: u64,
     /// Newest minibatch whose forward activations have arrived
     /// (arrivals are FIFO, so a high-water mark suffices).
     fwd_arrived: u64,
@@ -385,14 +380,13 @@ struct Exec<'a> {
     /// Per-VW per-stage forward/backward compute times.
     fwd: Vec<Vec<SimTime>>,
     bwd: Vec<Vec<SimTime>>,
-    /// Per-VW sync chunk lists (same for every wave).
+    /// Per-VW sync chunk lists (same for every wave; empty without
+    /// sync transfers).
     chunks: Vec<Vec<SyncChunk>>,
-    /// Per-VW lane cursors and per-stage inputs (lane dispatch only).
+    /// Per-VW lane cursors (lane dispatch only).
     lanes: Vec<Vec<LaneCursor>>,
-    lane_stages: Vec<Vec<LaneStage>>,
-    /// Per-VW per-stage activation windows (arrival-FIFO dispatch
-    /// gates on these; both disciplines debug-assert against them).
-    windows: Vec<Vec<StageWindow>>,
+    /// Per-VW per-stage books and inputs.
+    stages: Vec<Vec<StageState>>,
     dispatch: Dispatch,
     opts: SegmentOpts,
     horizon: SimTime,
@@ -404,6 +398,14 @@ struct Exec<'a> {
 
 impl<'a> Exec<'a> {
     fn new(p: ExecParams<'a>, opts: SegmentOpts, horizon: SimTime, coupling: Coupling<'a>) -> Self {
+        if let Some(stop) = opts.stop_after_mb {
+            assert!(
+                stop.is_multiple_of(p.wsp.nm as u64),
+                "segments splice at wave boundaries (stop {} vs Nm {})",
+                stop,
+                p.wsp.nm
+            );
+        }
         let cluster = p.cluster;
         let mut pool = ResourcePool::new();
         let gpu_res: Vec<ResourceId> = cluster
@@ -437,7 +439,11 @@ impl<'a> Exec<'a> {
             }
             fwd.push(f);
             bwd.push(b);
-            chunks.push(p.shards.chunks_for(p.graph, cluster, vw));
+            chunks.push(if p.sync_transfers {
+                p.shards.chunks_for(p.graph, cluster, vw)
+            } else {
+                Vec::new()
+            });
         }
 
         let states = (0..p.vws.len())
@@ -473,26 +479,35 @@ impl<'a> Exec<'a> {
                 })
                 .collect(),
         };
-        let lane_stages = p
-            .vws
-            .iter()
-            .map(|vw| vec![LaneStage::default(); vw.stages()])
-            .collect();
-
-        // The executor-enforced activation windows: exactly what the
-        // memory model charges per stage (PipelineSchedule is the
-        // contract between the partitioner's certification and the
-        // runtime).
-        let windows = p
+        // The occupancy books hold each stage to exactly what the
+        // memory model charges (PipelineSchedule is the contract
+        // between the partitioner's certification and the runtime).
+        // Arrival-FIFO has no dispatch-time gate: the `Nm` injection
+        // cap bounds its stages, so each non-fused one must declare at
+        // least `Nm`.
+        let nm = p.wsp.nm as u64;
+        let stages = p
             .vws
             .iter()
             .map(|vw| {
                 let k = vw.stages();
                 (0..k)
-                    .map(|stage| StageWindow {
-                        window: p.schedule.max_in_flight(stage, k, p.wsp.nm) as u64,
-                        outstanding: 0,
-                        deferred: VecDeque::new(),
+                    .map(|stage| {
+                        let window = p.schedule.max_in_flight(stage, k, p.wsp.nm) as u64;
+                        let fused = p.schedule.fused_last_stage() && stage + 1 == k;
+                        assert!(
+                            dispatch != Dispatch::ArrivalFifo || fused || window >= nm,
+                            "{}: arrival-FIFO stage {stage} declares a window of {window} \
+                             below the Nm = {nm} injection cap",
+                            p.schedule
+                        );
+                        StageState {
+                            window,
+                            held: 0,
+                            fwd_arrived: 0,
+                            bwd_arrived: 0,
+                            drained: false,
+                        }
                     })
                     .collect()
             })
@@ -511,8 +526,7 @@ impl<'a> Exec<'a> {
             bwd,
             chunks,
             lanes,
-            lane_stages,
-            windows,
+            stages,
             dispatch,
             opts,
             horizon,
@@ -557,16 +571,6 @@ impl<'a> Exec<'a> {
         let ev = self.opts.rate_events[idx];
         let res = self.fault_resource(ev.target);
         self.pool.get_mut(res).set_rate(ev.rate);
-    }
-
-    /// Reserves `nominal` GPU work starting no earlier than `now`,
-    /// integrated over the GPU's installed rate timeline (exact
-    /// identity on the nominal-rate golden path). Work that spans a
-    /// rate edge is split across the windows it covers, so an outage
-    /// with a later recovery delays the task instead of wedging it.
-    fn gpu_reserve(&mut self, gpu: ResourceId, nominal: SimTime) -> (SimTime, SimTime) {
-        let now = self.engine.now();
-        self.pool.get_mut(gpu).reserve_work(now, nominal)
     }
 
     /// True when injection (or op execution) of `mb` is past the
@@ -623,280 +627,48 @@ impl<'a> Exec<'a> {
         }
     }
 
+    /// The one event handler. Both disciplines share every arm but
+    /// three, which differ only in *when* an op is reserved:
+    ///
+    /// - `TryInject`: arrival-FIFO admits minibatches through
+    ///   [`Exec::try_inject`]; lanes advance lane 0.
+    /// - `FwdArrive` / `BwdArrive`: arrival-FIFO reserves the op the
+    ///   moment its input arrives (the paper's condition 3: a GPU
+    ///   serves ready tasks in arrival order, the wave schedule's last
+    ///   stage fused); lanes record the arrival and advance the lane
+    ///   that owns the stage.
+    /// - stage-0 `BwdDone`: arrival-FIFO re-tries injection and pushes
+    ///   on wave completion count; lanes advance lane 0, whose
+    ///   explicit [`ScheduleOp::Push`] may be waiting on it.
     fn handle(&mut self, ev: Ev) {
-        if let Ev::Fault { idx } = ev {
-            return self.apply_fault(idx as usize);
-        }
-        match self.dispatch {
-            Dispatch::ArrivalFifo => self.handle_arrival_fifo(ev),
-            Dispatch::StreamOrder | Dispatch::GpuStreamOrder => self.handle_lanes(ev),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Arrival-FIFO dispatch: the paper's wave schedule. Ready tasks are
-    // served in dependency-arrival order; `tests/trace_pins.rs` pins
-    // its traces.
-    // ------------------------------------------------------------------
-
-    fn handle_arrival_fifo(&mut self, ev: Ev) {
+        let fifo = self.dispatch == Dispatch::ArrivalFifo;
         match ev {
-            Ev::TryInject { vw } => self.try_inject(vw as usize),
-            Ev::FwdArrive { vw, stage, mb } => self.fwd_arrive(vw as usize, stage as usize, mb),
-            Ev::FwdDone { vw, stage, mb } => self.fwd_done(vw as usize, stage as usize, mb),
-            Ev::BwdArrive { vw, stage, mb } => self.bwd_arrive(vw as usize, stage as usize, mb),
-            Ev::BwdDone { vw, stage, mb } => self.bwd_done(vw as usize, stage as usize, mb),
-            Ev::PushChunkDone { vw, wave } => self.push_chunk_done(vw as usize, wave),
-            Ev::PullChunkDone { vw } => self.pull_chunk_done(vw as usize),
-            Ev::Fault { .. } => unreachable!("faults are handled centrally"),
-        }
-    }
-
-    fn try_inject(&mut self, vw: usize) {
-        let now = self.engine.now();
-        loop {
-            if self.in_flight(vw) >= self.p.wsp.nm as u64 {
-                break;
-            }
-            let p = self.states[vw].next_mb;
-            // Segment drain: stop injecting past the splice boundary.
-            if self.past_stop(p) {
-                break;
-            }
-            // The WSP start gate: do the local weights reflect the
-            // required global wave?
-            if let Some(req) = self.p.wsp.required_wave(p) {
-                if self.states[vw].pulled < req as i64 {
-                    let st = &mut self.states[vw];
-                    if st.block_start.is_none() {
-                        st.block_start = Some(now);
-                    }
-                    return;
-                }
-            }
-            let st = &mut self.states[vw];
-            if let Some(b) = st.block_start.take() {
-                st.stats.inject_blocked += now - b;
-            }
-            st.next_mb += 1;
-            self.engine.schedule_in(
-                SimTime::ZERO,
-                Ev::FwdArrive {
-                    vw: vw as u32,
-                    stage: 0,
-                    mb: p,
-                },
-            );
-        }
-    }
-
-    /// Forward activations of `mb` arrive at `stage`. Dispatch is gated
-    /// on the stage's declared activation window: if the stage already
-    /// has `window` minibatches holding (or dispatched to hold)
-    /// activation sets, the arrival queues until a backward releases
-    /// one. This is what makes [`PipelineSchedule::max_in_flight`] an
-    /// enforced bound rather than documentation. (For the wave
-    /// schedule the declared window is the injection cap `Nm`, which
-    /// the `try_inject` gate already guarantees — so the gate never
-    /// fires there and the golden traces are bit-identical — but a
-    /// schedule declaring a tighter window is throttled to it.)
-    fn fwd_arrive(&mut self, vw: usize, stage: usize, mb: u64) {
-        // Same tracking predicate as release_window, so acquire and
-        // release stay paired for any arrival-FIFO schedule.
-        if self.window_tracked(vw, stage) {
-            let w = &mut self.windows[vw][stage];
-            if w.outstanding >= w.window {
-                w.deferred.push_back(mb);
-                return;
-            }
-            w.outstanding += 1;
-        }
-        self.dispatch_forward(vw, stage, mb);
-    }
-
-    /// Reserves the GPU slot(s) for `mb`'s forward (or fused
-    /// forward+backward at the last stage) and schedules completion.
-    fn dispatch_forward(&mut self, vw: usize, stage: usize, mb: u64) {
-        let k = self.p.vws[vw].stages();
-        let gpu = self.gpu_of(vw, stage);
-        if stage == k - 1 {
-            // Fused forward+backward at the last stage (Section 4).
-            let (s, e) = self.gpu_reserve(gpu, self.fwd[vw][stage] + self.bwd[vw][stage]);
-            self.trace.record(
-                gpu,
-                s,
-                e,
-                SpanTag::Backward {
-                    vw: vw as u32,
-                    stage: stage as u32,
-                    mb,
-                },
-            );
-            self.engine.schedule_at(
-                e,
-                Ev::BwdDone {
-                    vw: vw as u32,
-                    stage: stage as u32,
-                    mb,
-                },
-            );
-        } else {
-            let (s, e) = self.gpu_reserve(gpu, self.fwd[vw][stage]);
-            self.trace.record(
-                gpu,
-                s,
-                e,
-                SpanTag::Forward {
-                    vw: vw as u32,
-                    stage: stage as u32,
-                    mb,
-                },
-            );
-            self.engine.schedule_at(
-                e,
-                Ev::FwdDone {
-                    vw: vw as u32,
-                    stage: stage as u32,
-                    mb,
-                },
-            );
-        }
-    }
-
-    fn fwd_done(&mut self, vw: usize, stage: usize, mb: u64) {
-        // Send the boundary activations to the next stage.
-        let range_end = self.p.vws[vw].plan.ranges[stage].end;
-        let bytes = self.p.graph.boundary_bytes(range_end - 1);
-        let from = self.node_of(vw, stage);
-        let to = self.node_of(vw, stage + 1);
-        self.account_act(from, to, bytes);
-        let arrive = self.transfer(
-            from,
-            to,
-            bytes,
-            SpanTag::ActTransfer {
-                vw: vw as u32,
-                stage: stage as u32,
-                backward: false,
-            },
-        );
-        self.engine.schedule_at(
-            arrive,
-            Ev::FwdArrive {
-                vw: vw as u32,
-                stage: (stage + 1) as u32,
-                mb,
-            },
-        );
-    }
-
-    fn bwd_arrive(&mut self, vw: usize, stage: usize, mb: u64) {
-        let gpu = self.gpu_of(vw, stage);
-        let k = self.p.vws[vw].stages();
-        if self
-            .p
-            .schedule
-            .recomputes_at(stage, k, self.p.wsp.nm, self.p.recompute)
-        {
-            // Rematerialize the stage's activations from the stashed
-            // boundary input: one forward re-run reserved directly
-            // ahead of the backward on the same FIFO timeline.
-            let (s, e) = self.gpu_reserve(gpu, self.fwd[vw][stage]);
-            self.trace.record(
-                gpu,
-                s,
-                e,
-                SpanTag::Recompute {
-                    vw: vw as u32,
-                    stage: stage as u32,
-                    mb,
-                },
-            );
-        }
-        let (s, e) = self.gpu_reserve(gpu, self.bwd[vw][stage]);
-        self.trace.record(
-            gpu,
-            s,
-            e,
-            SpanTag::Backward {
-                vw: vw as u32,
-                stage: stage as u32,
-                mb,
-            },
-        );
-        self.engine.schedule_at(
-            e,
-            Ev::BwdDone {
-                vw: vw as u32,
-                stage: stage as u32,
-                mb,
-            },
-        );
-    }
-
-    /// Whether `stage` participates in activation-window tracking: a
-    /// fused last stage never holds more than the activation set of
-    /// the task being executed, so it is exempt.
-    fn window_tracked(&self, vw: usize, stage: usize) -> bool {
-        !(self.p.schedule.fused_last_stage() && stage + 1 == self.p.vws[vw].stages())
-    }
-
-    /// A backward completed at `stage`: release one slot of the
-    /// stage's activation window and dispatch the next deferred
-    /// forward, if the gate held one back.
-    fn release_window(&mut self, vw: usize, stage: usize) {
-        if !self.window_tracked(vw, stage) {
-            return;
-        }
-        let w = &mut self.windows[vw][stage];
-        debug_assert!(w.outstanding >= 1, "window release without a holder");
-        w.outstanding -= 1;
-        if w.outstanding < w.window {
-            if let Some(mb) = w.deferred.pop_front() {
-                w.outstanding += 1;
-                self.dispatch_forward(vw, stage, mb);
-            }
-        }
-    }
-
-    fn bwd_done(&mut self, vw: usize, stage: usize, mb: u64) {
-        self.release_window(vw, stage);
-        if stage > 0 {
-            self.send_gradient_left(vw, stage, mb);
-            return;
-        }
-
-        // Minibatch complete.
-        let now = self.engine.now();
-        let st = &mut self.states[vw];
-        st.completed += 1;
-        st.stats.completions.push(now);
-        let completed = st.completed;
-        self.engine
-            .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
-        debug_assert_eq!(completed, mb, "FIFO pipelines complete in order");
-
-        let nm = self.p.wsp.nm as u64;
-        if completed.is_multiple_of(nm) {
-            let wave = completed / nm - 1;
-            self.start_push(vw, wave);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Lane dispatch: fill-drain, 1F1B and both interleaved forms. Each
-    // lane is one ordered op queue bound to one GPU — a virtual stage's
-    // stream, or a physical GPU's composite stream over its co-located
-    // chunks — executed in strict order, so the schedule (not
-    // dependency-arrival order) decides how work shares the GPU.
-    // ------------------------------------------------------------------
-
-    fn handle_lanes(&mut self, ev: Ev) {
-        match ev {
+            Ev::TryInject { vw } if fifo => self.try_inject(vw as usize),
             Ev::TryInject { vw } => self.advance_lane(vw as usize, 0),
+            Ev::FwdArrive { vw, stage, mb } if fifo => {
+                let (vw, stage) = (vw as usize, stage as usize);
+                let op = if self.fused_at(vw, stage) {
+                    ScheduleOp::FusedFwdBwd { mb }
+                } else {
+                    ScheduleOp::Forward { mb }
+                };
+                self.reserve_compute(vw, stage, op);
+            }
+            Ev::BwdArrive { vw, stage, mb } if fifo => {
+                let (vw, stage) = (vw as usize, stage as usize);
+                let k = self.p.vws[vw].stages();
+                if self
+                    .p
+                    .schedule
+                    .recomputes_at(stage, k, self.p.wsp.nm, self.p.recompute)
+                {
+                    self.reserve_compute(vw, stage, ScheduleOp::Recompute { mb });
+                }
+                self.reserve_compute(vw, stage, ScheduleOp::Backward { mb });
+            }
             Ev::FwdArrive { vw, stage, mb } | Ev::BwdArrive { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let st = &mut self.lane_stages[vw][stage];
+                let st = &mut self.stages[vw][stage];
                 let arrived = if matches!(ev, Ev::FwdArrive { .. }) {
                     &mut st.fwd_arrived
                 } else {
@@ -908,53 +680,98 @@ impl<'a> Exec<'a> {
             }
             Ev::FwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                // Lanes keep every stage within its declared window
-                // structurally (the streams interleave forwards with
-                // the backwards that release them); completion-based
-                // books check the invariant rather than assume it. An
-                // activation set exists from forward completion to
-                // backward completion.
-                let w = &mut self.windows[vw][stage];
-                w.outstanding += 1;
+                // Neither discipline gates on the books: lanes keep
+                // every stage within its declared window structurally
+                // (the streams interleave forwards with the backwards
+                // that release them), arrival-FIFO through the `Nm`
+                // injection cap. The books check that invariant rather
+                // than assume it.
+                let st = &mut self.stages[vw][stage];
+                st.held += 1;
                 debug_assert!(
-                    w.outstanding <= w.window,
-                    "lane execution exceeded the declared activation window \
+                    st.held <= st.window,
+                    "execution exceeded the declared activation window \
                      ({} > {}) at vw{vw} stage {stage}",
-                    w.outstanding,
-                    w.window
+                    st.held,
+                    st.window
                 );
                 if stage + 1 < self.p.vws[vw].stages() {
-                    self.fwd_done(vw, stage, mb);
+                    self.send_activation_right(vw, stage, mb);
                 }
             }
             Ev::BwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let w = &mut self.windows[vw][stage];
-                debug_assert!(w.outstanding >= 1, "window release without a holder");
-                w.outstanding -= 1;
+                if !self.fused_at(vw, stage) {
+                    let st = &mut self.stages[vw][stage];
+                    debug_assert!(st.held >= 1, "window release without a holder");
+                    st.held -= 1;
+                }
                 if stage > 0 {
                     self.send_gradient_left(vw, stage, mb);
                     return;
                 }
-                // Minibatch complete: lane 0 may be parked on a Push op
-                // waiting for this completion.
+                // Minibatch complete.
                 let now = self.engine.now();
                 let st = &mut self.states[vw];
                 st.completed += 1;
                 st.stats.completions.push(now);
-                debug_assert_eq!(st.completed, mb, "backwards complete in minibatch order");
-                self.advance_lane(vw, 0);
+                let completed = st.completed;
+                debug_assert_eq!(completed, mb, "backwards complete in minibatch order");
+                if fifo {
+                    self.engine
+                        .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
+                    let nm = self.p.wsp.nm as u64;
+                    if completed.is_multiple_of(nm) {
+                        self.start_push(vw, completed / nm - 1);
+                    }
+                } else {
+                    self.advance_lane(vw, 0);
+                }
             }
             Ev::PushChunkDone { vw, wave } => self.push_chunk_done(vw as usize, wave),
             Ev::PullChunkDone { vw } => self.pull_chunk_done(vw as usize),
-            Ev::Fault { .. } => unreachable!("faults are handled centrally"),
+            Ev::Fault { idx } => self.apply_fault(idx as usize),
+        }
+    }
+
+    /// Whether `stage` is the schedule's fused last stage, which runs
+    /// each minibatch's forward and backward as one task and so holds
+    /// no activation set between tasks.
+    fn fused_at(&self, vw: usize, stage: usize) -> bool {
+        self.p.schedule.fused_last_stage() && stage + 1 == self.p.vws[vw].stages()
+    }
+
+    /// Arrival-FIFO injection: admits minibatches into stage 0 while
+    /// fewer than `Nm` are in flight, the segment has not reached its
+    /// stop point, and the WSP pull gate of the next minibatch is open.
+    /// The admitted minibatch arrives at stage 0 as its own event.
+    fn try_inject(&mut self, vw: usize) {
+        let now = self.engine.now();
+        while self.in_flight(vw) < self.p.wsp.nm as u64 {
+            let p = self.states[vw].next_mb;
+            if self.past_stop(p) {
+                break;
+            }
+            if let Some(wave) = self.p.wsp.required_wave(p) {
+                if !self.pull_gate_open(vw, wave, now) {
+                    return;
+                }
+            }
+            self.states[vw].next_mb += 1;
+            self.engine.schedule_in(
+                SimTime::ZERO,
+                Ev::FwdArrive {
+                    vw: vw as u32,
+                    stage: 0,
+                    mb: p,
+                },
+            );
         }
     }
 
     /// The WSP pull gate: true (with blocked-time bookkeeping closed
     /// out) when the local weights reflect `wave`, false (with the
-    /// blocked window opened) when the lane must stay parked on the
-    /// gate.
+    /// blocked window opened) when injection must wait.
     fn pull_gate_open(&mut self, vw: usize, wave: u64, now: SimTime) -> bool {
         let st = &mut self.states[vw];
         if st.pulled >= wave as i64 {
@@ -969,6 +786,14 @@ impl<'a> Exec<'a> {
             false
         }
     }
+
+    // ------------------------------------------------------------------
+    // Lane dispatch: fill-drain, 1F1B and both interleaved forms. Each
+    // lane is one ordered op queue bound to one GPU — a virtual stage's
+    // stream, or a physical GPU's composite stream over its co-located
+    // chunks — executed in strict order, so the schedule (not
+    // dependency-arrival order) decides how work shares the GPU.
+    // ------------------------------------------------------------------
 
     /// Whether `wave`'s last backward has completed, so its explicit
     /// [`ScheduleOp::Push`] may fire.
@@ -1017,7 +842,7 @@ impl<'a> Exec<'a> {
             let GpuOp { stage, op } = self.lanes[vw][lane].buf[0];
             if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
                 if op.has_backward() {
-                    let stages = &mut self.lane_stages[vw];
+                    let stages = &mut self.stages[vw];
                     stages[stage].drained = true;
                     let n = self.lanes[vw].len();
                     if (lane..stages.len()).step_by(n).all(|s| stages[s].drained) {
@@ -1048,7 +873,7 @@ impl<'a> Exec<'a> {
                 _ => self.input_ready(vw, stage, op),
             };
             if ready {
-                if !self.reserve_compute(vw, stage, op) {
+                if !self.reserve_fenced(vw, stage, op) {
                     return;
                 }
                 self.lanes[vw][lane].buf.pop_front();
@@ -1103,7 +928,7 @@ impl<'a> Exec<'a> {
                             "recompute must precede its own backward"
                         );
                     }
-                    if !self.reserve_compute(vw, stage, gop.op) {
+                    if !self.reserve_fenced(vw, stage, gop.op) {
                         return false;
                     }
                     self.lanes[vw][lane].buf.remove(j);
@@ -1112,7 +937,7 @@ impl<'a> Exec<'a> {
                     // buffered, exactly like a strict-order lane parked
                     // after its recompute.
                     if recompute {
-                        if !self.reserve_compute(vw, stage, backward.op) {
+                        if !self.reserve_fenced(vw, stage, backward.op) {
                             return false;
                         }
                         self.lanes[vw][lane].buf.remove(j);
@@ -1137,7 +962,7 @@ impl<'a> Exec<'a> {
     /// its input is its own forward, which precedes it on this GPU's
     /// timeline.
     fn input_ready(&self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
-        let stages = &self.lane_stages[vw];
+        let stages = &self.stages[vw];
         match op {
             ScheduleOp::Forward { mb } => stage == 0 || stages[stage].fwd_arrived >= mb,
             ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
@@ -1147,16 +972,31 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Reserves lane compute `op` (forward, backward or recompute) on
-    /// the stage's GPU, records its span, and schedules its completion
-    /// event; returns false when past the horizon (stops eager
-    /// reservation — the caller must then leave the op at its lane's
-    /// head, and pop it on success).
-    fn reserve_compute(&mut self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
-        let gpu = self.gpu_of(vw, stage);
-        if self.pool.get(gpu).free_at() >= self.horizon {
+    /// [`Exec::reserve_compute`] behind the lanes' horizon fence:
+    /// returns false, reserving nothing, once the stage's GPU is booked
+    /// past the horizon. That stops eager lane reservation; the caller
+    /// then leaves the op at its lane's head, and pops it on success.
+    /// Arrival-FIFO reserves unfenced: it reserves one op (or a
+    /// recompute and its backward) per arrival event, and no event past
+    /// the horizon is handled, so its spans ending past the horizon are
+    /// part of the pinned wave traces.
+    fn reserve_fenced(&mut self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
+        if self.pool.get(self.gpu_of(vw, stage)).free_at() >= self.horizon {
             return false;
         }
+        self.reserve_compute(vw, stage, op);
+        true
+    }
+
+    /// Reserves compute `op` (forward, backward, recompute or fused
+    /// forward+backward) on the stage's GPU, records its span, and
+    /// schedules its completion event — every GPU reservation of both
+    /// disciplines. The work starts no earlier than now and is
+    /// integrated over the GPU's installed rate timeline (exact
+    /// identity on the nominal-rate path); work that spans a rate edge
+    /// is split across the windows it covers, so an outage with a
+    /// later recovery delays the task instead of wedging it.
+    fn reserve_compute(&mut self, vw: usize, stage: usize, op: ScheduleOp) {
         let (vw32, stage32) = (vw as u32, stage as u32);
         let (dur, tag, done) = match op {
             ScheduleOp::Forward { mb } => (
@@ -1184,8 +1024,14 @@ impl<'a> Exec<'a> {
                 },
                 None,
             ),
-            ScheduleOp::Backward { mb } => (
-                self.bwd[vw][stage],
+            // The wave schedule's fused last stage (Section 4) runs
+            // forward and backward as one task, recorded as the
+            // backward.
+            ScheduleOp::Backward { mb } | ScheduleOp::FusedFwdBwd { mb } => (
+                match op {
+                    ScheduleOp::FusedFwdBwd { .. } => self.fwd[vw][stage] + self.bwd[vw][stage],
+                    _ => self.bwd[vw][stage],
+                },
                 SpanTag::Backward {
                     vw: vw32,
                     stage: stage32,
@@ -1197,16 +1043,43 @@ impl<'a> Exec<'a> {
                     mb,
                 }),
             ),
-            _ => unreachable!("{op:?} is not a lane compute op"),
+            _ => unreachable!("{op:?} is not a compute op"),
         };
-        let (s, e) = self.gpu_reserve(gpu, dur);
+        let gpu = self.gpu_of(vw, stage);
+        let now = self.engine.now();
+        let (s, e) = self.pool.get_mut(gpu).reserve_work(now, dur);
         self.trace.record(gpu, s, e, tag);
         if let Some(done) = done {
             self.engine.schedule_at(e, done);
         }
-        true
     }
 
+    /// Sends a stage's boundary activations to the next stage.
+    fn send_activation_right(&mut self, vw: usize, stage: usize, mb: u64) {
+        let range_end = self.p.vws[vw].plan.ranges[stage].end;
+        let bytes = self.p.graph.boundary_bytes(range_end - 1);
+        let from = self.node_of(vw, stage);
+        let to = self.node_of(vw, stage + 1);
+        self.account_act(from, to, bytes);
+        let arrive = self.transfer(
+            from,
+            to,
+            bytes,
+            SpanTag::ActTransfer {
+                vw: vw as u32,
+                stage: stage as u32,
+                backward: false,
+            },
+        );
+        self.engine.schedule_at(
+            arrive,
+            Ev::FwdArrive {
+                vw: vw as u32,
+                stage: (stage + 1) as u32,
+                mb,
+            },
+        );
+    }
     /// Sends the gradient w.r.t. a stage's inputs to the previous
     /// stage (shared by both disciplines).
     fn send_gradient_left(&mut self, vw: usize, stage: usize, mb: u64) {
@@ -1244,12 +1117,8 @@ impl<'a> Exec<'a> {
         // tracks its own chunk counter, and its transfers contend on
         // the NIC timelines like any other traffic instead of being
         // serialized FIFO behind the previous wave's completion.
-        let chunk_list = if self.p.sync_transfers {
-            self.chunks[vw].clone()
-        } else {
-            Vec::new()
-        };
-        if chunk_list.is_empty() {
+        let n = self.chunks[vw].len();
+        if n == 0 {
             // Zero-transfer pushes land instantly; announce before
             // completing so the bus learns the landing first.
             if let Coupling::Bus { bus, id } = self.coupling {
@@ -1258,12 +1127,11 @@ impl<'a> Exec<'a> {
             self.push_completed(vw, wave);
             return;
         }
-        let prev = self.states[vw]
-            .push_remaining
-            .insert(wave, chunk_list.len());
+        let prev = self.states[vw].push_remaining.insert(wave, n);
         debug_assert!(prev.is_none(), "wave {wave} pushed twice");
         let mut lands = SimTime::ZERO;
-        for ch in chunk_list {
+        for i in 0..n {
+            let ch = self.chunks[vw][i];
             self.account_sync(ch.gpu_node, ch.shard_node, ch.bytes);
             let arrive = self.transfer(
                 ch.gpu_node,
@@ -1369,20 +1237,17 @@ impl<'a> Exec<'a> {
             st.pull_request = None;
             st.pull_serving_version = version;
         }
-        let chunk_list = if self.p.sync_transfers {
-            self.chunks[vw].clone()
-        } else {
-            Vec::new()
-        };
-        if chunk_list.is_empty() {
+        let n = self.chunks[vw].len();
+        if n == 0 {
             let st = &mut self.states[vw];
             st.pulled = st.pulled.max(st.pull_serving_version);
             self.engine
                 .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
             return;
         }
-        self.states[vw].pull_remaining = chunk_list.len();
-        for ch in chunk_list {
+        self.states[vw].pull_remaining = n;
+        for i in 0..n {
+            let ch = self.chunks[vw][i];
             // Pull direction: shard -> GPU.
             self.account_sync(ch.shard_node, ch.gpu_node, ch.bytes);
             let wave = self.states[vw].pull_serving_version.max(0) as u64;
@@ -1518,14 +1383,6 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// bounded lane reorder window. Default options make this identical
 /// to [`run`] — the zero-fault invariance.
 pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) -> RunStats {
-    if let Some(stop) = opts.stop_after_mb {
-        assert!(
-            stop.is_multiple_of(params.wsp.nm as u64),
-            "segments splice at wave boundaries (stop {} vs Nm {})",
-            stop,
-            params.wsp.nm
-        );
-    }
     Exec::new(params, opts, horizon, Coupling::InProcess).run()
 }
 
@@ -1602,14 +1459,6 @@ impl<'a> VwEngine<'a> {
             1,
             "a fleet engine simulates exactly one VW"
         );
-        if let Some(stop) = opts.stop_after_mb {
-            assert!(
-                stop.is_multiple_of(params.wsp.nm as u64),
-                "segments splice at wave boundaries (stop {} vs Nm {})",
-                stop,
-                params.wsp.nm
-            );
-        }
         let mut ex = Exec::new(params, opts, horizon, Coupling::Bus { bus, id });
         ex.prologue();
         let mut eng = VwEngine {
@@ -2146,6 +1995,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "segments splice at wave boundaries")]
+    fn run_segment_rejects_a_mid_wave_stop() {
+        run_ed_segment(
+            4,
+            5.0,
+            Schedule::HetPipeWave,
+            SegmentOpts {
+                stop_after_mb: Some(6),
+                ..SegmentOpts::default()
+            },
+        );
+    }
+
+    /// A bus no call may reach: the engine must panic while building.
+    struct UnreachableBus;
+
+    impl GateBus for UnreachableBus {
+        fn vws(&self) -> usize {
+            1
+        }
+        fn announce_push(&self, _: usize, _: u64, _: SimTime) {
+            unreachable!()
+        }
+        fn publish_frontier(&self, _: usize, _: SimTime) {
+            unreachable!()
+        }
+        fn poll_serve(&self, _: usize, _: u64, _: SimTime, _: SimTime) -> ServePoll {
+            unreachable!()
+        }
+        fn finish(&self, _: usize) {
+            unreachable!()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "segments splice at wave boundaries")]
+    fn vw_engine_rejects_a_mid_wave_stop() {
+        let cluster = Cluster::paper_testbed();
+        let graph = hetpipe_model::vgg19(32);
+        let vws = build_vws(&cluster, &graph, &ed_groups()[..1], 4);
+        let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
+        VwEngine::new(
+            ExecParams {
+                cluster: &cluster,
+                graph: &graph,
+                vws: &vws,
+                wsp: WspParams::new(4, 0),
+                shards: &shards,
+                sync_transfers: true,
+                schedule: Schedule::HetPipeWave,
+                recompute: RecomputePolicy::None,
+            },
+            SegmentOpts {
+                stop_after_mb: Some(2),
+                ..SegmentOpts::default()
+            },
+            SimTime::from_secs(5.0),
+            &UnreachableBus,
+            0,
+        );
     }
 
     #[test]

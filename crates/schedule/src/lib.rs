@@ -51,12 +51,13 @@
 //!   activation bytes` (plus [`PipelineSchedule::extra_weight_versions`]
 //!   stashed parameter copies) when certifying that a stage fits its
 //!   GPU.
-//! - The **executor** enforces the same window at dispatch time:
-//!   stream-order schedules execute their declared lanes in order,
-//!   and arrival-FIFO schedules gate forward dispatch at each
-//!   stage on the declared window, so a stage can never accumulate
-//!   more activation sets than were certified — even if a schedule's
-//!   stream over-promises.
+//! - The **executor** bounds the same window without a dispatch-time
+//!   gate: stream-order schedules execute their declared lanes in
+//!   order, and on arrival-FIFO schedules the `Nm` injection cap
+//!   bounds every stage, so each non-fused stage must declare at least
+//!   `Nm` (the executor asserts this at construction). Its
+//!   completion-based occupancy books check every stage against the
+//!   declaration as the run goes.
 //! - The **trace audit** (`hetpipe-core`'s `OccupancyAudit`) measures
 //!   per-stage and per-GPU peak occupancy from the simulated span
 //!   trace and asserts measured ≤ declared as a first-class invariant

@@ -109,13 +109,15 @@ pub trait PipelineSchedule {
     /// Peak number of minibatches simultaneously holding activations at
     /// `stage` — the quantity the per-stage memory constraint charges.
     ///
-    /// This is a *sound, executor-enforced* bound, not an idealized
-    /// one: the executor gates forward dispatch at each stage on this
-    /// window (arrival-FIFO schedules) or executes the declared op
-    /// stream in order (stream-order schedules), so a run can never
-    /// hold more activation sets at a stage than the memory model
-    /// charges for. Trace-measured occupancy ≤ this value is asserted
-    /// as a first-class invariant (`hetpipe-core`'s occupancy audit).
+    /// This is a *sound* bound, not an idealized one. Stream-order
+    /// schedules hold it by executing the declared op stream in order.
+    /// Arrival-FIFO schedules have no dispatch-time gate: the `Nm`
+    /// injection cap bounds their stages, so every non-fused stage
+    /// must declare at least `Nm`, which the executor asserts at
+    /// construction. The executor's completion-based occupancy books
+    /// check the window as a run goes, and trace-measured occupancy ≤
+    /// this value is asserted as a first-class invariant
+    /// (`hetpipe-core`'s `OccupancyAudit`).
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize;
 
     /// Weight versions pinned at `stage` beyond the resident
@@ -195,9 +197,9 @@ impl PipelineSchedule for HetPipeWave {
     /// own ED/VGG-19 configuration. Since the executor's dispatch
     /// discipline (condition 3 of Section 4) is arrival order, the
     /// only sound per-stage charge that preserves that discipline is
-    /// the pipeline-wide injection cap `Nm`; the executor's dispatch
-    /// gate enforces exactly this window (and, being implied by the
-    /// `Nm` injection gate, it never delays a wave-schedule task).
+    /// the pipeline-wide injection cap `Nm`, which bounds every stage
+    /// without a dispatch-time gate; the executor's occupancy books and
+    /// `OccupancyAudit` check it.
     /// [`RecomputePolicy::BoundaryOnly`] is the lever that buys the
     /// honestly-charged memory back.
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
@@ -1025,6 +1027,27 @@ mod tests {
 
     #[test]
     fn wave_in_flight_is_the_sound_fifo_bound() {
+        // Arrival-FIFO has no dispatch-time gate: only the Nm injection
+        // cap bounds a stage, so every arrival-FIFO schedule must
+        // declare at least Nm at each non-fused stage.
+        for sched in Schedule::ALL {
+            if sched.dispatch() != Dispatch::ArrivalFifo {
+                continue;
+            }
+            for k in 1..=6 {
+                for nm in [1, 2, 4, 7] {
+                    for q in 0..k {
+                        if sched.fused_last_stage() && q == k - 1 {
+                            continue;
+                        }
+                        assert!(
+                            sched.max_in_flight(q, k, nm) >= nm,
+                            "{sched} stage {q} of {k} declares less than Nm = {nm}"
+                        );
+                    }
+                }
+            }
+        }
         // k = 4, Nm = 4: every non-fused stage may transiently hold the
         // full injection window Nm under arrival-order dispatch; the
         // fused last stage holds exactly 1. (Figure 1's idealized

@@ -34,7 +34,7 @@
 //! - [`schedule`] — pluggable static pipeline schedules (the paper's
 //!   wave schedule, GPipe fill-drain, PipeDream 1F1B, interleaved
 //!   1F1B) reified as per-stage op streams, with per-schedule peak
-//!   memory accounting that the executor *enforces* at dispatch time
+//!   memory accounting that the executor holds every run to
 //!   (trace-audited measured ≤ declared), plus boundary-only
 //!   activation recomputation as an explicit compute-vs-memory knob.
 //! - [`verify`] — static verification: machine-checked

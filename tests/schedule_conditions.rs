@@ -210,10 +210,12 @@ fn per_stage_occupancy_matches_declared_memory_accounting() {
     // schedule × recompute policy: a run must never hold more
     // concurrent minibatches at a stage (or summed across a GPU's
     // co-located stages) than the memory model charged when the plan
-    // was certified. This is the soundness property the executor's
-    // dispatch gate and the wave schedule's honest Nm accounting
-    // exist to guarantee — before them, arrival-order timing skew let
-    // middle stages exceed the idealized Figure-1 window.
+    // was certified. Lanes hold it by executing their streams in order;
+    // on the wave schedule the Nm injection cap bounds every stage and
+    // its honest Nm charge matches that bound — the idealized Figure-1
+    // window was exceeded by arrival-order timing skew at middle
+    // stages. The executor's completion books check it as the run
+    // goes; this audit checks it from the trace.
     for schedule in all_schedules() {
         for recompute in RecomputePolicy::ALL {
             let (stats, stages, vws) = single_vw_run(schedule, recompute);
