@@ -11,7 +11,8 @@
 //!
 //! - **Announces**: each push's landing time, reported at push
 //!   *start* (chunk arrivals are reserved up front — the certified
-//!   lookahead). Waves and landings are monotone per VW.
+//!   lookahead). Waves are contiguous from 0 and landings monotone
+//!   per VW.
 //! - **Frontiers**: a lock-free monotone lower bound on each VW's
 //!   next action, published before every event pop.
 //! - **Polls**: a VW with a ready pull asks, before popping its next
@@ -49,16 +50,44 @@
 //! already announced.
 //!
 //! Every verdict is a pure function of simulated data (announced
-//! steps and registration inputs), never of wall-clock interleaving —
-//! frontier freshness affects only *when* a verdict becomes
-//! available, not its value. That is the determinism argument: any
-//! thread count computes the same serves, hence the same simulation.
+//! landings and registration inputs), never of wall-clock
+//! interleaving — frontier freshness affects only *when* a verdict
+//! becomes available, not its value. That is the determinism
+//! argument: any thread count computes the same serves, hence the
+//! same simulation.
+//!
+//! # Bookkeeping
+//!
+//! The bus keeps no per-VW log of announced steps. Because each VW
+//! announces waves contiguously from 0 with monotone landings, every
+//! question a poll asks reduces to aggregates updated at announce,
+//! register and finish time:
+//!
+//! - **Per-wave aggregates**: for each wave, how many VWs announced
+//!   it and the latest of their landings. A wave's crossing is that
+//!   maximum once every VW has announced it — one lookup.
+//! - **Fully announced prefix**: `full`, the fewest waves any VW has
+//!   announced. Over `waves[..full]` the crossings are non-decreasing
+//!   (each VW's landings are), and the number of waves every VW has
+//!   landed by `s` is the count of prefix crossings `≤ s` — so the
+//!   version at `s` is one binary search over the prefix.
+//! - **Finished VWs**: the fewest waves any finished VW announced; a
+//!   target at or past it can never be served.
+//! - **Registrations**: the count of live VWs with no registration;
+//!   zero is the quiescent rule's all-blocked test.
+//!
+//! What a poll still scans, over dense per-VW arrays and never with a
+//! binary search: the action floors of the VWs that have not
+//! announced the target (only while some have not), and, once all
+//! have, the version-final check over every VW's floor. The quiescent
+//! rule walks the registrations, but only when every live VW is
+//! registered.
 
 use crate::plan::SyncPlan;
 use hetpipe_core::{GateBus, ServePoll};
 use hetpipe_des::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// A registered (blocked) poll: a sound standing description of the
@@ -73,42 +102,107 @@ struct WaitInfo {
     t_next: SimTime,
 }
 
-#[derive(Debug)]
-struct VwSlot {
-    /// Announced push steps `(wave, lands)`; waves strictly
-    /// increasing, landings non-decreasing.
-    steps: Vec<(u64, SimTime)>,
-    waiting: Option<WaitInfo>,
-    done: bool,
+/// One wave's announces, aggregated over the VWs that made them.
+#[derive(Debug, Clone, Copy)]
+struct WaveAgg {
+    /// VWs that announced this wave.
+    announced: usize,
+    /// Latest landing among them: the wave's crossing time once every
+    /// VW has announced it.
+    max_lands: SimTime,
 }
 
-impl VwSlot {
-    /// Landing time of the earliest announced push with wave
-    /// `≥ target` (waves are contiguous from 0, so this is wave
-    /// `target` itself when announced).
-    fn step_lands(&self, target: u64) -> Option<SimTime> {
-        let i = self.steps.partition_point(|&(w, _)| w < target);
-        self.steps.get(i).map(|&(_, lands)| lands)
-    }
+impl WaveAgg {
+    const NONE: WaveAgg = WaveAgg {
+        announced: 0,
+        max_lands: SimTime::ZERO,
+    };
+}
 
-    /// This VW's push clock at instant `at`: `wave + 1` of its last
-    /// announced step landing at or before `at`.
-    fn clock_at(&self, at: SimTime) -> u64 {
-        let i = self.steps.partition_point(|&(_, lands)| lands <= at);
-        if i == 0 {
-            0
-        } else {
-            self.steps[i - 1].0 + 1
-        }
+/// Verdict and announce counts of one fleet run's gate bus.
+///
+/// `ready` and `announces` are thread-invariant: every served pull
+/// takes exactly one `Ready` verdict and every wave push one
+/// announce, and the simulation is the same on any thread count. The
+/// other counts record how often an undecided serve was asked again,
+/// which depends on how engine steps interleave across the driver's
+/// worker threads; compare them only between runs on one thread
+/// count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusCounters {
+    /// Polls answered [`ServePoll::Ready`].
+    pub ready: u64,
+    /// Polls answered [`ServePoll::NotBefore`].
+    pub not_before: u64,
+    /// Polls answered [`ServePoll::Wait`].
+    pub wait: u64,
+    /// Non-`Wait` verdicts decided by the quiescent rule (a subset of
+    /// `ready + not_before`).
+    pub quiescent: u64,
+    /// Push landings announced.
+    pub announces: u64,
+}
+
+impl BusCounters {
+    /// Total polls: every poll gets exactly one verdict.
+    pub fn polls(&self) -> u64 {
+        self.ready + self.not_before + self.wait
     }
 }
 
 #[derive(Debug)]
 struct BusState {
-    slots: Vec<VwSlot>,
+    /// Per-wave aggregates, indexed by wave.
+    waves: Vec<WaveAgg>,
+    /// Waves each VW has announced — also the next wave it announces.
+    announced: Vec<u64>,
+    /// Each VW's latest announced landing (the monotonicity check).
+    last_lands: Vec<SimTime>,
+    /// Length of the fully announced prefix, `min(announced)`.
+    full: usize,
+    /// Fewest waves any finished VW announced (`u64::MAX` while none
+    /// has finished).
+    done_min_announced: u64,
+    waiting: Vec<Option<WaitInfo>>,
+    done: Vec<bool>,
+    /// Live VWs with no registration.
+    unregistered: usize,
     /// Bumped on every announce, finish, and all-blocked transition;
     /// blocked drivers wait for it to change.
     generation: u64,
+    counters: BusCounters,
+}
+
+impl BusState {
+    /// The crossing time of `target` — the max of every VW's
+    /// target-wave landing — once every VW has announced it. New
+    /// announces only add later waves, so the value is final.
+    fn crossing(&self, target: u64) -> Option<SimTime> {
+        let n = self.announced.len();
+        self.waves
+            .get(target as usize)
+            .filter(|agg| agg.announced == n)
+            .map(|agg| agg.max_lands)
+    }
+
+    /// The version a serve at `at` carries: `min_clock(at) − 1` over
+    /// the announced landings. The prefix crossings are sorted, and a
+    /// VW that announced only `full` waves caps the minimum there.
+    /// Sound only once the caller has proven no unannounced push can
+    /// land at or before `at`.
+    fn version_at(&self, at: SimTime) -> i64 {
+        self.waves[..self.full].partition_point(|agg| agg.max_lands <= at) as i64 - 1
+    }
+
+    /// Sets `vw`'s registration, keeping `unregistered` in step.
+    fn set_waiting(&mut self, vw: usize, w: Option<WaitInfo>) {
+        match (self.waiting[vw].is_some(), w.is_some()) {
+            (false, true) => self.unregistered -= 1,
+            (true, false) => self.unregistered += 1,
+            _ => {}
+        }
+        self.waiting[vw] = w;
+    }
 }
 
 /// The shared WSP gate state of a fleet run (see the module doc for
@@ -136,14 +230,16 @@ impl FleetBus {
     pub fn new(vws: usize, plan: SyncPlan) -> FleetBus {
         FleetBus {
             state: Mutex::new(BusState {
-                slots: (0..vws)
-                    .map(|_| VwSlot {
-                        steps: Vec::new(),
-                        waiting: None,
-                        done: false,
-                    })
-                    .collect(),
+                waves: Vec::new(),
+                announced: vec![0; vws],
+                last_lands: vec![SimTime::ZERO; vws],
+                full: 0,
+                done_min_announced: u64::MAX,
+                waiting: vec![None; vws],
+                done: vec![false; vws],
+                unregistered: vws,
                 generation: 0,
+                counters: BusCounters::default(),
             }),
             wake: Condvar::new(),
             frontiers: (0..vws).map(|_| AtomicU64::new(0)).collect(),
@@ -165,17 +261,28 @@ impl FleetBus {
         self.plan
     }
 
+    fn lock(&self) -> MutexGuard<'_, BusState> {
+        self.state
+            .lock()
+            .expect("fleet bus lock poisoned: an engine thread panicked")
+    }
+
+    /// The verdict and announce counts so far.
+    pub fn counters(&self) -> BusCounters {
+        self.lock().counters
+    }
+
     /// Current wake generation (capture before a stepping round;
     /// compare in [`FleetBus::wait_change`]).
     pub fn generation(&self) -> u64 {
-        self.state.lock().unwrap().generation
+        self.lock().generation
     }
 
     /// Blocks until the generation differs from `seen` or `timeout`
     /// elapses (the timeout is a liveness safety net — frontier
     /// publishes are lock-free and do not signal).
     pub fn wait_change(&self, seen: u64, timeout: Duration) {
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         if st.generation != seen {
             return;
         }
@@ -187,80 +294,144 @@ impl FleetBus {
     /// action is its local event or its own serve, which cannot
     /// predate its request), else the published frontier.
     fn action_floor(&self, st: &BusState, u: usize) -> SimTime {
-        let slot = &st.slots[u];
-        if slot.done {
+        if st.done[u] {
             return SimTime::MAX;
         }
-        if let Some(w) = slot.waiting {
+        if let Some(w) = st.waiting[u] {
             return w.t_next.min(w.since);
         }
         SimTime::from_nanos(self.frontiers[u].load(Ordering::Acquire))
     }
 
+    /// `u`'s minimum push duration, and strictly positive: timed
+    /// transfers have positive length (the 1 ns fallback keeps
+    /// zero-lookahead buses exact).
+    fn gap(&self, u: usize) -> SimTime {
+        self.min_step[u].max(SimTime::from_nanos(1))
+    }
+
     /// A certified lower bound on any landing `u` has yet to
     /// announce: the announce happens during an action at or past
     /// `u`'s floor, and the landing follows it by at least `u`'s
-    /// minimum push duration — and strictly, since timed transfers
-    /// have positive length (the 1 ns fallback keeps zero-lookahead
-    /// buses exact).
+    /// [gap](FleetBus::gap).
     fn unannounced_lb(&self, st: &BusState, u: usize) -> SimTime {
-        let gap = self.min_step[u].max(SimTime::from_nanos(1));
-        self.action_floor(st, u).saturating_add(gap)
+        self.action_floor(st, u).saturating_add(self.gap(u))
     }
 
-    /// The crossing time of `target` — the max of every VW's
-    /// target-wave landing — exact only when all are announced. New
-    /// announces can only add later steps, so an exact value is
-    /// final.
-    fn crossing(&self, st: &BusState, target: u64) -> Option<SimTime> {
-        let mut s = SimTime::ZERO;
-        for slot in &st.slots {
-            s = s.max(slot.step_lands(target)?);
+    /// The verdict of one poll (see the module doc), leaving `vw`
+    /// registered exactly when it is `Wait`.
+    fn decide(
+        &self,
+        st: &mut BusState,
+        vw: usize,
+        target: u64,
+        ready_since: SimTime,
+        bound: SimTime,
+    ) -> ServePoll {
+        if st.done_min_announced <= target {
+            // A finished VW never pushed the target wave: the pull is
+            // permanently unservable, matching the in-process
+            // executor idling an unserved request at the horizon.
+            st.set_waiting(vw, None);
+            return ServePoll::NotBefore {
+                at_least: SimTime::MAX,
+            };
         }
-        Some(s)
-    }
-
-    /// The version a serve at `at` carries: `min_clock(at) − 1` over
-    /// the announced steps. Sound only once the caller has proven no
-    /// unannounced push can land at or before `at`.
-    fn version_at(&self, st: &BusState, at: SimTime) -> i64 {
-        st.slots
-            .iter()
-            .map(|slot| slot.clock_at(at))
-            .min()
-            .unwrap_or(0) as i64
-            - 1
+        // Fold a certified lower bound on the serve over every
+        // contribution: announced target-wave landings exactly (their
+        // maximum is the aggregate), unannounced ones by
+        // floor-plus-lookahead.
+        let n = st.announced.len();
+        let agg = st
+            .waves
+            .get(target as usize)
+            .copied()
+            .unwrap_or(WaveAgg::NONE);
+        let all_known = agg.announced == n;
+        let mut serve_lb = ready_since.max(agg.max_lands);
+        if !all_known {
+            for u in 0..n {
+                if st.announced[u] <= target {
+                    serve_lb = serve_lb.max(self.unannounced_lb(st, u));
+                }
+            }
+        }
+        if serve_lb > bound {
+            // The certified lower bound already clears the bound: the
+            // engine pops every local event strictly before it with
+            // no further polls.
+            st.set_waiting(vw, None);
+            return ServePoll::NotBefore { at_least: serve_lb };
+        }
+        if all_known {
+            // S = serve_lb is exact (every landing announced) and
+            // within the bound; the verdict is Ready as soon as the
+            // version is final — no VW whose pushes are still
+            // unbounded may land one at or before S. (The poller
+            // itself is covered by its bound: its next local event is
+            // at `bound ≥ S`, so it announces nothing before S.)
+            let s = serve_lb;
+            let version_final = (0..n).all(|u| {
+                u == vw
+                    || st.done[u]
+                    || self.action_floor(st, u) >= s
+                    || self.unannounced_lb(st, u) > s
+            });
+            if version_final {
+                st.set_waiting(vw, None);
+                return ServePoll::Ready {
+                    at: s,
+                    version: st.version_at(s),
+                };
+            }
+        }
+        // Undecided: register (a standing sound bound on v's next
+        // action) and try the quiescent rule.
+        let was_all_blocked = st.unregistered == usize::from(st.waiting[vw].is_none());
+        st.set_waiting(
+            vw,
+            Some(WaitInfo {
+                target,
+                since: ready_since,
+                t_next: bound,
+            }),
+        );
+        if let Some(verdict) = self.quiescent_verdict(st, vw) {
+            st.counters.quiescent += 1;
+            st.set_waiting(vw, None);
+            return verdict;
+        }
+        if !was_all_blocked {
+            // This registration completed the all-blocked set: wake
+            // the other drivers so the achieving VW re-polls into the
+            // quiescent rule.
+            st.generation += 1;
+            self.wake.notify_all();
+        }
+        ServePoll::Wait
     }
 
     /// The quiescent rule: with every live VW registered, find the
     /// globally earliest candidate action `t*` and let `v` act iff it
     /// achieves it (serve beats its own same-instant local event).
     fn quiescent_verdict(&self, st: &BusState, v: usize) -> Option<ServePoll> {
-        if st.slots.iter().any(|s| !s.done && s.waiting.is_none()) {
+        if st.unregistered > 0 {
             return None;
         }
-        // Registered targets all sit inside the WSP staleness window,
-        // so memoizing the crossing per distinct target keeps the
-        // whole verdict O(V) instead of O(V²).
-        let mut crossings: Vec<(u64, Option<SimTime>)> = Vec::new();
+        // One pass over the registrations; each crossing is an O(1)
+        // aggregate lookup.
         let mut t_star = SimTime::MAX;
         let mut mine = None;
-        for (u, slot) in st.slots.iter().enumerate() {
-            let Some(w) = slot.waiting.filter(|_| !slot.done) else {
+        for (u, w) in st.waiting.iter().enumerate() {
+            let Some(w) = w else {
                 continue;
-            };
-            let x = match crossings.iter().find(|&&(t, _)| t == w.target) {
-                Some(&(_, x)) => x,
-                None => {
-                    let x = self.crossing(st, w.target);
-                    crossings.push((w.target, x));
-                    x
-                }
             };
             // An inexact serve needs a future announce, which happens
             // at some VW's action ≥ t* with a landing strictly later —
             // it can never achieve t*, so MAX is a sound stand-in.
-            let s_u = x.map_or(SimTime::MAX, |x| x.max(w.since));
+            let s_u = st
+                .crossing(w.target)
+                .map_or(SimTime::MAX, |x| x.max(w.since));
             t_star = t_star.min(w.t_next).min(s_u);
             if u == v {
                 mine = Some((s_u, w.t_next, w.target));
@@ -274,7 +445,7 @@ impl FleetBus {
             // version is final.
             return Some(ServePoll::Ready {
                 at: s_v,
-                version: self.version_at(st, s_v),
+                version: st.version_at(s_v),
             });
         }
         if t_next_v == t_star && t_star < s_v {
@@ -285,12 +456,9 @@ impl FleetBus {
             let at_least = if s_v < SimTime::MAX {
                 s_v
             } else {
-                let gap = st
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.done && s.step_lands(target_v).is_none())
-                    .map(|(u, _)| self.min_step[u].max(SimTime::from_nanos(1)))
+                let gap = (0..st.announced.len())
+                    .filter(|&u| !st.done[u] && st.announced[u] <= target_v)
+                    .map(|u| self.gap(u))
                     .min()
                     .unwrap_or(SimTime::from_nanos(1));
                 t_star.saturating_add(gap)
@@ -307,14 +475,31 @@ impl GateBus for FleetBus {
     }
 
     fn announce_push(&self, vw: usize, wave: u64, lands: SimTime) {
-        let mut st = self.state.lock().unwrap();
-        let slot = &mut st.slots[vw];
-        debug_assert!(!slot.done, "announce after finish");
-        if let Some(&(last_wave, last_lands)) = slot.steps.last() {
-            debug_assert!(wave > last_wave, "waves announce in order");
-            debug_assert!(lands >= last_lands, "landings are monotone");
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        debug_assert!(!st.done[vw], "announce after finish");
+        assert_eq!(
+            wave, st.announced[vw],
+            "VW {vw} announced out of order: waves announce contiguously from 0"
+        );
+        debug_assert!(lands >= st.last_lands[vw], "landings are monotone");
+        st.announced[vw] += 1;
+        st.last_lands[vw] = lands;
+        // Contiguity: this VW announced every earlier wave, so the
+        // aggregate exists or is the next one.
+        let w = wave as usize;
+        if w == st.waves.len() {
+            st.waves.push(WaveAgg::NONE);
         }
-        slot.steps.push((wave, lands));
+        let agg = &mut st.waves[w];
+        agg.announced += 1;
+        agg.max_lands = agg.max_lands.max(lands);
+        if agg.announced == st.announced.len() {
+            // Every VW that announced `w` announced all earlier waves
+            // too, so the prefix now runs through `w`.
+            st.full = w + 1;
+        }
+        st.counters.announces += 1;
         st.generation += 1;
         self.wake.notify_all();
     }
@@ -332,90 +517,26 @@ impl GateBus for FleetBus {
         ready_since: SimTime,
         bound: SimTime,
     ) -> ServePoll {
-        let mut st = self.state.lock().unwrap();
-        // Fold a certified lower bound on the serve over every
-        // contribution: announced target-wave landings exactly,
-        // unannounced ones by floor-plus-lookahead.
-        let mut serve_lb = ready_since;
-        let mut all_known = true;
-        for u in 0..st.slots.len() {
-            match st.slots[u].step_lands(target) {
-                Some(lands) => serve_lb = serve_lb.max(lands),
-                None if st.slots[u].done => {
-                    // `u` will never push the target wave: the pull is
-                    // permanently unservable, matching the in-process
-                    // executor idling an unserved request at the
-                    // horizon.
-                    st.slots[vw].waiting = None;
-                    return ServePoll::NotBefore {
-                        at_least: SimTime::MAX,
-                    };
-                }
-                None => {
-                    all_known = false;
-                    serve_lb = serve_lb.max(self.unannounced_lb(&st, u));
-                }
-            }
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let verdict = self.decide(st, vw, target, ready_since, bound);
+        match verdict {
+            ServePoll::Ready { .. } => st.counters.ready += 1,
+            ServePoll::NotBefore { .. } => st.counters.not_before += 1,
+            ServePoll::Wait => st.counters.wait += 1,
         }
-        if serve_lb > bound {
-            // The certified lower bound already clears the bound: the
-            // engine pops every local event strictly before it with
-            // no further polls.
-            st.slots[vw].waiting = None;
-            return ServePoll::NotBefore { at_least: serve_lb };
-        }
-        if all_known {
-            // S = serve_lb is exact (every landing announced) and
-            // within the bound; the verdict is Ready as soon as the
-            // version is final — no VW whose pushes are still
-            // unbounded may land one at or before S. (The poller
-            // itself is covered by its bound: its next local event is
-            // at `bound ≥ S`, so it announces nothing before S.)
-            let s = serve_lb;
-            let version_final = (0..st.slots.len()).all(|u| {
-                u == vw
-                    || st.slots[u].done
-                    || self.action_floor(&st, u) >= s
-                    || self.unannounced_lb(&st, u) > s
-            });
-            if version_final {
-                st.slots[vw].waiting = None;
-                return ServePoll::Ready {
-                    at: s,
-                    version: self.version_at(&st, s),
-                };
-            }
-        }
-        // Undecided: register (a standing sound bound on v's next
-        // action) and try the quiescent rule.
-        let was_all_blocked = st
-            .slots
-            .iter()
-            .enumerate()
-            .all(|(u, s)| u == vw || s.done || s.waiting.is_some());
-        st.slots[vw].waiting = Some(WaitInfo {
-            target,
-            since: ready_since,
-            t_next: bound,
-        });
-        if let Some(verdict) = self.quiescent_verdict(&st, vw) {
-            st.slots[vw].waiting = None;
-            return verdict;
-        }
-        if !was_all_blocked {
-            // This registration completed the all-blocked set: wake
-            // the other drivers so the achieving VW re-polls into the
-            // quiescent rule.
-            st.generation += 1;
-            self.wake.notify_all();
-        }
-        ServePoll::Wait
+        verdict
     }
 
     fn finish(&self, vw: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.slots[vw].done = true;
-        st.slots[vw].waiting = None;
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        st.set_waiting(vw, None);
+        if !st.done[vw] {
+            st.done[vw] = true;
+            st.unregistered -= 1;
+            st.done_min_announced = st.done_min_announced.min(st.announced[vw]);
+        }
         st.generation += 1;
         self.wake.notify_all();
     }
@@ -573,6 +694,87 @@ mod tests {
     }
 
     #[test]
+    fn version_is_capped_by_the_fully_announced_prefix() {
+        let b = bus(2);
+        // VW 0 runs two waves ahead of VW 1: the fully announced
+        // prefix is one wave long while VW 0 has announced three.
+        b.announce_push(0, 0, ns(100));
+        b.announce_push(0, 1, ns(110));
+        b.announce_push(0, 2, ns(120));
+        b.announce_push(1, 0, ns(105));
+        b.publish_frontier(0, ns(300));
+        // Every VW-0 landing precedes the serve, but VW 1's clock is
+        // still 1, so the version is 0.
+        assert_eq!(
+            b.poll_serve(1, 0, ns(130), ns(200)),
+            ServePoll::Ready {
+                at: ns(130),
+                version: 0
+            }
+        );
+        // VW 1's wave 1 extends the prefix; its crossing (125) bounds
+        // which serves see it.
+        b.announce_push(1, 1, ns(125));
+        assert_eq!(
+            b.poll_serve(1, 0, ns(112), ns(200)),
+            ServePoll::Ready {
+                at: ns(112),
+                version: 0
+            }
+        );
+        assert_eq!(
+            b.poll_serve(1, 0, ns(130), ns(200)),
+            ServePoll::Ready {
+                at: ns(130),
+                version: 1
+            }
+        );
+    }
+
+    #[test]
+    fn finished_vw_blocks_only_targets_past_its_last_wave() {
+        let b = bus(2);
+        b.announce_push(0, 0, ns(100));
+        b.announce_push(0, 1, ns(150));
+        b.announce_push(1, 0, ns(120));
+        b.finish(1);
+        // VW 1 pushed wave 0 before finishing: its landing counts
+        // and its finish proves the version final.
+        assert_eq!(
+            b.poll_serve(0, 0, ns(90), ns(200)),
+            ServePoll::Ready {
+                at: ns(120),
+                version: 0
+            }
+        );
+        // Wave 1 is past VW 1's last wave: never servable.
+        assert_eq!(
+            b.poll_serve(0, 1, ns(130), ns(200)),
+            ServePoll::NotBefore {
+                at_least: SimTime::MAX
+            }
+        );
+        assert_eq!(
+            b.counters(),
+            BusCounters {
+                ready: 1,
+                not_before: 1,
+                wait: 0,
+                quiescent: 0,
+                announces: 3,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "announced out of order")]
+    fn non_contiguous_announce_panics() {
+        let b = bus(2);
+        b.announce_push(0, 0, ns(100));
+        b.announce_push(0, 2, ns(120));
+    }
+
+    #[test]
     fn quiescent_rule_decides_the_earliest_serve() {
         let b = bus(2);
         b.announce_push(0, 0, ns(100));
@@ -603,6 +805,8 @@ mod tests {
                 version: 0
             }
         );
+        let c = b.counters();
+        assert_eq!((c.polls(), c.ready, c.wait, c.quiescent), (3, 2, 1, 1));
     }
 
     #[test]

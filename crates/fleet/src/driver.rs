@@ -14,7 +14,7 @@
 //! interleaving, so any thread count — including 1 — produces the
 //! same per-VW event streams, traces, and stats.
 
-use crate::bus::FleetBus;
+use crate::bus::{BusCounters, FleetBus};
 use crate::plan::SyncPlan;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::Cluster;
@@ -140,6 +140,9 @@ pub struct FleetReport {
     pub events: u64,
     /// Worker threads actually used.
     pub threads: usize,
+    /// The gate bus's verdict and announce counts (see
+    /// [`BusCounters`] for which are thread-invariant).
+    pub bus: BusCounters,
 }
 
 /// What one worker thread returns: folded partials plus the kept
@@ -216,6 +219,7 @@ pub fn run_fleet(cfg: &FleetConfig<'_>, horizon: SimTime) -> FleetReport {
         partials,
         traces,
         threads,
+        bus: bus.counters(),
     }
 }
 

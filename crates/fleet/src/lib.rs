@@ -59,7 +59,7 @@ pub mod parity;
 pub mod plan;
 pub mod topo;
 
-pub use bus::FleetBus;
+pub use bus::{BusCounters, FleetBus};
 pub use driver::{run_fleet, FleetConfig, FleetReport, VwPartial};
 pub use hetpipe_core::{GateBus, ServePoll};
 pub use parity::{merged_spans, trace_fingerprint};
