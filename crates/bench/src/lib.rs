@@ -1,18 +1,18 @@
-//! Shared utilities for the experiment harnesses.
+//! Experiment harnesses of the HetPipe reproduction, and the helpers
+//! their bins share.
 //!
-//! Every binary in this crate regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index) and prints a
-//! human-readable table plus, when `--json <path>` is given, a
-//! machine-readable JSON dump recorded in EXPERIMENTS.md.
+//! [`scorecard`] holds the paper's evaluation claims as data: the
+//! `paper_scorecard` bin evaluates every row, writes
+//! `PAPER_SCORECARD.json` and exits 1 when a checked ordering fails.
+//! The other bins sweep schedules (`schedule_compare`), drive the
+//! elastic runtime (`runtime_scenarios`), run the static verification
+//! gate (`verify_all`) and benchmark the planner, plan service, fleet
+//! engine and the whole system (`planner_bench`, `plansvc_bench`,
+//! `fleet_bench`, `e2e_bench`).
 
-use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
-use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig, SystemReport};
-use hetpipe_des::SimTime;
-use hetpipe_model::ModelGraph;
+pub mod scorecard;
+
 use std::str::FromStr;
-
-/// Default simulated horizon for throughput experiments.
-pub const HORIZON_SECS: f64 = 60.0;
 
 /// Prints a fixed-width table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -97,101 +97,16 @@ pub fn maybe_write_json(value: &serde_json::Value) {
 }
 
 /// Writes `value` to `path` as pretty-printed JSON.
-fn write_json(path: &str, value: &serde_json::Value) -> std::io::Result<()> {
+pub fn write_json(path: &str, value: &serde_json::Value) -> std::io::Result<()> {
     std::fs::write(
         path,
         serde_json::to_string_pretty(value).expect("serializable"),
     )
 }
 
-/// The seven single-VW configurations of Figure 3 as device lists on
-/// the paper testbed.
-pub fn fig3_configs() -> Vec<(&'static str, Vec<DeviceId>)> {
-    vec![
-        (
-            "VVVV",
-            vec![DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(3)],
-        ),
-        (
-            "RRRR",
-            vec![DeviceId(4), DeviceId(5), DeviceId(6), DeviceId(7)],
-        ),
-        (
-            "GGGG",
-            vec![DeviceId(8), DeviceId(9), DeviceId(10), DeviceId(11)],
-        ),
-        (
-            "QQQQ",
-            vec![DeviceId(12), DeviceId(13), DeviceId(14), DeviceId(15)],
-        ),
-        (
-            "VRGQ",
-            vec![DeviceId(0), DeviceId(4), DeviceId(8), DeviceId(12)],
-        ),
-        (
-            "VVQQ",
-            vec![DeviceId(0), DeviceId(1), DeviceId(12), DeviceId(13)],
-        ),
-        (
-            "RRGG",
-            vec![DeviceId(4), DeviceId(5), DeviceId(8), DeviceId(9)],
-        ),
-    ]
-}
-
-/// Builds and runs one HetPipe configuration, returning `(Nm, report)`.
-pub fn run_hetpipe(
-    cluster: &Cluster,
-    graph: &ModelGraph,
-    policy: AllocationPolicy,
-    placement: Placement,
-    d: usize,
-    nm_override: Option<usize>,
-    horizon_secs: f64,
-) -> Result<(usize, SystemReport), String> {
-    let config = SystemConfig {
-        policy,
-        placement,
-        staleness_bound: d,
-        nm_override,
-        ..SystemConfig::default()
-    };
-    let sys = HetPipeSystem::build(cluster, graph, &config).map_err(|e| e.to_string())?;
-    let report = sys.run(SimTime::from_secs(horizon_secs));
-    Ok((sys.nm(), report))
-}
-
-/// The Table-4 GPU sets: `(label, node kinds)` in the paper's order.
-pub fn table4_sets() -> Vec<(&'static str, Vec<GpuKind>)> {
-    use GpuKind::*;
-    vec![
-        ("4 GPUs 4[V]", vec![TitanV]),
-        ("8 GPUs 4[VR]", vec![TitanV, TitanRtx]),
-        ("12 GPUs 4[VRQ]", vec![TitanV, TitanRtx, QuadroP4000]),
-        (
-            "16 GPUs 4[VRQG]",
-            vec![TitanV, TitanRtx, QuadroP4000, Rtx2060],
-        ),
-    ]
-}
-
-/// Formats images/second for a table cell.
-pub fn fmt_ips(v: f64) -> String {
-    format!("{v:.0}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig3_configs_match_labels() {
-        let cluster = Cluster::paper_testbed();
-        for (label, devices) in fig3_configs() {
-            let derived: String = devices.iter().map(|&d| cluster.kind_of(d).code()).collect();
-            assert_eq!(derived, label);
-        }
-    }
 
     #[test]
     fn parse_flag_is_strict() {
@@ -217,7 +132,10 @@ mod tests {
 
     #[test]
     fn json_flag_is_strict_and_writes_fail_loudly() {
-        let args: Vec<String> = ["fig3", "--json"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["schedule_compare", "--json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(
             parse_flag::<String>(&args, "--json"),
             Err("--json needs a value".to_string())
@@ -240,15 +158,6 @@ mod tests {
         assert_eq!(check_horizon(1e-3), Ok(1e-3));
         for bad in [0.0, -0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(check_horizon(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn table4_sets_grow() {
-        let sets = table4_sets();
-        assert_eq!(sets.len(), 4);
-        for (i, (_, kinds)) in sets.iter().enumerate() {
-            assert_eq!(kinds.len(), i + 1);
         }
     }
 }

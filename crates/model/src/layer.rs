@@ -47,7 +47,10 @@ impl LayerKind {
     /// with small spatial extents; dense layers are GEMV-like at batch
     /// 32. These multipliers are calibrated jointly with
     /// `TITAN_V_SUSTAINED_FLOPS` against Figure 3's `Nm = 1` absolute
-    /// throughputs (see EXPERIMENTS.md).
+    /// throughputs, but they do not reach them: the paper scorecard's
+    /// `fig3.*.nm1_ips` rows record simulated/paper ratios of 0.50–1.23
+    /// (ResNet-152 VVVV 63 vs 96 img/s, 0.66; VGG-19 VVVV 73 vs 119,
+    /// 0.62). The constants are not retuned to close that gap.
     pub fn flops_rate_multiplier(self) -> f64 {
         match self {
             LayerKind::Conv2d => 4.10,

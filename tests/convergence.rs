@@ -52,9 +52,9 @@ fn composition_orders_configurations_by_throughput() {
 fn bounded_staleness_still_converges() {
     // Theorem 1's structural guarantee: any bounded D converges. (The
     // *magnitude* of D = 32's statistical penalty is workload-dependent
-    // — the paper measures 4.7% on ImageNet, the fig6 harness measures
-    // it on the teacher task — so this test asserts convergence, not
-    // the ordering.)
+    // — the paper measures 4.7% on ImageNet, the paper scorecard's
+    // `fig6.vgg19.d32_vs_d4_slowdown` row records it on the teacher
+    // task — so this test asserts convergence, not the ordering.)
     let (tight, _) = run_mode(Mode::Wsp { nm: 4, d: 0 }, 4, 512);
     let (loose, _) = run_mode(Mode::Wsp { nm: 4, d: 32 }, 4, 512);
     assert!(tight > 0.7, "D=0 accuracy {tight}");
