@@ -281,7 +281,7 @@ fn main() {
     let mut timetable_rows = Vec::new();
     for (gpus_n, chunks, nm, ops_per_gpu) in [(4usize, 2usize, 8usize, 4000usize), (8, 3, 8, 4000)]
     {
-        let sched = hetpipe_schedule::Interleaved1F1B {
+        let sched = Schedule::Interleaved1F1B {
             chunks,
             composite: true,
         };

@@ -153,7 +153,7 @@ fn main() {
                 let max_mb = (nm * (d + 6 + 2 * k_gpus)) as u64;
                 for recompute in RecomputePolicy::ALL {
                     let label = format!("{} k={k_gpus} nm={nm} d={d} {recompute}", schedule.name());
-                    match verify_deadlock_free(&schedule, k_gpus, wsp, recompute, max_mb, 2) {
+                    match verify_deadlock_free(schedule, k_gpus, wsp, recompute, max_mb, 2) {
                         Ok(proof) => {
                             certificates += 1;
                             total_nodes += proof.nodes;
@@ -167,7 +167,7 @@ fn main() {
                         }
                         Err(cycle) => gate.violations.push(format!("{label}: {cycle}")),
                     }
-                    let report = structural_occupancy(&schedule, k_gpus, wsp, recompute, max_mb);
+                    let report = structural_occupancy(schedule, k_gpus, wsp, recompute, max_mb);
                     if let Err(errs) = check_bounds(&report.bounds) {
                         for e in errs {
                             gate.violations.push(format!("{label}: {e}"));
@@ -190,7 +190,7 @@ fn main() {
 
                     // VW isolation: the fault-free certificate, then
                     // the canonical scripts composed in.
-                    match verify_vw_isolation(&schedule, k_gpus, wsp, recompute, max_mb, 2) {
+                    match verify_vw_isolation(schedule, k_gpus, wsp, recompute, max_mb, 2) {
                         Ok(cert) => {
                             iso_certs += 1;
                             iso_cross += cert.cross_vw_edges;
@@ -211,7 +211,7 @@ fn main() {
 
                     // Lookahead: committed gates/pushes against the
                     // closed form.
-                    match verify_lookahead(&schedule, k_gpus, wsp, recompute, max_mb) {
+                    match verify_lookahead(schedule, k_gpus, wsp, recompute, max_mb) {
                         Ok(w) => {
                             la_gates += w.gates;
                             la_pushes += w.pushes;
@@ -290,7 +290,7 @@ fn main() {
             for &k_gpus in &depths {
                 let max_mb = (nm * (d + 6 + 2 * k_gpus)) as u64;
                 let queues = hetpipe_schedule::committed_queues(
-                    &schedule,
+                    schedule,
                     k_gpus,
                     wsp,
                     RecomputePolicy::None,
@@ -372,12 +372,12 @@ fn main() {
         }
     }
     for chunks in [2usize, 4] {
-        let sched = hetpipe_schedule::Interleaved1F1B {
+        let sched = Schedule::Interleaved1F1B {
             chunks,
             composite: true,
         };
         let wsp = WspParams::new(4, 0);
-        match interleaved_chunk_versions(&sched, 4, wsp) {
+        match interleaved_chunk_versions(sched, 4, wsp) {
             Ok(demand) => {
                 gate.say(format!(
                     "staleness    interleaved chunks={chunks}: per-chunk 2BW pins ≤1 extra \

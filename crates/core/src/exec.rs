@@ -469,7 +469,7 @@ impl<'a> Exec<'a> {
                 .iter()
                 .map(|vw| {
                     let k_gpus = vw.stages() / p.schedule.colocated_stages();
-                    lanes(&p.schedule, k_gpus, p.wsp, p.recompute)
+                    lanes(p.schedule, k_gpus, p.wsp, p.recompute)
                         .into_iter()
                         .map(|lane| LaneCursor {
                             lane,

@@ -51,7 +51,7 @@ pub use audit::OccupancyAudit;
 pub use exec::{RateEvent, RateTarget, SegmentOpts, StepOutcome, VwEngine};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
-pub use plankey::{cluster_fingerprint, graph_fingerprint, RefineKey, ShardedCache};
+pub use plankey::{cluster_fingerprint, graph_fingerprint, Fnv, RefineKey, ShardedCache};
 pub use pserver::Placement;
 pub use sync::{GateBus, ServePoll, SyncModel, WspParams};
 pub use system::{replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig};

@@ -13,7 +13,9 @@
 //!   no `RandomState` is involved anywhere, so the same inputs produce
 //!   the same `u64` in every process, today and tomorrow — a plan
 //!   cache keyed by these fingerprints stays valid across restarts
-//!   (the stability tests below pin golden values).
+//!   (the stability tests below pin golden values). Their [`Fnv`]
+//!   accumulator is public, so trace digests elsewhere hash the same
+//!   way.
 //! - [`RefineKey`] — everything that determines a refine candidate's
 //!   simulated standalone rate, promoted out of `system.rs` so the
 //!   memo key is a public, documented contract.
@@ -65,20 +67,27 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 /// A tiny explicit FNV-1a accumulator — process-independent by
-/// construction (no `RandomState`, no pointer identity).
-struct Fnv(u64);
+/// construction (no `RandomState`, no pointer identity). The digest is
+/// the `.0` field; [`Fnv::default`] starts at the offset basis.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(pub u64);
 
-impl Fnv {
-    fn new() -> Fnv {
+impl Default for Fnv {
+    fn default() -> Fnv {
         Fnv(FNV_OFFSET)
     }
+}
 
-    fn mix(&mut self, v: u64) {
+impl Fnv {
+    /// Mixes a whole word in one FNV-1a step (the fingerprints'
+    /// field-at-a-time form).
+    pub fn mix(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(FNV_PRIME);
     }
 
-    fn mix_bytes(&mut self, bytes: &[u8]) {
+    /// Mixes `bytes` one FNV-1a step per byte (textbook FNV-1a).
+    pub fn mix_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.mix(b as u64);
         }
@@ -91,7 +100,7 @@ impl Fnv {
 /// apart. Stable across processes — safe to persist and to use as a
 /// service request key.
 pub fn graph_fingerprint(graph: &ModelGraph) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.mix(graph.batch_size as u64);
     for l in graph.layers() {
         h.mix(l.param_bytes);
@@ -112,7 +121,7 @@ pub fn graph_fingerprint(graph: &ModelGraph) -> u64 {
 /// per-request state (a plan cache keys them separately), and the
 /// cluster fingerprint must survive a straggler coming and going.
 pub fn cluster_fingerprint(cluster: &Cluster) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.mix(cluster.node_count() as u64);
     h.mix(cluster.device_count() as u64);
     for d in cluster.devices() {

@@ -516,7 +516,7 @@ impl<'a> HetPipeSystem<'a> {
             &v.plan.ranges,
             gpus,
             self.nm,
-            &self.config.schedule,
+            self.config.schedule,
             self.config.recompute,
         )
     }

@@ -14,6 +14,7 @@
 use crate::driver::FleetReport;
 use crate::topo::FleetTopology;
 use hetpipe_core::exec::SpanTag;
+use hetpipe_core::Fnv;
 use hetpipe_des::Span;
 
 /// Relabels one engine's span tag into the global VW namespace.
@@ -62,16 +63,12 @@ pub fn trace_fingerprint(spans: &[Span<SpanTag>]) -> u64 {
         .map(|s| format!("{} {:?} {:?} {:?}", s.resource.0, s.start, s.end, s.tag))
         .collect();
     lines.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::default();
     for line in &lines {
-        for b in line.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.mix_bytes(line.as_bytes());
+        h.mix_bytes(b"\n");
     }
-    h
+    h.0
 }
 
 #[cfg(test)]

@@ -89,7 +89,7 @@ mod tests {
         let wsp = WspParams::new(4, 1);
         let plan = SyncPlan::derive(wsp);
         for schedule in Schedule::ALL {
-            let queues = committed_queues(&schedule, 4, wsp, RecomputePolicy::None, 40);
+            let queues = committed_queues(schedule, 4, wsp, RecomputePolicy::None, 40);
             let pts = ps_interaction_points(&queues);
             assert!(!pts.gates.is_empty(), "{schedule:?} has gates");
             for g in &pts.gates {

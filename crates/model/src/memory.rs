@@ -14,7 +14,7 @@
 
 use crate::graph::ModelGraph;
 use hetpipe_cluster::gpu::GpuSpec;
-use hetpipe_schedule::{HetPipeWave, PipelineSchedule, RecomputePolicy, Schedule};
+use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::ops::Range;
 
 /// cuDNN scratch workspace reserved per GPU, bytes.
@@ -26,30 +26,6 @@ pub const FRAMEWORK_OVERHEAD_BYTES: u64 = 500 << 20;
 /// Resident copies of the parameter set: weights, gradients, and SGD
 /// momentum.
 pub const PARAM_STATE_COPIES: u64 = 3;
-
-/// Number of minibatches simultaneously holding state at a stage of
-/// the paper's wave schedule.
-///
-/// This is the *sound arrival-FIFO* bound the executor enforces: every
-/// non-last stage may transiently hold the full injection window `Nm`
-/// (under arrival-order dispatch with timing skew, forwards race ahead
-/// of backwards), while the last stage holds exactly one (forward and
-/// backward run fused). Figure 1's idealized window
-/// `min(Nm, 2(k − 1 − q) + 1)` only holds for perfectly balanced
-/// stages and is **not** what a certified plan can rely on at runtime.
-///
-/// # Examples
-///
-/// ```
-/// use hetpipe_model::memory::in_flight_at_stage;
-/// // k = 4, Nm = 4 — GPU1 holds up to 4, GPU4 (fused) holds 1.
-/// assert_eq!(in_flight_at_stage(0, 4, 4), 4);
-/// assert_eq!(in_flight_at_stage(2, 4, 4), 4);
-/// assert_eq!(in_flight_at_stage(3, 4, 4), 1);
-/// ```
-pub fn in_flight_at_stage(stage: usize, k: usize, nm: usize) -> usize {
-    HetPipeWave.max_in_flight(stage, k, nm)
-}
 
 /// The `Nm` beyond which a `k`-stage pipeline's *throughput* gains
 /// nothing.
@@ -70,7 +46,7 @@ pub fn nm_saturation_limit(k: usize) -> usize {
 /// so callers probing many ranges per stage (the partition DP issues
 /// O(L²) probes per stage per solve) construct the terms once and
 /// evaluate each range as pure prefix-sum arithmetic, instead of
-/// paying the schedule's dynamic dispatch per probe.
+/// re-resolving the schedule per probe.
 ///
 /// This is the *single source* of the stage-memory formula:
 /// [`TrainingMemoryModel::stage_bytes_with`] delegates here, so the
@@ -94,7 +70,7 @@ impl StageMemoryTerms {
         stage: usize,
         k: usize,
         nm: usize,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> StageMemoryTerms {
         StageMemoryTerms {
@@ -153,44 +129,20 @@ impl TrainingMemoryModel {
 
     /// Bytes needed by pipeline stage `stage` (0-based of `k`) holding
     /// the contiguous layer range `range`, with `nm` minibatches in the
-    /// pipeline, under the paper's wave schedule.
+    /// pipeline, under `schedule` and an activation-recomputation
+    /// policy.
     ///
-    /// Per Section 4, each in-flight minibatch additionally pins the
-    /// weight version it started with (`w_p` is kept until minibatch
-    /// `p`'s backward pass), so stages stash `in_flight - 1` extra
-    /// parameter copies.
-    pub fn stage_bytes(
-        graph: &ModelGraph,
-        range: Range<usize>,
-        stage: usize,
-        k: usize,
-        nm: usize,
-    ) -> u64 {
-        Self::stage_bytes_for(graph, range, stage, k, nm, &HetPipeWave)
-    }
-
-    /// Bytes needed by pipeline stage `stage` under an arbitrary
-    /// [`PipelineSchedule`]: the schedule determines both the peak
-    /// number of in-flight activation sets
-    /// ([`PipelineSchedule::max_in_flight`]) and the extra pinned
-    /// weight versions
+    /// The schedule determines both the peak number of in-flight
+    /// activation sets ([`PipelineSchedule::max_in_flight`]) and the
+    /// extra pinned weight versions
     /// ([`PipelineSchedule::extra_weight_versions`]) — e.g. GPipe
     /// fill-drain stores a whole wave of activations but a single
-    /// weight version, while 1F1B bounds activations by pipeline depth
-    /// but stashes one version per in-flight minibatch.
-    pub fn stage_bytes_for(
-        graph: &ModelGraph,
-        range: Range<usize>,
-        stage: usize,
-        k: usize,
-        nm: usize,
-        schedule: &dyn PipelineSchedule,
-    ) -> u64 {
-        Self::stage_bytes_with(graph, range, stage, k, nm, schedule, RecomputePolicy::None)
-    }
-
-    /// [`Self::stage_bytes_for`] under an activation-recomputation
-    /// policy. At stages that checkpoint
+    /// weight version, while the paper's wave schedule (Section 4)
+    /// pins the version `w_p` each in-flight minibatch started with
+    /// until its backward pass, stashing `in_flight - 1` extra
+    /// parameter copies.
+    ///
+    /// At stages that checkpoint
     /// ([`PipelineSchedule::recomputes_at`]: the policy is on and the
     /// stage's window exceeds 1) each in-flight minibatch stashes only
     /// its boundary input; one full stored set is additionally charged
@@ -205,7 +157,7 @@ impl TrainingMemoryModel {
         stage: usize,
         k: usize,
         nm: usize,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> u64 {
         StageMemoryTerms::new(stage, k, nm, schedule, recompute).stage_bytes(graph, range)
@@ -230,7 +182,7 @@ impl TrainingMemoryModel {
         stage: usize,
         k: usize,
         nm: usize,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> u64 {
         if schedule.recomputes_at(stage, k, nm, recompute) {
@@ -252,7 +204,7 @@ impl TrainingMemoryModel {
         stage: usize,
         k: usize,
         nm: usize,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> u64 {
         let layers = &graph.layers()[range.clone()];
@@ -272,20 +224,9 @@ impl TrainingMemoryModel {
             + FRAMEWORK_OVERHEAD_BYTES
     }
 
-    /// Whether `gpu` can host the given stage under the wave schedule.
-    pub fn stage_fits(
-        graph: &ModelGraph,
-        range: Range<usize>,
-        stage: usize,
-        k: usize,
-        nm: usize,
-        gpu: &GpuSpec,
-    ) -> bool {
-        Self::stage_bytes(graph, range, stage, k, nm) <= gpu.memory_bytes
-    }
-
-    /// Whether `gpu` can host the given stage under `schedule`,
-    /// splitting the budget of co-located interleaved chunks equally.
+    /// Whether `gpu` can host the given stage under `schedule` and a
+    /// recomputation policy, splitting the budget of co-located
+    /// interleaved chunks equally.
     ///
     /// Schedules that co-locate several virtual stages on one GPU
     /// (interleaved chunks) split the GPU's budget: each stage must
@@ -296,28 +237,6 @@ impl TrainingMemoryModel {
     /// uses it as the *fallback* certification after the exact joint
     /// per-GPU check ([`Self::plan_fits_per_gpu`]) over uneven chunk
     /// shares.
-    pub fn stage_fits_for(
-        graph: &ModelGraph,
-        range: Range<usize>,
-        stage: usize,
-        k: usize,
-        nm: usize,
-        gpu: &GpuSpec,
-        schedule: &dyn PipelineSchedule,
-    ) -> bool {
-        Self::stage_fits_with(
-            graph,
-            range,
-            stage,
-            k,
-            nm,
-            gpu,
-            schedule,
-            RecomputePolicy::None,
-        )
-    }
-
-    /// [`Self::stage_fits_for`] under a recomputation policy.
     #[allow(clippy::too_many_arguments)]
     pub fn stage_fits_with(
         graph: &ModelGraph,
@@ -326,7 +245,7 @@ impl TrainingMemoryModel {
         k: usize,
         nm: usize,
         gpu: &GpuSpec,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> bool {
         let budget = Self::equal_split_budget(gpu, schedule);
@@ -337,7 +256,7 @@ impl TrainingMemoryModel {
     /// capacity for flat schedules, or the conservative equal split
     /// (fixed overheads counted once) across co-located interleaved
     /// chunks.
-    pub fn equal_split_budget(gpu: &GpuSpec, schedule: &dyn PipelineSchedule) -> u64 {
+    pub fn equal_split_budget(gpu: &GpuSpec, schedule: Schedule) -> u64 {
         let colocated = schedule.colocated_stages() as u64;
         if colocated > 1 {
             let fixed = CUDNN_WORKSPACE_BYTES + FRAMEWORK_OVERHEAD_BYTES;
@@ -362,31 +281,20 @@ impl TrainingMemoryModel {
         k: usize,
         nm: usize,
         gpu: &GpuSpec,
-        schedule: &dyn PipelineSchedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> bool {
         Self::stage_bytes_with(graph, range, stage, k, nm, schedule, recompute) <= gpu.memory_bytes
     }
 
     /// Peak memory per *physical GPU* for a full partition plan under
-    /// `schedule`: per-stage bytes, with interleaved virtual stages
-    /// that share a GPU summed (minus the per-GPU fixed overheads
-    /// counted once).
+    /// `schedule` and a recomputation policy: per-stage bytes, with
+    /// interleaved virtual stages that share a GPU summed (minus the
+    /// per-GPU fixed overheads counted once).
     ///
     /// `ranges` has one entry per executor stage
     /// (`schedule.virtual_stages(gpus)` of them); stage `s` runs on
     /// GPU `s % gpus`. Returns one peak-bytes figure per GPU.
-    pub fn per_gpu_peak_bytes(
-        graph: &ModelGraph,
-        ranges: &[Range<usize>],
-        gpus: usize,
-        nm: usize,
-        schedule: &Schedule,
-    ) -> Vec<u64> {
-        Self::per_gpu_peak_bytes_with(graph, ranges, gpus, nm, schedule, RecomputePolicy::None)
-    }
-
-    /// [`Self::per_gpu_peak_bytes`] under a recomputation policy.
     ///
     /// The rematerialized activation set of checkpointing stages is
     /// charged as the **max** across a GPU's co-located chunks, not
@@ -400,7 +308,7 @@ impl TrainingMemoryModel {
         ranges: &[Range<usize>],
         gpus: usize,
         nm: usize,
-        schedule: &Schedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> Vec<u64> {
         let k = ranges.len();
@@ -438,7 +346,7 @@ impl TrainingMemoryModel {
         ranges: &[Range<usize>],
         gpus: &[GpuSpec],
         nm: usize,
-        schedule: &Schedule,
+        schedule: Schedule,
         recompute: RecomputePolicy,
     ) -> bool {
         let peaks =
@@ -455,6 +363,18 @@ mod tests {
     use super::*;
     use crate::zoo::{resnet152, vgg19};
     use hetpipe_cluster::GpuKind;
+
+    /// Stage bytes under `schedule` without recomputation.
+    fn bytes(
+        g: &ModelGraph,
+        r: Range<usize>,
+        stage: usize,
+        k: usize,
+        nm: usize,
+        schedule: Schedule,
+    ) -> u64 {
+        TrainingMemoryModel::stage_bytes_with(g, r, stage, k, nm, schedule, RecomputePolicy::None)
+    }
 
     #[test]
     fn paper_memory_gates() {
@@ -484,30 +404,13 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_is_the_sound_fifo_bound() {
-        // k = 4, Nm = 4 (the paper's running example): the executor can
-        // let any non-fused stage transiently hold the full injection
-        // window, so the sound charge is Nm, not the idealized Figure-1
-        // window.
-        assert_eq!(in_flight_at_stage(0, 4, 4), 4);
-        assert_eq!(in_flight_at_stage(1, 4, 4), 4);
-        assert_eq!(in_flight_at_stage(2, 4, 4), 4);
-        assert_eq!(in_flight_at_stage(3, 4, 4), 1);
-        assert_eq!(in_flight_at_stage(0, 4, 100), 100);
-        // Nm = 1 degrades to naive model parallelism everywhere.
-        for q in 0..4 {
-            assert_eq!(in_flight_at_stage(q, 4, 1), 1);
-        }
-    }
-
-    #[test]
     fn earlier_stages_need_more_memory() {
         let g = vgg19(32);
         let k = 4;
         let quarter = g.len() / k;
         let r = 0..quarter;
-        let early = TrainingMemoryModel::stage_bytes(&g, r.clone(), 0, k, 4);
-        let late = TrainingMemoryModel::stage_bytes(&g, r, 3, k, 4);
+        let early = bytes(&g, r.clone(), 0, k, 4, Schedule::HetPipeWave);
+        let late = bytes(&g, r, 3, k, 4, Schedule::HetPipeWave);
         assert!(
             early > late,
             "same layers cost more memory at stage 0 than stage 3"
@@ -518,24 +421,20 @@ mod tests {
     fn more_concurrency_needs_more_memory() {
         let g = resnet152(32);
         let r = 0..10;
-        let m1 = TrainingMemoryModel::stage_bytes(&g, r.clone(), 0, 4, 1);
-        let m4 = TrainingMemoryModel::stage_bytes(&g, r.clone(), 0, 4, 4);
-        let m7 = TrainingMemoryModel::stage_bytes(&g, r, 0, 4, 7);
+        let m1 = bytes(&g, r.clone(), 0, 4, 1, Schedule::HetPipeWave);
+        let m4 = bytes(&g, r.clone(), 0, 4, 4, Schedule::HetPipeWave);
+        let m7 = bytes(&g, r, 0, 4, 7, Schedule::HetPipeWave);
         assert!(m1 < m4 && m4 < m7);
     }
 
     #[test]
     fn schedule_changes_stage_memory() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let r = 0..g.len() / 4;
         let (k, nm) = (4, 8);
-        let wave =
-            TrainingMemoryModel::stage_bytes_for(&g, r.clone(), 0, k, nm, &Schedule::HetPipeWave);
-        let gpipe =
-            TrainingMemoryModel::stage_bytes_for(&g, r.clone(), 0, k, nm, &Schedule::FillDrain);
-        let ofob =
-            TrainingMemoryModel::stage_bytes_for(&g, r.clone(), 0, k, nm, &Schedule::OneFOneB);
+        let wave = bytes(&g, r.clone(), 0, k, nm, Schedule::HetPipeWave);
+        let gpipe = bytes(&g, r.clone(), 0, k, nm, Schedule::FillDrain);
+        let ofob = bytes(&g, r, 0, k, nm, Schedule::OneFOneB);
         // Stage 0, Nm = 8 > depth: fill-drain and the wave schedule
         // both store the whole wave's 8 activation sets, but the wave
         // schedule additionally stashes 7 weight versions (w_p), while
@@ -543,13 +442,10 @@ mod tests {
         // and the wave schedule dearest.
         assert!(ofob < gpipe, "1F1B {ofob} vs fill-drain {gpipe}");
         assert!(gpipe < wave, "fill-drain {gpipe} vs wave {wave}");
-        // The wave-schedule path and the legacy API agree exactly.
-        assert_eq!(wave, TrainingMemoryModel::stage_bytes(&g, r, 0, k, nm));
     }
 
     #[test]
     fn recompute_cuts_activation_memory() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let r = 0..g.len() / 4;
         let (k, nm) = (4, 8);
@@ -560,7 +456,7 @@ mod tests {
                 0,
                 k,
                 nm,
-                &schedule,
+                schedule,
                 RecomputePolicy::None,
             );
             let ckpt = TrainingMemoryModel::stage_bytes_with(
@@ -569,7 +465,7 @@ mod tests {
                 0,
                 k,
                 nm,
-                &schedule,
+                schedule,
                 RecomputePolicy::BoundaryOnly,
             );
             assert!(
@@ -585,7 +481,7 @@ mod tests {
             k - 1,
             k,
             nm,
-            &Schedule::HetPipeWave,
+            Schedule::HetPipeWave,
             RecomputePolicy::None,
         );
         let fused_ckpt = TrainingMemoryModel::stage_bytes_with(
@@ -594,7 +490,7 @@ mod tests {
             k - 1,
             k,
             nm,
-            &Schedule::HetPipeWave,
+            Schedule::HetPipeWave,
             RecomputePolicy::BoundaryOnly,
         );
         assert_eq!(fused_full, fused_ckpt);
@@ -602,7 +498,6 @@ mod tests {
 
     #[test]
     fn joint_per_gpu_check_admits_uneven_chunk_shares() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let n = g.len();
         let (k, nm) = (4, 2);
@@ -629,7 +524,7 @@ mod tests {
                     s,
                     k,
                     nm,
-                    &sched,
+                    sched,
                     RecomputePolicy::None,
                 )
             })
@@ -642,7 +537,7 @@ mod tests {
             &ranges,
             2,
             nm,
-            &sched,
+            sched,
             RecomputePolicy::None,
         );
         assert_eq!(
@@ -662,7 +557,7 @@ mod tests {
             &ranges,
             &gpus,
             nm,
-            &sched,
+            sched,
             RecomputePolicy::None
         ));
         assert!(
@@ -673,7 +568,7 @@ mod tests {
                 k,
                 nm,
                 &gpu,
-                &sched,
+                sched,
                 RecomputePolicy::None
             ),
             "the big chunk must overflow its equal split — otherwise \
@@ -687,14 +582,13 @@ mod tests {
             &ranges,
             &[small.clone(), small],
             nm,
-            &sched,
+            sched,
             RecomputePolicy::None
         ));
     }
 
     #[test]
     fn per_gpu_peaks_aggregate_interleaved_chunks() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let n = g.len();
         // 4 GPUs, 2 chunks: 8 virtual stages of equal layer count.
@@ -706,15 +600,21 @@ mod tests {
             chunks: 2,
             composite: true,
         };
-        let peaks = TrainingMemoryModel::per_gpu_peak_bytes(&g, &ranges, 4, 4, &sched);
+        let peaks = TrainingMemoryModel::per_gpu_peak_bytes_with(
+            &g,
+            &ranges,
+            4,
+            4,
+            sched,
+            RecomputePolicy::None,
+        );
         assert_eq!(peaks.len(), 4);
         // Each GPU hosts 2 chunks: its peak exceeds either chunk alone
         // but counts the fixed workspace/framework overhead only once.
         let k = ranges.len();
-        let lone = TrainingMemoryModel::stage_bytes_for(&g, ranges[0].clone(), 0, k, 4, &sched);
+        let lone = bytes(&g, ranges[0].clone(), 0, k, 4, sched);
         assert!(peaks[0] > lone);
-        let double_fixed =
-            lone + TrainingMemoryModel::stage_bytes_for(&g, ranges[4].clone(), 4, k, 4, &sched);
+        let double_fixed = lone + bytes(&g, ranges[4].clone(), 4, k, 4, sched);
         assert!(
             peaks[0] < double_fixed,
             "fixed overhead must not be double-counted"
@@ -723,7 +623,6 @@ mod tests {
 
     #[test]
     fn rematerialized_set_charged_max_across_colocated_chunks() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let n = g.len();
         let per = n / 8;
@@ -737,7 +636,7 @@ mod tests {
         let (gpus, nm, k) = (4usize, 4usize, 8usize);
         let rc = RecomputePolicy::BoundaryOnly;
         let fixed = CUDNN_WORKSPACE_BYTES + FRAMEWORK_OVERHEAD_BYTES;
-        let peaks = TrainingMemoryModel::per_gpu_peak_bytes_with(&g, &ranges, gpus, nm, &sched, rc);
+        let peaks = TrainingMemoryModel::per_gpu_peak_bytes_with(&g, &ranges, gpus, nm, sched, rc);
         for (gpu, &peak) in peaks.iter().enumerate() {
             let stages = [gpu, gpu + gpus];
             let totals: Vec<u64> = stages
@@ -749,7 +648,7 @@ mod tests {
                         s,
                         k,
                         nm,
-                        &sched,
+                        sched,
                         rc,
                     )
                 })
@@ -763,7 +662,7 @@ mod tests {
                         s,
                         k,
                         nm,
-                        &sched,
+                        sched,
                         rc,
                     )
                 })
@@ -789,7 +688,7 @@ mod tests {
         gpu.memory_bytes = *peaks.iter().max().unwrap();
         let specs = vec![gpu.clone(); gpus];
         assert!(TrainingMemoryModel::plan_fits_per_gpu(
-            &g, &ranges, &specs, nm, &sched, rc
+            &g, &ranges, &specs, nm, sched, rc
         ));
         let mut small = gpu;
         small.memory_bytes -= 1;
@@ -798,14 +697,13 @@ mod tests {
             &ranges,
             &vec![small; gpus],
             nm,
-            &sched,
+            sched,
             rc
         ));
     }
 
     #[test]
     fn prefix_sum_bytes_match_naive_reference() {
-        use hetpipe_schedule::Schedule;
         let g = vgg19(32);
         let n = g.len();
         let (k, nm) = (4, 4);
@@ -820,7 +718,7 @@ mod tests {
                                 stage,
                                 k,
                                 nm,
-                                &schedule,
+                                schedule,
                                 recompute
                             ),
                             TrainingMemoryModel::stage_bytes_with_naive(
@@ -829,7 +727,7 @@ mod tests {
                                 stage,
                                 k,
                                 nm,
-                                &schedule,
+                                schedule,
                                 recompute
                             ),
                             "{schedule} {recompute} stage {stage} {s}..{e}"
@@ -845,22 +743,26 @@ mod tests {
         let g = resnet152(32);
         // The whole model as one stage with deep concurrency cannot fit
         // the smallest GPU.
-        assert!(!TrainingMemoryModel::stage_fits(
+        assert!(!TrainingMemoryModel::stage_fits_with(
             &g,
             0..g.len(),
             0,
             1,
             1,
-            &GpuKind::Rtx2060.spec()
+            &GpuKind::Rtx2060.spec(),
+            Schedule::HetPipeWave,
+            RecomputePolicy::None
         ));
         // A tiny range fits easily.
-        assert!(TrainingMemoryModel::stage_fits(
+        assert!(TrainingMemoryModel::stage_fits_with(
             &g,
             0..1,
             0,
             4,
             1,
-            &GpuKind::Rtx2060.spec()
+            &GpuKind::Rtx2060.spec(),
+            Schedule::HetPipeWave,
+            RecomputePolicy::None
         ));
     }
 }

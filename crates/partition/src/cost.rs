@@ -98,8 +98,8 @@ impl<'a> PartitionProblem<'a> {
 /// the schedule's per-stage terms (in-flight window, pinned versions,
 /// checkpoint decision, memory budgets) are resolved **once** at
 /// construction — the partition DP issues O(k·L²) probes per solve,
-/// so per-probe dynamic dispatch into the schedule dominated plan
-/// time as thoroughly as per-probe re-summation did.
+/// so per-probe schedule resolution dominated plan time as thoroughly
+/// as per-probe re-summation did.
 #[derive(Debug, Clone)]
 pub struct StageCostModel<'a> {
     problem: &'a PartitionProblem<'a>,
@@ -187,7 +187,7 @@ impl<'a> StageCostModel<'a> {
                     s,
                     k,
                     problem.nm,
-                    &problem.schedule,
+                    problem.schedule,
                     problem.recompute,
                 )
             })
@@ -195,7 +195,7 @@ impl<'a> StageCostModel<'a> {
         let budget_equal = problem
             .gpus
             .iter()
-            .map(|gpu| TrainingMemoryModel::equal_split_budget(gpu, &problem.schedule))
+            .map(|gpu| TrainingMemoryModel::equal_split_budget(gpu, problem.schedule))
             .collect();
         let budget_alone = problem.gpus.iter().map(|gpu| gpu.memory_bytes).collect();
         StageCostModel {
@@ -308,7 +308,7 @@ impl<'a> StageCostModel<'a> {
             ranges,
             &self.problem.gpus[..physical],
             self.problem.nm,
-            &self.problem.schedule,
+            self.problem.schedule,
             self.problem.recompute,
         )
     }
@@ -467,7 +467,7 @@ mod tests {
                                 k,
                                 3,
                                 &p.gpus[stage],
-                                &schedule,
+                                schedule,
                                 recompute
                             ),
                             "{schedule} {recompute} fits stage {stage} {s}..{e}"
@@ -481,7 +481,7 @@ mod tests {
                                 k,
                                 3,
                                 &p.gpus[stage],
-                                &schedule,
+                                schedule,
                                 recompute
                             ),
                             "{schedule} {recompute} fits_alone stage {stage} {s}..{e}"

@@ -29,6 +29,6 @@ pub use cost::{PartitionProblem, StageCostModel};
 pub use order::{best_order, OrderSearchResult};
 pub use order::{evaluate_orders, search_orders_par};
 pub use solver::{
-    max_feasible_nm, max_feasible_nm_for, max_feasible_nm_linear, max_feasible_nm_with, NmSweep,
-    PartitionError, PartitionPlan, PartitionSolver,
+    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
+    PartitionSolver,
 };

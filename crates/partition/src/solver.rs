@@ -382,7 +382,7 @@ impl PartitionSolver {
         let model = StageCostModel::new(problem);
         let budget = |stage: usize| match mode {
             MemMode::PerStage => {
-                TrainingMemoryModel::equal_split_budget(&problem.gpus[stage], &problem.schedule)
+                TrainingMemoryModel::equal_split_budget(&problem.gpus[stage], problem.schedule)
             }
             MemMode::Alone => problem.gpus[stage].memory_bytes,
         };
@@ -393,7 +393,7 @@ impl PartitionSolver {
                 stage,
                 k,
                 problem.nm,
-                &problem.schedule,
+                problem.schedule,
                 problem.recompute,
             ) <= budget(stage)
         };
@@ -576,7 +576,7 @@ impl<'a> NmSweep<'a> {
                             k,
                             nm,
                             &self.gpus[s],
-                            &self.schedule,
+                            self.schedule,
                             self.recompute,
                         )
                     });
@@ -610,50 +610,16 @@ impl<'a> NmSweep<'a> {
 }
 
 /// Finds the largest `Nm` in `1..=limit` for which a feasible partition
-/// exists, together with its plan.
+/// exists under `schedule` and `recompute`, together with its plan.
 ///
 /// This is the paper's `Max_m` (Section 4): the maximum number of
 /// minibatches that can concurrently execute in the virtual worker,
-/// bounded by GPU memory.
-pub fn max_feasible_nm(
-    graph: &hetpipe_model::ModelGraph,
-    gpus: &[hetpipe_cluster::gpu::GpuSpec],
-    links: &[hetpipe_cluster::network::LinkKind],
-    limit: usize,
-) -> Option<(usize, PartitionPlan)> {
-    max_feasible_nm_for(
-        graph,
-        gpus,
-        links,
-        limit,
-        hetpipe_schedule::Schedule::HetPipeWave,
-    )
-}
-
-/// [`max_feasible_nm`] under an arbitrary pipeline schedule: the
-/// schedule's per-stage memory profile (in-flight activations, pinned
-/// weight versions) shapes which `Nm` fit.
-pub fn max_feasible_nm_for(
-    graph: &hetpipe_model::ModelGraph,
-    gpus: &[hetpipe_cluster::gpu::GpuSpec],
-    links: &[hetpipe_cluster::network::LinkKind],
-    limit: usize,
-    schedule: hetpipe_schedule::Schedule,
-) -> Option<(usize, PartitionPlan)> {
-    max_feasible_nm_with(
-        graph,
-        gpus,
-        links,
-        limit,
-        schedule,
-        hetpipe_schedule::RecomputePolicy::None,
-    )
-}
-
-/// [`max_feasible_nm_for`] under an activation-recomputation policy:
-/// `BoundaryOnly` shrinks the per-stage memory term, so it typically
-/// admits a larger `Max_m` on memory-bound clusters (at the cost of
-/// one extra forward per backward in the plan's stage times).
+/// bounded by GPU memory. The schedule's per-stage memory profile
+/// (in-flight activations, pinned weight versions) shapes which `Nm`
+/// fit, and `BoundaryOnly` recomputation shrinks the per-stage memory
+/// term, so it typically admits a larger `Max_m` on memory-bound
+/// clusters (at the cost of one extra forward per backward in the
+/// plan's stage times).
 pub fn max_feasible_nm_with(
     graph: &hetpipe_model::ModelGraph,
     gpus: &[hetpipe_cluster::gpu::GpuSpec],
@@ -916,7 +882,15 @@ mod tests {
         let gpus = vec![GpuKind::Rtx2060.spec(); 4];
         let links = vec![LinkKind::Pcie; 3];
         let limit = hetpipe_model::memory::nm_saturation_limit(4);
-        let (nm, plan) = max_feasible_nm(&g, &gpus, &links, limit).unwrap();
+        let (nm, plan) = max_feasible_nm_with(
+            &g,
+            &gpus,
+            &links,
+            limit,
+            Schedule::HetPipeWave,
+            RecomputePolicy::None,
+        )
+        .unwrap();
         assert!(nm >= 1 && nm < limit, "6 GB GPUs cap concurrency, got {nm}");
         assert!(plan.is_valid_cover(g.len()));
         // One step further must be infeasible.

@@ -6,7 +6,7 @@ use hetpipe_core::plankey::{cluster_fingerprint, graph_fingerprint};
 use hetpipe_core::VirtualWorker;
 use hetpipe_model::ModelGraph;
 use hetpipe_partition::{PartitionError, PartitionPlan, PartitionProblem, PartitionSolver};
-use hetpipe_schedule::{RecomputePolicy, Schedule};
+use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc;
@@ -135,6 +135,18 @@ impl PlanRequest {
         if self.nm == 0 {
             return Err(PlanError::BadRequest("nm must be >= 1".into()));
         }
+        // Interleaved device lists repeat each physical GPU once per
+        // chunk; any other length has no GPU for some chunk.
+        if let Schedule::Interleaved1F1B { chunks: 0, .. } = self.schedule {
+            return Err(PlanError::BadRequest("chunks must be >= 1".into()));
+        }
+        let chunks = self.schedule.colocated_stages();
+        if !self.devices.len().is_multiple_of(chunks) {
+            return Err(PlanError::BadRequest(format!(
+                "{} stage devices do not split into {chunks} chunks",
+                self.devices.len()
+            )));
+        }
         let derates = self.normalized_derates()?;
         Ok(PlanKey {
             model_fp: self.model_fp,
@@ -170,7 +182,8 @@ pub enum PlanError {
     /// `cluster_fp` is not in the catalog.
     UnknownCluster(u64),
     /// Malformed request (empty devices, bad derate vector, device out
-    /// of range, `nm = 0`).
+    /// of range, `nm = 0`, zero interleaved chunks, or a device list
+    /// that does not split into the schedule's chunks).
     BadRequest(String),
     /// The instance has no feasible partition (callers typically lower
     /// `Nm` and retry — the controller owns that loop).
@@ -680,6 +693,48 @@ mod tests {
             client.plan(&bad).unwrap_err(),
             PlanError::BadRequest(_)
         ));
+        drop(client);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn malformed_interleaved_requests_are_refused_and_the_pool_survives() {
+        // One worker, so a request that panicked it would stop the
+        // whole pool and fail the valid request sent afterwards.
+        let mut catalog = Catalog::new();
+        let model_fp = catalog.register_model(hetpipe_model::resnet152(32));
+        let cluster_fp = catalog.register_cluster(Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]));
+        let svc = PlanService::start(catalog, 1);
+        let client = svc.client();
+        let interleaved = |devices: Vec<DeviceId>, chunks: usize| {
+            PlanRequest::nominal(
+                model_fp,
+                cluster_fp,
+                devices,
+                2,
+                Schedule::Interleaved1F1B {
+                    chunks,
+                    composite: true,
+                },
+                RecomputePolicy::None,
+            )
+        };
+        let d = DeviceId;
+        for bad in [
+            interleaved(vec![d(0)], 2),
+            interleaved(vec![d(0), d(1), d(0)], 2),
+            interleaved(vec![d(0), d(1), d(2), d(3)], 0),
+        ] {
+            assert!(
+                matches!(client.plan(&bad), Err(PlanError::BadRequest(_))),
+                "{} devices x {:?} must be refused",
+                bad.devices.len(),
+                bad.schedule
+            );
+        }
+        let good = interleaved(vec![d(0), d(1), d(0), d(1)], 2);
+        let reply = client.plan(&good).expect("the pool still serves");
+        assert_eq!(reply.plan.ranges.len(), 4);
         drop(client);
         svc.shutdown();
     }

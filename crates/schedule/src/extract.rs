@@ -21,7 +21,7 @@
 use crate::lane::{lanes, Lane};
 use crate::ops::{Dispatch, GpuOp, ScheduleOp};
 use crate::recompute::RecomputePolicy;
-use crate::schedules::PipelineSchedule;
+use crate::schedules::{PipelineSchedule, Schedule};
 use crate::wsp::WspParams;
 
 /// Which execution unit a committed queue belongs to.
@@ -116,7 +116,7 @@ fn pull_horizon(
 /// composite schedules, one per virtual stage otherwise. Queues are
 /// ordered unless the dispatch is [`Dispatch::ArrivalFifo`].
 pub fn committed_queues(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
@@ -230,37 +230,20 @@ pub fn ps_interaction_points(queues: &[CommittedQueue]) -> PsInteractions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedules::{FillDrain, HetPipeWave, Interleaved1F1B, OneFOneB};
     use std::collections::HashSet;
-
-    fn schedules() -> Vec<Box<dyn PipelineSchedule>> {
-        vec![
-            Box::new(HetPipeWave),
-            Box::new(FillDrain),
-            Box::new(OneFOneB),
-            Box::new(Interleaved1F1B {
-                chunks: 2,
-                composite: false,
-            }),
-            Box::new(Interleaved1F1B {
-                chunks: 2,
-                composite: true,
-            }),
-        ]
-    }
 
     #[test]
     fn queues_cover_the_horizon_exactly_once() {
         // Every compute op of every minibatch in the horizon appears
         // exactly once across the queue set, on its own stage; nothing
         // beyond the horizon leaks in.
-        for sched in schedules() {
+        for sched in Schedule::ALL {
             for k_gpus in [2usize, 4] {
                 let k = sched.virtual_stages(k_gpus);
                 let wsp = WspParams::new(4, 1);
                 let max_mb = 12u64;
                 for recompute in RecomputePolicy::ALL {
-                    let queues = committed_queues(sched.as_ref(), k_gpus, wsp, recompute, max_mb);
+                    let queues = committed_queues(sched, k_gpus, wsp, recompute, max_mb);
                     let mut fwd: HashSet<(usize, u64)> = HashSet::new();
                     let mut bwd: HashSet<(usize, u64)> = HashSet::new();
                     for q in &queues {
@@ -309,9 +292,9 @@ mod tests {
     fn queue_set_is_dependency_closed_on_waves() {
         // Every retained pull gate's wave has its push retained too —
         // the closure the DAG builder relies on.
-        for sched in schedules() {
+        for sched in Schedule::ALL {
             let wsp = WspParams::new(4, 0);
-            let queues = committed_queues(sched.as_ref(), 4, wsp, RecomputePolicy::None, 16);
+            let queues = committed_queues(sched, 4, wsp, RecomputePolicy::None, 16);
             let pushes: HashSet<u64> = queues
                 .iter()
                 .flat_map(|q| q.ops.iter())
@@ -337,17 +320,17 @@ mod tests {
     #[test]
     fn ordered_flag_tracks_dispatch() {
         let wsp = WspParams::new(4, 0);
-        let wave = committed_queues(&HetPipeWave, 4, wsp, RecomputePolicy::None, 8);
+        let wave = committed_queues(Schedule::HetPipeWave, 4, wsp, RecomputePolicy::None, 8);
         assert!(wave.iter().all(|q| !q.ordered), "arrival-FIFO is unordered");
         assert_eq!(wave.len(), 4);
-        let flat = committed_queues(&OneFOneB, 4, wsp, RecomputePolicy::None, 8);
+        let flat = committed_queues(Schedule::OneFOneB, 4, wsp, RecomputePolicy::None, 8);
         assert!(flat.iter().all(|q| q.ordered));
         assert!(flat
             .iter()
             .enumerate()
             .all(|(i, q)| q.kind == QueueKind::Stage(i)));
         let comp = committed_queues(
-            &Interleaved1F1B {
+            Schedule::Interleaved1F1B {
                 chunks: 2,
                 composite: true,
             },
@@ -373,12 +356,11 @@ mod tests {
         // stage-0 forward requiring wave w, and push(w) exactly after
         // the last backward of wave w — so the interaction points are
         // a closed-form function of (Nm, D), independent of schedule.
-        for sched in schedules() {
+        for sched in Schedule::ALL {
             for (nm, d) in [(2usize, 0usize), (4, 1)] {
                 let wsp = WspParams::new(nm, d);
                 let max_mb = (nm as u64) * 8;
-                let queues =
-                    committed_queues(sched.as_ref(), 4, wsp, RecomputePolicy::None, max_mb);
+                let queues = committed_queues(sched, 4, wsp, RecomputePolicy::None, max_mb);
                 let pts = ps_interaction_points(&queues);
                 assert!(
                     !pts.gates.is_empty(),
@@ -414,14 +396,21 @@ mod tests {
         // The per-stage extraction is the stream itself, filtered to
         // the horizon — no reordering, no loss.
         let wsp = WspParams::new(4, 1);
-        let queues = committed_queues(&OneFOneB, 4, wsp, RecomputePolicy::BoundaryOnly, 10);
+        let queues = committed_queues(
+            Schedule::OneFOneB,
+            4,
+            wsp,
+            RecomputePolicy::BoundaryOnly,
+            10,
+        );
         for (stage, q) in queues.iter().enumerate() {
-            let effective = if OneFOneB.recomputes_at(stage, 4, 4, RecomputePolicy::BoundaryOnly) {
-                RecomputePolicy::BoundaryOnly
-            } else {
-                RecomputePolicy::None
-            };
-            let want: Vec<ScheduleOp> = OneFOneB
+            let effective =
+                if Schedule::OneFOneB.recomputes_at(stage, 4, 4, RecomputePolicy::BoundaryOnly) {
+                    RecomputePolicy::BoundaryOnly
+                } else {
+                    RecomputePolicy::None
+                };
+            let want: Vec<ScheduleOp> = Schedule::OneFOneB
                 .stream(stage, 4, wsp)
                 .with_recompute(effective)
                 .take(200)

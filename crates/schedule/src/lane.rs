@@ -22,7 +22,7 @@
 
 use crate::ops::GpuOp;
 use crate::recompute::RecomputePolicy;
-use crate::schedules::PipelineSchedule;
+use crate::schedules::{PipelineSchedule, Schedule};
 use crate::stream::{GpuStream, ScheduleStream};
 use crate::wsp::WspParams;
 
@@ -55,7 +55,7 @@ impl Iterator for Lane {
 /// The lanes of one virtual worker running `sched` on `k_gpus`
 /// physical GPUs, in lane order (see the module docs).
 pub fn lanes(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,

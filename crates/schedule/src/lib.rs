@@ -27,11 +27,13 @@
 //!   for composite schedules, per GPU), the dispatch discipline, and
 //!   per-stage peak-memory accounting (in-flight activations and
 //!   pinned weight versions).
-//! - [`HetPipeWave`], [`FillDrain`], [`OneFOneB`],
-//!   [`Interleaved1F1B`] — the concrete schedules ([`Interleaved1F1B`]
-//!   in both its composite per-GPU and depth-expanded forms).
-//! - [`Schedule`] — the config-level knob (a `Copy` enum) that
-//!   dispatches to the concrete implementations.
+//! - [`Schedule`] — the trait's one implementor, a `Copy` enum with
+//!   one variant per schedule: the paper's wave schedule
+//!   ([`Schedule::HetPipeWave`]), GPipe fill-drain
+//!   ([`Schedule::FillDrain`]), PipeDream 1F1B
+//!   ([`Schedule::OneFOneB`]) and Megatron interleaving
+//!   ([`Schedule::Interleaved1F1B`], in both its composite per-GPU and
+//!   depth-expanded forms).
 //! - [`WspParams`] — the Wave Synchronous Parallel clock / staleness
 //!   algebra (Sections 4–5 of the paper), which every schedule's wave
 //!   bookkeeping is expressed in.
@@ -65,7 +67,7 @@
 //!
 //! Declared bounds must therefore be *sound* rather than idealized:
 //! the wave schedule declares the arrival-FIFO-achievable `Nm` per
-//! non-fused stage (see [`HetPipeWave`]'s `max_in_flight` docs for why
+//! non-fused stage (see [`Schedule::HetPipeWave`]'s docs for why
 //! Figure 1's `min(Nm, 2(k−1−q)+1)` window is unsound under timing
 //! skew). Where the honest charge makes a plan memory-infeasible,
 //! [`RecomputePolicy::BoundaryOnly`] drops the per-minibatch stash to
@@ -107,9 +109,6 @@ pub use extract::{
 pub use lane::{lanes, Lane};
 pub use ops::{Dispatch, GpuOp, ScheduleOp};
 pub use recompute::RecomputePolicy;
-pub use schedules::{
-    validate_gpu_stream, validate_stream, validate_stream_with, FillDrain, HetPipeWave,
-    Interleaved1F1B, OneFOneB, PipelineSchedule, Schedule,
-};
+pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};
 pub use stream::{GpuStream, ScheduleStream};
 pub use wsp::WspParams;

@@ -116,7 +116,7 @@ pub enum Dispatch {
     /// fill-drain and 1F1B are defined in the literature.
     StreamOrder,
     /// Execute each GPU's *composite* stream
-    /// ([`crate::PipelineSchedule::gpu_stream`]) in strict order: the
+    /// ([`crate::PipelineSchedule::gpu_streams_with`]) in strict order: the
     /// schedule decides how co-located virtual-stage chunks interleave
     /// on the GPU timeline (Megatron-style ordered chunk groups),
     /// instead of leaving the merge to dependency-arrival order.

@@ -1,4 +1,5 @@
-//! The [`PipelineSchedule`] trait and the concrete schedules.
+//! The [`PipelineSchedule`] trait and [`Schedule`], its one
+//! implementor.
 //!
 //! A schedule answers four questions about a `k`-stage pipeline
 //! processing waves of `Nm` minibatches:
@@ -25,7 +26,8 @@ use crate::wsp::WspParams;
 use std::fmt;
 
 /// A static pipeline schedule, reified as per-stage op streams plus
-/// memory-accounting metadata.
+/// memory-accounting metadata. [`Schedule`] is the one implementor;
+/// each variant's docs give the reasons behind its answers.
 ///
 /// `stage` and `k` are always in *executor* (virtual) stages: for
 /// interleaved schedules, `k = chunks × GPUs` and stage `s` runs on
@@ -43,68 +45,33 @@ pub trait PipelineSchedule {
 
     /// Executor stages for a pipeline of `k_gpus` GPUs (interleaved
     /// schedules multiply by their chunk count).
-    fn virtual_stages(&self, k_gpus: usize) -> usize {
-        k_gpus
-    }
+    fn virtual_stages(&self, k_gpus: usize) -> usize;
 
     /// The infinite op stream of `stage` (0-based of `k`).
     ///
     /// For schedules that dispatch per-GPU composite streams
     /// ([`Dispatch::GpuStreamOrder`]) this is the per-stage
     /// *projection* used by stage-local analyses; the executor
-    /// consumes [`PipelineSchedule::gpu_stream`] instead.
+    /// consumes [`PipelineSchedule::gpu_streams_with`] instead.
     fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream;
 
-    /// The composite per-GPU op stream of physical GPU `gpu` (0-based
-    /// of `k_gpus`): one ordered timeline merging every co-located
-    /// virtual-stage chunk, each op tagged with its stage
-    /// ([`GpuOp`]). `Some` exactly for schedules whose
-    /// [`PipelineSchedule::dispatch`] is
-    /// [`Dispatch::GpuStreamOrder`]; flat and depth-expanded
-    /// schedules return `None`.
-    fn gpu_stream(&self, gpu: usize, k_gpus: usize, wsp: WspParams) -> Option<GpuStream> {
-        let _ = (gpu, k_gpus, wsp);
-        None
-    }
-
-    /// [`PipelineSchedule::gpu_stream`] with the schedule's per-stage
-    /// checkpoint decisions ([`PipelineSchedule::recomputes_at`])
-    /// applied under `policy` — the constructor executors and
-    /// validators use, so the stream's recompute placement is always
-    /// the same decision the memory and cost models charge for.
-    fn gpu_stream_with(
-        &self,
-        gpu: usize,
-        k_gpus: usize,
-        wsp: WspParams,
-        policy: RecomputePolicy,
-    ) -> Option<GpuStream> {
-        let stream = self.gpu_stream(gpu, k_gpus, wsp)?;
-        let k = self.virtual_stages(k_gpus);
-        let remat = (0..k)
-            .map(|s| self.recomputes_at(s, k, wsp.nm, policy))
-            .collect();
-        Some(stream.with_remat(remat))
-    }
-
-    /// The whole per-GPU composite stream set of one virtual worker
-    /// (`k_gpus` handles) with the schedule's checkpoint decisions
-    /// applied — what executors consume. The default assembles
-    /// independent per-GPU streams; schedules with a joint timetable
-    /// override it to fan all handles from **one shared** timetable
-    /// ([`GpuStream::shared_set`]), so the slot simulation runs once
-    /// per virtual worker instead of once per GPU. Each handle's op
-    /// sequence is identical either way.
+    /// The composite per-GPU op streams of one virtual worker, one
+    /// handle per physical GPU (`k_gpus` of them): each an ordered
+    /// timeline merging every co-located virtual-stage chunk, each op
+    /// tagged with its stage ([`GpuOp`]). The schedule's per-stage
+    /// checkpoint decisions ([`PipelineSchedule::recomputes_at`]) are
+    /// applied under `policy`, so the streams' recompute placement is
+    /// always the same decision the memory and cost models charge for.
+    ///
+    /// `Some` exactly for schedules whose
+    /// [`PipelineSchedule::dispatch`] is [`Dispatch::GpuStreamOrder`];
+    /// flat and depth-expanded schedules return `None`.
     fn gpu_streams_with(
         &self,
         k_gpus: usize,
         wsp: WspParams,
         policy: RecomputePolicy,
-    ) -> Option<Vec<GpuStream>> {
-        (0..k_gpus)
-            .map(|gpu| self.gpu_stream_with(gpu, k_gpus, wsp, policy))
-            .collect()
-    }
+    ) -> Option<Vec<GpuStream>>;
 
     /// Peak number of minibatches simultaneously holding activations at
     /// `stage` — the quantity the per-stage memory constraint charges.
@@ -121,21 +88,15 @@ pub trait PipelineSchedule {
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize;
 
     /// Weight versions pinned at `stage` beyond the resident
-    /// weights/gradients/momentum set. The wave and 1F1B schedules
-    /// stash the injection-time version `w_p` of every in-flight
-    /// minibatch; fill-drain runs a whole wave on one version.
-    fn extra_weight_versions(&self, stage: usize, k: usize, nm: usize) -> u64 {
-        self.max_in_flight(stage, k, nm).saturating_sub(1) as u64
-    }
+    /// weights/gradients/momentum set.
+    fn extra_weight_versions(&self, stage: usize, k: usize, nm: usize) -> u64;
 
     /// How many of this schedule's stages share one physical GPU
     /// (interleaved chunks; 1 for flat schedules). Memory feasibility
     /// checks split each GPU's budget across its co-located stages so
     /// that certified plans fit the *sum* of the chunks they place on
     /// a GPU.
-    fn colocated_stages(&self) -> usize {
-        1
-    }
+    fn colocated_stages(&self) -> usize;
 
     /// Whether `stage` actually checkpoints under `policy`: activation
     /// recomputation is skipped where the in-flight window is 1 — a
@@ -154,40 +115,22 @@ pub trait PipelineSchedule {
     }
 }
 
-/// The paper's Figure-1 wave schedule: up to `Nm` minibatches in
-/// flight, arrival-FIFO service per GPU, forward+backward fused at the
-/// last stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HetPipeWave;
-
-impl PipelineSchedule for HetPipeWave {
-    fn name(&self) -> &'static str {
-        "hetpipe-wave"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::ArrivalFifo
-    }
-
-    fn fused_last_stage(&self) -> bool {
-        true
-    }
-
-    fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream {
-        let pattern = if stage == k - 1 {
-            BasePattern::Fused
-        } else {
-            BasePattern::Interleave {
-                warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
-            }
-        };
-        ScheduleStream::new(pattern, stage, wsp)
-    }
-
-    /// The sound arrival-FIFO bound: `Nm` at every non-last stage, 1 at
-    /// the fused last stage.
+/// The pipeline schedule: the paper's wave schedule plus the three
+/// literature baselines it competes with.
+///
+/// A `Copy` enum, so `SystemConfig` stays `Clone`, CLI sweeps are
+/// cheap, and the partition DP's memory-fit probes (`O(k·L²)` per
+/// solve) match on the variant instead of dispatching dynamically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Schedule {
+    /// The paper's Figure-1 wave schedule, the default: up to `Nm`
+    /// minibatches in flight, arrival-FIFO service per GPU,
+    /// forward+backward fused at the last stage. Every in-flight
+    /// minibatch stashes its injection-time weight version `w_p`.
     ///
-    /// The paper's Figure-1 analysis suggests the tighter window
+    /// Its in-flight window is the sound arrival-FIFO bound: `Nm` at
+    /// every non-last stage, 1 at the fused last stage. The paper's
+    /// Figure-1 analysis suggests the tighter window
     /// `min(Nm, 2(k − 1 − q) + 1)` (a minibatch's activations live for
     /// `2(k − 1 − q) + 1` *uniform* task slots), but that bound only
     /// holds for perfectly balanced stages. Under arrival-order
@@ -202,90 +145,24 @@ impl PipelineSchedule for HetPipeWave {
     /// `OccupancyAudit` check it.
     /// [`RecomputePolicy::BoundaryOnly`] is the lever that buys the
     /// honestly-charged memory back.
-    fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
-        debug_assert!(stage < k, "stage index out of range");
-        if stage == k - 1 {
-            1
-        } else {
-            nm
-        }
-    }
-}
-
-/// GPipe-style fill-drain: all `Nm` forwards of a wave, a full drain of
-/// `Nm` backwards, then the next wave. One weight version per wave.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FillDrain;
-
-impl PipelineSchedule for FillDrain {
-    fn name(&self) -> &'static str {
-        "fill-drain"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::StreamOrder
-    }
-
-    fn fused_last_stage(&self) -> bool {
-        false
-    }
-
-    fn stream(&self, stage: usize, _k: usize, wsp: WspParams) -> ScheduleStream {
-        ScheduleStream::new(BasePattern::FillDrain, stage, wsp)
-    }
-
-    /// Every stage accumulates the activations of the whole wave before
-    /// the drain starts.
-    fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
-        debug_assert!(stage < k, "stage index out of range");
-        nm
-    }
-
-    /// The whole wave runs on a single weight version — the flush
-    /// between waves is what buys fill-drain its memory advantage.
-    fn extra_weight_versions(&self, _stage: usize, _k: usize, _nm: usize) -> u64 {
-        0
-    }
-}
-
-/// PipeDream-style one-forward-one-backward: stage `q` warms up with
-/// `min(Nm, k − q)` forwards, then strictly alternates backward and
-/// forward, bounding in-flight work by pipeline depth instead of `Nm`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OneFOneB;
-
-impl PipelineSchedule for OneFOneB {
-    fn name(&self) -> &'static str {
-        "1f1b"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::StreamOrder
-    }
-
-    fn fused_last_stage(&self) -> bool {
-        false
-    }
-
-    fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream {
-        ScheduleStream::new(
-            BasePattern::Interleave {
-                warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
-            },
-            stage,
-            wsp,
-        )
-    }
-
-    /// The classic 1F1B bound: stage `q` holds at most `k − q`
-    /// in-flight minibatches (capped by `Nm` for shallow waves).
-    fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
-        debug_assert!(stage < k, "stage index out of range");
-        nm.min(k - stage)
-    }
-
-    /// PipeDream-2BW double-buffered weight versioning: instead of
-    /// stashing the injection-time version `w_p` of every in-flight
+    #[default]
+    HetPipeWave,
+    /// GPipe-style fill-drain: all `Nm` forwards of a wave, a full
+    /// drain of `Nm` backwards, then the next wave. Every stage
+    /// accumulates the activations of the whole wave before the drain
+    /// starts, but the whole wave runs on a single weight version —
+    /// the flush between waves is what buys fill-drain its memory
+    /// advantage.
+    FillDrain,
+    /// PipeDream-style one-forward-one-backward: stage `q` warms up
+    /// with `min(Nm, k − q)` forwards, then strictly alternates
+    /// backward and forward, bounding in-flight work by pipeline depth
+    /// instead of `Nm` (the classic 1F1B bound: stage `q` holds at
+    /// most `k − q` in-flight minibatches, capped by `Nm` for shallow
+    /// waves).
+    ///
+    /// Weights use PipeDream-2BW double-buffered versioning: instead
+    /// of stashing the injection-time version `w_p` of every in-flight
     /// minibatch (`in_flight − 1` extra copies, HetPipe's Section-4
     /// accounting), the stage keeps exactly **two** buffers — the
     /// freshest version and the previous one — and every in-flight
@@ -297,185 +174,58 @@ impl PipelineSchedule for OneFOneB {
     /// ([`WspParams::two_bw_version`]), which is never older than the
     /// WSP start gate requires (`tests/staleness_props.rs` checks this
     /// against [`WspParams::required_wave`] exhaustively).
-    fn extra_weight_versions(&self, stage: usize, k: usize, nm: usize) -> u64 {
-        (self.max_in_flight(stage, k, nm) > 1) as u64
-    }
-}
-
-/// Interleaved 1F1B over virtual stage chunks (Megatron-LM's
-/// interleaved schedule): the model is cut into `chunks × GPUs`
-/// consecutive pieces assigned round-robin, so each GPU hosts
-/// `chunks` non-adjacent virtual stages.
-///
-/// Two fidelity levels, selected by `composite`:
-///
-/// - **Composite per-GPU streams** (`composite: true`, the default,
-///   and how Megatron-LM actually schedules): each physical GPU
-///   executes one ordered [`GpuStream`] that merges its co-located
-///   chunks in warmup/steady/drain chunk groups, so chunk 1's first
-///   microbatches run *between* chunk 0's warmup forwards instead of
-///   queueing behind them. The executor's `GpuStreamOrder` dispatch
-///   path consumes these streams directly.
-/// - **Depth-expanded 1F1B** (`composite: false`, kept behind this
-///   flag so the fidelity delta stays measurable in
-///   `schedule_compare`): each virtual stage runs a plain 1F1B
-///   stream and co-located chunks share their GPU's FIFO timeline in
-///   dependency-arrival order — during warmup the first chunk's
-///   window is reserved ahead of the later chunks' first arrivals,
-///   which is exactly the under-utilization the composite form fixes.
-///
-/// Either way, chunking multiplies the boundary activation/gradient
-/// transfers by the chunk count, which on network-bound clusters can
-/// outweigh the smaller per-chunk bubbles — the `schedule_compare`
-/// sweep makes the trade-off visible. The per-stage memory bounds are
-/// identical across the two forms (the composite stream's chunk
-/// windows are capped at the same `min(Nm, K − stage)`), so plans
-/// certify identically; only the GPU timeline order differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interleaved1F1B {
-    /// Virtual stage chunks per GPU (≥ 1; 1 degenerates to plain 1F1B).
-    pub chunks: usize,
-    /// Composite per-GPU streams (true) or depth-expanded per-stage
-    /// streams merged by arrival order (false).
-    pub composite: bool,
-}
-
-impl Default for Interleaved1F1B {
-    fn default() -> Self {
-        Interleaved1F1B {
-            chunks: 2,
-            composite: true,
-        }
-    }
-}
-
-impl PipelineSchedule for Interleaved1F1B {
-    fn name(&self) -> &'static str {
-        if self.composite {
-            "interleaved-1f1b"
-        } else {
-            "interleaved-1f1b-depth"
-        }
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        if self.composite {
-            Dispatch::GpuStreamOrder
-        } else {
-            Dispatch::StreamOrder
-        }
-    }
-
-    fn fused_last_stage(&self) -> bool {
-        false
-    }
-
-    fn virtual_stages(&self, k_gpus: usize) -> usize {
-        self.chunks.max(1) * k_gpus
-    }
-
-    fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream {
-        // Over virtual stages the per-stage pattern is 1F1B. In the
-        // depth-expanded form this is the executed stream; in the
-        // composite form it is the per-stage projection (the executor
-        // consumes `gpu_stream`), kept for stage-local analyses.
-        ScheduleStream::new(
-            BasePattern::Interleave {
-                warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
-            },
-            stage,
-            wsp,
-        )
-    }
-
-    fn gpu_stream(&self, gpu: usize, k_gpus: usize, wsp: WspParams) -> Option<GpuStream> {
-        if !self.composite {
-            return None;
-        }
-        let chunks = self.chunks.max(1);
-        let k = chunks * k_gpus;
-        // The stream's structural windows ARE the declared bounds —
-        // passed in so they cannot drift apart.
-        let caps = (0..k)
-            .map(|s| self.max_in_flight(s, k, wsp.nm) as u64)
-            .collect();
-        Some(GpuStream::new(gpu, k_gpus, chunks, wsp, caps))
-    }
-
-    /// One **shared** joint timetable per virtual worker, fanned into
-    /// the `k_gpus` per-GPU handles — cuts the slot simulation from
-    /// G× (independent replays) to 1× without changing any handle's
-    /// op sequence.
-    fn gpu_streams_with(
-        &self,
-        k_gpus: usize,
-        wsp: WspParams,
-        policy: RecomputePolicy,
-    ) -> Option<Vec<GpuStream>> {
-        if !self.composite {
-            return None;
-        }
-        let chunks = self.chunks.max(1);
-        let k = chunks * k_gpus;
-        let caps = (0..k)
-            .map(|s| self.max_in_flight(s, k, wsp.nm) as u64)
-            .collect();
-        let remat = (0..k)
-            .map(|s| self.recomputes_at(s, k, wsp.nm, policy))
-            .collect();
-        Some(GpuStream::shared_set(k_gpus, chunks, wsp, caps, remat))
-    }
-
-    /// The 1F1B bound over *virtual* depth — deep in-flight windows
-    /// are what let the expanded pipeline stay full across its
-    /// (chunk-multiplied) boundary transfers. The composite stream's
-    /// per-chunk windows are capped at exactly this bound, so the
-    /// declared charge is sound for both forms.
-    fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
-        debug_assert!(stage < k, "stage index out of range");
-        nm.min(k - stage)
-    }
-
-    /// Per-chunk PipeDream-2BW double buffering, the same rule
-    /// [`OneFOneB::extra_weight_versions`] uses: each *virtual stage*
-    /// keeps the freshest buffer plus at most one previous buffer,
-    /// instead of stashing the injection-time `w_p` of every in-flight
-    /// minibatch. `verify::interleaved_chunk_versions` proves this
-    /// WSP-sound chunk by chunk (the previous buffer is never older
-    /// than the start gate requires, at any depth), so the declared
-    /// memory charge drops from `in_flight − 1` to at most 1 extra
-    /// copy per busy chunk — the saving the whimpy `Max_m` cells in
-    /// `schedule_compare` inherit.
-    fn extra_weight_versions(&self, stage: usize, k: usize, nm: usize) -> u64 {
-        (self.max_in_flight(stage, k, nm) > 1) as u64
-    }
-
-    fn colocated_stages(&self) -> usize {
-        self.chunks.max(1)
-    }
-}
-
-/// The configuration-level schedule knob.
-///
-/// A `Copy` enum so `SystemConfig` stays `Clone` and CLI sweeps are
-/// cheap; delegates every [`PipelineSchedule`] method to the concrete
-/// implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Schedule {
-    /// The paper's wave schedule ([`HetPipeWave`]). The default.
-    #[default]
-    HetPipeWave,
-    /// GPipe fill-drain ([`FillDrain`]).
-    FillDrain,
-    /// PipeDream 1F1B ([`OneFOneB`]).
     OneFOneB,
-    /// Interleaved 1F1B with virtual-stage chunks
-    /// ([`Interleaved1F1B`]).
+    /// Interleaved 1F1B over virtual stage chunks (Megatron-LM's
+    /// interleaved schedule): the model is cut into `chunks × GPUs`
+    /// consecutive pieces assigned round-robin, so each GPU hosts
+    /// `chunks` non-adjacent virtual stages.
+    ///
+    /// Two fidelity levels, selected by `composite`:
+    ///
+    /// - **Composite per-GPU streams** (`composite: true`, what
+    ///   `parse("interleaved-1f1b")` yields, and how Megatron-LM
+    ///   actually schedules): each physical GPU executes one ordered
+    ///   [`GpuStream`] that merges its co-located chunks in
+    ///   warmup/steady/drain chunk groups, so chunk 1's first
+    ///   microbatches run *between* chunk 0's warmup forwards instead
+    ///   of queueing behind them. The executor's `GpuStreamOrder`
+    ///   dispatch path consumes these streams directly.
+    /// - **Depth-expanded 1F1B** (`composite: false`, kept so the
+    ///   fidelity delta stays measurable in `schedule_compare`): each
+    ///   virtual stage runs a plain 1F1B stream and co-located chunks
+    ///   share their GPU's FIFO timeline in dependency-arrival order —
+    ///   during warmup the first chunk's window is reserved ahead of
+    ///   the later chunks' first arrivals, which is exactly the
+    ///   under-utilization the composite form fixes.
+    ///
+    /// Either way, chunking multiplies the boundary activation/gradient
+    /// transfers by the chunk count, which on network-bound clusters can
+    /// outweigh the smaller per-chunk bubbles — the `schedule_compare`
+    /// sweep makes the trade-off visible.
+    ///
+    /// The in-flight window is the 1F1B bound over *virtual* depth —
+    /// deep in-flight windows are what let the expanded pipeline stay
+    /// full across its (chunk-multiplied) boundary transfers. The
+    /// composite stream's per-chunk windows are capped at exactly this
+    /// bound, so the declared charge is sound for both forms and plans
+    /// certify identically; only the GPU timeline order differs.
+    ///
+    /// Weights use per-chunk PipeDream-2BW double buffering, the
+    /// [`Schedule::OneFOneB`] rule: each *virtual stage* keeps the
+    /// freshest buffer plus at most one previous buffer, instead of
+    /// stashing the injection-time `w_p` of every in-flight minibatch.
+    /// `verify::interleaved_chunk_versions` proves this WSP-sound
+    /// chunk by chunk (the previous buffer is never older than the
+    /// start gate requires, at any depth), so the declared memory
+    /// charge drops from `in_flight − 1` to at most 1 extra copy per
+    /// busy chunk — the saving the whimpy `Max_m` cells in
+    /// `schedule_compare` inherit.
     Interleaved1F1B {
-        /// Virtual stage chunks per GPU.
+        /// Virtual stage chunks per GPU (≥ 1; 1 degenerates to plain
+        /// 1F1B).
         chunks: usize,
-        /// Composite per-GPU streams (Megatron's actual dispatch
-        /// order) vs the depth-expanded arrival-merged variant.
+        /// Composite per-GPU streams (true) or depth-expanded
+        /// per-stage streams merged by arrival order (false).
         composite: bool,
     },
 }
@@ -536,20 +286,6 @@ impl Schedule {
             }
         }
     }
-
-    /// Runs `f` against the concrete implementation on the stack —
-    /// no allocation, because delegated methods sit in the partition
-    /// DP's hot path (`O(k·L²)` memory-fit probes per solve).
-    fn with_concrete<R>(&self, f: impl FnOnce(&dyn PipelineSchedule) -> R) -> R {
-        match *self {
-            Schedule::HetPipeWave => f(&HetPipeWave),
-            Schedule::FillDrain => f(&FillDrain),
-            Schedule::OneFOneB => f(&OneFOneB),
-            Schedule::Interleaved1F1B { chunks, composite } => {
-                f(&Interleaved1F1B { chunks, composite })
-            }
-        }
-    }
 }
 
 impl fmt::Display for Schedule {
@@ -569,27 +305,50 @@ impl fmt::Display for Schedule {
 
 impl PipelineSchedule for Schedule {
     fn name(&self) -> &'static str {
-        self.with_concrete(|s| s.name())
+        match self {
+            Schedule::HetPipeWave => "hetpipe-wave",
+            Schedule::FillDrain => "fill-drain",
+            Schedule::OneFOneB => "1f1b",
+            Schedule::Interleaved1F1B {
+                composite: true, ..
+            } => "interleaved-1f1b",
+            Schedule::Interleaved1F1B {
+                composite: false, ..
+            } => "interleaved-1f1b-depth",
+        }
     }
 
     fn dispatch(&self) -> Dispatch {
-        self.with_concrete(|s| s.dispatch())
+        match self {
+            Schedule::HetPipeWave => Dispatch::ArrivalFifo,
+            Schedule::Interleaved1F1B {
+                composite: true, ..
+            } => Dispatch::GpuStreamOrder,
+            _ => Dispatch::StreamOrder,
+        }
     }
 
     fn fused_last_stage(&self) -> bool {
-        self.with_concrete(|s| s.fused_last_stage())
+        matches!(self, Schedule::HetPipeWave)
     }
 
     fn virtual_stages(&self, k_gpus: usize) -> usize {
-        self.with_concrete(|s| s.virtual_stages(k_gpus))
+        self.colocated_stages() * k_gpus
     }
 
     fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream {
-        self.with_concrete(|s| s.stream(stage, k, wsp))
-    }
-
-    fn gpu_stream(&self, gpu: usize, k_gpus: usize, wsp: WspParams) -> Option<GpuStream> {
-        self.with_concrete(|s| s.gpu_stream(gpu, k_gpus, wsp))
+        let pattern = match self {
+            Schedule::HetPipeWave if stage == k - 1 => BasePattern::Fused,
+            Schedule::FillDrain => BasePattern::FillDrain,
+            // The wave's non-last stages, 1F1B, and interleaving over
+            // virtual stages. In the composite interleaved form this
+            // is the per-stage projection (the executor consumes
+            // `gpu_streams_with`), kept for stage-local analyses.
+            _ => BasePattern::Interleave {
+                warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
+            },
+        };
+        ScheduleStream::new(pattern, stage, wsp)
     }
 
     fn gpu_streams_with(
@@ -598,29 +357,56 @@ impl PipelineSchedule for Schedule {
         wsp: WspParams,
         policy: RecomputePolicy,
     ) -> Option<Vec<GpuStream>> {
-        self.with_concrete(|s| s.gpu_streams_with(k_gpus, wsp, policy))
+        if self.dispatch() != Dispatch::GpuStreamOrder {
+            return None;
+        }
+        let chunks = self.colocated_stages();
+        let k = chunks * k_gpus;
+        // The stream's structural windows ARE the declared bounds —
+        // passed in so they cannot drift apart.
+        let caps = (0..k)
+            .map(|s| self.max_in_flight(s, k, wsp.nm) as u64)
+            .collect();
+        let remat = (0..k)
+            .map(|s| self.recomputes_at(s, k, wsp.nm, policy))
+            .collect();
+        // One shared joint timetable per virtual worker, fanned into
+        // the per-GPU handles: the slot simulation runs once instead
+        // of once per GPU, and no handle's op sequence changes.
+        Some(GpuStream::shared_set(k_gpus, chunks, wsp, caps, remat))
     }
 
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
-        self.with_concrete(|s| s.max_in_flight(stage, k, nm))
+        debug_assert!(stage < k, "stage index out of range");
+        match self {
+            Schedule::HetPipeWave if stage == k - 1 => 1,
+            Schedule::HetPipeWave | Schedule::FillDrain => nm,
+            Schedule::OneFOneB | Schedule::Interleaved1F1B { .. } => nm.min(k - stage),
+        }
     }
 
     fn extra_weight_versions(&self, stage: usize, k: usize, nm: usize) -> u64 {
-        self.with_concrete(|s| s.extra_weight_versions(stage, k, nm))
+        let in_flight = self.max_in_flight(stage, k, nm);
+        match self {
+            // `w_p` stashing: one copy per extra in-flight minibatch.
+            Schedule::HetPipeWave => in_flight.saturating_sub(1) as u64,
+            Schedule::FillDrain => 0,
+            // PipeDream-2BW: one shadow buffer while pipelining.
+            Schedule::OneFOneB | Schedule::Interleaved1F1B { .. } => (in_flight > 1) as u64,
+        }
     }
 
     fn colocated_stages(&self) -> usize {
-        self.with_concrete(|s| s.colocated_stages())
-    }
-
-    fn recomputes_at(&self, stage: usize, k: usize, nm: usize, policy: RecomputePolicy) -> bool {
-        self.with_concrete(|s| s.recomputes_at(stage, k, nm, policy))
+        match self {
+            Schedule::Interleaved1F1B { chunks, .. } => (*chunks).max(1),
+            _ => 1,
+        }
     }
 }
 
-/// Checks the structural invariants of a stream prefix — the
-/// executable form of the paper's Section-4 scheduling conditions at
-/// the schedule level:
+/// Checks the structural invariants of a stream prefix under a
+/// [`RecomputePolicy`] — the executable form of the paper's Section-4
+/// scheduling conditions at the schedule level:
 ///
 /// 1. forwards appear in minibatch order with no gaps;
 /// 2. backwards appear in minibatch order with no gaps;
@@ -629,29 +415,18 @@ impl PipelineSchedule for Schedule {
 /// 4. fused ops appear only on the last stage, and only if the
 ///    schedule fuses;
 /// 5. gates and pushes appear on stage 0 only, pushes strictly after
-///    the wave's last backward, gates before the gated forward.
+///    the wave's last backward, gates before the gated forward;
+/// 6. at stages that checkpoint ([`PipelineSchedule::recomputes_at`] —
+///    the policy is on and the stage's window exceeds 1) every
+///    standalone backward is *immediately* preceded by a
+///    [`ScheduleOp::Recompute`] of the same minibatch (its forward
+///    already ran, its backward is next); at all other stages — fused
+///    last stages, window-1 stages, or any stage under `None` — no
+///    recompute op may appear at all.
 ///
 /// Returns `Err` with a description of the first violation.
-pub fn validate_stream(
-    sched: &dyn PipelineSchedule,
-    stage: usize,
-    k: usize,
-    wsp: WspParams,
-    prefix_len: usize,
-) -> Result<(), String> {
-    validate_stream_with(sched, stage, k, wsp, RecomputePolicy::None, prefix_len)
-}
-
-/// [`validate_stream`] for a stream decorated with a
-/// [`RecomputePolicy`], adding the recompute invariants: at stages
-/// that checkpoint ([`PipelineSchedule::recomputes_at`] — the policy
-/// is on and the stage's window exceeds 1) every standalone backward
-/// is *immediately* preceded by a [`ScheduleOp::Recompute`] of the
-/// same minibatch (its forward already ran, its backward is next);
-/// at all other stages — fused last stages, window-1 stages, or any
-/// stage under `None` — no recompute op may appear at all.
 pub fn validate_stream_with(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     stage: usize,
     k: usize,
     wsp: WspParams,
@@ -829,14 +604,17 @@ pub fn validate_stream_with(
 /// Returns `Err` with a description of the first violation, or if the
 /// schedule declares no composite stream for this GPU.
 pub fn validate_gpu_stream(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     gpu: usize,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
     prefix_len: usize,
 ) -> Result<(), String> {
-    let Some(stream) = sched.gpu_stream_with(gpu, k_gpus, wsp, recompute) else {
+    let Some(stream) = sched
+        .gpu_streams_with(k_gpus, wsp, recompute)
+        .and_then(|set| set.into_iter().nth(gpu))
+    else {
         return Err(format!(
             "{} declares no composite stream for gpu {gpu}",
             sched.name()
@@ -987,25 +765,21 @@ pub fn validate_gpu_stream(
 mod tests {
     use super::*;
 
-    fn schedules() -> Vec<Box<dyn PipelineSchedule>> {
-        vec![
-            Box::new(HetPipeWave),
-            Box::new(FillDrain),
-            Box::new(OneFOneB),
-            Box::new(Interleaved1F1B {
-                chunks: 2,
-                composite: false,
-            }),
-            Box::new(Interleaved1F1B {
-                chunks: 2,
-                composite: true,
-            }),
-        ]
+    fn interleaved(chunks: usize, composite: bool) -> Schedule {
+        Schedule::Interleaved1F1B { chunks, composite }
+    }
+
+    /// GPU `gpu`'s handle of the schedule's composite stream set.
+    fn gpu_stream(sched: Schedule, gpu: usize, k_gpus: usize, wsp: WspParams) -> GpuStream {
+        sched
+            .gpu_streams_with(k_gpus, wsp, RecomputePolicy::None)
+            .expect("composite stream")
+            .swap_remove(gpu)
     }
 
     #[test]
     fn all_streams_satisfy_invariants() {
-        for sched in schedules() {
+        for sched in Schedule::ALL {
             for k_gpus in [1usize, 2, 4] {
                 let k = sched.virtual_stages(k_gpus);
                 for nm in [1usize, 2, 4, 7] {
@@ -1013,7 +787,7 @@ mod tests {
                         let wsp = WspParams::new(nm, d);
                         for recompute in RecomputePolicy::ALL {
                             for stage in 0..k {
-                                validate_stream_with(sched.as_ref(), stage, k, wsp, recompute, 300)
+                                validate_stream_with(sched, stage, k, wsp, recompute, 300)
                                     .unwrap_or_else(|e| {
                                         panic!("{e} (k_gpus={k_gpus} nm={nm} d={d} {recompute})")
                                     });
@@ -1053,14 +827,15 @@ mod tests {
         // fused last stage holds exactly 1. (Figure 1's idealized
         // min(Nm, 2(k−1−q)+1) window only holds for perfectly balanced
         // stages and is NOT what the executor can guarantee.)
-        assert_eq!(HetPipeWave.max_in_flight(0, 4, 4), 4);
-        assert_eq!(HetPipeWave.max_in_flight(1, 4, 4), 4);
-        assert_eq!(HetPipeWave.max_in_flight(2, 4, 4), 4);
-        assert_eq!(HetPipeWave.max_in_flight(3, 4, 4), 1);
-        assert_eq!(HetPipeWave.max_in_flight(0, 4, 100), 100);
+        let wave = Schedule::HetPipeWave;
+        assert_eq!(wave.max_in_flight(0, 4, 4), 4);
+        assert_eq!(wave.max_in_flight(1, 4, 4), 4);
+        assert_eq!(wave.max_in_flight(2, 4, 4), 4);
+        assert_eq!(wave.max_in_flight(3, 4, 4), 1);
+        assert_eq!(wave.max_in_flight(0, 4, 100), 100);
         // Nm = 1 degenerates to naive model parallelism everywhere.
         for q in 0..4 {
-            assert_eq!(HetPipeWave.max_in_flight(q, 4, 1), 1);
+            assert_eq!(wave.max_in_flight(q, 4, 1), 1);
         }
     }
 
@@ -1069,28 +844,29 @@ mod tests {
         // Stage 0, deep pipeline: fill-drain and the wave schedule hold
         // the whole wave, 1F1B bounds holding by pipeline depth.
         let (k, nm) = (4, 8);
-        assert_eq!(FillDrain.max_in_flight(0, k, nm), 8);
-        assert_eq!(OneFOneB.max_in_flight(0, k, nm), 4);
-        assert_eq!(HetPipeWave.max_in_flight(0, k, nm), 8);
+        assert_eq!(Schedule::FillDrain.max_in_flight(0, k, nm), 8);
+        assert_eq!(Schedule::OneFOneB.max_in_flight(0, k, nm), 4);
+        assert_eq!(Schedule::HetPipeWave.max_in_flight(0, k, nm), 8);
         // Weight versions: fill-drain pins none beyond the resident
         // set; the wave schedule stashes one per extra in-flight
         // minibatch (the paper's w_p stashing); 1F1B double-buffers
         // (PipeDream-2BW) and pins exactly one shadow copy while
         // pipelining, none when the window is 1.
-        assert_eq!(FillDrain.extra_weight_versions(0, k, nm), 0);
-        assert_eq!(OneFOneB.extra_weight_versions(0, k, nm), 1);
-        assert_eq!(OneFOneB.extra_weight_versions(k - 1, k, nm), 0);
-        assert_eq!(HetPipeWave.extra_weight_versions(0, k, nm), 7);
+        assert_eq!(Schedule::FillDrain.extra_weight_versions(0, k, nm), 0);
+        assert_eq!(Schedule::OneFOneB.extra_weight_versions(0, k, nm), 1);
+        assert_eq!(Schedule::OneFOneB.extra_weight_versions(k - 1, k, nm), 0);
+        assert_eq!(Schedule::HetPipeWave.extra_weight_versions(0, k, nm), 7);
     }
 
     #[test]
     fn two_bw_caps_1f1b_weight_versions_at_one() {
+        let s = Schedule::OneFOneB;
         for k in [1usize, 2, 4, 8] {
             for nm in [1usize, 2, 4, 16] {
                 for stage in 0..k {
-                    let extra = OneFOneB.extra_weight_versions(stage, k, nm);
+                    let extra = s.extra_weight_versions(stage, k, nm);
                     assert!(extra <= 1, "2BW pins at most one shadow copy, got {extra}");
-                    let pipelining = OneFOneB.max_in_flight(stage, k, nm) > 1;
+                    let pipelining = s.max_in_flight(stage, k, nm) > 1;
                     assert_eq!(extra == 1, pipelining, "k={k} nm={nm} stage={stage}");
                 }
             }
@@ -1106,7 +882,7 @@ mod tests {
         // `in_flight − 1` copies.
         for chunks in [2usize, 4] {
             for composite in [false, true] {
-                let s = Interleaved1F1B { chunks, composite };
+                let s = interleaved(chunks, composite);
                 for k_gpus in [2usize, 4] {
                     let k = s.virtual_stages(k_gpus);
                     for nm in [1usize, 4, 8] {
@@ -1124,93 +900,64 @@ mod tests {
 
     #[test]
     fn interleaved_expands_virtual_stages() {
-        let s = Interleaved1F1B {
-            chunks: 3,
-            composite: true,
-        };
-        assert_eq!(s.virtual_stages(4), 12);
-        assert_eq!(
-            Schedule::Interleaved1F1B {
-                chunks: 3,
-                composite: true
-            }
-            .virtual_stages(4),
-            12
-        );
+        assert_eq!(interleaved(3, true).virtual_stages(4), 12);
         assert_eq!(Schedule::HetPipeWave.virtual_stages(4), 4);
     }
 
     #[test]
     fn colocated_stages_counts_chunks() {
-        assert_eq!(HetPipeWave.colocated_stages(), 1);
-        assert_eq!(FillDrain.colocated_stages(), 1);
-        assert_eq!(OneFOneB.colocated_stages(), 1);
-        for composite in [false, true] {
-            assert_eq!(
-                Interleaved1F1B {
-                    chunks: 3,
-                    composite
-                }
-                .colocated_stages(),
-                3
-            );
-            assert_eq!(
-                Schedule::Interleaved1F1B {
-                    chunks: 3,
-                    composite
-                }
-                .colocated_stages(),
-                3
-            );
+        let cases = [
+            (Schedule::HetPipeWave, 1),
+            (Schedule::FillDrain, 1),
+            (Schedule::OneFOneB, 1),
+            (interleaved(3, false), 3),
+            (interleaved(3, true), 3),
+        ];
+        for (s, want) in cases {
+            assert_eq!(s.colocated_stages(), want, "{s}");
         }
     }
 
     #[test]
-    fn enum_delegates_and_parses() {
-        let wsp = WspParams::new(4, 0);
+    fn parse_round_trips_display_and_rejects_zero_chunks() {
         for s in Schedule::ALL {
             assert_eq!(Schedule::parse(&s.to_string()), Some(s), "round-trip {s}");
-            // Delegation agrees with the concrete impl on a sample.
-            let k = s.virtual_stages(4);
-            let a: Vec<_> = s.stream(0, k, wsp).take(50).collect();
-            assert!(!a.is_empty());
+        }
+        for chunks in 1..=8 {
+            for composite in [false, true] {
+                let s = interleaved(chunks, composite);
+                assert_eq!(Schedule::parse(&s.to_string()), Some(s), "round-trip {s}");
+            }
+        }
+        for bad in [
+            "interleaved-1f1b:0",
+            "interleaved-1f1b-depth:0",
+            "interleaved:0",
+            "interleaved-depth:0",
+            "interleaved-1f1b:x",
+            "nope",
+        ] {
+            assert_eq!(Schedule::parse(bad), None, "{bad}");
         }
         assert_eq!(Schedule::parse("gpipe"), Some(Schedule::FillDrain));
         assert_eq!(
             Schedule::parse("interleaved-1f1b:4"),
-            Some(Schedule::Interleaved1F1B {
-                chunks: 4,
-                composite: true
-            })
+            Some(interleaved(4, true))
         );
         assert_eq!(
             Schedule::parse("interleaved-1f1b-depth:4"),
-            Some(Schedule::Interleaved1F1B {
-                chunks: 4,
-                composite: false
-            })
+            Some(interleaved(4, false))
         );
-        assert_eq!(Schedule::parse("nope"), None);
         assert_eq!(Schedule::default(), Schedule::HetPipeWave);
     }
 
     #[test]
     fn dispatch_disciplines() {
-        assert_eq!(HetPipeWave.dispatch(), Dispatch::ArrivalFifo);
-        assert_eq!(FillDrain.dispatch(), Dispatch::StreamOrder);
-        assert_eq!(OneFOneB.dispatch(), Dispatch::StreamOrder);
-        assert_eq!(
-            Interleaved1F1B::default().dispatch(),
-            Dispatch::GpuStreamOrder
-        );
-        assert_eq!(
-            Interleaved1F1B {
-                chunks: 2,
-                composite: false
-            }
-            .dispatch(),
-            Dispatch::StreamOrder
-        );
+        assert_eq!(Schedule::HetPipeWave.dispatch(), Dispatch::ArrivalFifo);
+        assert_eq!(Schedule::FillDrain.dispatch(), Dispatch::StreamOrder);
+        assert_eq!(Schedule::OneFOneB.dispatch(), Dispatch::StreamOrder);
+        assert_eq!(interleaved(2, true).dispatch(), Dispatch::GpuStreamOrder);
+        assert_eq!(interleaved(2, false).dispatch(), Dispatch::StreamOrder);
     }
 
     #[test]
@@ -1220,16 +967,13 @@ mod tests {
         // recompute placement, and wave decorations on GPU 0 only.
         for chunks in [1usize, 2, 3] {
             for k_gpus in [1usize, 2, 4] {
-                let sched = Interleaved1F1B {
-                    chunks,
-                    composite: true,
-                };
+                let sched = interleaved(chunks, true);
                 for nm in [1usize, 2, 4, 7] {
                     for d in [0usize, 2] {
                         let wsp = WspParams::new(nm, d);
                         for recompute in RecomputePolicy::ALL {
                             for gpu in 0..k_gpus {
-                                validate_gpu_stream(&sched, gpu, k_gpus, wsp, recompute, 400)
+                                validate_gpu_stream(sched, gpu, k_gpus, wsp, recompute, 400)
                                     .unwrap_or_else(|e| {
                                         panic!(
                                             "{e} (chunks={chunks} k_gpus={k_gpus} \
@@ -1253,13 +997,7 @@ mod tests {
         // min(GPUs, Nm) forwards.
         let (gpus, chunks, nm) = (4usize, 2usize, 6usize);
         let wsp = WspParams::new(nm, 0);
-        let sched = Interleaved1F1B {
-            chunks,
-            composite: true,
-        };
-        let ops: Vec<GpuOp> = sched
-            .gpu_stream(0, gpus, wsp)
-            .expect("composite stream")
+        let ops: Vec<GpuOp> = gpu_stream(interleaved(chunks, true), 0, gpus, wsp)
             .take(40)
             .collect();
         let first_chunk1 = ops
@@ -1284,19 +1022,14 @@ mod tests {
         // per-stage stream's op sequence exactly.
         let wsp = WspParams::new(4, 0);
         let (gpus, gpu) = (4usize, 1usize);
-        let composite: Vec<ScheduleOp> = Interleaved1F1B {
-            chunks: 1,
-            composite: true,
-        }
-        .gpu_stream(gpu, gpus, wsp)
-        .expect("composite stream")
-        .take(60)
-        .map(|g| {
-            assert_eq!(g.stage, gpu);
-            g.op
-        })
-        .collect();
-        let flat: Vec<ScheduleOp> = OneFOneB.stream(gpu, gpus, wsp).take(60).collect();
+        let composite: Vec<ScheduleOp> = gpu_stream(interleaved(1, true), gpu, gpus, wsp)
+            .take(60)
+            .map(|g| {
+                assert_eq!(g.stage, gpu);
+                g.op
+            })
+            .collect();
+        let flat: Vec<ScheduleOp> = Schedule::OneFOneB.stream(gpu, gpus, wsp).take(60).collect();
         assert_eq!(composite, flat);
     }
 
@@ -1308,10 +1041,8 @@ mod tests {
         // timetable is a cost optimization, not a semantic change.
         for chunks in [1usize, 2, 3] {
             for k_gpus in [1usize, 2, 4] {
-                let sched = Interleaved1F1B {
-                    chunks,
-                    composite: true,
-                };
+                let sched = interleaved(chunks, true);
+                let k = sched.virtual_stages(k_gpus);
                 for nm in [1usize, 4] {
                     let wsp = WspParams::new(nm, 1);
                     for recompute in RecomputePolicy::ALL {
@@ -1319,11 +1050,16 @@ mod tests {
                             .gpu_streams_with(k_gpus, wsp, recompute)
                             .expect("composite set");
                         assert_eq!(shared.len(), k_gpus);
+                        let caps: Vec<u64> = (0..k)
+                            .map(|s| sched.max_in_flight(s, k, nm) as u64)
+                            .collect();
+                        let remat: Vec<bool> = (0..k)
+                            .map(|s| sched.recomputes_at(s, k, nm, recompute))
+                            .collect();
                         let mut solo: Vec<_> = (0..k_gpus)
                             .map(|g| {
-                                sched
-                                    .gpu_stream_with(g, k_gpus, wsp, recompute)
-                                    .expect("composite stream")
+                                GpuStream::new(g, k_gpus, chunks, wsp, caps.clone())
+                                    .with_remat(remat.clone())
                             })
                             .collect();
                         // Pull round-robin across the shared handles
@@ -1353,42 +1089,42 @@ mod tests {
     #[test]
     fn composite_streams_are_deterministic() {
         let wsp = WspParams::new(4, 1);
-        let s = Interleaved1F1B {
-            chunks: 2,
-            composite: true,
-        };
-        let a: Vec<GpuOp> = s.gpu_stream(0, 4, wsp).unwrap().take(300).collect();
-        let b: Vec<GpuOp> = s.gpu_stream(0, 4, wsp).unwrap().take(300).collect();
+        let s = interleaved(2, true);
+        let a: Vec<GpuOp> = gpu_stream(s, 0, 4, wsp).take(300).collect();
+        let b: Vec<GpuOp> = gpu_stream(s, 0, 4, wsp).take(300).collect();
         assert_eq!(a, b);
     }
 
     #[test]
     fn flat_schedules_have_no_gpu_streams() {
         let wsp = WspParams::new(4, 0);
-        assert!(HetPipeWave.gpu_stream(0, 4, wsp).is_none());
-        assert!(FillDrain.gpu_stream(0, 4, wsp).is_none());
-        assert!(OneFOneB.gpu_stream(0, 4, wsp).is_none());
-        assert!(Interleaved1F1B {
-            chunks: 2,
-            composite: false
+        for s in Schedule::ALL {
+            let composite = matches!(
+                s,
+                Schedule::Interleaved1F1B {
+                    composite: true,
+                    ..
+                }
+            );
+            let streams = s.gpu_streams_with(4, wsp, RecomputePolicy::None);
+            assert_eq!(streams.is_some(), composite, "{s}");
         }
-        .gpu_stream(0, 4, wsp)
-        .is_none());
     }
 
     #[test]
     fn recomputes_at_skips_window_one_stages() {
         let on = RecomputePolicy::BoundaryOnly;
+        let (wave, ofob) = (Schedule::HetPipeWave, Schedule::OneFOneB);
         // Stream-order schedules: the last stage's 1F1B window is 1 —
         // Megatron's free-throughput skip.
-        assert!(OneFOneB.recomputes_at(0, 4, 4, on));
-        assert!(!OneFOneB.recomputes_at(3, 4, 4, on));
+        assert!(ofob.recomputes_at(0, 4, 4, on));
+        assert!(!ofob.recomputes_at(3, 4, 4, on));
         // The wave schedule's fused last stage never checkpoints; its
         // other stages do as long as Nm > 1.
-        assert!(HetPipeWave.recomputes_at(0, 4, 4, on));
-        assert!(!HetPipeWave.recomputes_at(3, 4, 4, on));
-        assert!(!HetPipeWave.recomputes_at(0, 4, 1, on));
+        assert!(wave.recomputes_at(0, 4, 4, on));
+        assert!(!wave.recomputes_at(3, 4, 4, on));
+        assert!(!wave.recomputes_at(0, 4, 1, on));
         // Policy off: never.
-        assert!(!OneFOneB.recomputes_at(0, 4, 4, RecomputePolicy::None));
+        assert!(!ofob.recomputes_at(0, 4, 4, RecomputePolicy::None));
     }
 }

@@ -629,7 +629,7 @@ impl GpuStream {
     /// emits a [`ScheduleOp::Recompute`]. The flags are the
     /// *schedule's own* per-stage checkpoint decisions
     /// ([`crate::PipelineSchedule::recomputes_at`], applied by
-    /// [`crate::PipelineSchedule::gpu_stream_with`]) — passed in,
+    /// [`crate::PipelineSchedule::gpu_streams_with`]) — passed in,
     /// like the window caps, so the stream's recompute placement can
     /// never drift from the memory/cost/executor accounting. Must be
     /// applied before the first op is pulled.

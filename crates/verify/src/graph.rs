@@ -61,8 +61,8 @@
 
 use hetpipe_des::{BoundEntity, OccupancyBound};
 use hetpipe_schedule::{
-    committed_queues, CommittedQueue, Dispatch, PipelineSchedule, RecomputePolicy, ScheduleOp,
-    WspParams,
+    committed_queues, CommittedQueue, Dispatch, PipelineSchedule, RecomputePolicy, Schedule,
+    ScheduleOp, WspParams,
 };
 use std::collections::HashMap;
 
@@ -548,7 +548,7 @@ fn wave_period(queues: &[CommittedQueue], wsp: WspParams, max_mb: u64) -> Option
 /// deadlock-freedom certificate for the configuration over minibatches
 /// `1..=max_mb`.
 pub fn verify_deadlock_free(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
@@ -613,7 +613,7 @@ fn walk_peak<'a>(
 /// contract, plus over-reservation lints. See the module docs for
 /// what "structural" means per dispatch discipline.
 pub fn structural_occupancy(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
@@ -694,32 +694,22 @@ pub fn structural_occupancy(
 mod tests {
     use super::*;
     use hetpipe_des::check_bounds;
-    use hetpipe_schedule::{
-        FillDrain, GpuOp, HetPipeWave, Interleaved1F1B, OneFOneB, QueueKind, Schedule,
-    };
-
-    fn all_schedules() -> Vec<Box<dyn PipelineSchedule>> {
-        Schedule::ALL
-            .iter()
-            .map(|s| Box::new(*s) as Box<dyn PipelineSchedule>)
-            .collect()
-    }
+    use hetpipe_schedule::{GpuOp, QueueKind};
 
     #[test]
     fn every_schedule_is_deadlock_free() {
-        for sched in all_schedules() {
+        for sched in Schedule::ALL {
             for k_gpus in [2usize, 4] {
                 for d in [0usize, 1] {
                     let wsp = WspParams::new(4, d);
                     for recompute in RecomputePolicy::ALL {
-                        let proof =
-                            verify_deadlock_free(sched.as_ref(), k_gpus, wsp, recompute, 24, 2)
-                                .unwrap_or_else(|c| {
-                                    panic!(
-                                        "{} (k_gpus={k_gpus}, d={d}, {recompute}): {c}",
-                                        sched.name()
-                                    )
-                                });
+                        let proof = verify_deadlock_free(sched, k_gpus, wsp, recompute, 24, 2)
+                            .unwrap_or_else(|c| {
+                                panic!(
+                                    "{} (k_gpus={k_gpus}, d={d}, {recompute}): {c}",
+                                    sched.name()
+                                )
+                            });
                         assert!(proof.nodes > 0);
                         assert!(proof.edges >= proof.nodes - 1);
                         assert_eq!(proof.vws, 2);
@@ -740,12 +730,12 @@ mod tests {
         // Nm = 4 on 3 GPUs: the composite timetable advances in chunk
         // groups of 3 minibatches, so the steady state repeats every
         // lcm(4, 3) / 4 = 3 waves — the witness must find it.
-        let sched = Interleaved1F1B {
+        let sched = Schedule::Interleaved1F1B {
             chunks: 2,
             composite: true,
         };
         let wsp = WspParams::new(4, 0);
-        let proof = verify_deadlock_free(&sched, 3, wsp, RecomputePolicy::None, 48, 2).unwrap();
+        let proof = verify_deadlock_free(sched, 3, wsp, RecomputePolicy::None, 48, 2).unwrap();
         assert_eq!(proof.wave_period, Some(3));
     }
 
@@ -829,11 +819,11 @@ mod tests {
 
     #[test]
     fn structural_bounds_are_sound_for_all_schedules() {
-        for sched in all_schedules() {
+        for sched in Schedule::ALL {
             for k_gpus in [2usize, 4] {
                 let wsp = WspParams::new(4, 0);
                 for recompute in RecomputePolicy::ALL {
-                    let report = structural_occupancy(sched.as_ref(), k_gpus, wsp, recompute, 24);
+                    let report = structural_occupancy(sched, k_gpus, wsp, recompute, 24);
                     check_bounds(&report.bounds)
                         .unwrap_or_else(|v| panic!("{} (k_gpus={k_gpus}): {v:?}", sched.name()));
                 }
@@ -845,7 +835,7 @@ mod tests {
     fn structural_peaks_match_known_schedule_shapes() {
         let wsp = WspParams::new(4, 0);
         // Fill-drain: every stage fills to Nm.
-        let r = structural_occupancy(&FillDrain, 4, wsp, RecomputePolicy::None, 24);
+        let r = structural_occupancy(Schedule::FillDrain, 4, wsp, RecomputePolicy::None, 24);
         for s in 0..4 {
             assert_eq!(r.bounds[s].structural, Some(4), "fill-drain stage {s}");
             assert_eq!(r.bounds[s].declared, 4);
@@ -854,7 +844,7 @@ mod tests {
         assert!(r.lints.is_empty());
         // 1F1B: stage s peaks at min(Nm, k−s) — exactly the declared
         // window, so no slack anywhere.
-        let r = structural_occupancy(&OneFOneB, 4, wsp, RecomputePolicy::None, 24);
+        let r = structural_occupancy(Schedule::OneFOneB, 4, wsp, RecomputePolicy::None, 24);
         for s in 0..4 {
             assert_eq!(
                 r.bounds[s].structural,
@@ -865,7 +855,7 @@ mod tests {
         }
         // Wave schedule: arrival-FIFO, structural = declared = Nm
         // (fused last stage: 1).
-        let r = structural_occupancy(&HetPipeWave, 4, wsp, RecomputePolicy::None, 24);
+        let r = structural_occupancy(Schedule::HetPipeWave, 4, wsp, RecomputePolicy::None, 24);
         assert!(!r.exact);
         for s in 0..3 {
             assert_eq!(r.bounds[s].structural, Some(4));
@@ -876,11 +866,11 @@ mod tests {
     #[test]
     fn composite_gpu_walk_is_jointly_exact() {
         let wsp = WspParams::new(4, 0);
-        let sched = Interleaved1F1B {
+        let sched = Schedule::Interleaved1F1B {
             chunks: 2,
             composite: true,
         };
-        let r = structural_occupancy(&sched, 4, wsp, RecomputePolicy::None, 24);
+        let r = structural_occupancy(sched, 4, wsp, RecomputePolicy::None, 24);
         let k = sched.virtual_stages(4);
         // Per-GPU joint peaks never exceed the summed declared bound…
         check_bounds(&r.bounds).unwrap();

@@ -31,7 +31,7 @@
 use crate::graph::{dependency_graph, DepGraphData, DepNode, EdgeKind};
 use hetpipe_des::footprint::{Footprint, FootprintResource, Owner};
 use hetpipe_schedule::{
-    committed_queues, CommittedQueue, PipelineSchedule, RecomputePolicy, WspParams,
+    committed_queues, CommittedQueue, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
 };
 
 /// The two ways an edge can refute the decomposition.
@@ -327,7 +327,7 @@ pub fn verify_isolation(
 /// virtual workers, builds the dependency graph, and proves every edge
 /// footprint-explained with cross-VW traffic confined to PS push→gate.
 pub fn verify_vw_isolation(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
@@ -391,7 +391,7 @@ mod tests {
     use crate::graph::DepEdge;
     use hetpipe_schedule::Schedule;
 
-    fn graph_for(sched: &dyn PipelineSchedule, vws: usize) -> (DepGraphData, FootprintModel) {
+    fn graph_for(sched: Schedule, vws: usize) -> (DepGraphData, FootprintModel) {
         let k_gpus = 4;
         let wsp = WspParams::new(4, 0);
         let recompute = RecomputePolicy::None;
@@ -412,7 +412,7 @@ mod tests {
     fn every_schedule_is_isolated() {
         for sched in Schedule::ALL {
             for recompute in RecomputePolicy::ALL {
-                let cert = verify_vw_isolation(&sched, 4, WspParams::new(4, 1), recompute, 24, 3)
+                let cert = verify_vw_isolation(sched, 4, WspParams::new(4, 1), recompute, 24, 3)
                     .unwrap_or_else(|v| panic!("{}: {v}", sched.name()));
                 assert!(cert.nodes > 0);
                 assert!(cert.edges > 0);
@@ -431,8 +431,8 @@ mod tests {
     fn cross_vw_edges_scale_with_worker_count() {
         // Each gate has one push edge per *other* VW (its own push is
         // same-VW): cross edges = gates × (vws − 1).
-        let (g2, m) = graph_for(&hetpipe_schedule::OneFOneB, 2);
-        let (g3, _) = graph_for(&hetpipe_schedule::OneFOneB, 3);
+        let (g2, m) = graph_for(Schedule::OneFOneB, 2);
+        let (g3, _) = graph_for(Schedule::OneFOneB, 3);
         let c2 = verify_isolation(&g2, m).unwrap();
         let c3 = verify_isolation(&g3, m).unwrap();
         let gates2 = g2
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn smuggled_cross_vw_data_edge_is_named() {
-        let (mut graph, model) = graph_for(&hetpipe_schedule::OneFOneB, 2);
+        let (mut graph, model) = graph_for(Schedule::OneFOneB, 2);
         // Smuggle a direct dependence from vw0's forward to vw1's
         // backward of the same (stage, mb) — the kind of edge a buggy
         // shared-buffer optimization would introduce.
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn under_declared_footprint_is_named() {
-        let (graph, model) = graph_for(&hetpipe_schedule::OneFOneB, 1);
+        let (graph, model) = graph_for(Schedule::OneFOneB, 1);
         // Forget that forwards produce their boundary output: the
         // Fwd(s−1) → Fwd(s) data edge loses its explanation.
         let err = verify_isolation_with(&graph, |n| {
@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn script_isolation_composes_and_refutes() {
-        let (graph, model) = graph_for(&hetpipe_schedule::OneFOneB, 2);
+        let (graph, model) = graph_for(Schedule::OneFOneB, 2);
         let cert = verify_isolation(&graph, model).unwrap();
         // Honest rate edges compose.
         let rate = Footprint {

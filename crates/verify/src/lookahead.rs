@@ -23,7 +23,7 @@
 //! built on the assumption.
 
 use hetpipe_schedule::{
-    committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, WspParams,
+    committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
 };
 
 /// The certified lookahead constants of one `(Nm, D)` configuration:
@@ -49,7 +49,7 @@ pub struct LookaheadWitness {
 /// Proves `sched`'s committed gate/push placement matches the
 /// closed-form lookahead bound over minibatches `1..=max_mb`.
 pub fn verify_lookahead(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
     recompute: RecomputePolicy,
@@ -127,7 +127,6 @@ pub fn verify_lookahead(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetpipe_schedule::Schedule;
 
     #[test]
     fn closed_form_matches_wsp_algebra() {
@@ -148,7 +147,7 @@ mod tests {
             for (nm, d) in [(2usize, 0usize), (4, 0), (4, 1)] {
                 let wsp = WspParams::new(nm, d);
                 for recompute in RecomputePolicy::ALL {
-                    let w = verify_lookahead(&sched, 4, wsp, recompute, (nm * 8) as u64)
+                    let w = verify_lookahead(sched, 4, wsp, recompute, (nm * 8) as u64)
                         .unwrap_or_else(|e| panic!("{e}"));
                     assert_eq!(w.warmup, ((d + 2) * nm - 1) as u64, "{}", sched.name());
                     assert_eq!(w.steady_segment, nm as u64);
@@ -164,14 +163,8 @@ mod tests {
         // A horizon too small to contain a single gate must refuse to
         // certify rather than vacuously succeed.
         let wsp = WspParams::new(4, 1);
-        let err = verify_lookahead(
-            &hetpipe_schedule::OneFOneB,
-            4,
-            wsp,
-            RecomputePolicy::None,
-            4,
-        )
-        .unwrap_err();
+        let err =
+            verify_lookahead(Schedule::OneFOneB, 4, wsp, RecomputePolicy::None, 4).unwrap_err();
         assert!(err.contains("nothing to certify"), "{err}");
     }
 }

@@ -29,7 +29,7 @@
 //!   staleness-sound; the report quantifies the savings against the
 //!   current per-in-flight-minibatch `w_p` stashing.
 
-use hetpipe_schedule::{PipelineSchedule, WspParams};
+use hetpipe_schedule::{PipelineSchedule, Schedule, WspParams};
 
 /// A staleness certificate: the exhaustively checked window plus the
 /// shift-induction witness extending it to all minibatches.
@@ -203,7 +203,7 @@ pub struct ChunkVersionDemand {
 /// stages; what varies per stage is only how many *extra* copies are
 /// pinned (1 where the stage's 1F1B window exceeds 1, else 0).
 pub fn interleaved_chunk_versions(
-    sched: &dyn PipelineSchedule,
+    sched: Schedule,
     k_gpus: usize,
     wsp: WspParams,
 ) -> Result<ChunkVersionDemand, String> {
@@ -239,7 +239,6 @@ pub fn interleaved_chunk_versions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetpipe_schedule::Interleaved1F1B;
 
     fn configs() -> Vec<WspParams> {
         let mut v = Vec::new();
@@ -288,12 +287,12 @@ mod tests {
 
     #[test]
     fn interleaved_two_bw_demand_is_one_version_per_busy_stage() {
-        let sched = Interleaved1F1B {
+        let sched = Schedule::Interleaved1F1B {
             chunks: 2,
             composite: true,
         };
         let wsp = WspParams::new(4, 0);
-        let demand = interleaved_chunk_versions(&sched, 4, wsp).unwrap();
+        let demand = interleaved_chunk_versions(sched, 4, wsp).unwrap();
         assert_eq!(demand.chunks, 2);
         assert_eq!(demand.per_stage_two_bw.len(), 8);
         // Every stage with window > 1 pins exactly one extra version;

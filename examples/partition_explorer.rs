@@ -9,8 +9,9 @@
 
 use hetpipe::cluster::{GpuKind, LinkKind};
 use hetpipe::model::memory::nm_saturation_limit;
-use hetpipe::partition::{max_feasible_nm, PartitionProblem, PartitionSolver};
+use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
 use hetpipe::prelude::*;
+use hetpipe::schedule::RecomputePolicy;
 
 fn main() {
     let graph = resnet152(32);
@@ -48,7 +49,8 @@ fn main() {
     for kinds in [[GpuKind::Rtx2060; 4], [GpuKind::TitanRtx; 4]] {
         let gpus: Vec<_> = kinds.iter().map(|k| k.spec()).collect();
         let limit = nm_saturation_limit(4);
-        match max_feasible_nm(&graph, &gpus, &links, limit) {
+        let (wave, none) = (Schedule::HetPipeWave, RecomputePolicy::None);
+        match max_feasible_nm_with(&graph, &gpus, &links, limit, wave, none) {
             Some((maxm, _)) => println!(
                 "  4x {:<16}: Max_m = {maxm} (pipeline saturates at {limit})",
                 gpus[0].name

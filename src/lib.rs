@@ -83,12 +83,12 @@
 //! let cluster = Cluster::paper_testbed();
 //! let model = vgg19(32);
 //! let config = SystemConfig {
-//!     schedule: Schedule::OneFOneB, // or FillDrain, HetPipeWave, or
-//!                                   // Interleaved1F1B { chunks: 2,
-//!                                   //   composite: true } — Megatron's
-//!                                   // composite per-GPU chunk order
-//!                                   // (composite: false keeps the
-//!                                   // depth-expanded variant)
+//!     // One `Schedule` variant per schedule: HetPipeWave (the
+//!     // default), FillDrain, OneFOneB, or Interleaved1F1B { chunks,
+//!     // composite } — `composite: true` runs Megatron's per-GPU
+//!     // chunk-group order, `false` the depth-expanded variant.
+//!     // `Schedule::parse` reads the CLI names ("interleaved-1f1b:2").
+//!     schedule: Schedule::OneFOneB,
 //!     ..SystemConfig::default()
 //! };
 //! let sys = HetPipeSystem::build(&cluster, &model, &config).expect("feasible");

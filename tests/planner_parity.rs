@@ -85,7 +85,7 @@ fn prefix_sums_match_naive_summation() {
                         graph.name
                     );
                     // Byte totals are integer arithmetic: exact.
-                    let terms = StageMemoryTerms::new(stage, k, 3, &schedule, recompute);
+                    let terms = StageMemoryTerms::new(stage, k, 3, schedule, recompute);
                     assert_eq!(
                         terms.stage_bytes(&graph, start..end),
                         TrainingMemoryModel::stage_bytes_with_naive(
@@ -94,7 +94,7 @@ fn prefix_sums_match_naive_summation() {
                             stage,
                             k,
                             3,
-                            &schedule,
+                            schedule,
                             recompute
                         ),
                         "{} {schedule} {recompute} stage {stage} {start}..{end}",

@@ -21,7 +21,7 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
@@ -200,15 +200,6 @@ fn canonical_lease_scale_up_recovers_throughput_and_recertifies() {
 // (b) Zero-scenario identity + frozen golden.
 // ------------------------------------------------------------------
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The frozen fingerprint of the zero-scenario baseline trace on the
 /// whimpy ResNet-152 configuration (HetPipeWave, 15 s horizon). This
 /// pins the baseline *across versions*: any change to the executor,
@@ -246,13 +237,14 @@ fn zero_scenario_is_bit_identical_and_matches_golden() {
     );
     // Frozen golden: fingerprint the full span list and the completion
     // instants (exact nanosecond ticks).
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::default();
     for span in plain.trace.spans() {
-        fp = fnv1a(fp, format!("{span:?}").as_bytes());
+        h.mix_bytes(format!("{span:?}").as_bytes());
     }
     for &t in &plain.vws[0].completions {
-        fp = fnv1a(fp, &t.as_nanos().to_le_bytes());
+        h.mix_bytes(&t.as_nanos().to_le_bytes());
     }
+    let fp = h.0;
     assert_eq!(
         fp, GOLDEN_ZERO_SCENARIO_FP,
         "zero-scenario baseline drifted from the frozen golden \

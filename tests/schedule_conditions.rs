@@ -381,7 +381,7 @@ fn static_streams_satisfy_their_own_invariants() {
     // The schedule-level counterpart of the trace checks above, over a
     // wider (k, Nm, D) grid than a simulation can cover.
     use hetpipe::core::WspParams;
-    use hetpipe::schedule::schedules::validate_stream;
+    use hetpipe::schedule::validate_stream_with;
     for schedule in all_schedules() {
         for k_gpus in [1usize, 2, 4, 6] {
             let k = schedule.virtual_stages(k_gpus);
@@ -389,7 +389,7 @@ fn static_streams_satisfy_their_own_invariants() {
                 for d in [0usize, 1, 4] {
                     let wsp = WspParams::new(nm, d);
                     for stage in 0..k {
-                        validate_stream(&schedule, stage, k, wsp, 400)
+                        validate_stream_with(schedule, stage, k, wsp, RecomputePolicy::None, 400)
                             .unwrap_or_else(|e| panic!("{e} (k_gpus={k_gpus} nm={nm} d={d})"));
                     }
                 }

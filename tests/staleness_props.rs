@@ -104,7 +104,7 @@ fn wave_indexing_roundtrip() {
 /// capping the stash cannot admit a run WSP would forbid.
 #[test]
 fn two_bw_versions_respect_the_wsp_staleness_bound() {
-    use hetpipe::schedule::{OneFOneB, PipelineSchedule};
+    use hetpipe::schedule::{PipelineSchedule, Schedule};
     for nm in 1usize..12 {
         for d in 0usize..6 {
             let w = WspParams::new(nm, d);
@@ -130,7 +130,7 @@ fn two_bw_versions_respect_the_wsp_staleness_bound() {
     for k in 1usize..10 {
         for nm in 1usize..12 {
             for stage in 0..k {
-                assert!(OneFOneB.extra_weight_versions(stage, k, nm) <= 1);
+                assert!(Schedule::OneFOneB.extra_weight_versions(stage, k, nm) <= 1);
             }
         }
     }

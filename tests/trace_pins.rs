@@ -27,25 +27,21 @@
 use hetpipe::cluster::{Cluster, DeviceId};
 use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::PipelineSchedule;
 
-/// FNV-1a, fed field by field.
-struct Fnv(u64);
+/// Byte-wise FNV-1a fed field by field, little-endian.
+trait Fields {
+    fn u64(&mut self, v: u64);
+    fn time(&mut self, t: SimTime);
+}
 
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
+impl Fields for Fnv {
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.mix_bytes(&v.to_le_bytes());
     }
 
     fn time(&mut self, t: SimTime) {
@@ -55,10 +51,10 @@ impl Fnv {
 
 /// The digest of everything a run reports (see the module docs).
 fn digest(stats: &RunStats) -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv::default();
     h.u64(stats.trace.len() as u64);
     for span in stats.trace.spans() {
-        h.bytes(format!("{span:?}\n").as_bytes());
+        h.mix_bytes(format!("{span:?}\n").as_bytes());
     }
     h.u64(stats.vws.len() as u64);
     for vw in &stats.vws {

@@ -71,7 +71,7 @@ fn measured_structural_declared_chain_holds_on_golden_configs() {
         for recompute in RecomputePolicy::ALL {
             let label = format!("{} {recompute}", schedule.name());
             let audit = golden_audit(schedule, recompute);
-            let mut report = structural_occupancy(&schedule, K_GPUS, wsp, recompute, max_mb);
+            let mut report = structural_occupancy(schedule, K_GPUS, wsp, recompute, max_mb);
             audit.merge_measured(&mut report.bounds);
             // Every entity the trace observed must now carry all three
             // components of the chain.
@@ -118,7 +118,7 @@ fn injected_under_declaration_fails_the_bounds_pass() {
     // declaration one smaller than the 1F1B warmup window at stage 0:
     // the structural ≤ declared link must break.
     let wsp = WspParams::new(NM, 0);
-    let report = structural_occupancy(&Schedule::OneFOneB, K_GPUS, wsp, RecomputePolicy::None, 64);
+    let report = structural_occupancy(Schedule::OneFOneB, K_GPUS, wsp, RecomputePolicy::None, 64);
     let mut bounds: Vec<OccupancyBound> = report.bounds.clone();
     let stage0 = bounds
         .iter_mut()
@@ -170,7 +170,7 @@ fn structural_matches_dynamic_audit_keying() {
     for &schedule in Schedule::ALL.iter() {
         let k = schedule.virtual_stages(K_GPUS);
         let audit = golden_audit(schedule, RecomputePolicy::None);
-        let report = structural_occupancy(&schedule, K_GPUS, wsp, RecomputePolicy::None, 64);
+        let report = structural_occupancy(schedule, K_GPUS, wsp, RecomputePolicy::None, 64);
         assert_eq!(audit.stages.len(), k, "{}", schedule.name());
         assert_eq!(audit.gpus.len(), K_GPUS, "{}", schedule.name());
         assert_eq!(report.bounds.len(), k + K_GPUS, "{}", schedule.name());
@@ -195,7 +195,7 @@ fn wave_graph_and_model(vws: usize) -> (hetpipe::verify::DepGraphData, Footprint
     let schedule = Schedule::HetPipeWave;
     let wsp = WspParams::new(NM, 0);
     let k = schedule.virtual_stages(K_GPUS);
-    let queues = committed_queues(&schedule, K_GPUS, wsp, RecomputePolicy::None, 24);
+    let queues = committed_queues(schedule, K_GPUS, wsp, RecomputePolicy::None, 24);
     let sets: Vec<Vec<CommittedQueue>> = vec![queues; vws];
     let model = FootprintModel {
         k,
@@ -316,7 +316,7 @@ fn lookahead_witnesses_are_golden_pinned_per_schedule() {
         };
         for &schedule in Schedule::ALL.iter() {
             for recompute in RecomputePolicy::ALL {
-                let w = verify_lookahead(&schedule, K_GPUS, wsp, recompute, max_mb)
+                let w = verify_lookahead(schedule, K_GPUS, wsp, recompute, max_mb)
                     .unwrap_or_else(|e| panic!("{e}"));
                 assert_eq!(w, golden, "{} d={d} {recompute}", schedule.name());
             }
@@ -359,7 +359,7 @@ fn committed_queues_drive_the_facade_verifier() {
     // `verify_all` sweeps.
     let wsp = WspParams::new(NM, 0);
     let queues = committed_queues(
-        &Schedule::HetPipeWave,
+        Schedule::HetPipeWave,
         K_GPUS,
         wsp,
         RecomputePolicy::None,
