@@ -37,7 +37,7 @@
 //! `BENCH_fleet.json`), `--trace <path>` (merged chrome trace of the
 //! smallest fleet).
 
-use hetpipe_bench::{arg_value, usage_error};
+use hetpipe_bench::{arg_value, check_args, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind, Node};
 use hetpipe_core::exec::{run, ExecParams, RunStats, SegmentOpts};
 use hetpipe_core::pserver::ShardMap;
@@ -201,6 +201,7 @@ fn check_stats_parity(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--out", "--trace"], &["--quick"]).unwrap_or_else(|e| usage_error(&e));
     let quick = args.iter().any(|a| a == "--quick");
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))

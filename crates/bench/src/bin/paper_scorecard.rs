@@ -7,16 +7,12 @@
 //! missing value or any other argument exits 2; a failed write exits 1.
 
 use hetpipe_bench::scorecard::{self, Horizons};
-use hetpipe_bench::{arg_value, usage_error, write_json};
+use hetpipe_bench::{check_args, parse_flag, usage_error, write_json};
 
 fn main() {
-    let out: Option<String> = arg_value("--out").unwrap_or_else(|e| usage_error(&e));
-    let expected_args = if out.is_some() { 3 } else { 1 };
-    if std::env::args().count() != expected_args
-        || out.as_deref().is_some_and(|p| p.starts_with("--"))
-    {
-        usage_error("usage: paper_scorecard [--out <path>]");
-    }
+    let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--out"], &[]).unwrap_or_else(|e| usage_error(&e));
+    let out: Option<String> = parse_flag(&args, "--out").unwrap_or_else(|e| usage_error(&e));
 
     let horizons = Horizons::FULL;
     let mut claims = scorecard::deterministic_claims(&horizons);

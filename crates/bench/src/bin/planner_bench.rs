@@ -35,7 +35,7 @@
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
 
-use hetpipe_bench::{arg_value, usage_error};
+use hetpipe_bench::{arg_value, check_args, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind, LinkKind};
 use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig};
 use hetpipe_des::SimTime;
@@ -77,6 +77,7 @@ fn vrgq() -> Vec<hetpipe_cluster::gpu::GpuSpec> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--out"], &["--quick"]).unwrap_or_else(|e| usage_error(&e));
     let quick = args.iter().any(|a| a == "--quick");
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))

@@ -26,7 +26,7 @@
 //! Flags: `--quick` (fewer samples, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
 
-use hetpipe_bench::{arg_value, usage_error};
+use hetpipe_bench::{arg_value, check_args, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::VirtualWorker;
 use hetpipe_model::ModelGraph;
@@ -154,6 +154,7 @@ fn summarize(mut samples: Vec<f64>) -> (f64, Value) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--out"], &["--quick"]).unwrap_or_else(|e| usage_error(&e));
     let quick = args.iter().any(|a| a == "--quick");
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))

@@ -28,7 +28,7 @@
 //!   cells and the first few chaos seeds, script events, signals and
 //!   splices included as instant markers.
 
-use hetpipe_bench::{arg_value, check_horizon, print_table, usage_error};
+use hetpipe_bench::{arg_value, check_args, check_horizon, print_table, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -93,6 +93,9 @@ impl Gate {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--horizon", "--seeds", "--trace-out"], &[])
+        .unwrap_or_else(|e| usage_error(&e));
     let horizon_secs = arg_value("--horizon")
         .and_then(|h| check_horizon(h.unwrap_or(60.0)))
         .unwrap_or_else(|e| usage_error(&e));

@@ -35,7 +35,9 @@
 //!   scenario's shape), or `seeded:<n>` (a deterministic random
 //!   script).
 
-use hetpipe_bench::{arg_value, check_horizon, maybe_write_json, print_table, usage_error};
+use hetpipe_bench::{
+    arg_value, check_args, check_horizon, maybe_write_json, print_table, usage_error,
+};
 use hetpipe_cluster::{Cluster, GpuKind};
 use hetpipe_core::WspParams;
 use hetpipe_core::{
@@ -89,6 +91,13 @@ fn load_script(spec: &str, horizon_secs: f64) -> Result<ScenarioScript, String> 
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    check_args(
+        &args,
+        &["--horizon", "--trace-out", "--faults", "--json"],
+        &[],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
     let horizon_secs = arg_value("--horizon")
         .and_then(|h| check_horizon(h.unwrap_or(60.0)))
         .unwrap_or_else(|e| usage_error(&e));

@@ -3,7 +3,7 @@
 //! on any violation. CI runs it next to the planner and plan-service
 //! benchmark gates.
 //!
-//! Six passes, none of which executes the DES:
+//! Five passes, none of which executes the DES:
 //!
 //! 1. **Deadlock freedom** — every schedule × pipeline depth × WSP
 //!    config × recompute policy gets a machine-checked certificate:
@@ -22,20 +22,14 @@
 //!    (`IsolationCertificate` per config, with the canonical fault
 //!    scripts composed in as environment rate edges), and every gate
 //!    and push sits exactly where the closed-form lookahead bound
-//!    `(warmup (D+2)·Nm−1, steady Nm)` says.
-//! 4. **Fleet sync** — the fleet bus's [`SyncPlan`] constants are
-//!    *derived* from the `verify::lookahead` closed form (the plan
-//!    calls `lookahead_bound`, it does not restate it); this pass pins
-//!    the derivation against the PS interaction points extracted from
-//!    real committed op streams across every schedule and WSP config,
-//!    and runs a negative control: a deliberately off-by-one gate
-//!    position must be rejected with the wave and both positions
-//!    named.
-//! 5. **Staleness** — the WSP start condition and the 2BW version rule
+//!    `(warmup (D+2)·Nm−1, steady Nm)` says. A negative control shifts
+//!    one real extracted gate a forward late and requires the check to
+//!    reject it with the wave and both positions named.
+//! 4. **Staleness** — the WSP start condition and the 2BW version rule
 //!    are checked at every minibatch of a warmup-covering horizon for
 //!    each (Nm, D), plus the interleaved per-chunk 2BW version-demand
 //!    proof.
-//! 6. **Model checking** — the plan-cache MatchSeq invariant over
+//! 5. **Model checking** — the plan-cache MatchSeq invariant over
 //!    every interleaving of the standing 2- and 3-thread scenarios
 //!    (pinned to the multinomials), and the per-VW gate protocol over
 //!    3 engines in full plus 4 engines under sleep-set POR (63M
@@ -58,15 +52,17 @@
 //! on which zoo model's layers fill the stages — one proof per shape
 //! covers every model.
 
-use hetpipe_bench::{parse_flag, usage_error};
+use hetpipe_bench::{check_args, parse_flag, usage_error};
 use hetpipe_des::check_bounds;
-use hetpipe_fleet::SyncPlan;
 use hetpipe_runtime::ScenarioScript;
-use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule, WspParams};
+use hetpipe_schedule::{
+    committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
+};
 use hetpipe_verify::{
-    check_broken_gate_protocol, check_broken_protocol, check_gate_protocol, check_seq_protocol,
-    interleaved_chunk_versions, structural_occupancy, verify_deadlock_free, verify_lookahead,
-    verify_script_isolation, verify_version_rule, verify_vw_isolation, verify_wsp_bound,
+    check_broken_gate_protocol, check_broken_protocol, check_gate_protocol,
+    check_interaction_points, check_seq_protocol, interleaved_chunk_versions, structural_occupancy,
+    verify_deadlock_free, verify_lookahead, verify_script_isolation, verify_version_rule,
+    verify_vw_isolation, verify_wsp_bound,
 };
 use std::time::Instant;
 
@@ -93,19 +89,11 @@ impl Gate {
 fn main() {
     let started = Instant::now();
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, &["--report", "--budget-secs"], &[]).unwrap_or_else(|e| usage_error(&e));
     let report_path: Option<String> =
         parse_flag(&args, "--report").unwrap_or_else(|e| usage_error(&e));
     let budget_secs: Option<f64> =
         parse_flag(&args, "--budget-secs").unwrap_or_else(|e| usage_error(&e));
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--report" | "--budget-secs" => {
-                rest.next();
-            }
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
 
     let mut gate = Gate::default();
 
@@ -235,6 +223,37 @@ fn main() {
         "lookahead    {la_gates} gates + {la_pushes} pushes match the closed form: warmup \
          (D+2)·Nm−1 stage-0 forwards, then exactly Nm per gate-to-gate segment"
     ));
+    // Negative control: one real extracted gate shifted a forward late
+    // must be rejected, naming its wave and both positions.
+    {
+        let wsp = WspParams::new(4, 0);
+        let queues = committed_queues(Schedule::HetPipeWave, 4, wsp, RecomputePolicy::None, 40);
+        let mut pts = ps_interaction_points(&queues);
+        let certified = pts.gates[2].forwards_before;
+        pts.gates[2].forwards_before += 1;
+        match check_interaction_points(&pts, wsp) {
+            Err(e)
+                if e.contains("gate(w2)")
+                    && e.contains(&format!("after {} ", certified + 1))
+                    && e.contains(&format!("says {certified} ")) =>
+            {
+                gate.say(
+                    "lookahead    negative control: a real gate shifted one forward late is \
+                     rejected with its wave and both positions named (checker is not vacuous)"
+                        .into(),
+                );
+            }
+            Err(e) => gate.violations.push(format!(
+                "lookahead negative control FAILED: off-by-one gate rejected but not \
+                 named (got {e:?}) — the check cannot localize a drift"
+            )),
+            Ok(()) => gate.violations.push(
+                "lookahead negative control FAILED: a gate one forward late passed the \
+                 closed-form check — the lookahead pass is vacuous"
+                    .into(),
+            ),
+        }
+    }
 
     // Ranked declared/structural table: top of the table to stdout,
     // the full ranking to the artifact.
@@ -262,87 +281,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Pass 4: the fleet bus constants against the lookahead closed
-    // form — derivation pinned on real committed op streams, plus the
-    // off-by-one negative control.
-    // ------------------------------------------------------------------
-    let mut fleet_gates = 0usize;
-    let mut fleet_pushes = 0usize;
-    for &(nm, d) in &wsp_configs {
-        let wsp = WspParams::new(nm, d);
-        let plan = SyncPlan::derive(wsp);
-        // The derivation itself: the plan's constants must be exactly
-        // what the certified closed form returns for this config (the
-        // plan *calls* `lookahead_bound`; this pins that it keeps
-        // doing so).
-        let (warmup, steady) = hetpipe_verify::lookahead_bound(wsp);
-        if (plan.warmup, plan.steady) != (warmup, steady) {
-            gate.violations.push(format!(
-                "fleet-sync nm={nm} d={d}: SyncPlan ({}, {}) is not the certified \
-                 closed form ({warmup}, {steady})",
-                plan.warmup, plan.steady
-            ));
-        }
-        // The derived constants against the PS interaction points of
-        // real committed streams — the same material the lookahead
-        // certificate is proven over.
-        for &schedule in Schedule::ALL.iter() {
-            for &k_gpus in &depths {
-                let max_mb = (nm * (d + 6 + 2 * k_gpus)) as u64;
-                let queues = hetpipe_schedule::committed_queues(
-                    schedule,
-                    k_gpus,
-                    wsp,
-                    RecomputePolicy::None,
-                    max_mb,
-                );
-                let pts = hetpipe_schedule::ps_interaction_points(&queues);
-                let label = format!("{} k={k_gpus} nm={nm} d={d}", schedule.name());
-                if pts.gates.is_empty() {
-                    gate.violations
-                        .push(format!("fleet-sync {label}: no gates extracted"));
-                }
-                for g in &pts.gates {
-                    fleet_gates += 1;
-                    if let Err(e) = plan.check_gate(g.wave, g.forwards_before) {
-                        gate.violations.push(format!("{label}: {e}"));
-                    }
-                }
-                for p in &pts.pushes {
-                    fleet_pushes += 1;
-                    if let Err(e) = plan.check_push(p.wave, p.backwards_before) {
-                        gate.violations.push(format!("{label}: {e}"));
-                    }
-                }
-            }
-        }
-    }
-    // Negative control: a gate one forward late must be rejected, and
-    // the rejection must name the wave and the certified position.
-    {
-        let plan = SyncPlan::derive(WspParams::new(4, 0));
-        match plan.check_gate(2, plan.gate_point(2) + 1) {
-            Err(e) if e.contains("gate(wave 2)") && e.contains(&plan.gate_point(2).to_string()) => {
-                gate.say(format!(
-                    "fleet-sync   {fleet_gates} gates + {fleet_pushes} pushes match the \
-                     bus constants derived from the lookahead closed form; negative \
-                     control: off-by-one gate rejected and named ({e:?})"
-                ));
-            }
-            Err(e) => gate.violations.push(format!(
-                "negative control FAILED: off-by-one gate rejected but unnamed \
-                 (got {e:?}) — the fleet-sync check cannot localize a drift"
-            )),
-            Ok(()) => gate.violations.push(
-                "negative control FAILED: a deliberately off-by-one gate position \
-                 passed the fleet-sync check — the derivation pin is vacuous"
-                    .into(),
-            ),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Pass 5: exhaustive staleness proofs.
+    // Pass 4: exhaustive staleness proofs.
     // ------------------------------------------------------------------
     let mut staleness_checked = 0u64;
     for nm in [1usize, 2, 4, 8] {
@@ -396,7 +335,7 @@ fn main() {
     ));
 
     // ------------------------------------------------------------------
-    // Pass 6: model checking — MatchSeq and the gate protocol, each
+    // Pass 5: model checking — MatchSeq and the gate protocol, each
     // with its negative control.
     // ------------------------------------------------------------------
     match check_seq_protocol() {

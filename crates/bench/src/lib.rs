@@ -42,6 +42,36 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Checks a bin's command line (`args[0]` is the program) against
+/// the flags it takes: each of `valued` is followed by one value,
+/// each of `switches` stands alone. `Err` names the first unknown
+/// flag, stray positional, missing value, or value that starts with
+/// `--` (a forgotten value swallowing the next flag). Bins call it
+/// first and exit 2 ([`usage_error`]) on `Err`.
+pub fn check_args(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if switches.contains(&arg.as_str()) {
+            continue;
+        }
+        if !valued.contains(&arg.as_str()) {
+            return Err(if arg.starts_with("--") {
+                format!("unknown flag {arg}")
+            } else {
+                format!("unexpected argument {arg:?}")
+            });
+        }
+        match rest.next() {
+            None => return Err(format!("{arg} needs a value")),
+            Some(v) if v.starts_with("--") => {
+                return Err(format!("{arg} needs a value, got the flag {v}"))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
+}
+
 /// The value following flag `name` in `args`, parsed as `T`:
 /// `Ok(None)` when the flag is absent, `Err` when it has no value or
 /// the value does not parse.
@@ -127,6 +157,36 @@ mod tests {
         assert_eq!(
             parse_flag::<String>(&args, "--horizon"),
             Ok(Some("abc".to_string()))
+        );
+    }
+
+    #[test]
+    fn check_args_rejects_what_the_bin_does_not_take() {
+        let check = |line: &[&str]| {
+            let args: Vec<String> = std::iter::once("bin")
+                .chain(line.iter().copied())
+                .map(String::from)
+                .collect();
+            check_args(&args, &["--out", "--seeds"], &["--quick"])
+        };
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(
+            check(&["--quick", "--out", "x.json", "--seeds", "8"]),
+            Ok(())
+        );
+        assert_eq!(check(&["--seeds", "-1"]), Ok(()));
+        assert_eq!(
+            check(&["--bogus-flag", "1"]),
+            Err("unknown flag --bogus-flag".to_string())
+        );
+        assert_eq!(
+            check(&["--quick", "stray"]),
+            Err("unexpected argument \"stray\"".to_string())
+        );
+        assert_eq!(check(&["--out"]), Err("--out needs a value".to_string()));
+        assert_eq!(
+            check(&["--out", "--quick"]),
+            Err("--out needs a value, got the flag --quick".to_string())
         );
     }
 

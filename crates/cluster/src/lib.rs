@@ -26,6 +26,6 @@ pub mod node;
 pub mod topology;
 
 pub use gpu::{Architecture, GpuKind, GpuSpec};
-pub use network::{LinkKind, NetworkModel, TransferPath};
+pub use network::LinkKind;
 pub use node::{Cluster, Node};
 pub use topology::{DeviceId, NodeId};

@@ -16,9 +16,6 @@
 //! `table4.*.horovod_ips` rows land at 0.96–1.21 of the paper's
 //! all-reduce throughputs.
 
-use crate::node::Cluster;
-use crate::topology::DeviceId;
-
 /// PCIe 3.0 x16 peak bandwidth in bytes/second (15.75 GB/s, Section 8.1).
 pub const PCIE_PEAK_BYTES_PER_SEC: f64 = 15.75e9;
 
@@ -55,19 +52,14 @@ pub enum LinkKind {
     Pcie,
     /// Cross-node over InfiniBand.
     Infiniband,
-    /// Same-device "transfer" (no data movement).
-    Loopback,
 }
 
 impl LinkKind {
     /// Effective bandwidth of this link kind in bytes/second.
-    ///
-    /// Loopback is treated as infinitely fast (returns `f64::INFINITY`).
     pub fn effective_bandwidth(self) -> f64 {
         match self {
             LinkKind::Pcie => PCIE_PEAK_BYTES_PER_SEC * PCIE_SCALING_CONSTANT,
             LinkKind::Infiniband => IB_PEAK_BYTES_PER_SEC * IB_SLOPE_EFFICIENCY,
-            LinkKind::Loopback => f64::INFINITY,
         }
     }
 
@@ -76,7 +68,6 @@ impl LinkKind {
         match self {
             LinkKind::Pcie => PCIE_LATENCY_SECS,
             LinkKind::Infiniband => IB_LATENCY_SECS,
-            LinkKind::Loopback => 0.0,
         }
     }
 
@@ -88,63 +79,9 @@ impl LinkKind {
     /// use hetpipe_cluster::LinkKind;
     /// let t = LinkKind::Infiniband.transfer_secs(1 << 20);
     /// assert!(t > 0.0 && t < 1.0);
-    /// assert_eq!(LinkKind::Loopback.transfer_secs(1 << 30), 0.0);
     /// ```
     pub fn transfer_secs(self, bytes: u64) -> f64 {
-        if matches!(self, LinkKind::Loopback) {
-            return 0.0;
-        }
         self.latency() + bytes as f64 / self.effective_bandwidth()
-    }
-}
-
-/// A resolved communication path between two devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferPath {
-    /// Source device.
-    pub src: DeviceId,
-    /// Destination device.
-    pub dst: DeviceId,
-    /// Medium the path crosses.
-    pub link: LinkKind,
-}
-
-/// Cluster-level transfer-time oracle.
-///
-/// Wraps a [`Cluster`] and answers "how long does it take to move `b`
-/// bytes from GPU `a` to GPU `b`" questions, resolving intra- vs
-/// inter-node paths.
-#[derive(Debug, Clone)]
-pub struct NetworkModel {
-    cluster: Cluster,
-}
-
-impl NetworkModel {
-    /// Creates the transfer oracle for `cluster`.
-    pub fn new(cluster: Cluster) -> Self {
-        NetworkModel { cluster }
-    }
-
-    /// The wrapped cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Resolves the path between two devices.
-    pub fn path(&self, src: DeviceId, dst: DeviceId) -> TransferPath {
-        let link = if src == dst {
-            LinkKind::Loopback
-        } else if self.cluster.same_node(src, dst) {
-            LinkKind::Pcie
-        } else {
-            LinkKind::Infiniband
-        };
-        TransferPath { src, dst, link }
-    }
-
-    /// Time in seconds to move `bytes` from `src` to `dst`.
-    pub fn transfer_secs(&self, src: DeviceId, dst: DeviceId, bytes: u64) -> f64 {
-        self.path(src, dst).link.transfer_secs(bytes)
     }
 }
 
@@ -152,6 +89,7 @@ impl NetworkModel {
 mod tests {
     use super::*;
     use crate::node::Cluster;
+    use crate::topology::DeviceId;
 
     #[test]
     fn link_speeds_ordering() {
@@ -173,26 +111,21 @@ mod tests {
     fn zero_bytes_costs_only_latency() {
         assert_eq!(LinkKind::Pcie.transfer_secs(0), PCIE_LATENCY_SECS);
         assert_eq!(LinkKind::Infiniband.transfer_secs(0), IB_LATENCY_SECS);
-        assert_eq!(LinkKind::Loopback.transfer_secs(0), 0.0);
-    }
-
-    #[test]
-    fn path_resolution() {
-        let net = NetworkModel::new(Cluster::paper_testbed());
-        assert_eq!(net.path(DeviceId(0), DeviceId(0)).link, LinkKind::Loopback);
-        assert_eq!(net.path(DeviceId(0), DeviceId(1)).link, LinkKind::Pcie);
-        assert_eq!(
-            net.path(DeviceId(0), DeviceId(4)).link,
-            LinkKind::Infiniband
-        );
     }
 
     #[test]
     fn cross_node_slower_than_intra_node() {
-        let net = NetworkModel::new(Cluster::paper_testbed());
+        let cluster = Cluster::paper_testbed();
+        let link = |a, b| {
+            if cluster.same_node(DeviceId(a), DeviceId(b)) {
+                LinkKind::Pcie
+            } else {
+                LinkKind::Infiniband
+            }
+        };
         let bytes = 100 << 20;
-        let intra = net.transfer_secs(DeviceId(0), DeviceId(1), bytes);
-        let inter = net.transfer_secs(DeviceId(0), DeviceId(4), bytes);
+        let intra = link(0, 1).transfer_secs(bytes);
+        let inter = link(0, 4).transfer_secs(bytes);
         assert!(inter > intra);
     }
 }

@@ -68,23 +68,6 @@ impl AccuracyCurve {
     }
 }
 
-/// Samples `accuracy(t)` for `t` in `[0, horizon_secs]`, given a
-/// sustained update throughput in minibatches/second.
-pub fn accuracy_vs_time(
-    minibatches_per_sec: f64,
-    curve: &AccuracyCurve,
-    horizon_secs: f64,
-    points: usize,
-) -> Vec<(f64, f64)> {
-    assert!(points >= 2, "need at least two sample points");
-    (0..points)
-        .map(|i| {
-            let t = horizon_secs * i as f64 / (points - 1) as f64;
-            (t, curve.at(minibatches_per_sec * t))
-        })
-        .collect()
-}
-
 /// Wall-clock seconds to reach `target` accuracy at the given update
 /// throughput, if the curve ever reaches it.
 pub fn time_to_accuracy(
@@ -132,20 +115,6 @@ mod tests {
         let fast = time_to_accuracy(2.0, &c, 0.7).unwrap();
         assert!((slow - 200.0).abs() < 1e-12);
         assert!((fast - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accuracy_vs_time_shape() {
-        let c = curve();
-        let series = accuracy_vs_time(10.0, &c, 40.0, 5);
-        assert_eq!(series.len(), 5);
-        assert_eq!(series[0], (0.0, 0.1));
-        assert_eq!(series[4].0, 40.0);
-        assert_eq!(series[4].1, 0.74);
-        // Monotone non-decreasing for a monotone curve.
-        for w in series.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]

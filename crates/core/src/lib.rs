@@ -32,8 +32,8 @@
 //!   sharded concurrent memo cache shared by the order-search refine
 //!   pass and the `hetpipe-plansvc` plan cache.
 //! - [`convergence`] — composition of simulated throughput with
-//!   accuracy-per-update curves into accuracy-vs-time series
-//!   (Figures 5 and 6).
+//!   accuracy-per-update curves into time to accuracy (Figures 5
+//!   and 6).
 
 pub mod alloc;
 pub mod audit;

@@ -10,7 +10,7 @@
 //! that instant from three monotone per-VW streams:
 //!
 //! - **Announces**: each push's landing time, reported at push
-//!   *start* (chunk arrivals are reserved up front — the certified
+//!   *start* (chunk arrivals are reserved up front — the bus's
 //!   lookahead). Waves are contiguous from 0 and landings monotone
 //!   per VW.
 //! - **Frontiers**: a lock-free monotone lower bound on each VW's
@@ -24,15 +24,15 @@
 //! — with `S ≤ bound`, and (b) every VW that could still announce a
 //! push is provably past `S`, so the version is final. "Provably
 //! past" folds the bus's *lookahead*: a push announced during an
-//! action at `t` lands no earlier than `t + min_step` (the VW's
-//! certified minimum push duration, always positive when transfers
-//! are timed), so an unannounced landing from VW `u` is bounded below
-//! by `floor(u) + min_step(u)`. If the same fold over every
-//! contribution — announced landings exactly, unannounced ones by
-//! their floors-plus-lookahead — already exceeds `bound`, the poll
-//! resolves to [`ServePoll::NotBefore`] carrying that certified lower
-//! bound; the engine caches it and pops every local event strictly
-//! before it with no further bus traffic.
+//! action at `t` lands no earlier than `t + min_step` (a lower bound
+//! on the VW's push duration from transfer physics, always positive
+//! when transfers are timed), so an unannounced landing from VW `u`
+//! is bounded below by `floor(u) + min_step(u)`. If the same fold
+//! over every contribution — announced landings exactly, unannounced
+//! ones by their floors-plus-lookahead — already exceeds `bound`, the
+//! poll resolves to [`ServePoll::NotBefore`] carrying that certified
+//! lower bound; the engine caches it and pops every local event
+//! strictly before it with no further bus traffic.
 //!
 //! Otherwise the poll *registers* and returns [`ServePoll::Wait`]. A
 //! registration is a standing, sound description of the blocked VW's
@@ -83,7 +83,6 @@
 //! rule walks the registrations, but only when every live VW is
 //! registered.
 
-use crate::plan::SyncPlan;
 use hetpipe_core::{GateBus, ServePoll};
 use hetpipe_des::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,9 +212,6 @@ pub struct FleetBus {
     /// Lock-free monotone lower bounds on each VW's next action
     /// (nanoseconds), published on every event pop.
     frontiers: Vec<AtomicU64>,
-    /// The certified gate/push cadence (diagnostics; the landings
-    /// themselves carry the timing).
-    plan: SyncPlan,
     /// Per-VW lookahead: a certified lower bound on the duration of
     /// any of the VW's pushes (announce → landing). Zero is always
     /// sound (landings still fall strictly after the announcing
@@ -225,9 +221,9 @@ pub struct FleetBus {
 }
 
 impl FleetBus {
-    /// A bus for `vws` engines synchronizing under `plan`, with zero
-    /// lookahead (see [`FleetBus::set_min_steps`]).
-    pub fn new(vws: usize, plan: SyncPlan) -> FleetBus {
+    /// A bus for `vws` engines, with zero lookahead (see
+    /// [`FleetBus::set_min_steps`]).
+    pub fn new(vws: usize) -> FleetBus {
         FleetBus {
             state: Mutex::new(BusState {
                 waves: Vec::new(),
@@ -243,7 +239,6 @@ impl FleetBus {
             }),
             wake: Condvar::new(),
             frontiers: (0..vws).map(|_| AtomicU64::new(0)).collect(),
-            plan,
             min_step: vec![SimTime::ZERO; vws],
         }
     }
@@ -254,11 +249,6 @@ impl FleetBus {
     pub fn set_min_steps(&mut self, steps: Vec<SimTime>) {
         assert_eq!(steps.len(), self.frontiers.len());
         self.min_step = steps;
-    }
-
-    /// The certified sync-point constants this bus was built with.
-    pub fn plan(&self) -> SyncPlan {
-        self.plan
     }
 
     fn lock(&self) -> MutexGuard<'_, BusState> {
@@ -545,14 +535,9 @@ impl GateBus for FleetBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetpipe_core::WspParams;
-
-    fn bus(n: usize) -> FleetBus {
-        FleetBus::new(n, SyncPlan::derive(WspParams::new(4, 0)))
-    }
 
     fn bus_with_step(n: usize, step: u64) -> FleetBus {
-        let mut b = bus(n);
+        let mut b = FleetBus::new(n);
         b.set_min_steps(vec![SimTime::from_nanos(step); n]);
         b
     }
@@ -563,7 +548,7 @@ mod tests {
 
     #[test]
     fn serve_decided_once_all_landings_announced_and_frontiers_pass() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.announce_push(1, 0, ns(150));
         // VW 1 is past the crossing; VW 0 polls with its next event
@@ -581,7 +566,7 @@ mod tests {
 
     #[test]
     fn unannounced_landing_past_bound_is_not_before() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         // VW 1 has announced nothing but is provably past the bound;
         // with zero lookahead its landing falls strictly after its
@@ -624,7 +609,7 @@ mod tests {
                 version: 0
             }
         );
-        let zero = bus(2);
+        let zero = FleetBus::new(2);
         zero.announce_push(0, 0, ns(100));
         zero.announce_push(1, 0, ns(150));
         zero.publish_frontier(0, ns(90));
@@ -634,7 +619,7 @@ mod tests {
 
     #[test]
     fn lagging_frontier_blocks_and_registers() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.publish_frontier(1, ns(50)); // Could still announce ≤ bound.
         assert_eq!(b.poll_serve(0, 0, ns(90), ns(400)), ServePoll::Wait);
@@ -652,7 +637,7 @@ mod tests {
 
     #[test]
     fn version_counts_every_wave_landed_by_the_serve() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.announce_push(0, 1, ns(110));
         b.announce_push(1, 0, ns(105));
@@ -682,7 +667,7 @@ mod tests {
 
     #[test]
     fn done_vw_without_target_wave_makes_pull_unservable() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.finish(1);
         assert_eq!(
@@ -695,7 +680,7 @@ mod tests {
 
     #[test]
     fn version_is_capped_by_the_fully_announced_prefix() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         // VW 0 runs two waves ahead of VW 1: the fully announced
         // prefix is one wave long while VW 0 has announced three.
         b.announce_push(0, 0, ns(100));
@@ -733,7 +718,7 @@ mod tests {
 
     #[test]
     fn finished_vw_blocks_only_targets_past_its_last_wave() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.announce_push(0, 1, ns(150));
         b.announce_push(1, 0, ns(120));
@@ -769,14 +754,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "announced out of order")]
     fn non_contiguous_announce_panics() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.announce_push(0, 2, ns(120));
     }
 
     #[test]
     fn quiescent_rule_decides_the_earliest_serve() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         b.announce_push(0, 0, ns(100));
         b.announce_push(1, 0, ns(150));
         // Both registered: VW 1's frontier lags so the opportunistic
@@ -811,7 +796,7 @@ mod tests {
 
     #[test]
     fn quiescent_rule_lets_the_earliest_local_event_proceed() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         // No landings at all; both block. VW 0's next event at 80 is
         // the globally earliest action; any serve needs an announce at
         // an action ≥ 80 landing strictly later.
@@ -824,7 +809,7 @@ mod tests {
 
     #[test]
     fn generation_bumps_wake_waiters() {
-        let b = bus(2);
+        let b = FleetBus::new(2);
         let g0 = b.generation();
         b.announce_push(0, 0, ns(10));
         assert_ne!(b.generation(), g0);

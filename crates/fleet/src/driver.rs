@@ -15,7 +15,6 @@
 //! same per-VW event streams, traces, and stats.
 
 use crate::bus::{BusCounters, FleetBus};
-use crate::plan::SyncPlan;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::Cluster;
 use hetpipe_core::exec::{
@@ -183,7 +182,7 @@ pub fn run_fleet(cfg: &FleetConfig<'_>, horizon: SimTime) -> FleetReport {
     }
     let threads = cfg.threads.clamp(1, n);
     let bus = {
-        let mut bus = FleetBus::new(n, SyncPlan::derive(cfg.wsp));
+        let mut bus = FleetBus::new(n);
         bus.set_min_steps(cfg.vws.iter().map(|vw| min_push_step(cfg, vw)).collect());
         bus
     };

@@ -13,10 +13,10 @@
 //! run is deterministic and bit-identical to the single-engine
 //! executor regardless of thread count.
 //!
-//! # Certificates → runtime sync rules
+//! # Runtime sync rules and the certificates behind them
 //!
-//! Every runtime rule of the fleet decomposition is the operational
-//! form of a statically verified certificate from `hetpipe-verify`:
+//! The fleet decomposition's runtime rules and the `hetpipe-verify`
+//! results they rest on:
 //!
 //! - **VW isolation → the bus message types.** The isolation pass
 //!   certifies that every cross-VW dependency edge is a parameter-
@@ -26,16 +26,17 @@
 //!   polls — nothing else crosses engines, and the fleet topology
 //!   ([`FleetTopology`]) keeps each cell's GPU/NIC timelines
 //!   node-disjoint so no *resource* edge crosses either.
-//! - **Lookahead → the block points.** `hetpipe_verify::lookahead`
-//!   proves the closed form for where gates and pushes sit in every
-//!   committed op stream (gate of wave `w` after
-//!   `warmup + w·steady` stage-0 forwards; push of wave `w` at the
-//!   wave's last backward). [`SyncPlan`] *derives* its constants by
-//!   calling that closed form, and engines poll the bus only at those
-//!   points: a push's landing time is announced at push *start* (its
-//!   chunk arrivals are reserved up front), which is precisely the
-//!   lookahead that lets the conservative protocol decide serves
-//!   without rollback.
+//! - **Lookahead → the bus's horizon.** A push's landing time is
+//!   announced at push *start* (its chunk arrivals are reserved up
+//!   front), and the bus's lookahead is each VW's `min_push_step`: a
+//!   lower bound on any push's duration, taken from transfer physics
+//!   (link bandwidth over the VW's push chunks, divided by the fastest
+//!   NIC rate its script can reach). An unannounced landing therefore
+//!   lies at least that far past the VW's action floor, which is what
+//!   lets the conservative protocol decide serves without rollback.
+//!   `hetpipe_verify::lookahead`'s op-count closed form (where gates
+//!   and pushes sit in every committed op stream) is a static
+//!   certificate over the same streams; no runtime verdict reads it.
 //! - **Gate check → the advance rule.** The POR-model-checked
 //!   `ShadowGateProtocol` (`hetpipe_verify::gatecheck`) proves the
 //!   gate advance rule safe: a VW passes gate(`w`) only when *all*
@@ -56,12 +57,10 @@
 pub mod bus;
 pub mod driver;
 pub mod parity;
-pub mod plan;
 pub mod topo;
 
 pub use bus::{BusCounters, FleetBus};
 pub use driver::{run_fleet, FleetConfig, FleetReport, VwPartial};
 pub use hetpipe_core::{GateBus, ServePoll};
 pub use parity::{merged_spans, trace_fingerprint};
-pub use plan::SyncPlan;
 pub use topo::FleetTopology;

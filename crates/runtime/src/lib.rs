@@ -66,18 +66,14 @@
 //! report rebases to global indices — a drained boundary leaves
 //! nothing in flight, so "fresh + offset" *is* the correct resumed
 //! state, and the refill bubble is the reconfiguration's honest cost.
-//! (`ScheduleStream::resume_from` / `GpuStream::resume_from` are the
-//! stream-level form of the same boundary state, for splices that
-//! keep the stream objects alive.) At a boundary every VW has
-//! pushed the same whole number of waves and holds no in-flight
-//! minibatch, so the only weight state a continuation needs is the
-//! version the boundary wave closed — exactly the shadow copy
-//! PipeDream-2BW double buffering keeps (`WspParams::two_bw_version`).
-//! A continuation therefore starts *fully synchronized*, which is the
-//! most conservative configuration WSP's staleness gate can see:
-//! every distance-`D` bound that held for an uninterrupted run holds
-//! with slack for the spliced one. The refill bubble the drain pays
-//! is the honest price of reconfiguration.
+//! At a boundary every VW has pushed the same whole number of waves
+//! and holds no in-flight minibatch, so the only weight state a
+//! continuation needs is the version the boundary wave closed —
+//! exactly the shadow copy PipeDream-2BW double buffering keeps
+//! (`WspParams::two_bw_version`). A continuation therefore starts
+//! *fully synchronized*, which is the most conservative configuration
+//! WSP's staleness gate can see: every distance-`D` bound that held
+//! for an uninterrupted run holds with slack for the spliced one.
 //!
 //! # Determinism
 //!

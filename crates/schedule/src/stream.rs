@@ -19,32 +19,31 @@
 //!
 //! # Splicing reshaped pipelines at drained wave boundaries
 //!
-//! [`ScheduleStream::resume_from`] / [`GpuStream::resume_from`]
-//! fast-forward a fresh stream of the *same* shape past a boundary.
-//! But an elastic splice usually *reshapes* the pipeline — a GPU was
-//! lost, preempted, or re-admitted, or `Nm` changed — and then there
-//! is no same-shape stream to resume: the correct continuation is a
-//! **fresh stream of the new shape**, minibatches renumbered from 1,
-//! with the splice's global wave/minibatch offsets applied outside the
-//! stream (the runtime controller owns that bookkeeping). This is
-//! sound because a wave boundary is a full drain point: every
-//! minibatch of the boundary wave has completed its backward and
-//! nothing beyond it has been dispatched, so the WSP state the new
-//! stream assumes (clean slate, wave 0 local) is exactly the state the
-//! drained pipeline is in — the boundary wave's push/pull bookkeeping
-//! is settled by the splice itself.
+//! An elastic splice usually *reshapes* the pipeline — a GPU was
+//! lost, preempted, or re-admitted, or `Nm` changed — so there is no
+//! same-shape stream to continue: the continuation is a **fresh
+//! stream of the new shape**, minibatches renumbered from 1, with the
+//! splice's global wave/minibatch offsets applied outside the stream
+//! (the runtime controller owns that bookkeeping). This is sound
+//! because a wave boundary is a full drain point: every minibatch of
+//! the boundary wave has completed its backward and nothing beyond it
+//! has been dispatched, so the WSP state the new stream assumes
+//! (clean slate, wave 0 local) is exactly the state the drained
+//! pipeline is in — the boundary wave's push/pull bookkeeping is
+//! settled by the splice itself.
 //!
 //! `fresh_epoch_stream_is_the_spliced_continuation` pins the
 //! unchanged-shape specialization of that claim: for the drained base
 //! patterns (`BasePattern::FillDrain`, `BasePattern::Fused`) a
-//! renumbered fresh stream emits op-for-op the `resume_from` tail,
-//! modulo the boundary wave's own gate (already satisfied by the
-//! splice). For `BasePattern::Interleave` (1F1B overlap across the
-//! boundary) the fresh stream re-warms instead of inheriting the
-//! resumed stream's in-flight window — still a correct continuation
-//! (minibatches ≤ boundary complete, > boundary untouched), just not
-//! op-identical; the re-warmup is the throughput cost of a splice, not
-//! a correctness gap.
+//! renumbered fresh stream emits op-for-op the tail of one long
+//! stream past the boundary backward, modulo the boundary wave's own
+//! gate (already satisfied by the splice). For
+//! `BasePattern::Interleave` (1F1B overlap across the boundary) the
+//! fresh stream re-warms instead of inheriting the long stream's
+//! in-flight window — still a correct continuation (minibatches ≤
+//! boundary complete, > boundary untouched), just not op-identical;
+//! the re-warmup is the throughput cost of a splice, not a
+//! correctness gap.
 
 use crate::ops::{GpuOp, ScheduleOp};
 use crate::recompute::RecomputePolicy;
@@ -114,60 +113,6 @@ impl ScheduleStream {
             "recompute policy must be set before the stream starts"
         );
         self.recompute = policy;
-        self
-    }
-
-    /// Fast-forwards this (fresh) stream to the state immediately
-    /// after the wave-boundary backward: ops are generated and
-    /// discarded until the backward (or fused task) of `mb` — the last
-    /// minibatch of `wave` — and the [`ScheduleOp::Push`] of `wave`
-    /// that follows it on decorated stages have been emitted. The next
-    /// op pulled from the resumed stream is therefore exactly the op a
-    /// fresh stream would emit after that point: the resumed sequence
-    /// *is* the tail of a fresh stream, which is what lets a re-planned
-    /// executor splice a continuation at a wave boundary without
-    /// re-deriving mid-stream state (`tests/runtime_faults.rs` /
-    /// the stream tests pin the tail equality).
-    ///
-    /// `mb = 0` (before wave 0) returns the stream unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mb` is not the last minibatch of `wave`, or if the
-    /// stream has already emitted ops.
-    pub fn resume_from(mut self, wave: u64, mb: u64) -> Self {
-        assert!(
-            self.fwd_emitted == 0 && self.bwd_emitted == 0 && self.pending.is_empty(),
-            "resume_from requires a fresh stream"
-        );
-        if mb == 0 {
-            return self;
-        }
-        assert_eq!(
-            mb,
-            self.wsp.last_of_wave(wave),
-            "splices happen at wave boundaries"
-        );
-        // Discard popped ops (not generated state: `refill` batches a
-        // whole emission group into `pending`, so `bwd_emitted` runs
-        // ahead of what has actually been pulled).
-        loop {
-            match self.next() {
-                Some(ScheduleOp::Backward { mb: m }) | Some(ScheduleOp::FusedFwdBwd { mb: m })
-                    if m == mb =>
-                {
-                    break
-                }
-                Some(_) => {}
-                None => unreachable!("schedule streams are infinite"),
-            }
-        }
-        // Drain the rest of the boundary minibatch's emission group:
-        // the wave push (decorated stages) sits in `pending` right
-        // behind the backward that closed it.
-        while matches!(self.pending.front(), Some(ScheduleOp::Push { wave: w }) if *w <= wave) {
-            self.pending.pop_front();
-        }
         self
     }
 
@@ -274,7 +219,7 @@ impl Iterator for ScheduleStream {
 /// across handles cannot perturb the timetable — queues only buffer —
 /// so each GPU's emitted op sequence is identical to an independent
 /// replay.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Timetable {
     /// Physical GPUs in the pipeline (`p`).
     gpus: usize,
@@ -534,29 +479,6 @@ pub struct GpuStream {
     gpu: usize,
 }
 
-impl Clone for GpuStream {
-    /// Deep-clones the timetable state: the clone replays on from the
-    /// current state independently, sharing nothing with the original
-    /// (or with any set the original belongs to). The clone is a
-    /// *standalone* handle: it tracks (and buffers ops for) only its
-    /// own GPU — foreign queues a shared-set member had accumulated
-    /// are dropped, since the clone has no consumer for them and they
-    /// would otherwise grow without bound.
-    fn clone(&self) -> GpuStream {
-        let mut snapshot = self.shared.lock().expect("timetable lock").clone();
-        for g in 0..snapshot.track.len() {
-            snapshot.track[g] = g == self.gpu;
-            if g != self.gpu {
-                snapshot.queues[g].clear();
-            }
-        }
-        GpuStream {
-            shared: Arc::new(Mutex::new(snapshot)),
-            gpu: self.gpu,
-        }
-    }
-}
-
 impl GpuStream {
     /// Creates a *standalone* composite stream of `gpu` in a pipeline
     /// of `gpus` physical GPUs each hosting `chunks` virtual stages
@@ -652,59 +574,6 @@ impl GpuStream {
             );
             t.remat = remat;
         }
-        self
-    }
-
-    /// Fast-forwards this composite stream to the state immediately
-    /// after the wave-boundary backward of `mb` (the last minibatch of
-    /// `wave`): ops are pulled and discarded until *every* co-located
-    /// chunk of this GPU has emitted its backward of `mb`, plus the
-    /// [`ScheduleOp::Push`] of `wave` on GPU 0 (which hosts virtual
-    /// stage 0). The next op pulled is exactly what a fresh stream
-    /// would emit after that point — the per-GPU form of
-    /// [`ScheduleStream::resume_from`], and the stream-level
-    /// prerequisite for splicing a re-planned continuation at a wave
-    /// boundary.
-    ///
-    /// Works on standalone handles and on [`GpuStream::shared_set`]
-    /// members alike (resume every member of a shared set, in any
-    /// order: each handle discards only its own queue, and the shared
-    /// timetable advances once). `mb = 0` returns the stream
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mb` is not the last minibatch of `wave`.
-    pub fn resume_from(mut self, wave: u64, mb: u64) -> Self {
-        if mb == 0 {
-            return self;
-        }
-        let (gpus, chunks) = {
-            let t = self.shared.lock().expect("timetable lock");
-            assert_eq!(
-                mb,
-                t.wsp.last_of_wave(wave),
-                "splices happen at wave boundaries"
-            );
-            (t.gpus, t.chunks)
-        };
-        let mut done = vec![0u64; chunks];
-        while done.iter().any(|&m| m < mb) {
-            let gop = self.next().expect("streams are infinite");
-            if let ScheduleOp::Backward { mb: m } = gop.op {
-                done[gop.stage / gpus] = m;
-            }
-        }
-        // The boundary wave's push is queued directly behind stage 0's
-        // backward; consume it so the resumed stream starts clean.
-        let mut t = self.shared.lock().expect("timetable lock");
-        while matches!(
-            t.queues[self.gpu].front(),
-            Some(GpuOp { op: ScheduleOp::Push { wave: w }, .. }) if *w <= wave
-        ) {
-            t.queues[self.gpu].pop_front();
-        }
-        drop(t);
         self
     }
 }
@@ -874,73 +743,13 @@ mod tests {
     }
 
     #[test]
-    fn resumed_stream_equals_tail_of_fresh() {
-        // The splice prerequisite: resume_from(wave, mb) must continue
-        // exactly where a fresh stream stands after emitting mb's
-        // backward (and the wave push on decorated stages) — for every
-        // base pattern, decorated and not.
-        for pattern in [
-            BasePattern::FillDrain,
-            BasePattern::Interleave { warmup: 3 },
-            BasePattern::Fused,
-        ] {
-            for stage in [0usize, 2] {
-                for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
-                    let wsp = WspParams::new(3, 1);
-                    let mk = || {
-                        ScheduleStream::new(pattern, stage, wsp).with_recompute(
-                            if pattern == BasePattern::Fused {
-                                RecomputePolicy::None
-                            } else {
-                                recompute
-                            },
-                        )
-                    };
-                    let (wave, mb) = (1u64, wsp.last_of_wave(1));
-                    let fresh: Vec<ScheduleOp> = mk().take(120).collect();
-                    // The cut point: right after Backward/Fused{mb} and
-                    // any immediately-following wave push.
-                    let bwd_at = fresh
-                        .iter()
-                        .position(|o| {
-                            matches!(o,
-                                ScheduleOp::Backward { mb: m }
-                                | ScheduleOp::FusedFwdBwd { mb: m } if *m == mb)
-                        })
-                        .expect("boundary backward in prefix");
-                    let mut cut = bwd_at + 1;
-                    while matches!(fresh.get(cut), Some(ScheduleOp::Push { .. })) {
-                        cut += 1;
-                    }
-                    let tail: Vec<ScheduleOp> = fresh[cut..].to_vec();
-                    let resumed: Vec<ScheduleOp> =
-                        mk().resume_from(wave, mb).take(tail.len()).collect();
-                    assert_eq!(
-                        resumed, tail,
-                        "{pattern:?} stage {stage} {recompute}: resumed != fresh tail"
-                    );
-                }
-            }
-        }
-        // mb = 0 is the identity.
-        let wsp = WspParams::new(4, 0);
-        let a: Vec<ScheduleOp> = ScheduleStream::new(BasePattern::FillDrain, 0, wsp)
-            .resume_from(0, 0)
-            .take(20)
-            .collect();
-        let b: Vec<ScheduleOp> = ScheduleStream::new(BasePattern::FillDrain, 0, wsp)
-            .take(20)
-            .collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn fresh_epoch_stream_is_the_spliced_continuation() {
         // The reshaped-splice soundness claim, specialized to the
         // unchanged shape where it is checkable op-for-op: at a
         // drained wave boundary, a FRESH stream renumbered by the
         // boundary offsets (mb += boundary_mb, wave += boundary+1)
-        // emits exactly the resume_from tail — except the boundary
+        // emits exactly the tail of one long stream past the boundary
+        // backward (and the wave push behind it) — except the boundary
         // wave's own PullGate, which the splice has already satisfied.
         // This is what licenses the controller to splice reshaped
         // pipelines (different device set or Nm) with fresh streams of
@@ -967,117 +776,40 @@ mod tests {
                     let wsp = WspParams::new(3, s_global);
                     let boundary_wave = 1u64;
                     let boundary_mb = wsp.last_of_wave(boundary_wave);
-                    let resumed: Vec<ScheduleOp> = ScheduleStream::new(pattern, stage, wsp)
-                        .resume_from(boundary_wave, boundary_mb)
-                        .take(60)
-                        .collect();
+                    let long: Vec<ScheduleOp> =
+                        ScheduleStream::new(pattern, stage, wsp).take(100).collect();
+                    // The cut point: right after Backward/Fused{mb} and
+                    // any immediately-following wave push.
+                    let bwd_at = long
+                        .iter()
+                        .position(|o| {
+                            matches!(o,
+                                Backward { mb } | FusedFwdBwd { mb } if *mb == boundary_mb)
+                        })
+                        .expect("boundary backward in prefix");
+                    let mut cut = bwd_at + 1;
+                    while matches!(long.get(cut), Some(Push { .. })) {
+                        cut += 1;
+                    }
                     // Drop the boundary wave's own bookkeeping: the
                     // splice settles waves <= boundary before the new
                     // epoch starts.
-                    let resumed: Vec<ScheduleOp> = resumed
-                        .into_iter()
+                    let tail: Vec<ScheduleOp> = long[cut..cut + 60]
+                        .iter()
                         .filter(|op| !matches!(op, PullGate { wave } if *wave <= boundary_wave))
+                        .copied()
                         .collect();
                     let fresh: Vec<ScheduleOp> = ScheduleStream::new(pattern, stage, wsp)
                         .map(|op| renumber(&op, boundary_mb, boundary_wave + 1))
-                        .take(resumed.len())
+                        .take(tail.len())
                         .collect();
                     assert_eq!(
-                        fresh, resumed,
+                        fresh, tail,
                         "{pattern:?} stage {stage} s={s_global}: \
                          fresh epoch is not the spliced continuation"
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn resumed_gpu_stream_equals_tail_of_fresh() {
-        // Per-GPU form: after resume_from(wave, mb), each handle's op
-        // sequence equals the fresh stream's tail past the point where
-        // all of the GPU's chunks emitted Backward{mb} (plus the wave
-        // push on GPU 0). Checked per GPU across chunk counts and
-        // recompute, for standalone handles.
-        for chunks in [1usize, 2, 3] {
-            for gpus in [1usize, 2, 4] {
-                let wsp = WspParams::new(3, 0);
-                let k = chunks * gpus;
-                let caps: Vec<u64> = (0..k).map(|s| (wsp.nm.min(k - s)) as u64).collect();
-                let (wave, mb) = (1u64, wsp.last_of_wave(1));
-                for gpu in 0..gpus {
-                    let fresh: Vec<GpuOp> = GpuStream::new(gpu, gpus, chunks, wsp, caps.clone())
-                        .take(400)
-                        .collect();
-                    let mut done = vec![0u64; chunks];
-                    let mut cut = 0;
-                    for (i, gop) in fresh.iter().enumerate() {
-                        if let ScheduleOp::Backward { mb: m } = gop.op {
-                            done[gop.stage / gpus] = m;
-                        }
-                        if done.iter().all(|&m| m >= mb) {
-                            cut = i + 1;
-                            break;
-                        }
-                    }
-                    assert!(cut > 0, "prefix long enough to cross the boundary");
-                    while matches!(
-                        fresh.get(cut),
-                        Some(GpuOp {
-                            op: ScheduleOp::Push { .. },
-                            ..
-                        })
-                    ) {
-                        cut += 1;
-                    }
-                    let tail: Vec<GpuOp> = fresh[cut..cut + 100].to_vec();
-                    let resumed: Vec<GpuOp> = GpuStream::new(gpu, gpus, chunks, wsp, caps.clone())
-                        .resume_from(wave, mb)
-                        .take(100)
-                        .collect();
-                    assert_eq!(
-                        resumed, tail,
-                        "chunks={chunks} gpus={gpus} gpu={gpu}: resumed != fresh tail"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gpu_resume_from_zero_is_identity() {
-        let wsp = WspParams::new(4, 0);
-        let caps = vec![4, 3, 2, 1];
-        let a: Vec<GpuOp> = GpuStream::new(1, 2, 2, wsp, caps.clone())
-            .resume_from(0, 0)
-            .take(40)
-            .collect();
-        let b: Vec<GpuOp> = GpuStream::new(1, 2, 2, wsp, caps).take(40).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn resumed_shared_set_matches_standalone_resume() {
-        // Resuming every member of a shared set must leave each handle
-        // emitting exactly what its standalone resumed counterpart
-        // does — the shared timetable advances once, queues buffer.
-        let (gpus, chunks) = (4usize, 2usize);
-        let wsp = WspParams::new(4, 0);
-        let k = chunks * gpus;
-        let caps: Vec<u64> = (0..k).map(|s| (wsp.nm.min(k - s)) as u64).collect();
-        let (wave, mb) = (0u64, wsp.last_of_wave(0));
-        let shared: Vec<GpuStream> =
-            GpuStream::shared_set(gpus, chunks, wsp, caps.clone(), vec![false; k])
-                .into_iter()
-                .map(|s| s.resume_from(wave, mb))
-                .collect();
-        for (g, mut stream) in shared.into_iter().enumerate() {
-            let want: Vec<GpuOp> = GpuStream::new(g, gpus, chunks, wsp, caps.clone())
-                .resume_from(wave, mb)
-                .take(80)
-                .collect();
-            let got: Vec<GpuOp> = (0..80).map(|_| stream.next().unwrap()).collect();
-            assert_eq!(got, want, "gpu {g}");
         }
     }
 

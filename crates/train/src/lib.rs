@@ -21,23 +21,17 @@
 //!   ASP, with a staleness audit trail.
 //! - [`convex`] — convex problem instances and a deterministic
 //!   noisy-weight executor for validating the Theorem-1 regret bound.
-//! - [`decentral`] — the paper's future-work extension: AD-PSGD-style
-//!   decentralized (gossip) training without a parameter server.
 
 pub mod convex;
 pub mod data;
-pub mod decentral;
 pub mod mlp;
 pub mod ps;
 pub mod runner;
-pub mod schedule;
 pub mod sgd;
 pub mod tensor;
 
 pub use data::Dataset;
-pub use decentral::{train_gossip, GossipConfig, GossipOutcome};
 pub use mlp::Mlp;
 pub use ps::ParameterServer;
 pub use runner::{train, Mode, TrainConfig, TrainOutcome};
-pub use schedule::LrSchedule;
 pub use tensor::Matrix;

@@ -16,13 +16,9 @@
 //!   give **structural occupancy bounds** completing the
 //!   `measured ≤ structural ≤ declared` chain of
 //!   [`hetpipe_des::OccupancyBound`].
-//! - [`staleness`] — the WSP staleness algebra is checked at **every**
-//!   minibatch of a warmup-covering horizon, with a wave-shift
-//!   invariance witness as the induction step extending the finite
-//!   check to the infinite stream.
 //! - [`isolation`] / [`lookahead`] — the **fleet-decomposition
-//!   certificates** (the contract the parallel per-VW engine refactor
-//!   is built against). Every dependency-graph node declares a
+//!   certificates** (the contract the parallel per-VW engines are
+//!   built against). Every dependency-graph node declares a
 //!   read/write footprint in the [`hetpipe_des::footprint`]
 //!   vocabulary, whose resources are owned by one VW, by the
 //!   parameter server, or by the environment. The isolation pass
@@ -35,9 +31,9 @@
 //!   environment rate edges). The lookahead pass then proves each
 //!   VW's gate cadence matches the closed form in `(Nm, D)` —
 //!   `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards of warmup, then
-//!   exactly `Nm` per gate-to-gate segment — the conservative-sync
-//!   window ([`lookahead::LookaheadWitness`]) the engines will
-//!   advance by.
+//!   exactly `Nm` per gate-to-gate segment
+//!   ([`lookahead::LookaheadWitness`]): a static certificate of where
+//!   the fleet's engines meet the parameter server.
 //! - [`staleness`] — the WSP staleness algebra is checked at **every**
 //!   minibatch of a warmup-covering horizon, with a wave-shift
 //!   invariance witness as the induction step extending the finite
@@ -90,7 +86,9 @@ pub use isolation::{
     verify_isolation, verify_isolation_with, verify_script_isolation, verify_vw_isolation,
     FootprintModel, IsolationCertificate, IsolationViolation, IsolationViolationClass,
 };
-pub use lookahead::{lookahead_bound, verify_lookahead, LookaheadWitness};
+pub use lookahead::{
+    check_interaction_points, lookahead_bound, verify_lookahead, LookaheadWitness,
+};
 pub use staleness::{
     interleaved_chunk_versions, verify_version_rule, verify_wsp_bound, ChunkVersionDemand,
     StalenessProof,

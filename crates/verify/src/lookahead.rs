@@ -1,10 +1,11 @@
-//! Lookahead-window certificates: the closed-form gate cadence the
-//! per-VW engines will synchronize on.
+//! Lookahead-window certificates: the closed-form gate cadence of
+//! every committed op stream.
 //!
-//! Conservative parallel DES needs a *lookahead*: how far one engine
-//! may advance before it must observe the others. For the WSP
-//! decomposition that window is the gate-to-gate segment of the
-//! stage-0 stream, and it has a closed form in `(Nm, D)` alone:
+//! Under WSP a virtual worker meets the others only at parameter-
+//! server pushes and gates, so the gate-to-gate segment of the
+//! stage-0 stream is how far one VW's op stream runs before it must
+//! observe the others. The segment has a closed form in `(Nm, D)`
+//! alone:
 //!
 //! - **warmup**: `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards run
 //!   before the first gate (wave 0) — minibatch `p` needs no global
@@ -16,14 +17,17 @@
 //! [`verify_lookahead`] proves a configuration's committed queues
 //! place every gate and push exactly where the closed form says
 //! ([`hetpipe_schedule::ps_interaction_points`] extracts the committed
-//! positions), emitting a [`LookaheadWitness`] the engine refactor can
-//! golden-pin per schedule. A schedule whose stream drifted from the
-//! cadence — gating late (stale reads) or early (lost lookahead) —
-//! fails here with the offending gate named, before any engine is
-//! built on the assumption.
+//! positions, [`check_interaction_points`] checks them), emitting a
+//! [`LookaheadWitness`] that is golden-pinned per schedule. A
+//! schedule whose stream drifted from the cadence — gating late
+//! (stale reads) or early (lost lookahead) — fails here with the
+//! offending gate named. The certificate is static: the fleet's
+//! runtime lookahead is a push-duration bound (`hetpipe_fleet`'s
+//! bus), not these op counts.
 
 use hetpipe_schedule::{
-    committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
+    committed_queues, ps_interaction_points, PipelineSchedule, PsInteractions, RecomputePolicy,
+    Schedule, WspParams,
 };
 
 /// The certified lookahead constants of one `(Nm, D)` configuration:
@@ -57,7 +61,6 @@ pub fn verify_lookahead(
 ) -> Result<LookaheadWitness, String> {
     let queues = committed_queues(sched, k_gpus, wsp, recompute, max_mb);
     let pts = ps_interaction_points(&queues);
-    let (warmup, steady) = lookahead_bound(wsp);
     if pts.gates.is_empty() {
         return Err(format!(
             "{}: no gates within horizon {max_mb} (Nm={}, D={}) — nothing to certify; \
@@ -67,21 +70,36 @@ pub fn verify_lookahead(
             wsp.d
         ));
     }
+    check_interaction_points(&pts, wsp).map_err(|e| format!("{}: {e}", sched.name()))?;
+    let (warmup, steady) = lookahead_bound(wsp);
+    Ok(LookaheadWitness {
+        warmup,
+        steady_segment: steady,
+        gates: pts.gates.len(),
+        pushes: pts.pushes.len(),
+    })
+}
+
+/// Checks extracted PS interaction points against the closed form:
+/// gates and pushes cover consecutive waves from 0, gate(`w`) sits
+/// after `warmup + w·Nm` stage-0 forwards, and push(`w`) right after
+/// the wave's last backward. The error names the first offending
+/// point's wave, its observed position and the closed-form one.
+pub fn check_interaction_points(pts: &PsInteractions, wsp: WspParams) -> Result<(), String> {
+    let (warmup, steady) = lookahead_bound(wsp);
     for (i, g) in pts.gates.iter().enumerate() {
         if g.wave != i as u64 {
             return Err(format!(
-                "{}: gate #{i} is for wave {} — gates must cover consecutive waves \
+                "gate #{i} is for wave {} — gates must cover consecutive waves \
                  from 0 (a skipped wave would deadlock the coupled workers)",
-                sched.name(),
                 g.wave
             ));
         }
         let expect = g.wave * steady + warmup;
         if g.forwards_before != expect {
             return Err(format!(
-                "{}: gate(w{}) placed after {} stage-0 forwards, closed form says {} \
+                "gate(w{}) placed after {} stage-0 forwards, closed form says {} \
                  (warmup {} + {}·Nm) — the stream {} the certified lookahead",
-                sched.name(),
                 g.wave,
                 g.forwards_before,
                 expect,
@@ -98,30 +116,21 @@ pub fn verify_lookahead(
     for (i, p) in pts.pushes.iter().enumerate() {
         if p.wave != i as u64 {
             return Err(format!(
-                "{}: push #{i} is for wave {} — pushes must cover consecutive waves from 0",
-                sched.name(),
+                "push #{i} is for wave {} — pushes must cover consecutive waves from 0",
                 p.wave
             ));
         }
         let expect = wsp.last_of_wave(p.wave);
         if p.backwards_before != expect {
             return Err(format!(
-                "{}: push(w{}) placed after {} stage-0 backwards, but the wave's update \
+                "push(w{}) placed after {} stage-0 backwards, but the wave's update \
                  is complete exactly after backward {} — a push must publish the whole \
                  wave, no more, no less",
-                sched.name(),
-                p.wave,
-                p.backwards_before,
-                expect
+                p.wave, p.backwards_before, expect
             ));
         }
     }
-    Ok(LookaheadWitness {
-        warmup,
-        steady_segment: steady,
-        gates: pts.gates.len(),
-        pushes: pts.pushes.len(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -156,6 +165,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn off_by_one_gate_is_rejected_and_named() {
+        // Negative control: one real extracted gate shifted a forward
+        // late must fail, naming its wave and both positions.
+        let wsp = WspParams::new(4, 0);
+        let queues = committed_queues(Schedule::HetPipeWave, 4, wsp, RecomputePolicy::None, 40);
+        let mut pts = ps_interaction_points(&queues);
+        check_interaction_points(&pts, wsp).expect("real points pass");
+        let g = &mut pts.gates[2];
+        let certified = g.forwards_before;
+        g.forwards_before += 1;
+        let err = check_interaction_points(&pts, wsp).expect_err("off-by-one must be rejected");
+        assert!(err.contains("gate(w2)"), "names the wave: {err}");
+        assert!(
+            err.contains(&format!("after {} stage-0 forwards", certified + 1)),
+            "names the observed position: {err}"
+        );
+        assert!(
+            err.contains(&format!("closed form says {certified}")),
+            "names the certified position: {err}"
+        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub use hetpipe_verify as verify;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use hetpipe_allreduce::{HorovodBaseline, RingAllreduce};
-    pub use hetpipe_cluster::{Cluster, DeviceId, GpuKind, LinkKind, NetworkModel, Node, NodeId};
+    pub use hetpipe_cluster::{Cluster, DeviceId, GpuKind, LinkKind, Node, NodeId};
     pub use hetpipe_core::{
         AllocationPolicy, HetPipeSystem, Placement, SyncModel, SystemConfig, SystemReport,
         VirtualWorker,
