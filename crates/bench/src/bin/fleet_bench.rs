@@ -35,7 +35,7 @@
 //!
 //! Flags: `--quick` (small fleets, CI smoke), `--out <path>` (default
 //! `BENCH_fleet.json`), `--trace <path>` (merged chrome trace of the
-//! smallest fleet).
+//! smallest fleet). An output file that cannot be written exits 1.
 
 use hetpipe_bench::{arg_value, check_args, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind, Node};
@@ -219,6 +219,7 @@ fn main() {
     let graph = hetpipe_model::resnet50(32);
     let shards = ShardMap::build_vw_local(&graph);
     let mut violations: Vec<String> = Vec::new();
+    let mut trace_written = true;
     let mut rows = Vec::new();
 
     println!("fleet_bench: ResNet-50, 2-node cells, Nm={NM} D={D}, {cores} core(s)");
@@ -262,7 +263,10 @@ fn main() {
             );
             match named {
                 Ok(()) => println!("(merged trace written to {path})"),
-                Err(e) => eprintln!("cannot write {path}: {e}"),
+                Err(e) => {
+                    eprintln!("cannot write {path}: {e}");
+                    trace_written = false;
+                }
             }
         }
     }
@@ -381,6 +385,9 @@ fn main() {
         for v in &violations {
             eprintln!("  {v}");
         }
+        std::process::exit(1);
+    }
+    if !trace_written {
         std::process::exit(1);
     }
 }

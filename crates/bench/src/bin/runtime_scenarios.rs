@@ -20,6 +20,7 @@
 //!    grant → preempt → re-grant trace (the ≥ 15% acceptance bars
 //!    themselves are pinned in `tests/runtime_faults.rs` and
 //!    `tests/runtime_scenarios.rs`).
+//! 5. **Trace export**: every `--trace-out` file is written.
 //!
 //! Flags:
 //! - `--seeds <n>`: number of chaos scripts (default 32).
@@ -86,7 +87,7 @@ impl Gate {
             let path = format!("{prefix}-{script}-{}.json", policy.name());
             match report.write_chrome_trace(&path) {
                 Ok(()) => println!("(trace written to {path})"),
-                Err(e) => eprintln!("cannot write {path}: {e}"),
+                Err(e) => self.failures.push(format!("cannot write {path}: {e}")),
             }
         }
     }

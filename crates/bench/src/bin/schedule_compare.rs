@@ -15,7 +15,7 @@
 //! paper configuration where the composite stream's warmup handover
 //! pays off most).
 //!
-//! Every simulated cell is audited: trace-measured peak activation
+//! Every simulated cell is audited: measured peak activation
 //! occupancy must not exceed the declared memory accounting
 //! (per stage and per GPU). Any violation fails the run with a
 //! non-zero exit code — this is the CI memory-soundness smoke test.
@@ -24,7 +24,9 @@
 //! - `--json <path>`: machine-readable dump.
 //! - `--trace-out <prefix>`: write one `chrome://tracing` JSON file
 //!   per (cluster, model, schedule, recompute) cell, named
-//!   `<prefix>-<cluster>-<model>-<schedule>[-ckpt].json`.
+//!   `<prefix>-<cluster>-<model>-<schedule>[-ckpt].json`. Only these
+//!   runs keep their span trace. A file that cannot be written fails
+//!   the run (exit 1) once the sweep finishes.
 //! - `--horizon <secs>`: simulated horizon (default 60).
 //! - `--faults <spec>`: add a perturbed column — every cell re-run
 //!   under the fault script with the *static* (non-reactive) policy,
@@ -124,6 +126,7 @@ fn main() {
 
     let mut dump = Vec::new();
     let mut violations: Vec<String> = Vec::new();
+    let mut unwritten_traces = 0usize;
     // trace fingerprint -> path already written (serialize-once dedupe).
     let mut written_traces: std::collections::HashMap<u64, String> =
         std::collections::HashMap::new();
@@ -144,7 +147,11 @@ fn main() {
                     let ckpt = if recompute.is_on() { "on" } else { "off" };
                     match HetPipeSystem::build(cluster, graph, &config) {
                         Ok(sys) => {
-                            let (report, stats) = sys.run_with_stats(horizon);
+                            let (report, stats) = if trace_prefix.is_some() {
+                                sys.run_traced(horizon)
+                            } else {
+                                sys.run_with_stats(horizon)
+                            };
                             let ips = report.throughput_images_per_sec();
                             // Peak per-GPU memory across every VW, GiB.
                             let peak_bytes = (0..sys.virtual_workers().len())
@@ -153,8 +160,9 @@ fn main() {
                                 .unwrap_or(0);
                             let peak_gib = peak_bytes as f64 / (1u64 << 30) as f64;
                             // The memory-soundness smoke check: the
-                            // trace must stay within the declared
-                            // accounting for every stage and GPU.
+                            // measured occupancy must stay within the
+                            // declared accounting for every stage and
+                            // GPU.
                             let audit = OccupancyAudit::measure(
                                 &stats,
                                 sys.virtual_workers(),
@@ -236,15 +244,16 @@ fn main() {
                                 // instead of re-serializing.
                                 match written_traces.entry(trace_fingerprint(stats.trace.spans())) {
                                     std::collections::hash_map::Entry::Occupied(prev) => {
-                                        std::fs::copy(prev.get(), &path)
-                                            .map(|_| ())
-                                            .unwrap_or_else(|e| {
-                                                eprintln!("cannot copy to {path}: {e}")
-                                            });
-                                        println!(
-                                            "(trace copied to {path}, identical to {})",
-                                            prev.get()
-                                        );
+                                        match std::fs::copy(prev.get(), &path) {
+                                            Ok(_) => println!(
+                                                "(trace copied to {path}, identical to {})",
+                                                prev.get()
+                                            ),
+                                            Err(e) => {
+                                                eprintln!("cannot copy to {path}: {e}");
+                                                unwritten_traces += 1;
+                                            }
+                                        }
                                     }
                                     std::collections::hash_map::Entry::Vacant(slot) => {
                                         let pool = &stats.pool;
@@ -262,7 +271,10 @@ fn main() {
                                                 slot.insert(path.clone());
                                                 println!("(trace written to {path})");
                                             }
-                                            Err(e) => eprintln!("cannot write {path}: {e}"),
+                                            Err(e) => {
+                                                eprintln!("cannot write {path}: {e}");
+                                                unwritten_traces += 1;
+                                            }
                                         }
                                     }
                                 }
@@ -331,6 +343,11 @@ fn main() {
         for v in &violations {
             eprintln!("  {v}");
         }
+    }
+    if unwritten_traces > 0 {
+        eprintln!("\n{unwritten_traces} chrome trace file(s) could not be written");
+    }
+    if !violations.is_empty() || unwritten_traces > 0 {
         std::process::exit(1);
     }
 }

@@ -5,26 +5,108 @@
 //! ([`PipelineSchedule::max_in_flight`]), and the executor keeps every
 //! run within that window: lanes by their stream order, arrival-FIFO
 //! by its `Nm` injection cap. This module closes the loop: it
-//! measures the *realized* peak occupancy from a run's span trace — a
-//! minibatch holds an activation set at a stage from its forward's
-//! completion until its backward's completion — and asserts
-//! measured ≤ declared as a first-class invariant, per stage and per
-//! physical GPU.
+//! measures the *realized* peak occupancy of a run — a minibatch
+//! holds an activation set at a stage from its forward's completion
+//! until its backward's completion — and asserts measured ≤ declared
+//! as a first-class invariant, per stage and per physical GPU.
 //!
-//! The measurement is one pass over the trace into dense per-stage
-//! event vectors (one allocation per stage, none per span), folded by
-//! [`peak_of_events`], the trace's single definition of a measured
-//! peak.
+//! The measurement folds while the run executes: the executor hands
+//! each forward and backward span's end to an `OccupancyFold`, one
+//! [`PeakFold`] per stage and per physical GPU, and stores the peaks
+//! in [`RunStats::peaks`]. A run therefore needs no kept trace to be
+//! audited, and the peaks equal [`hetpipe_des::peak_of_events`] over
+//! the whole trace (`tests/report_parity.rs` checks this).
 //!
 //! Used by the tier-1 `schedule_conditions` tests and by the
 //! `schedule_compare` CI smoke run, which fails the build on any
 //! violation.
 
-use crate::exec::{RunStats, SpanTag};
+use crate::exec::RunStats;
 use crate::vw::VirtualWorker;
-use hetpipe_des::{peak_of_events, SimTime};
+use hetpipe_des::{PeakFold, SimTime};
 use hetpipe_schedule::{PipelineSchedule, Schedule};
 use std::fmt;
+
+/// One run's measured peak activation occupancy: the number of
+/// minibatches simultaneously holding activations, per stage and per
+/// physical GPU (co-located interleaved chunks summed).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MeasuredPeaks {
+    /// Per executor stage, laid out by [`VirtualWorker::stage_offsets`].
+    pub stages: Vec<i64>,
+    /// Per physical GPU, VW by VW, each VW's GPUs in position order.
+    pub gpus: Vec<i64>,
+}
+
+/// The in-run fold behind [`MeasuredPeaks`]. Occupancy events: +1 when
+/// a forward span ends (activations materialized), −1 when the
+/// matching backward span ends (released). The wave schedule's fused
+/// last-stage task carries both, a net-zero handoff; recompute spans
+/// are stage-local re-runs and carry nothing.
+pub(crate) struct OccupancyFold {
+    /// [`VirtualWorker::stage_offsets`] of the run.
+    offsets: Vec<usize>,
+    /// Per VW, the index of its first physical GPU in `gpus`.
+    gpu_offsets: Vec<usize>,
+    stages: Vec<PeakFold>,
+    /// One fold per physical GPU when stages are co-located; empty
+    /// otherwise, since a GPU's peak is then its stage's peak.
+    gpus: Vec<PeakFold>,
+    colocated: usize,
+}
+
+impl OccupancyFold {
+    pub(crate) fn new(vws: &[VirtualWorker], schedule: &Schedule) -> OccupancyFold {
+        let colocated = schedule.colocated_stages();
+        let offsets = VirtualWorker::stage_offsets(vws);
+        let mut gpu_offsets = vec![0];
+        for vw in vws {
+            gpu_offsets.push(gpu_offsets[gpu_offsets.len() - 1] + vw.stages() / colocated);
+        }
+        let gpus = if colocated == 1 {
+            0
+        } else {
+            gpu_offsets[vws.len()]
+        };
+        OccupancyFold {
+            stages: vec![PeakFold::default(); offsets[vws.len()]],
+            gpus: vec![PeakFold::default(); gpus],
+            offsets,
+            gpu_offsets,
+            colocated,
+        }
+    }
+
+    /// Books `delta` activation sets at `(vw, stage)` from instant `at`
+    /// on, recorded at `now` (`now <= at`, and `now` never decreases).
+    pub(crate) fn record(
+        &mut self,
+        vw: usize,
+        stage: usize,
+        now: SimTime,
+        at: SimTime,
+        delta: i64,
+    ) {
+        let slot = self.offsets[vw] + stage;
+        debug_assert!(slot < self.offsets[vw + 1], "vw{vw} has no stage {stage}");
+        self.stages[slot].push(now, at, delta);
+        if self.colocated > 1 {
+            let physical = self.gpu_offsets[vw + 1] - self.gpu_offsets[vw];
+            self.gpus[self.gpu_offsets[vw] + stage % physical].push(now, at, delta);
+        }
+    }
+
+    /// Applies every pending event and returns the peaks.
+    pub(crate) fn finish(mut self) -> MeasuredPeaks {
+        let stages: Vec<i64> = self.stages.iter_mut().map(PeakFold::finish).collect();
+        let gpus = if self.colocated == 1 {
+            stages.clone()
+        } else {
+            self.gpus.iter_mut().map(PeakFold::finish).collect()
+        };
+        MeasuredPeaks { stages, gpus }
+    }
+}
 
 /// One stage's measured-vs-declared occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +115,8 @@ pub struct StageOccupancy {
     pub vw: usize,
     /// Executor (virtual) stage index.
     pub stage: usize,
-    /// Trace-measured peak number of minibatches simultaneously
-    /// holding activations at the stage.
+    /// Measured peak number of minibatches simultaneously holding
+    /// activations at the stage.
     pub measured: i64,
     /// The schedule's declared (and memory-charged) bound.
     pub declared: i64,
@@ -99,69 +181,39 @@ pub struct OccupancyAudit {
 }
 
 impl OccupancyAudit {
-    /// Measures peak activation occupancy from `stats`' span trace and
-    /// pairs it with `schedule`'s declared accounting.
+    /// Pairs the peaks `stats` measured during the run
+    /// ([`RunStats::peaks`]) with `schedule`'s declared accounting: a
+    /// stage declares [`PipelineSchedule::max_in_flight`], a physical
+    /// GPU the sum over its co-located stages.
     ///
-    /// Occupancy events: +1 when a forward span ends (activations
-    /// materialized), −1 when the matching backward span ends
-    /// (released). The wave schedule's fused last-stage task carries
-    /// both, so it contributes a net-zero handoff; recompute spans are
-    /// stage-local re-runs and contribute nothing.
+    /// # Panics
     ///
-    /// One pass over the trace appends each event to its stage's
-    /// vector, laid out by [`VirtualWorker::stage_offsets`]: the pass
-    /// allocates per stage, never per span. A GPU's peak is its stage's peak when
-    /// stages are not co-located; otherwise it is the peak of the
-    /// co-located stages' events merged. Every peak goes through
-    /// [`peak_of_events`].
+    /// Panics unless `vws` has the stage layout of the run's VWs.
     pub fn measure(
         stats: &RunStats,
         vws: &[VirtualWorker],
         schedule: &Schedule,
         nm: usize,
     ) -> OccupancyAudit {
-        let fused = schedule.fused_last_stage();
         let colocated = schedule.colocated_stages();
-        let offset = VirtualWorker::stage_offsets(vws);
-        let mut events: Vec<Vec<(SimTime, i64)>> = vec![Vec::new(); offset[vws.len()]];
-        for span in stats.trace.spans() {
-            let (vw, stage, delta) = match span.tag {
-                SpanTag::Forward { vw, stage, .. } => (vw as usize, stage as usize, 1),
-                SpanTag::Backward { vw, stage, .. } => (vw as usize, stage as usize, -1),
-                _ => continue,
-            };
-            let slot = offset[vw] + stage;
-            debug_assert!(slot < offset[vw + 1], "vw{vw} has no stage {stage}");
-            events[slot].push((span.end, delta));
-            if fused && delta < 0 && slot + 1 == offset[vw + 1] {
-                // The fused task is its own forward.
-                events[slot].push((span.end, 1));
-            }
-        }
-
+        let peaks = &stats.peaks;
+        assert_eq!(
+            peaks.stages.len(),
+            VirtualWorker::stage_offsets(vws)[vws.len()],
+            "the audited VWs must be the run's"
+        );
+        let mut measured_stages = peaks.stages.iter().copied();
+        let mut measured_gpus = peaks.gpus.iter().copied();
         let mut stages = Vec::new();
         let mut gpus = Vec::new();
         for (vwi, vw) in vws.iter().enumerate() {
             let k = vw.stages();
             let physical = k / colocated;
-            let evs = &mut events[offset[vwi]..offset[vwi + 1]];
-            // Merge co-located stages before their peaks consume them.
-            let merged: Vec<i64> = if colocated == 1 {
-                Vec::new()
-            } else {
-                (0..physical)
-                    .map(|gpu| {
-                        let on_gpu = evs.iter().skip(gpu).step_by(physical);
-                        peak_of_events(on_gpu.flatten().copied().collect())
-                    })
-                    .collect()
-            };
-            let first = stages.len();
-            for (stage, e) in evs.iter_mut().enumerate() {
+            for stage in 0..k {
                 stages.push(StageOccupancy {
                     vw: vwi,
                     stage,
-                    measured: peak_of_events(std::mem::take(e)),
+                    measured: measured_stages.next().expect("one peak per stage"),
                     declared: schedule.max_in_flight(stage, k, nm) as i64,
                 });
             }
@@ -170,15 +222,10 @@ impl OccupancyAudit {
                     .filter(|s| s % physical == gpu)
                     .map(|s| schedule.max_in_flight(s, k, nm) as i64)
                     .sum();
-                let measured = if colocated == 1 {
-                    stages[first + gpu].measured
-                } else {
-                    merged[gpu]
-                };
                 gpus.push(GpuOccupancy {
                     vw: vwi,
                     gpu,
-                    measured,
+                    measured: measured_gpus.next().expect("one peak per physical GPU"),
                     declared,
                 });
             }
@@ -209,12 +256,12 @@ impl OccupancyAudit {
         self.stages.iter().all(StageOccupancy::sound) && self.gpus.iter().all(GpuOccupancy::sound)
     }
 
-    /// Folds the audit's trace-measured peaks into matching
+    /// Folds the audit's measured peaks into matching
     /// occupancy-bound triples by entity, completing the
     /// `measured ≤ structural ≤ declared` chain when the triples came
     /// from the static verifier's structural pass
     /// (`hetpipe_des::check_bounds` then judges all three at once).
-    /// Entities the trace never observed are left untouched.
+    /// Entities the audit does not cover are left untouched.
     pub fn merge_measured(&self, bounds: &mut [hetpipe_des::OccupancyBound]) {
         use hetpipe_des::BoundEntity;
         for bound in bounds.iter_mut() {
@@ -241,7 +288,7 @@ impl OccupancyAudit {
         let violations = self.violations();
         assert!(
             violations.is_empty(),
-            "{label}: trace-measured activation occupancy exceeds the declared \
+            "{label}: measured activation occupancy exceeds the declared \
              memory accounting:\n  {}",
             violations.join("\n  ")
         );

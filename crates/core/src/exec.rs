@@ -42,8 +42,9 @@
 //!   bounds every stage, so each non-fused stage must declare at least
 //!   `Nm` (checked at construction). Both disciplines keep
 //!   completion-based occupancy books that are asserted against the
-//!   declaration, and `crate::audit` measures the realized peaks from
-//!   the span trace as the first-class measured ≤ declared invariant.
+//!   declaration, and the run folds the realized peaks as it executes
+//!   ([`RunStats::peaks`]) for `crate::audit`'s first-class
+//!   measured ≤ declared invariant.
 //! - **Activation recomputation**: under
 //!   [`RecomputePolicy::BoundaryOnly`], every non-fused backward is
 //!   preceded by a stage-local forward re-run (an explicit
@@ -57,15 +58,23 @@
 //! lanes (latency + bandwidth, no contention). Parameter-server apply
 //! time is not modelled (the paper does not model it either).
 //!
+//! Spans go to a [`SpanSink`], a type parameter of the executor:
+//! [`run`], [`run_segment`] and the default [`VwEngine`] keep every
+//! span in a [`Trace`], and runs that need only the report and the
+//! audit keep none. The occupancy peaks and the report's integer
+//! partials fold while the run executes, so they cost no kept trace.
+//!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
 
+use crate::audit::{MeasuredPeaks, OccupancyFold};
+use crate::metrics::{ReportFold, SystemReport};
 use crate::pserver::{ShardMap, SyncChunk};
 use crate::sync::{GateBus, ServePoll, WspParams};
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
-use hetpipe_cluster::{Cluster, NodeId};
-use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, Trace};
+use hetpipe_cluster::{Cluster, DeviceId, NodeId};
+use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, SpanSink, Trace};
 use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{
@@ -233,8 +242,13 @@ pub struct RunStats {
     pub horizon: SimTime,
     /// Per-VW statistics.
     pub vws: Vec<VwStats>,
-    /// Span trace (GPU and NIC occupancy).
+    /// Span trace (GPU and NIC occupancy): every span for runs that
+    /// keep their trace ([`run`], [`run_segment`], a default
+    /// [`VwEngine`]), empty for runs that keep none.
     pub trace: Trace<SpanTag>,
+    /// Peak activation occupancy per stage and per physical GPU,
+    /// folded while the run executed (see `crate::audit`).
+    pub peaks: MeasuredPeaks,
     /// GPU resource IDs by device index.
     pub gpu_resources: Vec<ResourceId>,
     /// NIC resource IDs by node index.
@@ -256,8 +270,9 @@ pub struct RunStats {
     /// Planned per-VW per-stage backward compute times.
     pub planned_bwd: Vec<Vec<SimTime>>,
     /// Instant of the last processed event — for a draining segment
-    /// (`SegmentOpts::stop_after_mb`) this is the splice point where
-    /// the boundary wave's last work finished.
+    /// (`SegmentOpts::stop_after_mb`) the end of its last span, capped
+    /// at that instant: the splice point where the boundary wave's last
+    /// work finished.
     pub end: SimTime,
     /// DES events processed (the fleet bench's work unit).
     pub events: u64,
@@ -368,12 +383,20 @@ enum Coupling<'a> {
     Bus { bus: &'a dyn GateBus, id: usize },
 }
 
-struct Exec<'a> {
+struct Exec<'a, S> {
     p: ExecParams<'a>,
     coupling: Coupling<'a>,
     engine: Engine<Ev>,
     pool: ResourcePool,
-    trace: Trace<SpanTag>,
+    sink: S,
+    /// The audit's occupancy peaks, folded as spans are reserved.
+    occupancy: OccupancyFold,
+    /// The report's integer partials, folded as spans are reserved and
+    /// wait windows open and close; `None` for runs that build no
+    /// report.
+    report: Option<ReportFold>,
+    /// The latest end of any span recorded so far.
+    last_span_end: SimTime,
     gpu_res: Vec<ResourceId>,
     nic_res: Vec<ResourceId>,
     states: Vec<VwState>,
@@ -396,8 +419,16 @@ struct Exec<'a> {
     act_intra: u64,
 }
 
-impl<'a> Exec<'a> {
-    fn new(p: ExecParams<'a>, opts: SegmentOpts, horizon: SimTime, coupling: Coupling<'a>) -> Self {
+impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
+    /// Builds the executor. With a `warmup`, the run folds its report,
+    /// measuring busy time within `[warmup, horizon)`.
+    fn new(
+        p: ExecParams<'a>,
+        opts: SegmentOpts,
+        horizon: SimTime,
+        warmup: Option<SimTime>,
+        coupling: Coupling<'a>,
+    ) -> Self {
         if let Some(stop) = opts.stop_after_mb {
             assert!(
                 stop.is_multiple_of(p.wsp.nm as u64),
@@ -514,11 +545,15 @@ impl<'a> Exec<'a> {
             .collect();
 
         Exec {
+            occupancy: OccupancyFold::new(p.vws, &p.schedule),
+            report: warmup
+                .map(|warmup| ReportFold::new(cluster.device_count(), p.vws, warmup, horizon)),
             p,
             coupling,
             engine: Engine::new(),
             pool,
-            trace: Trace::new(),
+            sink: S::default(),
+            last_span_end: SimTime::ZERO,
             gpu_res,
             nic_res,
             states,
@@ -605,10 +640,16 @@ impl<'a> Exec<'a> {
             let (s1, e1) = self.pool.get_mut(a).reserve(start, dur);
             let (s2, e2) = self.pool.get_mut(b).reserve(start, dur);
             debug_assert_eq!((s1, e1), (s2, e2), "paired NIC slots must align");
-            self.trace.record(a, s1, e1, tag);
-            self.trace.record(b, s2, e2, tag);
+            self.record(a, s1, e1, tag);
+            self.record(b, s2, e2, tag);
             e1
         }
+    }
+
+    /// Hands a reserved span to the sink.
+    fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: SpanTag) {
+        self.last_span_end = self.last_span_end.max(end);
+        self.sink.record(resource, start, end, tag);
     }
 
     fn account_act(&mut self, from: NodeId, to: NodeId, bytes: u64) {
@@ -1045,10 +1086,26 @@ impl<'a> Exec<'a> {
             ),
             _ => unreachable!("{op:?} is not a compute op"),
         };
-        let gpu = self.gpu_of(vw, stage);
+        let device = self.p.vws[vw].devices[stage].0;
+        let gpu = self.gpu_res[device];
         let now = self.engine.now();
         let (s, e) = self.pool.get_mut(gpu).reserve_work(now, dur);
-        self.trace.record(gpu, s, e, tag);
+        self.record(gpu, s, e, tag);
+        if let Some(report) = &mut self.report {
+            report.record(device, now, s, e);
+        }
+        // Occupancy: a forward's end materializes an activation set, a
+        // backward's end releases it; the fused task does both.
+        match op {
+            ScheduleOp::Forward { .. } => self.occupancy.record(vw, stage, now, e, 1),
+            ScheduleOp::Backward { .. } | ScheduleOp::FusedFwdBwd { .. } => {
+                self.occupancy.record(vw, stage, now, e, -1);
+                if self.fused_at(vw, stage) {
+                    self.occupancy.record(vw, stage, now, e, 1);
+                }
+            }
+            _ => {}
+        }
         if let Some(done) = done {
             self.engine.schedule_at(e, done);
         }
@@ -1188,7 +1245,12 @@ impl<'a> Exec<'a> {
             let st = &mut self.states[vw];
             match &mut st.pull_request {
                 Some((t, _since)) => *t = (*t).max(target),
-                None => st.pull_request = Some((target, now)),
+                None => {
+                    st.pull_request = Some((target, now));
+                    if let Some(report) = &mut self.report {
+                        report.open_wait(vw, now);
+                    }
+                }
             }
         }
         // A new push may unblock any VW's pending pull. Under bus
@@ -1237,6 +1299,9 @@ impl<'a> Exec<'a> {
             st.pull_request = None;
             st.pull_serving_version = version;
         }
+        if let Some(report) = &mut self.report {
+            report.close_wait(vw, since, now);
+        }
         let n = self.chunks[vw].len();
         if n == 0 {
             let st = &mut self.states[vw];
@@ -1282,13 +1347,13 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn run(mut self) -> RunStats {
+    fn run(mut self) -> (RunStats, Option<ReportFold>) {
         self.prologue();
         let horizon = self.horizon;
         while let Some(ev) = self.engine.next_event_until(horizon) {
             self.handle(ev);
         }
-        self.finish_stats()
+        self.finish()
     }
 
     /// Installs rate timelines and schedules the initial events — the
@@ -1333,8 +1398,9 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Folds the finished simulation into [`RunStats`].
-    fn finish_stats(self) -> RunStats {
+    /// Folds the finished simulation into [`RunStats`] and, when the
+    /// run folds one, the report's partials.
+    fn finish(self) -> (RunStats, Option<ReportFold>) {
         let horizon = self.horizon;
         // A drained segment ends when its last span of work does, not
         // at engine quiescence: scheduled rate edges are first-class
@@ -1342,22 +1408,17 @@ impl<'a> Exec<'a> {
         // would otherwise inflate the epoch and ride out the whole
         // outage the splice was meant to dodge.
         let end = if self.opts.stop_after_mb.is_some() {
-            self.trace
-                .spans()
-                .iter()
-                .map(|s| s.end)
-                .max()
-                .unwrap_or(SimTime::ZERO)
-                .min(self.engine.now())
+            self.last_span_end.min(self.engine.now())
         } else {
             self.engine.now()
         };
-        RunStats {
+        let stats = RunStats {
             horizon,
             end,
             events: self.engine.processed(),
             vws: self.states.into_iter().map(|s| s.stats).collect(),
-            trace: self.trace,
+            trace: self.sink.into_trace(),
+            peaks: self.occupancy.finish(),
             gpu_resources: self.gpu_res,
             nic_resources: self.nic_res,
             pool: self.pool,
@@ -1367,13 +1428,14 @@ impl<'a> Exec<'a> {
             act_bytes_intra: self.act_intra,
             planned_fwd: self.fwd,
             planned_bwd: self.bwd,
-        }
+        };
+        (stats, self.report)
     }
 }
 
-/// Runs the pipeline simulation until `horizon`.
+/// Runs the pipeline simulation until `horizon`, keeping every span.
 pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
-    Exec::new(params, SegmentOpts::default(), horizon, Coupling::InProcess).run()
+    run_segment(params, SegmentOpts::default(), horizon)
 }
 
 /// Runs one *segment* of a fault-aware simulation: [`run`] extended
@@ -1381,9 +1443,31 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// changes (fault injection), an optional stop-and-drain point at a
 /// wave boundary (the splice the reactive runtime re-plans at), and a
 /// bounded lane reorder window. Default options make this identical
-/// to [`run`] — the zero-fault invariance.
+/// to [`run`] — the zero-fault invariance. Keeps every span.
 pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) -> RunStats {
-    Exec::new(params, opts, horizon, Coupling::InProcess).run()
+    Exec::<Trace<SpanTag>>::new(params, opts, horizon, None, Coupling::InProcess)
+        .run()
+        .0
+}
+
+/// [`run_segment`] with its spans sent to a sink of type `S`
+/// ([`hetpipe_des::Discard`] keeps none), plus the run's report with
+/// its measurement window starting at `warmup`. The report folds while
+/// the run executes, so it needs no kept trace, and it equals
+/// [`SystemReport::from_stats`] over the kept trace bit for bit.
+pub fn run_with_sink<S: SpanSink<SpanTag>>(
+    params: ExecParams<'_>,
+    opts: SegmentOpts,
+    horizon: SimTime,
+    warmup: SimTime,
+) -> (SystemReport, RunStats) {
+    let (cluster, batch_size) = (params.cluster, params.graph.batch_size);
+    let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
+    let (stats, fold) =
+        Exec::<S>::new(params, opts, horizon, Some(warmup), Coupling::InProcess).run();
+    let fold = fold.expect("a run given a warm-up folds its report");
+    let report = SystemReport::from_fold(&stats, cluster, batch_size, fold, &vw_devices);
+    (report, stats)
 }
 
 /// Result of one [`VwEngine::step`].
@@ -1427,8 +1511,11 @@ pub enum StepOutcome {
 /// The induction this keeps sound: the engine never pops a local
 /// event without first proving the pending serve lies strictly after
 /// it, so no serve ever lands in the engine's local past.
-pub struct VwEngine<'a> {
-    ex: Exec<'a>,
+///
+/// Spans go to a sink of type `S`: by default a [`Trace`] that keeps
+/// them all; [`hetpipe_des::Discard`] keeps none.
+pub struct VwEngine<'a, S = Trace<SpanTag>> {
+    ex: Exec<'a, S>,
     bus: &'a dyn GateBus,
     id: usize,
     /// Instant the current pull request became locally serveable
@@ -1443,7 +1530,7 @@ pub struct VwEngine<'a> {
     finished: bool,
 }
 
-impl<'a> VwEngine<'a> {
+impl<'a, S: SpanSink<SpanTag>> VwEngine<'a, S> {
     /// Builds the engine for the single VW in `params`, registered as
     /// `id` on `bus`. The prologue (rate timelines, initial inject
     /// events) runs immediately; no event is popped yet.
@@ -1453,13 +1540,14 @@ impl<'a> VwEngine<'a> {
         horizon: SimTime,
         bus: &'a dyn GateBus,
         id: usize,
-    ) -> VwEngine<'a> {
+    ) -> VwEngine<'a, S> {
         assert_eq!(
             params.vws.len(),
             1,
             "a fleet engine simulates exactly one VW"
         );
-        let mut ex = Exec::new(params, opts, horizon, Coupling::Bus { bus, id });
+        let coupling = Coupling::Bus { bus, id };
+        let mut ex = Exec::new(params, opts, horizon, None, coupling);
         ex.prologue();
         let mut eng = VwEngine {
             ex,
@@ -1576,7 +1664,7 @@ impl<'a> VwEngine<'a> {
     /// (trace spans carry local ids: `vw` is always 0 and resources
     /// index this engine's private pool).
     pub fn into_stats(self) -> RunStats {
-        self.ex.finish_stats()
+        self.ex.finish().0
     }
 }
 
@@ -2039,7 +2127,7 @@ mod tests {
         let graph = hetpipe_model::vgg19(32);
         let vws = build_vws(&cluster, &graph, &ed_groups()[..1], 4);
         let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
-        VwEngine::new(
+        let _: VwEngine<'_> = VwEngine::new(
             ExecParams {
                 cluster: &cluster,
                 graph: &graph,

@@ -22,7 +22,7 @@
 //!   executor-enforced activation windows, and activation
 //!   recomputation.
 //! - [`audit`] — the measured ≤ declared activation-occupancy audit:
-//!   trace-measured per-stage/per-GPU peaks checked against the
+//!   per-stage/per-GPU peaks measured during the run, checked against the
 //!   schedule's declared memory accounting.
 //! - [`system`] — end-to-end assembly and simulation entry point.
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true

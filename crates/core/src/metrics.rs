@@ -6,13 +6,23 @@
 //! time during synchronization (Section 8.4), and the cross-node traffic
 //! split (the 515 MB vs 103 MB comparison in Section 8.3).
 //!
-//! The report is one pass over the span trace: every GPU span is
-//! clipped into the measurement window and into the wait windows it
-//! overlaps, accumulating integer busy time per (device, window).
+//! A run folds its report while it executes (`ReportFold`), so it
+//! needs no kept trace: [`HetPipeSystem::run`] and
+//! [`HetPipeSystem::run_with_stats`] return that report.
+//! [`SystemReport::from_stats`] is the kept-trace path: one pass over
+//! a trace, for any warm-up. Both accumulate integer busy time and
+//! then run the same `f64` folds, so they agree bit for bit
+//! (`tests/report_parity.rs` checks both against per-window trace
+//! queries).
+//!
+//! [`HetPipeSystem::run`]: crate::HetPipeSystem::run
+//! [`HetPipeSystem::run_with_stats`]: crate::HetPipeSystem::run_with_stats
 
 use crate::exec::RunStats;
+use crate::vw::VirtualWorker;
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_des::{SimTime, Span};
+use std::collections::VecDeque;
 
 /// A complete report of one simulated training run.
 #[derive(Debug, Clone)]
@@ -47,7 +57,10 @@ pub struct SystemReport {
 }
 
 impl SystemReport {
-    /// Builds the report from raw run statistics.
+    /// Builds the report from a run's kept span trace (`exec::run`,
+    /// [`HetPipeSystem::run_traced`](crate::HetPipeSystem::run_traced)),
+    /// at any warm-up. A run that kept no trace has no spans to fold:
+    /// its report is the one the run folded as it executed.
     ///
     /// `vw_devices` lists each VW's stage devices (used for utilization
     /// aggregation; interleaved VWs repeat a GPU once per chunk, and
@@ -73,13 +86,6 @@ impl SystemReport {
         vw_devices: &[Vec<DeviceId>],
     ) -> SystemReport {
         let horizon = stats.horizon;
-        let minibatches_per_vw: Vec<u64> = stats
-            .vws
-            .iter()
-            .map(|v| v.completions.iter().filter(|&&t| t > warmup).count() as u64)
-            .collect();
-        let waves_per_vw: Vec<u64> = stats.vws.iter().map(|v| v.waves_pushed).collect();
-
         // Dense resource → device map; NIC resources map to nothing.
         let rid_end = stats.gpu_resources.iter().map(|r| r.0 + 1).max();
         let mut device_of = vec![usize::MAX; rid_end.unwrap_or(0)];
@@ -157,6 +163,73 @@ impl SystemReport {
             }
         }
 
+        // True idle inside waiting windows: window length minus mean GPU
+        // busy time of the VW's stages within the window.
+        let idle_in_wait_per_vw: Vec<SimTime> = books
+            .iter()
+            .map(|b| {
+                b.windows
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &(from, to))| {
+                        let row = &b.busy[w * b.columns..(w + 1) * b.columns];
+                        window_idle(from, to, &b.column, row)
+                    })
+                    .fold(SimTime::ZERO, |idle, w| idle + w)
+            })
+            .collect();
+        SystemReport::assemble(
+            stats,
+            cluster,
+            batch_size,
+            warmup,
+            vw_devices,
+            &busy,
+            idle_in_wait_per_vw,
+        )
+    }
+
+    /// Builds the report a run folded while it executed; `stats` and
+    /// `vw_devices` are that run's.
+    pub(crate) fn from_fold(
+        stats: &RunStats,
+        cluster: &Cluster,
+        batch_size: usize,
+        fold: ReportFold,
+        vw_devices: &[Vec<DeviceId>],
+    ) -> SystemReport {
+        debug_assert_eq!(fold.horizon, stats.horizon, "the fold is the run's");
+        let busy: Vec<SimTime> = fold.gpus.iter().map(|g| g.measured).collect();
+        let idle = fold.waits.iter().map(|w| w.idle).collect();
+        SystemReport::assemble(
+            stats,
+            cluster,
+            batch_size,
+            fold.warmup,
+            vw_devices,
+            &busy,
+            idle,
+        )
+    }
+
+    /// The report from integer busy time per device within
+    /// `[warmup, horizon)` and idle-in-wait time per VW.
+    fn assemble(
+        stats: &RunStats,
+        cluster: &Cluster,
+        batch_size: usize,
+        warmup: SimTime,
+        vw_devices: &[Vec<DeviceId>],
+        busy: &[SimTime],
+        idle_in_wait_per_vw: Vec<SimTime>,
+    ) -> SystemReport {
+        let horizon = stats.horizon;
+        let minibatches_per_vw: Vec<u64> = stats
+            .vws
+            .iter()
+            .map(|v| v.completions.iter().filter(|&&t| t > warmup).count() as u64)
+            .collect();
+        let waves_per_vw: Vec<u64> = stats.vws.iter().map(|v| v.waves_pushed).collect();
         let gpu_utilization: Vec<(DeviceId, f64)> = cluster
             .devices()
             .map(|d| {
@@ -175,26 +248,6 @@ impl SystemReport {
                 devs.iter()
                     .map(|d| gpu_utilization[d.0].1)
                     .fold(0.0, f64::max)
-            })
-            .collect();
-
-        // True idle inside waiting windows: window length minus mean GPU
-        // busy time of the VW's stages within the window.
-        let idle_in_wait_per_vw: Vec<SimTime> = books
-            .iter()
-            .map(|b| {
-                let mut idle = SimTime::ZERO;
-                if b.column.is_empty() {
-                    return idle;
-                }
-                for (w, &(from, to)) in b.windows.iter().enumerate() {
-                    let row = &b.busy[w * b.columns..(w + 1) * b.columns];
-                    let busy_avg: f64 = b.column.iter().map(|&c| row[c].as_secs()).sum::<f64>()
-                        / b.column.len() as f64;
-                    let window = (to - from).as_secs();
-                    idle += SimTime::from_secs((window - busy_avg).max(0.0));
-                }
-                idle
             })
             .collect();
 
@@ -246,6 +299,144 @@ impl SystemReport {
     pub fn idle_fraction_of_wait(&self) -> Option<f64> {
         let wait = self.total_pull_wait_secs();
         (wait > 0.0).then(|| self.total_idle_in_wait_secs() / wait)
+    }
+}
+
+/// True idle time inside the wait window `[from, to)`: its length minus
+/// the mean busy time of the VW's stage devices in it (stage `s` reads
+/// `row[column[s]]`), floored at zero.
+fn window_idle(from: SimTime, to: SimTime, column: &[usize], row: &[SimTime]) -> SimTime {
+    if column.is_empty() {
+        return SimTime::ZERO;
+    }
+    let busy_avg: f64 = column.iter().map(|&c| row[c].as_secs()).sum::<f64>() / column.len() as f64;
+    let window = (to - from).as_secs();
+    SimTime::from_secs((window - busy_avg).max(0.0))
+}
+
+/// A run's report, folded while the run executes: the executor hands
+/// it every GPU span as it reserves one and every wait window as it
+/// opens and closes. Holds O(devices + VWs) state plus each GPU's
+/// few spans reserved past the current instant.
+///
+/// Busy time within `[warmup, horizon)` is a per-span clip. A wait
+/// window needs each stage device's busy time before the window's two
+/// edges. Both edges are instants the run has reached, and every span
+/// starting before the current instant was recorded at or before its
+/// start, so that busy time is the GPU's ended spans plus the elapsed
+/// part of its reserved-ahead ones. The integers equal the trace pass
+/// of [`SystemReport::from_stats`], and the `f64` folds are shared.
+pub(crate) struct ReportFold {
+    warmup: SimTime,
+    horizon: SimTime,
+    /// Per cluster device.
+    gpus: Vec<GpuBusy>,
+    /// Per VW.
+    waits: Vec<WaitFold>,
+}
+
+/// One GPU's running busy time.
+#[derive(Default)]
+struct GpuBusy {
+    /// Busy time of the spans that ended by the latest recording.
+    ended: SimTime,
+    /// The spans that had not ended at the latest recording, in
+    /// recording order: the GPU's slots reserved ahead.
+    ahead: VecDeque<(SimTime, SimTime)>,
+    /// Busy time within `[warmup, horizon)`.
+    measured: SimTime,
+}
+
+impl GpuBusy {
+    /// Busy time before `t`, for `t` at or after the latest recording
+    /// instant.
+    fn before(&self, t: SimTime) -> SimTime {
+        self.ahead.iter().fold(self.ended, |busy, &(start, end)| {
+            busy + (end.min(t) - start)
+        })
+    }
+}
+
+/// One VW's wait windows, folded as they close.
+struct WaitFold {
+    /// The VW's distinct stage devices.
+    devices: Vec<usize>,
+    /// The index into `devices` of each stage's device.
+    column: Vec<usize>,
+    /// Per distinct device: its busy time before the open window's
+    /// start, then its busy time inside the window once it closes.
+    busy: Vec<SimTime>,
+    idle: SimTime,
+}
+
+impl ReportFold {
+    pub(crate) fn new(
+        devices: usize,
+        vws: &[VirtualWorker],
+        warmup: SimTime,
+        horizon: SimTime,
+    ) -> ReportFold {
+        let waits = vws
+            .iter()
+            .map(|vw| {
+                let mut distinct: Vec<usize> = Vec::new();
+                let column = vw
+                    .devices
+                    .iter()
+                    .map(|d| {
+                        distinct.iter().position(|&x| x == d.0).unwrap_or_else(|| {
+                            distinct.push(d.0);
+                            distinct.len() - 1
+                        })
+                    })
+                    .collect();
+                WaitFold {
+                    busy: vec![SimTime::ZERO; distinct.len()],
+                    devices: distinct,
+                    column,
+                    idle: SimTime::ZERO,
+                }
+            })
+            .collect();
+        ReportFold {
+            warmup,
+            horizon,
+            gpus: (0..devices).map(|_| GpuBusy::default()).collect(),
+            waits,
+        }
+    }
+
+    /// Takes the span `[start, end)` reserved at `now` on `device`.
+    pub(crate) fn record(&mut self, device: usize, now: SimTime, start: SimTime, end: SimTime) {
+        let gpu = &mut self.gpus[device];
+        while let Some(&(s, e)) = gpu.ahead.front() {
+            if e > now {
+                break;
+            }
+            gpu.ended += e - s;
+            gpu.ahead.pop_front();
+        }
+        if end > start {
+            gpu.ahead.push_back((start, end));
+            gpu.measured += end.min(self.horizon) - start.max(self.warmup);
+        }
+    }
+
+    /// `vw`'s wait window opens at `now`.
+    pub(crate) fn open_wait(&mut self, vw: usize, now: SimTime) {
+        let w = &mut self.waits[vw];
+        for (busy, &d) in w.busy.iter_mut().zip(&w.devices) {
+            *busy = self.gpus[d].before(now);
+        }
+    }
+
+    /// `vw`'s wait window `[from, now)` closes.
+    pub(crate) fn close_wait(&mut self, vw: usize, from: SimTime, now: SimTime) {
+        let w = &mut self.waits[vw];
+        for (busy, &d) in w.busy.iter_mut().zip(&w.devices) {
+            *busy = self.gpus[d].before(now) - *busy;
+        }
+        w.idle += window_idle(from, now, &w.column, &w.busy);
     }
 }
 

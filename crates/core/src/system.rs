@@ -7,14 +7,14 @@
 //! then [`HetPipeSystem::run`] simulates training and reports.
 
 use crate::alloc::{AllocError, AllocationPolicy};
-use crate::exec::{self, ExecParams};
+use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
 use crate::metrics::SystemReport;
 use crate::plankey;
 use crate::pserver::{Placement, ShardMap};
 use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_des::SimTime;
+use hetpipe_des::{Discard, SimTime, SpanSink, Trace};
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::ModelGraph;
 use hetpipe_partition::{
@@ -209,7 +209,7 @@ fn simulate_standalone_rate(
     let vws = [vw];
     // Long enough to amortize the pipeline fill several times over.
     let horizon = SimTime::from_secs((60.0 * latency).max(1.0));
-    let stats = exec::run(
+    let (_, stats) = exec::run_with_sink::<Discard>(
         ExecParams {
             cluster,
             graph,
@@ -220,7 +220,9 @@ fn simulate_standalone_rate(
             schedule: config.schedule,
             recompute: config.recompute,
         },
+        SegmentOpts::default(),
         horizon,
+        SimTime::ZERO,
     );
     let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
     let completed = stats.vws[0]
@@ -523,15 +525,28 @@ impl<'a> HetPipeSystem<'a> {
 
     /// Simulates training until `horizon` and reports.
     pub fn run(&self, horizon: SimTime) -> SystemReport {
-        let (report, _) = self.run_with_stats(horizon);
-        report
+        self.run_with_stats(horizon).0
     }
 
-    /// Simulates and returns both the report and the raw statistics
-    /// (for trace-level analyses such as Section 8.4).
-    pub fn run_with_stats(&self, horizon: SimTime) -> (SystemReport, exec::RunStats) {
+    /// Simulates and returns both the report and the raw statistics.
+    /// The run keeps no span trace (`RunStats::trace` is empty): its
+    /// report and its occupancy peaks fold while it executes.
+    /// [`HetPipeSystem::run_traced`] keeps every span.
+    pub fn run_with_stats(&self, horizon: SimTime) -> (SystemReport, RunStats) {
+        self.simulate::<Discard>(horizon)
+    }
+
+    /// [`HetPipeSystem::run_with_stats`] keeping every span in
+    /// `RunStats::trace`, for analyses that need the spans themselves:
+    /// chrome export, trace fingerprints, per-span schedule checks.
+    pub fn run_traced(&self, horizon: SimTime) -> (SystemReport, RunStats) {
+        self.simulate::<Trace<SpanTag>>(horizon)
+    }
+
+    fn simulate<S: SpanSink<SpanTag>>(&self, horizon: SimTime) -> (SystemReport, RunStats) {
         let wsp = WspParams::new(self.nm, self.config.staleness_bound);
-        let stats = exec::run(
+        let warmup = SimTime::from_secs(horizon.as_secs() * self.config.warmup_fraction);
+        exec::run_with_sink::<S>(
             ExecParams {
                 cluster: self.cluster,
                 graph: self.graph,
@@ -542,18 +557,10 @@ impl<'a> HetPipeSystem<'a> {
                 schedule: self.config.schedule,
                 recompute: self.config.recompute,
             },
+            SegmentOpts::default(),
             horizon,
-        );
-        let warmup = SimTime::from_secs(horizon.as_secs() * self.config.warmup_fraction);
-        let vw_devices: Vec<Vec<DeviceId>> = self.vws.iter().map(|v| v.devices.clone()).collect();
-        let report = SystemReport::from_stats(
-            &stats,
-            self.cluster,
-            self.graph.batch_size,
             warmup,
-            &vw_devices,
-        );
-        (report, stats)
+        )
     }
 }
 
@@ -697,8 +704,9 @@ mod tests {
             ..cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0)
         };
         let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
-        let (_, a) = sys.run_with_stats(SimTime::from_secs(10.0));
-        let (_, b) = sys.run_with_stats(SimTime::from_secs(10.0));
+        let (_, a) = sys.run_traced(SimTime::from_secs(10.0));
+        let (_, b) = sys.run_traced(SimTime::from_secs(10.0));
+        assert!(a.trace.len() > 100, "trivial trace proves nothing");
         assert_eq!(a.trace.len(), b.trace.len());
         for (x, y) in a.trace.spans().iter().zip(b.trace.spans()) {
             assert_eq!(x, y);

@@ -14,9 +14,11 @@
 //!   order, let a handler schedule more.
 //! - [`resource`] — serially-reusable timeline resources (a GPU, a NIC)
 //!   with first-come-first-served reservation and busy-time accounting.
-//! - [`trace`] — span recording for utilization and waiting/idle-time
-//!   reports (feeds the paper's Figure 3 GPU-utilization plots and the
-//!   Section 8.4 synchronization-overhead analysis).
+//! - [`trace`] — span sinks: a trace that keeps every span (pins,
+//!   fingerprints, chrome export), a sink that keeps none, and the
+//!   running peak fold the in-run consumers use (the paper's Figure 3
+//!   GPU utilization and the Section 8.4 synchronization-overhead
+//!   analysis need only running sums).
 //! - [`bounds`] — the measured / structural / declared occupancy-bound
 //!   triple shared by the trace audit and the static schedule verifier
 //!   (`hetpipe-verify`), with the `measured ≤ structural ≤ declared`
@@ -40,4 +42,4 @@ pub use event::EventQueue;
 pub use footprint::{Footprint, FootprintResource, Owner, RateKind};
 pub use resource::{Resource, ResourceId, ResourcePool};
 pub use time::SimTime;
-pub use trace::{peak_of_events, Span, Trace};
+pub use trace::{peak_of_events, Discard, PeakFold, Span, SpanSink, Trace};

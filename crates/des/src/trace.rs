@@ -1,15 +1,52 @@
-//! Span traces for post-run analysis.
+//! Span sinks and traces.
 //!
-//! Executors record labelled time spans (`forward pass of minibatch 7 on
-//! stage 2`, `push of wave 3`, …). The trace then answers the questions
-//! the paper's evaluation asks: per-GPU utilization over a window
-//! (Figure 3), waiting time vs true idle time during synchronization
-//! (Section 8.4), and per-minibatch latency distributions.
+//! Executors hand every labelled time span they reserve (`forward pass
+//! of minibatch 7 on stage 2`, `push of wave 3`, …) to a [`SpanSink`].
+//! A [`Trace`] keeps every span, for trace pins, fingerprints, chrome
+//! export and ad-hoc windowed queries; [`Discard`] keeps none, for runs
+//! whose consumers fold their aggregates while the run executes (the
+//! paper's per-GPU utilization of Figure 3 and the waiting vs true idle
+//! time of Section 8.4 need only running sums). [`PeakFold`] is the
+//! running form of [`peak_of_events`] such folds use.
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{self, Write};
 use std::path::Path;
+
+/// Where an executor sends the spans it records. A type parameter of
+/// the executor, so the choice costs no dynamic call per span.
+pub trait SpanSink<T>: Default {
+    /// Takes one span (`end >= start`) on `resource`.
+    fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: T);
+
+    /// The spans this sink kept, as a trace (empty for [`Discard`]).
+    fn into_trace(self) -> Trace<T>;
+}
+
+/// A sink that keeps no span.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Discard;
+
+impl<T> SpanSink<T> for Discard {
+    fn record(&mut self, _: ResourceId, _: SimTime, _: SimTime, _: T) {}
+
+    fn into_trace(self) -> Trace<T> {
+        Trace::new()
+    }
+}
+
+impl<T> SpanSink<T> for Trace<T> {
+    fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: T) {
+        Trace::record(self, resource, start, end, tag);
+    }
+
+    fn into_trace(self) -> Trace<T> {
+        self
+    }
+}
 
 /// A labelled interval on a resource's timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +120,9 @@ impl<T> Trace<T> {
     /// clipping spans that straddle the window edges.
     ///
     /// Scans the whole trace per call: the naive reference. Reports
-    /// that need many windows fold the trace once instead (the
-    /// run report in `hetpipe-core` does, and its parity test checks it
+    /// that need many windows fold the trace once, or fold the spans
+    /// while the run executes and keep none (the run report in
+    /// `hetpipe-core` does both, and its parity test checks each
     /// against this query).
     pub fn busy_within(&self, resource: ResourceId, from: SimTime, to: SimTime) -> SimTime {
         let mut acc = SimTime::ZERO;
@@ -222,10 +260,10 @@ impl<T> Trace<T> {
 /// Same-instant events apply releases-first (ascending `delta`), so a
 /// handoff at an instant does not count as overlap. This is the single
 /// definition of a "measured peak", the measurement half of the
-/// measured ≤ declared memory invariant: every aggregation over a
-/// trace (the occupancy audit's per-stage and per-GPU keyings, the
-/// fleet's per-VW partials) folds its events through it, so measured
-/// values can never drift apart.
+/// measured ≤ declared memory invariant: the fleet's per-VW partials
+/// fold their events through it, and the occupancy audit through its
+/// running form [`PeakFold`], which a test holds equal to it, so
+/// measured values can never drift apart.
 pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
     // Unstable sort: equal `(instant, delta)` tuples are
     // interchangeable under the running sum, and skipping the stable
@@ -238,6 +276,52 @@ pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
         peak = peak.max(live);
     }
     peak
+}
+
+/// [`peak_of_events`] as a running fold, for events that become known
+/// in time: every event pushed at instant `now` lies at or after `now`,
+/// and `now` never decreases. An event before `now` can then no longer
+/// gain a predecessor in `(instant, delta)` order, so it is applied and
+/// dropped; only the events at or after `now` stay pending. An executor
+/// satisfies this for span ends, since it records every span at or
+/// before its start.
+#[derive(Debug, Clone, Default)]
+pub struct PeakFold {
+    pending: BinaryHeap<Reverse<(SimTime, i64)>>,
+    live: i64,
+    peak: i64,
+}
+
+impl PeakFold {
+    /// Adds the event `(at, delta)`, known at instant `now <= at`.
+    pub fn push(&mut self, now: SimTime, at: SimTime, delta: i64) {
+        debug_assert!(
+            at >= now,
+            "an event must not predate the instant it is known"
+        );
+        self.settle(|t| t < now);
+        self.pending.push(Reverse((at, delta)));
+    }
+
+    /// Applies every pending event and returns the peak running sum,
+    /// equal to [`peak_of_events`] over all pushed events.
+    pub fn finish(&mut self) -> i64 {
+        self.settle(|_| true);
+        self.peak
+    }
+
+    /// Applies pending events in `(instant, delta)` order while `due`
+    /// accepts their instant.
+    fn settle(&mut self, due: impl Fn(SimTime) -> bool) {
+        while let Some(&Reverse((at, delta))) = self.pending.peek() {
+            if !due(at) {
+                break;
+            }
+            self.pending.pop();
+            self.live += delta;
+            self.peak = self.peak.max(self.live);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -377,5 +461,37 @@ mod tests {
         // [0, 10) and [5, 15) overlap (peak 2); the handoff does not add.
         assert_eq!(peak_of_events(events), 2);
         assert_eq!(peak_of_events(Vec::new()), 0);
+    }
+
+    #[test]
+    fn peak_fold_matches_peak_of_events() {
+        // Holders known at staggered instants, each at or before its
+        // start; handoffs and same-instant pairs included.
+        let holders = [(0u64, 0u64, 10u64), (0, 5, 15), (3, 10, 12), (10, 15, 20)];
+        let mut fold = PeakFold::default();
+        let mut events = Vec::new();
+        for &(known, from, to) in &holders {
+            let known = SimTime::from_nanos(known);
+            for (at, delta) in [(from, 1), (to, -1)] {
+                fold.push(known, SimTime::from_nanos(at), delta);
+                events.push((SimTime::from_nanos(at), delta));
+            }
+        }
+        assert_eq!(fold.finish(), peak_of_events(events));
+        assert_eq!(fold.finish(), 2);
+        assert_eq!(PeakFold::default().finish(), 0);
+    }
+
+    #[test]
+    fn discard_keeps_nothing() {
+        let mut sink = Discard;
+        SpanSink::record(
+            &mut sink,
+            ResourceId(0),
+            SimTime::ZERO,
+            SimTime::from_nanos(5),
+            Tag::Fwd,
+        );
+        assert!(SpanSink::<Tag>::into_trace(sink).is_empty());
     }
 }

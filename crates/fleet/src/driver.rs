@@ -6,8 +6,9 @@
 //! run in bursts until they block on the bus or finish; a thread with
 //! no runnable engine sleeps on the bus generation counter. The
 //! moment an engine finishes, its stats fold into a compact
-//! [`VwPartial`] and the engine (queue, trace, pool) is dropped —
-//! unless the caller asked to keep traces, fleet memory is O(VWs).
+//! [`VwPartial`] and the engine (queue, pool) is dropped. Unless the
+//! caller asked to keep traces, engines send their spans to
+//! [`Discard`] and keep none, so fleet memory is O(VWs).
 //!
 //! Determinism: the bus serves every poll with a verdict that is a
 //! pure function of announced simulation data, never of wall-clock
@@ -22,7 +23,7 @@ use hetpipe_core::exec::{
 };
 use hetpipe_core::pserver::ShardMap;
 use hetpipe_core::{VirtualWorker, WspParams};
-use hetpipe_des::{peak_of_events, SimTime, Trace};
+use hetpipe_des::{peak_of_events, Discard, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{RecomputePolicy, Schedule};
 use std::time::Duration;
@@ -53,7 +54,7 @@ pub struct FleetConfig<'a> {
     /// Worker threads (clamped to `[1, vws]`).
     pub threads: usize,
     /// Keep each engine's span trace in the report (parity tooling);
-    /// when false traces are dropped as engines finish.
+    /// when false engines record no spans at all.
     pub keep_traces: bool,
 }
 
@@ -191,7 +192,13 @@ pub fn run_fleet(cfg: &FleetConfig<'_>, horizon: SimTime) -> FleetReport {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let bus = &bus;
-                scope.spawn(move || drive_lane(cfg, horizon, bus, t, threads))
+                scope.spawn(move || {
+                    if cfg.keep_traces {
+                        drive_lane::<Trace<SpanTag>>(cfg, horizon, bus, t, threads)
+                    } else {
+                        drive_lane::<Discard>(cfg, horizon, bus, t, threads)
+                    }
+                })
             })
             .collect();
         handles
@@ -262,15 +269,16 @@ fn min_push_step(cfg: &FleetConfig<'_>, vw: &VirtualWorker) -> SimTime {
     step
 }
 
-/// One worker thread's loop: step owned engines until all finish.
-fn drive_lane<'a>(
+/// One worker thread's loop: step owned engines, whose spans go to
+/// sinks of type `S`, until all finish.
+fn drive_lane<'a, S: SpanSink<SpanTag>>(
     cfg: &'a FleetConfig<'a>,
     horizon: SimTime,
     bus: &'a FleetBus,
     lane: usize,
     stride: usize,
 ) -> LaneResult {
-    let mut engines: Vec<(usize, VwEngine<'a>)> = (lane..cfg.vws.len())
+    let mut engines: Vec<(usize, VwEngine<'a, S>)> = (lane..cfg.vws.len())
         .step_by(stride)
         .map(|e| {
             let params = ExecParams {

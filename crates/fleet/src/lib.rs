@@ -49,10 +49,11 @@
 //!
 //! # Memory
 //!
-//! Each engine's span trace folds into a per-VW [`VwPartial`] (busy
-//! time, peak span occupancy, completions) the moment the engine
-//! finishes, and the trace is dropped unless the caller asked to keep
-//! it — fleet memory is O(VWs), not O(events).
+//! Each engine's stats fold into a per-VW [`VwPartial`] (busy time,
+//! completions, and peak span occupancy when traces are kept) the
+//! moment the engine finishes. Unless the caller asked to keep traces,
+//! engines record no spans at all (`hetpipe_des::Discard`), so fleet
+//! memory is O(VWs), not O(events).
 
 pub mod bus;
 pub mod driver;

@@ -82,7 +82,7 @@ pub trait PipelineSchedule {
     /// injection cap bounds their stages, so every non-fused stage
     /// must declare at least `Nm`, which the executor asserts at
     /// construction. The executor's completion-based occupancy books
-    /// check the window as a run goes, and trace-measured occupancy ≤
+    /// check the window as a run goes, and measured occupancy ≤
     /// this value is asserted as a first-class invariant
     /// (`hetpipe-core`'s `OccupancyAudit`).
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize;

@@ -1,31 +1,37 @@
-//! Parity of the one-pass run report and occupancy audit with naive
-//! references.
+//! Parity of the in-run report and occupancy audit with the kept-trace
+//! path and with naive references.
 //!
-//! `SystemReport::from_stats` folds the span trace once; the reference
-//! here asks [`Trace::busy_within`] and [`Trace::utilization_within`]
-//! (full-trace scans) once per (device, window) and compares every
-//! `f64` field by `to_bits`. `OccupancyAudit::measure` folds the trace
-//! into dense per-stage vectors; the reference is the keyed audit it
-//! replaced (one `BTreeMap` entry per span per keying).
+//! A run folds its report and its occupancy peaks while it executes
+//! (`exec::run_with_sink`, `HetPipeSystem::run_with_stats`), keeping no
+//! trace. `SystemReport::from_stats` is the kept-trace path: one pass
+//! over a run's trace at any warm-up. The naive report reference asks
+//! [`Trace::busy_within`] and [`Trace::utilization_within`]
+//! (full-trace scans) once per (device, window); the naive audit
+//! reference keys one `BTreeMap` entry per span per keying and folds
+//! each through [`peak_of_events`]. Every `f64` field is compared by
+//! `to_bits`.
 //!
 //! This is a dynamically audited invariant: it holds for the runs
-//! below (the golden wave config, 1F1B, depth-expanded and composite
-//! interleaved with recompute, a faulted draining segment, and a
-//! hand-built overlapping trace) and is evidence, not proof, for other
-//! configurations.
+//! below (hand-picked configurations, a seeded sample of schedule ×
+//! recompute × (Nm, D) × cluster, rate-edge and draining segments, and
+//! a hand-built overlapping trace) and is evidence, not proof, for
+//! other configurations.
 
-use hetpipe::cluster::{Cluster, DeviceId};
+use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::audit::{GpuOccupancy, StageOccupancy};
 use hetpipe::core::exec::{
     self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag, VwStats,
 };
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{
-    OccupancyAudit, RecomputePolicy, Schedule, SystemReport, VirtualWorker, WspParams,
+    AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
+    SystemReport, VirtualWorker, WspParams,
 };
-use hetpipe::des::{peak_of_events, ResourceId, ResourcePool, SimTime, Trace};
+use hetpipe::des::{peak_of_events, Discard, ResourceId, ResourcePool, SimTime, Trace};
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::PipelineSchedule;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// The report as one windowed full-trace query per (device, window).
@@ -213,11 +219,24 @@ fn assert_reports_identical(label: &str, got: &SystemReport, want: &SystemReport
     );
 }
 
-/// One executor run on the paper testbed: `schedule` over one VW per
-/// device group, its GPUs repeated round-robin over virtual stages.
+/// The simulated results of two runs of one configuration agree: the
+/// sink must not change a simulated number.
+fn assert_same_run(label: &str, got: &RunStats, want: &RunStats) {
+    assert_eq!((got.events, got.end), (want.events, want.end), "{label}");
+    for (a, b) in got.vws.iter().zip(&want.vws) {
+        assert_eq!(a.completions, b.completions, "{label}");
+        assert_eq!(a.wait_windows, b.wait_windows, "{label}");
+        assert_eq!(a.inject_blocked, b.inject_blocked, "{label}");
+    }
+}
+
+/// One executor run: `schedule` over one VW per device group, its GPUs
+/// repeated round-robin over virtual stages.
 struct Run {
+    cluster: Cluster,
     groups: Vec<Vec<DeviceId>>,
     nm: usize,
+    d: usize,
     placement: Placement,
     schedule: Schedule,
     recompute: RecomputePolicy,
@@ -225,13 +244,17 @@ struct Run {
 }
 
 impl Run {
+    /// A fast VW and a slow one on the paper testbed, so the fast one
+    /// waits at its pull gates.
     fn hetero(schedule: Schedule, recompute: RecomputePolicy) -> Run {
         Run {
+            cluster: Cluster::paper_testbed(),
             groups: vec![
                 (0..4).map(DeviceId).collect(),
                 (12..16).map(DeviceId).collect(),
             ],
             nm: 4,
+            d: 0,
             placement: Placement::Default,
             schedule,
             recompute,
@@ -239,12 +262,15 @@ impl Run {
         }
     }
 
-    /// Runs the configuration and checks the report (at several
-    /// warm-ups, including one past the horizon) and the audit
-    /// against the naive references.
-    fn check(&self, label: &str, opts: Option<SegmentOpts>) {
-        let cluster = Cluster::paper_testbed();
+    /// Runs the configuration with a kept trace and checks the
+    /// kept-trace report (at several warm-ups, including one past the
+    /// horizon) and the audit against the naive references; then runs
+    /// it again keeping no trace and checks the in-run report and
+    /// audit against the same references. Returns the kept-trace run
+    /// and its report from warm-up 0.
+    fn check(&self, label: &str, opts: SegmentOpts) -> (RunStats, SystemReport) {
         let graph = hetpipe::model::vgg19(32);
+        let cluster = &self.cluster;
         let vws: Vec<VirtualWorker> = self
             .groups
             .iter()
@@ -253,11 +279,12 @@ impl Run {
                 let k = self.schedule.virtual_stages(group.len());
                 let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
                 let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(&cluster, &devices);
+                let links = VirtualWorker::links(cluster, &devices);
                 let problem =
                     PartitionProblem::with_schedule(&graph, gpus, links, self.nm, self.schedule)
                         .with_recompute(self.recompute);
-                let plan = PartitionSolver::solve(&problem).expect("feasible");
+                let plan = PartitionSolver::solve(&problem)
+                    .unwrap_or_else(|e| panic!("{label}: infeasible: {e}"));
                 VirtualWorker {
                     index,
                     devices,
@@ -266,64 +293,103 @@ impl Run {
                 }
             })
             .collect();
-        let shards = ShardMap::build(self.placement, &graph, &cluster, &vws[0]);
+        let shards = ShardMap::build(self.placement, &graph, cluster, &vws[0]);
         let params = ExecParams {
-            cluster: &cluster,
+            cluster,
             graph: &graph,
             vws: &vws,
-            wsp: WspParams::new(self.nm, 0),
+            wsp: WspParams::new(self.nm, self.d),
             shards: &shards,
             sync_transfers: true,
             schedule: self.schedule,
             recompute: self.recompute,
         };
         let horizon = SimTime::from_secs(self.secs);
-        let stats = match opts {
-            None => exec::run(params, horizon),
-            Some(opts) => exec::run_segment(params, opts, horizon),
-        };
+        let kept = exec::run_segment(params.clone(), opts.clone(), horizon);
         assert!(
-            stats.vws.iter().all(|v| !v.wait_windows.is_empty()),
-            "{label}: every VW must wait at least once"
+            kept.trace.len() > 100,
+            "{label}: trivial trace proves nothing ({} spans)",
+            kept.trace.len()
         );
 
         let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
         for fraction in [0.0, 0.15, 0.5, 2.0] {
             let warmup = SimTime::from_secs(self.secs * fraction);
-            let got = SystemReport::from_stats(&stats, &cluster, 32, warmup, &devices);
-            let want = naive_report(&stats, &cluster, 32, warmup, &devices);
+            let got = SystemReport::from_stats(&kept, cluster, 32, warmup, &devices);
+            let want = naive_report(&kept, cluster, 32, warmup, &devices);
             assert_reports_identical(&format!("{label} warmup {warmup}"), &got, &want);
         }
-        let got = OccupancyAudit::measure(&stats, &vws, &self.schedule, self.nm);
-        let want = naive_audit(&stats, &vws, &self.schedule, self.nm);
-        assert_eq!(got.stages, want.stages, "{label}: stage peaks");
-        assert_eq!(got.gpus, want.gpus, "{label}: gpu peaks");
+        let want_audit = naive_audit(&kept, &vws, &self.schedule, self.nm);
+        let got = OccupancyAudit::measure(&kept, &vws, &self.schedule, self.nm);
+        assert_eq!(got.stages, want_audit.stages, "{label}: stage peaks");
+        assert_eq!(got.gpus, want_audit.gpus, "{label}: gpu peaks");
         assert!(
             got.stages.iter().any(|s| s.measured > 1),
             "{label}: no stage ever held two activation sets"
         );
+
+        for fraction in [0.15, 2.0] {
+            let warmup = SimTime::from_secs(self.secs * fraction);
+            let (got, untraced) =
+                exec::run_with_sink::<Discard>(params.clone(), opts.clone(), horizon, warmup);
+            let label = format!("{label} in-run warmup {warmup}");
+            assert!(untraced.trace.is_empty(), "{label}: kept spans");
+            assert_same_run(&label, &untraced, &kept);
+            let want = naive_report(&kept, cluster, 32, warmup, &devices);
+            assert_reports_identical(&label, &got, &want);
+            let audit = OccupancyAudit::measure(&untraced, &vws, &self.schedule, self.nm);
+            assert_eq!(audit.stages, want_audit.stages, "{label}: stage peaks");
+            assert_eq!(audit.gpus, want_audit.gpus, "{label}: gpu peaks");
+        }
+
+        let report = SystemReport::from_stats(&kept, cluster, 32, SimTime::ZERO, &devices);
+        (kept, report)
     }
+
+    /// [`Run::check`] for a configuration in which every VW waits at
+    /// its pull gate at least once.
+    fn check_waiting(&self, label: &str, opts: SegmentOpts) -> SystemReport {
+        let (stats, report) = self.check(label, opts);
+        assert!(
+            stats.vws.iter().all(|v| !v.wait_windows.is_empty()),
+            "{label}: every VW must wait at least once"
+        );
+        report
+    }
+}
+
+/// Whether some GPU worked inside some wait window of the run.
+fn busy_in_wait(report: &SystemReport) -> bool {
+    report
+        .idle_in_wait_per_vw
+        .iter()
+        .zip(&report.pull_wait_per_vw)
+        .any(|(idle, wait)| idle < wait)
 }
 
 #[test]
 fn golden_wave_config_matches_naive() {
     // ED-local VGG-19, Nm = 4, D = 0: the first trace pin.
-    Run {
+    let report = Run {
+        cluster: Cluster::paper_testbed(),
         groups: (0..4)
             .map(|j| (0..4).map(|n| DeviceId(n * 4 + j)).collect())
             .collect(),
         nm: 4,
+        d: 0,
         placement: Placement::Local,
         schedule: Schedule::HetPipeWave,
         recompute: RecomputePolicy::None,
         secs: 15.0,
     }
-    .check("ED-local wave", None);
+    .check_waiting("ED-local wave", SegmentOpts::default());
+    assert!(busy_in_wait(&report), "no GPU worked inside a wait window");
 }
 
 #[test]
 fn one_f_one_b_matches_naive() {
-    Run::hetero(Schedule::OneFOneB, RecomputePolicy::None).check("1f1b", None);
+    Run::hetero(Schedule::OneFOneB, RecomputePolicy::None)
+        .check_waiting("1f1b", SegmentOpts::default());
 }
 
 #[test]
@@ -334,7 +400,7 @@ fn interleaved_with_recompute_matches_naive() {
             composite,
         };
         Run::hetero(schedule, RecomputePolicy::BoundaryOnly)
-            .check(&format!("{schedule} boundary-only"), None);
+            .check_waiting(&format!("{schedule} boundary-only"), SegmentOpts::default());
     }
 }
 
@@ -353,8 +419,181 @@ fn faulted_draining_segment_matches_naive() {
     };
     for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
         Run::hetero(schedule, RecomputePolicy::None)
-            .check(&format!("{schedule} drain"), Some(opts.clone()));
+            .check_waiting(&format!("{schedule} drain"), opts.clone());
     }
+}
+
+/// The two clusters of the seeded sample, each with two VWs of unequal
+/// speed: the paper testbed with cross-node pipelines (TITAN V / TITAN
+/// RTX against RTX 2060 / P4000), and a TITAN RTX node against a P4000
+/// node with node-local pipelines.
+fn sample_clusters() -> [(&'static str, Cluster, Vec<Vec<DeviceId>>); 2] {
+    let ids = |ids: &[usize]| ids.iter().map(|&d| DeviceId(d)).collect::<Vec<_>>();
+    [
+        (
+            "paper",
+            Cluster::paper_testbed(),
+            vec![ids(&[0, 4, 1, 5]), ids(&[12, 8, 13, 9])],
+        ),
+        (
+            "rtx+p4000",
+            Cluster::testbed_subset(&[GpuKind::TitanRtx, GpuKind::QuadroP4000]),
+            vec![ids(&[0, 1, 2, 3]), ids(&[4, 5, 6, 7])],
+        ),
+    ]
+}
+
+#[test]
+fn seeded_sample_matches_naive() {
+    // Schedule::ALL x recompute x (Nm, D) x cluster is 60 cells; the
+    // test checks a seeded draw of 24 distinct ones.
+    const SAMPLE: usize = 24;
+    let nm_d = [(2, 0), (4, 0), (4, 1)];
+    let cells = Schedule::ALL.len() * RecomputePolicy::ALL.len() * nm_d.len() * 2;
+    let mut rng = SmallRng::seed_from_u64(0x5eed_f01d);
+    let mut drawn: Vec<usize> = Vec::new();
+    while drawn.len() < SAMPLE {
+        let cell = rng.gen_range(0..cells);
+        if !drawn.contains(&cell) {
+            drawn.push(cell);
+        }
+    }
+    let mut busy_waits = 0;
+    for cell in drawn {
+        let schedule = Schedule::ALL[cell % Schedule::ALL.len()];
+        let rest = cell / Schedule::ALL.len();
+        let recompute = RecomputePolicy::ALL[rest % 2];
+        let (nm, d) = nm_d[rest / 2 % nm_d.len()];
+        let (name, cluster, groups) = sample_clusters()
+            .into_iter()
+            .nth(rest / 2 / nm_d.len())
+            .expect("two clusters");
+        let label = format!("{name} {schedule} {recompute} Nm={nm} D={d}");
+        let run = Run {
+            cluster,
+            groups,
+            nm,
+            d,
+            placement: Placement::Default,
+            schedule,
+            recompute,
+            secs: 8.0,
+        };
+        busy_waits += busy_in_wait(&run.check(&label, SegmentOpts::default()).1) as usize;
+    }
+    assert!(
+        busy_waits * 2 >= SAMPLE,
+        "only {busy_waits} of {SAMPLE} runs had GPU work inside a wait window"
+    );
+}
+
+#[test]
+fn rate_edge_and_drained_segments_match_naive() {
+    // A slowdown of the fast VW's first GPU that recovers mid-run: spans
+    // straddle both rate edges.
+    let rate_edges = SegmentOpts {
+        rate_events: vec![
+            RateEvent {
+                at: SimTime::from_secs(1.0),
+                target: RateTarget::Gpu(0),
+                rate: 0.25,
+            },
+            RateEvent {
+                at: SimTime::from_secs(2.5),
+                target: RateTarget::Gpu(0),
+                rate: 1.0,
+            },
+        ],
+        ..SegmentOpts::default()
+    };
+    Run::hetero(Schedule::OneFOneB, RecomputePolicy::BoundaryOnly)
+        .check_waiting("1f1b rate edges", rate_edges);
+    // A GPU lost for good: the spans reserved on it end far past the
+    // horizon, and arrival-FIFO keeps reserving behind them.
+    let lost = SegmentOpts {
+        rate_events: vec![RateEvent {
+            at: SimTime::from_secs(2.0),
+            target: RateTarget::Gpu(1),
+            rate: 0.0,
+        }],
+        ..SegmentOpts::default()
+    };
+    Run::hetero(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly)
+        .check_waiting("wave lost gpu", lost);
+    // A fault-free drain at the third wave boundary: its end is the
+    // latest span end, kept trace or not.
+    let drain = SegmentOpts {
+        stop_after_mb: Some(12),
+        ..SegmentOpts::default()
+    };
+    let run = Run::hetero(
+        Schedule::Interleaved1F1B {
+            chunks: 2,
+            composite: true,
+        },
+        RecomputePolicy::None,
+    );
+    run.check_waiting("interleaved drain", drain.clone());
+    let graph = hetpipe::model::vgg19(32);
+    let sys = HetPipeSystem::build(
+        &run.cluster,
+        &graph,
+        &SystemConfig {
+            policy: AllocationPolicy::Custom(run.groups.clone()),
+            order_search: false,
+            nm_override: Some(run.nm),
+            schedule: run.schedule,
+            ..SystemConfig::default()
+        },
+    )
+    .expect("builds");
+    let vws = sys.virtual_workers();
+    let shards = ShardMap::build(Placement::Default, &graph, &run.cluster, &vws[0]);
+    let params = ExecParams {
+        cluster: &run.cluster,
+        graph: &graph,
+        vws,
+        wsp: WspParams::new(run.nm, 0),
+        shards: &shards,
+        sync_transfers: true,
+        schedule: run.schedule,
+        recompute: run.recompute,
+    };
+    let horizon = SimTime::from_secs(run.secs);
+    let kept = exec::run_segment(params.clone(), drain.clone(), horizon);
+    let (_, untraced) = exec::run_with_sink::<Discard>(params, drain, horizon, SimTime::ZERO);
+    let last_span_end = kept.trace.spans().iter().map(|s| s.end).max();
+    assert_eq!(
+        Some(kept.end),
+        last_span_end,
+        "the drain ends with its work"
+    );
+    assert!(kept.end < horizon, "the drain must end early");
+    assert_same_run("interleaved drain", &untraced, &kept);
+}
+
+#[test]
+fn run_with_stats_keeps_no_trace() {
+    let cluster = Cluster::paper_testbed();
+    let graph = hetpipe::model::vgg19(32);
+    let sys = HetPipeSystem::build(&cluster, &graph, &SystemConfig::default()).expect("builds");
+    let horizon = SimTime::from_secs(5.0);
+    let (report, stats) = sys.run_with_stats(horizon);
+    assert!(stats.trace.is_empty(), "run_with_stats kept spans");
+    assert!(stats.events > 0, "the run did no work");
+    let (traced_report, traced) = sys.run_traced(horizon);
+    assert!(traced.trace.len() > 100, "trivial trace proves nothing");
+    assert_same_run("run_traced", &stats, &traced);
+    assert_reports_identical("run_traced", &report, &traced_report);
+    let devices: Vec<Vec<DeviceId>> = sys
+        .virtual_workers()
+        .iter()
+        .map(|v| v.devices.clone())
+        .collect();
+    let warmup = report.warmup;
+    let kept = SystemReport::from_stats(&traced, &cluster, graph.batch_size, warmup, &devices);
+    assert_reports_identical("kept trace", &report, &kept);
+    assert_eq!(stats.peaks, traced.peaks);
 }
 
 #[test]
@@ -391,6 +630,7 @@ fn overlapping_out_of_order_fixture_matches_full_scans() {
     };
     let mut stats = RunStats {
         horizon: SimTime::ZERO,
+        peaks: Default::default(),
         vws: vec![
             vw(&[(0, 5), (5, 5), (10, 20), (25, 60), (90, 100)]),
             vw(&[(0, 40), (60, 60), (60, 95)]),

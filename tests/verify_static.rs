@@ -4,8 +4,8 @@
 //!
 //! The positive direction completes the occupancy soundness chain on
 //! golden configurations: the DES runs a single-VW pipeline on the
-//! paper testbed, `OccupancyAudit` measures realized peaks from the
-//! span trace, the static verifier computes structural peaks from the
+//! paper testbed and folds its realized peaks as it executes,
+//! `OccupancyAudit` pairs them with the declarations, the static verifier computes structural peaks from the
 //! committed op queues alone, and `merge_measured` folds both into one
 //! triple per entity so `check_bounds` judges
 //! `measured ≤ structural ≤ declared` in a single pass — for every
@@ -58,7 +58,14 @@ fn golden_audit(schedule: Schedule, recompute: RecomputePolicy) -> OccupancyAudi
     let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
     let vws = sys.virtual_workers().to_vec();
     let (_, stats) = sys.run_with_stats(SimTime::from_secs(10.0));
-    OccupancyAudit::measure(&stats, &vws, &schedule, NM)
+    let audit = OccupancyAudit::measure(&stats, &vws, &schedule, NM);
+    // The run folds its peaks without a kept trace; they must still
+    // show real work, or the merged chain below proves nothing.
+    assert!(
+        audit.stages[0].measured >= 1,
+        "{schedule}: the first stage never held an activation set"
+    );
+    audit
 }
 
 #[test]
@@ -73,7 +80,7 @@ fn measured_structural_declared_chain_holds_on_golden_configs() {
             let audit = golden_audit(schedule, recompute);
             let mut report = structural_occupancy(schedule, K_GPUS, wsp, recompute, max_mb);
             audit.merge_measured(&mut report.bounds);
-            // Every entity the trace observed must now carry all three
+            // Every entity the audit measured must now carry all three
             // components of the chain.
             let merged = report
                 .bounds
