@@ -546,8 +546,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
 
         Exec {
             occupancy: OccupancyFold::new(p.vws, &p.schedule),
-            report: warmup
-                .map(|warmup| ReportFold::new(cluster.device_count(), p.vws, warmup, horizon)),
+            report: warmup.map(|warmup| {
+                let devices = p.vws.iter().map(|v| v.devices.as_slice());
+                ReportFold::new(cluster.device_count(), devices, warmup, horizon)
+            }),
             p,
             coupling,
             engine: Engine::new(),

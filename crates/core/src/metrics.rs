@@ -6,22 +6,19 @@
 //! time during synchronization (Section 8.4), and the cross-node traffic
 //! split (the 515 MB vs 103 MB comparison in Section 8.3).
 //!
-//! A run folds its report while it executes (`ReportFold`), so it
-//! needs no kept trace: [`HetPipeSystem::run`] and
-//! [`HetPipeSystem::run_with_stats`] return that report.
-//! [`SystemReport::from_stats`] is the kept-trace path: one pass over
-//! a trace, for any warm-up. Both accumulate integer busy time and
-//! then run the same `f64` folds, so they agree bit for bit
-//! (`tests/report_parity.rs` checks both against per-window trace
-//! queries).
+//! One fold turns spans into busy and idle time (`ReportFold`). A run
+//! folds its report while it executes, so it needs no kept trace:
+//! [`HetPipeSystem::run`] and [`HetPipeSystem::run_with_stats`] return
+//! that report. [`SystemReport::from_stats`] replays a kept trace
+//! through the same fold, for any warm-up (`tests/report_parity.rs`
+//! checks both against per-window trace queries, bit for bit).
 //!
 //! [`HetPipeSystem::run`]: crate::HetPipeSystem::run
 //! [`HetPipeSystem::run_with_stats`]: crate::HetPipeSystem::run_with_stats
 
 use crate::exec::RunStats;
-use crate::vw::VirtualWorker;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_des::{SimTime, Span};
+use hetpipe_des::SimTime;
 use std::collections::VecDeque;
 
 /// A complete report of one simulated training run.
@@ -59,25 +56,21 @@ pub struct SystemReport {
 impl SystemReport {
     /// Builds the report from a run's kept span trace (`exec::run`,
     /// [`HetPipeSystem::run_traced`](crate::HetPipeSystem::run_traced)),
-    /// at any warm-up. A run that kept no trace has no spans to fold:
-    /// its report is the one the run folded as it executed.
+    /// at any warm-up, by replaying the trace through the fold a run
+    /// uses while it executes. A run that kept no trace replays only
+    /// its wait windows, so they count as idle throughout.
     ///
     /// `vw_devices` lists each VW's stage devices (used for utilization
     /// aggregation; interleaved VWs repeat a GPU once per chunk, and
     /// the idle-time mean weights it that many times).
     ///
-    /// One pass over `stats.trace`: NIC spans are skipped, and each
-    /// GPU span is clipped into `[warmup, horizon)` and into every wait
-    /// window of the VWs running on its device. Each VW's wait windows
-    /// are sorted and disjoint (a VW has at most one pull outstanding),
-    /// so the first window a span can overlap is a per-device cursor
-    /// step, or a binary search for a span starting before its
-    /// predecessor. Busy time accumulates as integer [`SimTime`] per
-    /// (device, window); the `f64` folds then run in the order of the
-    /// per-window queries they replace, so every field equals a
+    /// The replay feeds the fold every GPU span (NIC and zero-length
+    /// spans skipped) and every VW's wait-window edges, merged by time.
+    /// A span is recorded before any edge later than its start, and
+    /// each VW's edges keep their order, so touching and zero-length
+    /// windows close and open in sequence. Every field then equals a
     /// [`Trace::busy_within`](hetpipe_des::Trace::busy_within) query
-    /// per (device, window) bit for bit. Allocates per device and per
-    /// wait window, never per span.
+    /// per (device, window) bit for bit.
     pub fn from_stats(
         stats: &RunStats,
         cluster: &Cluster,
@@ -85,112 +78,61 @@ impl SystemReport {
         warmup: SimTime,
         vw_devices: &[Vec<DeviceId>],
     ) -> SystemReport {
-        let horizon = stats.horizon;
         // Dense resource → device map; NIC resources map to nothing.
         let rid_end = stats.gpu_resources.iter().map(|r| r.0 + 1).max();
-        let mut device_of = vec![usize::MAX; rid_end.unwrap_or(0)];
+        let mut device_of = vec![None; rid_end.unwrap_or(0)];
         for (d, r) in stats.gpu_resources.iter().enumerate() {
-            device_of[r.0] = d;
+            device_of[r.0] = Some(d);
         }
-        // Each VW's distinct stage devices become columns of its wait
-        // books; `readers[d]` lists the columns device `d` feeds.
-        let mut readers: Vec<Vec<Reader>> = vec![Vec::new(); stats.gpu_resources.len()];
-        let mut books: Vec<WaitBooks> = stats
+        let mut spans: Vec<_> = stats
+            .trace
+            .spans()
+            .iter()
+            .filter(|s| s.end > s.start)
+            .filter_map(|s| Some((device_of.get(s.resource.0).copied().flatten()?, s)))
+            .collect();
+        spans.sort_by_key(|(_, s)| s.start);
+        debug_assert!(
+            stats.vws.iter().map(|v| &v.wait_windows).all(|w| {
+                w.iter().all(|&(from, to)| from <= to) && w.windows(2).all(|p| p[0].1 <= p[1].0)
+            }),
+            "wait windows must be sorted and disjoint"
+        );
+        // `None` opens a window; `Some(from)` closes the one opened at
+        // `from`. The sort is stable and each VW's windows are sorted
+        // and disjoint, so each VW's edges keep their order.
+        let mut edges: Vec<(SimTime, usize, Option<SimTime>)> = stats
             .vws
             .iter()
-            .zip(vw_devices)
             .enumerate()
-            .map(|(i, (v, devs))| {
-                let windows = &v.wait_windows;
-                debug_assert!(
-                    windows.iter().all(|&(from, to)| from <= to)
-                        && windows.windows(2).all(|p| p[0].1 <= p[1].0),
-                    "vw{i}: wait windows must be sorted and disjoint"
-                );
-                let mut distinct: Vec<DeviceId> = Vec::new();
-                let column = devs
+            .flat_map(|(vw, v)| {
+                v.wait_windows
                     .iter()
-                    .map(|&d| {
-                        distinct.iter().position(|&x| x == d).unwrap_or_else(|| {
-                            readers[d.0].push(Reader {
-                                vw: i,
-                                column: distinct.len(),
-                                next: 0,
-                            });
-                            distinct.push(d);
-                            distinct.len() - 1
-                        })
-                    })
-                    .collect();
-                WaitBooks {
-                    windows,
-                    column,
-                    busy: vec![SimTime::ZERO; windows.len() * distinct.len()],
-                    columns: distinct.len(),
-                }
+                    .flat_map(move |&(from, to)| [(from, vw, None), (to, vw, Some(from))])
             })
             .collect();
+        edges.sort_by_key(|&(at, _, _)| at);
 
-        let mut busy = vec![SimTime::ZERO; stats.gpu_resources.len()];
-        for span in stats.trace.spans() {
-            let Some(&d) = device_of.get(span.resource.0) else {
-                continue;
-            };
-            if d == usize::MAX || span.end <= span.start {
-                continue;
+        let devices = vw_devices.iter().map(Vec::as_slice);
+        let mut fold = ReportFold::new(cluster.device_count(), devices, warmup, stats.horizon);
+        let mut spans = spans.into_iter().peekable();
+        for (at, vw, close) in edges {
+            while let Some((d, s)) = spans.next_if(|(_, s)| s.start <= at) {
+                fold.record(d, s.start, s.start, s.end);
             }
-            busy[d] += clipped(span, warmup, horizon);
-            for r in &mut readers[d] {
-                let b = &mut books[r.vw];
-                // The first window ending after the span starts. A
-                // device's spans come in start order, so this is the
-                // previous span's window or a step past it; a span
-                // starting earlier falls back to a binary search.
-                let mut first = r.next;
-                if first > 0 && b.windows[first - 1].1 > span.start {
-                    first = b.windows.partition_point(|&(_, to)| to <= span.start);
-                }
-                while first < b.windows.len() && b.windows[first].1 <= span.start {
-                    first += 1;
-                }
-                r.next = first;
-                for (w, &(from, to)) in b.windows.iter().enumerate().skip(first) {
-                    if from >= span.end {
-                        break;
-                    }
-                    b.busy[w * b.columns + r.column] += clipped(span, from, to);
-                }
+            match close {
+                None => fold.open_wait(vw, at),
+                Some(from) => fold.close_wait(vw, from, at),
             }
         }
-
-        // True idle inside waiting windows: window length minus mean GPU
-        // busy time of the VW's stages within the window.
-        let idle_in_wait_per_vw: Vec<SimTime> = books
-            .iter()
-            .map(|b| {
-                b.windows
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &(from, to))| {
-                        let row = &b.busy[w * b.columns..(w + 1) * b.columns];
-                        window_idle(from, to, &b.column, row)
-                    })
-                    .fold(SimTime::ZERO, |idle, w| idle + w)
-            })
-            .collect();
-        SystemReport::assemble(
-            stats,
-            cluster,
-            batch_size,
-            warmup,
-            vw_devices,
-            &busy,
-            idle_in_wait_per_vw,
-        )
+        for (d, s) in spans {
+            fold.record(d, s.start, s.start, s.end);
+        }
+        SystemReport::from_fold(stats, cluster, batch_size, fold, vw_devices)
     }
 
-    /// Builds the report a run folded while it executed; `stats` and
-    /// `vw_devices` are that run's.
+    /// Builds the report a run folded, while it executed or in a
+    /// replay; `stats` and `vw_devices` are that run's.
     pub(crate) fn from_fold(
         stats: &RunStats,
         cluster: &Cluster,
@@ -199,31 +141,7 @@ impl SystemReport {
         vw_devices: &[Vec<DeviceId>],
     ) -> SystemReport {
         debug_assert_eq!(fold.horizon, stats.horizon, "the fold is the run's");
-        let busy: Vec<SimTime> = fold.gpus.iter().map(|g| g.measured).collect();
-        let idle = fold.waits.iter().map(|w| w.idle).collect();
-        SystemReport::assemble(
-            stats,
-            cluster,
-            batch_size,
-            fold.warmup,
-            vw_devices,
-            &busy,
-            idle,
-        )
-    }
-
-    /// The report from integer busy time per device within
-    /// `[warmup, horizon)` and idle-in-wait time per VW.
-    fn assemble(
-        stats: &RunStats,
-        cluster: &Cluster,
-        batch_size: usize,
-        warmup: SimTime,
-        vw_devices: &[Vec<DeviceId>],
-        busy: &[SimTime],
-        idle_in_wait_per_vw: Vec<SimTime>,
-    ) -> SystemReport {
-        let horizon = stats.horizon;
+        let (warmup, horizon) = (fold.warmup, fold.horizon);
         let minibatches_per_vw: Vec<u64> = stats
             .vws
             .iter()
@@ -236,7 +154,7 @@ impl SystemReport {
                 let u = if horizon <= warmup {
                     0.0
                 } else {
-                    busy[d.0].as_secs() / (horizon - warmup).as_secs()
+                    fold.gpus[d.0].measured.as_secs() / (horizon - warmup).as_secs()
                 };
                 (d, u)
             })
@@ -260,7 +178,7 @@ impl SystemReport {
             gpu_utilization,
             max_stage_utilization,
             pull_wait_per_vw: stats.vws.iter().map(|v| v.pull_wait).collect(),
-            idle_in_wait_per_vw,
+            idle_in_wait_per_vw: fold.waits.iter().map(|w| w.idle).collect(),
             sync_bytes_inter: stats.sync_bytes_inter,
             sync_bytes_intra: stats.sync_bytes_intra,
             act_bytes_inter: stats.act_bytes_inter,
@@ -316,16 +234,16 @@ fn window_idle(from: SimTime, to: SimTime, column: &[usize], row: &[SimTime]) ->
 
 /// A run's report, folded while the run executes: the executor hands
 /// it every GPU span as it reserves one and every wait window as it
-/// opens and closes. Holds O(devices + VWs) state plus each GPU's
-/// few spans reserved past the current instant.
+/// opens and closes. [`SystemReport::from_stats`] replays a kept trace
+/// through it in the same order. Holds O(devices + VWs) state plus
+/// each GPU's few spans reserved past the current instant.
 ///
 /// Busy time within `[warmup, horizon)` is a per-span clip. A wait
 /// window needs each stage device's busy time before the window's two
 /// edges. Both edges are instants the run has reached, and every span
 /// starting before the current instant was recorded at or before its
 /// start, so that busy time is the GPU's ended spans plus the elapsed
-/// part of its reserved-ahead ones. The integers equal the trace pass
-/// of [`SystemReport::from_stats`], and the `f64` folds are shared.
+/// part of its reserved-ahead ones.
 pub(crate) struct ReportFold {
     warmup: SimTime,
     horizon: SimTime,
@@ -370,18 +288,19 @@ struct WaitFold {
 }
 
 impl ReportFold {
-    pub(crate) fn new(
+    /// A fold over `devices` GPUs for VWs with the given stage
+    /// devices, measuring busy time within `[warmup, horizon)`.
+    pub(crate) fn new<'a>(
         devices: usize,
-        vws: &[VirtualWorker],
+        vw_devices: impl IntoIterator<Item = &'a [DeviceId]>,
         warmup: SimTime,
         horizon: SimTime,
     ) -> ReportFold {
-        let waits = vws
-            .iter()
-            .map(|vw| {
+        let waits = vw_devices
+            .into_iter()
+            .map(|stages| {
                 let mut distinct: Vec<usize> = Vec::new();
-                let column = vw
-                    .devices
+                let column = stages
                     .iter()
                     .map(|d| {
                         distinct.iter().position(|&x| x == d.0).unwrap_or_else(|| {
@@ -438,31 +357,6 @@ impl ReportFold {
         }
         w.idle += window_idle(from, now, &w.column, &w.busy);
     }
-}
-
-/// One VW's busy time per (wait window, distinct stage device), filled
-/// by the report pass.
-struct WaitBooks<'a> {
-    windows: &'a [(SimTime, SimTime)],
-    /// The column of each stage device; repeated devices share one.
-    column: Vec<usize>,
-    /// Row-major, one row of `columns` entries per window.
-    busy: Vec<SimTime>,
-    columns: usize,
-}
-
-/// One wait-book column a device feeds, with the index of the first
-/// window the device's latest span could overlap.
-#[derive(Clone)]
-struct Reader {
-    vw: usize,
-    column: usize,
-    next: usize,
-}
-
-/// The part of `span` inside `[from, to)`.
-fn clipped<T>(span: &Span<T>, from: SimTime, to: SimTime) -> SimTime {
-    span.end.min(to) - span.start.max(from)
 }
 
 #[cfg(test)]

@@ -260,10 +260,9 @@ impl<T> Trace<T> {
 /// Same-instant events apply releases-first (ascending `delta`), so a
 /// handoff at an instant does not count as overlap. This is the single
 /// definition of a "measured peak", the measurement half of the
-/// measured ≤ declared memory invariant: the fleet's per-VW partials
-/// fold their events through it, and the occupancy audit through its
-/// running form [`PeakFold`], which a test holds equal to it, so
-/// measured values can never drift apart.
+/// measured ≤ declared memory invariant: the occupancy audit folds its
+/// events through the running form [`PeakFold`], which tests hold
+/// equal to it, so measured values can never drift apart.
 pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
     // Unstable sort: equal `(instant, delta)` tuples are
     // interchangeable under the running sum, and skipping the stable

@@ -23,7 +23,7 @@ use hetpipe_core::exec::{
 };
 use hetpipe_core::pserver::ShardMap;
 use hetpipe_core::{VirtualWorker, WspParams};
-use hetpipe_des::{peak_of_events, Discard, SimTime, SpanSink, Trace};
+use hetpipe_des::{Discard, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{RecomputePolicy, Schedule};
 use std::time::Duration;
@@ -81,15 +81,10 @@ pub struct VwPartial {
     pub gpu_busy: Vec<SimTime>,
     /// Busy time per cell NIC (node order).
     pub nic_busy: Vec<SimTime>,
-    /// Peak concurrent spans across the cell's resources. Computed
-    /// only when the run keeps traces (the parity / diagnostic mode);
-    /// timing runs report 0 — the sweep over the full span set costs
-    /// as much as the simulation itself.
-    pub peak_spans: i64,
 }
 
 impl VwPartial {
-    fn fold(vw: usize, stats: &RunStats, with_peak: bool) -> VwPartial {
+    fn fold(vw: usize, stats: &RunStats) -> VwPartial {
         let s = &stats.vws[0];
         VwPartial {
             vw,
@@ -110,18 +105,6 @@ impl VwPartial {
                 .iter()
                 .map(|&r| stats.pool.get(r).busy_time())
                 .collect(),
-            peak_spans: if with_peak {
-                peak_of_events(
-                    stats
-                        .trace
-                        .spans()
-                        .iter()
-                        .flat_map(|s| [(s.start, 1), (s.end, -1)])
-                        .collect(),
-                )
-            } else {
-                0
-            },
         }
     }
 }
@@ -312,7 +295,7 @@ fn drive_lane<'a, S: SpanSink<SpanTag>>(
             if eng.is_done() {
                 let (e, eng) = engines.swap_remove(i);
                 let stats = eng.into_stats();
-                partials.push(VwPartial::fold(e, &stats, cfg.keep_traces));
+                partials.push(VwPartial::fold(e, &stats));
                 if cfg.keep_traces {
                     traces.push((e, stats.trace));
                 }

@@ -50,10 +50,10 @@
 //! # Memory
 //!
 //! Each engine's stats fold into a per-VW [`VwPartial`] (busy time,
-//! completions, and peak span occupancy when traces are kept) the
-//! moment the engine finishes. Unless the caller asked to keep traces,
-//! engines record no spans at all (`hetpipe_des::Discard`), so fleet
-//! memory is O(VWs), not O(events).
+//! completions, waits and event counts) the moment the engine
+//! finishes. Unless the caller asked to keep traces, engines record no
+//! spans at all (`hetpipe_des::Discard`), so fleet memory is O(VWs),
+//! not O(events).
 
 pub mod bus;
 pub mod driver;

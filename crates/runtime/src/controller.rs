@@ -145,7 +145,7 @@ pub struct RuntimeParams<'a> {
     pub script: ScenarioScript,
     /// The reactive policy.
     pub policy: Policy,
-    /// Monitor tuning.
+    /// Runtime tuning: the lease hysteresis.
     pub monitor: MonitorConfig,
     /// Reaction budget (backstop against pathological oscillation).
     pub max_reactions: usize,
@@ -328,7 +328,6 @@ impl Action {
 /// Mutable controller state across epochs.
 struct Controller<'a> {
     p: RuntimeParams<'a>,
-    monitor: Monitor,
     vws: Vec<VirtualWorker>,
     nm: usize,
     /// Derates already reacted to, keyed by stage (what the monitor
@@ -359,7 +358,6 @@ struct Controller<'a> {
 
 impl<'a> Controller<'a> {
     fn new(p: RuntimeParams<'a>, horizon: SimTime) -> Self {
-        let monitor = Monitor::new(p.monitor);
         let vws = p.vws.clone();
         let nm = p.wsp.nm;
         let mut instants: Vec<(SimTime, String, &'static str)> = p
@@ -400,7 +398,6 @@ impl<'a> Controller<'a> {
             })
             .collect();
         Controller {
-            monitor,
             vws,
             nm,
             applied: BTreeMap::new(),
@@ -889,9 +886,7 @@ impl<'a> Controller<'a> {
                 break;
             }
             let probe = self.run_segment(self.segment_opts(None), remaining);
-            let signals = self
-                .monitor
-                .analyze(&probe, &self.vws, self.p.schedule, &self.applied);
+            let signals = Monitor.analyze(&probe, &self.vws, self.p.schedule, &self.applied);
             let lease = self.lease_signals(probe.end);
             match self.decide(&signals, &lease) {
                 None => {

@@ -27,26 +27,27 @@ use hetpipe_des::SimTime;
 use hetpipe_schedule::{PipelineSchedule, Schedule};
 use std::collections::BTreeMap;
 
-/// Monitor tuning.
+/// EWMA smoothing factor (weight of the newest observation).
+const ALPHA: f64 = 0.3;
+/// A stage is a straggler when its EWMA ratio exceeds the applied
+/// derate by this multiplicative threshold (1.15 = 15% slower than
+/// already accounted for).
+const STRAGGLER_RATIO: f64 = 1.15;
+/// A derated stage has recovered when its EWMA ratio falls back below
+/// this (near-nominal) value.
+const RECOVER_RATIO: f64 = 1.05;
+/// A single task whose observed/planned ratio exceeds this is a dead
+/// GPU (the rate-0 reservation signature), not a straggler.
+const LOST_RATIO: f64 = 50.0;
+/// Hysteresis for [`Signal::Recovered`]: the EWMA must stay below
+/// [`RECOVER_RATIO`] for at least this long (simulated seconds) before
+/// the signal is raised, so one fast task after a blip does not
+/// trigger a re-admission splice.
+const RECOVER_HYSTERESIS_SECS: f64 = 1.0;
+
+/// Runtime tuning the controller reads.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
-    /// EWMA smoothing factor (weight of the newest observation).
-    pub alpha: f64,
-    /// A stage is a straggler when its EWMA ratio exceeds the applied
-    /// derate by this multiplicative threshold (1.15 = 15% slower
-    /// than already accounted for).
-    pub straggler_ratio: f64,
-    /// A derated stage has recovered when its EWMA ratio falls back
-    /// below this (near-nominal) value.
-    pub recover_ratio: f64,
-    /// A single task whose observed/planned ratio exceeds this is a
-    /// dead GPU (the rate-0 reservation signature), not a straggler.
-    pub lost_ratio: f64,
-    /// Hysteresis for [`Signal::Recovered`]: the EWMA must stay below
-    /// `recover_ratio` for at least this long (simulated seconds)
-    /// before the signal is raised, so one fast task after a blip
-    /// does not trigger a re-admission splice.
-    pub recover_hysteresis_secs: f64,
     /// Hysteresis for control-plane lease transitions: a grant or
     /// preemption only becomes actionable if no opposite transition
     /// on the same GPU follows within this window (simulated
@@ -58,11 +59,6 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            alpha: 0.3,
-            straggler_ratio: 1.15,
-            recover_ratio: 1.05,
-            lost_ratio: 50.0,
-            recover_hysteresis_secs: 1.0,
             lease_hysteresis_secs: 2.0,
         }
     }
@@ -162,18 +158,10 @@ struct StageState {
 /// The trace-fed monitor. Stateless across segments: the controller
 /// passes the derates it has already applied, and the monitor compares
 /// fresh observations against them.
-#[derive(Debug, Clone, Default)]
-pub struct Monitor {
-    /// Tuning.
-    pub config: MonitorConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Monitor;
 
 impl Monitor {
-    /// Creates a monitor with the given tuning.
-    pub fn new(config: MonitorConfig) -> Self {
-        Monitor { config }
-    }
-
     /// Analyzes one segment's run: EWMA of observed/planned per
     /// (vw, stage) over the compute spans, in recorded (dispatch)
     /// order, checked against `applied` (the controller's current
@@ -191,7 +179,6 @@ impl Monitor {
         schedule: Schedule,
         applied: &BTreeMap<(usize, usize), f64>,
     ) -> Vec<Signal> {
-        let cfg = self.config;
         let fused_last = schedule.fused_last_stage();
         let offset = VirtualWorker::stage_offsets(vws);
         let mut stages = vec![StageState::default(); offset[vws.len()]];
@@ -224,27 +211,27 @@ impl Monitor {
             let ratio = span.duration().as_secs() / planned.as_secs();
             let slot = offset[vw] + stage;
             let st = &mut stages[slot];
-            if ratio >= cfg.lost_ratio && st.lost.is_none() {
+            if ratio >= LOST_RATIO && st.lost.is_none() {
                 st.lost = Some(span.start);
             }
             st.ewma = if st.seen == 0 {
                 ratio
             } else {
-                cfg.alpha * ratio + (1.0 - cfg.alpha) * st.ewma
+                ALPHA * ratio + (1.0 - ALPHA) * st.ewma
             };
             st.seen += 1;
             let base = derate[slot];
-            if st.ewma > base * cfg.straggler_ratio && st.crossed_up.is_none() {
+            if st.ewma > base * STRAGGLER_RATIO && st.crossed_up.is_none() {
                 st.crossed_up = Some(span.end);
             }
-            if base > cfg.recover_ratio && st.ewma < cfg.recover_ratio && st.seen >= 3 {
+            if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO && st.seen >= 3 {
                 // Recovery needs hysteresis: the EWMA must *stay*
                 // below the threshold for the configured window — a
                 // single fast task after a blip must not trigger a
                 // re-admission splice.
                 let since = *st.below_since.get_or_insert(span.end);
                 if st.crossed_down.is_none()
-                    && (span.end - since).as_secs() >= cfg.recover_hysteresis_secs
+                    && (span.end - since).as_secs() >= RECOVER_HYSTERESIS_SECS
                 {
                     st.crossed_down = Some(span.end);
                 }
@@ -268,7 +255,7 @@ impl Monitor {
                 signals.push(Signal::GpuLost { vw, stage, at });
                 continue;
             }
-            if st.ewma > base * cfg.straggler_ratio {
+            if st.ewma > base * STRAGGLER_RATIO {
                 if let Some(at) = st.crossed_up {
                     signals.push(Signal::Straggler {
                         vw,
@@ -277,7 +264,7 @@ impl Monitor {
                         at,
                     });
                 }
-            } else if base > cfg.recover_ratio && st.ewma < cfg.recover_ratio {
+            } else if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO {
                 if let Some(at) = st.crossed_down {
                     signals.push(Signal::Recovered {
                         vw,

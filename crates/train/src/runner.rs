@@ -21,6 +21,7 @@ use crate::data::Dataset;
 use crate::mlp::Mlp;
 use crate::ps::ParameterServer;
 use crate::sgd::{accumulate, apply_delta, Sgd};
+use hetpipe_schedule::WspParams;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -102,21 +103,6 @@ pub struct TrainOutcome {
     pub max_clock_distance: u64,
 }
 
-/// The newest wave whose global updates minibatch `p` (1-indexed) must
-/// see under WSP, or `None` for the initial unconstrained minibatches.
-///
-/// Mirrors `hetpipe_core::WspParams::required_wave`; duplicated here so
-/// the trainer stays independent of the simulator crates (the unit
-/// tests cross-check the two implementations via shared examples).
-fn required_wave(p: u64, nm: usize, d: usize) -> Option<u64> {
-    let s_local = nm as u64 - 1;
-    let s_global = (d as u64 + 1) * (s_local + 1) + s_local - 1;
-    if p <= s_global + 1 {
-        return None;
-    }
-    Some((p - s_global - 2) / nm as u64)
-}
-
 /// Runs a threaded training session and returns the accuracy curve.
 ///
 /// # Panics
@@ -196,7 +182,8 @@ fn run_wsp(
     let mut wave_acc = vec![0.0f32; local.len()];
     let mut pulled: i64 = -1;
     let mut completed: u64 = 0;
-    let s_local = nm - 1;
+    let wsp = WspParams::new(nm, d);
+    let s_local = wsp.s_local();
 
     let complete_one = |pending: &mut VecDeque<Vec<f32>>,
                         local: &mut Vec<f32>,
@@ -215,7 +202,7 @@ fn run_wsp(
     for p in 1..=config.steps_per_worker {
         // The WSP start gate (Section 5): block until the local weights
         // cover the required global wave.
-        if let Some(req) = required_wave(p, nm, d) {
+        if let Some(req) = wsp.required_wave(p) {
             if pulled < req as i64 {
                 let (global, covered) = ps.pull_wait(req);
                 // Local view = global weights + this worker's local
@@ -318,11 +305,12 @@ mod tests {
     #[test]
     fn required_wave_matches_core_examples() {
         // The shared examples from the paper (Nm = 4, D = 0).
-        assert_eq!(required_wave(7, 4, 0), None);
-        assert_eq!(required_wave(8, 4, 0), Some(0));
-        assert_eq!(required_wave(11, 4, 0), Some(0));
-        assert_eq!(required_wave(12, 4, 0), Some(1));
-        assert_eq!(required_wave(12, 4, 1), Some(0));
+        let wsp = |d| WspParams::new(4, d);
+        assert_eq!(wsp(0).required_wave(7), None);
+        assert_eq!(wsp(0).required_wave(8), Some(0));
+        assert_eq!(wsp(0).required_wave(11), Some(0));
+        assert_eq!(wsp(0).required_wave(12), Some(1));
+        assert_eq!(wsp(1).required_wave(12), Some(0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Parity of the in-run report and occupancy audit with the kept-trace
-//! path and with naive references.
+//! Parity of the report fold and the occupancy audit with naive
+//! references.
 //!
 //! A run folds its report and its occupancy peaks while it executes
 //! (`exec::run_with_sink`, `HetPipeSystem::run_with_stats`), keeping no
-//! trace. `SystemReport::from_stats` is the kept-trace path: one pass
-//! over a run's trace at any warm-up. The naive report reference asks
+//! trace. `SystemReport::from_stats` replays a kept trace through the
+//! same report fold, at any warm-up. The naive report reference asks
 //! [`Trace::busy_within`] and [`Trace::utilization_within`]
 //! (full-trace scans) once per (device, window); the naive audit
 //! reference keys one `BTreeMap` entry per span per keying and folds
@@ -13,9 +13,9 @@
 //!
 //! This is a dynamically audited invariant: it holds for the runs
 //! below (hand-picked configurations, a seeded sample of schedule ×
-//! recompute × (Nm, D) × cluster, rate-edge and draining segments, and
-//! a hand-built overlapping trace) and is evidence, not proof, for
-//! other configurations.
+//! recompute × (Nm, D) × cluster, rate-edge and draining segments, a
+//! hand-built overlapping trace, and its wait windows over an empty
+//! trace) and is evidence, not proof, for other configurations.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::audit::{GpuOccupancy, StageOccupancy};
@@ -600,7 +600,7 @@ fn run_with_stats_keeps_no_trace() {
 fn overlapping_out_of_order_fixture_matches_full_scans() {
     // Overlapping spans recorded out of order on device 0, a sparse
     // resource id on device 1 (shared by both VWs), a device with no
-    // spans, a zero-length span and a NIC span: the one-pass report
+    // spans, a zero-length span and a NIC span: the replayed report
     // must answer exactly like the full scans.
     let ns = SimTime::from_nanos;
     let fwd = |vw, stage| SpanTag::Forward { vw, stage, mb: 1 };
@@ -635,7 +635,7 @@ fn overlapping_out_of_order_fixture_matches_full_scans() {
             vw(&[(0, 5), (5, 5), (10, 20), (25, 60), (90, 100)]),
             vw(&[(0, 40), (60, 60), (60, 95)]),
         ],
-        trace,
+        trace: Trace::new(),
         gpu_resources,
         nic_resources: vec![nic],
         pool: ResourcePool::new(),
@@ -655,12 +655,20 @@ fn overlapping_out_of_order_fixture_matches_full_scans() {
         vec![DeviceId(0), DeviceId(1), DeviceId(0)],
         vec![DeviceId(1), DeviceId(2)],
     ];
-    for horizon in [0u64, 7, 25, 60, 100] {
-        stats.horizon = ns(horizon);
-        for warmup in [0u64, 5, 9, 30, 95] {
-            let got = SystemReport::from_stats(&stats, &cluster, 8, ns(warmup), &devices);
-            let want = naive_report(&stats, &cluster, 8, ns(warmup), &devices);
-            assert_reports_identical(&format!("window {warmup}..{horizon}"), &got, &want);
+    // An empty trace first: `run_with_stats` keeps no spans, so that
+    // is what `e2e_bench`'s replay hands `from_stats`. It must read
+    // zero busy time, with every wait window idle throughout.
+    for trace in [Trace::new(), trace] {
+        let spans = trace.len();
+        stats.trace = trace;
+        for horizon in [0u64, 7, 25, 60, 100] {
+            stats.horizon = ns(horizon);
+            for warmup in [0u64, 5, 9, 30, 95] {
+                let got = SystemReport::from_stats(&stats, &cluster, 8, ns(warmup), &devices);
+                let want = naive_report(&stats, &cluster, 8, ns(warmup), &devices);
+                let label = format!("{spans} spans, window {warmup}..{horizon}");
+                assert_reports_identical(&label, &got, &want);
+            }
         }
     }
     // The windows saw real busy time: VW 0's (25, 60) holds 35 ns on
