@@ -354,6 +354,23 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         r
     }
 
+    /// A snapshot of every resident `(key, value)` pair, in no
+    /// particular order. Touches nothing and counts nothing.
+    pub fn entries(&self) -> Vec<(K, V)>
+    where
+        K: Clone,
+    {
+        self.shards
+            .iter()
+            .flat_map(|s| {
+                Self::lock(s)
+                    .iter()
+                    .map(|(k, e)| (k.clone(), e.value.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     /// Total entries across shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).len()).sum()

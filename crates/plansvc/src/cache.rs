@@ -79,7 +79,7 @@ const FAMILY_NEIGHBOR_CAP: usize = 8;
 /// family neighbor index used to seed warm starts on misses.
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: ShardedCache<PlanKey, CachedPlan>,
+    pub(crate) entries: ShardedCache<PlanKey, CachedPlan>,
     families: ShardedCache<FamilyKey, Vec<PlanKey>>,
     publishes: AtomicU64,
 }

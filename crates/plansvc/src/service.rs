@@ -332,6 +332,17 @@ impl PlanService {
         self.shared.cache.clear();
     }
 
+    /// Every cached plan with the key it was solved for.
+    pub fn cached_plans(&self) -> Vec<(PlanKey, PartitionPlan)> {
+        self.shared
+            .cache
+            .entries
+            .entries()
+            .into_iter()
+            .map(|(k, e)| (k, e.plan))
+            .collect()
+    }
+
     /// Lifetime cache counters: `(hits, misses, publishes)`.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         (

@@ -260,3 +260,80 @@ fn catalog_fingerprints_are_the_plankey_fingerprints() {
         cluster_fingerprint(&cluster)
     );
 }
+
+/// Elastic-chaos pin: four ED-built virtual workers (ResNet-152,
+/// boundary-only recompute, 16 RTX 2060s) replan through one shared
+/// client over eight seeded chaos scripts. The cache counters are
+/// pinned, so a change to the lookups, their order or the warm-start
+/// policy fails here; and every plan the cache holds, each one a
+/// replanned virtual worker, equals a cold solve of its derated
+/// instance.
+#[test]
+fn chaos_replans_pin_the_cache_counters_and_match_the_cold_oracle() {
+    use hetpipe::core::{AllocationPolicy, HetPipeSystem, SystemConfig, WspParams};
+    use hetpipe::des::SimTime;
+    use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
+    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+    let graph = hetpipe::model::resnet152(32);
+    let config = SystemConfig {
+        policy: AllocationPolicy::EqualDistribution,
+        recompute: RecomputePolicy::BoundaryOnly,
+        ..SystemConfig::default()
+    };
+    let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
+    assert_eq!(sys.virtual_workers().len(), 4);
+    let mut catalog = Catalog::new();
+    catalog.register_model(graph.clone());
+    catalog.register_cluster(cluster.clone());
+    let svc = PlanService::start(catalog, 1);
+    let client = svc.client();
+    let horizon_secs = 90.0;
+    let mut epochs = 0;
+    for seed in 0..8u64 {
+        let script = ScenarioScript::chaos(seed, horizon_secs, 16, 4, 8);
+        let report = runtime::run(
+            RuntimeParams {
+                cluster: &cluster,
+                graph: &graph,
+                vws: sys.virtual_workers().to_vec(),
+                wsp: WspParams::new(sys.nm(), config.staleness_bound),
+                placement: config.placement,
+                sync_transfers: config.sync_transfers,
+                schedule: config.schedule,
+                recompute: config.recompute,
+                script,
+                policy: Policy::Replan,
+                monitor: MonitorConfig::default(),
+                max_reactions: 8,
+                planner: Some(client.clone()),
+            },
+            SimTime::from_secs(horizon_secs),
+        );
+        assert!(report.audits_sound(), "seed {seed}: occupancy audits");
+        epochs += report.epochs.len();
+    }
+    assert!(epochs > 8, "the scripts must make the controller splice");
+    assert_eq!(
+        svc.cache_stats(),
+        (112, 16, 128),
+        "(hits, misses, publishes)"
+    );
+    let plans = svc.cached_plans();
+    assert!(!plans.is_empty());
+    for (key, plan) in &plans {
+        let derates: Vec<f64> = key.derate_bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let oracle = cold_oracle(
+            &cluster,
+            &graph,
+            &key.devices,
+            &derates,
+            key.nm,
+            key.schedule,
+            key.recompute,
+        );
+        let what = format!("{:?} nm={} derates={derates:?}", key.devices, key.nm);
+        assert_plan_eq(plan, &oracle, &what);
+    }
+    drop(client);
+    svc.shutdown();
+}
