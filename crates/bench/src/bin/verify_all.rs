@@ -1,7 +1,6 @@
 //! The static-verification gate: sweeps the standing configuration
 //! matrix through `hetpipe-verify`'s proof passes and exits non-zero
-//! on any violation. CI runs it next to the planner and plan-service
-//! benchmark gates.
+//! on any violation. CI runs it next to the planner benchmark gate.
 //!
 //! Five passes, none of which executes the DES:
 //!
@@ -29,13 +28,11 @@
 //!    are checked at every minibatch of a warmup-covering horizon for
 //!    each (Nm, D), plus the interleaved per-chunk 2BW version-demand
 //!    proof.
-//! 5. **Model checking** — the plan-cache MatchSeq invariant over
-//!    every interleaving of the standing 2- and 3-thread scenarios
-//!    (pinned to the multinomials), and the per-VW gate protocol over
-//!    3 engines in full plus 4 engines under sleep-set POR (63M
-//!    unreduced interleavings; the POR trace count is pinned). Both
-//!    checkers run their deliberately broken variants as negative
-//!    controls — if a checker *fails to find* that counterexample,
+//! 5. **Model checking** — the per-VW gate protocol over 3 engines in
+//!    full (pinned to the multinomial) plus 4 engines under sleep-set
+//!    POR (63M unreduced interleavings; the POR trace count is
+//!    pinned). The checker runs a deliberately broken engine as a
+//!    negative control — if it *fails to find* that counterexample,
 //!    the gate fails.
 //!
 //! Flags: `--report <path>` writes the full output (including the
@@ -59,10 +56,9 @@ use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
 };
 use hetpipe_verify::{
-    check_broken_gate_protocol, check_broken_protocol, check_gate_protocol,
-    check_interaction_points, check_seq_protocol, interleaved_chunk_versions, structural_occupancy,
-    verify_deadlock_free, verify_lookahead, verify_script_isolation, verify_version_rule,
-    verify_vw_isolation, verify_wsp_bound,
+    check_broken_gate_protocol, check_gate_protocol, check_interaction_points,
+    interleaved_chunk_versions, structural_occupancy, verify_deadlock_free, verify_lookahead,
+    verify_script_isolation, verify_version_rule, verify_vw_isolation, verify_wsp_bound,
 };
 use std::time::Instant;
 
@@ -335,34 +331,9 @@ fn main() {
     ));
 
     // ------------------------------------------------------------------
-    // Pass 5: model checking — MatchSeq and the gate protocol, each
-    // with its negative control.
+    // Pass 5: model checking — the gate protocol, with its negative
+    // control.
     // ------------------------------------------------------------------
-    match check_seq_protocol() {
-        Ok(reports) => {
-            for r in &reports {
-                gate.say(format!(
-                    "matchseq     {:<52} {} threads, {} ops: {} interleavings, all hold",
-                    r.scenario, r.threads, r.ops, r.interleavings
-                ));
-            }
-        }
-        Err(e) => gate.violations.push(format!("MatchSeq: {e}")),
-    }
-    match check_broken_protocol() {
-        Some(counterexample) => {
-            let steps = counterexample.schedule.len();
-            gate.say(format!(
-                "matchseq     negative control: blind-insert protocol refuted in {steps} steps \
-                 (checker is not vacuous)"
-            ));
-        }
-        None => gate.violations.push(
-            "negative control FAILED: the checker passed the deliberately broken \
-             blind-insert protocol — exploration is vacuous"
-                .into(),
-        ),
-    }
     match check_gate_protocol() {
         Ok(reports) => {
             for r in &reports {

@@ -27,10 +27,10 @@
 //! - [`system`] — end-to-end assembly and simulation entry point.
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true
 //!   idle time (Section 8.4), and traffic split.
-//! - [`plankey`] — process-stable model/cluster fingerprints, the
-//!   public [`plankey::RefineKey`] planning-instance identity, and the
-//!   sharded concurrent memo cache shared by the order-search refine
-//!   pass and the `hetpipe-plansvc` plan cache.
+//! - [`plankey`] — process-stable model/cluster fingerprints (also the
+//!   request keys of the `hetpipe-plansvc` replan cache), the public
+//!   [`plankey::RefineKey`] planning-instance identity, and the sharded
+//!   concurrent memo cache of the order-search refine pass.
 //! - [`convergence`] — composition of simulated throughput with
 //!   accuracy-per-update curves into time to accuracy (Figures 5
 //!   and 6).

@@ -3,10 +3,9 @@
 //! Two subsystems need to agree on the question "is this the same
 //! planning instance?": the order-search refine memo in
 //! [`crate::system`] (kind-identical virtual workers must share one
-//! standalone simulation) and the plan cache behind the concurrent
-//! planner service (`hetpipe-plansvc`), whose request keys and
-//! invalidation protocol are built from the same identity. This module
-//! is that shared vocabulary:
+//! standalone simulation) and the replan cache (`hetpipe-plansvc`),
+//! whose request keys are built from the same identity. This module is
+//! that shared vocabulary:
 //!
 //! - [`graph_fingerprint`] / [`cluster_fingerprint`] — FNV-1a digests
 //!   of every cost-relevant field. Deliberately **not** `Hash`-based:
@@ -20,37 +19,10 @@
 //!   simulated standalone rate, promoted out of `system.rs` so the
 //!   memo key is a public, documented contract.
 //! - [`ShardedCache`] — a `Mutex`-sharded concurrent map with hit/miss
-//!   accounting, true-LRU eviction at capacity, and an entry-style
-//!   [`ShardedCache::update`] for atomic read-modify-write (the plan
-//!   cache's sequence-number protocol lives on top of it). Unlike the
-//!   thread-local memo it replaces, entries are shared by *all*
-//!   threads: scoped worker threads and repeated builds on different
-//!   threads hit the same entries.
-//!
-//! # The `MatchSeq` invariant and why `update` is the whole protocol
-//!
-//! The plan service (`hetpipe-plansvc`) layers a MatchSeq-style
-//! monotonic-sequence protocol on this cache: each key carries a
-//! sequence number, a *publish* replaces the entry with `seq = prior +
-//! 1` (1 when absent), an *insert-if-absent* installs `seq = 1` only
-//! when no entry exists (yielding to any racing publisher), and the
-//! invariant is
-//!
-//! > **MatchSeq**: once `seq = n` has been published for a key, no
-//! > reader of that key can ever be served a sequence older than `n`.
-//!
-//! The entire argument rests on one fact about *this* module: every
-//! read and every read-modify-write of a key runs as one critical
-//! section under the key's shard lock ([`ShardedCache::get`] /
-//! [`ShardedCache::update`]), so a concurrent history of cache ops is
-//! equivalent to some *sequential* interleaving of atomic steps. The
-//! [`shadow`] submodule reifies that atomic-step semantics as a pure
-//! state machine ([`shadow::SeqCell`], one method per critical
-//! section), and `hetpipe-verify`'s model checker enumerates **all**
-//! interleavings of 2–3 threads of publish / read / insert-if-absent
-//! steps over it, proving MatchSeq exhaustively rather than sampling
-//! it with a racing test. A parity test below pins the shadow to the
-//! real `update`-based implementation, so the proof transfers.
+//!   accounting and true-LRU eviction at capacity, backing the refine
+//!   memo. Unlike the thread-local memo it replaces, entries are shared
+//!   by *all* threads: scoped worker threads and repeated builds on
+//!   different threads hit the same entries.
 
 use crate::pserver::Placement;
 use crate::system::SystemConfig;
@@ -231,11 +203,11 @@ struct Stamped<V> {
 
 /// A concurrent map sharded across `SHARD_COUNT` `Mutex<HashMap>`
 /// shards, with hit/miss accounting and a bounded capacity enforced
-/// by **true LRU eviction**: every `get`, `insert`, and `update`
-/// refreshes the entry's recency stamp, and an insert into a full
-/// shard evicts exactly the shard's least-recently-touched entry
-/// (replacing the earlier whole-shard dump, which threw away up to
-/// `cap` hot entries to admit one).
+/// by **true LRU eviction**: every `get` and `insert` refreshes the
+/// entry's recency stamp, and an insert into a full shard evicts
+/// exactly the shard's least-recently-touched entry (replacing the
+/// earlier whole-shard dump, which threw away up to `cap` hot entries
+/// to admit one).
 ///
 /// Shard selection uses `DefaultHasher::new()` (fixed-key SipHash), so
 /// it is deterministic within and across processes; the `HashMap`s
@@ -330,47 +302,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         map.insert(key, Stamped { value, touched });
     }
 
-    /// Atomic read-modify-write of one entry under its shard lock:
-    /// `f` sees `Some(existing)` or `None` and may replace, keep, or
-    /// remove the slot's content. This is the primitive a
-    /// sequence-validated cache builds compare-and-publish on — two
-    /// racing publishers serialize on the shard lock, so whatever `f`
-    /// decides is atomic with respect to every other `get`/`update`
-    /// of that key (the critical section [`shadow::SeqCell`] models
-    /// as one step). Not counted as a hit or a miss; the written-back
-    /// entry becomes the most recently used, and filling a shard past
-    /// capacity evicts its LRU entry.
-    pub fn update<R>(&self, key: K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
-        let mut map = Self::lock(self.shard(&key));
-        let mut slot = map.remove(&key).map(|e| e.value);
-        let r = f(&mut slot);
-        if let Some(value) = slot {
-            if map.len() >= self.cap_per_shard {
-                Self::evict_lru(&mut map);
-            }
-            let touched = self.tick();
-            map.insert(key, Stamped { value, touched });
-        }
-        r
-    }
-
-    /// A snapshot of every resident `(key, value)` pair, in no
-    /// particular order. Touches nothing and counts nothing.
-    pub fn entries(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                Self::lock(s)
-                    .iter()
-                    .map(|(k, e)| (k.clone(), e.value.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
     /// Total entries across shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).len()).sum()
@@ -396,76 +327,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// Lifetime lookup misses.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-}
-
-pub mod shadow {
-    //! Pure single-key shadow of the seq-publish protocol.
-    //!
-    //! Every sequence-protocol operation on a [`super::ShardedCache`]
-    //! key is one critical section under the key's shard lock, so a
-    //! concurrent history is equivalent to a sequential interleaving
-    //! of atomic steps. [`SeqCell`] is that step semantics as a pure
-    //! state machine — one method per critical section, no locks, no
-    //! heap — which is what makes exhaustive model checking feasible:
-    //! `hetpipe-verify`'s explorer clones the state at every branch
-    //! point and enumerates **all** interleavings of 2–3 threads of
-    //! these steps, checking the MatchSeq invariant ("a reader never
-    //! observes a seq older than the latest published") at every
-    //! reachable state. The parity test in this module pins each step
-    //! to the real `update`-based implementation, so the checker's
-    //! verdict is about the shipped protocol, not a lookalike.
-
-    /// One key's protocol state: its current sequence number, with
-    /// `0` meaning "absent" (real sequences start at 1).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-    pub struct SeqCell {
-        seq: u64,
-    }
-
-    impl SeqCell {
-        /// An absent key.
-        pub fn new() -> SeqCell {
-            SeqCell::default()
-        }
-
-        /// The publish step (`PlanCache::publish`'s critical
-        /// section): install `seq = prior + 1`, or 1 when absent.
-        /// Returns the published sequence.
-        pub fn publish(&mut self) -> u64 {
-            self.seq += 1;
-            self.seq
-        }
-
-        /// The insert-if-absent step (`PlanCache::insert_if_absent`'s
-        /// critical section): install `seq = 1` only when no entry
-        /// exists; a present entry is returned untouched. Returns
-        /// `(seq, fresh)`.
-        pub fn insert_if_absent(&mut self) -> (u64, bool) {
-            if self.seq == 0 {
-                self.seq = 1;
-                (1, true)
-            } else {
-                (self.seq, false)
-            }
-        }
-
-        /// The read step: the entry's sequence, `None` when absent.
-        pub fn read(&self) -> Option<u64> {
-            (self.seq > 0).then_some(self.seq)
-        }
-
-        /// The **deliberately broken** insert the protocol exists to
-        /// forbid: a blind install of `seq = 1` that clobbers whatever
-        /// is there — the pre-protocol bug where a slow solver's
-        /// stale result overwrites a racing publisher's newer plan.
-        /// Kept so the model checker's gate can be demonstrated to
-        /// fail: swapping this step in for `insert_if_absent` must
-        /// produce a MatchSeq violation.
-        pub fn blind_insert(&mut self) -> u64 {
-            self.seq = 1;
-            1
-        }
     }
 }
 
@@ -544,28 +405,6 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn sharded_cache_update_is_atomic_read_modify_write() {
-        let cache: ShardedCache<u64, (u64, &'static str)> = ShardedCache::new(1024);
-        // Publish-style CAS: bump a sequence number atomically.
-        for expect in 1..=5u64 {
-            let seq = cache.update(7, |slot| {
-                let seq = slot.as_ref().map(|(s, _)| s + 1).unwrap_or(1);
-                *slot = Some((seq, "plan"));
-                seq
-            });
-            assert_eq!(seq, expect);
-        }
-        assert_eq!(cache.get(&7), Some((5, "plan")));
-        // An update may also decline to write.
-        let seen = cache.update(7, |slot| slot.as_ref().map(|(s, _)| *s));
-        assert_eq!(seen, Some(5));
-        assert_eq!(cache.get(&7), Some((5, "plan")));
-        // Or remove the entry.
-        cache.update(7, |slot| *slot = None);
-        assert_eq!(cache.get(&7), None);
     }
 
     #[test]
@@ -660,112 +499,6 @@ mod tests {
         cache.insert(keys[0], 10);
         assert_eq!(cache.get(&keys[0]), Some(10));
         assert_eq!(cache.get(&keys[1]), Some(2));
-    }
-
-    #[test]
-    fn update_path_evicts_lru_too() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::new(2 * SHARD_COUNT);
-        let keys = same_shard_keys(3);
-        cache.insert(keys[0], 1);
-        cache.insert(keys[1], 2);
-        assert_eq!(cache.get(&keys[0]), Some(1)); // keys[1] is LRU
-        cache.update(keys[2], |slot| *slot = Some(3));
-        assert_eq!(cache.get(&keys[1]), None, "update-insert evicts the LRU");
-        assert_eq!(cache.get(&keys[0]), Some(1));
-        assert_eq!(cache.get(&keys[2]), Some(3));
-        // An update of a *resident* key is a touch, not an eviction.
-        cache.update(keys[0], |slot| *slot = Some(11));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&keys[0]), Some(11));
-    }
-
-    /// The protocol steps, as driven against either implementation.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Step {
-        Publish,
-        InsertIfAbsent,
-        Read,
-    }
-
-    /// Applies one protocol step to the real cache via its
-    /// `update`/`get` critical sections — byte-for-byte the logic
-    /// `PlanCache` runs — returning the observed sequence.
-    fn real_step(cache: &ShardedCache<u64, u64>, step: Step) -> Option<u64> {
-        match step {
-            Step::Publish => Some(cache.update(7, |slot| {
-                let seq = slot.map(|s| s + 1).unwrap_or(1);
-                *slot = Some(seq);
-                seq
-            })),
-            Step::InsertIfAbsent => Some(cache.update(7, |slot| match slot {
-                Some(existing) => *existing,
-                None => {
-                    *slot = Some(1);
-                    1
-                }
-            })),
-            Step::Read => cache.get(&7),
-        }
-    }
-
-    fn shadow_step(cell: &mut shadow::SeqCell, step: Step) -> Option<u64> {
-        match step {
-            Step::Publish => Some(cell.publish()),
-            Step::InsertIfAbsent => Some(cell.insert_if_absent().0),
-            Step::Read => cell.read(),
-        }
-    }
-
-    #[test]
-    fn shadow_seqcell_matches_real_update_semantics() {
-        // Every ordering of a publish/publish/insert/read multiset
-        // produces identical step results and identical final state in
-        // the shadow and in the real `update`-based implementation —
-        // the parity that lets the model checker's exhaustive verdict
-        // transfer to the shipped cache. Orders are enumerated
-        // exhaustively (4! = 24, duplicates harmless).
-        use Step::*;
-        let base = [Publish, Publish, InsertIfAbsent, Read];
-        let mut orders = Vec::new();
-        permute(&mut base.to_vec(), 0, &mut orders);
-        assert_eq!(orders.len(), 24);
-        for order in orders {
-            let cache: ShardedCache<u64, u64> = ShardedCache::new(1024);
-            let mut cell = shadow::SeqCell::new();
-            for &step in &order {
-                assert_eq!(
-                    real_step(&cache, step),
-                    shadow_step(&mut cell, step),
-                    "step {step:?} diverged in order {order:?}"
-                );
-            }
-            assert_eq!(cache.get(&7), cell.read(), "final state diverged");
-        }
-    }
-
-    fn permute(items: &mut Vec<Step>, at: usize, out: &mut Vec<Vec<Step>>) {
-        if at == items.len() {
-            out.push(items.clone());
-            return;
-        }
-        for i in at..items.len() {
-            items.swap(at, i);
-            permute(items, at + 1, out);
-            items.swap(at, i);
-        }
-    }
-
-    #[test]
-    fn shadow_blind_insert_is_the_bug() {
-        // The broken step really does violate MatchSeq in one obvious
-        // sequential history — the checker's job is to find it in
-        // *every* concurrent one.
-        let mut cell = shadow::SeqCell::new();
-        cell.publish();
-        cell.publish();
-        assert_eq!(cell.read(), Some(2));
-        cell.blind_insert();
-        assert!(cell.read() < Some(2), "blind insert rewinds the sequence");
     }
 
     #[test]

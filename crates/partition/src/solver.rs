@@ -191,7 +191,7 @@ impl PartitionSolver {
     /// exists — incumbent absent, not a valid `k`-stage cover,
     /// memory-infeasible under the new costs, or a colocated
     /// interleaved schedule (where `solve_warm` degrades to the cold
-    /// solve). Callers that report provenance (the plan service's
+    /// solve). Callers that report provenance (the plan cache's
     /// `WarmMiss` vs `Cold`) use this to claim a warm start only when
     /// pruning genuinely applied.
     pub fn incumbent_bound_secs(

@@ -1,16 +1,9 @@
-//! The sequence-versioned plan cache and its warm-start neighbor index.
-//!
-//! Built on [`hetpipe_core::plankey::ShardedCache`]: all reads and
-//! writes of one [`PlanKey`] serialize on its shard lock, and the
-//! publish/insert primitives below layer the `MatchSeq`-style
-//! monotonic-sequence protocol on top of that atomicity (see the
-//! crate-level docs for the protocol statement).
+//! The plan cache and its warm-start neighbor index.
 
 use hetpipe_cluster::DeviceId;
-use hetpipe_core::plankey::ShardedCache;
 use hetpipe_partition::PartitionPlan;
 use hetpipe_schedule::{RecomputePolicy, Schedule};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 
 /// Identity of one planning instance, by value: stable fingerprints
 /// for the model and cluster, the expanded stage-device list in
@@ -61,137 +54,129 @@ struct FamilyKey {
     recompute: RecomputePolicy,
 }
 
-/// One cached plan with its `MatchSeq`-style version.
-#[derive(Debug, Clone)]
-pub struct CachedPlan {
-    /// Monotonic per-key sequence: 1 on first insert, +1 per publish.
-    pub seq: u64,
-    /// The solved partition (bit-identical to a cold solve).
-    pub plan: PartitionPlan,
-    /// Plan cost: bottleneck seconds.
-    pub cost: f64,
+/// One cached plan with its last-touched recency stamp.
+#[derive(Debug)]
+struct Entry {
+    plan: PartitionPlan,
+    touched: u64,
 }
 
 /// Neighbors remembered per family, most recent first.
 const FAMILY_NEIGHBOR_CAP: usize = 8;
 
-/// The plan cache: a sharded `PlanKey → CachedPlan` map plus the
-/// family neighbor index used to seed warm starts on misses.
+/// The plan cache: a `PlanKey → PartitionPlan` map bounded by
+/// least-recently-used eviction, plus the family neighbor index used
+/// to seed warm starts. Every key in the neighbor index is cached.
 #[derive(Debug)]
-pub struct PlanCache {
-    pub(crate) entries: ShardedCache<PlanKey, CachedPlan>,
-    families: ShardedCache<FamilyKey, Vec<PlanKey>>,
-    publishes: AtomicU64,
+pub(crate) struct PlanCache {
+    capacity: usize,
+    entries: HashMap<PlanKey, Entry>,
+    families: HashMap<FamilyKey, Vec<PlanKey>>,
+    /// Recency clock; stamps are unique, so the eviction victim is
+    /// unambiguous.
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    publishes: u64,
 }
 
 impl PlanCache {
-    /// Creates a cache bounded at roughly `capacity` plans.
-    pub fn new(capacity: usize) -> PlanCache {
+    /// Creates a cache holding at most `capacity` plans.
+    pub(crate) fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            entries: ShardedCache::new(capacity),
-            families: ShardedCache::new(capacity),
-            publishes: AtomicU64::new(0),
+            capacity,
+            entries: HashMap::new(),
+            families: HashMap::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            publishes: 0,
         }
     }
 
-    /// Looks up the current entry for `key` (counts hit/miss).
-    pub fn get(&self, key: &PlanKey) -> Option<CachedPlan> {
-        self.entries.get(key)
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    /// Publishes a replanned `key` with `seq = prior + 1` (or 1 when
-    /// the key was absent), atomically replacing any prior entry —
-    /// after this returns, no reader of `key` can be served an older
-    /// sequence.
-    pub fn publish(&self, key: &PlanKey, plan: PartitionPlan, cost: f64) -> CachedPlan {
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        let entry = self.entries.update(key.clone(), |slot| {
-            let seq = slot.as_ref().map(|e| e.seq + 1).unwrap_or(1);
-            let entry = CachedPlan { seq, plan, cost };
-            *slot = Some(entry.clone());
-            entry
-        });
-        self.remember_family(key);
-        entry
-    }
-
-    /// Inserts a freshly solved query miss *unless* someone installed
-    /// an entry in the meantime — a racing publisher's newer plan is
-    /// never clobbered; the existing entry is returned instead.
-    /// Returns `(entry, fresh)` with `fresh = false` when the race was
-    /// lost (callers then serve the cached entry as a hit, keeping the
-    /// sequence guarantee).
-    pub fn insert_if_absent(
-        &self,
-        key: &PlanKey,
-        plan: PartitionPlan,
-        cost: f64,
-    ) -> (CachedPlan, bool) {
-        let (entry, fresh) = self.entries.update(key.clone(), |slot| match slot {
-            Some(existing) => (existing.clone(), false),
-            None => {
-                let entry = CachedPlan { seq: 1, plan, cost };
-                *slot = Some(entry.clone());
-                (entry, true)
+    /// Looks up `key`, counting a hit or a miss. A hit refreshes the
+    /// entry's recency.
+    pub(crate) fn get(&mut self, key: &PlanKey) -> Option<PartitionPlan> {
+        let now = self.tick();
+        match self.entries.get_mut(key) {
+            Some(e) => {
+                e.touched = now;
+                self.hits += 1;
+                Some(e.plan.clone())
             }
-        });
-        if fresh {
-            self.remember_family(key);
+            None => {
+                self.misses += 1;
+                None
+            }
         }
-        (entry, fresh)
     }
 
-    /// The most recently cached family neighbor of `key` (same model,
-    /// cluster, devices, schedule, recompute; different `Nm` or
-    /// derates) that still has a live cache entry — the warm-start
-    /// incumbent candidate for a miss on `key`.
-    pub fn neighbor(&self, key: &PlanKey) -> Option<CachedPlan> {
-        let siblings = self.families.get(&key.family())?;
-        siblings
+    /// Stores a replanned `key` as the most recently used entry and
+    /// the newest member of its family, evicting the least recently
+    /// used plan first when a new key finds the cache full.
+    pub(crate) fn publish(&mut self, key: &PlanKey, plan: PartitionPlan) {
+        self.publishes += 1;
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(key) {
+            self.evict_lru();
+        }
+        let touched = self.tick();
+        self.entries.insert(key.clone(), Entry { plan, touched });
+        let list = self.families.entry(key.family()).or_default();
+        list.retain(|k| k != key);
+        list.insert(0, key.clone());
+        list.truncate(FAMILY_NEIGHBOR_CAP);
+    }
+
+    /// Drops the least recently used plan, and its neighbor link.
+    fn evict_lru(&mut self) {
+        let Some(oldest) = self
+            .entries
             .iter()
-            .filter(|k| *k != key)
-            .find_map(|k| self.entries.get(k))
+            .min_by_key(|(_, e)| e.touched)
+            .map(|(k, _)| k.clone())
+        else {
+            return;
+        };
+        self.entries.remove(&oldest);
+        let family = oldest.family();
+        if let Some(list) = self.families.get_mut(&family) {
+            list.retain(|k| *k != oldest);
+            if list.is_empty() {
+                self.families.remove(&family);
+            }
+        }
     }
 
-    fn remember_family(&self, key: &PlanKey) {
-        self.families.update(key.family(), |slot| {
-            let mut list = slot.take().unwrap_or_default();
-            list.retain(|k| k != key);
-            list.insert(0, key.clone());
-            list.truncate(FAMILY_NEIGHBOR_CAP);
-            *slot = Some(list);
-        });
+    /// The plan of the most recently stored family neighbor of `key`
+    /// (same model, cluster, devices, schedule, recompute; different
+    /// `Nm` or derates) — the warm-start incumbent for a miss on `key`.
+    /// Looking it up counts as a hit.
+    pub(crate) fn neighbor(&mut self, key: &PlanKey) -> Option<PartitionPlan> {
+        let sibling = self
+            .families
+            .get(&key.family())?
+            .iter()
+            .find(|k| *k != key)?
+            .clone();
+        self.get(&sibling)
     }
 
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Every cached plan with its key, in no particular order.
+    pub(crate) fn plans(&self) -> Vec<(PlanKey, PartitionPlan)> {
+        self.entries
+            .iter()
+            .map(|(k, e)| (k.clone(), e.plan.clone()))
+            .collect()
     }
 
-    /// True when no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every cached plan and neighbor link (counters persist).
-    pub fn clear(&self) {
-        self.entries.clear();
-        self.families.clear();
-    }
-
-    /// Lifetime entry-lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.entries.hits()
-    }
-
-    /// Lifetime entry-lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.entries.misses()
-    }
-
-    /// Lifetime publishes ([`PlanCache::publish`] calls).
-    pub fn publishes(&self) -> u64 {
-        self.publishes.load(Ordering::Relaxed)
+    /// Lifetime counters: `(hits, misses, publishes)`.
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
+        (self.hits, self.misses, self.publishes)
     }
 }
 
@@ -220,94 +205,68 @@ mod tests {
     }
 
     #[test]
-    fn publish_bumps_sequence_monotonically() {
-        let cache = PlanCache::new(1024);
-        let k = key(4, 1.0);
-        for expect in 1..=5u64 {
-            let e = cache.publish(&k, plan(0.1), 0.1);
-            assert_eq!(e.seq, expect);
-        }
-        assert_eq!(cache.get(&k).unwrap().seq, 5);
-        assert_eq!(cache.publishes(), 5);
-    }
-
-    #[test]
-    fn insert_if_absent_yields_to_published_entry() {
-        let cache = PlanCache::new(1024);
-        let k = key(4, 1.3);
-        // A publisher got there first (e.g. a replan racing a query).
-        cache.publish(&k, plan(0.2), 0.2);
-        cache.publish(&k, plan(0.3), 0.3);
-        let (entry, fresh) = cache.insert_if_absent(&k, plan(0.9), 0.9);
-        assert!(!fresh, "a lost race must not clobber the newer entry");
-        assert_eq!(entry.seq, 2);
-        assert_eq!(entry.cost, 0.3);
-        // Whereas a genuinely absent key inserts at seq 1.
-        let k2 = key(3, 1.3);
-        let (entry, fresh) = cache.insert_if_absent(&k2, plan(0.4), 0.4);
-        assert!(fresh);
-        assert_eq!(entry.seq, 1);
-    }
-
-    #[test]
     fn family_index_is_cap8_most_recent_first() {
         // Publish 10 family members (distinct Nm); the neighbor index
         // must hold exactly FAMILY_NEIGHBOR_CAP of them, newest first —
         // the two oldest fall off the end.
-        let cache = PlanCache::new(1024);
+        let mut cache = PlanCache::new(1024);
         for nm in 1..=10usize {
-            cache.publish(&key(nm, 1.0), plan(nm as f64), nm as f64);
+            cache.publish(&key(nm, 1.0), plan(nm as f64));
         }
-        let list = cache.families.get(&key(1, 1.0).family()).unwrap();
+        let list = &cache.families[&key(1, 1.0).family()];
         assert_eq!(list.len(), FAMILY_NEIGHBOR_CAP);
         let order: Vec<usize> = list.iter().map(|k| k.nm).collect();
         assert_eq!(order, vec![10, 9, 8, 7, 6, 5, 4, 3], "most recent first");
         // Re-publishing an old member moves it to the front without
         // growing the list.
-        cache.publish(&key(5, 1.0), plan(5.0), 5.0);
-        let list = cache.families.get(&key(1, 1.0).family()).unwrap();
+        cache.publish(&key(5, 1.0), plan(5.0));
+        let list = &cache.families[&key(1, 1.0).family()];
         let order: Vec<usize> = list.iter().map(|k| k.nm).collect();
         assert_eq!(order, vec![5, 10, 9, 8, 7, 6, 4, 3]);
         // And neighbor() serves the head of the list (skipping self).
-        assert_eq!(cache.neighbor(&key(4, 1.0)).unwrap().cost, 5.0);
-        assert_eq!(cache.neighbor(&key(5, 1.0)).unwrap().cost, 10.0);
+        let neighbor_cost =
+            |cache: &mut PlanCache, nm| cache.neighbor(&key(nm, 1.0)).unwrap().bottleneck_secs;
+        assert_eq!(neighbor_cost(&mut cache, 4), 5.0);
+        assert_eq!(neighbor_cost(&mut cache, 5), 10.0);
     }
 
     #[test]
     fn plan_entries_evict_in_lru_order() {
-        // cap 2 per shard: under insert pressure, a plan that is read
-        // (touched) after every insert is always its shard's freshest
-        // entry, so eviction — now true LRU, not a whole-shard dump —
+        // Under insert pressure, a plan that is read (touched) after
+        // every insert is always the freshest entry, so LRU eviction
         // must never pick it, while cold entries do get evicted.
-        let cache = PlanCache::new(32);
-        cache.publish(&key(1, 1.0), plan(1.0), 1.0);
+        let mut cache = PlanCache::new(32);
+        cache.publish(&key(1, 1.0), plan(1.0));
         for nm in 2..=64usize {
-            cache.publish(&key(nm, 1.0), plan(nm as f64), nm as f64);
+            cache.publish(&key(nm, 1.0), plan(nm as f64));
             assert!(
                 cache.get(&key(1, 1.0)).is_some(),
                 "the hot entry must survive eviction (lost after nm={nm})"
             );
         }
-        assert!(cache.len() <= 32, "capacity still bounds the cache");
+        assert!(cache.entries.len() <= 32, "capacity still bounds the cache");
         assert!(
-            (2..=64).any(|nm| cache.entries.get(&key(nm, 1.0)).is_none()),
+            (2..=64).any(|nm| !cache.entries.contains_key(&key(nm, 1.0))),
             "cold entries are the ones evicted"
         );
+        // Evicted keys leave the neighbor index too.
+        let family = &cache.families[&key(1, 1.0).family()];
+        assert!(family.iter().all(|k| cache.entries.contains_key(k)));
     }
 
     #[test]
     fn neighbor_finds_family_members_most_recent_first() {
-        let cache = PlanCache::new(1024);
+        let mut cache = PlanCache::new(1024);
         assert!(cache.neighbor(&key(4, 1.5)).is_none());
-        cache.publish(&key(4, 1.0), plan(0.1), 0.1);
-        cache.publish(&key(3, 1.0), plan(0.2), 0.2);
+        cache.publish(&key(4, 1.0), plan(0.1));
+        cache.publish(&key(3, 1.0), plan(0.2));
         // Miss on a derated instance: the most recent family member
         // (nm=3) seeds the warm start.
         let n = cache.neighbor(&key(4, 1.5)).unwrap();
-        assert_eq!(n.cost, 0.2);
+        assert_eq!(n.bottleneck_secs, 0.2);
         // A key is not its own neighbor.
         let n = cache.neighbor(&key(3, 1.0)).unwrap();
-        assert_eq!(n.cost, 0.1);
+        assert_eq!(n.bottleneck_secs, 0.1);
         // Different devices = different family.
         let mut other = key(4, 1.0);
         other.devices = vec![DeviceId(2), DeviceId(3)];

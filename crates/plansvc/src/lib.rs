@@ -1,105 +1,52 @@
-//! Planner-as-a-service: a concurrent, typed request/reply plan server
-//! over a sharded, sequence-versioned plan cache.
+//! An in-process plan cache for fault-driven replans.
 //!
-//! PRs 4–5 made a single HetPipe partition solve cheap (tens of
-//! microseconds) and replans warm-startable, but every caller still
-//! linked the planner in-process and re-solved from scratch per run.
-//! This crate productizes the planning pipeline behind one concurrent
-//! API, the deployment shape PipeDream's offline profiler+optimizer
-//! takes toward production: a long-running [`PlanService`] answers
-//! "partition this model onto these (possibly derated) devices" for
-//! many clients at once, and fault-driven replans arrive as
-//! cache-invalidating *writes* rather than fresh cold solves.
+//! HetPipe plans each virtual worker's partition offline, once per
+//! configuration (§7); PipeDream's profiler and optimizer plan the same
+//! way. At run time the elastic controller (`hetpipe-runtime`) re-plans
+//! a virtual worker whenever its observed costs or its surviving GPUs
+//! change. This crate keeps the plans of those replans so that the next
+//! replan of the same or a similar instance starts warm.
 //!
-//! # Request/reply protocol
+//! # Requests and keys
 //!
-//! A [`PlanRequest`] names the planning instance by value, not by
-//! reference: `model_fp` / `cluster_fp` are the process-stable
-//! FNV-1a fingerprints of [`hetpipe_core::plankey`] (registered up
-//! front in a [`Catalog`]), plus the expanded stage-device list, `Nm`,
-//! schedule, recompute policy, and the observed per-stage derate
-//! vector. The [`PlanReply`] carries the partition plan, its cost
-//! (bottleneck seconds), a per-key sequence number, and an honest
+//! A [`PlanRequest`] names the planning instance by value: `model_fp`
+//! and `cluster_fp` are the process-stable FNV-1a fingerprints of
+//! [`hetpipe_core::plankey`] (registered up front in a [`Catalog`]),
+//! plus the expanded stage-device list, `Nm`, schedule, recompute
+//! policy, and the observed per-stage derate vector. It resolves to a
+//! [`PlanKey`]. The [`PlanReply`] carries the partition plan and its
 //! [`Provenance`]:
 //!
-//! - [`Provenance::CacheHit`] — served verbatim from the cache;
-//!   bit-identical to the cold solve that populated it.
-//! - [`Provenance::WarmMiss`] — solved, but warm-started from a cached
-//!   neighbor via [`hetpipe_partition::PartitionSolver::solve_warm`];
-//!   claimed only when [`PartitionSolver::incumbent_bound_secs`]
-//!   confirms the incumbent actually yields a finite pruning bound
-//!   (answer-preserving, so the reply is still bit-identical to cold).
+//! - [`Provenance::WarmMiss`] — solved warm-started from a cached plan
+//!   via [`hetpipe_partition::PartitionSolver::solve_warm`]; claimed
+//!   only when [`PartitionSolver::incumbent_bound_secs`] confirms the
+//!   incumbent yields a finite pruning bound. The warm start is
+//!   answer-preserving, so the reply is bit-identical to a cold solve.
 //! - [`Provenance::Cold`] — solved from scratch.
 //!
-//! # Sequence numbers and invalidation (`MatchSeq`-style)
+//! # Replans and warm starts
 //!
-//! Every cache entry carries a monotonic `seq`, starting at 1 and
-//! incremented by each [`PlanClient::replan`] publish. All reads and
-//! publishes of one key serialize on its cache shard's lock, which
-//! yields the coherence guarantee the runtime needs: **once a replan
-//! for a key has published `seq = n`, no reader of that key can ever
-//! be served a plan with `seq < n`** — a fault-era plan cannot
-//! resurface after recovery has replanned past it. Readers that cache
-//! replies locally compare `seq` to detect staleness. A racing
-//! query-miss that solved concurrently with a publish never clobbers
-//! the newer entry: its insert is an atomic insert-if-absent that
-//! yields to (and serves) whatever a concurrent publisher installed.
+//! [`PlanClient::replan`] always solves, on the caller's thread, and
+//! stores the result under its key. Its incumbent is the key's own
+//! prior plan when one is cached, otherwise the most recently stored
+//! member of the key's *family*: same model and cluster fingerprints,
+//! same device list, schedule, and recompute policy, but any `Nm` or
+//! derate vector. Family members share the device list, hence the stage
+//! count, so the incumbent is always shape-compatible. A straggler
+//! replan warm-starts from the nominal plan; an `Nm` backoff
+//! warm-starts from the higher-`Nm` plan (memory is monotone in `Nm`,
+//! so that incumbent stays feasible).
 //!
-//! # Warm-start neighbor policy
-//!
-//! A cache miss consults a neighbor index keyed by the request's
-//! *family* — same model and cluster fingerprints, same device list,
-//! schedule, and recompute policy, but any `Nm` or derate vector.
-//! The most recently cached family member whose plan admits a sound
-//! incumbent bound on the new instance seeds `solve_warm`, turning
-//! most misses into warm misses: a straggler replan warm-starts from
-//! the nominal plan, an `Nm` backoff warm-starts from the higher-`Nm`
-//! plan (memory is monotone in `Nm`, so the higher-`Nm` incumbent
-//! stays feasible). Family neighbors share the device list, hence the
-//! stage count, so the incumbent is always shape-compatible.
-//!
-//! # Execution model
-//!
-//! [`PlanService::start`] spawns a worker pool over an mpsc request
-//! queue; each [`PlanClient`] is a cheap clonable handle that resolves
-//! cache hits directly against the shared cache (no queue round-trip)
-//! and enqueues misses/replans as blocking request/reply jobs.
-//!
-//! # Degraded mode: deadlines, bounded retry, certified fallback
-//!
-//! A service that is *slow* (congested pool, long solve ahead of you in
-//! the queue) is worse than one that is dead: a dead queue fails fast,
-//! a slow one can stall a latency-critical caller indefinitely. Clients
-//! built with [`PlanClient::with_deadline`] / [`PlanClient::with_retry`]
-//! bound each attempt with a reply deadline, retry with exponential
-//! backoff, and surface [`PlanError::DeadlineExceeded`] once the budget
-//! is spent. The runtime controller treats that exactly like any other
-//! service error: it falls back to the in-process solver, whose replans
-//! are bit-identical to the service path (pinned by test), so degraded
-//! mode loses latency headroom but never plan fidelity. A late reply
-//! from an abandoned attempt is dropped by the worker — it can never be
-//! mistaken for the answer to a newer request.
-//!
-//! # Verification
-//!
-//! The sequence protocol above is not just tested by racing threads:
-//! [`shadow`] reifies its atomic steps as a pure state machine, and
-//! `hetpipe-verify`'s in-tree model checker drives that shadow through
-//! *every* interleaving of 2–3 virtual threads of publish / read /
-//! insert-if-absent steps, proving the MatchSeq invariant exhaustively
-//! (and demonstrably catching a deliberately broken blind-insert
-//! variant). The underlying cache also evicts in true LRU order —
-//! pinned by unit tests here and in `hetpipe-core` — rather than the
-//! whole-shard dump of early versions.
+//! The cache counts key lookups as hits and misses, and stored replans
+//! as publishes ([`PlanService::cache_stats`]). It is bounded, and
+//! evicts its least-recently-used plan when full.
 //!
 //! [`PartitionSolver::incumbent_bound_secs`]: hetpipe_partition::PartitionSolver::incumbent_bound_secs
 
 pub mod cache;
 pub mod service;
-pub mod shadow;
 
-pub use cache::{CachedPlan, PlanCache, PlanKey};
+pub use cache::PlanKey;
 pub use service::{
     Catalog, PlanClient, PlanError, PlanReply, PlanRequest, PlanService, Provenance,
 };
-pub use shadow::{CacheOp, ShadowPlanCache, SHADOW_KEYS};

@@ -1,6 +1,7 @@
-//! The plan server: catalog, typed request/reply API, worker pool.
+//! The cache's front end: catalog, typed requests, and the shared
+//! handle that solves replans on the caller's thread.
 
-use crate::cache::{CachedPlan, PlanCache, PlanKey};
+use crate::cache::{PlanCache, PlanKey};
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_core::plankey::{cluster_fingerprint, graph_fingerprint};
 use hetpipe_core::VirtualWorker;
@@ -9,16 +10,15 @@ use hetpipe_partition::{PartitionError, PartitionPlan, PartitionProblem, Partiti
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Default plan-cache capacity (plans, across shards).
+/// Default plan-cache capacity (plans).
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// The models and clusters a service instance can plan for, registered
-/// up front and addressed by their stable fingerprints. Immutable once
-/// the service starts (requests carry fingerprints, not graphs, so the
-/// wire type stays small and the identity stays process-independent).
+/// The models and clusters a cache can plan for, registered up front
+/// and addressed by their stable fingerprints. Immutable once the
+/// cache starts (requests carry fingerprints, not graphs, so a request
+/// stays small and its identity process-independent).
 #[derive(Debug, Default)]
 pub struct Catalog {
     models: HashMap<u64, Arc<ModelGraph>>,
@@ -55,11 +55,9 @@ impl Catalog {
 pub enum Provenance {
     /// Solved from scratch.
     Cold,
-    /// Served from the cache (bit-identical to the solve that
-    /// populated it).
-    CacheHit,
-    /// Solved warm-started from a cached neighbor's plan
-    /// (answer-preserving: still bit-identical to a cold solve).
+    /// Solved warm-started from a cached plan, the key's own or a
+    /// family neighbor's (answer-preserving: still bit-identical to a
+    /// cold solve).
     WarmMiss,
 }
 
@@ -160,17 +158,13 @@ impl PlanRequest {
     }
 }
 
-/// A served plan.
+/// A solved plan.
 #[derive(Debug, Clone)]
 pub struct PlanReply {
     /// The partition plan (always bit-identical to what a cold
     /// [`PartitionSolver::solve`] of the same instance returns).
     pub plan: PartitionPlan,
-    /// The key's `MatchSeq`-style version at serve time.
-    pub seq: u64,
-    /// Plan cost: bottleneck seconds.
-    pub cost: f64,
-    /// How the reply was produced.
+    /// How the plan was solved.
     pub provenance: Provenance,
 }
 
@@ -188,13 +182,6 @@ pub enum PlanError {
     /// The instance has no feasible partition (callers typically lower
     /// `Nm` and retry — the controller owns that loop).
     Partition(PartitionError),
-    /// The service shut down while the request was in flight.
-    ServiceStopped,
-    /// The service did not answer within the client's deadline across
-    /// every retry — it is slow, not provably dead. Callers with a
-    /// local solver (the runtime controller) fall back in-process so
-    /// a congested service cannot stall a wave-boundary splice.
-    DeadlineExceeded,
 }
 
 impl fmt::Display for PlanError {
@@ -204,311 +191,96 @@ impl fmt::Display for PlanError {
             PlanError::UnknownCluster(fp) => write!(f, "unknown cluster fingerprint {fp:#x}"),
             PlanError::BadRequest(why) => write!(f, "bad request: {why}"),
             PlanError::Partition(e) => write!(f, "partition failed: {e}"),
-            PlanError::ServiceStopped => write!(f, "plan service stopped"),
-            PlanError::DeadlineExceeded => write!(f, "plan service deadline exceeded"),
         }
     }
 }
 
 impl std::error::Error for PlanError {}
 
-/// What a queued job asks of a worker.
-#[derive(Debug)]
-enum JobKind {
-    /// Solve a request (`publish` distinguishes replan writes from
-    /// query reads).
-    Solve { req: PlanRequest, publish: bool },
-    /// Occupy the worker for the duration without answering — the
-    /// test hook behind [`PlanService::stall_workers`], simulating a
-    /// service that is slow (congested, GC-paused) rather than dead.
-    Stall(std::time::Duration),
-}
-
-/// One queued request.
-#[derive(Debug)]
-struct Job {
-    kind: JobKind,
-    reply: mpsc::Sender<Result<PlanReply, PlanError>>,
-}
-
-/// State shared by the service, its workers, and every client.
+/// State shared by the service and every client.
 #[derive(Debug)]
 struct Shared {
     catalog: Catalog,
-    cache: PlanCache,
+    cache: Mutex<PlanCache>,
 }
 
-/// The plan server: owns the worker pool and the shared cache.
-/// Create with [`PlanService::start`], hand out [`PlanClient`]s via
-/// [`PlanService::client`].
+impl Shared {
+    fn cache(&self) -> std::sync::MutexGuard<'_, PlanCache> {
+        // No cache operation panics halfway through an update, so a
+        // poisoned lock still guards a consistent cache.
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The owner of one plan cache. Create with [`PlanService::start`] and
+/// hand out [`PlanClient`]s via [`PlanService::client`].
 #[derive(Debug)]
 pub struct PlanService {
     shared: Arc<Shared>,
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl PlanService {
-    /// Starts the service with `workers` solver threads (at least one)
-    /// pulling from a shared mpsc request queue.
-    pub fn start(catalog: Catalog, workers: usize) -> PlanService {
-        let shared = Arc::new(Shared {
-            catalog,
-            cache: PlanCache::new(DEFAULT_CACHE_CAPACITY),
-        });
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("plansvc-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only while dequeuing,
-                        // never while solving.
-                        let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        match job {
-                            Ok(job) => match job.kind {
-                                JobKind::Solve { req, publish } => {
-                                    let result = serve(&shared, &req, publish);
-                                    // A client that gave up waiting is fine.
-                                    let _ = job.reply.send(result);
-                                }
-                                JobKind::Stall(d) => {
-                                    std::thread::sleep(d);
-                                    let _ = job.reply.send(Err(PlanError::DeadlineExceeded));
-                                }
-                            },
-                            // Queue closed: service shut down.
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn plansvc worker")
-            })
-            .collect();
+    /// Creates an empty cache over `catalog`. `workers` is ignored:
+    /// every replan solves on its caller's thread, and the only caller,
+    /// the runtime controller, blocks on each reply anyway. The
+    /// parameter stays because the standalone benchmark package calls
+    /// `start(catalog, 1)`.
+    pub fn start(catalog: Catalog, _workers: usize) -> PlanService {
         PlanService {
-            shared,
-            tx: Some(tx),
-            workers,
+            shared: Arc::new(Shared {
+                catalog,
+                cache: Mutex::new(PlanCache::new(DEFAULT_CACHE_CAPACITY)),
+            }),
         }
     }
 
-    /// A new client handle (cheap; clients are also `Clone`). The
-    /// default client blocks indefinitely — bound it with
-    /// [`PlanClient::with_deadline`] / [`PlanClient::with_retry`].
+    /// A new handle to this cache (cheap; clients are also `Clone`).
     pub fn client(&self) -> PlanClient {
         PlanClient {
             shared: Arc::clone(&self.shared),
-            tx: self.tx.as_ref().expect("service running").clone(),
-            deadline: None,
-            retries: 0,
-            backoff: std::time::Duration::from_millis(10),
         }
     }
 
-    /// Test hook: enqueue one `JobKind::Stall` per worker so the
-    /// whole pool is busy (slow, not dead) for `d`. Queued solve jobs
-    /// behind the stalls still complete once the stalls drain.
-    pub fn stall_workers(&self, d: std::time::Duration) {
-        let tx = self.tx.as_ref().expect("service running");
-        for _ in 0..self.workers.len() {
-            let (reply, _rx) = mpsc::channel();
-            let _ = tx.send(Job {
-                kind: JobKind::Stall(d),
-                reply,
-            });
-        }
-    }
-
-    /// Number of cached plans.
-    pub fn cache_len(&self) -> usize {
-        self.shared.cache.len()
-    }
-
-    /// Drops every cached plan (bench harnesses use this to sample
-    /// cold latencies on a long-running service).
-    pub fn clear_cache(&self) {
-        self.shared.cache.clear();
-    }
-
-    /// Every cached plan with the key it was solved for.
+    /// Every cached plan with the key it was solved for, in no
+    /// particular order.
     pub fn cached_plans(&self) -> Vec<(PlanKey, PartitionPlan)> {
-        self.shared
-            .cache
-            .entries
-            .entries()
-            .into_iter()
-            .map(|(k, e)| (k, e.plan))
-            .collect()
+        self.shared.cache().plans()
     }
 
-    /// Lifetime cache counters: `(hits, misses, publishes)`.
+    /// Lifetime cache counters: `(hits, misses, publishes)`. Each
+    /// replan looks up its own key, and on a miss its family
+    /// neighbor; each stored replan is a publish.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.shared.cache.hits(),
-            self.shared.cache.misses(),
-            self.shared.cache.publishes(),
-        )
+        self.shared.cache().stats()
     }
 
-    /// Stops the workers and joins them. Every [`PlanClient`] must be
-    /// dropped first — a live client keeps the queue open and this
-    /// would block forever.
-    pub fn shutdown(mut self) {
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
+    /// Drops the service. Clients still hold the cache until they are
+    /// dropped too.
+    pub fn shutdown(self) {}
 }
 
-impl Drop for PlanService {
-    fn drop(&mut self) {
-        // Close the queue; workers drain and exit once the last client
-        // hangs up. Not joined here — `shutdown` is the blocking path.
-        self.tx = None;
-    }
-}
-
-/// A clonable client handle: cache hits resolve directly against the
-/// shared cache (no queue round-trip); misses and replans are blocking
-/// request/reply jobs through the worker pool.
-///
-/// By default a client waits indefinitely for its reply. Latency-bound
-/// callers (the runtime controller splicing at a wave boundary) set a
-/// per-attempt deadline and a bounded retry budget with exponential
-/// backoff; exhausting both yields [`PlanError::DeadlineExceeded`],
-/// which such callers treat as "service slow — solve in-process". An
-/// abandoned attempt's late reply is simply dropped by the worker.
+/// A cheap, clonable handle to one [`PlanService`]'s cache.
 #[derive(Debug, Clone)]
 pub struct PlanClient {
     shared: Arc<Shared>,
-    tx: mpsc::Sender<Job>,
-    /// Per-attempt reply deadline (`None` = block forever).
-    deadline: Option<std::time::Duration>,
-    /// Extra attempts after the first deadline miss.
-    retries: u32,
-    /// Sleep before retry `n` is `backoff << n` (exponential).
-    backoff: std::time::Duration,
 }
 
 impl PlanClient {
-    /// Returns this client with a per-attempt reply deadline.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> PlanClient {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Returns this client with `retries` extra attempts after a
-    /// deadline miss, sleeping `backoff`, `2·backoff`, `4·backoff`, …
-    /// between attempts. Meaningless without a deadline.
-    pub fn with_retry(mut self, retries: u32, backoff: std::time::Duration) -> PlanClient {
-        self.retries = retries;
-        self.backoff = backoff;
-        self
-    }
-    /// Read path: serve `req` from the cache when present (a
-    /// [`Provenance::CacheHit`], bit-identical to the solve that
-    /// populated the entry), otherwise solve it on the worker pool —
-    /// warm-started from a family neighbor when one applies — and
-    /// cache the result at `seq = 1` (unless a racing publisher got
-    /// there first, in which case its newer entry is served).
-    pub fn plan(&self, req: &PlanRequest) -> Result<PlanReply, PlanError> {
-        let key = req.key()?;
-        if let Some(e) = self.shared.cache.get(&key) {
-            return Ok(reply_from(e, Provenance::CacheHit));
-        }
-        self.call(req.clone(), false)
-    }
-
-    /// Write path (fault-driven replan): always re-solve — warm-started
-    /// from this key's prior plan or a family neighbor — and publish at
-    /// `seq + 1`, invalidating every stale reader of this key.
+    /// Solves `req` on the caller's thread — warm-started from this
+    /// key's prior plan or a family neighbor when one applies — and
+    /// stores the plan under the request's key.
     pub fn replan(&self, req: &PlanRequest) -> Result<PlanReply, PlanError> {
-        req.key()?;
-        self.call(req.clone(), true)
-    }
-
-    fn call(&self, req: PlanRequest, publish: bool) -> Result<PlanReply, PlanError> {
-        let attempts = 1 + self.retries;
-        for attempt in 0..attempts {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            self.tx
-                .send(Job {
-                    kind: JobKind::Solve {
-                        req: req.clone(),
-                        publish,
-                    },
-                    reply: reply_tx,
-                })
-                .map_err(|_| PlanError::ServiceStopped)?;
-            match self.deadline {
-                None => return reply_rx.recv().map_err(|_| PlanError::ServiceStopped)?,
-                Some(d) => match reply_rx.recv_timeout(d) {
-                    Ok(result) => return result,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(PlanError::ServiceStopped)
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if attempt + 1 < attempts {
-                            // Exponential backoff between attempts; the
-                            // abandoned attempt's reply channel is
-                            // dropped, so its late answer is discarded.
-                            std::thread::sleep(
-                                self.backoff.saturating_mul(1u32 << attempt.min(20)),
-                            );
-                        }
-                    }
-                },
-            }
-        }
-        Err(PlanError::DeadlineExceeded)
-    }
-}
-
-fn reply_from(e: CachedPlan, provenance: Provenance) -> PlanReply {
-    PlanReply {
-        plan: e.plan,
-        seq: e.seq,
-        cost: e.cost,
-        provenance,
-    }
-}
-
-/// Worker-side request handling: validate, solve (warm when a sound
-/// incumbent exists), publish or insert, reply.
-fn serve(shared: &Shared, req: &PlanRequest, publish: bool) -> Result<PlanReply, PlanError> {
-    let key = req.key()?;
-    if !publish {
-        // Double-check: another worker (or a publisher) may have
-        // installed the entry since the client's fast-path miss.
-        if let Some(e) = shared.cache.get(&key) {
-            return Ok(reply_from(e, Provenance::CacheHit));
-        }
-    }
-    let (plan, provenance) = solve(shared, req, &key)?;
-    let cost = plan.bottleneck_secs;
-    if publish {
-        let entry = shared.cache.publish(&key, plan, cost);
-        Ok(reply_from(entry, provenance))
-    } else {
-        let (entry, fresh) = shared.cache.insert_if_absent(&key, plan, cost);
-        // A lost insert race serves the concurrently published (newer)
-        // entry — a hit, as far as the caller can tell.
-        let provenance = if fresh {
-            provenance
-        } else {
-            Provenance::CacheHit
-        };
-        Ok(reply_from(entry, provenance))
+        let key = req.key()?;
+        let (plan, provenance) = solve(&self.shared, req, &key)?;
+        self.shared.cache().publish(&key, plan.clone());
+        Ok(PlanReply { plan, provenance })
     }
 }
 
 /// Cold-or-warm solve of `req`, mirroring
 /// [`hetpipe_core::replan_vw_from_observed`] exactly (same derated
 /// specs, same link derivation, same problem construction), so a
-/// service-backed replan is bit-identical to the in-process path.
+/// cached replan is bit-identical to the in-process path.
 fn solve(
     shared: &Shared,
     req: &PlanRequest,
@@ -541,15 +313,18 @@ fn solve(
     let links = VirtualWorker::links(cluster, &req.devices);
     let problem = PartitionProblem::with_schedule(graph, gpus, links, req.nm, req.schedule)
         .with_recompute(req.recompute);
-    // Incumbent: this key's own prior plan (replans), else the most
-    // recent family neighbor (different Nm / derates, same shape).
-    let incumbent = shared.cache.get(key).or_else(|| shared.cache.neighbor(key));
+    // Incumbent: this key's own prior plan, else the most recent
+    // family neighbor (different Nm / derates, same shape).
+    let incumbent = {
+        let mut cache = shared.cache();
+        cache.get(key).or_else(|| cache.neighbor(key))
+    };
     if let Some(inc) = incumbent {
         // Claim a warm start only when the incumbent yields a finite
         // pruning bound on *this* instance (valid cover, still
         // memory-feasible, non-colocated schedule).
-        if PartitionSolver::incumbent_bound_secs(&problem, &inc.plan.ranges).is_some() {
-            let plan = PartitionSolver::solve_warm(&problem, Some(&inc.plan.ranges))
+        if PartitionSolver::incumbent_bound_secs(&problem, &inc.ranges).is_some() {
+            let plan = PartitionSolver::solve_warm(&problem, Some(&inc.ranges))
                 .map_err(PlanError::Partition)?;
             return Ok((plan, Provenance::WarmMiss));
         }
@@ -567,75 +342,56 @@ mod tests {
         let mut catalog = Catalog::new();
         let model_fp = catalog.register_model(hetpipe_model::resnet152(32));
         let cluster_fp = catalog.register_cluster(Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]));
-        (PlanService::start(catalog, 2), model_fp, cluster_fp)
+        (PlanService::start(catalog, 1), model_fp, cluster_fp)
     }
 
     fn devices() -> Vec<DeviceId> {
         (0..4).map(DeviceId).collect()
     }
 
-    #[test]
-    fn cold_then_hit_with_stable_seq() {
-        let (svc, model_fp, cluster_fp) = service();
-        let client = svc.client();
-        let req = PlanRequest::nominal(
+    fn nominal(model_fp: u64, cluster_fp: u64, nm: usize) -> PlanRequest {
+        PlanRequest::nominal(
             model_fp,
             cluster_fp,
             devices(),
-            2,
+            nm,
             Schedule::HetPipeWave,
             RecomputePolicy::None,
-        );
-        let first = client.plan(&req).unwrap();
-        assert_eq!(first.provenance, Provenance::Cold);
-        assert_eq!(first.seq, 1);
-        let second = client.plan(&req).unwrap();
-        assert_eq!(second.provenance, Provenance::CacheHit);
-        assert_eq!(second.seq, 1);
-        assert_eq!(second.plan.ranges, first.plan.ranges);
-        assert_eq!(second.plan.stage_secs, first.plan.stage_secs);
-        drop(client);
-        svc.shutdown();
+        )
     }
 
     #[test]
-    fn replan_publishes_increasing_seq() {
+    fn cold_then_hit_replans_the_same_plan() {
         let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
-        let req = PlanRequest::nominal(
-            model_fp,
-            cluster_fp,
-            devices(),
-            2,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        let a = client.replan(&req).unwrap();
-        let b = client.replan(&req).unwrap();
-        assert_eq!((a.seq, b.seq), (1, 2));
-        // After a publish, reads serve the latest sequence.
-        assert_eq!(client.plan(&req).unwrap().seq, 2);
-        drop(client);
-        svc.shutdown();
+        let req = nominal(model_fp, cluster_fp, 2);
+        let first = client.replan(&req).unwrap();
+        assert_eq!(first.provenance, Provenance::Cold);
+        assert_eq!(svc.cache_stats(), (0, 1, 1), "a miss, then a publish");
+        // The second replan finds its own key and warm-starts from it.
+        let second = client.replan(&req).unwrap();
+        assert_eq!(second.provenance, Provenance::WarmMiss);
+        assert_eq!(svc.cache_stats(), (1, 1, 2), "a hit, then a publish");
+        assert_eq!(second.plan.ranges, first.plan.ranges);
+        assert_eq!(second.plan.stage_secs, first.plan.stage_secs);
+        assert_eq!(svc.cached_plans().len(), 1);
     }
 
     #[test]
     fn derated_miss_warm_starts_from_family_neighbor() {
         let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
-        let nominal = PlanRequest::nominal(
-            model_fp,
-            cluster_fp,
-            devices(),
-            2,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
+        let nominal = nominal(model_fp, cluster_fp, 2);
+        assert_eq!(
+            client.replan(&nominal).unwrap().provenance,
+            Provenance::Cold
         );
-        assert_eq!(client.plan(&nominal).unwrap().provenance, Provenance::Cold);
         let mut derated = nominal.clone();
         derated.observed_derates = vec![1.5, 1.0, 1.0, 1.0];
-        let warm = client.plan(&derated).unwrap();
+        let warm = client.replan(&derated).unwrap();
         assert_eq!(warm.provenance, Provenance::WarmMiss);
+        // Own key missed, the nominal neighbor hit.
+        assert_eq!(svc.cache_stats(), (1, 2, 2));
         // Parity: warm-start is answer-preserving.
         let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
         let graph = hetpipe_model::resnet152(32);
@@ -652,70 +408,56 @@ mod tests {
         .unwrap();
         assert_eq!(warm.plan.ranges, cold.ranges);
         assert_eq!(warm.plan.stage_secs, cold.stage_secs);
-        drop(client);
-        svc.shutdown();
     }
 
     #[test]
     fn unknown_fingerprints_and_bad_requests_error() {
         let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
-        let good = PlanRequest::nominal(
-            model_fp,
-            cluster_fp,
-            devices(),
-            2,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
+        let good = nominal(model_fp, cluster_fp, 2);
         let mut bad = good.clone();
         bad.model_fp = 0xdead;
         assert_eq!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::UnknownModel(0xdead)
         );
         let mut bad = good.clone();
         bad.cluster_fp = 0xbeef;
         assert_eq!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::UnknownCluster(0xbeef)
         );
         let mut bad = good.clone();
         bad.devices = vec![DeviceId(99); 4];
         assert!(matches!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::BadRequest(_)
         ));
         let mut bad = good.clone();
         bad.observed_derates = vec![1.0; 3];
         assert!(matches!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::BadRequest(_)
         ));
         let mut bad = good.clone();
         bad.nm = 0;
         assert!(matches!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::BadRequest(_)
         ));
         let mut bad = good;
         bad.devices.clear();
         assert!(matches!(
-            client.plan(&bad).unwrap_err(),
+            client.replan(&bad).unwrap_err(),
             PlanError::BadRequest(_)
         ));
-        drop(client);
-        svc.shutdown();
+        // Refused before any lookup: nothing counted, nothing stored.
+        assert_eq!(svc.cache_stats(), (0, 0, 0));
     }
 
     #[test]
-    fn malformed_interleaved_requests_are_refused_and_the_pool_survives() {
-        // One worker, so a request that panicked it would stop the
-        // whole pool and fail the valid request sent afterwards.
-        let mut catalog = Catalog::new();
-        let model_fp = catalog.register_model(hetpipe_model::resnet152(32));
-        let cluster_fp = catalog.register_cluster(Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]));
-        let svc = PlanService::start(catalog, 1);
+    fn malformed_interleaved_requests_are_refused_and_the_cache_still_serves() {
+        let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
         let interleaved = |devices: Vec<DeviceId>, chunks: usize| {
             PlanRequest::nominal(
@@ -737,72 +479,31 @@ mod tests {
             interleaved(vec![d(0), d(1), d(2), d(3)], 0),
         ] {
             assert!(
-                matches!(client.plan(&bad), Err(PlanError::BadRequest(_))),
+                matches!(client.replan(&bad), Err(PlanError::BadRequest(_))),
                 "{} devices x {:?} must be refused",
                 bad.devices.len(),
                 bad.schedule
             );
         }
         let good = interleaved(vec![d(0), d(1), d(0), d(1)], 2);
-        let reply = client.plan(&good).expect("the pool still serves");
+        let reply = client.replan(&good).expect("the cache still serves");
         assert_eq!(reply.plan.ranges.len(), 4);
-        drop(client);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn stalled_pool_times_out_then_recovers() {
-        use std::time::Duration;
-        let (svc, model_fp, cluster_fp) = service();
-        let client = svc
-            .client()
-            .with_deadline(Duration::from_millis(20))
-            .with_retry(1, Duration::from_millis(5));
-        let req = PlanRequest::nominal(
-            model_fp,
-            cluster_fp,
-            devices(),
-            2,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        // Both workers busy for longer than deadline x (1 + retries):
-        // the bounded client gives up instead of stalling its caller.
-        svc.stall_workers(Duration::from_millis(300));
-        assert_eq!(
-            client.replan(&req).unwrap_err(),
-            PlanError::DeadlineExceeded
-        );
-        // Once the stall drains, the same client is served normally —
-        // slow is a transient condition, not a poisoned handle.
-        let patient = svc.client();
-        let reply = patient.replan(&req).unwrap();
-        assert!(reply.seq >= 1);
-        assert!(reply.cost > 0.0);
-        drop(client);
-        drop(patient);
-        svc.shutdown();
+        assert_eq!(svc.cache_stats(), (0, 1, 1));
     }
 
     #[test]
     fn infeasible_nm_reports_partition_error() {
         let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
-        let req = PlanRequest::nominal(
-            model_fp,
-            cluster_fp,
-            devices(),
-            // ResNet-152 on 4 whimpy RTX 2060s cannot hold hundreds of
-            // concurrent minibatches.
-            512,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
+        // ResNet-152 on 4 whimpy RTX 2060s cannot hold hundreds of
+        // concurrent minibatches.
+        let req = nominal(model_fp, cluster_fp, 512);
         assert!(matches!(
-            client.plan(&req).unwrap_err(),
+            client.replan(&req).unwrap_err(),
             PlanError::Partition(PartitionError::OutOfMemory)
         ));
-        drop(client);
-        svc.shutdown();
+        // The lookup happened; nothing was stored.
+        assert_eq!(svc.cache_stats(), (0, 1, 0));
+        assert!(svc.cached_plans().is_empty());
     }
 }

@@ -149,13 +149,14 @@ pub struct RuntimeParams<'a> {
     pub monitor: MonitorConfig,
     /// Reaction budget (backstop against pathological oscillation).
     pub max_reactions: usize,
-    /// When set, `Replan` reactions route through this plan-service
-    /// client ([`hetpipe_plansvc::PlanClient::replan`], published as a
-    /// cache-invalidating write) instead of solving in-process. The
-    /// service's warm starts are answer-preserving, so the spliced
-    /// plans are bit-identical either way; on service loss the
-    /// controller falls back to the in-process path. The service's
-    /// catalog must contain this run's model and cluster.
+    /// When set, `Replan` reactions solve through this plan-cache
+    /// handle ([`hetpipe_plansvc::PlanClient::replan`]), which
+    /// warm-starts each replan from the cached plan of the same or a
+    /// neighboring instance and stores the result. Its warm starts are
+    /// answer-preserving, so the spliced plans are bit-identical to
+    /// the in-process path. The cache's catalog should contain this
+    /// run's model and cluster; when it does not, every reaction falls
+    /// back to the in-process solve.
     pub planner: Option<hetpipe_plansvc::PlanClient>,
 }
 
@@ -351,8 +352,8 @@ struct Controller<'a> {
     wave_offset: u64,
     reactions: usize,
     report: RuntimeReport,
-    /// `(model_fp, cluster_fp)` for service-routed replans; computed
-    /// once at construction when a planner client is attached.
+    /// `(model_fp, cluster_fp)` for cached replans; computed once at
+    /// construction when a planner handle is attached.
     plan_fps: Option<(u64, u64)>,
 }
 
@@ -769,16 +770,13 @@ impl<'a> Controller<'a> {
     }
 
     /// One VW's replan attempt at `nm`: through the attached plan
-    /// service (published as a cache-invalidating write) when one is
-    /// configured, in-process otherwise. The service's warm start is
-    /// answer-preserving, so both paths return bit-identical plans for
-    /// the same observed costs; a partition error (infeasible `nm`)
-    /// surfaces either way so the caller can lower `nm`, while
-    /// service-transport failures (stopped service, stale catalog, a
-    /// deadline-bounded client reporting `DeadlineExceeded` on a slow
-    /// pool) fall back to the in-process solve rather than killing the
-    /// reaction — degraded mode costs latency headroom, never plan
-    /// fidelity, because both paths are bit-identical by construction.
+    /// cache when one is configured, in-process otherwise. The cache's
+    /// warm start is answer-preserving, so both paths return
+    /// bit-identical plans for the same observed costs. A partition
+    /// error (infeasible `nm`) surfaces either way so the caller can
+    /// lower `nm`; any other cache error (a model or cluster missing
+    /// from its catalog, a request it refuses) falls back to the
+    /// in-process solve.
     fn solve_replan(
         &self,
         i: usize,
@@ -799,7 +797,7 @@ impl<'a> Controller<'a> {
             match client.replan(&req) {
                 Ok(reply) => return Ok(reply.plan),
                 Err(hetpipe_plansvc::PlanError::Partition(e)) => return Err(e),
-                // Service gone or misconfigured: degrade to in-process.
+                // The cache cannot plan this instance: solve in-process.
                 Err(_) => {}
             }
         }

@@ -797,30 +797,49 @@ fn event_from_json(item: &Value) -> Result<ScenarioEvent, String> {
         }
         Ok(n as usize)
     };
-    let until = || -> Result<Option<f64>, String> {
-        match m.get("until") {
-            None | Some(Value::Null) => Ok(None),
-            Some(Value::Number(n)) => Ok(Some(*n)),
-            _ => Err("'until' must be a number or null".into()),
+    // A window that ends at or before its start never activates, so a
+    // mistyped `until` would also run unperturbed.
+    let window = |event: String| -> Result<(f64, Option<f64>), String> {
+        let from = num("from")?;
+        let until = match m.get("until") {
+            None | Some(Value::Null) => None,
+            Some(Value::Number(n)) => Some(*n),
+            _ => return Err("'until' must be a number or null".into()),
+        };
+        if let Some(until) = until.filter(|&u| u <= from) {
+            return Err(format!(
+                "{event}: 'until' ({until}) must be later than 'from' ({from})"
+            ));
         }
+        Ok((from, until))
     };
     let kind = match m.get("kind") {
         Some(Value::String(s)) => s.as_str(),
         _ => return Err("each event needs a string 'kind'".into()),
     };
     Ok(match kind {
-        "gpu-slowdown" => ScenarioEvent::Fault(Fault::GpuSlowdown {
-            gpu: idx("gpu")?,
-            factor: factor()?,
-            from_secs: num("from")?,
-            until_secs: until()?,
-        }),
-        "link-degrade" => ScenarioEvent::Fault(Fault::LinkDegrade {
-            node: idx("node")?,
-            factor: factor()?,
-            from_secs: num("from")?,
-            until_secs: until()?,
-        }),
+        "gpu-slowdown" => {
+            let gpu = idx("gpu")?;
+            let factor = factor()?;
+            let (from_secs, until_secs) = window(format!("gpu-slowdown of gpu {gpu}"))?;
+            ScenarioEvent::Fault(Fault::GpuSlowdown {
+                gpu,
+                factor,
+                from_secs,
+                until_secs,
+            })
+        }
+        "link-degrade" => {
+            let node = idx("node")?;
+            let factor = factor()?;
+            let (from_secs, until_secs) = window(format!("link-degrade of node {node}"))?;
+            ScenarioEvent::Fault(Fault::LinkDegrade {
+                node,
+                factor,
+                from_secs,
+                until_secs,
+            })
+        }
         "gpu-loss" => ScenarioEvent::Fault(Fault::GpuLoss {
             gpu: idx("gpu")?,
             at_secs: num("at")?,
@@ -1177,6 +1196,28 @@ mod tests {
         let text = r#"{"name":"typo","faults":[{"kind":"gpu-slowdown","gpu":1,"factor":0.13,"from":5.0}]}"#;
         let err = ScenarioScript::from_json(text).unwrap_err();
         assert!(err.contains("factor"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_empty_windows() {
+        for (event, named) in [
+            (
+                r#"{"kind":"gpu-slowdown","gpu":1,"factor":1.5,"from":5.0,"until":5.0}"#,
+                "gpu-slowdown of gpu 1",
+            ),
+            (
+                r#"{"kind":"link-degrade","node":2,"factor":1.5,"from":5.0,"until":3.0}"#,
+                "link-degrade of node 2",
+            ),
+        ] {
+            let text = format!(r#"{{"name":"typo","events":[{event}]}}"#);
+            let err = ScenarioScript::from_json(&text).unwrap_err();
+            assert!(err.contains(named) && err.contains("'until'"), "{err}");
+        }
+        // A non-empty window and an open one still parse.
+        let ok = r#"{"events":[{"kind":"gpu-slowdown","gpu":1,"factor":1.5,"from":5.0,"until":5.5},
+            {"kind":"link-degrade","node":0,"factor":1.5,"from":5.0,"until":null}]}"#;
+        assert_eq!(ScenarioScript::from_json(ok).unwrap().events.len(), 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! An in-tree, loom-style exhaustive-interleaving model checker.
 //!
 //! The checker explores a *shadow* protocol: a pure state machine
-//! whose ops each model one atomic critical section of the real
-//! implementation (see [`hetpipe_core::plankey::shadow`] for why that
-//! modeling is faithful for the plan caches — every real op runs
-//! under a shard lock). Given one op *program* per virtual thread, the
+//! whose ops each model one atomic step of the real implementation
+//! (for the gate protocol, see [`crate::gatecheck`]). Given one op
+//! *program* per virtual thread, the
 //! deterministic scheduler enumerates **every** interleaving of the
 //! programs by depth-first search over scheduling choices, cloning the
 //! state at each branch point and checking the protocol invariant
@@ -15,9 +14,8 @@
 //! run is a proof over the step semantics, not a sample.
 //!
 //! This is deliberately smaller than `loom`: it assumes ops are atomic
-//! steps (sequential consistency over critical sections — which the
-//! shard-lock serialization provides) rather than exploring relaxed
-//! memory orders, and it needs no external crates.
+//! steps (sequential consistency over critical sections) rather than
+//! exploring relaxed memory orders, and it needs no external crates.
 
 use std::fmt::Debug;
 

@@ -1,10 +1,10 @@
 //! Static verification for the HetPipe reproduction: proofs about
-//! schedules and the plan caches that hold *before any simulation
-//! runs*.
+//! schedules and the WSP gate protocol that hold *before any
+//! simulation runs*.
 //!
 //! The rest of the workspace checks its invariants dynamically — the
 //! DES audits occupancy on traces, `tests/staleness_props.rs` samples
-//! the WSP algebra, stress tests race the plan cache. Each of those
+//! the WSP algebra, the fleet parity tests compare engines. Each of those
 //! observes *some* executions. This crate closes the gap to *all*
 //! executions, for small configurations, along three axes:
 //!
@@ -38,33 +38,30 @@
 //!   minibatch of a warmup-covering horizon, with a wave-shift
 //!   invariance witness as the induction step extending the finite
 //!   check to the infinite stream.
-//! - [`checker`] / [`cachecheck`] / [`gatecheck`] — an in-tree,
-//!   loom-style **exhaustive-interleaving model checker**: pure shadow
-//!   state machines (one atomic step per real critical section) are
-//!   driven through *every* interleaving of the scenario programs,
-//!   proving the plan caches' `MatchSeq` invariant and the per-VW
+//! - [`checker`] / [`gatecheck`] — an in-tree, loom-style
+//!   **exhaustive-interleaving model checker**: a pure shadow state
+//!   machine (one atomic step per engine action) is driven through
+//!   *every* interleaving of the scenario programs, proving the per-VW
 //!   **gate protocol** (no engine ever reads a push it shouldn't see
 //!   under bound `D`). Sleep-set partial-order reduction
 //!   ([`checker::explore_por`]) collapses provably-commuting
 //!   reorderings so 4-engine scenarios (63M unreduced interleavings)
 //!   stay enumerable; 3-thread scenarios are still pinned to their
-//!   unreduced multinomials as the exhaustiveness check. Deliberately
-//!   broken variants (a blind cache insert, an engine advancing past
-//!   a closed gate) are kept in-tree as negative controls: the
-//!   checker must find their counterexamples, which is what makes the
-//!   green runs on the real protocols evidence instead of vacuity.
+//!   unreduced multinomials as the exhaustiveness check. A
+//!   deliberately broken variant (an engine advancing past a closed
+//!   gate) is kept in-tree as a negative control: the checker must
+//!   find its counterexample, which is what makes the green runs on
+//!   the real protocol evidence instead of vacuity.
 //!
 //! Every pass here consumes the same artifacts the executor runs —
-//! [`hetpipe_schedule::committed_queues`] extraction, the real
-//! [`hetpipe_schedule::WspParams`] algebra, shadows pinned to the real
-//! cache by parity tests — so a proof about the model is a proof
-//! about the code paths, not about a drawing of them.
+//! [`hetpipe_schedule::committed_queues`] extraction and the real
+//! [`hetpipe_schedule::WspParams`] algebra — so a proof about the
+//! model is a proof about the code paths, not about a drawing of them.
 //!
 //! The `verify_all` binary (in `hetpipe-bench`) sweeps the standing
 //! model/cluster/schedule matrix through all of these axes and exits
 //! non-zero on any violation; CI runs it next to the benchmark gates.
 
-pub mod cachecheck;
 pub mod checker;
 pub mod gatecheck;
 pub mod graph;
@@ -72,7 +69,6 @@ pub mod isolation;
 pub mod lookahead;
 pub mod staleness;
 
-pub use cachecheck::{check_broken_protocol, check_seq_protocol, ProtocolReport, SeqProtocol};
 pub use checker::{explore, explore_por, interleaving_count, Explored, ShadowSpec, Violation};
 pub use gatecheck::{
     check_broken_gate_protocol, check_gate_protocol, GateOp, GateReport, GateState,

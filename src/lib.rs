@@ -21,10 +21,9 @@
 //! - [`train`] — a real (threaded, lock-based) WSP/SSP/BSP/ASP parameter
 //!   server and SGD trainer used for convergence experiments.
 //!
-//! - [`plansvc`] — planner-as-a-service: a concurrent typed
-//!   request/reply plan server over a sharded, sequence-versioned
-//!   plan cache with warm-start neighbor seeding; fault-driven
-//!   replans publish as cache-invalidating writes.
+//! - [`plansvc`] — an in-process plan cache for fault-driven replans:
+//!   each replan solves on the caller's thread, warm-started from the
+//!   cached plan of the same or a neighboring instance.
 //! - [`runtime`] — fault-aware *dynamic* execution: deterministic
 //!   fault/straggler injection scripts, a trace-fed runtime monitor
 //!   (per-stage EWMA of observed vs planned durations), and reactive
@@ -45,9 +44,9 @@
 //!   push→gate coupling) with closed-form lookahead witnesses,
 //!   exhaustive WSP staleness proofs, and an in-tree
 //!   exhaustive-interleaving model checker with sleep-set
-//!   partial-order reduction proving the plan caches' MatchSeq
-//!   invariant and the per-VW gate protocol (the `verify_all` CI
-//!   gate sweeps the standing matrix through all of these).
+//!   partial-order reduction proving the per-VW gate protocol (the
+//!   `verify_all` CI gate sweeps the standing matrix through all of
+//!   these).
 //!
 //! # Quickstart
 //!

@@ -500,12 +500,12 @@ fn replan_after_gpu_loss_is_certified_and_continues() {
     );
 }
 
-/// Service-backed `Replan` equals the in-process replan path, bit for
+/// Cache-backed `Replan` equals the in-process replan path, bit for
 /// bit, on both canonical fault scripts: same spliced plans, same
-/// epochs, same completion instants. The plan service's warm starts
-/// are answer-preserving, so routing reactions through it must be
+/// epochs, same completion instants. The plan cache's warm starts are
+/// answer-preserving, so routing reactions through it must be
 /// behaviorally invisible — and each reaction must land in the cache
-/// as a sequence-bumped publish.
+/// as a publish.
 #[test]
 fn service_backed_replan_matches_in_process_path() {
     use hetpipe::plansvc::{Catalog, PlanService};
@@ -582,7 +582,7 @@ fn service_backed_replan_matches_in_process_path() {
         let (_, _, publishes) = svc.cache_stats();
         assert!(
             publishes > 0,
-            "{name}: reactions must publish through the service"
+            "{name}: reactions must publish through the cache"
         );
         svc.shutdown();
     }

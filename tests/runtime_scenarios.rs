@@ -1,6 +1,6 @@
 //! Elastic scenario integration tests: lease-driven scale-down *and*
-//! scale-up, degraded-mode planning, and the frozen zero-scenario
-//! golden.
+//! scale-up, the plan cache's in-process fallback, and the frozen
+//! zero-scenario golden.
 //!
 //! (a) **Elastic scale-up**: on the whimpy 4×RTX 2060 ResNet-152
 //!     configuration under the canonical lease trace (grant at 0,
@@ -14,9 +14,10 @@
 //!     cross-version drift of the baseline fails loudly.
 //! (c) **Flap suppression**: a grant/preempt flap shorter than the
 //!     lease hysteresis window produces zero splices.
-//! (d) **Degraded mode**: a stalled (slow, not dead) plan service
-//!     behind a deadline/retry client degrades to the in-process
-//!     solver with bit-identical plans, epochs, and completions.
+//! (d) **Fallback**: a plan cache whose catalog lacks the run's
+//!     cluster sends every reaction to the in-process solver, with
+//!     plans, epochs, and completions bit-identical to a run without
+//!     a cache.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
@@ -345,82 +346,63 @@ fn flapping_lease_produces_zero_splices() {
 }
 
 // ------------------------------------------------------------------
-// (d) Degraded mode: slow service, certified in-process fallback.
+// (d) Fallback: a cache that cannot plan the run's cluster.
 // ------------------------------------------------------------------
 
 #[test]
-fn slow_plan_service_degrades_to_certified_in_process_fallback() {
+fn plan_cache_without_the_run_cluster_falls_back_in_process() {
     use hetpipe::plansvc::{Catalog, PlanService};
-    use std::time::Duration;
     let (cluster, graph, _) = whimpy_resnet();
     let recompute = RecomputePolicy::BoundaryOnly;
     let nm = 4;
     let horizon = SimTime::from_secs(50.0);
     let script = ScenarioScript::canonical_lease(2, 8.0, 30.0);
-    let mk_vw = || {
-        standalone_vw(
+    let params = || {
+        let vw = standalone_vw(
             &cluster,
             &graph,
             (0..4).map(DeviceId).collect(),
             nm,
             Schedule::HetPipeWave,
             recompute,
-        )
-    };
-    let in_process = runtime::run(
+        );
         runtime_params(
             &cluster,
             &graph,
-            vec![mk_vw()],
+            vec![vw],
             nm,
             Schedule::HetPipeWave,
             recompute,
             script.clone(),
             Policy::Replan,
-        ),
-        horizon,
-    );
-    // A service whose whole worker pool is busy for far longer than
-    // the run: slow, not dead. The deadline/retry client gives up per
-    // reaction and the controller solves in-process instead.
+        )
+    };
+    let in_process = runtime::run(params(), horizon);
+    // The catalog knows the model but not the cluster: every replan
+    // request fails with `UnknownCluster` before any cache lookup.
     let mut catalog = Catalog::new();
     catalog.register_model(graph.clone());
-    catalog.register_cluster(cluster.clone());
-    let svc = PlanService::start(catalog, 2);
-    svc.stall_workers(Duration::from_secs(120));
-    let mut params = runtime_params(
-        &cluster,
-        &graph,
-        vec![mk_vw()],
-        nm,
-        Schedule::HetPipeWave,
-        recompute,
-        script,
-        Policy::Replan,
+    let svc = PlanService::start(catalog, 1);
+    let mut cached = params();
+    cached.planner = Some(svc.client());
+    let fallback = runtime::run(cached, horizon);
+    assert!(in_process.epochs.len() > 1, "the lease trace must splice");
+    assert_eq!(
+        svc.cache_stats(),
+        (0, 0, 0),
+        "no reaction may reach the cache"
     );
-    params.planner = Some(
-        svc.client()
-            .with_deadline(Duration::from_millis(5))
-            .with_retry(2, Duration::from_millis(1)),
-    );
-    let degraded = runtime::run(params, horizon);
-    // The service never answered within the run (pool still stalled).
-    let (_, _, publishes) = svc.cache_stats();
-    assert_eq!(publishes, 0, "the stalled service must not have answered");
-    // Certified fallback: bit-identical to the in-process path.
-    assert_eq!(degraded.final_nm, in_process.final_nm, "spliced Nm");
-    assert_eq!(degraded.epochs.len(), in_process.epochs.len(), "epochs");
-    for (a, b) in degraded.final_vws.iter().zip(&in_process.final_vws) {
+    assert_eq!(fallback.final_nm, in_process.final_nm, "spliced Nm");
+    assert_eq!(fallback.epochs.len(), in_process.epochs.len(), "epochs");
+    assert_eq!(fallback.final_vws.len(), in_process.final_vws.len());
+    for (a, b) in fallback.final_vws.iter().zip(&in_process.final_vws) {
         assert_eq!(a.devices, b.devices, "spliced devices");
         assert_eq!(a.plan.ranges, b.plan.ranges, "spliced ranges");
         assert_eq!(a.plan.stage_secs, b.plan.stage_secs, "spliced stage costs");
     }
     assert_eq!(
-        degraded.completions, in_process.completions,
+        fallback.completions, in_process.completions,
         "completion instants"
     );
-    assert!(degraded.audits_sound(), "occupancy audits");
-    // Not shut down: shutdown() joins workers, which are deliberately
-    // mid-stall — dropping the service closes the queue instead.
-    drop(svc);
+    assert!(fallback.audits_sound(), "occupancy audits");
 }

@@ -13,10 +13,10 @@
 //!
 //! The negative direction feeds each verifier a broken fixture — a
 //! cyclic committed queue, an under-declared occupancy bound, a stale
-//! and an acausal version rule, and the blind-insert cache protocol —
-//! and asserts each is rejected with a counterexample, so a regression
-//! that made any pass vacuous would fail here before it silently
-//! weakened the gate.
+//! and an acausal version rule, and an engine that advances past a
+//! closed gate — and asserts each is rejected with a counterexample,
+//! so a regression that made any pass vacuous would fail here before
+//! it silently weakened the gate.
 
 use hetpipe::cluster::{Cluster, DeviceId};
 use hetpipe::core::{
@@ -29,10 +29,9 @@ use hetpipe::schedule::{
     committed_queues, CommittedQueue, GpuOp, PipelineSchedule, QueueKind, ScheduleOp, WspParams,
 };
 use hetpipe::verify::{
-    check_broken_gate_protocol, check_broken_protocol, check_gate_protocol, dependency_graph,
-    structural_occupancy, verify_isolation, verify_isolation_with, verify_lookahead, verify_queues,
-    verify_version_rule, DepEdge, DepNode, EdgeKind, FootprintModel, IsolationViolationClass,
-    LookaheadWitness,
+    check_broken_gate_protocol, check_gate_protocol, dependency_graph, structural_occupancy,
+    verify_isolation, verify_isolation_with, verify_lookahead, verify_queues, verify_version_rule,
+    DepEdge, DepNode, EdgeKind, FootprintModel, IsolationViolationClass, LookaheadWitness,
 };
 
 const NM: usize = 4;
@@ -156,15 +155,6 @@ fn injected_broken_version_rules_fail_the_staleness_pass() {
     let acausal = verify_version_rule(wsp, |p| wsp.wave_of(p) as i64)
         .expect_err("acausal rule must be caught");
     assert!(acausal.contains("closed"), "{acausal}");
-}
-
-#[test]
-fn blind_insert_protocol_is_refuted_with_a_schedule() {
-    let counterexample = check_broken_protocol().expect("checker must refute blind insert");
-    assert!(
-        !counterexample.schedule.is_empty(),
-        "counterexample carries its interleaving"
-    );
 }
 
 #[test]
