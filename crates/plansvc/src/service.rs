@@ -361,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_then_hit_replans_the_same_plan() {
+    fn cold_then_hit_with_stable_seq() {
         let (svc, model_fp, cluster_fp) = service();
         let client = svc.client();
         let req = nominal(model_fp, cluster_fp, 2);
@@ -374,7 +374,27 @@ mod tests {
         assert_eq!(svc.cache_stats(), (1, 1, 2), "a hit, then a publish");
         assert_eq!(second.plan.ranges, first.plan.ranges);
         assert_eq!(second.plan.stage_secs, first.plan.stage_secs);
-        assert_eq!(svc.cached_plans().len(), 1);
+        let stored = svc.cached_plans();
+        assert_eq!(stored.len(), 1);
+        assert_eq!(stored[0].1.ranges, first.plan.ranges);
+    }
+
+    #[test]
+    fn replan_publishes_increasing_seq() {
+        let (svc, model_fp, cluster_fp) = service();
+        let client = svc.client();
+        let req = nominal(model_fp, cluster_fp, 2);
+        // Each replan of one key counts one more publish and replaces
+        // that key's single entry.
+        for publishes in 1..=3 {
+            client.replan(&req).unwrap();
+            assert_eq!(svc.cache_stats().2, publishes);
+            assert_eq!(svc.cached_plans().len(), 1);
+        }
+        // Another Nm is another key: one more publish, a second entry.
+        client.replan(&nominal(model_fp, cluster_fp, 3)).unwrap();
+        assert_eq!(svc.cache_stats().2, 4);
+        assert_eq!(svc.cached_plans().len(), 2);
     }
 
     #[test]
