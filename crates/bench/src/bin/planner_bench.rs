@@ -24,20 +24,26 @@
 //!   joint timetable per virtual worker ([`GpuStream::shared_set`])
 //!   vs G independent per-GPU replays;
 //! - **end-to-end** — wall-clock `HetPipeSystem::build` (+ a short
-//!   simulate) on the paper and whimpy clusters, recorded for the
-//!   trajectory (no baseline counterpart).
+//!   simulate) on the paper and whimpy clusters, and the cold build of
+//!   the whole 128-cell plan-sweep matrix, recorded for the trajectory
+//!   (no baseline counterpart). Each matrix sample runs in a fresh
+//!   child process (`--matrix-once`), so the process-wide refine memo
+//!   starts empty as in the `plan-sweep` benchmark workload; the row
+//!   keeps n, median and quartiles.
 //!
 //! Every timed pair is also a **parity check**: identical plans,
 //! identical `Max_m`, identical winning order, identical op
-//! sequences. Any parity violation exits non-zero — this is the CI
-//! smoke contract.
+//! sequences, and an identical matrix plan digest in every matrix
+//! sample. Any parity violation exits non-zero — this is the CI smoke
+//! contract.
 //!
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
-//! (default `BENCH_planner.json`).
+//! (default `BENCH_planner.json`), `--matrix-once` (build the matrix
+//! once and print `<seconds> <digest>`; the matrix row's child mode).
 
-use hetpipe_bench::{arg_value, check_args, usage_error};
+use hetpipe_bench::{arg_value, check_args, plan_sweep_matrix, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind, LinkKind};
-use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig};
+use hetpipe_core::{AllocationPolicy, Fnv, HetPipeSystem, Placement, SystemConfig};
 use hetpipe_des::SimTime;
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
@@ -64,6 +70,56 @@ fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, result.unwrap())
 }
 
+/// Builds every matrix cell once. Returns the seconds the builds took
+/// and an FNV-1a digest of each cell's `Nm` and per-VW devices, ranges
+/// and stage times (a failed build digests its error).
+fn build_matrix() -> (f64, u64) {
+    let cells = plan_sweep_matrix();
+    let mut h = Fnv::default();
+    let t = Instant::now();
+    for (cluster, graph, config) in &cells {
+        match HetPipeSystem::build(cluster, graph, config) {
+            Ok(sys) => {
+                h.mix(sys.nm() as u64);
+                for vw in sys.virtual_workers() {
+                    vw.devices.iter().for_each(|d| h.mix(d.0 as u64));
+                    for r in &vw.plan.ranges {
+                        h.mix(r.start as u64);
+                        h.mix(r.end as u64);
+                    }
+                    vw.plan.stage_secs.iter().for_each(|s| h.mix(s.to_bits()));
+                }
+            }
+            Err(e) => h.mix_bytes(e.to_string().as_bytes()),
+        }
+    }
+    (t.elapsed().as_secs_f64(), h.0)
+}
+
+/// Median and first/third quartiles of `values` (quartiles by
+/// Python's `statistics.quantiles(values, n=4)`, as `e2e_bench`
+/// reports them).
+fn median_and_quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let median = if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    };
+    let cut = |i: usize| {
+        if n < 2 {
+            return v[0];
+        }
+        let m = i * (n + 1);
+        let j = (m / 4).clamp(1, n - 1);
+        let delta = m as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    (median, cut(1), cut(3))
+}
+
 /// The paper's heterogeneous virtual worker: one GPU of each testbed
 /// kind (the ED allocation on the 4-node cluster).
 fn vrgq() -> Vec<hetpipe_cluster::gpu::GpuSpec> {
@@ -77,7 +133,13 @@ fn vrgq() -> Vec<hetpipe_cluster::gpu::GpuSpec> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_args(&args, &["--out"], &["--quick"]).unwrap_or_else(|e| usage_error(&e));
+    check_args(&args, &["--out"], &["--quick", "--matrix-once"])
+        .unwrap_or_else(|e| usage_error(&e));
+    if args.iter().any(|a| a == "--matrix-once") {
+        let (secs, digest) = build_matrix();
+        println!("{secs} {digest:016x}");
+        return;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))
@@ -419,6 +481,50 @@ fn main() {
             "nm": sys.nm(),
         }));
     }
+
+    // The plan-sweep matrix, one cold build per child process.
+    let exe = std::env::current_exe().expect("the running bin's path");
+    let mut matrix_secs = Vec::new();
+    let mut digests = Vec::new();
+    for _ in 0..if quick { 3 } else { 9 } {
+        let child = std::process::Command::new(&exe)
+            .arg("--matrix-once")
+            .output()
+            .expect("a matrix child process");
+        let line = String::from_utf8_lossy(&child.stdout).into_owned();
+        let mut fields = line.split_whitespace();
+        let secs: Option<f64> = fields.next().and_then(|f| f.parse().ok());
+        match (child.status.success(), secs, fields.next()) {
+            (true, Some(secs), Some(digest)) => {
+                matrix_secs.push(secs);
+                digests.push(digest.to_string());
+            }
+            _ => {
+                eprintln!("matrix child failed: {}", child.status);
+                std::process::exit(1);
+            }
+        }
+    }
+    let same = digests.windows(2).all(|w| w[0] == w[1]);
+    parity(
+        same,
+        "end-to-end matrix: plan digests differ between builds".into(),
+    );
+    let (median, q1, q3) = median_and_quartiles(&matrix_secs);
+    println!(
+        "end-to-end   plan-sweep matrix, 128 cells  build median {:>7.1}ms  (q1 {:.1}, q3 {:.1}, n {})",
+        median * 1e3,
+        q1 * 1e3,
+        q3 * 1e3,
+        matrix_secs.len()
+    );
+    e2e_rows.push(json!({
+        "cluster": "plan-sweep-matrix",
+        "cells": plan_sweep_matrix().len(),
+        "build_secs": { "n": matrix_secs.len(), "median": median, "q1": q1, "q3": q3 },
+        "digest": digests[0].clone(),
+        "parity": same,
+    }));
 
     let min_order = order_speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     let min_solve = solve_speedups.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -11,7 +11,49 @@
 
 pub mod scorecard;
 
+use hetpipe_cluster::{Cluster, GpuKind};
+use hetpipe_core::{AllocationPolicy, Placement, RecomputePolicy, Schedule, SystemConfig};
+use hetpipe_model::ModelGraph;
 use std::str::FromStr;
+
+/// The `plan-sweep` benchmark workload's 128 configurations: the
+/// Table-4 GPU sets 4[V], 8[VR], 12[VRQ] and 16[VRQG] × {VGG-19,
+/// ResNet-152} × {ED, NP} × {wave, fill-drain, 1F1B, composite
+/// interleaved with 2 chunks} × {no recompute, boundary-only}, with
+/// the default shard placement and order search on.
+pub fn plan_sweep_matrix() -> Vec<(Cluster, ModelGraph, SystemConfig)> {
+    use GpuKind::*;
+    let sets: [&[GpuKind]; 4] = [
+        &[TitanV],
+        &[TitanV, TitanRtx],
+        &[TitanV, TitanRtx, QuadroP4000],
+        &[TitanV, TitanRtx, QuadroP4000, Rtx2060],
+    ];
+    let mut cells = Vec::new();
+    for kinds in sets {
+        let cluster = Cluster::testbed_subset(kinds);
+        for graph in [hetpipe_model::vgg19(32), hetpipe_model::resnet152(32)] {
+            for policy in [
+                AllocationPolicy::EqualDistribution,
+                AllocationPolicy::NodePartition,
+            ] {
+                for schedule in ["hetpipe-wave", "fill-drain", "1f1b", "interleaved-1f1b:2"] {
+                    for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
+                        let config = SystemConfig {
+                            policy: policy.clone(),
+                            placement: Placement::Default,
+                            schedule: Schedule::parse(schedule).expect("a known schedule"),
+                            recompute,
+                            ..SystemConfig::default()
+                        };
+                        cells.push((cluster.clone(), graph.clone(), config));
+                    }
+                }
+            }
+        }
+    }
+    cells
+}
 
 /// Prints a fixed-width table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

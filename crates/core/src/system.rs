@@ -5,6 +5,12 @@
 //! choose a stage order, find `Max_m` and the common `Nm`, partition the
 //! model per VW (model partitioner), place parameter-server shards —
 //! then [`HetPipeSystem::run`] simulates training and reports.
+//!
+//! Planning solves each distinct instance (GPU kinds in stage order
+//! plus links) once per build: one [`NmSweep`] over `Nm = 1, 2, …`
+//! up to the first infeasible `Nm`. The order scan scores these
+//! prefixes; the refine simulations, `Max_m` (the prefix length), the
+//! common-`Nm` choice and the final plans index them.
 
 use crate::alloc::{AllocError, AllocationPolicy};
 use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
@@ -13,14 +19,15 @@ use crate::plankey;
 use crate::pserver::{Placement, ShardMap};
 use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
+use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_des::{Discard, SimTime, SpanSink, Trace};
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::ModelGraph;
-use hetpipe_partition::{
-    evaluate_orders, max_feasible_nm_with, NmSweep, PartitionProblem, PartitionSolver,
-};
+use hetpipe_partition::order::distinct_kind_orders;
+use hetpipe_partition::{NmSweep, PartitionPlan, PartitionProblem, PartitionSolver};
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+use std::collections::HashMap;
 use std::fmt;
 
 /// System-level configuration.
@@ -121,84 +128,51 @@ impl From<AllocError> for BuildError {
 /// spread), small enough to keep `build` cheap.
 const ORDER_REFINE_CANDIDATES: usize = 6;
 
-/// Refine-pass memo, shared by *every* thread in the process —
-/// `search_orders_par`'s scoped workers and repeated `build` calls
-/// on any thread all hit the same entries. (The previous thread-local
-/// memo left each scoped worker with an empty map, so kind-identical
-/// VW refinements re-simulated once per thread.) Keyed by the public
-/// [`plankey::RefineKey`]; bounded the same blunt way the thread-local
-/// was (shard-wise wholesale clear at capacity).
-static REFINE_CACHE: std::sync::LazyLock<plankey::ShardedCache<plankey::RefineKey, Option<f64>>> =
-    std::sync::LazyLock::new(|| plankey::ShardedCache::new(REFINE_CACHE_CAP));
-
-/// Maximum entries retained in the refine memo.
-const REFINE_CACHE_CAP: usize = 4096;
+/// Refine-pass memo, shared by every thread in the process, so
+/// repeated `build` calls on any thread hit the same entries. Keyed by
+/// the public [`plankey::RefineKey`]; at most 4,096 entries (shard-wise
+/// wholesale clear at capacity).
+static REFINE_CACHE: std::sync::LazyLock<plankey::ShardedCache<plankey::RefineKey, f64>> =
+    std::sync::LazyLock::new(|| plankey::ShardedCache::new(4096));
 
 #[cfg(test)]
 thread_local! {
-    /// Per-thread (hits, misses) observed by `memoized_standalone_rate`
-    /// on *this* thread — test instrumentation only. The cache itself
-    /// is global and other tests run in parallel against it, so tests
-    /// must assert on their own thread's traffic, not on global
-    /// counters or cache length.
+    /// This thread's refine-memo (hits, misses) and `PlanTable` sweeps —
+    /// test instrumentation only: tests run in parallel against the
+    /// global memo, so they assert on their own thread's traffic.
     static REFINE_STATS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-#[cfg(test)]
-fn refine_stats_take() -> (u64, u64) {
-    REFINE_STATS.with(|s| s.replace((0, 0)))
-}
-
-/// [`simulate_standalone_rate`], memoized by [`plankey::RefineKey`] in
-/// the process-wide [`REFINE_CACHE`].
-fn memoized_standalone_rate(
-    cluster: &Cluster,
-    graph: &ModelGraph,
-    devices: &[DeviceId],
-    nm: usize,
-    config: &SystemConfig,
-) -> Option<f64> {
-    let key = plankey::RefineKey::new(cluster, graph, devices, nm, config);
-    if let Some(hit) = REFINE_CACHE.get(&key) {
-        #[cfg(test)]
-        REFINE_STATS.with(|s| {
-            let (h, m) = s.get();
-            s.set((h + 1, m));
-        });
-        return hit;
-    }
-    #[cfg(test)]
-    REFINE_STATS.with(|s| {
-        let (h, m) = s.get();
-        s.set((h, m + 1));
-    });
-    let rate = simulate_standalone_rate(cluster, graph, devices, nm, config);
-    REFINE_CACHE.insert(key, rate);
-    rate
+    static SWEEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Simulated steady-state rate (minibatches/sec past warm-up) of one
-/// candidate stage order running as a single virtual worker — with
-/// the configured shard placement and sync-transfer mode, so the
-/// score sees the NIC contention between activation transfers and
-/// parameter pushes/pulls that separates otherwise-equal orders — at
-/// the order's proxy-best `Nm`. `None` when no feasible plan exists
-/// at that `Nm`.
-fn simulate_standalone_rate(
+/// candidate stage order running as a single virtual worker at `nm`
+/// (the order's proxy-best `Nm`), memoized by [`plankey::RefineKey`]
+/// in the process-wide [`REFINE_CACHE`]. The run uses the configured
+/// shard placement and sync-transfer mode, so the score sees the NIC
+/// contention between activation transfers and parameter pushes/pulls
+/// that separates otherwise-equal orders. `plan` supplies the
+/// candidate's plan at `nm` and is called only on a miss.
+fn standalone_rate(
     cluster: &Cluster,
     graph: &ModelGraph,
     devices: &[DeviceId],
     nm: usize,
     config: &SystemConfig,
-) -> Option<f64> {
-    let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(cluster, devices);
-    let plan = PartitionSolver::solve(
-        &PartitionProblem::with_schedule(graph, gpus, links, nm, config.schedule)
-            .with_recompute(config.recompute),
-    )
-    .ok()?;
-    let latency: f64 = plan.stage_secs.iter().sum();
+    plan: impl FnOnce() -> PartitionPlan,
+) -> f64 {
+    let key = plankey::RefineKey::new(cluster, graph, devices, nm, config);
+    let hit = REFINE_CACHE.get(&key);
+    #[cfg(test)]
+    REFINE_STATS.with(|s| {
+        let (h, m) = s.get();
+        s.set((h + hit.is_some() as u64, m + hit.is_none() as u64));
+    });
+    if let Some(rate) = hit {
+        return rate;
+    }
+    let plan = plan();
+    // Long enough to amortize the pipeline fill several times over.
+    let horizon = SimTime::from_secs((60.0 * plan.stage_secs.iter().sum::<f64>()).max(1.0));
     let vw = VirtualWorker {
         index: 0,
         devices: devices.to_vec(),
@@ -206,14 +180,11 @@ fn simulate_standalone_rate(
         nm,
     };
     let shards = ShardMap::build(config.placement, graph, cluster, &vw);
-    let vws = [vw];
-    // Long enough to amortize the pipeline fill several times over.
-    let horizon = SimTime::from_secs((60.0 * latency).max(1.0));
     let (_, stats) = exec::run_with_sink::<Discard>(
         ExecParams {
             cluster,
             graph,
-            vws: &vws,
+            vws: std::slice::from_ref(&vw),
             wsp: WspParams::new(nm, config.staleness_bound),
             shards: &shards,
             sync_transfers: config.sync_transfers,
@@ -225,12 +196,91 @@ fn simulate_standalone_rate(
         SimTime::ZERO,
     );
     let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
-    let completed = stats.vws[0]
-        .completions
-        .iter()
-        .filter(|&&t| t >= warmup)
-        .count();
-    Some(completed as f64 / (horizon.as_secs() * 0.75))
+    let completed = stats.vws[0].completions.iter().filter(|&&t| t >= warmup);
+    let rate = completed.count() as f64 / (horizon.as_secs() * 0.75);
+    REFINE_CACHE.insert(key, rate);
+    rate
+}
+
+/// The analytic pipeline rate of `plan` at `nm`,
+/// min(1/bottleneck, Nm/latency) minibatches per second. It is the
+/// order scan's proxy score and the common-`Nm` objective.
+fn pipeline_rate(plan: &PartitionPlan, nm: usize) -> f64 {
+    let latency: f64 = plan.stage_secs.iter().sum();
+    (1.0 / plan.bottleneck_secs).min(nm as f64 / latency)
+}
+
+/// One planning instance: the GPU kinds in stage order plus the
+/// inter-stage links. Graph, schedule and recompute policy are fixed
+/// within one build, so nothing else tells two of its problems apart.
+type InstanceKey = (Vec<&'static str>, Vec<LinkKind>);
+
+/// The per-build plan table: each instance's [`NmSweep`] prefix, the
+/// plans at `Nm = 1, 2, …` up to the first infeasible `Nm` or the
+/// saturation limit. Every instance is swept once; kind- and
+/// link-identical virtual workers share its rows.
+struct PlanTable<'a> {
+    cluster: &'a Cluster,
+    graph: &'a ModelGraph,
+    config: &'a SystemConfig,
+    /// Every swept instance's best [`pipeline_rate`] over its prefix
+    /// and that rate's `Nm`; `None` when even `Nm = 1` is infeasible.
+    proxies: HashMap<InstanceKey, Option<(f64, usize)>>,
+    /// The prefixes a later phase may still read.
+    prefixes: HashMap<InstanceKey, Vec<PartitionPlan>>,
+}
+
+impl PlanTable<'_> {
+    fn key(&self, devices: &[DeviceId]) -> InstanceKey {
+        let kinds = devices.iter().map(|&d| self.cluster.spec_of(d).name);
+        (kinds.collect(), VirtualWorker::links(self.cluster, devices))
+    }
+
+    fn sweep(&self, devices: &[DeviceId]) -> Vec<PartitionPlan> {
+        let gpus: Vec<_> = devices.iter().map(|&d| self.cluster.spec_of(d)).collect();
+        let links = VirtualWorker::links(self.cluster, devices);
+        let (schedule, recompute) = (self.config.schedule, self.config.recompute);
+        let mut sweep = NmSweep::new(self.graph, &gpus, &links, schedule, recompute);
+        (1..=nm_saturation_limit(devices.len()))
+            .map_while(|nm| sweep.solve(nm).ok())
+            .collect()
+    }
+
+    fn insert(&mut self, key: InstanceKey, prefix: Vec<PartitionPlan>) {
+        #[cfg(test)]
+        SWEEPS.with(|s| s.set(s.get() + 1));
+        let rates = (1..)
+            .zip(&prefix)
+            .map(|(nm, plan)| (pipeline_rate(plan, nm), nm));
+        let proxy = rates.reduce(|best, c| if c.0 > best.0 { c } else { best });
+        self.proxies.insert(key.clone(), proxy);
+        self.prefixes.insert(key, prefix);
+    }
+
+    /// The proxy score of `devices`' instance, swept now if unseen.
+    fn proxy(&mut self, devices: &[DeviceId]) -> Option<(f64, usize)> {
+        let key = self.key(devices);
+        if !self.proxies.contains_key(&key) {
+            let prefix = self.sweep(devices);
+            self.insert(key.clone(), prefix);
+        }
+        self.proxies[&key]
+    }
+
+    /// Drops the prefix of `devices`' instance; its proxy stays.
+    fn release(&mut self, devices: &[DeviceId]) {
+        self.prefixes.remove(&self.key(devices));
+    }
+
+    /// The prefix of `devices`' instance, swept now if not held.
+    fn prefix(&mut self, devices: &[DeviceId]) -> &[PartitionPlan] {
+        let key = self.key(devices);
+        if !self.prefixes.contains_key(&key) {
+            let prefix = self.sweep(devices);
+            self.insert(key.clone(), prefix);
+        }
+        &self.prefixes[&key]
+    }
 }
 
 /// Re-solves one virtual worker's partition from *observed* per-stage
@@ -293,164 +343,108 @@ pub struct HetPipeSystem<'a> {
 
 impl<'a> HetPipeSystem<'a> {
     /// Assembles the system: allocation → stage order → `Nm` → plans →
-    /// shard placement.
+    /// shard placement. Every planning phase reads one per-build table
+    /// of `Nm`-sweep prefixes (see the module docs), dropped on return.
     pub fn build(
         cluster: &'a Cluster,
         graph: &'a ModelGraph,
         config: &SystemConfig,
     ) -> Result<Self, BuildError> {
         let groups = config.policy.allocate(cluster)?;
-        let schedule = config.schedule;
 
         // Interleaved schedules run `chunks` virtual stages per GPU:
         // the executor's stage list repeats the physical GPUs
         // round-robin (virtual stage `s` runs on GPU `s % k`).
         let expand = |ordered: &[DeviceId]| -> Vec<DeviceId> {
-            let vk = schedule.virtual_stages(ordered.len());
+            let vk = config.schedule.virtual_stages(ordered.len());
             (0..vk).map(|s| ordered[s % ordered.len()]).collect()
         };
 
-        // Resolve the stage order of every VW (optionally searched) and
-        // this VW's Max_m.
-        let mut ordered_groups: Vec<Vec<DeviceId>> = Vec::with_capacity(groups.len());
-        let mut maxms: Vec<usize> = Vec::with_capacity(groups.len());
+        // Resolve the (expanded) stage order of every VW, optionally
+        // searched, with its prefix.
+        let mut table = PlanTable {
+            cluster,
+            graph,
+            config,
+            proxies: HashMap::new(),
+            prefixes: HashMap::new(),
+        };
+        let mut chosen: Vec<(Vec<DeviceId>, Vec<PartitionPlan>)> = Vec::new();
         for (i, devices) in groups.iter().enumerate() {
             let ordered = if config.order_search && devices.len() > 1 {
                 // Two-pass order search. Pass 1 scores each distinct
                 // kind-order with an analytic proxy — the best
-                // min(1/bottleneck, Nm/latency) over the order's
-                // feasible Nm range. The proxy ranks coarsely (it
-                // cannot see arrival-FIFO bubble dynamics, which swing
-                // real throughput between near-equal-proxy orders), so
-                // pass 2 refines the leaders with a short standalone
-                // simulation (the paper's Figure-3 measurement mode)
-                // and keeps the simulated winner.
-                //
-                // The per-order Nm sweeps are independent full DP
-                // solves, so pass 1 fans them across scoped worker
-                // threads (`evaluate_orders`); results come back in
-                // enumeration order, keeping the candidate list — and
-                // therefore the refined winner — bit-identical to the
-                // serial search.
+                // `pipeline_rate` over the order's feasible Nm range.
+                // The proxy ranks coarsely (it cannot see arrival-FIFO
+                // bubble dynamics, which swing real throughput between
+                // near-equal-proxy orders), so pass 2 refines the
+                // leaders with a short standalone simulation (the
+                // paper's Figure-3 measurement mode) and keeps the
+                // simulated winner.
                 let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let limit = nm_saturation_limit(schedule.virtual_stages(devices.len()));
-                let scored = evaluate_orders(&gpus, |order| {
-                    let stage_devices: Vec<DeviceId> = order.iter().map(|&j| devices[j]).collect();
-                    let devs = expand(&stage_devices);
-                    let ordered_gpus: Vec<_> = devs.iter().map(|&d| cluster.spec_of(d)).collect();
-                    let links = VirtualWorker::links(cluster, &devs);
-                    // One incremental DP sweep serves both the
-                    // feasibility probe and the rate scoring (memory
-                    // is monotone in Nm, so the first infeasible Nm
-                    // ends the sweep; NmSweep reuses the previous
-                    // Nm's optimum wherever that is provably still
-                    // optimal).
-                    let mut sweep =
-                        NmSweep::new(graph, &ordered_gpus, &links, schedule, config.recompute);
-                    let mut best: Option<(f64, usize)> = None;
-                    for nm in 1..=limit {
-                        let Ok(plan) = sweep.solve(nm) else {
-                            break;
-                        };
-                        let latency: f64 = plan.stage_secs.iter().sum();
-                        let rate = (1.0 / plan.bottleneck_secs).min(nm as f64 / latency);
-                        if best.is_none_or(|(r, _)| rate > r) {
-                            best = Some((rate, nm));
-                        }
-                    }
-                    let (rate, nm) = best?;
-                    Some((stage_devices, rate, nm))
-                });
-                // (unexpanded stage devices, proxy score, proxy-best Nm)
-                let mut candidates: Vec<(Vec<DeviceId>, f64, usize)> =
-                    scored.into_iter().filter_map(|(_, r)| r).collect();
-                if candidates.is_empty() {
-                    return Err(BuildError::NoFeasiblePartition { vw: i });
-                }
+                let orders: Vec<Vec<DeviceId>> = distinct_kind_orders(&gpus)
+                    .iter()
+                    .map(|order| expand(&order.iter().map(|&j| devices[j]).collect::<Vec<_>>()))
+                    .collect();
+                // (expanded stage devices, proxy score, proxy-best Nm)
+                let mut candidates: Vec<(&[DeviceId], f64, usize)> = orders
+                    .iter()
+                    .filter_map(|devs| table.proxy(devs).map(|(r, nm)| (devs.as_slice(), r, nm)))
+                    .collect();
                 // Stable sort: proxy ties keep enumeration order, so
-                // the refinement set is deterministic.
+                // the refinement set is deterministic. Only the
+                // refinement set's prefixes are read again.
                 candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let mut winner: Option<(Vec<DeviceId>, f64)> = None;
-                for (stage_devices, _proxy, nm) in
-                    candidates.into_iter().take(ORDER_REFINE_CANDIDATES)
-                {
-                    // Memoized by (kind-order, node pattern, placement,
-                    // …): kind-identical VWs — every group under ED,
-                    // most groups on big clusters — share one
-                    // simulation, as do repeated `build` calls.
-                    let rate = memoized_standalone_rate(
-                        cluster,
-                        graph,
-                        &expand(&stage_devices),
-                        nm,
-                        config,
-                    );
-                    let Some(rate) = rate else { continue };
-                    if winner.as_ref().is_none_or(|(_, r)| rate > *r) {
-                        winner = Some((stage_devices, rate));
+                for &(devs, ..) in candidates.iter().skip(ORDER_REFINE_CANDIDATES) {
+                    table.release(devs);
+                }
+                candidates.truncate(ORDER_REFINE_CANDIDATES);
+                let mut winner: Option<(&[DeviceId], f64)> = None;
+                for (devs, _proxy, nm) in candidates {
+                    // Memoized across VWs and builds by RefineKey.
+                    let rate = standalone_rate(cluster, graph, devs, nm, config, || {
+                        table.prefix(devs)[nm - 1].clone()
+                    });
+                    if winner.is_none_or(|(_, r)| rate > r) {
+                        winner = Some((devs, rate));
                     }
                 }
-                winner.ok_or(BuildError::NoFeasiblePartition { vw: i })?.0
+                let (winner, _) = winner.ok_or(BuildError::NoFeasiblePartition { vw: i })?;
+                winner.to_vec()
             } else {
-                devices.clone()
+                expand(devices)
             };
-
-            let ordered = expand(&ordered);
-            let gpus: Vec<_> = ordered.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(cluster, &ordered);
-            let limit = nm_saturation_limit(ordered.len());
-            let (maxm, _plan) =
-                max_feasible_nm_with(graph, &gpus, &links, limit, schedule, config.recompute)
-                    .ok_or(BuildError::NoFeasiblePartition { vw: i })?;
-            maxms.push(maxm);
-            ordered_groups.push(ordered);
+            let prefix = table.prefix(&ordered).to_vec();
+            if prefix.is_empty() {
+                return Err(BuildError::NoFeasiblePartition { vw: i });
+            }
+            chosen.push((ordered, prefix));
         }
 
-        // Nm must be identical across VWs (Section 4) and is "set such
-        // that performance is maximized" (Section 8.3): probe every
-        // feasible Nm up to the smallest per-VW Max_m and keep the one
-        // with the best estimated system throughput. Under the
-        // distance-D bound the slowest VW paces the system, so the
-        // estimate is N times the slowest VW's pipeline rate
-        // min(1/bottleneck, Nm/latency).
-        let max_nm = maxms.iter().copied().min().unwrap_or(1);
+        // Each VW's Max_m is its prefix length. Nm must be identical
+        // across VWs (Section 4) and is "set such that performance is
+        // maximized" (Section 8.3): probe every Nm up to the smallest
+        // Max_m and keep the one with the best estimated system
+        // throughput. Under the distance-D bound the slowest VW paces
+        // the system, so the estimate is N times the slowest VW's
+        // `pipeline_rate`.
         let nm = match config.nm_override {
-            Some(forced) => {
-                if let Some(vw) = maxms.iter().position(|&m| m < forced) {
-                    return Err(BuildError::NmInfeasible { vw, nm: forced });
-                }
-                forced
-            }
+            Some(nm) => match chosen
+                .iter()
+                .position(|(_, p)| !(1..=p.len()).contains(&nm))
+            {
+                Some(vw) => return Err(BuildError::NmInfeasible { vw, nm }),
+                None => nm,
+            },
             None => {
-                // One incremental sweep per VW across the probed Nm
-                // range — the per-VW instance is fixed, so NmSweep's
-                // answer-preserving reuse applies.
-                let mut sweeps: Vec<NmSweep<'_>> = ordered_groups
-                    .iter()
-                    .map(|devices| {
-                        let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                        let links = VirtualWorker::links(cluster, devices);
-                        NmSweep::new(graph, &gpus, &links, schedule, config.recompute)
-                    })
-                    .collect();
+                let max_nm = chosen.iter().map(|(_, p)| p.len()).min().unwrap_or(1);
                 let mut best = (1usize, 0.0f64);
                 for nm in 1..=max_nm {
-                    let mut slowest = f64::INFINITY;
-                    let mut feasible = true;
-                    for sweep in &mut sweeps {
-                        match sweep.solve(nm) {
-                            Ok(plan) => {
-                                let latency: f64 = plan.stage_secs.iter().sum();
-                                let rate = (1.0 / plan.bottleneck_secs).min(nm as f64 / latency);
-                                slowest = slowest.min(rate);
-                            }
-                            Err(_) => {
-                                feasible = false;
-                                break;
-                            }
-                        }
-                    }
-                    if feasible && slowest > best.1 {
+                    let slowest = chosen
+                        .iter()
+                        .map(|(_, p)| pipeline_rate(&p[nm - 1], nm))
+                        .fold(f64::INFINITY, f64::min);
+                    if slowest > best.1 {
                         best = (nm, slowest);
                     }
                 }
@@ -458,24 +452,16 @@ impl<'a> HetPipeSystem<'a> {
             }
         };
 
-        // Final plans at the chosen Nm.
-        let mut vws = Vec::with_capacity(ordered_groups.len());
-        for (i, devices) in ordered_groups.into_iter().enumerate() {
-            let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(cluster, &devices);
-            let plan = PartitionSolver::solve(
-                &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
-                    .with_recompute(config.recompute),
-            )
-            .map_err(|_| BuildError::NmInfeasible { vw: i, nm })?;
-            vws.push(VirtualWorker {
-                index: i,
+        let vws: Vec<VirtualWorker> = chosen
+            .into_iter()
+            .enumerate()
+            .map(|(index, (devices, mut prefix))| VirtualWorker {
+                index,
                 devices,
-                plan,
+                plan: prefix.swap_remove(nm - 1),
                 nm,
-            });
-        }
-
+            })
+            .collect();
         let shards = ShardMap::build(config.placement, graph, cluster, &vws[0]);
         Ok(HetPipeSystem {
             cluster,
@@ -568,6 +554,14 @@ impl<'a> HetPipeSystem<'a> {
 mod tests {
     use super::*;
 
+    fn refine_stats_take() -> (u64, u64) {
+        REFINE_STATS.with(|s| s.replace((0, 0)))
+    }
+
+    fn sweeps_take() -> u64 {
+        SWEEPS.with(|s| s.replace(0))
+    }
+
     fn cfg(policy: AllocationPolicy, placement: Placement, d: usize) -> SystemConfig {
         SystemConfig {
             policy,
@@ -625,6 +619,41 @@ mod tests {
             HetPipeSystem::build(&cluster, &graph, &config),
             Err(BuildError::NmInfeasible { .. })
         ));
+    }
+
+    #[test]
+    fn nm_override_zero_is_infeasible() {
+        let cluster = Cluster::paper_testbed();
+        let graph = hetpipe_model::vgg19(32);
+        let config = SystemConfig {
+            nm_override: Some(0),
+            ..SystemConfig::default()
+        };
+        assert_eq!(
+            HetPipeSystem::build(&cluster, &graph, &config).err(),
+            Some(BuildError::NmInfeasible { vw: 0, nm: 0 })
+        );
+    }
+
+    #[test]
+    fn each_planning_instance_is_swept_once() {
+        // Under ED on the paper testbed every VW holds one V, R, G and
+        // Q GPU on four different nodes, so all four VWs share the same
+        // 24 kind-orders with all-InfiniBand links: 24 instances, not
+        // 4 × 24. Without order search all four share one instance.
+        let cluster = Cluster::paper_testbed();
+        let graph = hetpipe_model::vgg19(32);
+        let config = SystemConfig::default();
+        sweeps_take();
+        let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+        assert_eq!(sys.virtual_workers().len(), 4);
+        assert_eq!(sweeps_take(), 24);
+        let config = SystemConfig {
+            order_search: false,
+            ..config
+        };
+        HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+        assert_eq!(sweeps_take(), 1);
     }
 
     #[test]

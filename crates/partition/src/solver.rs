@@ -6,8 +6,8 @@
 //! Position-dependent memory constraints (earlier stages hold more
 //! in-flight state) are applied per candidate interval.
 //!
-//! Plan time is the system's hot path (the order search and the `Nm`
-//! sweeps solve this DP hundreds of times per build), so the DP is
+//! Plan time is the system's hot path (the order search's `Nm` sweeps
+//! solve this DP hundreds of times per build), so the DP is
 //! O(k·L²) with **O(1) probes**: stage times and memory charges are
 //! prefix-sum range queries, and a frontier prune drops range starts
 //! whose memory budget is already exceeded (infeasibility is monotone
@@ -503,10 +503,11 @@ fn greedy_pack(
 }
 
 /// An incremental solver for `Nm` sweeps over one fixed
-/// `(graph, gpus, links, schedule, recompute)` configuration — the
-/// shape of the order search's proxy scoring and the system builder's
-/// `Nm` selection, which both solve the *same* partitioning instance
-/// at every `Nm` in a range.
+/// `(graph, gpus, links, schedule, recompute)` configuration: the
+/// *same* partitioning instance at every `Nm` in a range. The system
+/// builder sweeps each of its instances once with it and takes the
+/// order scan's proxy, `Max_m`, the `Nm` choice and the final plans
+/// from that one sweep, so every plan it runs comes from here.
 ///
 /// The reuse step is **answer-preserving**, not heuristic. For flat
 /// schedules (no co-located chunks), stage times depend on `Nm` only

@@ -2,11 +2,11 @@
 //! chooses on the plan-sweep matrix.
 //!
 //! The matrix is the `plan-sweep` benchmark workload's 128
-//! configurations: the Table-4 GPU sets 4[V], 8[VR], 12[VRQ] and
-//! 16[VRQG] × {VGG-19, ResNet-152} × {ED, NP} × the four schedules it
-//! names (wave, fill-drain, 1F1B, composite interleaved with 2 chunks)
-//! × recompute {none, boundary-only}, all with the default shard
-//! placement and order search on.
+//! configurations ([`plan_sweep_matrix`]): the Table-4 GPU sets 4[V],
+//! 8[VR], 12[VRQ] and 16[VRQG] × {VGG-19, ResNet-152} × {ED, NP} × the
+//! four schedules it names (wave, fill-drain, 1F1B, composite
+//! interleaved with 2 chunks) × recompute {none, boundary-only}, all
+//! with the default shard placement and order search on.
 //!
 //! Each cell's [`HetPipeSystem::build`] result feeds one FNV-1a digest:
 //! the common `Nm`, then per virtual worker its stage devices, layer
@@ -17,10 +17,8 @@
 //!
 //! Tier: dynamically audited (it pins the outcome of these 128 builds).
 
-use hetpipe::cluster::{Cluster, GpuKind};
-use hetpipe::core::{
-    AllocationPolicy, Fnv, HetPipeSystem, Placement, RecomputePolicy, Schedule, SystemConfig,
-};
+use hetpipe::core::{Fnv, HetPipeSystem};
+use hetpipe_bench::plan_sweep_matrix;
 
 /// The digest of the 128 builds (see the module docs).
 const MATRIX_DIGEST: u64 = 0x85d6_4be7_6b97_c400;
@@ -30,43 +28,9 @@ fn word(h: &mut Fnv, v: u64) {
     h.mix_bytes(&v.to_le_bytes());
 }
 
-fn matrix() -> Vec<(Cluster, hetpipe::model::ModelGraph, SystemConfig)> {
-    use GpuKind::*;
-    let sets: [&[GpuKind]; 4] = [
-        &[TitanV],
-        &[TitanV, TitanRtx],
-        &[TitanV, TitanRtx, QuadroP4000],
-        &[TitanV, TitanRtx, QuadroP4000, Rtx2060],
-    ];
-    let mut cells = Vec::new();
-    for kinds in sets {
-        let cluster = Cluster::testbed_subset(kinds);
-        for graph in [hetpipe::model::vgg19(32), hetpipe::model::resnet152(32)] {
-            for policy in [
-                AllocationPolicy::EqualDistribution,
-                AllocationPolicy::NodePartition,
-            ] {
-                for schedule in ["hetpipe-wave", "fill-drain", "1f1b", "interleaved-1f1b:2"] {
-                    for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
-                        let config = SystemConfig {
-                            policy: policy.clone(),
-                            placement: Placement::Default,
-                            schedule: Schedule::parse(schedule).expect("a known schedule"),
-                            recompute,
-                            ..SystemConfig::default()
-                        };
-                        cells.push((cluster.clone(), graph.clone(), config));
-                    }
-                }
-            }
-        }
-    }
-    cells
-}
-
 #[test]
 fn plan_sweep_matrix_plans_are_pinned() {
-    let cells = matrix();
+    let cells = plan_sweep_matrix();
     assert_eq!(cells.len(), 128);
     let mut h = Fnv::default();
     let mut built = 0;

@@ -107,77 +107,104 @@ fn prefix_sums_match_naive_summation() {
 }
 
 /// (b) The optimized solver (O(1) probes + frontier prune) returns
-/// the same plan as the naive reference DP, and the incremental
-/// `Nm`-sweep and binary-searched `Max_m` agree with their linear
-/// counterparts, over every zoo model on the heterogeneous VW.
+/// the same plan as the naive reference DP on the wave schedule. Over
+/// every zoo model on the heterogeneous VW × every schedule ×
+/// recompute {none, boundary-only} × all-PCIe or all-InfiniBand
+/// links, the incremental `Nm` sweep returns `solve`'s plan bit for
+/// bit (`HetPipeSystem::build` takes its final plans from the sweep),
+/// the sweep's feasible prefix is the linear `Max_m`, and the
+/// binary-searched `Max_m` agrees with the linear rescan.
 #[test]
 fn optimized_solver_matches_reference() {
     for graph in zoo() {
         let k = 4.min(graph.len());
-        let gpus: Vec<_> = vrgq().into_iter().take(k).collect();
-        let links = vec![LinkKind::Pcie; k - 1];
-        let limit = nm_saturation_limit(k);
-        let mut sweep = NmSweep::new(
-            &graph,
-            &gpus,
-            &links,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        for nm in 1..=limit {
-            let problem = PartitionProblem::new(&graph, gpus.clone(), links.clone(), nm);
-            let fast = PartitionSolver::solve(&problem);
-            let slow = PartitionSolver::solve_reference(&problem);
-            let swept = sweep.solve(nm);
-            match (&fast, &slow) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.ranges, b.ranges, "{} nm={nm}", graph.name);
-                    assert!(
-                        (a.bottleneck_secs - b.bottleneck_secs).abs()
-                            <= 1e-12 * b.bottleneck_secs.abs(),
-                        "{} nm={nm}: bottleneck {} vs {}",
-                        graph.name,
-                        a.bottleneck_secs,
-                        b.bottleneck_secs
+        for schedule in Schedule::ALL {
+            let vk = schedule.virtual_stages(k);
+            let gpus: Vec<_> = (0..vk).map(|s| vrgq()[s % k].clone()).collect();
+            let limit = nm_saturation_limit(vk);
+            for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
+                for link in [LinkKind::Pcie, LinkKind::Infiniband] {
+                    let cell = format!("{} {schedule} {recompute} {link:?}", graph.name);
+                    let links = vec![link; vk - 1];
+                    let reference = schedule == Schedule::HetPipeWave
+                        && recompute == RecomputePolicy::None
+                        && link == LinkKind::Pcie;
+                    let mut sweep = NmSweep::new(&graph, &gpus, &links, schedule, recompute);
+                    // Length of the sweep's feasible prefix 1..=prefix.
+                    let mut prefix = 0;
+                    for nm in 1..=limit {
+                        let problem = PartitionProblem::with_schedule(
+                            &graph,
+                            gpus.clone(),
+                            links.clone(),
+                            nm,
+                            schedule,
+                        )
+                        .with_recompute(recompute);
+                        let fast = PartitionSolver::solve(&problem);
+                        let swept = sweep.solve(nm);
+                        match (&fast, &swept) {
+                            (Ok(a), Ok(b)) => {
+                                assert_eq!(a.ranges, b.ranges, "{cell} nm={nm} sweep");
+                                assert_eq!(
+                                    a.stage_secs.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                                    b.stage_secs.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                                    "{cell} nm={nm} sweep stage_secs"
+                                );
+                                assert_eq!(
+                                    a.bottleneck_secs.to_bits(),
+                                    b.bottleneck_secs.to_bits(),
+                                    "{cell} nm={nm} sweep bottleneck"
+                                );
+                            }
+                            (Err(a), Err(b)) => assert_eq!(a, b, "{cell} nm={nm}"),
+                            _ => panic!("{cell} nm={nm}: solve {fast:?} vs sweep {swept:?}"),
+                        }
+                        if swept.is_ok() && prefix == nm - 1 {
+                            prefix = nm;
+                        }
+                        if !reference {
+                            continue;
+                        }
+                        let slow = PartitionSolver::solve_reference(&problem);
+                        match (&fast, &slow) {
+                            (Ok(a), Ok(b)) => {
+                                assert_eq!(a.ranges, b.ranges, "{cell} nm={nm}");
+                                assert!(
+                                    (a.bottleneck_secs - b.bottleneck_secs).abs()
+                                        <= 1e-12 * b.bottleneck_secs.abs(),
+                                    "{cell} nm={nm}: bottleneck {} vs {}",
+                                    a.bottleneck_secs,
+                                    b.bottleneck_secs
+                                );
+                            }
+                            (Err(a), Err(b)) => assert_eq!(a, b, "{cell} nm={nm}"),
+                            _ => panic!("{cell} nm={nm}: {fast:?} vs {slow:?}"),
+                        }
+                    }
+                    let fast =
+                        max_feasible_nm_with(&graph, &gpus, &links, limit, schedule, recompute);
+                    let slow =
+                        max_feasible_nm_linear(&graph, &gpus, &links, limit, schedule, recompute);
+                    assert_eq!(
+                        slow.as_ref().map_or(0, |(m, _)| *m),
+                        prefix,
+                        "{cell}: sweep prefix vs linear Max_m"
                     );
+                    match (fast, slow) {
+                        (None, None) => {}
+                        (Some((a, pa)), Some((b, pb))) => {
+                            assert_eq!(a, b, "{cell}: Max_m binary vs linear");
+                            assert_eq!(pa.ranges, pb.ranges, "{cell}");
+                        }
+                        (a, b) => panic!(
+                            "{cell}: Max_m binary {:?} vs linear {:?}",
+                            a.map(|x| x.0),
+                            b.map(|x| x.0)
+                        ),
+                    }
                 }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{} nm={nm}", graph.name),
-                _ => panic!("{} nm={nm}: {fast:?} vs {slow:?}", graph.name),
             }
-            match (&fast, &swept) {
-                (Ok(a), Ok(b)) => assert_eq!(a.ranges, b.ranges, "{} nm={nm} sweep", graph.name),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                _ => panic!("{} nm={nm}: solve {fast:?} vs sweep {swept:?}", graph.name),
-            }
-        }
-        let fast = max_feasible_nm_with(
-            &graph,
-            &gpus,
-            &links,
-            limit,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        let slow = max_feasible_nm_linear(
-            &graph,
-            &gpus,
-            &links,
-            limit,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        match (fast, slow) {
-            (None, None) => {}
-            (Some((a, pa)), Some((b, pb))) => {
-                assert_eq!(a, b, "{}: Max_m binary vs linear", graph.name);
-                assert_eq!(pa.ranges, pb.ranges, "{}", graph.name);
-            }
-            (a, b) => panic!(
-                "{}: Max_m binary {:?} vs linear {:?}",
-                graph.name,
-                a.map(|x| x.0),
-                b.map(|x| x.0)
-            ),
         }
     }
 }
