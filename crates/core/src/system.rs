@@ -619,16 +619,7 @@ mod tests {
             HetPipeSystem::build(&cluster, &graph, &config),
             Err(BuildError::NmInfeasible { .. })
         ));
-    }
-
-    #[test]
-    fn nm_override_zero_is_infeasible() {
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
-        let config = SystemConfig {
-            nm_override: Some(0),
-            ..SystemConfig::default()
-        };
+        config.nm_override = Some(0);
         assert_eq!(
             HetPipeSystem::build(&cluster, &graph, &config).err(),
             Some(BuildError::NmInfeasible { vw: 0, nm: 0 })
