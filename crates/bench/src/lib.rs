@@ -17,7 +17,7 @@ use hetpipe_model::ModelGraph;
 use std::str::FromStr;
 
 /// The `plan-sweep` benchmark workload's 128 configurations: the
-/// Table-4 GPU sets 4[V], 8[VR], 12[VRQ] and 16[VRQG] × {VGG-19,
+/// Table-4 GPU sets `4[V]`, `8[VR]`, `12[VRQ]` and `16[VRQG]` × {VGG-19,
 /// ResNet-152} × {ED, NP} × {wave, fill-drain, 1F1B, composite
 /// interleaved with 2 chunks} × {no recompute, boundary-only}, with
 /// the default shard placement and order search on.

@@ -2,8 +2,8 @@
 //! chooses on the plan-sweep matrix.
 //!
 //! The matrix is the `plan-sweep` benchmark workload's 128
-//! configurations ([`plan_sweep_matrix`]): the Table-4 GPU sets 4[V],
-//! 8[VR], 12[VRQ] and 16[VRQG] × {VGG-19, ResNet-152} × {ED, NP} × the
+//! configurations ([`plan_sweep_matrix`]): the Table-4 GPU sets `4[V]`,
+//! `8[VR]`, `12[VRQ]` and `16[VRQG]` × {VGG-19, ResNet-152} × {ED, NP} × the
 //! four schedules it names (wave, fill-drain, 1F1B, composite
 //! interleaved with 2 chunks) × recompute {none, boundary-only}, all
 //! with the default shard placement and order search on.
