@@ -221,13 +221,45 @@ fn assert_reports_identical(label: &str, got: &SystemReport, want: &SystemReport
 
 /// The simulated results of two runs of one configuration agree: the
 /// sink must not change a simulated number.
+/// Every field of [`RunStats`] but the trace is compared.
 fn assert_same_run(label: &str, got: &RunStats, want: &RunStats) {
     assert_eq!((got.events, got.end), (want.events, want.end), "{label}");
+    assert_eq!(got.horizon, want.horizon, "{label}");
+    assert_eq!(got.vws.len(), want.vws.len(), "{label}");
     for (a, b) in got.vws.iter().zip(&want.vws) {
         assert_eq!(a.completions, b.completions, "{label}");
         assert_eq!(a.wait_windows, b.wait_windows, "{label}");
         assert_eq!(a.inject_blocked, b.inject_blocked, "{label}");
+        assert_eq!(a.waves_pushed, b.waves_pushed, "{label}");
+        assert_eq!(a.pull_wait, b.pull_wait, "{label}");
     }
+    assert_eq!(got.pool.len(), want.pool.len(), "{label}");
+    for ((_, a), (_, b)) in got.pool.iter().zip(want.pool.iter()) {
+        assert_eq!(a.name, b.name, "{label}");
+        assert_eq!(a.busy_time(), b.busy_time(), "{label}: {} busy", a.name);
+        assert_eq!(a.reservations(), b.reservations(), "{label}: {}", a.name);
+        assert_eq!(a.free_at(), b.free_at(), "{label}: {} free_at", a.name);
+    }
+    let bytes = |s: &RunStats| {
+        [
+            s.sync_bytes_inter,
+            s.sync_bytes_intra,
+            s.act_bytes_inter,
+            s.act_bytes_intra,
+        ]
+    };
+    assert_eq!(bytes(got), bytes(want), "{label}: byte counters");
+    assert_eq!(got.peaks, want.peaks, "{label}: peaks");
+    assert_eq!(
+        (&got.gpu_resources, &got.nic_resources),
+        (&want.gpu_resources, &want.nic_resources),
+        "{label}"
+    );
+    assert_eq!(
+        (&got.planned_fwd, &got.planned_bwd),
+        (&want.planned_fwd, &want.planned_bwd),
+        "{label}"
+    );
 }
 
 /// One executor run: `schedule` over one VW per device group, its GPUs
