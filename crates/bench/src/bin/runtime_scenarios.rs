@@ -24,7 +24,8 @@
 //!
 //! Flags:
 //! - `--seeds <n>`: number of chaos scripts (default 32).
-//! - `--horizon <secs>`: simulated horizon (default 60).
+//! - `--horizon <secs>`: simulated horizon (default 60, at most
+//!   `hetpipe_bench::MAX_HORIZON_SECS`).
 //! - `--trace-out <prefix>`: write chrome traces for the canonical
 //!   cells and the first few chaos seeds, script events, signals and
 //!   splices included as instant markers.

@@ -21,13 +21,18 @@
 //! non-zero exit code — this is the CI memory-soundness smoke test.
 //!
 //! Flags:
-//! - `--json <path>`: machine-readable dump.
+//! - `--json <path>`: machine-readable dump. Each cell also records
+//!   `ff_period_s`, the steady-state period its run fast-forwarded
+//!   with (`null` when it skipped none), and `ff_extrapolated_share`,
+//!   the share of the horizon skipped.
 //! - `--trace-out <prefix>`: write one `chrome://tracing` JSON file
 //!   per (cluster, model, schedule, recompute) cell, named
 //!   `<prefix>-<cluster>-<model>-<schedule>[-ckpt].json`. Only these
-//!   runs keep their span trace. A file that cannot be written fails
-//!   the run (exit 1) once the sweep finishes.
-//! - `--horizon <secs>`: simulated horizon (default 60).
+//!   runs keep their span trace, and so never fast-forward. A file
+//!   that cannot be written fails the run (exit 1) once the sweep
+//!   finishes.
+//! - `--horizon <secs>`: simulated horizon (default 60, at most
+//!   `hetpipe_bench::MAX_HORIZON_SECS`).
 //! - `--faults <spec>`: add a perturbed column — every cell re-run
 //!   under the fault script with the *static* (non-reactive) policy,
 //!   so the composite-vs-depth-expanded adaptivity gap (and every
@@ -226,6 +231,13 @@ fn main() {
                                 "peak_gpu_bytes": peak_bytes,
                                 "pull_wait_secs": report.total_pull_wait_secs(),
                                 "memory_sound": audit.is_sound(),
+                                // Untraced runs fast-forward through their
+                                // steady state: the period found, and the
+                                // share of the horizon skipped.
+                                "ff_period_s": stats.fast_forward.map(|ff| ff.period.as_secs()),
+                                "ff_extrapolated_share": stats
+                                    .fast_forward
+                                    .map_or(0.0, |ff| ff.extrapolated_share(horizon)),
                             }));
                             if let Some(prefix) = &trace_prefix {
                                 // "interleaved-1f1b:2" → ':' is not a

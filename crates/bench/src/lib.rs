@@ -135,15 +135,26 @@ pub fn arg_value<T: FromStr>(name: &str) -> Result<Option<T>, String> {
     parse_flag(&args, name)
 }
 
-/// `secs` as a simulated horizon: `Err` unless it is finite and
-/// positive (the canonical scripts place their events inside it).
+/// The longest simulated horizon a bin accepts, in seconds (about
+/// 11.6 days, 100× paper-ed's horizon). A longer one would run for
+/// hours, or extrapolate a steady state into an allocation of that
+/// many completions.
+pub const MAX_HORIZON_SECS: f64 = 1e6;
+
+/// `secs` as a simulated horizon: `Err` unless it is positive and at
+/// most [`MAX_HORIZON_SECS`] (the canonical scripts place their events
+/// inside it).
 pub fn check_horizon(secs: f64) -> Result<f64, String> {
-    if secs.is_finite() && secs > 0.0 {
-        Ok(secs)
-    } else {
+    if !(secs.is_finite() && secs > 0.0) {
         Err(format!(
             "--horizon must be a positive number of seconds, got {secs}"
         ))
+    } else if secs > MAX_HORIZON_SECS {
+        Err(format!(
+            "--horizon must be at most {MAX_HORIZON_SECS} seconds, got {secs}"
+        ))
+    } else {
+        Ok(secs)
     }
 }
 
@@ -257,8 +268,13 @@ mod tests {
     fn check_horizon_rejects_non_positive_and_non_finite() {
         assert_eq!(check_horizon(5.0), Ok(5.0));
         assert_eq!(check_horizon(1e-3), Ok(1e-3));
+        assert_eq!(check_horizon(MAX_HORIZON_SECS), Ok(MAX_HORIZON_SECS));
         for bad in [0.0, -0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(check_horizon(bad).is_err(), "{bad}");
+        }
+        for huge in [1e30, 1e6 + 1.0] {
+            let err = check_horizon(huge).expect_err("beyond the bound");
+            assert!(err.contains("at most 1000000 seconds"), "{err}");
         }
     }
 }

@@ -21,6 +21,7 @@
 //! `schedule_compare` CI smoke run, which fails the build on any
 //! violation.
 
+use crate::exec::fastforward::Normal;
 use crate::exec::RunStats;
 use crate::vw::VirtualWorker;
 use hetpipe_des::{PeakFold, SimTime};
@@ -93,6 +94,20 @@ impl OccupancyFold {
         if self.colocated > 1 {
             let physical = self.gpu_offsets[vw + 1] - self.gpu_offsets[vw];
             self.gpus[self.gpu_offsets[vw] + stage % physical].push(now, at, delta);
+        }
+    }
+
+    /// Writes each fold's running level and pending events.
+    pub(crate) fn normal(&self, n: &mut Normal) {
+        for fold in self.stages.iter().chain(&self.gpus) {
+            n.peak_fold(fold);
+        }
+    }
+
+    /// Moves every fold's pending events `by` later.
+    pub(crate) fn shift(&mut self, by: SimTime) {
+        for fold in self.stages.iter_mut().chain(&mut self.gpus) {
+            fold.shift(by);
         }
     }
 

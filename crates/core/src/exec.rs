@@ -82,6 +82,9 @@ use hetpipe_schedule::{
 };
 use std::collections::{BTreeMap, VecDeque};
 
+pub(crate) mod fastforward;
+pub use fastforward::FastForward;
+
 /// What a recorded span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanTag {
@@ -274,8 +277,14 @@ pub struct RunStats {
     /// at that instant: the splice point where the boundary wave's last
     /// work finished.
     pub end: SimTime,
-    /// DES events processed (the fleet bench's work unit).
+    /// DES events processed (the fleet bench's work unit). Counts
+    /// logical events: a fast-forwarded run counts its skipped periods'
+    /// events too, so it reads exactly as a fully simulated one.
     pub events: u64,
+    /// How the run skipped whole periods of its steady state, or
+    /// `None` when fast-forward declined or found no period to skip
+    /// (see the `fastforward` module).
+    pub fast_forward: Option<FastForward>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1349,13 +1358,21 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         }
     }
 
+    /// Simulates to the horizon, skipping whole periods of a steady
+    /// state when the sink keeps no spans (the `fastforward` module).
     fn run(mut self) -> (RunStats, Option<ReportFold>) {
         self.prologue();
         let horizon = self.horizon;
+        let mut ff = fastforward::Forward::new(&self);
         while let Some(ev) = self.engine.next_event_until(horizon) {
             self.handle(ev);
+            if !S::KEEPS_SPANS {
+                ff.after_event(&mut self);
+            }
         }
-        self.finish()
+        let (mut stats, report) = self.finish();
+        stats.fast_forward = ff.finish(stats.events);
+        (stats, report)
     }
 
     /// Installs rate timelines and schedules the initial events — the
@@ -1430,6 +1447,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             act_bytes_intra: self.act_intra,
             planned_fwd: self.fwd,
             planned_bwd: self.bwd,
+            fast_forward: None,
         };
         (stats, self.report)
     }

@@ -16,6 +16,7 @@
 //! [`HetPipeSystem::run`]: crate::HetPipeSystem::run
 //! [`HetPipeSystem::run_with_stats`]: crate::HetPipeSystem::run_with_stats
 
+use crate::exec::fastforward::Normal;
 use crate::exec::RunStats;
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_des::SimTime;
@@ -322,6 +323,68 @@ impl ReportFold {
             horizon,
             gpus: (0..devices).map(|_| GpuBusy::default()).collect(),
             waits,
+        }
+    }
+
+    /// The start of the measurement window.
+    pub(crate) fn warmup(&self) -> SimTime {
+        self.warmup
+    }
+
+    /// Writes the state the fold's future depends on: each GPU's
+    /// reserved-ahead spans and, per VW whose wait window is `open`,
+    /// each device's busy time since the window opened, counted from
+    /// the device's ended busy time.
+    pub(crate) fn normal(&self, n: &mut Normal, open: impl Fn(usize) -> bool) {
+        for gpu in &self.gpus {
+            n.int(gpu.ahead.len() as i64);
+            for &(start, end) in &gpu.ahead {
+                n.instant(start);
+                n.instant(end);
+            }
+        }
+        for (_, w) in self.waits.iter().enumerate().filter(|&(vw, _)| open(vw)) {
+            for (busy, &d) in w.busy.iter().zip(&w.devices) {
+                n.int(self.gpus[d].ended.as_nanos().wrapping_sub(busy.as_nanos()) as i64);
+            }
+        }
+    }
+
+    /// Appends the fold's running totals, in the order
+    /// [`ReportFold::repeat`] takes their increments.
+    pub(crate) fn totals(&self, out: &mut Vec<u64>) {
+        for gpu in &self.gpus {
+            out.extend([gpu.ended.as_nanos(), gpu.measured.as_nanos()]);
+        }
+        out.extend(self.waits.iter().map(|w| w.idle.as_nanos()));
+    }
+
+    /// Repeats a stretch of steady state `by` long: the reserved-ahead
+    /// spans move `by` later, each running total grows by the next
+    /// increment `grew` yields, and an `open` window's start-of-window
+    /// busy times grow with their devices' ended busy time.
+    pub(crate) fn repeat(
+        &mut self,
+        by: SimTime,
+        grew: &mut impl FnMut() -> u64,
+        open: impl Fn(usize) -> bool,
+    ) {
+        let ended: Vec<SimTime> = self.gpus.iter().map(|g| g.ended).collect();
+        for gpu in &mut self.gpus {
+            gpu.ended += SimTime::from_nanos(grew());
+            gpu.measured += SimTime::from_nanos(grew());
+            for (start, end) in &mut gpu.ahead {
+                *start += by;
+                *end += by;
+            }
+        }
+        for (vw, w) in self.waits.iter_mut().enumerate() {
+            w.idle += SimTime::from_nanos(grew());
+            if open(vw) {
+                for (busy, &d) in w.busy.iter_mut().zip(&w.devices) {
+                    *busy += self.gpus[d].ended - ended[d];
+                }
+            }
         }
     }
 

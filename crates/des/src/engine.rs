@@ -123,6 +123,23 @@ impl<E> EngineCore<E> {
         self.queue.peek_time()
     }
 
+    /// Every queued event with its time and sequence number, in no
+    /// particular order; `(time, sequence)` ranks them.
+    pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        self.queue.iter()
+    }
+
+    /// Jumps the clock `by` forward and counts `events` more processed
+    /// events, as if a stretch of simulation that repeats the state
+    /// shifted in time had run. Queued events that `moves` accepts
+    /// move with the clock, after `moves` has rewritten them; the
+    /// others keep their instants (see [`EventQueue::shift`]).
+    pub fn fast_forward(&mut self, by: SimTime, events: u64, moves: impl FnMut(&mut E) -> bool) {
+        self.queue.shift(by, moves);
+        self.now += by;
+        self.processed += events;
+    }
+
     /// Advances the clock to `at` without popping an event, so an
     /// externally-decided action (e.g. a fleet bus serving a pull the
     /// moment a remote push lands) can be applied at its exact instant
@@ -204,6 +221,20 @@ mod tests {
         e.advance_to(SimTime::from_nanos(10));
         assert_eq!(e.now(), SimTime::from_nanos(10));
         assert_eq!(e.peek_time(), None);
+    }
+
+    #[test]
+    fn fast_forward_moves_the_clock_and_the_accepted_events() {
+        let mut e: Engine<u32> = Engine::new();
+        e.schedule_in(SimTime::from_nanos(10), 1);
+        e.schedule_in(SimTime::from_nanos(50), 2);
+        e.next_event();
+        e.fast_forward(SimTime::from_nanos(100), 7, |v| *v != 2);
+        assert_eq!(e.now(), SimTime::from_nanos(110));
+        assert_eq!(e.processed(), 8);
+        let mut times: Vec<_> = e.pending_events().map(|(t, _, &v)| (t, v)).collect();
+        times.sort();
+        assert_eq!(times, vec![(SimTime::from_nanos(50), 2)]);
     }
 
     #[test]

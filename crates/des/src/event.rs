@@ -91,6 +91,25 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.time)
     }
 
+    /// Every queued event with its time and sequence number, in no
+    /// particular order; `(time, sequence)` ranks them.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        self.heap.iter().map(|s| (s.time, s.seq, &s.event))
+    }
+
+    /// Moves every queued event that `moves` accepts `by` later, after
+    /// `moves` has rewritten it. Each event keeps its sequence number,
+    /// so events that tie keep their order.
+    pub fn shift(&mut self, by: SimTime, mut moves: impl FnMut(&mut E) -> bool) {
+        let mut events = std::mem::take(&mut self.heap).into_vec();
+        for s in &mut events {
+            if moves(&mut s.event) {
+                s.time += by;
+            }
+        }
+        self.heap = BinaryHeap::from(events);
+    }
+
     /// Number of queued events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -138,6 +157,24 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 'c');
         assert_eq!(q.pop().unwrap().1, 'a');
         assert_eq!(q.pop().unwrap().1, 'd');
+    }
+
+    #[test]
+    fn shift_moves_accepted_events_and_keeps_tie_order() {
+        let mut q = EventQueue::new();
+        for (t, v) in [(5u64, 1), (5, 2), (9, 3), (7, 4)] {
+            q.push(SimTime::from_nanos(t), v);
+        }
+        // Event 4 stays; the rest move 4 later, event 3 renamed.
+        q.shift(SimTime::from_nanos(4), |v| {
+            if *v == 3 {
+                *v = 30;
+            }
+            *v != 4
+        });
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let at = SimTime::from_nanos;
+        assert_eq!(order, vec![(at(7), 4), (at(9), 1), (at(9), 2), (at(13), 30)]);
     }
 
     #[test]

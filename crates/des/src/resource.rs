@@ -198,6 +198,18 @@ impl Resource {
         (start, end)
     }
 
+    /// Accounts for a stretch of `by` that reserved the resource
+    /// `reservations` times for `busy` in all, and that repeats its
+    /// latest stretch shifted in time: the free instant moves `by`
+    /// later when the stretch reserved anything, and stays otherwise.
+    pub fn repeat(&mut self, by: SimTime, busy: SimTime, reservations: u64) {
+        self.busy += busy;
+        self.reservations += reservations;
+        if reservations > 0 {
+            self.free_at += by;
+        }
+    }
+
     /// The instant the resource becomes free.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -413,6 +425,19 @@ mod tests {
         );
         let (s, e) = gpu.reserve_work(SimTime::ZERO, SimTime::from_nanos(100));
         assert_eq!((s, e), (SimTime::ZERO, SimTime::from_nanos(200)));
+    }
+
+    #[test]
+    fn repeat_shifts_only_a_reserved_timeline() {
+        let mut gpu = Resource::new("gpu0");
+        gpu.reserve(SimTime::ZERO, SimTime::from_nanos(10));
+        let mut idle = gpu.clone();
+        gpu.repeat(SimTime::from_nanos(100), SimTime::from_nanos(30), 3);
+        assert_eq!(gpu.free_at(), SimTime::from_nanos(110));
+        assert_eq!(gpu.busy_time(), SimTime::from_nanos(40));
+        assert_eq!(gpu.reservations(), 4);
+        idle.repeat(SimTime::from_nanos(100), SimTime::ZERO, 0);
+        assert_eq!(idle.free_at(), SimTime::from_nanos(10));
     }
 
     #[test]

@@ -19,6 +19,10 @@ use std::path::Path;
 /// Where an executor sends the spans it records. A type parameter of
 /// the executor, so the choice costs no dynamic call per span.
 pub trait SpanSink<T>: Default {
+    /// Whether the sink keeps spans. A run whose sink keeps none may
+    /// skip simulating a steady state whose spans nobody reads.
+    const KEEPS_SPANS: bool = true;
+
     /// Takes one span (`end >= start`) on `resource`.
     fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: T);
 
@@ -31,6 +35,8 @@ pub trait SpanSink<T>: Default {
 pub struct Discard;
 
 impl<T> SpanSink<T> for Discard {
+    const KEEPS_SPANS: bool = false;
+
     fn record(&mut self, _: ResourceId, _: SimTime, _: SimTime, _: T) {}
 
     fn into_trace(self) -> Trace<T> {
@@ -302,6 +308,27 @@ impl PeakFold {
         self.pending.push(Reverse((at, delta)));
     }
 
+    /// The running sum of the events applied so far.
+    pub fn live(&self) -> i64 {
+        self.live
+    }
+
+    /// The events not yet applied, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = (SimTime, i64)> + '_ {
+        self.pending.iter().map(|&Reverse(event)| event)
+    }
+
+    /// Moves every pending event `by` later. The running sum and the
+    /// peak stay: a fold that repeats a period whose levels it already
+    /// reached reaches no new peak.
+    pub fn shift(&mut self, by: SimTime) {
+        let mut events = std::mem::take(&mut self.pending).into_vec();
+        for Reverse((at, _)) in &mut events {
+            *at += by;
+        }
+        self.pending = BinaryHeap::from(events);
+    }
+
     /// Applies every pending event and returns the peak running sum,
     /// equal to [`peak_of_events`] over all pushed events.
     pub fn finish(&mut self) -> i64 {
@@ -479,6 +506,28 @@ mod tests {
         assert_eq!(fold.finish(), peak_of_events(events));
         assert_eq!(fold.finish(), 2);
         assert_eq!(PeakFold::default().finish(), 0);
+    }
+
+    #[test]
+    fn shifted_peak_fold_matches_shifted_events() {
+        let mut fold = PeakFold::default();
+        let mut shifted = PeakFold::default();
+        let by = SimTime::from_nanos(1_000);
+        for &(now, at, delta) in &[(0, 5, 1), (1, 7, 1), (2, 9, -1), (3, 12, -1)] {
+            let (now, at) = (SimTime::from_nanos(now), SimTime::from_nanos(at));
+            fold.push(now, at, delta);
+            shifted.push(now, at, delta);
+        }
+        shifted.shift(by);
+        let mut pending: Vec<_> = shifted.pending().collect();
+        pending.sort();
+        let mut want: Vec<_> = fold.pending().map(|(at, d)| (at + by, d)).collect();
+        want.sort();
+        assert_eq!(pending, want);
+        assert_eq!(shifted.live(), fold.live());
+        fold.push(SimTime::from_nanos(20), SimTime::from_nanos(20), 1);
+        shifted.push(SimTime::from_nanos(1_020), SimTime::from_nanos(1_020), 1);
+        assert_eq!(shifted.finish(), fold.finish());
     }
 
     #[test]

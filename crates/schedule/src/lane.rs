@@ -20,7 +20,7 @@
 //! [`crate::CommittedQueue::ordered`]). Recompute placement follows
 //! [`PipelineSchedule::recomputes_at`] in both forms.
 
-use crate::ops::GpuOp;
+use crate::ops::{GpuOp, StateWriter};
 use crate::recompute::RecomputePolicy;
 use crate::schedules::{PipelineSchedule, Schedule};
 use crate::stream::{GpuStream, ScheduleStream};
@@ -48,6 +48,29 @@ impl Iterator for Lane {
         match self {
             Lane::Stage { stage, stream } => stream.next().map(|op| GpuOp { stage: *stage, op }),
             Lane::Gpu(stream) => stream.next(),
+        }
+    }
+}
+
+impl Lane {
+    /// Writes the state the lane's future ops depend on. The composite
+    /// lanes of one virtual worker share a timetable, which the lane
+    /// of GPU 0 writes.
+    pub fn write_state(&self, w: &mut impl StateWriter) {
+        match self {
+            Lane::Stage { stream, .. } => stream.write_state(w),
+            Lane::Gpu(stream) => stream.write_state(w),
+        }
+    }
+
+    /// Moves the lane `mbs` minibatches and `waves` waves on: the ops
+    /// it emits from then on are the ones it would have emitted
+    /// `mbs` minibatches later. The lane of GPU 0 moves the shared
+    /// timetable of composite lanes.
+    pub fn shift(&mut self, mbs: u64, waves: u64) {
+        match self {
+            Lane::Stage { stream, .. } => stream.shift(mbs, waves),
+            Lane::Gpu(stream) => stream.shift(mbs, waves),
         }
     }
 }

@@ -107,7 +107,7 @@ pub use extract::{
     QueueKind,
 };
 pub use lane::{lanes, Lane};
-pub use ops::{Dispatch, GpuOp, ScheduleOp};
+pub use ops::{Dispatch, GpuOp, ScheduleOp, StateWriter};
 pub use recompute::RecomputePolicy;
 pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};
 pub use stream::{GpuStream, ScheduleStream};

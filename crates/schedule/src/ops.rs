@@ -83,6 +83,42 @@ impl ScheduleOp {
             ScheduleOp::Backward { .. } | ScheduleOp::FusedFwdBwd { .. }
         )
     }
+
+    /// The same op `mbs` minibatches and `waves` waves later.
+    pub fn shifted(self, mbs: u64, waves: u64) -> ScheduleOp {
+        match self {
+            ScheduleOp::Forward { mb } => ScheduleOp::Forward { mb: mb + mbs },
+            ScheduleOp::Backward { mb } => ScheduleOp::Backward { mb: mb + mbs },
+            ScheduleOp::FusedFwdBwd { mb } => ScheduleOp::FusedFwdBwd { mb: mb + mbs },
+            ScheduleOp::Recompute { mb } => ScheduleOp::Recompute { mb: mb + mbs },
+            ScheduleOp::Push { wave } => ScheduleOp::Push { wave: wave + waves },
+            ScheduleOp::PullGate { wave } => ScheduleOp::PullGate { wave: wave + waves },
+        }
+    }
+
+    /// Writes the op to `w`: its kind, then its minibatch or wave.
+    pub fn write_state(&self, w: &mut impl StateWriter) {
+        match *self {
+            ScheduleOp::Forward { mb } => w.ints(&[0]).mb(mb),
+            ScheduleOp::Backward { mb } => w.ints(&[1]).mb(mb),
+            ScheduleOp::FusedFwdBwd { mb } => w.ints(&[2]).mb(mb),
+            ScheduleOp::Recompute { mb } => w.ints(&[3]).mb(mb),
+            ScheduleOp::Push { wave } => w.ints(&[4]).wave(wave as i64),
+            ScheduleOp::PullGate { wave } => w.ints(&[5]).wave(wave as i64),
+        };
+    }
+}
+
+/// Where a generator writes the state its future ops depend on, for a
+/// caller that compares states up to a shift of minibatch and wave
+/// numbers (the executor's steady-state fast-forward).
+pub trait StateWriter {
+    /// Plain counts, written as they are.
+    fn ints(&mut self, xs: &[i64]) -> &mut Self;
+    /// A minibatch number.
+    fn mb(&mut self, mb: u64) -> &mut Self;
+    /// A wave number (−1 = none).
+    fn wave(&mut self, wave: i64) -> &mut Self;
 }
 
 /// One step of a *per-GPU composite* schedule: a [`ScheduleOp`] tagged

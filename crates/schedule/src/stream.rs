@@ -45,7 +45,7 @@
 //! the re-warmup is the throughput cost of a splice, not a
 //! correctness gap.
 
-use crate::ops::{GpuOp, ScheduleOp};
+use crate::ops::{GpuOp, ScheduleOp, StateWriter};
 use crate::recompute::RecomputePolicy;
 use crate::wsp::WspParams;
 use std::collections::VecDeque;
@@ -114,6 +114,31 @@ impl ScheduleStream {
         );
         self.recompute = policy;
         self
+    }
+
+    /// Writes the stream's position and its emitted-but-unpulled ops.
+    /// Only a decorated stream advances its gate mark.
+    pub fn write_state(&self, w: &mut impl StateWriter) {
+        w.mb(self.fwd_emitted).mb(self.bwd_emitted);
+        if self.decorate {
+            w.wave(self.gated);
+        }
+        w.ints(&[self.pending.len() as i64]);
+        for op in &self.pending {
+            op.write_state(w);
+        }
+    }
+
+    /// Moves the stream `mbs` minibatches and `waves` waves on.
+    pub fn shift(&mut self, mbs: u64, waves: u64) {
+        self.fwd_emitted += mbs;
+        self.bwd_emitted += mbs;
+        if self.decorate {
+            self.gated += waves as i64;
+        }
+        for op in &mut self.pending {
+            *op = op.shifted(mbs, waves);
+        }
     }
 
     /// Emits the gate for `p`'s required wave (once per wave) ahead of
@@ -279,6 +304,45 @@ impl Timetable {
             track,
             queues: (0..gpus).map(|_| VecDeque::new()).collect(),
             started: false,
+        }
+    }
+
+    /// Writes the timetable's per-stage progress, its running ops and
+    /// every queued op.
+    fn write_state(&self, w: &mut impl StateWriter) {
+        for (&f, &b) in self.f.iter().zip(&self.b) {
+            w.mb(f).mb(b);
+        }
+        for running in &self.running {
+            match *running {
+                Some((SlotOp::Fwd { stage, mb }, left)) => w.ints(&[1, stage as i64, left as i64]).mb(mb),
+                Some((SlotOp::Bwd { stage, mb }, left)) => w.ints(&[2, stage as i64, left as i64]).mb(mb),
+                None => w.ints(&[0]),
+            };
+        }
+        w.wave(self.gated);
+        for queue in &self.queues {
+            w.ints(&[queue.len() as i64]);
+            for gop in queue {
+                w.ints(&[gop.stage as i64]);
+                gop.op.write_state(w);
+            }
+        }
+    }
+
+    /// Moves the timetable `mbs` minibatches and `waves` waves on.
+    fn shift(&mut self, mbs: u64, waves: u64) {
+        for count in self.f.iter_mut().chain(&mut self.b) {
+            *count += mbs;
+        }
+        for (op, _) in self.running.iter_mut().flatten() {
+            match op {
+                SlotOp::Fwd { mb, .. } | SlotOp::Bwd { mb, .. } => *mb += mbs,
+            }
+        }
+        self.gated += waves as i64;
+        for gop in self.queues.iter_mut().flatten() {
+            gop.op = gop.op.shifted(mbs, waves);
         }
     }
 
@@ -575,6 +639,29 @@ impl GpuStream {
             t.remat = remat;
         }
         self
+    }
+}
+
+impl GpuStream {
+    /// Whether this handle speaks for its timetable: the handle of
+    /// GPU 0 of a shared set, or a standalone handle.
+    fn owns_timetable(&self) -> bool {
+        self.gpu == 0 || Arc::strong_count(&self.shared) == 1
+    }
+
+    /// Writes the timetable's state (see [`crate::Lane::write_state`]).
+    pub fn write_state(&self, w: &mut impl StateWriter) {
+        if self.owns_timetable() {
+            self.shared.lock().expect("timetable lock").write_state(w);
+        }
+    }
+
+    /// Moves the timetable `mbs` minibatches and `waves` waves on (see
+    /// [`crate::Lane::shift`]).
+    pub fn shift(&mut self, mbs: u64, waves: u64) {
+        if self.owns_timetable() {
+            self.shared.lock().expect("timetable lock").shift(mbs, waves);
+        }
     }
 }
 

@@ -679,6 +679,7 @@ fn overlapping_out_of_order_fixture_matches_full_scans() {
         planned_bwd: Vec::new(),
         end: SimTime::ZERO,
         events: 0,
+        fast_forward: None,
     };
     let cluster = Cluster::paper_testbed();
     // VW 0 repeats device 0 like an interleaved pipeline; VW 1 shares
