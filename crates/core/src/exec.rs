@@ -64,6 +64,14 @@
 //! audit keep none. The occupancy peaks and the report's integer
 //! partials fold while the run executes, so they cost no kept trace.
 //!
+//! A run that keeps no span fast-forwards (the `fastforward`
+//! module): once its executor state repeats exactly, shifted in time,
+//! it skips whole periods of that steady state and simulates only the
+//! rest. The result is bit for bit the fully simulated one
+//! (`tests/fast_forward.rs`); [`RunStats::fast_forward`] records the
+//! period. Runs that keep spans, and the bus-coupled [`VwEngine`],
+//! simulate every event.
+//!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
 
@@ -1475,6 +1483,14 @@ pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) 
 /// its measurement window starting at `warmup`. The report folds while
 /// the run executes, so it needs no kept trace, and it equals
 /// [`SystemReport::from_stats`] over the kept trace bit for bit.
+///
+/// With a sink that keeps no span, the run fast-forwards through its
+/// steady state: it finds the exact period its executor state repeats
+/// with and skips whole periods, stopping short of the warm-up, the
+/// horizon, rate edges and the stop point. The report and every
+/// [`RunStats`] field but the trace equal a fully simulated run's bit
+/// for bit; [`RunStats::events`] counts the skipped events too, and
+/// [`RunStats::fast_forward`] says what was skipped.
 pub fn run_with_sink<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
     opts: SegmentOpts,

@@ -11,8 +11,10 @@
 //! - **Detection.** At each push of VW 0, the executor state is
 //!   written *normalized* ([`Normal`]): instants as offsets from now,
 //!   minibatches and waves relative to the slowest VW's wave base,
-//!   pending events in `(time, sequence)` rank. Only a hash of it is
-//!   kept, with the instant and event count it was seen at.
+//!   pending events in `(time, sequence)` rank, and under lane
+//!   dispatch each lane's buffered ops and stream generator
+//!   (`hetpipe_schedule::Lane::write_state`). Only a hash of it is
+//!   kept, with the event count it was first seen at.
 //! - **Confirmation.** A recurring hash proposes a period. The full
 //!   normalized state is captured and one candidate period simulated;
 //!   only a full equality of the two states confirms it. The period's
@@ -21,7 +23,8 @@
 //!   windows are taken from that simulated period.
 //! - **The jump.** `k` whole periods are added at once: pending
 //!   events, free instants and every reserved-ahead span move `k · Δt`
-//!   later, minibatch and wave numbers move `k` periods on, running
+//!   later, minibatch and wave numbers (lane generators included) move
+//!   `k` periods on, running
 //!   totals grow by `k` increments, and `k` shifted copies of the
 //!   period's completions and wait windows are appended. The occupancy
 //!   peaks stay: the skipped periods reach only levels the simulated
@@ -43,15 +46,19 @@
 //! states `Δt` apart therefore determines every later period: each
 //! repeats the simulated one, shifted. The normalization drops only
 //! what no decision reads: a free instant at or before now reads as
-//! now, and a minibatch counter a discipline never advances (still 0)
-//! reads as "none", below every minibatch.
+//! now, and a counter a discipline never advances is written raw (a
+//! minibatch counter still at 0 reads as "none", below every
+//! minibatch; lanes never advance the injection counter, nor a
+//! non-leading stream its gate mark). A counter written raw that does
+//! advance only makes the states differ, so that mistake skips nothing
+//! rather than skipping wrongly.
 //!
 //! Fast-forward is automatic. It is off where a run could observe the
 //! skipped periods: a sink that keeps spans, and bus-coupled fleet
-//! engines, which never run this loop. Lane dispatch declines too, as
-//! its stream generators carry state this module does not normalize.
-//! `RunStats::events` counts logical events, skipped periods included,
-//! so every digest of a run is unchanged.
+//! engines, which never run this loop. `RunStats::events` counts
+//! logical events, skipped periods included, so every digest of a run
+//! is unchanged. A run whose joint period is longer than what is left
+//! of its horizon skips nothing and pays only the hashing.
 
 use super::{Ev, Exec, SpanTag};
 use hetpipe_des::{PeakFold, SimTime, SpanSink};
@@ -239,7 +246,11 @@ impl Forward {
             && matches!(ex.coupling, super::Coupling::InProcess)
             && ex.horizon.as_nanos() < 1 << 52;
         Forward {
-            phase: if on { detect(SimTime::ZERO) } else { Phase::Off },
+            phase: if on {
+                detect(SimTime::ZERO)
+            } else {
+                Phase::Off
+            },
             clock: 0,
             hashed: 0,
             found: None,
@@ -272,8 +283,8 @@ impl Forward {
         if let Phase::Detect { from, .. } = self.phase {
             // Pull gates and pull targets exist from wave D + 2 on;
             // before that the handler compares with constants.
-            let steady = base_wave >= ex.p.wsp.d as u64 + 2
-                && ex.pool.iter().all(|(_, r)| r.rate() == 1.0);
+            let steady =
+                base_wave >= ex.p.wsp.d as u64 + 2 && ex.pool.iter().all(|(_, r)| r.rate() == 1.0);
             if !steady || now < from {
                 return;
             }
@@ -301,8 +312,16 @@ impl Forward {
                         events,
                         base_wave,
                         totals: ex.totals(),
-                        completions: ex.states.iter().map(|s| s.stats.completions.len()).collect(),
-                        windows: ex.states.iter().map(|s| s.stats.wait_windows.len()).collect(),
+                        completions: ex
+                            .states
+                            .iter()
+                            .map(|s| s.stats.completions.len())
+                            .collect(),
+                        windows: ex
+                            .states
+                            .iter()
+                            .map(|s| s.stats.wait_windows.len())
+                            .collect(),
                         within: events - seen_at as u64,
                         words: normal.words.clone(),
                     });
@@ -353,7 +372,13 @@ impl Forward {
                 bound(warmup.as_nanos().saturating_sub(reach) / dt, Some(warmup));
             }
         }
-        let next_rate = ex.opts.rate_events.iter().map(|e| e.at).filter(|&at| at >= tc).min();
+        let next_rate = ex
+            .opts
+            .rate_events
+            .iter()
+            .map(|e| e.at)
+            .filter(|&at| at >= tc)
+            .min();
         if let Some(at) = next_rate {
             let resume = at + SimTime::from_nanos(1);
             bound(at.as_nanos().saturating_sub(reach + 1) / dt, Some(resume));
@@ -402,14 +427,29 @@ impl Snapshot {
         if waves == 0 || now == self.now {
             return None;
         }
-        let totals = ex.totals().iter().zip(&self.totals).map(|(a, b)| a.wrapping_sub(*b)).collect();
+        let totals = ex
+            .totals()
+            .iter()
+            .zip(&self.totals)
+            .map(|(a, b)| a.wrapping_sub(*b))
+            .collect();
         Some(Period {
             dt: now - self.now,
             events: ex.engine.processed() - self.events,
             waves,
             totals,
-            completions: ex.states.iter().zip(&self.completions).map(|(s, &n)| s.stats.completions[n..].to_vec()).collect(),
-            windows: ex.states.iter().zip(&self.windows).map(|(s, &n)| s.stats.wait_windows[n..].to_vec()).collect(),
+            completions: ex
+                .states
+                .iter()
+                .zip(&self.completions)
+                .map(|(s, &n)| s.stats.completions[n..].to_vec())
+                .collect(),
+            windows: ex
+                .states
+                .iter()
+                .zip(&self.windows)
+                .map(|(s, &n)| s.stats.wait_windows[n..].to_vec())
+                .collect(),
         })
     }
 }
@@ -533,9 +573,18 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         }
         for st in &self.states {
             let s = &st.stats;
-            t.extend([s.waves_pushed, s.pull_wait.as_nanos(), s.inject_blocked.as_nanos()]);
+            t.extend([
+                s.waves_pushed,
+                s.pull_wait.as_nanos(),
+                s.inject_blocked.as_nanos(),
+            ]);
         }
-        t.extend([self.sync_inter, self.sync_intra, self.act_inter, self.act_intra]);
+        t.extend([
+            self.sync_inter,
+            self.sync_intra,
+            self.act_inter,
+            self.act_intra,
+        ]);
         if let Some(report) = &self.report {
             report.totals(&mut t);
         }
@@ -550,7 +599,8 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         let mut grew = period.totals.iter().map(|&d| k * d);
         let mut next = || grew.next().expect("one increment per total");
         let (now, horizon) = (self.engine.now(), self.horizon);
-        self.engine.fast_forward(by, k * period.events, |ev| ev.shift(mbs, waves));
+        self.engine
+            .fast_forward(by, k * period.events, |ev| ev.shift(mbs, waves));
         let resources: Vec<_> = self.pool.iter().map(|(id, _)| id).collect();
         for id in resources {
             let (busy, reservations) = (SimTime::from_nanos(next()), next());
@@ -583,14 +633,19 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             s.pull_wait += SimTime::from_nanos(next());
             s.inject_blocked += SimTime::from_nanos(next());
             // Room for every period left to the horizon, so the lists
-            // grow once for the rest of the run.
-            let left = (horizon - now).as_nanos() / period.dt.as_nanos() + 2;
-            s.completions.reserve_exact(left as usize * completions.len());
-            s.wait_windows.reserve_exact(left as usize * windows.len());
+            // grow once for the rest of the run; rounded up to a power
+            // of two, the size doubling growth would have reached.
+            let left = ((horizon - now).as_nanos() / period.dt.as_nanos() + 2) as usize;
+            let room = |len: usize, per: usize| (len + left * per).next_power_of_two() - len;
+            s.completions
+                .reserve_exact(room(s.completions.len(), completions.len()));
+            s.wait_windows
+                .reserve_exact(room(s.wait_windows.len(), windows.len()));
             for j in 1..=k {
                 let d = SimTime::from_nanos(j * period.dt.as_nanos());
                 s.completions.extend(completions.iter().map(|&t| t + d));
-                s.wait_windows.extend(windows.iter().map(|&(a, b)| (a + d, b + d)));
+                s.wait_windows
+                    .extend(windows.iter().map(|&(a, b)| (a + d, b + d)));
             }
         }
         for cursor in self.lanes.iter_mut().flatten() {
@@ -613,7 +668,11 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         self.occupancy.shift(by);
         self.last_span_end += by;
         if let Some(report) = &mut self.report {
-            let open: Vec<bool> = self.states.iter().map(|s| s.pull_request.is_some()).collect();
+            let open: Vec<bool> = self
+                .states
+                .iter()
+                .map(|s| s.pull_request.is_some())
+                .collect();
             report.repeat(by, &mut next, |vw| open[vw]);
         }
     }

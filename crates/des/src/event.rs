@@ -174,7 +174,10 @@ mod tests {
         });
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         let at = SimTime::from_nanos;
-        assert_eq!(order, vec![(at(7), 4), (at(9), 1), (at(9), 2), (at(13), 30)]);
+        assert_eq!(
+            order,
+            vec![(at(7), 4), (at(9), 1), (at(9), 2), (at(13), 30)]
+        );
     }
 
     #[test]

@@ -315,8 +315,12 @@ impl Timetable {
         }
         for running in &self.running {
             match *running {
-                Some((SlotOp::Fwd { stage, mb }, left)) => w.ints(&[1, stage as i64, left as i64]).mb(mb),
-                Some((SlotOp::Bwd { stage, mb }, left)) => w.ints(&[2, stage as i64, left as i64]).mb(mb),
+                Some((SlotOp::Fwd { stage, mb }, left)) => {
+                    w.ints(&[1, stage as i64, left as i64]).mb(mb)
+                }
+                Some((SlotOp::Bwd { stage, mb }, left)) => {
+                    w.ints(&[2, stage as i64, left as i64]).mb(mb)
+                }
                 None => w.ints(&[0]),
             };
         }
@@ -660,7 +664,10 @@ impl GpuStream {
     /// [`crate::Lane::shift`]).
     pub fn shift(&mut self, mbs: u64, waves: u64) {
         if self.owns_timetable() {
-            self.shared.lock().expect("timetable lock").shift(mbs, waves);
+            self.shared
+                .lock()
+                .expect("timetable lock")
+                .shift(mbs, waves);
         }
     }
 }

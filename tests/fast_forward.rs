@@ -19,7 +19,9 @@
 //! below, not a proof for other configurations.
 
 use hetpipe::cluster::{Cluster, DeviceId};
-use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag};
+use hetpipe::core::exec::{
+    self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag,
+};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
@@ -100,10 +102,17 @@ impl Run {
         };
         let horizon = SimTime::from_secs(self.secs);
         let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
-        let (_, traced) =
-            exec::run_with_sink::<Trace<SpanTag>>(params.clone(), self.opts.clone(), horizon, SimTime::ZERO);
+        let (_, traced) = exec::run_with_sink::<Trace<SpanTag>>(
+            params.clone(),
+            self.opts.clone(),
+            horizon,
+            SimTime::ZERO,
+        );
         assert!(traced.trace.len() > 100, "{label}: trivial trace");
-        assert_eq!(traced.fast_forward, None, "{label}: a kept trace never skips");
+        assert_eq!(
+            traced.fast_forward, None,
+            "{label}: a kept trace never skips"
+        );
         let want_audit = audit(&traced, &vws, self.schedule, nm);
         let mut fast = Vec::new();
         for &fraction in warmups {
@@ -199,8 +208,14 @@ fn rate_edges() -> Vec<RateEvent> {
 fn pinned_wave_configs_match_with_fast_forward() {
     let single = vec![vec![DeviceId(0)], vec![DeviceId(12)]];
     let runs = [
-        ("ED-local VGG-19 Nm=4 D=0", Run::wave(ed_groups(), 4, 0, Placement::Local)),
-        ("NP-default VGG-19 Nm=2 D=2", Run::wave(np_groups(), 2, 2, Placement::Default)),
+        (
+            "ED-local VGG-19 Nm=4 D=0",
+            Run::wave(ed_groups(), 4, 0, Placement::Local),
+        ),
+        (
+            "NP-default VGG-19 Nm=2 D=2",
+            Run::wave(np_groups(), 2, 2, Placement::Default),
+        ),
         (
             "NP-default ResNet-152 Nm=2 D=0",
             Run {
@@ -212,10 +227,18 @@ fn pinned_wave_configs_match_with_fast_forward() {
             "standalone VVVV VGG-19 Nm=4",
             Run {
                 sync_transfers: false,
-                ..Run::wave(vec![(0..4).map(DeviceId).collect()], 4, 0, Placement::Default)
+                ..Run::wave(
+                    vec![(0..4).map(DeviceId).collect()],
+                    4,
+                    0,
+                    Placement::Default,
+                )
             },
         ),
-        ("two single-GPU VWs Nm=1", Run::wave(single, 1, 0, Placement::Default)),
+        (
+            "two single-GPU VWs Nm=1",
+            Run::wave(single, 1, 0, Placement::Default),
+        ),
     ];
     for (label, run) in runs {
         let fast = run.check(label, &WARMUPS);
@@ -274,7 +297,10 @@ fn rate_edges_and_drains_match_with_fast_forward() {
         ..Run::wave(ed_groups(), 4, 0, Placement::Local)
     };
     let fast = edges.check("ED-local with rate edges", &WARMUPS);
-    assert!(fast.iter().all(|s| skipped(s) > 0), "no leg between the edges");
+    assert!(
+        fast.iter().all(|s| skipped(s) > 0),
+        "no leg between the edges"
+    );
     // A slowdown that never recovers: the run may not skip past it.
     let stuck = Run {
         opts: SegmentOpts {
@@ -317,7 +343,10 @@ fn rate_edges_and_drains_match_with_fast_forward() {
             },
         ] {
             let run = Run {
-                groups: vec![(0..4).map(DeviceId).collect(), (12..16).map(DeviceId).collect()],
+                groups: vec![
+                    (0..4).map(DeviceId).collect(),
+                    (12..16).map(DeviceId).collect(),
+                ],
                 schedule,
                 secs: 60.0,
                 opts,
