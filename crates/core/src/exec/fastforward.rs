@@ -349,8 +349,9 @@ impl Forward {
         }
     }
 
-    /// Skips as many whole periods as fit before the nearest edge, and
-    /// returns the phase after the leg.
+    /// Skips as many whole periods as fit before the nearest edge, for
+    /// a period confirmed from `tc` to now, and returns the phase after
+    /// the leg.
     fn jump<S: SpanSink<SpanTag>>(
         &mut self,
         ex: &mut Exec<'_, S>,
@@ -359,9 +360,12 @@ impl Forward {
         period: Period,
     ) -> Phase {
         let dt = period.dt.as_nanos();
+        // The state's latest instant, and the first instant a skipped
+        // period may not reach.
         let reach = normal.reach.as_nanos();
+        let past = reach.saturating_add(1);
         // (periods, where detection resumes: `None` stops it).
-        let mut fit = (ex.horizon.as_nanos().saturating_sub(reach + 1) / dt, None);
+        let mut fit = (ex.horizon.as_nanos().saturating_sub(past) / dt, None);
         let mut bound = |k: u64, resume: Option<SimTime>| {
             if k < fit.0 {
                 fit = (k, resume);
@@ -381,7 +385,7 @@ impl Forward {
             .min();
         if let Some(at) = next_rate {
             let resume = at + SimTime::from_nanos(1);
-            bound(at.as_nanos().saturating_sub(reach + 1) / dt, Some(resume));
+            bound(at.as_nanos().saturating_sub(past) / dt, Some(resume));
         }
         if let Some(stop) = ex.opts.stop_after_mb {
             let mb = period.waves * ex.p.wsp.nm as u64;
@@ -598,7 +602,12 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         let mbs = waves * self.p.wsp.nm as u64;
         let mut grew = period.totals.iter().map(|&d| k * d);
         let mut next = || grew.next().expect("one increment per total");
-        let (now, horizon) = (self.engine.now(), self.horizon);
+        // Room for every period left to the horizon, so the lists grow
+        // once for the rest of the run; rounded up to a power of two,
+        // the size doubling growth would have reached.
+        let left =
+            ((self.horizon - self.engine.now()).as_nanos() / period.dt.as_nanos() + 2) as usize;
+        let room = |len: usize, per: usize| (len + left * per).next_power_of_two() - len;
         self.engine
             .fast_forward(by, k * period.events, |ev| ev.shift(mbs, waves));
         let resources: Vec<_> = self.pool.iter().map(|(id, _)| id).collect();
@@ -632,11 +641,6 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             s.waves_pushed += next();
             s.pull_wait += SimTime::from_nanos(next());
             s.inject_blocked += SimTime::from_nanos(next());
-            // Room for every period left to the horizon, so the lists
-            // grow once for the rest of the run; rounded up to a power
-            // of two, the size doubling growth would have reached.
-            let left = ((horizon - now).as_nanos() / period.dt.as_nanos() + 2) as usize;
-            let room = |len: usize, per: usize| (len + left * per).next_power_of_two() - len;
             s.completions
                 .reserve_exact(room(s.completions.len(), completions.len()));
             s.wait_windows

@@ -516,8 +516,11 @@ impl<'a> HetPipeSystem<'a> {
 
     /// Simulates and returns both the report and the raw statistics.
     /// The run keeps no span trace (`RunStats::trace` is empty): its
-    /// report and its occupancy peaks fold while it executes.
-    /// [`HetPipeSystem::run_traced`] keeps every span.
+    /// report and its occupancy peaks fold while it executes, and it
+    /// skips whole periods of its steady state
+    /// ([`RunStats::fast_forward`]) with results equal to a full
+    /// simulation's bit for bit. [`HetPipeSystem::run_traced`] keeps
+    /// every span and simulates every event.
     pub fn run_with_stats(&self, horizon: SimTime) -> (SystemReport, RunStats) {
         self.simulate::<Discard>(horizon)
     }
