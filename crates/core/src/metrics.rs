@@ -343,9 +343,11 @@ impl ReportFold {
                 n.instant(end);
             }
         }
-        for (_, w) in self.waits.iter().enumerate().filter(|&(vw, _)| open(vw)) {
-            for (busy, &d) in w.busy.iter().zip(&w.devices) {
-                n.int(self.gpus[d].ended.as_nanos().wrapping_sub(busy.as_nanos()) as i64);
+        for (vw, w) in self.waits.iter().enumerate() {
+            if open(vw) {
+                for (busy, &d) in w.busy.iter().zip(&w.devices) {
+                    n.int(self.gpus[d].ended.as_nanos().wrapping_sub(busy.as_nanos()) as i64);
+                }
             }
         }
     }

@@ -11,9 +11,9 @@
 //! Covered: every pinned wave-schedule configuration of
 //! `tests/trace_pins.rs`, the standing matrix (`Schedule::ALL` ×
 //! depths {3, 4} × (Nm, D) ∈ {(2, 0), (4, 0), (4, 1)}), rate-edge
-//! scripts, drained segments and the pinned segments, at horizons long
-//! enough to engage and warm-up fractions {0, 0.15, 0.5, 2.0}. The
-//! paper-ed configuration's period is pinned too.
+//! scripts, drained segments and the pinned segments, all at 600 s
+//! horizons, long enough to engage, and warm-up fractions {0, 0.15,
+//! 0.5, 2.0}. The paper-ed configuration's period is pinned too.
 //!
 //! This is a dynamically audited invariant: evidence for the runs
 //! below, not a proof for other configurations.
@@ -34,6 +34,9 @@ use hetpipe::schedule::{Dispatch, PipelineSchedule};
 
 const WARMUPS: [f64; 4] = [0.0, 0.15, 0.5, 2.0];
 
+/// Long enough for every run below to reach its steady state.
+const HORIZON_SECS: f64 = 600.0;
+
 /// One executor configuration on the paper testbed.
 struct Run {
     graph: ModelGraph,
@@ -43,7 +46,6 @@ struct Run {
     sync_transfers: bool,
     schedule: Schedule,
     recompute: RecomputePolicy,
-    secs: f64,
     opts: SegmentOpts,
 }
 
@@ -57,7 +59,6 @@ impl Run {
             sync_transfers: true,
             schedule: Schedule::HetPipeWave,
             recompute: RecomputePolicy::None,
-            secs: 600.0,
             opts: SegmentOpts::default(),
         }
     }
@@ -100,7 +101,7 @@ impl Run {
             schedule: self.schedule,
             recompute: self.recompute,
         };
-        let horizon = SimTime::from_secs(self.secs);
+        let horizon = SimTime::from_secs(HORIZON_SECS);
         let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
         let (_, traced) = exec::run_with_sink::<Trace<SpanTag>>(
             params.clone(),
@@ -116,7 +117,7 @@ impl Run {
         let want_audit = audit(&traced, &vws, self.schedule, nm);
         let mut fast = Vec::new();
         for &fraction in warmups {
-            let warmup = SimTime::from_secs(self.secs * fraction);
+            let warmup = SimTime::from_secs(HORIZON_SECS * fraction);
             let label = format!("{label} warm-up {fraction}");
             let want_report = SystemReport::from_stats(
                 &traced,
@@ -268,7 +269,6 @@ fn standing_matrix_matches_with_fast_forward() {
                     let run = Run {
                         schedule,
                         recompute,
-                        secs: 300.0,
                         ..Run::wave(groups, nm, d, Placement::Default)
                     };
                     let label = format!("{schedule} {recompute} k={k} Nm={nm} D={d}");
@@ -348,7 +348,6 @@ fn rate_edges_and_drains_match_with_fast_forward() {
                     (12..16).map(DeviceId).collect(),
                 ],
                 schedule,
-                secs: 60.0,
                 opts,
                 ..Run::wave(Vec::new(), 4, 0, Placement::Default)
             };
