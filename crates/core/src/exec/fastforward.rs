@@ -34,7 +34,8 @@
 //!   the state's lookahead (its latest referenced instant, or newest
 //!   minibatch, beyond now). The confirmed period must lie on one side
 //!   of each edge too. After a leg stops at the warm-up or a rate edge,
-//!   detection starts again past it.
+//!   the first state past it is confirmed against the last period at
+//!   once; if that fails, detection starts again.
 //!
 //! Soundness. Between edges the handler is shift-equivariant: every
 //! decision compares instants, minibatches or waves with each other,
@@ -217,10 +218,14 @@ struct Snapshot {
 
 enum Phase {
     /// Hashing the state at VW 0's pushes from `from` on, keeping
-    /// each hash with the event count it was first seen at.
+    /// each hash with the event count it was first seen at. After a
+    /// leg, `again` holds the last period's event count: the first
+    /// state past the edge is then confirmed against that period
+    /// without waiting for its hash to recur.
     Detect {
         seen: BTreeMap<u64, usize>,
         from: SimTime,
+        again: Option<u64>,
     },
     /// A hash recurred: simulating one candidate period.
     Confirm(Snapshot),
@@ -247,7 +252,7 @@ impl Forward {
             && ex.horizon.as_nanos() < 1 << 52;
         Forward {
             phase: if on {
-                detect(SimTime::ZERO)
+                detect(SimTime::ZERO, None)
             } else {
                 Phase::Off
             },
@@ -304,9 +309,14 @@ impl Forward {
     ) {
         let (now, events) = (ex.engine.now(), ex.engine.processed());
         match std::mem::replace(&mut self.phase, Phase::Off) {
-            Phase::Detect { mut seen, from } => {
+            Phase::Detect {
+                mut seen,
+                from,
+                again,
+            } => {
                 let hash = normal.hash();
-                if let Some(&seen_at) = seen.get(&hash) {
+                let recurs = seen.get(&hash).map(|&at| events - at as u64);
+                if let Some(within) = recurs.or(again) {
                     self.phase = Phase::Confirm(Snapshot {
                         now,
                         events,
@@ -322,7 +332,7 @@ impl Forward {
                             .iter()
                             .map(|s| s.stats.wait_windows.len())
                             .collect(),
-                        within: events - seen_at as u64,
+                        within,
                         words: normal.words.clone(),
                     });
                     return;
@@ -330,7 +340,11 @@ impl Forward {
                 seen.insert(hash, events as usize);
                 self.hashed += 1;
                 if self.hashed < MAX_STATES {
-                    self.phase = Phase::Detect { seen, from };
+                    self.phase = Phase::Detect {
+                        seen,
+                        from,
+                        again: None,
+                    };
                 }
             }
             Phase::Confirm(snap) => {
@@ -340,7 +354,7 @@ impl Forward {
                         None => Phase::Off,
                     }
                 } else if events >= snap.events + snap.within {
-                    detect(now)
+                    detect(now, None)
                 } else {
                     Phase::Confirm(snap)
                 };
@@ -406,16 +420,17 @@ impl Forward {
         // The jump leaves VW 0's clock `k` periods on.
         self.clock = ex.states[0].clock;
         match resume {
-            Some(from) => detect(from),
+            Some(from) => detect(from, Some(period.events)),
             None => Phase::Off,
         }
     }
 }
 
-fn detect(from: SimTime) -> Phase {
+fn detect(from: SimTime, again: Option<u64>) -> Phase {
     Phase::Detect {
         seen: BTreeMap::new(),
         from,
+        again,
     }
 }
 
