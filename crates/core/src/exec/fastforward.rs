@@ -24,11 +24,11 @@
 //! - **The jump.** `k` whole periods are added at once: pending
 //!   events, free instants and every reserved-ahead span move `k · Δt`
 //!   later, minibatch and wave numbers (lane generators included) move
-//!   `k` periods on, running
-//!   totals grow by `k` increments, and `k` shifted copies of the
-//!   period's completions and wait windows are appended. The occupancy
-//!   peaks stay: the skipped periods reach only levels the simulated
-//!   one reached. The tail is then simulated as usual.
+//!   `k` periods on, running totals grow by `k` increments, and `k`
+//!   shifted copies of the period's completions and wait windows are
+//!   appended. The occupancy peaks stay: the skipped periods reach
+//!   only levels the simulated one reached. The tail is then simulated
+//!   as usual.
 //! - **Edges.** `k` stops short of every edge: the warm-up, the
 //!   horizon, the next rate edge and the stop point, each padded by
 //!   the state's lookahead (its latest referenced instant, or newest
@@ -62,7 +62,7 @@
 //! of its horizon skips nothing and pays only the hashing.
 
 use super::{Ev, Exec, SpanTag};
-use hetpipe_des::{PeakFold, SimTime, SpanSink};
+use hetpipe_des::{PeakFold, ResourceId, SimTime, SpanSink};
 use hetpipe_schedule::{Dispatch, StateWriter};
 use std::collections::BTreeMap;
 
@@ -625,10 +625,11 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         let room = |len: usize, per: usize| (len + left * per).next_power_of_two() - len;
         self.engine
             .fast_forward(by, k * period.events, |ev| ev.shift(mbs, waves));
-        let resources: Vec<_> = self.pool.iter().map(|(id, _)| id).collect();
-        for id in resources {
+        for id in 0..self.pool.len() {
             let (busy, reservations) = (SimTime::from_nanos(next()), next());
-            self.pool.get_mut(id).repeat(by, busy, reservations);
+            self.pool
+                .get_mut(ResourceId(id))
+                .repeat(by, busy, reservations);
         }
         for (st, (completions, windows)) in self
             .states
