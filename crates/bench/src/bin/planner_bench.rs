@@ -24,12 +24,11 @@
 //!   joint timetable per virtual worker ([`GpuStream::shared_set`])
 //!   vs G independent per-GPU replays;
 //! - **end-to-end** — wall-clock `HetPipeSystem::build` (+ a short
-//!   simulate) on the paper and whimpy clusters, and the cold build of
-//!   the whole 128-cell plan-sweep matrix, recorded for the trajectory
-//!   (no baseline counterpart). Each matrix sample runs in a fresh
-//!   child process (`--matrix-once`), so the process-wide refine memo
-//!   starts empty as in the `plan-sweep` benchmark workload; the row
-//!   keeps n, median and quartiles.
+//!   simulate) on the paper and whimpy clusters, and the build of the
+//!   whole 128-cell plan-sweep matrix, recorded for the trajectory (no
+//!   baseline counterpart). A build keeps no state for the next, so
+//!   every repeat is as cold as the first; each row keeps n, median
+//!   and quartiles.
 //!
 //! Every timed pair is also a **parity check**: identical plans,
 //! identical `Max_m`, identical winning order, identical op
@@ -37,10 +36,9 @@
 //! smoke contract.
 //!
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
-//! (default `BENCH_planner.json`), `--matrix-once` (build the matrix
-//! once and print the seconds it took; the matrix row's child mode).
+//! (default `BENCH_planner.json`).
 
-use hetpipe_bench::{arg_value, check_args, plan_sweep_matrix, usage_error};
+use hetpipe_bench::{arg_value, check_args, median_and_quartiles, plan_sweep_matrix, usage_error};
 use hetpipe_cluster::{Cluster, GpuKind, LinkKind};
 use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig};
 use hetpipe_des::SimTime;
@@ -69,38 +67,23 @@ fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, result.unwrap())
 }
 
-/// Builds every matrix cell once and returns the seconds it took.
-fn build_matrix() -> f64 {
-    let cells = plan_sweep_matrix();
-    let t = Instant::now();
-    for (cluster, graph, config) in &cells {
-        std::hint::black_box(HetPipeSystem::build(cluster, graph, config).ok());
+/// Times `n` calls of `f`, returning each call's seconds and the last
+/// result.
+fn time_each<R>(n: usize, mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
+    let mut secs = Vec::with_capacity(n);
+    let mut result = None;
+    for _ in 0..n {
+        let t = Instant::now();
+        result = Some(f());
+        secs.push(t.elapsed().as_secs_f64());
     }
-    t.elapsed().as_secs_f64()
+    (secs, result.expect("at least one call"))
 }
 
-/// Median and first/third quartiles of `values` (quartiles by
-/// Python's `statistics.quantiles(values, n=4)`, as `e2e_bench`
-/// reports them).
-fn median_and_quartiles(values: &[f64]) -> (f64, f64, f64) {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    let median = if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    };
-    let cut = |i: usize| {
-        if n < 2 {
-            return v[0];
-        }
-        let m = i * (n + 1);
-        let j = (m / 4).clamp(1, n - 1);
-        let delta = m as f64 - (j * 4) as f64;
-        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
-    };
-    (median, cut(1), cut(3))
+/// `secs` as an end-to-end row's `{n, median, q1, q3}`.
+fn summary(secs: &[f64]) -> serde_json::Value {
+    let (median, q1, q3) = median_and_quartiles(secs);
+    json!({ "n": secs.len(), "median": median, "q1": q1, "q3": q3 })
 }
 
 /// The paper's heterogeneous virtual worker: one GPU of each testbed
@@ -116,12 +99,7 @@ fn vrgq() -> Vec<hetpipe_cluster::gpu::GpuSpec> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    check_args(&args, &["--out"], &["--quick", "--matrix-once"])
-        .unwrap_or_else(|e| usage_error(&e));
-    if args.iter().any(|a| a == "--matrix-once") {
-        println!("{}", build_matrix());
-        return;
-    }
+    check_args(&args, &["--out"], &["--quick"]).unwrap_or_else(|e| usage_error(&e));
     let quick = args.iter().any(|a| a == "--quick");
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))
@@ -430,6 +408,7 @@ fn main() {
     //    clusters (trajectory rows; no baseline counterpart).
     // ------------------------------------------------------------------
     let mut e2e_rows = Vec::new();
+    let e2e_reps = if quick { 3 } else { 15 };
     let clusters: Vec<(&str, Cluster)> = vec![
         ("paper", Cluster::paper_testbed()),
         ("whimpy", Cluster::testbed_subset(&[GpuKind::Rtx2060; 4])),
@@ -442,45 +421,34 @@ fn main() {
             order_search: true,
             ..SystemConfig::default()
         };
-        let (build_secs, sys) = time_best_of(if quick { 1 } else { 3 }, || {
+        let (build_secs, sys) = time_each(e2e_reps, || {
             HetPipeSystem::build(cluster, &graph, &config).expect("buildable")
         });
-        let (sim_secs, _) = time_best_of(if quick { 1 } else { 3 }, || {
-            sys.run(SimTime::from_secs(10.0))
-        });
+        let (sim_secs, _) = time_each(e2e_reps, || sys.run(SimTime::from_secs(10.0)));
+        let (build_median, ..) = median_and_quartiles(&build_secs);
+        let (sim_median, ..) = median_and_quartiles(&sim_secs);
         println!(
-            "end-to-end   {cluster_name:<7} VGG-19 ED      build {:>9.1}ms  simulate(10s) {:>7.1}ms",
-            build_secs * 1e3,
-            sim_secs * 1e3
+            "end-to-end   {cluster_name:<7} VGG-19 ED      build median {:>7.2}ms  simulate(10s) median {:>7.2}ms  (n {e2e_reps})",
+            build_median * 1e3,
+            sim_median * 1e3
         );
         e2e_rows.push(json!({
             "cluster": cluster_name,
             "model": "VGG-19",
             "order_search": true,
-            "build_secs": build_secs,
+            "build_secs": summary(&build_secs),
             "simulate_horizon_secs": 10.0,
-            "simulate_secs": sim_secs,
+            "simulate_secs": summary(&sim_secs),
             "nm": sys.nm(),
         }));
     }
 
-    // The plan-sweep matrix, one cold build per child process.
-    let exe = std::env::current_exe().expect("the running bin's path");
-    let mut matrix_secs = Vec::new();
-    for _ in 0..if quick { 3 } else { 9 } {
-        let child = std::process::Command::new(&exe)
-            .arg("--matrix-once")
-            .output()
-            .expect("a matrix child process");
-        let secs = String::from_utf8_lossy(&child.stdout).trim().parse::<f64>();
-        match secs {
-            Ok(secs) if child.status.success() => matrix_secs.push(secs),
-            _ => {
-                eprintln!("matrix child failed: {}", child.status);
-                std::process::exit(1);
-            }
+    let cells = plan_sweep_matrix();
+    let (matrix_secs, ()) = time_each(if quick { 3 } else { 9 }, || {
+        for (cluster, graph, config) in &cells {
+            std::hint::black_box(HetPipeSystem::build(cluster, graph, config).ok());
         }
-    }
+    });
     let (median, q1, q3) = median_and_quartiles(&matrix_secs);
     println!(
         "end-to-end   plan-sweep matrix, 128 cells  build median {:>7.1}ms  (q1 {:.1}, q3 {:.1}, n {})",
@@ -491,8 +459,8 @@ fn main() {
     );
     e2e_rows.push(json!({
         "cluster": "plan-sweep-matrix",
-        "cells": plan_sweep_matrix().len(),
-        "build_secs": { "n": matrix_secs.len(), "median": median, "q1": q1, "q3": q3 },
+        "cells": cells.len(),
+        "build_secs": summary(&matrix_secs),
     }));
 
     let min_order = order_speedups.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -186,9 +186,47 @@ pub fn write_json(path: &str, value: &serde_json::Value) -> std::io::Result<()> 
     )
 }
 
+/// Median and first/third quartiles of `values` (quartiles by
+/// Python's `statistics.quantiles(values, n=4)`, as `e2e_bench`
+/// reports them).
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn median_and_quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let median = if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    };
+    let cut = |i: usize| {
+        if n < 2 {
+            return v[0];
+        }
+        let m = i * (n + 1);
+        let j = (m / 4).clamp(1, n - 1);
+        let delta = m as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    (median, cut(1), cut(3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_and_quartiles_match_python() {
+        // statistics.quantiles([1..=10], n=4) == [2.75, 5.5, 8.25]
+        let v: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(median_and_quartiles(&v), (5.5, 2.75, 8.25));
+        // statistics.quantiles([7, 1, 3], n=4) == [1.0, 3.0, 7.0]
+        assert_eq!(median_and_quartiles(&[7.0, 1.0, 3.0]), (3.0, 1.0, 7.0));
+        assert_eq!(median_and_quartiles(&[4.0]), (4.0, 4.0, 4.0));
+    }
 
     #[test]
     fn parse_flag_is_strict() {

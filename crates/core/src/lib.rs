@@ -27,10 +27,9 @@
 //! - [`system`] — end-to-end assembly and simulation entry point.
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true
 //!   idle time (Section 8.4), and traffic split.
-//! - [`plankey`] — process-stable model/cluster fingerprints (also the
-//!   request keys of the `hetpipe-plansvc` replan cache), the public
-//!   [`plankey::RefineKey`] planning-instance identity, and the sharded
-//!   concurrent memo cache of the order-search refine pass.
+//! - [`plankey`] — process-stable model/cluster fingerprints (the
+//!   request keys of the `hetpipe-plansvc` replan cache) and the FNV-1a
+//!   accumulator trace digests share.
 //! - [`convergence`] — composition of simulated throughput with
 //!   accuracy-per-update curves into time to accuracy (Figures 5
 //!   and 6).
@@ -51,8 +50,10 @@ pub use audit::OccupancyAudit;
 pub use exec::{RateEvent, RateTarget, SegmentOpts, StepOutcome, VwEngine};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
-pub use plankey::{cluster_fingerprint, graph_fingerprint, Fnv, RefineKey, ShardedCache};
+pub use plankey::{cluster_fingerprint, graph_fingerprint, Fnv};
 pub use pserver::Placement;
 pub use sync::{GateBus, ServePoll, SyncModel, WspParams};
-pub use system::{replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig};
+pub use system::{
+    replan_problem, replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig,
+};
 pub use vw::VirtualWorker;

@@ -10,12 +10,14 @@
 //! plus links) once per build: one [`NmSweep`] over `Nm = 1, 2, …`
 //! up to the first infeasible `Nm`. The order scan scores these
 //! prefixes; the refine simulations, `Max_m` (the prefix length), the
-//! common-`Nm` choice and the final plans index them.
+//! common-`Nm` choice and the final plans index them. Each refine
+//! candidate is simulated once per build too. The table holding all of
+//! this is dropped when `build` returns: the crate keeps no state
+//! between builds, so a build's result depends on its inputs alone.
 
 use crate::alloc::{AllocError, AllocationPolicy};
 use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
 use crate::metrics::SystemReport;
-use crate::plankey;
 use crate::pserver::{Placement, ShardMap};
 use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
@@ -128,78 +130,13 @@ impl From<AllocError> for BuildError {
 /// spread), small enough to keep `build` cheap.
 const ORDER_REFINE_CANDIDATES: usize = 6;
 
-/// Refine-pass memo, shared by every thread in the process, so
-/// repeated `build` calls on any thread hit the same entries. Keyed by
-/// the public [`plankey::RefineKey`]; at most 4,096 entries (shard-wise
-/// wholesale clear at capacity).
-static REFINE_CACHE: std::sync::LazyLock<plankey::ShardedCache<plankey::RefineKey, f64>> =
-    std::sync::LazyLock::new(|| plankey::ShardedCache::new(4096));
-
 #[cfg(test)]
 thread_local! {
     /// This thread's refine-memo (hits, misses) and `PlanTable` sweeps —
-    /// test instrumentation only: tests run in parallel against the
-    /// global memo, so they assert on their own thread's traffic.
+    /// test instrumentation only: a build plans on its caller's thread,
+    /// and tests run in parallel, so they read their own thread's counts.
     static REFINE_STATS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
     static SWEEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Simulated steady-state rate (minibatches/sec past warm-up) of one
-/// candidate stage order running as a single virtual worker at `nm`
-/// (the order's proxy-best `Nm`), memoized by [`plankey::RefineKey`]
-/// in the process-wide [`REFINE_CACHE`]. The run uses the configured
-/// shard placement and sync-transfer mode, so the score sees the NIC
-/// contention between activation transfers and parameter pushes/pulls
-/// that separates otherwise-equal orders. `plan` supplies the
-/// candidate's plan at `nm` and is called only on a miss.
-fn standalone_rate(
-    cluster: &Cluster,
-    graph: &ModelGraph,
-    devices: &[DeviceId],
-    nm: usize,
-    config: &SystemConfig,
-    plan: impl FnOnce() -> PartitionPlan,
-) -> f64 {
-    let key = plankey::RefineKey::new(cluster, graph, devices, nm, config);
-    let hit = REFINE_CACHE.get(&key);
-    #[cfg(test)]
-    REFINE_STATS.with(|s| {
-        let (h, m) = s.get();
-        s.set((h + hit.is_some() as u64, m + hit.is_none() as u64));
-    });
-    if let Some(rate) = hit {
-        return rate;
-    }
-    let plan = plan();
-    // Long enough to amortize the pipeline fill several times over.
-    let horizon = SimTime::from_secs((60.0 * plan.stage_secs.iter().sum::<f64>()).max(1.0));
-    let vw = VirtualWorker {
-        index: 0,
-        devices: devices.to_vec(),
-        plan,
-        nm,
-    };
-    let shards = ShardMap::build(config.placement, graph, cluster, &vw);
-    let (_, stats) = exec::run_with_sink::<Discard>(
-        ExecParams {
-            cluster,
-            graph,
-            vws: std::slice::from_ref(&vw),
-            wsp: WspParams::new(nm, config.staleness_bound),
-            shards: &shards,
-            sync_transfers: config.sync_transfers,
-            schedule: config.schedule,
-            recompute: config.recompute,
-        },
-        SegmentOpts::default(),
-        horizon,
-        SimTime::ZERO,
-    );
-    let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
-    let completed = stats.vws[0].completions.iter().filter(|&&t| t >= warmup);
-    let rate = completed.count() as f64 / (horizon.as_secs() * 0.75);
-    REFINE_CACHE.insert(key, rate);
-    rate
 }
 
 /// The analytic pipeline rate of `plan` at `nm`,
@@ -215,10 +152,17 @@ fn pipeline_rate(plan: &PartitionPlan, nm: usize) -> f64 {
 /// within one build, so nothing else tells two of its problems apart.
 type InstanceKey = (Vec<&'static str>, Vec<LinkKind>);
 
+/// One refine simulation: the GPU kinds in stage order, the node
+/// pattern ([`PlanTable::node_pattern`]) and the candidate `Nm`. The
+/// rest of a simulation's inputs is fixed within one build.
+type RefineId = (Vec<&'static str>, Vec<usize>, usize);
+
 /// The per-build plan table: each instance's [`NmSweep`] prefix, the
 /// plans at `Nm = 1, 2, …` up to the first infeasible `Nm` or the
-/// saturation limit. Every instance is swept once; kind- and
-/// link-identical virtual workers share its rows.
+/// saturation limit, and the order search's refine memo. Every
+/// instance is swept once and every refine candidate simulated once;
+/// kind- and link-identical virtual workers share its rows. The table
+/// is dropped when `build` returns.
 struct PlanTable<'a> {
     cluster: &'a Cluster,
     graph: &'a ModelGraph,
@@ -228,12 +172,39 @@ struct PlanTable<'a> {
     proxies: HashMap<InstanceKey, Option<(f64, usize)>>,
     /// The prefixes a later phase may still read.
     prefixes: HashMap<InstanceKey, Vec<PartitionPlan>>,
+    /// Every simulated refine candidate's standalone rate.
+    rates: HashMap<RefineId, f64>,
 }
 
 impl PlanTable<'_> {
     fn key(&self, devices: &[DeviceId]) -> InstanceKey {
         let kinds = devices.iter().map(|&d| self.cluster.spec_of(d).name);
         (kinds.collect(), VirtualWorker::links(self.cluster, devices))
+    }
+
+    /// The node layout a refine simulation sees. Under ED-style
+    /// *local* shard placement only the co-location pattern matters
+    /// (it decides the links, and every shard sits on its stage's own
+    /// node), so nodes become first-appearance ranks and kind-identical
+    /// VWs on different nodes share one simulation. Under the
+    /// round-robin *default* placement the absolute nodes decide which
+    /// shard transfers stay on-node, so they count verbatim.
+    fn node_pattern(&self, devices: &[DeviceId]) -> Vec<usize> {
+        let nodes = devices.iter().map(|&d| self.cluster.node_of(d));
+        match self.config.placement {
+            Placement::Local => {
+                let mut seen = Vec::new();
+                nodes
+                    .map(|node| {
+                        seen.iter().position(|&n| n == node).unwrap_or_else(|| {
+                            seen.push(node);
+                            seen.len() - 1
+                        })
+                    })
+                    .collect()
+            }
+            Placement::Default => nodes.map(|node| node.0).collect(),
+        }
     }
 
     fn sweep(&self, devices: &[DeviceId]) -> Vec<PartitionPlan> {
@@ -281,23 +252,100 @@ impl PlanTable<'_> {
         }
         &self.prefixes[&key]
     }
+
+    /// Simulated steady-state rate (minibatches/sec past warm-up) of
+    /// one candidate stage order running as a single virtual worker at
+    /// `nm` (the order's proxy-best `Nm`), memoized by [`RefineId`].
+    /// The run uses the configured shard placement and sync-transfer
+    /// mode, so the score sees the NIC contention between activation
+    /// transfers and parameter pushes/pulls that separates
+    /// otherwise-equal orders.
+    fn standalone_rate(&mut self, devices: &[DeviceId], nm: usize) -> f64 {
+        let kinds = devices.iter().map(|&d| self.cluster.spec_of(d).name);
+        let id = (kinds.collect(), self.node_pattern(devices), nm);
+        let hit = self.rates.get(&id).copied();
+        #[cfg(test)]
+        REFINE_STATS.with(|s| {
+            let (h, m) = s.get();
+            s.set((h + hit.is_some() as u64, m + hit.is_none() as u64));
+        });
+        if let Some(rate) = hit {
+            return rate;
+        }
+        let plan = self.prefix(devices)[nm - 1].clone();
+        let (cluster, graph, config) = (self.cluster, self.graph, self.config);
+        // Long enough to amortize the pipeline fill several times over.
+        let horizon = SimTime::from_secs((60.0 * plan.stage_secs.iter().sum::<f64>()).max(1.0));
+        let vw = VirtualWorker {
+            index: 0,
+            devices: devices.to_vec(),
+            plan,
+            nm,
+        };
+        let shards = ShardMap::build(config.placement, graph, cluster, &vw);
+        let (_, stats) = exec::run_with_sink::<Discard>(
+            ExecParams {
+                cluster,
+                graph,
+                vws: std::slice::from_ref(&vw),
+                wsp: WspParams::new(nm, config.staleness_bound),
+                shards: &shards,
+                sync_transfers: config.sync_transfers,
+                schedule: config.schedule,
+                recompute: config.recompute,
+            },
+            SegmentOpts::default(),
+            horizon,
+            SimTime::ZERO,
+        );
+        let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
+        let completed = stats.vws[0].completions.iter().filter(|&&t| t >= warmup);
+        let rate = completed.count() as f64 / (horizon.as_secs() * 0.75);
+        self.rates.insert(id, rate);
+        rate
+    }
+}
+
+/// The partition problem of one virtual worker re-planned from
+/// *observed* per-stage costs: `devices` are the stage devices in
+/// pipeline order, and `derate[q]` is the observed/planned duration
+/// ratio of stage `q`. Each stage's GPU spec is derated to the speed
+/// it actually delivers ([`hetpipe_cluster::gpu::GpuSpec::derated`],
+/// ratios below 1 count as 1), so the min–max DP rebalances layers
+/// away from slowed GPUs. [`replan_vw_from_observed`] and the
+/// `hetpipe-plansvc` replan cache both solve this problem, so their
+/// plans agree bit for bit.
+pub fn replan_problem<'g>(
+    cluster: &Cluster,
+    graph: &'g ModelGraph,
+    devices: &[DeviceId],
+    derate: &[f64],
+    nm: usize,
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+) -> PartitionProblem<'g> {
+    assert_eq!(
+        devices.len(),
+        derate.len(),
+        "one observed derate per stage device"
+    );
+    let gpus: Vec<_> = devices
+        .iter()
+        .zip(derate)
+        .map(|(&d, &r)| cluster.spec_of(d).derated(r.max(1.0)))
+        .collect();
+    let links = VirtualWorker::links(cluster, devices);
+    PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute)
 }
 
 /// Re-solves one virtual worker's partition from *observed* per-stage
-/// costs — the system rebuild entry point the fault-aware runtime
-/// (`hetpipe-runtime`) calls when its monitor reports stragglers or a
-/// lost GPU:
-///
-/// - `devices` are the *surviving* stage devices in pipeline order
-///   (drop the lost GPU to shrink the pipeline);
-/// - `derate[q]` is the observed/planned duration ratio of stage `q`
-///   (≥ 1 for a straggler, 1 for healthy stages): each stage's GPU
-///   spec is derated to the speed it actually delivers
-///   ([`hetpipe_cluster::gpu::GpuSpec::derated`]), so the min–max DP
-///   rebalances layers away from slowed GPUs;
-/// - `incumbent` warm-starts the solver with the currently-executing
-///   plan ([`PartitionSolver::solve_warm`] — answer-preserving bound
-///   pruning, so online re-planning costs less than a cold solve).
+/// costs ([`replan_problem`]) — the system rebuild entry point the
+/// fault-aware runtime (`hetpipe-runtime`) calls when its monitor
+/// reports stragglers or a lost GPU. `devices` are the *surviving*
+/// stage devices (drop the lost GPU to shrink the pipeline), and
+/// `incumbent` warm-starts the solver with the currently-executing
+/// plan ([`PartitionSolver::solve_warm`] — answer-preserving bound
+/// pruning, so online re-planning costs less than a cold solve).
 ///
 /// Returns the re-planned partition at the requested `nm`, or the
 /// partition error when the shrunk/derated configuration cannot hold
@@ -313,20 +361,8 @@ pub fn replan_vw_from_observed(
     schedule: Schedule,
     recompute: RecomputePolicy,
     incumbent: Option<&[std::ops::Range<usize>]>,
-) -> Result<hetpipe_partition::PartitionPlan, hetpipe_partition::PartitionError> {
-    assert_eq!(
-        devices.len(),
-        derate.len(),
-        "one observed derate per stage device"
-    );
-    let gpus: Vec<_> = devices
-        .iter()
-        .zip(derate)
-        .map(|(&d, &r)| cluster.spec_of(d).derated(r.max(1.0)))
-        .collect();
-    let links = VirtualWorker::links(cluster, devices);
-    let problem =
-        PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute);
+) -> Result<PartitionPlan, hetpipe_partition::PartitionError> {
+    let problem = replan_problem(cluster, graph, devices, derate, nm, schedule, recompute);
     PartitionSolver::solve_warm(&problem, incumbent)
 }
 
@@ -368,6 +404,7 @@ impl<'a> HetPipeSystem<'a> {
             config,
             proxies: HashMap::new(),
             prefixes: HashMap::new(),
+            rates: HashMap::new(),
         };
         let mut chosen: Vec<(Vec<DeviceId>, Vec<PartitionPlan>)> = Vec::new();
         for (i, devices) in groups.iter().enumerate() {
@@ -401,10 +438,8 @@ impl<'a> HetPipeSystem<'a> {
                 candidates.truncate(ORDER_REFINE_CANDIDATES);
                 let mut winner: Option<(&[DeviceId], f64)> = None;
                 for (devs, _proxy, nm) in candidates {
-                    // Memoized across VWs and builds by RefineKey.
-                    let rate = standalone_rate(cluster, graph, devs, nm, config, || {
-                        table.prefix(devs)[nm - 1].clone()
-                    });
+                    // Kind-identical VWs share one simulation.
+                    let rate = table.standalone_rate(devs, nm);
                     if winner.is_none_or(|(_, r)| rate > r) {
                         winner = Some((devs, rate));
                     }
@@ -771,20 +806,12 @@ mod tests {
         // ED groups are kind-identical (one GPU of each node's kind,
         // same co-location pattern), so the simulation-refined second
         // pass must run its handful of candidate simulations ONCE and
-        // share them across all four VWs — and a repeated build must
-        // simulate nothing at all. The cache is process-global and
-        // other tests run concurrently against it, so assertions use
-        // this thread's own hit/miss stats (`refine_stats_take`) and a
-        // staleness bound no other test uses (part of the RefineKey),
-        // keeping the observed keys private to this test.
+        // share them across all four VWs.
         let cluster = Cluster::paper_testbed();
         let graph = hetpipe_model::resnet152(32);
-        let config = SystemConfig {
-            order_search: true,
-            ..cfg(AllocationPolicy::EqualDistribution, Placement::Local, 7)
-        };
+        let config = cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0);
         refine_stats_take();
-        let first = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+        HetPipeSystem::build(&cluster, &graph, &config).unwrap();
         let (hits, misses) = refine_stats_take();
         assert!(
             misses > 0 && misses <= ORDER_REFINE_CANDIDATES as u64,
@@ -794,51 +821,34 @@ mod tests {
             hits >= 3 * misses,
             "the other three VWs must reuse the leader set ({hits} hits / {misses} misses)"
         );
-        let second = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
-        let (_, misses2) = refine_stats_take();
-        assert_eq!(misses2, 0, "a repeated build must be fully memoized");
-        // Memoization must not change the outcome.
-        for (a, b) in first.virtual_workers().iter().zip(second.virtual_workers()) {
-            assert_eq!(a.devices, b.devices);
-            assert_eq!(a.plan.ranges, b.plan.ranges);
-        }
-        assert_eq!(first.nm(), second.nm());
     }
 
     #[test]
-    fn refine_memo_is_shared_across_threads() {
-        // The satellite pin for the old thread-local REFINE_CACHE bug:
-        // a build on a *different* thread must hit the entries this
-        // thread populated (previously each thread started cold).
-        // Staleness bound 9 keeps the keys private to this test.
+    fn build_is_independent_of_earlier_builds() {
+        // A build keeps nothing for the next: the same config built
+        // again, on another thread, simulates every refine candidate
+        // again and plans the same system.
         let cluster = Cluster::paper_testbed();
         let graph = hetpipe_model::vgg19(32);
-        let config = SystemConfig {
-            order_search: true,
-            ..cfg(AllocationPolicy::EqualDistribution, Placement::Local, 9)
-        };
+        let config = cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0);
         refine_stats_take();
         let first = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
         let (_, misses) = refine_stats_take();
-        assert!(misses > 0, "first build must populate the memo");
-        let (worker_stats, second) = std::thread::scope(|s| {
+        assert!(misses > 0, "the build must refine its leaders");
+        let (second, second_misses) = std::thread::scope(|s| {
             s.spawn(|| {
-                refine_stats_take();
                 let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
-                (refine_stats_take(), sys)
+                (sys, refine_stats_take().1)
             })
             .join()
             .unwrap()
         });
-        let (worker_hits, worker_misses) = worker_stats;
-        assert_eq!(
-            worker_misses, 0,
-            "cross-thread build must hit the shared memo"
-        );
-        assert!(worker_hits > 0, "cross-thread build must consult the memo");
+        assert_eq!(second_misses, misses, "refine simulations per build");
+        assert_eq!(first.nm(), second.nm());
+        assert_eq!(first.virtual_workers().len(), 4);
+        assert_eq!(second.virtual_workers().len(), 4);
         for (a, b) in first.virtual_workers().iter().zip(second.virtual_workers()) {
-            assert_eq!(a.devices, b.devices);
-            assert_eq!(a.plan.ranges, b.plan.ranges);
+            assert_eq!((&a.devices, &a.plan, a.nm), (&b.devices, &b.plan, b.nm));
         }
     }
 

@@ -18,7 +18,8 @@
 //! - [`order`] — stage-order search: with heterogeneous GPUs the
 //!   assignment of GPUs to pipeline positions matters (late stages hold
 //!   fewer in-flight minibatches, so memory-poor GPUs prefer late
-//!   positions); enumerates distinct permutations with memoization.
+//!   positions); enumerates the distinct kind-orders and scores them
+//!   with a caller's evaluator, serially or fanned across threads.
 
 pub mod brute;
 pub mod cost;
@@ -26,7 +27,6 @@ pub mod order;
 pub mod solver;
 
 pub use cost::{PartitionProblem, StageCostModel};
-pub use order::{best_order, OrderSearchResult};
 pub use order::{evaluate_orders, search_orders_par};
 pub use solver::{
     max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,

@@ -7,23 +7,8 @@
 //! end up adjacent. The paper fixes an assignment per allocation policy;
 //! we additionally search over distinct stage orders and keep the best.
 
-use crate::cost::PartitionProblem;
-use crate::solver::{PartitionPlan, PartitionSolver};
 use hetpipe_cluster::gpu::GpuSpec;
-use hetpipe_cluster::network::LinkKind;
-use hetpipe_model::ModelGraph;
 use std::collections::HashSet;
-
-/// Result of a stage-order search.
-#[derive(Debug, Clone)]
-pub struct OrderSearchResult {
-    /// Indices into the input GPU list, one per stage, best order found.
-    pub order: Vec<usize>,
-    /// The plan for that order.
-    pub plan: PartitionPlan,
-    /// Number of distinct orders evaluated.
-    pub evaluated: usize,
-}
 
 /// Enumerates the distinct kind-orders of `gpus` (permutations
 /// deduplicated by their GPU-kind name sequence), in a fixed
@@ -150,46 +135,6 @@ pub fn search_orders_par(
     best.map(|(order, score)| (order, score, evaluated))
 }
 
-/// Searches all distinct orders of `gpus` (deduplicating identical GPU
-/// kinds by name) and returns the order with the smallest feasible
-/// bottleneck. The per-order solves fan across scoped worker threads
-/// ([`search_orders_par`]); the winner is identical to a serial
-/// search.
-///
-/// `links_for` maps a candidate order (indices into `gpus`) to the
-/// `k - 1` inter-stage links, since adjacency decides PCIe vs
-/// InfiniBand. Returns `None` when no order admits a feasible partition.
-///
-/// # Panics
-///
-/// Panics if `gpus` is empty.
-pub fn best_order(
-    graph: &ModelGraph,
-    gpus: &[GpuSpec],
-    nm: usize,
-    links_for: impl Fn(&[usize]) -> Vec<LinkKind> + Sync,
-) -> Option<OrderSearchResult> {
-    let result = search_orders_par(gpus, |order| {
-        let ordered: Vec<GpuSpec> = order.iter().map(|&i| gpus[i].clone()).collect();
-        let links = links_for(order);
-        let problem = PartitionProblem::new(graph, ordered, links, nm);
-        PartitionSolver::solve(&problem)
-            .ok()
-            .map(|plan| -plan.bottleneck_secs)
-    });
-    result.map(|(order, _score, evaluated)| {
-        let ordered: Vec<GpuSpec> = order.iter().map(|&i| gpus[i].clone()).collect();
-        let links = links_for(&order);
-        let plan = PartitionSolver::solve(&PartitionProblem::new(graph, ordered, links, nm))
-            .expect("winning order must be solvable");
-        OrderSearchResult {
-            order,
-            plan,
-            evaluated,
-        }
-    })
-}
-
 /// Heap-style in-place permutation visitor.
 fn permute(items: &mut Vec<usize>, start: usize, visit: &mut impl FnMut(&[usize])) {
     if start == items.len() {
@@ -206,52 +151,29 @@ fn permute(items: &mut Vec<usize>, start: usize, visit: &mut impl FnMut(&[usize]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::PartitionProblem;
+    use crate::solver::PartitionSolver;
+    use hetpipe_cluster::network::LinkKind;
     use hetpipe_cluster::GpuKind;
-    use hetpipe_model::{resnet152, vgg19};
+    use hetpipe_model::resnet152;
 
     #[test]
     fn homogeneous_order_is_unique() {
-        let g = vgg19(32);
         let gpus = vec![GpuKind::TitanV.spec(); 4];
-        let res = best_order(&g, &gpus, 1, |_| vec![LinkKind::Pcie; 3]).unwrap();
-        assert_eq!(res.evaluated, 1, "all orders of identical GPUs coincide");
-        assert!(res.plan.is_valid_cover(g.len()));
+        // All orders of identical GPUs coincide.
+        assert_eq!(distinct_kind_orders(&gpus), [[0, 1, 2, 3]]);
     }
 
     #[test]
     fn heterogeneous_order_count() {
-        let g = vgg19(32);
         let gpus = vec![
             GpuKind::TitanV.spec(),
             GpuKind::TitanV.spec(),
             GpuKind::QuadroP4000.spec(),
             GpuKind::QuadroP4000.spec(),
         ];
-        let res = best_order(&g, &gpus, 1, |_| vec![LinkKind::Pcie; 3]).unwrap();
         // 4!/(2!2!) = 6 distinct kind-orders.
-        assert_eq!(res.evaluated, 6);
-    }
-
-    #[test]
-    fn order_search_beats_or_matches_fixed_order() {
-        let g = resnet152(32);
-        let gpus = vec![
-            GpuKind::QuadroP4000.spec(),
-            GpuKind::Rtx2060.spec(),
-            GpuKind::TitanRtx.spec(),
-            GpuKind::TitanV.spec(),
-        ];
-        let fixed = PartitionSolver::solve(&PartitionProblem::new(
-            &g,
-            gpus.clone(),
-            vec![LinkKind::Pcie; 3],
-            4,
-        ));
-        let searched = best_order(&g, &gpus, 4, |_| vec![LinkKind::Pcie; 3]).unwrap();
-        if let Ok(fixed) = fixed {
-            assert!(searched.plan.bottleneck_secs <= fixed.bottleneck_secs + 1e-12);
-        }
-        assert_eq!(searched.evaluated, 24);
+        assert_eq!(distinct_kind_orders(&gpus).len(), 6);
     }
 
     #[test]
@@ -289,39 +211,5 @@ mod tests {
                 "slot content must match a direct evaluation"
             );
         }
-    }
-
-    #[test]
-    fn link_resolver_sees_orders() {
-        // A resolver that punishes putting GPU 0 adjacent to GPU 1
-        // steers the search away from such orders (indirect check that
-        // orders are propagated).
-        let g = vgg19(32);
-        let gpus = vec![
-            GpuKind::TitanV.spec(),
-            GpuKind::TitanRtx.spec(),
-            GpuKind::Rtx2060.spec(),
-            GpuKind::QuadroP4000.spec(),
-        ];
-        let res = best_order(&g, &gpus, 1, |order| {
-            order
-                .windows(2)
-                .map(|w| {
-                    if (w[0] == 0 && w[1] == 1) || (w[0] == 1 && w[1] == 0) {
-                        LinkKind::Infiniband
-                    } else {
-                        LinkKind::Pcie
-                    }
-                })
-                .collect()
-        })
-        .unwrap();
-        let adjacent_01 = res
-            .order
-            .windows(2)
-            .any(|w| (w[0] == 0 && w[1] == 1) || (w[0] == 1 && w[1] == 0));
-        // Not a hard guarantee, but with all else equal the search should
-        // avoid the slow link.
-        assert!(!adjacent_01, "search picked a punished adjacency");
     }
 }

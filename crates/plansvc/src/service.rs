@@ -4,9 +4,9 @@
 use crate::cache::{PlanCache, PlanKey};
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_core::plankey::{cluster_fingerprint, graph_fingerprint};
-use hetpipe_core::VirtualWorker;
+use hetpipe_core::replan_problem;
 use hetpipe_model::ModelGraph;
-use hetpipe_partition::{PartitionError, PartitionPlan, PartitionProblem, PartitionSolver};
+use hetpipe_partition::{PartitionError, PartitionPlan, PartitionSolver};
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::HashMap;
 use std::fmt;
@@ -277,10 +277,9 @@ impl PlanClient {
     }
 }
 
-/// Cold-or-warm solve of `req`, mirroring
-/// [`hetpipe_core::replan_vw_from_observed`] exactly (same derated
-/// specs, same link derivation, same problem construction), so a
-/// cached replan is bit-identical to the in-process path.
+/// Cold-or-warm solve of `req`'s [`replan_problem`], the problem
+/// [`hetpipe_core::replan_vw_from_observed`] solves too, so a cached
+/// replan is bit-identical to the in-process path.
 fn solve(
     shared: &Shared,
     req: &PlanRequest,
@@ -304,15 +303,15 @@ fn solve(
         )));
     }
     let derates = req.normalized_derates()?;
-    let gpus: Vec<_> = req
-        .devices
-        .iter()
-        .zip(&derates)
-        .map(|(&d, &r)| cluster.spec_of(d).derated(r))
-        .collect();
-    let links = VirtualWorker::links(cluster, &req.devices);
-    let problem = PartitionProblem::with_schedule(graph, gpus, links, req.nm, req.schedule)
-        .with_recompute(req.recompute);
+    let problem = replan_problem(
+        cluster,
+        graph,
+        &req.devices,
+        &derates,
+        req.nm,
+        req.schedule,
+        req.recompute,
+    );
     // Incumbent: this key's own prior plan, else the most recent
     // family neighbor (different Nm / derates, same shape).
     let incumbent = {

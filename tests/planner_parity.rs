@@ -10,8 +10,8 @@
 //! (a) prefix-sum `stage_secs` / stage-memory bytes match the naive
 //!     per-range re-summation (to 1e-12 relative for times, exactly
 //!     for bytes) over random ranges of **every zoo model**;
-//! (b) the parallel order search returns the same plan as the serial
-//!     search, and the optimized solver the same plan as the naive
+//! (b) the parallel order search returns the same winning order as the
+//!     serial search, and the optimized solver the same plan as the naive
 //!     reference solver;
 //! (c) the optimized and reference solvers' plans simulate to
 //!     bit-identical wave-schedule traces — the planner refactor may
@@ -25,7 +25,7 @@ use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::memory::nm_saturation_limit;
 use hetpipe::model::{ModelGraph, StageMemoryTerms, TrainingMemoryModel};
-use hetpipe::partition::order::{best_order, search_orders, search_orders_par};
+use hetpipe::partition::order::{search_orders, search_orders_par};
 use hetpipe::partition::{
     max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
     PartitionProblem, PartitionSolver, StageCostModel,
@@ -210,7 +210,7 @@ fn optimized_solver_matches_reference() {
 }
 
 /// (b) The thread-fanned order search is bit-identical to the serial
-/// fold, at the search-engine level and through `best_order`.
+/// fold.
 #[test]
 fn parallel_order_search_matches_serial() {
     for graph in [hetpipe::model::vgg19(32), hetpipe::model::resnet152(32)] {
@@ -233,11 +233,6 @@ fn parallel_order_search_matches_serial() {
             }
             (a, b) => panic!("{}: serial {a:?} vs parallel {b:?}", graph.name),
         }
-        // And through the public best_order entry point: the plan is
-        // the winning order's solve either way.
-        let res = best_order(&graph, &gpus, 4, |_| vec![LinkKind::Pcie; 3]).unwrap();
-        assert!(res.plan.is_valid_cover(graph.len()));
-        assert_eq!(res.evaluated, 24);
     }
 }
 
