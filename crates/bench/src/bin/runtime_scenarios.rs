@@ -34,9 +34,8 @@ use hetpipe_bench::{arg_value, check_args, check_horizon, print_table, usage_err
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
-use hetpipe_core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe_core::{trace_fingerprint, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe_des::SimTime;
-use hetpipe_fleet::trace_fingerprint;
 use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{
     self as runtime, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript,

@@ -48,11 +48,10 @@ use hetpipe_bench::{
 use hetpipe_cluster::{Cluster, GpuKind};
 use hetpipe_core::WspParams;
 use hetpipe_core::{
-    AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy, Schedule,
-    SystemConfig,
+    trace_fingerprint, AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy,
+    Schedule, SystemConfig,
 };
 use hetpipe_des::SimTime;
-use hetpipe_fleet::trace_fingerprint;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
 use hetpipe_runtime::{MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use serde_json::json;

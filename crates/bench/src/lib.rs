@@ -6,8 +6,8 @@
 //! `PAPER_SCORECARD.json` and exits 1 when a checked ordering fails.
 //! The other bins sweep schedules (`schedule_compare`), drive the
 //! elastic runtime (`runtime_scenarios`), run the static verification
-//! gate (`verify_all`) and benchmark the planner, the fleet engine and
-//! the whole system (`planner_bench`, `fleet_bench`, `e2e_bench`).
+//! gate (`verify_all`) and benchmark the planner and the whole system
+//! (`planner_bench`, `e2e_bench`).
 
 pub mod scorecard;
 

@@ -34,6 +34,11 @@
 //!   lanes. Consecutive waves' push transfers run
 //!   concurrently (per-wave chunk counters), contending on the NIC
 //!   timelines rather than being serialized behind one another.
+//!   The executor evaluates this gate itself: each push completion
+//!   takes `min_clock` over every VW's push clock once and serves the
+//!   pulls it unblocks. It is the only coupling between VWs, which
+//!   `hetpipe-verify`'s isolation certificate proves statically; no
+//!   run reads that certificate.
 //! - **Bounded activation windows**: each stage's declared peak
 //!   activation occupancy ([`PipelineSchedule::max_in_flight`] — the
 //!   same number the memory model charges and the partitioner
@@ -59,18 +64,17 @@
 //! time is not modelled (the paper does not model it either).
 //!
 //! Spans go to a [`SpanSink`], a type parameter of the executor:
-//! [`run`], [`run_segment`] and the default [`VwEngine`] keep every
-//! span in a [`Trace`], and runs that need only the report and the
-//! audit keep none. The occupancy peaks and the report's integer
-//! partials fold while the run executes, so they cost no kept trace.
+//! [`run`] and [`run_segment`] keep every span in a [`Trace`], and
+//! runs that need only the report and the audit keep none. The
+//! occupancy peaks and the report's integer partials fold while the
+//! run executes, so they cost no kept trace.
 //!
 //! A run that keeps no span fast-forwards (the `fastforward`
 //! module): once its executor state repeats exactly, shifted in time,
 //! it skips whole periods of that steady state and simulates only the
 //! rest. The result is bit for bit the fully simulated one
 //! (`tests/fast_forward.rs`); [`RunStats::fast_forward`] records the
-//! period. Runs that keep spans, and the bus-coupled [`VwEngine`],
-//! simulate every event.
+//! period. Runs that keep spans simulate every event.
 //!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
@@ -78,7 +82,7 @@
 use crate::audit::{MeasuredPeaks, OccupancyFold};
 use crate::metrics::{ReportFold, SystemReport};
 use crate::pserver::{ShardMap, SyncChunk};
-use crate::sync::{GateBus, ServePoll, WspParams};
+use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId, NodeId};
@@ -209,7 +213,7 @@ pub struct SegmentOpts {
     /// point — once every in-flight minibatch and the boundary wave's
     /// push/pull traffic completes. Must be a wave boundary
     /// (a multiple of `Nm`) so the WSP clock is whole at the splice;
-    /// [`run_segment`] and [`VwEngine::new`] panic otherwise.
+    /// [`run_segment`] panics otherwise.
     pub stop_after_mb: Option<u64>,
     /// Rates already in effect when the segment starts (fault windows
     /// opened in an earlier segment).
@@ -254,8 +258,8 @@ pub struct RunStats {
     /// Per-VW statistics.
     pub vws: Vec<VwStats>,
     /// Span trace (GPU and NIC occupancy): every span for runs that
-    /// keep their trace ([`run`], [`run_segment`], a default
-    /// [`VwEngine`]), empty for runs that keep none.
+    /// keep their trace ([`run`], [`run_segment`]), empty for runs
+    /// that keep none.
     pub trace: Trace<SpanTag>,
     /// Peak activation occupancy per stage and per physical GPU,
     /// folded while the run executed (see `crate::audit`).
@@ -285,9 +289,9 @@ pub struct RunStats {
     /// at that instant: the splice point where the boundary wave's last
     /// work finished.
     pub end: SimTime,
-    /// DES events processed (the fleet bench's work unit). Counts
-    /// logical events: a fast-forwarded run counts its skipped periods'
-    /// events too, so it reads exactly as a fully simulated one.
+    /// DES events processed. Counts logical events: a fast-forwarded
+    /// run counts its skipped periods' events too, so it reads exactly
+    /// as a fully simulated one.
     pub events: u64,
     /// How the run skipped whole periods of its steady state, or
     /// `None` when fast-forward declined or found no period to skip
@@ -386,23 +390,8 @@ struct StageState {
     drained: bool,
 }
 
-/// How the executor learns about *other* virtual workers' push
-/// clocks — the only cross-VW coupling in the whole simulation.
-#[derive(Clone, Copy)]
-enum Coupling<'a> {
-    /// All VWs live in this `Exec`: pulls are served by scanning
-    /// `min_clock` over the in-process states (the legacy path,
-    /// bit-identical to the seed executor).
-    InProcess,
-    /// This `Exec` simulates exactly one VW (`id` on the bus); push
-    /// landings are announced to the [`GateBus`] and pull serves are
-    /// decided by it (`hetpipe-fleet`).
-    Bus { bus: &'a dyn GateBus, id: usize },
-}
-
 struct Exec<'a, S> {
     p: ExecParams<'a>,
-    coupling: Coupling<'a>,
     engine: Engine<Ev>,
     pool: ResourcePool,
     sink: S,
@@ -444,7 +433,6 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         opts: SegmentOpts,
         horizon: SimTime,
         warmup: Option<SimTime>,
-        coupling: Coupling<'a>,
     ) -> Self {
         if let Some(stop) = opts.stop_after_mb {
             assert!(
@@ -568,7 +556,6 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 ReportFold::new(cluster.device_count(), devices, warmup, horizon)
             }),
             p,
-            coupling,
             engine: Engine::new(),
             pool,
             sink: S::default(),
@@ -1195,17 +1182,11 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         // serialized FIFO behind the previous wave's completion.
         let n = self.chunks[vw].len();
         if n == 0 {
-            // Zero-transfer pushes land instantly; announce before
-            // completing so the bus learns the landing first.
-            if let Coupling::Bus { bus, id } = self.coupling {
-                bus.announce_push(id, wave, self.engine.now());
-            }
             self.push_completed(vw, wave);
             return;
         }
         let prev = self.states[vw].push_remaining.insert(wave, n);
         debug_assert!(prev.is_none(), "wave {wave} pushed twice");
-        let mut lands = SimTime::ZERO;
         for i in 0..n {
             let ch = self.chunks[vw][i];
             self.account_sync(ch.gpu_node, ch.shard_node, ch.bytes);
@@ -1219,7 +1200,6 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     pull: false,
                 },
             );
-            lands = lands.max(arrive);
             self.engine.schedule_at(
                 arrive,
                 Ev::PushChunkDone {
@@ -1227,12 +1207,6 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     wave,
                 },
             );
-        }
-        // The landing instant is fully decided at push *start* (chunk
-        // arrivals were just reserved on the NIC timelines) — this is
-        // the lookahead the conservative fleet protocol runs on.
-        if let Coupling::Bus { bus, id } = self.coupling {
-            bus.announce_push(id, wave, lands);
         }
     }
 
@@ -1272,28 +1246,24 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
             }
         }
-        // A new push may unblock any VW's pending pull. Under bus
-        // coupling this is the bus's job: the owning `VwEngine` polls
-        // before its next local event instead.
-        if matches!(self.coupling, Coupling::InProcess) {
-            for v in 0..self.states.len() {
-                self.try_serve_pull(v);
-            }
+        // A new push may unblock any VW's pending pull. Serving a pull
+        // changes no clock, so one `min_clock` holds for the whole scan.
+        let min_clock = self.min_clock();
+        for v in 0..self.states.len() {
+            self.try_serve_pull(v, min_clock);
         }
     }
 
-    fn try_serve_pull(&mut self, vw: usize) {
-        debug_assert!(
-            matches!(self.coupling, Coupling::InProcess),
-            "bus-coupled serves are decided by the bus"
-        );
+    /// Serves `vw`'s pending pull if no transfer of it is in flight and
+    /// every VW has pushed its target wave (`min_clock` is the slowest
+    /// VW's push clock).
+    fn try_serve_pull(&mut self, vw: usize, min_clock: u64) {
         if self.states[vw].pull_remaining > 0 {
             return; // A pull transfer is already in flight.
         }
         let Some((target, _since)) = self.states[vw].pull_request else {
             return;
         };
-        let min_clock = self.min_clock();
         if min_clock < target + 1 {
             return; // Straggler has not pushed wave `target` yet.
         }
@@ -1301,10 +1271,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     }
 
     /// Applies a decided pull serve for `vw` at the current instant,
-    /// installing the global `version` — the shared tail of the
-    /// in-process `try_serve_pull` scan and the fleet bus verdict
-    /// ([`VwEngine`] calls this when the bus returns
-    /// [`ServePoll::Ready`]).
+    /// installing the global `version`.
     fn serve_pull(&mut self, vw: usize, version: i64) {
         let now = self.engine.now();
         let (_, since) = self.states[vw]
@@ -1357,12 +1324,8 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             st.pulled = st.pulled.max(st.pull_serving_version);
             self.engine
                 .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
-            // A newer request may have queued while transferring. The
-            // bus-coupled engine re-polls instead (`refresh_pending`
-            // sees the request become serveable at this instant).
-            if matches!(self.coupling, Coupling::InProcess) {
-                self.try_serve_pull(vw);
-            }
+            // A newer request may have queued while transferring.
+            self.try_serve_pull(vw, self.min_clock());
         }
     }
 
@@ -1383,9 +1346,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         (stats, report)
     }
 
-    /// Installs rate timelines and schedules the initial events — the
-    /// setup both [`Exec::run`] and an externally-driven [`VwEngine`]
-    /// perform before the first pop.
+    /// Installs rate timelines and schedules the initial events.
     fn prologue(&mut self) {
         // Rates carried over from earlier segments (fault windows that
         // opened before this segment started).
@@ -1473,7 +1434,7 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// bounded lane reorder window. Default options make this identical
 /// to [`run`] — the zero-fault invariance. Keeps every span.
 pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) -> RunStats {
-    Exec::<Trace<SpanTag>>::new(params, opts, horizon, None, Coupling::InProcess)
+    Exec::<Trace<SpanTag>>::new(params, opts, horizon, None)
         .run()
         .0
 }
@@ -1499,209 +1460,10 @@ pub fn run_with_sink<S: SpanSink<SpanTag>>(
 ) -> (SystemReport, RunStats) {
     let (cluster, batch_size) = (params.cluster, params.graph.batch_size);
     let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
-    let (stats, fold) =
-        Exec::<S>::new(params, opts, horizon, Some(warmup), Coupling::InProcess).run();
+    let (stats, fold) = Exec::<S>::new(params, opts, horizon, Some(warmup)).run();
     let fold = fold.expect("a run given a warm-up folds its report");
     let report = SystemReport::from_fold(&stats, cluster, batch_size, fold, &vw_devices);
     (report, stats)
-}
-
-/// Result of one [`VwEngine::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// An event was processed or a decided serve applied; step again.
-    Progressed,
-    /// Blocked on the bus (an undecidable pull poll); re-step after
-    /// the bus state changes.
-    Blocked,
-    /// Nothing left at or below the horizon; the engine reported
-    /// [`GateBus::finish`] and every further step is a no-op.
-    Done,
-}
-
-/// One virtual worker's simulation as an externally-drivable engine:
-/// a single-VW `Exec` coupled to a [`GateBus`] instead of the
-/// in-process `min_clock` scan. The fleet driver (`hetpipe-fleet`)
-/// owns many of these — one [`hetpipe_des::EngineCore`] each — and
-/// steps them on a thread pool; the bus is the *only* channel between
-/// them, mirroring the PS push→gate edges certified as the sole
-/// cross-VW dependency class by `hetpipe-verify`'s isolation pass.
-///
-/// Stepping discipline (conservative synchronization):
-///
-/// - Before popping the next local event at `t`, a pending pull is
-///   polled with bound `t`; the bus either decides the serve
-///   ([`ServePoll::Ready`], always at `≤ t`), proves it is not at or
-///   before `t` ([`ServePoll::NotBefore`]), or blocks
-///   ([`ServePoll::Wait`]).
-/// - A decided serve is applied *before* the local event at the same
-///   instant (the in-process executor serves inside the push handler,
-///   i.e. ahead of any later-queued event at that instant).
-/// - A `NotBefore` carries a certified lower bound on the serve
-///   instant; it is cached and suppresses re-polls while the bound
-///   stays strictly below it — the engine pops whole stretches of
-///   local events with no bus traffic. The cache is invalidated when
-///   the request's target changes (a wave push can upgrade a pending
-///   request in place).
-///
-/// The induction this keeps sound: the engine never pops a local
-/// event without first proving the pending serve lies strictly after
-/// it, so no serve ever lands in the engine's local past.
-///
-/// Spans go to a sink of type `S`: by default a [`Trace`] that keeps
-/// them all; [`hetpipe_des::Discard`] keeps none.
-pub struct VwEngine<'a, S = Trace<SpanTag>> {
-    ex: Exec<'a, S>,
-    bus: &'a dyn GateBus,
-    id: usize,
-    /// Instant the current pull request became locally serveable
-    /// (request present *and* no pull transfer in flight) — the
-    /// `ready_since` of polls, and the earliest the serve can happen.
-    poll_floor: SimTime,
-    /// Target wave of the currently-serveable request, if any.
-    pending_target: Option<u64>,
-    /// The serve provably happens no earlier than this instant
-    /// (cached `NotBefore` lower bound).
-    not_before: Option<SimTime>,
-    finished: bool,
-}
-
-impl<'a, S: SpanSink<SpanTag>> VwEngine<'a, S> {
-    /// Builds the engine for the single VW in `params`, registered as
-    /// `id` on `bus`. The prologue (rate timelines, initial inject
-    /// events) runs immediately; no event is popped yet.
-    pub fn new(
-        params: ExecParams<'a>,
-        opts: SegmentOpts,
-        horizon: SimTime,
-        bus: &'a dyn GateBus,
-        id: usize,
-    ) -> VwEngine<'a, S> {
-        assert_eq!(
-            params.vws.len(),
-            1,
-            "a fleet engine simulates exactly one VW"
-        );
-        let coupling = Coupling::Bus { bus, id };
-        let mut ex = Exec::new(params, opts, horizon, None, coupling);
-        ex.prologue();
-        let mut eng = VwEngine {
-            ex,
-            bus,
-            id,
-            poll_floor: SimTime::ZERO,
-            pending_target: None,
-            not_before: None,
-            finished: false,
-        };
-        eng.refresh_pending();
-        eng
-    }
-
-    /// Re-derives the serveable-request view after local state may
-    /// have changed (an event was handled or a serve applied).
-    fn refresh_pending(&mut self) {
-        let st = &self.ex.states[0];
-        let req = if st.pull_remaining == 0 {
-            st.pull_request.map(|(t, _)| t)
-        } else {
-            None // In-flight pull; a queued request is not yet serveable.
-        };
-        if req != self.pending_target {
-            // New request, upgraded target, or served/obscured: any
-            // cached verdict was computed for a different question.
-            self.not_before = None;
-            if req.is_some() && self.pending_target.is_none() {
-                // The request just became serveable: the serve cannot
-                // predate this instant (matches the in-process serve
-                // points — request creation and pull-transfer drain).
-                self.poll_floor = self.ex.engine.now();
-            }
-            self.pending_target = req;
-        }
-    }
-
-    /// Advances the simulation by one action. See the type-level doc
-    /// for the discipline; [`StepOutcome::Blocked`] callers must wait
-    /// for a bus change before re-stepping.
-    pub fn step(&mut self) -> StepOutcome {
-        if self.finished {
-            return StepOutcome::Done;
-        }
-        let horizon = self.ex.horizon;
-        let bound = match self.ex.engine.peek_time() {
-            Some(t) if t <= horizon => t,
-            _ => horizon,
-        };
-        if let Some(target) = self.pending_target {
-            let serve = if self.not_before.is_some_and(|b| bound < b) {
-                None // Provably not before the bound; pop freely.
-            } else {
-                match self.bus.poll_serve(self.id, target, self.poll_floor, bound) {
-                    ServePoll::Ready { at, version } => {
-                        debug_assert!(at >= self.poll_floor && at <= bound);
-                        Some((at, version))
-                    }
-                    ServePoll::NotBefore { at_least } => {
-                        debug_assert!(at_least > bound);
-                        self.not_before = Some(at_least);
-                        None
-                    }
-                    ServePoll::Wait => return StepOutcome::Blocked,
-                }
-            };
-            if let Some((at, version)) = serve {
-                // Serve-first at ties: the in-process executor serves
-                // inside the handler of the crossing push, ahead of
-                // local events queued at the same instant.
-                self.ex.engine.advance_to(at);
-                self.bus.publish_frontier(self.id, at);
-                self.ex.serve_pull(0, version);
-                self.refresh_pending();
-                return StepOutcome::Progressed;
-            }
-        }
-        match self.ex.engine.next_event_until(horizon) {
-            Some(ev) => {
-                self.bus.publish_frontier(self.id, self.ex.engine.now());
-                self.ex.handle(ev);
-                self.refresh_pending();
-                StepOutcome::Progressed
-            }
-            None => {
-                // Horizon reached (or queue drained) with no pending
-                // serve at or before it: this VW is done. An unserved
-                // request past the horizon matches the in-process
-                // executor, which simply stops popping.
-                self.finished = true;
-                self.bus.publish_frontier(self.id, horizon);
-                self.bus.finish(self.id);
-                StepOutcome::Done
-            }
-        }
-    }
-
-    /// Events processed so far on this engine's core.
-    pub fn processed(&self) -> u64 {
-        self.ex.engine.processed()
-    }
-
-    /// Current simulated time of this engine.
-    pub fn now(&self) -> SimTime {
-        self.ex.engine.now()
-    }
-
-    /// Whether [`StepOutcome::Done`] has been reached.
-    pub fn is_done(&self) -> bool {
-        self.finished
-    }
-
-    /// Folds the finished engine into its single-VW [`RunStats`]
-    /// (trace spans carry local ids: `vw` is always 0 and resources
-    /// index this engine's private pool).
-    pub fn into_stats(self) -> RunStats {
-        self.ex.finish().0
-    }
 }
 
 #[cfg(test)]
@@ -2132,55 +1894,6 @@ mod tests {
                 stop_after_mb: Some(6),
                 ..SegmentOpts::default()
             },
-        );
-    }
-
-    /// A bus no call may reach: the engine must panic while building.
-    struct UnreachableBus;
-
-    impl GateBus for UnreachableBus {
-        fn vws(&self) -> usize {
-            1
-        }
-        fn announce_push(&self, _: usize, _: u64, _: SimTime) {
-            unreachable!()
-        }
-        fn publish_frontier(&self, _: usize, _: SimTime) {
-            unreachable!()
-        }
-        fn poll_serve(&self, _: usize, _: u64, _: SimTime, _: SimTime) -> ServePoll {
-            unreachable!()
-        }
-        fn finish(&self, _: usize) {
-            unreachable!()
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "segments splice at wave boundaries")]
-    fn vw_engine_rejects_a_mid_wave_stop() {
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
-        let vws = build_vws(&cluster, &graph, &ed_groups()[..1], 4);
-        let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
-        let _: VwEngine<'_> = VwEngine::new(
-            ExecParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: &vws,
-                wsp: WspParams::new(4, 0),
-                shards: &shards,
-                sync_transfers: true,
-                schedule: Schedule::HetPipeWave,
-                recompute: RecomputePolicy::None,
-            },
-            SegmentOpts {
-                stop_after_mb: Some(2),
-                ..SegmentOpts::default()
-            },
-            SimTime::from_secs(5.0),
-            &UnreachableBus,
-            0,
         );
     }
 

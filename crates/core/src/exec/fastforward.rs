@@ -55,8 +55,7 @@
 //! rather than skipping wrongly.
 //!
 //! Fast-forward is automatic. It is off where a run could observe the
-//! skipped periods: a sink that keeps spans, and bus-coupled fleet
-//! engines, which never run this loop. `RunStats::events` counts
+//! skipped periods: a sink that keeps spans. `RunStats::events` counts
 //! logical events, skipped periods included, so every digest of a run
 //! is unchanged. A run whose joint period is longer than what is left
 //! of its horizon skips nothing and pays only the hashing.
@@ -243,13 +242,11 @@ pub(super) struct Forward {
 }
 
 impl Forward {
-    /// The driver of `ex`'s run: off unless `ex` keeps no spans, is
-    /// coupled in process, and ends early enough for nanosecond counts
-    /// to stay exact in an `f64`.
+    /// The driver of `ex`'s run: off unless `ex` keeps no spans and
+    /// ends early enough for nanosecond counts to stay exact in an
+    /// `f64`.
     pub(super) fn new<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>) -> Forward {
-        let on = !S::KEEPS_SPANS
-            && matches!(ex.coupling, super::Coupling::InProcess)
-            && ex.horizon.as_nanos() < 1 << 52;
+        let on = !S::KEEPS_SPANS && ex.horizon.as_nanos() < 1 << 52;
         Forward {
             phase: if on {
                 detect(SimTime::ZERO, None)

@@ -28,8 +28,9 @@
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true
 //!   idle time (Section 8.4), and traffic split.
 //! - [`plankey`] — process-stable model/cluster fingerprints (the
-//!   request keys of the `hetpipe-plansvc` replan cache) and the FNV-1a
-//!   accumulator trace digests share.
+//!   request keys of the `hetpipe-plansvc` replan cache), the FNV-1a
+//!   accumulator trace digests share, and the order-independent span
+//!   multiset digest [`trace_fingerprint`].
 //! - [`convergence`] — composition of simulated throughput with
 //!   accuracy-per-update curves into time to accuracy (Figures 5
 //!   and 6).
@@ -47,12 +48,12 @@ pub mod vw;
 
 pub use alloc::AllocationPolicy;
 pub use audit::OccupancyAudit;
-pub use exec::{RateEvent, RateTarget, SegmentOpts, StepOutcome, VwEngine};
+pub use exec::{RateEvent, RateTarget, SegmentOpts};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
-pub use plankey::{cluster_fingerprint, graph_fingerprint, Fnv};
+pub use plankey::{cluster_fingerprint, graph_fingerprint, trace_fingerprint, Fnv};
 pub use pserver::Placement;
-pub use sync::{GateBus, ServePoll, SyncModel, WspParams};
+pub use sync::{SyncModel, WspParams};
 pub use system::{
     replan_problem, replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig,
 };

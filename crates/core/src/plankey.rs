@@ -8,9 +8,12 @@
 //! every process, today and tomorrow — a plan cache keyed by these
 //! fingerprints stays valid across restarts (the stability tests below
 //! pin golden values). Their [`Fnv`] accumulator is public, so trace
-//! digests elsewhere hash the same way.
+//! digests elsewhere hash the same way; [`trace_fingerprint`] is the
+//! order-independent one over a span multiset.
 
+use crate::exec::SpanTag;
 use hetpipe_cluster::Cluster;
+use hetpipe_des::Span;
 use hetpipe_model::ModelGraph;
 
 /// FNV-1a offset basis.
@@ -89,11 +92,56 @@ pub fn cluster_fingerprint(cluster: &Cluster) -> u64 {
     h.0
 }
 
+/// An order-independent FNV-1a digest of a span multiset: spans are
+/// canonicalized to `resource start end tag` lines, sorted, and
+/// hashed. Two traces fingerprint equal iff they contain the same
+/// spans, regardless of recording order.
+pub fn trace_fingerprint(spans: &[Span<SpanTag>]) -> u64 {
+    let mut lines: Vec<String> = spans
+        .iter()
+        .map(|s| format!("{} {:?} {:?} {:?}", s.resource.0, s.start, s.end, s.tag))
+        .collect();
+    lines.sort_unstable();
+    let mut h = Fnv::default();
+    for line in &lines {
+        h.mix_bytes(line.as_bytes());
+        h.mix_bytes(b"\n");
+    }
+    h.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hetpipe_cluster::GpuKind;
+    use hetpipe_des::{ResourceId, SimTime};
     use hetpipe_model::{Layer, LayerKind};
+
+    fn span(resource: usize, start: f64, vw: u32, mb: u64) -> Span<SpanTag> {
+        Span {
+            resource: ResourceId(resource),
+            start: SimTime::from_secs(start),
+            end: SimTime::from_secs(start + 1.0),
+            tag: SpanTag::Forward { vw, stage: 0, mb },
+        }
+    }
+
+    #[test]
+    fn fingerprint_ignores_recording_order() {
+        let a = vec![span(0, 0.0, 0, 1), span(1, 2.0, 1, 3), span(0, 5.0, 0, 2)];
+        let mut b = a.clone();
+        b.reverse();
+        assert_eq!(trace_fingerprint(&a), trace_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_separates_different_span_sets() {
+        let a = vec![span(0, 0.0, 0, 1)];
+        let b = vec![span(0, 0.0, 0, 2)];
+        let c = vec![span(1, 0.0, 0, 1)];
+        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&b));
+        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&c));
+    }
 
     fn tiny_graph(tweak: u64) -> ModelGraph {
         let layer = |i: u64| Layer {

@@ -1,106 +1,16 @@
-//! Synchronization models, the WSP staleness algebra, and the gate
-//! bus the fleet decomposition couples through.
+//! Synchronization models and the WSP staleness algebra.
 //!
 //! The clock/staleness algebra itself ([`WspParams`]) lives in
 //! `hetpipe-schedule` — schedule op streams compile the start gate into
 //! explicit `PullGate` ops — and is re-exported here for backwards
 //! compatibility. This module keeps the taxonomy of synchronization
-//! models the reproduction covers, plus the [`GateBus`] trait: when
-//! each virtual worker runs on its *own* DES engine (`hetpipe-fleet`),
-//! the in-process WSP gate state (`min_clock` over all VWs' push
-//! clocks) moves behind this trait — push landings are *announced* to
-//! the bus and pull serves are *decided* by it, so the bus is the only
-//! cross-engine channel, exactly the PS push→gate coupling
-//! `hetpipe-verify`'s VW-isolation pass certifies to be the sole
-//! cross-VW dependency class.
+//! models the reproduction covers. The executor models the parameter
+//! server's WSP gate itself (`min_clock` over every VW's push clock),
+//! the only cross-VW coupling in a run.
 
-use hetpipe_des::SimTime;
 use std::fmt;
 
 pub use hetpipe_schedule::WspParams;
-
-/// Outcome of asking the gate bus whether a pending pull can be
-/// served (see [`GateBus::poll_serve`]).
-///
-/// The decision mirrors the in-process executor exactly: a pull with
-/// target wave `w` is served at the first instant `S ≥ ready_since`
-/// at which *every* VW's push clock has reached `w + 1`, with version
-/// `min_clock(S) − 1`. The bus reconstructs that instant from the
-/// announced push-landing times (known at push *start*, which is what
-/// gives the conservative protocol its lookahead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServePoll {
-    /// The serve is fully decided: it happens at `at` — never past
-    /// the polled bound, so the poller has no local event before it —
-    /// and installs global version `at`-time `min_clock − 1`. The
-    /// decision is final: the bus only returns `Ready` once it has
-    /// proven no still-unannounced push (from any VW, the poller
-    /// included) can land at or before `at`.
-    Ready {
-        /// Serve instant (`max(ready_since, crossing time)`),
-        /// `≤ bound`.
-        at: SimTime,
-        /// Version the pull carries (`min_clock(at) − 1`).
-        version: i64,
-    },
-    /// Undecided, but provably not before `at_least` (which is
-    /// strictly past the polled `bound`) — the engine may safely
-    /// process every local event *strictly before* `at_least` without
-    /// re-polling. The bound folds the bus's lookahead: announced
-    /// landings plus, for each VW that has not announced the target
-    /// wave, its action floor advanced by its minimum push duration.
-    /// `SimTime::MAX` means the serve can never happen (some finished
-    /// VW never pushed the target wave).
-    NotBefore {
-        /// Certified lower bound on the serve instant, `> bound`.
-        at_least: SimTime,
-    },
-    /// Undecidable from current bus knowledge: some VW whose push is
-    /// needed has neither announced it nor provably advanced past the
-    /// bound. The engine blocks; the bus registers the poll so the
-    /// driver can wake it when the verdict can change.
-    Wait,
-}
-
-/// The cross-engine synchronization surface of the fleet
-/// decomposition. Implemented by `hetpipe-fleet`'s `FleetBus`; the
-/// in-process executor keeps its legacy `min_clock` scan and never
-/// touches a bus.
-///
-/// Soundness contract (the conservative-synchronization protocol):
-///
-/// - [`GateBus::announce_push`] is called at push *start* with the
-///   landing instant (transfer arrival times are reserved up front,
-///   so the landing is known in advance — the certified lookahead).
-///   Waves are announced in increasing order per VW, and a landing is
-///   never earlier than the VW's last published frontier.
-/// - [`GateBus::publish_frontier`] promises the VW will take no
-///   action — in particular start no push — before `at`. Frontiers
-///   are monotone.
-/// - [`GateBus::poll_serve`] may return `Ready` only when the serve
-///   instant and version can never be changed by future announces.
-pub trait GateBus: Sync {
-    /// Number of virtual workers on the bus.
-    fn vws(&self) -> usize;
-
-    /// Announces that `vw`'s aggregated push of `wave` will land
-    /// (last chunk arrival) at `lands`.
-    fn announce_push(&self, vw: usize, wave: u64, lands: SimTime);
-
-    /// Publishes a monotone lower bound on `vw`'s next action.
-    fn publish_frontier(&self, vw: usize, at: SimTime);
-
-    /// Asks whether `vw`'s pending pull of target wave `target`
-    /// (locally serveable since `ready_since`) can be served no later
-    /// than `bound` (the VW's next local event, or the horizon).
-    /// A `Wait` verdict registers the poll inputs with the bus until
-    /// the VW's next `Ready`/`NotBefore` verdict.
-    fn poll_serve(&self, vw: usize, target: u64, ready_since: SimTime, bound: SimTime)
-        -> ServePoll;
-
-    /// Marks `vw` finished: no further events, pushes, or polls.
-    fn finish(&self, vw: usize);
-}
 
 /// Parameter-synchronization models supported by the reproduction.
 ///

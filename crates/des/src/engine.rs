@@ -3,15 +3,7 @@
 //! An [`EngineCore`] owns the event queue and the simulation clock.
 //! Client code pops events one at a time (or runs a handler loop) and
 //! schedules follow-up events; the clock only moves forward.
-//!
-//! The core is deliberately *drivable*: besides the classic
-//! self-contained pop loop ([`EngineCore::next_event`] /
-//! [`EngineCore::next_event_until`]), an external scheduler — such as
-//! the parallel fleet driver in `hetpipe-fleet`, which runs one core
-//! per virtual worker — can inspect the next local timestamp
-//! ([`EngineCore::peek_time`]) and inject externally-decided actions at
-//! an exact instant ([`EngineCore::advance_to`]) before the next local
-//! event fires. [`Engine`] remains as an alias for the standalone use.
+//! [`Engine`] is an alias for the standalone use.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
@@ -116,13 +108,6 @@ impl<E> EngineCore<E> {
         }
     }
 
-    /// Timestamp of the next queued event without popping it — the
-    /// core's *frontier* when an external scheduler drives it: no
-    /// purely local action can occur before this instant.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Every queued event with its time and sequence number, in no
     /// particular order; `(time, sequence)` ranks them.
     pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
@@ -138,25 +123,6 @@ impl<E> EngineCore<E> {
         self.queue.shift(by, moves);
         self.now += by;
         self.processed += events;
-    }
-
-    /// Advances the clock to `at` without popping an event, so an
-    /// externally-decided action (e.g. a fleet bus serving a pull the
-    /// moment a remote push lands) can be applied at its exact instant
-    /// and *before* any local event queued at that same instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `at` would move the clock backwards
-    /// or jump past a queued event (the driver must never skip local
-    /// causality).
-    pub fn advance_to(&mut self, at: SimTime) {
-        debug_assert!(at >= self.now, "time must be monotone");
-        debug_assert!(
-            self.queue.peek_time().is_none_or(|t| at <= t),
-            "advance_to must not jump past a queued event"
-        );
-        self.now = self.now.max(at);
     }
 }
 
@@ -197,30 +163,6 @@ mod tests {
         assert_eq!(e.next_event_until(deadline), None);
         assert_eq!(e.pending(), 1, "event after deadline stays queued");
         assert_eq!(e.now(), SimTime::from_nanos(10));
-    }
-
-    #[test]
-    fn externally_driven_core() {
-        // An external driver peeks the frontier, injects an action
-        // between queued events, and resumes the local pop loop.
-        let mut e: EngineCore<u32> = EngineCore::new();
-        e.schedule_in(SimTime::from_nanos(10), 1);
-        assert_eq!(e.peek_time(), Some(SimTime::from_nanos(10)));
-        e.advance_to(SimTime::from_nanos(7));
-        assert_eq!(
-            e.now(),
-            SimTime::from_nanos(7),
-            "externally-decided instant"
-        );
-        // Actions injected at the advanced clock order before the
-        // queued event.
-        e.schedule_in(SimTime::ZERO, 99);
-        assert_eq!(e.next_event(), Some(99));
-        assert_eq!(e.next_event(), Some(1));
-        // advance_to is idempotent at the current instant.
-        e.advance_to(SimTime::from_nanos(10));
-        assert_eq!(e.now(), SimTime::from_nanos(10));
-        assert_eq!(e.peek_time(), None);
     }
 
     #[test]

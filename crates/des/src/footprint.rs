@@ -1,10 +1,9 @@
 //! Declared read/write resource footprints — the vocabulary the
 //! static isolation pass speaks.
 //!
-//! The ROADMAP's fleet-scale direction rests on a decomposition claim:
-//! virtual workers interact *only* through parameter-server push/pull,
-//! so each VW's event stream can run on its own engine and synchronize
-//! conservatively at WSP gates. Proving that claim statically
+//! The VW-isolation claim: virtual workers interact *only* through
+//! parameter-server push/pull, so each VW's event stream could run on
+//! its own engine and synchronize conservatively at WSP gates. Proving that claim statically
 //! (`hetpipe-verify`'s isolation pass) needs a shared language for
 //! *what state an event touches*: every event class declares a
 //! [`Footprint`] — the [`FootprintResource`]s it reads and writes —
@@ -25,7 +24,7 @@
 //!   written by the world, not by any VW event: fault-script rate
 //!   edges retune a GPU's or NIC's service rate. They carry no
 //!   VW-to-VW information, which is why a fault script can simply be
-//!   replicated into every per-VW engine.
+//!   replicated onto every VW's resources.
 //!
 //! This module is deliberately dependency-free data (like
 //! [`crate::bounds`]): the schedule crate and the runtime declare

@@ -1,67 +1,150 @@
-//! The parallel fleet simulator: one DES engine per virtual worker.
+//! Fleets of identical virtual workers on node-disjoint cells.
 //!
-//! The single-engine executor (`hetpipe_core::exec`) simulates every
-//! VW on one event queue; its only cross-VW coupling is the WSP gate
-//! (`min_clock` over all VWs' push clocks deciding pull serves) — but
-//! each push completion scans every VW's pending pull, so the loop is
-//! O(V²) in fleet size and inherently serial. This crate runs each
-//! VW's event stream on its own [`hetpipe_des::EngineCore`] instance
-//! (one engine per scoped thread-pool slot) and moves the WSP gate
-//! state behind a shared [`FleetBus`], the *only* cross-engine
-//! channel. Synchronization is conservative: an engine advances past
-//! a gate only when the serve is provably decided, so the parallel
-//! run is deterministic and bit-identical to the single-engine
-//! executor regardless of thread count.
-//!
-//! # Runtime sync rules and the certificates behind them
-//!
-//! The fleet decomposition's runtime rules and the `hetpipe-verify`
-//! results they rest on:
-//!
-//! - **VW isolation → the bus message types.** The isolation pass
-//!   certifies that every cross-VW dependency edge is a parameter-
-//!   server push→gate coupling (all other footprints are VW-private).
-//!   Accordingly the [`GateBus`] carries exactly three message kinds:
-//!   push-landing announces, monotone action frontiers, and pull-serve
-//!   polls — nothing else crosses engines, and the fleet topology
-//!   ([`FleetTopology`]) keeps each cell's GPU/NIC timelines
-//!   node-disjoint so no *resource* edge crosses either.
-//! - **Lookahead → the bus's horizon.** A push's landing time is
-//!   announced at push *start* (its chunk arrivals are reserved up
-//!   front), and the bus's lookahead is each VW's `min_push_step`: a
-//!   lower bound on any push's duration, taken from transfer physics
-//!   (link bandwidth over the VW's push chunks, divided by the fastest
-//!   NIC rate its script can reach). An unannounced landing therefore
-//!   lies at least that far past the VW's action floor, which is what
-//!   lets the conservative protocol decide serves without rollback.
-//!   `hetpipe_verify::lookahead`'s op-count closed form (where gates
-//!   and pushes sit in every committed op stream) is a static
-//!   certificate over the same streams; no runtime verdict reads it.
-//! - **Gate check → the advance rule.** The POR-model-checked
-//!   `ShadowGateProtocol` (`hetpipe_verify::gatecheck`) proves the
-//!   gate advance rule safe: a VW passes gate(`w`) only when *all*
-//!   VWs' push clocks have reached `w + 1`. [`FleetBus::poll_serve`]
-//!   implements the same rule over announced landings — `Ready` is
-//!   returned only when every VW's target-wave push has landed *and*
-//!   every still-running VW is provably past the serve instant, so
-//!   the decided `(time, version)` can never be invalidated by a
-//!   future announce.
-//!
-//! # Memory
-//!
-//! Each engine's stats fold into a per-VW [`VwPartial`] (busy time,
-//! completions, waits and event counts) the moment the engine
-//! finishes. Unless the caller asked to keep traces, engines record no
-//! spans at all (`hetpipe_des::Discard`), so fleet memory is O(VWs),
-//! not O(events).
+//! A fleet replicates one blueprint cell cluster, each copy hosting one
+//! virtual worker ([`FleetTopology`]). Cells share no GPU, NIC or
+//! shard, so the parameter server's WSP gate is the only thing that
+//! couples their VWs. [`run_fleet`] expands the fleet to one flat
+//! cluster and runs it once through the in-process executor
+//! (`hetpipe_core::exec`), which models that gate as `min_clock` over
+//! every VW's push clock. The run keeps no span, so it fast-forwards
+//! through the fleet's steady state, and its stats fold into one
+//! [`VwPartial`] per VW.
 
-pub mod bus;
-pub mod driver;
-pub mod parity;
 pub mod topo;
 
-pub use bus::{BusCounters, FleetBus};
-pub use driver::{run_fleet, FleetConfig, FleetReport, VwPartial};
-pub use hetpipe_core::{GateBus, ServePoll};
-pub use parity::{merged_spans, trace_fingerprint};
 pub use topo::FleetTopology;
+
+use hetpipe_cluster::Cluster;
+use hetpipe_core::exec::{self, ExecParams, RateEvent, RateTarget, SegmentOpts};
+use hetpipe_core::pserver::ShardMap;
+use hetpipe_core::{VirtualWorker, WspParams};
+use hetpipe_des::{Discard, SimTime};
+use hetpipe_model::ModelGraph;
+use hetpipe_schedule::{RecomputePolicy, Schedule};
+
+/// A fleet run: one cell-local virtual worker per copy of the cell.
+pub struct FleetConfig<'a> {
+    /// The *cell* cluster, copied once per VW.
+    pub cluster: &'a Cluster,
+    /// The model being trained.
+    pub graph: &'a ModelGraph,
+    /// One cell-local VW per cell (device ids index the cell).
+    pub vws: &'a [VirtualWorker],
+    /// WSP parameters (`Nm`, `D`).
+    pub wsp: WspParams,
+    /// Shard placement — must be VW-local so parameter traffic stays
+    /// on each cell's own nodes.
+    pub shards: &'a ShardMap,
+    /// Whether push/pull transfers cost time.
+    pub sync_transfers: bool,
+    /// The pipeline schedule every VW runs.
+    pub schedule: Schedule,
+    /// Activation recomputation policy.
+    pub recompute: RecomputePolicy,
+    /// Segment options of one cell: its rate targets are cell-local
+    /// and apply to every cell alike.
+    pub opts: SegmentOpts,
+    /// Ignored: the fleet runs on the calling thread.
+    pub threads: usize,
+    /// Must be false: a fleet run keeps no span, and [`run_fleet`]
+    /// asserts it.
+    pub keep_traces: bool,
+}
+
+/// One virtual worker's share of a fleet run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VwPartial {
+    /// Global VW index (= cell index).
+    pub vw: usize,
+    /// Minibatches completed.
+    pub completions: u64,
+    /// Waves pushed (final local WSP clock).
+    pub waves_pushed: u64,
+    /// Total pull wait (straggler time).
+    pub pull_wait: SimTime,
+    /// Injection-gate blocked time.
+    pub inject_blocked: SimTime,
+    /// Busy time per cell GPU (device order).
+    pub gpu_busy: Vec<SimTime>,
+    /// Busy time per cell NIC (node order).
+    pub nic_busy: Vec<SimTime>,
+}
+
+/// The result of a fleet run.
+#[derive(Debug, Clone)]
+pub struct FleetReport {
+    /// Per-VW partials, by VW index.
+    pub partials: Vec<VwPartial>,
+    /// Instant of the run's last event.
+    pub end: SimTime,
+    /// DES events of the run, skipped periods included.
+    pub events: u64,
+}
+
+/// Runs the fleet to `horizon`: every cell's copy of `cfg.vws`, with
+/// `cfg.opts`'s rate targets repeated on each cell, in one in-process
+/// run of the expanded cluster.
+pub fn run_fleet(cfg: &FleetConfig<'_>, horizon: SimTime) -> FleetReport {
+    assert!(!cfg.keep_traces, "a fleet run keeps no span trace");
+    let (cluster, vws) = topo::expand(cfg.cluster, cfg.vws);
+    let (devs, nodes) = (cfg.cluster.device_count(), cfg.cluster.node_count());
+    let params = ExecParams {
+        cluster: &cluster,
+        graph: cfg.graph,
+        vws: &vws,
+        wsp: cfg.wsp,
+        shards: cfg.shards,
+        sync_transfers: cfg.sync_transfers,
+        schedule: cfg.schedule,
+        recompute: cfg.recompute,
+    };
+    let opts = replicate(&cfg.opts, vws.len(), devs, nodes);
+    let (_, stats) = exec::run_with_sink::<Discard>(params, opts, horizon, SimTime::ZERO);
+    let busy = |ids: &[hetpipe_des::ResourceId]| -> Vec<SimTime> {
+        ids.iter().map(|&r| stats.pool.get(r).busy_time()).collect()
+    };
+    let partials = stats
+        .vws
+        .iter()
+        .enumerate()
+        .map(|(e, s)| VwPartial {
+            vw: e,
+            completions: s.completions.len() as u64,
+            waves_pushed: s.waves_pushed,
+            pull_wait: s.pull_wait,
+            inject_blocked: s.inject_blocked,
+            gpu_busy: busy(&stats.gpu_resources[e * devs..(e + 1) * devs]),
+            nic_busy: busy(&stats.nic_resources[e * nodes..(e + 1) * nodes]),
+        })
+        .collect();
+    FleetReport {
+        partials,
+        end: stats.end,
+        events: stats.events,
+    }
+}
+
+/// `cell`'s rate targets repeated on each of `n` cells: cell `e`'s
+/// GPU `d` is global GPU `e·devs + d`, its NIC `j` global NIC
+/// `e·nodes + j`.
+fn replicate(cell: &SegmentOpts, n: usize, devs: usize, nodes: usize) -> SegmentOpts {
+    let global = |e: usize, target| match target {
+        RateTarget::Gpu(d) => RateTarget::Gpu(e * devs + d),
+        RateTarget::Nic(j) => RateTarget::Nic(e * nodes + j),
+    };
+    let mut opts = SegmentOpts {
+        initial_rates: Vec::new(),
+        rate_events: Vec::new(),
+        ..cell.clone()
+    };
+    for e in 0..n {
+        let rates = cell.initial_rates.iter().map(|&(t, r)| (global(e, t), r));
+        opts.initial_rates.extend(rates);
+        opts.rate_events
+            .extend(cell.rate_events.iter().map(|ev| RateEvent {
+                target: global(e, ev.target),
+                ..*ev
+            }));
+    }
+    opts
+}

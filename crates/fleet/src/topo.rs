@@ -7,20 +7,14 @@
 //! NIC, or shard timeline is shared between VWs — the resource half
 //! of the VW-isolation certificate holds *by construction*, and the
 //! parameter-server clock coupling (the certified sole cross-VW
-//! dependency class) is the only thing left for the
-//! [`crate::FleetBus`] to carry.
+//! dependency class) is all that is left between them.
 //!
-//! The same topology expands to a single flat cluster with globally
-//! addressed devices ([`FleetTopology::expanded`]); running the
-//! legacy single-engine executor over that expansion is the oracle
-//! the fleet's parity tests and bench compare against, and
-//! [`FleetTopology::remap_resource`] maps each engine's private
-//! resource ids into the expansion's namespace so merged traces line
-//! up span-for-span.
+//! The topology expands to a single flat cluster with globally
+//! addressed devices ([`FleetTopology::expanded`]), which is what
+//! [`crate::run_fleet`] simulates.
 
 use hetpipe_cluster::{Cluster, DeviceId, Node};
 use hetpipe_core::VirtualWorker;
-use hetpipe_des::ResourceId;
 
 /// A fleet of `n_vws` identical, node-disjoint cells.
 #[derive(Debug, Clone)]
@@ -56,7 +50,7 @@ impl FleetTopology {
         &self.cell_vw
     }
 
-    /// Number of VWs (= cells = engines).
+    /// Number of VWs (= cells).
     pub fn n_vws(&self) -> usize {
         self.n_vws
     }
@@ -71,9 +65,8 @@ impl FleetTopology {
         self.cell.node_count()
     }
 
-    /// Per-engine VW clones: engine `e` simulates `cell_vws()[e]`,
-    /// still addressed in cell-local device ids (each engine owns a
-    /// private copy of the cell's resources).
+    /// Per-cell VW clones: cell `e` hosts `cell_vws()[e]`, still
+    /// addressed in cell-local device ids.
     pub fn cell_vws(&self) -> Vec<VirtualWorker> {
         (0..self.n_vws)
             .map(|e| VirtualWorker {
@@ -83,51 +76,40 @@ impl FleetTopology {
             .collect()
     }
 
-    /// The equivalent flat topology for the single-engine executor:
-    /// one cluster concatenating every cell's nodes, and the VWs
-    /// re-addressed to their cell's global device ids.
+    /// The equivalent flat topology for the executor: one cluster
+    /// concatenating every cell's nodes, and the VWs re-addressed to
+    /// their cell's global device ids.
     pub fn expanded(&self) -> (Cluster, Vec<VirtualWorker>) {
-        let mut cluster = Cluster::new();
-        for _ in 0..self.n_vws {
-            for node in self.cell.nodes() {
-                cluster.add_node(Node::new(node.gpu_kind, node.gpu_count));
-            }
-        }
-        let devs = self.devices_per_cell();
-        let vws = (0..self.n_vws)
-            .map(|e| VirtualWorker {
-                index: e,
-                devices: self
-                    .cell_vw
-                    .devices
-                    .iter()
-                    .map(|d| DeviceId(e * devs + d.0))
-                    .collect(),
-                plan: self.cell_vw.plan.clone(),
-                nm: self.cell_vw.nm,
-            })
-            .collect();
-        (cluster, vws)
+        expand(&self.cell, &self.cell_vws())
     }
+}
 
-    /// Maps engine `e`'s private resource id into the expanded
-    /// cluster's resource namespace. Both executors lay pools out
-    /// identically — GPUs by device index first, then one NIC per
-    /// node — so local GPU `i` is global GPU `e·devs + i` and local
-    /// NIC `j` is global NIC `e·nodes + j` after the global GPU
-    /// block.
-    pub fn remap_resource(&self, e: usize, r: ResourceId) -> ResourceId {
-        let devs = self.devices_per_cell();
-        let nodes = self.nodes_per_cell();
-        debug_assert!(e < self.n_vws);
-        if r.0 < devs {
-            ResourceId(e * devs + r.0)
-        } else {
-            let nic = r.0 - devs;
-            debug_assert!(nic < nodes, "resource outside the cell pool");
-            ResourceId(self.n_vws * devs + e * nodes + nic)
+/// One cluster concatenating a copy of `cell` per VW of `cell_vws`,
+/// and each VW re-addressed to its copy's global device ids: cell
+/// `e`'s device `d` is global device `e·devs + d`.
+pub(crate) fn expand(cell: &Cluster, cell_vws: &[VirtualWorker]) -> (Cluster, Vec<VirtualWorker>) {
+    let mut cluster = Cluster::new();
+    for _ in cell_vws {
+        for node in cell.nodes() {
+            cluster.add_node(Node::new(node.gpu_kind, node.gpu_count));
         }
     }
+    let devs = cell.device_count();
+    let vws = cell_vws
+        .iter()
+        .enumerate()
+        .map(|(e, vw)| VirtualWorker {
+            index: e,
+            devices: vw
+                .devices
+                .iter()
+                .map(|d| DeviceId(e * devs + d.0))
+                .collect(),
+            plan: vw.plan.clone(),
+            nm: vw.nm,
+        })
+        .collect();
+    (cluster, vws)
 }
 
 #[cfg(test)]
@@ -174,20 +156,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn resource_remap_is_injective_and_in_range() {
-        let t = topology(2, 2, 3);
-        let total = 3 * (4 + 2); // 4 GPUs + 2 NICs per cell.
-        let mut seen = std::collections::BTreeSet::new();
-        for e in 0..3 {
-            for r in 0..6 {
-                let g = t.remap_resource(e, ResourceId(r));
-                assert!(g.0 < total);
-                assert!(seen.insert(g.0), "collision at engine {e} resource {r}");
-            }
-        }
-        assert_eq!(seen.len(), total);
     }
 }

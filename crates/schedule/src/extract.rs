@@ -177,8 +177,8 @@ pub struct PushPoint {
 /// The parameter-server interaction points of one VW's committed
 /// queue set: every gate and push, positioned against the stage-0
 /// compute stream. This is the raw material of `hetpipe-verify`'s
-/// lookahead prover — the only places the future per-VW engine may
-/// block on or signal other VWs.
+/// lookahead prover — the only places a per-VW engine would block on
+/// or signal other VWs.
 #[derive(Debug, Clone, Default)]
 pub struct PsInteractions {
     /// Pull gates in stream order.

@@ -1,10 +1,12 @@
-//! Model-checking the per-VW engine gate protocol.
+//! Model-checking the per-VW gate protocol.
 //!
-//! The fleet-scale decomposition runs one engine per virtual worker,
-//! each advancing to its lookahead horizon and blocking on a shared
-//! WSP gate cell ([`crate::lookahead`] certifies *where* the gates
-//! sit; this module certifies *what happens at them* when engines
-//! race). [`ShadowGateProtocol`] is the pure shadow of that loop:
+//! Picture one engine per virtual worker, each advancing to its
+//! lookahead horizon and blocking on a shared WSP gate cell
+//! ([`crate::lookahead`] certifies *where* the gates sit; this module
+//! certifies *what happens at them* when engines race). No engine in
+//! the workspace runs that way — the executor evaluates the same gate
+//! rule on one event queue — so the check is a static proof of the
+//! rule. [`ShadowGateProtocol`] is the pure shadow of that loop:
 //!
 //! - `Advance`: the engine injects its next minibatch — but only if
 //!   the minibatch's required wave ([`WspParams::required_wave`]) has

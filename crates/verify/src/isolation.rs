@@ -1,10 +1,12 @@
 //! VW-isolation certificates: the footprint pass that proves virtual
 //! workers interact *only* through parameter-server push/gate.
 //!
-//! The fleet-scale engine direction (ROADMAP) wants one DES engine per
-//! virtual worker. That decomposition is sound iff no dependency edge
-//! carries information between VWs except the WSP push→gate coupling —
-//! a claim this pass proves per configuration instead of assuming.
+//! Splitting a simulation into one DES engine per virtual worker is
+//! sound iff no dependency edge carries information between VWs except
+//! the WSP push→gate coupling — a claim this pass proves per
+//! configuration instead of assuming. No engine is split that way: the
+//! executor runs every VW on one event queue, and the certificate is a
+//! static property of the schedules.
 //!
 //! Every node of the dependency graph ([`crate::graph::dependency_graph`])
 //! gets a declared footprint in the [`hetpipe_des::footprint`]
@@ -26,7 +28,7 @@
 //! class, so broken fixtures read like counterexamples, not booleans.
 //! [`verify_script_isolation`] extends the certificate over a fault
 //! script's rate edges: they must be environment-owned writes, which
-//! is what makes replicating a script into every engine sound.
+//! is what makes replicating a script onto every fleet cell sound.
 
 use crate::graph::{dependency_graph, DepGraphData, DepNode, EdgeKind};
 use hetpipe_des::footprint::{Footprint, FootprintResource, Owner};
@@ -351,7 +353,7 @@ pub fn verify_vw_isolation(
 /// Composes a fault script's rate-edge footprints into `cert`: every
 /// edge must be a write to an environment-owned rate register (and
 /// read nothing), which proves the script is disjoint from all VW and
-/// PS state — replicating it into every per-VW engine leaves the
+/// PS state — replicating it onto every VW's resources leaves the
 /// dependency DAG untouched. Returns the certificate with
 /// `fault_edges` counted.
 pub fn verify_script_isolation(

@@ -4,7 +4,7 @@
 //!
 //! The rest of the workspace checks its invariants dynamically — the
 //! DES audits occupancy on traces, `tests/staleness_props.rs` samples
-//! the WSP algebra, the fleet parity tests compare engines. Each of those
+//! the WSP algebra, the fleet parity tests compare runs. Each of those
 //! observes *some* executions. This crate closes the gap to *all*
 //! executions, for small configurations, along three axes:
 //!
@@ -16,9 +16,10 @@
 //!   give **structural occupancy bounds** completing the
 //!   `measured ≤ structural ≤ declared` chain of
 //!   [`hetpipe_des::OccupancyBound`].
-//! - [`isolation`] / [`lookahead`] — the **fleet-decomposition
-//!   certificates** (the contract the parallel per-VW engines are
-//!   built against). Every dependency-graph node declares a
+//! - [`isolation`] / [`lookahead`] — the **VW-decomposition
+//!   certificates**: what a split of the simulation into one engine
+//!   per virtual worker would rest on. Every dependency-graph node
+//!   declares a
 //!   read/write footprint in the [`hetpipe_des::footprint`]
 //!   vocabulary, whose resources are owned by one VW, by the
 //!   parameter server, or by the environment. The isolation pass
@@ -33,22 +34,22 @@
 //!   `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards of warmup, then
 //!   exactly `Nm` per gate-to-gate segment
 //!   ([`lookahead::LookaheadWitness`]): a static certificate of where
-//!   the fleet's engines meet the parameter server.
+//!   each VW meets the parameter server.
 //! - [`staleness`] — the WSP staleness algebra is checked at **every**
 //!   minibatch of a warmup-covering horizon, with a wave-shift
 //!   invariance witness as the induction step extending the finite
 //!   check to the infinite stream.
 //! - [`checker`] / [`gatecheck`] — an in-tree, loom-style
 //!   **exhaustive-interleaving model checker**: a pure shadow state
-//!   machine (one atomic step per engine action) is driven through
+//!   machine (one atomic step per worker action) is driven through
 //!   *every* interleaving of the scenario programs, proving the per-VW
-//!   **gate protocol** (no engine ever reads a push it shouldn't see
+//!   **gate protocol** (no worker ever reads a push it shouldn't see
 //!   under bound `D`). Sleep-set partial-order reduction
 //!   ([`checker::explore_por`]) collapses provably-commuting
 //!   reorderings so 4-engine scenarios (63M unreduced interleavings)
 //!   stay enumerable; 3-thread scenarios are still pinned to their
 //!   unreduced multinomials as the exhaustiveness check. A
-//!   deliberately broken variant (an engine advancing past a closed
+//!   deliberately broken variant (a worker advancing past a closed
 //!   gate) is kept in-tree as a negative control: the checker must
 //!   find its counterexample, which is what makes the green runs on
 //!   the real protocol evidence instead of vacuity.
@@ -57,6 +58,12 @@
 //! [`hetpipe_schedule::committed_queues`] extraction and the real
 //! [`hetpipe_schedule::WspParams`] algebra — so a proof about the
 //! model is a proof about the code paths, not about a drawing of them.
+//!
+//! No simulation engine consumes these certificates. The executor
+//! (`hetpipe_core::exec`) runs every VW on one event queue and
+//! evaluates the WSP gate directly (`min_clock` over the push clocks),
+//! so the certificates stand as static proofs about the schedules and
+//! the gate rule, not as preconditions of a run.
 //!
 //! The `verify_all` binary (in `hetpipe-bench`) sweeps the standing
 //! model/cluster/schedule matrix through all of these axes and exits

@@ -21,9 +21,9 @@
 //! [`LookaheadWitness`] that is golden-pinned per schedule. A
 //! schedule whose stream drifted from the cadence — gating late
 //! (stale reads) or early (lost lookahead) — fails here with the
-//! offending gate named. The certificate is static: the fleet's
-//! runtime lookahead is a push-duration bound (`hetpipe_fleet`'s
-//! bus), not these op counts.
+//! offending gate named. The certificate is static: no engine reads
+//! these op counts, and the executor meets the parameter server
+//! through its own `min_clock` gate.
 
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, PsInteractions, RecomputePolicy,

@@ -13,12 +13,14 @@
 //! depths {3, 4} × (Nm, D) ∈ {(2, 0), (4, 0), (4, 1)}), rate-edge
 //! scripts, drained segments and the pinned segments, all at 600 s
 //! horizons, long enough to engage, and warm-up fractions {0, 0.15,
-//! 0.5, 2.0}. The paper-ed configuration's period is pinned too.
+//! 0.5, 2.0}; and a 64-cell fleet's expanded topology, the run
+//! `hetpipe_fleet::run_fleet` makes. The paper-ed configuration's
+//! period is pinned too.
 //!
 //! This is a dynamically audited invariant: evidence for the runs
 //! below, not a proof for other configurations.
 
-use hetpipe::cluster::{Cluster, DeviceId};
+use hetpipe::cluster::{Cluster, DeviceId, GpuKind, Node};
 use hetpipe::core::exec::{
     self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag,
 };
@@ -28,6 +30,7 @@ use hetpipe::core::{
     SystemReport, VirtualWorker, WspParams,
 };
 use hetpipe::des::{Discard, SimTime, Trace};
+use hetpipe::fleet::FleetTopology;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::{Dispatch, PipelineSchedule};
@@ -63,9 +66,8 @@ impl Run {
         }
     }
 
-    /// Runs the configuration with fast-forward on (no span kept) and
-    /// off (every span kept) at each warm-up fraction, and requires
-    /// bit-identical results. Returns the fast-forwarded runs' stats.
+    /// [`check`]s the configuration on the paper testbed at
+    /// [`HORIZON_SECS`].
     fn check(&self, label: &str, warmups: &[f64]) -> Vec<RunStats> {
         let cluster = Cluster::paper_testbed();
         let nm = self.wsp.nm;
@@ -101,48 +103,53 @@ impl Run {
             schedule: self.schedule,
             recompute: self.recompute,
         };
-        let horizon = SimTime::from_secs(HORIZON_SECS);
-        let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
-        let (_, traced) = exec::run_with_sink::<Trace<SpanTag>>(
-            params.clone(),
-            self.opts.clone(),
-            horizon,
-            SimTime::ZERO,
-        );
-        assert!(traced.trace.len() > 100, "{label}: trivial trace");
-        assert_eq!(
-            traced.fast_forward, None,
-            "{label}: a kept trace never skips"
-        );
-        let want_audit = audit(&traced, &vws, self.schedule, nm);
-        let mut fast = Vec::new();
-        for &fraction in warmups {
-            let warmup = SimTime::from_secs(HORIZON_SECS * fraction);
-            let label = format!("{label} warm-up {fraction}");
-            let want_report = SystemReport::from_stats(
-                &traced,
-                &cluster,
-                self.graph.batch_size,
-                warmup,
-                &devices,
-            );
-            let (report, stats) =
-                exec::run_with_sink::<Discard>(params.clone(), self.opts.clone(), horizon, warmup);
-            assert_eq!(
-                format!("{report:?}"),
-                format!("{want_report:?}"),
-                "{label}: report"
-            );
-            assert_eq!(stripped(&stats), stripped(&traced), "{label}: run stats");
-            assert_eq!(
-                audit(&stats, &vws, self.schedule, nm),
-                want_audit,
-                "{label}: audit"
-            );
-            fast.push(stats);
-        }
-        fast
+        check(label, params, &self.opts, HORIZON_SECS, warmups)
     }
+}
+
+/// Runs `params` to `horizon_secs` with fast-forward on (no span kept)
+/// and off (every span kept) at each warm-up fraction, and requires
+/// bit-identical results. Returns the fast-forwarded runs' stats.
+fn check(
+    label: &str,
+    params: ExecParams<'_>,
+    opts: &SegmentOpts,
+    horizon_secs: f64,
+    warmups: &[f64],
+) -> Vec<RunStats> {
+    let (cluster, vws, schedule, nm) = (params.cluster, params.vws, params.schedule, params.wsp.nm);
+    let horizon = SimTime::from_secs(horizon_secs);
+    let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
+    let (_, traced) =
+        exec::run_with_sink::<Trace<SpanTag>>(params.clone(), opts.clone(), horizon, SimTime::ZERO);
+    assert!(traced.trace.len() > 100, "{label}: trivial trace");
+    assert_eq!(
+        traced.fast_forward, None,
+        "{label}: a kept trace never skips"
+    );
+    let want_audit = audit(&traced, vws, schedule, nm);
+    let mut fast = Vec::new();
+    for &fraction in warmups {
+        let warmup = SimTime::from_secs(horizon_secs * fraction);
+        let label = format!("{label} warm-up {fraction}");
+        let want_report =
+            SystemReport::from_stats(&traced, cluster, params.graph.batch_size, warmup, &devices);
+        let (report, stats) =
+            exec::run_with_sink::<Discard>(params.clone(), opts.clone(), horizon, warmup);
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{want_report:?}"),
+            "{label}: report"
+        );
+        assert_eq!(stripped(&stats), stripped(&traced), "{label}: run stats");
+        assert_eq!(
+            audit(&stats, vws, schedule, nm),
+            want_audit,
+            "{label}: audit"
+        );
+        fast.push(stats);
+    }
+    fast
 }
 
 /// `stats` without its trace and fast-forward record, as `Debug` text.
@@ -385,4 +392,44 @@ fn paper_ed_fast_forwards_its_steady_state() {
         skipped(&stats),
         stats.events
     );
+}
+
+/// A 64-cell fleet (`hetpipe_fleet::run_fleet`'s expanded topology):
+/// two-node RTX 2060 cells running ResNet-50 at `Nm = 4`, `D = 0`,
+/// with VW-local shards. Every VW completes a wave each 0.76 s, so a
+/// 30 s horizon leaves dozens of periods to skip.
+#[test]
+fn fleet_expanded_topology_matches_with_fast_forward() {
+    let graph = hetpipe::model::resnet50(32);
+    let mut cell = Cluster::new();
+    for _ in 0..2 {
+        cell.add_node(Node::new(GpuKind::Rtx2060, 1));
+    }
+    let devices: Vec<DeviceId> = cell.devices().collect();
+    let gpus = devices.iter().map(|&d| cell.spec_of(d)).collect();
+    let links = VirtualWorker::links(&cell, &devices);
+    let plan = PartitionSolver::solve(&PartitionProblem::new(&graph, gpus, links, 4))
+        .expect("feasible cell");
+    let vw = VirtualWorker {
+        index: 0,
+        devices,
+        plan,
+        nm: 4,
+    };
+    let (cluster, vws) = FleetTopology::new(cell, vw, 64).expanded();
+    let shards = ShardMap::build_vw_local(&graph);
+    let params = ExecParams {
+        cluster: &cluster,
+        graph: &graph,
+        vws: &vws,
+        wsp: WspParams::new(4, 0),
+        shards: &shards,
+        sync_transfers: true,
+        schedule: Schedule::HetPipeWave,
+        recompute: RecomputePolicy::None,
+    };
+    let label = "64-cell fleet";
+    for stats in check(label, params, &SegmentOpts::default(), 30.0, &WARMUPS[..3]) {
+        assert!(skipped(&stats) > 0, "{label}: no period skipped");
+    }
 }

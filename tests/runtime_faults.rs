@@ -15,9 +15,8 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{trace_fingerprint, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
-use hetpipe::fleet::trace_fingerprint;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
 use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
