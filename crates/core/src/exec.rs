@@ -63,11 +63,17 @@
 //! lanes (latency + bandwidth, no contention). Parameter-server apply
 //! time is not modelled (the paper does not model it either).
 //!
-//! Spans go to a [`SpanSink`], a type parameter of the executor:
-//! [`run`] and [`run_segment`] keep every span in a [`Trace`], and
-//! runs that need only the report and the audit keep none. The
-//! occupancy peaks and the report's integer partials fold while the
-//! run executes, so they cost no kept trace.
+//! Spans go to a [`SpanSink`], a type parameter of the executor. The
+//! one entry point, [`run_into`], takes the sink by value and hands it
+//! back with the [`RunStats`]; the rest are thin wrappers over it.
+//! [`run`] and [`run_segment`] hand it a [`Trace`] and return every
+//! span in [`RunStats::trace`]; [`run_with_sink`] takes a fresh sink of
+//! the caller's type ([`hetpipe_des::Discard`] keeps none) and adds
+//! the run's report. A caller's own sink sees every span as it is
+//! recorded: the elastic runtime's appends each segment, rebased, to
+//! its merged trace and folds its monitor there. The occupancy peaks
+//! and the report's integer partials fold while the run executes, so
+//! they cost no kept trace.
 //!
 //! A run that keeps no span fast-forwards (the `fastforward`
 //! module): once its executor state repeats exactly, shifted in time,
@@ -257,9 +263,10 @@ pub struct RunStats {
     pub horizon: SimTime,
     /// Per-VW statistics.
     pub vws: Vec<VwStats>,
-    /// Span trace (GPU and NIC occupancy): every span for runs that
-    /// keep their trace ([`run`], [`run_segment`]), empty for runs
-    /// that keep none.
+    /// Span trace (GPU and NIC occupancy): every span from [`run`],
+    /// [`run_segment`] and `run_with_sink::<Trace<_>>`; empty from
+    /// [`run_into`], which hands its spans to the caller's sink, and
+    /// from runs whose sink keeps none.
     pub trace: Trace<SpanTag>,
     /// Peak activation occupancy per stage and per physical GPU,
     /// folded while the run executed (see `crate::audit`).
@@ -433,6 +440,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         opts: SegmentOpts,
         horizon: SimTime,
         warmup: Option<SimTime>,
+        sink: S,
     ) -> Self {
         if let Some(stop) = opts.stop_after_mb {
             assert!(
@@ -452,35 +460,18 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             .map(|n| pool.add(Resource::new(format!("nic{n}"))))
             .collect();
 
-        let mut fwd = Vec::new();
-        let mut bwd = Vec::new();
-        let mut chunks = Vec::new();
-        for vw in p.vws {
-            let mut f = Vec::new();
-            let mut b = Vec::new();
-            for (q, range) in vw.plan.ranges.iter().enumerate() {
-                let spec = cluster.spec_of(vw.devices[q]);
-                let layers = &p.graph.layers()[range.clone()];
-                let fs: f64 = layers
-                    .iter()
-                    .map(|l| pass_time_secs(l, &spec, Pass::Forward))
-                    .sum();
-                let bs: f64 = layers
-                    .iter()
-                    .map(|l| pass_time_secs(l, &spec, Pass::Backward))
-                    .sum();
-                // Each dispatched stage task pays the framework cost.
-                f.push(SimTime::from_secs(fs + STAGE_TASK_OVERHEAD_SECS));
-                b.push(SimTime::from_secs(bs + STAGE_TASK_OVERHEAD_SECS));
-            }
-            fwd.push(f);
-            bwd.push(b);
-            chunks.push(if p.sync_transfers {
-                p.shards.chunks_for(p.graph, cluster, vw)
-            } else {
-                Vec::new()
-            });
-        }
+        let (fwd, bwd) = planned_stage_times(cluster, p.graph, p.vws);
+        let chunks = p
+            .vws
+            .iter()
+            .map(|vw| {
+                if p.sync_transfers {
+                    p.shards.chunks_for(p.graph, cluster, vw)
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
 
         let states = (0..p.vws.len())
             .map(|_| VwState {
@@ -558,7 +549,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             p,
             engine: Engine::new(),
             pool,
-            sink: S::default(),
+            sink,
             last_span_end: SimTime::ZERO,
             gpu_res,
             nic_res,
@@ -1331,7 +1322,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
 
     /// Simulates to the horizon, skipping whole periods of a steady
     /// state when the sink keeps no spans (the `fastforward` module).
-    fn run(mut self) -> (RunStats, Option<ReportFold>) {
+    fn run(mut self) -> (RunStats, S, Option<ReportFold>) {
         self.prologue();
         let horizon = self.horizon;
         let mut ff = fastforward::Forward::new(&self);
@@ -1341,9 +1332,9 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 ff.after_event(&mut self);
             }
         }
-        let (mut stats, report) = self.finish();
+        let (mut stats, sink, report) = self.finish();
         stats.fast_forward = ff.finish(stats.events);
-        (stats, report)
+        (stats, sink, report)
     }
 
     /// Installs rate timelines and schedules the initial events.
@@ -1386,9 +1377,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         }
     }
 
-    /// Folds the finished simulation into [`RunStats`] and, when the
-    /// run folds one, the report's partials.
-    fn finish(self) -> (RunStats, Option<ReportFold>) {
+    /// Folds the finished simulation into [`RunStats`] (with an empty
+    /// trace) and hands back the sink and, when the run folds one, the
+    /// report's partials.
+    fn finish(self) -> (RunStats, S, Option<ReportFold>) {
         let horizon = self.horizon;
         // A drained segment ends when its last span of work does, not
         // at engine quiescence: scheduled rate edges are first-class
@@ -1405,7 +1397,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             end,
             events: self.engine.processed(),
             vws: self.states.into_iter().map(|s| s.stats).collect(),
-            trace: self.sink.into_trace(),
+            trace: Trace::new(),
             peaks: self.occupancy.finish(),
             gpu_resources: self.gpu_res,
             nic_resources: self.nic_res,
@@ -1418,8 +1410,45 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             planned_bwd: self.bwd,
             fast_forward: None,
         };
-        (stats, self.report)
+        (stats, self.sink, self.report)
     }
+}
+
+/// The planned (nominal, fault-free) per-VW per-stage forward and
+/// backward compute times, each including the per-task framework
+/// overhead: what the executor dispatches with and returns as
+/// [`RunStats::planned_fwd`] / [`RunStats::planned_bwd`]. A caller
+/// that folds spans while the run executes (the runtime monitor)
+/// reads them before the run.
+pub fn planned_stage_times(
+    cluster: &Cluster,
+    graph: &ModelGraph,
+    vws: &[VirtualWorker],
+) -> (Vec<Vec<SimTime>>, Vec<Vec<SimTime>>) {
+    let mut fwd = Vec::with_capacity(vws.len());
+    let mut bwd = Vec::with_capacity(vws.len());
+    for vw in vws {
+        let mut f = Vec::with_capacity(vw.plan.ranges.len());
+        let mut b = Vec::with_capacity(vw.plan.ranges.len());
+        for (q, range) in vw.plan.ranges.iter().enumerate() {
+            let spec = cluster.spec_of(vw.devices[q]);
+            let layers = &graph.layers()[range.clone()];
+            let fs: f64 = layers
+                .iter()
+                .map(|l| pass_time_secs(l, &spec, Pass::Forward))
+                .sum();
+            let bs: f64 = layers
+                .iter()
+                .map(|l| pass_time_secs(l, &spec, Pass::Backward))
+                .sum();
+            // Each dispatched stage task pays the framework cost.
+            f.push(SimTime::from_secs(fs + STAGE_TASK_OVERHEAD_SECS));
+            b.push(SimTime::from_secs(bs + STAGE_TASK_OVERHEAD_SECS));
+        }
+        fwd.push(f);
+        bwd.push(b);
+    }
+    (fwd, bwd)
 }
 
 /// Runs the pipeline simulation until `horizon`, keeping every span.
@@ -1434,36 +1463,58 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// bounded lane reorder window. Default options make this identical
 /// to [`run`] — the zero-fault invariance. Keeps every span.
 pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) -> RunStats {
-    Exec::<Trace<SpanTag>>::new(params, opts, horizon, None)
-        .run()
-        .0
+    let (mut stats, trace, _) = run_into(params, opts, horizon, Trace::new(), None);
+    stats.trace = trace;
+    stats
 }
 
-/// [`run_segment`] with its spans sent to a sink of type `S`
-/// ([`hetpipe_des::Discard`] keeps none), plus the run's report with
-/// its measurement window starting at `warmup`. The report folds while
+/// [`run_segment`] with its spans sent to a fresh sink of type `S`
+/// ([`hetpipe_des::Discard`] keeps none, a [`Trace`] every one, which
+/// lands in [`RunStats::trace`]), plus the run's report with its
+/// measurement window starting at `warmup`. The report folds while
 /// the run executes, so it needs no kept trace, and it equals
 /// [`SystemReport::from_stats`] over the kept trace bit for bit.
-///
-/// With a sink that keeps no span, the run fast-forwards through its
-/// steady state: it finds the exact period its executor state repeats
-/// with and skips whole periods, stopping short of the warm-up, the
-/// horizon, rate edges and the stop point. The report and every
-/// [`RunStats`] field but the trace equal a fully simulated run's bit
-/// for bit; [`RunStats::events`] counts the skipped events too, and
-/// [`RunStats::fast_forward`] says what was skipped.
-pub fn run_with_sink<S: SpanSink<SpanTag>>(
+pub fn run_with_sink<S: SpanSink<SpanTag> + Default>(
     params: ExecParams<'_>,
     opts: SegmentOpts,
     horizon: SimTime,
     warmup: SimTime,
 ) -> (SystemReport, RunStats) {
+    let (mut stats, sink, report) = run_into(params, opts, horizon, S::default(), Some(warmup));
+    stats.trace = sink.into_trace();
+    (
+        report.expect("a run given a warm-up folds its report"),
+        stats,
+    )
+}
+
+/// The executor's one entry point: simulates a segment to `horizon`,
+/// hands every span to `sink` as it is reserved, and returns the
+/// [`RunStats`] (whose trace is empty: the spans went to the sink),
+/// the sink, and — given a `warmup` — the run's report, folded while
+/// it executed with its measurement window starting at `warmup`.
+///
+/// With a sink that keeps no span, the run fast-forwards through its
+/// steady state: it finds the exact period its executor state repeats
+/// with and skips whole periods, stopping short of the warm-up, the
+/// horizon, rate edges and the stop point. The report and every
+/// [`RunStats`] field equal a fully simulated run's bit for bit;
+/// [`RunStats::events`] counts the skipped events too, and
+/// [`RunStats::fast_forward`] says what was skipped. A sink that keeps
+/// spans sees every span, in recording order.
+pub fn run_into<S: SpanSink<SpanTag>>(
+    params: ExecParams<'_>,
+    opts: SegmentOpts,
+    horizon: SimTime,
+    sink: S,
+    warmup: Option<SimTime>,
+) -> (RunStats, S, Option<SystemReport>) {
     let (cluster, batch_size) = (params.cluster, params.graph.batch_size);
     let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
-    let (stats, fold) = Exec::<S>::new(params, opts, horizon, Some(warmup)).run();
-    let fold = fold.expect("a run given a warm-up folds its report");
-    let report = SystemReport::from_fold(&stats, cluster, batch_size, fold, &vw_devices);
-    (report, stats)
+    let (stats, sink, fold) = Exec::new(params, opts, horizon, warmup, sink).run();
+    let report =
+        fold.map(|fold| SystemReport::from_fold(&stats, cluster, batch_size, fold, &vw_devices));
+    (stats, sink, report)
 }
 
 #[cfg(test)]

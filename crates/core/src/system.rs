@@ -567,7 +567,10 @@ impl<'a> HetPipeSystem<'a> {
         self.simulate::<Trace<SpanTag>>(horizon)
     }
 
-    fn simulate<S: SpanSink<SpanTag>>(&self, horizon: SimTime) -> (SystemReport, RunStats) {
+    fn simulate<S: SpanSink<SpanTag> + Default>(
+        &self,
+        horizon: SimTime,
+    ) -> (SystemReport, RunStats) {
         let wsp = WspParams::new(self.nm, self.config.staleness_bound);
         let warmup = SimTime::from_secs(horizon.as_secs() * self.config.warmup_fraction);
         exec::run_with_sink::<S>(

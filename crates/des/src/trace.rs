@@ -17,8 +17,12 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// Where an executor sends the spans it records. A type parameter of
-/// the executor, so the choice costs no dynamic call per span.
-pub trait SpanSink<T>: Default {
+/// the executor, so the choice costs no dynamic call per span. The
+/// executor takes its sink by value and hands it back when the run
+/// ends, so a sink may carry state in and out of a run: the elastic
+/// runtime's sink appends each segment, rebased, to the run's merged
+/// trace.
+pub trait SpanSink<T> {
     /// Whether the sink keeps spans. A run whose sink keeps none may
     /// skip simulating a steady state whose spans nobody reads.
     const KEEPS_SPANS: bool = true;
@@ -120,6 +124,13 @@ impl<T> Trace<T> {
     /// True if no span was recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// Drops every span past the first `len`, keeping the allocation:
+    /// a caller that recorded a tentative suffix cuts it off and
+    /// records its replacement in place.
+    pub fn truncate(&mut self, len: usize) {
+        self.spans.truncate(len);
     }
 
     /// Total busy time of `resource` within the window `[from, to)`,
@@ -528,6 +539,25 @@ mod tests {
         fold.push(SimTime::from_nanos(20), SimTime::from_nanos(20), 1);
         shifted.push(SimTime::from_nanos(1_020), SimTime::from_nanos(1_020), 1);
         assert_eq!(shifted.finish(), fold.finish());
+    }
+
+    #[test]
+    fn truncate_cuts_a_tentative_suffix() {
+        let mut tr = Trace::new();
+        let r = ResourceId(0);
+        tr.record(r, SimTime::ZERO, SimTime::from_nanos(5), Tag::Fwd);
+        let mark = tr.len();
+        tr.record(r, SimTime::from_nanos(5), SimTime::from_nanos(9), Tag::Bwd);
+        tr.truncate(mark);
+        tr.record(r, SimTime::from_nanos(5), SimTime::from_nanos(7), Tag::Fwd);
+        let ends: Vec<_> = tr.spans().iter().map(|s| (s.end, s.tag.clone())).collect();
+        assert_eq!(
+            ends,
+            [
+                (SimTime::from_nanos(5), Tag::Fwd),
+                (SimTime::from_nanos(7), Tag::Fwd)
+            ]
+        );
     }
 
     #[test]

@@ -5,17 +5,34 @@
 //!
 //! 1. **Probe.** Simulate the remaining horizon under the current
 //!    configuration (plans, derates, reorder window) with the fault
-//!    script's rate edges injected as DES events.
-//! 2. **Observe.** Feed the probe's span trace to the
-//!    [`Monitor`] and collect typed signals.
-//! 3. **React (policy).** If the policy answers a signal, pick the
-//!    first wave boundary at/after the detection instant, re-run the
-//!    segment in *drain mode* ([`SegmentOpts::stop_after_mb`]) so it
-//!    ends exactly at that boundary, commit it as an **epoch**, apply
-//!    the action, and continue from the splice. If nothing is
-//!    actionable, the probe itself is the final epoch — so a
-//!    zero-fault run under any policy commits exactly the trace a
-//!    plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//!    script's rate edges injected as DES events. Every segment
+//!    records each span once, through the controller's span sink,
+//!    straight into the report's merged trace (rebased to global time
+//!    and to global minibatch and wave numbering); no segment keeps a
+//!    trace of its own.
+//! 2. **Observe.** While the probe runs, the same sink folds each span
+//!    into a [`MonitorFold`] (segment-local times, before rebasing);
+//!    at the probe's end the fold yields typed signals.
+//! 3. **React (policy).** If the policy answers a signal, cut the
+//!    probe's spans back off the report's trace ([`Trace::truncate`]),
+//!    pick the first wave boundary at/after the detection instant,
+//!    re-run the segment in *drain mode* ([`SegmentOpts::stop_after_mb`])
+//!    so it ends exactly at that boundary, commit it as an **epoch**,
+//!    apply the action, and continue from the splice. If nothing is
+//!    actionable, the probe — already recorded — is the final epoch,
+//!    so a zero-fault run under any policy commits exactly the trace
+//!    a plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//!
+//! **What a probe judges.** Signals are read at the probe's *end*. A
+//! straggler is raised only if its stage's EWMA is still over the
+//! threshold when the probe ends, and [`Policy::Replan`] derates the
+//! GPU by that final EWMA; the splice boundary's outage guard takes
+//! the median wave gap over the whole probe. So a slowdown window that
+//! closes before the probe ends raises nothing (see the
+//! [`monitor`](crate::monitor) docs for what this means on the chaos
+//! scripts). A probe that stopped at its first signal's boundary would
+//! see different inputs: an early-stopping probe needs a causal
+//! monitor, a deliberate behaviour change.
 //!
 //! **Why wave boundaries?** At a boundary every virtual worker has
 //! completed — and pushed — the same whole number of waves and holds
@@ -65,13 +82,13 @@
 //! splice at a drained wave boundary, so the WSP soundness argument
 //! is direction-independent (see the crate docs).
 
-use crate::monitor::{Monitor, MonitorConfig, Signal};
+use crate::monitor::{MonitorConfig, MonitorFold, Signal};
 use crate::scenario::ScenarioScript;
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_core::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
-use hetpipe_des::{SimTime, Trace};
+use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{Dispatch, PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::{BTreeMap, BTreeSet};
@@ -326,6 +343,58 @@ impl Action {
     }
 }
 
+/// The sink every segment records into: it appends each span to the
+/// run's merged trace, rebased to global time and to global minibatch
+/// and wave numbering, and — while probing — folds it into the
+/// monitor in segment-local time. So a segment's spans are recorded
+/// once, where the report keeps them.
+struct SegmentSink {
+    /// The report's trace, moved in for the segment.
+    trace: Trace<SpanTag>,
+    offset: SimTime,
+    mb_offset: u64,
+    wave_offset: u64,
+    /// The monitor's fold, on probes only.
+    monitor: Option<MonitorFold>,
+}
+
+impl SpanSink<SpanTag> for SegmentSink {
+    fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: SpanTag) {
+        if let Some(monitor) = &mut self.monitor {
+            monitor.observe(tag, start, end);
+        }
+        let tag = match tag {
+            SpanTag::Forward { vw, stage, mb } => SpanTag::Forward {
+                vw,
+                stage,
+                mb: mb + self.mb_offset,
+            },
+            SpanTag::Backward { vw, stage, mb } => SpanTag::Backward {
+                vw,
+                stage,
+                mb: mb + self.mb_offset,
+            },
+            SpanTag::Recompute { vw, stage, mb } => SpanTag::Recompute {
+                vw,
+                stage,
+                mb: mb + self.mb_offset,
+            },
+            SpanTag::SyncTransfer { vw, wave, pull } => SpanTag::SyncTransfer {
+                vw,
+                wave: wave + self.wave_offset,
+                pull,
+            },
+            other => other,
+        };
+        self.trace
+            .record(resource, start + self.offset, end + self.offset, tag);
+    }
+
+    fn into_trace(self) -> Trace<SpanTag> {
+        self.trace
+    }
+}
+
 /// Mutable controller state across epochs.
 struct Controller<'a> {
     p: RuntimeParams<'a>,
@@ -355,6 +424,10 @@ struct Controller<'a> {
     /// `(model_fp, cluster_fp)` for cached replans; computed once at
     /// construction when a planner handle is attached.
     plan_fps: Option<(u64, u64)>,
+    /// Every probe's inputs and in-run signals, for the monitor fold's
+    /// parity test.
+    #[cfg(test)]
+    probes: Vec<tests::Probe>,
 }
 
 impl<'a> Controller<'a> {
@@ -414,6 +487,8 @@ impl<'a> Controller<'a> {
             report,
             plan_fps,
             p,
+            #[cfg(test)]
+            probes: Vec::new(),
         }
     }
 
@@ -428,57 +503,49 @@ impl<'a> Controller<'a> {
         }
     }
 
-    fn run_segment(&self, opts: SegmentOpts, remaining: SimTime) -> RunStats {
+    /// The one segment runner: simulates `remaining` under the current
+    /// configuration, recording every span straight into the report's
+    /// trace (rebased). A probe (no stop point) also folds the monitor
+    /// and returns it.
+    fn run_segment(
+        &mut self,
+        stop_after_mb: Option<u64>,
+        remaining: SimTime,
+    ) -> (RunStats, Option<MonitorFold>) {
+        let opts = self.segment_opts(stop_after_mb);
+        let monitor = stop_after_mb.is_none().then(|| {
+            let (fwd, bwd) = exec::planned_stage_times(self.p.cluster, self.p.graph, &self.vws);
+            MonitorFold::new(&self.vws, self.p.schedule, &self.applied, &fwd, &bwd)
+        });
+        let sink = SegmentSink {
+            trace: std::mem::take(&mut self.report.trace),
+            offset: self.offset,
+            mb_offset: self.mb_offset,
+            wave_offset: self.wave_offset,
+            monitor,
+        };
         let shards = ShardMap::build(self.p.placement, self.p.graph, self.p.cluster, &self.vws[0]);
-        exec::run_segment(
-            ExecParams {
-                cluster: self.p.cluster,
-                graph: self.p.graph,
-                vws: &self.vws,
-                wsp: WspParams::new(self.nm, self.p.wsp.d),
-                shards: &shards,
-                sync_transfers: self.p.sync_transfers,
-                schedule: self.p.schedule,
-                recompute: self.p.recompute,
-            },
-            opts,
-            remaining,
-        )
+        let params = ExecParams {
+            cluster: self.p.cluster,
+            graph: self.p.graph,
+            vws: &self.vws,
+            wsp: WspParams::new(self.nm, self.p.wsp.d),
+            shards: &shards,
+            sync_transfers: self.p.sync_transfers,
+            schedule: self.p.schedule,
+            recompute: self.p.recompute,
+        };
+        let (stats, sink, _) = exec::run_into(params, opts, remaining, sink, None);
+        self.report.trace = sink.trace;
+        (stats, sink.monitor)
     }
 
-    /// Folds a committed segment into the global report.
+    /// Folds a committed segment into the global report. Its spans are
+    /// already there: the segment recorded them as it ran.
     fn commit(&mut self, stats: &RunStats, action: Option<String>) {
         let off = self.offset;
         if self.report.resource_names.is_empty() {
             self.report.resource_names = stats.pool.iter().map(|(_, r)| r.name.clone()).collect();
-        }
-        for span in stats.trace.spans() {
-            let tag = match span.tag {
-                SpanTag::Forward { vw, stage, mb } => SpanTag::Forward {
-                    vw,
-                    stage,
-                    mb: mb + self.mb_offset,
-                },
-                SpanTag::Backward { vw, stage, mb } => SpanTag::Backward {
-                    vw,
-                    stage,
-                    mb: mb + self.mb_offset,
-                },
-                SpanTag::Recompute { vw, stage, mb } => SpanTag::Recompute {
-                    vw,
-                    stage,
-                    mb: mb + self.mb_offset,
-                },
-                SpanTag::SyncTransfer { vw, wave, pull } => SpanTag::SyncTransfer {
-                    vw,
-                    wave: wave + self.wave_offset,
-                    pull,
-                },
-                other => other,
-            };
-            self.report
-                .trace
-                .record(span.resource, span.start + off, span.end + off, tag);
         }
         let mut completed = Vec::with_capacity(stats.vws.len());
         for (i, vw) in stats.vws.iter().enumerate() {
@@ -878,13 +945,35 @@ impl<'a> Controller<'a> {
     }
 
     fn run(mut self, horizon: SimTime) -> RuntimeReport {
+        self.drive(horizon);
+        self.report.instants.sort_by_key(|i| i.0);
+        self.report.signals.sort_by_key(|i| i.0);
+        self.report.final_vws = self.vws;
+        self.report.final_nm = self.nm;
+        self.report
+    }
+
+    /// Probes, reacts and commits epochs until the horizon.
+    fn drive(&mut self, horizon: SimTime) {
         loop {
             let remaining = horizon - self.offset;
             if remaining.is_zero() {
                 break;
             }
-            let probe = self.run_segment(self.segment_opts(None), remaining);
-            let signals = Monitor.analyze(&probe, &self.vws, self.p.schedule, &self.applied);
+            // The probe records into the report's trace; a reaction
+            // cuts it back to here.
+            let mark = self.report.trace.len();
+            let (probe, monitor) = self.run_segment(None, remaining);
+            let signals = monitor.expect("a probe folds the monitor").signals();
+            #[cfg(test)]
+            self.probes.push(tests::Probe {
+                vws: self.vws.clone(),
+                nm: self.nm,
+                opts: self.segment_opts(None),
+                remaining,
+                applied: self.applied.clone(),
+                signals: signals.clone(),
+            });
             let lease = self.lease_signals(probe.end);
             match self.decide(&signals, &lease) {
                 None => {
@@ -898,7 +987,8 @@ impl<'a> Controller<'a> {
                 }
                 Some((t_sig, action)) => {
                     let stop = self.splice_boundary(&probe, t_sig);
-                    let stats = self.run_segment(self.segment_opts(Some(stop)), remaining);
+                    self.report.trace.truncate(mark);
+                    let (stats, _) = self.run_segment(Some(stop), remaining);
                     // Log only the signals the policy acted on:
                     // everything else the probe observed belongs to a
                     // discarded timeline and would leave phantom
@@ -915,11 +1005,6 @@ impl<'a> Controller<'a> {
                 }
             }
         }
-        self.report.instants.sort_by_key(|i| i.0);
-        self.report.signals.sort_by_key(|i| i.0);
-        self.report.final_vws = self.vws;
-        self.report.final_nm = self.nm;
-        self.report
     }
 }
 
@@ -927,4 +1012,149 @@ impl<'a> Controller<'a> {
 /// the reactive policy, merged into one global report.
 pub fn run(params: RuntimeParams<'_>, horizon: SimTime) -> RuntimeReport {
     Controller::new(params, horizon).run(horizon)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::monitor::Monitor;
+    use hetpipe_cluster::GpuKind;
+    use hetpipe_partition::{PartitionProblem, PartitionSolver};
+
+    /// One probe as the controller ran it: its inputs and the signals
+    /// its in-run monitor fold raised.
+    pub(super) struct Probe {
+        pub vws: Vec<VirtualWorker>,
+        pub nm: usize,
+        pub opts: SegmentOpts,
+        pub remaining: SimTime,
+        pub applied: BTreeMap<(usize, usize), f64>,
+        pub signals: Vec<Signal>,
+    }
+
+    /// The probes of one run on the whimpy 4×RTX 2060 ResNet-152
+    /// configuration at `Nm` = 4 (the runtime pins' cells).
+    fn probes_of(
+        cluster: &Cluster,
+        graph: &ModelGraph,
+        schedule: Schedule,
+        recompute: RecomputePolicy,
+        script: ScenarioScript,
+        policy: Policy,
+        horizon: SimTime,
+    ) -> Vec<Probe> {
+        let nm = 4;
+        let expanded: Vec<DeviceId> = (0..schedule.virtual_stages(4))
+            .map(|s| DeviceId(s % 4))
+            .collect();
+        let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
+        let links = VirtualWorker::links(cluster, &expanded);
+        let plan = PartitionSolver::solve(
+            &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
+                .with_recompute(recompute),
+        )
+        .expect("feasible");
+        let params = RuntimeParams {
+            cluster,
+            graph,
+            vws: vec![VirtualWorker {
+                index: 0,
+                devices: expanded,
+                plan,
+                nm,
+            }],
+            wsp: WspParams::new(nm, 0),
+            placement: Placement::Default,
+            sync_transfers: false,
+            schedule,
+            recompute,
+            script,
+            policy,
+            monitor: MonitorConfig::default(),
+            max_reactions: 8,
+            planner: None,
+        };
+        let mut controller = Controller::new(params, horizon);
+        controller.drive(horizon);
+        controller.probes
+    }
+
+    /// The in-run monitor fold raises exactly the signals
+    /// [`Monitor::analyze`] finds over a kept `exec::run_segment` trace
+    /// of the same probe — on every probe (first, post-splice and
+    /// final) of the runtime pins' cells. Tier: dynamically audited.
+    #[test]
+    fn in_run_monitor_fold_matches_kept_trace_analysis() {
+        let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+        let graph = hetpipe_model::resnet152(32);
+        let horizon = SimTime::from_secs(40.0);
+        let wave = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+        let composite = (
+            Schedule::Interleaved1F1B {
+                chunks: 2,
+                composite: true,
+            },
+            RecomputePolicy::None,
+        );
+        let policies = [
+            Policy::Static,
+            Policy::SkipStraggler { window: 8 },
+            Policy::Replan,
+        ];
+        let mut cells = Vec::new();
+        for script in [
+            ScenarioScript::canonical_straggler(0, 5.0),
+            ScenarioScript::canonical_gpu_loss(2, 5.0),
+            ScenarioScript::canonical_lease(2, 4.0, 20.0),
+        ] {
+            for policy in policies {
+                cells.push((wave, script.clone(), policy));
+            }
+        }
+        for seed in 1..=8 {
+            let script = ScenarioScript::chaos(seed, horizon.as_secs(), 4, 1, 3);
+            cells.push((wave, script, Policy::Replan));
+        }
+        for policy in policies {
+            let script = ScenarioScript::canonical_straggler(2, 5.0);
+            cells.push((composite, script, policy));
+        }
+        let (mut probes_checked, mut spans_checked, mut signals_checked) = (0, 0, 0);
+        for ((schedule, recompute), script, policy) in cells {
+            let name = format!("{}/{}", script.name, policy.name());
+            let probes = probes_of(
+                &cluster, &graph, schedule, recompute, script, policy, horizon,
+            );
+            for (i, probe) in probes.iter().enumerate() {
+                let shards = ShardMap::build(Placement::Default, &graph, &cluster, &probe.vws[0]);
+                let kept = exec::run_segment(
+                    ExecParams {
+                        cluster: &cluster,
+                        graph: &graph,
+                        vws: &probe.vws,
+                        wsp: WspParams::new(probe.nm, 0),
+                        shards: &shards,
+                        sync_transfers: false,
+                        schedule,
+                        recompute,
+                    },
+                    probe.opts.clone(),
+                    probe.remaining,
+                );
+                spans_checked += kept.trace.len();
+                let reference = Monitor.analyze(&kept, &probe.vws, schedule, &probe.applied);
+                assert_eq!(probe.signals, reference, "{name} probe {i}");
+                probes_checked += 1;
+                signals_checked += reference.len();
+            }
+        }
+        // Splices add probes past the first of each of the 20 cells,
+        // and the cells raise signals of their own.
+        assert!(probes_checked > 20, "{probes_checked} probes");
+        assert!(
+            spans_checked > 100 * probes_checked,
+            "{spans_checked} spans"
+        );
+        assert!(signals_checked > 0, "no probe raised a signal");
+    }
 }

@@ -21,10 +21,12 @@
 //!   at a wave boundary, a re-grant re-admits it (a **grow-splice**),
 //!   and a flap shorter than the hysteresis window produces no splice
 //!   at all.
-//! - [`Monitor`] / [`Signal`] — the feedback path: a per-stage EWMA
-//!   of observed vs planned task durations folded from the span
-//!   trace, raising `Straggler` / `GpuLost` / `Recovered` signals.
-//!   Purely observational — the monitor never reads the script.
+//! - [`MonitorFold`] / [`Signal`] — the feedback path: a per-stage
+//!   EWMA of observed vs planned task durations, folded from each
+//!   probe's spans as the executor records them ([`Monitor`] runs the
+//!   same fold over a kept trace), raising `Straggler` / `GpuLost` /
+//!   `Recovered` signals. Purely observational — the monitor never
+//!   reads the script.
 //! - [`Policy`] / [`run`] — the reactive controller:
 //!   [`Policy::Static`] (baseline), [`Policy::SkipStraggler`]
 //!   (bounded out-of-order service of ready backwards in the
@@ -90,5 +92,5 @@ pub mod monitor;
 pub mod scenario;
 
 pub use controller::{run, Epoch, Policy, RuntimeParams, RuntimeReport};
-pub use monitor::{Monitor, MonitorConfig, Signal};
+pub use monitor::{Monitor, MonitorConfig, MonitorFold, Signal};
 pub use scenario::{Fault, LeaseTransition, ScenarioEvent, ScenarioScript};

@@ -1,11 +1,14 @@
-//! The runtime monitor: observed-vs-planned feedback from the span
-//! trace.
+//! The runtime monitor: observed-vs-planned feedback from the spans a
+//! segment records.
 //!
-//! The executor reports what it *planned* (nominal per-stage compute
-//! times, `RunStats::planned_fwd` / `RunStats::planned_bwd`) and what
-//! it *did* (the span trace). The monitor folds the two into a
-//! per-stage EWMA of the observed/planned duration ratio and raises
-//! typed signals:
+//! The executor plans nominal per-stage compute times
+//! ([`hetpipe_core::exec::planned_stage_times`]) and records what it
+//! *did* as spans. The monitor folds the two into a per-stage EWMA of
+//! the observed/planned duration ratio and raises typed signals. The
+//! fold is [`MonitorFold`]: the controller feeds it each span as the
+//! executor records it, so a probe keeps no trace of its own;
+//! [`Monitor::analyze`] runs the same fold over a kept trace, the
+//! reference the fold's parity test holds it to. The signals:
 //!
 //! - [`Signal::Straggler`] — a stage's EWMA crossed the straggler
 //!   threshold *relative to the severity the controller has already
@@ -18,8 +21,25 @@
 //!   reservation-time signature of a dead (rate-0) GPU.
 //!
 //! Detection is purely observational: the monitor never reads the
-//! fault script, only the trace — the feedback channel a real cluster
+//! fault script, only the spans — the feedback channel a real cluster
 //! would have.
+//!
+//! # What the monitor judges
+//!
+//! [`MonitorFold::signals`] reads each stage's EWMA *when it is
+//! called*, and the controller calls it at the probe's end. A
+//! [`Signal::Straggler`] exists only if the end-of-probe EWMA is still
+//! over the threshold (its `at` is the first crossing, but its
+//! existence and its `severity` are the final EWMA's), and
+//! `Policy::Replan` derates the GPU by that severity. So a slowdown
+//! window that closes before the probe ends leaves the EWMA back near
+//! nominal and raises nothing. A [`Signal::GpuLost`] is different:
+//! one task over the loss ratio raises it, whatever the EWMA does
+//! afterwards, so a preemption that is later re-granted still counts.
+//! Over 24 elastic-chaos scripts (`e2e_bench`, seeds 1–3) under
+//! `Replan`, all 72 logged signals were GPU-loss or lease signals;
+//! none came from the 48 slowdown windows or the 24 link degrades
+//! (link degrades slow transfers, which the fold skips).
 
 use hetpipe_core::exec::{RunStats, SpanTag};
 use hetpipe_core::VirtualWorker;
@@ -155,6 +175,162 @@ struct StageState {
     lost: Option<SimTime>,
 }
 
+/// The monitor's running fold over one segment's spans: the per-stage
+/// EWMA of observed/planned compute durations, in recording
+/// (dispatch) order, checked against the derates the controller has
+/// already applied. [`MonitorFold::observe`] takes each span as the
+/// executor records it, in segment-local time, so the controller
+/// folds while a probe runs and keeps no probe trace;
+/// [`Monitor::analyze`] runs the same fold over a kept trace.
+///
+/// The fold state, the derates and the planned times are flat
+/// per-stage vectors laid out by [`VirtualWorker::stage_offsets`].
+pub struct MonitorFold {
+    /// Stage offsets per VW (`offset[vw] + stage` is a slot).
+    offset: Vec<usize>,
+    /// Planned forward (and recompute) time per slot.
+    planned_fwd: Vec<SimTime>,
+    /// Planned backward time per slot: forward + backward for the
+    /// wave schedule's fused last-stage tasks.
+    planned_bwd: Vec<SimTime>,
+    /// The applied derate per slot (1.0 = none).
+    derate: Vec<f64>,
+    stages: Vec<StageState>,
+}
+
+impl MonitorFold {
+    /// An empty fold for a segment running `vws` under `schedule`,
+    /// with `applied` the controller's current derate per
+    /// `(vw, stage)` (absent = 1.0) and `planned_fwd` / `planned_bwd`
+    /// the segment's planned per-stage times
+    /// ([`hetpipe_core::exec::planned_stage_times`]).
+    pub fn new(
+        vws: &[VirtualWorker],
+        schedule: Schedule,
+        applied: &BTreeMap<(usize, usize), f64>,
+        planned_fwd: &[Vec<SimTime>],
+        planned_bwd: &[Vec<SimTime>],
+    ) -> MonitorFold {
+        let fused_last = schedule.fused_last_stage();
+        let offset = VirtualWorker::stage_offsets(vws);
+        let slots = offset[vws.len()];
+        let mut fwd = Vec::with_capacity(slots);
+        let mut bwd = Vec::with_capacity(slots);
+        for (vw, w) in vws.iter().enumerate() {
+            for stage in 0..w.stages() {
+                let (f, b) = (planned_fwd[vw][stage], planned_bwd[vw][stage]);
+                fwd.push(f);
+                bwd.push(if fused_last && stage + 1 == w.stages() {
+                    f + b
+                } else {
+                    b
+                });
+            }
+        }
+        let mut derate = vec![1.0; slots];
+        for (&(vw, stage), &r) in applied {
+            if vw < vws.len() && stage < vws[vw].stages() {
+                derate[offset[vw] + stage] = r;
+            }
+        }
+        MonitorFold {
+            offset,
+            planned_fwd: fwd,
+            planned_bwd: bwd,
+            derate,
+            stages: vec![StageState::default(); slots],
+        }
+    }
+
+    /// Folds one recorded span (segment-local times). Transfer spans
+    /// carry no compute ratio and are skipped.
+    pub fn observe(&mut self, tag: SpanTag, start: SimTime, end: SimTime) {
+        let (slot, planned) = match tag {
+            SpanTag::Forward { vw, stage, .. } | SpanTag::Recompute { vw, stage, .. } => {
+                let slot = self.offset[vw as usize] + stage as usize;
+                (slot, self.planned_fwd[slot])
+            }
+            SpanTag::Backward { vw, stage, .. } => {
+                let slot = self.offset[vw as usize] + stage as usize;
+                (slot, self.planned_bwd[slot])
+            }
+            _ => return,
+        };
+        if planned.is_zero() {
+            return;
+        }
+        let ratio = (end - start).as_secs() / planned.as_secs();
+        let st = &mut self.stages[slot];
+        if ratio >= LOST_RATIO && st.lost.is_none() {
+            st.lost = Some(start);
+        }
+        st.ewma = if st.seen == 0 {
+            ratio
+        } else {
+            ALPHA * ratio + (1.0 - ALPHA) * st.ewma
+        };
+        st.seen += 1;
+        let base = self.derate[slot];
+        if st.ewma > base * STRAGGLER_RATIO && st.crossed_up.is_none() {
+            st.crossed_up = Some(end);
+        }
+        if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO && st.seen >= 3 {
+            // Recovery needs hysteresis: the EWMA must *stay* below
+            // the threshold for the configured window — a single fast
+            // task after a blip must not trigger a re-admission
+            // splice.
+            let since = *st.below_since.get_or_insert(end);
+            if st.crossed_down.is_none() && (end - since).as_secs() >= RECOVER_HYSTERESIS_SECS {
+                st.crossed_down = Some(end);
+            }
+        } else {
+            st.below_since = None;
+            st.crossed_down = None;
+        }
+    }
+
+    /// The signals of the spans folded so far, ordered by detection
+    /// time. Existence and severity read the EWMA *now* — at a
+    /// probe's end, the end-of-probe EWMA (see the module docs).
+    pub fn signals(&self) -> Vec<Signal> {
+        let mut signals = Vec::new();
+        for vw in 0..self.offset.len() - 1 {
+            for slot in self.offset[vw]..self.offset[vw + 1] {
+                let (st, base) = (&self.stages[slot], self.derate[slot]);
+                let stage = slot - self.offset[vw];
+                if st.seen == 0 {
+                    continue;
+                }
+                if let Some(at) = st.lost {
+                    signals.push(Signal::GpuLost { vw, stage, at });
+                    continue;
+                }
+                if st.ewma > base * STRAGGLER_RATIO {
+                    if let Some(at) = st.crossed_up {
+                        signals.push(Signal::Straggler {
+                            vw,
+                            stage,
+                            severity: st.ewma,
+                            at,
+                        });
+                    }
+                } else if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO {
+                    if let Some(at) = st.crossed_down {
+                        signals.push(Signal::Recovered {
+                            vw,
+                            stage,
+                            severity: st.ewma,
+                            at,
+                        });
+                    }
+                }
+            }
+        }
+        signals.sort_by_key(Signal::at);
+        signals
+    }
+}
+
 /// The trace-fed monitor. Stateless across segments: the controller
 /// passes the derates it has already applied, and the monitor compares
 /// fresh observations against them.
@@ -162,16 +338,13 @@ struct StageState {
 pub struct Monitor;
 
 impl Monitor {
-    /// Analyzes one segment's run: EWMA of observed/planned per
-    /// (vw, stage) over the compute spans, in recorded (dispatch)
-    /// order, checked against `applied` (the controller's current
-    /// derate per stage; absent = 1.0). `schedule` disambiguates the
-    /// wave schedule's fused last-stage tasks, whose planned time is
-    /// forward + backward. Returns all signals ordered by detection
-    /// time.
-    ///
-    /// The fold state and the derates are flat per-stage vectors laid
-    /// out by [`VirtualWorker::stage_offsets`].
+    /// Analyzes one segment's kept trace: a [`MonitorFold`] over every
+    /// span of `stats.trace`, in recording order, against the run's own
+    /// planned times. The controller folds while its probes run
+    /// instead; this is the kept-trace reference the fold's parity
+    /// test holds it to. `schedule` disambiguates the wave schedule's
+    /// fused last-stage tasks, whose planned time is forward +
+    /// backward. Returns all signals ordered by detection time.
     pub fn analyze(
         &self,
         stats: &RunStats,
@@ -179,103 +352,16 @@ impl Monitor {
         schedule: Schedule,
         applied: &BTreeMap<(usize, usize), f64>,
     ) -> Vec<Signal> {
-        let fused_last = schedule.fused_last_stage();
-        let offset = VirtualWorker::stage_offsets(vws);
-        let mut stages = vec![StageState::default(); offset[vws.len()]];
-        let mut derate = vec![1.0; stages.len()];
-        for (&(vw, stage), &r) in applied {
-            if vw < vws.len() && stage < vws[vw].stages() {
-                derate[offset[vw] + stage] = r;
-            }
-        }
+        let mut fold = MonitorFold::new(
+            vws,
+            schedule,
+            applied,
+            &stats.planned_fwd,
+            &stats.planned_bwd,
+        );
         for span in stats.trace.spans() {
-            let (vw, stage, planned) = match span.tag {
-                SpanTag::Forward { vw, stage, .. } | SpanTag::Recompute { vw, stage, .. } => {
-                    let (vw, stage) = (vw as usize, stage as usize);
-                    (vw, stage, stats.planned_fwd[vw][stage])
-                }
-                SpanTag::Backward { vw, stage, .. } => {
-                    let (vw, stage) = (vw as usize, stage as usize);
-                    let planned = if fused_last && stage + 1 == vws[vw].stages() {
-                        stats.planned_fwd[vw][stage] + stats.planned_bwd[vw][stage]
-                    } else {
-                        stats.planned_bwd[vw][stage]
-                    };
-                    (vw, stage, planned)
-                }
-                _ => continue,
-            };
-            if planned.is_zero() {
-                continue;
-            }
-            let ratio = span.duration().as_secs() / planned.as_secs();
-            let slot = offset[vw] + stage;
-            let st = &mut stages[slot];
-            if ratio >= LOST_RATIO && st.lost.is_none() {
-                st.lost = Some(span.start);
-            }
-            st.ewma = if st.seen == 0 {
-                ratio
-            } else {
-                ALPHA * ratio + (1.0 - ALPHA) * st.ewma
-            };
-            st.seen += 1;
-            let base = derate[slot];
-            if st.ewma > base * STRAGGLER_RATIO && st.crossed_up.is_none() {
-                st.crossed_up = Some(span.end);
-            }
-            if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO && st.seen >= 3 {
-                // Recovery needs hysteresis: the EWMA must *stay*
-                // below the threshold for the configured window — a
-                // single fast task after a blip must not trigger a
-                // re-admission splice.
-                let since = *st.below_since.get_or_insert(span.end);
-                if st.crossed_down.is_none()
-                    && (span.end - since).as_secs() >= RECOVER_HYSTERESIS_SECS
-                {
-                    st.crossed_down = Some(span.end);
-                }
-            } else {
-                st.below_since = None;
-                st.crossed_down = None;
-            }
+            fold.observe(span.tag, span.start, span.end);
         }
-
-        let mut signals = Vec::new();
-        // Slots are laid out in (vw, stage) order.
-        let keys = vws
-            .iter()
-            .enumerate()
-            .flat_map(|(vw, w)| (0..w.stages()).map(move |stage| (vw, stage)));
-        for (((vw, stage), st), &base) in keys.zip(&stages).zip(&derate) {
-            if st.seen == 0 {
-                continue;
-            }
-            if let Some(at) = st.lost {
-                signals.push(Signal::GpuLost { vw, stage, at });
-                continue;
-            }
-            if st.ewma > base * STRAGGLER_RATIO {
-                if let Some(at) = st.crossed_up {
-                    signals.push(Signal::Straggler {
-                        vw,
-                        stage,
-                        severity: st.ewma,
-                        at,
-                    });
-                }
-            } else if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO {
-                if let Some(at) = st.crossed_down {
-                    signals.push(Signal::Recovered {
-                        vw,
-                        stage,
-                        severity: st.ewma,
-                        at,
-                    });
-                }
-            }
-        }
-        signals.sort_by_key(Signal::at);
-        signals
+        fold.signals()
     }
 }
