@@ -18,8 +18,7 @@
 //! 4. **Reaction sanity**: `Replan` completes at least as much as
 //!    `Static` on the canonical straggler and on the canonical
 //!    grant → preempt → re-grant trace (the ≥ 15% acceptance bars
-//!    themselves are pinned in `tests/runtime_faults.rs` and
-//!    `tests/runtime_scenarios.rs`).
+//!    themselves are pinned in `tests/runtime_scenarios.rs`).
 //! 5. **Trace export**: every `--trace-out` file is written.
 //!
 //! Flags:

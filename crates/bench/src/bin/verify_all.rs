@@ -15,12 +15,8 @@
 //!    and per GPU; over-reservations looser than 2× are reported as
 //!    lints (non-fatal), and the full declared/structural ratio table
 //!    is ranked in the report artifact.
-//! 3. **VW isolation + lookahead** — every dependency edge is
-//!    explained by its endpoints' declared footprints, cross-VW
-//!    traffic is confined to the PS push→gate coupling
-//!    (`IsolationCertificate` per config, with the canonical fault
-//!    scripts composed in as environment rate edges), and every gate
-//!    and push sits exactly where the closed-form lookahead bound
+//! 3. **Lookahead** — every gate and push of the committed streams
+//!    sits exactly where the closed-form lookahead bound
 //!    `(warmup (D+2)·Nm−1, steady Nm)` says. A negative control shifts
 //!    one real extracted gate a forward late and requires the check to
 //!    reject it with the wave and both positions named.
@@ -28,7 +24,7 @@
 //!    are checked at every minibatch of a warmup-covering horizon for
 //!    each (Nm, D), plus the interleaved per-chunk 2BW version-demand
 //!    proof.
-//! 5. **Model checking** — the per-VW gate protocol over 3 engines in
+//! 5. **Model checking** — the WSP gate protocol over 3 engines in
 //!    full (pinned to the multinomial) plus 4 engines under sleep-set
 //!    POR (63M unreduced interleavings; the POR trace count is
 //!    pinned). The checker runs a deliberately broken engine as a
@@ -44,21 +40,19 @@
 //! instance shapes of the benchmark suite (the paper testbed's VRGQ
 //! pipeline and the whimpy 4-GPU / 3-survivor replan configurations).
 //! The certificates are model-independent by construction: the
-//! dependency DAG, the footprint model, and the staleness algebra
-//! depend only on the schedule shape (depth, Nm, D, recompute), not
-//! on which zoo model's layers fill the stages — one proof per shape
-//! covers every model.
+//! dependency DAG and the staleness algebra depend only on the
+//! schedule shape (depth, Nm, D, recompute), not on which zoo model's
+//! layers fill the stages — one proof per shape covers every model.
 
-use hetpipe_bench::{check_args, parse_flag, usage_error};
+use hetpipe_bench::{check_args, check_budget, parse_flag, usage_error};
 use hetpipe_des::check_bounds;
-use hetpipe_runtime::ScenarioScript;
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
 };
 use hetpipe_verify::{
     check_broken_gate_protocol, check_gate_protocol, check_interaction_points,
     interleaved_chunk_versions, structural_occupancy, verify_deadlock_free, verify_lookahead,
-    verify_script_isolation, verify_version_rule, verify_vw_isolation, verify_wsp_bound,
+    verify_version_rule, verify_wsp_bound,
 };
 use std::time::Instant;
 
@@ -88,40 +82,21 @@ fn main() {
     check_args(&args, &["--report", "--budget-secs"], &[]).unwrap_or_else(|e| usage_error(&e));
     let report_path: Option<String> =
         parse_flag(&args, "--report").unwrap_or_else(|e| usage_error(&e));
-    let budget_secs: Option<f64> =
-        parse_flag(&args, "--budget-secs").unwrap_or_else(|e| usage_error(&e));
+    let budget_secs: Option<f64> = parse_flag(&args, "--budget-secs")
+        .and_then(|b: Option<f64>| b.map(check_budget).transpose())
+        .unwrap_or_else(|e| usage_error(&e));
 
     let mut gate = Gate::default();
 
-    // The canonical scenario scripts composed into every isolation
-    // certificate: environment rate edges must stay write-only and
-    // External-owned (replicable to every engine without coupling).
-    // The lease script exercises the full grant → preempt → re-grant
-    // edge shape the elastic controller splices around, so its
-    // footprints are certified by the same gate as the pure-fault
-    // ones.
-    let straggler = ScenarioScript::canonical_straggler(0, 5.0);
-    let gpu_loss = ScenarioScript::canonical_gpu_loss(0, 5.0);
-    let lease = ScenarioScript::canonical_lease(0, 5.0, 12.0);
-    let scripts: [(&str, Vec<hetpipe_des::Footprint>); 3] = [
-        (&straggler.name, straggler.edge_footprints()),
-        (&gpu_loss.name, gpu_loss.edge_footprints()),
-        (&lease.name, lease.edge_footprints()),
-    ];
-
     // ------------------------------------------------------------------
     // Passes 1–3: deadlock certificates, occupancy soundness, and the
-    // VW-isolation + lookahead certificates across the standing
-    // schedule matrix.
+    // lookahead certificates across the standing schedule matrix.
     // ------------------------------------------------------------------
     let depths = [3usize, 4];
     let wsp_configs = [(2usize, 0usize), (4, 0), (4, 1)];
     let mut certificates = 0usize;
     let mut total_nodes = 0usize;
     let mut total_edges = 0usize;
-    let mut iso_certs = 0usize;
-    let mut iso_cross = 0usize;
-    let mut iso_fault_edges = 0usize;
     let mut la_gates = 0usize;
     let mut la_pushes = 0usize;
     // (worst declared/structural ratio, entity, label) per config, for
@@ -172,27 +147,6 @@ fn main() {
                         ratios.push((ratio, entity, label.clone()));
                     }
 
-                    // VW isolation: the fault-free certificate, then
-                    // the canonical scripts composed in.
-                    match verify_vw_isolation(schedule, k_gpus, wsp, recompute, max_mb, 2) {
-                        Ok(cert) => {
-                            iso_certs += 1;
-                            iso_cross += cert.cross_vw_edges;
-                            for (name, footprints) in &scripts {
-                                match verify_script_isolation(cert.clone(), name, footprints) {
-                                    Ok(faulted) => {
-                                        iso_certs += 1;
-                                        iso_fault_edges += faulted.fault_edges;
-                                    }
-                                    Err(v) => {
-                                        gate.violations.push(format!("{label} faults={name}: {v}"))
-                                    }
-                                }
-                            }
-                        }
-                        Err(v) => gate.violations.push(format!("{label}: {v}")),
-                    }
-
                     // Lookahead: committed gates/pushes against the
                     // closed form.
                     match verify_lookahead(schedule, k_gpus, wsp, recompute, max_mb) {
@@ -209,11 +163,6 @@ fn main() {
     gate.say(format!(
         "deadlock     {certificates} certificates ({total_nodes} ops, {total_edges} dependency \
          edges), all acyclic and wave-periodic"
-    ));
-    gate.say(format!(
-        "isolation    {iso_certs} certificates: every dependency edge footprint-explained, \
-         {iso_cross} cross-VW edges all PS push→gate, {iso_fault_edges} fault rate-edges \
-         composed (write-only, environment-owned)"
     ));
     gate.say(format!(
         "lookahead    {la_gates} gates + {la_pushes} pushes match the closed form: warmup \

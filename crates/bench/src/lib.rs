@@ -158,6 +158,19 @@ pub fn check_horizon(secs: f64) -> Result<f64, String> {
     }
 }
 
+/// `secs` as a wall-clock budget: `Err` unless it is finite and
+/// positive (a NaN or infinite budget could never be exceeded, and a
+/// non-positive one always would be).
+pub fn check_budget(secs: f64) -> Result<f64, String> {
+    if secs.is_finite() && secs > 0.0 {
+        Ok(secs)
+    } else {
+        Err(format!(
+            "--budget-secs must be a positive, finite number of seconds, got {secs}"
+        ))
+    }
+}
+
 /// Reports a malformed command line and exits with status 2.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -313,6 +326,16 @@ mod tests {
         for huge in [1e30, 1e6 + 1.0] {
             let err = check_horizon(huge).expect_err("beyond the bound");
             assert!(err.contains("at most 1000000 seconds"), "{err}");
+        }
+    }
+
+    #[test]
+    fn check_budget_rejects_non_positive_and_non_finite() {
+        assert_eq!(check_budget(60.0), Ok(60.0));
+        for bad in ["nan", "inf", "0", "-5"] {
+            let secs: f64 = bad.parse().unwrap();
+            let err = check_budget(secs).expect_err(bad);
+            assert!(err.contains("--budget-secs"), "{err}");
         }
     }
 }

@@ -36,9 +36,7 @@
 //!   timelines rather than being serialized behind one another.
 //!   The executor evaluates this gate itself: each push completion
 //!   takes `min_clock` over every VW's push clock once and serves the
-//!   pulls it unblocks. It is the only coupling between VWs, which
-//!   `hetpipe-verify`'s isolation certificate proves statically; no
-//!   run reads that certificate.
+//!   pulls it unblocks. It is the only coupling between VWs.
 //! - **Bounded activation windows**: each stage's declared peak
 //!   activation occupancy ([`PipelineSchedule::max_in_flight`] — the
 //!   same number the memory model charges and the partitioner

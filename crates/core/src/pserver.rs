@@ -93,10 +93,8 @@ impl ShardMap {
     /// *its own* stage `q` — [`Placement::Local`] applied per VW
     /// rather than from one shared reference worker. On a fleet of
     /// node-disjoint cells this keeps every VW's synchronization
-    /// traffic on resources the VW owns, which is precisely the
-    /// topology `hetpipe-verify`'s VW-isolation certificate describes
-    /// (all cross-VW edges flow through the parameter-server clocks,
-    /// none through shared timelines).
+    /// traffic on resources the VW owns: VWs then meet only through
+    /// the parameter-server clocks, never on a shared timeline.
     pub fn build_vw_local(graph: &ModelGraph) -> ShardMap {
         ShardMap {
             // Unused in vw-local mode; kept so `shard_of` stays total.

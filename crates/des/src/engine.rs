@@ -1,9 +1,8 @@
 //! The simulation driver.
 //!
-//! An [`EngineCore`] owns the event queue and the simulation clock.
+//! An [`Engine`] owns the event queue and the simulation clock.
 //! Client code pops events one at a time (or runs a handler loop) and
 //! schedules follow-up events; the clock only moves forward.
-//! [`Engine`] is an alias for the standalone use.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
@@ -33,18 +32,15 @@ use crate::time::SimTime;
 /// assert_eq!(log[1].0, SimTime::from_millis(3));
 /// ```
 #[derive(Debug)]
-pub struct EngineCore<E> {
+pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
 }
 
-/// The standalone engine: one self-driving [`EngineCore`].
-pub type Engine<E> = EngineCore<E>;
-
-impl<E> Default for EngineCore<E> {
+impl<E> Default for Engine<E> {
     fn default() -> Self {
-        EngineCore {
+        Engine {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
@@ -52,7 +48,7 @@ impl<E> Default for EngineCore<E> {
     }
 }
 
-impl<E> EngineCore<E> {
+impl<E> Engine<E> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Self::default()

@@ -23,23 +23,17 @@
 //!   triple shared by the trace audit and the static schedule verifier
 //!   (`hetpipe-verify`), with the `measured ≤ structural ≤ declared`
 //!   soundness predicate.
-//! - [`footprint`] — declared read/write resource footprints per event
-//!   class, with per-resource ownership (VW-private / parameter-server
-//!   / external): the vocabulary `hetpipe-verify`'s VW-isolation pass
-//!   judges dependency edges against.
 
 pub mod bounds;
 pub mod engine;
 pub mod event;
-pub mod footprint;
 pub mod resource;
 pub mod time;
 pub mod trace;
 
 pub use bounds::{check_bounds, BoundEntity, OccupancyBound};
-pub use engine::{Engine, EngineCore};
+pub use engine::Engine;
 pub use event::EventQueue;
-pub use footprint::{Footprint, FootprintResource, Owner, RateKind};
 pub use resource::{Resource, ResourceId, ResourcePool};
 pub use time::SimTime;
 pub use trace::{peak_of_events, Discard, PeakFold, Span, SpanSink, Trace};

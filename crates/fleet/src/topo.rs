@@ -4,10 +4,9 @@
 //! worker; the fleet replicates it `n` times. Cells are node-disjoint
 //! and parameters are sharded VW-locally
 //! ([`hetpipe_core::pserver::ShardMap::build_vw_local`]), so no GPU,
-//! NIC, or shard timeline is shared between VWs — the resource half
-//! of the VW-isolation certificate holds *by construction*, and the
-//! parameter-server clock coupling (the certified sole cross-VW
-//! dependency class) is all that is left between them.
+//! NIC, or shard timeline is shared between VWs: the WSP push and
+//! pull gate on the parameter-server clocks is all that is left
+//! between them.
 //!
 //! The topology expands to a single flat cluster with globally
 //! addressed devices ([`FleetTopology::expanded`]), which is what

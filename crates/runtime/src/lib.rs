@@ -85,7 +85,7 @@
 //! trace — same script + same seed ⇒ identical epochs, traces, and
 //! reports, on any thread count. A zero-fault script under any policy
 //! commits exactly the trace of a plain one-shot run, bit for bit
-//! (`tests/runtime_faults.rs` pins both properties).
+//! (`tests/runtime_scenarios.rs` pins both properties).
 
 pub mod controller;
 pub mod monitor;

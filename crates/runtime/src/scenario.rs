@@ -511,18 +511,6 @@ impl ScenarioScript {
         compile_edges(&self.windows())
     }
 
-    /// The declared footprint of every rate edge of the script, in
-    /// edge order — the scenario runtime's contribution to the static
-    /// VW-isolation pass. Each edge writes exactly one
-    /// environment-owned [`hetpipe_des::FootprintResource::Rate`]
-    /// register (the GPU's or NIC's service rate) and reads nothing,
-    /// so `hetpipe-verify` can certify that scripts never create a
-    /// VW-to-VW dependence: replicating a script into every per-VW
-    /// engine leaves the dependency DAG untouched.
-    pub fn edge_footprints(&self) -> Vec<hetpipe_des::Footprint> {
-        footprints_from_edges(&self.edges())
-    }
-
     /// Compiles the script for a segment starting at global time
     /// `offset`: the rates already in effect at the splice (latest
     /// edge per resource at or before `offset`) and the future edges
@@ -670,31 +658,6 @@ fn compile_edges(windows: &[RateWindow]) -> Vec<(SimTime, RateTarget, f64)> {
     }
     edges.sort_by_key(|&(at, _, _)| at);
     edges
-}
-
-/// The declared footprint of each rate edge, in edge order (see
-/// [`ScenarioScript::edge_footprints`]).
-fn footprints_from_edges(edges: &[(SimTime, RateTarget, f64)]) -> Vec<hetpipe_des::Footprint> {
-    use hetpipe_des::{Footprint, FootprintResource, RateKind};
-    edges
-        .iter()
-        .map(|&(_, target, _)| {
-            let resource = match target {
-                RateTarget::Gpu(index) => FootprintResource::Rate {
-                    kind: RateKind::Gpu,
-                    index,
-                },
-                RateTarget::Nic(index) => FootprintResource::Rate {
-                    kind: RateKind::Nic,
-                    index,
-                },
-            };
-            Footprint {
-                reads: Vec::new(),
-                writes: vec![resource],
-            }
-        })
-        .collect()
 }
 
 /// Splits compiled edges for a segment starting at global `offset`
@@ -887,47 +850,6 @@ mod tests {
         assert_eq!(edges.len(), 2);
         assert_eq!(edges[0], (SimTime::from_secs(1.0), RateTarget::Gpu(2), 0.5));
         assert_eq!(edges[1], (SimTime::from_secs(3.0), RateTarget::Gpu(2), 1.0));
-    }
-
-    #[test]
-    fn edge_footprints_are_external_write_only() {
-        use hetpipe_des::{FootprintResource, Owner, RateKind};
-        let s = ScenarioScript {
-            name: "mixed".into(),
-            events: vec![
-                ScenarioEvent::Fault(Fault::GpuSlowdown {
-                    gpu: 2,
-                    factor: 2.0,
-                    from_secs: 1.0,
-                    until_secs: Some(3.0),
-                }),
-                ScenarioEvent::Fault(Fault::LinkDegrade {
-                    node: 1,
-                    factor: 4.0,
-                    from_secs: 2.0,
-                    until_secs: None,
-                }),
-                ScenarioEvent::GpuPreempted {
-                    gpu: 3,
-                    at_secs: 4.0,
-                },
-            ],
-        };
-        let fps = s.edge_footprints();
-        assert_eq!(fps.len(), s.edges().len(), "one footprint per edge");
-        for fp in &fps {
-            assert!(fp.reads.is_empty(), "rate edges read nothing");
-            assert_eq!(fp.writes.len(), 1, "exactly one rate register");
-            assert_eq!(fp.writes[0].owner(), Owner::External);
-        }
-        // The GPU slowdown window contributes its onset+restore edges
-        // on gpu2's register, the open-ended link fault one edge on
-        // nic1's, and the preemption one edge on gpu3's.
-        for (kind, index) in [(RateKind::Gpu, 2), (RateKind::Nic, 1), (RateKind::Gpu, 3)] {
-            assert!(fps
-                .iter()
-                .any(|fp| fp.writes[0] == FootprintResource::Rate { kind, index }));
-        }
     }
 
     #[test]

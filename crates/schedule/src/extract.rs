@@ -158,9 +158,9 @@ pub struct GatePoint {
     /// The wave the gate waits for.
     pub wave: u64,
     /// Stage-0 forwards committed before the gate. This is the VW's
-    /// lookahead window: a per-VW engine may execute exactly this many
-    /// stage-0 forwards (and everything they enable downstream) before
-    /// it must synchronize with other VWs' pushes.
+    /// lookahead window: the VW may execute exactly this many stage-0
+    /// forwards (and everything they enable downstream) before it must
+    /// wait for the other VWs' pushes.
     pub forwards_before: u64,
 }
 
@@ -177,8 +177,8 @@ pub struct PushPoint {
 /// The parameter-server interaction points of one VW's committed
 /// queue set: every gate and push, positioned against the stage-0
 /// compute stream. This is the raw material of `hetpipe-verify`'s
-/// lookahead prover — the only places a per-VW engine would block on
-/// or signal other VWs.
+/// lookahead prover — the only places a VW waits on or signals other
+/// VWs.
 #[derive(Debug, Clone, Default)]
 pub struct PsInteractions {
     /// Pull gates in stream order.

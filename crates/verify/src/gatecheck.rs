@@ -1,18 +1,18 @@
-//! Model-checking the per-VW gate protocol.
+//! Model-checking the WSP gate rule.
 //!
-//! Picture one engine per virtual worker, each advancing to its
-//! lookahead horizon and blocking on a shared WSP gate cell
-//! ([`crate::lookahead`] certifies *where* the gates sit; this module
-//! certifies *what happens at them* when engines race). No engine in
-//! the workspace runs that way — the executor evaluates the same gate
-//! rule on one event queue — so the check is a static proof of the
-//! rule. [`ShadowGateProtocol`] is the pure shadow of that loop:
+//! Virtual workers meet the parameter server only at pushes and pull
+//! gates ([`crate::lookahead`] certifies *where* each committed stream
+//! places them; this module certifies *what happens at them* under
+//! every interleaving of the workers' steps). The executor evaluates
+//! the rule on one event queue (`min_clock` over the push clocks);
+//! [`ShadowGateProtocol`] is its pure shadow, one atomic step per
+//! worker action:
 //!
-//! - `Advance`: the engine injects its next minibatch — but only if
+//! - `Advance`: the worker injects its next minibatch — but only if
 //!   the minibatch's required wave ([`WspParams::required_wave`]) has
 //!   been pushed by **every** worker (the gate is open). A closed
-//!   gate makes the step a no-op: the engine spins.
-//! - `Push`: the engine publishes its next wave — a no-op until the
+//!   gate makes the step a no-op: the worker spins.
+//! - `Push`: the worker publishes its next wave — a no-op until the
 //!   wave's minibatches have all been injected locally.
 //!
 //! The invariant is the WSP safety contract the paper's Section 5
@@ -23,33 +23,34 @@
 //! minibatch `(c + 1)·Nm` required wave `c − D` from everyone, so
 //! every clock is ≥ `c − D`).
 //!
-//! Exhaustive interleaving exploration over 3 engines is pinned to
-//! the unreduced multinomial; the 4-engine scenario is what the
-//! sleep-set POR ([`crate::checker::explore_por`]) buys — `Advance`
-//! ops commute across engines (they write only their own engine's
-//! injection clock) and so do `Push`es, while `Advance` vs `Push`
-//! stay dependent (the gate reads what the push writes). The
-//! deliberately broken [`check_broken_gate_protocol`] variant — an
-//! engine that advances *past* a closed gate — must be refuted under
-//! the same reduction, keeping the green run non-vacuous.
+//! Exhaustive interleaving exploration over 3 workers ("engines" in
+//! the scenario names) is pinned to the unreduced multinomial; the
+//! 4-worker scenario is what the sleep-set POR
+//! ([`crate::checker::explore_por`]) buys — `Advance` ops commute
+//! across workers (they write only their own injection clock) and so
+//! do `Push`es, while `Advance` vs `Push` stay dependent (the gate
+//! reads what the push writes). The deliberately broken
+//! [`check_broken_gate_protocol`] variant — a worker that advances
+//! *past* a closed gate — must be refuted under the same reduction,
+//! keeping the green run non-vacuous.
 
 use crate::checker::{explore, explore_por, interleaving_count, Explored, ShadowSpec, Violation};
 use hetpipe_schedule::WspParams;
 
-/// Most engines the shadow state tracks (arrays stay `Copy`).
+/// Most workers the shadow state tracks (arrays stay `Copy`).
 pub const MAX_VWS: usize = 4;
 
-/// The shadow state: per-engine injection clocks (highest minibatch
+/// The shadow state: per-worker injection clocks (highest minibatch
 /// injected) and push clocks (waves published).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateState {
-    /// Highest minibatch injected per engine (0 = none yet).
+    /// Highest minibatch injected per worker (0 = none yet).
     pub injected: [u64; MAX_VWS],
-    /// Waves pushed per engine (0 = none yet).
+    /// Waves pushed per worker (0 = none yet).
     pub pushed: [u64; MAX_VWS],
 }
 
-/// One engine step.
+/// One worker step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateOp {
     /// Inject the next minibatch if its gate is open (else spin).
@@ -58,13 +59,13 @@ pub enum GateOp {
     Push,
 }
 
-/// The pure shadow of the per-VW engine loop. `skip_gate` is the
-/// negative control: the engine advances whether or not the gate is
+/// The pure shadow of the WSP gate rule. `skip_gate` is the
+/// negative control: a worker advances whether or not the gate is
 /// open — the bug the checker must catch.
 pub struct ShadowGateProtocol {
     /// WSP parameters (the gate algebra).
     pub wsp: WspParams,
-    /// Engines (threads) in the scenario, ≤ [`MAX_VWS`].
+    /// Virtual workers in the scenario, ≤ [`MAX_VWS`].
     pub vws: usize,
     /// Deliberately broken variant: advance past closed gates.
     pub skip_gate: bool,

@@ -66,12 +66,9 @@ use hetpipe_schedule::{
 };
 use std::collections::HashMap;
 
-/// Node identity inside the dependency graph. Public since PR 8: the
-/// VW-isolation pass judges every edge against its endpoints' declared
-/// footprints, so node identity is part of the verifier's vocabulary,
-/// not an implementation detail.
+/// Node identity inside the dependency graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DepNode {
+enum DepNode {
     /// Forward of minibatch `mb` at `stage`.
     Fwd {
         /// Virtual worker.
@@ -92,8 +89,7 @@ pub enum DepNode {
     },
     /// Fused forward+backward (the wave schedule's last stage): one
     /// node acting as both the forward and the backward of its
-    /// minibatch — dependency lookups resolve either role to it, and
-    /// its footprint is the union of the two.
+    /// minibatch — dependency lookups resolve either role to it.
     Fused {
         /// Virtual worker.
         vw: usize,
@@ -127,23 +123,9 @@ pub enum DepNode {
     },
 }
 
-impl DepNode {
-    /// The virtual worker the op belongs to.
-    pub fn vw(&self) -> usize {
-        match *self {
-            DepNode::Fwd { vw, .. }
-            | DepNode::Bwd { vw, .. }
-            | DepNode::Fused { vw, .. }
-            | DepNode::Rec { vw, .. }
-            | DepNode::Push { vw, .. }
-            | DepNode::Gate { vw, .. } => vw,
-        }
-    }
-}
-
 /// Why an edge exists — which commitment of the schedule it encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
+enum EdgeKind {
     /// Committed execution order of one queue (total order for
     /// ordered queues, per-kind subsequences for arrival-FIFO).
     Program,
@@ -155,34 +137,12 @@ pub enum EdgeKind {
     Wsp,
 }
 
-/// One dependency edge, by node index into [`DepGraphData::nodes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DepEdge {
-    /// Source node index.
-    pub from: usize,
-    /// Target node index.
-    pub to: usize,
-    /// The commitment the edge encodes.
-    pub kind: EdgeKind,
-}
-
-/// The dependency graph as data: what [`verify_queues`] proves acyclic,
-/// exposed for the isolation pass to judge edge by edge.
-#[derive(Debug, Clone)]
-pub struct DepGraphData {
-    /// Node identities, indexed by the edge endpoints.
-    pub nodes: Vec<DepNode>,
-    /// Human-readable node labels (counterexample rendering).
-    pub labels: Vec<String>,
-    /// Every dependency edge, tagged with its kind.
-    pub edges: Vec<DepEdge>,
-}
-
+/// The dependency graph: node labels, successor lists tagged with
+/// the edge's kind, and the key → node index the edge builders look
+/// endpoints up in.
 struct Graph {
     labels: Vec<String>,
-    keys: Vec<DepNode>,
-    succs: Vec<Vec<usize>>,
-    edge_list: Vec<DepEdge>,
+    succs: Vec<Vec<(usize, EdgeKind)>>,
     index: HashMap<DepNode, usize>,
 }
 
@@ -190,24 +150,20 @@ impl Graph {
     fn new() -> Graph {
         Graph {
             labels: Vec::new(),
-            keys: Vec::new(),
             succs: Vec::new(),
-            edge_list: Vec::new(),
             index: HashMap::new(),
         }
     }
 
-    fn add_node(&mut self, label: String, key: DepNode) -> usize {
+    fn add_node(&mut self, label: String) -> usize {
         self.labels.push(label);
-        self.keys.push(key);
         self.succs.push(Vec::new());
         self.labels.len() - 1
     }
 
     fn add_edge(&mut self, from: usize, to: usize, kind: EdgeKind) {
-        if from != to && !self.succs[from].contains(&to) {
-            self.succs[from].push(to);
-            self.edge_list.push(DepEdge { from, to, kind });
+        if from != to && !self.succs[from].iter().any(|&(t, _)| t == to) {
+            self.succs[from].push((to, kind));
         }
     }
 
@@ -275,9 +231,8 @@ fn op_label(vw: usize, stage: usize, op: &ScheduleOp) -> String {
     }
 }
 
-/// The two-pass graph construction shared by [`verify_queues`] (which
-/// then proves it acyclic) and [`dependency_graph`] (which exposes it
-/// as data for the isolation pass).
+/// The two-pass graph construction under [`verify_queues`], which then
+/// proves it acyclic.
 fn build_graph(queue_sets: &[Vec<CommittedQueue>], k: usize, wsp: WspParams) -> Graph {
     let vws = queue_sets.len();
     let mut g = Graph::new();
@@ -299,7 +254,7 @@ fn build_graph(queue_sets: &[Vec<CommittedQueue>], k: usize, wsp: WspParams) -> 
                     ScheduleOp::Push { wave } => (DepNode::Push { vw, wave }, 4),
                     ScheduleOp::PullGate { wave } => (DepNode::Gate { vw, wave }, 5),
                 };
-                let idx = g.add_node(op_label(vw, stage, &gop.op), key);
+                let idx = g.add_node(op_label(vw, stage, &gop.op));
                 if let DepNode::Fused { vw, stage, mb } = key {
                     // A fused op is both the forward and the backward
                     // of its minibatch at this stage.
@@ -429,30 +384,12 @@ pub fn verify_queues(
     kahn(&build_graph(queue_sets, k, wsp))
 }
 
-/// Builds the same dependency graph [`verify_queues`] proves acyclic
-/// and returns it *as data* — node identities, labels, and
-/// kind-tagged edges — for analyses that judge the graph edge by edge
-/// (the VW-isolation pass). Does not require acyclicity: cycle
-/// detection stays the deadlock pass's job.
-pub fn dependency_graph(
-    queue_sets: &[Vec<CommittedQueue>],
-    k: usize,
-    wsp: WspParams,
-) -> DepGraphData {
-    let g = build_graph(queue_sets, k, wsp);
-    DepGraphData {
-        nodes: g.keys,
-        labels: g.labels,
-        edges: g.edge_list,
-    }
-}
-
 /// Kahn's algorithm; on failure extracts and names one cycle.
 fn kahn(g: &Graph) -> Result<(usize, usize), CycleError> {
     let n = g.labels.len();
     let mut indeg = vec![0usize; n];
     for succs in &g.succs {
-        for &t in succs {
+        for &(t, _) in succs {
             indeg[t] += 1;
         }
     }
@@ -460,7 +397,7 @@ fn kahn(g: &Graph) -> Result<(usize, usize), CycleError> {
     let mut done = 0usize;
     while let Some(i) = ready.pop() {
         done += 1;
-        for &t in &g.succs[i] {
+        for &(t, _) in &g.succs[i] {
             indeg[t] -= 1;
             if indeg[t] == 0 {
                 ready.push(t);
@@ -468,7 +405,7 @@ fn kahn(g: &Graph) -> Result<(usize, usize), CycleError> {
         }
     }
     if done == n {
-        return Ok((n, g.edge_list.len()));
+        return Ok((n, g.succs.iter().map(Vec::len).sum()));
     }
     // Nodes with indeg > 0 at this point sit on or behind a cycle.
     // Walk predecessors within the remaining set until a repeat.
@@ -478,7 +415,7 @@ fn kahn(g: &Graph) -> Result<(usize, usize), CycleError> {
         if !remaining[i] {
             continue;
         }
-        for &t in succs {
+        for &(t, _) in succs {
             if remaining[t] {
                 preds[t].push(i);
             }
@@ -719,6 +656,74 @@ mod tests {
                             "{}: steady state at Nm-divisible depths is 1-wave periodic",
                             sched.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Virtual workers meet only at the parameter server: across the
+    /// standing matrix, every edge between two VWs is a push of wave
+    /// `w` feeding a gate on `w`, and each gated wave has one from
+    /// every other VW to every VW.
+    #[test]
+    fn cross_vw_edges_are_exactly_push_to_gate() {
+        for sched in Schedule::ALL {
+            for k_gpus in [3usize, 4] {
+                for (nm, d) in [(2usize, 0usize), (4, 0), (4, 1)] {
+                    let wsp = WspParams::new(nm, d);
+                    let max_mb = (nm * (d + 6 + 2 * k_gpus)) as u64;
+                    for recompute in RecomputePolicy::ALL {
+                        let queues = committed_queues(sched, k_gpus, wsp, recompute, max_mb);
+                        for vws in [2usize, 3] {
+                            let label = format!(
+                                "{} k={k_gpus} nm={nm} d={d} {recompute} vws={vws}",
+                                sched.name()
+                            );
+                            let g = build_graph(
+                                &vec![queues.clone(); vws],
+                                sched.virtual_stages(k_gpus),
+                                wsp,
+                            );
+                            let node: HashMap<usize, DepNode> =
+                                g.index.iter().map(|(&key, &i)| (i, key)).collect();
+                            let vw = |i: usize| match node[&i] {
+                                DepNode::Fwd { vw, .. }
+                                | DepNode::Bwd { vw, .. }
+                                | DepNode::Fused { vw, .. }
+                                | DepNode::Rec { vw, .. }
+                                | DepNode::Push { vw, .. }
+                                | DepNode::Gate { vw, .. } => vw,
+                            };
+                            let mut cross: HashMap<u64, usize> = HashMap::new();
+                            for (from, succs) in g.succs.iter().enumerate() {
+                                for &(to, kind) in succs {
+                                    if vw(from) == vw(to) {
+                                        continue;
+                                    }
+                                    match (node[&from], node[&to], kind) {
+                                        (
+                                            DepNode::Push { wave, .. },
+                                            DepNode::Gate { wave: gated, .. },
+                                            EdgeKind::Wsp,
+                                        ) if wave == gated => *cross.entry(wave).or_default() += 1,
+                                        edge => panic!("{label}: cross-VW edge {edge:?}"),
+                                    }
+                                }
+                            }
+                            let gated: Vec<u64> = node
+                                .values()
+                                .filter_map(|n| match *n {
+                                    DepNode::Gate { vw: 0, wave } => Some(wave),
+                                    _ => None,
+                                })
+                                .collect();
+                            assert!(!gated.is_empty(), "{label}: no gate in the horizon");
+                            assert_eq!(cross.len(), gated.len(), "{label}");
+                            for wave in gated {
+                                assert_eq!(cross.get(&wave), Some(&(vws * (vws - 1))), "{label}");
+                            }
+                        }
                     }
                 }
             }

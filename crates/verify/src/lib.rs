@@ -6,7 +6,7 @@
 //! DES audits occupancy on traces, `tests/staleness_props.rs` samples
 //! the WSP algebra, the fleet parity tests compare runs. Each of those
 //! observes *some* executions. This crate closes the gap to *all*
-//! executions, for small configurations, along three axes:
+//! executions, for small configurations, along four axes:
 //!
 //! - [`graph`] — the committed op queues of every schedule become an
 //!   explicit dependency DAG (program order + data edges + cross-worker
@@ -16,21 +16,8 @@
 //!   give **structural occupancy bounds** completing the
 //!   `measured ≤ structural ≤ declared` chain of
 //!   [`hetpipe_des::OccupancyBound`].
-//! - [`isolation`] / [`lookahead`] — the **VW-decomposition
-//!   certificates**: what a split of the simulation into one engine
-//!   per virtual worker would rest on. Every dependency-graph node
-//!   declares a
-//!   read/write footprint in the [`hetpipe_des::footprint`]
-//!   vocabulary, whose resources are owned by one VW, by the
-//!   parameter server, or by the environment. The isolation pass
-//!   proves, edge by edge, that (1) every committed dependence is
-//!   *explained* by its endpoints' footprints — an unexplained edge
-//!   means an event class under-declares what it touches — and
-//!   (2) every cross-VW dependence is the WSP push→gate coupling on
-//!   PS-owned state, emitting an [`isolation::IsolationCertificate`]
-//!   per configuration (fault scripts compose in as write-only
-//!   environment rate edges). The lookahead pass then proves each
-//!   VW's gate cadence matches the closed form in `(Nm, D)` —
+//! - [`lookahead`] — the **lookahead certificate**: each VW's gate
+//!   cadence matches the closed form in `(Nm, D)` —
 //!   `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards of warmup, then
 //!   exactly `Nm` per gate-to-gate segment
 //!   ([`lookahead::LookaheadWitness`]): a static certificate of where
@@ -42,12 +29,12 @@
 //! - [`checker`] / [`gatecheck`] — an in-tree, loom-style
 //!   **exhaustive-interleaving model checker**: a pure shadow state
 //!   machine (one atomic step per worker action) is driven through
-//!   *every* interleaving of the scenario programs, proving the per-VW
+//!   *every* interleaving of the scenario programs, proving the WSP
 //!   **gate protocol** (no worker ever reads a push it shouldn't see
 //!   under bound `D`). Sleep-set partial-order reduction
 //!   ([`checker::explore_por`]) collapses provably-commuting
-//!   reorderings so 4-engine scenarios (63M unreduced interleavings)
-//!   stay enumerable; 3-thread scenarios are still pinned to their
+//!   reorderings so 4-worker scenarios (63M unreduced interleavings)
+//!   stay enumerable; 3-worker scenarios are still pinned to their
 //!   unreduced multinomials as the exhaustiveness check. A
 //!   deliberately broken variant (a worker advancing past a closed
 //!   gate) is kept in-tree as a negative control: the checker must
@@ -72,7 +59,6 @@
 pub mod checker;
 pub mod gatecheck;
 pub mod graph;
-pub mod isolation;
 pub mod lookahead;
 pub mod staleness;
 
@@ -82,12 +68,8 @@ pub use gatecheck::{
     ShadowGateProtocol,
 };
 pub use graph::{
-    dependency_graph, structural_occupancy, verify_deadlock_free, verify_queues, CycleError,
-    DagProof, DepEdge, DepGraphData, DepNode, EdgeKind, OccupancyReport,
-};
-pub use isolation::{
-    verify_isolation, verify_isolation_with, verify_script_isolation, verify_vw_isolation,
-    FootprintModel, IsolationCertificate, IsolationViolation, IsolationViolationClass,
+    structural_occupancy, verify_deadlock_free, verify_queues, CycleError, DagProof,
+    OccupancyReport,
 };
 pub use lookahead::{
     check_interaction_points, lookahead_bound, verify_lookahead, LookaheadWitness,

@@ -21,9 +21,10 @@
 //! [`LookaheadWitness`] that is golden-pinned per schedule. A
 //! schedule whose stream drifted from the cadence — gating late
 //! (stale reads) or early (lost lookahead) — fails here with the
-//! offending gate named. The certificate is static: no engine reads
-//! these op counts, and the executor meets the parameter server
-//! through its own `min_clock` gate.
+//! offending gate named. The certificate checks what the stream
+//! generators commit to; the executor meets the parameter server
+//! through its own `min_clock` gate, whose rule [`crate::gatecheck`]
+//! model-checks.
 
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, PsInteractions, RecomputePolicy,

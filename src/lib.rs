@@ -38,13 +38,10 @@
 //!   activation recomputation as an explicit compute-vs-memory knob.
 //! - [`verify`] — static verification: machine-checked
 //!   deadlock-freedom certificates and structural occupancy bounds
-//!   from the schedules' committed op queues, VW-isolation
-//!   certificates (every dependency edge explained by declared
-//!   resource footprints, cross-worker traffic confined to the PS
-//!   push→gate coupling) with closed-form lookahead witnesses,
-//!   exhaustive WSP staleness proofs, and an in-tree
+//!   from the schedules' committed op queues, closed-form lookahead
+//!   witnesses, exhaustive WSP staleness proofs, and an in-tree
 //!   exhaustive-interleaving model checker with sleep-set
-//!   partial-order reduction proving the per-VW gate protocol (the
+//!   partial-order reduction proving the WSP gate protocol (the
 //!   `verify_all` CI gate sweeps the standing matrix through all of
 //!   these).
 //!

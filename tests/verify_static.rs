@@ -23,15 +23,13 @@ use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy, Schedule,
     SystemConfig,
 };
-use hetpipe::des::FootprintResource;
 use hetpipe::des::{check_bounds, BoundEntity, OccupancyBound, SimTime};
 use hetpipe::schedule::{
     committed_queues, CommittedQueue, GpuOp, PipelineSchedule, QueueKind, ScheduleOp, WspParams,
 };
 use hetpipe::verify::{
-    check_broken_gate_protocol, check_gate_protocol, dependency_graph, structural_occupancy,
-    verify_isolation, verify_isolation_with, verify_lookahead, verify_queues, verify_version_rule,
-    DepEdge, DepNode, EdgeKind, FootprintModel, IsolationViolationClass, LookaheadWitness,
+    check_broken_gate_protocol, check_gate_protocol, structural_occupancy, verify_lookahead,
+    verify_queues, verify_version_rule, LookaheadWitness,
 };
 
 const NM: usize = 4;
@@ -183,116 +181,6 @@ fn structural_matches_dynamic_audit_keying() {
             assert!(observed, "{}: audit lacks {}", schedule.name(), b.entity);
         }
     }
-}
-
-/// The wave schedule's dependency graph mirrored across two VWs, with
-/// the honest footprint model — the fixture the isolation negative
-/// controls corrupt.
-fn wave_graph_and_model(vws: usize) -> (hetpipe::verify::DepGraphData, FootprintModel) {
-    let schedule = Schedule::HetPipeWave;
-    let wsp = WspParams::new(NM, 0);
-    let k = schedule.virtual_stages(K_GPUS);
-    let queues = committed_queues(schedule, K_GPUS, wsp, RecomputePolicy::None, 24);
-    let sets: Vec<Vec<CommittedQueue>> = vec![queues; vws];
-    let model = FootprintModel {
-        k,
-        gpus: schedule
-            .gpu_streams_with(K_GPUS, wsp, RecomputePolicy::None)
-            .is_some()
-            .then_some(K_GPUS),
-    };
-    (dependency_graph(&sets, k, wsp), model)
-}
-
-#[test]
-fn smuggled_cross_vw_edge_fails_the_isolation_pass() {
-    // A buggy shared-buffer optimization adds a direct dependence from
-    // vw0's forward to vw1's backward of the same (stage, mb) — data
-    // crossing VWs outside the PS push→gate channel. The gate must
-    // catch it and *name* the edge.
-    let (mut graph, model) = wave_graph_and_model(2);
-    verify_isolation(&graph, model).expect("uncorrupted graph is isolated");
-    let from = graph
-        .nodes
-        .iter()
-        .position(|n| {
-            matches!(
-                n,
-                DepNode::Fwd {
-                    vw: 0,
-                    stage: 1,
-                    mb: 3
-                }
-            )
-        })
-        .expect("fixture node");
-    let to = graph
-        .nodes
-        .iter()
-        .position(|n| {
-            matches!(
-                n,
-                DepNode::Bwd {
-                    vw: 1,
-                    stage: 1,
-                    mb: 3
-                }
-            )
-        })
-        .expect("fixture node");
-    graph.edges.push(DepEdge {
-        from,
-        to,
-        kind: EdgeKind::Data,
-    });
-    // Honest footprints share nothing across VWs, so the smuggled edge
-    // surfaces as unexplained…
-    let err = verify_isolation(&graph, model).expect_err("smuggled edge must be caught");
-    assert_eq!(err.class, IsolationViolationClass::UnderDeclaredFootprint);
-    // …and a model that *did* declare the shared buffer is convicted
-    // of the leak itself, with both endpoints and the resource named.
-    let err = verify_isolation_with(&graph, |n| {
-        let mut fp = model.footprint_of(n);
-        if matches!(
-            n,
-            DepNode::Bwd {
-                vw: 1,
-                stage: 1,
-                mb: 3
-            }
-        ) {
-            fp.reads
-                .push(FootprintResource::Activations { vw: 0, stage: 1 });
-        }
-        fp
-    })
-    .expect_err("declared leak must be caught");
-    assert_eq!(err.class, IsolationViolationClass::CrossVwLeak);
-    assert!(err.from.contains("vw0 s1 fwd mb3"), "{err}");
-    assert!(err.to.contains("vw1 s1 bwd mb3"), "{err}");
-    assert!(err.detail.contains("vw0 activations s1"), "{err}");
-}
-
-#[test]
-fn under_declared_footprint_fails_the_isolation_pass() {
-    // Backwards that forget they emit the boundary gradient below:
-    // the Bwd(s+1) → Bwd(s) data edge loses its explanation, and the
-    // verdict names the under-declaring op.
-    let (graph, model) = wave_graph_and_model(2);
-    let err = verify_isolation_with(&graph, |n| {
-        let mut fp = model.footprint_of(n);
-        if matches!(n, DepNode::Bwd { .. }) {
-            fp.writes
-                .retain(|r| !matches!(r, FootprintResource::Boundary { .. }));
-            fp.reads
-                .retain(|r| !matches!(r, FootprintResource::Boundary { .. }));
-        }
-        fp
-    })
-    .expect_err("under-declared footprint must be caught");
-    assert_eq!(err.class, IsolationViolationClass::UnderDeclaredFootprint);
-    assert!(err.detail.contains("under-declares"), "{err}");
-    assert!(err.from.contains("bwd"), "{err}");
 }
 
 #[test]
