@@ -22,14 +22,14 @@
 //! 5. **Trace export**: every `--trace-out` file is written.
 //!
 //! Flags:
-//! - `--seeds <n>`: number of chaos scripts (default 32).
+//! - `--seeds <n>`: number of chaos scripts (default 32, at least 1).
 //! - `--horizon <secs>`: simulated horizon (default 60, at most
 //!   `hetpipe_bench::MAX_HORIZON_SECS`).
 //! - `--trace-out <prefix>`: write chrome traces for the canonical
 //!   cells and the first few chaos seeds, script events, signals and
 //!   splices included as instant markers.
 
-use hetpipe_bench::{arg_value, check_args, check_horizon, print_table, usage_error};
+use hetpipe_bench::{arg_value, check_args, check_horizon, check_seeds, print_table, usage_error};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -100,9 +100,9 @@ fn main() {
         .and_then(|h| check_horizon(h.unwrap_or(60.0)))
         .unwrap_or_else(|e| usage_error(&e));
     let horizon = SimTime::from_secs(horizon_secs);
-    let seeds: u64 = arg_value("--seeds")
-        .unwrap_or_else(|e| usage_error(&e))
-        .unwrap_or(32);
+    let seeds = arg_value("--seeds")
+        .and_then(|n| check_seeds(n.unwrap_or(32)))
+        .unwrap_or_else(|e| usage_error(&e));
     let trace_prefix: Option<String> = arg_value("--trace-out").unwrap_or_else(|e| usage_error(&e));
 
     // The acceptance configuration: one whimpy 4×RTX 2060 node,

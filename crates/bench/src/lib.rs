@@ -171,6 +171,16 @@ pub fn check_budget(secs: f64) -> Result<f64, String> {
     }
 }
 
+/// `count` as a number of seeded scripts: `Err` when it is zero (a
+/// run of no script would pass a gate it never ran).
+pub fn check_seeds(count: u64) -> Result<u64, String> {
+    if count == 0 {
+        Err("--seeds must be at least 1".to_string())
+    } else {
+        Ok(count)
+    }
+}
+
 /// Reports a malformed command line and exits with status 2.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -326,6 +336,22 @@ mod tests {
         for huge in [1e30, 1e6 + 1.0] {
             let err = check_horizon(huge).expect_err("beyond the bound");
             assert!(err.contains("at most 1000000 seconds"), "{err}");
+        }
+    }
+
+    #[test]
+    fn check_seeds_rejects_zero_and_non_numbers() {
+        let seeds = |value: &str| {
+            let args: Vec<String> = ["bin", "--seeds", value]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            parse_flag::<u64>(&args, "--seeds").and_then(|n| check_seeds(n.unwrap_or(32)))
+        };
+        assert_eq!(seeds("8"), Ok(8));
+        assert_eq!(seeds("0"), Err("--seeds must be at least 1".to_string()));
+        for bad in ["abc", "-1", "2.5"] {
+            assert!(seeds(bad).is_err(), "{bad}");
         }
     }
 

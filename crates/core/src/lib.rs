@@ -27,10 +27,9 @@
 //! - [`system`] — end-to-end assembly and simulation entry point.
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true
 //!   idle time (Section 8.4), and traffic split.
-//! - [`plankey`] — process-stable model/cluster fingerprints (the
-//!   request keys of the `hetpipe-plansvc` replan cache), the FNV-1a
-//!   accumulator trace digests share, and the order-independent span
-//!   multiset digest [`trace_fingerprint`].
+//! - [`fingerprint`] — the process-stable FNV-1a accumulator trace
+//!   digests share, and the order-independent span multiset digest
+//!   [`trace_fingerprint`].
 //! - [`convergence`] — composition of simulated throughput with
 //!   accuracy-per-update curves into time to accuracy (Figures 5
 //!   and 6).
@@ -39,8 +38,8 @@ pub mod alloc;
 pub mod audit;
 pub mod convergence;
 pub mod exec;
+pub mod fingerprint;
 pub mod metrics;
-pub mod plankey;
 pub mod pserver;
 pub mod sync;
 pub mod system;
@@ -49,12 +48,10 @@ pub mod vw;
 pub use alloc::AllocationPolicy;
 pub use audit::OccupancyAudit;
 pub use exec::{RateEvent, RateTarget, SegmentOpts};
+pub use fingerprint::{trace_fingerprint, Fnv};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
-pub use plankey::{cluster_fingerprint, graph_fingerprint, trace_fingerprint, Fnv};
 pub use pserver::Placement;
-pub use sync::{SyncModel, WspParams};
-pub use system::{
-    replan_problem, replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig,
-};
+pub use sync::WspParams;
+pub use system::{replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig};
 pub use vw::VirtualWorker;

@@ -306,43 +306,15 @@ impl PlanTable<'_> {
     }
 }
 
-/// The partition problem of one virtual worker re-planned from
-/// *observed* per-stage costs: `devices` are the stage devices in
-/// pipeline order, and `derate[q]` is the observed/planned duration
-/// ratio of stage `q`. Each stage's GPU spec is derated to the speed
-/// it actually delivers ([`hetpipe_cluster::gpu::GpuSpec::derated`],
-/// ratios below 1 count as 1), so the min–max DP rebalances layers
-/// away from slowed GPUs. [`replan_vw_from_observed`] and the
-/// `hetpipe-plansvc` replan cache both solve this problem, so their
-/// plans agree bit for bit.
-pub fn replan_problem<'g>(
-    cluster: &Cluster,
-    graph: &'g ModelGraph,
-    devices: &[DeviceId],
-    derate: &[f64],
-    nm: usize,
-    schedule: Schedule,
-    recompute: RecomputePolicy,
-) -> PartitionProblem<'g> {
-    assert_eq!(
-        devices.len(),
-        derate.len(),
-        "one observed derate per stage device"
-    );
-    let gpus: Vec<_> = devices
-        .iter()
-        .zip(derate)
-        .map(|(&d, &r)| cluster.spec_of(d).derated(r.max(1.0)))
-        .collect();
-    let links = VirtualWorker::links(cluster, devices);
-    PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute)
-}
-
 /// Re-solves one virtual worker's partition from *observed* per-stage
-/// costs ([`replan_problem`]) — the system rebuild entry point the
-/// fault-aware runtime (`hetpipe-runtime`) calls when its monitor
-/// reports stragglers or a lost GPU. `devices` are the *surviving*
-/// stage devices (drop the lost GPU to shrink the pipeline), and
+/// costs — the system rebuild entry point the fault-aware runtime
+/// (`hetpipe-runtime`) calls when its monitor reports stragglers or a
+/// lost GPU. `devices` are the *surviving* stage devices in pipeline
+/// order (drop the lost GPU to shrink the pipeline), and `derate[q]`
+/// is the observed/planned duration ratio of stage `q`. Each stage's
+/// GPU spec is derated to the speed it actually delivers
+/// ([`hetpipe_cluster::gpu::GpuSpec::derated`], ratios below 1 count
+/// as 1), so the min–max DP rebalances layers away from slowed GPUs.
 /// `incumbent` warm-starts the solver with the currently-executing
 /// plan ([`PartitionSolver::solve_warm`] — answer-preserving bound
 /// pruning, so online re-planning costs less than a cold solve).
@@ -362,7 +334,19 @@ pub fn replan_vw_from_observed(
     recompute: RecomputePolicy,
     incumbent: Option<&[std::ops::Range<usize>]>,
 ) -> Result<PartitionPlan, hetpipe_partition::PartitionError> {
-    let problem = replan_problem(cluster, graph, devices, derate, nm, schedule, recompute);
+    assert_eq!(
+        devices.len(),
+        derate.len(),
+        "one observed derate per stage device"
+    );
+    let gpus: Vec<_> = devices
+        .iter()
+        .zip(derate)
+        .map(|(&d, &r)| cluster.spec_of(d).derated(r.max(1.0)))
+        .collect();
+    let links = VirtualWorker::links(cluster, devices);
+    let problem =
+        PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute);
     PartitionSolver::solve_warm(&problem, incumbent)
 }
 

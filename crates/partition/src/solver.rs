@@ -184,34 +184,6 @@ impl PartitionSolver {
         Self::solve_bounded(problem, MemMode::PerStage, incumbent)
     }
 
-    /// Probes whether an incumbent would actually warm-start
-    /// [`PartitionSolver::solve_warm`] on `problem`: returns the
-    /// incumbent's bottleneck re-costed under the new cost model (the
-    /// bound the DP would prune with), or `None` when no sound bound
-    /// exists — incumbent absent, not a valid `k`-stage cover,
-    /// memory-infeasible under the new costs, or a colocated
-    /// interleaved schedule (where `solve_warm` degrades to the cold
-    /// solve). Callers that report provenance (the plan cache's
-    /// `WarmMiss` vs `Cold`) use this to claim a warm start only when
-    /// pruning genuinely applied.
-    pub fn incumbent_bound_secs(
-        problem: &PartitionProblem<'_>,
-        incumbent: &[Range<usize>],
-    ) -> Option<f64> {
-        use hetpipe_schedule::PipelineSchedule;
-        if problem.schedule.colocated_stages() > 1 {
-            return None;
-        }
-        let model = StageCostModel::new(problem);
-        let bound = Self::incumbent_bound(
-            &model,
-            problem.graph.len(),
-            problem.stages(),
-            Some(incumbent),
-        );
-        bound.is_finite().then_some(bound)
-    }
-
     /// The warm-start bound: the incumbent's bottleneck re-costed
     /// under `model`, or ∞ when the incumbent is not a valid,
     /// memory-feasible cover of the new problem (no sound bound

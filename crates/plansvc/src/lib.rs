@@ -1,52 +1,64 @@
-//! An in-process plan cache for fault-driven replans.
+//! An inert stand-in for the former plan cache.
 //!
-//! HetPipe plans each virtual worker's partition offline, once per
-//! configuration (§7); PipeDream's profiler and optimizer plan the same
-//! way. At run time the elastic controller (`hetpipe-runtime`) re-plans
-//! a virtual worker whenever its observed costs or its surviving GPUs
-//! change. This crate keeps the plans of those replans so that the next
-//! replan of the same or a similar instance starts warm.
-//!
-//! # Requests and keys
-//!
-//! A [`PlanRequest`] names the planning instance by value: `model_fp`
-//! and `cluster_fp` are the process-stable FNV-1a fingerprints of
-//! [`hetpipe_core::plankey`] (registered up front in a [`Catalog`]),
-//! plus the expanded stage-device list, `Nm`, schedule, recompute
-//! policy, and the observed per-stage derate vector. It resolves to a
-//! [`PlanKey`]. The [`PlanReply`] carries the partition plan and its
-//! [`Provenance`]:
-//!
-//! - [`Provenance::WarmMiss`] — solved warm-started from a cached plan
-//!   via [`hetpipe_partition::PartitionSolver::solve_warm`]; claimed
-//!   only when [`PartitionSolver::incumbent_bound_secs`] confirms the
-//!   incumbent yields a finite pruning bound. The warm start is
-//!   answer-preserving, so the reply is bit-identical to a cold solve.
-//! - [`Provenance::Cold`] — solved from scratch.
-//!
-//! # Replans and warm starts
-//!
-//! [`PlanClient::replan`] always solves, on the caller's thread, and
-//! stores the result under its key. Its incumbent is the key's own
-//! prior plan when one is cached, otherwise the most recently stored
-//! member of the key's *family*: same model and cluster fingerprints,
-//! same device list, schedule, and recompute policy, but any `Nm` or
-//! derate vector. Family members share the device list, hence the stage
-//! count, so the incumbent is always shape-compatible. A straggler
-//! replan warm-starts from the nominal plan; an `Nm` backoff
-//! warm-starts from the higher-`Nm` plan (memory is monotone in `Nm`,
-//! so that incumbent stays feasible).
-//!
-//! The cache counts key lookups as hits and misses, and stored replans
-//! as publishes ([`PlanService::cache_stats`]). It is bounded, and
-//! evicts its least-recently-used plan when full.
-//!
-//! [`PartitionSolver::incumbent_bound_secs`]: hetpipe_partition::PartitionSolver::incumbent_bound_secs
+//! Every runtime replan solves in process
+//! ([`hetpipe_core::replan_vw_from_observed`], warm-started from the
+//! virtual worker's current plan), so nothing here plans. These names
+//! remain only because the standalone `e2e_bench` package still builds
+//! a [`PlanService`] and hands its client to the runtime, which
+//! ignores it (`RuntimeParams::planner`). The stub and that field go
+//! with the next change to the benchmark (ROADMAP item 3).
 
-pub mod cache;
-pub mod service;
+use hetpipe_cluster::Cluster;
+use hetpipe_model::ModelGraph;
 
-pub use cache::PlanKey;
-pub use service::{
-    Catalog, PlanClient, PlanError, PlanReply, PlanRequest, PlanService, Provenance,
-};
+/// Accepts models and clusters and keeps none of them.
+#[derive(Debug, Default)]
+pub struct Catalog;
+
+impl Catalog {
+    /// An empty catalog.
+    pub fn new() -> Catalog {
+        Catalog
+    }
+
+    /// Accepts a model; nothing reads it.
+    pub fn register_model(&mut self, _graph: ModelGraph) {}
+
+    /// Accepts a cluster; nothing reads it.
+    pub fn register_cluster(&mut self, _cluster: Cluster) {}
+}
+
+/// A service that serves nothing.
+#[derive(Debug)]
+pub struct PlanService;
+
+impl PlanService {
+    /// Takes the catalog and a worker count, and ignores both.
+    pub fn start(_catalog: Catalog, _workers: usize) -> PlanService {
+        PlanService
+    }
+
+    /// A handle the runtime accepts and ignores.
+    pub fn client(&self) -> PlanClient {
+        PlanClient
+    }
+
+    /// `(hits, misses, publishes)`: always zero, since nothing is
+    /// cached.
+    pub fn cache_stats(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
+    }
+
+    /// Drops the service.
+    pub fn shutdown(self) {}
+}
+
+/// The handle [`PlanService::client`] returns.
+#[derive(Debug, Clone)]
+pub struct PlanClient;
+
+/// Empty, but it makes the benchmark's `drop(client)` a real drop
+/// (Clippy denies dropping a type without `Drop`).
+impl Drop for PlanClient {
+    fn drop(&mut self) {}
+}

@@ -166,14 +166,8 @@ pub struct RuntimeParams<'a> {
     pub monitor: MonitorConfig,
     /// Reaction budget (backstop against pathological oscillation).
     pub max_reactions: usize,
-    /// When set, `Replan` reactions solve through this plan-cache
-    /// handle ([`hetpipe_plansvc::PlanClient::replan`]), which
-    /// warm-starts each replan from the cached plan of the same or a
-    /// neighboring instance and stores the result. Its warm starts are
-    /// answer-preserving, so the spliced plans are bit-identical to
-    /// the in-process path. The cache's catalog should contain this
-    /// run's model and cluster; when it does not, every reaction falls
-    /// back to the in-process solve.
+    /// Ignored: every `Replan` reaction solves in process. Only the
+    /// standalone benchmark package still sets it.
     pub planner: Option<hetpipe_plansvc::PlanClient>,
 }
 
@@ -421,9 +415,6 @@ struct Controller<'a> {
     wave_offset: u64,
     reactions: usize,
     report: RuntimeReport,
-    /// `(model_fp, cluster_fp)` for cached replans; computed once at
-    /// construction when a planner handle is attached.
-    plan_fps: Option<(u64, u64)>,
     /// Every probe's inputs and in-run signals, for the monitor fold's
     /// parity test.
     #[cfg(test)]
@@ -453,12 +444,6 @@ impl<'a> Controller<'a> {
             final_vws: Vec::new(),
             final_nm: nm,
         };
-        let plan_fps = p.planner.as_ref().map(|_| {
-            (
-                hetpipe_core::plankey::graph_fingerprint(p.graph),
-                hetpipe_core::plankey::cluster_fingerprint(p.cluster),
-            )
-        });
         let roster = vws
             .iter()
             .map(|vw| {
@@ -485,7 +470,6 @@ impl<'a> Controller<'a> {
             wave_offset: 0,
             reactions: 0,
             report,
-            plan_fps,
             p,
             #[cfg(test)]
             probes: Vec::new(),
@@ -836,14 +820,10 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// One VW's replan attempt at `nm`: through the attached plan
-    /// cache when one is configured, in-process otherwise. The cache's
-    /// warm start is answer-preserving, so both paths return
-    /// bit-identical plans for the same observed costs. A partition
-    /// error (infeasible `nm`) surfaces either way so the caller can
-    /// lower `nm`; any other cache error (a model or cluster missing
-    /// from its catalog, a request it refuses) falls back to the
-    /// in-process solve.
+    /// One VW's replan attempt at `nm`, warm-started from its current
+    /// plan when the device list and `nm` are unchanged (the warm
+    /// start is answer-preserving). A partition error (infeasible
+    /// `nm`) surfaces so the caller can lower `nm`.
     fn solve_replan(
         &self,
         i: usize,
@@ -851,25 +831,9 @@ impl<'a> Controller<'a> {
         derate: &[f64],
         nm: usize,
     ) -> Result<hetpipe_partition::PartitionPlan, hetpipe_partition::PartitionError> {
-        if let (Some(client), Some((model_fp, cluster_fp))) = (&self.p.planner, self.plan_fps) {
-            let req = hetpipe_plansvc::PlanRequest {
-                model_fp,
-                cluster_fp,
-                devices: expanded.to_vec(),
-                nm,
-                schedule: self.p.schedule,
-                recompute: self.p.recompute,
-                observed_derates: derate.to_vec(),
-            };
-            match client.replan(&req) {
-                Ok(reply) => return Ok(reply.plan),
-                Err(hetpipe_plansvc::PlanError::Partition(e)) => return Err(e),
-                // The cache cannot plan this instance: solve in-process.
-                Err(_) => {}
-            }
-        }
-        let incumbent = (self.vws[i].devices == expanded && self.vws[i].nm == nm)
-            .then(|| self.vws[i].plan.ranges.clone());
+        let vw = &self.vws[i];
+        let incumbent =
+            (vw.devices == expanded && vw.nm == nm).then_some(vw.plan.ranges.as_slice());
         replan_vw_from_observed(
             self.p.cluster,
             self.p.graph,
@@ -878,7 +842,7 @@ impl<'a> Controller<'a> {
             nm,
             self.p.schedule,
             self.p.recompute,
-            incumbent.as_deref(),
+            incumbent,
         )
     }
 

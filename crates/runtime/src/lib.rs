@@ -33,12 +33,7 @@
 //!   executor's lanes), and [`Policy::Replan`] (re-run the
 //!   fast planner with observed costs and surviving GPUs —
 //!   warm-started from the incumbent plan — and splice the new plan
-//!   at a wave boundary). With [`RuntimeParams::planner`] set,
-//!   `Replan` solves through a `hetpipe-plansvc` plan cache instead:
-//!   each reaction warm-starts from the cached plan of the same or a
-//!   neighboring instance and stores its own, and the spliced plans
-//!   stay bit-identical to the in-process path (the cache's warm
-//!   starts are answer-preserving).
+//!   at a wave boundary).
 //!
 //! # Grow-splices: re-admission is as sound as eviction
 //!

@@ -21,9 +21,9 @@
 //! - [`train`] — a real (threaded, lock-based) WSP/SSP/BSP/ASP parameter
 //!   server and SGD trainer used for convergence experiments.
 //!
-//! - [`plansvc`] — an in-process plan cache for fault-driven replans:
-//!   each replan solves on the caller's thread, warm-started from the
-//!   cached plan of the same or a neighboring instance.
+//! - [`plansvc`] — an inert stand-in for the former plan cache, kept
+//!   for the standalone benchmark package; every replan solves in
+//!   process.
 //! - [`runtime`] — fault-aware *dynamic* execution: deterministic
 //!   fault/straggler injection scripts, a trace-fed runtime monitor
 //!   (per-stage EWMA of observed vs planned durations), and reactive
@@ -121,8 +121,7 @@ pub mod prelude {
     pub use hetpipe_allreduce::{HorovodBaseline, RingAllreduce};
     pub use hetpipe_cluster::{Cluster, DeviceId, GpuKind, LinkKind, Node, NodeId};
     pub use hetpipe_core::{
-        AllocationPolicy, HetPipeSystem, Placement, SyncModel, SystemConfig, SystemReport,
-        VirtualWorker,
+        AllocationPolicy, HetPipeSystem, Placement, SystemConfig, SystemReport, VirtualWorker,
     };
     pub use hetpipe_des::SimTime;
     pub use hetpipe_model::{mlp, resnet152, resnet50, vgg19, LayerKind, ModelGraph};

@@ -17,11 +17,13 @@
 //!     bit-identical wave-schedule traces — the planner refactor may
 //!     not leak into runtime behaviour (`tests/trace_pins.rs` pins
 //!     that run's digest).
+//! (d) a runtime replan (`replan_vw_from_observed`) returns the cold
+//!     solver's plan bit for bit, whichever incumbent warm-starts it.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, LinkKind};
 use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{replan_vw_from_observed, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::memory::nm_saturation_limit;
 use hetpipe::model::{ModelGraph, StageMemoryTerms, TrainingMemoryModel};
@@ -287,5 +289,69 @@ fn golden_wave_still_bit_identical() {
     for (x, y) in fast.vws.iter().zip(&slow.vws) {
         assert_eq!(x.completions, y.completions);
         assert_eq!(x.waves_pushed, y.waves_pushed);
+    }
+}
+
+/// (d) Warm-started replans are answer-preserving. Over {VGG-19,
+/// ResNet-152} × {wave, 1F1B} × `Nm` {4, 2, 1} × {nominal, one GPU
+/// ×1.5} on one GPU of each kind, every cell replans with no
+/// incumbent, with its own plan, and with the previous cell's plan (a
+/// derate neighbour, an `Nm` backoff, or another model's cover), and
+/// each must equal a cold `PartitionSolver::solve`.
+#[test]
+fn warm_replans_match_the_cold_solve_across_the_grid() {
+    let cluster = Cluster::paper_testbed();
+    let devices = [DeviceId(0), DeviceId(4), DeviceId(8), DeviceId(12)];
+    let recompute = RecomputePolicy::None;
+    let mut previous: Option<PartitionPlan> = None;
+    for graph in [hetpipe::model::vgg19(32), hetpipe::model::resnet152(32)] {
+        for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
+            for nm in [4, 2, 1] {
+                for derate in [[1.0; 4], [1.5, 1.0, 1.0, 1.0]] {
+                    let what = format!("{} {schedule:?} nm={nm} derate={derate:?}", graph.name);
+                    let gpus = devices
+                        .iter()
+                        .zip(&derate)
+                        .map(|(&d, &r)| cluster.spec_of(d).derated(r))
+                        .collect();
+                    let links = VirtualWorker::links(&cluster, &devices);
+                    let cold = PartitionSolver::solve(
+                        &PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule)
+                            .with_recompute(recompute),
+                    )
+                    .expect(&what);
+                    let replan = |incumbent: Option<&PartitionPlan>| {
+                        replan_vw_from_observed(
+                            &cluster,
+                            &graph,
+                            &devices,
+                            &derate,
+                            nm,
+                            schedule,
+                            recompute,
+                            incumbent.map(|p| p.ranges.as_slice()),
+                        )
+                        .expect(&what)
+                    };
+                    for (plan, from) in [
+                        (replan(None), "no incumbent"),
+                        (replan(Some(&cold)), "own plan"),
+                        (replan(previous.as_ref()), "previous cell's plan"),
+                    ] {
+                        // Bit-identical, not approximately equal.
+                        assert_eq!(plan.ranges, cold.ranges, "{what}, {from}: ranges");
+                        assert_eq!(
+                            plan.stage_secs, cold.stage_secs,
+                            "{what}, {from}: stage_secs"
+                        );
+                        assert_eq!(
+                            plan.bottleneck_secs, cold.bottleneck_secs,
+                            "{what}, {from}: bottleneck"
+                        );
+                    }
+                    previous = Some(cold);
+                }
+            }
+        }
     }
 }

@@ -23,10 +23,10 @@
 //!     cross-version drift of the baseline fails loudly.
 //! (f) **Flap suppression**: a grant/preempt flap shorter than the
 //!     lease hysteresis window produces zero splices.
-//! (g) **Fallback**: a plan cache whose catalog lacks the run's
-//!     cluster sends every reaction to the in-process solver, with
-//!     plans, epochs, and completions bit-identical to a run without
-//!     a cache.
+//! (g) **Planner handle ignored**: on the elastic-chaos shape (four
+//!     ED-built ResNet-152 virtual workers on 16 RTX 2060s,
+//!     boundary-only recompute, `Replan`), a run with
+//!     `RuntimeParams::planner` set replans exactly as one without.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
@@ -515,94 +515,6 @@ fn replan_after_gpu_loss_is_certified_and_continues() {
     );
 }
 
-/// Cache-backed `Replan` equals the in-process replan path, bit for
-/// bit, on both canonical fault scripts: same spliced plans, same
-/// epochs, same completion instants. The plan cache's warm starts are
-/// answer-preserving, so routing reactions through it must be
-/// behaviorally invisible — and each reaction must land in the cache
-/// as a publish.
-#[test]
-fn service_backed_replan_matches_in_process_path() {
-    use hetpipe::plansvc::{Catalog, PlanService};
-    let (cluster, graph, _) = whimpy_resnet();
-    let recompute = RecomputePolicy::BoundaryOnly;
-    let nm = 4;
-    let horizon = SimTime::from_secs(40.0);
-    for script in [
-        ScenarioScript::canonical_straggler(0, 5.0),
-        ScenarioScript::canonical_gpu_loss(2, 8.0),
-    ] {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
-        let in_process = runtime::run(
-            runtime_params(
-                &cluster,
-                &graph,
-                vec![vw.clone()],
-                nm,
-                Schedule::HetPipeWave,
-                recompute,
-                script.clone(),
-                Policy::Replan,
-            ),
-            horizon,
-        );
-        let mut catalog = Catalog::new();
-        catalog.register_model(graph.clone());
-        catalog.register_cluster(cluster.clone());
-        let svc = PlanService::start(catalog, 2);
-        let mut params = runtime_params(
-            &cluster,
-            &graph,
-            vec![vw],
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-            script.clone(),
-            Policy::Replan,
-        );
-        params.planner = Some(svc.client());
-        let serviced = runtime::run(params, horizon);
-        let name = &script.name;
-        assert_eq!(serviced.final_nm, in_process.final_nm, "{name}: spliced Nm");
-        assert_eq!(
-            serviced.final_vws.len(),
-            in_process.final_vws.len(),
-            "{name}: VW count"
-        );
-        for (a, b) in serviced.final_vws.iter().zip(&in_process.final_vws) {
-            assert_eq!(a.devices, b.devices, "{name}: spliced devices");
-            assert_eq!(a.plan.ranges, b.plan.ranges, "{name}: spliced ranges");
-            assert_eq!(
-                a.plan.stage_secs, b.plan.stage_secs,
-                "{name}: spliced stage costs"
-            );
-        }
-        assert_eq!(
-            serviced.completions, in_process.completions,
-            "{name}: completion instants"
-        );
-        assert_eq!(
-            serviced.epochs.len(),
-            in_process.epochs.len(),
-            "{name}: epochs"
-        );
-        // Every reaction published (replans are writes, not reads).
-        let (_, _, publishes) = svc.cache_stats();
-        assert!(
-            publishes > 0,
-            "{name}: reactions must publish through the cache"
-        );
-        svc.shutdown();
-    }
-}
-
 // ------------------------------------------------------------------
 // (d) Elastic scale-up on the canonical lease trace.
 // ------------------------------------------------------------------
@@ -845,63 +757,77 @@ fn flapping_lease_produces_zero_splices() {
 }
 
 // ------------------------------------------------------------------
-// (g) Fallback: a cache that cannot plan the run's cluster.
+// (g) The planner handle is ignored.
 // ------------------------------------------------------------------
 
+/// `RuntimeParams::planner` is kept only for callers that still set
+/// it; every replan solves in process either way. Four seeded chaos
+/// scripts over the elastic-chaos shape must splice the same plans
+/// and complete the same minibatches with and without a handle.
 #[test]
-fn plan_cache_without_the_run_cluster_falls_back_in_process() {
+fn planner_handle_does_not_change_elastic_chaos_runs() {
+    use hetpipe::core::{AllocationPolicy, HetPipeSystem, SystemConfig};
     use hetpipe::plansvc::{Catalog, PlanService};
-    let (cluster, graph, _) = whimpy_resnet();
-    let recompute = RecomputePolicy::BoundaryOnly;
-    let nm = 4;
-    let horizon = SimTime::from_secs(50.0);
-    let script = ScenarioScript::canonical_lease(2, 8.0, 30.0);
-    let params = || {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
-        runtime_params(
-            &cluster,
-            &graph,
-            vec![vw],
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-            script.clone(),
-            Policy::Replan,
-        )
+    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+    let graph = hetpipe::model::resnet152(32);
+    let config = SystemConfig {
+        policy: AllocationPolicy::EqualDistribution,
+        recompute: RecomputePolicy::BoundaryOnly,
+        ..SystemConfig::default()
     };
-    let in_process = runtime::run(params(), horizon);
-    // The catalog knows the model but not the cluster: every replan
-    // request fails with `UnknownCluster` before any cache lookup.
+    let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
+    assert_eq!(sys.virtual_workers().len(), 4);
     let mut catalog = Catalog::new();
     catalog.register_model(graph.clone());
+    catalog.register_cluster(cluster.clone());
     let svc = PlanService::start(catalog, 1);
-    let mut cached = params();
-    cached.planner = Some(svc.client());
-    let fallback = runtime::run(cached, horizon);
-    assert!(in_process.epochs.len() > 1, "the lease trace must splice");
-    assert_eq!(
-        svc.cache_stats(),
-        (0, 0, 0),
-        "no reaction may reach the cache"
-    );
-    assert_eq!(fallback.final_nm, in_process.final_nm, "spliced Nm");
-    assert_eq!(fallback.epochs.len(), in_process.epochs.len(), "epochs");
-    assert_eq!(fallback.final_vws.len(), in_process.final_vws.len());
-    for (a, b) in fallback.final_vws.iter().zip(&in_process.final_vws) {
-        assert_eq!(a.devices, b.devices, "spliced devices");
-        assert_eq!(a.plan.ranges, b.plan.ranges, "spliced ranges");
-        assert_eq!(a.plan.stage_secs, b.plan.stage_secs, "spliced stage costs");
+    let horizon_secs = 90.0;
+    let mut epochs = 0;
+    for seed in 0..4u64 {
+        let script = ScenarioScript::chaos(seed, horizon_secs, 16, 4, 8);
+        let run = |planner| {
+            runtime::run(
+                RuntimeParams {
+                    cluster: &cluster,
+                    graph: &graph,
+                    vws: sys.virtual_workers().to_vec(),
+                    wsp: WspParams::new(sys.nm(), config.staleness_bound),
+                    placement: config.placement,
+                    sync_transfers: config.sync_transfers,
+                    schedule: config.schedule,
+                    recompute: config.recompute,
+                    script: script.clone(),
+                    policy: Policy::Replan,
+                    monitor: MonitorConfig::default(),
+                    max_reactions: 8,
+                    planner,
+                },
+                SimTime::from_secs(horizon_secs),
+            )
+        };
+        let plain = run(None);
+        let handled = run(Some(svc.client()));
+        let name = &script.name;
+        assert!(plain.audits_sound(), "{name}: occupancy audits");
+        assert!(handled.audits_sound(), "{name}: occupancy audits");
+        assert_eq!(
+            handled.completions, plain.completions,
+            "{name}: completions"
+        );
+        assert_eq!(handled.epochs.len(), plain.epochs.len(), "{name}: epochs");
+        assert_eq!(handled.final_nm, plain.final_nm, "{name}: final Nm");
+        assert_eq!(
+            handled.final_vws.len(),
+            plain.final_vws.len(),
+            "{name}: VWs"
+        );
+        for (a, b) in handled.final_vws.iter().zip(&plain.final_vws) {
+            assert_eq!(a.devices, b.devices, "{name}: spliced devices");
+            assert_eq!(a.plan.ranges, b.plan.ranges, "{name}: spliced ranges");
+            assert_eq!(a.plan.stage_secs, b.plan.stage_secs, "{name}: stage costs");
+        }
+        epochs += plain.epochs.len();
     }
-    assert_eq!(
-        fallback.completions, in_process.completions,
-        "completion instants"
-    );
-    assert!(fallback.audits_sound(), "occupancy audits");
+    assert!(epochs > 4, "the scripts must make the controller splice");
+    svc.shutdown();
 }
