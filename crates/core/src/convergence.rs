@@ -8,8 +8,8 @@
 //!    configuration (from the discrete-event simulator).
 //! 2. **Statistical efficiency** — accuracy as a function of the
 //!    *number of updates* under a given staleness regime (from the real
-//!    threaded trainer in `hetpipe-train`, which produces genuinely
-//!    stale gradients).
+//!    trainer in `hetpipe-train`, which produces genuinely stale
+//!    gradients).
 //!
 //! `accuracy(t) = curve(throughput × t)` composes the two, preserving
 //! both the paper's "HetPipe finishes more minibatches per hour" and

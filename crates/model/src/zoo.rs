@@ -228,7 +228,7 @@ pub fn transformer_encoder(
 /// Builds a plain multi-layer perceptron: `dims[0] -> dims[1] -> …`,
 /// with a softmax loss over the last width.
 ///
-/// Used by the real threaded trainer (`hetpipe-train`) and as a small,
+/// Used by the real trainer (`hetpipe-train`) and as a small,
 /// exactly-analyzable workload in partitioner tests.
 ///
 /// # Panics

@@ -1,29 +1,38 @@
-//! The threaded training harness.
+//! The training harness.
 //!
-//! `N` OS threads play `N` virtual workers. The WSP mode reproduces the
-//! paper's semantics exactly:
+//! `N` virtual workers train on the calling thread. Each step runs one
+//! minibatch of one worker, drawn uniformly from the workers whose gate
+//! is open by a `SmallRng` seeded with [`TrainConfig::seed`]: the draw
+//! stands in for the workers' relative speeds, so a run is a function
+//! of its configuration. The WSP mode reproduces the paper's semantics
+//! exactly:
 //!
 //! - minibatch `p`'s gradient is computed against the local weights as
 //!   of `p`'s *injection* (HetPipe keeps `w_p` until `p`'s backward,
 //!   Section 4) and applied locally `s_local = Nm − 1` injections later
 //!   — the pipeline's inherent local staleness;
 //! - every `Nm` completions, the *aggregated* wave delta is pushed to
-//!   the parameter server as one unit (Section 5);
-//! - injection of minibatch `p` blocks until the local weights cover
-//!   the globally-required wave (the `s_global` gate), which is a real
-//!   blocking wait on the server's condition variable — the same
-//!   distance-`D` coordination the simulator models in time.
+//!   the parameter server as one unit (Section 5), and a run's last
+//!   partial wave is pushed when its pipeline drains;
+//! - injection of minibatch `p` waits until the local weights cover the
+//!   globally-required wave (the `s_global` gate) — the same distance-`D`
+//!   coordination the simulator models in time.
+//!
+//! A waiting worker pulls at the instant its gate opens: at the push
+//! that opens it, or when it arrives at a gate that is already open.
 //!
 //! BSP, ASP, and classic SSP are provided as convergence baselines
-//! (Section 2.2's taxonomy).
+//! (Section 2.2's taxonomy). BSP is SSP with staleness 0: a worker's
+//! own delta is overwritten by the barrier pull before its next step.
 
 use crate::data::Dataset;
 use crate::mlp::Mlp;
 use crate::ps::ParameterServer;
 use crate::sgd::{accumulate, apply_delta, Sgd};
 use hetpipe_schedule::WspParams;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Synchronization mode of a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +56,12 @@ pub enum Mode {
     },
 }
 
-/// Configuration of a threaded training run.
+/// Configuration of a training run.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Synchronization mode.
     pub mode: Mode,
-    /// Number of worker threads (virtual workers).
+    /// Number of virtual workers.
     pub workers: usize,
     /// MLP layer widths (input first, classes last).
     pub dims: Vec<usize>,
@@ -64,7 +73,7 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// Minibatches each worker processes.
     pub steps_per_worker: u64,
-    /// RNG seed for model initialization.
+    /// RNG seed for model initialization and the step order.
     pub seed: u64,
     /// Snapshot interval for the accuracy curve, in total minibatch
     /// updates (0 = only the final point).
@@ -103,7 +112,7 @@ pub struct TrainOutcome {
     pub max_clock_distance: u64,
 }
 
-/// Runs a threaded training session and returns the accuracy curve.
+/// Runs a training session and returns the accuracy curve.
 ///
 /// # Panics
 ///
@@ -118,24 +127,28 @@ pub fn train(dataset: &Dataset, config: &TrainConfig) -> TrainOutcome {
     );
 
     let init = Mlp::new(&config.dims, config.seed);
-    let ps = Arc::new(ParameterServer::new(
-        init.to_flat(),
-        config.workers,
-        config.snapshot_every,
-    ));
-
-    std::thread::scope(|scope| {
-        for worker in 0..config.workers {
-            let ps = Arc::clone(&ps);
-            let config = config.clone();
-            scope.spawn(move || match config.mode {
-                Mode::Wsp { nm, d } => run_wsp(worker, &ps, dataset, &config, nm, d),
-                Mode::Bsp => run_bsp(worker, &ps, dataset, &config),
-                Mode::Asp => run_asp(worker, &ps, dataset, &config),
-                Mode::Ssp { s } => run_ssp(worker, &ps, dataset, &config, s),
-            });
+    let mut ps = ParameterServer::new(init.to_flat(), config.workers, config.snapshot_every);
+    let mut workers: Vec<Worker> = (0..config.workers)
+        .map(|id| Worker::new(id, config))
+        .collect();
+    let mut order = SmallRng::seed_from_u64(config.seed);
+    let mut ready = Vec::with_capacity(config.workers);
+    loop {
+        ready.clear();
+        ready.extend(
+            (0..config.workers)
+                .filter(|&i| workers[i].next <= config.steps_per_worker && !ps.waiting(i)),
+        );
+        if ready.is_empty() {
+            break;
         }
-    });
+        let i = ready[order.gen_range(0..ready.len())];
+        workers[i].step(&mut ps, dataset, config);
+    }
+    assert!(
+        workers.iter().all(|w| w.next > config.steps_per_worker),
+        "every worker finishes"
+    );
 
     // Offline: evaluate the snapshots into an accuracy curve.
     let mut model = init;
@@ -146,8 +159,7 @@ pub fn train(dataset: &Dataset, config: &TrainConfig) -> TrainOutcome {
         curve_steps.push(updates);
         curve_accuracy.push(model.accuracy(&dataset.test_x, &dataset.test_y));
     }
-    let final_weights = ps.final_weights();
-    model.load_flat(&final_weights);
+    model.load_flat(ps.weights());
     let final_accuracy = model.accuracy(&dataset.test_x, &dataset.test_y);
     let total = ps.total_updates();
     if curve_steps.last() != Some(&total) {
@@ -164,121 +176,113 @@ pub fn train(dataset: &Dataset, config: &TrainConfig) -> TrainOutcome {
     }
 }
 
-/// The WSP worker loop (pipelined SGD with wave pushes).
-fn run_wsp(
-    worker: usize,
-    ps: &ParameterServer,
-    dataset: &Dataset,
-    config: &TrainConfig,
-    nm: usize,
-    d: usize,
-) {
-    let mut model = Mlp::new(&config.dims, config.seed);
-    let mut local = model.to_flat();
-    let mut opt = Sgd::new(local.len(), config.lr, config.momentum);
-    // Deltas of injected-but-not-completed minibatches (pipeline).
-    let mut pending: VecDeque<Vec<f32>> = VecDeque::with_capacity(nm);
-    // Aggregated deltas of the current wave (applied locally, unpushed).
-    let mut wave_acc = vec![0.0f32; local.len()];
-    let mut pulled: i64 = -1;
-    let mut completed: u64 = 0;
-    let wsp = WspParams::new(nm, d);
-    let s_local = wsp.s_local();
+/// One virtual worker's state between its steps.
+struct Worker {
+    id: usize,
+    model: Mlp,
+    opt: Sgd,
+    /// The weights the next minibatch computes on.
+    local: Vec<f32>,
+    /// The next minibatch (1-indexed).
+    next: u64,
+    /// WSP: deltas of injected-but-not-completed minibatches (pipeline).
+    pending: VecDeque<Vec<f32>>,
+    /// WSP: the current wave's completed deltas, applied locally but not
+    /// yet pushed.
+    wave_acc: Vec<f32>,
+    /// WSP: minibatches completed.
+    completed: u64,
+    /// WSP: waves the last pull covered.
+    pulled: u64,
+}
 
-    let complete_one = |pending: &mut VecDeque<Vec<f32>>,
-                        local: &mut Vec<f32>,
-                        wave_acc: &mut Vec<f32>,
-                        completed: &mut u64| {
-        let delta = pending.pop_front().expect("pipeline non-empty");
-        apply_delta(local, &delta);
-        accumulate(wave_acc, &delta);
-        *completed += 1;
-        if (*completed).is_multiple_of(nm as u64) {
-            ps.push(worker, wave_acc, nm as u64);
-            wave_acc.iter_mut().for_each(|v| *v = 0.0);
+impl Worker {
+    fn new(id: usize, config: &TrainConfig) -> Worker {
+        let model = Mlp::new(&config.dims, config.seed);
+        let local = model.to_flat();
+        Worker {
+            id,
+            opt: Sgd::new(local.len(), config.lr, config.momentum),
+            wave_acc: vec![0.0; local.len()],
+            model,
+            local,
+            next: 1,
+            pending: VecDeque::new(),
+            completed: 0,
+            pulled: 0,
         }
-    };
+    }
 
-    for p in 1..=config.steps_per_worker {
-        // The WSP start gate (Section 5): block until the local weights
-        // cover the required global wave.
-        if let Some(req) = wsp.required_wave(p) {
-            if pulled < req as i64 {
-                let (global, covered) = ps.pull_wait(req);
-                // Local view = global weights + this worker's local
-                // updates that are not yet part of a pushed wave.
-                local = global;
-                apply_delta(&mut local, &wave_acc);
-                pulled = covered as i64;
+    /// Runs minibatch `next`, then arrives at the next one's gate.
+    fn step(&mut self, ps: &mut ParameterServer, dataset: &Dataset, config: &TrainConfig) {
+        if let Some((global, waves)) = ps.take_pull(self.id) {
+            // Local view = global weights + this worker's local updates
+            // that are not yet part of a pushed wave (none outside WSP).
+            self.local = global;
+            apply_delta(&mut self.local, &self.wave_acc);
+            self.pulled = waves;
+        }
+        let p = self.next;
+        self.model.load_flat(&self.local);
+        let (x, y) = dataset.minibatch(self.id, config.workers, p - 1, config.batch);
+        let (_, grads) = self.model.loss_and_gradients(&x, &y);
+        let delta = self.opt.delta(&grads.to_flat());
+        self.next += 1;
+        let done = p == config.steps_per_worker;
+
+        let gate = match config.mode {
+            Mode::Wsp { nm, d } => {
+                self.inject(ps, delta, nm, done);
+                // The WSP start gate (Section 5): the local weights must
+                // cover the required global wave.
+                let req = WspParams::new(nm, d).required_wave(self.next);
+                req.filter(|&req| self.pulled <= req)
+            }
+            Mode::Bsp | Mode::Ssp { .. } => {
+                let s = if let Mode::Ssp { s } = config.mode {
+                    s
+                } else {
+                    0
+                } as u64;
+                apply_delta(&mut self.local, &delta);
+                ps.push(self.id, &delta, 1);
+                // Classic SSP (Ho et al.): the worker's clock is p, and
+                // minibatch p + 1 may run while p <= min + s.
+                p.checked_sub(s + 1)
+            }
+            Mode::Asp => {
+                ps.push(self.id, &delta, 1);
+                // No gate: the next minibatch reads the weights of now.
+                self.local.copy_from_slice(ps.weights());
+                None
+            }
+        };
+        if let Some(gate) = gate.filter(|_| !done) {
+            ps.pull(self.id, gate);
+        }
+    }
+
+    /// WSP: injects a minibatch computed against `w_p` and completes the
+    /// one injected `s_local = nm − 1` injections earlier, pushing each
+    /// full wave. A drain completes every pending minibatch and pushes
+    /// the last partial wave too.
+    fn inject(&mut self, ps: &mut ParameterServer, delta: Vec<f32>, nm: usize, drain: bool) {
+        self.pending.push_back(delta);
+        let in_flight = if drain { 0 } else { nm - 1 };
+        while self.pending.len() > in_flight {
+            let delta = self.pending.pop_front().expect("pipeline non-empty");
+            apply_delta(&mut self.local, &delta);
+            accumulate(&mut self.wave_acc, &delta);
+            self.completed += 1;
+            if self.completed.is_multiple_of(nm as u64) {
+                ps.push(self.id, &self.wave_acc, nm as u64);
+                self.wave_acc.iter_mut().for_each(|v| *v = 0.0);
             }
         }
-        // Inject minibatch p: gradient against the *current* local
-        // weights (w_p), applied s_local injections later.
-        model.load_flat(&local);
-        let (x, y) = dataset.minibatch(worker, config.workers, p - 1, config.batch);
-        let (_, grads) = model.loss_and_gradients(&x, &y);
-        pending.push_back(opt.delta(&grads.to_flat()));
-
-        if pending.len() > s_local {
-            complete_one(&mut pending, &mut local, &mut wave_acc, &mut completed);
+        let partial = self.completed % nm as u64;
+        if drain && partial > 0 {
+            ps.push(self.id, &self.wave_acc, partial);
         }
-    }
-    // Drain the pipeline (the run ends cleanly on a wave boundary when
-    // steps_per_worker is a multiple of nm).
-    while !pending.is_empty() {
-        complete_one(&mut pending, &mut local, &mut wave_acc, &mut completed);
-    }
-}
-
-/// BSP: compute, push, barrier, pull — per minibatch.
-fn run_bsp(worker: usize, ps: &ParameterServer, dataset: &Dataset, config: &TrainConfig) {
-    let mut model = Mlp::new(&config.dims, config.seed);
-    let mut local = model.to_flat();
-    let mut opt = Sgd::new(local.len(), config.lr, config.momentum);
-    for p in 1..=config.steps_per_worker {
-        model.load_flat(&local);
-        let (x, y) = dataset.minibatch(worker, config.workers, p - 1, config.batch);
-        let (_, grads) = model.loss_and_gradients(&x, &y);
-        let delta = opt.delta(&grads.to_flat());
-        ps.push(worker, &delta, 1);
-        // Barrier: wait until every worker pushed minibatch p.
-        let (global, _) = ps.pull_wait(p - 1);
-        local = global;
-    }
-}
-
-/// ASP: push and pull without any coordination.
-fn run_asp(worker: usize, ps: &ParameterServer, dataset: &Dataset, config: &TrainConfig) {
-    let mut model = Mlp::new(&config.dims, config.seed);
-    let mut opt = Sgd::new(model.param_count(), config.lr, config.momentum);
-    for p in 1..=config.steps_per_worker {
-        let local = ps.pull_now();
-        model.load_flat(&local);
-        let (x, y) = dataset.minibatch(worker, config.workers, p - 1, config.batch);
-        let (_, grads) = model.loss_and_gradients(&x, &y);
-        let delta = opt.delta(&grads.to_flat());
-        ps.push(worker, &delta, 1);
-    }
-}
-
-/// Classic SSP (Ho et al.): per-minibatch pushes, proceed while within
-/// `s` clocks of the slowest worker.
-fn run_ssp(worker: usize, ps: &ParameterServer, dataset: &Dataset, config: &TrainConfig, s: usize) {
-    let mut model = Mlp::new(&config.dims, config.seed);
-    let mut local = model.to_flat();
-    let mut opt = Sgd::new(local.len(), config.lr, config.momentum);
-    for p in 1..=config.steps_per_worker {
-        // Worker clock is p-1; it may run while p-1 <= min + s.
-        if p - 1 > s as u64 {
-            let (global, _) = ps.pull_wait(p - 1 - s as u64 - 1);
-            local = global;
-        }
-        model.load_flat(&local);
-        let (x, y) = dataset.minibatch(worker, config.workers, p - 1, config.batch);
-        let (_, grads) = model.loss_and_gradients(&x, &y);
-        let delta = opt.delta(&grads.to_flat());
-        apply_delta(&mut local, &delta);
-        ps.push(worker, &delta, 1);
     }
 }
 
@@ -317,11 +321,10 @@ mod tests {
     fn wsp_converges_on_blobs() {
         let (dataset, config) = blob_config(Mode::Wsp { nm: 4, d: 0 }, 512);
         let out = train(&dataset, &config);
-        // Thread interleavings perturb the trajectory run-to-run (and
-        // more so under full-suite CPU load); the threshold leaves
-        // headroom over the observed spread (dips to ~0.75 seen with
-        // the vendored SmallRng stream) while still far above the
-        // 3-class chance level.
+        // The seeded step order fixes the trajectory; the threshold
+        // leaves headroom over its spread across orders (dips to ~0.75
+        // seen with the vendored SmallRng stream) while still far above
+        // the 3-class chance level.
         assert!(
             out.final_accuracy > 0.70,
             "WSP accuracy = {}",
@@ -329,6 +332,15 @@ mod tests {
         );
         assert_eq!(out.total_updates, 4 * 512);
         assert!(!out.curve_steps.is_empty());
+    }
+
+    #[test]
+    fn wsp_pushes_the_final_partial_wave() {
+        // 5 steps at Nm = 3: one full wave, then a partial wave of 2
+        // that the drain must push.
+        let (dataset, config) = blob_config(Mode::Wsp { nm: 3, d: 0 }, 5);
+        let out = train(&dataset, &config);
+        assert_eq!(out.total_updates, 4 * 5);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Real multi-threaded training under WSP staleness semantics.
+//! Real training under WSP staleness semantics.
 //!
-//! Four worker threads play four virtual workers, each running
-//! *pipelined* SGD (gradients computed against injection-time weights,
-//! wave-aggregated pushes, D-bounded pulls) against a shared parameter
-//! server. Compares WSP at D = 0 / 4 / 32 with classic BSP and ASP on
-//! the same synthetic task — the Figure-6 mechanism at laptop scale.
+//! Four virtual workers take turns on one thread in a seeded order,
+//! each running *pipelined* SGD (gradients computed against
+//! injection-time weights, wave-aggregated pushes, D-bounded pulls)
+//! against a shared parameter server. Compares WSP at D = 0 / 4 / 32
+//! with classic BSP and ASP on the same synthetic task — the Figure-6
+//! mechanism at laptop scale.
 //!
 //! Run with: `cargo run --release --example convergence_wsp`
 

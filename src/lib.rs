@@ -18,7 +18,7 @@
 //!   execution, the Wave Synchronous Parallel (WSP) model, parameter
 //!   servers, resource-allocation policies, and end-to-end simulation.
 //! - [`allreduce`] — the Horovod-like all-reduce data-parallel baseline.
-//! - [`train`] — a real (threaded, lock-based) WSP/SSP/BSP/ASP parameter
+//! - [`train`] — a real (seeded, single-threaded) WSP/SSP/BSP/ASP parameter
 //!   server and SGD trainer used for convergence experiments.
 //!
 //! - [`plansvc`] — an inert stand-in for the former plan cache, kept

@@ -1,4 +1,4 @@
-//! Convergence integration tests: the real threaded trainer + the
+//! Convergence integration tests: the real trainer + the
 //! accuracy/time composition behind Figures 5 and 6.
 
 use hetpipe::core::convergence::{time_to_accuracy, AccuracyCurve};
@@ -26,8 +26,8 @@ fn run_mode(mode: Mode, workers: usize, steps: u64) -> (f64, AccuracyCurve) {
 
 #[test]
 fn wsp_and_bsp_reach_target_accuracy() {
-    // Thread interleavings perturb the trajectories; thresholds leave
-    // headroom over the observed run-to-run spread.
+    // The seeded step order fixes the trajectories; thresholds leave
+    // headroom over their spread across step orders.
     let (wsp_acc, _) = run_mode(Mode::Wsp { nm: 4, d: 0 }, 4, 512);
     let (bsp_acc, _) = run_mode(Mode::Bsp, 4, 512);
     assert!(wsp_acc > 0.80, "WSP accuracy {wsp_acc}");

@@ -1,7 +1,7 @@
 //! Reproducibility: identical configurations must simulate to
 //! bit-identical reports (fixed-point time + deterministic event
-//! ordering), and the trainer's gate must agree with the simulator's
-//! staleness algebra.
+//! ordering) and train to bit-identical outcomes (a seeded step order)
+//! under every synchronization mode.
 
 use hetpipe::prelude::*;
 
@@ -44,23 +44,50 @@ fn different_d_changes_behaviour() {
     );
 }
 
-#[test]
-fn trainer_is_deterministic_single_worker() {
-    use hetpipe::train::{train, Dataset, Mode, TrainConfig};
+/// Trains twice and requires bit-identical outcomes: the seeded step
+/// order fixes every pull and push (dynamically audited tier).
+fn assert_trainer_deterministic(mode: hetpipe::train::Mode, workers: usize) {
+    use hetpipe::train::{train, Dataset, TrainConfig};
     let dataset = Dataset::gaussian_blobs(8, 3, 256, 64, 0.4, 3);
     let config = TrainConfig {
-        mode: Mode::Wsp { nm: 3, d: 0 },
-        workers: 1,
+        mode,
+        workers,
         dims: vec![8, 12, 3],
         batch: 16,
         lr: 0.05,
         momentum: 0.9,
         steps_per_worker: 60,
         seed: 9,
-        snapshot_every: 0,
+        snapshot_every: 40,
     };
-    let a = train(&dataset, &config);
-    let b = train(&dataset, &config);
-    assert_eq!(a.final_accuracy, b.final_accuracy);
-    assert_eq!(a.total_updates, b.total_updates);
+    let [a, b] = [(); 2].map(|_| train(&dataset, &config));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.curve_steps, b.curve_steps, "{mode:?}");
+    assert_eq!(bits(&a.curve_accuracy), bits(&b.curve_accuracy), "{mode:?}");
+    assert_eq!(
+        a.final_accuracy.to_bits(),
+        b.final_accuracy.to_bits(),
+        "{mode:?}"
+    );
+    assert_eq!(a.total_updates, b.total_updates, "{mode:?}");
+    assert_eq!(a.max_clock_distance, b.max_clock_distance, "{mode:?}");
+}
+
+#[test]
+fn trainer_is_deterministic_single_worker() {
+    assert_trainer_deterministic(hetpipe::train::Mode::Wsp { nm: 3, d: 0 }, 1);
+}
+
+#[test]
+fn trainer_is_deterministic_four_workers() {
+    use hetpipe::train::Mode;
+    for mode in [
+        Mode::Bsp,
+        Mode::Asp,
+        Mode::Ssp { s: 3 },
+        Mode::Wsp { nm: 3, d: 0 },
+        Mode::Wsp { nm: 3, d: 2 },
+    ] {
+        assert_trainer_deterministic(mode, 4);
+    }
 }

@@ -1,6 +1,6 @@
 //! The paper scorecard's deterministic claims (simulator and Theorem 1)
 //! at reduced horizons: every qualitative ordering must hold. The
-//! threaded-trainer claims stay out of tier 1; `tests/convergence.rs`
+//! trainer claims stay out of tier 1; `tests/convergence.rs`
 //! covers the trainer there. `tests/end_to_end.rs` pins the end-to-end
 //! claims one by one with their thresholds.
 

@@ -1,5 +1,5 @@
 //! Property tests of the WSP staleness algebra and its enforcement by
-//! both the simulator and the real threaded trainer.
+//! both the simulator and the real trainer.
 //!
 //! Written as exhaustive/seeded sweeps rather than `proptest` (the
 //! offline build vendors no shrinking framework); the parameter grids
@@ -150,7 +150,7 @@ fn distance_rule() {
     }
 }
 
-/// The threaded trainer must honour the clock-distance bound under
+/// The trainer must honour the clock-distance bound under
 /// every (Nm, D) combination — measured, not assumed.
 #[test]
 fn trainer_clock_distance_respects_bound() {
