@@ -15,6 +15,11 @@
 //! - **nm-search** — the binary-searched `Max_m`
 //!   ([`max_feasible_nm_with`]) against the linear rescan
 //!   ([`max_feasible_nm_linear`]);
+//! - **nm-sweep** — one co-located interleaved instance (a VRGQ
+//!   virtual worker × 2 chunks) swept over `Nm = 1, 2, …` up to the
+//!   first infeasible `Nm`: an [`NmSweep`], which reuses each memory
+//!   mode's optimum while it provably stays optimal, against a cold
+//!   [`PartitionSolver::solve`] per `Nm`;
 //! - **order-search** — the paper's 4-node heterogeneous cluster
 //!   configuration (a VRGQ virtual worker, `order_search = true`):
 //!   every distinct kind-order scored by its best proxy rate over the
@@ -27,13 +32,14 @@
 //!   simulate) on the paper and whimpy clusters, and the build of the
 //!   whole 128-cell plan-sweep matrix, recorded for the trajectory (no
 //!   baseline counterpart). A build keeps no state for the next, so
-//!   every repeat is as cold as the first; each row keeps n, median
-//!   and quartiles.
+//!   every repeat is as cold as the first.
 //!
-//! Every timed pair is also a **parity check**: identical plans,
-//! identical `Max_m`, identical winning order, identical op
-//! sequences. Any parity violation exits non-zero — this is the CI
-//! smoke contract.
+//! Every timing, each side of a pair included, records its sample
+//! count, median and quartiles (`{n, median, q1, q3}`); a pair's
+//! `speedup` is the ratio of its medians. Every timed pair is also a
+//! **parity check**: identical plans, identical `Max_m`, identical
+//! winning order, identical op sequences. Any parity violation exits
+//! non-zero — this is the CI smoke contract.
 //!
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
@@ -46,26 +52,12 @@ use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
 use hetpipe_partition::order::{search_orders, search_orders_par};
 use hetpipe_partition::{
-    max_feasible_nm_linear, max_feasible_nm_with, PartitionProblem, PartitionSolver,
+    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
+    PartitionProblem, PartitionSolver,
 };
 use hetpipe_schedule::{GpuOp, GpuStream, PipelineSchedule, RecomputePolicy, Schedule, WspParams};
 use serde_json::json;
 use std::time::Instant;
-
-/// Times `f` as the best (minimum) per-call seconds over `reps`
-/// repetitions, returning `(secs_per_call, last_result)`.
-fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    assert!(reps >= 1);
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (best, result.unwrap())
-}
 
 /// Times `n` calls of `f`, returning each call's seconds and the last
 /// result.
@@ -80,10 +72,51 @@ fn time_each<R>(n: usize, mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
     (secs, result.expect("at least one call"))
 }
 
-/// `secs` as an end-to-end row's `{n, median, q1, q3}`.
+/// `secs` as a row's `{n, median, q1, q3}`.
 fn summary(secs: &[f64]) -> serde_json::Value {
     let (median, q1, q3) = median_and_quartiles(secs);
     json!({ "n": secs.len(), "median": median, "q1": q1, "q3": q3 })
+}
+
+/// The median of `secs`.
+fn median(secs: &[f64]) -> f64 {
+    median_and_quartiles(secs).0
+}
+
+/// Whether two solver results are the same bit for bit: ranges,
+/// `stage_secs` and bottleneck, or the same error.
+fn same_bits(
+    a: &Result<PartitionPlan, PartitionError>,
+    b: &Result<PartitionPlan, PartitionError>,
+) -> bool {
+    let bits = |p: &PartitionPlan| {
+        let mut v: Vec<u64> = p.stage_secs.iter().map(|s| s.to_bits()).collect();
+        v.push(p.bottleneck_secs.to_bits());
+        v
+    };
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.ranges == b.ranges && bits(a) == bits(b),
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// Solves `Nm = 1, 2, …, limit` in turn and returns every result,
+/// up to and including the first infeasible one.
+fn until_infeasible(
+    limit: usize,
+    mut solve: impl FnMut(usize) -> Result<PartitionPlan, PartitionError>,
+) -> Vec<Result<PartitionPlan, PartitionError>> {
+    let mut results = Vec::new();
+    for nm in 1..=limit {
+        let result = solve(nm);
+        let infeasible = result.is_err();
+        results.push(result);
+        if infeasible {
+            break;
+        }
+    }
+    results
 }
 
 /// The paper's heterogeneous virtual worker: one GPU of each testbed
@@ -104,7 +137,8 @@ fn main() {
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or_else(|| "BENCH_planner.json".into());
-    let (solve_reps, search_reps, tt_reps) = if quick { (5, 2, 2) } else { (60, 8, 6) };
+    let (solve_reps, search_reps, tt_reps, sweep_reps) =
+        if quick { (5, 2, 2, 3) } else { (60, 8, 6, 30) };
 
     let mut parity_failures: Vec<String> = Vec::new();
     let mut parity = |ok: bool, what: String| {
@@ -124,8 +158,8 @@ fn main() {
     for (name, graph) in &models {
         let problem = PartitionProblem::new(graph, vrgq(), vec![LinkKind::Pcie; 3], 4);
         let (base_secs, base_plan) =
-            time_best_of(solve_reps, || PartitionSolver::solve_reference(&problem));
-        let (opt_secs, opt_plan) = time_best_of(solve_reps, || PartitionSolver::solve(&problem));
+            time_each(solve_reps, || PartitionSolver::solve_reference(&problem));
+        let (opt_secs, opt_plan) = time_each(solve_reps, || PartitionSolver::solve(&problem));
         let (base_plan, opt_plan) = (base_plan.unwrap(), opt_plan.unwrap());
         let same = base_plan.ranges == opt_plan.ranges
             && (base_plan.bottleneck_secs - opt_plan.bottleneck_secs).abs()
@@ -134,19 +168,19 @@ fn main() {
             same,
             format!("solve {name}: reference and optimized plans differ"),
         );
-        let speedup = base_secs / opt_secs;
+        let speedup = median(&base_secs) / median(&opt_secs);
         solve_speedups.push(speedup);
         println!(
             "solve        paper-vrgq {name:<11} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
-            base_secs * 1e6,
-            opt_secs * 1e6
+            median(&base_secs) * 1e6,
+            median(&opt_secs) * 1e6
         );
         solve_rows.push(json!({
             "cluster": "paper-vrgq",
             "model": name,
             "nm": 4,
-            "baseline_secs": base_secs,
-            "optimized_secs": opt_secs,
+            "baseline_secs": summary(&base_secs),
+            "optimized_secs": summary(&opt_secs),
             "speedup": speedup,
             "parity": same,
         }));
@@ -166,7 +200,7 @@ fn main() {
     for (label, graph, gpus) in &nm_configs {
         let links = vec![LinkKind::Pcie; 3];
         let limit = nm_saturation_limit(4);
-        let (base_secs, base) = time_best_of(search_reps, || {
+        let (base_secs, base) = time_each(search_reps, || {
             max_feasible_nm_linear(
                 graph,
                 gpus,
@@ -176,7 +210,7 @@ fn main() {
                 RecomputePolicy::None,
             )
         });
-        let (opt_secs, opt) = time_best_of(search_reps, || {
+        let (opt_secs, opt) = time_each(search_reps, || {
             max_feasible_nm_with(
                 graph,
                 gpus,
@@ -192,21 +226,82 @@ fn main() {
             _ => false,
         };
         parity(same, format!("nm-search {label}: binary != linear"));
-        let speedup = base_secs / opt_secs;
+        let speedup = median(&base_secs) / median(&opt_secs);
         println!(
             "nm-search    {label:<27} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
-            base_secs * 1e6,
-            opt_secs * 1e6
+            median(&base_secs) * 1e6,
+            median(&opt_secs) * 1e6
         );
         nm_rows.push(json!({
             "config": label,
             "limit": limit,
             "max_m": opt.as_ref().map(|(nm, _)| *nm),
-            "baseline_secs": base_secs,
-            "optimized_secs": opt_secs,
+            "baseline_secs": summary(&base_secs),
+            "optimized_secs": summary(&opt_secs),
             "speedup": speedup,
             "parity": same,
         }));
+    }
+
+    // ------------------------------------------------------------------
+    // 2b. Co-located Nm sweeps: a VRGQ virtual worker × 2 interleaved
+    //     chunks, every Nm up to the first infeasible one, solved cold
+    //     per Nm (baseline) or through one NmSweep (optimized). Parity:
+    //     the same result at every Nm, bit for bit.
+    // ------------------------------------------------------------------
+    let mut sweep_rows = Vec::new();
+    for (name, graph) in models.iter().rev() {
+        for schedule in ["interleaved-1f1b:2", "interleaved-1f1b-depth:2"] {
+            let schedule = Schedule::parse(schedule).expect("a known schedule");
+            for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
+                let k = schedule.virtual_stages(4);
+                let phys = vrgq();
+                let gpus: Vec<_> = (0..k).map(|s| phys[s % 4].clone()).collect();
+                let links = vec![LinkKind::Pcie; k - 1];
+                let limit = nm_saturation_limit(k);
+                let (base_secs, base) = time_each(sweep_reps, || {
+                    until_infeasible(limit, |nm| {
+                        let problem = PartitionProblem::with_schedule(
+                            graph,
+                            gpus.clone(),
+                            links.clone(),
+                            nm,
+                            schedule,
+                        )
+                        .with_recompute(recompute);
+                        PartitionSolver::solve(&problem)
+                    })
+                });
+                let (opt_secs, opt) = time_each(sweep_reps, || {
+                    let mut sweep = NmSweep::new(graph, &gpus, &links, schedule, recompute);
+                    until_infeasible(limit, |nm| sweep.solve(nm))
+                });
+                let same =
+                    base.len() == opt.len() && base.iter().zip(&opt).all(|(a, b)| same_bits(a, b));
+                parity(
+                    same,
+                    format!("nm-sweep {name} {schedule} {recompute}: sweep != cold solves"),
+                );
+                let speedup = median(&base_secs) / median(&opt_secs);
+                let label = format!("{name} {schedule} {recompute}");
+                println!(
+                    "nm-sweep     vrgq {label:<49} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
+                    median(&base_secs) * 1e6,
+                    median(&opt_secs) * 1e6
+                );
+                sweep_rows.push(json!({
+                    "cluster": "paper-vrgq",
+                    "model": name,
+                    "schedule": schedule.to_string(),
+                    "recompute": recompute.to_string(),
+                    "nms_solved": opt.len(),
+                    "baseline_secs": summary(&base_secs),
+                    "optimized_secs": summary(&opt_secs),
+                    "speedup": speedup,
+                    "parity": same,
+                }));
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -266,10 +361,10 @@ fn main() {
     let mut order_rows = Vec::new();
     let mut order_speedups = Vec::new();
     for (name, graph) in &models {
-        let (base_secs, base) = time_best_of(search_reps, || {
+        let (base_secs, base) = time_each(search_reps, || {
             search_orders(&gpus, |order| baseline_proxy(order, graph))
         });
-        let (opt_secs, opt) = time_best_of(search_reps, || {
+        let (opt_secs, opt) = time_each(search_reps, || {
             search_orders_par(&gpus, |order| optimized_proxy(order, graph))
         });
         let (base, opt) = (base.unwrap(), opt.unwrap());
@@ -279,20 +374,20 @@ fn main() {
             same,
             format!("order-search {name}: serial+reference != parallel+optimized"),
         );
-        let speedup = base_secs / opt_secs;
+        let speedup = median(&base_secs) / median(&opt_secs);
         order_speedups.push(speedup);
         println!(
             "order-search paper-vrgq {name:<11} baseline {:>9.1}ms  optimized {:>9.1}ms  {speedup:>5.1}x",
-            base_secs * 1e3,
-            opt_secs * 1e3
+            median(&base_secs) * 1e3,
+            median(&opt_secs) * 1e3
         );
         order_rows.push(json!({
             "cluster": "paper-vrgq",
             "model": name,
             "order_search": true,
             "orders": opt.2,
-            "baseline_secs": base_secs,
-            "optimized_secs": opt_secs,
+            "baseline_secs": summary(&base_secs),
+            "optimized_secs": summary(&opt_secs),
             "speedup": speedup,
             "parity": same,
         }));
@@ -313,7 +408,7 @@ fn main() {
         let caps: Vec<u64> = (0..k)
             .map(|s| sched.max_in_flight(s, k, nm) as u64)
             .collect();
-        let (base_secs, base_ops) = time_best_of(tt_reps, || {
+        let (base_secs, base_ops) = time_each(tt_reps, || {
             // The pre-optimization form: every GPU's stream replays the
             // whole joint timetable independently (G× the slot work).
             let mut all: Vec<Vec<GpuOp>> = Vec::new();
@@ -323,7 +418,7 @@ fn main() {
             }
             all
         });
-        let (opt_secs, opt_ops) = time_best_of(tt_reps, || {
+        let (opt_secs, opt_ops) = time_each(tt_reps, || {
             let mut set = GpuStream::shared_set(gpus_n, chunks, wsp, caps.clone(), vec![false; k]);
             let mut all: Vec<Vec<GpuOp>> = vec![Vec::with_capacity(ops_per_gpu); gpus_n];
             // Round-robin consumption, as the executor's event loop does.
@@ -339,19 +434,19 @@ fn main() {
             same,
             format!("timetable {gpus_n}x{chunks}: shared set diverged from independent replays"),
         );
-        let speedup = base_secs / opt_secs;
+        let speedup = median(&base_secs) / median(&opt_secs);
         println!(
             "timetable    {gpus_n} GPUs x {chunks} chunks      baseline {:>9.1}ms  optimized {:>9.1}ms  {speedup:>5.1}x",
-            base_secs * 1e3,
-            opt_secs * 1e3
+            median(&base_secs) * 1e3,
+            median(&opt_secs) * 1e3
         );
         timetable_rows.push(json!({
             "gpus": gpus_n,
             "chunks": chunks,
             "nm": nm,
             "ops_per_gpu": ops_per_gpu,
-            "baseline_secs": base_secs,
-            "optimized_secs": opt_secs,
+            "baseline_secs": summary(&base_secs),
+            "optimized_secs": summary(&opt_secs),
             "speedup": speedup,
             "parity": same,
         }));
@@ -373,8 +468,8 @@ fn main() {
         let mut derated = vrgq();
         derated[0] = derated[0].derated(1.3);
         let problem = PartitionProblem::new(graph, derated, links, 4);
-        let (cold_secs, cold) = time_best_of(solve_reps, || PartitionSolver::solve(&problem));
-        let (warm_secs, warm) = time_best_of(solve_reps, || {
+        let (cold_secs, cold) = time_each(solve_reps, || PartitionSolver::solve(&problem));
+        let (warm_secs, warm) = time_each(solve_reps, || {
             PartitionSolver::solve_warm(&problem, Some(&incumbent.ranges))
         });
         let (cold, warm) = (cold.unwrap(), warm.unwrap());
@@ -385,19 +480,19 @@ fn main() {
             same,
             format!("replan {name}: warm-started and cold plans differ"),
         );
-        let speedup = cold_secs / warm_secs;
+        let speedup = median(&cold_secs) / median(&warm_secs);
         println!(
             "replan       paper-vrgq {name:<11} cold     {:>9.1}µs  warm      {:>9.1}µs  {speedup:>5.1}x",
-            cold_secs * 1e6,
-            warm_secs * 1e6
+            median(&cold_secs) * 1e6,
+            median(&warm_secs) * 1e6
         );
         replan_rows.push(json!({
             "cluster": "paper-vrgq",
             "model": name,
             "nm": 4,
             "derate": 1.3,
-            "cold_secs": cold_secs,
-            "warm_secs": warm_secs,
+            "cold_secs": summary(&cold_secs),
+            "warm_secs": summary(&warm_secs),
             "speedup": speedup,
             "parity": same,
         }));
@@ -425,12 +520,10 @@ fn main() {
             HetPipeSystem::build(cluster, &graph, &config).expect("buildable")
         });
         let (sim_secs, _) = time_each(e2e_reps, || sys.run(SimTime::from_secs(10.0)));
-        let (build_median, ..) = median_and_quartiles(&build_secs);
-        let (sim_median, ..) = median_and_quartiles(&sim_secs);
         println!(
             "end-to-end   {cluster_name:<7} VGG-19 ED      build median {:>7.2}ms  simulate(10s) median {:>7.2}ms  (n {e2e_reps})",
-            build_median * 1e3,
-            sim_median * 1e3
+            median(&build_secs) * 1e3,
+            median(&sim_secs) * 1e3
         );
         e2e_rows.push(json!({
             "cluster": cluster_name,
@@ -481,6 +574,7 @@ fn main() {
         "threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         "solve": solve_rows,
         "nm_search": nm_rows,
+        "nm_sweep": sweep_rows,
         "order_search": order_rows,
         "timetable": timetable_rows,
         "replan": replan_rows,

@@ -211,23 +211,20 @@ pub fn write_json(path: &str, value: &serde_json::Value) -> std::io::Result<()> 
 
 /// Median and first/third quartiles of `values` (quartiles by
 /// Python's `statistics.quantiles(values, n=4)`, as `e2e_bench`
-/// reports them).
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
+/// reports them). An empty slice reads 0 for all three, as in
+/// `e2e_bench`.
 pub fn median_and_quartiles(values: &[f64]) -> (f64, f64, f64) {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     let n = v.len();
-    let median = if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    let median = match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => v[n / 2],
+        _ => (v[n / 2 - 1] + v[n / 2]) / 2.0,
     };
     let cut = |i: usize| {
         if n < 2 {
-            return v[0];
+            return v.first().copied().unwrap_or(0.0);
         }
         let m = i * (n + 1);
         let j = (m / 4).clamp(1, n - 1);
@@ -249,6 +246,7 @@ mod tests {
         // statistics.quantiles([7, 1, 3], n=4) == [1.0, 3.0, 7.0]
         assert_eq!(median_and_quartiles(&[7.0, 1.0, 3.0]), (3.0, 1.0, 7.0));
         assert_eq!(median_and_quartiles(&[4.0]), (4.0, 4.0, 4.0));
+        assert_eq!(median_and_quartiles(&[]), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!
 //! Planning solves each distinct instance (GPU kinds in stage order
 //! plus links) once per build: one [`NmSweep`] over `Nm = 1, 2, …`
-//! up to the first infeasible `Nm`. The order scan scores these
+//! up to the first infeasible `Nm`. The sweep re-runs the partition DP
+//! only where a memory mode's previous optimum may have stopped being
+//! its optimum, on flat and interleaved schedules alike; interleaved
+//! plans still pass the joint per-GPU check at every `Nm`. The order
+//! scan scores these
 //! prefixes; the refine simulations, `Max_m` (the prefix length), the
 //! common-`Nm` choice and the final plans index them. Each refine
 //! candidate is simulated once per build too. The table holding all of

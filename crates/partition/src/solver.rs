@@ -14,9 +14,18 @@
 //! in range width). [`PartitionSolver::solve_reference`] preserves the
 //! naive re-summing DP as the parity oracle and timing baseline; the
 //! largest feasible `Nm` is binary-searched over the monotone
-//! feasibility gate ([`max_feasible_nm_linear`] keeps the linear
-//! rescan for the same purpose). A faster binary-search/greedy variant
-//! is provided as a comparison point for larger synthetic instances.
+//! feasibility gate of flat schedules ([`max_feasible_nm_linear`]
+//! keeps the linear rescan for the same purpose). A faster
+//! binary-search/greedy variant is provided as a comparison point for
+//! larger synthetic instances.
+//!
+//! Co-located interleaved chunks run two DPs: a relaxed `Alone` pass
+//! whose plan must then pass the exact joint per-GPU check, and the
+//! equal-split `PerStage` pass as the fallback. [`NmSweep`] walks one
+//! instance over `Nm = 1, 2, …` and skips each mode's DP whenever that
+//! mode's previous optimum provably still is its optimum, on flat and
+//! interleaved schedules alike. The joint check still runs at each
+//! `Nm` before an `Alone` plan is returned.
 
 use crate::cost::{PartitionProblem, StageCostModel};
 use std::fmt;
@@ -106,6 +115,14 @@ enum MemMode {
     /// The relaxed whole-GPU check; the reconstructed plan must then
     /// pass the exact joint per-GPU check.
     Alone,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's DP runs as (`Alone`, `PerStage`) — test
+    /// instrumentation only: tests run in parallel, so each reads its
+    /// own thread's counts.
+    static DP_RUNS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// The exact interval-DP solver.
@@ -242,6 +259,14 @@ impl PartitionSolver {
                 layers: n,
             });
         }
+        #[cfg(test)]
+        DP_RUNS.with(|c| {
+            let (alone, per_stage) = c.get();
+            c.set(match mode {
+                MemMode::Alone => (alone + 1, per_stage),
+                MemMode::PerStage => (alone, per_stage + 1),
+            });
+        });
         let model = StageCostModel::new(problem);
         let bound = Self::incumbent_bound(&model, n, k, incumbent);
         let fits = |stage: usize, range: std::ops::Range<usize>| match mode {
@@ -481,18 +506,30 @@ fn greedy_pack(
 /// order scan's proxy, `Max_m`, the `Nm` choice and the final plans
 /// from that one sweep, so every plan it runs comes from here.
 ///
-/// The reuse step is **answer-preserving**, not heuristic. For flat
-/// schedules (no co-located chunks), stage times depend on `Nm` only
+/// The reuse step is **answer-preserving**, not heuristic, and runs
+/// per memory mode on every schedule. The sweep keeps the last
+/// optimum of each DP it runs: the `PerStage` DP (the only one a flat
+/// schedule needs) and, for co-located interleaved chunks, the relaxed
+/// `Alone` DP. Within one mode, stage times depend on `Nm` only
 /// through the per-stage checkpoint flags
-/// ([`hetpipe_schedule::PipelineSchedule::recomputes_at`]); the memory
-/// constraint is monotone in `Nm`, so the feasible cut set only
-/// shrinks as `Nm` grows. If the optimum at a smaller `Nm` is still
-/// feasible at the next `Nm` (an O(k) check) and the checkpoint flags
-/// are unchanged, it is *the* optimum there — including the DP's
-/// deterministic tie-breaking: any competitor that would tie it and
-/// precede it in visit order at the larger `Nm` was also feasible (and
-/// would have won) at the smaller one. `tests/planner_parity.rs` holds
-/// every sweep cell against a fresh [`PartitionSolver::solve`].
+/// ([`hetpipe_schedule::PipelineSchedule::recomputes_at`]), and the
+/// mode's memory check is monotone in `Nm`, so its feasible cut set
+/// only shrinks as `Nm` grows. If a mode's optimum at a smaller `Nm`
+/// still passes that mode's check at the next `Nm` (k O(1) probes)
+/// and the checkpoint flags are unchanged, it is *the* optimum of
+/// that mode's DP there — including the DP's deterministic
+/// tie-breaking: any competitor that would tie it and precede it in
+/// visit order at the larger `Nm` was also feasible (and would have
+/// won) at the smaller one.
+///
+/// A co-located solve then takes the same two steps as
+/// [`PartitionSolver::solve`]: it returns the `Alone` optimum when
+/// that plan passes the exact joint per-GPU check at this `Nm`
+/// ([`hetpipe_model::TrainingMemoryModel::plan_fits_per_gpu`],
+/// re-run at every `Nm`, since a plan that fit jointly at a smaller
+/// `Nm` may not fit now), and the `PerStage` optimum otherwise.
+/// `tests/planner_parity.rs` holds every sweep cell against a fresh
+/// [`PartitionSolver::solve`].
 #[derive(Debug, Clone)]
 pub struct NmSweep<'a> {
     graph: &'a hetpipe_model::ModelGraph,
@@ -500,8 +537,10 @@ pub struct NmSweep<'a> {
     links: Vec<hetpipe_cluster::network::LinkKind>,
     schedule: hetpipe_schedule::Schedule,
     recompute: hetpipe_schedule::RecomputePolicy,
-    /// Last solved `(nm, plan, per-stage checkpoint flags)`.
-    cached: Option<(usize, PartitionPlan, Vec<bool>)>,
+    /// The `Alone` DP's last `(nm, plan, per-stage checkpoint flags)`.
+    alone: Option<(usize, PartitionPlan, Vec<bool>)>,
+    /// The `PerStage` DP's last `(nm, plan, per-stage checkpoint flags)`.
+    per_stage: Option<(usize, PartitionPlan, Vec<bool>)>,
 }
 
 impl<'a> NmSweep<'a> {
@@ -519,12 +558,13 @@ impl<'a> NmSweep<'a> {
             links: links.to_vec(),
             schedule,
             recompute,
-            cached: None,
+            alone: None,
+            per_stage: None,
         }
     }
 
-    /// Solves at `nm`, reusing the previous solution when the reuse
-    /// conditions prove it optimal. Identical results to
+    /// Solves at `nm`, reusing each mode's previous optimum when the
+    /// reuse conditions prove it optimal. Identical results to
     /// [`PartitionSolver::solve`] on the same problem; the reuse step
     /// only fires for `nm` at or above the cached solve's (callers
     /// sweep ascending).
@@ -534,35 +574,68 @@ impl<'a> NmSweep<'a> {
         let flags: Vec<bool> = (0..k)
             .map(|s| self.schedule.recomputes_at(s, k, nm, self.recompute))
             .collect();
-        if self.schedule.colocated_stages() == 1 {
-            if let Some((prev_nm, plan, prev_flags)) = &self.cached {
-                if *prev_nm <= nm && *prev_flags == flags {
-                    // k O(1) probes via the unhoisted memory-model
-                    // entry point — the fast path must not rebuild a
-                    // whole StageCostModel (its O(k·n) prefix/comm
-                    // tables are exactly what the reuse step saves).
-                    let still_fits = plan.ranges.iter().enumerate().all(|(s, r)| {
-                        hetpipe_model::TrainingMemoryModel::stage_fits_with(
-                            self.graph,
-                            r.clone(),
-                            s,
-                            k,
-                            nm,
-                            &self.gpus[s],
-                            self.schedule,
-                            self.recompute,
-                        )
-                    });
-                    if still_fits {
-                        // Still feasible under the tighter constraint
-                        // and the cost function is unchanged: the
-                        // cached plan (values included — stage times
-                        // only read the unchanged flags) is the fresh
-                        // DP's exact output.
-                        let plan = plan.clone();
-                        self.cached = Some((nm, plan.clone(), flags));
-                        return Ok(plan);
-                    }
+        let colocated = self.schedule.colocated_stages();
+        if colocated > 1 {
+            if let Ok(plan) = self.solve_mode(MemMode::Alone, nm, &flags) {
+                if hetpipe_model::TrainingMemoryModel::plan_fits_per_gpu(
+                    self.graph,
+                    &plan.ranges,
+                    &self.gpus[..k / colocated],
+                    nm,
+                    self.schedule,
+                    self.recompute,
+                ) {
+                    return Ok(plan);
+                }
+            }
+        }
+        self.solve_mode(MemMode::PerStage, nm, &flags)
+    }
+
+    /// One mode's DP optimum at `nm`: the cached plan when it still
+    /// passes the mode's per-stage check under unchanged flags, a
+    /// fresh DP otherwise.
+    fn solve_mode(
+        &mut self,
+        mode: MemMode,
+        nm: usize,
+        flags: &[bool],
+    ) -> Result<PartitionPlan, PartitionError> {
+        use hetpipe_model::TrainingMemoryModel;
+        let k = self.gpus.len();
+        let cached = match mode {
+            MemMode::PerStage => &mut self.per_stage,
+            MemMode::Alone => &mut self.alone,
+        };
+        if let Some((prev_nm, plan, prev_flags)) = cached {
+            if *prev_nm <= nm && prev_flags.as_slice() == flags {
+                // k O(1) probes via the unhoisted memory-model entry
+                // points — the fast path must not build a
+                // StageCostModel (its O(k·n) prefix/comm tables are
+                // exactly what the reuse step saves).
+                let fits = match mode {
+                    MemMode::PerStage => TrainingMemoryModel::stage_fits_with,
+                    MemMode::Alone => TrainingMemoryModel::stage_fits_alone,
+                };
+                let still_fits = plan.ranges.iter().enumerate().all(|(s, r)| {
+                    fits(
+                        self.graph,
+                        r.clone(),
+                        s,
+                        k,
+                        nm,
+                        &self.gpus[s],
+                        self.schedule,
+                        self.recompute,
+                    )
+                });
+                if still_fits {
+                    // Still feasible under the tighter constraint and
+                    // the cost function is unchanged: the cached plan
+                    // (values included — stage times only read the
+                    // unchanged flags) is the fresh DP's exact output.
+                    *prev_nm = nm;
+                    return Ok(plan.clone());
                 }
             }
         }
@@ -574,9 +647,9 @@ impl<'a> NmSweep<'a> {
             self.schedule,
         )
         .with_recompute(self.recompute);
-        let result = PartitionSolver::solve(&problem);
+        let result = PartitionSolver::solve_with_mode(&problem, mode);
         if let Ok(plan) = &result {
-            self.cached = Some((nm, plan.clone(), flags));
+            *cached = Some((nm, plan.clone(), flags.to_vec()));
         }
         result
     }
@@ -609,9 +682,14 @@ pub fn max_feasible_nm_with(
             // flat schedules (memory is monotone in Nm), but an
             // interleaved solve first certifies its Alone-mode optimum
             // with the joint per-GPU check — a different plan at every
-            // Nm — so success is not provably monotone there. Keep the
-            // linear scan for colocated schedules: answers before speed.
-            return max_feasible_nm_linear(graph, gpus, links, limit, schedule, recompute);
+            // Nm — so success is not provably monotone there. Walk
+            // every Nm up to the first infeasible one, as
+            // [`max_feasible_nm_linear`] does, through an `NmSweep`:
+            // a reused optimum costs k probes instead of a DP.
+            let mut sweep = NmSweep::new(graph, gpus, links, schedule, recompute);
+            return (1..=limit)
+                .map_while(|nm| sweep.solve(nm).ok().map(|plan| (nm, plan)))
+                .last();
         }
     }
     let solve_at = |nm: usize| {
@@ -892,10 +970,10 @@ mod tests {
                 for schedule in [
                     Schedule::HetPipeWave,
                     Schedule::OneFOneB,
-                    // Colocated: the edge search must defer to the
-                    // linear scan (joint-check feasibility is not
+                    // Colocated: the edge search must defer to an
+                    // Nm-by-Nm sweep (joint-check feasibility is not
                     // provably monotone in Nm), so agreement here pins
-                    // that fallback.
+                    // that walk.
                     Schedule::Interleaved1F1B {
                         chunks: 2,
                         composite: true,
@@ -995,6 +1073,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Sweeps `Nm = 1..=last` over `kinds` × 2 interleaved chunks,
+    /// holds every cell bit for bit (ranges and `stage_secs` bits)
+    /// against a cold [`PartitionSolver::solve`], and returns each
+    /// `Nm`'s DP runs in the sweep as (`Alone`, `PerStage`).
+    fn interleaved_sweep_dp_runs(
+        graph: &hetpipe_model::ModelGraph,
+        kinds: &[GpuKind],
+        recompute: hetpipe_schedule::RecomputePolicy,
+        last: usize,
+    ) -> Vec<(u64, u64)> {
+        use hetpipe_schedule::{PipelineSchedule, Schedule};
+        let schedule = Schedule::Interleaved1F1B {
+            chunks: 2,
+            composite: true,
+        };
+        let k = schedule.virtual_stages(kinds.len());
+        let gpus: Vec<_> = (0..k).map(|s| kinds[s % kinds.len()].spec()).collect();
+        let links = vec![LinkKind::Pcie; k - 1];
+        let mut sweep = NmSweep::new(graph, &gpus, &links, schedule, recompute);
+        (1..=last)
+            .map(|nm| {
+                let before = DP_RUNS.with(|c| c.get());
+                let swept = sweep.solve(nm).expect("feasible");
+                let after = DP_RUNS.with(|c| c.get());
+                let p = PartitionProblem::with_schedule(
+                    graph,
+                    gpus.clone(),
+                    links.clone(),
+                    nm,
+                    schedule,
+                )
+                .with_recompute(recompute);
+                let cold = PartitionSolver::solve(&p).expect("feasible");
+                assert_eq!(swept.ranges, cold.ranges, "{} nm={nm}", graph.name);
+                assert_eq!(
+                    swept
+                        .stage_secs
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect::<Vec<_>>(),
+                    cold.stage_secs
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect::<Vec<_>>(),
+                    "{} nm={nm}: stage times",
+                    graph.name
+                );
+                (after.0 - before.0, after.1 - before.1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nm_sweep_reuses_the_alone_optimum_on_interleaved_schedules() {
+        use hetpipe_schedule::RecomputePolicy;
+        // VGG-19 on four RTX 2060s: the Alone optimum at Nm = 1 passes
+        // the joint per-GPU check and still fits alone at Nm = 2 and 3,
+        // so neither DP runs again.
+        let runs =
+            interleaved_sweep_dp_runs(&vgg19(32), &[GpuKind::Rtx2060; 4], RecomputePolicy::None, 3);
+        assert_eq!(runs, [(1, 0), (0, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn nm_sweep_reuses_the_per_stage_fallback_on_interleaved_schedules() {
+        use hetpipe_schedule::RecomputePolicy;
+        // ResNet-152 on four Quadro P4000s. From Nm = 5 the reused
+        // Alone optimum fails the joint check, so the PerStage DP runs
+        // (twice: its Nm = 5 plan no longer fits at 6). At Nm = 7 the
+        // Alone plan stops fitting and its DP re-runs, but its new
+        // optimum fails the joint check too, and the PerStage plan of
+        // Nm = 6 is reused. From Nm = 8 both modes reuse.
+        let runs = interleaved_sweep_dp_runs(
+            &resnet152(32),
+            &[GpuKind::QuadroP4000; 4],
+            RecomputePolicy::None,
+            9,
+        );
+        assert_eq!(
+            runs,
+            [
+                (1, 0),
+                (0, 0),
+                (0, 0),
+                (0, 0),
+                (0, 1),
+                (0, 1),
+                (1, 0),
+                (0, 0),
+                (0, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn nm_sweep_flag_flip_forces_a_fresh_solve() {
+        use hetpipe_model::TrainingMemoryModel;
+        use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+        // Under BoundaryOnly no stage checkpoints at Nm = 1 (its
+        // in-flight window is 1), and some do from Nm = 2 on. The
+        // Nm = 1 plan still fits alone at Nm = 2, so only the flag flip
+        // forces the fresh Alone DP there.
+        let g = vgg19(32);
+        let runs =
+            interleaved_sweep_dp_runs(&g, &[GpuKind::Rtx2060; 4], RecomputePolicy::BoundaryOnly, 4);
+        assert_eq!(runs, [(1, 0), (1, 0), (0, 0), (0, 0)]);
+
+        let schedule = Schedule::Interleaved1F1B {
+            chunks: 2,
+            composite: true,
+        };
+        let k = schedule.virtual_stages(4);
+        let gpu = GpuKind::Rtx2060.spec();
+        let flags = |nm| {
+            (0..k)
+                .map(|s| schedule.recomputes_at(s, k, nm, RecomputePolicy::BoundaryOnly))
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(flags(1), flags(2));
+        let p = PartitionProblem::with_schedule(
+            &g,
+            vec![gpu.clone(); k],
+            vec![LinkKind::Pcie; k - 1],
+            1,
+            schedule,
+        )
+        .with_recompute(RecomputePolicy::BoundaryOnly);
+        let plan = PartitionSolver::solve(&p).unwrap();
+        assert!(plan.ranges.iter().enumerate().all(|(s, r)| {
+            TrainingMemoryModel::stage_fits_alone(
+                &g,
+                r.clone(),
+                s,
+                k,
+                2,
+                &gpu,
+                schedule,
+                RecomputePolicy::BoundaryOnly,
+            )
+        }));
     }
 
     #[test]

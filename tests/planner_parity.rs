@@ -3,7 +3,8 @@
 //! PR 4 made the plan→simulate pipeline fast *without changing any
 //! answer*: prefix-sum O(1) cost/memory probes, a frontier-pruned DP,
 //! a binary-searched `Max_m`, a thread-fanned order search, an
-//! answer-preserving `Nm`-sweep reuse step, and one shared joint
+//! answer-preserving `Nm`-sweep reuse step (per memory mode, on
+//! interleaved schedules as on flat ones), and one shared joint
 //! timetable per virtual worker. This suite is the "without changing
 //! any answer" half of that claim:
 //!
@@ -114,8 +115,9 @@ fn prefix_sums_match_naive_summation() {
 /// recompute {none, boundary-only} × all-PCIe or all-InfiniBand
 /// links, the incremental `Nm` sweep returns `solve`'s plan bit for
 /// bit (`HetPipeSystem::build` takes its final plans from the sweep),
-/// the sweep's feasible prefix is the linear `Max_m`, and the
-/// binary-searched `Max_m` agrees with the linear rescan.
+/// the sweep's feasible prefix is the linear `Max_m`, and
+/// `max_feasible_nm_with` (binary-searched on flat schedules, an
+/// `NmSweep` walk on co-located ones) agrees with the linear rescan.
 #[test]
 fn optimized_solver_matches_reference() {
     for graph in zoo() {
