@@ -20,6 +20,11 @@
 //!    grant → preempt → re-grant trace (the ≥ 15% acceptance bars
 //!    themselves are pinned in `tests/runtime_scenarios.rs`).
 //! 5. **Trace export**: every `--trace-out` file is written.
+//! 6. **Drains resume from checkpoints**: over the chaos sweep, the
+//!    events the drained epochs simulated again (each resumed from its
+//!    probe's wave checkpoint) stay under 10% of those epochs' events.
+//!    Both totals are printed; they are simulated counts, so the check
+//!    is deterministic.
 //!
 //! Flags:
 //! - `--seeds <n>`: number of chaos scripts (default 32, at least 1).
@@ -225,12 +230,19 @@ fn main() {
         }
     }
 
-    // ---- 2 + 3. Seeded chaos sweep under Replan. ----
+    // ---- 2 + 3 + 6. Seeded chaos sweep under Replan. ----
     let hysteresis = MonitorConfig::default().lease_hysteresis_secs;
+    // Events of the drained epochs, and those their commits simulated
+    // again.
+    let (mut drained, mut resimulated) = (0u64, 0u64);
     for seed in 1..=seeds {
         let script = ScenarioScript::chaos(seed, horizon_secs, 4, 1, 3);
         let events = script.events.len();
         let report = run_scenario(script.clone(), Policy::Replan);
+        for epoch in report.epochs.iter().filter(|e| e.action.is_some()) {
+            drained += epoch.events;
+            resimulated += epoch.resimulated;
+        }
         let cell = format!("{}/replan", script.name);
         if report.total_completed() == 0 {
             gate.failures
@@ -270,6 +282,17 @@ fn main() {
             format!("{live} ({events} ev)"),
             seed <= 4,
         );
+    }
+
+    println!(
+        "Chaos drains: {drained} DES events in drained epochs, {resimulated} simulated \
+         again from wave checkpoints ({:.1}%; gate: under 10%)",
+        100.0 * resimulated as f64 / drained.max(1) as f64
+    );
+    if resimulated * 10 >= drained && drained > 0 {
+        gate.failures.push(format!(
+            "chaos drains simulated {resimulated} of {drained} events again (>= 10%)"
+        ));
     }
 
     print_table(

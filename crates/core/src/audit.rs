@@ -104,6 +104,32 @@ impl OccupancyFold {
         }
     }
 
+    /// Appends every fold's running level, peak and pending events to
+    /// `out`, for [`OccupancyFold::read`].
+    pub(crate) fn write(&self, out: &mut Vec<u64>) {
+        for fold in self.stages.iter().chain(&self.gpus) {
+            let at = out.len();
+            out.extend([fold.live() as u64, fold.peak() as u64, 0]);
+            for (t, delta) in fold.pending() {
+                out.extend([t.as_nanos(), delta as u64]);
+            }
+            out[at + 2] = ((out.len() - at - 3) / 2) as u64;
+        }
+    }
+
+    /// Puts every fold back into the state [`OccupancyFold::write`]
+    /// wrote for a fold of the same run.
+    pub(crate) fn read(&mut self, words: &mut impl Iterator<Item = u64>) {
+        let mut next = || words.next().expect("a whole occupancy fold");
+        for fold in self.stages.iter_mut().chain(&mut self.gpus) {
+            let (live, peak, n) = (next() as i64, next() as i64, next());
+            let pending: Vec<(SimTime, i64)> = (0..n)
+                .map(|_| (SimTime::from_nanos(next()), next() as i64))
+                .collect();
+            *fold = PeakFold::resume(live, peak, pending);
+        }
+    }
+
     /// Moves every fold's pending events `by` later.
     pub(crate) fn shift(&mut self, by: SimTime) {
         for fold in self.stages.iter_mut().chain(&mut self.gpus) {

@@ -80,6 +80,14 @@
 //! (`tests/fast_forward.rs`); [`RunStats::fast_forward`] records the
 //! period. Runs that keep spans simulate every event.
 //!
+//! A probe that runs through [`run_into_checkpointed`] also saves wave
+//! checkpoints (the `checkpoint` module), and [`resume_into`] commits a
+//! drain of the same segment from one of them, bit for bit the drain
+//! run from the start (`tests/drain_checkpoints.rs`). A new executor
+//! state field must be written in `Exec::write` and read back in
+//! `Exec::restore`, as fast-forward needs it in `Exec::normal` and
+//! `Exec::repeat`.
+//!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
 
@@ -98,7 +106,9 @@ use hetpipe_schedule::{
 };
 use std::collections::{BTreeMap, VecDeque};
 
+mod checkpoint;
 pub(crate) mod fastforward;
+pub use checkpoint::{resume_into, run_into_checkpointed, Checkpoint, Checkpoints};
 pub use fastforward::FastForward;
 
 /// What a recorded span represents.
@@ -217,7 +227,9 @@ pub struct SegmentOpts {
     /// point — once every in-flight minibatch and the boundary wave's
     /// push/pull traffic completes. Must be a wave boundary
     /// (a multiple of `Nm`) so the WSP clock is whole at the splice;
-    /// [`run_segment`] panics otherwise.
+    /// the executor's constructor asserts it, so every entry point
+    /// ([`run_into`], each wrapper of it, and [`resume_into`]) panics
+    /// otherwise.
     pub stop_after_mb: Option<u64>,
     /// Rates already in effect when the segment starts (fault windows
     /// opened in an earlier segment).
@@ -408,6 +420,12 @@ struct Exec<'a, S> {
     report: Option<ReportFold>,
     /// The latest end of any span recorded so far.
     last_span_end: SimTime,
+    /// Spans handed to the sink so far.
+    spans: usize,
+    /// The newest minibatch any stop query ([`Exec::past_stop`]) has
+    /// tested: until it passes a stop point, a run drained there is
+    /// this run (see the `checkpoint` module).
+    queried: u64,
     gpu_res: Vec<ResourceId>,
     nic_res: Vec<ResourceId>,
     states: Vec<VwState>,
@@ -549,6 +567,8 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             pool,
             sink,
             last_span_end: SimTime::ZERO,
+            spans: 0,
+            queried: 0,
             gpu_res,
             nic_res,
             states,
@@ -604,8 +624,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     }
 
     /// True when injection (or op execution) of `mb` is past the
-    /// segment's stop point.
-    fn past_stop(&self, mb: u64) -> bool {
+    /// segment's stop point. Every drain decision asks here, and the
+    /// query is recorded ([`Exec::queried`]).
+    fn past_stop(&mut self, mb: u64) -> bool {
+        self.queried = self.queried.max(mb);
         self.opts.stop_after_mb.is_some_and(|m| mb > m)
     }
 
@@ -644,6 +666,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Hands a reserved span to the sink.
     fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: SpanTag) {
         self.last_span_end = self.last_span_end.max(end);
+        self.spans += 1;
         self.sink.record(resource, start, end, tag);
     }
 
@@ -1322,6 +1345,12 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// state when the sink keeps no spans (the `fastforward` module).
     fn run(mut self) -> (RunStats, S, Option<ReportFold>) {
         self.prologue();
+        self.simulate()
+    }
+
+    /// Simulates on from the current state to the horizon (see
+    /// [`Exec::run`]).
+    fn simulate(mut self) -> (RunStats, S, Option<ReportFold>) {
         let horizon = self.horizon;
         let mut ff = fastforward::Forward::new(&self);
         while let Some(ev) = self.engine.next_event_until(horizon) {
@@ -1507,12 +1536,27 @@ pub fn run_into<S: SpanSink<SpanTag>>(
     sink: S,
     warmup: Option<SimTime>,
 ) -> (RunStats, S, Option<SystemReport>) {
-    let (cluster, batch_size) = (params.cluster, params.graph.batch_size);
-    let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
-    let (stats, sink, fold) = Exec::new(params, opts, horizon, warmup, sink).run();
-    let report =
-        fold.map(|fold| SystemReport::from_fold(&stats, cluster, batch_size, fold, &vw_devices));
+    let (stats, sink, fold) = Exec::new(params.clone(), opts, horizon, warmup, sink).run();
+    let report = report_of(&params, &stats, fold);
     (stats, sink, report)
+}
+
+/// The run's report from its folded partials, when it folded them.
+fn report_of(
+    params: &ExecParams<'_>,
+    stats: &RunStats,
+    fold: Option<ReportFold>,
+) -> Option<SystemReport> {
+    fold.map(|fold| {
+        let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
+        SystemReport::from_fold(
+            stats,
+            params.cluster,
+            params.graph.batch_size,
+            fold,
+            &vw_devices,
+        )
+    })
 }
 
 #[cfg(test)]

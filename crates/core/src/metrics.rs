@@ -245,6 +245,7 @@ fn window_idle(from: SimTime, to: SimTime, column: &[usize], row: &[SimTime]) ->
 /// starting before the current instant was recorded at or before its
 /// start, so that busy time is the GPU's ended spans plus the elapsed
 /// part of its reserved-ahead ones.
+#[derive(Clone)]
 pub(crate) struct ReportFold {
     warmup: SimTime,
     horizon: SimTime,
@@ -255,7 +256,7 @@ pub(crate) struct ReportFold {
 }
 
 /// One GPU's running busy time.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct GpuBusy {
     /// Busy time of the spans that ended by the latest recording.
     ended: SimTime,
@@ -277,6 +278,7 @@ impl GpuBusy {
 }
 
 /// One VW's wait windows, folded as they close.
+#[derive(Clone)]
 struct WaitFold {
     /// The VW's distinct stage devices.
     devices: Vec<usize>,

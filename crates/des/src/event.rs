@@ -91,6 +91,26 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.time)
     }
 
+    /// A queue holding `events` (each with its time and sequence
+    /// number) whose next event gets sequence number `next_seq`: the
+    /// state [`EventQueue::iter`] and [`EventQueue::next_seq`] read from
+    /// another queue, which it then pops and numbers exactly as that
+    /// one does.
+    pub fn resume(next_seq: u64, events: impl IntoIterator<Item = (SimTime, u64, E)>) -> Self {
+        EventQueue {
+            heap: events
+                .into_iter()
+                .map(|(time, seq, event)| Scheduled { time, seq, event })
+                .collect(),
+            next_seq,
+        }
+    }
+
+    /// The sequence number the next pushed event gets.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Every queued event with its time and sequence number, in no
     /// particular order; `(time, sequence)` ranks them.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {

@@ -9,19 +9,26 @@
 //!    records each span once, through the controller's span sink,
 //!    straight into the report's merged trace (rebased to global time
 //!    and to global minibatch and wave numbering); no segment keeps a
-//!    trace of its own.
+//!    trace of its own. The probe also saves wave checkpoints of its
+//!    executor state ([`exec::run_into_checkpointed`]).
 //! 2. **Observe.** While the probe runs, the same sink folds each span
 //!    into a [`MonitorFold`] (segment-local times, before rebasing);
 //!    at the probe's end the fold yields typed signals.
-//! 3. **React (policy).** If the policy answers a signal, cut the
-//!    probe's spans back off the report's trace ([`Trace::truncate`]),
-//!    pick the first wave boundary at/after the detection instant,
-//!    re-run the segment in *drain mode* ([`SegmentOpts::stop_after_mb`])
-//!    so it ends exactly at that boundary, commit it as an **epoch**,
-//!    apply the action, and continue from the splice. If nothing is
-//!    actionable, the probe — already recorded — is the final epoch,
-//!    so a zero-fault run under any policy commits exactly the trace
-//!    a plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//! 3. **React (policy).** If the policy answers a signal, pick the
+//!    first wave boundary at/after the detection instant and commit
+//!    the segment *drained* there ([`SegmentOpts::stop_after_mb`]) as
+//!    an **epoch**: take the probe's latest checkpoint whose stop
+//!    queries have not passed the boundary ([`Checkpoints::for_stop`]),
+//!    cut the report's trace back to the spans the probe recorded
+//!    before it ([`Trace::truncate`], the only cut), and resume the
+//!    drain from there ([`exec::resume_into`]). Up to the checkpoint
+//!    the drain is the probe, so the epoch equals a drain run from the
+//!    segment start bit for bit, and only the tail past the checkpoint
+//!    is simulated again ([`Epoch::resimulated`]). Then apply the
+//!    action and continue from the splice. If nothing is actionable,
+//!    the probe — already recorded — is the final epoch, so a
+//!    zero-fault run under any policy commits exactly the trace a
+//!    plain [`hetpipe_core::exec::run`] produces, bit for bit.
 //!
 //! **What a probe judges.** Signals are read at the probe's *end*. A
 //! straggler is raised only if its stage's EWMA is still over the
@@ -85,7 +92,7 @@
 use crate::monitor::{MonitorConfig, MonitorFold, Signal};
 use crate::scenario::ScenarioScript;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_core::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
+use hetpipe_core::exec::{self, Checkpoints, ExecParams, RunStats, SegmentOpts, SpanTag};
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
 use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
@@ -188,6 +195,13 @@ pub struct Epoch {
     pub audit: OccupancyAudit,
     /// The action that ended this epoch (`None` for the final epoch).
     pub action: Option<String>,
+    /// The epoch's logical DES events: what a run of its segment from
+    /// the segment start processes.
+    pub events: u64,
+    /// The events its commit simulated again: 0 for a committed probe,
+    /// and for a drained epoch the tail resumed from the probe's
+    /// checkpoint.
+    pub resimulated: u64,
 }
 
 /// The merged result of a fault-aware run.
@@ -487,20 +501,16 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// The one segment runner: simulates `remaining` under the current
-    /// configuration, recording every span straight into the report's
-    /// trace (rebased). A probe (no stop point) also folds the monitor
-    /// and returns it.
-    fn run_segment(
+    /// Runs one segment under the current configuration through `run`,
+    /// which gets the executor's inputs and a sink that records every
+    /// span straight into the report's trace (rebased).
+    fn segment<R>(
         &mut self,
         stop_after_mb: Option<u64>,
-        remaining: SimTime,
-    ) -> (RunStats, Option<MonitorFold>) {
+        monitor: Option<MonitorFold>,
+        run: impl FnOnce(ExecParams<'_>, SegmentOpts, SegmentSink) -> (RunStats, SegmentSink, R),
+    ) -> (RunStats, Option<MonitorFold>, R) {
         let opts = self.segment_opts(stop_after_mb);
-        let monitor = stop_after_mb.is_none().then(|| {
-            let (fwd, bwd) = exec::planned_stage_times(self.p.cluster, self.p.graph, &self.vws);
-            MonitorFold::new(&self.vws, self.p.schedule, &self.applied, &fwd, &bwd)
-        });
         let sink = SegmentSink {
             trace: std::mem::take(&mut self.report.trace),
             offset: self.offset,
@@ -519,14 +529,57 @@ impl<'a> Controller<'a> {
             schedule: self.p.schedule,
             recompute: self.p.recompute,
         };
-        let (stats, sink, _) = exec::run_into(params, opts, remaining, sink, None);
+        let (stats, sink, out) = run(params, opts, sink);
         self.report.trace = sink.trace;
-        (stats, sink.monitor)
+        (stats, sink.monitor, out)
+    }
+
+    /// The probe: simulates `remaining` under the current configuration
+    /// with no stop point, folding the monitor and saving the wave
+    /// checkpoints a drain resumes from.
+    fn probe(&mut self, remaining: SimTime) -> (RunStats, MonitorFold, Checkpoints) {
+        let (fwd, bwd) = exec::planned_stage_times(self.p.cluster, self.p.graph, &self.vws);
+        let monitor = MonitorFold::new(&self.vws, self.p.schedule, &self.applied, &fwd, &bwd);
+        let (stats, monitor, checkpoints) =
+            self.segment(None, Some(monitor), |params, opts, sink| {
+                let (stats, sink, _, checkpoints) =
+                    exec::run_into_checkpointed(params, opts, remaining, sink, None);
+                (stats, sink, checkpoints)
+            });
+        (
+            stats,
+            monitor.expect("a probe folds the monitor"),
+            checkpoints,
+        )
+    }
+
+    /// The drained epoch of a reaction: the probe's segment drained at
+    /// `stop`, resumed from the probe's latest checkpoint before it.
+    /// The report's trace keeps the probe's spans up to that checkpoint
+    /// (the probe recorded them from `mark` on) and the resumed run
+    /// records the rest. Returns the drain and the events it simulated.
+    fn drain(
+        &mut self,
+        stop: u64,
+        remaining: SimTime,
+        mark: usize,
+        probe: &RunStats,
+        checkpoints: &Checkpoints,
+    ) -> (RunStats, u64) {
+        let from = checkpoints.for_stop(stop);
+        self.report.trace.truncate(mark + from.spans());
+        let (stats, _, ()) = self.segment(Some(stop), None, |params, opts, sink| {
+            let (stats, sink, _) =
+                exec::resume_into(params, opts, remaining, sink, None, from, probe);
+            (stats, sink, ())
+        });
+        let resimulated = stats.events - from.events();
+        (stats, resimulated)
     }
 
     /// Folds a committed segment into the global report. Its spans are
     /// already there: the segment recorded them as it ran.
-    fn commit(&mut self, stats: &RunStats, action: Option<String>) {
+    fn commit(&mut self, stats: &RunStats, action: Option<String>, resimulated: u64) {
         let off = self.offset;
         if self.report.resource_names.is_empty() {
             self.report.resource_names = stats.pool.iter().map(|(_, r)| r.name.clone()).collect();
@@ -551,6 +604,8 @@ impl<'a> Controller<'a> {
             completed,
             audit,
             action,
+            events: stats.events,
+            resimulated,
         });
     }
 
@@ -925,10 +980,10 @@ impl<'a> Controller<'a> {
                 break;
             }
             // The probe records into the report's trace; a reaction
-            // cuts it back to here.
+            // cuts it back to its checkpoint, counted from here.
             let mark = self.report.trace.len();
-            let (probe, monitor) = self.run_segment(None, remaining);
-            let signals = monitor.expect("a probe folds the monitor").signals();
+            let (probe, monitor, checkpoints) = self.probe(remaining);
+            let signals = monitor.signals();
             #[cfg(test)]
             self.probes.push(tests::Probe {
                 vws: self.vws.clone(),
@@ -946,13 +1001,13 @@ impl<'a> Controller<'a> {
                     // the plain one-shot run), and its signals are
                     // observations of the committed timeline.
                     self.log_signals(&signals);
-                    self.commit(&probe, None);
+                    self.commit(&probe, None, 0);
                     break;
                 }
                 Some((t_sig, action)) => {
                     let stop = self.splice_boundary(&probe, t_sig);
-                    self.report.trace.truncate(mark);
-                    let (stats, _) = self.run_segment(Some(stop), remaining);
+                    let (stats, resimulated) =
+                        self.drain(stop, remaining, mark, &probe, &checkpoints);
                     // Log only the signals the policy acted on:
                     // everything else the probe observed belongs to a
                     // discarded timeline and would leave phantom
@@ -960,7 +1015,7 @@ impl<'a> Controller<'a> {
                     let (sig_triggers, lease_triggers) = action.triggers();
                     self.log_signals(&sig_triggers);
                     self.log_lease(&lease_triggers);
-                    self.commit(&stats, Some(action.label()));
+                    self.commit(&stats, Some(action.label()), resimulated);
                     self.offset += stats.end;
                     self.mb_offset += stop;
                     self.wave_offset += stop / self.nm as u64;

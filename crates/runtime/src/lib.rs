@@ -63,6 +63,11 @@
 //! report rebases to global indices — a drained boundary leaves
 //! nothing in flight, so "fresh + offset" *is* the correct resumed
 //! state, and the refill bubble is the reconfiguration's honest cost.
+//! The drained epoch is not re-run from the segment start: a drain is
+//! its probe, event for event, until its first stop query past the
+//! boundary, so the controller resumes it from the probe's latest wave
+//! checkpoint before that query
+//! ([`hetpipe_core::exec::resume_into`]) and simulates only the tail.
 //! At a boundary every VW has pushed the same whole number of waves
 //! and holds no in-flight minibatch, so the only weight state a
 //! continuation needs is the version the boundary wave closed —

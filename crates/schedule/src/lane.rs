@@ -75,6 +75,32 @@ impl Lane {
     }
 }
 
+/// Forks a virtual worker's lanes: each copy emits exactly the ops
+/// its original would emit next, and the copies advance independently
+/// of the originals. Composite lanes that share a timetable share one
+/// copy of it ([`GpuStream::fork_set`]).
+pub fn fork_lanes<'a>(lanes: impl IntoIterator<Item = &'a Lane>) -> Vec<Lane> {
+    let lanes: Vec<&Lane> = lanes.into_iter().collect();
+    let gpus: Vec<&GpuStream> = lanes
+        .iter()
+        .filter_map(|&lane| match lane {
+            Lane::Gpu(stream) => Some(stream),
+            Lane::Stage { .. } => None,
+        })
+        .collect();
+    let mut forked = GpuStream::fork_set(&gpus).into_iter();
+    lanes
+        .into_iter()
+        .map(|lane| match lane {
+            Lane::Stage { stage, stream } => Lane::Stage {
+                stage: *stage,
+                stream: stream.clone(),
+            },
+            Lane::Gpu(_) => Lane::Gpu(forked.next().expect("one fork per composite lane")),
+        })
+        .collect()
+}
+
 /// The lanes of one virtual worker running `sched` on `k_gpus`
 /// physical GPUs, in lane order (see the module docs).
 pub fn lanes(
@@ -100,4 +126,50 @@ pub fn lanes(
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pulls `n` ops from each lane, cycling through the lanes in
+    /// `order`.
+    fn pull(lanes: &mut [Lane], order: &[usize], n: usize) -> Vec<Vec<GpuOp>> {
+        let mut out = vec![Vec::new(); lanes.len()];
+        for _ in 0..n {
+            for &i in order {
+                out[i].push(lanes[i].next().expect("lanes are infinite"));
+            }
+        }
+        out
+    }
+
+    /// A fork emits what its original would have emitted next, whatever
+    /// order the two sets are pulled in, and composite lanes keep
+    /// sharing one timetable in the fork.
+    #[test]
+    fn forked_lanes_continue_like_their_originals() {
+        let wsp = WspParams::new(4, 0);
+        for (sched, recompute) in [
+            (Schedule::OneFOneB, RecomputePolicy::BoundaryOnly),
+            (
+                Schedule::Interleaved1F1B {
+                    chunks: 2,
+                    composite: true,
+                },
+                RecomputePolicy::None,
+            ),
+        ] {
+            let mut original = lanes(sched, 4, wsp, recompute);
+            // Uneven progress, so the composite queues hold ops.
+            pull(&mut original, &[0, 0, 1, 3], 5);
+            let mut fork = fork_lanes(&original);
+            let ahead = pull(&mut fork, &[3, 2, 1, 0], 40);
+            let behind = pull(&mut original, &[0, 1, 2, 3], 40);
+            assert_eq!(ahead, behind, "{sched}");
+            if let (Lane::Gpu(a), Lane::Gpu(b)) = (&fork[0], &fork[1]) {
+                assert!(a.shares_timetable_with(b), "{sched}: the fork split a set");
+            }
+        }
+    }
 }

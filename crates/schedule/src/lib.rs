@@ -106,7 +106,7 @@ pub use extract::{
     committed_queues, ps_interaction_points, CommittedQueue, GatePoint, PsInteractions, PushPoint,
     QueueKind,
 };
-pub use lane::{lanes, Lane};
+pub use lane::{fork_lanes, lanes, Lane};
 pub use ops::{Dispatch, GpuOp, ScheduleOp, StateWriter};
 pub use recompute::RecomputePolicy;
 pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};

@@ -244,7 +244,7 @@ impl Iterator for ScheduleStream {
 /// across handles cannot perturb the timetable — queues only buffer —
 /// so each GPU's emitted op sequence is identical to an independent
 /// replay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Timetable {
     /// Physical GPUs in the pipeline (`p`).
     gpus: usize,
@@ -277,6 +277,9 @@ struct Timetable {
     /// Whether any slot has been simulated (guards `remat` changes).
     started: bool,
 }
+
+/// A timetable behind the lock its handles share.
+type SharedTimetable = Arc<Mutex<Timetable>>;
 
 /// One op of the idealized timetable (internal to [`Timetable`]).
 #[derive(Debug, Clone, Copy)]
@@ -542,7 +545,7 @@ pub struct GpuStream {
     /// The joint timetable — private to this handle
     /// ([`GpuStream::new`]) or shared by a virtual worker's whole
     /// handle set ([`GpuStream::shared_set`]).
-    shared: Arc<Mutex<Timetable>>,
+    shared: SharedTimetable,
     /// This stream's GPU (0-based).
     gpu: usize,
 }
@@ -647,6 +650,35 @@ impl GpuStream {
 }
 
 impl GpuStream {
+    /// Forks a set of handles: each gets a handle in the same position,
+    /// and handles that share a timetable share one copy of it, cloned
+    /// once. The copies and the originals advance independently, and
+    /// each copy emits exactly the ops its original would emit next.
+    pub fn fork_set(streams: &[&GpuStream]) -> Vec<GpuStream> {
+        let mut copies: Vec<(&SharedTimetable, SharedTimetable)> = Vec::new();
+        streams
+            .iter()
+            .map(|s| {
+                let shared = match copies.iter().find(|(from, _)| Arc::ptr_eq(from, &s.shared)) {
+                    Some((_, copy)) => Arc::clone(copy),
+                    None => {
+                        let table = s.shared.lock().expect("timetable lock").clone();
+                        let copy = Arc::new(Mutex::new(table));
+                        copies.push((&s.shared, Arc::clone(&copy)));
+                        copy
+                    }
+                };
+                GpuStream { shared, gpu: s.gpu }
+            })
+            .collect()
+    }
+
+    /// Whether the two handles advance one timetable.
+    #[cfg(test)]
+    pub(crate) fn shares_timetable_with(&self, other: &GpuStream) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
     /// Whether this handle speaks for its timetable: the handle of
     /// GPU 0 of a shared set, or a standalone handle.
     fn owns_timetable(&self) -> bool {

@@ -1,0 +1,308 @@
+//! Drains resumed from wave checkpoints equal drains run from the
+//! segment start.
+//!
+//! The elastic runtime commits a reaction's drained epoch by resuming
+//! from its probe's latest checkpoint before the stop point
+//! (`exec::resume_into`), not by re-running the segment. Here every
+//! wave-boundary stop of a probe is drained both ways: from the
+//! checkpoint `Checkpoints::for_stop` picks, and from scratch through
+//! `exec::run_segment`, the oracle. The two must agree on every span
+//! from the checkpoint on (the spans before it are the probe's) and on
+//! every `RunStats` field: completions, wait windows, pull wait,
+//! injection-blocked time, waves pushed, end, events, peaks, every
+//! resource's busy time, reservations, free instant and rate, and the
+//! byte counters (compared through `Debug`, which prints every field
+//! exactly).
+//!
+//! Matrix: the wave schedule (arrival-FIFO), 1F1B (one lane per stage)
+//! and composite interleaved 1F1B with two chunks and a reorder window
+//! of 8, each fault-free, under the canonical GPU loss (a rate-0 window
+//! the runtime's outage guard splices before) and under a GPU slowdown
+//! plus a link degrade. Two ED virtual workers over four nodes, so
+//! activations, pushes and pulls cross the NICs.
+//!
+//! Tier: dynamically audited (evidence for the runs below).
+
+use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
+use hetpipe::core::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
+use hetpipe::core::pserver::{Placement, ShardMap};
+use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::des::{SimTime, Span, Trace};
+use hetpipe::model::ModelGraph;
+use hetpipe::partition::{PartitionProblem, PartitionSolver};
+use hetpipe::runtime::{Fault, ScenarioEvent, ScenarioScript};
+use hetpipe::schedule::PipelineSchedule;
+
+const NM: usize = 4;
+
+/// Two ED virtual workers on 4×4 RTX 2060s: VW `j` takes GPU `j` of
+/// every node.
+fn ed_vws(
+    cluster: &Cluster,
+    graph: &ModelGraph,
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+) -> Vec<VirtualWorker> {
+    (0..2)
+        .map(|j| {
+            let k = schedule.virtual_stages(4);
+            let devices: Vec<DeviceId> = (0..k).map(|s| DeviceId(4 * (s % 4) + j)).collect();
+            let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
+            let links = VirtualWorker::links(cluster, &devices);
+            let plan = PartitionSolver::solve(
+                &PartitionProblem::with_schedule(graph, gpus, links, NM, schedule)
+                    .with_recompute(recompute),
+            )
+            .expect("feasible");
+            VirtualWorker {
+                index: j,
+                devices,
+                plan,
+                nm: NM,
+            }
+        })
+        .collect()
+}
+
+fn scripts() -> Vec<ScenarioScript> {
+    let degraded = ScenarioScript {
+        name: "slowdown+link".into(),
+        events: vec![
+            ScenarioEvent::Fault(Fault::GpuSlowdown {
+                gpu: 5,
+                factor: 1.75,
+                from_secs: 4.0,
+                until_secs: Some(11.0),
+            }),
+            ScenarioEvent::Fault(Fault::LinkDegrade {
+                node: 1,
+                factor: 3.0,
+                from_secs: 8.0,
+                until_secs: Some(16.0),
+            }),
+        ],
+    };
+    vec![
+        ScenarioScript {
+            name: "none".into(),
+            events: Vec::new(),
+        },
+        ScenarioScript::canonical_gpu_loss(4, 12.0),
+        degraded,
+    ]
+}
+
+/// `stats` with its trace left out, every other field printed exactly.
+fn fields(mut stats: RunStats) -> String {
+    stats.trace = Trace::new();
+    format!("{stats:?}")
+}
+
+/// What one cell checked.
+#[derive(Default)]
+struct Checked {
+    stops: usize,
+    /// Stops resumed from a checkpoint past the segment start.
+    resumed_mid: usize,
+    /// Spans compared, from the checkpoints on.
+    spans: usize,
+    /// Events the drains ran, and those the resumed ones simulated.
+    events: u64,
+    tails: u64,
+}
+
+/// Drains the probe of one cell at every wave boundary both ways.
+fn check_cell(
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+    reorder_window: usize,
+    script: &ScenarioScript,
+    horizon: SimTime,
+) -> Checked {
+    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+    let graph = hetpipe::model::resnet152(32);
+    let vws = ed_vws(&cluster, &graph, schedule, recompute);
+    let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
+    let params = ExecParams {
+        cluster: &cluster,
+        graph: &graph,
+        vws: &vws,
+        wsp: WspParams::new(NM, 0),
+        shards: &shards,
+        sync_transfers: true,
+        schedule,
+        recompute,
+    };
+    let (initial_rates, rate_events) = script.segment_rates(SimTime::ZERO);
+    let opts = |stop_after_mb| SegmentOpts {
+        stop_after_mb,
+        initial_rates: initial_rates.clone(),
+        rate_events: rate_events.clone(),
+        reorder_window,
+    };
+    let name = format!("{schedule}/{}", script.name);
+
+    let (probe, probe_trace, _, checkpoints) =
+        exec::run_into_checkpointed(params.clone(), opts(None), horizon, Trace::new(), None);
+    // Checkpointing leaves the probe itself alone.
+    let plain = exec::run_segment(params.clone(), opts(None), horizon);
+    assert_eq!(probe_trace.spans(), plain.trace.spans(), "{name}: probe");
+    assert_eq!(fields(probe.clone()), fields(plain), "{name}: probe");
+    assert!(probe_trace.len() > 100, "{name}: a non-trivial probe");
+
+    let full_waves = probe
+        .vws
+        .iter()
+        .map(|v| v.completions.len() / NM)
+        .min()
+        .unwrap_or(0) as u64;
+    let mut checked = Checked::default();
+    // One stop past the last whole wave: a drain that never reaches
+    // its stop point.
+    for wave in 0..=full_waves + 1 {
+        let stop = wave * NM as u64;
+        let from = checkpoints.for_stop(stop);
+        assert!(from.queried() <= stop, "{name} stop {stop}");
+        let oracle = exec::run_segment(params.clone(), opts(Some(stop)), horizon);
+        let (resumed, tail, _) = exec::resume_into(
+            params.clone(),
+            opts(Some(stop)),
+            horizon,
+            Trace::new(),
+            None,
+            from,
+            &probe,
+        );
+        let cut = from.spans();
+        let spans: &[Span<SpanTag>] = oracle.trace.spans();
+        assert_eq!(
+            &spans[..cut],
+            &probe_trace.spans()[..cut],
+            "{name} stop {stop}: the oracle left the probe before the checkpoint"
+        );
+        assert_eq!(tail.spans(), &spans[cut..], "{name} stop {stop}: spans");
+        checked.events += oracle.events;
+        checked.tails += resumed.events - from.events();
+        checked.spans += tail.len();
+        assert_eq!(fields(resumed), fields(oracle), "{name} stop {stop}");
+        checked.stops += 1;
+        checked.resumed_mid += (from.events() > 0) as usize;
+    }
+    assert!(full_waves >= 8, "{name}: only {full_waves} whole waves");
+    checked
+}
+
+#[test]
+fn resumed_drains_equal_drains_from_the_segment_start() {
+    let horizon = SimTime::from_secs(24.0);
+    let composite = Schedule::Interleaved1F1B {
+        chunks: 2,
+        composite: true,
+    };
+    let schedules = [
+        (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly, 0),
+        (Schedule::OneFOneB, RecomputePolicy::BoundaryOnly, 0),
+        (composite, RecomputePolicy::None, 8),
+    ];
+    let mut total = Checked::default();
+    for (schedule, recompute, window) in schedules {
+        for script in scripts() {
+            let c = check_cell(schedule, recompute, window, &script, horizon);
+            let name = format!("{schedule}/{}", script.name);
+            // All but the first few stops resume past the start.
+            assert!(
+                c.resumed_mid + 3 >= c.stops,
+                "{name}: {} of {} stops resumed mid-segment",
+                c.resumed_mid,
+                c.stops
+            );
+            total.stops += c.stops;
+            total.spans += c.spans;
+            total.events += c.events;
+            total.tails += c.tails;
+        }
+    }
+    eprintln!(
+        "{} stops, {} spans compared; tails {} of {} drain events",
+        total.stops, total.spans, total.tails, total.events
+    );
+    assert!(total.stops > 9 * 10, "{} stops", total.stops);
+    assert!(total.spans > 1000, "{} spans", total.spans);
+    // The resumed tails are a small part of what the drains ran.
+    assert!(
+        total.tails * 4 < total.events,
+        "tails {} of {} events",
+        total.tails,
+        total.events
+    );
+}
+
+/// A long probe thins its checkpoints to a bounded list, and drains
+/// from the thinned list still equal drains from the start, their
+/// in-run reports included.
+#[test]
+fn a_long_probe_keeps_a_bounded_checkpoint_list() {
+    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+    let graph = hetpipe::model::resnet152(32);
+    let (schedule, recompute) = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+    let vws = ed_vws(&cluster, &graph, schedule, recompute);
+    let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
+    let params = ExecParams {
+        cluster: &cluster,
+        graph: &graph,
+        vws: &vws,
+        wsp: WspParams::new(NM, 0),
+        shards: &shards,
+        sync_transfers: true,
+        schedule,
+        recompute,
+    };
+    let horizon = SimTime::from_secs(300.0);
+    let warmup = Some(SimTime::from_secs(45.0));
+    let (probe, _, _, checkpoints) = exec::run_into_checkpointed(
+        params.clone(),
+        SegmentOpts::default(),
+        horizon,
+        Trace::new(),
+        warmup,
+    );
+    let waves = probe.vws[0].waves_pushed;
+    assert!(waves > 200, "{waves} waves");
+    // Evenly spread over the run, far fewer than one per wave.
+    assert!(
+        checkpoints.len() * 4 < waves as usize,
+        "{}",
+        checkpoints.len()
+    );
+    let queried: Vec<u64> = checkpoints.iter().map(|c| c.queried()).collect();
+    assert_eq!(queried[0], 0, "the segment start stays");
+    assert!(queried.windows(2).all(|w| w[0] < w[1]), "{queried:?}");
+    assert!(*queried.last().unwrap() * 10 > waves * NM as u64 * 8);
+    for wave in [1, waves / 3, waves / 2 + 1, waves - 2] {
+        let stop = wave * NM as u64;
+        let opts = SegmentOpts {
+            stop_after_mb: Some(stop),
+            ..SegmentOpts::default()
+        };
+        let from = checkpoints.for_stop(stop);
+        let (oracle, kept, report) =
+            exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), warmup);
+        let (resumed, tail, resumed_report) = exec::resume_into(
+            params.clone(),
+            opts,
+            horizon,
+            Trace::new(),
+            warmup,
+            from,
+            &probe,
+        );
+        assert_eq!(tail.spans(), &kept.spans()[from.spans()..], "stop {stop}");
+        assert_eq!(fields(resumed), fields(oracle), "stop {stop}");
+        assert_eq!(
+            format!("{resumed_report:?}"),
+            format!("{report:?}"),
+            "stop {stop}: report"
+        );
+        assert!(report.is_some());
+    }
+}

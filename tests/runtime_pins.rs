@@ -236,6 +236,42 @@ fn chaos_replan_reports_are_pinned() {
     );
 }
 
+/// A drained epoch resumes from its probe's latest wave checkpoint
+/// before the splice: over the chaos cells, the tails those drains
+/// simulated again sum to under 10% of the drained epochs' events (a
+/// drain that re-ran its segment from the start would be 100%), and
+/// committed probes simulate nothing again.
+#[test]
+fn chaos_drains_resume_from_wave_checkpoints() {
+    let (mut drained, mut tails, mut drains) = (0u64, 0u64, 0);
+    for seed in 1..=8 {
+        let script = ScenarioScript::chaos(seed, HORIZON_SECS, 4, 1, 3);
+        let r = run_cell(
+            Schedule::HetPipeWave,
+            RecomputePolicy::BoundaryOnly,
+            NM,
+            script,
+            Policy::Replan,
+        );
+        for e in &r.epochs {
+            assert!(e.resimulated <= e.events, "chaos-{seed} epoch {}", e.index);
+            if e.action.is_some() {
+                drained += e.events;
+                tails += e.resimulated;
+                drains += 1;
+            } else {
+                assert_eq!(e.resimulated, 0, "chaos-{seed}: a committed probe");
+            }
+        }
+    }
+    assert!(drains > 0, "no chaos cell drained");
+    eprintln!("{drains} drains: {tails} of {drained} events simulated again");
+    assert!(
+        tails * 10 < drained,
+        "{drains} drains simulated {tails} of {drained} events again"
+    );
+}
+
 #[test]
 fn composite_skip_straggler_reports_are_pinned() {
     let schedule = Schedule::Interleaved1F1B {
