@@ -24,12 +24,11 @@
 //!    are checked at every minibatch of a warmup-covering horizon for
 //!    each (Nm, D), plus the interleaved per-chunk 2BW version-demand
 //!    proof.
-//! 5. **Model checking** — the WSP gate protocol over 3 engines in
-//!    full (pinned to the multinomial) plus 4 engines under sleep-set
-//!    POR (63M unreduced interleavings; the POR trace count is
-//!    pinned). The checker runs a deliberately broken engine as a
-//!    negative control — if it *fails to find* that counterexample,
-//!    the gate fails.
+//! 5. **Model checking** — the real trainer's step loop in every step
+//!    order ([`hetpipe_bench::gatecheck`]) over BSP, SSP(2) and WSP
+//!    (Nm, D) ∈ {(2,0), (2,1), (4,1)}, 3 workers each. A worker
+//!    stepped past its outstanding pull is the negative control — if
+//!    the checker *fails to refute* it, the gate fails.
 //!
 //! Flags: `--report <path>` writes the full output (including the
 //! complete ranked ratio table) as a CI artifact; `--budget-secs <s>`
@@ -44,15 +43,16 @@
 //! schedule shape (depth, Nm, D, recompute), not on which zoo model's
 //! layers fill the stages — one proof per shape covers every model.
 
+use hetpipe_bench::gatecheck::{self, Steps};
 use hetpipe_bench::{check_args, check_budget, parse_flag, usage_error};
 use hetpipe_des::check_bounds;
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, Schedule, WspParams,
 };
+use hetpipe_train::Mode;
 use hetpipe_verify::{
-    check_broken_gate_protocol, check_gate_protocol, check_interaction_points,
-    interleaved_chunk_versions, structural_occupancy, verify_deadlock_free, verify_lookahead,
-    verify_version_rule, verify_wsp_bound,
+    check_interaction_points, explore, interleaved_chunk_versions, structural_occupancy,
+    verify_deadlock_free, verify_lookahead, verify_version_rule, verify_wsp_bound,
 };
 use std::time::Instant;
 
@@ -280,41 +280,30 @@ fn main() {
     ));
 
     // ------------------------------------------------------------------
-    // Pass 5: model checking — the gate protocol, with its negative
-    // control.
+    // Pass 5: model checking — the trainer's step loop, with its
+    // negative control.
     // ------------------------------------------------------------------
-    match check_gate_protocol() {
-        Ok(reports) => {
-            for r in &reports {
-                let how = if r.por {
-                    format!(
-                        "{} POR traces of {} unreduced ({:.0}x reduction)",
-                        r.explored,
-                        r.unreduced,
-                        r.unreduced as f64 / r.explored as f64
-                    )
-                } else {
-                    format!("{} interleavings, pinned to the multinomial", r.explored)
-                };
-                gate.say(format!(
-                    "gate         {:<52} {} engines, {} ops: {how}, invariant holds",
-                    r.scenario, r.vws, r.ops
-                ));
-            }
+    for (mode, workers, steps) in gatecheck::SCENARIOS {
+        let scenario = format!("{mode:?}, {workers} workers x {steps}");
+        match gatecheck::check(mode, workers, steps) {
+            Ok(c) => gate.say(format!(
+                "gate         {scenario:<38} {} states, {} steps, {} leaves all finished; \
+                 gate closed in {} states; spread {} before any drain, {} after",
+                c.states, c.steps, c.leaves, c.closed, c.spread, c.drained_spread
+            )),
+            Err(e) => gate.violations.push(format!("gate {scenario}: {e}")),
         }
-        Err(e) => gate.violations.push(format!("gate protocol: {e}")),
     }
-    match check_broken_gate_protocol() {
-        Some(counterexample) => {
-            let steps = counterexample.schedule.len();
-            gate.say(format!(
-                "gate         negative control: advance-past-gate engine refuted in {steps} \
-                 steps under POR (reduction preserves the counterexample)"
-            ));
-        }
+    let control = gatecheck::config(Mode::Wsp { nm: 2, d: 0 }, 3, 8);
+    match explore(&Steps::skipping_gates(&gatecheck::dataset(), &control)).err() {
+        Some(counterexample) => gate.say(format!(
+            "gate         negative control: a worker stepped past its outstanding pull is \
+             refuted after {} steps (Wsp {{ nm: 2, d: 0 }}, 3 workers x 8)",
+            counterexample.schedule.len()
+        )),
         None => gate.violations.push(
-            "negative control FAILED: the checker passed the deliberately broken \
-             advance-past-gate engine — the POR exploration is vacuous"
+            "negative control FAILED: the checker passed a worker stepped past its \
+             outstanding pull — the exploration is vacuous"
                 .into(),
         ),
     }

@@ -7,8 +7,10 @@
 //! The other bins sweep schedules (`schedule_compare`), drive the
 //! elastic runtime (`runtime_scenarios`), run the static verification
 //! gate (`verify_all`) and benchmark the planner and the whole system
-//! (`planner_bench`, `e2e_bench`).
+//! (`planner_bench`, `e2e_bench`). [`gatecheck`] is `verify_all`'s
+//! model check of the trainer's step loop.
 
+pub mod gatecheck;
 pub mod scorecard;
 
 use hetpipe_cluster::{Cluster, GpuKind};

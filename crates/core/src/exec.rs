@@ -35,8 +35,8 @@
 //!   concurrently (per-wave chunk counters), contending on the NIC
 //!   timelines rather than being serialized behind one another.
 //!   The executor evaluates this gate itself: each push completion
-//!   takes `min_clock` over every VW's push clock once and serves the
-//!   pulls it unblocks. It is the only coupling between VWs.
+//!   advances the VW's clock in the run's [`PushClocks`] and serves
+//!   the pulls it opens. It is the only coupling between VWs.
 //! - **Bounded activation windows**: each stage's declared peak
 //!   activation occupancy ([`PipelineSchedule::max_in_flight`] — the
 //!   same number the memory model charges and the partitioner
@@ -101,6 +101,7 @@ use hetpipe_cluster::{Cluster, DeviceId, NodeId};
 use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, SpanSink, Trace};
 use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
+use hetpipe_schedule::PushClocks;
 use hetpipe_schedule::{
     lanes, Dispatch, GpuOp, Lane, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
 };
@@ -358,7 +359,6 @@ enum Ev {
 struct VwState {
     next_mb: u64,
     completed: u64,
-    clock: u64,
     /// Newest global wave reflected in the local weights (−1 = none).
     pulled: i64,
     /// Outstanding pull request: (target wave, request time).
@@ -429,6 +429,8 @@ struct Exec<'a, S> {
     gpu_res: Vec<ResourceId>,
     nic_res: Vec<ResourceId>,
     states: Vec<VwState>,
+    /// Every VW's push clock: the parameter server's side of the gate.
+    clocks: PushClocks,
     /// Per-VW per-stage forward/backward compute times.
     fwd: Vec<Vec<SimTime>>,
     bwd: Vec<Vec<SimTime>>,
@@ -489,11 +491,11 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             })
             .collect();
 
+        let clocks = PushClocks::new(vec![0; p.vws.len()]);
         let states = (0..p.vws.len())
             .map(|_| VwState {
                 next_mb: 1,
                 completed: 0,
-                clock: 0,
                 pulled: -1,
                 pull_request: None,
                 pull_remaining: 0,
@@ -572,6 +574,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             gpu_res,
             nic_res,
             states,
+            clocks,
             fwd,
             bwd,
             chunks,
@@ -598,10 +601,6 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     fn in_flight(&self, vw: usize) -> u64 {
         let s = &self.states[vw];
         s.next_mb - 1 - s.completed
-    }
-
-    fn min_clock(&self) -> u64 {
-        self.states.iter().map(|s| s.clock).min().unwrap_or(0)
     }
 
     /// The pool resource a fault target maps to.
@@ -1237,13 +1236,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
 
     fn push_completed(&mut self, vw: usize, wave: u64) {
         let now = self.engine.now();
-        {
-            let st = &mut self.states[vw];
-            // Concurrent waves can complete out of order (their chunks
-            // take different NIC paths); the local clock is monotone.
-            st.clock = st.clock.max(wave + 1);
-            st.stats.waves_pushed = st.clock;
-        }
+        // Concurrent waves can complete out of order (their chunks take
+        // different NIC paths); the clock is monotone.
+        self.clocks.advance(vw, wave + 1);
+        self.states[vw].stats.waves_pushed = self.clocks.get(vw);
         // Request this VW's own pull (Section 5: at the end of clock c,
         // pull weights that cover wave c − D).
         if let Some(target) = self.p.wsp.pull_target_after_push(wave) {
@@ -1258,28 +1254,25 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
             }
         }
-        // A new push may unblock any VW's pending pull. Serving a pull
-        // changes no clock, so one `min_clock` holds for the whole scan.
-        let min_clock = self.min_clock();
+        // A new push may unblock any VW's pending pull.
         for v in 0..self.states.len() {
-            self.try_serve_pull(v, min_clock);
+            self.try_serve_pull(v);
         }
     }
 
     /// Serves `vw`'s pending pull if no transfer of it is in flight and
-    /// every VW has pushed its target wave (`min_clock` is the slowest
-    /// VW's push clock).
-    fn try_serve_pull(&mut self, vw: usize, min_clock: u64) {
+    /// every VW has pushed its target wave.
+    fn try_serve_pull(&mut self, vw: usize) {
         if self.states[vw].pull_remaining > 0 {
             return; // A pull transfer is already in flight.
         }
         let Some((target, _since)) = self.states[vw].pull_request else {
             return;
         };
-        if min_clock < target + 1 {
+        if !self.clocks.is_open(target) {
             return; // Straggler has not pushed wave `target` yet.
         }
-        self.serve_pull(vw, min_clock as i64 - 1);
+        self.serve_pull(vw, self.clocks.min() as i64 - 1);
     }
 
     /// Applies a decided pull serve for `vw` at the current instant,
@@ -1337,7 +1330,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             self.engine
                 .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
             // A newer request may have queued while transferring.
-            self.try_serve_pull(vw, self.min_clock());
+            self.try_serve_pull(vw);
         }
     }
 
@@ -1664,10 +1657,8 @@ mod tests {
         // With D = 0 every VW's clock stays within 1 of the others
         // (BSP-like behaviour, Section 5).
         let stats = run_ed(4, 0, 20.0);
-        let clocks: Vec<u64> = stats.vws.iter().map(|v| v.waves_pushed).collect();
-        let max = *clocks.iter().max().unwrap();
-        let min = *clocks.iter().min().unwrap();
-        assert!(max - min <= 1, "clocks diverged: {clocks:?}");
+        let clocks = PushClocks::new(stats.vws.iter().map(|v| v.waves_pushed).collect());
+        assert!(clocks.within(1), "clocks diverged: {clocks:?}");
     }
 
     #[test]
@@ -1819,10 +1810,8 @@ mod tests {
     fn stream_schedules_respect_d0_lockstep() {
         for schedule in [Schedule::FillDrain, Schedule::OneFOneB] {
             let stats = run_ed_sched(4, 0, 20.0, schedule);
-            let clocks: Vec<u64> = stats.vws.iter().map(|v| v.waves_pushed).collect();
-            let max = *clocks.iter().max().unwrap();
-            let min = *clocks.iter().min().unwrap();
-            assert!(max - min <= 1, "{schedule} clocks diverged: {clocks:?}");
+            let clocks = PushClocks::new(stats.vws.iter().map(|v| v.waves_pushed).collect());
+            assert!(clocks.within(1), "{schedule} clocks diverged: {clocks:?}");
         }
     }
 

@@ -46,7 +46,7 @@ use super::{report_of, Ev, Exec, ExecParams, LaneCursor, RunStats, SegmentOpts, 
 use super::{VwState, VwStats};
 use crate::metrics::{ReportFold, SystemReport};
 use hetpipe_des::{Engine, ResourceId, SimTime, SpanSink};
-use hetpipe_schedule::{fork_lanes, GpuOp, Lane};
+use hetpipe_schedule::{fork_lanes, GpuOp, Lane, PushClocks};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Waves between checkpoints until the buffer first fills.
@@ -285,13 +285,13 @@ impl<S> Exec<'_, S> {
             out.extend(r.state_words());
         }
         self.occupancy.write(out);
-        for st in &self.states {
+        for (vw, st) in self.states.iter().enumerate() {
             let (target, since) = st.pull_request.unzip();
             let s = &st.stats;
             out.extend([
                 st.next_mb,
                 st.completed,
-                st.clock,
+                self.clocks.get(vw),
                 st.pulled as u64,
                 target.unwrap_or(0),
             ]);
@@ -350,8 +350,10 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         self.occupancy.read(words);
         let mut next = || words.next().expect("a whole checkpoint");
         let instant = |set: u64, t: u64| (set != 0).then_some(SimTime::from_nanos(t));
+        let mut clocks = Vec::with_capacity(self.states.len());
         for (st, stats) in self.states.iter_mut().zip(&probe.vws) {
-            let (next_mb, completed, clock) = (next(), next(), next());
+            let (next_mb, completed) = (next(), next());
+            clocks.push(next());
             let (pulled, target) = (next() as i64, next());
             let since = instant(next(), next());
             let (pull_remaining, pull_serving_version) = (next() as usize, next() as i64);
@@ -365,7 +367,6 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             *st = VwState {
                 next_mb,
                 completed,
-                clock,
                 pulled,
                 pull_request: since.map(|since| (target, since)),
                 pull_remaining,
@@ -394,6 +395,7 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             self.act_inter,
             self.act_intra,
         ] = [next(), next(), next(), next()];
+        self.clocks = PushClocks::new(clocks);
         debug_assert!(words.next().is_none(), "a checkpoint of another run");
         assert_eq!(
             self.report.is_some(),

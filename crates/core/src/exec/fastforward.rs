@@ -264,10 +264,10 @@ impl Forward {
     /// has pushed since the last look.
     #[inline]
     pub(super) fn after_event<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
-        if matches!(self.phase, Phase::Off) || ex.states[0].clock == self.clock {
+        if matches!(self.phase, Phase::Off) || ex.clocks.get(0) == self.clock {
             return;
         }
-        self.clock = ex.states[0].clock;
+        self.clock = ex.clocks.get(0);
         self.at_push(ex);
     }
 
@@ -281,7 +281,7 @@ impl Forward {
 
     fn at_push<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
         let now = ex.engine.now();
-        let base_wave = ex.min_clock();
+        let base_wave = ex.clocks.min();
         if let Phase::Detect { from, .. } = self.phase {
             // Pull gates and pull targets exist from wave D + 2 on;
             // before that the handler compares with constants.
@@ -415,7 +415,7 @@ impl Forward {
             });
         }
         // The jump leaves VW 0's clock `k` periods on.
-        self.clock = ex.states[0].clock;
+        self.clock = ex.clocks.get(0);
         match resume {
             Some(from) => detect(from, Some(period.events)),
             None => Phase::Off,
@@ -536,14 +536,14 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
         n.instant(self.last_span_end);
         // Lanes never advance the injection counter: it stays raw.
         let fifo = self.dispatch == Dispatch::ArrivalFifo;
-        for st in &self.states {
+        for (vw, st) in self.states.iter().enumerate() {
             if fifo {
                 n.mb(st.next_mb);
             } else {
                 n.int(st.next_mb as i64);
             }
             n.mb(st.completed);
-            n.wave(st.clock as i64);
+            n.wave(self.clocks.get(vw) as i64);
             n.wave(st.pulled);
             n.wave(st.pull_serving_version);
             n.int(st.pull_remaining as i64);
@@ -628,6 +628,7 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
                 .get_mut(ResourceId(id))
                 .repeat(by, busy, reservations);
         }
+        self.clocks.shift(waves);
         for (st, (completions, windows)) in self
             .states
             .iter_mut()
@@ -637,7 +638,6 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
                 st.next_mb += mbs;
             }
             st.completed += mbs;
-            st.clock += waves;
             st.pulled += waves as i64;
             st.pull_serving_version += waves as i64;
             if let Some((target, since)) = &mut st.pull_request {

@@ -111,4 +111,4 @@ pub use ops::{Dispatch, GpuOp, ScheduleOp, StateWriter};
 pub use recompute::RecomputePolicy;
 pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};
 pub use stream::{GpuStream, ScheduleStream};
-pub use wsp::WspParams;
+pub use wsp::{PushClocks, WspParams};

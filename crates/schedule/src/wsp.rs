@@ -115,12 +115,6 @@ impl WspParams {
         c.checked_sub(self.d as u64)
     }
 
-    /// Whether a worker with local clock `mine` may advance past a
-    /// straggler with clock `slowest` (the distance-`D` rule).
-    pub fn within_distance(&self, mine: u64, slowest: u64) -> bool {
-        mine <= slowest + self.d as u64
-    }
-
     /// The local weight version (as a wave index, −1 = the initial
     /// weights `w0`) that minibatch `p` reads under PipeDream-2BW
     /// double buffering: every minibatch of wave `c` computes on the
@@ -136,6 +130,84 @@ impl WspParams {
     pub fn two_bw_version(&self, p: u64) -> i64 {
         debug_assert!(p >= 1, "minibatches are 1-indexed");
         self.wave_of(p) as i64 - 1
+    }
+}
+
+/// Every worker's push clock (the waves, or updates, it has pushed to
+/// the parameter server) and the widest spread between the fastest and
+/// the slowest seen so far. The executor and the trainer both keep
+/// their clocks here, so they evaluate the gate by the same predicate.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PushClocks {
+    clocks: Vec<u64>,
+    min: u64,
+    max: u64,
+    max_spread: u64,
+}
+
+impl PushClocks {
+    /// Clocks at the given values (`vec![0; workers]` at a run's start);
+    /// the widest spread starts at theirs.
+    pub fn new(clocks: Vec<u64>) -> PushClocks {
+        let min = clocks.iter().copied().min().unwrap_or(0);
+        let max = clocks.iter().copied().max().unwrap_or(0);
+        PushClocks {
+            clocks,
+            min,
+            max,
+            max_spread: max - min,
+        }
+    }
+
+    /// Raises `worker`'s clock to `clock` (clocks never go back).
+    pub fn advance(&mut self, worker: usize, clock: u64) {
+        let old = self.clocks[worker];
+        if clock > old {
+            self.clocks[worker] = clock;
+            self.max = self.max.max(clock);
+            if old == self.min {
+                self.min = *self.clocks.iter().min().expect("a raised clock");
+            }
+            self.max_spread = self.max_spread.max(self.spread());
+        }
+    }
+
+    /// Adds `waves` to every clock, which leaves every spread as it is.
+    pub fn shift(&mut self, waves: u64) {
+        self.clocks.iter_mut().for_each(|c| *c += waves);
+        self.min += waves;
+        self.max += waves;
+    }
+
+    /// `worker`'s clock.
+    pub fn get(&self, worker: usize) -> u64 {
+        self.clocks[worker]
+    }
+
+    /// The slowest worker's clock (0 with no workers).
+    pub fn min(&self) -> u64 {
+        self.min
+    }
+
+    /// The gate predicate: whether every worker has pushed wave (or
+    /// update) `gate`, 0-indexed.
+    pub fn is_open(&self, gate: u64) -> bool {
+        self.min > gate
+    }
+
+    /// The fastest worker's clock minus the slowest's.
+    pub fn spread(&self) -> u64 {
+        self.max - self.min
+    }
+
+    /// Whether the clocks are at most `bound` apart (the distance rule).
+    pub fn within(&self, bound: u64) -> bool {
+        self.spread() <= bound
+    }
+
+    /// The widest [`spread`](PushClocks::spread) the clocks have had.
+    pub fn max_spread(&self) -> u64 {
+        self.max_spread
     }
 }
 
@@ -212,11 +284,16 @@ mod tests {
 
     #[test]
     fn distance_rule() {
-        let w = WspParams::new(4, 2);
-        assert!(w.within_distance(0, 0));
-        assert!(w.within_distance(2, 0));
-        assert!(!w.within_distance(3, 0));
-        assert!(w.within_distance(7, 5));
+        let mut c = PushClocks::new(vec![0; 2]);
+        c.advance(0, 3);
+        assert!(!c.within(2) && !c.is_open(0));
+        c.advance(1, 5);
+        c.advance(1, 4); // Clocks never go back.
+        assert_eq!((c.min(), c.spread(), c.max_spread()), (3, 2, 3));
+        assert!(c.within(2) && c.is_open(2) && !c.is_open(3));
+        c.shift(10);
+        assert_eq!((c.get(0), c.spread(), c.max_spread()), (13, 2, 3));
+        assert_eq!(PushClocks::new(vec![13, 15]).max_spread(), 2);
     }
 
     #[test]

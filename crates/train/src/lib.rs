@@ -10,16 +10,19 @@
 //! injections later (exactly HetPipe's `w_p` semantics), waves of `Nm`
 //! updates are pushed to a shared parameter server as one aggregated
 //! delta, and the clock-distance bound `D` gates progress. A run is a
-//! function of its configuration, bit for bit.
+//! function of its configuration, bit for bit. Its state between two
+//! steps is a [`Trainer`], which `hetpipe-bench`'s `verify_all`
+//! model-checks in every step order.
 //!
 //! - [`tensor`] — a minimal dense matrix with the kernels an MLP needs,
 //!   backward passes checked against numerical gradients.
 //! - [`mlp`] — a multi-layer perceptron with manual backprop.
 //! - [`sgd`] — SGD with momentum.
 //! - [`data`] — deterministic synthetic classification datasets.
-//! - [`ps`] — the parameter server (clocks, waves, gated pulls).
-//! - [`runner`] — the seeded single-threaded training harness for WSP /
-//!   BSP / SSP / ASP, with a staleness audit trail.
+//! - [`ps`] — the parameter server (push clocks, waves, gated pulls).
+//! - [`runner`] — the [`Trainer`] state and the seeded single-threaded
+//!   training harness for WSP / BSP / SSP / ASP, with a staleness audit
+//!   trail.
 //! - [`convex`] — convex problem instances and a deterministic
 //!   noisy-weight executor for validating the Theorem-1 regret bound.
 
@@ -34,5 +37,5 @@ pub mod tensor;
 pub use data::Dataset;
 pub use mlp::Mlp;
 pub use ps::ParameterServer;
-pub use runner::{train, Mode, TrainConfig, TrainOutcome};
+pub use runner::{train, Mode, TrainConfig, TrainOutcome, Trainer};
 pub use tensor::Matrix;

@@ -1,21 +1,26 @@
 //! The parameter server.
 //!
-//! It maintains the global weights, a per-worker push clock, and
-//! periodic weight snapshots for offline accuracy curves. Under WSP a
-//! "push" is one *wave* (the aggregated delta of `Nm` minibatches,
-//! Section 5); under BSP/SSP/ASP a push is one minibatch.
+//! It maintains the global weights, the workers' push clocks (a
+//! [`PushClocks`], the executor's type) and periodic weight snapshots
+//! for offline accuracy curves. Under WSP a "push" is one *wave* (the
+//! aggregated delta of `Nm` minibatches, Section 5); under BSP/SSP/ASP
+//! a push is one minibatch.
 //!
 //! [`ParameterServer::pull`] implements the paper's straggler wait: a
 //! pull names a gate, a clock every worker must be past (the
 //! distance-`D` rule). The server serves it at once when the gate is
 //! open, or else at the push that opens it, with the weights of that
-//! instant and the number of pushes every worker has made by then. A worker with a pull outstanding
-//! is [`waiting`](ParameterServer::waiting).
+//! instant and the number of pushes every worker has made by then. A
+//! worker with a pull outstanding is
+//! [`waiting`](ParameterServer::waiting).
+
+use hetpipe_schedule::PushClocks;
 
 /// The parameter server shared by the workers of one run.
+#[derive(Clone)]
 pub struct ParameterServer {
     weights: Vec<f32>,
-    clocks: Vec<u64>,
+    clocks: PushClocks,
     /// Per worker: the gate its outstanding pull waits for.
     gates: Vec<Option<u64>>,
     /// Per worker: the pull served when its gate opened, as weights and
@@ -25,7 +30,8 @@ pub struct ParameterServer {
     snapshot_every: u64,
     last_snapshot_at: u64,
     snapshots: Vec<(u64, Vec<f32>)>,
-    max_clock_distance: u64,
+    /// The clocks' widest spread when the first drain began.
+    drained_spread: Option<u64>,
 }
 
 impl ParameterServer {
@@ -34,14 +40,14 @@ impl ParameterServer {
     pub fn new(init: Vec<f32>, workers: usize, snapshot_every: u64) -> ParameterServer {
         ParameterServer {
             weights: init,
-            clocks: vec![0; workers],
+            clocks: PushClocks::new(vec![0; workers]),
             gates: vec![None; workers],
             served: vec![None; workers],
             total_updates: 0,
             snapshot_every,
             last_snapshot_at: 0,
             snapshots: Vec::new(),
-            max_clock_distance: 0,
+            drained_spread: None,
         }
     }
 
@@ -52,11 +58,8 @@ impl ParameterServer {
         for (w, &d) in self.weights.iter_mut().zip(delta) {
             *w += d;
         }
-        self.clocks[worker] += 1;
+        self.clocks.advance(worker, self.clocks.get(worker) + 1);
         self.total_updates += minibatches;
-
-        let max = *self.clocks.iter().max().expect("at least one worker");
-        self.max_clock_distance = self.max_clock_distance.max(max - self.min_clock());
 
         if self.snapshot_every > 0
             && self.total_updates - self.last_snapshot_at >= self.snapshot_every
@@ -66,23 +69,17 @@ impl ParameterServer {
                 .push((self.total_updates, self.weights.clone()));
         }
         for w in 0..self.gates.len() {
-            if self.gates[w].is_some_and(|gate| self.is_open(gate)) {
+            if self.gates[w].is_some_and(|gate| self.clocks.is_open(gate)) {
                 self.gates[w] = None;
                 self.served[w] = Some(self.serve());
             }
         }
     }
 
-    /// Whether every worker's clock exceeds `gate` (all have pushed
-    /// wave/update `gate`, 0-indexed).
-    pub fn is_open(&self, gate: u64) -> bool {
-        self.min_clock() > gate
-    }
-
     /// Requests the weights for `worker` once `gate` is open: now if it
     /// is, else at the push that opens it.
     pub fn pull(&mut self, worker: usize, gate: u64) {
-        if self.is_open(gate) {
+        if self.clocks.is_open(gate) {
             self.served[worker] = Some(self.serve());
         } else {
             self.gates[worker] = Some(gate);
@@ -111,11 +108,22 @@ impl ParameterServer {
         self.total_updates
     }
 
-    /// The largest clock distance ever observed between the fastest and
-    /// slowest worker (the quantity WSP bounds by `D`, modulo the
-    /// in-flight push that makes the observable bound `D + 1`).
+    /// Marks the start of a worker's drain: at a run's end, a worker
+    /// pushes the waves still in its pipeline without passing a gate.
+    pub fn drain(&mut self) {
+        self.drained_spread.get_or_insert(self.clocks.max_spread());
+    }
+
+    /// The push clocks.
+    pub fn clocks(&self) -> &PushClocks {
+        &self.clocks
+    }
+
+    /// The widest clock spread between the fastest and the slowest
+    /// worker before any worker drained: the spread the gate bounds
+    /// (a drain may widen it by the waves it pushes at once).
     pub fn max_clock_distance(&self) -> u64 {
-        self.max_clock_distance
+        self.drained_spread.unwrap_or(self.clocks.max_spread())
     }
 
     /// Drains the recorded `(total_updates, weights)` snapshots.
@@ -123,13 +131,34 @@ impl ParameterServer {
         std::mem::take(&mut self.snapshots)
     }
 
-    fn min_clock(&self) -> u64 {
-        *self.clocks.iter().min().expect("at least one worker")
+    fn serve(&self) -> (Vec<f32>, u64) {
+        (self.weights.clone(), self.clocks.min())
     }
 
-    fn serve(&self) -> (Vec<f32>, u64) {
-        (self.weights.clone(), self.min_clock())
+    /// Appends the whole state to `out` as words, each `f32` by its
+    /// bit pattern (`u64::MAX` stands for `None`).
+    pub(crate) fn write(&self, out: &mut Vec<u64>) {
+        let some = |x: Option<u64>| x.unwrap_or(u64::MAX);
+        out.extend((0..self.gates.len()).map(|w| self.clocks.get(w)));
+        out.extend(self.gates.iter().map(|&gate| some(gate)));
+        out.extend(self.served.iter().map(|s| some(s.as_ref().map(|s| s.1))));
+        out.extend([self.clocks.max_spread(), some(self.drained_spread)]);
+        let snapshots = self.snapshots.len() as u64;
+        out.extend([self.total_updates, self.last_snapshot_at, snapshots]);
+        write_bits(out, &self.weights);
+        for (weights, _) in self.served.iter().flatten() {
+            write_bits(out, weights);
+        }
+        for (updates, weights) in &self.snapshots {
+            out.push(*updates);
+            write_bits(out, weights);
+        }
     }
+}
+
+/// Appends `xs` to `out` by bit pattern.
+pub(crate) fn write_bits(out: &mut Vec<u64>, xs: &[f32]) {
+    out.extend(xs.iter().map(|x| u64::from(x.to_bits())));
 }
 
 #[cfg(test)]
@@ -147,18 +176,18 @@ mod tests {
     #[test]
     fn gate_opens_when_every_worker_pushed() {
         let mut ps = ParameterServer::new(vec![0.0], 2, 0);
-        assert!(!ps.is_open(0));
+        assert!(!ps.clocks().is_open(0));
         ps.pull(1, 0);
         assert!(ps.waiting(1));
         assert_eq!(ps.take_pull(1), None, "nothing served while waiting");
         // Gate 0 needs both workers past clock 0.
         ps.push(0, &[1.0], 1);
         assert!(
-            !ps.is_open(0) && ps.waiting(1),
+            !ps.clocks().is_open(0) && ps.waiting(1),
             "must still wait for worker 1"
         );
         ps.push(1, &[1.0], 1);
-        assert!(ps.is_open(0) && !ps.is_open(1));
+        assert!(ps.clocks().is_open(0) && !ps.clocks().is_open(1));
         // Served at the opening push, not at a later one.
         ps.push(0, &[5.0], 1);
         assert!(!ps.waiting(1));
@@ -180,6 +209,10 @@ mod tests {
         ps.push(2, &[0.0], 1);
         // Distance never shrinks retroactively.
         assert_eq!(ps.max_clock_distance(), 3);
+        ps.drain(); // Pushes after a drain begins do not count.
+        ps.push(0, &[0.0], 1);
+        ps.push(0, &[0.0], 1);
+        assert_eq!((ps.max_clock_distance(), ps.clocks().max_spread()), (3, 4));
     }
 
     #[test]

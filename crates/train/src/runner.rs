@@ -27,12 +27,13 @@
 
 use crate::data::Dataset;
 use crate::mlp::Mlp;
-use crate::ps::ParameterServer;
+use crate::ps::{write_bits, ParameterServer};
 use crate::sgd::{accumulate, apply_delta, Sgd};
 use hetpipe_schedule::WspParams;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 /// Synchronization mode of a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +55,34 @@ pub enum Mode {
         /// Staleness threshold in minibatches.
         s: usize,
     },
+}
+
+impl Mode {
+    /// The gate of minibatch `p` (1-indexed): the push clock every
+    /// worker must be past before `p` runs, or `None` if `p` may run on
+    /// any weights.
+    pub fn gate(self, p: u64) -> Option<u64> {
+        match self {
+            Mode::Wsp { nm, d } => WspParams::new(nm, d).required_wave(p),
+            Mode::Bsp => Mode::Ssp { s: 0 }.gate(p),
+            // Classic SSP (Ho et al.): a worker's clock is its pushed
+            // minibatches, and `p` may run while `p − 1 <= min + s`.
+            Mode::Ssp { s } => p.checked_sub(s as u64 + 2),
+            Mode::Asp => None,
+        }
+    }
+
+    /// The widest push-clock spread the gate allows before any worker
+    /// drains (one push past the distance the gate checks): 1 for BSP,
+    /// `s + 1` for SSP, `D + 1` for WSP and `None` for ASP.
+    pub fn spread_bound(self) -> Option<u64> {
+        match self {
+            Mode::Wsp { d, .. } => Some(d as u64 + 1),
+            Mode::Bsp => Some(1),
+            Mode::Ssp { s } => Some(s as u64 + 1),
+            Mode::Asp => None,
+        }
+    }
 }
 
 /// Configuration of a training run.
@@ -107,8 +136,9 @@ pub struct TrainOutcome {
     pub final_accuracy: f64,
     /// Total minibatch updates applied to the global weights.
     pub total_updates: u64,
-    /// Maximum observed clock distance (staleness audit: WSP must keep
-    /// this within `D + 1`).
+    /// The widest push-clock spread before any worker drained (see
+    /// [`ParameterServer::max_clock_distance`]); within
+    /// [`Mode::spread_bound`] in every bounded mode.
     pub max_clock_distance: u64,
 }
 
@@ -119,39 +149,26 @@ pub struct TrainOutcome {
 /// Panics if `workers == 0` or the dataset class count disagrees with
 /// the model's output width.
 pub fn train(dataset: &Dataset, config: &TrainConfig) -> TrainOutcome {
-    assert!(config.workers >= 1, "need at least one worker");
-    assert_eq!(
-        *config.dims.last().expect("non-empty dims"),
-        dataset.classes,
-        "model output width must equal the class count"
-    );
-
-    let init = Mlp::new(&config.dims, config.seed);
-    let mut ps = ParameterServer::new(init.to_flat(), config.workers, config.snapshot_every);
-    let mut workers: Vec<Worker> = (0..config.workers)
-        .map(|id| Worker::new(id, config))
-        .collect();
+    let mut trainer = Trainer::new(dataset, config);
     let mut order = SmallRng::seed_from_u64(config.seed);
     let mut ready = Vec::with_capacity(config.workers);
     loop {
         ready.clear();
-        ready.extend(
-            (0..config.workers)
-                .filter(|&i| workers[i].next <= config.steps_per_worker && !ps.waiting(i)),
-        );
+        ready.extend((0..config.workers).filter(|&i| trainer.ready(i)));
         if ready.is_empty() {
             break;
         }
-        let i = ready[order.gen_range(0..ready.len())];
-        workers[i].step(&mut ps, dataset, config);
+        trainer.step(ready[order.gen_range(0..ready.len())]);
     }
     assert!(
-        workers.iter().all(|w| w.next > config.steps_per_worker),
+        (0..config.workers).all(|i| trainer.finished(i)),
         "every worker finishes"
     );
 
     // Offline: evaluate the snapshots into an accuracy curve.
-    let mut model = init;
+    let Trainer {
+        mut ps, mut model, ..
+    } = trainer;
     let mut curve_steps = Vec::new();
     let mut curve_accuracy = Vec::new();
     for (updates, weights) in ps.take_snapshots() {
@@ -176,10 +193,112 @@ pub fn train(dataset: &Dataset, config: &TrainConfig) -> TrainOutcome {
     }
 }
 
+/// A training run between two steps: its workers and its parameter
+/// server. Two trainers of one run are equal when every counter and
+/// every `f32` bit of their states is.
+#[derive(Clone)]
+pub struct Trainer<'a> {
+    dataset: &'a Dataset,
+    config: &'a TrainConfig,
+    ps: ParameterServer,
+    workers: Vec<Worker>,
+    /// Scratch: the stepping worker's weights, loaded for its minibatch.
+    model: Mlp,
+}
+
+impl<'a> Trainer<'a> {
+    /// A run of `config` on `dataset` before its first step; panics as
+    /// [`train`] does.
+    pub fn new(dataset: &'a Dataset, config: &'a TrainConfig) -> Trainer<'a> {
+        assert!(config.workers >= 1, "need at least one worker");
+        assert_eq!(
+            *config.dims.last().expect("non-empty dims"),
+            dataset.classes,
+            "model output width must equal the class count"
+        );
+        let model = Mlp::new(&config.dims, config.seed);
+        Trainer {
+            dataset,
+            config,
+            ps: ParameterServer::new(model.to_flat(), config.workers, config.snapshot_every),
+            workers: (0..config.workers)
+                .map(|id| Worker::new(id, &model, config))
+                .collect(),
+            model,
+        }
+    }
+
+    /// Whether [`train`]'s picker may draw worker `i`: it has
+    /// minibatches left and no pull outstanding.
+    pub fn ready(&self, i: usize) -> bool {
+        !self.finished(i) && !self.ps.waiting(i)
+    }
+
+    /// Runs worker `i`'s next minibatch, then has it arrive at the next
+    /// one's gate.
+    pub fn step(&mut self, i: usize) {
+        let (dataset, config) = (self.dataset, self.config);
+        self.workers[i].step(&mut self.ps, &mut self.model, dataset, config);
+    }
+
+    /// Whether worker `i` has run all its minibatches.
+    pub fn finished(&self, i: usize) -> bool {
+        self.workers[i].next > self.config.steps_per_worker
+    }
+
+    /// Worker `i`'s next minibatch (1-indexed).
+    pub fn next_minibatch(&self, i: usize) -> u64 {
+        self.workers[i].next
+    }
+
+    /// The pushes of every worker that worker `i`'s last pull covered:
+    /// the slowest push clock when it was served (0 before any pull).
+    pub fn pulled(&self, i: usize) -> u64 {
+        self.workers[i].pulled
+    }
+
+    /// The parameter server.
+    pub fn server(&self) -> &ParameterServer {
+        &self.ps
+    }
+
+    /// The whole state as words, each `f32` by its bit pattern (the
+    /// scratch model aside): what `==` compares and `hash` hashes.
+    fn words(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.ps.write(&mut out);
+        for w in &self.workers {
+            out.extend([w.next, w.completed, w.pulled, w.pending.len() as u64]);
+            let pending = w.pending.iter().map(Vec::as_slice);
+            for xs in [w.local.as_slice(), w.opt.velocity(), &w.wave_acc]
+                .into_iter()
+                .chain(pending)
+            {
+                write_bits(&mut out, xs);
+            }
+        }
+        out
+    }
+}
+
+impl PartialEq for Trainer<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for Trainer<'_> {}
+
+impl Hash for Trainer<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+    }
+}
+
 /// One virtual worker's state between its steps.
+#[derive(Clone)]
 struct Worker {
     id: usize,
-    model: Mlp,
     opt: Sgd,
     /// The weights the next minibatch computes on.
     local: Vec<f32>,
@@ -192,19 +311,17 @@ struct Worker {
     wave_acc: Vec<f32>,
     /// WSP: minibatches completed.
     completed: u64,
-    /// WSP: waves the last pull covered.
+    /// Pushes of every worker the last pull covered.
     pulled: u64,
 }
 
 impl Worker {
-    fn new(id: usize, config: &TrainConfig) -> Worker {
-        let model = Mlp::new(&config.dims, config.seed);
-        let local = model.to_flat();
+    fn new(id: usize, init: &Mlp, config: &TrainConfig) -> Worker {
+        let local = init.to_flat();
         Worker {
             id,
             opt: Sgd::new(local.len(), config.lr, config.momentum),
             wave_acc: vec![0.0; local.len()],
-            model,
             local,
             next: 1,
             pending: VecDeque::new(),
@@ -213,8 +330,15 @@ impl Worker {
         }
     }
 
-    /// Runs minibatch `next`, then arrives at the next one's gate.
-    fn step(&mut self, ps: &mut ParameterServer, dataset: &Dataset, config: &TrainConfig) {
+    /// Runs minibatch `next` on `model`, then arrives at the next one's
+    /// gate.
+    fn step(
+        &mut self,
+        ps: &mut ParameterServer,
+        model: &mut Mlp,
+        dataset: &Dataset,
+        config: &TrainConfig,
+    ) {
         if let Some((global, waves)) = ps.take_pull(self.id) {
             // Local view = global weights + this worker's local updates
             // that are not yet part of a pushed wave (none outside WSP).
@@ -223,38 +347,31 @@ impl Worker {
             self.pulled = waves;
         }
         let p = self.next;
-        self.model.load_flat(&self.local);
+        model.load_flat(&self.local);
         let (x, y) = dataset.minibatch(self.id, config.workers, p - 1, config.batch);
-        let (_, grads) = self.model.loss_and_gradients(&x, &y);
+        let (_, grads) = model.loss_and_gradients(&x, &y);
         let delta = self.opt.delta(&grads.to_flat());
         self.next += 1;
         let done = p == config.steps_per_worker;
 
+        let gate = config.mode.gate(self.next);
         let gate = match config.mode {
-            Mode::Wsp { nm, d } => {
+            Mode::Wsp { nm, .. } => {
                 self.inject(ps, delta, nm, done);
                 // The WSP start gate (Section 5): the local weights must
                 // cover the required global wave.
-                let req = WspParams::new(nm, d).required_wave(self.next);
-                req.filter(|&req| self.pulled <= req)
+                gate.filter(|&req| self.pulled <= req)
             }
             Mode::Bsp | Mode::Ssp { .. } => {
-                let s = if let Mode::Ssp { s } = config.mode {
-                    s
-                } else {
-                    0
-                } as u64;
                 apply_delta(&mut self.local, &delta);
                 ps.push(self.id, &delta, 1);
-                // Classic SSP (Ho et al.): the worker's clock is p, and
-                // minibatch p + 1 may run while p <= min + s.
-                p.checked_sub(s + 1)
+                gate
             }
             Mode::Asp => {
                 ps.push(self.id, &delta, 1);
                 // No gate: the next minibatch reads the weights of now.
                 self.local.copy_from_slice(ps.weights());
-                None
+                gate
             }
         };
         if let Some(gate) = gate.filter(|_| !done) {
@@ -265,11 +382,14 @@ impl Worker {
     /// WSP: injects a minibatch computed against `w_p` and completes the
     /// one injected `s_local = nm − 1` injections earlier, pushing each
     /// full wave. A drain completes every pending minibatch and pushes
-    /// the last partial wave too.
+    /// the last partial wave too, past no gate.
     fn inject(&mut self, ps: &mut ParameterServer, delta: Vec<f32>, nm: usize, drain: bool) {
         self.pending.push_back(delta);
         let in_flight = if drain { 0 } else { nm - 1 };
         while self.pending.len() > in_flight {
+            if self.pending.len() < nm {
+                ps.drain();
+            }
             let delta = self.pending.pop_front().expect("pipeline non-empty");
             apply_delta(&mut self.local, &delta);
             accumulate(&mut self.wave_acc, &delta);

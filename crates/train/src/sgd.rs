@@ -44,6 +44,11 @@ impl Sgd {
         }
         out
     }
+
+    /// The momentum state.
+    pub(crate) fn velocity(&self) -> &[f32] {
+        &self.velocity
+    }
 }
 
 /// Adds `delta` into `w` element-wise.

@@ -1,6 +1,6 @@
 //! Static verification for the HetPipe reproduction: proofs about
-//! schedules and the WSP gate protocol that hold *before any
-//! simulation runs*.
+//! schedules, and a model checker for the code that trains, that hold
+//! *before any simulation runs*.
 //!
 //! The rest of the workspace checks its invariants dynamically — the
 //! DES audits occupancy on traces, `tests/staleness_props.rs` samples
@@ -26,20 +26,14 @@
 //!   minibatch of a warmup-covering horizon, with a wave-shift
 //!   invariance witness as the induction step extending the finite
 //!   check to the infinite stream.
-//! - [`checker`] / [`gatecheck`] — an in-tree, loom-style
-//!   **exhaustive-interleaving model checker**: a pure shadow state
-//!   machine (one atomic step per worker action) is driven through
-//!   *every* interleaving of the scenario programs, proving the WSP
-//!   **gate protocol** (no worker ever reads a push it shouldn't see
-//!   under bound `D`). Sleep-set partial-order reduction
-//!   ([`checker::explore_por`]) collapses provably-commuting
-//!   reorderings so 4-worker scenarios (63M unreduced interleavings)
-//!   stay enumerable; 3-worker scenarios are still pinned to their
-//!   unreduced multinomials as the exhaustiveness check. A
-//!   deliberately broken variant (a worker advancing past a closed
-//!   gate) is kept in-tree as a negative control: the checker must
-//!   find its counterexample, which is what makes the green runs on
-//!   the real protocol evidence instead of vacuity.
+//! - [`checker`] — an in-tree, loom-style **exhaustive-interleaving
+//!   model checker**: a [`Spec`]'s threads are stepped in *every*
+//!   order, each distinct state visited once (a visited set of whole
+//!   states), with the invariant judged at every reachable state.
+//!   `hetpipe-bench`'s `gatecheck` module runs it over the real
+//!   trainer (`hetpipe_train::Trainer`), one thread per worker, to
+//!   prove the WSP **gate rule**: no worker computes on weights older
+//!   than its gate, and push clocks stay within the mode's distance.
 //!
 //! Every pass here consumes the same artifacts the executor runs —
 //! [`hetpipe_schedule::committed_queues`] extraction and the real
@@ -48,25 +42,21 @@
 //!
 //! No simulation engine consumes these certificates. The executor
 //! (`hetpipe_core::exec`) runs every VW on one event queue and
-//! evaluates the WSP gate directly (`min_clock` over the push clocks),
-//! so the certificates stand as static proofs about the schedules and
-//! the gate rule, not as preconditions of a run.
+//! evaluates the WSP gate through [`hetpipe_schedule::PushClocks`],
+//! the trainer's clock type too, so the certificates stand as static
+//! proofs about the schedules and the gate rule, not as preconditions
+//! of a run.
 //!
 //! The `verify_all` binary (in `hetpipe-bench`) sweeps the standing
 //! model/cluster/schedule matrix through all of these axes and exits
 //! non-zero on any violation; CI runs it next to the benchmark gates.
 
 pub mod checker;
-pub mod gatecheck;
 pub mod graph;
 pub mod lookahead;
 pub mod staleness;
 
-pub use checker::{explore, explore_por, interleaving_count, Explored, ShadowSpec, Violation};
-pub use gatecheck::{
-    check_broken_gate_protocol, check_gate_protocol, GateOp, GateReport, GateState,
-    ShadowGateProtocol,
-};
+pub use checker::{explore, Explored, Spec, Violation};
 pub use graph::{
     structural_occupancy, verify_deadlock_free, verify_queues, CycleError, DagProof,
     OccupancyReport,

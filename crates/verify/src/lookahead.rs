@@ -23,8 +23,8 @@
 //! (stale reads) or early (lost lookahead) — fails here with the
 //! offending gate named. The certificate checks what the stream
 //! generators commit to; the executor meets the parameter server
-//! through its own `min_clock` gate, whose rule [`crate::gatecheck`]
-//! model-checks.
+//! through [`hetpipe_schedule::PushClocks`], the clock type of the
+//! trainer whose step loop [`crate::checker`] explores.
 
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, PsInteractions, RecomputePolicy,

@@ -40,10 +40,10 @@
 //!   deadlock-freedom certificates and structural occupancy bounds
 //!   from the schedules' committed op queues, closed-form lookahead
 //!   witnesses, exhaustive WSP staleness proofs, and an in-tree
-//!   exhaustive-interleaving model checker with sleep-set
-//!   partial-order reduction proving the WSP gate protocol (the
-//!   `verify_all` CI gate sweeps the standing matrix through all of
-//!   these).
+//!   exhaustive-interleaving model checker that visits each distinct
+//!   state once, run over the real trainer's step loop to prove the
+//!   WSP gate rule (the `verify_all` CI gate sweeps the standing
+//!   matrix through all of these).
 //!
 //! # Quickstart
 //!

@@ -6,6 +6,7 @@
 //! cover the same domains the original strategies sampled.
 
 use hetpipe::core::WspParams;
+use hetpipe::schedule::PushClocks;
 
 /// The closed-form global staleness bound of Section 5.
 #[test]
@@ -136,15 +137,14 @@ fn two_bw_versions_respect_the_wsp_staleness_bound() {
     }
 }
 
-/// Clock-distance rule consistency.
+/// Clock-distance rule consistency: the push clocks' spread predicate.
 #[test]
 fn distance_rule() {
-    for d in 0usize..10 {
-        let w = WspParams::new(4, d);
+    for d in 0u64..10 {
         for slowest in 0u64..100 {
             for ahead in 0u64..20 {
-                let mine = slowest + ahead;
-                assert_eq!(w.within_distance(mine, slowest), ahead <= d as u64);
+                let clocks = PushClocks::new(vec![slowest + ahead, slowest, slowest + ahead / 2]);
+                assert_eq!(clocks.within(d), ahead <= d);
             }
         }
     }
@@ -194,12 +194,7 @@ fn simulator_clock_distance_respects_bound() {
         let report = HetPipeSystem::build(&cluster, &graph, &config)
             .expect("feasible")
             .run(SimTime::from_secs(30.0));
-        let max = report.waves_per_vw.iter().max().copied().unwrap_or(0);
-        let min = report.waves_per_vw.iter().min().copied().unwrap_or(0);
-        assert!(
-            max - min <= d as u64 + 1,
-            "D={d}: final clocks {:?}",
-            report.waves_per_vw
-        );
+        let clocks = PushClocks::new(report.waves_per_vw.clone());
+        assert!(clocks.within(d as u64 + 1), "D={d}: final {clocks:?}");
     }
 }

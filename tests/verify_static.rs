@@ -13,10 +13,12 @@
 //!
 //! The negative direction feeds each verifier a broken fixture — a
 //! cyclic committed queue, an under-declared occupancy bound, a stale
-//! and an acausal version rule, and an engine that advances past a
-//! closed gate — and asserts each is rejected with a counterexample,
-//! so a regression that made any pass vacuous would fail here before
-//! it silently weakened the gate.
+//! and an acausal version rule, and a trainer worker stepped past its
+//! outstanding pull — and asserts each is rejected with a
+//! counterexample, so a regression that made any pass vacuous would
+//! fail here before it silently weakened the gate. The model check of
+//! the trainer's step loop is also cross-checked against a naive
+//! search that keeps no visited set.
 
 use hetpipe::cluster::{Cluster, DeviceId};
 use hetpipe::core::{
@@ -27,10 +29,13 @@ use hetpipe::des::{check_bounds, BoundEntity, OccupancyBound, SimTime};
 use hetpipe::schedule::{
     committed_queues, CommittedQueue, GpuOp, PipelineSchedule, QueueKind, ScheduleOp, WspParams,
 };
+use hetpipe::train::Mode;
 use hetpipe::verify::{
-    check_broken_gate_protocol, check_gate_protocol, structural_occupancy, verify_lookahead,
-    verify_queues, verify_version_rule, LookaheadWitness,
+    explore, structural_occupancy, verify_lookahead, verify_queues, verify_version_rule,
+    LookaheadWitness, Spec,
 };
+use hetpipe_bench::gatecheck::{self, Steps};
+use std::collections::HashSet;
 
 const NM: usize = 4;
 const K_GPUS: usize = 4;
@@ -211,30 +216,90 @@ fn lookahead_witnesses_are_golden_pinned_per_schedule() {
 
 #[test]
 fn gate_protocol_por_counts_are_pinned() {
-    // The standing gate-protocol scenarios through the facade: the
-    // 3-engine full enumeration pinned to its multinomial (the
-    // exhaustiveness check), and the POR trace counts pinned so a
-    // change in the reduction — or the protocol — is visible.
-    let reports = check_gate_protocol().expect("gate protocol holds");
-    let pins: Vec<(u64, u64, bool)> = reports
+    // The name dates from the partial-order reduction; the pins are
+    // distinct-state counts now. The standing scenarios of the
+    // trainer's step loop, in `gatecheck::SCENARIOS` order: (distinct
+    // states, states with a closed gate, spread before any drain,
+    // spread with drains). A change in a pin means the trainer's step
+    // semantics changed.
+    let pins: Vec<(usize, usize, u64, u64)> = gatecheck::SCENARIOS
         .iter()
-        .map(|r| (r.unreduced, r.explored, r.por))
+        .map(|&(mode, workers, steps)| {
+            let c = gatecheck::check(mode, workers, steps)
+                .unwrap_or_else(|e| panic!("{mode:?} x{workers}x{steps}: {e}"));
+            (c.states, c.closed, c.spread, c.drained_spread)
+        })
         .collect();
     assert_eq!(
         pins,
         vec![
-            (34_650, 34_650, false),
-            (34_650, 2_083, true),
-            (63_063_000, 763_615, true),
+            (274, 47, 1, 1),
+            (35_539, 89, 3, 3),
+            (948, 317, 1, 1),
+            (20_346, 741, 2, 2),
+            (12_307, 553, 2, 3),
         ]
     );
-    // Negative control: the advance-past-gate engine is refuted under
-    // the same reduction, and the counterexample says why.
-    let v = check_broken_gate_protocol().expect("broken gate must be refuted");
-    assert!(
-        v.message.contains("stale read") || v.message.contains("spread"),
-        "{v}"
+    // Negative control: a worker stepped past its outstanding pull is
+    // refuted, and the counterexample says why.
+    let (dataset, config) = (
+        gatecheck::dataset(),
+        gatecheck::config(Mode::Wsp { nm: 2, d: 0 }, 3, 8),
     );
+    let v = explore(&Steps::skipping_gates(&dataset, &config))
+        .err()
+        .expect("stepping past a closed gate must be refuted");
+    assert!(v.message.contains("stale read"), "{v}");
+    assert_eq!(v.schedule.len(), 4, "{v}");
+}
+
+#[test]
+fn trainer_spread_statistic_excludes_the_drain() {
+    // WSP (2, 1), 2 workers x 7, every step order: the clocks reach
+    // D + 1 = 2 apart before any drain, and D + 2 = 3 once a worker's
+    // last step pushes its in-flight waves past no gate. The trainer
+    // records the first.
+    let c = gatecheck::check(Mode::Wsp { nm: 2, d: 1 }, 2, 7).expect("gate rule holds");
+    assert_eq!((c.spread, c.drained_spread), (2, 3));
+}
+
+/// Every state reachable from `state`, by a search that keeps no
+/// visited set and so walks every step order in full.
+fn naive<S: Spec>(spec: &S, state: &S::State, seen: &mut HashSet<S::State>) {
+    seen.insert(state.clone());
+    for worker in 0..spec.threads() {
+        if spec.enabled(state, worker) {
+            let mut next = state.clone();
+            spec.step(&mut next, worker);
+            naive(spec, &next, seen);
+        }
+    }
+}
+
+#[test]
+fn deduplicated_exploration_reaches_the_naive_state_set() {
+    // The visited set prunes a path only where it reaches a state
+    // already explored, so it must reach exactly the states the full
+    // enumeration of step orders reaches.
+    for (mode, workers, steps) in [
+        (Mode::Wsp { nm: 2, d: 0 }, 3, 4),
+        (Mode::Wsp { nm: 2, d: 1 }, 2, 7),
+    ] {
+        let (dataset, config) = (
+            gatecheck::dataset(),
+            gatecheck::config(mode, workers, steps),
+        );
+        let spec = Steps::new(&dataset, &config);
+        let explored = explore(&spec).expect("gate rule holds");
+        let mut seen = HashSet::new();
+        naive(&spec, &spec.init(), &mut seen);
+        assert!(
+            explored.states == seen,
+            "{mode:?}: {} states explored, {} naive",
+            explored.states.len(),
+            seen.len()
+        );
+    }
 }
 
 #[test]
