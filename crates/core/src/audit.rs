@@ -44,6 +44,7 @@ pub struct MeasuredPeaks {
 /// matching backward span ends (released). The wave schedule's fused
 /// last-stage task carries both, a net-zero handoff; recompute spans
 /// are stage-local re-runs and carry nothing.
+#[derive(Clone)]
 pub(crate) struct OccupancyFold {
     /// [`VirtualWorker::stage_offsets`] of the run.
     offsets: Vec<usize>,
@@ -101,32 +102,6 @@ impl OccupancyFold {
     pub(crate) fn normal(&self, n: &mut Normal) {
         for fold in self.stages.iter().chain(&self.gpus) {
             n.peak_fold(fold);
-        }
-    }
-
-    /// Appends every fold's running level, peak and pending events to
-    /// `out`, for [`OccupancyFold::read`].
-    pub(crate) fn write(&self, out: &mut Vec<u64>) {
-        for fold in self.stages.iter().chain(&self.gpus) {
-            let at = out.len();
-            out.extend([fold.live() as u64, fold.peak() as u64, 0]);
-            for (t, delta) in fold.pending() {
-                out.extend([t.as_nanos(), delta as u64]);
-            }
-            out[at + 2] = ((out.len() - at - 3) / 2) as u64;
-        }
-    }
-
-    /// Puts every fold back into the state [`OccupancyFold::write`]
-    /// wrote for a fold of the same run.
-    pub(crate) fn read(&mut self, words: &mut impl Iterator<Item = u64>) {
-        let mut next = || words.next().expect("a whole occupancy fold");
-        for fold in self.stages.iter_mut().chain(&mut self.gpus) {
-            let (live, peak, n) = (next() as i64, next() as i64, next());
-            let pending: Vec<(SimTime, i64)> = (0..n)
-                .map(|_| (SimTime::from_nanos(next()), next() as i64))
-                .collect();
-            *fold = PeakFold::resume(live, peak, pending);
         }
     }
 

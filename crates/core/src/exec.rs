@@ -83,10 +83,10 @@
 //! A probe that runs through [`run_into_checkpointed`] also saves wave
 //! checkpoints (the `checkpoint` module), and [`resume_into`] commits a
 //! drain of the same segment from one of them, bit for bit the drain
-//! run from the start (`tests/drain_checkpoints.rs`). A new executor
-//! state field must be written in `Exec::write` and read back in
-//! `Exec::restore`, as fast-forward needs it in `Exec::normal` and
-//! `Exec::repeat`.
+//! run from the start (`tests/drain_checkpoints.rs`). A checkpoint
+//! clones the executor state, so a new mutable executor field must be
+//! saved and restored there, as fast-forward needs it in
+//! `Exec::normal` and `Exec::repeat`.
 //!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
@@ -202,7 +202,7 @@ pub enum RateTarget {
 /// `1/k` = a ×k slowdown, ≤ 0 = lost). Fired as a first-class DES
 /// event; reservations made after it fires are scaled by the new rate
 /// (work already on the timeline keeps its granted duration).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateEvent {
     /// Segment-local fire time.
     pub at: SimTime,
@@ -220,7 +220,7 @@ pub struct RateEvent {
 ///
 /// The default options reproduce [`run`] exactly: no faults, no stop,
 /// strict order — the zero-fault invariance the tier-1 tests pin.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentOpts {
     /// Stop *injecting* minibatches after this one (1-indexed,
     /// segment-local) and drain: ops of later minibatches are
@@ -356,6 +356,7 @@ enum Ev {
     },
 }
 
+#[derive(Clone)]
 struct VwState {
     next_mb: u64,
     completed: u64,
@@ -389,6 +390,7 @@ struct LaneCursor {
 
 /// One virtual stage's executor state: its occupancy books (both
 /// disciplines) and its inputs (lane dispatch only).
+#[derive(Clone)]
 struct StageState {
     /// The declared occupancy bound ([`PipelineSchedule::max_in_flight`]).
     window: u64,

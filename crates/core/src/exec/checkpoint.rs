@@ -14,72 +14,75 @@
 //! after the same events and the same spans. Resuming there under the
 //! stop point and simulating on is the drain.
 //!
-//! **What a checkpoint holds.** Only the state the handler mutates:
-//! the engine's clock, sequence counter and queued events; each
-//! resource's free instant, busy time, reservation count and rate
-//! (names and rate timelines never change in a run, so the resumed run
-//! installs its own); the occupancy fold
-//! and, when the run folds one, the report fold; per-VW state, with
-//! the *lengths* of its completion and wait-window lists, whose
-//! prefixes the resumed run cuts from the probe's final [`RunStats`];
-//! the stage books; the lane cursors and generators ([`fork_lanes`]
-//! copies a composite timetable once per VW); the last span end and
-//! the byte counters; and the event and span counts, so the caller can
-//! cut a kept trace back to the checkpoint.
+//! **What a checkpoint holds.** A clone of the state the handler
+//! mutates: the engine (clock, event count and queued events), the
+//! resource pool (rate timelines included, which is why a drain must
+//! share its probe's segment options), the occupancy fold, the report
+//! fold when the run folds one, the push clocks, the stage books, the
+//! last span end, the byte counters, and the stop-query and span
+//! counts. Lanes are forked ([`fork_lanes`] copies a composite
+//! timetable once per VW). Per-VW state is saved without its
+//! completion and wait-window lists, which grow with the horizon; the
+//! checkpoint keeps their lengths, and the resumed run cuts those
+//! prefixes from the probe's final [`RunStats`].
 //!
-//! **Storage and spacing.** The segment-start state is always the
-//! first checkpoint, so every stop can resume. Later ones are taken
-//! each time the stop queries reach a new block of
-//! [`FIRST_SPACING_WAVES`] waves. Every checkpoint's plain state goes
-//! into one buffer of [`MAX_WORDS`] words, reserved when the probe
-//! starts, so taking one allocates nothing; lane generators and a
-//! report fold, which only some runs have, are kept beside it. When
-//! the next checkpoint would not fit, every other checkpoint goes (the
-//! first stays) and the spacing doubles. So a probe's checkpoints cost
-//! one bounded buffer however long it runs, and a smaller executor
-//! state keeps more of them.
+//! **Spacing.** The segment-start state is always the first
+//! checkpoint, so every stop can resume. Later ones are taken each
+//! time the stop queries reach a new block of [`FIRST_SPACING_WAVES`]
+//! waves. When [`MAX_KEPT`] are kept, every other one goes (the first
+//! stays) and the spacing doubles. So a probe keeps a bounded number of
+//! checkpoints however long it runs, spread over the whole run.
 //!
 //! A checkpointed run simulates every event: fast-forward would skip
 //! the stop queries a checkpoint's validity rests on.
 
 use super::{report_of, Ev, Exec, ExecParams, LaneCursor, RunStats, SegmentOpts, SpanTag};
-use super::{VwState, VwStats};
+use super::{StageState, VwState, VwStats};
+use crate::audit::OccupancyFold;
 use crate::metrics::{ReportFold, SystemReport};
-use hetpipe_des::{Engine, ResourceId, SimTime, SpanSink};
-use hetpipe_schedule::{fork_lanes, GpuOp, Lane, PushClocks};
-use std::collections::{BTreeMap, VecDeque};
+use hetpipe_des::{Engine, ResourcePool, SimTime, SpanSink};
+use hetpipe_schedule::{fork_lanes, PushClocks};
 
-/// Waves between checkpoints until the buffer first fills.
+/// Waves between checkpoints until the list first fills.
 const FIRST_SPACING_WAVES: u64 = 1;
 
-/// Words (of 8 bytes) of checkpoint state a run keeps.
-const MAX_WORDS: usize = 6 * 1024;
+/// The most checkpoints a run keeps.
+const MAX_KEPT: usize = 48;
 
-/// What a checkpoint keeps beside its words: each VW's lane buffers
-/// and generators (lane dispatch only) and the report fold (runs that
-/// fold one).
-struct Beside {
-    lanes: Vec<(Vec<VecDeque<GpuOp>>, Vec<Lane>)>,
-    report: Option<ReportFold>,
+/// What a drain must share with the probe whose checkpoint it resumes.
+#[derive(Debug, PartialEq)]
+struct Probe {
+    /// The probe's segment options; its stop point is `None`.
+    opts: SegmentOpts,
+    horizon: SimTime,
+    warmup: Option<SimTime>,
 }
 
-/// Where one checkpoint's words lie, and its counts.
-#[derive(Clone, Copy)]
-struct Mark {
-    at: usize,
-    len: usize,
+/// One saved executor state (see the module docs).
+struct Saved {
+    engine: Engine<Ev>,
+    pool: ResourcePool,
+    occupancy: OccupancyFold,
+    report: Option<ReportFold>,
+    clocks: PushClocks,
+    /// Per-VW state with empty completion and wait-window lists.
+    states: Vec<VwState>,
+    /// Per VW, the lengths of its completion and wait-window lists.
+    lists: Vec<(usize, usize)>,
+    stages: Vec<Vec<StageState>>,
+    lanes: Vec<Vec<LaneCursor>>,
+    last_span_end: SimTime,
+    /// `sync_inter`, `sync_intra`, `act_inter` and `act_intra`.
+    bytes: [u64; 4],
     queried: u64,
-    events: u64,
     spans: usize,
 }
 
 /// A checkpointed run's saved states, oldest first (see the module
-/// docs for their storage and spacing).
+/// docs for their spacing).
 pub struct Checkpoints {
-    words: Vec<u64>,
-    marks: Vec<Mark>,
-    beside: Vec<Beside>,
-    horizon: SimTime,
+    saved: Vec<Saved>,
+    probe: Probe,
     /// Stop-query minibatches between checkpoints.
     every: u64,
     /// The stop query that triggers the next checkpoint.
@@ -91,10 +94,8 @@ pub struct Checkpoints {
 /// stop point not below [`Checkpoint::queried`].
 #[derive(Clone, Copy)]
 pub struct Checkpoint<'a> {
-    mark: Mark,
-    words: &'a [u64],
-    beside: &'a Beside,
-    horizon: SimTime,
+    saved: &'a Saved,
+    probe: &'a Probe,
 }
 
 impl Checkpoint<'_> {
@@ -102,323 +103,168 @@ impl Checkpoint<'_> {
     /// was saved: the checkpoint starts a drain at any stop point at or
     /// past it.
     pub fn queried(&self) -> u64 {
-        self.mark.queried
+        self.saved.queried
     }
 
     /// DES events processed before the state was saved.
     pub fn events(&self) -> u64 {
-        self.mark.events
+        self.saved.engine.processed()
     }
 
     /// Spans recorded before the state was saved: a caller that kept
     /// the probe's spans keeps this many of them and lets the resumed
     /// run record the rest.
     pub fn spans(&self) -> usize {
-        self.mark.spans
+        self.saved.spans
     }
 }
 
 impl Checkpoints {
     /// Starts the list with `ex`'s state at the segment start.
-    fn start<S>(ex: &Exec<'_, S>) -> Checkpoints {
+    fn start<S>(ex: &Exec<'_, S>, warmup: Option<SimTime>) -> Checkpoints {
         let every = FIRST_SPACING_WAVES * ex.p.wsp.nm as u64;
-        let mut checkpoints = Checkpoints {
-            words: Vec::with_capacity(MAX_WORDS),
-            marks: Vec::new(),
-            beside: Vec::new(),
-            horizon: ex.horizon,
+        Checkpoints {
+            saved: vec![Saved::of(ex)],
+            probe: Probe {
+                opts: ex.opts.clone(),
+                horizon: ex.horizon,
+                warmup,
+            },
             every,
             next: every,
-        };
-        checkpoints.push(ex);
-        checkpoints
+        }
     }
 
     /// Saves `ex`'s state when its stop queries have reached the next
     /// block.
     #[inline]
     fn after_event<S>(&mut self, ex: &Exec<'_, S>) {
-        if ex.queried >= self.next {
-            self.take(ex);
+        if ex.queried < self.next {
+            return;
         }
-    }
-
-    fn take<S>(&mut self, ex: &Exec<'_, S>) {
-        let last = self.marks.last().map_or(0, |m| m.len);
-        if self.words.len() + last > MAX_WORDS && self.marks.len() > 1 {
+        if self.saved.len() == MAX_KEPT {
             self.thin();
         }
-        self.push(ex);
+        self.saved.push(Saved::of(ex));
         self.next = (ex.queried / self.every + 1) * self.every;
     }
 
     /// Drops every other checkpoint, the first kept, and doubles the
     /// spacing.
     fn thin(&mut self) {
-        let mut to = 0;
-        for i in (0..self.marks.len()).step_by(2) {
-            let mark = self.marks[i];
-            self.words.copy_within(mark.at..mark.at + mark.len, to);
-            self.marks[i / 2] = Mark { at: to, ..mark };
-            to += mark.len;
-        }
-        self.words.truncate(to);
-        self.marks.truncate(self.marks.len().div_ceil(2));
-        let mut i = 0;
-        self.beside.retain(|_| {
-            i += 1;
-            i % 2 == 1
-        });
+        let mut keep = [true, false].into_iter().cycle();
+        self.saved.retain(|_| keep.next() == Some(true));
         self.every *= 2;
-    }
-
-    fn push<S>(&mut self, ex: &Exec<'_, S>) {
-        let at = self.words.len();
-        ex.write(&mut self.words);
-        self.marks.push(Mark {
-            at,
-            len: self.words.len() - at,
-            queried: ex.queried,
-            events: ex.engine.processed(),
-            spans: ex.spans,
-        });
-        self.beside.push(Beside {
-            lanes: ex
-                .lanes
-                .iter()
-                .map(|cursors| {
-                    let bufs = cursors.iter().map(|c| c.buf.clone()).collect();
-                    (bufs, fork_lanes(cursors.iter().map(|c| &c.lane)))
-                })
-                .collect(),
-            report: ex.report.clone(),
-        });
-    }
-
-    fn get(&self, i: usize) -> Checkpoint<'_> {
-        let mark = self.marks[i];
-        Checkpoint {
-            mark,
-            words: &self.words[mark.at..mark.at + mark.len],
-            beside: &self.beside[i],
-            horizon: self.horizon,
-        }
     }
 
     /// The latest checkpoint a drain at `stop` may resume from.
     pub fn for_stop(&self, stop: u64) -> Checkpoint<'_> {
-        let valid = self.marks.partition_point(|m| m.queried <= stop);
-        self.get(valid.max(1) - 1)
+        let valid = self.saved.partition_point(|s| s.queried <= stop);
+        let saved = &self.saved[valid.max(1) - 1];
+        Checkpoint {
+            saved,
+            probe: &self.probe,
+        }
     }
 
     /// The checkpoints, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = Checkpoint<'_>> {
-        (0..self.marks.len()).map(|i| self.get(i))
+        let probe = &self.probe;
+        self.saved
+            .iter()
+            .map(move |saved| Checkpoint { saved, probe })
     }
 
     /// Number of checkpoints kept.
     pub fn len(&self) -> usize {
-        self.marks.len()
+        self.saved.len()
     }
 
     /// Always false: the segment start is always kept.
     pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
+        self.saved.is_empty()
     }
 }
 
-impl Ev {
-    /// The event as two words: kind, VW and stage, then its
-    /// minibatch, wave or rate-edge index.
-    fn to_words(self) -> [u64; 2] {
-        let (kind, vw, stage, n) = match self {
-            Ev::FwdArrive { vw, stage, mb } => (0, vw, stage, mb),
-            Ev::FwdDone { vw, stage, mb } => (1, vw, stage, mb),
-            Ev::BwdArrive { vw, stage, mb } => (2, vw, stage, mb),
-            Ev::BwdDone { vw, stage, mb } => (3, vw, stage, mb),
-            Ev::PushChunkDone { vw, wave } => (4, vw, 0, wave),
-            Ev::PullChunkDone { vw } => (5, vw, 0, 0),
-            Ev::TryInject { vw } => (6, vw, 0, 0),
-            Ev::Fault { idx } => (7, 0, 0, idx as u64),
-        };
-        debug_assert!(stage < 1 << 24, "stage {stage} does not fit its 24 bits");
-        [kind | (vw as u64) << 8 | (stage as u64) << 40, n]
-    }
+/// Copies of a VW's lane cursors that advance independently of them.
+fn fork(cursors: &[LaneCursor]) -> Vec<LaneCursor> {
+    let lanes = fork_lanes(cursors.iter().map(|c| &c.lane));
+    cursors
+        .iter()
+        .zip(lanes)
+        .map(|(c, lane)| LaneCursor {
+            lane,
+            buf: c.buf.clone(),
+        })
+        .collect()
+}
 
-    /// The event [`Ev::to_words`] wrote.
-    fn from_words([head, n]: [u64; 2]) -> Ev {
-        let (vw, stage) = ((head >> 8) as u32, (head >> 40) as u32);
-        match head & 0xff {
-            0 => Ev::FwdArrive { vw, stage, mb: n },
-            1 => Ev::FwdDone { vw, stage, mb: n },
-            2 => Ev::BwdArrive { vw, stage, mb: n },
-            3 => Ev::BwdDone { vw, stage, mb: n },
-            4 => Ev::PushChunkDone { vw, wave: n },
-            5 => Ev::PullChunkDone { vw },
-            6 => Ev::TryInject { vw },
-            7 => Ev::Fault { idx: n as u32 },
-            kind => unreachable!("no event kind {kind}"),
+impl Saved {
+    fn of<S>(ex: &Exec<'_, S>) -> Saved {
+        Saved {
+            engine: ex.engine.clone(),
+            pool: ex.pool.clone(),
+            occupancy: ex.occupancy.clone(),
+            report: ex.report.clone(),
+            clocks: ex.clocks.clone(),
+            states: ex
+                .states
+                .iter()
+                .map(|st| VwState {
+                    push_remaining: st.push_remaining.clone(),
+                    stats: VwStats {
+                        completions: Vec::new(),
+                        wait_windows: Vec::new(),
+                        ..st.stats
+                    },
+                    ..*st
+                })
+                .collect(),
+            lists: ex
+                .states
+                .iter()
+                .map(|st| (st.stats.completions.len(), st.stats.wait_windows.len()))
+                .collect(),
+            stages: ex.stages.clone(),
+            lanes: ex.lanes.iter().map(|cursors| fork(cursors)).collect(),
+            last_span_end: ex.last_span_end,
+            bytes: [ex.sync_inter, ex.sync_intra, ex.act_inter, ex.act_intra],
+            queried: ex.queried,
+            spans: ex.spans,
         }
     }
-}
-
-/// An optional instant as two words.
-fn option_words(t: Option<SimTime>) -> [u64; 2] {
-    [t.is_some() as u64, t.map_or(0, SimTime::as_nanos)]
 }
 
 impl<S> Exec<'_, S> {
-    /// Appends the state a checkpoint keeps in words (lanes and the
-    /// report fold aside) to `out`, for [`Exec::restore`].
-    fn write(&self, out: &mut Vec<u64>) {
-        let engine = &self.engine;
-        out.extend([
-            engine.now().as_nanos(),
-            engine.next_seq(),
-            engine.pending() as u64,
-        ]);
-        for (at, seq, ev) in engine.pending_events() {
-            out.extend([at.as_nanos(), seq]);
-            out.extend(ev.to_words());
-        }
-        for (_, r) in self.pool.iter() {
-            out.extend(r.state_words());
-        }
-        self.occupancy.write(out);
-        for (vw, st) in self.states.iter().enumerate() {
-            let (target, since) = st.pull_request.unzip();
-            let s = &st.stats;
-            out.extend([
-                st.next_mb,
-                st.completed,
-                self.clocks.get(vw),
-                st.pulled as u64,
-                target.unwrap_or(0),
-            ]);
-            out.extend(option_words(since));
-            out.extend([st.pull_remaining as u64, st.pull_serving_version as u64]);
-            out.extend(option_words(st.block_start));
-            out.extend([
-                s.waves_pushed,
-                s.pull_wait.as_nanos(),
-                s.inject_blocked.as_nanos(),
-                s.completions.len() as u64,
-                s.wait_windows.len() as u64,
-                st.push_remaining.len() as u64,
-            ]);
-            for (&wave, &left) in &st.push_remaining {
-                out.extend([wave, left as u64]);
-            }
-        }
-        for stage in self.stages.iter().flatten() {
-            out.extend([
-                stage.held,
-                stage.fwd_arrived,
-                stage.bwd_arrived,
-                stage.drained as u64,
-            ]);
-        }
-        out.extend([
-            self.last_span_end.as_nanos(),
-            self.sync_inter,
-            self.sync_intra,
-            self.act_inter,
-            self.act_intra,
-        ]);
-    }
-}
-
-impl<S: SpanSink<SpanTag>> Exec<'_, S> {
-    /// Puts the executor into `from`'s state, taking the completion
+    /// Puts the executor into `saved`'s state, taking the completion
     /// and wait-window prefixes from `probe`, the checkpointed run's
     /// result.
-    fn restore(&mut self, from: Checkpoint<'_>, probe: &RunStats) {
-        let words = &mut from.words.iter().copied();
-        let mut next = || words.next().expect("a whole checkpoint");
-        let (now, next_seq, pending) = (SimTime::from_nanos(next()), next(), next());
-        let events: Vec<(SimTime, u64, Ev)> = (0..pending)
-            .map(|_| {
-                let (at, seq) = (SimTime::from_nanos(next()), next());
-                (at, seq, Ev::from_words([next(), next()]))
+    fn restore(&mut self, saved: &Saved, probe: &RunStats) {
+        self.engine = saved.engine.clone();
+        self.pool = saved.pool.clone();
+        self.occupancy = saved.occupancy.clone();
+        self.report = saved.report.clone();
+        self.clocks = saved.clocks.clone();
+        self.states = (saved.states.iter().zip(&saved.lists))
+            .zip(&probe.vws)
+            .map(|((st, &(completions, windows)), stats)| {
+                let mut st = st.clone();
+                st.stats.completions = stats.completions[..completions].to_vec();
+                st.stats.wait_windows = stats.wait_windows[..windows].to_vec();
+                st
             })
             .collect();
-        self.engine = Engine::resume(now, from.events(), next_seq, events);
-        for id in 0..self.pool.len() {
-            let state = [next(), next(), next(), next()];
-            self.pool.get_mut(ResourceId(id)).set_state_words(state);
-        }
-        self.occupancy.read(words);
-        let mut next = || words.next().expect("a whole checkpoint");
-        let instant = |set: u64, t: u64| (set != 0).then_some(SimTime::from_nanos(t));
-        let mut clocks = Vec::with_capacity(self.states.len());
-        for (st, stats) in self.states.iter_mut().zip(&probe.vws) {
-            let (next_mb, completed) = (next(), next());
-            clocks.push(next());
-            let (pulled, target) = (next() as i64, next());
-            let since = instant(next(), next());
-            let (pull_remaining, pull_serving_version) = (next() as usize, next() as i64);
-            let block_start = instant(next(), next());
-            let waves_pushed = next();
-            let pull_wait = SimTime::from_nanos(next());
-            let inject_blocked = SimTime::from_nanos(next());
-            let (completions, windows, pushes) = (next() as usize, next() as usize, next());
-            let push_remaining: BTreeMap<u64, usize> =
-                (0..pushes).map(|_| (next(), next() as usize)).collect();
-            *st = VwState {
-                next_mb,
-                completed,
-                pulled,
-                pull_request: since.map(|since| (target, since)),
-                pull_remaining,
-                pull_serving_version,
-                push_remaining,
-                block_start,
-                stats: VwStats {
-                    completions: stats.completions[..completions].to_vec(),
-                    waves_pushed,
-                    pull_wait,
-                    wait_windows: stats.wait_windows[..windows].to_vec(),
-                    inject_blocked,
-                },
-            };
-        }
-        for stage in self.stages.iter_mut().flatten() {
-            stage.held = next();
-            stage.fwd_arrived = next();
-            stage.bwd_arrived = next();
-            stage.drained = next() != 0;
-        }
-        self.last_span_end = SimTime::from_nanos(next());
+        self.stages = saved.stages.clone();
+        self.lanes = saved.lanes.iter().map(|cursors| fork(cursors)).collect();
+        self.last_span_end = saved.last_span_end;
         [
             self.sync_inter,
             self.sync_intra,
             self.act_inter,
             self.act_intra,
-        ] = [next(), next(), next(), next()];
-        self.clocks = PushClocks::new(clocks);
-        debug_assert!(words.next().is_none(), "a checkpoint of another run");
-        assert_eq!(
-            self.report.is_some(),
-            from.beside.report.is_some(),
-            "a resumed run folds a report exactly when its probe did"
-        );
-        self.report = from.beside.report.clone();
-        self.lanes = from
-            .beside
-            .lanes
-            .iter()
-            .map(|(bufs, lanes)| {
-                bufs.iter()
-                    .zip(fork_lanes(lanes))
-                    .map(|(buf, lane)| LaneCursor {
-                        lane,
-                        buf: buf.clone(),
-                    })
-                    .collect()
-            })
-            .collect();
-        self.queried = from.queried();
-        self.spans = from.spans();
+        ] = saved.bytes;
+        self.queried = saved.queried;
+        self.spans = saved.spans;
     }
 }
 
@@ -444,7 +290,7 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     );
     let mut ex = Exec::new(params.clone(), opts, horizon, warmup, sink);
     ex.prologue();
-    let mut checkpoints = Checkpoints::start(&ex);
+    let mut checkpoints = Checkpoints::start(&ex, warmup);
     while let Some(ev) = ex.engine.next_event_until(horizon) {
         ex.handle(ev);
         checkpoints.after_event(&ex);
@@ -459,17 +305,16 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
 /// [`RunStats`] and report alike, and `sink` receives exactly the spans
 /// that run records after the first [`Checkpoint::spans`].
 ///
-/// `params`, `horizon`, `warmup` and `opts` but its stop point must be
-/// the probe's; `from` and `probe` are the checkpoint and the result of
-/// that [`run_into_checkpointed`] run, and the stop must lie at or past
-/// [`Checkpoint::queried`] ([`Checkpoints::for_stop`] picks the latest
-/// such checkpoint).
+/// `params` must be the probe's; `from` and `probe` are the checkpoint
+/// and the result of that [`run_into_checkpointed`] run, and the stop
+/// must lie at or past [`Checkpoint::queried`]
+/// ([`Checkpoints::for_stop`] picks the latest such checkpoint).
 ///
 /// # Panics
 ///
 /// Panics if `opts` sets no stop point, a stop point below
-/// `from.queried()` or off a wave boundary, or a horizon other than the
-/// probe's.
+/// `from.queried()` or off a wave boundary, or if `horizon`, `warmup`
+/// or `opts` but its stop point differ from the probe's.
 pub fn resume_into<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
     opts: SegmentOpts,
@@ -485,12 +330,20 @@ pub fn resume_into<S: SpanSink<SpanTag>>(
         "the checkpoint queried minibatch {} past the stop point {stop}",
         from.queried()
     );
-    assert_eq!(horizon, from.horizon, "a drain runs to its probe's horizon");
+    let drain = Probe {
+        opts: SegmentOpts {
+            stop_after_mb: None,
+            ..opts.clone()
+        },
+        horizon,
+        warmup,
+    };
+    assert_eq!(
+        &drain, from.probe,
+        "a drain shares its probe's segment options, horizon and warm-up"
+    );
     let mut ex = Exec::new(params.clone(), opts, horizon, warmup, sink);
-    // Installs the rate timelines; the restored engine replaces the
-    // events it schedules.
-    ex.prologue();
-    ex.restore(from, probe);
+    ex.restore(from.saved, probe);
     let (stats, sink, fold) = ex.simulate();
     let report = report_of(&params, &stats, fold);
     (stats, sink, report)

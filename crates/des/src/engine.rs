@@ -31,7 +31,7 @@ use crate::time::SimTime;
 /// assert_eq!(log.len(), 2);
 /// assert_eq!(log[1].0, SimTime::from_millis(3));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
@@ -110,28 +110,6 @@ impl<E> Engine<E> {
         self.queue.iter()
     }
 
-    /// The sequence number the next scheduled event gets.
-    pub fn next_seq(&self) -> u64 {
-        self.queue.next_seq()
-    }
-
-    /// An engine in the state another one was in: its clock `now`,
-    /// `processed` events, the queued `events` from
-    /// [`Engine::pending_events`] and [`Engine::next_seq`]. It then runs
-    /// exactly as that one does.
-    pub fn resume(
-        now: SimTime,
-        processed: u64,
-        next_seq: u64,
-        events: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) -> Self {
-        Engine {
-            queue: EventQueue::resume(next_seq, events),
-            now,
-            processed,
-        }
-    }
-
     /// Jumps the clock `by` forward and counts `events` more processed
     /// events, as if a stretch of simulation that repeats the state
     /// shifted in time had run. Queued events that `moves` accepts
@@ -195,27 +173,6 @@ mod tests {
         let mut times: Vec<_> = e.pending_events().map(|(t, _, &v)| (t, v)).collect();
         times.sort();
         assert_eq!(times, vec![(SimTime::from_nanos(50), 2)]);
-    }
-
-    #[test]
-    fn a_resumed_engine_runs_like_the_original() {
-        let mut e: Engine<u32> = Engine::new();
-        for (at, v) in [(10, 1), (5, 2), (10, 3), (7, 4)] {
-            e.schedule_at(SimTime::from_nanos(at), v);
-        }
-        e.next_event();
-        let pending: Vec<(SimTime, u64, u32)> =
-            e.pending_events().map(|(t, s, &v)| (t, s, v)).collect();
-        let mut r = Engine::resume(e.now(), e.processed(), e.next_seq(), pending);
-        for engine in [&mut e, &mut r] {
-            engine.schedule_at(SimTime::from_nanos(10), 5);
-        }
-        let drain = |engine: &mut Engine<u32>| {
-            std::iter::from_fn(|| engine.next_event().map(|v| (engine.now(), v)))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(drain(&mut r), drain(&mut e));
-        assert_eq!(r.processed(), e.processed());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An event queued for a future instant.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
@@ -53,7 +53,7 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(10), "c"));
 /// assert!(q.pop().is_none());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
@@ -89,26 +89,6 @@ impl<E> EventQueue<E> {
     /// The time of the earliest queued event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// A queue holding `events` (each with its time and sequence
-    /// number) whose next event gets sequence number `next_seq`: the
-    /// state [`EventQueue::iter`] and [`EventQueue::next_seq`] read from
-    /// another queue, which it then pops and numbers exactly as that
-    /// one does.
-    pub fn resume(next_seq: u64, events: impl IntoIterator<Item = (SimTime, u64, E)>) -> Self {
-        EventQueue {
-            heap: events
-                .into_iter()
-                .map(|(time, seq, event)| Scheduled { time, seq, event })
-                .collect(),
-            next_seq,
-        }
-    }
-
-    /// The sequence number the next pushed event gets.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Every queued event with its time and sequence number, in no

@@ -210,28 +210,6 @@ impl Resource {
         }
     }
 
-    /// The timeline state reservations and rate changes move, as four
-    /// words: the free instant and busy time in nanoseconds, the
-    /// reservation count, and the current rate's bits. The name and
-    /// the installed rate timeline are not part of it.
-    pub fn state_words(&self) -> [u64; 4] {
-        [
-            self.free_at.as_nanos(),
-            self.busy.as_nanos(),
-            self.reservations,
-            self.rate.to_bits(),
-        ]
-    }
-
-    /// Puts the resource back into a state [`Resource::state_words`]
-    /// read, keeping its name and rate timeline.
-    pub fn set_state_words(&mut self, [free_at, busy, reservations, rate]: [u64; 4]) {
-        self.free_at = SimTime::from_nanos(free_at);
-        self.busy = SimTime::from_nanos(busy);
-        self.reservations = reservations;
-        self.rate = f64::from_bits(rate);
-    }
-
     /// The instant the resource becomes free.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -460,24 +438,6 @@ mod tests {
         assert_eq!(gpu.reservations(), 4);
         idle.repeat(SimTime::from_nanos(100), SimTime::ZERO, 0);
         assert_eq!(idle.free_at(), SimTime::from_nanos(10));
-    }
-
-    #[test]
-    fn set_state_restores_the_timeline_but_keeps_the_rate_schedule() {
-        let mut gpu = Resource::new("gpu0");
-        gpu.set_rate_schedule(vec![(SimTime::from_nanos(100), 0.5)]);
-        gpu.reserve_work(SimTime::ZERO, SimTime::from_nanos(10));
-        let saved = gpu.state_words();
-        let mut fresh = Resource::new("gpu0");
-        fresh.set_rate_schedule(vec![(SimTime::from_nanos(100), 0.5)]);
-        fresh.set_state_words(saved);
-        assert_eq!(fresh.state_words(), saved);
-        // Both integrate the same work across the same edge.
-        let a = gpu.reserve_work(SimTime::from_nanos(95), SimTime::from_nanos(20));
-        let b = fresh.reserve_work(SimTime::from_nanos(95), SimTime::from_nanos(20));
-        assert_eq!(a, b);
-        assert_eq!(a.1, SimTime::from_nanos(130));
-        assert_eq!(fresh.state_words(), gpu.state_words());
     }
 
     #[test]

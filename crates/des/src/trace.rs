@@ -331,22 +331,6 @@ impl PeakFold {
         self.pending.iter().map(|&Reverse(event)| event)
     }
 
-    /// The peak of the running sum over the events applied so far.
-    pub fn peak(&self) -> i64 {
-        self.peak
-    }
-
-    /// A fold in the state [`PeakFold::live`], [`PeakFold::peak`] and
-    /// [`PeakFold::pending`] read from another: it folds every later
-    /// event exactly as that one does.
-    pub fn resume(live: i64, peak: i64, pending: impl IntoIterator<Item = (SimTime, i64)>) -> Self {
-        PeakFold {
-            pending: pending.into_iter().map(Reverse).collect(),
-            live,
-            peak,
-        }
-    }
-
     /// Moves every pending event `by` later. The running sum and the
     /// peak stay: a fold that repeats a period whose levels it already
     /// reached reaches no new peak.
@@ -557,22 +541,6 @@ mod tests {
         fold.push(SimTime::from_nanos(20), SimTime::from_nanos(20), 1);
         shifted.push(SimTime::from_nanos(1_020), SimTime::from_nanos(1_020), 1);
         assert_eq!(shifted.finish(), fold.finish());
-    }
-
-    #[test]
-    fn a_resumed_peak_fold_continues_like_the_original() {
-        let mut fold = PeakFold::default();
-        for &(now, at, delta) in &[(0, 5, 1), (1, 7, 1), (6, 9, -1), (6, 12, -1)] {
-            fold.push(SimTime::from_nanos(now), SimTime::from_nanos(at), delta);
-        }
-        let mut resumed = PeakFold::resume(fold.live(), fold.peak(), fold.pending());
-        for f in [&mut fold, &mut resumed] {
-            f.push(SimTime::from_nanos(10), SimTime::from_nanos(11), 1);
-            f.push(SimTime::from_nanos(11), SimTime::from_nanos(11), 1);
-        }
-        assert_eq!(resumed.live(), fold.live());
-        assert_eq!(resumed.finish(), fold.finish());
-        assert_eq!(fold.peak(), 3);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!    records each span once, through the controller's span sink,
 //!    straight into the report's merged trace (rebased to global time
 //!    and to global minibatch and wave numbering); no segment keeps a
-//!    trace of its own. The probe also saves wave checkpoints of its
-//!    executor state ([`exec::run_into_checkpointed`]).
+//!    trace of its own. The probe also saves wave checkpoints, clones
+//!    of its executor state ([`exec::run_into_checkpointed`]).
 //! 2. **Observe.** While the probe runs, the same sink folds each span
 //!    into a [`MonitorFold`] (segment-local times, before rebasing);
 //!    at the probe's end the fold yields typed signals.
@@ -21,8 +21,9 @@
 //!    queries have not passed the boundary ([`Checkpoints::for_stop`]),
 //!    cut the report's trace back to the spans the probe recorded
 //!    before it ([`Trace::truncate`], the only cut), and resume the
-//!    drain from there ([`exec::resume_into`]). Up to the checkpoint
-//!    the drain is the probe, so the epoch equals a drain run from the
+//!    drain from there ([`exec::resume_into`]) under the probe's own
+//!    rates, reorder window and horizon. Up to the checkpoint the
+//!    drain is the probe, so the epoch equals a drain run from the
 //!    segment start bit for bit, and only the tail past the checkpoint
 //!    is simulated again ([`Epoch::resimulated`]). Then apply the
 //!    action and continue from the splice. If nothing is actionable,

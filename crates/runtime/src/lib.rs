@@ -66,8 +66,8 @@
 //! The drained epoch is not re-run from the segment start: a drain is
 //! its probe, event for event, until its first stop query past the
 //! boundary, so the controller resumes it from the probe's latest wave
-//! checkpoint before that query
-//! ([`hetpipe_core::exec::resume_into`]) and simulates only the tail.
+//! checkpoint before that query, a clone of the probe's executor state
+//! ([`hetpipe_core::exec::resume_into`]), and simulates only the tail.
 //! At a boundary every VW has pushed the same whole number of waves
 //! and holds no in-flight minibatch, so the only weight state a
 //! continuation needs is the version the boundary wave closed —

@@ -12,7 +12,9 @@
 //! injection-blocked time, waves pushed, end, events, peaks, every
 //! resource's busy time, reservations, free instant and rate, and the
 //! byte counters (compared through `Debug`, which prints every field
-//! exactly).
+//! exactly). Each stop resumes twice from its checkpoint, and the two
+//! drains must agree; a drain under other rates than its probe's must
+//! panic.
 //!
 //! Matrix: the wave schedule (arrival-FIFO), 1F1B (one lane per stage)
 //! and composite interleaved 1F1B with two chunks and a reorder window
@@ -62,6 +64,46 @@ fn ed_vws(
             }
         })
         .collect()
+}
+
+/// One schedule's runs: its cluster, model, VWs and shard map.
+struct Setup {
+    cluster: Cluster,
+    graph: ModelGraph,
+    vws: Vec<VirtualWorker>,
+    shards: ShardMap,
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+}
+
+impl Setup {
+    fn new(schedule: Schedule, recompute: RecomputePolicy) -> Setup {
+        let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+        let graph = hetpipe::model::resnet152(32);
+        let vws = ed_vws(&cluster, &graph, schedule, recompute);
+        let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
+        Setup {
+            cluster,
+            graph,
+            vws,
+            shards,
+            schedule,
+            recompute,
+        }
+    }
+
+    fn params(&self) -> ExecParams<'_> {
+        ExecParams {
+            cluster: &self.cluster,
+            graph: &self.graph,
+            vws: &self.vws,
+            wsp: WspParams::new(NM, 0),
+            shards: &self.shards,
+            sync_transfers: true,
+            schedule: self.schedule,
+            recompute: self.recompute,
+        }
+    }
 }
 
 fn scripts() -> Vec<ScenarioScript> {
@@ -119,20 +161,8 @@ fn check_cell(
     script: &ScenarioScript,
     horizon: SimTime,
 ) -> Checked {
-    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
-    let graph = hetpipe::model::resnet152(32);
-    let vws = ed_vws(&cluster, &graph, schedule, recompute);
-    let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
-    let params = ExecParams {
-        cluster: &cluster,
-        graph: &graph,
-        vws: &vws,
-        wsp: WspParams::new(NM, 0),
-        shards: &shards,
-        sync_transfers: true,
-        schedule,
-        recompute,
-    };
+    let setup = Setup::new(schedule, recompute);
+    let params = setup.params();
     let (initial_rates, rate_events) = script.segment_rates(SimTime::ZERO);
     let opts = |stop_after_mb| SegmentOpts {
         stop_after_mb,
@@ -164,15 +194,21 @@ fn check_cell(
         let from = checkpoints.for_stop(stop);
         assert!(from.queried() <= stop, "{name} stop {stop}");
         let oracle = exec::run_segment(params.clone(), opts(Some(stop)), horizon);
-        let (resumed, tail, _) = exec::resume_into(
-            params.clone(),
-            opts(Some(stop)),
-            horizon,
-            Trace::new(),
-            None,
-            from,
-            &probe,
-        );
+        // Resumed twice: restoring leaves the checkpoint intact, and
+        // forked lanes do not alias the saved ones.
+        let [(resumed, tail, _), (again, again_tail, _)] = [(); 2].map(|()| {
+            exec::resume_into(
+                params.clone(),
+                opts(Some(stop)),
+                horizon,
+                Trace::new(),
+                None,
+                from,
+                &probe,
+            )
+        });
+        assert_eq!(again_tail.spans(), tail.spans(), "{name} stop {stop}");
+        assert_eq!(fields(again), fields(resumed.clone()), "{name} stop {stop}");
         let cut = from.spans();
         let spans: &[Span<SpanTag>] = oracle.trace.spans();
         assert_eq!(
@@ -242,21 +278,8 @@ fn resumed_drains_equal_drains_from_the_segment_start() {
 /// in-run reports included.
 #[test]
 fn a_long_probe_keeps_a_bounded_checkpoint_list() {
-    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
-    let graph = hetpipe::model::resnet152(32);
-    let (schedule, recompute) = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
-    let vws = ed_vws(&cluster, &graph, schedule, recompute);
-    let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
-    let params = ExecParams {
-        cluster: &cluster,
-        graph: &graph,
-        vws: &vws,
-        wsp: WspParams::new(NM, 0),
-        shards: &shards,
-        sync_transfers: true,
-        schedule,
-        recompute,
-    };
+    let setup = Setup::new(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+    let params = setup.params();
     let horizon = SimTime::from_secs(300.0);
     let warmup = Some(SimTime::from_secs(45.0));
     let (probe, _, _, checkpoints) = exec::run_into_checkpointed(
@@ -305,4 +328,33 @@ fn a_long_probe_keeps_a_bounded_checkpoint_list() {
         );
         assert!(report.is_some());
     }
+}
+
+/// A checkpoint carries its probe's rate timelines, so a drain under
+/// other segment options than its probe's is refused, not silently
+/// simulated under the probe's rates.
+#[test]
+#[should_panic(expected = "a drain shares its probe's segment options")]
+fn a_drain_under_other_rates_than_its_probe_panics() {
+    let setup = Setup::new(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+    let horizon = SimTime::from_secs(4.0);
+    let fault_free = SegmentOpts::default();
+    let (probe, _, _, checkpoints) =
+        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), None);
+    let (_, rate_events) = ScenarioScript::canonical_gpu_loss(4, 2.0).segment_rates(SimTime::ZERO);
+    let drain = SegmentOpts {
+        stop_after_mb: Some(NM as u64),
+        rate_events,
+        ..SegmentOpts::default()
+    };
+    let from = checkpoints.for_stop(NM as u64);
+    exec::resume_into(
+        setup.params(),
+        drain,
+        horizon,
+        Trace::new(),
+        None,
+        from,
+        &probe,
+    );
 }
