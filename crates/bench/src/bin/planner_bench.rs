@@ -25,9 +25,10 @@
 //!   every distinct kind-order scored by its best proxy rate over the
 //!   feasible `Nm` range, optimized (parallel fan-out + fast solver)
 //!   vs baseline (serial + reference solver);
-//! - **timetable** — the interleaved composite streams: one shared
-//!   joint timetable per virtual worker ([`GpuStream::shared_set`])
-//!   vs G independent per-GPU replays;
+//! - **timetable** — the interleaved composite streams: one joint
+//!   timetable per virtual worker, pulled round-robin from its
+//!   [`Lanes`], vs G standalone per-GPU replays
+//!   ([`PipelineSchedule::gpu_streams_with`]);
 //! - **end-to-end** — wall-clock `HetPipeSystem::build` (+ a short
 //!   simulate) on the paper and whimpy clusters, and the build of the
 //!   whole 128-cell plan-sweep matrix, recorded for the trajectory (no
@@ -55,7 +56,7 @@ use hetpipe_partition::{
     max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
     PartitionProblem, PartitionSolver,
 };
-use hetpipe_schedule::{GpuOp, GpuStream, PipelineSchedule, RecomputePolicy, Schedule, WspParams};
+use hetpipe_schedule::{GpuOp, Lanes, PipelineSchedule, RecomputePolicy, Schedule, WspParams};
 use serde_json::json;
 use std::time::Instant;
 
@@ -394,7 +395,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 4. Shared joint timetable vs per-GPU independent replays.
+    // 4. One joint timetable per virtual worker vs per-GPU replays.
     // ------------------------------------------------------------------
     let mut timetable_rows = Vec::new();
     for (gpus_n, chunks, nm, ops_per_gpu) in [(4usize, 2usize, 8usize, 4000usize), (8, 3, 8, 4000)]
@@ -404,27 +405,24 @@ fn main() {
             composite: true,
         };
         let wsp = WspParams::new(nm, 0);
-        let k = sched.virtual_stages(gpus_n);
-        let caps: Vec<u64> = (0..k)
-            .map(|s| sched.max_in_flight(s, k, nm) as u64)
-            .collect();
+        let recompute = RecomputePolicy::None;
         let (base_secs, base_ops) = time_each(tt_reps, || {
-            // The pre-optimization form: every GPU's stream replays the
-            // whole joint timetable independently (G× the slot work).
-            let mut all: Vec<Vec<GpuOp>> = Vec::new();
-            for g in 0..gpus_n {
-                let stream = GpuStream::new(g, gpus_n, chunks, wsp, caps.clone());
-                all.push(stream.take(ops_per_gpu).collect());
-            }
-            all
+            // Every GPU's standalone stream replays the whole joint
+            // timetable on its own (G× the slot work).
+            sched
+                .gpu_streams_with(gpus_n, wsp, recompute)
+                .expect("composite schedule")
+                .into_iter()
+                .map(|stream| stream.take(ops_per_gpu).collect())
+                .collect::<Vec<Vec<GpuOp>>>()
         });
         let (opt_secs, opt_ops) = time_each(tt_reps, || {
-            let mut set = GpuStream::shared_set(gpus_n, chunks, wsp, caps.clone(), vec![false; k]);
+            let mut lanes = Lanes::new(sched, gpus_n, wsp, recompute);
             let mut all: Vec<Vec<GpuOp>> = vec![Vec::with_capacity(ops_per_gpu); gpus_n];
             // Round-robin consumption, as the executor's event loop does.
             for _ in 0..ops_per_gpu {
-                for (g, stream) in set.iter_mut().enumerate() {
-                    all[g].push(stream.next().unwrap());
+                for (g, ops) in all.iter_mut().enumerate() {
+                    ops.push(lanes.next(g));
                 }
             }
             all
@@ -432,7 +430,7 @@ fn main() {
         let same = base_ops == opt_ops;
         parity(
             same,
-            format!("timetable {gpus_n}x{chunks}: shared set diverged from independent replays"),
+            format!("timetable {gpus_n}x{chunks}: lanes diverged from standalone replays"),
         );
         let speedup = median(&base_secs) / median(&opt_secs);
         println!(
@@ -453,53 +451,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 5. Online re-planning: warm-started solve (incumbent-bounded DP,
-    //    what the fault-aware runtime runs at a splice) vs a cold
-    //    solve of the same derated instance. Parity: identical plans.
-    // ------------------------------------------------------------------
-    let mut replan_rows = Vec::new();
-    for (name, graph) in &models {
-        // The replan shape: the incumbent plan was solved at nominal
-        // specs; a 30% straggler derates one GPU and the planner
-        // re-solves with observed costs.
-        let links = vec![LinkKind::Pcie; 3];
-        let nominal = PartitionProblem::new(graph, vrgq(), links.clone(), 4);
-        let incumbent = PartitionSolver::solve(&nominal).expect("feasible");
-        let mut derated = vrgq();
-        derated[0] = derated[0].derated(1.3);
-        let problem = PartitionProblem::new(graph, derated, links, 4);
-        let (cold_secs, cold) = time_each(solve_reps, || PartitionSolver::solve(&problem));
-        let (warm_secs, warm) = time_each(solve_reps, || {
-            PartitionSolver::solve_warm(&problem, Some(&incumbent.ranges))
-        });
-        let (cold, warm) = (cold.unwrap(), warm.unwrap());
-        let same = cold.ranges == warm.ranges
-            && (cold.bottleneck_secs - warm.bottleneck_secs).abs()
-                <= 1e-9 * warm.bottleneck_secs.abs();
-        parity(
-            same,
-            format!("replan {name}: warm-started and cold plans differ"),
-        );
-        let speedup = median(&cold_secs) / median(&warm_secs);
-        println!(
-            "replan       paper-vrgq {name:<11} cold     {:>9.1}µs  warm      {:>9.1}µs  {speedup:>5.1}x",
-            median(&cold_secs) * 1e6,
-            median(&warm_secs) * 1e6
-        );
-        replan_rows.push(json!({
-            "cluster": "paper-vrgq",
-            "model": name,
-            "nm": 4,
-            "derate": 1.3,
-            "cold_secs": summary(&cold_secs),
-            "warm_secs": summary(&warm_secs),
-            "speedup": speedup,
-            "parity": same,
-        }));
-    }
-
-    // ------------------------------------------------------------------
-    // 6. End-to-end plan + short simulate on the paper and whimpy
+    // 5. End-to-end plan + short simulate on the paper and whimpy
     //    clusters (trajectory rows; no baseline counterpart).
     // ------------------------------------------------------------------
     let mut e2e_rows = Vec::new();
@@ -577,7 +529,6 @@ fn main() {
         "nm_sweep": sweep_rows,
         "order_search": order_rows,
         "timetable": timetable_rows,
-        "replan": replan_rows,
         "end_to_end": e2e_rows,
         "acceptance": {
             "order_search_min_speedup": min_order,

@@ -14,10 +14,11 @@
 //!     ([`Schedule::HetPipeWave`]) reserves each task the moment its
 //!     input arrives, so a GPU serves ready tasks in dependency-arrival
 //!     order; the last stage is fused;
-//!   - **lanes**: every other schedule executes its [`Lane`]s — ordered
-//!     op queues, each bound to one GPU — in strict order. Fill-drain,
-//!     1F1B and depth-expanded interleaved get one lane per virtual
-//!     stage; composite interleaved gets one lane per physical GPU, so
+//!   - **lanes**: every other schedule executes each VW's [`Lanes`]
+//!     — ordered op queues, each bound to one GPU — in strict order.
+//!     Fill-drain, 1F1B and depth-expanded interleaved get one lane
+//!     per virtual stage; composite interleaved gets one lane per
+//!     physical GPU, all fed by one timetable the VW's `Lanes` own, so
 //!     the *schedule* — not arrival order — decides how co-located
 //!     chunks share the GPU timeline, exactly as Megatron-LM orders
 //!     its interleaved chunk groups.
@@ -103,7 +104,7 @@ use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::PushClocks;
 use hetpipe_schedule::{
-    lanes, Dispatch, GpuOp, Lane, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
+    Dispatch, GpuOp, Lanes, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -377,17 +378,6 @@ struct VwState {
     stats: VwStats,
 }
 
-/// One lane's position (lane dispatch only). Stage `s` of a VW with
-/// `n` lanes runs on lane `s % n`.
-struct LaneCursor {
-    lane: Lane,
-    /// Ops pulled from the lane but not yet executed. `buf[0]` is the
-    /// head (strict-order) op; under a non-zero
-    /// [`SegmentOpts::reorder_window`] the executor may serve a ready
-    /// backward from deeper in the buffer while the head is blocked.
-    buf: VecDeque<GpuOp>,
-}
-
 /// One virtual stage's executor state: its occupancy books (both
 /// disciplines) and its inputs (lane dispatch only).
 #[derive(Clone)]
@@ -439,8 +429,15 @@ struct Exec<'a, S> {
     /// Per-VW sync chunk lists (same for every wave; empty without
     /// sync transfers).
     chunks: Vec<Vec<SyncChunk>>,
-    /// Per-VW lane cursors (lane dispatch only).
-    lanes: Vec<Vec<LaneCursor>>,
+    /// Per-VW lanes (lane dispatch only). Stage `s` of a VW with `n`
+    /// lanes runs on lane `s % n`.
+    lanes: Vec<Lanes>,
+    /// Per VW, per lane: ops pulled from the lane but not yet executed
+    /// (lane dispatch only). `bufs[vw][lane][0]` is the head
+    /// (strict-order) op; under a non-zero
+    /// [`SegmentOpts::reorder_window`] the executor may serve a ready
+    /// backward from deeper in the buffer while the head is blocked.
+    bufs: Vec<Vec<VecDeque<GpuOp>>>,
     /// Per-VW per-stage books and inputs.
     stages: Vec<Vec<StageState>>,
     dispatch: Dispatch,
@@ -509,23 +506,21 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             .collect();
 
         let dispatch = p.schedule.dispatch();
-        let lanes = match dispatch {
+        let lanes: Vec<Lanes> = match dispatch {
             Dispatch::ArrivalFifo => Vec::new(),
             Dispatch::StreamOrder | Dispatch::GpuStreamOrder => p
                 .vws
                 .iter()
                 .map(|vw| {
                     let k_gpus = vw.stages() / p.schedule.colocated_stages();
-                    lanes(p.schedule, k_gpus, p.wsp, p.recompute)
-                        .into_iter()
-                        .map(|lane| LaneCursor {
-                            lane,
-                            buf: VecDeque::new(),
-                        })
-                        .collect()
+                    Lanes::new(p.schedule, k_gpus, p.wsp, p.recompute)
                 })
                 .collect(),
         };
+        let bufs = lanes
+            .iter()
+            .map(|l| vec![VecDeque::new(); l.len()])
+            .collect();
         // The occupancy books hold each stage to exactly what the
         // memory model charges (PipelineSchedule is the contract
         // between the partitioner's certification and the runtime).
@@ -581,6 +576,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             bwd,
             chunks,
             lanes,
+            bufs,
             stages,
             dispatch,
             opts,
@@ -864,10 +860,9 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Ensures `lane`'s op buffer holds at least `len` ops, pulling
     /// from the lane as needed.
     fn fill_lane_buf(&mut self, vw: usize, lane: usize, len: usize) {
-        let cur = &mut self.lanes[vw][lane];
-        while cur.buf.len() < len {
-            let gop = cur.lane.next().expect("lanes are infinite");
-            cur.buf.push_back(gop);
+        let buf = &mut self.bufs[vw][lane];
+        while buf.len() < len {
+            buf.push_back(self.lanes[vw].next(lane));
         }
     }
 
@@ -899,7 +894,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         let now = self.engine.now();
         loop {
             self.fill_lane_buf(vw, lane, 1);
-            let GpuOp { stage, op } = self.lanes[vw][lane].buf[0];
+            let GpuOp { stage, op } = self.bufs[vw][lane][0];
             if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
                 if op.has_backward() {
                     let stages = &mut self.stages[vw];
@@ -909,13 +904,13 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                         return;
                     }
                 }
-                self.lanes[vw][lane].buf.pop_front();
+                self.bufs[vw][lane].pop_front();
                 continue;
             }
             let ready = match op {
                 ScheduleOp::PullGate { wave } => {
                     if self.pull_gate_open(vw, wave, now) {
-                        self.lanes[vw][lane].buf.pop_front();
+                        self.bufs[vw][lane].pop_front();
                         continue;
                     }
                     // Nothing may run past a closed gate (staleness).
@@ -923,7 +918,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
                 ScheduleOp::Push { wave } => {
                     if self.wave_push_ready(vw, wave) {
-                        self.lanes[vw][lane].buf.pop_front();
+                        self.bufs[vw][lane].pop_front();
                         self.start_push(vw, wave);
                         continue;
                     }
@@ -936,7 +931,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 if !self.reserve_fenced(vw, stage, op) {
                     return;
                 }
-                self.lanes[vw][lane].buf.pop_front();
+                self.bufs[vw][lane].pop_front();
                 continue;
             }
             // Head blocked on a data dependency (or an unready push):
@@ -955,16 +950,12 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         let window = self.opts.reorder_window;
         for j in 1..=window {
             self.fill_lane_buf(vw, lane, j + 1);
-            let gop = self.lanes[vw][lane].buf[j];
+            let gop = self.bufs[vw][lane][j];
             let stage = gop.stage;
             // Preserve per-stage order: never overtake an earlier op
             // of the same stage (covers "backward before its own
             // forward" too, since the forward precedes it in-stage).
-            let overtakes_same_stage = self.lanes[vw][lane]
-                .buf
-                .iter()
-                .take(j)
-                .any(|g| g.stage == stage);
+            let overtakes_same_stage = self.bufs[vw][lane].iter().take(j).any(|g| g.stage == stage);
             if overtakes_same_stage {
                 continue;
             }
@@ -983,7 +974,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     if recompute {
                         self.fill_lane_buf(vw, lane, j + 2);
                         debug_assert_eq!(
-                            self.lanes[vw][lane].buf[j + 1],
+                            self.bufs[vw][lane][j + 1],
                             backward,
                             "recompute must precede its own backward"
                         );
@@ -991,7 +982,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     if !self.reserve_fenced(vw, stage, gop.op) {
                         return false;
                     }
-                    self.lanes[vw][lane].buf.remove(j);
+                    self.bufs[vw][lane].remove(j);
                     // The backward now sits at index j. Reserving it
                     // can only fail at the horizon edge — then it stays
                     // buffered, exactly like a strict-order lane parked
@@ -1000,7 +991,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                         if !self.reserve_fenced(vw, stage, backward.op) {
                             return false;
                         }
-                        self.lanes[vw][lane].buf.remove(j);
+                        self.bufs[vw][lane].remove(j);
                     }
                     return true;
                 }

@@ -19,12 +19,12 @@
 //! resource pool (rate timelines included, which is why a drain must
 //! share its probe's segment options), the occupancy fold, the report
 //! fold when the run folds one, the push clocks, the stage books, the
-//! last span end, the byte counters, and the stop-query and span
-//! counts. Lanes are forked ([`fork_lanes`] copies a composite
-//! timetable once per VW). Per-VW state is saved without its
-//! completion and wait-window lists, which grow with the horizon; the
-//! checkpoint keeps their lengths, and the resumed run cuts those
-//! prefixes from the probe's final [`RunStats`].
+//! last span end, the byte counters, the stop-query and span counts,
+//! and each VW's lanes with their op buffers (a VW's `Lanes` is one
+//! owned value, composite timetable included). Per-VW state is saved
+//! without its completion and wait-window lists, which grow with the
+//! horizon; the checkpoint keeps their lengths, and the resumed run
+//! cuts those prefixes from the probe's final [`RunStats`].
 //!
 //! **Spacing.** The segment-start state is always the first
 //! checkpoint, so every stop can resume. Later ones are taken each
@@ -36,12 +36,13 @@
 //! A checkpointed run simulates every event: fast-forward would skip
 //! the stop queries a checkpoint's validity rests on.
 
-use super::{report_of, Ev, Exec, ExecParams, LaneCursor, RunStats, SegmentOpts, SpanTag};
+use super::{report_of, Ev, Exec, ExecParams, RunStats, SegmentOpts, SpanTag};
 use super::{StageState, VwState, VwStats};
 use crate::audit::OccupancyFold;
 use crate::metrics::{ReportFold, SystemReport};
 use hetpipe_des::{Engine, ResourcePool, SimTime, SpanSink};
-use hetpipe_schedule::{fork_lanes, PushClocks};
+use hetpipe_schedule::{GpuOp, Lanes, PushClocks};
+use std::collections::VecDeque;
 
 /// Waves between checkpoints until the list first fills.
 const FIRST_SPACING_WAVES: u64 = 1;
@@ -70,7 +71,8 @@ struct Saved {
     /// Per VW, the lengths of its completion and wait-window lists.
     lists: Vec<(usize, usize)>,
     stages: Vec<Vec<StageState>>,
-    lanes: Vec<Vec<LaneCursor>>,
+    lanes: Vec<Lanes>,
+    bufs: Vec<Vec<VecDeque<GpuOp>>>,
     last_span_end: SimTime,
     /// `sync_inter`, `sync_intra`, `act_inter` and `act_intra`.
     bytes: [u64; 4],
@@ -186,19 +188,6 @@ impl Checkpoints {
     }
 }
 
-/// Copies of a VW's lane cursors that advance independently of them.
-fn fork(cursors: &[LaneCursor]) -> Vec<LaneCursor> {
-    let lanes = fork_lanes(cursors.iter().map(|c| &c.lane));
-    cursors
-        .iter()
-        .zip(lanes)
-        .map(|(c, lane)| LaneCursor {
-            lane,
-            buf: c.buf.clone(),
-        })
-        .collect()
-}
-
 impl Saved {
     fn of<S>(ex: &Exec<'_, S>) -> Saved {
         Saved {
@@ -226,7 +215,8 @@ impl Saved {
                 .map(|st| (st.stats.completions.len(), st.stats.wait_windows.len()))
                 .collect(),
             stages: ex.stages.clone(),
-            lanes: ex.lanes.iter().map(|cursors| fork(cursors)).collect(),
+            lanes: ex.lanes.clone(),
+            bufs: ex.bufs.clone(),
             last_span_end: ex.last_span_end,
             bytes: [ex.sync_inter, ex.sync_intra, ex.act_inter, ex.act_intra],
             queried: ex.queried,
@@ -255,7 +245,8 @@ impl<S> Exec<'_, S> {
             })
             .collect();
         self.stages = saved.stages.clone();
-        self.lanes = saved.lanes.iter().map(|cursors| fork(cursors)).collect();
+        self.lanes = saved.lanes.clone();
+        self.bufs = saved.bufs.clone();
         self.last_span_end = saved.last_span_end;
         [
             self.sync_inter,

@@ -12,8 +12,8 @@
 //!   written *normalized* ([`Normal`]): instants as offsets from now,
 //!   minibatches and waves relative to the slowest VW's wave base,
 //!   pending events in `(time, sequence)` rank, and under lane
-//!   dispatch each lane's buffered ops and stream generator
-//!   (`hetpipe_schedule::Lane::write_state`). Only a hash of it is
+//!   dispatch each lane's buffered ops and each VW's lane generators
+//!   (`hetpipe_schedule::Lanes::write_state`). Only a hash of it is
 //!   kept, with the event count it was first seen at.
 //! - **Confirmation.** A recurring hash proposes a period. The full
 //!   normalized state is captured and one candidate period simulated;
@@ -562,12 +562,14 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
                 n.int(left as i64);
             }
         }
-        for cursor in self.lanes.iter().flatten() {
-            n.int(cursor.buf.len() as i64);
-            for gop in &cursor.buf {
-                gop.op.write_state(n.ints(&[gop.stage as i64]));
+        for (lanes, bufs) in self.lanes.iter().zip(&self.bufs) {
+            for buf in bufs {
+                n.int(buf.len() as i64);
+                for gop in buf {
+                    gop.op.write_state(n.ints(&[gop.stage as i64]));
+                }
             }
-            cursor.lane.write_state(n);
+            lanes.write_state(n);
         }
         for stage in self.stages.iter().flatten() {
             n.int(stage.held as i64);
@@ -665,11 +667,11 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
                     .extend(windows.iter().map(|&(a, b)| (a + d, b + d)));
             }
         }
-        for cursor in self.lanes.iter_mut().flatten() {
-            for gop in &mut cursor.buf {
-                gop.op = gop.op.shifted(mbs, waves);
-            }
-            cursor.lane.shift(mbs, waves);
+        for gop in self.bufs.iter_mut().flatten().flatten() {
+            gop.op = gop.op.shifted(mbs, waves);
+        }
+        for lanes in &mut self.lanes {
+            lanes.shift(mbs, waves);
         }
         for stage in self.stages.iter_mut().flatten() {
             for arrived in [&mut stage.fwd_arrived, &mut stage.bwd_arrived] {

@@ -319,15 +319,12 @@ impl PlanTable<'_> {
 /// GPU spec is derated to the speed it actually delivers
 /// ([`hetpipe_cluster::gpu::GpuSpec::derated`], ratios below 1 count
 /// as 1), so the min–max DP rebalances layers away from slowed GPUs.
-/// `incumbent` warm-starts the solver with the currently-executing
-/// plan ([`PartitionSolver::solve_warm`] — answer-preserving bound
-/// pruning, so online re-planning costs less than a cold solve).
+/// The re-plan is a plain [`PartitionSolver::solve`] of that problem.
 ///
 /// Returns the re-planned partition at the requested `nm`, or the
 /// partition error when the shrunk/derated configuration cannot hold
 /// the model there (callers then lower `nm` — WSP requires a common
 /// `Nm`, so the controller owns that decision).
-#[allow(clippy::too_many_arguments)]
 pub fn replan_vw_from_observed(
     cluster: &Cluster,
     graph: &ModelGraph,
@@ -336,7 +333,6 @@ pub fn replan_vw_from_observed(
     nm: usize,
     schedule: Schedule,
     recompute: RecomputePolicy,
-    incumbent: Option<&[std::ops::Range<usize>]>,
 ) -> Result<PartitionPlan, hetpipe_partition::PartitionError> {
     assert_eq!(
         devices.len(),
@@ -351,7 +347,7 @@ pub fn replan_vw_from_observed(
     let links = VirtualWorker::links(cluster, devices);
     let problem =
         PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute);
-    PartitionSolver::solve_warm(&problem, incumbent)
+    PartitionSolver::solve(&problem)
 }
 
 /// A fully-assembled HetPipe deployment, ready to simulate.

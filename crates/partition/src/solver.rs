@@ -173,83 +173,9 @@ impl PartitionSolver {
         Self::solve_with_mode(problem, MemMode::PerStage)
     }
 
-    /// [`PartitionSolver::solve`] warm-started from an incumbent plan
-    /// (e.g. the plan currently executing, when the runtime re-plans
-    /// with observed costs): the incumbent's bottleneck under the *new*
-    /// cost model is a sound upper bound on the optimum, so the DP
-    /// skips every `(stage, range)` cell whose stage time already
-    /// exceeds it. Answer-preserving, not heuristic — the optimum's
-    /// whole DP path has values at or below the bound, and candidates
-    /// above the bound can never be an argmin at a retained cell, so
-    /// the reconstructed plan (tie-breaks included) is identical to a
-    /// cold [`PartitionSolver::solve`] (`solve_warm_matches_cold`
-    /// pins this on derated-GPU replan instances).
-    ///
-    /// The bound only applies when the incumbent is a valid cover that
-    /// is still memory-feasible under `problem`; otherwise (or for
-    /// colocated interleaved schedules, whose joint per-GPU
-    /// certification admits no per-cell bound) this degrades to the
-    /// cold solve.
-    pub fn solve_warm(
-        problem: &PartitionProblem<'_>,
-        incumbent: Option<&[Range<usize>]>,
-    ) -> Result<PartitionPlan, PartitionError> {
-        use hetpipe_schedule::PipelineSchedule;
-        if problem.schedule.colocated_stages() > 1 {
-            return Self::solve(problem);
-        }
-        Self::solve_bounded(problem, MemMode::PerStage, incumbent)
-    }
-
-    /// The warm-start bound: the incumbent's bottleneck re-costed
-    /// under `model`, or ∞ when the incumbent is not a valid,
-    /// memory-feasible cover of the new problem (no sound bound
-    /// exists then).
-    fn incumbent_bound(
-        model: &StageCostModel<'_>,
-        n: usize,
-        k: usize,
-        incumbent: Option<&[Range<usize>]>,
-    ) -> f64 {
-        let Some(ranges) = incumbent else {
-            return f64::INFINITY;
-        };
-        let mut next = 0;
-        let is_cover = ranges.len() == k
-            && ranges.iter().all(|r| {
-                let ok = r.start == next && r.end > r.start;
-                next = r.end;
-                ok
-            })
-            && next == n;
-        if !is_cover {
-            return f64::INFINITY;
-        }
-        if !ranges
-            .iter()
-            .enumerate()
-            .all(|(s, r)| model.fits(s, r.clone()))
-        {
-            return f64::INFINITY;
-        }
-        ranges
-            .iter()
-            .enumerate()
-            .map(|(s, r)| model.stage_secs(s, r.clone()))
-            .fold(0.0, f64::max)
-    }
-
     fn solve_with_mode(
         problem: &PartitionProblem<'_>,
         mode: MemMode,
-    ) -> Result<PartitionPlan, PartitionError> {
-        Self::solve_bounded(problem, mode, None)
-    }
-
-    fn solve_bounded(
-        problem: &PartitionProblem<'_>,
-        mode: MemMode,
-        incumbent: Option<&[Range<usize>]>,
     ) -> Result<PartitionPlan, PartitionError> {
         let k = problem.stages();
         let n = problem.graph.len();
@@ -268,7 +194,6 @@ impl PartitionSolver {
             });
         });
         let model = StageCostModel::new(problem);
-        let bound = Self::incumbent_bound(&model, n, k, incumbent);
         let fits = |stage: usize, range: std::ops::Range<usize>| match mode {
             MemMode::PerStage => model.fits(stage, range),
             MemMode::Alone => model.fits_alone(stage, range),
@@ -289,16 +214,8 @@ impl PartitionSolver {
             if !fits(0, 0..i) {
                 break;
             }
-            let t = model.stage_secs(0, 0..i);
-            // Cells above the warm-start bound can never sit on the
-            // optimal path (the incumbent proves optimum ≤ bound), so
-            // they are never materialized. Memory monotonicity still
-            // drives the break; time is not assumed monotone, so the
-            // sweep continues past a too-slow prefix.
-            if t <= bound {
-                best[0][i] = t;
-                choice[0][i] = 0;
-            }
+            best[0][i] = model.stage_secs(0, 0..i);
+            choice[0][i] = 0;
         }
         for j in 1..k {
             // Start-major frontier walk: stage j covering s..i for
@@ -319,7 +236,7 @@ impl PartitionSolver {
                         break;
                     }
                     let b = lo.max(model.stage_secs(j, s..i));
-                    if b <= bound && b < best[j][i] {
+                    if b < best[j][i] {
                         best[j][i] = b;
                         choice[j][i] = s;
                     }
@@ -1215,85 +1132,6 @@ mod tests {
                 RecomputePolicy::BoundaryOnly,
             )
         }));
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn solve_warm_matches_cold() {
-        use hetpipe_schedule::{RecomputePolicy, Schedule};
-        // The replan shape: solve at nominal specs, derate one GPU by
-        // an observed straggler severity, re-solve warm-started from
-        // the nominal incumbent. The warm solve prunes cells above the
-        // incumbent's (re-costed) bottleneck but must stay
-        // bit-identical to the cold solve — plans, stage times, and
-        // tie-breaks.
-        let vgg = vgg19(32);
-        let rn = resnet152(32);
-        for graph in [&vgg, &rn] {
-            for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
-                for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
-                    for nm in [1usize, 2, 4] {
-                        let nominal = vec![GpuKind::Rtx2060.spec(); 4];
-                        let links = vec![LinkKind::Pcie; 3];
-                        let base = PartitionProblem::with_schedule(
-                            graph,
-                            nominal.clone(),
-                            links.clone(),
-                            nm,
-                            schedule,
-                        )
-                        .with_recompute(recompute);
-                        let Ok(incumbent) = PartitionSolver::solve(&base) else {
-                            continue;
-                        };
-                        let mut derated = nominal.clone();
-                        derated[1] = derated[1].derated(1.3);
-                        let replan = PartitionProblem::with_schedule(
-                            graph,
-                            derated,
-                            links.clone(),
-                            nm,
-                            schedule,
-                        )
-                        .with_recompute(recompute);
-                        let cold = PartitionSolver::solve(&replan);
-                        let warm = PartitionSolver::solve_warm(&replan, Some(&incumbent.ranges));
-                        match (&cold, &warm) {
-                            (Ok(a), Ok(b)) => {
-                                assert_eq!(
-                                    a.ranges, b.ranges,
-                                    "{} {schedule} {recompute} nm={nm}",
-                                    graph.name
-                                );
-                                assert_eq!(
-                                    a.stage_secs.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                                    b.stage_secs.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                                    "{} {schedule} nm={nm}: stage times",
-                                    graph.name
-                                );
-                            }
-                            (Err(a), Err(b)) => assert_eq!(a, b),
-                            _ => panic!(
-                                "{} {schedule} nm={nm}: cold {cold:?} vs warm {warm:?}",
-                                graph.name
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-        // Degenerate warm starts degrade to the cold solve: no
-        // incumbent, wrong stage count, or a non-cover.
-        let p = homo4(&vgg, 2);
-        let cold = PartitionSolver::solve(&p).unwrap();
-        for inc in [
-            None,
-            Some(vec![0..vgg.len()]),
-            Some(vec![0..1, 0..1, 1..2, 2..vgg.len()]),
-        ] {
-            let warm = PartitionSolver::solve_warm(&p, inc.as_deref()).unwrap();
-            assert_eq!(warm.ranges, cold.ranges);
-        }
     }
 
     #[test]

@@ -66,11 +66,10 @@
 //!   composite-vs-arrival adaptivity lever). Composite schedules
 //!   only: elsewhere no lane hosts a second chunk to serve.
 //! - [`Policy::Replan`] — re-run the fast planner
-//!   ([`hetpipe_core::replan_vw_from_observed`], warm-started from
-//!   the incumbent plan) with every straggler's GPU derated to its
-//!   observed speed, and with lost GPUs dropped from the pipeline
-//!   (shrinking `Nm` when the smaller pipeline demands it); splice
-//!   the new plan in at the boundary.
+//!   ([`hetpipe_core::replan_vw_from_observed`]) with every
+//!   straggler's GPU derated to its observed speed, and with lost
+//!   GPUs dropped from the pipeline (shrinking `Nm` when the smaller
+//!   pipeline demands it); splice the new plan in at the boundary.
 //!
 //! # Elastic leases
 //!
@@ -876,32 +875,6 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// One VW's replan attempt at `nm`, warm-started from its current
-    /// plan when the device list and `nm` are unchanged (the warm
-    /// start is answer-preserving). A partition error (infeasible
-    /// `nm`) surfaces so the caller can lower `nm`.
-    fn solve_replan(
-        &self,
-        i: usize,
-        expanded: &[DeviceId],
-        derate: &[f64],
-        nm: usize,
-    ) -> Result<hetpipe_partition::PartitionPlan, hetpipe_partition::PartitionError> {
-        let vw = &self.vws[i];
-        let incumbent =
-            (vw.devices == expanded && vw.nm == nm).then_some(vw.plan.ranges.as_slice());
-        replan_vw_from_observed(
-            self.p.cluster,
-            self.p.graph,
-            expanded,
-            derate,
-            nm,
-            self.p.schedule,
-            self.p.recompute,
-            incumbent,
-        )
-    }
-
     /// Rebuilds every VW's plan from observed costs and surviving
     /// GPUs, starting at `ceiling` and lowering the common `Nm` until
     /// the pipeline solves (`ceiling` exceeds the current `Nm` only
@@ -935,7 +908,15 @@ impl<'a> Controller<'a> {
                     .iter()
                     .map(|d| self.applied_dev.get(&(i, *d)).copied().unwrap_or(1.0))
                     .collect();
-                let plan = self.solve_replan(i, &expanded, &derate, nm);
+                let plan = replan_vw_from_observed(
+                    self.p.cluster,
+                    self.p.graph,
+                    &expanded,
+                    &derate,
+                    nm,
+                    schedule,
+                    self.p.recompute,
+                );
                 match plan {
                     Ok(plan) => new_vws.push(VirtualWorker {
                         index: i,

@@ -30,10 +30,9 @@
 //! - [`Policy`] / [`run`] — the reactive controller:
 //!   [`Policy::Static`] (baseline), [`Policy::SkipStraggler`]
 //!   (bounded out-of-order service of ready backwards in the
-//!   executor's lanes), and [`Policy::Replan`] (re-run the
-//!   fast planner with observed costs and surviving GPUs —
-//!   warm-started from the incumbent plan — and splice the new plan
-//!   at a wave boundary).
+//!   executor's lanes), and [`Policy::Replan`] (re-run the fast
+//!   planner with observed costs and surviving GPUs, and splice the
+//!   new plan at a wave boundary).
 //!
 //! # Grow-splices: re-admission is as sound as eviction
 //!

@@ -18,7 +18,7 @@
 //! interleaving to dependency-arrival times. Analyses must not assume
 //! more order than the executor enforces.
 
-use crate::lane::{lanes, Lane};
+use crate::lane::Lanes;
 use crate::ops::{Dispatch, GpuOp, ScheduleOp};
 use crate::recompute::RecomputePolicy;
 use crate::schedules::{PipelineSchedule, Schedule};
@@ -112,7 +112,7 @@ fn pull_horizon(
 /// worker, covering every compute op of minibatches `1..=max_mb` and
 /// every wave decoration of the waves completing within that horizon.
 ///
-/// There is one queue per [`lanes`] lane: one per physical GPU for
+/// There is one queue per lane of [`Lanes`]: one per physical GPU for
 /// composite schedules, one per virtual stage otherwise. Queues are
 /// ordered unless the dispatch is [`Dispatch::ArrivalFifo`].
 pub fn committed_queues(
@@ -123,23 +123,23 @@ pub fn committed_queues(
     max_mb: u64,
 ) -> Vec<CommittedQueue> {
     let ordered = sched.dispatch() != Dispatch::ArrivalFifo;
-    let lanes = lanes(sched, k_gpus, wsp, recompute);
+    let composite = sched.dispatch() == Dispatch::GpuStreamOrder;
+    let mut lanes = Lanes::new(sched, k_gpus, wsp, recompute);
     let k = sched.virtual_stages(k_gpus);
     let n = lanes.len();
     // Worst case per minibatch per stage: forward + recompute +
     // backward, plus two decorations per wave and stream warmup slack.
     let per_stage_budget = (max_mb as usize) * 4 + 4 * wsp.nm + 64;
-    lanes
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut lane)| {
+    (0..n)
+        .map(|i| {
             let stages: Vec<usize> = (0..k).filter(|s| s % n == i).collect();
-            let kind = match lane {
-                Lane::Stage { .. } => QueueKind::Stage(i),
-                Lane::Gpu(_) => QueueKind::Gpu(i),
+            let kind = if composite {
+                QueueKind::Gpu(i)
+            } else {
+                QueueKind::Stage(i)
             };
             let ops = pull_horizon(
-                || lane.next().expect("lanes are infinite"),
+                || lanes.next(i),
                 &stages,
                 wsp,
                 max_mb,

@@ -2,7 +2,8 @@
 //!
 //! A lane is one ordered op queue bound to one GPU, each op tagged
 //! with the virtual stage it runs as ([`GpuOp`]). Every schedule is a
-//! set of lanes over its virtual stages:
+//! set of lanes over its virtual stages, held by one [`Lanes`] value
+//! per virtual worker:
 //!
 //! - flat and depth-expanded schedules (fill-drain, 1F1B,
 //!   depth-expanded interleaved, and the arrival-FIFO wave schedule)
@@ -10,8 +11,10 @@
 //!   [`ScheduleStream`];
 //! - composite schedules (those declaring
 //!   [`PipelineSchedule::gpu_streams_with`]) get one lane per physical
-//!   GPU, fed by that GPU's [`GpuStream`], which merges every
-//!   co-located chunk.
+//!   GPU, fed by one joint timetable of the whole virtual pipeline
+//!   whose per-GPU queues merge every co-located chunk. Each lane
+//!   emits exactly what that GPU's standalone [`crate::GpuStream`]
+//!   emits.
 //!
 //! Either way lane `i` of `n` hosts the virtual stages `s` with
 //! `s % n == i`, as chunk `s / n`. The executor runs the lanes of
@@ -19,113 +22,96 @@
 //! only to each lane's per-kind order (see
 //! [`crate::CommittedQueue::ordered`]). Recompute placement follows
 //! [`PipelineSchedule::recomputes_at`] in both forms.
+//!
+//! A [`Lanes`] is a plain owned value: a clone continues exactly like
+//! its original and advances independently of it.
 
 use crate::ops::{GpuOp, StateWriter};
 use crate::recompute::RecomputePolicy;
 use crate::schedules::{PipelineSchedule, Schedule};
-use crate::stream::{GpuStream, ScheduleStream};
+use crate::stream::{ScheduleStream, Timetable};
 use crate::wsp::WspParams;
 
-/// One lane's infinite op source.
-#[derive(Debug)]
-pub enum Lane {
-    /// The stream of one virtual stage.
-    Stage {
-        /// The virtual stage.
-        stage: usize,
-        /// Its op stream, recompute applied.
-        stream: ScheduleStream,
-    },
-    /// The composite stream of one physical GPU, recompute applied.
-    Gpu(GpuStream),
+/// The lanes of one virtual worker (see the module docs).
+#[derive(Debug, Clone)]
+pub struct Lanes(Source);
+
+/// Where a virtual worker's lanes draw their ops from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// One stream per virtual stage, recompute applied.
+    Stages(Vec<ScheduleStream>),
+    /// One joint timetable whose per-GPU queues are the lanes.
+    Gpus(Timetable),
 }
 
-impl Iterator for Lane {
-    type Item = GpuOp;
+impl Lanes {
+    /// The lanes of one virtual worker running `sched` on `k_gpus`
+    /// physical GPUs.
+    pub fn new(
+        sched: Schedule,
+        k_gpus: usize,
+        wsp: WspParams,
+        recompute: RecomputePolicy,
+    ) -> Lanes {
+        if let Some(table) = sched.timetable(k_gpus, wsp, recompute) {
+            return Lanes(Source::Gpus(table));
+        }
+        let k = sched.virtual_stages(k_gpus);
+        let streams = (0..k)
+            .map(|stage| {
+                let effective = if sched.recomputes_at(stage, k, wsp.nm, recompute) {
+                    recompute
+                } else {
+                    RecomputePolicy::None
+                };
+                sched.stream(stage, k, wsp).with_recompute(effective)
+            })
+            .collect();
+        Lanes(Source::Stages(streams))
+    }
 
-    /// Always `Some`: lanes are infinite.
-    fn next(&mut self) -> Option<GpuOp> {
-        match self {
-            Lane::Stage { stage, stream } => stream.next().map(|op| GpuOp { stage: *stage, op }),
-            Lane::Gpu(stream) => stream.next(),
+    /// The number of lanes.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Source::Stages(streams) => streams.len(),
+            Source::Gpus(table) => table.gpus(),
         }
     }
-}
 
-impl Lane {
-    /// Writes the state the lane's future ops depend on. The composite
-    /// lanes of one virtual worker share a timetable, which the lane
-    /// of GPU 0 writes.
-    pub fn write_state(&self, w: &mut impl StateWriter) {
-        match self {
-            Lane::Stage { stream, .. } => stream.write_state(w),
-            Lane::Gpu(stream) => stream.write_state(w),
-        }
+    /// Always false: a virtual worker has at least one lane.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Moves the lane `mbs` minibatches and `waves` waves on: the ops
-    /// it emits from then on are the ones it would have emitted
-    /// `mbs` minibatches later. The lane of GPU 0 moves the shared
-    /// timetable of composite lanes.
-    pub fn shift(&mut self, mbs: u64, waves: u64) {
-        match self {
-            Lane::Stage { stream, .. } => stream.shift(mbs, waves),
-            Lane::Gpu(stream) => stream.shift(mbs, waves),
-        }
-    }
-}
-
-/// Forks a virtual worker's lanes: each copy emits exactly the ops
-/// its original would emit next, and the copies advance independently
-/// of the originals. Composite lanes that share a timetable share one
-/// copy of it ([`GpuStream::fork_set`]).
-pub fn fork_lanes<'a>(lanes: impl IntoIterator<Item = &'a Lane>) -> Vec<Lane> {
-    let lanes: Vec<&Lane> = lanes.into_iter().collect();
-    let gpus: Vec<&GpuStream> = lanes
-        .iter()
-        .filter_map(|&lane| match lane {
-            Lane::Gpu(stream) => Some(stream),
-            Lane::Stage { .. } => None,
-        })
-        .collect();
-    let mut forked = GpuStream::fork_set(&gpus).into_iter();
-    lanes
-        .into_iter()
-        .map(|lane| match lane {
-            Lane::Stage { stage, stream } => Lane::Stage {
-                stage: *stage,
-                stream: stream.clone(),
+    /// The next op of `lane` (lanes are infinite).
+    pub fn next(&mut self, lane: usize) -> GpuOp {
+        match &mut self.0 {
+            Source::Stages(streams) => GpuOp {
+                stage: lane,
+                op: streams[lane].next().expect("streams are infinite"),
             },
-            Lane::Gpu(_) => Lane::Gpu(forked.next().expect("one fork per composite lane")),
-        })
-        .collect()
-}
-
-/// The lanes of one virtual worker running `sched` on `k_gpus`
-/// physical GPUs, in lane order (see the module docs).
-pub fn lanes(
-    sched: Schedule,
-    k_gpus: usize,
-    wsp: WspParams,
-    recompute: RecomputePolicy,
-) -> Vec<Lane> {
-    if let Some(streams) = sched.gpu_streams_with(k_gpus, wsp, recompute) {
-        return streams.into_iter().map(Lane::Gpu).collect();
+            Source::Gpus(table) => table.next(lane),
+        }
     }
-    let k = sched.virtual_stages(k_gpus);
-    (0..k)
-        .map(|stage| {
-            let effective = if sched.recomputes_at(stage, k, wsp.nm, recompute) {
-                recompute
-            } else {
-                RecomputePolicy::None
-            };
-            Lane::Stage {
-                stage,
-                stream: sched.stream(stage, k, wsp).with_recompute(effective),
-            }
-        })
-        .collect()
+
+    /// Writes the state the lanes' future ops depend on.
+    pub fn write_state(&self, w: &mut impl StateWriter) {
+        match &self.0 {
+            Source::Stages(streams) => streams.iter().for_each(|s| s.write_state(w)),
+            Source::Gpus(table) => table.write_state(w),
+        }
+    }
+
+    /// Moves the lanes `mbs` minibatches and `waves` waves on: the ops
+    /// they emit from then on are the ones they would have emitted
+    /// `mbs` minibatches later.
+    pub fn shift(&mut self, mbs: u64, waves: u64) {
+        match &mut self.0 {
+            Source::Stages(streams) => streams.iter_mut().for_each(|s| s.shift(mbs, waves)),
+            Source::Gpus(table) => table.shift(mbs, waves),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -134,19 +120,18 @@ mod tests {
 
     /// Pulls `n` ops from each lane, cycling through the lanes in
     /// `order`.
-    fn pull(lanes: &mut [Lane], order: &[usize], n: usize) -> Vec<Vec<GpuOp>> {
+    fn pull(lanes: &mut Lanes, order: &[usize], n: usize) -> Vec<Vec<GpuOp>> {
         let mut out = vec![Vec::new(); lanes.len()];
         for _ in 0..n {
             for &i in order {
-                out[i].push(lanes[i].next().expect("lanes are infinite"));
+                out[i].push(lanes.next(i));
             }
         }
         out
     }
 
-    /// A fork emits what its original would have emitted next, whatever
-    /// order the two sets are pulled in, and composite lanes keep
-    /// sharing one timetable in the fork.
+    /// A clone emits what its original would have emitted next,
+    /// whichever of the two is pulled first and in whatever lane order.
     #[test]
     fn forked_lanes_continue_like_their_originals() {
         let wsp = WspParams::new(4, 0);
@@ -160,16 +145,13 @@ mod tests {
                 RecomputePolicy::None,
             ),
         ] {
-            let mut original = lanes(sched, 4, wsp, recompute);
+            let mut original = Lanes::new(sched, 4, wsp, recompute);
             // Uneven progress, so the composite queues hold ops.
             pull(&mut original, &[0, 0, 1, 3], 5);
-            let mut fork = fork_lanes(&original);
-            let ahead = pull(&mut fork, &[3, 2, 1, 0], 40);
-            let behind = pull(&mut original, &[0, 1, 2, 3], 40);
+            let mut fork = original.clone();
+            let ahead = pull(&mut original, &[3, 2, 1, 0], 40);
+            let behind = pull(&mut fork, &[0, 1, 2, 3], 40);
             assert_eq!(ahead, behind, "{sched}");
-            if let (Lane::Gpu(a), Lane::Gpu(b)) = (&fork[0], &fork[1]) {
-                assert!(a.shares_timetable_with(b), "{sched}: the fork split a set");
-            }
         }
     }
 }

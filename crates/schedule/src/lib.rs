@@ -17,12 +17,12 @@
 //!   virtual-stage chunks in Megatron-style chunk groups, each op
 //!   tagged with its stage. Schedules whose
 //!   [`PipelineSchedule::dispatch`] is `GpuStreamOrder` are executed
-//!   from these streams; the per-stage streams remain as projections
-//!   for stage-local analyses.
-//! - [`Lane`] / [`lanes`] — the ordered op queues a virtual worker
-//!   executes, one per virtual stage or, for composite schedules, one
-//!   per physical GPU. The executor and [`committed_queues`] both
-//!   build them here.
+//!   in this order; the per-stage streams remain as projections for
+//!   stage-local analyses.
+//! - [`Lanes`] — the ordered op queues a virtual worker executes, one
+//!   per virtual stage or, for composite schedules, one per physical
+//!   GPU, as one owned value per virtual worker. The executor and
+//!   [`committed_queues`] both build them here.
 //! - [`PipelineSchedule`] — the trait: op streams (per stage and,
 //!   for composite schedules, per GPU), the dispatch discipline, and
 //!   per-stage peak-memory accounting (in-flight activations and
@@ -106,7 +106,7 @@ pub use extract::{
     committed_queues, ps_interaction_points, CommittedQueue, GatePoint, PsInteractions, PushPoint,
     QueueKind,
 };
-pub use lane::{fork_lanes, lanes, Lane};
+pub use lane::Lanes;
 pub use ops::{Dispatch, GpuOp, ScheduleOp, StateWriter};
 pub use recompute::RecomputePolicy;
 pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};

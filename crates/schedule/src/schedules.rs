@@ -21,7 +21,7 @@
 
 use crate::ops::{Dispatch, GpuOp, ScheduleOp};
 use crate::recompute::RecomputePolicy;
-use crate::stream::{BasePattern, GpuStream, ScheduleStream};
+use crate::stream::{BasePattern, GpuStream, ScheduleStream, Timetable};
 use crate::wsp::WspParams;
 use std::fmt;
 
@@ -52,16 +52,19 @@ pub trait PipelineSchedule {
     /// For schedules that dispatch per-GPU composite streams
     /// ([`Dispatch::GpuStreamOrder`]) this is the per-stage
     /// *projection* used by stage-local analyses; the executor
-    /// consumes [`PipelineSchedule::gpu_streams_with`] instead.
+    /// consumes the composite [`crate::Lanes`] instead.
     fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream;
 
     /// The composite per-GPU op streams of one virtual worker, one
-    /// handle per physical GPU (`k_gpus` of them): each an ordered
-    /// timeline merging every co-located virtual-stage chunk, each op
-    /// tagged with its stage ([`GpuOp`]). The schedule's per-stage
-    /// checkpoint decisions ([`PipelineSchedule::recomputes_at`]) are
-    /// applied under `policy`, so the streams' recompute placement is
-    /// always the same decision the memory and cost models charge for.
+    /// standalone stream per physical GPU (`k_gpus` of them): each an
+    /// ordered timeline merging every co-located virtual-stage chunk,
+    /// each op tagged with its stage ([`GpuOp`]), and each replaying
+    /// the joint timetable for its GPU alone. The executor pulls the
+    /// same sequences from one [`crate::Lanes`] per virtual worker.
+    /// The schedule's per-stage checkpoint decisions
+    /// ([`PipelineSchedule::recomputes_at`]) are applied under
+    /// `policy`, so the streams' recompute placement is always the
+    /// same decision the memory and cost models charge for.
     ///
     /// `Some` exactly for schedules whose
     /// [`PipelineSchedule::dispatch`] is [`Dispatch::GpuStreamOrder`];
@@ -189,7 +192,8 @@ pub enum Schedule {
     ///   warmup/steady/drain chunk groups, so chunk 1's first
     ///   microbatches run *between* chunk 0's warmup forwards instead
     ///   of queueing behind them. The executor's `GpuStreamOrder`
-    ///   dispatch path consumes these streams directly.
+    ///   dispatch path consumes these streams as the virtual worker's
+    ///   composite [`crate::Lanes`].
     /// - **Depth-expanded 1F1B** (`composite: false`, kept so the
     ///   fidelity delta stays measurable in `schedule_compare`): each
     ///   virtual stage runs a plain 1F1B stream and co-located chunks
@@ -286,6 +290,30 @@ impl Schedule {
             }
         }
     }
+
+    /// The joint timetable of one virtual worker's composite streams
+    /// on `k_gpus` GPUs, or `None` unless the dispatch is
+    /// [`Dispatch::GpuStreamOrder`]. Its windows and recompute flags
+    /// are the schedule's declared ones.
+    pub(crate) fn timetable(
+        &self,
+        k_gpus: usize,
+        wsp: WspParams,
+        policy: RecomputePolicy,
+    ) -> Option<Timetable> {
+        if self.dispatch() != Dispatch::GpuStreamOrder {
+            return None;
+        }
+        let chunks = self.colocated_stages();
+        let k = chunks * k_gpus;
+        let caps = (0..k)
+            .map(|s| self.max_in_flight(s, k, wsp.nm) as u64)
+            .collect();
+        let remat = (0..k)
+            .map(|s| self.recomputes_at(s, k, wsp.nm, policy))
+            .collect();
+        Some(Timetable::new(k_gpus, chunks, wsp, caps, remat))
+    }
 }
 
 impl fmt::Display for Schedule {
@@ -342,8 +370,8 @@ impl PipelineSchedule for Schedule {
             Schedule::FillDrain => BasePattern::FillDrain,
             // The wave's non-last stages, 1F1B, and interleaving over
             // virtual stages. In the composite interleaved form this
-            // is the per-stage projection (the executor consumes
-            // `gpu_streams_with`), kept for stage-local analyses.
+            // is the per-stage projection (the executor consumes the
+            // composite lanes), kept for stage-local analyses.
             _ => BasePattern::Interleave {
                 warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
             },
@@ -357,23 +385,12 @@ impl PipelineSchedule for Schedule {
         wsp: WspParams,
         policy: RecomputePolicy,
     ) -> Option<Vec<GpuStream>> {
-        if self.dispatch() != Dispatch::GpuStreamOrder {
-            return None;
-        }
-        let chunks = self.colocated_stages();
-        let k = chunks * k_gpus;
-        // The stream's structural windows ARE the declared bounds —
-        // passed in so they cannot drift apart.
-        let caps = (0..k)
-            .map(|s| self.max_in_flight(s, k, wsp.nm) as u64)
-            .collect();
-        let remat = (0..k)
-            .map(|s| self.recomputes_at(s, k, wsp.nm, policy))
-            .collect();
-        // One shared joint timetable per virtual worker, fanned into
-        // the per-GPU handles: the slot simulation runs once instead
-        // of once per GPU, and no handle's op sequence changes.
-        Some(GpuStream::shared_set(k_gpus, chunks, wsp, caps, remat))
+        let table = self.timetable(k_gpus, wsp, policy)?;
+        Some(
+            (0..k_gpus)
+                .map(|gpu| GpuStream::new(table.clone(), gpu))
+                .collect(),
+        )
     }
 
     fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
@@ -769,7 +786,7 @@ mod tests {
         Schedule::Interleaved1F1B { chunks, composite }
     }
 
-    /// GPU `gpu`'s handle of the schedule's composite stream set.
+    /// GPU `gpu`'s standalone composite stream.
     fn gpu_stream(sched: Schedule, gpu: usize, k_gpus: usize, wsp: WspParams) -> GpuStream {
         sched
             .gpu_streams_with(k_gpus, wsp, RecomputePolicy::None)
@@ -1035,45 +1052,33 @@ mod tests {
 
     #[test]
     fn shared_timetable_matches_independent_replays() {
-        // The shared-set handles must emit exactly the op sequences of
-        // per-GPU independent replays, for every GPU, chunk count,
-        // recompute policy, and interleaved pull order — sharing the
-        // timetable is a cost optimization, not a semantic change.
+        // A VW's lanes must emit exactly the op sequences of per-GPU
+        // standalone replays, for every GPU, chunk count, recompute
+        // policy, and interleaved pull order — running the timetable
+        // once per VW is a cost saving, not a semantic change.
         for chunks in [1usize, 2, 3] {
             for k_gpus in [1usize, 2, 4] {
                 let sched = interleaved(chunks, true);
-                let k = sched.virtual_stages(k_gpus);
                 for nm in [1usize, 4] {
                     let wsp = WspParams::new(nm, 1);
                     for recompute in RecomputePolicy::ALL {
-                        let mut shared = sched
+                        let mut lanes = crate::Lanes::new(sched, k_gpus, wsp, recompute);
+                        assert_eq!(lanes.len(), k_gpus);
+                        let solo = sched
                             .gpu_streams_with(k_gpus, wsp, recompute)
                             .expect("composite set");
-                        assert_eq!(shared.len(), k_gpus);
-                        let caps: Vec<u64> = (0..k)
-                            .map(|s| sched.max_in_flight(s, k, nm) as u64)
-                            .collect();
-                        let remat: Vec<bool> = (0..k)
-                            .map(|s| sched.recomputes_at(s, k, nm, recompute))
-                            .collect();
-                        let mut solo: Vec<_> = (0..k_gpus)
-                            .map(|g| {
-                                GpuStream::new(g, k_gpus, chunks, wsp, caps.clone())
-                                    .with_remat(remat.clone())
-                            })
-                            .collect();
-                        // Pull round-robin across the shared handles
-                        // (the executor's consumption is interleaved
-                        // too) and compare each against its solo
-                        // replay pulled straight through.
+                        // Pull the lanes round-robin (the executor's
+                        // consumption is interleaved too) and compare
+                        // each against its solo replay pulled straight
+                        // through.
                         let per_gpu = 120;
                         let mut got: Vec<Vec<GpuOp>> = vec![Vec::new(); k_gpus];
                         for _ in 0..per_gpu {
-                            for (g, stream) in shared.iter_mut().enumerate() {
-                                got[g].push(stream.next().unwrap());
+                            for (g, ops) in got.iter_mut().enumerate() {
+                                ops.push(lanes.next(g));
                             }
                         }
-                        for (g, stream) in solo.iter_mut().enumerate() {
+                        for (g, stream) in solo.into_iter().enumerate() {
                             let want: Vec<GpuOp> = stream.take(per_gpu).collect();
                             assert_eq!(
                                 got[g], want,

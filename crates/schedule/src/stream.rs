@@ -14,8 +14,11 @@
 //! with its stage as a [`GpuOp`]). This is how Megatron-LM's
 //! interleaved schedule is actually specified — the GPU cycles
 //! through its chunks in groups rather than letting arrival order
-//! decide the merge — and it is the stream contract the executor's
-//! `GpuStreamOrder` dispatch path consumes.
+//! decide the merge. Every GPU's timeline comes from one joint
+//! timetable of the whole virtual pipeline: a `GpuStream` replays it
+//! for its one GPU, and a virtual worker's [`crate::Lanes`] — what the
+//! executor's `GpuStreamOrder` dispatch path consumes — run it once for
+//! all of them.
 //!
 //! # Splicing reshaped pipelines at drained wave boundaries
 //!
@@ -49,7 +52,6 @@ use crate::ops::{GpuOp, ScheduleOp, StateWriter};
 use crate::recompute::RecomputePolicy;
 use crate::wsp::WspParams;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// The base compute pattern of a stream, before wave decoration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,16 +238,15 @@ impl Iterator for ScheduleStream {
 /// The joint idealized unit-slot timetable of one whole virtual
 /// pipeline, together with the per-GPU op queues it fans into.
 ///
-/// One instance is **shared** (behind an `Arc`) by all of a virtual
-/// worker's [`GpuStream`] handles: advancing a slot emits the newly
-/// started ops of *every tracked GPU* into that GPU's queue, so the
-/// slot simulation runs once per virtual worker instead of once per
-/// GPU (the G× replay the per-instance form paid). Consumption order
-/// across handles cannot perturb the timetable — queues only buffer —
-/// so each GPU's emitted op sequence is identical to an independent
-/// replay.
+/// Advancing a slot emits the newly started op of every tracked GPU
+/// into that GPU's queue. A virtual worker's [`crate::Lanes`] own one
+/// timetable tracking every GPU, so each slot is simulated once per
+/// virtual worker; a standalone [`GpuStream`] owns one tracking only
+/// its GPU. Queues only buffer, so the order in which GPUs are pulled
+/// cannot perturb the timetable: each GPU's op sequence is the same
+/// either way.
 #[derive(Debug, Clone)]
-struct Timetable {
+pub(crate) struct Timetable {
     /// Physical GPUs in the pipeline (`p`).
     gpus: usize,
     /// Co-located chunks (`v`); virtual stages are `chunks × gpus`.
@@ -268,18 +269,13 @@ struct Timetable {
     running: Vec<Option<(SlotOp, u32)>>,
     /// Newest wave already gated on (−1 = none).
     gated: i64,
-    /// Which GPUs' ops are queued. A standalone [`GpuStream::new`]
-    /// handle tracks only its own GPU (foreign queues would otherwise
-    /// grow without a consumer); [`GpuStream::shared_set`] tracks all.
-    track: Vec<bool>,
+    /// The one GPU whose ops are queued, or `None` for all of them. A
+    /// [`GpuStream`] tracks only its own GPU (foreign queues would
+    /// otherwise grow without a consumer).
+    track: Option<usize>,
     /// Per-GPU queues of emitted-but-unconsumed ops.
     queues: Vec<VecDeque<GpuOp>>,
-    /// Whether any slot has been simulated (guards `remat` changes).
-    started: bool,
 }
-
-/// A timetable behind the lock its handles share.
-type SharedTimetable = Arc<Mutex<Timetable>>;
 
 /// One op of the idealized timetable (internal to [`Timetable`]).
 #[derive(Debug, Clone, Copy)]
@@ -289,30 +285,73 @@ enum SlotOp {
 }
 
 impl Timetable {
-    fn new(gpus: usize, chunks: usize, wsp: WspParams, caps: Vec<u64>, track: Vec<bool>) -> Self {
+    /// The timetable of `gpus` physical GPUs each hosting `chunks`
+    /// virtual stages (stage `c × gpus + g` for chunk `c` of GPU `g`),
+    /// queueing every GPU's ops.
+    ///
+    /// `caps` is the per-virtual-stage outstanding window and `remat`
+    /// the per-virtual-stage recompute flags, one entry per stage —
+    /// the *schedule's own* [`crate::PipelineSchedule::max_in_flight`]
+    /// and [`crate::PipelineSchedule::recomputes_at`] answers, passed
+    /// in rather than re-derived here so the stream's structural
+    /// occupancy and recompute placement can never drift from the
+    /// declared accounting the memory model certifies and the
+    /// occupancy audit enforces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunks == 0`, `caps` or `remat` has the wrong
+    /// length, or any cap is 0.
+    pub(crate) fn new(
+        gpus: usize,
+        chunks: usize,
+        wsp: WspParams,
+        caps: Vec<u64>,
+        remat: Vec<bool>,
+    ) -> Self {
         assert!(chunks >= 1, "at least one chunk per GPU");
         let k = chunks * gpus;
         assert_eq!(caps.len(), k, "one window cap per virtual stage");
         assert!(caps.iter().all(|&c| c >= 1), "windows hold at least one");
+        assert_eq!(remat.len(), k, "one recompute flag per virtual stage");
         Timetable {
             gpus,
             chunks,
             wsp,
             caps,
-            remat: vec![false; k],
+            remat,
             f: vec![0; k],
             b: vec![0; k],
             running: vec![None; gpus],
             gated: -1,
-            track,
+            track: None,
             queues: (0..gpus).map(|_| VecDeque::new()).collect(),
-            started: false,
+        }
+    }
+
+    /// Physical GPUs in the pipeline.
+    pub(crate) fn gpus(&self) -> usize {
+        self.gpus
+    }
+
+    /// GPU `g`'s next op, advancing the timetable while its queue is
+    /// empty — the timetable always progresses: the oldest incomplete
+    /// minibatch's frontier op is ready by construction (its
+    /// dependency completed and, being the oldest, no window can be
+    /// full of younger work below it), so some GPU runs every slot and
+    /// `g`'s chunks recur within a bounded number of slots.
+    pub(crate) fn next(&mut self, g: usize) -> GpuOp {
+        loop {
+            if let Some(op) = self.queues[g].pop_front() {
+                return op;
+            }
+            self.step_slot();
         }
     }
 
     /// Writes the timetable's per-stage progress, its running ops and
     /// every queued op.
-    fn write_state(&self, w: &mut impl StateWriter) {
+    pub(crate) fn write_state(&self, w: &mut impl StateWriter) {
         for (&f, &b) in self.f.iter().zip(&self.b) {
             w.mb(f).mb(b);
         }
@@ -338,7 +377,7 @@ impl Timetable {
     }
 
     /// Moves the timetable `mbs` minibatches and `waves` waves on.
-    fn shift(&mut self, mbs: u64, waves: u64) {
+    pub(crate) fn shift(&mut self, mbs: u64, waves: u64) {
         for count in self.f.iter_mut().chain(&mut self.b) {
             *count += mbs;
         }
@@ -411,7 +450,6 @@ impl Timetable {
     /// tracked GPU's newly started op (if any) with its decorations
     /// into that GPU's queue.
     fn step_slot(&mut self) {
-        self.started = true;
         // Idle GPUs pick against the slot-start state; completions
         // apply at the end of an op's last slot, so dependencies
         // always cross slot boundaries strictly forward (what makes
@@ -429,7 +467,7 @@ impl Timetable {
         for (g, op) in starts.into_iter().enumerate() {
             if let Some(op) = op {
                 self.running[g] = Some((op, self.duration(op)));
-                if self.track[g] {
+                if self.track.is_none_or(|t| t == g) {
                     self.emit(g, op);
                 }
             }
@@ -514,18 +552,17 @@ impl Timetable {
 /// model charges — so the stream's structural occupancy never
 /// exceeds its certification and the WSP injection cap stays intact.
 ///
-/// A virtual worker's handles share **one** joint `Timetable`
-/// behind an `Arc` ([`GpuStream::shared_set`]): each slot is
-/// simulated once and its ops fan into per-GPU queues, instead of
-/// every handle independently replaying the whole timetable (G× the
-/// slot work — the inefficiency the ROADMAP flagged). A standalone
-/// handle ([`GpuStream::new`]) owns a private timetable and behaves
-/// exactly like one member of a set — queues only buffer, so the
-/// per-GPU op sequence is independent of how the handles interleave
-/// their pulls. Because every dependency edge crosses slot boundaries
-/// strictly forward, the union of stream-order edges and data
-/// dependencies is acyclic — executing the per-GPU streams in strict
-/// order can never deadlock, for any chunk count, GPU count, or `Nm`.
+/// A `GpuStream` owns a private timetable and replays it alone, for
+/// the stream checks and analyses that look at one GPU
+/// ([`crate::PipelineSchedule::gpu_streams_with`]). The executor
+/// pulls a virtual worker's GPUs from its [`crate::Lanes`] instead,
+/// which run the same timetable once for all of them and emit exactly
+/// the same per-GPU sequences.
+///
+/// Because every dependency edge crosses slot boundaries strictly
+/// forward, the union of stream-order edges and data dependencies is
+/// acyclic — executing the per-GPU streams in strict order can never
+/// deadlock, for any chunk count, GPU count, or `Nm`.
 /// (A naive per-GPU chunk-group cursor does not have this property:
 /// with equal chunk windows it can order a deep chunk's forward ahead
 /// of the shallow chunk op that transitively feeds it on another GPU,
@@ -542,186 +579,28 @@ impl Timetable {
 /// stage 0.
 #[derive(Debug)]
 pub struct GpuStream {
-    /// The joint timetable — private to this handle
-    /// ([`GpuStream::new`]) or shared by a virtual worker's whole
-    /// handle set ([`GpuStream::shared_set`]).
-    shared: SharedTimetable,
+    /// The timetable, queueing only this GPU's ops.
+    table: Timetable,
     /// This stream's GPU (0-based).
     gpu: usize,
 }
 
 impl GpuStream {
-    /// Creates a *standalone* composite stream of `gpu` in a pipeline
-    /// of `gpus` physical GPUs each hosting `chunks` virtual stages
-    /// (stage `c × gpus + gpu` for chunk `c`), with a private
-    /// timetable that queues only this GPU's ops. Executors serving a
-    /// whole virtual worker should use [`GpuStream::shared_set`]
-    /// instead, which simulates the joint timetable once for all G
-    /// handles.
-    ///
-    /// `caps` is the per-virtual-stage outstanding window, one entry
-    /// per stage — the *schedule's own*
-    /// [`crate::PipelineSchedule::max_in_flight`] values, passed in
-    /// rather than re-derived here so the stream's structural
-    /// occupancy can never drift from the declared accounting the
-    /// memory model certifies and the occupancy audit enforces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu >= gpus`, `chunks == 0`, `caps` has the wrong
-    /// length, or any cap is 0.
-    pub fn new(gpu: usize, gpus: usize, chunks: usize, wsp: WspParams, caps: Vec<u64>) -> Self {
-        assert!(gpu < gpus, "gpu index out of range");
-        let mut track = vec![false; gpus];
-        track[gpu] = true;
-        GpuStream {
-            shared: Arc::new(Mutex::new(Timetable::new(gpus, chunks, wsp, caps, track))),
-            gpu,
-        }
-    }
-
-    /// Creates the full per-GPU handle set of one virtual worker —
-    /// one [`GpuStream`] per physical GPU, all fanned from a **single
-    /// shared** joint timetable (`Arc`), so each unit slot is
-    /// simulated once instead of once per GPU.
-    ///
-    /// `remat` holds the per-virtual-stage rematerialization flags
-    /// (the schedule's [`crate::PipelineSchedule::recomputes_at`]
-    /// decisions), applied at construction since a shared timetable
-    /// must not change once any handle has pulled an op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks == 0`, or `caps` / `remat` do not have one
-    /// entry per virtual stage, or any cap is 0.
-    pub fn shared_set(
-        gpus: usize,
-        chunks: usize,
-        wsp: WspParams,
-        caps: Vec<u64>,
-        remat: Vec<bool>,
-    ) -> Vec<GpuStream> {
-        let mut timetable = Timetable::new(gpus, chunks, wsp, caps, vec![true; gpus]);
-        assert_eq!(
-            remat.len(),
-            timetable.remat.len(),
-            "one recompute flag per virtual stage"
-        );
-        timetable.remat = remat;
-        let shared = Arc::new(Mutex::new(timetable));
-        (0..gpus)
-            .map(|gpu| GpuStream {
-                shared: Arc::clone(&shared),
-                gpu,
-            })
-            .collect()
-    }
-
-    /// Sets the per-stage rematerialization flags, one per virtual
-    /// stage: before each backward of a flagged stage the stream
-    /// emits a [`ScheduleOp::Recompute`]. The flags are the
-    /// *schedule's own* per-stage checkpoint decisions
-    /// ([`crate::PipelineSchedule::recomputes_at`], applied by
-    /// [`crate::PipelineSchedule::gpu_streams_with`]) — passed in,
-    /// like the window caps, so the stream's recompute placement can
-    /// never drift from the memory/cost/executor accounting. Must be
-    /// applied before the first op is pulled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `remat` does not have one entry per virtual stage,
-    /// or if the stream has already started.
-    pub fn with_remat(self, remat: Vec<bool>) -> Self {
-        {
-            let mut t = self.shared.lock().expect("timetable lock");
-            assert!(
-                !t.started,
-                "recompute flags must be set before the stream starts"
-            );
-            assert_eq!(
-                remat.len(),
-                t.remat.len(),
-                "one recompute flag per virtual stage"
-            );
-            t.remat = remat;
-        }
-        self
-    }
-}
-
-impl GpuStream {
-    /// Forks a set of handles: each gets a handle in the same position,
-    /// and handles that share a timetable share one copy of it, cloned
-    /// once. The copies and the originals advance independently, and
-    /// each copy emits exactly the ops its original would emit next.
-    pub fn fork_set(streams: &[&GpuStream]) -> Vec<GpuStream> {
-        let mut copies: Vec<(&SharedTimetable, SharedTimetable)> = Vec::new();
-        streams
-            .iter()
-            .map(|s| {
-                let shared = match copies.iter().find(|(from, _)| Arc::ptr_eq(from, &s.shared)) {
-                    Some((_, copy)) => Arc::clone(copy),
-                    None => {
-                        let table = s.shared.lock().expect("timetable lock").clone();
-                        let copy = Arc::new(Mutex::new(table));
-                        copies.push((&s.shared, Arc::clone(&copy)));
-                        copy
-                    }
-                };
-                GpuStream { shared, gpu: s.gpu }
-            })
-            .collect()
-    }
-
-    /// Whether the two handles advance one timetable.
-    #[cfg(test)]
-    pub(crate) fn shares_timetable_with(&self, other: &GpuStream) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
-    }
-
-    /// Whether this handle speaks for its timetable: the handle of
-    /// GPU 0 of a shared set, or a standalone handle.
-    fn owns_timetable(&self) -> bool {
-        self.gpu == 0 || Arc::strong_count(&self.shared) == 1
-    }
-
-    /// Writes the timetable's state (see [`crate::Lane::write_state`]).
-    pub fn write_state(&self, w: &mut impl StateWriter) {
-        if self.owns_timetable() {
-            self.shared.lock().expect("timetable lock").write_state(w);
-        }
-    }
-
-    /// Moves the timetable `mbs` minibatches and `waves` waves on (see
-    /// [`crate::Lane::shift`]).
-    pub fn shift(&mut self, mbs: u64, waves: u64) {
-        if self.owns_timetable() {
-            self.shared
-                .lock()
-                .expect("timetable lock")
-                .shift(mbs, waves);
-        }
+    /// GPU `gpu`'s stream of `table`, which then queues only `gpu`'s
+    /// ops.
+    pub(crate) fn new(mut table: Timetable, gpu: usize) -> Self {
+        assert!(gpu < table.gpus, "gpu index out of range");
+        table.track = Some(gpu);
+        GpuStream { table, gpu }
     }
 }
 
 impl Iterator for GpuStream {
     type Item = GpuOp;
 
-    /// Always `Some`: schedules are infinite. Pops this GPU's queue,
-    /// advancing the (possibly shared) joint timetable while the
-    /// queue is empty — the timetable always progresses: the oldest
-    /// incomplete minibatch's frontier op is ready by construction
-    /// (its dependency completed and, being the oldest, no window can
-    /// be full of younger work below it), so some GPU runs every slot
-    /// and this GPU's chunks recur within a bounded number of slots.
+    /// Always `Some`: schedules are infinite.
     fn next(&mut self) -> Option<GpuOp> {
-        let mut t = self.shared.lock().expect("timetable lock");
-        loop {
-            if let Some(op) = t.queues[self.gpu].pop_front() {
-                return Some(op);
-            }
-            t.step_slot();
-        }
+        Some(self.table.next(self.gpu))
     }
 }
 

@@ -4,7 +4,7 @@
 //! answer*: prefix-sum O(1) cost/memory probes, a frontier-pruned DP,
 //! a binary-searched `Max_m`, a thread-fanned order search, an
 //! answer-preserving `Nm`-sweep reuse step (per memory mode, on
-//! interleaved schedules as on flat ones), and one shared joint
+//! interleaved schedules as on flat ones), and one joint
 //! timetable per virtual worker. This suite is the "without changing
 //! any answer" half of that claim:
 //!
@@ -19,7 +19,7 @@
 //!     not leak into runtime behaviour (`tests/trace_pins.rs` pins
 //!     that run's digest).
 //! (d) a runtime replan (`replan_vw_from_observed`) returns the cold
-//!     solver's plan bit for bit, whichever incumbent warm-starts it.
+//!     solver's plan bit for bit.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, LinkKind};
 use hetpipe::core::exec::{self, ExecParams};
@@ -294,18 +294,15 @@ fn golden_wave_still_bit_identical() {
     }
 }
 
-/// (d) Warm-started replans are answer-preserving. Over {VGG-19,
-/// ResNet-152} × {wave, 1F1B} × `Nm` {4, 2, 1} × {nominal, one GPU
-/// ×1.5} on one GPU of each kind, every cell replans with no
-/// incumbent, with its own plan, and with the previous cell's plan (a
-/// derate neighbour, an `Nm` backoff, or another model's cover), and
-/// each must equal a cold `PartitionSolver::solve`.
+/// (d) Runtime replans are the cold solve. Over {VGG-19, ResNet-152}
+/// × {wave, 1F1B} × `Nm` {4, 2, 1} × {nominal, one GPU ×1.5} on one
+/// GPU of each kind, every cell's replan must equal a cold
+/// `PartitionSolver::solve` of the derated problem bit for bit.
 #[test]
 fn warm_replans_match_the_cold_solve_across_the_grid() {
     let cluster = Cluster::paper_testbed();
     let devices = [DeviceId(0), DeviceId(4), DeviceId(8), DeviceId(12)];
     let recompute = RecomputePolicy::None;
-    let mut previous: Option<PartitionPlan> = None;
     for graph in [hetpipe::model::vgg19(32), hetpipe::model::resnet152(32)] {
         for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
             for nm in [4, 2, 1] {
@@ -322,36 +319,17 @@ fn warm_replans_match_the_cold_solve_across_the_grid() {
                             .with_recompute(recompute),
                     )
                     .expect(&what);
-                    let replan = |incumbent: Option<&PartitionPlan>| {
-                        replan_vw_from_observed(
-                            &cluster,
-                            &graph,
-                            &devices,
-                            &derate,
-                            nm,
-                            schedule,
-                            recompute,
-                            incumbent.map(|p| p.ranges.as_slice()),
-                        )
-                        .expect(&what)
-                    };
-                    for (plan, from) in [
-                        (replan(None), "no incumbent"),
-                        (replan(Some(&cold)), "own plan"),
-                        (replan(previous.as_ref()), "previous cell's plan"),
-                    ] {
-                        // Bit-identical, not approximately equal.
-                        assert_eq!(plan.ranges, cold.ranges, "{what}, {from}: ranges");
-                        assert_eq!(
-                            plan.stage_secs, cold.stage_secs,
-                            "{what}, {from}: stage_secs"
-                        );
-                        assert_eq!(
-                            plan.bottleneck_secs, cold.bottleneck_secs,
-                            "{what}, {from}: bottleneck"
-                        );
-                    }
-                    previous = Some(cold);
+                    let plan = replan_vw_from_observed(
+                        &cluster, &graph, &devices, &derate, nm, schedule, recompute,
+                    )
+                    .expect(&what);
+                    // Bit-identical, not approximately equal.
+                    assert_eq!(plan.ranges, cold.ranges, "{what}: ranges");
+                    assert_eq!(plan.stage_secs, cold.stage_secs, "{what}: stage_secs");
+                    assert_eq!(
+                        plan.bottleneck_secs, cold.bottleneck_secs,
+                        "{what}: bottleneck"
+                    );
                 }
             }
         }
