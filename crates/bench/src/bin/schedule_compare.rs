@@ -267,10 +267,10 @@ fn main() {
                                         }
                                     }
                                     std::collections::hash_map::Entry::Vacant(slot) => {
-                                        let pool = &stats.pool;
+                                        let names = stats.resource_names();
                                         match stats.trace.write_chrome_trace_file(
                                             &path,
-                                            |rid| pool.get(rid).name.clone(),
+                                            |rid| names[rid.0].clone(),
                                             |tag| tag.label(),
                                             |tag| tag.category(),
                                         ) {

@@ -84,10 +84,13 @@
 //! A probe that runs through [`run_into_checkpointed`] also saves wave
 //! checkpoints (the `checkpoint` module), and [`resume_into`] commits a
 //! drain of the same segment from one of them, bit for bit the drain
-//! run from the start (`tests/drain_checkpoints.rs`). A checkpoint
-//! clones the executor state, so a new mutable executor field must be
-//! saved and restored there, as fast-forward needs it in
-//! `Exec::normal` and `Exec::repeat`.
+//! run from the start (`tests/drain_checkpoints.rs`).
+//!
+//! The executor is a plan, fixed when the run starts, and one owned
+//! state the handler mutates. A checkpoint clones the state;
+//! fast-forward normalizes it, shifts it and grows its running totals.
+//! Each of those three walks destructures the whole state, so a new
+//! field compiles only once each walk says what it does with it.
 //!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
 //! including draining and reordering segments.
@@ -99,7 +102,9 @@ use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId, NodeId};
-use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, SpanSink, Trace};
+use hetpipe_des::{
+    Engine, RateTimeline, Resource, ResourceId, ResourcePool, SimTime, SpanSink, Trace,
+};
 use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::PushClocks;
@@ -287,7 +292,10 @@ pub struct RunStats {
     pub gpu_resources: Vec<ResourceId>,
     /// NIC resource IDs by node index.
     pub nic_resources: Vec<ResourceId>,
-    /// Final resource pool (busy-time accounting).
+    /// Final resource pool: each GPU's and NIC's busy time,
+    /// reservations and free instant, addressed by
+    /// [`RunStats::gpu_resources`] and [`RunStats::nic_resources`]
+    /// ([`RunStats::resource_names`] names them).
     pub pool: ResourcePool,
     /// Cross-node bytes moved for parameter synchronization.
     pub sync_bytes_inter: u64,
@@ -316,6 +324,21 @@ pub struct RunStats {
     /// `None` when fast-forward declined or found no period to skip
     /// (see the `fastforward` module).
     pub fast_forward: Option<FastForward>,
+}
+
+impl RunStats {
+    /// Each resource's name by [`ResourceId`] index: `gpu{d}` for
+    /// device `d`'s GPU and `nic{n}` for node `n`'s NIC (trace tracks).
+    pub fn resource_names(&self) -> Vec<String> {
+        let mut names = vec![String::new(); self.pool.len()];
+        for (d, id) in self.gpu_resources.iter().enumerate() {
+            names[id.0] = format!("gpu{d}");
+        }
+        for (n, id) in self.nic_resources.iter().enumerate() {
+            names[id.0] = format!("nic{n}");
+        }
+        names
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,7 +380,8 @@ enum Ev {
     },
 }
 
-#[derive(Clone)]
+/// One virtual worker's executor state.
+#[derive(Clone, Default)]
 struct VwState {
     next_mb: u64,
     completed: u64,
@@ -375,15 +399,16 @@ struct VwState {
     /// sync-bound regime is not serialized artificially.
     push_remaining: BTreeMap<u64, usize>,
     block_start: Option<SimTime>,
-    stats: VwStats,
+    /// [`VwStats::pull_wait`] so far.
+    pull_wait: SimTime,
+    /// [`VwStats::inject_blocked`] so far.
+    inject_blocked: SimTime,
 }
 
-/// One virtual stage's executor state: its occupancy books (both
+/// One virtual stage's executor state: its occupancy book (both
 /// disciplines) and its inputs (lane dispatch only).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct StageState {
-    /// The declared occupancy bound ([`PipelineSchedule::max_in_flight`]).
-    window: u64,
     /// Minibatches holding an activation set here: forward completed,
     /// backward not yet completed — the span-trace definition
     /// `crate::audit` measures. A fused last stage holds nothing
@@ -399,36 +424,50 @@ struct StageState {
     drained: bool,
 }
 
-struct Exec<'a, S> {
+/// What a run fixes when it starts and only reads after.
+struct Plan<'a> {
     p: ExecParams<'a>,
-    engine: Engine<Ev>,
-    pool: ResourcePool,
-    sink: S,
-    /// The audit's occupancy peaks, folded as spans are reserved.
-    occupancy: OccupancyFold,
-    /// The report's integer partials, folded as spans are reserved and
-    /// wait windows open and close; `None` for runs that build no
-    /// report.
-    report: Option<ReportFold>,
-    /// The latest end of any span recorded so far.
-    last_span_end: SimTime,
-    /// Spans handed to the sink so far.
-    spans: usize,
-    /// The newest minibatch any stop query ([`Exec::past_stop`]) has
-    /// tested: until it passes a stop point, a run drained there is
-    /// this run (see the `checkpoint` module).
-    queried: u64,
+    /// GPU resources by device index, NIC resources by node index.
     gpu_res: Vec<ResourceId>,
     nic_res: Vec<ResourceId>,
-    states: Vec<VwState>,
-    /// Every VW's push clock: the parameter server's side of the gate.
-    clocks: PushClocks,
     /// Per-VW per-stage forward/backward compute times.
     fwd: Vec<Vec<SimTime>>,
     bwd: Vec<Vec<SimTime>>,
     /// Per-VW sync chunk lists (same for every wave; empty without
     /// sync transfers).
     chunks: Vec<Vec<SyncChunk>>,
+    /// Per-VW per-stage declared occupancy bound
+    /// ([`PipelineSchedule::max_in_flight`]).
+    windows: Vec<Vec<u64>>,
+    /// Each resource's rate timeline, by [`ResourceId`] index.
+    rates: Vec<RateTimeline>,
+    dispatch: Dispatch,
+    opts: SegmentOpts,
+    horizon: SimTime,
+}
+
+/// Everything the event handler mutates, as one owned value: a wave
+/// checkpoint clones it, and fast-forward normalizes it
+/// (`State::write_normal`), shifts it (`State::shift`) and grows its
+/// running totals (`State::totals`). Each of those walks destructures
+/// it whole, so a new field does not compile until each says what it
+/// does with it.
+#[derive(Clone)]
+struct State {
+    engine: Engine<Ev>,
+    /// The resources' timelines, addressed by the plan's resource IDs.
+    pool: ResourcePool,
+    /// The audit's occupancy peaks, folded as spans are reserved.
+    occupancy: OccupancyFold,
+    /// The report's integer partials, folded as spans are reserved and
+    /// wait windows open and close; `None` for runs that build no
+    /// report.
+    report: Option<ReportFold>,
+    /// Every VW's push clock: the parameter server's side of the gate.
+    clocks: PushClocks,
+    states: Vec<VwState>,
+    /// Per-VW per-stage books and inputs.
+    stages: Vec<Vec<StageState>>,
     /// Per-VW lanes (lane dispatch only). Stage `s` of a VW with `n`
     /// lanes runs on lane `s % n`.
     lanes: Vec<Lanes>,
@@ -438,27 +477,37 @@ struct Exec<'a, S> {
     /// [`SegmentOpts::reorder_window`] the executor may serve a ready
     /// backward from deeper in the buffer while the head is blocked.
     bufs: Vec<Vec<VecDeque<GpuOp>>>,
-    /// Per-VW per-stage books and inputs.
-    stages: Vec<Vec<StageState>>,
-    dispatch: Dispatch,
-    opts: SegmentOpts,
-    horizon: SimTime,
     sync_inter: u64,
     sync_intra: u64,
     act_inter: u64,
     act_intra: u64,
+    /// The latest end of any span recorded so far.
+    last_span_end: SimTime,
+    /// The newest minibatch any stop query ([`Exec::past_stop`]) has
+    /// tested: until it passes a stop point, a run drained there is
+    /// this run (see the `checkpoint` module).
+    queried: u64,
+    /// Spans handed to the sink so far.
+    spans: usize,
 }
 
-impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
-    /// Builds the executor. With a `warmup`, the run folds its report,
-    /// measuring busy time within `[warmup, horizon)`.
-    fn new(
-        p: ExecParams<'a>,
-        opts: SegmentOpts,
-        horizon: SimTime,
-        warmup: Option<SimTime>,
-        sink: S,
-    ) -> Self {
+/// One VW's append-only lists, kept beside the [`State`] so that a
+/// clone of it does not grow with the horizon.
+#[derive(Default)]
+struct VwLists {
+    completions: Vec<SimTime>,
+    wait_windows: Vec<(SimTime, SimTime)>,
+}
+
+struct Exec<'a, S> {
+    plan: Plan<'a>,
+    st: State,
+    lists: Vec<VwLists>,
+    sink: S,
+}
+
+impl<'a> Plan<'a> {
+    fn new(p: ExecParams<'a>, opts: SegmentOpts, horizon: SimTime) -> Self {
         if let Some(stop) = opts.stop_after_mb {
             assert!(
                 stop.is_multiple_of(p.wsp.nm as u64),
@@ -468,19 +517,13 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             );
         }
         let cluster = p.cluster;
-        let mut pool = ResourcePool::new();
-        let gpu_res: Vec<ResourceId> = cluster
-            .devices()
-            .map(|d| pool.add(Resource::new(format!("gpu{}", d.0))))
+        let devices = cluster.device_count();
+        let gpu_res = (0..devices).map(ResourceId).collect();
+        let nic_res = (devices..devices + cluster.node_count())
+            .map(ResourceId)
             .collect();
-        let nic_res: Vec<ResourceId> = (0..cluster.node_count())
-            .map(|n| pool.add(Resource::new(format!("nic{n}"))))
-            .collect();
-
         let (fwd, bwd) = planned_stage_times(cluster, p.graph, p.vws);
-        let chunks = p
-            .vws
-            .iter()
+        let chunks: Vec<Vec<SyncChunk>> = (p.vws.iter())
             .map(|vw| {
                 if p.sync_transfers {
                     p.shards.chunks_for(p.graph, cluster, vw)
@@ -489,46 +532,15 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
             })
             .collect();
-
-        let clocks = PushClocks::new(vec![0; p.vws.len()]);
-        let states = (0..p.vws.len())
-            .map(|_| VwState {
-                next_mb: 1,
-                completed: 0,
-                pulled: -1,
-                pull_request: None,
-                pull_remaining: 0,
-                pull_serving_version: -1,
-                push_remaining: BTreeMap::new(),
-                block_start: None,
-                stats: VwStats::default(),
-            })
-            .collect();
-
-        let dispatch = p.schedule.dispatch();
-        let lanes: Vec<Lanes> = match dispatch {
-            Dispatch::ArrivalFifo => Vec::new(),
-            Dispatch::StreamOrder | Dispatch::GpuStreamOrder => p
-                .vws
-                .iter()
-                .map(|vw| {
-                    let k_gpus = vw.stages() / p.schedule.colocated_stages();
-                    Lanes::new(p.schedule, k_gpus, p.wsp, p.recompute)
-                })
-                .collect(),
-        };
-        let bufs = lanes
-            .iter()
-            .map(|l| vec![VecDeque::new(); l.len()])
-            .collect();
         // The occupancy books hold each stage to exactly what the
         // memory model charges (PipelineSchedule is the contract
         // between the partitioner's certification and the runtime).
         // Arrival-FIFO has no dispatch-time gate: the `Nm` injection
         // cap bounds its stages, so each non-fused one must declare at
         // least `Nm`.
+        let dispatch = p.schedule.dispatch();
         let nm = p.wsp.nm as u64;
-        let stages = p
+        let windows = p
             .vws
             .iter()
             .map(|vw| {
@@ -543,62 +555,38 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                              below the Nm = {nm} injection cap",
                             p.schedule
                         );
-                        StageState {
-                            window,
-                            held: 0,
-                            fwd_arrived: 0,
-                            bwd_arrived: 0,
-                            drained: false,
-                        }
+                        window
                     })
                     .collect()
             })
             .collect();
-
-        Exec {
-            occupancy: OccupancyFold::new(p.vws, &p.schedule),
-            report: warmup.map(|warmup| {
-                let devices = p.vws.iter().map(|v| v.devices.as_slice());
-                ReportFold::new(cluster.device_count(), devices, warmup, horizon)
-            }),
+        let mut plan = Plan {
             p,
-            engine: Engine::new(),
-            pool,
-            sink,
-            last_span_end: SimTime::ZERO,
-            spans: 0,
-            queried: 0,
             gpu_res,
             nic_res,
-            states,
-            clocks,
             fwd,
             bwd,
             chunks,
-            lanes,
-            bufs,
-            stages,
+            windows,
+            rates: Vec::new(),
             dispatch,
             opts,
             horizon,
-            sync_inter: 0,
-            sync_intra: 0,
-            act_inter: 0,
-            act_intra: 0,
+        };
+        // Each resource's full piecewise rate timeline, so reservations
+        // integrate across windows: a task that spans an outage with a
+        // later recovery is delayed, not wedged at the outage rate
+        // forever. Rates carried over from earlier segments are edges
+        // at the segment start.
+        let mut edges = vec![Vec::new(); devices + cluster.node_count()];
+        for &(target, rate) in &plan.opts.initial_rates {
+            edges[plan.fault_resource(target).0].push((SimTime::ZERO, rate));
         }
-    }
-
-    fn gpu_of(&self, vw: usize, stage: usize) -> ResourceId {
-        self.gpu_res[self.p.vws[vw].devices[stage].0]
-    }
-
-    fn node_of(&self, vw: usize, stage: usize) -> NodeId {
-        self.p.cluster.node_of(self.p.vws[vw].devices[stage])
-    }
-
-    fn in_flight(&self, vw: usize) -> u64 {
-        let s = &self.states[vw];
-        s.next_mb - 1 - s.completed
+        for ev in &plan.opts.rate_events {
+            edges[plan.fault_resource(ev.target).0].push((ev.at, ev.rate));
+        }
+        plan.rates = edges.into_iter().map(RateTimeline::new).collect();
+        plan
     }
 
     /// The pool resource a fault target maps to.
@@ -608,51 +596,167 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             RateTarget::Nic(node) => self.nic_res[node],
         }
     }
+}
+
+impl State {
+    /// The state at the segment start: every resource idle at its
+    /// initial rate, the rate edges and each VW's first injection
+    /// queued. With a `warmup`, the run folds its report, measuring
+    /// busy time within `[warmup, horizon)`.
+    fn new(plan: &Plan<'_>, warmup: Option<SimTime>) -> State {
+        let p = &plan.p;
+        let mut pool = ResourcePool::new();
+        for _ in 0..plan.rates.len() {
+            pool.add(Resource::default());
+        }
+        // Rates carried over from earlier segments (fault windows that
+        // opened before this segment started).
+        for &(target, rate) in &plan.opts.initial_rates {
+            pool.get_mut(plan.fault_resource(target)).set_rate(rate);
+        }
+        let mut engine = Engine::new();
+        // Scheduled rate changes are first-class DES events.
+        for (i, ev) in plan.opts.rate_events.iter().enumerate() {
+            engine.schedule_at(ev.at, Ev::Fault { idx: i as u32 });
+        }
+        for vw in 0..p.vws.len() {
+            engine.schedule_at(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
+        }
+        let lanes: Vec<Lanes> = match plan.dispatch {
+            Dispatch::ArrivalFifo => Vec::new(),
+            Dispatch::StreamOrder | Dispatch::GpuStreamOrder => p
+                .vws
+                .iter()
+                .map(|vw| {
+                    let k_gpus = vw.stages() / p.schedule.colocated_stages();
+                    Lanes::new(p.schedule, k_gpus, p.wsp, p.recompute)
+                })
+                .collect(),
+        };
+        let stages = p
+            .vws
+            .iter()
+            .map(|vw| vec![StageState::default(); vw.stages()]);
+        State {
+            engine,
+            pool,
+            occupancy: OccupancyFold::new(p.vws, &p.schedule),
+            report: warmup.map(|warmup| {
+                let devices = p.vws.iter().map(|v| v.devices.as_slice());
+                ReportFold::new(p.cluster.device_count(), devices, warmup, plan.horizon)
+            }),
+            clocks: PushClocks::new(vec![0; p.vws.len()]),
+            states: vec![
+                VwState {
+                    next_mb: 1,
+                    pulled: -1,
+                    pull_serving_version: -1,
+                    ..VwState::default()
+                };
+                p.vws.len()
+            ],
+            stages: stages.collect(),
+            bufs: (lanes.iter().map(|l| vec![VecDeque::new(); l.len()])).collect(),
+            lanes,
+            sync_inter: 0,
+            sync_intra: 0,
+            act_inter: 0,
+            act_intra: 0,
+            last_span_end: SimTime::ZERO,
+            queried: 0,
+            spans: 0,
+        }
+    }
+}
+
+impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
+    /// Builds the executor at the segment start. With a `warmup`, the
+    /// run folds its report, measuring busy time within
+    /// `[warmup, horizon)`.
+    fn new(plan: Plan<'a>, warmup: Option<SimTime>, sink: S) -> Self {
+        let st = State::new(&plan, warmup);
+        let lists = plan.p.vws.iter().map(|_| VwLists::default()).collect();
+        Exec {
+            plan,
+            st,
+            lists,
+            sink,
+        }
+    }
+
+    /// Per VW, the lengths of its completion and wait-window lists.
+    fn lens(&self) -> Vec<(usize, usize)> {
+        let lists = self.lists.iter();
+        lists
+            .map(|l| (l.completions.len(), l.wait_windows.len()))
+            .collect()
+    }
+
+    fn gpu_of(&self, vw: usize, stage: usize) -> ResourceId {
+        self.plan.gpu_res[self.plan.p.vws[vw].devices[stage].0]
+    }
+
+    fn node_of(&self, vw: usize, stage: usize) -> NodeId {
+        let p = &self.plan.p;
+        p.cluster.node_of(p.vws[vw].devices[stage])
+    }
+
+    fn in_flight(&self, vw: usize) -> u64 {
+        let s = &self.st.states[vw];
+        s.next_mb - 1 - s.completed
+    }
 
     /// Applies the rate change of `rate_events[idx]` to the resource's
-    /// current-rate knob (the full timeline was installed up front, so
-    /// reservations already integrate across this edge; the knob keeps
+    /// current-rate knob (the plan's timeline holds every edge, so
+    /// reservations already integrate across this one; the knob keeps
     /// `Resource::rate` — and the slower-endpoint choice in
     /// [`Exec::transfer`] — in step with the fired edges).
     fn apply_fault(&mut self, idx: usize) {
-        let ev = self.opts.rate_events[idx];
-        let res = self.fault_resource(ev.target);
-        self.pool.get_mut(res).set_rate(ev.rate);
+        let ev = self.plan.opts.rate_events[idx];
+        let res = self.plan.fault_resource(ev.target);
+        self.st.pool.get_mut(res).set_rate(ev.rate);
     }
 
     /// True when injection (or op execution) of `mb` is past the
     /// segment's stop point. Every drain decision asks here, and the
-    /// query is recorded ([`Exec::queried`]).
+    /// query is recorded (`State::queried`).
     fn past_stop(&mut self, mb: u64) -> bool {
-        self.queried = self.queried.max(mb);
-        self.opts.stop_after_mb.is_some_and(|m| mb > m)
+        self.st.queried = self.st.queried.max(mb);
+        self.plan.opts.stop_after_mb.is_some_and(|m| mb > m)
     }
 
-    /// Moves `bytes` between two nodes, returning the arrival time.
-    /// Inter-node transfers reserve both endpoint NICs; intra-node
-    /// transfers use dedicated PCIe lanes.
+    /// Moves `bytes` between two nodes, counting them by kind, and
+    /// returns the arrival time. Inter-node transfers reserve both
+    /// endpoint NICs; intra-node transfers use dedicated PCIe lanes.
     fn transfer(&mut self, from: NodeId, to: NodeId, bytes: u64, tag: SpanTag) -> SimTime {
-        let now = self.engine.now();
+        let moved = match (tag, from == to) {
+            (SpanTag::SyncTransfer { .. }, true) => &mut self.st.sync_intra,
+            (SpanTag::SyncTransfer { .. }, false) => &mut self.st.sync_inter,
+            (_, true) => &mut self.st.act_intra,
+            (_, false) => &mut self.st.act_inter,
+        };
+        *moved += bytes;
+        let now = self.st.engine.now();
         if from == to {
             // Dedicated PCIe lanes carry no timeline resource, so link
             // degradation targets NICs (inter-node traffic) only.
             now + SimTime::from_secs(LinkKind::Pcie.transfer_secs(bytes))
         } else {
             let dur = SimTime::from_secs(LinkKind::Infiniband.transfer_secs(bytes));
-            let a = self.nic_res[from.0];
-            let b = self.nic_res[to.0];
+            let a = self.plan.nic_res[from.0];
+            let b = self.plan.nic_res[to.0];
             // A degraded link runs at the slower endpoint's rate.
-            let slower = if self.pool.get(a).rate() <= self.pool.get(b).rate() {
+            let slower = if self.st.pool.get(a).rate() <= self.st.pool.get(b).rate() {
                 a
             } else {
                 b
             };
             let start = now
-                .max(self.pool.get(a).free_at())
-                .max(self.pool.get(b).free_at());
-            let dur = self.pool.get(slower).duration_from(start, dur);
-            let (s1, e1) = self.pool.get_mut(a).reserve(start, dur);
-            let (s2, e2) = self.pool.get_mut(b).reserve(start, dur);
+                .max(self.st.pool.get(a).free_at())
+                .max(self.st.pool.get(b).free_at());
+            let dur = self.plan.rates[slower.0].duration_from(start, dur);
+            let (s1, e1) = self.st.pool.get_mut(a).reserve(start, dur);
+            let (s2, e2) = self.st.pool.get_mut(b).reserve(start, dur);
             debug_assert_eq!((s1, e1), (s2, e2), "paired NIC slots must align");
             self.record(a, s1, e1, tag);
             self.record(b, s2, e2, tag);
@@ -662,25 +766,9 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
 
     /// Hands a reserved span to the sink.
     fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: SpanTag) {
-        self.last_span_end = self.last_span_end.max(end);
-        self.spans += 1;
+        self.st.last_span_end = self.st.last_span_end.max(end);
+        self.st.spans += 1;
         self.sink.record(resource, start, end, tag);
-    }
-
-    fn account_act(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        if from == to {
-            self.act_intra += bytes;
-        } else {
-            self.act_inter += bytes;
-        }
-    }
-
-    fn account_sync(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        if from == to {
-            self.sync_intra += bytes;
-        } else {
-            self.sync_inter += bytes;
-        }
     }
 
     /// The one event handler. Both disciplines share every arm but
@@ -697,7 +785,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     ///   on wave completion count; lanes advance lane 0, whose
     ///   explicit [`ScheduleOp::Push`] may be waiting on it.
     fn handle(&mut self, ev: Ev) {
-        let fifo = self.dispatch == Dispatch::ArrivalFifo;
+        let fifo = self.plan.dispatch == Dispatch::ArrivalFifo;
         match ev {
             Ev::TryInject { vw } if fifo => self.try_inject(vw as usize),
             Ev::TryInject { vw } => self.advance_lane(vw as usize, 0),
@@ -712,19 +800,16 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             }
             Ev::BwdArrive { vw, stage, mb } if fifo => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let k = self.p.vws[vw].stages();
-                if self
-                    .p
-                    .schedule
-                    .recomputes_at(stage, k, self.p.wsp.nm, self.p.recompute)
-                {
+                let p = &self.plan.p;
+                let k = p.vws[vw].stages();
+                if p.schedule.recomputes_at(stage, k, p.wsp.nm, p.recompute) {
                     self.reserve_compute(vw, stage, ScheduleOp::Recompute { mb });
                 }
                 self.reserve_compute(vw, stage, ScheduleOp::Backward { mb });
             }
             Ev::FwdArrive { vw, stage, mb } | Ev::BwdArrive { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
-                let st = &mut self.stages[vw][stage];
+                let st = &mut self.st.stages[vw][stage];
                 let arrived = if matches!(ev, Ev::FwdArrive { .. }) {
                     &mut st.fwd_arrived
                 } else {
@@ -732,7 +817,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 };
                 debug_assert!(mb > *arrived, "activations and gradients arrive in order");
                 *arrived = mb;
-                self.advance_lane(vw, stage % self.lanes[vw].len());
+                self.advance_lane(vw, stage % self.st.lanes[vw].len());
             }
             Ev::FwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
@@ -742,41 +827,39 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 // that release them), arrival-FIFO through the `Nm`
                 // injection cap. The books check that invariant rather
                 // than assume it.
-                let st = &mut self.stages[vw][stage];
+                let st = &mut self.st.stages[vw][stage];
                 st.held += 1;
                 debug_assert!(
-                    st.held <= st.window,
+                    st.held <= self.plan.windows[vw][stage],
                     "execution exceeded the declared activation window \
                      ({} > {}) at vw{vw} stage {stage}",
                     st.held,
-                    st.window
+                    self.plan.windows[vw][stage]
                 );
-                if stage + 1 < self.p.vws[vw].stages() {
-                    self.send_activation_right(vw, stage, mb);
+                if stage + 1 < self.plan.p.vws[vw].stages() {
+                    self.send(vw, stage, mb, false);
                 }
             }
             Ev::BwdDone { vw, stage, mb } => {
                 let (vw, stage) = (vw as usize, stage as usize);
                 if !self.fused_at(vw, stage) {
-                    let st = &mut self.stages[vw][stage];
+                    let st = &mut self.st.stages[vw][stage];
                     debug_assert!(st.held >= 1, "window release without a holder");
                     st.held -= 1;
                 }
                 if stage > 0 {
-                    self.send_gradient_left(vw, stage, mb);
+                    self.send(vw, stage, mb, true);
                     return;
                 }
                 // Minibatch complete.
-                let now = self.engine.now();
-                let st = &mut self.states[vw];
+                let st = &mut self.st.states[vw];
                 st.completed += 1;
-                st.stats.completions.push(now);
                 let completed = st.completed;
+                self.lists[vw].completions.push(self.st.engine.now());
                 debug_assert_eq!(completed, mb, "backwards complete in minibatch order");
                 if fifo {
-                    self.engine
-                        .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
-                    let nm = self.p.wsp.nm as u64;
+                    self.wake(vw);
+                    let nm = self.plan.p.wsp.nm as u64;
                     if completed.is_multiple_of(nm) {
                         self.start_push(vw, completed / nm - 1);
                     }
@@ -794,7 +877,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// each minibatch's forward and backward as one task and so holds
     /// no activation set between tasks.
     fn fused_at(&self, vw: usize, stage: usize) -> bool {
-        self.p.schedule.fused_last_stage() && stage + 1 == self.p.vws[vw].stages()
+        self.plan.p.schedule.fused_last_stage() && stage + 1 == self.plan.p.vws[vw].stages()
     }
 
     /// Arrival-FIFO injection: admits minibatches into stage 0 while
@@ -802,26 +885,20 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// stop point, and the WSP pull gate of the next minibatch is open.
     /// The admitted minibatch arrives at stage 0 as its own event.
     fn try_inject(&mut self, vw: usize) {
-        let now = self.engine.now();
-        while self.in_flight(vw) < self.p.wsp.nm as u64 {
-            let p = self.states[vw].next_mb;
+        let now = self.st.engine.now();
+        while self.in_flight(vw) < self.plan.p.wsp.nm as u64 {
+            let p = self.st.states[vw].next_mb;
             if self.past_stop(p) {
                 break;
             }
-            if let Some(wave) = self.p.wsp.required_wave(p) {
+            if let Some(wave) = self.plan.p.wsp.required_wave(p) {
                 if !self.pull_gate_open(vw, wave, now) {
                     return;
                 }
             }
-            self.states[vw].next_mb += 1;
-            self.engine.schedule_in(
-                SimTime::ZERO,
-                Ev::FwdArrive {
-                    vw: vw as u32,
-                    stage: 0,
-                    mb: p,
-                },
-            );
+            self.st.states[vw].next_mb += 1;
+            let (engine, vw, stage) = (&mut self.st.engine, vw as u32, 0);
+            engine.schedule_in(SimTime::ZERO, Ev::FwdArrive { vw, stage, mb: p });
         }
     }
 
@@ -829,10 +906,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// out) when the local weights reflect `wave`, false (with the
     /// blocked window opened) when injection must wait.
     fn pull_gate_open(&mut self, vw: usize, wave: u64, now: SimTime) -> bool {
-        let st = &mut self.states[vw];
+        let st = &mut self.st.states[vw];
         if st.pulled >= wave as i64 {
             if let Some(b) = st.block_start.take() {
-                st.stats.inject_blocked += now - b;
+                st.inject_blocked += now - b;
             }
             true
         } else {
@@ -854,15 +931,15 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Whether `wave`'s last backward has completed, so its explicit
     /// [`ScheduleOp::Push`] may fire.
     fn wave_push_ready(&self, vw: usize, wave: u64) -> bool {
-        self.states[vw].completed >= self.p.wsp.last_of_wave(wave)
+        self.st.states[vw].completed >= self.plan.p.wsp.last_of_wave(wave)
     }
 
     /// Ensures `lane`'s op buffer holds at least `len` ops, pulling
     /// from the lane as needed.
     fn fill_lane_buf(&mut self, vw: usize, lane: usize, len: usize) {
-        let buf = &mut self.bufs[vw][lane];
+        let buf = &mut self.st.bufs[vw][lane];
         while buf.len() < len {
-            buf.push_back(self.lanes[vw].next(lane));
+            buf.push_back(self.st.lanes[vw].next(lane));
         }
     }
 
@@ -891,26 +968,26 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     ///   one-stage lane every op behind the head shares its stage, so
     ///   reorder is a no-op there.
     fn advance_lane(&mut self, vw: usize, lane: usize) {
-        let now = self.engine.now();
+        let now = self.st.engine.now();
         loop {
             self.fill_lane_buf(vw, lane, 1);
-            let GpuOp { stage, op } = self.bufs[vw][lane][0];
+            let GpuOp { stage, op } = self.st.bufs[vw][lane][0];
             if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
                 if op.has_backward() {
-                    let stages = &mut self.stages[vw];
+                    let stages = &mut self.st.stages[vw];
                     stages[stage].drained = true;
-                    let n = self.lanes[vw].len();
+                    let n = self.st.lanes[vw].len();
                     if (lane..stages.len()).step_by(n).all(|s| stages[s].drained) {
                         return;
                     }
                 }
-                self.bufs[vw][lane].pop_front();
+                self.st.bufs[vw][lane].pop_front();
                 continue;
             }
             let ready = match op {
                 ScheduleOp::PullGate { wave } => {
                     if self.pull_gate_open(vw, wave, now) {
-                        self.bufs[vw][lane].pop_front();
+                        self.st.bufs[vw][lane].pop_front();
                         continue;
                     }
                     // Nothing may run past a closed gate (staleness).
@@ -918,7 +995,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
                 ScheduleOp::Push { wave } => {
                     if self.wave_push_ready(vw, wave) {
-                        self.bufs[vw][lane].pop_front();
+                        self.st.bufs[vw][lane].pop_front();
                         self.start_push(vw, wave);
                         continue;
                     }
@@ -931,12 +1008,12 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 if !self.reserve_fenced(vw, stage, op) {
                     return;
                 }
-                self.bufs[vw][lane].pop_front();
+                self.st.bufs[vw][lane].pop_front();
                 continue;
             }
             // Head blocked on a data dependency (or an unready push):
             // bounded out-of-order service of a ready backward.
-            if self.opts.reorder_window == 0 || !self.reorder_backward(vw, lane) {
+            if self.plan.opts.reorder_window == 0 || !self.reorder_backward(vw, lane) {
                 return;
             }
         }
@@ -947,15 +1024,18 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// and executes it out of line. Returns whether anything ran. See
     /// [`Exec::advance_lane`] for the soundness constraints.
     fn reorder_backward(&mut self, vw: usize, lane: usize) -> bool {
-        let window = self.opts.reorder_window;
+        let window = self.plan.opts.reorder_window;
         for j in 1..=window {
             self.fill_lane_buf(vw, lane, j + 1);
-            let gop = self.bufs[vw][lane][j];
+            let gop = self.st.bufs[vw][lane][j];
             let stage = gop.stage;
             // Preserve per-stage order: never overtake an earlier op
             // of the same stage (covers "backward before its own
             // forward" too, since the forward precedes it in-stage).
-            let overtakes_same_stage = self.bufs[vw][lane].iter().take(j).any(|g| g.stage == stage);
+            let overtakes_same_stage = self.st.bufs[vw][lane]
+                .iter()
+                .take(j)
+                .any(|g| g.stage == stage);
             if overtakes_same_stage {
                 continue;
             }
@@ -974,7 +1054,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     if recompute {
                         self.fill_lane_buf(vw, lane, j + 2);
                         debug_assert_eq!(
-                            self.bufs[vw][lane][j + 1],
+                            self.st.bufs[vw][lane][j + 1],
                             backward,
                             "recompute must precede its own backward"
                         );
@@ -982,7 +1062,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     if !self.reserve_fenced(vw, stage, gop.op) {
                         return false;
                     }
-                    self.bufs[vw][lane].remove(j);
+                    self.st.bufs[vw][lane].remove(j);
                     // The backward now sits at index j. Reserving it
                     // can only fail at the horizon edge — then it stays
                     // buffered, exactly like a strict-order lane parked
@@ -991,7 +1071,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                         if !self.reserve_fenced(vw, stage, backward.op) {
                             return false;
                         }
-                        self.bufs[vw][lane].remove(j);
+                        self.st.bufs[vw][lane].remove(j);
                     }
                     return true;
                 }
@@ -1013,7 +1093,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// its input is its own forward, which precedes it on this GPU's
     /// timeline.
     fn input_ready(&self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
-        let stages = &self.stages[vw];
+        let stages = &self.st.stages[vw];
         match op {
             ScheduleOp::Forward { mb } => stage == 0 || stages[stage].fwd_arrived >= mb,
             ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
@@ -1032,7 +1112,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// the horizon is handled, so its spans ending past the horizon are
     /// part of the pinned wave traces.
     fn reserve_fenced(&mut self, vw: usize, stage: usize, op: ScheduleOp) -> bool {
-        if self.pool.get(self.gpu_of(vw, stage)).free_at() >= self.horizon {
+        if self.st.pool.get(self.gpu_of(vw, stage)).free_at() >= self.plan.horizon {
             return false;
         }
         self.reserve_compute(vw, stage, op);
@@ -1048,131 +1128,77 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// is split across the windows it covers, so an outage with a
     /// later recovery delays the task instead of wedging it.
     fn reserve_compute(&mut self, vw: usize, stage: usize, op: ScheduleOp) {
-        let (vw32, stage32) = (vw as u32, stage as u32);
-        let (dur, tag, done) = match op {
-            ScheduleOp::Forward { mb } => (
-                self.fwd[vw][stage],
-                SpanTag::Forward {
-                    vw: vw32,
-                    stage: stage32,
-                    mb,
-                },
-                Some(Ev::FwdDone {
-                    vw: vw32,
-                    stage: stage32,
-                    mb,
-                }),
-            ),
-            // A stage-local forward re-run: nothing waits on it, since
-            // its backward is reserved right behind it on the same
-            // FIFO timeline.
-            ScheduleOp::Recompute { mb } => (
-                self.fwd[vw][stage],
-                SpanTag::Recompute {
-                    vw: vw32,
-                    stage: stage32,
-                    mb,
-                },
-                None,
-            ),
-            // The wave schedule's fused last stage (Section 4) runs
-            // forward and backward as one task, recorded as the
-            // backward.
-            ScheduleOp::Backward { mb } | ScheduleOp::FusedFwdBwd { mb } => (
-                match op {
-                    ScheduleOp::FusedFwdBwd { .. } => self.fwd[vw][stage] + self.bwd[vw][stage],
-                    _ => self.bwd[vw][stage],
-                },
-                SpanTag::Backward {
-                    vw: vw32,
-                    stage: stage32,
-                    mb,
-                },
-                Some(Ev::BwdDone {
-                    vw: vw32,
-                    stage: stage32,
-                    mb,
-                }),
-            ),
-            _ => unreachable!("{op:?} is not a compute op"),
+        let (fwd, bwd) = (self.plan.fwd[vw][stage], self.plan.bwd[vw][stage]);
+        let (dur, tag) = {
+            let (vw, stage) = (vw as u32, stage as u32);
+            match op {
+                ScheduleOp::Forward { mb } => (fwd, SpanTag::Forward { vw, stage, mb }),
+                ScheduleOp::Recompute { mb } => (fwd, SpanTag::Recompute { vw, stage, mb }),
+                ScheduleOp::Backward { mb } => (bwd, SpanTag::Backward { vw, stage, mb }),
+                // The wave schedule's fused last stage (Section 4) runs
+                // forward and backward as one task, recorded as the
+                // backward.
+                ScheduleOp::FusedFwdBwd { mb } => (fwd + bwd, SpanTag::Backward { vw, stage, mb }),
+                _ => unreachable!("{op:?} is not a compute op"),
+            }
         };
-        let device = self.p.vws[vw].devices[stage].0;
-        let gpu = self.gpu_res[device];
-        let now = self.engine.now();
-        let (s, e) = self.pool.get_mut(gpu).reserve_work(now, dur);
+        let device = self.plan.p.vws[vw].devices[stage].0;
+        let gpu = self.plan.gpu_res[device];
+        let now = self.st.engine.now();
+        let rates = &self.plan.rates[gpu.0];
+        let (s, e) = self.st.pool.get_mut(gpu).reserve_work(now, dur, rates);
         self.record(gpu, s, e, tag);
-        if let Some(report) = &mut self.report {
+        if let Some(report) = &mut self.st.report {
             report.record(device, now, s, e);
         }
         // Occupancy: a forward's end materializes an activation set, a
         // backward's end releases it; the fused task does both.
         match op {
-            ScheduleOp::Forward { .. } => self.occupancy.record(vw, stage, now, e, 1),
+            ScheduleOp::Forward { .. } => self.st.occupancy.record(vw, stage, now, e, 1),
             ScheduleOp::Backward { .. } | ScheduleOp::FusedFwdBwd { .. } => {
-                self.occupancy.record(vw, stage, now, e, -1);
+                self.st.occupancy.record(vw, stage, now, e, -1);
                 if self.fused_at(vw, stage) {
-                    self.occupancy.record(vw, stage, now, e, 1);
+                    self.st.occupancy.record(vw, stage, now, e, 1);
                 }
             }
             _ => {}
         }
-        if let Some(done) = done {
-            self.engine.schedule_at(e, done);
-        }
+        // A recompute is a stage-local forward re-run: nothing waits on
+        // it, since its backward is reserved right behind it on the
+        // same FIFO timeline.
+        let done = match tag {
+            SpanTag::Forward { vw, stage, mb } => Ev::FwdDone { vw, stage, mb },
+            SpanTag::Backward { vw, stage, mb } => Ev::BwdDone { vw, stage, mb },
+            _ => return,
+        };
+        self.st.engine.schedule_at(e, done);
     }
 
-    /// Sends a stage's boundary activations to the next stage.
-    fn send_activation_right(&mut self, vw: usize, stage: usize, mb: u64) {
-        let range_end = self.p.vws[vw].plan.ranges[stage].end;
-        let bytes = self.p.graph.boundary_bytes(range_end - 1);
-        let from = self.node_of(vw, stage);
-        let to = self.node_of(vw, stage + 1);
-        self.account_act(from, to, bytes);
-        let arrive = self.transfer(
-            from,
-            to,
-            bytes,
-            SpanTag::ActTransfer {
-                vw: vw as u32,
-                stage: stage as u32,
-                backward: false,
-            },
-        );
-        self.engine.schedule_at(
-            arrive,
-            Ev::FwdArrive {
-                vw: vw as u32,
-                stage: (stage + 1) as u32,
-                mb,
-            },
-        );
-    }
-    /// Sends the gradient w.r.t. a stage's inputs to the previous
-    /// stage (shared by both disciplines).
-    fn send_gradient_left(&mut self, vw: usize, stage: usize, mb: u64) {
-        let range_start = self.p.vws[vw].plan.ranges[stage].start;
-        let bytes = self.p.graph.input_bytes_of(range_start);
-        let from = self.node_of(vw, stage);
-        let to = self.node_of(vw, stage - 1);
-        self.account_act(from, to, bytes);
-        let arrive = self.transfer(
-            from,
-            to,
-            bytes,
-            SpanTag::ActTransfer {
-                vw: vw as u32,
-                stage: stage as u32,
-                backward: true,
-            },
-        );
-        self.engine.schedule_at(
-            arrive,
-            Ev::BwdArrive {
-                vw: vw as u32,
-                stage: (stage - 1) as u32,
-                mb,
-            },
-        );
+    /// Sends a stage's boundary activations to the next stage or, when
+    /// `backward`, the gradient w.r.t. its inputs to the previous one
+    /// (shared by both disciplines).
+    fn send(&mut self, vw: usize, stage: usize, mb: u64, backward: bool) {
+        let (p, range) = (&self.plan.p, &self.plan.p.vws[vw].plan.ranges[stage]);
+        let (next, bytes) = if backward {
+            (stage - 1, p.graph.input_bytes_of(range.start))
+        } else {
+            (stage + 1, p.graph.boundary_bytes(range.end - 1))
+        };
+        let (from, to) = (self.node_of(vw, stage), self.node_of(vw, next));
+        let (vw, stage) = (vw as u32, stage as u32);
+        let tag = SpanTag::ActTransfer {
+            vw,
+            stage,
+            backward,
+        };
+        let arrive = self.transfer(from, to, bytes, tag);
+        let stage = next as u32;
+        let ev = if backward {
+            Ev::BwdArrive { vw, stage, mb }
+        } else {
+            Ev::FwdArrive { vw, stage, mb }
+        };
+        self.st.engine.schedule_at(arrive, ev);
     }
 
     // ------------------------------------------------------------------
@@ -1184,38 +1210,41 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         // tracks its own chunk counter, and its transfers contend on
         // the NIC timelines like any other traffic instead of being
         // serialized FIFO behind the previous wave's completion.
-        let n = self.chunks[vw].len();
+        let n = self.plan.chunks[vw].len();
         if n == 0 {
             self.push_completed(vw, wave);
             return;
         }
-        let prev = self.states[vw].push_remaining.insert(wave, n);
+        let prev = self.st.states[vw].push_remaining.insert(wave, n);
         debug_assert!(prev.is_none(), "wave {wave} pushed twice");
-        for i in 0..n {
-            let ch = self.chunks[vw][i];
-            self.account_sync(ch.gpu_node, ch.shard_node, ch.bytes);
-            let arrive = self.transfer(
-                ch.gpu_node,
-                ch.shard_node,
-                ch.bytes,
-                SpanTag::SyncTransfer {
-                    vw: vw as u32,
-                    wave,
-                    pull: false,
-                },
-            );
-            self.engine.schedule_at(
-                arrive,
-                Ev::PushChunkDone {
-                    vw: vw as u32,
-                    wave,
-                },
-            );
+        self.sync_chunks(vw, wave, false);
+    }
+
+    /// Moves each of `vw`'s sync chunks to its shard (a push of
+    /// `wave`) or, for a `pull`, back; each chunk's arrival is an
+    /// event.
+    fn sync_chunks(&mut self, vw: usize, wave: u64, pull: bool) {
+        for i in 0..self.plan.chunks[vw].len() {
+            let ch = self.plan.chunks[vw][i];
+            let (from, to) = if pull {
+                (ch.shard_node, ch.gpu_node)
+            } else {
+                (ch.gpu_node, ch.shard_node)
+            };
+            let vw = vw as u32;
+            let arrive =
+                self.transfer(from, to, ch.bytes, SpanTag::SyncTransfer { vw, wave, pull });
+            let done = if pull {
+                Ev::PullChunkDone { vw }
+            } else {
+                Ev::PushChunkDone { vw, wave }
+            };
+            self.st.engine.schedule_at(arrive, done);
         }
     }
 
     fn push_chunk_done(&mut self, vw: usize, wave: u64) {
-        let st = &mut self.states[vw];
+        let st = &mut self.st.states[vw];
         let remaining = st
             .push_remaining
             .get_mut(&wave)
@@ -1228,27 +1257,26 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     }
 
     fn push_completed(&mut self, vw: usize, wave: u64) {
-        let now = self.engine.now();
+        let now = self.st.engine.now();
         // Concurrent waves can complete out of order (their chunks take
         // different NIC paths); the clock is monotone.
-        self.clocks.advance(vw, wave + 1);
-        self.states[vw].stats.waves_pushed = self.clocks.get(vw);
+        self.st.clocks.advance(vw, wave + 1);
         // Request this VW's own pull (Section 5: at the end of clock c,
         // pull weights that cover wave c − D).
-        if let Some(target) = self.p.wsp.pull_target_after_push(wave) {
-            let st = &mut self.states[vw];
+        if let Some(target) = self.plan.p.wsp.pull_target_after_push(wave) {
+            let st = &mut self.st.states[vw];
             match &mut st.pull_request {
                 Some((t, _since)) => *t = (*t).max(target),
                 None => {
                     st.pull_request = Some((target, now));
-                    if let Some(report) = &mut self.report {
+                    if let Some(report) = &mut self.st.report {
                         report.open_wait(vw, now);
                     }
                 }
             }
         }
         // A new push may unblock any VW's pending pull.
-        for v in 0..self.states.len() {
+        for v in 0..self.st.states.len() {
             self.try_serve_pull(v);
         }
     }
@@ -1256,90 +1284,71 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Serves `vw`'s pending pull if no transfer of it is in flight and
     /// every VW has pushed its target wave.
     fn try_serve_pull(&mut self, vw: usize) {
-        if self.states[vw].pull_remaining > 0 {
+        if self.st.states[vw].pull_remaining > 0 {
             return; // A pull transfer is already in flight.
         }
-        let Some((target, _since)) = self.states[vw].pull_request else {
+        let Some((target, _since)) = self.st.states[vw].pull_request else {
             return;
         };
-        if !self.clocks.is_open(target) {
+        if !self.st.clocks.is_open(target) {
             return; // Straggler has not pushed wave `target` yet.
         }
-        self.serve_pull(vw, self.clocks.min() as i64 - 1);
+        self.serve_pull(vw, self.st.clocks.min() as i64 - 1);
     }
 
     /// Applies a decided pull serve for `vw` at the current instant,
     /// installing the global `version`.
     fn serve_pull(&mut self, vw: usize, version: i64) {
-        let now = self.engine.now();
-        let (_, since) = self.states[vw]
-            .pull_request
-            .expect("serve_pull requires a pending request");
-        debug_assert_eq!(self.states[vw].pull_remaining, 0);
-        {
-            let st = &mut self.states[vw];
-            st.stats.pull_wait += now - since;
-            st.stats.wait_windows.push((since, now));
-            st.pull_request = None;
-            st.pull_serving_version = version;
-        }
-        if let Some(report) = &mut self.report {
+        let now = self.st.engine.now();
+        let st = &mut self.st.states[vw];
+        let (_, since) = (st.pull_request.take()).expect("serve_pull requires a pending request");
+        debug_assert_eq!(st.pull_remaining, 0);
+        st.pull_wait += now - since;
+        st.pull_serving_version = version;
+        self.lists[vw].wait_windows.push((since, now));
+        if let Some(report) = &mut self.st.report {
             report.close_wait(vw, since, now);
         }
-        let n = self.chunks[vw].len();
+        let n = self.plan.chunks[vw].len();
         if n == 0 {
-            let st = &mut self.states[vw];
-            st.pulled = st.pulled.max(st.pull_serving_version);
-            self.engine
-                .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
+            self.pull_landed(vw);
             return;
         }
-        self.states[vw].pull_remaining = n;
-        for i in 0..n {
-            let ch = self.chunks[vw][i];
-            // Pull direction: shard -> GPU.
-            self.account_sync(ch.shard_node, ch.gpu_node, ch.bytes);
-            let wave = self.states[vw].pull_serving_version.max(0) as u64;
-            let arrive = self.transfer(
-                ch.shard_node,
-                ch.gpu_node,
-                ch.bytes,
-                SpanTag::SyncTransfer {
-                    vw: vw as u32,
-                    wave,
-                    pull: true,
-                },
-            );
-            self.engine
-                .schedule_at(arrive, Ev::PullChunkDone { vw: vw as u32 });
-        }
+        self.st.states[vw].pull_remaining = n;
+        self.sync_chunks(vw, version.max(0) as u64, true);
     }
 
     fn pull_chunk_done(&mut self, vw: usize) {
-        let st = &mut self.states[vw];
+        let st = &mut self.st.states[vw];
         st.pull_remaining -= 1;
         if st.pull_remaining == 0 {
-            st.pulled = st.pulled.max(st.pull_serving_version);
-            self.engine
-                .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
+            self.pull_landed(vw);
             // A newer request may have queued while transferring.
             self.try_serve_pull(vw);
         }
     }
 
-    /// Simulates to the horizon, skipping whole periods of a steady
-    /// state when the sink keeps no spans (the `fastforward` module).
-    fn run(mut self) -> (RunStats, S, Option<ReportFold>) {
-        self.prologue();
-        self.simulate()
+    /// `vw`'s pull has landed: its weights reflect the served version,
+    /// and injection may resume.
+    fn pull_landed(&mut self, vw: usize) {
+        let st = &mut self.st.states[vw];
+        st.pulled = st.pulled.max(st.pull_serving_version);
+        self.wake(vw);
     }
 
-    /// Simulates on from the current state to the horizon (see
-    /// [`Exec::run`]).
-    fn simulate(mut self) -> (RunStats, S, Option<ReportFold>) {
-        let horizon = self.horizon;
+    /// Tries `vw`'s injection again, as its own event now.
+    fn wake(&mut self, vw: usize) {
+        let (engine, vw) = (&mut self.st.engine, vw as u32);
+        engine.schedule_in(SimTime::ZERO, Ev::TryInject { vw });
+    }
+
+    /// Simulates on from the current state to the horizon, skipping
+    /// whole periods of a steady state when the sink keeps no spans
+    /// (the `fastforward` module).
+    fn simulate(mut self) -> (RunStats, S, Option<SystemReport>) {
+        let horizon = self.plan.horizon;
         let mut ff = fastforward::Forward::new(&self);
-        while let Some(ev) = self.engine.next_event_until(horizon) {
+        while let Some(ev) = self.st.engine.next_event_until(horizon) {
             self.handle(ev);
             if !S::KEEPS_SPANS {
                 ff.after_event(&mut self);
@@ -1350,80 +1359,59 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         (stats, sink, report)
     }
 
-    /// Installs rate timelines and schedules the initial events.
-    fn prologue(&mut self) {
-        // Rates carried over from earlier segments (fault windows that
-        // opened before this segment started).
-        for i in 0..self.opts.initial_rates.len() {
-            let (target, rate) = self.opts.initial_rates[i];
-            let res = self.fault_resource(target);
-            self.pool.get_mut(res).set_rate(rate);
-        }
-        // Scheduled rate changes are first-class DES events.
-        for (i, ev) in self.opts.rate_events.iter().enumerate() {
-            self.engine.schedule_at(ev.at, Ev::Fault { idx: i as u32 });
-        }
-        // Install each resource's full piecewise rate timeline up
-        // front so reservations integrate across windows: a task that
-        // spans an outage with a later recovery is delayed, not wedged
-        // at the outage rate forever. Fault-free resources keep an
-        // empty timeline and take the exact legacy scaling path.
-        let mut timelines: std::collections::BTreeMap<ResourceId, Vec<(SimTime, f64)>> =
-            std::collections::BTreeMap::new();
-        for &(target, rate) in self.opts.initial_rates.iter() {
-            let res = self.fault_resource(target);
-            timelines
-                .entry(res)
-                .or_default()
-                .push((SimTime::ZERO, rate));
-        }
-        for ev in self.opts.rate_events.iter() {
-            let res = self.fault_resource(ev.target);
-            timelines.entry(res).or_default().push((ev.at, ev.rate));
-        }
-        for (res, edges) in timelines {
-            self.pool.get_mut(res).set_rate_schedule(edges);
-        }
-        for vw in 0..self.p.vws.len() {
-            self.engine
-                .schedule_at(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
-        }
-    }
-
     /// Folds the finished simulation into [`RunStats`] (with an empty
-    /// trace) and hands back the sink and, when the run folds one, the
-    /// report's partials.
-    fn finish(self) -> (RunStats, S, Option<ReportFold>) {
-        let horizon = self.horizon;
+    /// trace) and hands back the sink and, when the run folds one, its
+    /// report.
+    fn finish(self) -> (RunStats, S, Option<SystemReport>) {
+        let Exec {
+            plan,
+            st,
+            lists,
+            sink,
+        } = self;
         // A drained segment ends when its last span of work does, not
         // at engine quiescence: scheduled rate edges are first-class
         // events, so a recovery edge far past the splice boundary
         // would otherwise inflate the epoch and ride out the whole
         // outage the splice was meant to dodge.
-        let end = if self.opts.stop_after_mb.is_some() {
-            self.last_span_end.min(self.engine.now())
+        let end = if plan.opts.stop_after_mb.is_some() {
+            st.last_span_end.min(st.engine.now())
         } else {
-            self.engine.now()
+            st.engine.now()
         };
+        let vws = (st.states.iter().zip(lists).enumerate())
+            .map(|(vw, (s, l))| VwStats {
+                completions: l.completions,
+                waves_pushed: st.clocks.get(vw),
+                pull_wait: s.pull_wait,
+                wait_windows: l.wait_windows,
+                inject_blocked: s.inject_blocked,
+            })
+            .collect();
         let stats = RunStats {
-            horizon,
+            horizon: plan.horizon,
             end,
-            events: self.engine.processed(),
-            vws: self.states.into_iter().map(|s| s.stats).collect(),
+            events: st.engine.processed(),
+            vws,
             trace: Trace::new(),
-            peaks: self.occupancy.finish(),
-            gpu_resources: self.gpu_res,
-            nic_resources: self.nic_res,
-            pool: self.pool,
-            sync_bytes_inter: self.sync_inter,
-            sync_bytes_intra: self.sync_intra,
-            act_bytes_inter: self.act_inter,
-            act_bytes_intra: self.act_intra,
-            planned_fwd: self.fwd,
-            planned_bwd: self.bwd,
+            peaks: st.occupancy.finish(),
+            gpu_resources: plan.gpu_res,
+            nic_resources: plan.nic_res,
+            pool: st.pool,
+            sync_bytes_inter: st.sync_inter,
+            sync_bytes_intra: st.sync_intra,
+            act_bytes_inter: st.act_inter,
+            act_bytes_intra: st.act_intra,
+            planned_fwd: plan.fwd,
+            planned_bwd: plan.bwd,
             fast_forward: None,
         };
-        (stats, self.sink, self.report)
+        let report = st.report.map(|fold| {
+            let p = &plan.p;
+            let devices: Vec<Vec<DeviceId>> = p.vws.iter().map(|v| v.devices.clone()).collect();
+            SystemReport::from_fold(&stats, p.cluster, p.graph.batch_size, fold, &devices)
+        });
+        (stats, sink, report)
     }
 }
 
@@ -1522,27 +1510,7 @@ pub fn run_into<S: SpanSink<SpanTag>>(
     sink: S,
     warmup: Option<SimTime>,
 ) -> (RunStats, S, Option<SystemReport>) {
-    let (stats, sink, fold) = Exec::new(params.clone(), opts, horizon, warmup, sink).run();
-    let report = report_of(&params, &stats, fold);
-    (stats, sink, report)
-}
-
-/// The run's report from its folded partials, when it folded them.
-fn report_of(
-    params: &ExecParams<'_>,
-    stats: &RunStats,
-    fold: Option<ReportFold>,
-) -> Option<SystemReport> {
-    fold.map(|fold| {
-        let vw_devices: Vec<Vec<DeviceId>> = params.vws.iter().map(|v| v.devices.clone()).collect();
-        SystemReport::from_fold(
-            stats,
-            params.cluster,
-            params.graph.batch_size,
-            fold,
-            &vw_devices,
-        )
-    })
+    Exec::new(Plan::new(params, opts, horizon), warmup, sink).simulate()
 }
 
 #[cfg(test)]
@@ -1552,58 +1520,110 @@ mod tests {
     use hetpipe_cluster::DeviceId;
     use hetpipe_partition::{PartitionProblem, PartitionSolver};
 
-    fn build_vws(
-        cluster: &Cluster,
-        graph: &ModelGraph,
+    /// VWs over `groups` of the paper testbed for VGG-19 (batch 32),
+    /// each partitioned for `schedule` under `recompute`; an
+    /// interleaved schedule's virtual stages repeat the group's GPUs
+    /// round-robin.
+    pub(super) fn build_vws(
         groups: &[Vec<DeviceId>],
         nm: usize,
+        schedule: Schedule,
+        recompute: RecomputePolicy,
     ) -> Vec<VirtualWorker> {
-        groups
-            .iter()
-            .enumerate()
-            .map(|(i, devices)| {
-                let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(cluster, devices);
-                let plan = PartitionSolver::solve(&PartitionProblem::new(graph, gpus, links, nm))
-                    .expect("feasible");
-                VirtualWorker {
-                    index: i,
-                    devices: devices.clone(),
-                    plan,
-                    nm,
-                }
-            })
-            .collect()
+        let (cluster, graph) = (Cluster::paper_testbed(), hetpipe_model::vgg19(32));
+        let vw = |(index, group): (usize, &Vec<DeviceId>)| {
+            let k = schedule.virtual_stages(group.len());
+            let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
+            let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
+            let links = VirtualWorker::links(&cluster, &devices);
+            let problem = PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule);
+            let plan = PartitionSolver::solve(&problem.with_recompute(recompute));
+            let plan = plan.expect("feasible");
+            VirtualWorker {
+                index,
+                devices,
+                plan,
+                nm,
+            }
+        };
+        groups.iter().enumerate().map(vw).collect()
     }
 
-    fn ed_groups() -> Vec<Vec<DeviceId>> {
+    /// Hands `f` the executor inputs that run `vws` (from
+    /// [`build_vws`]) under `schedule` and `recompute`, with sync
+    /// transfers and shards placed by `placement`.
+    pub(super) fn with_params<R>(
+        vws: &[VirtualWorker],
+        wsp: WspParams,
+        placement: Placement,
+        schedule: Schedule,
+        recompute: RecomputePolicy,
+        f: impl FnOnce(ExecParams<'_>) -> R,
+    ) -> R {
+        let (cluster, graph) = (Cluster::paper_testbed(), hetpipe_model::vgg19(32));
+        let shards = ShardMap::build(placement, &graph, &cluster, &vws[0]);
+        f(ExecParams {
+            cluster: &cluster,
+            graph: &graph,
+            vws,
+            wsp,
+            shards: &shards,
+            sync_transfers: true,
+            schedule,
+            recompute,
+        })
+    }
+
+    /// The paper testbed's ED groups: VW `j` holds GPU `j` of each node.
+    pub(super) fn ed_groups() -> Vec<Vec<DeviceId>> {
         (0..4)
             .map(|j| (0..4).map(|n| DeviceId(n * 4 + j)).collect())
             .collect()
     }
 
+    /// Runs `groups` (partitioned for the wave schedule) under
+    /// `schedule` for `secs`, keeping every span.
+    fn run_groups(
+        groups: &[Vec<DeviceId>],
+        wsp: WspParams,
+        placement: Placement,
+        schedule: Schedule,
+        opts: SegmentOpts,
+        secs: f64,
+    ) -> RunStats {
+        let vws = build_vws(groups, wsp.nm, Schedule::HetPipeWave, RecomputePolicy::None);
+        let horizon = SimTime::from_secs(secs);
+        with_params(&vws, wsp, placement, schedule, RecomputePolicy::None, |p| {
+            run_segment(p, opts, horizon)
+        })
+    }
+
     fn run_ed_sched(nm: usize, d: usize, secs: f64, schedule: Schedule) -> RunStats {
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
-        let vws = build_vws(&cluster, &graph, &ed_groups(), nm);
-        let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
-        run(
-            ExecParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: &vws,
-                wsp: WspParams::new(nm, d),
-                shards: &shards,
-                sync_transfers: true,
-                schedule,
-                recompute: RecomputePolicy::None,
-            },
-            SimTime::from_secs(secs),
+        let vws = build_vws(
+            &ed_groups(),
+            nm,
+            Schedule::HetPipeWave,
+            RecomputePolicy::None,
+        );
+        let (wsp, horizon) = (WspParams::new(nm, d), SimTime::from_secs(secs));
+        with_params(
+            &vws,
+            wsp,
+            Placement::Local,
+            schedule,
+            RecomputePolicy::None,
+            |p| run(p, horizon),
         )
     }
 
     fn run_ed(nm: usize, d: usize, secs: f64) -> RunStats {
         run_ed_sched(nm, d, secs, Schedule::HetPipeWave)
+    }
+
+    /// Runs `groups` at `D = 0`, shards placed by default, for `secs`.
+    fn run_default(groups: &[Vec<DeviceId>], nm: usize, schedule: Schedule, secs: f64) -> RunStats {
+        let (wsp, opts) = (WspParams::new(nm, 0), SegmentOpts::default());
+        run_groups(groups, wsp, Placement::Default, schedule, opts, secs)
     }
 
     #[test]
@@ -1658,16 +1678,13 @@ mod tests {
     fn larger_d_reduces_waiting() {
         // ED VWs are identical so waits are small either way, but D = 4
         // must never wait longer than D = 0 (Section 8.4).
-        let w0: SimTime = run_ed(4, 0, 30.0)
-            .vws
-            .iter()
-            .map(|v| v.pull_wait)
-            .fold(SimTime::ZERO, |a, b| a + b);
-        let w4: SimTime = run_ed(4, 4, 30.0)
-            .vws
-            .iter()
-            .map(|v| v.pull_wait)
-            .fold(SimTime::ZERO, |a, b| a + b);
+        let wait = |d| {
+            run_ed(4, d, 30.0)
+                .vws
+                .iter()
+                .fold(SimTime::ZERO, |a, v| a + v.pull_wait)
+        };
+        let (w0, w4) = (wait(0), wait(4));
         assert!(w4 <= w0, "D=4 wait {w4} should not exceed D=0 wait {w0}");
     }
 
@@ -1702,24 +1719,8 @@ mod tests {
     #[test]
     fn single_gpu_vw_works() {
         // A VW of one GPU degenerates to plain (non-pipelined) training.
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
         let groups = vec![vec![DeviceId(0)], vec![DeviceId(1)]];
-        let vws = build_vws(&cluster, &graph, &groups, 1);
-        let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
-        let stats = run(
-            ExecParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: &vws,
-                wsp: WspParams::new(1, 0),
-                shards: &shards,
-                sync_transfers: true,
-                schedule: Schedule::HetPipeWave,
-                recompute: RecomputePolicy::None,
-            },
-            SimTime::from_secs(20.0),
-        );
+        let stats = run_default(&groups, 1, Schedule::HetPipeWave, 20.0);
         assert!(stats.vws[0].completions.len() > 10);
     }
 
@@ -1727,27 +1728,11 @@ mod tests {
     fn straggler_vws_forced_to_wait_under_d0() {
         // NP-style allocation: one fast VVVV VW and one slow QQQQ VW.
         // With D = 0 the fast VW must accumulate pull waiting time.
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
         let groups = vec![
-            (0..4).map(DeviceId).collect::<Vec<_>>(),
-            (12..16).map(DeviceId).collect::<Vec<_>>(),
+            (0..4).map(DeviceId).collect(),
+            (12..16).map(DeviceId).collect(),
         ];
-        let vws = build_vws(&cluster, &graph, &groups, 2);
-        let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
-        let stats = run(
-            ExecParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: &vws,
-                wsp: WspParams::new(2, 0),
-                shards: &shards,
-                sync_transfers: true,
-                schedule: Schedule::HetPipeWave,
-                recompute: RecomputePolicy::None,
-            },
-            SimTime::from_secs(30.0),
-        );
+        let stats = run_default(&groups, 2, Schedule::HetPipeWave, 30.0);
         let fast = &stats.vws[0];
         let slow = &stats.vws[1];
         assert!(
@@ -1787,12 +1772,8 @@ mod tests {
     fn one_f_one_b_beats_fill_drain() {
         // 1F1B overlaps the drain with the next fill; with Nm = 4 its
         // steady state strictly dominates GPipe's fill-drain bubbles.
-        let gpipe = run_ed_sched(4, 0, 30.0, Schedule::FillDrain).vws[0]
-            .completions
-            .len();
-        let ofob = run_ed_sched(4, 0, 30.0, Schedule::OneFOneB).vws[0]
-            .completions
-            .len();
+        let done = |s| run_ed_sched(4, 0, 30.0, s).vws[0].completions.len();
+        let (gpipe, ofob) = (done(Schedule::FillDrain), done(Schedule::OneFOneB));
         assert!(
             ofob > gpipe,
             "1F1B ({ofob}) must strictly beat fill-drain ({gpipe})"
@@ -1813,24 +1794,8 @@ mod tests {
     // --------------------------------------------------------------
 
     fn run_ed_segment(nm: usize, secs: f64, schedule: Schedule, opts: SegmentOpts) -> RunStats {
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
-        let vws = build_vws(&cluster, &graph, &ed_groups(), nm);
-        let shards = ShardMap::build(Placement::Local, &graph, &cluster, &vws[0]);
-        run_segment(
-            ExecParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: &vws,
-                wsp: WspParams::new(nm, 0),
-                shards: &shards,
-                sync_transfers: true,
-                schedule,
-                recompute: RecomputePolicy::None,
-            },
-            opts,
-            SimTime::from_secs(secs),
-        )
+        let wsp = WspParams::new(nm, 0);
+        run_groups(&ed_groups(), wsp, Placement::Local, schedule, opts, secs)
     }
 
     #[test]
@@ -1856,22 +1821,18 @@ mod tests {
     fn fault_event_slows_the_pipeline() {
         for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
             let clean = run_ed_segment(4, 20.0, schedule, SegmentOpts::default());
-            let faulted = run_ed_segment(
-                4,
-                20.0,
-                schedule,
-                SegmentOpts {
-                    rate_events: vec![RateEvent {
-                        at: SimTime::from_secs(2.0),
-                        // Slow VW 0's stage-1 GPU (device 4 hosts ED
-                        // group 0's second stage) by x4 — far past the
-                        // pipeline bottleneck, so it must bind.
-                        target: RateTarget::Gpu(4),
-                        rate: 0.25,
-                    }],
-                    ..SegmentOpts::default()
-                },
-            );
+            let slow = SegmentOpts {
+                rate_events: vec![RateEvent {
+                    at: SimTime::from_secs(2.0),
+                    // Slow VW 0's stage-1 GPU (device 4 hosts ED group
+                    // 0's second stage) by x4 — far past the pipeline
+                    // bottleneck, so it must bind.
+                    target: RateTarget::Gpu(4),
+                    rate: 0.25,
+                }],
+                ..SegmentOpts::default()
+            };
+            let faulted = run_ed_segment(4, 20.0, schedule, slow);
             let c = clean.vws[0].completions.len();
             let f = faulted.vws[0].completions.len();
             assert!(
@@ -1891,19 +1852,15 @@ mod tests {
 
     #[test]
     fn lost_gpu_stalls_but_terminates() {
-        let faulted = run_ed_segment(
-            4,
-            15.0,
-            Schedule::HetPipeWave,
-            SegmentOpts {
-                rate_events: vec![RateEvent {
-                    at: SimTime::from_secs(3.0),
-                    target: RateTarget::Gpu(4),
-                    rate: 0.0,
-                }],
-                ..SegmentOpts::default()
-            },
-        );
+        let loss = SegmentOpts {
+            rate_events: vec![RateEvent {
+                at: SimTime::from_secs(3.0),
+                target: RateTarget::Gpu(4),
+                rate: 0.0,
+            }],
+            ..SegmentOpts::default()
+        };
+        let faulted = run_ed_segment(4, 15.0, Schedule::HetPipeWave, loss);
         // VW 0 stops completing shortly after the loss; the run still
         // terminates (no live-lock) and other VWs are eventually
         // throttled by the WSP distance bound, not deadlocked.
@@ -1922,15 +1879,11 @@ mod tests {
             Schedule::FillDrain,
             Schedule::OneFOneB,
         ] {
-            let seg = run_ed_segment(
-                4,
-                30.0,
-                schedule,
-                SegmentOpts {
-                    stop_after_mb: Some(8),
-                    ..SegmentOpts::default()
-                },
-            );
+            let drain = SegmentOpts {
+                stop_after_mb: Some(8),
+                ..SegmentOpts::default()
+            };
+            let seg = run_ed_segment(4, 30.0, schedule, drain);
             for (i, vw) in seg.vws.iter().enumerate() {
                 assert_eq!(
                     vw.completions.len(),
@@ -1961,39 +1914,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "segments splice at wave boundaries")]
     fn run_segment_rejects_a_mid_wave_stop() {
-        run_ed_segment(
-            4,
-            5.0,
-            Schedule::HetPipeWave,
-            SegmentOpts {
-                stop_after_mb: Some(6),
-                ..SegmentOpts::default()
-            },
-        );
+        let mid_wave = SegmentOpts {
+            stop_after_mb: Some(6),
+            ..SegmentOpts::default()
+        };
+        run_ed_segment(4, 5.0, Schedule::HetPipeWave, mid_wave);
     }
 
     #[test]
     fn stream_single_gpu_vw_works() {
         // k = 1 exercises the "backward depends on own forward" path.
-        let cluster = Cluster::paper_testbed();
-        let graph = hetpipe_model::vgg19(32);
         let groups = vec![vec![DeviceId(0)], vec![DeviceId(1)]];
-        let vws = build_vws(&cluster, &graph, &groups, 1);
-        let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vws[0]);
         for schedule in [Schedule::FillDrain, Schedule::OneFOneB] {
-            let stats = run(
-                ExecParams {
-                    cluster: &cluster,
-                    graph: &graph,
-                    vws: &vws,
-                    wsp: WspParams::new(1, 0),
-                    shards: &shards,
-                    sync_transfers: true,
-                    schedule,
-                    recompute: RecomputePolicy::None,
-                },
-                SimTime::from_secs(20.0),
-            );
+            let stats = run_default(&groups, 1, schedule, 20.0);
             assert!(
                 stats.vws[0].completions.len() > 10,
                 "{schedule} made no progress on k=1"

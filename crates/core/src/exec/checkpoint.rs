@@ -14,17 +14,15 @@
 //! after the same events and the same spans. Resuming there under the
 //! stop point and simulating on is the drain.
 //!
-//! **What a checkpoint holds.** A clone of the state the handler
-//! mutates: the engine (clock, event count and queued events), the
-//! resource pool (rate timelines included, which is why a drain must
-//! share its probe's segment options), the occupancy fold, the report
-//! fold when the run folds one, the push clocks, the stage books, the
-//! last span end, the byte counters, the stop-query and span counts,
-//! and each VW's lanes with their op buffers (a VW's `Lanes` is one
-//! owned value, composite timetable included). Per-VW state is saved
-//! without its completion and wait-window lists, which grow with the
-//! horizon; the checkpoint keeps their lengths, and the resumed run
-//! cuts those prefixes from the probe's final [`RunStats`].
+//! **What a checkpoint holds.** A clone of the executor's `State`,
+//! the one value that holds everything the handler mutates, and per
+//! VW the lengths of its completion and wait-window lists. Those lists
+//! grow with the horizon, so they sit beside the state, and the resumed
+//! run cuts their prefixes from the probe's final [`RunStats`]. What a
+//! run only reads (its plan: stage times, sync chunks, declared
+//! windows, rate timelines) is not copied: a resumed run builds it
+//! again from the same arguments, which is why a drain must share its
+//! probe's segment options.
 //!
 //! **Spacing.** The segment-start state is always the first
 //! checkpoint, so every stop can resume. Later ones are taken each
@@ -36,13 +34,9 @@
 //! A checkpointed run simulates every event: fast-forward would skip
 //! the stop queries a checkpoint's validity rests on.
 
-use super::{report_of, Ev, Exec, ExecParams, RunStats, SegmentOpts, SpanTag};
-use super::{StageState, VwState, VwStats};
-use crate::audit::OccupancyFold;
-use crate::metrics::{ReportFold, SystemReport};
-use hetpipe_des::{Engine, ResourcePool, SimTime, SpanSink};
-use hetpipe_schedule::{GpuOp, Lanes, PushClocks};
-use std::collections::VecDeque;
+use super::{Exec, ExecParams, Plan, RunStats, SegmentOpts, SpanTag, State, VwLists};
+use crate::metrics::SystemReport;
+use hetpipe_des::{SimTime, SpanSink};
 
 /// Waves between checkpoints until the list first fills.
 const FIRST_SPACING_WAVES: u64 = 1;
@@ -59,31 +53,12 @@ struct Probe {
     warmup: Option<SimTime>,
 }
 
-/// One saved executor state (see the module docs).
-struct Saved {
-    engine: Engine<Ev>,
-    pool: ResourcePool,
-    occupancy: OccupancyFold,
-    report: Option<ReportFold>,
-    clocks: PushClocks,
-    /// Per-VW state with empty completion and wait-window lists.
-    states: Vec<VwState>,
-    /// Per VW, the lengths of its completion and wait-window lists.
-    lists: Vec<(usize, usize)>,
-    stages: Vec<Vec<StageState>>,
-    lanes: Vec<Lanes>,
-    bufs: Vec<Vec<VecDeque<GpuOp>>>,
-    last_span_end: SimTime,
-    /// `sync_inter`, `sync_intra`, `act_inter` and `act_intra`.
-    bytes: [u64; 4],
-    queried: u64,
-    spans: usize,
-}
-
 /// A checkpointed run's saved states, oldest first (see the module
 /// docs for their spacing).
 pub struct Checkpoints {
-    saved: Vec<Saved>,
+    /// Each state with, per VW, its completion and wait-window list
+    /// lengths.
+    saved: Vec<(State, Vec<(usize, usize)>)>,
     probe: Probe,
     /// Stop-query minibatches between checkpoints.
     every: u64,
@@ -96,7 +71,7 @@ pub struct Checkpoints {
 /// stop point not below [`Checkpoint::queried`].
 #[derive(Clone, Copy)]
 pub struct Checkpoint<'a> {
-    saved: &'a Saved,
+    saved: &'a (State, Vec<(usize, usize)>),
     probe: &'a Probe,
 }
 
@@ -105,31 +80,31 @@ impl Checkpoint<'_> {
     /// was saved: the checkpoint starts a drain at any stop point at or
     /// past it.
     pub fn queried(&self) -> u64 {
-        self.saved.queried
+        self.saved.0.queried
     }
 
     /// DES events processed before the state was saved.
     pub fn events(&self) -> u64 {
-        self.saved.engine.processed()
+        self.saved.0.engine.processed()
     }
 
     /// Spans recorded before the state was saved: a caller that kept
     /// the probe's spans keeps this many of them and lets the resumed
     /// run record the rest.
     pub fn spans(&self) -> usize {
-        self.saved.spans
+        self.saved.0.spans
     }
 }
 
 impl Checkpoints {
     /// Starts the list with `ex`'s state at the segment start.
-    fn start<S>(ex: &Exec<'_, S>, warmup: Option<SimTime>) -> Checkpoints {
-        let every = FIRST_SPACING_WAVES * ex.p.wsp.nm as u64;
+    fn start<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>, warmup: Option<SimTime>) -> Checkpoints {
+        let every = FIRST_SPACING_WAVES * ex.plan.p.wsp.nm as u64;
         Checkpoints {
-            saved: vec![Saved::of(ex)],
+            saved: vec![(ex.st.clone(), ex.lens())],
             probe: Probe {
-                opts: ex.opts.clone(),
-                horizon: ex.horizon,
+                opts: ex.plan.opts.clone(),
+                horizon: ex.plan.horizon,
                 warmup,
             },
             every,
@@ -140,15 +115,15 @@ impl Checkpoints {
     /// Saves `ex`'s state when its stop queries have reached the next
     /// block.
     #[inline]
-    fn after_event<S>(&mut self, ex: &Exec<'_, S>) {
-        if ex.queried < self.next {
+    fn after_event<S: SpanSink<SpanTag>>(&mut self, ex: &Exec<'_, S>) {
+        if ex.st.queried < self.next {
             return;
         }
         if self.saved.len() == MAX_KEPT {
             self.thin();
         }
-        self.saved.push(Saved::of(ex));
-        self.next = (ex.queried / self.every + 1) * self.every;
+        self.saved.push((ex.st.clone(), ex.lens()));
+        self.next = (ex.st.queried / self.every + 1) * self.every;
     }
 
     /// Drops every other checkpoint, the first kept, and doubles the
@@ -161,7 +136,7 @@ impl Checkpoints {
 
     /// The latest checkpoint a drain at `stop` may resume from.
     pub fn for_stop(&self, stop: u64) -> Checkpoint<'_> {
-        let valid = self.saved.partition_point(|s| s.queried <= stop);
+        let valid = self.saved.partition_point(|(s, _)| s.queried <= stop);
         let saved = &self.saved[valid.max(1) - 1];
         Checkpoint {
             saved,
@@ -188,77 +163,6 @@ impl Checkpoints {
     }
 }
 
-impl Saved {
-    fn of<S>(ex: &Exec<'_, S>) -> Saved {
-        Saved {
-            engine: ex.engine.clone(),
-            pool: ex.pool.clone(),
-            occupancy: ex.occupancy.clone(),
-            report: ex.report.clone(),
-            clocks: ex.clocks.clone(),
-            states: ex
-                .states
-                .iter()
-                .map(|st| VwState {
-                    push_remaining: st.push_remaining.clone(),
-                    stats: VwStats {
-                        completions: Vec::new(),
-                        wait_windows: Vec::new(),
-                        ..st.stats
-                    },
-                    ..*st
-                })
-                .collect(),
-            lists: ex
-                .states
-                .iter()
-                .map(|st| (st.stats.completions.len(), st.stats.wait_windows.len()))
-                .collect(),
-            stages: ex.stages.clone(),
-            lanes: ex.lanes.clone(),
-            bufs: ex.bufs.clone(),
-            last_span_end: ex.last_span_end,
-            bytes: [ex.sync_inter, ex.sync_intra, ex.act_inter, ex.act_intra],
-            queried: ex.queried,
-            spans: ex.spans,
-        }
-    }
-}
-
-impl<S> Exec<'_, S> {
-    /// Puts the executor into `saved`'s state, taking the completion
-    /// and wait-window prefixes from `probe`, the checkpointed run's
-    /// result.
-    fn restore(&mut self, saved: &Saved, probe: &RunStats) {
-        self.engine = saved.engine.clone();
-        self.pool = saved.pool.clone();
-        self.occupancy = saved.occupancy.clone();
-        self.report = saved.report.clone();
-        self.clocks = saved.clocks.clone();
-        self.states = (saved.states.iter().zip(&saved.lists))
-            .zip(&probe.vws)
-            .map(|((st, &(completions, windows)), stats)| {
-                let mut st = st.clone();
-                st.stats.completions = stats.completions[..completions].to_vec();
-                st.stats.wait_windows = stats.wait_windows[..windows].to_vec();
-                st
-            })
-            .collect();
-        self.stages = saved.stages.clone();
-        self.lanes = saved.lanes.clone();
-        self.bufs = saved.bufs.clone();
-        self.last_span_end = saved.last_span_end;
-        [
-            self.sync_inter,
-            self.sync_intra,
-            self.act_inter,
-            self.act_intra,
-        ] = saved.bytes;
-        self.queried = saved.queried;
-        self.spans = saved.spans;
-    }
-}
-
 /// [`run_into`](super::run_into) for a probe: simulates the segment to
 /// `horizon` with no stop point, and also returns the wave checkpoints
 /// it saved on the way, from which [`resume_into`] commits a drain at
@@ -279,15 +183,13 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
         opts.stop_after_mb.is_none(),
         "a checkpointed run is a probe: it has no stop point"
     );
-    let mut ex = Exec::new(params.clone(), opts, horizon, warmup, sink);
-    ex.prologue();
+    let mut ex = Exec::new(Plan::new(params, opts, horizon), warmup, sink);
     let mut checkpoints = Checkpoints::start(&ex, warmup);
-    while let Some(ev) = ex.engine.next_event_until(horizon) {
+    while let Some(ev) = ex.st.engine.next_event_until(horizon) {
         ex.handle(ev);
         checkpoints.after_event(&ex);
     }
-    let (stats, sink, fold) = ex.finish();
-    let report = report_of(&params, &stats, fold);
+    let (stats, sink, report) = ex.finish();
     (stats, sink, report, checkpoints)
 }
 
@@ -333,9 +235,20 @@ pub fn resume_into<S: SpanSink<SpanTag>>(
         &drain, from.probe,
         "a drain shares its probe's segment options, horizon and warm-up"
     );
-    let mut ex = Exec::new(params.clone(), opts, horizon, warmup, sink);
-    ex.restore(from.saved, probe);
-    let (stats, sink, fold) = ex.simulate();
-    let report = report_of(&params, &stats, fold);
-    (stats, sink, report)
+    let (state, lens) = from.saved;
+    let lists = (lens.iter().zip(&probe.vws))
+        .map(|(&(completions, windows), stats)| VwLists {
+            completions: stats.completions[..completions].to_vec(),
+            wait_windows: stats.wait_windows[..windows].to_vec(),
+        })
+        .collect();
+    let plan = Plan::new(params, opts, horizon);
+    let st = state.clone();
+    Exec {
+        plan,
+        st,
+        lists,
+        sink,
+    }
+    .simulate()
 }

@@ -21,14 +21,15 @@
 //!   increments of every running total (busy time, reservations,
 //!   bytes, waits, the report's partials) and its completions and wait
 //!   windows are taken from that simulated period.
-//! - **The jump.** `k` whole periods are added at once: pending
-//!   events, free instants and every reserved-ahead span move `k · Δt`
-//!   later, minibatch and wave numbers (lane generators included) move
-//!   `k` periods on, running totals grow by `k` increments, and `k`
-//!   shifted copies of the period's completions and wait windows are
-//!   appended. The occupancy peaks stay: the skipped periods reach
-//!   only levels the simulated one reached. The tail is then simulated
-//!   as usual.
+//! - **The jump.** `k` whole periods are added at once. The state
+//!   shifts `k · Δt` later and `k` periods of waves on (`State::shift`:
+//!   pending events, the free instants of the resources the period
+//!   reserved, every reserved-ahead span, and minibatch and wave
+//!   numbers, lane generators included). Its running totals grow by
+//!   `k` increments (`State::totals`), and `k` shifted copies of the
+//!   period's completions and wait windows are appended. The occupancy
+//!   peaks stay: the skipped periods reach only levels the simulated
+//!   one reached. The tail is then simulated as usual.
 //! - **Edges.** `k` stops short of every edge: the warm-up, the
 //!   horizon, the next rate edge and the stop point, each padded by
 //!   the state's lookahead (its latest referenced instant, or newest
@@ -60,7 +61,7 @@
 //! is unchanged. A run whose joint period is longer than what is left
 //! of its horizon skips nothing and pays only the hashing.
 
-use super::{Ev, Exec, SpanTag};
+use super::{Ev, Exec, Plan, SpanTag, State, VwState};
 use hetpipe_des::{PeakFold, ResourceId, SimTime, SpanSink};
 use hetpipe_schedule::{Dispatch, StateWriter};
 use std::collections::BTreeMap;
@@ -195,22 +196,23 @@ struct Period {
     dt: SimTime,
     events: u64,
     waves: u64,
-    /// Increments of every running total, in [`Exec::totals`] order.
+    /// Increments of every running total, in [`State::totals`] order.
     totals: Vec<u64>,
     /// Per VW, the period's completions and closed wait windows.
     completions: Vec<Vec<SimTime>>,
     windows: Vec<Vec<(SimTime, SimTime)>>,
 }
 
-/// A full normalized state captured to confirm a candidate period.
+/// A state captured to confirm a candidate period: its normal form,
+/// its instant, event count and wave base, its running totals and its
+/// list lengths.
 struct Snapshot {
     words: Vec<u64>,
     now: SimTime,
     events: u64,
     base_wave: u64,
     totals: Vec<u64>,
-    completions: Vec<usize>,
-    windows: Vec<usize>,
+    lens: Vec<(usize, usize)>,
     /// Give up unless the state recurs within this many events.
     within: u64,
 }
@@ -231,7 +233,7 @@ enum Phase {
     Off,
 }
 
-/// The fast-forward driver of one [`Exec::run`].
+/// The fast-forward driver of one [`Exec::simulate`].
 pub(super) struct Forward {
     phase: Phase,
     /// VW 0's clock when last looked at.
@@ -246,7 +248,7 @@ impl Forward {
     /// ends early enough for nanosecond counts to stay exact in an
     /// `f64`.
     pub(super) fn new<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>) -> Forward {
-        let on = !S::KEEPS_SPANS && ex.horizon.as_nanos() < 1 << 52;
+        let on = !S::KEEPS_SPANS && ex.plan.horizon.as_nanos() < 1 << 52;
         Forward {
             phase: if on {
                 detect(SimTime::ZERO, None)
@@ -264,10 +266,10 @@ impl Forward {
     /// has pushed since the last look.
     #[inline]
     pub(super) fn after_event<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
-        if matches!(self.phase, Phase::Off) || ex.clocks.get(0) == self.clock {
+        if matches!(self.phase, Phase::Off) || ex.st.clocks.get(0) == self.clock {
             return;
         }
-        self.clock = ex.clocks.get(0);
+        self.clock = ex.st.clocks.get(0);
         self.at_push(ex);
     }
 
@@ -280,31 +282,26 @@ impl Forward {
     }
 
     fn at_push<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
-        let now = ex.engine.now();
-        let base_wave = ex.clocks.min();
+        let now = ex.st.engine.now();
+        let base_wave = ex.st.clocks.min();
         if let Phase::Detect { from, .. } = self.phase {
             // Pull gates and pull targets exist from wave D + 2 on;
             // before that the handler compares with constants.
-            let steady =
-                base_wave >= ex.p.wsp.d as u64 + 2 && ex.pool.iter().all(|(_, r)| r.rate() == 1.0);
+            let nominal = ex.st.pool.iter().all(|(_, r)| r.rate() == 1.0);
+            let steady = base_wave >= ex.plan.p.wsp.d as u64 + 2 && nominal;
             if !steady || now < from {
                 return;
             }
         }
         let mut normal = std::mem::take(&mut self.normal);
-        ex.normal(&mut normal, now, base_wave);
-        self.at_state(ex, &normal, base_wave);
+        ex.st.write_normal(&ex.plan, &mut normal, now, base_wave);
+        self.at_state(ex, &normal);
         self.normal = normal;
     }
 
     /// Detects or confirms a period at the state `normal` of `ex`.
-    fn at_state<S: SpanSink<SpanTag>>(
-        &mut self,
-        ex: &mut Exec<'_, S>,
-        normal: &Normal,
-        base_wave: u64,
-    ) {
-        let (now, events) = (ex.engine.now(), ex.engine.processed());
+    fn at_state<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>, normal: &Normal) {
+        let (now, events) = (ex.st.engine.now(), ex.st.engine.processed());
         match std::mem::replace(&mut self.phase, Phase::Off) {
             Phase::Detect {
                 mut seen,
@@ -315,22 +312,13 @@ impl Forward {
                 let recurs = seen.get(&hash).map(|&at| events - at as u64);
                 if let Some(within) = recurs.or(again) {
                     self.phase = Phase::Confirm(Snapshot {
+                        words: normal.words.clone(),
                         now,
                         events,
-                        base_wave,
-                        totals: ex.totals(),
-                        completions: ex
-                            .states
-                            .iter()
-                            .map(|s| s.stats.completions.len())
-                            .collect(),
-                        windows: ex
-                            .states
-                            .iter()
-                            .map(|s| s.stats.wait_windows.len())
-                            .collect(),
+                        base_wave: ex.st.clocks.min(),
+                        totals: ex.st.read_totals(),
+                        lens: ex.lens(),
                         within,
-                        words: normal.words.clone(),
                     });
                     return;
                 }
@@ -346,7 +334,7 @@ impl Forward {
             }
             Phase::Confirm(snap) => {
                 self.phase = if normal.words == snap.words {
-                    match snap.period(ex, now, base_wave) {
+                    match snap.period(ex) {
                         Some(period) => self.jump(ex, snap.now, normal, period),
                         None => Phase::Off,
                     }
@@ -376,30 +364,25 @@ impl Forward {
         let reach = normal.reach.as_nanos();
         let past = reach.saturating_add(1);
         // (periods, where detection resumes: `None` stops it).
-        let mut fit = (ex.horizon.as_nanos().saturating_sub(past) / dt, None);
+        let mut fit = (ex.plan.horizon.as_nanos().saturating_sub(past) / dt, None);
         let mut bound = |k: u64, resume: Option<SimTime>| {
             if k < fit.0 {
                 fit = (k, resume);
             }
         };
-        if let Some(warmup) = ex.report.as_ref().map(|r| r.warmup()) {
+        if let Some(warmup) = ex.st.report.as_ref().map(|r| r.warmup()) {
             if warmup > tc {
                 bound(warmup.as_nanos().saturating_sub(reach) / dt, Some(warmup));
             }
         }
-        let next_rate = ex
-            .opts
-            .rate_events
-            .iter()
-            .map(|e| e.at)
-            .filter(|&at| at >= tc)
-            .min();
+        let edges = ex.plan.opts.rate_events.iter().map(|e| e.at);
+        let next_rate = edges.filter(|&at| at >= tc).min();
         if let Some(at) = next_rate {
             let resume = at + SimTime::from_nanos(1);
             bound(at.as_nanos().saturating_sub(past) / dt, Some(resume));
         }
-        if let Some(stop) = ex.opts.stop_after_mb {
-            let mb = period.waves * ex.p.wsp.nm as u64;
+        if let Some(stop) = ex.plan.opts.stop_after_mb {
+            let mb = period.waves * ex.plan.p.wsp.nm as u64;
             bound(stop.saturating_sub(normal.top_mb) / mb, None);
         }
         let (k, resume) = fit;
@@ -415,7 +398,7 @@ impl Forward {
             });
         }
         // The jump leaves VW 0's clock `k` periods on.
-        self.clock = ex.clocks.get(0);
+        self.clock = ex.st.clocks.get(0);
         match resume {
             Some(from) => detect(from, Some(period.events)),
             None => Phase::Off,
@@ -433,38 +416,26 @@ fn detect(from: SimTime, again: Option<u64>) -> Phase {
 
 impl Snapshot {
     /// The period from this snapshot to the equal state `ex` is in.
-    fn period<S: SpanSink<SpanTag>>(
-        &self,
-        ex: &Exec<'_, S>,
-        now: SimTime,
-        base_wave: u64,
-    ) -> Option<Period> {
-        let waves = base_wave - self.base_wave;
-        if waves == 0 || now == self.now {
+    fn period<S>(&self, ex: &mut Exec<'_, S>) -> Option<Period> {
+        let waves = ex.st.clocks.min() - self.base_wave;
+        let dt = ex.st.engine.now() - self.now;
+        if waves == 0 || dt == SimTime::ZERO {
             return None;
         }
-        let totals = ex
-            .totals()
-            .iter()
-            .zip(&self.totals)
+        let totals = (ex.st.read_totals().iter().zip(&self.totals))
             .map(|(a, b)| a.wrapping_sub(*b))
             .collect();
+        let tails = ex.lists.iter().zip(&self.lens);
         Some(Period {
-            dt: now - self.now,
-            events: ex.engine.processed() - self.events,
+            dt,
+            events: ex.st.engine.processed() - self.events,
             waves,
             totals,
-            completions: ex
-                .states
-                .iter()
-                .zip(&self.completions)
-                .map(|(s, &n)| s.stats.completions[n..].to_vec())
+            completions: (tails.clone())
+                .map(|(l, &(n, _))| l.completions[n..].to_vec())
                 .collect(),
-            windows: ex
-                .states
-                .iter()
-                .zip(&self.windows)
-                .map(|(s, &n)| s.stats.wait_windows[n..].to_vec())
+            windows: tails
+                .map(|(l, &(_, n))| l.wait_windows[n..].to_vec())
                 .collect(),
         })
     }
@@ -509,19 +480,70 @@ impl Ev {
     }
 }
 
-impl<S: SpanSink<SpanTag>> Exec<'_, S> {
-    /// Writes the executor state at `now` into `n`, normalized to
-    /// `now` and to the wave base `base_wave`.
-    fn normal(&self, n: &mut Normal, now: SimTime, base_wave: u64) {
-        n.reset(now, base_wave, self.p.wsp.nm);
+impl<S> Exec<'_, S> {
+    /// Advances the executor `k` whole periods at once: the state
+    /// shifts `k` periods on, its running totals grow by `k`
+    /// increments, and `k` shifted copies of the period's completions
+    /// and wait windows are appended.
+    fn repeat(&mut self, k: u64, period: &Period) {
+        // Room for every period left to the horizon, so the lists grow
+        // once for the rest of the run; rounded up to a power of two,
+        // the size doubling growth would have reached.
+        let left = (self.plan.horizon - self.st.engine.now()).as_nanos() / period.dt.as_nanos();
+        let room =
+            |len: usize, per: usize| (len + (left as usize + 2) * per).next_power_of_two() - len;
+        let by = SimTime::from_nanos(k * period.dt.as_nanos());
+        // Whether the period reserved a resource: the pool's totals lead
+        // `State::totals`, busy time then reservations per resource.
+        let reserved = |id: ResourceId| period.totals[2 * id.0 + 1] > 0;
+        self.st.shift(&self.plan, by, k * period.waves, reserved);
+        let mut increments = period.totals.iter();
+        self.st
+            .totals(|x| x + k * increments.next().expect("one increment per total"));
+        let per_vw = period.completions.iter().zip(&period.windows);
+        for (l, (completions, windows)) in self.lists.iter_mut().zip(per_vw) {
+            l.completions
+                .reserve_exact(room(l.completions.len(), completions.len()));
+            l.wait_windows
+                .reserve_exact(room(l.wait_windows.len(), windows.len()));
+            for j in 1..=k {
+                let d = SimTime::from_nanos(j * period.dt.as_nanos());
+                l.completions.extend(completions.iter().map(|&t| t + d));
+                l.wait_windows
+                    .extend(windows.iter().map(|&(a, b)| (a + d, b + d)));
+            }
+        }
+    }
+}
+
+impl State {
+    /// Writes the state at `now` into `n`, normalized to `now` and to
+    /// the wave base `base_wave`.
+    fn write_normal(&self, plan: &Plan<'_>, n: &mut Normal, now: SimTime, base_wave: u64) {
+        let State {
+            engine,
+            pool,
+            occupancy,
+            report,
+            clocks,
+            states,
+            stages,
+            lanes,
+            bufs,
+            last_span_end,
+            // Totals and counters no decision reads.
+            sync_inter: _,
+            sync_intra: _,
+            act_inter: _,
+            act_intra: _,
+            queried: _,
+            spans: _,
+        } = self;
+        n.reset(now, base_wave, plan.p.wsp.nm);
         let mut events = std::mem::take(&mut n.events);
         events.clear();
-        events.extend(
-            self.engine
-                .pending_events()
-                .filter(|(_, _, ev)| !matches!(ev, Ev::Fault { .. }))
-                .map(|(at, seq, &ev)| (at, seq, ev)),
-        );
+        let pending = engine.pending_events().map(|(at, seq, &ev)| (at, seq, ev));
+        events.extend(pending.filter(|(_, _, ev)| !matches!(ev, Ev::Fault { .. })));
         events.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         n.int(events.len() as i64);
         for (at, _, ev) in &events {
@@ -529,40 +551,53 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             ev.write(n);
         }
         n.events = events;
-        // A resource free at or before now serves like one free now.
-        for (_, r) in self.pool.iter() {
+        // A resource free at or before now serves like one free now;
+        // its rate knob is nominal (detection waits for that).
+        for (_, r) in pool.iter() {
             n.instant(r.free_at().max(now));
         }
-        n.instant(self.last_span_end);
+        n.instant(*last_span_end);
         // Lanes never advance the injection counter: it stays raw.
-        let fifo = self.dispatch == Dispatch::ArrivalFifo;
-        for (vw, st) in self.states.iter().enumerate() {
+        let fifo = plan.dispatch == Dispatch::ArrivalFifo;
+        for (vw, st) in states.iter().enumerate() {
+            let VwState {
+                next_mb,
+                completed,
+                pulled,
+                pull_request,
+                pull_remaining,
+                pull_serving_version,
+                push_remaining,
+                block_start,
+                pull_wait: _,
+                inject_blocked: _,
+            } = st;
             if fifo {
-                n.mb(st.next_mb);
+                n.mb(*next_mb);
             } else {
-                n.int(st.next_mb as i64);
+                n.int(*next_mb as i64);
             }
-            n.mb(st.completed);
-            n.wave(self.clocks.get(vw) as i64);
-            n.wave(st.pulled);
-            n.wave(st.pull_serving_version);
-            n.int(st.pull_remaining as i64);
-            n.int(st.pull_request.is_some() as i64);
-            if let Some((target, since)) = st.pull_request {
+            n.mb(*completed);
+            n.wave(clocks.get(vw) as i64);
+            n.wave(*pulled);
+            n.wave(*pull_serving_version);
+            n.int(*pull_remaining as i64);
+            n.int(pull_request.is_some() as i64);
+            if let Some((target, since)) = *pull_request {
                 n.wave(target as i64);
                 n.instant(since);
             }
-            n.int(st.block_start.is_some() as i64);
-            if let Some(since) = st.block_start {
+            n.int(block_start.is_some() as i64);
+            if let Some(since) = *block_start {
                 n.instant(since);
             }
-            n.int(st.push_remaining.len() as i64);
-            for (&wave, &left) in &st.push_remaining {
+            n.int(push_remaining.len() as i64);
+            for (&wave, &left) in push_remaining {
                 n.wave(wave as i64);
                 n.int(left as i64);
             }
         }
-        for (lanes, bufs) in self.lanes.iter().zip(&self.bufs) {
+        for (lanes, bufs) in lanes.iter().zip(bufs) {
             for buf in bufs {
                 n.int(buf.len() as i64);
                 for gop in buf {
@@ -571,128 +606,235 @@ impl<S: SpanSink<SpanTag>> Exec<'_, S> {
             }
             lanes.write_state(n);
         }
-        for stage in self.stages.iter().flatten() {
+        for stage in stages.iter().flatten() {
             n.int(stage.held as i64);
             n.mb_or_none(stage.fwd_arrived);
             n.mb_or_none(stage.bwd_arrived);
             n.int(stage.drained as i64);
         }
-        self.occupancy.normal(n);
-        if let Some(report) = &self.report {
-            report.normal(n, |vw| self.states[vw].pull_request.is_some());
+        occupancy.normal(n);
+        if let Some(report) = report {
+            report.normal(n, |vw| states[vw].pull_request.is_some());
         }
     }
 
-    /// Every running total a period increments, in one fixed order.
-    fn totals(&self) -> Vec<u64> {
-        let mut t = Vec::new();
-        for (_, r) in self.pool.iter() {
-            t.extend([r.busy_time().as_nanos(), r.reservations()]);
-        }
-        for st in &self.states {
-            let s = &st.stats;
-            t.extend([
-                s.waves_pushed,
-                s.pull_wait.as_nanos(),
-                s.inject_blocked.as_nanos(),
-            ]);
-        }
-        t.extend([
-            self.sync_inter,
-            self.sync_intra,
-            self.act_inter,
-            self.act_intra,
-        ]);
-        if let Some(report) = &self.report {
-            report.totals(&mut t);
-        }
-        t
-    }
-
-    /// Advances the executor `k` whole periods at once.
-    fn repeat(&mut self, k: u64, period: &Period) {
-        let by = SimTime::from_nanos(k * period.dt.as_nanos());
-        let waves = k * period.waves;
-        let mbs = waves * self.p.wsp.nm as u64;
-        let mut grew = period.totals.iter().map(|&d| k * d);
-        let mut next = || grew.next().expect("one increment per total");
-        // Room for every period left to the horizon, so the lists grow
-        // once for the rest of the run; rounded up to a power of two,
-        // the size doubling growth would have reached.
-        let left =
-            ((self.horizon - self.engine.now()).as_nanos() / period.dt.as_nanos() + 2) as usize;
-        let room = |len: usize, per: usize| (len + left * per).next_power_of_two() - len;
-        self.engine
-            .fast_forward(by, k * period.events, |ev| ev.shift(mbs, waves));
-        for id in 0..self.pool.len() {
-            let (busy, reservations) = (SimTime::from_nanos(next()), next());
-            self.pool
-                .get_mut(ResourceId(id))
-                .repeat(by, busy, reservations);
-        }
-        self.clocks.shift(waves);
-        for (st, (completions, windows)) in self
-            .states
-            .iter_mut()
-            .zip(period.completions.iter().zip(&period.windows))
-        {
-            if self.dispatch == Dispatch::ArrivalFifo {
-                st.next_mb += mbs;
+    /// Moves the state `by` later and `waves` waves (`waves · Nm`
+    /// minibatches) on: the state a run that repeats the stretch
+    /// behind it reaches that much later. Running totals stay
+    /// ([`State::totals`] adds to them). A resource's free instant moves
+    /// when `reserved` says the stretch reserved it; one the stretch
+    /// never reserved keeps its instant, as a simulated run would.
+    /// Either reads as now in the normal form when it is not later
+    /// than now.
+    fn shift(
+        &mut self,
+        plan: &Plan<'_>,
+        by: SimTime,
+        waves: u64,
+        reserved: impl Fn(ResourceId) -> bool,
+    ) {
+        let mbs = waves * plan.p.wsp.nm as u64;
+        let State {
+            engine,
+            pool,
+            occupancy,
+            report,
+            clocks,
+            states,
+            stages,
+            lanes,
+            bufs,
+            last_span_end,
+            queried,
+            // Running totals.
+            sync_inter: _,
+            sync_intra: _,
+            act_inter: _,
+            act_intra: _,
+            spans: _,
+        } = self;
+        engine.fast_forward(by, |ev| ev.shift(mbs, waves));
+        for id in (0..pool.len()).map(ResourceId) {
+            if reserved(id) {
+                pool.get_mut(id).shift(by);
             }
-            st.completed += mbs;
-            st.pulled += waves as i64;
-            st.pull_serving_version += waves as i64;
-            if let Some((target, since)) = &mut st.pull_request {
+        }
+        occupancy.shift(by);
+        if let Some(report) = report {
+            report.shift(by);
+        }
+        clocks.shift(waves);
+        for st in states {
+            let VwState {
+                next_mb,
+                completed,
+                pulled,
+                pull_request,
+                pull_remaining: _,
+                pull_serving_version,
+                push_remaining,
+                block_start,
+                pull_wait: _,
+                inject_blocked: _,
+            } = st;
+            // Lanes never advance the injection counter.
+            if plan.dispatch == Dispatch::ArrivalFifo {
+                *next_mb += mbs;
+            }
+            *completed += mbs;
+            *pulled += waves as i64;
+            *pull_serving_version += waves as i64;
+            if let Some((target, since)) = pull_request {
                 *target += waves;
                 *since += by;
             }
-            if let Some(since) = &mut st.block_start {
+            if let Some(since) = block_start {
                 *since += by;
             }
-            for (wave, left) in std::mem::take(&mut st.push_remaining) {
-                st.push_remaining.insert(wave + waves, left);
-            }
-            let s = &mut st.stats;
-            s.waves_pushed += next();
-            s.pull_wait += SimTime::from_nanos(next());
-            s.inject_blocked += SimTime::from_nanos(next());
-            s.completions
-                .reserve_exact(room(s.completions.len(), completions.len()));
-            s.wait_windows
-                .reserve_exact(room(s.wait_windows.len(), windows.len()));
-            for j in 1..=k {
-                let d = SimTime::from_nanos(j * period.dt.as_nanos());
-                s.completions.extend(completions.iter().map(|&t| t + d));
-                s.wait_windows
-                    .extend(windows.iter().map(|&(a, b)| (a + d, b + d)));
+            let pushes = std::mem::take(push_remaining);
+            push_remaining.extend(pushes.into_iter().map(|(wave, left)| (wave + waves, left)));
+        }
+        // Minibatch counters that 0 means "none" in; the occupancy
+        // books and drain marks stay.
+        let arrivals = stages.iter_mut().flatten();
+        let marks = arrivals.flat_map(|s| [&mut s.fwd_arrived, &mut s.bwd_arrived]);
+        for mb in marks.chain([queried]) {
+            if *mb != 0 {
+                *mb += mbs;
             }
         }
-        for gop in self.bufs.iter_mut().flatten().flatten() {
+        for gop in bufs.iter_mut().flatten().flatten() {
             gop.op = gop.op.shifted(mbs, waves);
         }
-        for lanes in &mut self.lanes {
+        for lanes in lanes {
             lanes.shift(mbs, waves);
         }
-        for stage in self.stages.iter_mut().flatten() {
-            for arrived in [&mut stage.fwd_arrived, &mut stage.bwd_arrived] {
-                if *arrived != 0 {
-                    *arrived += mbs;
-                }
+        *last_span_end += by;
+    }
+
+    /// The running-totals walk: hands `f` every total a repeated
+    /// stretch increments, in one fixed order, and stores what it
+    /// returns. Reading the totals returns each as is
+    /// ([`State::read_totals`]); [`Exec::repeat`] adds increments.
+    fn totals(&mut self, mut f: impl FnMut(u64) -> u64) {
+        let State {
+            engine,
+            pool,
+            report,
+            states,
+            sync_inter,
+            sync_intra,
+            act_inter,
+            act_intra,
+            spans,
+            // State a stretch shifts, not totals.
+            occupancy: _,
+            clocks: _,
+            stages: _,
+            lanes: _,
+            bufs: _,
+            last_span_end: _,
+            queried: _,
+        } = self;
+        for id in (0..pool.len()).map(ResourceId) {
+            let r = pool.get_mut(id);
+            let (busy, n) = (r.busy_time(), r.reservations());
+            r.add(SimTime::from_nanos(f(busy.as_nanos())) - busy, f(n) - n);
+        }
+        for st in states.iter_mut() {
+            for t in [&mut st.pull_wait, &mut st.inject_blocked] {
+                *t = SimTime::from_nanos(f(t.as_nanos()));
             }
         }
-        self.sync_inter += next();
-        self.sync_intra += next();
-        self.act_inter += next();
-        self.act_intra += next();
-        self.occupancy.shift(by);
-        self.last_span_end += by;
-        if let Some(report) = &mut self.report {
-            let open: Vec<bool> = self
-                .states
-                .iter()
-                .map(|s| s.pull_request.is_some())
-                .collect();
-            report.repeat(by, &mut next, |vw| open[vw]);
+        for total in [sync_inter, sync_intra, act_inter, act_intra] {
+            *total = f(*total);
+        }
+        *spans = f(*spans as u64) as usize;
+        let events = engine.processed();
+        engine.count(f(events) - events);
+        if let Some(report) = report {
+            report.totals(&mut f, |vw| states[vw].pull_request.is_some());
+        }
+    }
+
+    /// Every running total, in [`State::totals`] order.
+    fn read_totals(&mut self) -> Vec<u64> {
+        let mut t = Vec::new();
+        self.totals(|x| {
+            t.push(x);
+            x
+        });
+        t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{build_vws, ed_groups, with_params};
+    use super::*;
+    use crate::exec::{run_into, SegmentOpts};
+    use crate::pserver::Placement;
+    use crate::sync::WspParams;
+    use hetpipe_des::Discard;
+    use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+
+    /// Shifting a state commutes with normalizing it: at sampled states
+    /// past the WSP warm-up, a clone shifted by `(dt, waves)` and
+    /// normalized at its own (shifted) now and wave base writes the
+    /// original's words, for `dt` of 1 ns, the cell's confirmed period
+    /// and 2^40 ns, each with 0, 1 and 7 waves. Normalized at the
+    /// unshifted now, it must not. Cells: the wave schedule, 1F1B, and
+    /// composite interleaved with boundary-only recompute, each on the
+    /// paper testbed's ED groups with the report fold on. A dynamically
+    /// audited invariant: evidence for these states, not a proof.
+    #[test]
+    fn shift_commutes_with_normalization() {
+        let composite = Schedule::ALL
+            .into_iter()
+            .find(|s| s.dispatch() == Dispatch::GpuStreamOrder)
+            .expect("a composite schedule");
+        let cells = [
+            (Schedule::HetPipeWave, RecomputePolicy::None),
+            (Schedule::OneFOneB, RecomputePolicy::None),
+            (composite, RecomputePolicy::BoundaryOnly),
+        ];
+        let (wsp, horizon) = (WspParams::new(4, 1), SimTime::from_secs(600.0));
+        let opts = SegmentOpts::default();
+        for (schedule, recompute) in cells {
+            let vws = build_vws(&ed_groups(), wsp.nm, schedule, recompute);
+            with_params(&vws, wsp, Placement::Local, schedule, recompute, |params| {
+                let (stats, ..) = run_into(params.clone(), opts.clone(), horizon, Discard, None);
+                let period = stats.fast_forward.expect("the cell fast-forwards").period;
+                let plan = Plan::new(params, opts.clone(), horizon);
+                let mut ex = Exec::new(plan, Some(SimTime::ZERO), Discard);
+                let (mut a, mut b) = (Normal::default(), Normal::default());
+                let (mut events, mut samples) = (0u64, 0);
+                while samples < 12 {
+                    let ev = ex.st.engine.next_event_until(horizon).expect("a live run");
+                    ex.handle(ev);
+                    events += 1;
+                    let base = ex.st.clocks.min();
+                    if base < wsp.d as u64 + 2 || !events.is_multiple_of(97) {
+                        continue;
+                    }
+                    samples += 1;
+                    let now = ex.st.engine.now();
+                    ex.st.write_normal(&ex.plan, &mut a, now, base);
+                    let dts = [SimTime::from_nanos(1), period, SimTime::from_nanos(1 << 40)];
+                    for (dt, waves) in dts.into_iter().flat_map(|dt| [0, 1, 7].map(|w| (dt, w))) {
+                        let cell =
+                            format!("{schedule} {recompute} event {events} dt {dt} waves {waves}");
+                        let mut shifted = ex.st.clone();
+                        shifted.shift(&ex.plan, dt, waves, |_| true);
+                        let (at, base_at) = (shifted.engine.now(), shifted.clocks.min());
+                        assert_eq!((at, base_at), (now + dt, base + waves), "{cell}");
+                        shifted.write_normal(&ex.plan, &mut b, at, base_at);
+                        assert!(a.words == b.words, "{cell}: shifted, the words differ");
+                        shifted.write_normal(&ex.plan, &mut b, now, base_at);
+                        assert!(a.words != b.words, "{cell}: the words missed the shift");
+                    }
+                }
+            });
         }
     }
 }

@@ -354,41 +354,33 @@ impl ReportFold {
         }
     }
 
-    /// Appends the fold's running totals, in the order
-    /// [`ReportFold::repeat`] takes their increments.
-    pub(crate) fn totals(&self, out: &mut Vec<u64>) {
-        for gpu in &self.gpus {
-            out.extend([gpu.ended.as_nanos(), gpu.measured.as_nanos()]);
-        }
-        out.extend(self.waits.iter().map(|w| w.idle.as_nanos()));
-    }
-
-    /// Repeats a stretch of steady state `by` long: the reserved-ahead
-    /// spans move `by` later, each running total grows by the next
-    /// increment `grew` yields, and an `open` window's start-of-window
-    /// busy times grow with their devices' ended busy time.
-    pub(crate) fn repeat(
-        &mut self,
-        by: SimTime,
-        grew: &mut impl FnMut() -> u64,
-        open: impl Fn(usize) -> bool,
-    ) {
+    /// Hands `f` the fold's running totals, in one fixed order, and
+    /// stores what it returns. An `open` window's start-of-window busy
+    /// times grow with their devices' ended busy time.
+    pub(crate) fn totals(&mut self, f: &mut impl FnMut(u64) -> u64, open: impl Fn(usize) -> bool) {
         let ended: Vec<SimTime> = self.gpus.iter().map(|g| g.ended).collect();
+        let mut time = |t: &mut SimTime| *t = SimTime::from_nanos(f(t.as_nanos()));
         for gpu in &mut self.gpus {
-            gpu.ended += SimTime::from_nanos(grew());
-            gpu.measured += SimTime::from_nanos(grew());
-            for (start, end) in &mut gpu.ahead {
-                *start += by;
-                *end += by;
-            }
+            time(&mut gpu.ended);
+            time(&mut gpu.measured);
+        }
+        for w in &mut self.waits {
+            time(&mut w.idle);
         }
         for (vw, w) in self.waits.iter_mut().enumerate() {
-            w.idle += SimTime::from_nanos(grew());
             if open(vw) {
                 for (busy, &d) in w.busy.iter_mut().zip(&w.devices) {
                     *busy += self.gpus[d].ended - ended[d];
                 }
             }
+        }
+    }
+
+    /// Moves the reserved-ahead spans `by` later.
+    pub(crate) fn shift(&mut self, by: SimTime) {
+        for (start, end) in self.gpus.iter_mut().flat_map(|g| &mut g.ahead) {
+            *start += by;
+            *end += by;
         }
     }
 

@@ -34,6 +34,6 @@ pub mod trace;
 pub use bounds::{check_bounds, BoundEntity, OccupancyBound};
 pub use engine::Engine;
 pub use event::EventQueue;
-pub use resource::{Resource, ResourceId, ResourcePool};
+pub use resource::{RateTimeline, Resource, ResourceId, ResourcePool};
 pub use time::SimTime;
 pub use trace::{peak_of_events, Discard, PeakFold, Span, SpanSink, Trace};

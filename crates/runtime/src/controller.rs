@@ -582,7 +582,7 @@ impl<'a> Controller<'a> {
     fn commit(&mut self, stats: &RunStats, action: Option<String>, resimulated: u64) {
         let off = self.offset;
         if self.report.resource_names.is_empty() {
-            self.report.resource_names = stats.pool.iter().map(|(_, r)| r.name.clone()).collect();
+            self.report.resource_names = stats.resource_names();
         }
         let mut completed = Vec::with_capacity(stats.vws.len());
         for (i, vw) in stats.vws.iter().enumerate() {

@@ -234,11 +234,11 @@ fn assert_same_run(label: &str, got: &RunStats, want: &RunStats) {
         assert_eq!(a.pull_wait, b.pull_wait, "{label}");
     }
     assert_eq!(got.pool.len(), want.pool.len(), "{label}");
-    for ((_, a), (_, b)) in got.pool.iter().zip(want.pool.iter()) {
-        assert_eq!(a.name, b.name, "{label}");
-        assert_eq!(a.busy_time(), b.busy_time(), "{label}: {} busy", a.name);
-        assert_eq!(a.reservations(), b.reservations(), "{label}: {}", a.name);
-        assert_eq!(a.free_at(), b.free_at(), "{label}: {} free_at", a.name);
+    let pools = got.pool.iter().zip(want.pool.iter());
+    for (((_, a), (_, b)), name) in pools.zip(got.resource_names()) {
+        assert_eq!(a.busy_time(), b.busy_time(), "{label}: {name} busy");
+        assert_eq!(a.reservations(), b.reservations(), "{label}: {name}");
+        assert_eq!(a.free_at(), b.free_at(), "{label}: {name} free_at");
     }
     let bytes = |s: &RunStats| {
         [
