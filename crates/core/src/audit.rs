@@ -8,7 +8,11 @@
 //! measures the *realized* peak occupancy of a run — a minibatch
 //! holds an activation set at a stage from its forward's completion
 //! until its backward's completion — and asserts measured ≤ declared
-//! as a first-class invariant, per stage and per physical GPU.
+//! as a first-class invariant, per stage and per physical GPU. It
+//! records both numbers in the static verifier's vocabulary, one
+//! [`OccupancyBound`] per stage and GPU built by [`declared_bounds`],
+//! so [`OccupancyAudit::merge_measured`] joins a run's peaks to the
+//! verifier's structural triples by entity.
 //!
 //! The measurement folds while the run executes: the executor hands
 //! each forward and backward span's end to an `OccupancyFold`, one
@@ -24,9 +28,8 @@
 use crate::exec::fastforward::Normal;
 use crate::exec::RunStats;
 use crate::vw::VirtualWorker;
-use hetpipe_des::{PeakFold, SimTime};
+use hetpipe_des::{declared_bounds, BoundEntity, OccupancyBound, PeakFold, SimTime};
 use hetpipe_schedule::{PipelineSchedule, Schedule};
-use std::fmt;
 
 /// One run's measured peak activation occupancy: the number of
 /// minibatches simultaneously holding activations, per stage and per
@@ -124,76 +127,14 @@ impl OccupancyFold {
     }
 }
 
-/// One stage's measured-vs-declared occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageOccupancy {
-    /// Virtual worker index.
-    pub vw: usize,
-    /// Executor (virtual) stage index.
-    pub stage: usize,
-    /// Measured peak number of minibatches simultaneously holding
-    /// activations at the stage.
-    pub measured: i64,
-    /// The schedule's declared (and memory-charged) bound.
-    pub declared: i64,
-}
-
-impl StageOccupancy {
-    /// True when the run stayed within its certification.
-    pub fn sound(&self) -> bool {
-        self.measured <= self.declared
-    }
-}
-
-impl fmt::Display for StageOccupancy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vw{} stage {}: measured {} / declared {}",
-            self.vw, self.stage, self.measured, self.declared
-        )
-    }
-}
-
-/// One physical GPU's measured-vs-declared occupancy (co-located
-/// interleaved chunks summed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuOccupancy {
-    /// Virtual worker index.
-    pub vw: usize,
-    /// Physical GPU position within the VW (0-based).
-    pub gpu: usize,
-    /// Peak activation sets held across all of the GPU's co-located
-    /// stages simultaneously.
-    pub measured: i64,
-    /// Sum of the co-located stages' declared bounds.
-    pub declared: i64,
-}
-
-impl GpuOccupancy {
-    /// True when the run stayed within its certification.
-    pub fn sound(&self) -> bool {
-        self.measured <= self.declared
-    }
-}
-
-impl fmt::Display for GpuOccupancy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vw{} gpu {}: measured {} / declared {}",
-            self.vw, self.gpu, self.measured, self.declared
-        )
-    }
-}
-
-/// The full audit of one run.
+/// The full audit of one run: one [`OccupancyBound`] per stage and
+/// per physical GPU of every VW, VW by VW, each VW's stages in order
+/// and then its GPUs ([`declared_bounds`]), with `measured` set and no
+/// `structural` peak.
 #[derive(Debug, Clone)]
 pub struct OccupancyAudit {
-    /// Per executor stage, every `(vw, stage)` that ran tasks.
-    pub stages: Vec<StageOccupancy>,
-    /// Per physical GPU of every VW.
-    pub gpus: Vec<GpuOccupancy>,
+    /// The measured and declared triples.
+    pub bounds: Vec<OccupancyBound>,
 }
 
 impl OccupancyAudit {
@@ -211,90 +152,55 @@ impl OccupancyAudit {
         schedule: &Schedule,
         nm: usize,
     ) -> OccupancyAudit {
-        let colocated = schedule.colocated_stages();
         let peaks = &stats.peaks;
         assert_eq!(
             peaks.stages.len(),
             VirtualWorker::stage_offsets(vws)[vws.len()],
             "the audited VWs must be the run's"
         );
-        let mut measured_stages = peaks.stages.iter().copied();
-        let mut measured_gpus = peaks.gpus.iter().copied();
-        let mut stages = Vec::new();
-        let mut gpus = Vec::new();
+        let (mut stage_peaks, mut gpu_peaks) = (peaks.stages.iter(), peaks.gpus.iter());
+        let mut bounds = Vec::new();
         for (vwi, vw) in vws.iter().enumerate() {
             let k = vw.stages();
-            let physical = k / colocated;
-            for stage in 0..k {
-                stages.push(StageOccupancy {
-                    vw: vwi,
-                    stage,
-                    measured: measured_stages.next().expect("one peak per stage"),
-                    declared: schedule.max_in_flight(stage, k, nm) as i64,
-                });
-            }
-            for gpu in 0..physical {
-                let declared: i64 = (0..k)
-                    .filter(|s| s % physical == gpu)
-                    .map(|s| schedule.max_in_flight(s, k, nm) as i64)
-                    .sum();
-                gpus.push(GpuOccupancy {
-                    vw: vwi,
-                    gpu,
-                    measured: measured_gpus.next().expect("one peak per physical GPU"),
-                    declared,
-                });
+            let windows: Vec<i64> = (0..k)
+                .map(|s| schedule.max_in_flight(s, k, nm) as i64)
+                .collect();
+            for mut bound in declared_bounds(vwi, &windows, k / schedule.colocated_stages()) {
+                let peaks = match bound.entity {
+                    BoundEntity::Stage { .. } => &mut stage_peaks,
+                    BoundEntity::Gpu { .. } => &mut gpu_peaks,
+                };
+                bound.measured = Some(*peaks.next().expect("one peak per stage and GPU"));
+                bounds.push(bound);
             }
         }
-        OccupancyAudit { stages, gpus }
+        OccupancyAudit { bounds }
     }
 
     /// Every stage or GPU whose measured peak exceeds its declaration,
     /// rendered for reporting. Empty iff the run was sound.
     pub fn violations(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .stages
+        self.bounds
             .iter()
-            .filter(|s| !s.sound())
-            .map(|s| format!("stage occupancy violation: {s}"))
-            .collect();
-        v.extend(
-            self.gpus
-                .iter()
-                .filter(|g| !g.sound())
-                .map(|g| format!("gpu occupancy violation: {g}")),
-        );
-        v
+            .filter_map(OccupancyBound::violation)
+            .collect()
     }
 
     /// True when every measured peak is within its declaration.
     pub fn is_sound(&self) -> bool {
-        self.stages.iter().all(StageOccupancy::sound) && self.gpus.iter().all(GpuOccupancy::sound)
+        self.bounds.iter().all(OccupancyBound::is_sound)
     }
 
-    /// Folds the audit's measured peaks into matching
-    /// occupancy-bound triples by entity, completing the
+    /// Sets the audit's measured peak on each of `bounds` whose entity
+    /// the audit covers, completing the
     /// `measured ≤ structural ≤ declared` chain when the triples came
     /// from the static verifier's structural pass
     /// (`hetpipe_des::check_bounds` then judges all three at once).
     /// Entities the audit does not cover are left untouched.
-    pub fn merge_measured(&self, bounds: &mut [hetpipe_des::OccupancyBound]) {
-        use hetpipe_des::BoundEntity;
+    pub fn merge_measured(&self, bounds: &mut [OccupancyBound]) {
         for bound in bounds.iter_mut() {
-            let measured = match bound.entity {
-                BoundEntity::Stage { vw, stage } => self
-                    .stages
-                    .iter()
-                    .find(|s| s.vw == vw && s.stage == stage)
-                    .map(|s| s.measured),
-                BoundEntity::Gpu { vw, gpu } => self
-                    .gpus
-                    .iter()
-                    .find(|g| g.vw == vw && g.gpu == gpu)
-                    .map(|g| g.measured),
-            };
-            if let Some(measured) = measured {
-                bound.measured = Some(measured);
+            if let Some(audited) = self.bounds.iter().find(|b| b.entity == bound.entity) {
+                bound.measured = audited.measured;
             }
         }
     }

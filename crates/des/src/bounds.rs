@@ -16,8 +16,11 @@
 //! trace can never exceed what the op order permits, and the op order
 //! can never exceed what was certified. This module is the shared
 //! vocabulary for that chain — a plain data triple with the soundness
-//! and over-reservation predicates — so the dynamic audit and the
-//! static verifier compose without either depending on the other.
+//! and over-reservation predicates. The dynamic audit and the static
+//! verifier both record their peaks in it, both starting from the
+//! declared triples of [`declared_bounds`], so they share one entity
+//! order and one per-GPU sum and compose by entity without either
+//! depending on the other.
 
 use std::fmt;
 
@@ -131,6 +134,29 @@ impl fmt::Display for OccupancyBound {
     }
 }
 
+/// The declared triples of virtual worker `vw`: one per stage, its
+/// declared window `windows[stage]`, then one per physical GPU of
+/// `gpus`, GPU `g` declaring the sum over the stages it hosts
+/// (`stage % gpus == g`). `measured` and `structural` are left for the
+/// audit and the verifier to fill.
+pub fn declared_bounds(vw: usize, windows: &[i64], gpus: usize) -> Vec<OccupancyBound> {
+    let bound = |entity, declared| OccupancyBound {
+        entity,
+        measured: None,
+        structural: None,
+        declared,
+    };
+    let stages = windows
+        .iter()
+        .enumerate()
+        .map(|(stage, &w)| bound(BoundEntity::Stage { vw, stage }, w));
+    let gpus = (0..gpus).map(|gpu| {
+        let hosted = windows.iter().skip(gpu).step_by(gpus).sum();
+        bound(BoundEntity::Gpu { vw, gpu }, hosted)
+    });
+    stages.chain(gpus).collect()
+}
+
 /// Checks a batch of bounds, collecting every violation. `Ok` iff all
 /// triples are sound.
 pub fn check_bounds(bounds: &[OccupancyBound]) -> Result<(), Vec<String>> {
@@ -196,6 +222,20 @@ mod tests {
         let errs = check_bounds(&all).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(check_bounds(&all[..1]).is_ok());
+    }
+
+    #[test]
+    fn declared_bounds_sum_each_gpus_stages() {
+        // Two chunks on three GPUs: GPU g hosts stages g and g + 3.
+        let bounds = declared_bounds(1, &[6, 5, 4, 3, 2, 1], 3);
+        let entities: Vec<String> = bounds.iter().map(|b| b.entity.to_string()).collect();
+        assert_eq!(entities[..2], ["vw1 stage 0", "vw1 stage 1"]);
+        assert_eq!(entities[6..], ["vw1 gpu 0", "vw1 gpu 1", "vw1 gpu 2"]);
+        let declared: Vec<i64> = bounds.iter().map(|b| b.declared).collect();
+        assert_eq!(declared, [6, 5, 4, 3, 2, 1, 9, 7, 5]);
+        assert!(bounds
+            .iter()
+            .all(|b| b.measured.is_none() && b.structural.is_none()));
     }
 
     #[test]

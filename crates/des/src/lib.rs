@@ -31,7 +31,7 @@ pub mod resource;
 pub mod time;
 pub mod trace;
 
-pub use bounds::{check_bounds, BoundEntity, OccupancyBound};
+pub use bounds::{check_bounds, declared_bounds, BoundEntity, OccupancyBound};
 pub use engine::Engine;
 pub use event::EventQueue;
 pub use resource::{RateTimeline, Resource, ResourceId, ResourcePool};

@@ -17,12 +17,13 @@
 //!   virtual-stage chunks in Megatron-style chunk groups, each op
 //!   tagged with its stage. Schedules whose
 //!   [`PipelineSchedule::dispatch`] is `GpuStreamOrder` are executed
-//!   in this order; the per-stage streams remain as projections for
-//!   stage-local analyses.
+//!   in this order.
 //! - [`Lanes`] — the ordered op queues a virtual worker executes, one
 //!   per virtual stage or, for composite schedules, one per physical
 //!   GPU, as one owned value per virtual worker. The executor and
-//!   [`committed_queues`] both build them here.
+//!   [`committed_queues`] both build them here, and
+//!   [`validate_lanes`] checks the schedule contract on the same
+//!   lanes.
 //! - [`PipelineSchedule`] — the trait: op streams (per stage and,
 //!   for composite schedules, per GPU), the dispatch discipline, and
 //!   per-stage peak-memory accounting (in-flight activations and
@@ -60,6 +61,8 @@
 //!   `Nm` (the executor asserts this at construction). Its
 //!   completion-based occupancy books check every stage against the
 //!   declaration as the run goes.
+//! - The **lane check** ([`validate_lanes`]) holds every lane's
+//!   per-stage outstanding minibatches within the window, op by op.
 //! - The **trace audit** (`hetpipe-core`'s `OccupancyAudit`) measures
 //!   per-stage and per-GPU peak occupancy from the simulated span
 //!   trace and asserts measured ≤ declared as a first-class invariant
@@ -106,9 +109,9 @@ pub use extract::{
     committed_queues, ps_interaction_points, CommittedQueue, GatePoint, PsInteractions, PushPoint,
     QueueKind,
 };
-pub use lane::Lanes;
+pub use lane::{validate_lanes, Lanes};
 pub use ops::{Dispatch, GpuOp, ScheduleOp, StateWriter};
 pub use recompute::RecomputePolicy;
-pub use schedules::{validate_gpu_stream, validate_stream_with, PipelineSchedule, Schedule};
+pub use schedules::{PipelineSchedule, Schedule};
 pub use stream::{GpuStream, ScheduleStream};
 pub use wsp::{PushClocks, WspParams};

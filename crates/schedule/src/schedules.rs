@@ -19,7 +19,7 @@
 //!    [`PipelineSchedule::extra_weight_versions`] (weight copies pinned
 //!    by in-flight minibatches, the paper's `w_p` stashing).
 
-use crate::ops::{Dispatch, GpuOp, ScheduleOp};
+use crate::ops::Dispatch;
 use crate::recompute::RecomputePolicy;
 use crate::stream::{BasePattern, GpuStream, ScheduleStream, Timetable};
 use crate::wsp::WspParams;
@@ -47,18 +47,19 @@ pub trait PipelineSchedule {
     /// schedules multiply by their chunk count).
     fn virtual_stages(&self, k_gpus: usize) -> usize;
 
-    /// The infinite op stream of `stage` (0-based of `k`).
+    /// The infinite op stream of `stage` (0-based of `k`), which
+    /// [`crate::Lanes`] runs as that stage's lane.
     ///
     /// For schedules that dispatch per-GPU composite streams
-    /// ([`Dispatch::GpuStreamOrder`]) this is the per-stage
-    /// *projection* used by stage-local analyses; the executor
-    /// consumes the composite [`crate::Lanes`] instead.
+    /// ([`Dispatch::GpuStreamOrder`]) this is a per-stage projection
+    /// that nothing runs or checks: their lanes, and so the executor
+    /// and [`crate::validate_lanes`], use the composite streams.
     fn stream(&self, stage: usize, k: usize, wsp: WspParams) -> ScheduleStream;
 
     /// The composite per-GPU op streams of one virtual worker, one
     /// standalone stream per physical GPU (`k_gpus` of them): each an
     /// ordered timeline merging every co-located virtual-stage chunk,
-    /// each op tagged with its stage ([`GpuOp`]), and each replaying
+    /// each op tagged with its stage ([`crate::GpuOp`]), and each replaying
     /// the joint timetable for its GPU alone. The executor pulls the
     /// same sequences from one [`crate::Lanes`] per virtual worker.
     /// The schedule's per-stage checkpoint decisions
@@ -369,9 +370,8 @@ impl PipelineSchedule for Schedule {
             Schedule::HetPipeWave if stage == k - 1 => BasePattern::Fused,
             Schedule::FillDrain => BasePattern::FillDrain,
             // The wave's non-last stages, 1F1B, and interleaving over
-            // virtual stages. In the composite interleaved form this
-            // is the per-stage projection (the executor consumes the
-            // composite lanes), kept for stage-local analyses.
+            // virtual stages (for the composite form, the projection
+            // the trait docs describe).
             _ => BasePattern::Interleave {
                 warmup: self.max_in_flight(stage, k, wsp.nm) as u64,
             },
@@ -421,366 +421,10 @@ impl PipelineSchedule for Schedule {
     }
 }
 
-/// Checks the structural invariants of a stream prefix under a
-/// [`RecomputePolicy`] — the executable form of the paper's Section-4
-/// scheduling conditions at the schedule level:
-///
-/// 1. forwards appear in minibatch order with no gaps;
-/// 2. backwards appear in minibatch order with no gaps;
-/// 3. a minibatch's backward never precedes its forward (the
-///    stage-local form of "no activation used before produced");
-/// 4. fused ops appear only on the last stage, and only if the
-///    schedule fuses;
-/// 5. gates and pushes appear on stage 0 only, pushes strictly after
-///    the wave's last backward, gates before the gated forward;
-/// 6. at stages that checkpoint ([`PipelineSchedule::recomputes_at`] —
-///    the policy is on and the stage's window exceeds 1) every
-///    standalone backward is *immediately* preceded by a
-///    [`ScheduleOp::Recompute`] of the same minibatch (its forward
-///    already ran, its backward is next); at all other stages — fused
-///    last stages, window-1 stages, or any stage under `None` — no
-///    recompute op may appear at all.
-///
-/// Returns `Err` with a description of the first violation.
-pub fn validate_stream_with(
-    sched: Schedule,
-    stage: usize,
-    k: usize,
-    wsp: WspParams,
-    recompute: RecomputePolicy,
-    prefix_len: usize,
-) -> Result<(), String> {
-    // The per-stage effective policy: window-1 stages skip
-    // checkpointing (nothing to reclaim), so their streams carry no
-    // recompute ops even when the run-wide policy is on.
-    let recompute = if sched.recomputes_at(stage, k, wsp.nm, recompute) {
-        recompute
-    } else {
-        RecomputePolicy::None
-    };
-    let ops: Vec<ScheduleOp> = sched
-        .stream(stage, k, wsp)
-        .with_recompute(recompute)
-        .take(prefix_len)
-        .collect();
-    let mut next_fwd = 1u64;
-    let mut next_bwd = 1u64;
-    let mut in_flight = 0i64;
-    let mut peak = 0i64;
-    let mut pending_recompute: Option<u64> = None;
-    for (i, op) in ops.iter().enumerate() {
-        if pending_recompute.is_some() && !matches!(op, ScheduleOp::Backward { .. }) {
-            return Err(format!(
-                "{} stage {stage}: op {i} {op:?} intervenes between a recompute and its backward",
-                sched.name()
-            ));
-        }
-        match *op {
-            ScheduleOp::Recompute { mb } => {
-                if !recompute.is_on() {
-                    return Err(format!(
-                        "{} stage {stage}: recompute of {mb} with recomputation off",
-                        sched.name()
-                    ));
-                }
-                if mb != next_bwd || mb >= next_fwd {
-                    return Err(format!(
-                        "{} stage {stage}: recompute of {mb} out of place \
-                         (next backward {next_bwd}, next forward {next_fwd})",
-                        sched.name()
-                    ));
-                }
-                pending_recompute = Some(mb);
-            }
-            ScheduleOp::Forward { mb } | ScheduleOp::FusedFwdBwd { mb } => {
-                if mb != next_fwd {
-                    return Err(format!(
-                        "{} stage {stage}: op {i} forward mb {mb}, expected {next_fwd}",
-                        sched.name()
-                    ));
-                }
-                next_fwd += 1;
-                in_flight += 1;
-                peak = peak.max(in_flight);
-                if matches!(op, ScheduleOp::FusedFwdBwd { .. }) {
-                    if stage != k - 1 || !sched.fused_last_stage() {
-                        return Err(format!(
-                            "{} stage {stage}: fused op off the last stage",
-                            sched.name()
-                        ));
-                    }
-                    if mb != next_bwd {
-                        return Err(format!(
-                            "{} stage {stage}: fused backward out of order",
-                            sched.name()
-                        ));
-                    }
-                    next_bwd += 1;
-                    in_flight -= 1;
-                }
-            }
-            ScheduleOp::Backward { mb } => {
-                if mb != next_bwd {
-                    return Err(format!(
-                        "{} stage {stage}: op {i} backward mb {mb}, expected {next_bwd}",
-                        sched.name()
-                    ));
-                }
-                if mb >= next_fwd {
-                    return Err(format!(
-                        "{} stage {stage}: backward of {mb} before its forward",
-                        sched.name()
-                    ));
-                }
-                if recompute.is_on() && pending_recompute != Some(mb) {
-                    return Err(format!(
-                        "{} stage {stage}: backward of {mb} without its recompute",
-                        sched.name()
-                    ));
-                }
-                pending_recompute = None;
-                next_bwd += 1;
-                in_flight -= 1;
-            }
-            ScheduleOp::Push { wave } => {
-                if stage != 0 {
-                    return Err(format!("{}: push off stage 0", sched.name()));
-                }
-                if next_bwd <= wsp.last_of_wave(wave) {
-                    return Err(format!(
-                        "{}: push of wave {wave} before its last backward",
-                        sched.name()
-                    ));
-                }
-            }
-            ScheduleOp::PullGate { wave } => {
-                if stage != 0 {
-                    return Err(format!("{}: gate off stage 0", sched.name()));
-                }
-                // The gate must protect the next forward: it may not
-                // come later than required.
-                if let Some(req) = wsp.required_wave(next_fwd) {
-                    if req > wave {
-                        return Err(format!(
-                            "{}: gate {wave} too stale for forward {next_fwd} (needs {req})",
-                            sched.name()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // The declared memory bound must hold on the observed stream.
-    let declared = sched.max_in_flight(stage, k, wsp.nm) as i64;
-    if peak > declared {
-        return Err(format!(
-            "{} stage {stage}: observed in-flight {peak} exceeds declared {declared}",
-            sched.name()
-        ));
-    }
-    // Gates must actually precede every forward that needs them.
-    let mut visible = -1i64;
-    for op in &ops {
-        match *op {
-            ScheduleOp::PullGate { wave } => visible = visible.max(wave as i64),
-            ScheduleOp::Forward { mb } | ScheduleOp::FusedFwdBwd { mb } if stage == 0 => {
-                if let Some(req) = wsp.required_wave(mb) {
-                    if (req as i64) > visible {
-                        return Err(format!(
-                            "{}: forward {mb} ungated (needs wave {req}, gated {visible})",
-                            sched.name()
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Checks the structural invariants of a *composite per-GPU* stream
-/// prefix — the per-GPU form of the Section-4 conditions plus the
-/// chunk-group contract:
-///
-/// 1. every op's stage belongs to this GPU (`stage % GPUs == gpu`,
-///    `stage < chunks × GPUs`);
-/// 2. per stage: forwards in minibatch order with no gaps, backwards
-///    likewise, no backward before its forward;
-/// 3. per stage: structural occupancy (forwards emitted − backwards
-///    emitted) never exceeds the declared
-///    [`PipelineSchedule::max_in_flight`] — the charge the memory
-///    model certifies;
-/// 4. recompute ops appear exactly where
-///    [`PipelineSchedule::recomputes_at`] says, immediately before
-///    their backward;
-/// 5. wave bookkeeping decorates virtual stage 0 only (so only GPU
-///    0's stream), pushes strictly after the wave's last backward,
-///    gates before the gated forward.
-///
-/// Returns `Err` with a description of the first violation, or if the
-/// schedule declares no composite stream for this GPU.
-pub fn validate_gpu_stream(
-    sched: Schedule,
-    gpu: usize,
-    k_gpus: usize,
-    wsp: WspParams,
-    recompute: RecomputePolicy,
-    prefix_len: usize,
-) -> Result<(), String> {
-    let Some(stream) = sched
-        .gpu_streams_with(k_gpus, wsp, recompute)
-        .and_then(|set| set.into_iter().nth(gpu))
-    else {
-        return Err(format!(
-            "{} declares no composite stream for gpu {gpu}",
-            sched.name()
-        ));
-    };
-    let k = sched.virtual_stages(k_gpus);
-    let ops: Vec<GpuOp> = stream.take(prefix_len).collect();
-    let mut next_fwd = vec![1u64; k];
-    let mut next_bwd = vec![1u64; k];
-    let mut pending_recompute: Option<(usize, u64)> = None;
-    let mut visible = -1i64;
-    for (i, gop) in ops.iter().enumerate() {
-        let stage = gop.stage;
-        if stage >= k || stage % k_gpus != gpu {
-            return Err(format!(
-                "{} gpu {gpu}: op {i} {gop:?} carries a foreign stage",
-                sched.name()
-            ));
-        }
-        if let Some((ps, pm)) = pending_recompute {
-            if gop.op != (ScheduleOp::Backward { mb: pm }) || stage != ps {
-                return Err(format!(
-                    "{} gpu {gpu}: op {i} {gop:?} intervenes between a recompute \
-                     and its backward (stage {ps} mb {pm})",
-                    sched.name()
-                ));
-            }
-        }
-        match gop.op {
-            ScheduleOp::Forward { mb } => {
-                if mb != next_fwd[stage] {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: forward mb {mb}, expected {}",
-                        sched.name(),
-                        next_fwd[stage]
-                    ));
-                }
-                if stage == 0 {
-                    if let Some(req) = wsp.required_wave(mb) {
-                        if req as i64 > visible {
-                            return Err(format!(
-                                "{}: forward {mb} ungated (needs wave {req}, gated {visible})",
-                                sched.name()
-                            ));
-                        }
-                    }
-                }
-                next_fwd[stage] += 1;
-                let outstanding = next_fwd[stage] - next_bwd[stage];
-                let declared = sched.max_in_flight(stage, k, wsp.nm) as u64;
-                if outstanding > declared {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: structural occupancy {outstanding} \
-                         exceeds declared {declared}",
-                        sched.name()
-                    ));
-                }
-            }
-            ScheduleOp::Backward { mb } => {
-                if mb != next_bwd[stage] {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: backward mb {mb}, expected {}",
-                        sched.name(),
-                        next_bwd[stage]
-                    ));
-                }
-                if mb >= next_fwd[stage] {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: backward of {mb} before its forward",
-                        sched.name()
-                    ));
-                }
-                if sched.recomputes_at(stage, k, wsp.nm, recompute)
-                    && pending_recompute != Some((stage, mb))
-                {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: backward of {mb} without its recompute",
-                        sched.name()
-                    ));
-                }
-                pending_recompute = None;
-                next_bwd[stage] += 1;
-            }
-            ScheduleOp::Recompute { mb } => {
-                if !sched.recomputes_at(stage, k, wsp.nm, recompute) {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: recompute of {mb} at a stage \
-                         that must not checkpoint",
-                        sched.name()
-                    ));
-                }
-                if mb != next_bwd[stage] || mb >= next_fwd[stage] {
-                    return Err(format!(
-                        "{} gpu {gpu} stage {stage}: recompute of {mb} out of place",
-                        sched.name()
-                    ));
-                }
-                pending_recompute = Some((stage, mb));
-            }
-            ScheduleOp::FusedFwdBwd { .. } => {
-                return Err(format!(
-                    "{} gpu {gpu}: composite streams never fuse (op {i})",
-                    sched.name()
-                ));
-            }
-            ScheduleOp::Push { wave } => {
-                if stage != 0 {
-                    return Err(format!("{}: push off stage 0", sched.name()));
-                }
-                if next_bwd[0] <= wsp.last_of_wave(wave) {
-                    return Err(format!(
-                        "{}: push of wave {wave} before its last backward",
-                        sched.name()
-                    ));
-                }
-            }
-            ScheduleOp::PullGate { wave } => {
-                if stage != 0 {
-                    return Err(format!("{}: gate off stage 0", sched.name()));
-                }
-                visible = visible.max(wave as i64);
-                if let Some(req) = wsp.required_wave(next_fwd[0]) {
-                    if req > wave {
-                        return Err(format!(
-                            "{}: gate {wave} too stale for forward {} (needs {req})",
-                            sched.name(),
-                            next_fwd[0]
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Every chunk of this GPU must actually appear in the prefix.
-    for c in 0..sched.colocated_stages() {
-        let stage = c * k_gpus + gpu;
-        if next_fwd[stage] == 1 {
-            return Err(format!(
-                "{} gpu {gpu}: chunk {c} (stage {stage}) emitted no work in {prefix_len} ops",
-                sched.name()
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{GpuOp, ScheduleOp};
 
     fn interleaved(chunks: usize, composite: bool) -> Schedule {
         Schedule::Interleaved1F1B { chunks, composite }
@@ -792,28 +436,6 @@ mod tests {
             .gpu_streams_with(k_gpus, wsp, RecomputePolicy::None)
             .expect("composite stream")
             .swap_remove(gpu)
-    }
-
-    #[test]
-    fn all_streams_satisfy_invariants() {
-        for sched in Schedule::ALL {
-            for k_gpus in [1usize, 2, 4] {
-                let k = sched.virtual_stages(k_gpus);
-                for nm in [1usize, 2, 4, 7] {
-                    for d in [0usize, 2] {
-                        let wsp = WspParams::new(nm, d);
-                        for recompute in RecomputePolicy::ALL {
-                            for stage in 0..k {
-                                validate_stream_with(sched, stage, k, wsp, recompute, 300)
-                                    .unwrap_or_else(|e| {
-                                        panic!("{e} (k_gpus={k_gpus} nm={nm} d={d} {recompute})")
-                                    });
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -975,34 +597,6 @@ mod tests {
         assert_eq!(Schedule::OneFOneB.dispatch(), Dispatch::StreamOrder);
         assert_eq!(interleaved(2, true).dispatch(), Dispatch::GpuStreamOrder);
         assert_eq!(interleaved(2, false).dispatch(), Dispatch::StreamOrder);
-    }
-
-    #[test]
-    fn composite_streams_satisfy_invariants_across_grid() {
-        // The per-GPU stream contract, checked over a wider grid than
-        // any simulation covers: per-stage order, declared occupancy,
-        // recompute placement, and wave decorations on GPU 0 only.
-        for chunks in [1usize, 2, 3] {
-            for k_gpus in [1usize, 2, 4] {
-                let sched = interleaved(chunks, true);
-                for nm in [1usize, 2, 4, 7] {
-                    for d in [0usize, 2] {
-                        let wsp = WspParams::new(nm, d);
-                        for recompute in RecomputePolicy::ALL {
-                            for gpu in 0..k_gpus {
-                                validate_gpu_stream(sched, gpu, k_gpus, wsp, recompute, 400)
-                                    .unwrap_or_else(|e| {
-                                        panic!(
-                                            "{e} (chunks={chunks} k_gpus={k_gpus} \
-                                             nm={nm} d={d} {recompute})"
-                                        )
-                                    });
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

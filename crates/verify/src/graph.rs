@@ -59,7 +59,7 @@
 //! chain of [`hetpipe_des::OccupancyBound`], plus over-reservation
 //! lints where `declared > 2 × structural`.
 
-use hetpipe_des::{BoundEntity, OccupancyBound};
+use hetpipe_des::{declared_bounds, BoundEntity, OccupancyBound};
 use hetpipe_schedule::{
     committed_queues, CommittedQueue, Dispatch, PipelineSchedule, RecomputePolicy, Schedule,
     ScheduleOp, WspParams,
@@ -581,37 +581,24 @@ pub fn structural_occupancy(
             .collect(),
     };
 
-    let mut bounds: Vec<OccupancyBound> = (0..k)
-        .map(|stage| OccupancyBound {
-            entity: BoundEntity::Stage { vw: 0, stage },
-            measured: None,
-            structural: Some(stage_peak[stage]),
-            declared: declared[stage],
-        })
-        .collect();
-
-    for gpu in 0..k_gpus {
-        let colocated: Vec<usize> = (0..k).filter(|s| s % k_gpus == gpu).collect();
-        let gpu_declared: i64 = colocated.iter().map(|&s| declared[s]).sum();
-        let gpu_structural = match sched.dispatch() {
-            Dispatch::ArrivalFifo => gpu_declared,
-            // The composite queue commits the joint interleaving of
-            // co-located stages, so the joint walk is exact.
-            Dispatch::GpuStreamOrder => queues
-                .iter()
-                .map(|q| walk_peak(q.ops.iter(), |stage| stage % k_gpus == gpu))
-                .max()
-                .unwrap_or(0),
-            // Depth-expanded stream-order: co-located stage streams
-            // merge in arrival order, so the sum of stage peaks is the
-            // (conservative) structural bound.
-            Dispatch::StreamOrder => colocated.iter().map(|&s| stage_peak[s]).sum(),
-        };
-        bounds.push(OccupancyBound {
-            entity: BoundEntity::Gpu { vw: 0, gpu },
-            measured: None,
-            structural: Some(gpu_structural),
-            declared: gpu_declared,
+    let mut bounds = declared_bounds(0, &declared, k_gpus);
+    for bound in &mut bounds {
+        bound.structural = Some(match bound.entity {
+            BoundEntity::Stage { stage, .. } => stage_peak[stage],
+            BoundEntity::Gpu { gpu, .. } => match sched.dispatch() {
+                Dispatch::ArrivalFifo => bound.declared,
+                // The composite queue commits the joint interleaving of
+                // co-located stages, so the joint walk is exact.
+                Dispatch::GpuStreamOrder => queues
+                    .iter()
+                    .map(|q| walk_peak(q.ops.iter(), |stage| stage % k_gpus == gpu))
+                    .max()
+                    .unwrap_or(0),
+                // Depth-expanded stream-order: co-located stage streams
+                // merge in arrival order, so the sum of stage peaks is
+                // the (conservative) structural bound.
+                Dispatch::StreamOrder => stage_peak.iter().skip(gpu).step_by(k_gpus).sum(),
+            },
         });
     }
 

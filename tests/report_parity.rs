@@ -18,7 +18,6 @@
 //! trace) and is evidence, not proof, for other configurations.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
-use hetpipe::core::audit::{GpuOccupancy, StageOccupancy};
 use hetpipe::core::exec::{
     self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag, VwStats,
 };
@@ -27,7 +26,9 @@ use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
     SystemReport, VirtualWorker, WspParams,
 };
-use hetpipe::des::{peak_of_events, Discard, ResourceId, ResourcePool, SimTime, Trace};
+use hetpipe::des::{
+    declared_bounds, peak_of_events, BoundEntity, Discard, ResourceId, ResourcePool, SimTime, Trace,
+};
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::PipelineSchedule;
 use rand::rngs::SmallRng;
@@ -143,32 +144,21 @@ fn naive_audit(
     let peak = |evs: &mut BTreeMap<(usize, usize), Vec<(SimTime, i64)>>, key| {
         evs.remove(&key).map_or(0, peak_of_events)
     };
-    let mut stages = Vec::new();
-    let mut gpus = Vec::new();
+    let mut bounds = Vec::new();
     for (vwi, vw) in vws.iter().enumerate() {
         let k = vw.stages();
-        let physical = k / colocated;
-        for stage in 0..k {
-            stages.push(StageOccupancy {
-                vw: vwi,
-                stage,
-                measured: peak(&mut stage_evs, (vwi, stage)),
-                declared: schedule.max_in_flight(stage, k, nm) as i64,
+        let windows: Vec<i64> = (0..k)
+            .map(|s| schedule.max_in_flight(s, k, nm) as i64)
+            .collect();
+        for mut bound in declared_bounds(vwi, &windows, k / colocated) {
+            bound.measured = Some(match bound.entity {
+                BoundEntity::Stage { vw, stage } => peak(&mut stage_evs, (vw, stage)),
+                BoundEntity::Gpu { vw, gpu } => peak(&mut gpu_evs, (vw, gpu)),
             });
-        }
-        for gpu in 0..physical {
-            gpus.push(GpuOccupancy {
-                vw: vwi,
-                gpu,
-                measured: peak(&mut gpu_evs, (vwi, gpu)),
-                declared: (0..k)
-                    .filter(|s| s % physical == gpu)
-                    .map(|s| schedule.max_in_flight(s, k, nm) as i64)
-                    .sum(),
-            });
+            bounds.push(bound);
         }
     }
-    OccupancyAudit { stages, gpus }
+    OccupancyAudit { bounds }
 }
 
 fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
@@ -353,10 +343,14 @@ impl Run {
         }
         let want_audit = naive_audit(&kept, &vws, &self.schedule, self.nm);
         let got = OccupancyAudit::measure(&kept, &vws, &self.schedule, self.nm);
-        assert_eq!(got.stages, want_audit.stages, "{label}: stage peaks");
-        assert_eq!(got.gpus, want_audit.gpus, "{label}: gpu peaks");
+        assert_eq!(
+            got.bounds, want_audit.bounds,
+            "{label}: stage and gpu peaks"
+        );
         assert!(
-            got.stages.iter().any(|s| s.measured > 1),
+            got.bounds
+                .iter()
+                .any(|b| matches!(b.entity, BoundEntity::Stage { .. }) && b.measured > Some(1)),
             "{label}: no stage ever held two activation sets"
         );
 
@@ -370,8 +364,10 @@ impl Run {
             let want = naive_report(&kept, cluster, 32, warmup, &devices);
             assert_reports_identical(&label, &got, &want);
             let audit = OccupancyAudit::measure(&untraced, &vws, &self.schedule, self.nm);
-            assert_eq!(audit.stages, want_audit.stages, "{label}: stage peaks");
-            assert_eq!(audit.gpus, want_audit.gpus, "{label}: gpu peaks");
+            assert_eq!(
+                audit.bounds, want_audit.bounds,
+                "{label}: stage and gpu peaks"
+            );
         }
 
         let report = SystemReport::from_stats(&kept, cluster, 32, SimTime::ZERO, &devices);

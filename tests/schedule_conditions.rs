@@ -18,7 +18,7 @@ use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy, Schedule,
     SystemConfig, VirtualWorker,
 };
-use hetpipe::des::SimTime;
+use hetpipe::des::{BoundEntity, OccupancyBound, SimTime};
 use hetpipe::schedule::PipelineSchedule;
 use std::collections::HashMap;
 
@@ -229,19 +229,40 @@ fn per_stage_occupancy_matches_declared_memory_accounting() {
             // The audit must have measured real work, not an empty
             // trace: every non-last stage saw at least 1 in flight,
             // and stage 0 actually pipelined.
-            assert_eq!(audit.stages.len(), stages, "{schedule}");
-            for s in &audit.stages {
-                if s.stage + 1 < stages {
-                    assert!(s.measured >= 1, "{schedule}: {s} measured no work");
-                }
+            let (stage_bounds, gpu_bounds): (Vec<&OccupancyBound>, Vec<_>) = audit
+                .bounds
+                .iter()
+                .partition(|b| matches!(b.entity, BoundEntity::Stage { .. }));
+            assert_eq!(stage_bounds.len(), stages, "{schedule}");
+            for b in &stage_bounds[..stages - 1] {
+                assert!(b.measured >= Some(1), "{schedule}: {b} measured no work");
             }
             assert!(
-                audit.stages[0].measured >= 2,
+                stage_bounds[0].measured >= Some(2),
                 "{schedule}: stage 0 never overlapped minibatches"
             );
-            assert!(!audit.gpus.is_empty(), "{schedule}");
+            assert!(!gpu_bounds.is_empty(), "{schedule}");
         }
     }
+}
+
+#[test]
+fn audit_refutes_peaks_beyond_the_declared_windows() {
+    // The audit's negative control: fill-drain holds the whole wave at
+    // every stage, so its peaks judged against 1F1B's windows on the
+    // same VWs (min(Nm, k − stage), shrinking with depth) must break
+    // the deep stages' declarations.
+    let (stats, stages, vws) = single_vw_run(Schedule::FillDrain, RecomputePolicy::None);
+    let audit = OccupancyAudit::measure(&stats, &vws, &Schedule::OneFOneB, NM);
+    assert!(!audit.is_sound(), "an audit that accepts everything");
+    let deepest = format!("vw0 stage {}: measured peak", stages - 1);
+    let violations = audit.violations();
+    assert!(
+        violations.iter().any(|v| v.starts_with(&deepest)),
+        "no deep-stage violation: {violations:?}"
+    );
+    // Against fill-drain's own windows the same peaks are sound.
+    OccupancyAudit::measure(&stats, &vws, &Schedule::FillDrain, NM).assert_sound("fill-drain");
 }
 
 #[test]
@@ -383,19 +404,27 @@ fn first_stage_holds_up_to_nm_in_flight() {
 
 #[test]
 fn static_streams_satisfy_their_own_invariants() {
-    // The schedule-level counterpart of the trace checks above, over a
-    // wider (k, Nm, D) grid than a simulation can cover.
+    // The schedule-level counterpart of the trace checks above: every
+    // lane the executor would run, over a wider (k, Nm, D) grid than a
+    // simulation can cover.
     use hetpipe::core::WspParams;
-    use hetpipe::schedule::validate_stream_with;
-    for schedule in all_schedules() {
+    use hetpipe::schedule::validate_lanes;
+    let composite = |chunks| Schedule::Interleaved1F1B {
+        chunks,
+        composite: true,
+    };
+    let schedules = all_schedules()
+        .into_iter()
+        .chain([composite(1), composite(3)]);
+    for schedule in schedules {
         for k_gpus in [1usize, 2, 4, 6] {
-            let k = schedule.virtual_stages(k_gpus);
-            for nm in [1usize, 3, 4, 8] {
-                for d in [0usize, 1, 4] {
+            for nm in [1usize, 2, 3, 4, 7, 8] {
+                for d in [0usize, 1, 2, 4] {
                     let wsp = WspParams::new(nm, d);
-                    for stage in 0..k {
-                        validate_stream_with(schedule, stage, k, wsp, RecomputePolicy::None, 400)
-                            .unwrap_or_else(|e| panic!("{e} (k_gpus={k_gpus} nm={nm} d={d})"));
+                    for recompute in RecomputePolicy::ALL {
+                        validate_lanes(schedule, k_gpus, wsp, recompute, 400).unwrap_or_else(|e| {
+                            panic!("{e} (k_gpus={k_gpus} nm={nm} d={d} {recompute})")
+                        });
                     }
                 }
             }
