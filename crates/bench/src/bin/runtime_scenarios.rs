@@ -233,8 +233,10 @@ fn main() {
     // ---- 2 + 3 + 6. Seeded chaos sweep under Replan. ----
     let hysteresis = MonitorConfig::default().lease_hysteresis_secs;
     // Events of the drained epochs, and those their commits simulated
-    // again.
+    // again; events of every committed epoch, and every event the
+    // runs simulated.
     let (mut drained, mut resimulated) = (0u64, 0u64);
+    let (mut committed, mut simulated) = (0u64, 0u64);
     for seed in 1..=seeds {
         let script = ScenarioScript::chaos(seed, horizon_secs, 4, 1, 3);
         let events = script.events.len();
@@ -243,6 +245,8 @@ fn main() {
             drained += epoch.events;
             resimulated += epoch.resimulated;
         }
+        committed += report.epochs.iter().map(|e| e.events).sum::<u64>();
+        simulated += report.simulated_events;
         let cell = format!("{}/replan", script.name);
         if report.total_completed() == 0 {
             gate.failures
@@ -284,6 +288,7 @@ fn main() {
         );
     }
 
+    println!("Chaos sweep: {simulated} DES events simulated for {committed} in committed epochs");
     println!(
         "Chaos drains: {drained} DES events in drained epochs, {resimulated} simulated \
          again from wave checkpoints ({:.1}%; gate: under 10%)",

@@ -84,7 +84,10 @@
 //! A probe that runs through [`run_into_checkpointed`] also saves wave
 //! checkpoints (the `checkpoint` module), and [`resume_into`] commits a
 //! drain of the same segment from one of them, bit for bit the drain
-//! run from the start (`tests/drain_checkpoints.rs`).
+//! run from the start (`tests/drain_checkpoints.rs`). The probe's judge
+//! may also drain it in place ([`Verdict::Drain`]): it sets its stop
+//! point at a wave boundary no stop query has passed and runs on as
+//! that drain.
 //!
 //! The executor is a plan, fixed when the run starts, and one owned
 //! state the handler mutates. A checkpoint clones the state;
@@ -115,25 +118,29 @@ use std::collections::{BTreeMap, VecDeque};
 
 mod checkpoint;
 pub(crate) mod fastforward;
-pub use checkpoint::{resume_into, run_into_checkpointed, Checkpoint, Checkpoints};
+pub use checkpoint::{
+    resume_into, run_into_checkpointed, Checkpoint, Checkpoints, Progress, Verdict,
+};
 pub use fastforward::FastForward;
 
-/// What a recorded span represents.
+/// What a recorded span represents. Virtual worker and stage indices
+/// are `u16` (every run asserts that its virtual workers and their
+/// stages fit), so a tag takes 16 bytes and a kept span 40.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanTag {
     /// A forward pass of `mb` on `(vw, stage)`.
-    Forward { vw: u32, stage: u32, mb: u64 },
+    Forward { vw: u16, stage: u16, mb: u64 },
     /// A backward pass (or the fused forward+backward at the last
     /// stage).
-    Backward { vw: u32, stage: u32, mb: u64 },
+    Backward { vw: u16, stage: u16, mb: u64 },
     /// A stage-local re-run of `mb`'s forward to rematerialize its
     /// activations directly before the backward
     /// ([`RecomputePolicy::BoundaryOnly`]).
-    Recompute { vw: u32, stage: u32, mb: u64 },
+    Recompute { vw: u16, stage: u16, mb: u64 },
     /// An activation (forward) or gradient (backward) transfer on a NIC.
-    ActTransfer { vw: u32, stage: u32, backward: bool },
+    ActTransfer { vw: u16, stage: u16, backward: bool },
     /// A parameter push/pull chunk on a NIC.
-    SyncTransfer { vw: u32, wave: u64, pull: bool },
+    SyncTransfer { vw: u16, wave: u64, pull: bool },
 }
 
 impl SpanTag {
@@ -516,6 +523,11 @@ impl<'a> Plan<'a> {
                 p.wsp.nm
             );
         }
+        // Span tags hold VW and stage indices as `u16`.
+        assert!(
+            p.vws.len() <= 1 << 16 && p.vws.iter().all(|vw| vw.stages() <= 1 << 16),
+            "span tags index at most 2^16 virtual workers and stages per worker"
+        );
         let cluster = p.cluster;
         let devices = cluster.device_count();
         let gpu_res = (0..devices).map(ResourceId).collect();
@@ -1130,7 +1142,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     fn reserve_compute(&mut self, vw: usize, stage: usize, op: ScheduleOp) {
         let (fwd, bwd) = (self.plan.fwd[vw][stage], self.plan.bwd[vw][stage]);
         let (dur, tag) = {
-            let (vw, stage) = (vw as u32, stage as u32);
+            let (vw, stage) = (vw as u16, stage as u16);
             match op {
                 ScheduleOp::Forward { mb } => (fwd, SpanTag::Forward { vw, stage, mb }),
                 ScheduleOp::Recompute { mb } => (fwd, SpanTag::Recompute { vw, stage, mb }),
@@ -1166,9 +1178,10 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         // A recompute is a stage-local forward re-run: nothing waits on
         // it, since its backward is reserved right behind it on the
         // same FIFO timeline.
+        let (vw, stage) = (vw as u32, stage as u32);
         let done = match tag {
-            SpanTag::Forward { vw, stage, mb } => Ev::FwdDone { vw, stage, mb },
-            SpanTag::Backward { vw, stage, mb } => Ev::BwdDone { vw, stage, mb },
+            SpanTag::Forward { mb, .. } => Ev::FwdDone { vw, stage, mb },
+            SpanTag::Backward { mb, .. } => Ev::BwdDone { vw, stage, mb },
             _ => return,
         };
         self.st.engine.schedule_at(e, done);
@@ -1185,14 +1198,13 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             (stage + 1, p.graph.boundary_bytes(range.end - 1))
         };
         let (from, to) = (self.node_of(vw, stage), self.node_of(vw, next));
-        let (vw, stage) = (vw as u32, stage as u32);
         let tag = SpanTag::ActTransfer {
-            vw,
-            stage,
+            vw: vw as u16,
+            stage: stage as u16,
             backward,
         };
         let arrive = self.transfer(from, to, bytes, tag);
-        let stage = next as u32;
+        let (vw, stage) = (vw as u32, next as u32);
         let ev = if backward {
             Ev::BwdArrive { vw, stage, mb }
         } else {
@@ -1231,9 +1243,13 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             } else {
                 (ch.gpu_node, ch.shard_node)
             };
+            let tag = SpanTag::SyncTransfer {
+                vw: vw as u16,
+                wave,
+                pull,
+            };
+            let arrive = self.transfer(from, to, ch.bytes, tag);
             let vw = vw as u32;
-            let arrive =
-                self.transfer(from, to, ch.bytes, SpanTag::SyncTransfer { vw, wave, pull });
             let done = if pull {
                 Ev::PullChunkDone { vw }
             } else {
@@ -1624,6 +1640,15 @@ mod tests {
     fn run_default(groups: &[Vec<DeviceId>], nm: usize, schedule: Schedule, secs: f64) -> RunStats {
         let (wsp, opts) = (WspParams::new(nm, 0), SegmentOpts::default());
         run_groups(groups, wsp, Placement::Default, schedule, opts, secs)
+    }
+
+    /// A kept span is 40 bytes: its tag's `u16` indices pack beside
+    /// the minibatch or wave number into 16.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn kept_spans_are_forty_bytes() {
+        assert_eq!(std::mem::size_of::<SpanTag>(), 16);
+        assert_eq!(std::mem::size_of::<hetpipe_des::Span<SpanTag>>(), 40);
     }
 
     #[test]

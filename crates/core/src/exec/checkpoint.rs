@@ -31,6 +31,16 @@
 //! stays) and the spacing doubles. So a probe keeps a bounded number of
 //! checkpoints however long it runs, spread over the whole run.
 //!
+//! **Draining in place.** The same argument lets a probe become its
+//! own drain. When its judge answers [`Verdict::Drain`], the run sets
+//! its stop point to a wave boundary at or past `State::queried` and
+//! runs on. No stop query has yet tested a minibatch past that stop,
+//! so the state is the one the drain run from the segment start
+//! reaches after the same events, and the rest of the run is that
+//! drain. The stop point is set once, and no checkpoint is taken after
+//! it. A judge that answers [`Verdict::Halt`] stops the run instead,
+//! and the caller commits a drain from a checkpoint.
+//!
 //! A checkpointed run simulates every event: fast-forward would skip
 //! the stop queries a checkpoint's validity rests on.
 
@@ -163,21 +173,62 @@ impl Checkpoints {
     }
 }
 
+/// Where a checkpointed run stands after an event: what its judge
+/// reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progress {
+    /// The instant of the event just handled.
+    pub now: SimTime,
+    /// The instant of the next event, capped at the horizon: the state
+    /// stands as it is over `[now, until)`.
+    pub until: SimTime,
+    /// Whole waves every virtual worker has completed.
+    pub waves: u64,
+    /// The newest minibatch any stop query has tested: a drain in place
+    /// may stop at any wave boundary at or past it.
+    pub queried: u64,
+}
+
+/// What a checkpointed run does after a judgement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Run on.
+    Run,
+    /// Drain in place: stop after minibatch `stop`, a wave boundary at
+    /// or past [`Progress::queried`], and run on until the drain ends.
+    /// The rest of the run is the drain run with that stop point from
+    /// the segment start (see the module docs). The judge is not asked
+    /// again.
+    Drain {
+        /// The stop point.
+        stop: u64,
+    },
+    /// Stop the run now; a drain from one of its checkpoints
+    /// ([`resume_into`]) commits the segment instead.
+    Halt,
+}
+
 /// [`run_into`](super::run_into) for a probe: simulates the segment to
 /// `horizon` with no stop point, and also returns the wave checkpoints
 /// it saved on the way, from which [`resume_into`] commits a drain at
 /// any wave boundary without re-running the segment from its start.
 /// Simulates every event (no fast-forward).
 ///
+/// After each event `judge` reads the run's [`Progress`] and its sink,
+/// and its [`Verdict`] may drain the run in place or halt it. A judge
+/// that always answers [`Verdict::Run`] leaves the run to the horizon.
+///
 /// # Panics
 ///
-/// Panics if `opts` sets a stop point.
+/// Panics if `opts` sets a stop point, or if a drain verdict's stop
+/// point is off a wave boundary or below [`Progress::queried`].
 pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
     opts: SegmentOpts,
     horizon: SimTime,
     sink: S,
     warmup: Option<SimTime>,
+    mut judge: impl FnMut(Progress, &S) -> Verdict,
 ) -> (RunStats, S, Option<SystemReport>, Checkpoints) {
     assert!(
         opts.stop_after_mb.is_none(),
@@ -185,9 +236,35 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     );
     let mut ex = Exec::new(Plan::new(params, opts, horizon), warmup, sink);
     let mut checkpoints = Checkpoints::start(&ex, warmup);
+    let nm = ex.plan.p.wsp.nm as u64;
+    let mut judging = true;
     while let Some(ev) = ex.st.engine.next_event_until(horizon) {
         ex.handle(ev);
+        if !judging {
+            continue;
+        }
         checkpoints.after_event(&ex);
+        let engine = &ex.st.engine;
+        let progress = Progress {
+            now: engine.now(),
+            until: engine.next_time().map_or(horizon, |t| t.min(horizon)),
+            waves: ex.st.states.iter().map(|s| s.completed).min().unwrap_or(0) / nm,
+            queried: ex.st.queried,
+        };
+        match judge(progress, &ex.sink) {
+            Verdict::Run => {}
+            Verdict::Drain { stop } => {
+                assert!(
+                    stop.is_multiple_of(nm) && stop >= ex.st.queried,
+                    "a drain in place stops at a wave boundary at or past minibatch {} \
+                     (stop {stop}, Nm {nm})",
+                    ex.st.queried
+                );
+                ex.plan.opts.stop_after_mb = Some(stop);
+                judging = false;
+            }
+            Verdict::Halt => break,
+        }
     }
     let (stats, sink, report) = ex.finish();
     (stats, sink, report, checkpoints)

@@ -64,6 +64,11 @@ impl<E> Engine<E> {
         self.processed
     }
 
+    /// The instant of the next queued event, if any.
+    pub fn next_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Number of events still queued.
     pub fn pending(&self) -> usize {
         self.queue.len()

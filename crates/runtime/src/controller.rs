@@ -12,35 +12,50 @@
 //!    trace of its own. The probe also saves wave checkpoints, clones
 //!    of its executor state ([`exec::run_into_checkpointed`]).
 //! 2. **Observe.** While the probe runs, the same sink folds each span
-//!    into a [`MonitorFold`] (segment-local times, before rebasing);
-//!    at the probe's end the fold yields typed signals.
-//! 3. **React (policy).** If the policy answers a signal, pick the
-//!    first wave boundary at/after the detection instant and commit
-//!    the segment *drained* there ([`SegmentOpts::stop_after_mb`]) as
-//!    an **epoch**: take the probe's latest checkpoint whose stop
-//!    queries have not passed the boundary ([`Checkpoints::for_stop`]),
-//!    cut the report's trace back to the spans the probe recorded
-//!    before it ([`Trace::truncate`], the only cut), and resume the
-//!    drain from there ([`exec::resume_into`]) under the probe's own
-//!    rates, reorder window and horizon. Up to the checkpoint the
-//!    drain is the probe, so the epoch equals a drain run from the
-//!    segment start bit for bit, and only the tail past the checkpoint
-//!    is simulated again ([`Epoch::resimulated`]). Then apply the
-//!    action and continue from the splice. If nothing is actionable,
-//!    the probe — already recorded — is the final epoch, so a
-//!    zero-fault run under any policy commits exactly the trace a
-//!    plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//!    into a [`MonitorFold`] (segment-local times, before rebasing),
+//!    and the probe's judge reads the fold's typed signals at each
+//!    judgement instant (below).
+//! 3. **React (policy).** At the first judgement the policy answers,
+//!    the probe becomes the epoch the reaction commits, drained at a
+//!    wave boundary ([`SegmentOpts::stop_after_mb`]):
+//!    - **in place**, for a straggler, a recovery, a lease grant or a
+//!      reorder: the probe sets its own stop point to the first wave
+//!      boundary no stop query has passed yet ([`Verdict::Drain`]) and
+//!      runs on until the drain ends. Up to then it was the drain run
+//!      from the segment start, so the probe *is* that drain, bit for
+//!      bit, and nothing is simulated twice;
+//!    - **at an outage**, for a lost GPU or a lease preemption: the
+//!      dead GPU's in-flight tasks end only when the outage lifts, so
+//!      the probe halts ([`Verdict::Halt`]) and the epoch drains at the
+//!      last wave boundary every VW had completed. It resumes from the
+//!      probe's latest checkpoint whose stop queries have not passed
+//!      that boundary ([`Checkpoints::for_stop`]): the report's trace
+//!      is cut back to the spans the probe recorded before it
+//!      ([`Trace::truncate`], the only cut), and the drain resumes
+//!      from there ([`exec::resume_into`]) under the probe's own rates,
+//!      reorder window and horizon. Only the tail past the checkpoint
+//!      is simulated again ([`Epoch::resimulated`]).
 //!
-//! **What a probe judges.** Signals are read at the probe's *end*. A
-//! straggler is raised only if its stage's EWMA is still over the
-//! threshold when the probe ends, and [`Policy::Replan`] derates the
-//! GPU by that final EWMA; the splice boundary's outage guard takes
-//! the median wave gap over the whole probe. So a slowdown window that
-//! closes before the probe ends raises nothing (see the
-//! [`monitor`](crate::monitor) docs for what this means on the chaos
-//! scripts). A probe that stopped at its first signal's boundary would
-//! see different inputs: an early-stopping probe needs a causal
-//! monitor, a deliberate behaviour change.
+//!    Then apply the action and probe again from the splice. A probe
+//!    the policy never answers runs to the horizon and is the final
+//!    epoch, so a zero-fault run under any policy commits exactly the
+//!    trace a plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//!
+//! **What a probe judges.** The judge (`Judge`) reads the signals as
+//! they stand at three kinds of instant: when every VW has completed a
+//! new whole wave, when the fold records a new GPU loss, and when a
+//! lease detection instant (transition + `lease_hysteresis_secs`)
+//! passes, judged at that instant before the next event. At each one it
+//! asks `Controller::decide` about [`MonitorFold::signals`] and the
+//! lease signals detected by then, and after the first action it judges
+//! no more. So a slowdown window is seen while it lasts: a straggler
+//! whose EWMA has stayed over the threshold for the monitor's
+//! hysteresis window is acted on at the next wave boundary, inside the
+//! window, and [`Policy::Replan`] derates the GPU by the EWMA of that
+//! instant; when the window closes, the recovery is acted on the same
+//! way. A probe that never acts logs its end-of-probe signals as
+//! observations of the committed timeline. Link degrades raise no
+//! signal: the fold skips transfer spans.
 //!
 //! **Why wave boundaries?** At a boundary every virtual worker has
 //! completed — and pushed — the same whole number of waves and holds
@@ -92,7 +107,9 @@
 use crate::monitor::{MonitorConfig, MonitorFold, Signal};
 use crate::scenario::ScenarioScript;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_core::exec::{self, Checkpoints, ExecParams, RunStats, SegmentOpts, SpanTag};
+use hetpipe_core::exec::{
+    self, Checkpoints, ExecParams, Progress, RunStats, SegmentOpts, SpanTag, Verdict,
+};
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
 use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
@@ -198,8 +215,9 @@ pub struct Epoch {
     /// The epoch's logical DES events: what a run of its segment from
     /// the segment start processes.
     pub events: u64,
-    /// The events its commit simulated again: 0 for a committed probe,
-    /// and for a drained epoch the tail resumed from the probe's
+    /// The events its commit simulated again: 0 for a probe committed
+    /// as it ran (drained in place, or the final epoch), and for an
+    /// outage splice's drain the tail resumed from the probe's
     /// checkpoint.
     pub resimulated: u64,
 }
@@ -229,6 +247,11 @@ pub struct RuntimeReport {
     pub final_vws: Vec<VirtualWorker>,
     /// The common `Nm` in effect at the end of the run.
     pub final_nm: usize,
+    /// DES events the run simulated: every probe's processed events
+    /// (a probe that drained in place is its epoch, a halted one counts
+    /// up to the halt) plus every tail an outage splice resumed from a
+    /// checkpoint ([`Epoch::resimulated`]).
+    pub simulated_events: u64,
 }
 
 impl RuntimeReport {
@@ -340,6 +363,21 @@ impl Action {
         }
     }
 
+    /// Whether the action answers an outage (a lost GPU or a lease
+    /// preemption): the dead GPU's in-flight tasks end only when the
+    /// outage lifts, so the probe cannot drain in place.
+    fn outage(&self) -> bool {
+        match self {
+            Action::EnableReorder { .. } => false,
+            Action::Replan { signals, lease } => {
+                signals.iter().any(|s| matches!(s, Signal::GpuLost { .. }))
+                    || lease
+                        .iter()
+                        .any(|l| matches!(l, LeaseSignal::Preempted { .. }))
+            }
+        }
+    }
+
     /// The signals that caused this action — what the reaction branch
     /// commits to the report (the rest of the probe's observations
     /// belong to a discarded timeline).
@@ -349,6 +387,104 @@ impl Action {
             Action::Replan { signals, lease } => (signals.clone(), lease.clone()),
         }
     }
+}
+
+/// The reaction a probe's judge decided on, and where its epoch ends:
+/// the probe drained in place there, or, for an outage, halted so that
+/// the epoch drains there from one of its checkpoints.
+struct Reaction {
+    action: Action,
+    /// The epoch's stop point (segment-local minibatches).
+    stop: u64,
+}
+
+/// A probe's judge: at each judgement instant (see the module docs) it
+/// asks [`Controller::decide`] about the monitor's signals and the
+/// lease transitions as they stand, and stops judging at the first
+/// action.
+struct Judge<'c, 'a> {
+    ctl: &'c Controller<'a>,
+    /// The stable lease transitions, for [`Controller::lease_signals`].
+    leases: Vec<StableLease>,
+    /// Lease detection instants still ahead (segment-local), latest
+    /// first.
+    detections: Vec<SimTime>,
+    /// Whole waves and fold losses at the last judgement.
+    waves: u64,
+    losses: usize,
+    reaction: Option<Reaction>,
+    /// The report trace's length and the signals judged, at each
+    /// judgement, for the monitor fold's parity test.
+    #[cfg(test)]
+    judged: Vec<(usize, Vec<Signal>)>,
+}
+
+impl<'c, 'a> Judge<'c, 'a> {
+    fn new(ctl: &'c Controller<'a>, remaining: SimTime) -> Self {
+        let leases = ctl.stable_leases();
+        let (from, to) = (ctl.offset, ctl.offset + remaining);
+        let mut detections: Vec<SimTime> = (leases.iter())
+            .filter(|l| l.detect > from && l.detect <= to)
+            .map(|l| l.detect - from)
+            .collect();
+        detections.sort_by(|a, b| b.cmp(a));
+        Judge {
+            ctl,
+            leases,
+            detections,
+            waves: 0,
+            losses: 0,
+            reaction: None,
+            #[cfg(test)]
+            judged: Vec::new(),
+        }
+    }
+
+    /// Judges the probe after an event when a judgement instant has
+    /// come: every VW has completed a new whole wave, the fold has
+    /// recorded a new GPU loss, or a lease detection instant has
+    /// passed (judged at that instant, before the next event).
+    fn judge(&mut self, at: Progress, sink: &SegmentSink) -> Verdict {
+        let fold = sink.monitor.as_ref().expect("a probe folds the monitor");
+        let mut instant = None;
+        if at.waves > self.waves || fold.losses() > self.losses {
+            (self.waves, self.losses) = (at.waves, fold.losses());
+            instant = Some(at.now);
+        }
+        while self.detections.last().is_some_and(|&d| d < at.until) {
+            instant = self.detections.pop();
+        }
+        let Some(now) = instant else {
+            return Verdict::Run;
+        };
+        let signals = fold.signals();
+        let lease = self.ctl.lease_signals(&self.leases, now);
+        let action = self.ctl.decide(&signals, &lease);
+        #[cfg(test)]
+        self.judged.push((sink.trace.len(), signals));
+        let Some(action) = action else {
+            return Verdict::Run;
+        };
+        let nm = self.ctl.nm as u64;
+        let (verdict, stop) = if action.outage() {
+            // Splice at the last boundary every VW has completed.
+            (Verdict::Halt, at.waves * nm)
+        } else {
+            let stop = at.queried.div_ceil(nm) * nm;
+            (Verdict::Drain { stop }, stop)
+        };
+        self.reaction = Some(Reaction { action, stop });
+        verdict
+    }
+}
+
+/// A stable lease transition and its global detection instant (see
+/// [`Controller::stable_leases`]).
+#[derive(Debug, Clone, Copy)]
+struct StableLease {
+    device: DeviceId,
+    available: bool,
+    detect: SimTime,
 }
 
 /// The sink every segment records into: it appends each span to the
@@ -457,6 +593,7 @@ impl<'a> Controller<'a> {
             signals: Vec::new(),
             final_vws: Vec::new(),
             final_nm: nm,
+            simulated_events: 0,
         };
         let roster = vws
             .iter()
@@ -501,63 +638,87 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// Runs one segment under the current configuration through `run`,
-    /// which gets the executor's inputs and a sink that records every
-    /// span straight into the report's trace (rebased).
-    fn segment<R>(
-        &mut self,
-        stop_after_mb: Option<u64>,
-        monitor: Option<MonitorFold>,
-        run: impl FnOnce(ExecParams<'_>, SegmentOpts, SegmentSink) -> (RunStats, SegmentSink, R),
-    ) -> (RunStats, Option<MonitorFold>, R) {
-        let opts = self.segment_opts(stop_after_mb);
-        let sink = SegmentSink {
+    /// A sink that records into the report's trace (moved out until
+    /// the segment hands it back) under the current offsets.
+    fn sink(&mut self, monitor: Option<MonitorFold>) -> SegmentSink {
+        SegmentSink {
             trace: std::mem::take(&mut self.report.trace),
             offset: self.offset,
             mb_offset: self.mb_offset,
             wave_offset: self.wave_offset,
             monitor,
-        };
-        let shards = ShardMap::build(self.p.placement, self.p.graph, self.p.cluster, &self.vws[0]);
-        let params = ExecParams {
+        }
+    }
+
+    /// The executor's inputs under the current configuration.
+    fn exec_params<'s>(&'s self, shards: &'s ShardMap) -> ExecParams<'s> {
+        ExecParams {
             cluster: self.p.cluster,
             graph: self.p.graph,
             vws: &self.vws,
             wsp: WspParams::new(self.nm, self.p.wsp.d),
-            shards: &shards,
+            shards,
             sync_transfers: self.p.sync_transfers,
             schedule: self.p.schedule,
             recompute: self.p.recompute,
-        };
-        let (stats, sink, out) = run(params, opts, sink);
-        self.report.trace = sink.trace;
-        (stats, sink.monitor, out)
+        }
     }
 
-    /// The probe: simulates `remaining` under the current configuration
-    /// with no stop point, folding the monitor and saving the wave
-    /// checkpoints a drain resumes from.
-    fn probe(&mut self, remaining: SimTime) -> (RunStats, MonitorFold, Checkpoints) {
+    fn shards(&self) -> ShardMap {
+        ShardMap::build(self.p.placement, self.p.graph, self.p.cluster, &self.vws[0])
+    }
+
+    /// The probe: simulates `remaining` under the current
+    /// configuration with no stop point, folding the monitor, judging
+    /// it as it runs ([`Judge`]) and saving the wave checkpoints an
+    /// outage splice resumes from. Returns the run (drained in place,
+    /// halted or to the horizon), its fold, its checkpoints and the
+    /// reaction, if any.
+    fn probe(
+        &mut self,
+        remaining: SimTime,
+    ) -> (RunStats, MonitorFold, Checkpoints, Option<Reaction>) {
         let (fwd, bwd) = exec::planned_stage_times(self.p.cluster, self.p.graph, &self.vws);
         let monitor = MonitorFold::new(&self.vws, self.p.schedule, &self.applied, &fwd, &bwd);
-        let (stats, monitor, checkpoints) =
-            self.segment(None, Some(monitor), |params, opts, sink| {
-                let (stats, sink, _, checkpoints) =
-                    exec::run_into_checkpointed(params, opts, remaining, sink, None);
-                (stats, sink, checkpoints)
-            });
-        (
-            stats,
-            monitor.expect("a probe folds the monitor"),
-            checkpoints,
-        )
+        #[cfg(test)]
+        let mark = self.report.trace.len();
+        let sink = self.sink(Some(monitor));
+        let shards = self.shards();
+        let mut judge = Judge::new(self, remaining);
+        let (stats, sink, _, checkpoints) = exec::run_into_checkpointed(
+            self.exec_params(&shards),
+            self.segment_opts(None),
+            remaining,
+            sink,
+            None,
+            |at, sink| judge.judge(at, sink),
+        );
+        let reaction = judge.reaction;
+        #[cfg(test)]
+        let judged = judge.judged;
+        self.report.trace = sink.trace;
+        #[cfg(test)]
+        self.probes.push(tests::Probe {
+            vws: self.vws.clone(),
+            nm: self.nm,
+            opts: self.segment_opts(None),
+            remaining,
+            applied: self.applied.clone(),
+            offsets: (self.offset, self.mb_offset, self.wave_offset),
+            mark,
+            judged,
+            in_place: None,
+        });
+        let monitor = sink.monitor.expect("a probe folds the monitor");
+        (stats, monitor, checkpoints, reaction)
     }
 
-    /// The drained epoch of a reaction: the probe's segment drained at
-    /// `stop`, resumed from the probe's latest checkpoint before it.
-    /// The report's trace keeps the probe's spans up to that checkpoint
-    /// (the probe recorded them from `mark` on) and the resumed run
-    /// records the rest. Returns the drain and the events it simulated.
+    /// The drained epoch of an outage splice: the probe's segment
+    /// drained at `stop`, resumed from the probe's latest checkpoint
+    /// before it. The report's trace keeps the probe's spans up to that
+    /// checkpoint (the probe recorded them from `mark` on) and the
+    /// resumed run records the rest. Returns the drain and the events
+    /// it simulated.
     fn drain(
         &mut self,
         stop: u64,
@@ -568,11 +729,18 @@ impl<'a> Controller<'a> {
     ) -> (RunStats, u64) {
         let from = checkpoints.for_stop(stop);
         self.report.trace.truncate(mark + from.spans());
-        let (stats, _, ()) = self.segment(Some(stop), None, |params, opts, sink| {
-            let (stats, sink, _) =
-                exec::resume_into(params, opts, remaining, sink, None, from, probe);
-            (stats, sink, ())
-        });
+        let sink = self.sink(None);
+        let (opts, shards) = (self.segment_opts(Some(stop)), self.shards());
+        let (stats, sink, _) = exec::resume_into(
+            self.exec_params(&shards),
+            opts,
+            remaining,
+            sink,
+            None,
+            from,
+            probe,
+        );
+        self.report.trace = sink.trace;
         let resimulated = stats.events - from.events();
         (stats, resimulated)
     }
@@ -627,14 +795,38 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// The stable, actionable lease transitions visible to this
-    /// probe, in segment-local detection time.
+    /// Every stable lease transition of a device of this cluster, with
+    /// its global detection instant.
     ///
     /// A transition at global `t` is **stable** iff no opposite
     /// transition of the same GPU falls within `(t, t + hysteresis]`;
     /// its detection instant is `t + hysteresis` (the controller
     /// waits the window out before believing the lease manager), so
     /// a flapping lease is never acted on at all.
+    fn stable_leases(&self) -> Vec<StableLease> {
+        let transitions = self.p.script.lease_transitions();
+        let hysteresis = SimTime::from_secs(self.p.monitor.lease_hysteresis_secs);
+        let devices = self.p.cluster.devices().count();
+        (transitions.iter())
+            .filter(|t| t.gpu < devices)
+            .filter(|t| {
+                !transitions.iter().any(|o| {
+                    o.gpu == t.gpu
+                        && o.available != t.available
+                        && o.at > t.at
+                        && o.at - t.at <= hysteresis
+                })
+            })
+            .map(|t| StableLease {
+                device: DeviceId(t.gpu),
+                available: t.available,
+                detect: t.at + hysteresis,
+            })
+            .collect()
+    }
+
+    /// The actionable lease transitions among `leases` detected by the
+    /// segment-local instant `now`, in segment-local detection time.
     ///
     /// Only transitions whose detection instant falls *after* the
     /// current segment started are considered: older ones were either
@@ -645,61 +837,38 @@ impl<'a> Controller<'a> {
     /// self-suppress: a preemption is actionable only while the
     /// device is active, a grant only while the device is dead or not
     /// yet admitted.
-    fn lease_signals(&self, probe_end: SimTime) -> Vec<LeaseSignal> {
-        let transitions = self.p.script.lease_transitions();
-        if transitions.is_empty() {
-            return Vec::new();
-        }
-        let hysteresis = SimTime::from_secs(self.p.monitor.lease_hysteresis_secs);
-        let devices = self.p.cluster.devices().count();
+    fn lease_signals(&self, leases: &[StableLease], now: SimTime) -> Vec<LeaseSignal> {
         let active: BTreeSet<DeviceId> = self
             .vws
             .iter()
             .flat_map(|vw| vw.devices.iter().copied())
             .collect();
         let mut out = Vec::new();
-        for t in &transitions {
-            if t.gpu >= devices {
-                continue; // Not a device of this cluster.
-            }
-            let stable = !transitions.iter().any(|o| {
-                o.gpu == t.gpu
-                    && o.available != t.available
-                    && o.at > t.at
-                    && o.at - t.at <= hysteresis
-            });
-            if !stable {
+        for l in leases {
+            if l.detect > self.offset + now || l.detect <= self.offset {
+                // Not yet detected, or settled by an earlier segment
+                // (acted on or suppressed; never re-armed).
                 continue;
             }
-            let detect = t.at + hysteresis;
-            let end = self.offset + probe_end;
-            if detect > end {
-                continue; // Not yet detected within this run.
-            }
-            if detect <= self.offset {
-                // Settled by an earlier segment (acted on or
-                // suppressed); never re-armed.
-                continue;
-            }
-            let local = detect - self.offset;
-            let device = DeviceId(t.gpu);
-            if t.available {
+            let (device, at) = (l.device, l.detect - self.offset);
+            if l.available {
                 if self.dead.contains(&device) || !active.contains(&device) {
-                    out.push(LeaseSignal::Granted { device, at: local });
+                    out.push(LeaseSignal::Granted { device, at });
                 }
             } else if active.contains(&device) && !self.dead.contains(&device) {
-                out.push(LeaseSignal::Preempted { device, at: local });
+                out.push(LeaseSignal::Preempted { device, at });
             }
         }
         out.sort_by_key(LeaseSignal::at);
         out
     }
 
-    /// What, if anything, the policy does with this probe's signals.
-    /// Lease transitions are actionable by [`Policy::Replan`] only —
-    /// the static and reorder policies keep today's behaviour, which
-    /// is what makes them honest baselines under lease scenarios.
-    fn decide(&self, signals: &[Signal], lease: &[LeaseSignal]) -> Option<(SimTime, Action)> {
+    /// What, if anything, the policy does with the signals and lease
+    /// transitions judged at one instant. Lease transitions are
+    /// actionable by [`Policy::Replan`] only — the static and reorder
+    /// policies keep today's behaviour, which is what makes them honest
+    /// baselines under lease scenarios.
+    fn decide(&self, signals: &[Signal], lease: &[LeaseSignal]) -> Option<Action> {
         if self.reactions >= self.p.max_reactions {
             return None;
         }
@@ -714,14 +883,9 @@ impl<'a> Controller<'a> {
                 signals
                     .iter()
                     .find(|s| matches!(s, Signal::Straggler { .. }))
-                    .map(|s| {
-                        (
-                            s.at(),
-                            Action::EnableReorder {
-                                window,
-                                trigger: s.clone(),
-                            },
-                        )
+                    .map(|s| Action::EnableReorder {
+                        window,
+                        trigger: s.clone(),
                     })
             }
             Policy::Replan => {
@@ -737,81 +901,15 @@ impl<'a> Controller<'a> {
                     })
                     .cloned()
                     .collect();
-                let first = actionable
-                    .first()
-                    .map(Signal::at)
-                    .into_iter()
-                    .chain(lease.first().map(LeaseSignal::at))
-                    .min()?;
-                Some((
-                    first,
-                    Action::Replan {
-                        signals: actionable,
-                        lease: lease.to_vec(),
-                    },
-                ))
-            }
-        }
-    }
-
-    /// The first wave boundary (as a segment-local minibatch count)
-    /// at/after `t_sig` that the probe shows *every* VW completing —
-    /// falling back to the last fully completed wave when the
-    /// pipeline stalled (GPU loss), or 0 (an immediate, zero-length
-    /// splice epoch) when no wave completed at all; the 0 case cannot
-    /// loop because every action changes the configuration and the
-    /// reaction budget bounds it regardless.
-    ///
-    /// One guard: under the executor's rate-timeline integration, a
-    /// wave whose task *crosses* an outage window completes only when
-    /// the outage lifts, so the first boundary at/after the signal
-    /// can sit far beyond it — draining there would ride out the
-    /// whole outage under the old plan and make the reaction
-    /// worthless. When the chosen boundary lies more than two typical
-    /// wave periods past the signal, splice at the *previous* (last
-    /// pre-outage) boundary instead: any drained boundary is fully
-    /// synchronized, so an earlier one is just as sound.
-    fn splice_boundary(&self, probe: &RunStats, t_sig: SimTime) -> u64 {
-        let nm = self.nm as u64;
-        let full_waves = probe
-            .vws
-            .iter()
-            .map(|v| v.completions.len() as u64 / nm)
-            .min()
-            .unwrap_or(0);
-        if full_waves == 0 {
-            return 0;
-        }
-        // Boundary instant of each whole wave (max across VWs).
-        let times: Vec<SimTime> = (0..full_waves)
-            .map(|w| {
-                let last_mb = ((w + 1) * nm - 1) as usize;
-                probe
-                    .vws
-                    .iter()
-                    .map(|v| v.completions[last_mb])
-                    .max()
-                    .expect("at least one VW")
-            })
-            .collect();
-        // Typical inter-boundary gap: the median is robust to the
-        // few outage-inflated waves.
-        let mut gaps: Vec<SimTime> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        gaps.sort();
-        let period = gaps.get(gaps.len() / 2).copied().unwrap_or(times[0]);
-        for (w, &boundary) in times.iter().enumerate() {
-            if boundary >= t_sig {
-                let w = w as u64;
-                if boundary - t_sig > period + period {
-                    // Outage-inflated boundary: take the previous one.
-                    return w * nm;
+                if actionable.is_empty() && lease.is_empty() {
+                    return None;
                 }
-                return (w + 1) * nm;
+                Some(Action::Replan {
+                    signals: actionable,
+                    lease: lease.to_vec(),
+                })
             }
         }
-        // Completions ceased before the signal (a stalled pipeline):
-        // splice at the last whole wave.
-        full_waves * nm
     }
 
     /// Applies a decided action at a committed splice.
@@ -961,50 +1059,46 @@ impl<'a> Controller<'a> {
             if remaining.is_zero() {
                 break;
             }
-            // The probe records into the report's trace; a reaction
-            // cuts it back to its checkpoint, counted from here.
+            // The probe records into the report's trace; an outage
+            // splice cuts it back to its checkpoint, counted from here.
             let mark = self.report.trace.len();
-            let (probe, monitor, checkpoints) = self.probe(remaining);
-            let signals = monitor.signals();
-            #[cfg(test)]
-            self.probes.push(tests::Probe {
-                vws: self.vws.clone(),
-                nm: self.nm,
-                opts: self.segment_opts(None),
-                remaining,
-                applied: self.applied.clone(),
-                signals: signals.clone(),
-            });
-            let lease = self.lease_signals(probe.end);
-            match self.decide(&signals, &lease) {
-                None => {
-                    // Nothing to react to: the probe is the final
-                    // epoch (for a zero-fault script this is exactly
-                    // the plain one-shot run), and its signals are
-                    // observations of the committed timeline.
-                    self.log_signals(&signals);
-                    self.commit(&probe, None, 0);
-                    break;
+            let (probe, monitor, checkpoints, reaction) = self.probe(remaining);
+            self.report.simulated_events += probe.events;
+            let Some(Reaction { action, stop }) = reaction else {
+                // Nothing to react to: the probe is the final epoch
+                // (for a zero-fault script this is exactly the plain
+                // one-shot run), and its end-of-probe signals are
+                // observations of the committed timeline.
+                let signals = monitor.signals();
+                #[cfg(test)]
+                if let Some(p) = self.probes.last_mut() {
+                    p.judged.push((self.report.trace.len(), signals.clone()));
                 }
-                Some((t_sig, action)) => {
-                    let stop = self.splice_boundary(&probe, t_sig);
-                    let (stats, resimulated) =
-                        self.drain(stop, remaining, mark, &probe, &checkpoints);
-                    // Log only the signals the policy acted on:
-                    // everything else the probe observed belongs to a
-                    // discarded timeline and would leave phantom
-                    // markers in the report.
-                    let (sig_triggers, lease_triggers) = action.triggers();
-                    self.log_signals(&sig_triggers);
-                    self.log_lease(&lease_triggers);
-                    self.commit(&stats, Some(action.label()), resimulated);
-                    self.offset += stats.end;
-                    self.mb_offset += stop;
-                    self.wave_offset += stop / self.nm as u64;
-                    self.apply(action);
-                    self.reactions += 1;
+                self.log_signals(&signals);
+                self.commit(&probe, None, 0);
+                break;
+            };
+            let (stats, resimulated) = if action.outage() {
+                self.drain(stop, remaining, mark, &probe, &checkpoints)
+            } else {
+                #[cfg(test)]
+                if let Some(p) = self.probes.last_mut() {
+                    p.in_place = Some((stop, probe.clone(), mark..self.report.trace.len()));
                 }
-            }
+                (probe, 0)
+            };
+            self.report.simulated_events += resimulated;
+            // Log only the signals the policy acted on: the probe's
+            // other observations are not part of the decision.
+            let (sig_triggers, lease_triggers) = action.triggers();
+            self.log_signals(&sig_triggers);
+            self.log_lease(&lease_triggers);
+            self.commit(&stats, Some(action.label()), resimulated);
+            self.offset += stats.end;
+            self.mb_offset += stop;
+            self.wave_offset += stop / self.nm as u64;
+            self.apply(action);
+            self.reactions += 1;
         }
     }
 }
@@ -1022,72 +1116,43 @@ mod tests {
     use hetpipe_cluster::GpuKind;
     use hetpipe_partition::{PartitionProblem, PartitionSolver};
 
-    /// One probe as the controller ran it: its inputs and the signals
-    /// its in-run monitor fold raised.
+    /// One probe as the controller ran it: its inputs, where it
+    /// recorded into the report, and what it judged.
     pub(super) struct Probe {
         pub vws: Vec<VirtualWorker>,
         pub nm: usize,
+        /// Its segment options (no stop point).
         pub opts: SegmentOpts,
         pub remaining: SimTime,
         pub applied: BTreeMap<(usize, usize), f64>,
-        pub signals: Vec<Signal>,
+        /// The segment's time, minibatch and wave offsets.
+        pub offsets: (SimTime, u64, u64),
+        /// The report trace's length when the probe started.
+        pub mark: usize,
+        /// At each judgement, and at the end of a probe that never
+        /// acted: the report trace's length and the fold's signals.
+        pub judged: Vec<(usize, Vec<Signal>)>,
+        /// A probe that drained in place: its stop point, its run (the
+        /// committed epoch) and its spans' range in the report trace.
+        pub in_place: Option<(u64, RunStats, std::ops::Range<usize>)>,
     }
 
-    /// The probes of one run on the whimpy 4×RTX 2060 ResNet-152
-    /// configuration at `Nm` = 4 (the runtime pins' cells).
-    fn probes_of(
-        cluster: &Cluster,
-        graph: &ModelGraph,
+    /// One runtime-pin cell's run: its schedule, recompute policy and
+    /// name, the probes the controller ran and the report.
+    struct Cell {
+        name: String,
         schedule: Schedule,
         recompute: RecomputePolicy,
-        script: ScenarioScript,
-        policy: Policy,
-        horizon: SimTime,
-    ) -> Vec<Probe> {
-        let nm = 4;
-        let expanded: Vec<DeviceId> = (0..schedule.virtual_stages(4))
-            .map(|s| DeviceId(s % 4))
-            .collect();
-        let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
-        let links = VirtualWorker::links(cluster, &expanded);
-        let plan = PartitionSolver::solve(
-            &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
-                .with_recompute(recompute),
-        )
-        .expect("feasible");
-        let params = RuntimeParams {
-            cluster,
-            graph,
-            vws: vec![VirtualWorker {
-                index: 0,
-                devices: expanded,
-                plan,
-                nm,
-            }],
-            wsp: WspParams::new(nm, 0),
-            placement: Placement::Default,
-            sync_transfers: false,
-            schedule,
-            recompute,
-            script,
-            policy,
-            monitor: MonitorConfig::default(),
-            max_reactions: 8,
-            planner: None,
-        };
-        let mut controller = Controller::new(params, horizon);
-        controller.drive(horizon);
-        controller.probes
+        probes: Vec<Probe>,
+        report: RuntimeReport,
     }
 
-    /// The in-run monitor fold raises exactly the signals
-    /// [`Monitor::analyze`] finds over a kept `exec::run_segment` trace
-    /// of the same probe — on every probe (first, post-splice and
-    /// final) of the runtime pins' cells. Tier: dynamically audited.
-    #[test]
-    fn in_run_monitor_fold_matches_kept_trace_analysis() {
-        let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
-        let graph = hetpipe_model::resnet152(32);
+    /// The runtime pins' cells on the whimpy 4×RTX 2060 ResNet-152
+    /// configuration at `Nm` = 4: the canonical straggler, GPU-loss
+    /// and lease scripts under each policy and eight chaos scripts
+    /// under `Replan` on the wave schedule, and the canonical straggler
+    /// under each policy on composite interleaved 1F1B.
+    fn pin_cells(cluster: &Cluster, graph: &ModelGraph) -> Vec<Cell> {
         let horizon = SimTime::from_secs(40.0);
         let wave = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
         let composite = (
@@ -1120,42 +1185,163 @@ mod tests {
             let script = ScenarioScript::canonical_straggler(2, 5.0);
             cells.push((composite, script, policy));
         }
-        let (mut probes_checked, mut spans_checked, mut signals_checked) = (0, 0, 0);
-        for ((schedule, recompute), script, policy) in cells {
-            let name = format!("{}/{}", script.name, policy.name());
-            let probes = probes_of(
-                &cluster, &graph, schedule, recompute, script, policy, horizon,
-            );
-            for (i, probe) in probes.iter().enumerate() {
+        let nm = 4;
+        cells
+            .into_iter()
+            .map(|((schedule, recompute), script, policy)| {
+                let expanded: Vec<DeviceId> = (0..schedule.virtual_stages(4))
+                    .map(|s| DeviceId(s % 4))
+                    .collect();
+                let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
+                let links = VirtualWorker::links(cluster, &expanded);
+                let plan = PartitionSolver::solve(
+                    &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
+                        .with_recompute(recompute),
+                )
+                .expect("feasible");
+                let name = format!("{schedule}/{}/{}", script.name, policy.name());
+                let params = RuntimeParams {
+                    cluster,
+                    graph,
+                    vws: vec![VirtualWorker {
+                        index: 0,
+                        devices: expanded,
+                        plan,
+                        nm,
+                    }],
+                    wsp: WspParams::new(nm, 0),
+                    placement: Placement::Default,
+                    sync_transfers: false,
+                    schedule,
+                    recompute,
+                    script,
+                    policy,
+                    monitor: MonitorConfig::default(),
+                    max_reactions: 8,
+                    planner: None,
+                };
+                let mut controller = Controller::new(params, horizon);
+                controller.drive(horizon);
+                Cell {
+                    name,
+                    schedule,
+                    recompute,
+                    probes: controller.probes,
+                    report: controller.report,
+                }
+            })
+            .collect()
+    }
+
+    /// A probe's executor inputs, with `shards` built for it.
+    fn params_of<'a>(
+        cluster: &'a Cluster,
+        graph: &'a ModelGraph,
+        cell: &Cell,
+        probe: &'a Probe,
+        shards: &'a ShardMap,
+    ) -> ExecParams<'a> {
+        ExecParams {
+            cluster,
+            graph,
+            vws: &probe.vws,
+            wsp: WspParams::new(probe.nm, 0),
+            shards,
+            sync_transfers: false,
+            schedule: cell.schedule,
+            recompute: cell.recompute,
+        }
+    }
+
+    /// At every judgement of every probe of the runtime pins' cells —
+    /// and at the end of each probe that never acted — the in-run
+    /// monitor fold raised exactly the signals [`Monitor::analyze`]
+    /// finds over the first as many spans of a kept
+    /// `exec::run_segment` trace of the same probe, run with no stop
+    /// point. Tier: dynamically audited.
+    #[test]
+    fn in_run_monitor_fold_matches_kept_trace_analysis() {
+        let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+        let graph = hetpipe_model::resnet152(32);
+        let (mut probes_checked, mut judged, mut signals_checked) = (0, 0, 0);
+        for cell in pin_cells(&cluster, &graph) {
+            for (i, probe) in cell.probes.iter().enumerate() {
+                let name = format!("{} probe {i}", cell.name);
                 let shards = ShardMap::build(Placement::Default, &graph, &cluster, &probe.vws[0]);
-                let kept = exec::run_segment(
-                    ExecParams {
-                        cluster: &cluster,
-                        graph: &graph,
-                        vws: &probe.vws,
-                        wsp: WspParams::new(probe.nm, 0),
-                        shards: &shards,
-                        sync_transfers: false,
-                        schedule,
-                        recompute,
-                    },
-                    probe.opts.clone(),
-                    probe.remaining,
-                );
-                spans_checked += kept.trace.len();
-                let reference = Monitor.analyze(&kept, &probe.vws, schedule, &probe.applied);
-                assert_eq!(probe.signals, reference, "{name} probe {i}");
+                let params = params_of(&cluster, &graph, &cell, probe, &shards);
+                let kept = exec::run_segment(params, probe.opts.clone(), probe.remaining);
+                assert!(!probe.judged.is_empty(), "{name}: never judged");
+                for (len, signals) in &probe.judged {
+                    let spans = len - probe.mark;
+                    assert!(spans <= kept.trace.len(), "{name}");
+                    let reference =
+                        Monitor.analyze(&kept, &probe.vws, cell.schedule, &probe.applied, spans);
+                    assert_eq!(signals, &reference, "{name} after {spans} spans");
+                    judged += 1;
+                    signals_checked += reference.len();
+                }
                 probes_checked += 1;
-                signals_checked += reference.len();
             }
         }
         // Splices add probes past the first of each of the 20 cells,
-        // and the cells raise signals of their own.
+        // every probe judges at each new whole wave, and the cells
+        // raise signals of their own.
         assert!(probes_checked > 20, "{probes_checked} probes");
-        assert!(
-            spans_checked > 100 * probes_checked,
-            "{spans_checked} spans"
-        );
-        assert!(signals_checked > 0, "no probe raised a signal");
+        eprintln!("{probes_checked} probes, {judged} judgements, {signals_checked} signals");
+        assert!(judged > 5 * probes_checked, "{judged} judgements");
+        assert!(signals_checked > 0, "no judgement saw a signal");
+    }
+
+    /// Every epoch of the runtime pins' cells that a probe drained in
+    /// place equals the drain run from its segment start with the same
+    /// stop point (`exec::run_segment`): every `RunStats` field but the
+    /// trace, and every span, rebased as the report keeps it. Tier:
+    /// dynamically audited.
+    #[test]
+    fn in_place_drains_equal_drains_from_the_segment_start() {
+        let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+        let graph = hetpipe_model::resnet152(32);
+        let fields = |mut stats: RunStats| {
+            stats.trace = Trace::new();
+            format!("{stats:?}")
+        };
+        let (mut drains, mut spans) = (0, 0);
+        for cell in pin_cells(&cluster, &graph) {
+            for (i, probe) in cell.probes.iter().enumerate() {
+                let Some((stop, committed, range)) = &probe.in_place else {
+                    continue;
+                };
+                let name = format!("{} probe {i} stop {stop}", cell.name);
+                let shards = ShardMap::build(Placement::Default, &graph, &cluster, &probe.vws[0]);
+                let params = params_of(&cluster, &graph, &cell, probe, &shards);
+                let opts = SegmentOpts {
+                    stop_after_mb: Some(*stop),
+                    ..probe.opts.clone()
+                };
+                let oracle = exec::run_segment(params, opts, probe.remaining);
+                let (offset, mb_offset, wave_offset) = probe.offsets;
+                let mut rebased = SegmentSink {
+                    trace: Trace::new(),
+                    offset,
+                    mb_offset,
+                    wave_offset,
+                    monitor: None,
+                };
+                for span in oracle.trace.spans() {
+                    rebased.record(span.resource, span.start, span.end, span.tag);
+                }
+                assert_eq!(
+                    rebased.trace.spans(),
+                    &cell.report.trace.spans()[range.clone()],
+                    "{name}: spans"
+                );
+                assert_eq!(fields(oracle), fields(committed.clone()), "{name}");
+                drains += 1;
+                spans += range.len();
+            }
+        }
+        eprintln!("{drains} in-place drains, {spans} spans compared");
+        assert!(drains >= 4, "{drains} in-place drains");
+        assert!(spans > 100 * drains, "{spans} spans");
     }
 }

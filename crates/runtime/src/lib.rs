@@ -25,8 +25,9 @@
 //!   EWMA of observed vs planned task durations, folded from each
 //!   probe's spans as the executor records them ([`Monitor`] runs the
 //!   same fold over a kept trace), raising `Straggler` / `GpuLost` /
-//!   `Recovered` signals. Purely observational — the monitor never
-//!   reads the script.
+//!   `Recovered` signals that the controller judges at each wave
+//!   boundary while the probe runs. Purely observational — the monitor
+//!   never reads the script.
 //! - [`Policy`] / [`run`] — the reactive controller:
 //!   [`Policy::Static`] (baseline), [`Policy::SkipStraggler`]
 //!   (bounded out-of-order service of ready backwards in the
@@ -54,19 +55,24 @@
 //! # The wave-boundary splice and WSP staleness
 //!
 //! Reconfiguration always happens at a **wave boundary**: the
-//! controller drains the executor to the first boundary at/after the
-//! triggering signal ([`hetpipe_core::exec::SegmentOpts::stop_after_mb`]),
-//! commits that segment as an *epoch* with its own
+//! controller drains the executor there
+//! ([`hetpipe_core::exec::SegmentOpts::stop_after_mb`]), commits that
+//! segment as an *epoch* with its own
 //! [`OccupancyAudit`](hetpipe_core::OccupancyAudit), and starts the
 //! next segment with fresh streams whose minibatch/wave numbering the
 //! report rebases to global indices — a drained boundary leaves
 //! nothing in flight, so "fresh + offset" *is* the correct resumed
 //! state, and the refill bubble is the reconfiguration's honest cost.
-//! The drained epoch is not re-run from the segment start: a drain is
-//! its probe, event for event, until its first stop query past the
-//! boundary, so the controller resumes it from the probe's latest wave
-//! checkpoint before that query, a clone of the probe's executor state
-//! ([`hetpipe_core::exec::resume_into`]), and simulates only the tail.
+//! A drain is its probe, event for event, until its first stop query
+//! past the boundary. So when the probe's judge acts, the probe sets
+//! its own stop point to the first boundary no stop query has passed
+//! and becomes the drained epoch in place, simulating nothing twice
+//! ([`hetpipe_core::exec::Verdict::Drain`]). Only an outage (a lost GPU
+//! or a lease preemption) halts the probe instead: its epoch drains at
+//! the last boundary every VW had completed, resumed from the probe's
+//! latest wave checkpoint before it, a clone of the probe's executor
+//! state ([`hetpipe_core::exec::resume_into`]), so only the tail is
+//! simulated again.
 //! At a boundary every VW has pushed the same whole number of waves
 //! and holds no in-flight minibatch, so the only weight state a
 //! continuation needs is the version the boundary wave closed —

@@ -10,10 +10,11 @@
 //! [`Monitor::analyze`] runs the same fold over a kept trace, the
 //! reference the fold's parity test holds it to. The signals:
 //!
-//! - [`Signal::Straggler`] — a stage's EWMA crossed the straggler
-//!   threshold *relative to the severity the controller has already
-//!   reacted to* (so a re-planned straggler, whose slowdown is now
-//!   part of the plan, does not re-trigger);
+//! - [`Signal::Straggler`] — a stage's EWMA has stayed over the
+//!   straggler threshold for the hysteresis window, *relative to the
+//!   severity the controller has already reacted to* (so a re-planned
+//!   straggler, whose slowdown is now part of the plan, does not
+//!   re-trigger);
 //! - [`Signal::Recovered`] — a previously-derated stage has been back
 //!   near nominal for at least the recovery hysteresis window (one
 //!   fast task after a blip is not a recovery);
@@ -26,20 +27,34 @@
 //!
 //! # What the monitor judges
 //!
-//! [`MonitorFold::signals`] reads each stage's EWMA *when it is
-//! called*, and the controller calls it at the probe's end. A
-//! [`Signal::Straggler`] exists only if the end-of-probe EWMA is still
-//! over the threshold (its `at` is the first crossing, but its
-//! existence and its `severity` are the final EWMA's), and
-//! `Policy::Replan` derates the GPU by that severity. So a slowdown
-//! window that closes before the probe ends leaves the EWMA back near
-//! nominal and raises nothing. A [`Signal::GpuLost`] is different:
-//! one task over the loss ratio raises it, whatever the EWMA does
-//! afterwards, so a preemption that is later re-granted still counts.
-//! Over 24 elastic-chaos scripts (`e2e_bench`, seeds 1–3) under
-//! `Replan`, all 72 logged signals were GPU-loss or lease signals;
-//! none came from the 48 slowdown windows or the 24 link degrades
-//! (link degrades slow transfers, which the fold skips).
+//! [`MonitorFold::signals`] reads each stage's EWMA as it stands after
+//! the spans folded so far, and the controller's probes call it at each
+//! judgement instant as they run (each new whole wave, each new GPU
+//! loss, each lease detection instant; see the controller docs). So the
+//! signals are causal: a slowdown window is judged while it lasts.
+//!
+//! - A [`Signal::Straggler`] needs the EWMA to have stayed over the
+//!   threshold for the hysteresis window, the same one a recovery
+//!   waits out. A crossing resets when the EWMA falls back under, so a
+//!   blip shorter than the window (a sub-hysteresis lease flap) raises
+//!   nothing. Its `at` is the start of the current streak over the
+//!   threshold, and its `severity` is the EWMA of the judgement
+//!   instant, which `Policy::Replan` derates the GPU by.
+//! - A [`Signal::Recovered`] needs the EWMA of a derated stage to have
+//!   stayed near nominal for the window.
+//! - A [`Signal::GpuLost`] is different: one task over the loss ratio
+//!   raises it, whatever the EWMA does afterwards, so a preemption that
+//!   is later re-granted still counts.
+//!
+//! Over 24 elastic-chaos scripts (`e2e_bench`, seeds 1–3, eight
+//! scripts each) under `Replan`, the runs logged 144 signals. Each of
+//! the 48 slowdown windows raised a straggler inside the window and a
+//! recovery after it (48 and 48). Each of the 24 preemptions raised a
+//! GPU loss, and each of the 24 re-grants a lease grant. No lease
+//! preemption was logged: the GPU loss is judged first, when the dead
+//! task is recorded, and once the device is dead its preemption is no
+//! longer actionable. The 24 link degrades raised nothing, because the
+//! fold skips transfer spans.
 
 use hetpipe_core::exec::{RunStats, SpanTag};
 use hetpipe_core::VirtualWorker;
@@ -59,10 +74,11 @@ const RECOVER_RATIO: f64 = 1.05;
 /// A single task whose observed/planned ratio exceeds this is a dead
 /// GPU (the rate-0 reservation signature), not a straggler.
 const LOST_RATIO: f64 = 50.0;
-/// Hysteresis for [`Signal::Recovered`]: the EWMA must stay below
-/// [`RECOVER_RATIO`] for at least this long (simulated seconds) before
-/// the signal is raised, so one fast task after a blip does not
-/// trigger a re-admission splice.
+/// Hysteresis for both directions (simulated seconds): the EWMA must
+/// stay over the straggler threshold this long before a
+/// [`Signal::Straggler`] is raised, and below [`RECOVER_RATIO`] this
+/// long before a [`Signal::Recovered`] is, so neither a blip nor one
+/// fast task after it triggers a splice.
 const RECOVER_HYSTERESIS_SECS: f64 = 1.0;
 
 /// Runtime tuning the controller reads.
@@ -93,10 +109,10 @@ pub enum Signal {
         vw: usize,
         /// Executor (virtual) stage.
         stage: usize,
-        /// Final EWMA observed/planned ratio — what a re-plan should
-        /// derate the stage's GPU by.
+        /// EWMA observed/planned ratio when the signal was read — what a
+        /// re-plan should derate the stage's GPU by.
         severity: f64,
-        /// First instant the EWMA crossed the threshold.
+        /// Start of the EWMA's current streak over the threshold.
         at: SimTime,
     },
     /// A previously-derated stage is back near nominal speed.
@@ -105,7 +121,7 @@ pub enum Signal {
         vw: usize,
         /// Executor (virtual) stage.
         stage: usize,
-        /// Final EWMA observed/planned ratio.
+        /// EWMA observed/planned ratio when the signal was read.
         severity: f64,
         /// First instant the EWMA fell below the recovery threshold.
         at: SimTime,
@@ -166,7 +182,12 @@ impl Signal {
 struct StageState {
     ewma: f64,
     seen: usize,
+    /// First span end of the current over-straggler-threshold streak
+    /// (reset whenever the EWMA falls back under).
     crossed_up: Option<SimTime>,
+    /// The streak has lasted the hysteresis window: the straggler is
+    /// actionable.
+    straggling: bool,
     crossed_down: Option<SimTime>,
     /// First span end of the current below-recovery-threshold streak
     /// (reset whenever the EWMA pops back above), for the recovery
@@ -196,6 +217,8 @@ pub struct MonitorFold {
     /// The applied derate per slot (1.0 = none).
     derate: Vec<f64>,
     stages: Vec<StageState>,
+    /// Stages with a task over the loss ratio so far.
+    losses: usize,
 }
 
 impl MonitorFold {
@@ -239,6 +262,7 @@ impl MonitorFold {
             planned_bwd: bwd,
             derate,
             stages: vec![StageState::default(); slots],
+            losses: 0,
         }
     }
 
@@ -263,6 +287,7 @@ impl MonitorFold {
         let st = &mut self.stages[slot];
         if ratio >= LOST_RATIO && st.lost.is_none() {
             st.lost = Some(start);
+            self.losses += 1;
         }
         st.ewma = if st.seen == 0 {
             ratio
@@ -271,8 +296,16 @@ impl MonitorFold {
         };
         st.seen += 1;
         let base = self.derate[slot];
-        if st.ewma > base * STRAGGLER_RATIO && st.crossed_up.is_none() {
-            st.crossed_up = Some(end);
+        if st.ewma > base * STRAGGLER_RATIO {
+            // A straggler needs the same hysteresis as a recovery: the
+            // EWMA must stay over the threshold for the window, so a
+            // blip shorter than it (a sub-hysteresis lease flap) does
+            // not trigger a splice.
+            let since = *st.crossed_up.get_or_insert(end);
+            st.straggling |= (end - since).as_secs() >= RECOVER_HYSTERESIS_SECS;
+        } else {
+            st.crossed_up = None;
+            st.straggling = false;
         }
         if base > RECOVER_RATIO && st.ewma < RECOVER_RATIO && st.seen >= 3 {
             // Recovery needs hysteresis: the EWMA must *stay* below
@@ -289,9 +322,15 @@ impl MonitorFold {
         }
     }
 
+    /// How many stages have run a task over the loss ratio so far: a
+    /// new one is a [`Signal::GpuLost`] to judge at once.
+    pub fn losses(&self) -> usize {
+        self.losses
+    }
+
     /// The signals of the spans folded so far, ordered by detection
-    /// time. Existence and severity read the EWMA *now* — at a
-    /// probe's end, the end-of-probe EWMA (see the module docs).
+    /// time. Existence and severity read the EWMA as it stands now,
+    /// after the spans recorded so far (see the module docs).
     pub fn signals(&self) -> Vec<Signal> {
         let mut signals = Vec::new();
         for vw in 0..self.offset.len() - 1 {
@@ -305,7 +344,7 @@ impl MonitorFold {
                     signals.push(Signal::GpuLost { vw, stage, at });
                     continue;
                 }
-                if st.ewma > base * STRAGGLER_RATIO {
+                if st.straggling {
                     if let Some(at) = st.crossed_up {
                         signals.push(Signal::Straggler {
                             vw,
@@ -338,19 +377,25 @@ impl MonitorFold {
 pub struct Monitor;
 
 impl Monitor {
-    /// Analyzes one segment's kept trace: a [`MonitorFold`] over every
-    /// span of `stats.trace`, in recording order, against the run's own
-    /// planned times. The controller folds while its probes run
-    /// instead; this is the kept-trace reference the fold's parity
-    /// test holds it to. `schedule` disambiguates the wave schedule's
-    /// fused last-stage tasks, whose planned time is forward +
-    /// backward. Returns all signals ordered by detection time.
+    /// Analyzes the first `spans` spans of one segment's kept trace: a
+    /// [`MonitorFold`] over them, in recording order, against the run's
+    /// own planned times, so the signals as they stood once the run had
+    /// recorded that many. The controller folds while its probes run
+    /// instead; this is the kept-trace reference the fold's parity test
+    /// holds it to at each judgement. `schedule` disambiguates the wave
+    /// schedule's fused last-stage tasks, whose planned time is forward
+    /// + backward. Returns all signals ordered by detection time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds fewer than `spans` spans.
     pub fn analyze(
         &self,
         stats: &RunStats,
         vws: &[VirtualWorker],
         schedule: Schedule,
         applied: &BTreeMap<(usize, usize), f64>,
+        spans: usize,
     ) -> Vec<Signal> {
         let mut fold = MonitorFold::new(
             vws,
@@ -359,9 +404,82 @@ impl Monitor {
             &stats.planned_fwd,
             &stats.planned_bwd,
         );
-        for span in stats.trace.spans() {
+        for span in &stats.trace.spans()[..spans] {
             fold.observe(span.tag, span.start, span.end);
         }
         fold.signals()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fold over one stage whose tasks are planned at 0.1 s.
+    fn one_stage() -> MonitorFold {
+        let planned = SimTime::from_secs(0.1);
+        MonitorFold {
+            offset: vec![0, 1],
+            planned_fwd: vec![planned],
+            planned_bwd: vec![planned],
+            derate: vec![1.0],
+            stages: vec![StageState::default()],
+            losses: 0,
+        }
+    }
+
+    /// Folds back-to-back forwards from `t` for about `secs`, each
+    /// taking `ratio` times its plan; returns where the last one ends.
+    fn run(fold: &mut MonitorFold, mut t: f64, secs: f64, ratio: f64) -> f64 {
+        let end = t + secs;
+        while t < end {
+            let next = t + 0.1 * ratio;
+            let tag = SpanTag::Forward {
+                vw: 0,
+                stage: 0,
+                mb: 1,
+            };
+            fold.observe(tag, SimTime::from_secs(t), SimTime::from_secs(next));
+            t = next;
+        }
+        t
+    }
+
+    fn stragglers(fold: &MonitorFold) -> Vec<SimTime> {
+        let signals = fold.signals().into_iter();
+        signals
+            .filter_map(|s| match s {
+                Signal::Straggler { at, .. } => Some(at),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A straggler is raised only once the EWMA has stayed over the
+    /// threshold for the hysteresis window, and a dip back under
+    /// restarts the window. Tier: unit.
+    #[test]
+    fn a_straggler_waits_out_the_hysteresis_and_a_dip_resets_it() {
+        let mut fold = one_stage();
+        let t = run(&mut fold, 0.0, 2.0, 1.0);
+        // A ×1.5 blip shorter than the window raises nothing.
+        let t = run(&mut fold, t, 0.6, 1.5);
+        assert!(fold.stages[0].crossed_up.is_some(), "the blip crossed");
+        assert!(stragglers(&fold).is_empty());
+        // Back near nominal, the EWMA falls under and the crossing
+        // resets.
+        let t = run(&mut fold, t, 1.0, 1.0);
+        assert!(fold.stages[0].crossed_up.is_none());
+        // A lasting ×1.5 slowdown: nothing within the window, then one
+        // straggler dated at the start of the new streak.
+        let t0 = run(&mut fold, t, 0.5, 1.5);
+        assert!(stragglers(&fold).is_empty());
+        run(&mut fold, t0, 1.0, 1.5);
+        let at = stragglers(&fold);
+        assert_eq!(at.len(), 1, "{at:?}");
+        assert!(
+            at[0] > SimTime::from_secs(t) && at[0] < SimTime::from_secs(t0),
+            "{at:?} outside ({t}, {t0})"
+        );
     }
 }

@@ -26,7 +26,7 @@
 //! Tier: dynamically audited (evidence for the runs below).
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
-use hetpipe::core::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
+use hetpipe::core::exec::{self, ExecParams, Progress, RunStats, SegmentOpts, SpanTag, Verdict};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::{SimTime, Span, Trace};
@@ -134,6 +134,11 @@ fn scripts() -> Vec<ScenarioScript> {
     ]
 }
 
+/// A probe's judge that never stops it.
+fn run(_: Progress, _: &Trace<SpanTag>) -> Verdict {
+    Verdict::Run
+}
+
 /// `stats` with its trace left out, every other field printed exactly.
 fn fields(mut stats: RunStats) -> String {
     stats.trace = Trace::new();
@@ -173,7 +178,7 @@ fn check_cell(
     let name = format!("{schedule}/{}", script.name);
 
     let (probe, probe_trace, _, checkpoints) =
-        exec::run_into_checkpointed(params.clone(), opts(None), horizon, Trace::new(), None);
+        exec::run_into_checkpointed(params.clone(), opts(None), horizon, Trace::new(), None, run);
     // Checkpointing leaves the probe itself alone.
     let plain = exec::run_segment(params.clone(), opts(None), horizon);
     assert_eq!(probe_trace.spans(), plain.trace.spans(), "{name}: probe");
@@ -288,6 +293,7 @@ fn a_long_probe_keeps_a_bounded_checkpoint_list() {
         horizon,
         Trace::new(),
         warmup,
+        run,
     );
     let waves = probe.vws[0].waves_pushed;
     assert!(waves > 200, "{waves} waves");
@@ -340,7 +346,7 @@ fn a_drain_under_other_rates_than_its_probe_panics() {
     let horizon = SimTime::from_secs(4.0);
     let fault_free = SegmentOpts::default();
     let (probe, _, _, checkpoints) =
-        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), None);
+        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), None, run);
     let (_, rate_events) = ScenarioScript::canonical_gpu_loss(4, 2.0).segment_rates(SimTime::ZERO);
     let drain = SegmentOpts {
         stop_after_mb: Some(NM as u64),

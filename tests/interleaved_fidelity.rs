@@ -56,7 +56,7 @@ fn chunk0_forwards_before_chunk1(composite: bool, nm: usize) -> usize {
         HetPipeSystem::build(&cluster, &graph, &single_vw_config(composite, nm)).expect("builds");
     let (_, stats) = sys.run_traced(SimTime::from_secs(5.0));
     assert!(stats.trace.len() > 100, "trivial trace proves nothing");
-    let gpus = 4u32;
+    let gpus = 4u16;
     let first_chunk1 = stats
         .trace
         .spans()

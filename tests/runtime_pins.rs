@@ -177,7 +177,7 @@ fn canonical_straggler_reports_are_pinned() {
         &[
             0xf302_accc_f604_a828,
             0xf302_accc_f604_a828,
-            0x089c_2a4c_7578_dd15,
+            0x6992_0bd4_da3f_4c8f,
         ],
     );
 }
@@ -189,7 +189,7 @@ fn canonical_gpu_loss_reports_are_pinned() {
         &[
             0xdb79_008f_c948_389d,
             0xdb79_008f_c948_389d,
-            0x8662_faba_b09b_bf73,
+            0xe084_be44_1c8c_2505,
         ],
     );
 }
@@ -201,7 +201,7 @@ fn canonical_lease_reports_are_pinned() {
         &[
             0xdfbe_5b4c_0dd4_c083,
             0xdfbe_5b4c_0dd4_c083,
-            0x6df4_b57c_ef6c_d008,
+            0x21f0_c3e0_d597_c401,
         ],
     );
 }
@@ -224,14 +224,14 @@ fn chaos_replan_reports_are_pinned() {
     check(
         cells,
         &[
-            0x2f71_d897_92e1_bc88,
-            0x560b_7a33_de46_4524,
-            0xf5d8_da44_2398_b2ff,
-            0x66fc_c39c_fc61_6621,
-            0xcae6_2e6a_5229_566b,
-            0x0b91_3db5_7b4d_c7db,
-            0x3829_6d8c_717c_5283,
-            0xc45b_e951_fd05_262e,
+            0xc3cd_77be_24c7_715a,
+            0x5144_c03d_e625_646a,
+            0xdd59_ef7c_73a6_8e0d,
+            0xf8d6_b251_e22b_2d10,
+            0x60d5_8122_38c9_13bb,
+            0x3172_0de9_3ad6_a7fb,
+            0xc5fe_a17a_1cf8_cd9d,
+            0x41b6_528d_8224_9767,
         ],
     );
 }
@@ -272,6 +272,67 @@ fn chaos_drains_resume_from_wave_checkpoints() {
     );
 }
 
+/// `RuntimeReport::simulated_events` counts every probe's events and
+/// every tail an outage splice resumed. A static run simulates its one
+/// epoch; a run whose every splice drained in place simulates exactly
+/// its committed epochs; a run with an outage splice simulates more,
+/// because its halted probe ran past the checkpoint its drain resumed
+/// from.
+#[test]
+fn simulated_events_count_probes_and_resumed_tails() {
+    let wave = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+    let composite = (
+        Schedule::Interleaved1F1B {
+            chunks: 2,
+            composite: true,
+        },
+        RecomputePolicy::None,
+    );
+    let mut cells = Vec::new();
+    for script in [
+        ScenarioScript::canonical_straggler(0, 5.0),
+        ScenarioScript::canonical_gpu_loss(2, 5.0),
+        ScenarioScript::canonical_lease(2, 4.0, 20.0),
+    ] {
+        for policy in [Policy::Static, Policy::Replan] {
+            cells.push((wave, script.clone(), policy));
+        }
+    }
+    for seed in 1..=8 {
+        let script = ScenarioScript::chaos(seed, HORIZON_SECS, 4, 1, 3);
+        cells.push((wave, script, Policy::Replan));
+    }
+    for policy in POLICIES {
+        cells.push((
+            composite,
+            ScenarioScript::canonical_straggler(2, 5.0),
+            policy,
+        ));
+    }
+    let (mut in_place, mut outage) = (0, 0);
+    for ((schedule, recompute), script, policy) in cells {
+        let name = format!("{schedule}/{}/{}", script.name, policy.name());
+        let r = run_cell(schedule, recompute, NM, script, policy);
+        let committed: u64 = r.epochs.iter().map(|e| e.events).sum();
+        let outages = r.epochs.iter().filter_map(|e| e.action.as_deref());
+        let outages = outages
+            .filter(|a| a.contains("gpu lost") || a.contains("lease preempted"))
+            .count();
+        if policy == Policy::Static {
+            assert_eq!(r.epochs.len(), 1, "{name}");
+            assert_eq!(r.simulated_events, r.epochs[0].events, "{name}");
+        } else if outages == 0 {
+            assert_eq!(r.simulated_events, committed, "{name}");
+            in_place += (r.epochs.len() > 1) as usize;
+        } else {
+            assert!(r.simulated_events > committed, "{name}");
+            outage += 1;
+        }
+    }
+    assert!(in_place >= 4, "{in_place} cells spliced only in place");
+    assert!(outage >= 4, "{outage} cells spliced at an outage");
+}
+
 #[test]
 fn composite_skip_straggler_reports_are_pinned() {
     let schedule = Schedule::Interleaved1F1B {
@@ -295,8 +356,8 @@ fn composite_skip_straggler_reports_are_pinned() {
         cells,
         &[
             0x8761_54f8_2f70_d19e,
-            0x276f_ba51_bee1_1d87,
-            0x4b27_2c22_caae_5b77,
+            0x8e2f_8524_a769_549f,
+            0xa92d_219b_0e9f_e302,
         ],
     );
 }

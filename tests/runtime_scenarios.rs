@@ -23,6 +23,9 @@
 //!     cross-version drift of the baseline fails loudly.
 //! (f) **Flap suppression**: a grant/preempt flap shorter than the
 //!     lease hysteresis window produces zero splices.
+//! (h) **Transient detection**: a ×1.5 slowdown of a stage GPU lasting
+//!     about ten waves raises a straggler inside its window, `Replan`
+//!     splices inside it, and a recovery follows once it closes.
 //! (g) **Planner handle ignored**: on the elastic-chaos shape (four
 //!     ED-built ResNet-152 virtual workers on 16 RTX 2060s,
 //!     boundary-only recompute, `Replan`), a run with
@@ -35,7 +38,9 @@ use hetpipe::core::{trace_fingerprint, Fnv, RecomputePolicy, Schedule, VirtualWo
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
-use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
+use hetpipe::runtime::{
+    self, Fault, MonitorConfig, Policy, RuntimeParams, ScenarioEvent, ScenarioScript,
+};
 use hetpipe::schedule::PipelineSchedule;
 
 /// One standalone virtual worker over `devices` (the paper's
@@ -754,6 +759,97 @@ fn flapping_lease_produces_zero_splices() {
         after > 10,
         "completions must continue past the flap ({after})"
     );
+}
+
+// ------------------------------------------------------------------
+// (h) Transient detection.
+// ------------------------------------------------------------------
+
+/// The monitor judges at wave boundaries as the run goes, so a fault
+/// that ends before the horizon is still seen while it lasts. On the
+/// whimpy ResNet-152 configuration, the GPU hosting stage 0 runs ×1.5
+/// slower from 5 s to 15 s. `Replan` must log a straggler inside the
+/// window and splice inside it, then log a recovery after the window
+/// closes and splice back. The flap cell (f) is the negative control:
+/// a window shorter than the hysteresis raises nothing. Tier:
+/// dynamically audited.
+#[test]
+fn transient_slowdown_is_replanned_inside_its_window() {
+    let (cluster, graph, _) = whimpy_resnet();
+    let recompute = RecomputePolicy::BoundaryOnly;
+    let nm = 4;
+    let (from, until) = (SimTime::from_secs(5.0), SimTime::from_secs(15.0));
+    let script = ScenarioScript {
+        name: "transient-straggler".into(),
+        events: vec![ScenarioEvent::Fault(Fault::GpuSlowdown {
+            gpu: 0,
+            factor: 1.5,
+            from_secs: from.as_secs(),
+            until_secs: Some(until.as_secs()),
+        })],
+    };
+    let run_policy = |policy: Policy| {
+        let vw = standalone_vw(
+            &cluster,
+            &graph,
+            (0..4).map(DeviceId).collect(),
+            nm,
+            Schedule::HetPipeWave,
+            recompute,
+        );
+        runtime::run(
+            runtime_params(
+                &cluster,
+                &graph,
+                vec![vw],
+                nm,
+                Schedule::HetPipeWave,
+                recompute,
+                script.clone(),
+                policy,
+            ),
+            SimTime::from_secs(30.0),
+        )
+    };
+    // The window lasts at least five waves of the unreacting run.
+    let st = run_policy(Policy::Static);
+    let waves = st.completions[0]
+        .iter()
+        .filter(|&&t| t >= from && t < until)
+        .count()
+        / nm;
+    assert!(waves >= 5, "the window holds only {waves} waves");
+    let re = run_policy(Policy::Replan);
+    assert!(re.audits_sound(), "occupancy audits");
+    let inside = |t: SimTime| t > from && t < until;
+    let first = |kind: &str| {
+        let signal = re.signals.iter().find(|(_, l)| l.starts_with(kind));
+        let splice = re.epochs.iter().find(|e| {
+            e.action
+                .as_deref()
+                .is_some_and(|a| a.contains(&format!("[{kind}")))
+        });
+        (signal.map(|s| s.0), splice.map(|e| e.end))
+    };
+    let (raised, spliced) = first("straggler");
+    assert!(
+        raised.is_some_and(inside),
+        "straggler signal at {raised:?}: {:?}",
+        re.signals
+    );
+    assert!(
+        spliced.is_some_and(inside),
+        "straggler splice at {spliced:?}: {:?}",
+        re.epochs.iter().map(|e| &e.action).collect::<Vec<_>>()
+    );
+    let (recovered, spliced_back) = first("recovered");
+    assert!(
+        recovered.is_some_and(|t| t > until),
+        "recovery signal at {recovered:?}: {:?}",
+        re.signals
+    );
+    assert!(spliced_back.is_some_and(|t| t > until), "{spliced_back:?}");
+    assert_eq!(re.final_vws[0].devices.len(), 4, "no GPU dropped");
 }
 
 // ------------------------------------------------------------------

@@ -72,7 +72,7 @@ fn count_spans(stats: &RunStats, pred: impl Fn(&SpanTag) -> bool) -> usize {
 }
 
 /// `(stage, mb)` → the `(start, end)` of the span carrying that pass.
-type PassSpans = HashMap<(u32, u64), (SimTime, SimTime)>;
+type PassSpans = HashMap<(u16, u64), (SimTime, SimTime)>;
 
 /// (start, end) of the span carrying mb's forward/backward at a stage.
 /// The wave schedule's fused last-stage task carries both.
@@ -100,7 +100,7 @@ fn collect_passes(stats: &RunStats, stages: usize, fused_last: bool) -> (PassSpa
 fn forwards_and_backwards_in_minibatch_order_for_every_schedule() {
     for schedule in all_schedules() {
         let (stats, stages) = single_vw_stats(schedule);
-        for stage in 0..stages as u32 {
+        for stage in 0..stages as u16 {
             let mut fwd_starts = Vec::new();
             let mut bwd_starts = Vec::new();
             for s in stats.trace.spans() {
@@ -283,7 +283,7 @@ fn recompute_rematerializes_before_every_backward() {
         // schedules) never recompute — there is no stash to reclaim,
         // so the forward re-run is skipped for free throughput.
         let (stats, stages, _) = single_vw_run(schedule, RecomputePolicy::BoundaryOnly);
-        let recomputes: HashMap<(u32, u64), (SimTime, SimTime)> = stats
+        let recomputes: HashMap<(u16, u64), (SimTime, SimTime)> = stats
             .trace
             .spans()
             .iter()
