@@ -13,13 +13,20 @@
 //! 4×RTX 2060 ResNet-152 configuration (boundary-only recompute,
 //! `Nm` = 4) that `tests/runtime_scenarios.rs` uses; plus the canonical
 //! straggler on composite interleaved 1F1B, the one schedule where
-//! `SkipStraggler` splices.
+//! `SkipStraggler` splices. Those cells run without sync transfers.
+//! One more group runs with them, in the elastic-chaos benchmark's
+//! shape: four ED-built VWs on 16 RTX 2060s, seeded chaos scripts,
+//! `Replan`, so that parameter-server pushes and pulls contend on the
+//! NICs and a drain can end mid-transfer at the horizon.
 //!
 //! Tier: dynamically audited (evidence for the cells that ran).
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::pserver::Placement;
-use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{
+    AllocationPolicy, Fnv, HetPipeSystem, RecomputePolicy, Schedule, SystemConfig, VirtualWorker,
+    WspParams,
+};
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
@@ -358,6 +365,60 @@ fn composite_skip_straggler_reports_are_pinned() {
             0x8761_54f8_2f70_d19e,
             0x8e2f_8524_a769_549f,
             0xa92d_219b_0e9f_e302,
+        ],
+    );
+}
+
+/// Seeded chaos scripts under `Replan` with sync transfers on: four
+/// ED-built VWs on 16 RTX 2060s, ResNet-152, boundary-only recompute,
+/// 60 s. Seeds 4 and 6 drain until the horizon cuts them (at
+/// 59.9991 s and 59.9997 s), each leaving a final epoch of no time.
+#[test]
+fn sync_transfer_chaos_reports_are_pinned() {
+    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
+    let graph = hetpipe::model::resnet152(32);
+    let config = SystemConfig {
+        policy: AllocationPolicy::EqualDistribution,
+        recompute: RecomputePolicy::BoundaryOnly,
+        sync_transfers: true,
+        ..SystemConfig::default()
+    };
+    let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
+    assert_eq!(sys.virtual_workers().len(), 4);
+    let horizon_secs = 60.0;
+    let cells = (1..=6)
+        .map(|seed| {
+            let script = ScenarioScript::chaos(seed, horizon_secs, 16, 4, 8);
+            let r = runtime::run(
+                RuntimeParams {
+                    cluster: &cluster,
+                    graph: &graph,
+                    vws: sys.virtual_workers().to_vec(),
+                    wsp: WspParams::new(sys.nm(), config.staleness_bound),
+                    placement: config.placement,
+                    sync_transfers: config.sync_transfers,
+                    schedule: config.schedule,
+                    recompute: config.recompute,
+                    script,
+                    policy: Policy::Replan,
+                    monitor: MonitorConfig::default(),
+                    max_reactions: 8,
+                    planner: None,
+                },
+                SimTime::from_secs(horizon_secs),
+            );
+            (format!("sync-chaos-{seed}/replan"), r)
+        })
+        .collect();
+    check(
+        cells,
+        &[
+            0x20d5_32d3_3244_83f4,
+            0x3164_2ff8_9e00_45c4,
+            0xfa39_e639_132f_7305,
+            0x450f_202b_09d1_ce1d,
+            0x02e4_946f_f4eb_6c39,
+            0xff29_97aa_e1d6_609c,
         ],
     );
 }
