@@ -24,17 +24,18 @@
 //!     its interleaved chunk groups.
 //! - **Wave pushes (Section 5)**: when the last minibatch of wave `c`
 //!   completes, the VW pushes one *aggregated* update (its full
-//!   parameter footprint, once — not per minibatch) to the shards. On
-//!   lanes this is the explicit [`ScheduleOp::Push`] op; the wave
-//!   schedule triggers it on completion count.
+//!   parameter footprint, once — not per minibatch) to the shards, one
+//!   chunk per (stage, shard) pair. On lanes this is the explicit
+//!   [`ScheduleOp::Push`] op; the wave schedule triggers it on
+//!   completion count. Each chunk reserves its NICs, but the push is
+//!   one completion event, at its last chunk's arrival; so is a pull.
 //! - **D-bounded pulls**: after pushing wave `c`, the VW requests global
 //!   weights covering wave `c − D` and waits (while continuing to run
 //!   already-admissible minibatches) until every VW has pushed that
 //!   wave. The injection gate is [`WspParams::required_wave`] for the
 //!   wave schedule and the explicit [`ScheduleOp::PullGate`] op on
-//!   lanes. Consecutive waves' push transfers run
-//!   concurrently (per-wave chunk counters), contending on the NIC
-//!   timelines rather than being serialized behind one another.
+//!   lanes. Consecutive waves' pushes run concurrently, contending on
+//!   the NIC timelines rather than being serialized behind one another.
 //!   The executor evaluates this gate itself: each push completion
 //!   advances the VW's clock in the run's [`PushClocks`] and serves
 //!   the pulls it opens. It is the only coupling between VWs.
@@ -114,7 +115,7 @@ use hetpipe_schedule::PushClocks;
 use hetpipe_schedule::{
     Dispatch, GpuOp, Lanes, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 mod checkpoint;
 pub(crate) mod fastforward;
@@ -318,7 +319,8 @@ pub struct RunStats {
     pub planned_fwd: Vec<Vec<SimTime>>,
     /// Planned per-VW per-stage backward compute times.
     pub planned_bwd: Vec<Vec<SimTime>>,
-    /// Instant of the last processed event — for a draining segment
+    /// Instant of the last processed event or, when later, of the last
+    /// sync-chunk arrival inside the horizon — for a draining segment
     /// (`SegmentOpts::stop_after_mb`) the end of its last span, capped
     /// at that instant: the splice point where the boundary wave's last
     /// work finished.
@@ -370,11 +372,13 @@ enum Ev {
         stage: u32,
         mb: u64,
     },
-    PushChunkDone {
+    /// The last chunk of `vw`'s push of `wave` has arrived.
+    PushDone {
         vw: u32,
         wave: u64,
     },
-    PullChunkDone {
+    /// The last chunk of `vw`'s pull has arrived.
+    PullDone {
         vw: u32,
     },
     TryInject {
@@ -396,15 +400,11 @@ struct VwState {
     pulled: i64,
     /// Outstanding pull request: (target wave, request time).
     pull_request: Option<(u64, SimTime)>,
-    /// Remaining chunks of an in-flight pull and the version it carries.
-    pull_remaining: usize,
+    /// Whether a pull transfer is in flight, and the version it
+    /// carries. A push or pull in flight is one queued event
+    /// ([`Ev::PushDone`], [`Ev::PullDone`]) at its last chunk's arrival.
+    pulling: bool,
     pull_serving_version: i64,
-    /// Remaining transfer chunks of each in-flight wave push, keyed by
-    /// wave. Pushes of consecutive waves proceed *concurrently* (their
-    /// transfers contend on the NIC timelines like any other traffic);
-    /// per-wave counters keep their completions independent, so a
-    /// sync-bound regime is not serialized artificially.
-    push_remaining: BTreeMap<u64, usize>,
     block_start: Option<SimTime>,
     /// [`VwStats::pull_wait`] so far.
     pull_wait: SimTime,
@@ -490,6 +490,11 @@ struct State {
     act_intra: u64,
     /// The latest end of any span recorded so far.
     last_span_end: SimTime,
+    /// The latest sync-chunk arrival at or before the horizon. A
+    /// transfer's chunks are no events of their own, so a run the
+    /// horizon cuts mid-transfer ends at this instant, not at its last
+    /// event's.
+    last_arrival: SimTime,
     /// The newest minibatch any stop query ([`Exec::past_stop`]) has
     /// tested: until it passes a stop point, a run drained there is
     /// this run (see the `checkpoint` module).
@@ -675,6 +680,7 @@ impl State {
             act_inter: 0,
             act_intra: 0,
             last_span_end: SimTime::ZERO,
+            last_arrival: SimTime::ZERO,
             queried: 0,
             spans: 0,
         }
@@ -879,8 +885,8 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                     self.advance_lane(vw, 0);
                 }
             }
-            Ev::PushChunkDone { vw, wave } => self.push_chunk_done(vw as usize, wave),
-            Ev::PullChunkDone { vw } => self.pull_chunk_done(vw as usize),
+            Ev::PushDone { vw, wave } => self.push_completed(vw as usize, wave),
+            Ev::PullDone { vw } => self.pull_done(vw as usize),
             Ev::Fault { idx } => self.apply_fault(idx as usize),
         }
     }
@@ -1218,24 +1224,23 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     // ------------------------------------------------------------------
 
     fn start_push(&mut self, vw: usize, wave: u64) {
-        // Consecutive waves' pushes run *concurrently*: each wave
-        // tracks its own chunk counter, and its transfers contend on
-        // the NIC timelines like any other traffic instead of being
-        // serialized FIFO behind the previous wave's completion.
-        let n = self.plan.chunks[vw].len();
-        if n == 0 {
+        // Consecutive waves' pushes run *concurrently*: each wave's
+        // transfers contend on the NIC timelines like any other traffic
+        // instead of being serialized FIFO behind the previous wave's
+        // completion.
+        if self.plan.chunks[vw].is_empty() {
             self.push_completed(vw, wave);
-            return;
+        } else {
+            self.sync_chunks(vw, wave, false);
         }
-        let prev = self.st.states[vw].push_remaining.insert(wave, n);
-        debug_assert!(prev.is_none(), "wave {wave} pushed twice");
-        self.sync_chunks(vw, wave, false);
     }
 
     /// Moves each of `vw`'s sync chunks to its shard (a push of
-    /// `wave`) or, for a `pull`, back; each chunk's arrival is an
-    /// event.
+    /// `wave`) or, for a `pull`, back. Every chunk reserves its NICs
+    /// and records its spans; the transfer is one event, its
+    /// completion at the last chunk's arrival.
     fn sync_chunks(&mut self, vw: usize, wave: u64, pull: bool) {
+        let mut last = SimTime::ZERO;
         for i in 0..self.plan.chunks[vw].len() {
             let ch = self.plan.chunks[vw][i];
             let (from, to) = if pull {
@@ -1249,27 +1254,18 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 pull,
             };
             let arrive = self.transfer(from, to, ch.bytes, tag);
-            let vw = vw as u32;
-            let done = if pull {
-                Ev::PullChunkDone { vw }
-            } else {
-                Ev::PushChunkDone { vw, wave }
-            };
-            self.st.engine.schedule_at(arrive, done);
+            if arrive <= self.plan.horizon {
+                self.st.last_arrival = self.st.last_arrival.max(arrive);
+            }
+            last = last.max(arrive);
         }
-    }
-
-    fn push_chunk_done(&mut self, vw: usize, wave: u64) {
-        let st = &mut self.st.states[vw];
-        let remaining = st
-            .push_remaining
-            .get_mut(&wave)
-            .expect("chunk completion for a wave that is not in flight");
-        *remaining -= 1;
-        if *remaining == 0 {
-            st.push_remaining.remove(&wave);
-            self.push_completed(vw, wave);
-        }
+        let vw = vw as u32;
+        let done = if pull {
+            Ev::PullDone { vw }
+        } else {
+            Ev::PushDone { vw, wave }
+        };
+        self.st.engine.schedule_at(last, done);
     }
 
     fn push_completed(&mut self, vw: usize, wave: u64) {
@@ -1300,7 +1296,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Serves `vw`'s pending pull if no transfer of it is in flight and
     /// every VW has pushed its target wave.
     fn try_serve_pull(&mut self, vw: usize) {
-        if self.st.states[vw].pull_remaining > 0 {
+        if self.st.states[vw].pulling {
             return; // A pull transfer is already in flight.
         }
         let Some((target, _since)) = self.st.states[vw].pull_request else {
@@ -1318,30 +1314,27 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         let now = self.st.engine.now();
         let st = &mut self.st.states[vw];
         let (_, since) = (st.pull_request.take()).expect("serve_pull requires a pending request");
-        debug_assert_eq!(st.pull_remaining, 0);
+        debug_assert!(!st.pulling);
         st.pull_wait += now - since;
         st.pull_serving_version = version;
         self.lists[vw].wait_windows.push((since, now));
         if let Some(report) = &mut self.st.report {
             report.close_wait(vw, since, now);
         }
-        let n = self.plan.chunks[vw].len();
-        if n == 0 {
+        if self.plan.chunks[vw].is_empty() {
             self.pull_landed(vw);
             return;
         }
-        self.st.states[vw].pull_remaining = n;
+        self.st.states[vw].pulling = true;
         self.sync_chunks(vw, version.max(0) as u64, true);
     }
 
-    fn pull_chunk_done(&mut self, vw: usize) {
-        let st = &mut self.st.states[vw];
-        st.pull_remaining -= 1;
-        if st.pull_remaining == 0 {
-            self.pull_landed(vw);
-            // A newer request may have queued while transferring.
-            self.try_serve_pull(vw);
-        }
+    /// `vw`'s pull transfer has landed.
+    fn pull_done(&mut self, vw: usize) {
+        self.st.states[vw].pulling = false;
+        self.pull_landed(vw);
+        // A newer request may have queued while transferring.
+        self.try_serve_pull(vw);
     }
 
     /// `vw`'s pull has landed: its weights reflect the served version,
@@ -1385,15 +1378,17 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             lists,
             sink,
         } = self;
-        // A drained segment ends when its last span of work does, not
-        // at engine quiescence: scheduled rate edges are first-class
-        // events, so a recovery edge far past the splice boundary
-        // would otherwise inflate the epoch and ride out the whole
-        // outage the splice was meant to dodge.
+        // A run ends at its last event, or at a sync chunk's later
+        // arrival inside the horizon. A drained segment ends when its
+        // last span of work does, not at engine quiescence: scheduled
+        // rate edges are first-class events, so a recovery edge far
+        // past the splice boundary would otherwise inflate the epoch
+        // and ride out the whole outage the splice was meant to dodge.
+        let now = st.engine.now().max(st.last_arrival);
         let end = if plan.opts.stop_after_mb.is_some() {
-            st.last_span_end.min(st.engine.now())
+            st.last_span_end.min(now)
         } else {
-            st.engine.now()
+            now
         };
         let vws = (st.states.iter().zip(lists).enumerate())
             .map(|(vw, (s, l))| VwStats {
@@ -1534,7 +1529,9 @@ mod tests {
     use super::*;
     use crate::pserver::Placement;
     use hetpipe_cluster::DeviceId;
+    use hetpipe_des::Discard;
     use hetpipe_partition::{PartitionProblem, PartitionSolver};
+    use hetpipe_schedule::Schedule::{FillDrain, HetPipeWave, OneFOneB};
 
     /// VWs over `groups` of the paper testbed for VGG-19 (batch 32),
     /// each partitioned for `schedule` under `recompute`; an
@@ -1614,22 +1611,14 @@ mod tests {
         })
     }
 
+    /// [`run`]s the ED groups at `(Nm, D)`, shards local, for `secs`.
     fn run_ed_sched(nm: usize, d: usize, secs: f64, schedule: Schedule) -> RunStats {
-        let vws = build_vws(
-            &ed_groups(),
-            nm,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
+        let (wave, none) = (Schedule::HetPipeWave, RecomputePolicy::None);
+        let vws = build_vws(&ed_groups(), nm, wave, none);
         let (wsp, horizon) = (WspParams::new(nm, d), SimTime::from_secs(secs));
-        with_params(
-            &vws,
-            wsp,
-            Placement::Local,
-            schedule,
-            RecomputePolicy::None,
-            |p| run(p, horizon),
-        )
+        with_params(&vws, wsp, Placement::Local, schedule, none, |p| {
+            run(p, horizon)
+        })
     }
 
     fn run_ed(nm: usize, d: usize, secs: f64) -> RunStats {
@@ -1655,18 +1644,8 @@ mod tests {
     fn pipeline_makes_progress() {
         let stats = run_ed(4, 0, 30.0);
         for (i, vw) in stats.vws.iter().enumerate() {
-            assert!(
-                vw.completions.len() > 20,
-                "vw{} completed only {}",
-                i,
-                vw.completions.len()
-            );
-            assert!(
-                vw.waves_pushed > 4,
-                "vw{} pushed {} waves",
-                i,
-                vw.waves_pushed
-            );
+            let (done, waves) = (vw.completions.len(), vw.waves_pushed);
+            assert!(done > 20 && waves > 4, "vw{i}: {done}, {waves} waves");
         }
     }
 
@@ -1674,9 +1653,7 @@ mod tests {
     fn completions_are_monotone_and_fifo() {
         let stats = run_ed(4, 0, 10.0);
         for vw in &stats.vws {
-            for w in vw.completions.windows(2) {
-                assert!(w[0] <= w[1]);
-            }
+            assert!(vw.completions.is_sorted());
         }
     }
 
@@ -1684,10 +1661,7 @@ mod tests {
     fn deeper_pipelining_increases_throughput() {
         let t1 = run_ed(1, 0, 30.0).vws[0].completions.len();
         let t4 = run_ed(4, 0, 30.0).vws[0].completions.len();
-        assert!(
-            t4 as f64 > t1 as f64 * 1.5,
-            "Nm=4 ({t4}) should clearly beat Nm=1 ({t1})"
-        );
+        assert!(t4 as f64 > t1 as f64 * 1.5, "Nm=4 {t4} vs Nm=1 {t1}");
     }
 
     #[test]
@@ -1758,14 +1732,9 @@ mod tests {
             (12..16).map(DeviceId).collect(),
         ];
         let stats = run_default(&groups, 2, Schedule::HetPipeWave, 30.0);
-        let fast = &stats.vws[0];
-        let slow = &stats.vws[1];
-        assert!(
-            fast.pull_wait > slow.pull_wait,
-            "fast VW should wait more: {} vs {}",
-            fast.pull_wait,
-            slow.pull_wait
-        );
+        let (fast, slow) = (&stats.vws[0], &stats.vws[1]);
+        let (f, s) = (fast.pull_wait, slow.pull_wait);
+        assert!(f > s, "fast VW should wait more: {f} vs {s}");
         // Lockstep: completed waves within 1.
         assert!(fast.waves_pushed.abs_diff(slow.waves_pushed) <= 1);
     }
@@ -1779,16 +1748,8 @@ mod tests {
         for schedule in [Schedule::FillDrain, Schedule::OneFOneB] {
             let stats = run_ed_sched(4, 0, 30.0, schedule);
             for (i, vw) in stats.vws.iter().enumerate() {
-                assert!(
-                    vw.completions.len() > 20,
-                    "{schedule} vw{i} completed only {}",
-                    vw.completions.len()
-                );
-                assert!(
-                    vw.waves_pushed > 4,
-                    "{schedule} vw{i} pushed {} waves",
-                    vw.waves_pushed
-                );
+                let (done, waves) = (vw.completions.len(), vw.waves_pushed);
+                assert!(done > 20 && waves > 4, "{schedule} vw{i}: {done}, {waves}");
             }
         }
     }
@@ -1799,10 +1760,7 @@ mod tests {
         // steady state strictly dominates GPipe's fill-drain bubbles.
         let done = |s| run_ed_sched(4, 0, 30.0, s).vws[0].completions.len();
         let (gpipe, ofob) = (done(Schedule::FillDrain), done(Schedule::OneFOneB));
-        assert!(
-            ofob > gpipe,
-            "1F1B ({ofob}) must strictly beat fill-drain ({gpipe})"
-        );
+        assert!(ofob > gpipe, "1F1B {ofob} vs fill-drain {gpipe}");
     }
 
     #[test]
@@ -1825,11 +1783,7 @@ mod tests {
 
     #[test]
     fn zero_fault_segment_is_bit_identical_to_run() {
-        for schedule in [
-            Schedule::HetPipeWave,
-            Schedule::FillDrain,
-            Schedule::OneFOneB,
-        ] {
+        for schedule in [HetPipeWave, FillDrain, OneFOneB] {
             let plain = run_ed_sched(4, 0, 10.0, schedule);
             let seg = run_ed_segment(4, 10.0, schedule, SegmentOpts::default());
             assert_eq!(plain.trace.len(), seg.trace.len(), "{schedule}");
@@ -1858,12 +1812,11 @@ mod tests {
                 ..SegmentOpts::default()
             };
             let faulted = run_ed_segment(4, 20.0, schedule, slow);
-            let c = clean.vws[0].completions.len();
-            let f = faulted.vws[0].completions.len();
-            assert!(
-                (f as f64) < c as f64 * 0.9,
-                "{schedule}: x4 slowdown must cost throughput ({f} vs {c})"
+            let (c, f) = (
+                clean.vws[0].completions.len(),
+                faulted.vws[0].completions.len(),
             );
+            assert!((f as f64) < c as f64 * 0.9, "{schedule}: {f} vs {c}");
             // Spans on the slowed GPU after the fault are stretched.
             let gpu = faulted.gpu_resources[4];
             let stretched = faulted.trace.spans().iter().any(|s| {
@@ -1890,40 +1843,27 @@ mod tests {
         // terminates (no live-lock) and other VWs are eventually
         // throttled by the WSP distance bound, not deadlocked.
         let last = faulted.vws[0].completions.last().copied().unwrap();
-        assert!(
-            last < SimTime::from_secs(5.0),
-            "vw0 kept completing: {last}"
-        );
+        assert!(last < SimTime::from_secs(5.0), "vw0 completed at {last}");
         assert!(faulted.end <= SimTime::from_secs(15.0));
     }
 
     #[test]
     fn segment_drain_stops_at_wave_boundary() {
-        for schedule in [
-            Schedule::HetPipeWave,
-            Schedule::FillDrain,
-            Schedule::OneFOneB,
-        ] {
+        for schedule in [HetPipeWave, FillDrain, OneFOneB] {
             let drain = SegmentOpts {
                 stop_after_mb: Some(8),
                 ..SegmentOpts::default()
             };
             let seg = run_ed_segment(4, 30.0, schedule, drain);
+            // Exactly the boundary wave completes.
             for (i, vw) in seg.vws.iter().enumerate() {
-                assert_eq!(
-                    vw.completions.len(),
-                    8,
-                    "{schedule} vw{i}: drain must complete exactly the boundary wave"
-                );
-                assert_eq!(vw.waves_pushed, 2, "{schedule} vw{i}");
+                let (done, waves) = (vw.completions.len(), vw.waves_pushed);
+                assert_eq!((done, waves), (8, 2), "{schedule} vw{i}");
             }
             // The drain ends well before the horizon: that end is the
             // splice point.
-            assert!(
-                seg.end < SimTime::from_secs(29.0),
-                "{schedule}: drain should end early, got {}",
-                seg.end
-            );
+            let end = seg.end;
+            assert!(end < SimTime::from_secs(29.0), "{schedule}: ends at {end}");
             // No compute span belongs to a past-boundary minibatch.
             for span in seg.trace.spans() {
                 if let SpanTag::Forward { mb, .. }
@@ -1944,6 +1884,69 @@ mod tests {
             ..SegmentOpts::default()
         };
         run_ed_segment(4, 5.0, Schedule::HetPipeWave, mid_wave);
+    }
+
+    /// A push or a pull is one completion event, at its last chunk's
+    /// arrival, and a run the horizon cuts mid-transfer ends at the
+    /// latest chunk arrival inside the horizon. Cell: the paper
+    /// testbed's NP groups with default shard placement, every VW
+    /// pushing to several shards. A dynamically audited invariant:
+    /// evidence for this cell, not a proof.
+    #[test]
+    fn transfers_complete_once_at_their_last_chunk() {
+        let (wsp, placement) = (WspParams::new(2, 1), Placement::Default);
+        let (schedule, recompute) = (Schedule::HetPipeWave, RecomputePolicy::None);
+        let np = (0..4).map(|n| (n * 4..n * 4 + 4).map(DeviceId).collect());
+        let vws = build_vws(&np.collect::<Vec<_>>(), wsp.nm, schedule, recompute);
+        with_params(&vws, wsp, placement, schedule, recompute, |params| {
+            let run = |secs| Plan::new(params.clone(), SegmentOpts::default(), secs);
+            let mut ex = Exec::new(run(SimTime::from_secs(6.0)), None, Trace::new());
+            assert!(ex.plan.chunks.iter().all(|c| c.len() > 1));
+            while let Some(ev) = ex.st.engine.next_event_until(ex.plan.horizon) {
+                ex.handle(ev);
+                // Each queued completion as (vw, wave), a pull's wave `None`.
+                let mut done: Vec<(u32, Option<u64>)> = (ex.st.engine.pending_events())
+                    .filter_map(|(_, _, ev)| match *ev {
+                        Ev::PushDone { vw, wave } => Some((vw, Some(wave))),
+                        Ev::PullDone { vw } => Some((vw, None)),
+                        _ => None,
+                    })
+                    .collect();
+                done.sort_unstable();
+                assert!(done.windows(2).all(|w| w[0] != w[1]), "{done:?}");
+                for (vw, st) in ex.st.states.iter().enumerate() {
+                    let pull = done.contains(&(vw as u32, None));
+                    assert_eq!(pull, st.pulling, "vw{vw}: a pull in flight is one event");
+                }
+            }
+            // Every chunk arrival of a push but its last, as a horizon.
+            let (mut cuts, trace) = (Vec::new(), ex.finish().1);
+            for (vw, wave) in (0..4).flat_map(|vw| (2..5).map(move |wave| (vw, wave))) {
+                let push = SpanTag::SyncTransfer {
+                    vw,
+                    wave,
+                    pull: false,
+                };
+                let ends = trace
+                    .spans()
+                    .iter()
+                    .filter(|s| s.tag == push)
+                    .map(|s| s.end);
+                let last = ends.clone().max().expect("a pushed wave");
+                cuts.extend(ends.filter(|&end| end < last));
+            }
+            assert!(cuts.len() > 8, "{} cuts", cuts.len());
+            let mut between_events = 0;
+            for horizon in cuts {
+                let mut ex = Exec::new(run(horizon), None, Discard);
+                while let Some(ev) = ex.st.engine.next_event_until(horizon) {
+                    ex.handle(ev);
+                }
+                between_events += (ex.st.engine.now() < horizon) as usize;
+                assert_eq!(ex.finish().0.end, horizon, "a chunk arrives at {horizon}");
+            }
+            assert!(between_events > 0, "every cut fell on an event");
+        });
     }
 
     #[test]

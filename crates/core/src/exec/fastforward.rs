@@ -450,8 +450,8 @@ impl Ev {
             | Ev::FwdDone { mb, .. }
             | Ev::BwdArrive { mb, .. }
             | Ev::BwdDone { mb, .. } => *mb += mbs,
-            Ev::PushChunkDone { wave, .. } => *wave += waves,
-            Ev::PullChunkDone { .. } | Ev::TryInject { .. } => {}
+            Ev::PushDone { wave, .. } => *wave += waves,
+            Ev::PullDone { .. } | Ev::TryInject { .. } => {}
             Ev::Fault { .. } => return false,
         }
         true
@@ -463,8 +463,8 @@ impl Ev {
             Ev::FwdDone { vw, stage, .. } => (1, vw, stage),
             Ev::BwdArrive { vw, stage, .. } => (2, vw, stage),
             Ev::BwdDone { vw, stage, .. } => (3, vw, stage),
-            Ev::PushChunkDone { vw, .. } => (4, vw, 0),
-            Ev::PullChunkDone { vw } => (5, vw, 0),
+            Ev::PushDone { vw, .. } => (4, vw, 0),
+            Ev::PullDone { vw } => (5, vw, 0),
             Ev::TryInject { vw } => (6, vw, 0),
             Ev::Fault { .. } => unreachable!("rate edges are not state"),
         };
@@ -474,7 +474,7 @@ impl Ev {
             | Ev::FwdDone { mb, .. }
             | Ev::BwdArrive { mb, .. }
             | Ev::BwdDone { mb, .. } => n.mb(mb),
-            Ev::PushChunkDone { wave, .. } => n.wave(wave as i64),
+            Ev::PushDone { wave, .. } => n.wave(wave as i64),
             _ => n,
         };
     }
@@ -531,6 +531,7 @@ impl State {
             lanes,
             bufs,
             last_span_end,
+            last_arrival,
             // Totals and counters no decision reads.
             sync_inter: _,
             sync_intra: _,
@@ -557,6 +558,7 @@ impl State {
             n.instant(r.free_at().max(now));
         }
         n.instant(*last_span_end);
+        n.instant((*last_arrival).max(now));
         // Lanes never advance the injection counter: it stays raw.
         let fifo = plan.dispatch == Dispatch::ArrivalFifo;
         for (vw, st) in states.iter().enumerate() {
@@ -565,9 +567,8 @@ impl State {
                 completed,
                 pulled,
                 pull_request,
-                pull_remaining,
+                pulling,
                 pull_serving_version,
-                push_remaining,
                 block_start,
                 pull_wait: _,
                 inject_blocked: _,
@@ -581,7 +582,7 @@ impl State {
             n.wave(clocks.get(vw) as i64);
             n.wave(*pulled);
             n.wave(*pull_serving_version);
-            n.int(*pull_remaining as i64);
+            n.int(*pulling as i64);
             n.int(pull_request.is_some() as i64);
             if let Some((target, since)) = *pull_request {
                 n.wave(target as i64);
@@ -590,11 +591,6 @@ impl State {
             n.int(block_start.is_some() as i64);
             if let Some(since) = *block_start {
                 n.instant(since);
-            }
-            n.int(push_remaining.len() as i64);
-            for (&wave, &left) in push_remaining {
-                n.wave(wave as i64);
-                n.int(left as i64);
             }
         }
         for (lanes, bufs) in lanes.iter().zip(bufs) {
@@ -645,6 +641,7 @@ impl State {
             lanes,
             bufs,
             last_span_end,
+            last_arrival,
             queried,
             // Running totals.
             sync_inter: _,
@@ -670,9 +667,8 @@ impl State {
                 completed,
                 pulled,
                 pull_request,
-                pull_remaining: _,
+                pulling: _,
                 pull_serving_version,
-                push_remaining,
                 block_start,
                 pull_wait: _,
                 inject_blocked: _,
@@ -691,8 +687,6 @@ impl State {
             if let Some(since) = block_start {
                 *since += by;
             }
-            let pushes = std::mem::take(push_remaining);
-            push_remaining.extend(pushes.into_iter().map(|(wave, left)| (wave + waves, left)));
         }
         // Minibatch counters that 0 means "none" in; the occupancy
         // books and drain marks stay.
@@ -710,6 +704,7 @@ impl State {
             lanes.shift(mbs, waves);
         }
         *last_span_end += by;
+        *last_arrival += by;
     }
 
     /// The running-totals walk: hands `f` every total a repeated
@@ -734,6 +729,7 @@ impl State {
             lanes: _,
             bufs: _,
             last_span_end: _,
+            last_arrival: _,
             queried: _,
         } = self;
         for id in (0..pool.len()).map(ResourceId) {

@@ -93,38 +93,38 @@ fn digest(stats: &RunStats) -> u64 {
 /// Every pinned run: label, span count, DES events, digest.
 #[rustfmt::skip]
 const PINS: &[(&str, usize, u64, u64)] = &[
-    ("ED-local VGG-19 Nm=4 D=0",                                 3887, 3490,   0x7497979d44b9c230),
-    ("NP-default VGG-19 Nm=2 D=2",                               3985, 4394,   0xf258c7353178606e),
-    ("NP-default ResNet-152 Nm=2 D=0",                           3376, 3493,   0x3056a792fbdfa577),
+    ("ED-local VGG-19 Nm=4 D=0",                                 3887, 3202,   0x7497979d44b9c230),
+    ("NP-default VGG-19 Nm=2 D=2",                               3985, 2643,   0xf258c7353178606e),
+    ("NP-default ResNet-152 Nm=2 D=0",                           3376, 1888,   0x3056a792fbdfa577),
     ("standalone VVVV VGG-19 Nm=4",                              627,  1359,   0x8a14fc90ec6587b8),
-    ("two single-GPU VWs Nm=1",                                  274,  255,    0x4906f18e43a460d6),
-    ("ED-local VGG-19 Nm=4 D=0 10s",                             2613, 2312,   0xdc6c010ac3c1b106),
-    ("fill-drain none Nm=4 D=0",                                 726,  907,    0x24ca31fdfbad5f7c),
-    ("fill-drain none Nm=2 D=1",                                 798,  874,    0x849b667dbe9d2544),
-    ("fill-drain boundary-only Nm=4 D=0",                        690,  681,    0x6ce60271ec6b376a),
-    ("fill-drain boundary-only Nm=2 D=1",                        693,  654,    0xdf2cc7c07ee607ea),
-    ("fill-drain drain at mb 8 with slowdown",                   272,  335,    0x4e427b1d7b90767e),
-    ("fill-drain reorder window 4 with slowdown",                690,  682,    0x972636b2941eebd9),
-    ("1f1b none Nm=4 D=0",                                       923,  1163,   0xa9c7238c357dbff5),
-    ("1f1b none Nm=2 D=1",                                       678,  753,    0x0d08e188703167de),
-    ("1f1b boundary-only Nm=4 D=0",                              917,  995,    0x171c0f05a0488d9d),
-    ("1f1b boundary-only Nm=2 D=1",                              596,  591,    0xced31014dc0d904d),
-    ("1f1b drain at mb 8 with slowdown",                         272,  335,    0x3027a92155aa895d),
-    ("1f1b reorder window 4 with slowdown",                      917,  994,    0xf64896b730d716b1),
-    ("interleaved-1f1b-depth:2 none Nm=4 D=0",                   630,  942,    0xe429f5328db94139),
-    ("interleaved-1f1b-depth:2 none Nm=2 D=1",                   703,  895,    0x9c45eb7a63971130),
-    ("interleaved-1f1b-depth:2 boundary-only Nm=4 D=0",          631,  761,    0x2c13e87e0d7c5fa2),
-    ("interleaved-1f1b-depth:2 boundary-only Nm=2 D=1",          625,  697,    0xa13503678e7b533f),
-    ("interleaved-1f1b-depth:2 drain at mb 8 with slowdown",     440,  615,    0xd0638a5125f56f2d),
-    ("interleaved-1f1b-depth:2 reorder window 4 with slowdown",  629,  760,    0xa2211652104bd6c8),
-    ("interleaved-1f1b:2 none Nm=4 D=0",                         1230, 1766,   0x757a5180811396c6),
-    ("interleaved-1f1b:2 none Nm=2 D=1",                         1184, 1474,   0x8590f3b8423ddb24),
-    ("interleaved-1f1b:2 boundary-only Nm=4 D=0",                975,  1153,   0x41c1d6088fe7b4c5),
-    ("interleaved-1f1b:2 boundary-only Nm=2 D=1",                972,  1056,   0x245ff7b21dd798e6),
-    ("interleaved-1f1b:2 drain at mb 8 with slowdown",           440,  615,    0x5819a961f096a388),
-    ("interleaved-1f1b:2 reorder window 4 with slowdown",        976,  1156,   0xaa8b18f829e2bcde),
-    ("hetpipe-wave drain at mb 8 with slowdown",                 256,  351,    0x0f0cb7a61d0c6f57),
-    ("hetpipe-wave reorder window 4 with slowdown",              815,  976,    0xfce4b6515f0d8e35),
+    ("two single-GPU VWs Nm=1",                                  274,  129,    0x4906f18e43a460d6),
+    ("ED-local VGG-19 Nm=4 D=0 10s",                             2613, 2132,   0xdc6c010ac3c1b106),
+    ("fill-drain none Nm=4 D=0",                                 726,  667,    0x24ca31fdfbad5f7c),
+    ("fill-drain none Nm=2 D=1",                                 798,  526,    0x849b667dbe9d2544),
+    ("fill-drain boundary-only Nm=4 D=0",                        690,  497,    0x6ce60271ec6b376a),
+    ("fill-drain boundary-only Nm=2 D=1",                        693,  402,    0xdf2cc7c07ee607ea),
+    ("fill-drain drain at mb 8 with slowdown",                   272,  239,    0x4e427b1d7b90767e),
+    ("fill-drain reorder window 4 with slowdown",                690,  498,    0x972636b2941eebd9),
+    ("1f1b none Nm=4 D=0",                                       923,  863,    0xa9c7238c357dbff5),
+    ("1f1b none Nm=2 D=1",                                       678,  465,    0x0d08e188703167de),
+    ("1f1b boundary-only Nm=4 D=0",                              917,  754,    0x171c0f05a0488d9d),
+    ("1f1b boundary-only Nm=2 D=1",                              596,  362,    0xced31014dc0d904d),
+    ("1f1b drain at mb 8 with slowdown",                         272,  239,    0x3027a92155aa895d),
+    ("1f1b reorder window 4 with slowdown",                      917,  753,    0xf64896b730d716b1),
+    ("interleaved-1f1b-depth:2 none Nm=4 D=0",                   630,  808,    0xe429f5328db94139),
+    ("interleaved-1f1b-depth:2 none Nm=2 D=1",                   703,  655,    0x9c45eb7a63971130),
+    ("interleaved-1f1b-depth:2 boundary-only Nm=4 D=0",          631,  653,    0x2c13e87e0d7c5fa2),
+    ("interleaved-1f1b-depth:2 boundary-only Nm=2 D=1",          625,  536,    0xa13503678e7b533f),
+    ("interleaved-1f1b-depth:2 drain at mb 8 with slowdown",     440,  495,    0xd0638a5125f56f2d),
+    ("interleaved-1f1b-depth:2 reorder window 4 with slowdown",  629,  652,    0xa2211652104bd6c8),
+    ("interleaved-1f1b:2 none Nm=4 D=0",                         1230, 1466,   0x757a5180811396c6),
+    ("interleaved-1f1b:2 none Nm=2 D=1",                         1184, 1054,   0x8590f3b8423ddb24),
+    ("interleaved-1f1b:2 boundary-only Nm=4 D=0",                975,  991,    0x41c1d6088fe7b4c5),
+    ("interleaved-1f1b:2 boundary-only Nm=2 D=1",                972,  787,    0x245ff7b21dd798e6),
+    ("interleaved-1f1b:2 drain at mb 8 with slowdown",           440,  495,    0x5819a961f096a388),
+    ("interleaved-1f1b:2 reorder window 4 with slowdown",        976,  994,    0xaa8b18f829e2bcde),
+    ("hetpipe-wave drain at mb 8 with slowdown",                 256,  255,    0x0f0cb7a61d0c6f57),
+    ("hetpipe-wave reorder window 4 with slowdown",              815,  746,    0xfce4b6515f0d8e35),
 ];
 
 /// Asserts every labelled run matches its entry in [`PINS`], listing
