@@ -115,7 +115,7 @@ use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspPa
 use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{Dispatch, PipelineSchedule, RecomputePolicy, Schedule};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A reactive policy: what the controller does with monitor signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -980,7 +980,9 @@ impl<'a> Controller<'a> {
     /// current plan, so a GPU dropped by an earlier shrink keeps its
     /// pipeline position and is re-admitted the moment it leaves the
     /// dead set. On total failure the old configuration is kept (the
-    /// reaction budget stops the loop).
+    /// reaction budget stops the loop). A plan names no device, so VWs
+    /// whose stages have the same GPU kinds, links and derates share
+    /// one solve at each `Nm`.
     fn replan(&mut self, ceiling: usize) {
         let schedule = self.p.schedule;
         // Per VW: surviving physical devices (roster order preserved).
@@ -996,6 +998,9 @@ impl<'a> Controller<'a> {
             }
             survivors.push(phys);
         }
+        // Each distinct problem's plan (`None`: infeasible), keyed by
+        // `Nm`, stage GPU kinds, links and derate bits.
+        let mut solved = HashMap::new();
         // Try the highest Nm first, lowering until every VW solves.
         'nm: for nm in (1..=ceiling).rev() {
             let mut new_vws = Vec::with_capacity(self.vws.len());
@@ -1006,24 +1011,26 @@ impl<'a> Controller<'a> {
                     .iter()
                     .map(|d| self.applied_dev.get(&(i, *d)).copied().unwrap_or(1.0))
                     .collect();
-                let plan = replan_vw_from_observed(
-                    self.p.cluster,
-                    self.p.graph,
-                    &expanded,
-                    &derate,
+                let cluster = self.p.cluster;
+                let kinds: Vec<_> = expanded.iter().map(|&d| cluster.kind_of(d)).collect();
+                let links = VirtualWorker::links(cluster, &expanded);
+                let bits: Vec<u64> = derate.iter().map(|r| r.to_bits()).collect();
+                let plan = solved.entry((nm, kinds, links, bits)).or_insert_with(|| {
+                    let (graph, recompute) = (self.p.graph, self.p.recompute);
+                    let plan = replan_vw_from_observed(
+                        cluster, graph, &expanded, &derate, nm, schedule, recompute,
+                    );
+                    plan.ok()
+                });
+                let Some(plan) = plan.clone() else {
+                    continue 'nm;
+                };
+                new_vws.push(VirtualWorker {
+                    index: i,
+                    devices: expanded,
+                    plan,
                     nm,
-                    schedule,
-                    self.p.recompute,
-                );
-                match plan {
-                    Ok(plan) => new_vws.push(VirtualWorker {
-                        index: i,
-                        devices: expanded,
-                        plan,
-                        nm,
-                    }),
-                    Err(_) => continue 'nm,
-                }
+                });
             }
             self.vws = new_vws;
             self.nm = nm;
