@@ -998,12 +998,12 @@ impl<'a> Controller<'a> {
             }
             survivors.push(phys);
         }
-        // Each distinct problem's plan (`None`: infeasible), keyed by
-        // `Nm`, stage GPU kinds, links and derate bits.
-        let mut solved = HashMap::new();
         // Try the highest Nm first, lowering until every VW solves.
         'nm: for nm in (1..=ceiling).rev() {
             let mut new_vws = Vec::with_capacity(self.vws.len());
+            // Each distinct problem's plan (`None`: infeasible), keyed
+            // by stage GPU kinds, links and derate bits.
+            let mut solved = HashMap::new();
             for (i, phys) in survivors.iter().enumerate() {
                 let vk = schedule.virtual_stages(phys.len());
                 let expanded: Vec<DeviceId> = (0..vk).map(|s| phys[s % phys.len()]).collect();
@@ -1015,12 +1015,12 @@ impl<'a> Controller<'a> {
                 let kinds: Vec<_> = expanded.iter().map(|&d| cluster.kind_of(d)).collect();
                 let links = VirtualWorker::links(cluster, &expanded);
                 let bits: Vec<u64> = derate.iter().map(|r| r.to_bits()).collect();
-                let plan = solved.entry((nm, kinds, links, bits)).or_insert_with(|| {
+                let plan = solved.entry((kinds, links, bits)).or_insert_with(|| {
                     let (graph, recompute) = (self.p.graph, self.p.recompute);
-                    let plan = replan_vw_from_observed(
+                    replan_vw_from_observed(
                         cluster, graph, &expanded, &derate, nm, schedule, recompute,
-                    );
-                    plan.ok()
+                    )
+                    .ok()
                 });
                 let Some(plan) = plan.clone() else {
                     continue 'nm;
