@@ -471,7 +471,7 @@ fn main() {
         let (build_secs, sys) = time_each(e2e_reps, || {
             HetPipeSystem::build(cluster, &graph, &config).expect("buildable")
         });
-        let (sim_secs, _) = time_each(e2e_reps, || sys.run(SimTime::from_secs(10.0)));
+        let (sim_secs, _) = time_each(e2e_reps, || sys.run_with_stats(SimTime::from_secs(10.0)));
         println!(
             "end-to-end   {cluster_name:<7} VGG-19 ED      build median {:>7.2}ms  simulate(10s) median {:>7.2}ms  (n {e2e_reps})",
             median(&build_secs) * 1e3,

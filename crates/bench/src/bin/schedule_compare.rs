@@ -51,7 +51,7 @@ use hetpipe_core::{
     trace_fingerprint, AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy,
     Schedule, SystemConfig,
 };
-use hetpipe_des::SimTime;
+use hetpipe_des::{SimTime, Trace};
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
 use hetpipe_runtime::{MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use serde_json::json;
@@ -151,10 +151,11 @@ fn main() {
                     let ckpt = if recompute.is_on() { "on" } else { "off" };
                     match HetPipeSystem::build(cluster, graph, &config) {
                         Ok(sys) => {
-                            let (report, stats) = if trace_prefix.is_some() {
-                                sys.run_traced(horizon)
+                            let (report, stats, trace) = if trace_prefix.is_some() {
+                                sys.run_into(horizon, Trace::new())
                             } else {
-                                sys.run_with_stats(horizon)
+                                let (report, stats) = sys.run_with_stats(horizon);
+                                (report, stats, Trace::new())
                             };
                             let ips = report.throughput_images_per_sec();
                             // Peak per-GPU memory across every VW, GiB.
@@ -253,7 +254,7 @@ fn main() {
                                 // on/off with no checkpointing stage,
                                 // for instance) copies the file
                                 // instead of re-serializing.
-                                match written_traces.entry(trace_fingerprint(stats.trace.spans())) {
+                                match written_traces.entry(trace_fingerprint(trace.spans())) {
                                     std::collections::hash_map::Entry::Occupied(prev) => {
                                         match std::fs::copy(prev.get(), &path) {
                                             Ok(_) => println!(
@@ -268,7 +269,7 @@ fn main() {
                                     }
                                     std::collections::hash_map::Entry::Vacant(slot) => {
                                         let names = stats.resource_names();
-                                        match stats.trace.write_chrome_trace_file(
+                                        match trace.write_chrome_trace_file(
                                             &path,
                                             |rid| names[rid.0].clone(),
                                             |tag| tag.label(),

@@ -312,7 +312,7 @@ impl Sim<'_> {
     fn run(&self, c: &SystemConfig) -> (usize, SystemReport) {
         let sys = HetPipeSystem::build(self.0, self.1, c)
             .unwrap_or_else(|e| panic!("{:?} does not build: {e}", c.policy));
-        (sys.nm(), sys.run(SimTime::from_secs(self.2)))
+        (sys.nm(), sys.run_with_stats(SimTime::from_secs(self.2)).0)
     }
 
     fn ips(&self, c: &SystemConfig) -> f64 {

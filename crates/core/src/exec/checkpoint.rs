@@ -45,7 +45,6 @@
 //! the stop queries a checkpoint's validity rests on.
 
 use super::{Exec, ExecParams, Plan, RunStats, SegmentOpts, SpanTag, State, VwLists};
-use crate::metrics::SystemReport;
 use hetpipe_des::{SimTime, SpanSink};
 
 /// Waves between checkpoints until the list first fills.
@@ -60,7 +59,6 @@ struct Probe {
     /// The probe's segment options; its stop point is `None`.
     opts: SegmentOpts,
     horizon: SimTime,
-    warmup: Option<SimTime>,
 }
 
 /// A checkpointed run's saved states, oldest first (see the module
@@ -108,14 +106,13 @@ impl Checkpoint<'_> {
 
 impl Checkpoints {
     /// Starts the list with `ex`'s state at the segment start.
-    fn start<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>, warmup: Option<SimTime>) -> Checkpoints {
+    fn start<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>) -> Checkpoints {
         let every = FIRST_SPACING_WAVES * ex.plan.p.wsp.nm as u64;
         Checkpoints {
             saved: vec![(ex.st.clone(), ex.lens())],
             probe: Probe {
                 opts: ex.plan.opts.clone(),
                 horizon: ex.plan.horizon,
-                warmup,
             },
             every,
             next: every,
@@ -209,10 +206,10 @@ pub enum Verdict {
 }
 
 /// [`run_into`](super::run_into) for a probe: simulates the segment to
-/// `horizon` with no stop point, and also returns the wave checkpoints
-/// it saved on the way, from which [`resume_into`] commits a drain at
-/// any wave boundary without re-running the segment from its start.
-/// Simulates every event (no fast-forward).
+/// `horizon` with no stop point and no report, and also returns the
+/// wave checkpoints it saved on the way, from which [`resume_into`]
+/// commits a drain at any wave boundary without re-running the segment
+/// from its start. Simulates every event (no fast-forward).
 ///
 /// After each event `judge` reads the run's [`Progress`] and its sink,
 /// and its [`Verdict`] may drain the run in place or halt it. A judge
@@ -227,15 +224,14 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     opts: SegmentOpts,
     horizon: SimTime,
     sink: S,
-    warmup: Option<SimTime>,
     mut judge: impl FnMut(Progress, &S) -> Verdict,
-) -> (RunStats, S, Option<SystemReport>, Checkpoints) {
+) -> (RunStats, S, Checkpoints) {
     assert!(
         opts.stop_after_mb.is_none(),
         "a checkpointed run is a probe: it has no stop point"
     );
-    let mut ex = Exec::new(Plan::new(params, opts, horizon), warmup, sink);
-    let mut checkpoints = Checkpoints::start(&ex, warmup);
+    let mut ex = Exec::new(Plan::new(params, opts, horizon), None, sink);
+    let mut checkpoints = Checkpoints::start(&ex);
     let nm = ex.plan.p.wsp.nm as u64;
     let mut judging = true;
     while let Some(ev) = ex.st.engine.next_event_until(horizon) {
@@ -266,14 +262,14 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
             Verdict::Halt => break,
         }
     }
-    let (stats, sink, report) = ex.finish();
-    (stats, sink, report, checkpoints)
+    let (stats, sink, _) = ex.finish();
+    (stats, sink, checkpoints)
 }
 
-/// Commits a drain from a probe's checkpoint: the result equals
-/// [`run_into`](super::run_into) with the same arguments bit for bit,
-/// [`RunStats`] and report alike, and `sink` receives exactly the spans
-/// that run records after the first [`Checkpoint::spans`].
+/// Commits a drain from a probe's checkpoint: the [`RunStats`] equal
+/// [`run_into`](super::run_into)'s with the same arguments and no
+/// warm-up bit for bit, and `sink` receives exactly the spans that run
+/// records after the first [`Checkpoint::spans`].
 ///
 /// `params` must be the probe's; `from` and `probe` are the checkpoint
 /// and the result of that [`run_into_checkpointed`] run, and the stop
@@ -283,17 +279,16 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
 /// # Panics
 ///
 /// Panics if `opts` sets no stop point, a stop point below
-/// `from.queried()` or off a wave boundary, or if `horizon`, `warmup`
-/// or `opts` but its stop point differ from the probe's.
+/// `from.queried()` or off a wave boundary, or if `horizon` or `opts`
+/// but its stop point differ from the probe's.
 pub fn resume_into<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
     opts: SegmentOpts,
     horizon: SimTime,
     sink: S,
-    warmup: Option<SimTime>,
     from: Checkpoint<'_>,
     probe: &RunStats,
-) -> (RunStats, S, Option<SystemReport>) {
+) -> (RunStats, S) {
     let stop = opts.stop_after_mb.expect("a resumed run is a drain");
     assert!(
         stop >= from.queried(),
@@ -306,11 +301,10 @@ pub fn resume_into<S: SpanSink<SpanTag>>(
             ..opts.clone()
         },
         horizon,
-        warmup,
     };
     assert_eq!(
         &drain, from.probe,
-        "a drain shares its probe's segment options, horizon and warm-up"
+        "a drain shares its probe's segment options and horizon"
     );
     let (state, lens) = from.saved;
     let lists = (lens.iter().zip(&probe.vws))
@@ -321,11 +315,12 @@ pub fn resume_into<S: SpanSink<SpanTag>>(
         .collect();
     let plan = Plan::new(params, opts, horizon);
     let st = state.clone();
-    Exec {
+    let (stats, sink, _) = Exec {
         plan,
         st,
         lists,
         sink,
     }
-    .simulate()
+    .simulate();
+    (stats, sink)
 }

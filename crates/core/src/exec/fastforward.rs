@@ -287,7 +287,7 @@ impl Forward {
         if let Phase::Detect { from, .. } = self.phase {
             // Pull gates and pull targets exist from wave D + 2 on;
             // before that the handler compares with constants.
-            let nominal = ex.st.pool.iter().all(|(_, r)| r.rate() == 1.0);
+            let nominal = ex.plan.rates.iter().all(|r| r.rate_at(now) == 1.0);
             let steady = base_wave >= ex.plan.p.wsp.d as u64 + 2 && nominal;
             if !steady || now < from {
                 return;
@@ -452,7 +452,7 @@ impl Ev {
             | Ev::BwdDone { mb, .. } => *mb += mbs,
             Ev::PushDone { wave, .. } => *wave += waves,
             Ev::PullDone { .. } | Ev::TryInject { .. } => {}
-            Ev::Fault { .. } => return false,
+            Ev::Fault => return false,
         }
         true
     }
@@ -466,7 +466,7 @@ impl Ev {
             Ev::PushDone { vw, .. } => (4, vw, 0),
             Ev::PullDone { vw } => (5, vw, 0),
             Ev::TryInject { vw } => (6, vw, 0),
-            Ev::Fault { .. } => unreachable!("rate edges are not state"),
+            Ev::Fault => unreachable!("rate edges are not state"),
         };
         n.word(kind | (vw as u64) << 8 | (stage as u64) << 36);
         match *self {
@@ -544,7 +544,7 @@ impl State {
         let mut events = std::mem::take(&mut n.events);
         events.clear();
         let pending = engine.pending_events().map(|(at, seq, &ev)| (at, seq, ev));
-        events.extend(pending.filter(|(_, _, ev)| !matches!(ev, Ev::Fault { .. })));
+        events.extend(pending.filter(|(_, _, ev)| *ev != Ev::Fault));
         events.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         n.int(events.len() as i64);
         for (at, _, ev) in &events {
@@ -553,7 +553,7 @@ impl State {
         }
         n.events = events;
         // A resource free at or before now serves like one free now;
-        // its rate knob is nominal (detection waits for that).
+        // every rate is nominal now (detection waits for that).
         for (_, r) in pool.iter() {
             n.instant(r.free_at().max(now));
         }

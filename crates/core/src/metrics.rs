@@ -8,12 +8,13 @@
 //!
 //! One fold turns spans into busy and idle time (`ReportFold`). A run
 //! folds its report while it executes, so it needs no kept trace:
-//! [`HetPipeSystem::run`] and [`HetPipeSystem::run_with_stats`] return
-//! that report. [`SystemReport::from_stats`] replays a kept trace
-//! through the same fold, for any warm-up (`tests/report_parity.rs`
-//! checks both against per-window trace queries, bit for bit).
+//! [`HetPipeSystem::run_into`] and [`HetPipeSystem::run_with_stats`]
+//! return that report. [`SystemReport::from_stats`] replays a kept
+//! trace through the same fold, for any warm-up
+//! (`tests/report_parity.rs` checks both against per-window trace
+//! queries, bit for bit).
 //!
-//! [`HetPipeSystem::run`]: crate::HetPipeSystem::run
+//! [`HetPipeSystem::run_into`]: crate::HetPipeSystem::run_into
 //! [`HetPipeSystem::run_with_stats`]: crate::HetPipeSystem::run_with_stats
 
 use crate::exec::fastforward::Normal;
@@ -55,9 +56,8 @@ pub struct SystemReport {
 }
 
 impl SystemReport {
-    /// Builds the report from a run's kept span trace (`exec::run`,
-    /// [`HetPipeSystem::run_traced`](crate::HetPipeSystem::run_traced)),
-    /// at any warm-up, by replaying the trace through the fold a run
+    /// Builds the report from a run's kept span trace
+    /// ([`RunStats::trace`], which `exec::run` fills), at any warm-up, by replaying the trace through the fold a run
     /// uses while it executes. A run that kept no trace replays only
     /// its wait windows, so they count as idle throughout.
     ///

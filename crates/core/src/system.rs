@@ -4,7 +4,7 @@
 //! Figure 2: allocate GPUs to virtual workers (resource allocator),
 //! choose a stage order, find `Max_m` and the common `Nm`, partition the
 //! model per VW (model partitioner), place parameter-server shards —
-//! then [`HetPipeSystem::run`] simulates training and reports.
+//! then [`HetPipeSystem::run_into`] simulates training and reports.
 //!
 //! Planning solves each distinct instance (GPU kinds in stage order
 //! plus links) once per build: one [`NmSweep`] over `Nm = 1, 2, …`
@@ -27,7 +27,7 @@ use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId};
-use hetpipe_des::{Discard, SimTime, SpanSink, Trace};
+use hetpipe_des::{Discard, SimTime, SpanSink};
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::ModelGraph;
 use hetpipe_partition::order::distinct_kind_orders;
@@ -287,7 +287,7 @@ impl PlanTable<'_> {
             nm,
         };
         let shards = ShardMap::build(config.placement, graph, cluster, &vw);
-        let (_, stats) = exec::run_with_sink::<Discard>(
+        let (stats, ..) = exec::run_into(
             ExecParams {
                 cluster,
                 graph,
@@ -300,7 +300,8 @@ impl PlanTable<'_> {
             },
             SegmentOpts::default(),
             horizon,
-            SimTime::ZERO,
+            Discard,
+            None,
         );
         let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
         let completed = stats.vws[0].completions.iter().filter(|&&t| t >= warmup);
@@ -528,36 +529,22 @@ impl<'a> HetPipeSystem<'a> {
         )
     }
 
-    /// Simulates training until `horizon` and reports.
-    pub fn run(&self, horizon: SimTime) -> SystemReport {
-        self.run_with_stats(horizon).0
-    }
-
-    /// Simulates and returns both the report and the raw statistics.
-    /// The run keeps no span trace (`RunStats::trace` is empty): its
-    /// report and its occupancy peaks fold while it executes, and it
-    /// skips whole periods of its steady state
-    /// ([`RunStats::fast_forward`]) with results equal to a full
-    /// simulation's bit for bit. [`HetPipeSystem::run_traced`] keeps
-    /// every span and simulates every event.
-    pub fn run_with_stats(&self, horizon: SimTime) -> (SystemReport, RunStats) {
-        self.simulate::<Discard>(horizon)
-    }
-
-    /// [`HetPipeSystem::run_with_stats`] keeping every span in
-    /// `RunStats::trace`, for analyses that need the spans themselves:
-    /// chrome export, trace fingerprints, per-span schedule checks.
-    pub fn run_traced(&self, horizon: SimTime) -> (SystemReport, RunStats) {
-        self.simulate::<Trace<SpanTag>>(horizon)
-    }
-
-    fn simulate<S: SpanSink<SpanTag> + Default>(
+    /// Simulates training until `horizon`, handing every span to `sink`,
+    /// and returns the report (folded while the run executes), the raw
+    /// statistics (their trace empty) and the sink. A [`Trace`] sink
+    /// keeps every span; a sink that keeps none lets the run skip whole
+    /// periods of its steady state ([`RunStats::fast_forward`]), with
+    /// results equal to a full simulation's bit for bit.
+    ///
+    /// [`Trace`]: hetpipe_des::Trace
+    pub fn run_into<S: SpanSink<SpanTag>>(
         &self,
         horizon: SimTime,
-    ) -> (SystemReport, RunStats) {
+        sink: S,
+    ) -> (SystemReport, RunStats, S) {
         let wsp = WspParams::new(self.nm, self.config.staleness_bound);
         let warmup = SimTime::from_secs(horizon.as_secs() * self.config.warmup_fraction);
-        exec::run_with_sink::<S>(
+        let (stats, sink, report) = exec::run_into(
             ExecParams {
                 cluster: self.cluster,
                 graph: self.graph,
@@ -570,14 +557,23 @@ impl<'a> HetPipeSystem<'a> {
             },
             SegmentOpts::default(),
             horizon,
-            warmup,
-        )
+            sink,
+            Some(warmup),
+        );
+        (report.expect("a warm-up folds the report"), stats, sink)
+    }
+
+    /// [`HetPipeSystem::run_into`] keeping no span.
+    pub fn run_with_stats(&self, horizon: SimTime) -> (SystemReport, RunStats) {
+        let (report, stats, _) = self.run_into(horizon, Discard);
+        (report, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetpipe_des::Trace;
 
     fn refine_stats_take() -> (u64, u64) {
         REFINE_STATS.with(|s| s.replace((0, 0)))
@@ -626,7 +622,7 @@ mod tests {
             &cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0),
         )
         .unwrap();
-        let report = sys.run(SimTime::from_secs(30.0));
+        let report = sys.run_with_stats(SimTime::from_secs(30.0)).0;
         let tput = report.throughput_images_per_sec();
         assert!(tput > 100.0, "ED-local VGG-19 throughput = {tput:.0}");
     }
@@ -686,7 +682,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sys.virtual_workers().len(), 4);
-        let report = sys.run(SimTime::from_secs(20.0));
+        let report = sys.run_with_stats(SimTime::from_secs(20.0)).0;
         assert!(report.throughput_images_per_sec() > 0.0);
     }
 
@@ -706,7 +702,7 @@ mod tests {
             for vw in sys.virtual_workers() {
                 assert_eq!(vw.stages(), expected_stages, "{schedule}");
             }
-            let report = sys.run(SimTime::from_secs(20.0));
+            let report = sys.run_with_stats(SimTime::from_secs(20.0)).0;
             let tput = report.throughput_images_per_sec();
             assert!(tput > 50.0, "{schedule} throughput = {tput:.0}");
         }
@@ -749,13 +745,10 @@ mod tests {
             ..cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0)
         };
         let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
-        let (_, a) = sys.run_traced(SimTime::from_secs(10.0));
-        let (_, b) = sys.run_traced(SimTime::from_secs(10.0));
-        assert!(a.trace.len() > 100, "trivial trace proves nothing");
-        assert_eq!(a.trace.len(), b.trace.len());
-        for (x, y) in a.trace.spans().iter().zip(b.trace.spans()) {
-            assert_eq!(x, y);
-        }
+        let (_, a, a_trace) = sys.run_into(SimTime::from_secs(10.0), Trace::new());
+        let (_, b, b_trace) = sys.run_into(SimTime::from_secs(10.0), Trace::new());
+        assert!(a_trace.len() > 100, "trivial trace proves nothing");
+        assert_eq!(a_trace.spans(), b_trace.spans());
         for (x, y) in a.vws.iter().zip(&b.vws) {
             assert_eq!(x.completions, y.completions);
             assert_eq!(x.waves_pushed, y.waves_pushed);
@@ -849,11 +842,13 @@ mod tests {
         without.order_search = false;
         let t_with = HetPipeSystem::build(&cluster, &graph, &with)
             .unwrap()
-            .run(SimTime::from_secs(20.0))
+            .run_with_stats(SimTime::from_secs(20.0))
+            .0
             .throughput_images_per_sec();
         let t_without = HetPipeSystem::build(&cluster, &graph, &without)
             .unwrap()
-            .run(SimTime::from_secs(20.0))
+            .run_with_stats(SimTime::from_secs(20.0))
+            .0
             .throughput_images_per_sec();
         assert!(
             t_with >= t_without * 0.95,

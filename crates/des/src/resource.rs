@@ -16,43 +16,17 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub usize);
 
-/// A serially-reusable resource with FCFS timeline reservation.
-#[derive(Debug, Clone)]
+/// A serially-reusable resource with FCFS timeline reservation. Its
+/// service rate is not its own: a run declares each resource's
+/// [`RateTimeline`] up front and reserves work against it.
+#[derive(Debug, Clone, Default)]
 pub struct Resource {
     free_at: SimTime,
     busy: SimTime,
     reservations: u64,
-    /// Current service-rate multiplier (1.0 = nominal). Fault injection
-    /// models a throttled GPU or degraded link by lowering it; the
-    /// resource's [`RateTimeline`] holds the same rates as edges and
-    /// is what reservations integrate over.
-    rate: f64,
-}
-
-impl Default for Resource {
-    /// An idle resource at the nominal rate.
-    fn default() -> Self {
-        Resource {
-            free_at: SimTime::ZERO,
-            busy: SimTime::ZERO,
-            reservations: 0,
-            rate: 1.0,
-        }
-    }
 }
 
 impl Resource {
-    /// Current service-rate multiplier (1.0 = nominal speed).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Sets the service-rate multiplier. `0.5` means work runs at half
-    /// speed; `0.0` (or any non-positive value) models a lost resource.
-    pub fn set_rate(&mut self, rate: f64) {
-        self.rate = rate;
-    }
-
     /// Reserves `nominal` work starting no earlier than `earliest`,
     /// with the duration `rates` derives from the granted start
     /// ([`RateTimeline::duration_from`]). Returns `(start, end)`.
@@ -108,18 +82,6 @@ impl Resource {
     pub fn reservations(&self) -> u64 {
         self.reservations
     }
-
-    /// Busy fraction over the horizon `[0, horizon)`.
-    ///
-    /// Returns 0 for a zero horizon. Values may exceed 1.0 if
-    /// reservations extend past the horizon (callers normally pass the
-    /// final simulation time).
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        self.busy.as_secs() / horizon.as_secs()
-    }
 }
 
 /// A resource's known piecewise-constant service-rate timeline: sorted
@@ -152,6 +114,13 @@ impl RateTimeline {
             }
         });
         RateTimeline { edges }
+    }
+
+    /// The rate in effect at `t`: the latest edge at or before `t`, or
+    /// nominal (1.0) before the first.
+    pub fn rate_at(&self, t: SimTime) -> f64 {
+        let after = self.edges.partition_point(|&(at, _)| at <= t);
+        after.checked_sub(1).map_or(1.0, |i| self.edges[i].1)
     }
 
     /// How long `nominal` work starting at `start` takes: nominal work
@@ -290,14 +259,6 @@ mod tests {
         let (s, _) = gpu.reserve(SimTime::from_nanos(100), SimTime::from_nanos(10));
         assert_eq!(s, SimTime::from_nanos(100));
         assert_eq!(gpu.busy_time(), SimTime::from_nanos(20));
-        let util = gpu.utilization(SimTime::from_nanos(110));
-        assert!((util - 20.0 / 110.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_zero_horizon() {
-        let gpu = Resource::default();
-        assert_eq!(gpu.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -343,6 +304,20 @@ mod tests {
             RateTimeline::default().duration_from(SimTime::from_nanos(7), SimTime::from_nanos(40)),
             SimTime::from_nanos(40)
         );
+    }
+
+    #[test]
+    fn rate_at_reads_the_latest_edge() {
+        let ns = SimTime::from_nanos;
+        assert_eq!(RateTimeline::default().rate_at(ns(5)), 1.0);
+        // Two edges at one instant: the last one wins.
+        let rates = RateTimeline::new(vec![(ns(100), 0.5), (ns(200), 0.0), (ns(200), 0.25)]);
+        assert_eq!(rates.rate_at(SimTime::ZERO), 1.0);
+        assert_eq!(rates.rate_at(ns(99)), 1.0);
+        assert_eq!(rates.rate_at(ns(100)), 0.5);
+        assert_eq!(rates.rate_at(ns(199)), 0.5);
+        assert_eq!(rates.rate_at(ns(200)), 0.25);
+        assert_eq!(rates.rate_at(SimTime::MAX), 0.25);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn run_fleet(cfg: &FleetConfig<'_>, horizon: SimTime) -> FleetReport {
         recompute: cfg.recompute,
     };
     let opts = replicate(&cfg.opts, vws.len(), devs, nodes);
-    let (_, stats) = exec::run_with_sink::<Discard>(params, opts, horizon, SimTime::ZERO);
+    let (stats, ..) = exec::run_into(params, opts, horizon, Discard, None);
     let busy = |ids: &[hetpipe_des::ResourceId]| -> Vec<SimTime> {
         ids.iter().map(|&r| stats.pool.get(r).busy_time()).collect()
     };

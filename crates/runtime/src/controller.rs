@@ -533,10 +533,6 @@ impl SpanSink<SpanTag> for SegmentSink {
         self.trace
             .record(resource, start + self.offset, end + self.offset, tag);
     }
-
-    fn into_trace(self) -> Trace<SpanTag> {
-        self.trace
-    }
 }
 
 /// Mutable controller state across epochs.
@@ -685,12 +681,11 @@ impl<'a> Controller<'a> {
         let sink = self.sink(Some(monitor));
         let shards = self.shards();
         let mut judge = Judge::new(self, remaining);
-        let (stats, sink, _, checkpoints) = exec::run_into_checkpointed(
+        let (stats, sink, checkpoints) = exec::run_into_checkpointed(
             self.exec_params(&shards),
             self.segment_opts(None),
             remaining,
             sink,
-            None,
             |at, sink| judge.judge(at, sink),
         );
         let reaction = judge.reaction;
@@ -731,12 +726,11 @@ impl<'a> Controller<'a> {
         self.report.trace.truncate(mark + from.spans());
         let sink = self.sink(None);
         let (opts, shards) = (self.segment_opts(Some(stop)), self.shards());
-        let (stats, sink, _) = exec::resume_into(
+        let (stats, sink) = exec::resume_into(
             self.exec_params(&shards),
             opts,
             remaining,
             sink,
-            None,
             from,
             probe,
         );
@@ -1263,9 +1257,9 @@ mod tests {
     /// At every judgement of every probe of the runtime pins' cells —
     /// and at the end of each probe that never acted — the in-run
     /// monitor fold raised exactly the signals [`Monitor::analyze`]
-    /// finds over the first as many spans of a kept
-    /// `exec::run_segment` trace of the same probe, run with no stop
-    /// point. Tier: dynamically audited.
+    /// finds over the first as many spans of a kept `exec::run_into`
+    /// trace of the same probe, run with no stop point. Tier:
+    /// dynamically audited.
     #[test]
     fn in_run_monitor_fold_matches_kept_trace_analysis() {
         let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
@@ -1276,7 +1270,14 @@ mod tests {
                 let name = format!("{} probe {i}", cell.name);
                 let shards = ShardMap::build(Placement::Default, &graph, &cluster, &probe.vws[0]);
                 let params = params_of(&cluster, &graph, &cell, probe, &shards);
-                let kept = exec::run_segment(params, probe.opts.clone(), probe.remaining);
+                let (mut kept, trace, _) = exec::run_into(
+                    params,
+                    probe.opts.clone(),
+                    probe.remaining,
+                    Trace::new(),
+                    None,
+                );
+                kept.trace = trace;
                 assert!(!probe.judged.is_empty(), "{name}: never judged");
                 for (len, signals) in &probe.judged {
                     let spans = len - probe.mark;
@@ -1301,17 +1302,12 @@ mod tests {
 
     /// Every epoch of the runtime pins' cells that a probe drained in
     /// place equals the drain run from its segment start with the same
-    /// stop point (`exec::run_segment`): every `RunStats` field but the
-    /// trace, and every span, rebased as the report keeps it. Tier:
-    /// dynamically audited.
+    /// stop point (`exec::run_into`): every `RunStats` field, and every
+    /// span, rebased as the report keeps it. Tier: dynamically audited.
     #[test]
     fn in_place_drains_equal_drains_from_the_segment_start() {
         let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
         let graph = hetpipe_model::resnet152(32);
-        let fields = |mut stats: RunStats| {
-            stats.trace = Trace::new();
-            format!("{stats:?}")
-        };
         let (mut drains, mut spans) = (0, 0);
         for cell in pin_cells(&cluster, &graph) {
             for (i, probe) in cell.probes.iter().enumerate() {
@@ -1325,7 +1321,8 @@ mod tests {
                     stop_after_mb: Some(*stop),
                     ..probe.opts.clone()
                 };
-                let oracle = exec::run_segment(params, opts, probe.remaining);
+                let (oracle, trace, _) =
+                    exec::run_into(params, opts, probe.remaining, Trace::new(), None);
                 let (offset, mb_offset, wave_offset) = probe.offsets;
                 let mut rebased = SegmentSink {
                     trace: Trace::new(),
@@ -1334,7 +1331,7 @@ mod tests {
                     wave_offset,
                     monitor: None,
                 };
-                for span in oracle.trace.spans() {
+                for span in trace.spans() {
                     rebased.record(span.resource, span.start, span.end, span.tag);
                 }
                 assert_eq!(
@@ -1342,7 +1339,7 @@ mod tests {
                     &cell.report.trace.spans()[range.clone()],
                     "{name}: spans"
                 );
-                assert_eq!(fields(oracle), fields(committed.clone()), "{name}");
+                assert_eq!(format!("{oracle:?}"), format!("{committed:?}"), "{name}");
                 drains += 1;
                 spans += range.len();
             }

@@ -42,7 +42,7 @@ fn main() {
     }
 
     // Simulate one minute of training.
-    let report = system.run(SimTime::from_secs(60.0));
+    let report = system.run_with_stats(SimTime::from_secs(60.0)).0;
     println!(
         "\nHetPipe ED-local: {:.0} images/s ({:.2} minibatches/s)",
         report.throughput_images_per_sec(),

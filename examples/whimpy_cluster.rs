@@ -30,7 +30,7 @@ fn main() {
     };
     let sys = HetPipeSystem::build(&whimpy, &model, &config)
         .expect("pipelined model parallelism fits where data parallelism cannot");
-    let report = sys.run(SimTime::from_secs(60.0));
+    let report = sys.run_with_stats(SimTime::from_secs(60.0)).0;
     println!(
         "HetPipe (1 virtual worker, 4-stage pipeline, Nm = {}): {:.0} images/s",
         sys.nm(),
@@ -63,7 +63,8 @@ fn main() {
         };
         let sys = HetPipeSystem::build(&cluster, &model, &config).expect("builds");
         let ips = sys
-            .run(SimTime::from_secs(60.0))
+            .run_with_stats(SimTime::from_secs(60.0))
+            .0
             .throughput_images_per_sec();
         let base = *first.get_or_insert(ips);
         println!(

@@ -62,7 +62,7 @@
 //! };
 //! let report = HetPipeSystem::build(&cluster, &model, &config)
 //!     .expect("feasible configuration")
-//!     .run(SimTime::from_secs(60.0));
+//!     .run_with_stats(SimTime::from_secs(60.0)).0;
 //! assert!(report.throughput_images_per_sec() > 0.0);
 //! ```
 //!
@@ -91,7 +91,7 @@
 //! // Per-schedule memory accounting: peak bytes per physical GPU.
 //! let peaks = sys.per_gpu_peak_bytes(0);
 //! assert_eq!(peaks.len(), 4);
-//! assert!(sys.run(SimTime::from_secs(30.0)).throughput_images_per_sec() > 0.0);
+//! assert!(sys.run_with_stats(SimTime::from_secs(30.0)).0.throughput_images_per_sec() > 0.0);
 //! ```
 //!
 //! The `schedule_compare` binary in `hetpipe-bench` sweeps all five

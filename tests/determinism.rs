@@ -16,7 +16,8 @@ fn report(d: usize) -> SystemReport {
     };
     HetPipeSystem::build(&cluster, &graph, &config)
         .expect("feasible")
-        .run(SimTime::from_secs(20.0))
+        .run_with_stats(SimTime::from_secs(20.0))
+        .0
 }
 
 #[test]

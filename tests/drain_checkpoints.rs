@@ -6,12 +6,12 @@
 //! (`exec::resume_into`), not by re-running the segment. Here every
 //! wave-boundary stop of a probe is drained both ways: from the
 //! checkpoint `Checkpoints::for_stop` picks, and from scratch through
-//! `exec::run_segment`, the oracle. The two must agree on every span
+//! `exec::run_into`, the oracle. The two must agree on every span
 //! from the checkpoint on (the spans before it are the probe's) and on
 //! every `RunStats` field: completions, wait windows, pull wait,
 //! injection-blocked time, waves pushed, end, events, peaks, every
-//! resource's busy time, reservations, free instant and rate, and the
-//! byte counters (compared through `Debug`, which prints every field
+//! resource's busy time, reservations and free instant, and the byte
+//! counters (compared through `Debug`, which prints every field
 //! exactly). Each stop resumes twice from its checkpoint, and the two
 //! drains must agree; a drain under other rates than its probe's must
 //! panic.
@@ -139,9 +139,8 @@ fn run(_: Progress, _: &Trace<SpanTag>) -> Verdict {
     Verdict::Run
 }
 
-/// `stats` with its trace left out, every other field printed exactly.
-fn fields(mut stats: RunStats) -> String {
-    stats.trace = Trace::new();
+/// Every field of `stats`, printed exactly.
+fn fields(stats: &RunStats) -> String {
     format!("{stats:?}")
 }
 
@@ -177,12 +176,13 @@ fn check_cell(
     };
     let name = format!("{schedule}/{}", script.name);
 
-    let (probe, probe_trace, _, checkpoints) =
-        exec::run_into_checkpointed(params.clone(), opts(None), horizon, Trace::new(), None, run);
+    let (probe, probe_trace, checkpoints) =
+        exec::run_into_checkpointed(params.clone(), opts(None), horizon, Trace::new(), run);
     // Checkpointing leaves the probe itself alone.
-    let plain = exec::run_segment(params.clone(), opts(None), horizon);
-    assert_eq!(probe_trace.spans(), plain.trace.spans(), "{name}: probe");
-    assert_eq!(fields(probe.clone()), fields(plain), "{name}: probe");
+    let (plain, plain_trace, _) =
+        exec::run_into(params.clone(), opts(None), horizon, Trace::new(), None);
+    assert_eq!(probe_trace.spans(), plain_trace.spans(), "{name}: probe");
+    assert_eq!(fields(&probe), fields(&plain), "{name}: probe");
     assert!(probe_trace.len() > 100, "{name}: a non-trivial probe");
 
     let full_waves = probe
@@ -198,24 +198,29 @@ fn check_cell(
         let stop = wave * NM as u64;
         let from = checkpoints.for_stop(stop);
         assert!(from.queried() <= stop, "{name} stop {stop}");
-        let oracle = exec::run_segment(params.clone(), opts(Some(stop)), horizon);
+        let (oracle, oracle_trace, _) = exec::run_into(
+            params.clone(),
+            opts(Some(stop)),
+            horizon,
+            Trace::new(),
+            None,
+        );
         // Resumed twice: restoring leaves the checkpoint intact, and
         // forked lanes do not alias the saved ones.
-        let [(resumed, tail, _), (again, again_tail, _)] = [(); 2].map(|()| {
+        let [(resumed, tail), (again, again_tail)] = [(); 2].map(|()| {
             exec::resume_into(
                 params.clone(),
                 opts(Some(stop)),
                 horizon,
                 Trace::new(),
-                None,
                 from,
                 &probe,
             )
         });
         assert_eq!(again_tail.spans(), tail.spans(), "{name} stop {stop}");
-        assert_eq!(fields(again), fields(resumed.clone()), "{name} stop {stop}");
+        assert_eq!(fields(&again), fields(&resumed), "{name} stop {stop}");
         let cut = from.spans();
-        let spans: &[Span<SpanTag>] = oracle.trace.spans();
+        let spans: &[Span<SpanTag>] = oracle_trace.spans();
         assert_eq!(
             &spans[..cut],
             &probe_trace.spans()[..cut],
@@ -225,7 +230,7 @@ fn check_cell(
         checked.events += oracle.events;
         checked.tails += resumed.events - from.events();
         checked.spans += tail.len();
-        assert_eq!(fields(resumed), fields(oracle), "{name} stop {stop}");
+        assert_eq!(fields(&resumed), fields(&oracle), "{name} stop {stop}");
         checked.stops += 1;
         checked.resumed_mid += (from.events() > 0) as usize;
     }
@@ -279,20 +284,17 @@ fn resumed_drains_equal_drains_from_the_segment_start() {
 }
 
 /// A long probe thins its checkpoints to a bounded list, and drains
-/// from the thinned list still equal drains from the start, their
-/// in-run reports included.
+/// from the thinned list still equal drains from the start.
 #[test]
 fn a_long_probe_keeps_a_bounded_checkpoint_list() {
     let setup = Setup::new(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
     let params = setup.params();
     let horizon = SimTime::from_secs(300.0);
-    let warmup = Some(SimTime::from_secs(45.0));
-    let (probe, _, _, checkpoints) = exec::run_into_checkpointed(
+    let (probe, _, checkpoints) = exec::run_into_checkpointed(
         params.clone(),
         SegmentOpts::default(),
         horizon,
         Trace::new(),
-        warmup,
         run,
     );
     let waves = probe.vws[0].waves_pushed;
@@ -314,25 +316,12 @@ fn a_long_probe_keeps_a_bounded_checkpoint_list() {
             ..SegmentOpts::default()
         };
         let from = checkpoints.for_stop(stop);
-        let (oracle, kept, report) =
-            exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), warmup);
-        let (resumed, tail, resumed_report) = exec::resume_into(
-            params.clone(),
-            opts,
-            horizon,
-            Trace::new(),
-            warmup,
-            from,
-            &probe,
-        );
+        let (oracle, kept, _) =
+            exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), None);
+        let (resumed, tail) =
+            exec::resume_into(params.clone(), opts, horizon, Trace::new(), from, &probe);
         assert_eq!(tail.spans(), &kept.spans()[from.spans()..], "stop {stop}");
-        assert_eq!(fields(resumed), fields(oracle), "stop {stop}");
-        assert_eq!(
-            format!("{resumed_report:?}"),
-            format!("{report:?}"),
-            "stop {stop}: report"
-        );
-        assert!(report.is_some());
+        assert_eq!(fields(&resumed), fields(&oracle), "stop {stop}");
     }
 }
 
@@ -345,8 +334,8 @@ fn a_drain_under_other_rates_than_its_probe_panics() {
     let setup = Setup::new(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
     let horizon = SimTime::from_secs(4.0);
     let fault_free = SegmentOpts::default();
-    let (probe, _, _, checkpoints) =
-        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), None, run);
+    let (probe, _, checkpoints) =
+        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), run);
     let (_, rate_events) = ScenarioScript::canonical_gpu_loss(4, 2.0).segment_rates(SimTime::ZERO);
     let drain = SegmentOpts {
         stop_after_mb: Some(NM as u64),
@@ -354,13 +343,5 @@ fn a_drain_under_other_rates_than_its_probe_panics() {
         ..SegmentOpts::default()
     };
     let from = checkpoints.for_stop(NM as u64);
-    exec::resume_into(
-        setup.params(),
-        drain,
-        horizon,
-        Trace::new(),
-        None,
-        from,
-        &probe,
-    );
+    exec::resume_into(setup.params(), drain, horizon, Trace::new(), from, &probe);
 }

@@ -1,6 +1,6 @@
 //! Fast-forward on/off equality.
 //!
-//! A run whose sink keeps no spans (`exec::run_with_sink::<Discard>`)
+//! A run whose sink keeps no spans (`exec::run_into` with `Discard`)
 //! fast-forwards through its steady state; a run that keeps every span
 //! (`Trace`) simulates each event. Both must produce the same
 //! `SystemReport`, the same `RunStats` apart from the trace and the
@@ -21,9 +21,7 @@
 //! below, not a proof for other configurations.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, Node};
-use hetpipe::core::exec::{
-    self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts, SpanTag,
-};
+use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
@@ -120,9 +118,10 @@ fn check(
     let (cluster, vws, schedule, nm) = (params.cluster, params.vws, params.schedule, params.wsp.nm);
     let horizon = SimTime::from_secs(horizon_secs);
     let devices: Vec<Vec<DeviceId>> = vws.iter().map(|v| v.devices.clone()).collect();
-    let (_, traced) =
-        exec::run_with_sink::<Trace<SpanTag>>(params.clone(), opts.clone(), horizon, SimTime::ZERO);
-    assert!(traced.trace.len() > 100, "{label}: trivial trace");
+    let (mut traced, trace, _) =
+        exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), None);
+    assert!(trace.len() > 100, "{label}: trivial trace");
+    traced.trace = trace;
     assert_eq!(
         traced.fast_forward, None,
         "{label}: a kept trace never skips"
@@ -134,10 +133,13 @@ fn check(
         let label = format!("{label} warm-up {fraction}");
         let want_report =
             SystemReport::from_stats(&traced, cluster, params.graph.batch_size, warmup, &devices);
-        let (report, stats) =
-            exec::run_with_sink::<Discard>(params.clone(), opts.clone(), horizon, warmup);
+        let (stats, _, report) =
+            exec::run_into(params.clone(), opts.clone(), horizon, Discard, Some(warmup));
         assert_eq!(
-            format!("{report:?}"),
+            format!(
+                "{:?}",
+                report.expect("a run given a warm-up folds its report")
+            ),
             format!("{want_report:?}"),
             "{label}: report"
         );

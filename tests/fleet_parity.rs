@@ -1,6 +1,6 @@
 //! Fleet ↔ executor parity: `run_fleet` must equal the kept-trace
-//! executor (`exec::run_segment`) on the fleet's expanded topology,
-//! VW by VW and bit for bit.
+//! executor (`exec::run_into` with a `Trace` sink) on the fleet's
+//! expanded topology, VW by VW and bit for bit.
 //!
 //! `run_fleet` expands the fleet to one flat cluster, repeats the
 //! cell's rate targets on every cell, runs it keeping no span (so it
@@ -20,10 +20,10 @@
 //! proof.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, Node};
-use hetpipe::core::exec::{run_segment, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
+use hetpipe::core::exec::{run_into, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::ShardMap;
 use hetpipe::core::{VirtualWorker, WspParams};
-use hetpipe::des::SimTime;
+use hetpipe::des::{SimTime, Trace};
 use hetpipe::fleet::{run_fleet, FleetConfig, FleetTopology, VwPartial};
 use hetpipe::model::{resnet50, ModelGraph};
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
@@ -96,7 +96,7 @@ fn check(topo: &FleetTopology, case: Case, cell_opts: &SegmentOpts, horizon: Sim
         horizon,
     );
     let (cluster, vws) = topo.expanded();
-    let stats = run_segment(
+    let (stats, trace, _) = run_into(
         ExecParams {
             cluster: &cluster,
             graph: &graph,
@@ -109,8 +109,10 @@ fn check(topo: &FleetTopology, case: Case, cell_opts: &SegmentOpts, horizon: Sim
         },
         replicate(topo, cell_opts),
         horizon,
+        Trace::new(),
+        None,
     );
-    assert!(stats.trace.len() > 100, "{label}: trivial trace");
+    assert!(trace.len() > 100, "{label}: trivial trace");
     assert_eq!(report.partials.len(), topo.n_vws(), "{label}");
     for (p, want) in report.partials.iter().zip(expected(topo, &stats)) {
         assert_eq!(*p, want, "{label}: vw {} diverged from the executor", p.vw);

@@ -20,7 +20,7 @@ use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy, Schedule,
     SystemConfig,
 };
-use hetpipe::des::{BoundEntity, SimTime};
+use hetpipe::des::{BoundEntity, SimTime, Trace};
 
 const CHUNKS: usize = 2;
 
@@ -54,19 +54,17 @@ fn chunk0_forwards_before_chunk1(composite: bool, nm: usize) -> usize {
     let graph = hetpipe::model::vgg19(32);
     let sys =
         HetPipeSystem::build(&cluster, &graph, &single_vw_config(composite, nm)).expect("builds");
-    let (_, stats) = sys.run_traced(SimTime::from_secs(5.0));
-    assert!(stats.trace.len() > 100, "trivial trace proves nothing");
+    let (_, _, trace) = sys.run_into(SimTime::from_secs(5.0), Trace::new());
+    assert!(trace.len() > 100, "trivial trace proves nothing");
     let gpus = 4u16;
-    let first_chunk1 = stats
-        .trace
+    let first_chunk1 = trace
         .spans()
         .iter()
         .filter(|s| matches!(s.tag, SpanTag::Forward { stage, .. } if stage == gpus))
         .map(|s| s.start)
         .min()
         .expect("chunk 1 ran forwards");
-    stats
-        .trace
+    trace
         .spans()
         .iter()
         .filter(|s| {

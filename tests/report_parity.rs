@@ -2,8 +2,8 @@
 //! references.
 //!
 //! A run folds its report and its occupancy peaks while it executes
-//! (`exec::run_with_sink`, `HetPipeSystem::run_with_stats`), keeping no
-//! trace. `SystemReport::from_stats` replays a kept trace through the
+//! (`exec::run_into` given a warm-up, `HetPipeSystem::run_with_stats`),
+//! keeping no trace. `SystemReport::from_stats` replays a kept trace through the
 //! same report fold, at any warm-up. The naive report reference asks
 //! [`Trace::busy_within`] and [`Trace::utilization_within`]
 //! (full-trace scans) once per (device, window); the naive audit
@@ -327,7 +327,9 @@ impl Run {
             recompute: self.recompute,
         };
         let horizon = SimTime::from_secs(self.secs);
-        let kept = exec::run_segment(params.clone(), opts.clone(), horizon);
+        let (mut kept, trace, _) =
+            exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), None);
+        kept.trace = trace;
         assert!(
             kept.trace.len() > 100,
             "{label}: trivial trace proves nothing ({} spans)",
@@ -356,8 +358,9 @@ impl Run {
 
         for fraction in [0.15, 2.0] {
             let warmup = SimTime::from_secs(self.secs * fraction);
-            let (got, untraced) =
-                exec::run_with_sink::<Discard>(params.clone(), opts.clone(), horizon, warmup);
+            let (untraced, _, got) =
+                exec::run_into(params.clone(), opts.clone(), horizon, Discard, Some(warmup));
+            let got = got.expect("a run given a warm-up folds its report");
             let label = format!("{label} in-run warmup {warmup}");
             assert!(untraced.trace.is_empty(), "{label}: kept spans");
             assert_same_run(&label, &untraced, &kept);
@@ -588,9 +591,10 @@ fn rate_edge_and_drained_segments_match_naive() {
         recompute: run.recompute,
     };
     let horizon = SimTime::from_secs(run.secs);
-    let kept = exec::run_segment(params.clone(), drain.clone(), horizon);
-    let (_, untraced) = exec::run_with_sink::<Discard>(params, drain, horizon, SimTime::ZERO);
-    let last_span_end = kept.trace.spans().iter().map(|s| s.end).max();
+    let (kept, trace, _) =
+        exec::run_into(params.clone(), drain.clone(), horizon, Trace::new(), None);
+    let (untraced, ..) = exec::run_into(params, drain, horizon, Discard, None);
+    let last_span_end = trace.spans().iter().map(|s| s.end).max();
     assert_eq!(
         Some(kept.end),
         last_span_end,
@@ -609,10 +613,12 @@ fn run_with_stats_keeps_no_trace() {
     let (report, stats) = sys.run_with_stats(horizon);
     assert!(stats.trace.is_empty(), "run_with_stats kept spans");
     assert!(stats.events > 0, "the run did no work");
-    let (traced_report, traced) = sys.run_traced(horizon);
-    assert!(traced.trace.len() > 100, "trivial trace proves nothing");
-    assert_same_run("run_traced", &stats, &traced);
-    assert_reports_identical("run_traced", &report, &traced_report);
+    let (traced_report, mut traced, trace) = sys.run_into(horizon, Trace::new());
+    assert!(traced.trace.is_empty(), "run_into kept spans in its stats");
+    assert!(trace.len() > 100, "trivial trace proves nothing");
+    traced.trace = trace;
+    assert_same_run("run_into", &stats, &traced);
+    assert_reports_identical("run_into", &report, &traced_report);
     let devices: Vec<Vec<DeviceId>> = sys
         .virtual_workers()
         .iter()

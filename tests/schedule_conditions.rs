@@ -18,7 +18,7 @@ use hetpipe::core::{
     AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy, Schedule,
     SystemConfig, VirtualWorker,
 };
-use hetpipe::des::{BoundEntity, OccupancyBound, SimTime};
+use hetpipe::des::{BoundEntity, OccupancyBound, SimTime, Trace};
 use hetpipe::schedule::PipelineSchedule;
 use std::collections::HashMap;
 
@@ -52,7 +52,8 @@ fn single_vw_run(
     let stages = schedule.virtual_stages(4);
     assert_eq!(sys.virtual_workers()[0].stages(), stages);
     let vws = sys.virtual_workers().to_vec();
-    let (_, stats) = sys.run_traced(SimTime::from_secs(10.0));
+    let (_, mut stats, trace) = sys.run_into(SimTime::from_secs(10.0), Trace::new());
+    stats.trace = trace;
     assert!(
         stats.trace.len() > 100,
         "{schedule}: trivial trace proves nothing ({} spans)",

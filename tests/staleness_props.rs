@@ -193,7 +193,8 @@ fn simulator_clock_distance_respects_bound() {
         };
         let report = HetPipeSystem::build(&cluster, &graph, &config)
             .expect("feasible")
-            .run(SimTime::from_secs(30.0));
+            .run_with_stats(SimTime::from_secs(30.0))
+            .0;
         let clocks = PushClocks::new(report.waves_per_vw.clone());
         assert!(clocks.within(d as u64 + 1), "D={d}: final {clocks:?}");
     }

@@ -30,7 +30,7 @@ use hetpipe::cluster::{Cluster, DeviceId};
 use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
-use hetpipe::des::SimTime;
+use hetpipe::des::{SimTime, Trace};
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::PipelineSchedule;
@@ -166,7 +166,8 @@ struct Run {
 }
 
 impl Run {
-    /// [`exec::run`] without options, [`exec::run_segment`] with them.
+    /// [`exec::run`] without options, [`exec::run_into`] keeping every
+    /// span with them.
     fn exec(&self, opts: Option<SegmentOpts>) -> RunStats {
         let cluster = Cluster::paper_testbed();
         let nm = self.wsp.nm;
@@ -205,7 +206,12 @@ impl Run {
         let horizon = SimTime::from_secs(self.secs);
         match opts {
             None => exec::run(params, horizon),
-            Some(opts) => exec::run_segment(params, opts, horizon),
+            Some(opts) => {
+                let (mut stats, trace, _) =
+                    exec::run_into(params, opts, horizon, Trace::new(), None);
+                stats.trace = trace;
+                stats
+            }
         }
     }
 }
