@@ -15,9 +15,11 @@
 //! scan scores these
 //! prefixes; the refine simulations, `Max_m` (the prefix length), the
 //! common-`Nm` choice and the final plans index them. Each refine
-//! candidate is simulated once per build too. The table holding all of
-//! this is dropped when `build` returns: the crate keeps no state
-//! between builds, so a build's result depends on its inputs alone.
+//! candidate is simulated at most once per build too, and a group's
+//! lone candidate not at all: it wins without a rival. The table
+//! holding all of this is dropped when `build` returns: the crate keeps
+//! no state between builds, so a build's result depends on its inputs
+//! alone.
 
 use crate::alloc::{AllocError, AllocationPolicy};
 use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
@@ -131,7 +133,9 @@ impl From<AllocError> for BuildError {
 /// How many proxy-ranked stage orders the order search refines with a
 /// short standalone simulation. Large enough to cover the proxy's
 /// resolution limit (near-equal scores can hide >15% simulated
-/// spread), small enough to keep `build` cheap.
+/// spread), small enough to keep `build` cheap. A group with one
+/// feasible distinct kind-order (every group of one GPU kind) has
+/// nothing to refine: that order wins unsimulated.
 const ORDER_REFINE_CANDIDATES: usize = 6;
 
 #[cfg(test)]
@@ -164,9 +168,9 @@ type RefineId = (Vec<&'static str>, Vec<usize>, usize);
 /// The per-build plan table: each instance's [`NmSweep`] prefix, the
 /// plans at `Nm = 1, 2, …` up to the first infeasible `Nm` or the
 /// saturation limit, and the order search's refine memo. Every
-/// instance is swept once and every refine candidate simulated once;
-/// kind- and link-identical virtual workers share its rows. The table
-/// is dropped when `build` returns.
+/// instance is swept once and every refine candidate simulated at most
+/// once; kind- and link-identical virtual workers share its rows. The
+/// table is dropped when `build` returns.
 struct PlanTable<'a> {
     cluster: &'a Cluster,
     graph: &'a ModelGraph,
@@ -263,7 +267,8 @@ impl PlanTable<'_> {
     /// The run uses the configured shard placement and sync-transfer
     /// mode, so the score sees the NIC contention between activation
     /// transfers and parameter pushes/pulls that separates
-    /// otherwise-equal orders.
+    /// otherwise-equal orders. Only a group with two or more candidates
+    /// calls it; a lone candidate is never simulated.
     fn standalone_rate(&mut self, devices: &[DeviceId], nm: usize) -> f64 {
         let kinds = devices.iter().map(|&d| self.cluster.spec_of(d).name);
         let id = (kinds.collect(), self.node_pattern(devices), nm);
@@ -421,15 +426,23 @@ impl<'a> HetPipeSystem<'a> {
                     table.release(devs);
                 }
                 candidates.truncate(ORDER_REFINE_CANDIDATES);
-                let mut winner: Option<(&[DeviceId], f64)> = None;
-                for (devs, _proxy, nm) in candidates {
-                    // Kind-identical VWs share one simulation.
-                    let rate = table.standalone_rate(devs, nm);
-                    if winner.is_none_or(|(_, r)| rate > r) {
-                        winner = Some((devs, rate));
+                let winner = match candidates[..] {
+                    [] => return Err(BuildError::NoFeasiblePartition { vw: i }),
+                    // A lone candidate wins outright: no simulated rate
+                    // can change that.
+                    [(devs, ..)] => devs,
+                    _ => {
+                        // Kind-identical VWs share one simulation; the
+                        // first strictly best rate wins.
+                        let rated = candidates
+                            .iter()
+                            .map(|&(devs, _proxy, nm)| (devs, table.standalone_rate(devs, nm)));
+                        rated
+                            .reduce(|best, c| if c.1 > best.1 { c } else { best })
+                            .expect("two or more candidates")
+                            .0
                     }
-                }
-                let (winner, _) = winner.ok_or(BuildError::NoFeasiblePartition { vw: i })?;
+                };
                 winner.to_vec()
             } else {
                 expand(devices)
@@ -801,6 +814,50 @@ mod tests {
             hits >= 3 * misses,
             "the other three VWs must reuse the leader set ({hits} hits / {misses} misses)"
         );
+    }
+
+    #[test]
+    fn a_lone_candidate_is_not_simulated() {
+        // Every NP group on the paper testbed is one node of one GPU
+        // kind, and every ED group on four RTX 2060 nodes holds one
+        // RTX 2060 per node. Each group has one distinct kind-order,
+        // which wins without a refine simulation and plans the same
+        // system as a build without order search.
+        use hetpipe_cluster::GpuKind;
+        let graph = hetpipe_model::vgg19(32);
+        for (cluster, config) in [
+            (
+                Cluster::paper_testbed(),
+                cfg(AllocationPolicy::NodePartition, Placement::Default, 0),
+            ),
+            (
+                Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]),
+                cfg(AllocationPolicy::EqualDistribution, Placement::Local, 0),
+            ),
+        ] {
+            let name = config.policy.name();
+            refine_stats_take();
+            let searched = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+            assert_eq!(refine_stats_take(), (0, 0), "{name}: refine simulations");
+            let config = SystemConfig {
+                order_search: false,
+                ..config
+            };
+            let plain = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+            assert_eq!(searched.nm(), plain.nm(), "{name}");
+            assert_eq!(searched.virtual_workers().len(), 4, "{name}");
+            for (a, b) in searched
+                .virtual_workers()
+                .iter()
+                .zip(plain.virtual_workers())
+            {
+                assert_eq!(
+                    (&a.devices, &a.plan, a.nm),
+                    (&b.devices, &b.plan, b.nm),
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]

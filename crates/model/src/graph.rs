@@ -21,9 +21,9 @@ pub struct ModelGraph {
     /// byte totals are the partition DP's innermost memory probe, so
     /// they must be O(1) range queries rather than per-call
     /// re-summations.
-    prefix_param: Vec<u64>,
+    pub(crate) prefix_param: Vec<u64>,
     /// Prefix sums of `stored_bytes` (`len() + 1` entries).
-    prefix_stored: Vec<u64>,
+    pub(crate) prefix_stored: Vec<u64>,
 }
 
 impl ModelGraph {

@@ -92,17 +92,60 @@ impl StageMemoryTerms {
     /// O(1): two prefix-sum range queries and a few multiplies.
     #[inline]
     pub fn stage_bytes(&self, graph: &ModelGraph, range: Range<usize>) -> u64 {
-        let params = graph.param_bytes_in(range.clone());
-        let stored = graph.stored_bytes_in(range.clone());
-        let input_buf = graph.input_bytes_of(range.start);
-        let activations = if self.recomputes {
-            // Stashed boundary inputs for every in-flight minibatch,
-            // plus the one rematerialized set live during a backward.
-            self.in_flight * input_buf + stored
-        } else {
-            self.in_flight * (stored + input_buf)
-        };
-        params * self.param_copies + activations + CUDNN_WORKSPACE_BYTES + FRAMEWORK_OVERHEAD_BYTES
+        self.bytes_from(graph, range.start).to(range.end)
+    }
+
+    /// The stage's byte charge for every range that starts at layer
+    /// `start`, with each term that does not depend on the range end
+    /// resolved once — the partition DP walks the range end from one
+    /// start.
+    #[inline]
+    pub fn bytes_from<'g>(&self, graph: &'g ModelGraph, start: usize) -> StageBytesFrom<'g> {
+        let input_buf = graph.input_bytes_of(start);
+        // Every in-flight minibatch stashes its boundary input. A
+        // checkpointing stage holds one stored set (the one
+        // rematerialized during a backward), any other stage one per
+        // in-flight minibatch.
+        let stored_copies = if self.recomputes { 1 } else { self.in_flight };
+        StageBytesFrom {
+            prefix_param: &graph.prefix_param,
+            prefix_stored: &graph.prefix_stored,
+            params_before: graph.prefix_param[start],
+            stored_before: graph.prefix_stored[start],
+            param_copies: self.param_copies,
+            stored_copies,
+            fixed: self.in_flight * input_buf + CUDNN_WORKSPACE_BYTES + FRAMEWORK_OVERHEAD_BYTES,
+        }
+    }
+}
+
+/// One stage's byte charge for the layer ranges that start at one
+/// layer ([`StageMemoryTerms::bytes_from`]): each range end costs two
+/// prefix-sum lookups, two multiplies and two adds. The integer
+/// arithmetic is exact, so the charge equals the unhoisted formula's.
+#[derive(Debug, Clone, Copy)]
+pub struct StageBytesFrom<'g> {
+    prefix_param: &'g [u64],
+    prefix_stored: &'g [u64],
+    params_before: u64,
+    stored_before: u64,
+    param_copies: u64,
+    stored_copies: u64,
+    /// Stashed boundary inputs, cuDNN workspace and framework overhead.
+    fixed: u64,
+}
+
+impl StageBytesFrom<'_> {
+    /// Bytes the stage needs to hold layers `start..end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` exceeds the graph's layer count.
+    #[inline]
+    pub fn to(&self, end: usize) -> u64 {
+        let params = self.prefix_param[end] - self.params_before;
+        let stored = self.prefix_stored[end] - self.stored_before;
+        params * self.param_copies + stored * self.stored_copies + self.fixed
     }
 }
 

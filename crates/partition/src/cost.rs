@@ -7,7 +7,7 @@
 
 use hetpipe_cluster::gpu::GpuSpec;
 use hetpipe_cluster::network::LinkKind;
-use hetpipe_model::memory::TrainingMemoryModel;
+use hetpipe_model::memory::{StageBytesFrom, TrainingMemoryModel};
 use hetpipe_model::profile;
 use hetpipe_model::profile::{Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
@@ -247,13 +247,7 @@ impl<'a> StageCostModel<'a> {
     /// re-run — there is no stash to reclaim, so the executor never
     /// schedules one and the plan must not charge for it.
     pub fn stage_secs(&self, stage: usize, range: Range<usize>) -> f64 {
-        let mut secs = self.compute_secs(stage, range.clone())
-            + self.comm_secs(stage, range.clone())
-            + 2.0 * STAGE_TASK_OVERHEAD_SECS;
-        if self.terms[stage].recomputes() {
-            secs += self.forward_secs(stage, range) + STAGE_TASK_OVERHEAD_SECS;
-        }
-        secs
+        self.probes_from(stage, range.start).stage_secs(range.end)
     }
 
     /// Reference implementation of [`Self::stage_secs`] that re-sums
@@ -287,7 +281,7 @@ impl<'a> StageCostModel<'a> {
     /// for co-located interleaved chunks — the conservative per-stage
     /// certification).
     pub fn fits(&self, stage: usize, range: Range<usize>) -> bool {
-        self.terms[stage].stage_bytes(self.problem.graph, range) <= self.budget_equal[stage]
+        self.probes_from(stage, range.start).fits(range.end)
     }
 
     /// The relaxed per-stage check: the range fits the stage's GPU
@@ -296,7 +290,27 @@ impl<'a> StageCostModel<'a> {
     /// ([`TrainingMemoryModel::plan_fits_per_gpu`]) so uneven chunk
     /// shares that fit *together* are admitted.
     pub fn fits_alone(&self, stage: usize, range: Range<usize>) -> bool {
-        self.terms[stage].stage_bytes(self.problem.graph, range) <= self.budget_alone[stage]
+        self.probes_from(stage, range.start).fits_alone(range.end)
+    }
+
+    /// Stage `stage`'s probes of the layer ranges that start at
+    /// `start`, with the prefix, comm and forward rows, the memory
+    /// terms and the budgets looked up once. [`Self::stage_secs`],
+    /// [`Self::fits`] and [`Self::fits_alone`] are its one-probe forms.
+    pub(crate) fn probes_from(&self, stage: usize, start: usize) -> StartProbe<'_> {
+        let (prefix, prefix_fwd) = (&self.prefix_secs[stage], &self.prefix_fwd_secs[stage]);
+        StartProbe {
+            prefix,
+            prefix_fwd,
+            out_comm: &self.out_comm[stage],
+            secs_before: prefix[start],
+            fwd_before: prefix_fwd[start],
+            in_comm: self.in_comm[stage][start],
+            recomputes: self.terms[stage].recomputes(),
+            bytes: self.terms[stage].bytes_from(self.problem.graph, start),
+            budget_equal: self.budget_equal[stage],
+            budget_alone: self.budget_alone[stage],
+        }
     }
 
     /// The exact joint per-GPU check over a complete plan's ranges.
@@ -316,6 +330,51 @@ impl<'a> StageCostModel<'a> {
     /// The wrapped problem.
     pub fn problem(&self) -> &PartitionProblem<'a> {
         self.problem
+    }
+}
+
+/// One stage's probes of the layer ranges that start at one layer
+/// ([`StageCostModel::probes_from`]): a probe of range end `end` reads
+/// that end's prefix, comm and byte entries only. Each probe computes
+/// the same `f64` expression in the same order as the unhoisted
+/// formula, so every stage time is the same to the bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StartProbe<'m> {
+    prefix: &'m [f64],
+    prefix_fwd: &'m [f64],
+    out_comm: &'m [f64],
+    secs_before: f64,
+    fwd_before: f64,
+    in_comm: f64,
+    recomputes: bool,
+    bytes: StageBytesFrom<'m>,
+    budget_equal: u64,
+    budget_alone: u64,
+}
+
+impl StartProbe<'_> {
+    /// [`StageCostModel::stage_secs`] of the range ending at `end`.
+    #[inline]
+    pub(crate) fn stage_secs(&self, end: usize) -> f64 {
+        let compute = self.prefix[end] - self.secs_before;
+        let comm = self.in_comm + self.out_comm[end];
+        let mut secs = compute + comm + 2.0 * STAGE_TASK_OVERHEAD_SECS;
+        if self.recomputes {
+            secs += (self.prefix_fwd[end] - self.fwd_before) + STAGE_TASK_OVERHEAD_SECS;
+        }
+        secs
+    }
+
+    /// [`StageCostModel::fits`] of the range ending at `end`.
+    #[inline]
+    pub(crate) fn fits(&self, end: usize) -> bool {
+        self.bytes.to(end) <= self.budget_equal
+    }
+
+    /// [`StageCostModel::fits_alone`] of the range ending at `end`.
+    #[inline]
+    pub(crate) fn fits_alone(&self, end: usize) -> bool {
+        self.bytes.to(end) <= self.budget_alone
     }
 }
 

@@ -9,13 +9,16 @@
 //! Plan time is the system's hot path (the order search's `Nm` sweeps
 //! solve this DP hundreds of times per build), so the DP is
 //! O(k·L²) with **O(1) probes**: stage times and memory charges are
-//! prefix-sum range queries, and a frontier prune drops range starts
-//! whose memory budget is already exceeded (infeasibility is monotone
-//! in range width). [`PartitionSolver::solve_reference`] preserves the
-//! naive re-summing DP as the parity oracle and timing baseline; the
-//! largest feasible `Nm` is binary-searched over the monotone
-//! feasibility gate of flat schedules ([`max_feasible_nm_linear`]
-//! keeps the linear rescan for the same purpose). A faster
+//! prefix-sum range queries whose per-start rows are looked up once,
+//! a frontier prune drops range ends past the first one whose memory
+//! budget is exceeded (infeasibility is monotone in the range end),
+//! and the last stage, whose only read cell ends at layer `L`, probes
+//! that one end per start. [`PartitionSolver::solve_reference`]
+//! preserves the naive re-summing DP as the parity oracle and timing
+//! baseline; the largest feasible `Nm` is binary-searched over the
+//! monotone feasibility gate of flat schedules
+//! ([`max_feasible_nm_linear`] keeps the linear rescan for the same
+//! purpose). A faster
 //! binary-search/greedy variant is provided as a comparison point for
 //! larger synthetic instances.
 //!
@@ -27,7 +30,7 @@
 //! interleaved schedules alike. The joint check still runs at each
 //! `Nm` before an `Alone` plan is returned.
 
-use crate::cost::{PartitionProblem, StageCostModel};
+use crate::cost::{PartitionProblem, StageCostModel, StartProbe};
 use std::fmt;
 use std::ops::Range;
 
@@ -154,6 +157,8 @@ impl PartitionSolver {
     /// ```
     pub fn solve(problem: &PartitionProblem<'_>) -> Result<PartitionPlan, PartitionError> {
         use hetpipe_schedule::PipelineSchedule;
+        // One cost model serves both DPs and the joint check.
+        let model = StageCostModel::new(problem);
         if problem.schedule.colocated_stages() > 1 {
             // Interleaved chunks share a physical GPU. The per-stage DP
             // cannot see a GPU's whole chunk set, so run it with the
@@ -163,20 +168,20 @@ impl PartitionSolver {
             // that the equal-split budget rejects. When the relaxed
             // optimum happens not to fit jointly, fall back to the
             // conservative equal-split certification.
-            if let Ok(plan) = Self::solve_with_mode(problem, MemMode::Alone) {
-                let model = StageCostModel::new(problem);
+            if let Ok(plan) = Self::solve_with_mode(&model, MemMode::Alone) {
                 if model.plan_fits_per_gpu(&plan.ranges) {
                     return Ok(plan);
                 }
             }
         }
-        Self::solve_with_mode(problem, MemMode::PerStage)
+        Self::solve_with_mode(&model, MemMode::PerStage)
     }
 
     fn solve_with_mode(
-        problem: &PartitionProblem<'_>,
+        model: &StageCostModel<'_>,
         mode: MemMode,
     ) -> Result<PartitionPlan, PartitionError> {
+        let problem = model.problem();
         let k = problem.stages();
         let n = problem.graph.len();
         if k > n {
@@ -193,10 +198,9 @@ impl PartitionSolver {
                 MemMode::PerStage => (alone, per_stage + 1),
             });
         });
-        let model = StageCostModel::new(problem);
-        let fits = |stage: usize, range: std::ops::Range<usize>| match mode {
-            MemMode::PerStage => model.fits(stage, range),
-            MemMode::Alone => model.fits_alone(stage, range),
+        let fits = |probe: &StartProbe<'_>, end: usize| match mode {
+            MemMode::PerStage => probe.fits(end),
+            MemMode::Alone => probe.fits_alone(end),
         };
 
         const INF: f64 = f64::INFINITY;
@@ -206,15 +210,16 @@ impl PartitionSolver {
         let mut best = vec![vec![INF; n + 1]; k];
         let mut choice = vec![vec![usize::MAX; n + 1]; k];
 
+        let first = model.probes_from(0, 0);
         for i in 1..=n {
             // Stage 0 covers 0..i. Memory infeasibility is monotone in
             // the range end for a fixed start (params and stored bytes
             // only grow; the input buffer and per-stage multipliers are
             // fixed), so the first infeasible prefix ends the sweep.
-            if !fits(0, 0..i) {
+            if !fits(&first, i) {
                 break;
             }
-            best[0][i] = model.stage_secs(0, 0..i);
+            best[0][i] = first.stage_secs(i);
             choice[0][i] = 0;
         }
         for j in 1..k {
@@ -226,16 +231,24 @@ impl PartitionSolver {
             // probed at all. Visiting s ascending with strictly-less
             // updates keeps the chosen cuts identical to the
             // end-major loop this replaces.
+            //
+            // The reconstruction reads only best[k−1][n], so the last
+            // stage probes the one end n from each start. That cell
+            // gets the update the full walk would give it: by the same
+            // monotonicity, s..n fits exactly when every s..i with
+            // i ≤ n does, which is when the walk reaches n.
+            let last = j + 1 == k;
             for s in j..n {
                 let lo = best[j - 1][s];
                 if lo.is_infinite() {
                     continue;
                 }
-                for i in (s + 1)..=n {
-                    if !fits(j, s..i) {
+                let probe = model.probes_from(j, s);
+                for i in (if last { n } else { s + 1 })..=n {
+                    if !fits(&probe, i) {
                         break;
                     }
-                    let b = lo.max(model.stage_secs(j, s..i));
+                    let b = lo.max(probe.stage_secs(i));
                     if b < best[j][i] {
                         best[j][i] = b;
                         choice[j][i] = s;
@@ -256,7 +269,7 @@ impl PartitionSolver {
             ranges[j] = start..end;
             end = start;
         }
-        Ok(PartitionPlan::from_ranges(&model, ranges))
+        Ok(PartitionPlan::from_ranges(model, ranges))
     }
 
     /// Reference DP solver: semantically identical to [`Self::solve`],
@@ -564,7 +577,7 @@ impl<'a> NmSweep<'a> {
             self.schedule,
         )
         .with_recompute(self.recompute);
-        let result = PartitionSolver::solve_with_mode(&problem, mode);
+        let result = PartitionSolver::solve_with_mode(&StageCostModel::new(&problem), mode);
         if let Ok(plan) = &result {
             *cached = Some((nm, plan.clone(), flags.to_vec()));
         }
@@ -822,7 +835,7 @@ mod tests {
             sched,
         );
         assert_eq!(
-            PartitionSolver::solve_with_mode(&p, MemMode::PerStage),
+            PartitionSolver::solve_with_mode(&StageCostModel::new(&p), MemMode::PerStage),
             Err(PartitionError::OutOfMemory),
             "the equal-split certification must reject this instance"
         );

@@ -8,7 +8,8 @@
 use hetpipe::cluster::{GpuKind, LinkKind};
 use hetpipe::model::mlp;
 use hetpipe::partition::brute::solve_brute;
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
+use hetpipe::partition::{PartitionProblem, PartitionSolver, StageCostModel};
+use hetpipe::schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,4 +135,75 @@ fn evaluation_model_plans_are_valid() {
             assert!(plan.bottleneck_secs > 0.0);
         }
     }
+}
+
+/// Memory fit is monotone in the range end: for a fixed stage and
+/// start, once `StageCostModel::fits` (or `fits_alone`) is false for
+/// some end, it stays false for every larger end. The DP's frontier
+/// `break` and its one-probe last stage are exact only because of it.
+/// Tier: dynamically audited, over every zoo model, schedule and
+/// recompute policy at `Nm ∈ {1, 2, 4, 8}` on 2 and 4 mixed GPUs.
+#[test]
+fn memory_fit_is_monotone_in_the_range_end() {
+    let models = [
+        hetpipe::model::vgg19(32),
+        hetpipe::model::resnet152(32),
+        hetpipe::model::resnet50(32),
+        hetpipe::model::transformer_encoder(12, 768, 12, 128, 32),
+        mlp(64, &[4096, 4096, 2048, 1024, 10]),
+    ];
+    let pool = [
+        GpuKind::TitanV,
+        GpuKind::TitanRtx,
+        GpuKind::Rtx2060,
+        GpuKind::QuadroP4000,
+    ];
+    let (mut probes, mut refused) = (0u64, 0u64);
+    for graph in &models {
+        let n = graph.len();
+        for schedule in Schedule::ALL {
+            for recompute in RecomputePolicy::ALL {
+                for nm in [1, 2, 4, 8] {
+                    for gpus in [2, 4] {
+                        let k = schedule.virtual_stages(gpus);
+                        let problem = PartitionProblem::with_schedule(
+                            graph,
+                            (0..k).map(|s| pool[s % gpus].spec()).collect(),
+                            vec![LinkKind::Pcie; k - 1],
+                            nm,
+                            schedule,
+                        )
+                        .with_recompute(recompute);
+                        let model = StageCostModel::new(&problem);
+                        for stage in 0..k {
+                            for start in 0..n {
+                                let (mut fits, mut alone) = (true, true);
+                                for end in start + 1..=n {
+                                    let (f, a) = (
+                                        model.fits(stage, start..end),
+                                        model.fits_alone(stage, start..end),
+                                    );
+                                    let at = || {
+                                        format!(
+                                            "{} {schedule} {recompute} nm={nm} stage {stage} \
+                                             of {k}: {start}..{end}",
+                                            graph.name
+                                        )
+                                    };
+                                    assert!(fits || !f, "fits again at {}", at());
+                                    assert!(alone || !a, "fits_alone again at {}", at());
+                                    (fits, alone) = (f, a);
+                                    probes += 2;
+                                    refused += u64::from(!f) + u64::from(!a);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Non-vacuous: about 1.57M probes, 7% of them over budget.
+    assert!(probes > 1_000_000, "only {probes} probes");
+    assert!(refused > probes / 20, "only {refused} of {probes} probes refused");
 }
