@@ -45,11 +45,7 @@ use hetpipe_runtime::{
     self as runtime, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript,
 };
 
-const POLICIES: [Policy; 3] = [
-    Policy::Static,
-    Policy::SkipStraggler { window: 8 },
-    Policy::Replan,
-];
+const POLICIES: [Policy; 2] = [Policy::Static, Policy::Replan];
 
 /// The table, the failures, and the trace sink of one gate run.
 struct Gate {
@@ -311,12 +307,10 @@ fn main() {
         &gate.rows,
     );
     println!(
-        "\nReading guide: `static` rides every script out; `skip-straggler` lets a blocked \
-         composite GPU stream serve ready backwards out of line, so it reacts only on \
-         composite interleaved schedules — here, on the wave schedule, it never splices and \
-         matches `static` exactly; `replan` re-partitions from observed costs at the next \
-         wave boundary, drops dead or preempted GPUs (shrinking the pipeline) and re-admits \
-         re-granted ones after the lease hysteresis. Every chaos script mixes lease \
+        "\nReading guide: `static` rides every script out; `replan` re-partitions from \
+         observed costs at the next wave boundary, drops dead or preempted GPUs (shrinking \
+         the pipeline) and re-admits re-granted ones after the lease hysteresis. Every \
+         chaos script mixes lease \
          preemption/re-grant pairs with slowdown faults under the invariants the generator \
          enforces (GPU 0 is never preempted, at least two GPUs stay available, every \
          preemption is re-granted by 95% of the horizon). Epochs > 1 means the controller \

@@ -97,7 +97,7 @@
 //! field compiles only once each walk says what it does with it.
 //!
 //! `tests/trace_pins.rs` pins digests of whole runs of every schedule,
-//! including draining and reordering segments.
+//! including draining segments.
 
 use crate::audit::{MeasuredPeaks, OccupancyFold};
 use crate::metrics::{ReportFold, SystemReport};
@@ -115,7 +115,6 @@ use hetpipe_schedule::PushClocks;
 use hetpipe_schedule::{
     Dispatch, GpuOp, Lanes, PipelineSchedule, RecomputePolicy, Schedule, ScheduleOp,
 };
-use std::collections::VecDeque;
 
 mod checkpoint;
 pub(crate) mod fastforward;
@@ -229,11 +228,11 @@ pub struct RateEvent {
 /// Options for one executor *segment* — the unit the fault-aware
 /// runtime (`hetpipe-runtime`) splices: a bounded run that may start
 /// under pre-existing fault rates, experience scheduled rate changes,
-/// stop injecting work at a wave boundary (and drain), and optionally
-/// relax strict lane order within a bounded window.
+/// and stop injecting work at a wave boundary (and drain). Lanes always
+/// run in strict order.
 ///
-/// The default options reproduce [`run`] exactly: no faults, no stop,
-/// strict order — the zero-fault invariance the tier-1 tests pin.
+/// The default options reproduce [`run`] exactly: no faults, no stop —
+/// the zero-fault invariance the tier-1 tests pin.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentOpts {
     /// Stop *injecting* minibatches after this one (1-indexed,
@@ -250,17 +249,6 @@ pub struct SegmentOpts {
     pub initial_rates: Vec<(RateTarget, f64)>,
     /// Rate changes that fire during the segment.
     pub rate_events: Vec<RateEvent>,
-    /// `SkipStraggler` support: when > 0, a lane whose head op is
-    /// blocked on a data dependency may execute a *ready backward*
-    /// (with its recompute prefix) from up to this many ops ahead in
-    /// the lane. Backwards only — they release activations, never
-    /// acquire them — and never past a closed [`ScheduleOp::PullGate`]
-    /// or an earlier op of the same stage, so the declared occupancy
-    /// and staleness bounds hold unchanged. This applies to every lane;
-    /// on a one-stage lane every op shares the head's stage, so it is a
-    /// no-op there (as it is under arrival-FIFO dispatch). 0 (the
-    /// default) is strict lane order.
-    pub reorder_window: usize,
 }
 
 /// One virtual worker's synchronization statistics.
@@ -476,12 +464,9 @@ struct State {
     /// Per-VW lanes (lane dispatch only). Stage `s` of a VW with `n`
     /// lanes runs on lane `s % n`.
     lanes: Vec<Lanes>,
-    /// Per VW, per lane: ops pulled from the lane but not yet executed
-    /// (lane dispatch only). `bufs[vw][lane][0]` is the head
-    /// (strict-order) op; under a non-zero
-    /// [`SegmentOpts::reorder_window`] the executor may serve a ready
-    /// backward from deeper in the buffer while the head is blocked.
-    bufs: Vec<Vec<VecDeque<GpuOp>>>,
+    /// Per VW, per lane: the head op, pulled from the lane but not yet
+    /// executed (lane dispatch only).
+    heads: Vec<Vec<Option<GpuOp>>>,
     sync_inter: u64,
     sync_intra: u64,
     act_inter: u64,
@@ -667,7 +652,7 @@ impl State {
                 p.vws.len()
             ],
             stages: stages.collect(),
-            bufs: (lanes.iter().map(|l| vec![VecDeque::new(); l.len()])).collect(),
+            heads: lanes.iter().map(|l| vec![None; l.len()]).collect(),
             lanes,
             sync_inter: 0,
             sync_intra: 0,
@@ -932,44 +917,27 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         self.st.states[vw].completed >= self.plan.p.wsp.last_of_wave(wave)
     }
 
-    /// Ensures `lane`'s op buffer holds at least `len` ops, pulling
-    /// from the lane as needed.
-    fn fill_lane_buf(&mut self, vw: usize, lane: usize, len: usize) {
-        let buf = &mut self.st.bufs[vw][lane];
-        while buf.len() < len {
-            buf.push_back(self.st.lanes[vw].next(lane));
-        }
+    /// `lane`'s head op, pulled from the lane if its slot is empty.
+    fn lane_head(&mut self, vw: usize, lane: usize) -> GpuOp {
+        let st = &mut self.st;
+        *st.heads[vw][lane].get_or_insert_with(|| st.lanes[vw].next(lane))
     }
 
     /// Executes `lane` in order for as long as op dependencies are
     /// satisfied, reserving GPU time slots eagerly (the FIFO timeline
-    /// serializes them in lane order). Two segment-mode extensions,
-    /// both off by default:
-    ///
-    /// - **drain** ([`SegmentOpts::stop_after_mb`]): past-boundary ops
-    ///   are discarded unexecuted. A composite lane interleaves
-    ///   stages, and a deep stage's backward of `mb + 1` can
-    ///   legitimately precede a shallow stage's backward of `mb` — so
-    ///   a stage's first past-boundary backward (backwards are
-    ///   per-stage in order) only marks that stage drained, and the
-    ///   lane parks for good at that backward once all of its stages
-    ///   are drained. Gates and pushes ahead of it still run.
-    /// - **bounded reorder** ([`SegmentOpts::reorder_window`]): when
-    ///   the head op is blocked on a data dependency, a *ready
-    ///   backward* (with its recompute prefix) from up to `window`
-    ///   ops ahead may run instead — the `SkipStraggler` policy's
-    ///   lever against head-of-line blocking when a straggler's
-    ///   gradient is late. Backwards only (they release activation
-    ///   windows, never acquire), never past a closed pull gate, and
-    ///   never past an earlier op of their own stage, so declared
-    ///   occupancy, per-stage order, and staleness all hold. On a
-    ///   one-stage lane every op behind the head shares its stage, so
-    ///   reorder is a no-op there.
+    /// serializes them in lane order). Under a drain
+    /// ([`SegmentOpts::stop_after_mb`]) past-boundary ops are discarded
+    /// unexecuted. A composite lane interleaves stages, and a deep
+    /// stage's backward of `mb + 1` can legitimately precede a shallow
+    /// stage's backward of `mb` — so a stage's first past-boundary
+    /// backward (backwards are per-stage in order) only marks that
+    /// stage drained, and the lane parks for good at that backward once
+    /// all of its stages are drained. Gates and pushes ahead of it
+    /// still run.
     fn advance_lane(&mut self, vw: usize, lane: usize) {
         let now = self.st.engine.now();
         loop {
-            self.fill_lane_buf(vw, lane, 1);
-            let GpuOp { stage, op } = self.st.bufs[vw][lane][0];
+            let GpuOp { stage, op } = self.lane_head(vw, lane);
             if op.minibatch().is_some_and(|mb| self.past_stop(mb)) {
                 if op.has_backward() {
                     let stages = &mut self.st.stages[vw];
@@ -979,109 +947,27 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                         return;
                     }
                 }
-                self.st.bufs[vw][lane].pop_front();
+                self.st.heads[vw][lane] = None;
                 continue;
             }
-            let ready = match op {
-                ScheduleOp::PullGate { wave } => {
-                    if self.pull_gate_open(vw, wave, now) {
-                        self.st.bufs[vw][lane].pop_front();
-                        continue;
-                    }
-                    // Nothing may run past a closed gate (staleness).
-                    return;
-                }
+            let done = match op {
+                // Nothing may run past a closed gate (staleness).
+                ScheduleOp::PullGate { wave } => self.pull_gate_open(vw, wave, now),
                 ScheduleOp::Push { wave } => {
-                    if self.wave_push_ready(vw, wave) {
-                        self.st.bufs[vw][lane].pop_front();
+                    let ready = self.wave_push_ready(vw, wave);
+                    if ready {
                         self.start_push(vw, wave);
-                        continue;
                     }
-                    false
+                    ready
                 }
                 ScheduleOp::FusedFwdBwd { .. } => unreachable!("lane schedules never fuse"),
-                _ => self.input_ready(vw, stage, op),
+                _ => self.input_ready(vw, stage, op) && self.reserve_fenced(vw, stage, op),
             };
-            if ready {
-                if !self.reserve_fenced(vw, stage, op) {
-                    return;
-                }
-                self.st.bufs[vw][lane].pop_front();
-                continue;
-            }
-            // Head blocked on a data dependency (or an unready push):
-            // bounded out-of-order service of a ready backward.
-            if self.plan.opts.reorder_window == 0 || !self.reorder_backward(vw, lane) {
+            if !done {
                 return;
             }
+            self.st.heads[vw][lane] = None;
         }
-    }
-
-    /// Scans up to `reorder_window` ops past the blocked head of
-    /// `lane`'s buffer for a ready backward (with its recompute prefix)
-    /// and executes it out of line. Returns whether anything ran. See
-    /// [`Exec::advance_lane`] for the soundness constraints.
-    fn reorder_backward(&mut self, vw: usize, lane: usize) -> bool {
-        let window = self.plan.opts.reorder_window;
-        for j in 1..=window {
-            self.fill_lane_buf(vw, lane, j + 1);
-            let gop = self.st.bufs[vw][lane][j];
-            let stage = gop.stage;
-            // Preserve per-stage order: never overtake an earlier op
-            // of the same stage (covers "backward before its own
-            // forward" too, since the forward precedes it in-stage).
-            let overtakes_same_stage = self.st.bufs[vw][lane]
-                .iter()
-                .take(j)
-                .any(|g| g.stage == stage);
-            if overtakes_same_stage {
-                continue;
-            }
-            match gop.op {
-                ScheduleOp::Backward { mb } | ScheduleOp::Recompute { mb } => {
-                    if self.past_stop(mb) || !self.input_ready(vw, stage, gop.op) {
-                        continue;
-                    }
-                    // A checkpointing stage's backward rides directly
-                    // behind its recompute; serve them as a unit.
-                    let backward = GpuOp {
-                        stage,
-                        op: ScheduleOp::Backward { mb },
-                    };
-                    let recompute = gop != backward;
-                    if recompute {
-                        self.fill_lane_buf(vw, lane, j + 2);
-                        debug_assert_eq!(
-                            self.st.bufs[vw][lane][j + 1],
-                            backward,
-                            "recompute must precede its own backward"
-                        );
-                    }
-                    if !self.reserve_fenced(vw, stage, gop.op) {
-                        return false;
-                    }
-                    self.st.bufs[vw][lane].remove(j);
-                    // The backward now sits at index j. Reserving it
-                    // can only fail at the horizon edge — then it stays
-                    // buffered, exactly like a strict-order lane parked
-                    // after its recompute.
-                    if recompute {
-                        if !self.reserve_fenced(vw, stage, backward.op) {
-                            return false;
-                        }
-                        self.st.bufs[vw][lane].remove(j);
-                    }
-                    return true;
-                }
-                // Forwards acquire activation slots — not reordered.
-                // Pushes are wave bookkeeping a backward may pass.
-                ScheduleOp::Forward { .. } | ScheduleOp::Push { .. } => continue,
-                // A gate fences everything behind it: stop the scan.
-                ScheduleOp::PullGate { .. } => return false,
-                ScheduleOp::FusedFwdBwd { .. } => unreachable!("lane schedules never fuse"),
-            }
-        }
-        false
     }
 
     /// Whether lane compute `op` of `stage` has its input: a forward
@@ -1455,13 +1341,12 @@ pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
 /// The executor's general entry point: simulates one *segment* to
 /// `horizon` under `opts` — pre-existing and scheduled resource-rate
 /// changes (fault injection), an optional stop-and-drain point at a
-/// wave boundary (the splice the reactive runtime re-plans at), and a
-/// bounded lane reorder window; default options are [`run`]'s, the
-/// zero-fault invariance. It hands every span to `sink` as it is
-/// reserved and returns the [`RunStats`] (whose trace is empty: the
-/// spans went to the sink), the sink, and — given a `warmup` — the
-/// run's report, folded while it executed with its measurement window
-/// starting at `warmup`. That report equals
+/// wave boundary (the splice the reactive runtime re-plans at); default
+/// options are [`run`]'s, the zero-fault invariance. It hands every
+/// span to `sink` as it is reserved and returns the [`RunStats`] (whose
+/// trace is empty: the spans went to the sink), the sink, and — given a
+/// `warmup` — the run's report, folded while it executed with its
+/// measurement window starting at `warmup`. That report equals
 /// [`SystemReport::from_stats`] over the kept trace bit for bit.
 ///
 /// With a sink that keeps no span, the run fast-forwards through its

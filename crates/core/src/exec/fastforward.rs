@@ -529,7 +529,7 @@ impl State {
             states,
             stages,
             lanes,
-            bufs,
+            heads,
             last_span_end,
             last_arrival,
             // Totals and counters no decision reads.
@@ -593,10 +593,10 @@ impl State {
                 n.instant(since);
             }
         }
-        for (lanes, bufs) in lanes.iter().zip(bufs) {
-            for buf in bufs {
-                n.int(buf.len() as i64);
-                for gop in buf {
+        for (lanes, heads) in lanes.iter().zip(heads) {
+            for head in heads {
+                n.int(head.is_some() as i64);
+                if let Some(gop) = head {
                     gop.op.write_state(n.ints(&[gop.stage as i64]));
                 }
             }
@@ -639,7 +639,7 @@ impl State {
             states,
             stages,
             lanes,
-            bufs,
+            heads,
             last_span_end,
             last_arrival,
             queried,
@@ -697,7 +697,7 @@ impl State {
                 *mb += mbs;
             }
         }
-        for gop in bufs.iter_mut().flatten().flatten() {
+        for gop in heads.iter_mut().flatten().flatten() {
             gop.op = gop.op.shifted(mbs, waves);
         }
         for lanes in lanes {
@@ -727,7 +727,7 @@ impl State {
             clocks: _,
             stages: _,
             lanes: _,
-            bufs: _,
+            heads: _,
             last_span_end: _,
             last_arrival: _,
             queried: _,

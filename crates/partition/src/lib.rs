@@ -11,8 +11,7 @@
 //!   gradients (backward) over the stage's incoming links.
 //! - [`solver`] — an interval dynamic program over contiguous layer
 //!   ranges, O(k · L²), exact for the min–max objective with
-//!   position-dependent memory constraints, plus a faster
-//!   binary-search/greedy variant used as a comparison point.
+//!   position-dependent memory constraints.
 //! - [`brute`] — exhaustive enumeration of cut sets, used by tests to
 //!   certify the DP's optimality on small instances.
 //! - [`order`] — stage-order search: with heterogeneous GPUs the

@@ -18,9 +18,7 @@
 //! baseline; the largest feasible `Nm` is binary-searched over the
 //! monotone feasibility gate of flat schedules
 //! ([`max_feasible_nm_linear`] keeps the linear rescan for the same
-//! purpose). A faster
-//! binary-search/greedy variant is provided as a comparison point for
-//! larger synthetic instances.
+//! purpose).
 //!
 //! Co-located interleaved chunks run two DPs: a relaxed `Alone` pass
 //! whose plan must then pass the exact joint per-GPU check, and the
@@ -360,73 +358,6 @@ impl PartitionSolver {
         }
         Ok(PartitionPlan::from_ranges(&model, ranges))
     }
-
-    /// Binary-search + greedy solver (comparison point).
-    ///
-    /// Binary-searches the bottleneck value and greedily packs layers
-    /// left-to-right; exact for monotone cost structures without memory
-    /// constraints, heuristic (but fast) otherwise. Returns `None` if
-    /// the greedy sweep finds no feasible packing.
-    pub fn solve_greedy(problem: &PartitionProblem<'_>) -> Option<PartitionPlan> {
-        let k = problem.stages();
-        let n = problem.graph.len();
-        if k > n {
-            return None;
-        }
-        let model = StageCostModel::new(problem);
-
-        // Upper bound: everything on the slowest single stage.
-        let mut hi = (0..k)
-            .map(|s| model.stage_secs(s, 0..n))
-            .fold(0.0, f64::max);
-        let mut lo = 0.0;
-        let mut found: Option<Vec<Range<usize>>> = None;
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            if let Some(ranges) = greedy_pack(&model, k, n, mid) {
-                found = Some(ranges);
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        found.map(|r| PartitionPlan::from_ranges(&model, r))
-    }
-}
-
-/// Greedily packs layers into stages keeping each stage under `cap`
-/// seconds and within memory; each stage takes the longest feasible
-/// prefix that still leaves at least one layer per remaining stage.
-fn greedy_pack(
-    model: &StageCostModel<'_>,
-    k: usize,
-    n: usize,
-    cap: f64,
-) -> Option<Vec<Range<usize>>> {
-    let mut ranges = Vec::with_capacity(k);
-    let mut start = 0;
-    for stage in 0..k {
-        let remaining_stages = k - stage - 1;
-        let max_end = n - remaining_stages;
-        let mut end = None;
-        for e in (start + 1)..=max_end {
-            if model.stage_secs(stage, start..e) <= cap && model.fits(stage, start..e) {
-                end = Some(e);
-            } else if model.compute_secs(stage, start..e) > cap {
-                // Compute alone already exceeds the cap; longer ranges
-                // only grow, so stop extending.
-                break;
-            }
-        }
-        let e = end?;
-        // The last stage must consume everything.
-        if stage == k - 1 && e != n {
-            return None;
-        }
-        ranges.push(start..e);
-        start = e;
-    }
-    (start == n).then_some(ranges)
 }
 
 /// An incremental solver for `Nm` sweeps over one fixed
@@ -1145,18 +1076,6 @@ mod tests {
                 RecomputePolicy::BoundaryOnly,
             )
         }));
-    }
-
-    #[test]
-    fn greedy_matches_dp_without_memory_pressure() {
-        let g = vgg19(32);
-        let p = homo4(&g, 1);
-        let dp = PartitionSolver::solve(&p).unwrap();
-        let greedy = PartitionSolver::solve_greedy(&p).unwrap();
-        // Greedy is not always optimal but must be within a few percent
-        // here and never better than the exact optimum.
-        assert!(greedy.bottleneck_secs >= dp.bottleneck_secs - 1e-12);
-        assert!(greedy.bottleneck_secs <= dp.bottleneck_secs * 1.10);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! running it in **segments** spliced at wave boundaries:
 //!
 //! 1. **Probe.** Simulate the remaining horizon under the current
-//!    configuration (plans, derates, reorder window) with the fault
-//!    script's rate edges injected as DES events. Every segment
-//!    records each span once, through the controller's span sink,
-//!    straight into the report's merged trace (rebased to global time
-//!    and to global minibatch and wave numbering); no segment keeps a
-//!    trace of its own. The probe also saves wave checkpoints, clones
+//!    configuration (plans and derates) with the fault script's rate
+//!    edges injected as DES events. Every segment records each span
+//!    once, through the controller's span sink, straight into the
+//!    report's merged trace (rebased to global time and to global
+//!    minibatch and wave numbering); no segment keeps a trace of its
+//!    own. The probe also saves wave checkpoints, clones
 //!    of its executor state ([`exec::run_into_checkpointed`]).
 //! 2. **Observe.** While the probe runs, the same sink folds each span
 //!    into a [`MonitorFold`] (segment-local times, before rebasing),
@@ -18,12 +18,12 @@
 //! 3. **React (policy).** At the first judgement the policy answers,
 //!    the probe becomes the epoch the reaction commits, drained at a
 //!    wave boundary ([`SegmentOpts::stop_after_mb`]):
-//!    - **in place**, for a straggler, a recovery, a lease grant or a
-//!      reorder: the probe sets its own stop point to the first wave
-//!      boundary no stop query has passed yet ([`Verdict::Drain`]) and
-//!      runs on until the drain ends. Up to then it was the drain run
-//!      from the segment start, so the probe *is* that drain, bit for
-//!      bit, and nothing is simulated twice;
+//!    - **in place**, for a straggler, a recovery or a lease grant: the
+//!      probe sets its own stop point to the first wave boundary no
+//!      stop query has passed yet ([`Verdict::Drain`]) and runs on
+//!      until the drain ends. Up to then it was the drain run from the
+//!      segment start, so the probe *is* that drain, bit for bit, and
+//!      nothing is simulated twice;
 //!    - **at an outage**, for a lost GPU or a lease preemption: the
 //!      dead GPU's in-flight tasks end only when the outage lifts, so
 //!      the probe halts ([`Verdict::Halt`]) and the epoch drains at the
@@ -32,9 +32,9 @@
 //!      that boundary ([`Checkpoints::for_stop`]): the report's trace
 //!      is cut back to the spans the probe recorded before it
 //!      ([`Trace::truncate`], the only cut), and the drain resumes
-//!      from there ([`exec::resume_into`]) under the probe's own rates,
-//!      reorder window and horizon. Only the tail past the checkpoint
-//!      is simulated again ([`Epoch::resimulated`]).
+//!      from there ([`exec::resume_into`]) under the probe's own rates
+//!      and horizon. Only the tail past the checkpoint is simulated
+//!      again ([`Epoch::resimulated`]).
 //!
 //!    Then apply the action and probe again from the splice. A probe
 //!    the policy never answers runs to the horizon and is the final
@@ -73,13 +73,6 @@
 //! Policies:
 //!
 //! - [`Policy::Static`] — today's behaviour: observe, never react.
-//! - [`Policy::SkipStraggler`] — on a straggler, enable the
-//!   executor's bounded lane reorder window
-//!   ([`SegmentOpts::reorder_window`]): GPUs blocked on the
-//!   straggler's late gradients serve ready backwards from other
-//!   chunks instead of head-of-line blocking (the ROADMAP's
-//!   composite-vs-arrival adaptivity lever). Composite schedules
-//!   only: elsewhere no lane hosts a second chunk to serve.
 //! - [`Policy::Replan`] — re-run the fast planner
 //!   ([`hetpipe_core::replan_vw_from_observed`]) with every
 //!   straggler's GPU derated to its observed speed, and with lost
@@ -114,7 +107,7 @@ use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
 use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
-use hetpipe_schedule::{Dispatch, PipelineSchedule, RecomputePolicy, Schedule};
+use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A reactive policy: what the controller does with monitor signals.
@@ -122,16 +115,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 pub enum Policy {
     /// Never react (today's static behaviour; the baseline).
     Static,
-    /// On a straggler, enable bounded out-of-order service of ready
-    /// backwards within `window` ops of each executor lane. Only a
-    /// lane hosting several stages can overtake anything, so the
-    /// controller reacts only on schedules with composite lanes
-    /// ([`Dispatch::GpuStreamOrder`]); on every other schedule it never
-    /// splices and the run is [`Policy::Static`]'s, bit for bit.
-    SkipStraggler {
-        /// Lookahead window, in stream ops.
-        window: usize,
-    },
     /// Re-plan with observed costs / surviving GPUs and splice at the
     /// next wave boundary.
     Replan,
@@ -142,23 +125,7 @@ impl Policy {
     pub fn name(&self) -> &'static str {
         match self {
             Policy::Static => "static",
-            Policy::SkipStraggler { .. } => "skip-straggler",
             Policy::Replan => "replan",
-        }
-    }
-
-    /// Parses a CLI name: `static` | `skip-straggler[:window]` |
-    /// `replan`.
-    pub fn parse(s: &str) -> Option<Policy> {
-        match s {
-            "static" => Some(Policy::Static),
-            "skip-straggler" => Some(Policy::SkipStraggler { window: 8 }),
-            "replan" => Some(Policy::Replan),
-            _ => {
-                let rest = s.strip_prefix("skip-straggler:")?;
-                let window: usize = rest.parse().ok().filter(|&w| w >= 1)?;
-                Some(Policy::SkipStraggler { window })
-            }
         }
     }
 }
@@ -334,58 +301,30 @@ impl LeaseSignal {
     }
 }
 
-/// The action a policy chose for one probe.
-enum Action {
-    EnableReorder {
-        window: usize,
-        trigger: Signal,
-    },
-    Replan {
-        signals: Vec<Signal>,
-        lease: Vec<LeaseSignal>,
-    },
+/// The replan a policy chose for one probe: the signals and lease
+/// transitions it answers, which is what the reaction commits to the
+/// report (the rest of the probe's observations belong to a discarded
+/// timeline).
+struct Action {
+    signals: Vec<Signal>,
+    lease: Vec<LeaseSignal>,
 }
 
 impl Action {
     fn label(&self) -> String {
-        match self {
-            Action::EnableReorder { window, trigger } => {
-                format!("enable reorder window {window} on [{}]", trigger.label())
-            }
-            Action::Replan { signals, lease } => {
-                let parts: Vec<String> = signals
-                    .iter()
-                    .map(Signal::label)
-                    .chain(lease.iter().map(LeaseSignal::label))
-                    .collect();
-                format!("replan on [{}]", parts.join(", "))
-            }
-        }
+        let parts: Vec<String> = (self.signals.iter().map(Signal::label))
+            .chain(self.lease.iter().map(LeaseSignal::label))
+            .collect();
+        format!("replan on [{}]", parts.join(", "))
     }
 
     /// Whether the action answers an outage (a lost GPU or a lease
     /// preemption): the dead GPU's in-flight tasks end only when the
     /// outage lifts, so the probe cannot drain in place.
     fn outage(&self) -> bool {
-        match self {
-            Action::EnableReorder { .. } => false,
-            Action::Replan { signals, lease } => {
-                signals.iter().any(|s| matches!(s, Signal::GpuLost { .. }))
-                    || lease
-                        .iter()
-                        .any(|l| matches!(l, LeaseSignal::Preempted { .. }))
-            }
-        }
-    }
-
-    /// The signals that caused this action — what the reaction branch
-    /// commits to the report (the rest of the probe's observations
-    /// belong to a discarded timeline).
-    fn triggers(&self) -> (Vec<Signal>, Vec<LeaseSignal>) {
-        match self {
-            Action::EnableReorder { trigger, .. } => (vec![trigger.clone()], Vec::new()),
-            Action::Replan { signals, lease } => (signals.clone(), lease.clone()),
-        }
+        let lost = |s: &Signal| matches!(s, Signal::GpuLost { .. });
+        let preempted = |l: &LeaseSignal| matches!(l, LeaseSignal::Preempted { .. });
+        self.signals.iter().any(lost) || self.lease.iter().any(preempted)
     }
 }
 
@@ -554,7 +493,6 @@ struct Controller<'a> {
     /// draw survivors from here rather than from the current plan, so
     /// a dropped GPU keeps its position and can be re-admitted.
     roster: Vec<Vec<DeviceId>>,
-    reorder: usize,
     // Global accumulators.
     offset: SimTime,
     mb_offset: u64,
@@ -611,7 +549,6 @@ impl<'a> Controller<'a> {
             dead: BTreeSet::new(),
             initial_nm: nm,
             roster,
-            reorder: 0,
             offset: SimTime::ZERO,
             mb_offset: 0,
             wave_offset: 0,
@@ -630,7 +567,6 @@ impl<'a> Controller<'a> {
             stop_after_mb,
             initial_rates,
             rate_events,
-            reorder_window: self.reorder,
         }
     }
 
@@ -858,113 +794,75 @@ impl<'a> Controller<'a> {
     }
 
     /// What, if anything, the policy does with the signals and lease
-    /// transitions judged at one instant. Lease transitions are
-    /// actionable by [`Policy::Replan`] only — the static and reorder
-    /// policies keep today's behaviour, which is what makes them honest
-    /// baselines under lease scenarios.
+    /// transitions judged at one instant. Only [`Policy::Replan`]
+    /// reacts: [`Policy::Static`] keeps today's behaviour, which is
+    /// what makes it an honest baseline under lease scenarios.
     fn decide(&self, signals: &[Signal], lease: &[LeaseSignal]) -> Option<Action> {
-        if self.reactions >= self.p.max_reactions {
+        if self.reactions >= self.p.max_reactions
+            || self.p.policy == Policy::Static
+            || (signals.is_empty() && lease.is_empty())
+        {
             return None;
         }
-        match self.p.policy {
-            Policy::Static => None,
-            Policy::SkipStraggler { window } => {
-                // Already reordering, or one-stage lanes the reorder
-                // cannot change: a splice would only cost a refill.
-                if self.reorder > 0 || self.p.schedule.dispatch() != Dispatch::GpuStreamOrder {
-                    return None;
-                }
-                signals
-                    .iter()
-                    .find(|s| matches!(s, Signal::Straggler { .. }))
-                    .map(|s| Action::EnableReorder {
-                        window,
-                        trigger: s.clone(),
-                    })
-            }
-            Policy::Replan => {
-                let actionable: Vec<Signal> = signals
-                    .iter()
-                    .filter(|s| {
-                        matches!(
-                            s,
-                            Signal::Straggler { .. }
-                                | Signal::GpuLost { .. }
-                                | Signal::Recovered { .. }
-                        )
-                    })
-                    .cloned()
-                    .collect();
-                if actionable.is_empty() && lease.is_empty() {
-                    return None;
-                }
-                Some(Action::Replan {
-                    signals: actionable,
-                    lease: lease.to_vec(),
-                })
-            }
-        }
+        Some(Action {
+            signals: signals.to_vec(),
+            lease: lease.to_vec(),
+        })
     }
 
     /// Applies a decided action at a committed splice.
     fn apply(&mut self, action: Action) {
-        match action {
-            Action::EnableReorder { window, .. } => {
-                self.reorder = window;
-            }
-            Action::Replan { signals, lease } => {
-                for s in &signals {
-                    let (vw, stage) = s.stage_key();
-                    let device = self.vws[vw].devices[stage];
-                    match s {
-                        Signal::Straggler { severity, .. } => {
-                            self.applied_dev.insert((vw, device), *severity);
-                        }
-                        Signal::Recovered { .. } => {
-                            self.applied_dev.remove(&(vw, device));
-                        }
-                        Signal::GpuLost { .. } => {
-                            self.dead.insert(device);
-                        }
-                    }
+        let Action { signals, lease } = action;
+        for s in &signals {
+            let (vw, stage) = s.stage_key();
+            let device = self.vws[vw].devices[stage];
+            match s {
+                Signal::Straggler { severity, .. } => {
+                    self.applied_dev.insert((vw, device), *severity);
                 }
-                let mut grew = false;
-                for s in &lease {
-                    match *s {
-                        LeaseSignal::Preempted { device, .. } => {
-                            // Converges with the monitor's
-                            // observational GpuLost (idempotent).
-                            self.dead.insert(device);
-                        }
-                        LeaseSignal::Granted { device, .. } => {
-                            grew = true;
-                            self.dead.remove(&device);
-                            // A re-admitted GPU starts at nominal:
-                            // stale derates belong to its old lease.
-                            for i in 0..self.vws.len() {
-                                self.applied_dev.remove(&(i, device));
-                            }
-                            if !self.roster.iter().any(|r| r.contains(&device)) {
-                                // A brand-new grant joins the
-                                // narrowest pipeline.
-                                if let Some(r) = self.roster.iter_mut().min_by_key(|r| r.len()) {
-                                    r.push(device);
-                                }
-                            }
-                        }
-                    }
+                Signal::Recovered { .. } => {
+                    self.applied_dev.remove(&(vw, device));
                 }
-                // A grow-splice may re-raise Nm up to the initial
-                // value: the widened pipeline restored the memory
-                // headroom the shrink had taken away.
-                let ceiling = if grew {
-                    self.initial_nm.max(self.nm)
-                } else {
-                    self.nm
-                };
-                self.replan(ceiling);
+                Signal::GpuLost { .. } => {
+                    self.dead.insert(device);
+                }
             }
         }
+        let mut grew = false;
+        for s in &lease {
+            match *s {
+                LeaseSignal::Preempted { device, .. } => {
+                    // Converges with the monitor's observational
+                    // GpuLost (idempotent).
+                    self.dead.insert(device);
+                }
+                LeaseSignal::Granted { device, .. } => {
+                    grew = true;
+                    self.dead.remove(&device);
+                    // A re-admitted GPU starts at nominal: stale
+                    // derates belong to its old lease.
+                    for i in 0..self.vws.len() {
+                        self.applied_dev.remove(&(i, device));
+                    }
+                    if !self.roster.iter().any(|r| r.contains(&device)) {
+                        // A brand-new grant joins the narrowest
+                        // pipeline.
+                        if let Some(r) = self.roster.iter_mut().min_by_key(|r| r.len()) {
+                            r.push(device);
+                        }
+                    }
+                }
+            }
+        }
+        // A grow-splice may re-raise Nm up to the initial value: the
+        // widened pipeline restored the memory headroom the shrink had
+        // taken away.
+        let ceiling = if grew {
+            self.initial_nm.max(self.nm)
+        } else {
+            self.nm
+        };
+        self.replan(ceiling);
     }
 
     /// Rebuilds every VW's plan from observed costs and surviving
@@ -1091,9 +989,8 @@ impl<'a> Controller<'a> {
             self.report.simulated_events += resimulated;
             // Log only the signals the policy acted on: the probe's
             // other observations are not part of the decision.
-            let (sig_triggers, lease_triggers) = action.triggers();
-            self.log_signals(&sig_triggers);
-            self.log_lease(&lease_triggers);
+            self.log_signals(&action.signals);
+            self.log_lease(&action.lease);
             self.commit(&stats, Some(action.label()), resimulated);
             self.offset += stats.end;
             self.mb_offset += stop;
@@ -1163,11 +1060,7 @@ mod tests {
             },
             RecomputePolicy::None,
         );
-        let policies = [
-            Policy::Static,
-            Policy::SkipStraggler { window: 8 },
-            Policy::Replan,
-        ];
+        let policies = [Policy::Static, Policy::Replan];
         let mut cells = Vec::new();
         for script in [
             ScenarioScript::canonical_straggler(0, 5.0),

@@ -29,11 +29,9 @@
 //!   boundary while the probe runs. Purely observational — the monitor
 //!   never reads the script.
 //! - [`Policy`] / [`run`] — the reactive controller:
-//!   [`Policy::Static`] (baseline), [`Policy::SkipStraggler`]
-//!   (bounded out-of-order service of ready backwards in the
-//!   executor's lanes), and [`Policy::Replan`] (re-run the fast
-//!   planner with observed costs and surviving GPUs, and splice the
-//!   new plan at a wave boundary).
+//!   [`Policy::Static`] (baseline) and [`Policy::Replan`] (re-run the
+//!   fast planner with observed costs and surviving GPUs, and splice
+//!   the new plan at a wave boundary).
 //!
 //! # Grow-splices: re-admission is as sound as eviction
 //!

@@ -26,10 +26,10 @@
 //!   process.
 //! - [`runtime`] — fault-aware *dynamic* execution: deterministic
 //!   fault/straggler injection scripts, a trace-fed runtime monitor
-//!   (per-stage EWMA of observed vs planned durations), and reactive
-//!   policies — `SkipStraggler` (bounded composite-stream reorder)
-//!   and `Replan` (live re-partitioning from observed costs, spliced
-//!   at wave boundaries with per-epoch occupancy audits).
+//!   (per-stage EWMA of observed vs planned durations), and the
+//!   reactive policy `Replan` (live re-partitioning from observed
+//!   costs, spliced at wave boundaries with per-epoch occupancy
+//!   audits).
 //! - [`schedule`] — pluggable static pipeline schedules (the paper's
 //!   wave schedule, GPipe fill-drain, PipeDream 1F1B, interleaved
 //!   1F1B) reified as per-stage op streams, with per-schedule peak

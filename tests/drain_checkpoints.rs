@@ -17,11 +17,11 @@
 //! panic.
 //!
 //! Matrix: the wave schedule (arrival-FIFO), 1F1B (one lane per stage)
-//! and composite interleaved 1F1B with two chunks and a reorder window
-//! of 8, each fault-free, under the canonical GPU loss (a rate-0 window
-//! the runtime's outage guard splices before) and under a GPU slowdown
-//! plus a link degrade. Two ED virtual workers over four nodes, so
-//! activations, pushes and pulls cross the NICs.
+//! and composite interleaved 1F1B with two chunks, each fault-free,
+//! under the canonical GPU loss (a rate-0 window the runtime's outage
+//! guard splices before) and under a GPU slowdown plus a link degrade.
+//! Two ED virtual workers over four nodes, so activations, pushes and
+//! pulls cross the NICs.
 //!
 //! Tier: dynamically audited (evidence for the runs below).
 
@@ -161,7 +161,6 @@ struct Checked {
 fn check_cell(
     schedule: Schedule,
     recompute: RecomputePolicy,
-    reorder_window: usize,
     script: &ScenarioScript,
     horizon: SimTime,
 ) -> Checked {
@@ -172,7 +171,6 @@ fn check_cell(
         stop_after_mb,
         initial_rates: initial_rates.clone(),
         rate_events: rate_events.clone(),
-        reorder_window,
     };
     let name = format!("{schedule}/{}", script.name);
 
@@ -246,14 +244,14 @@ fn resumed_drains_equal_drains_from_the_segment_start() {
         composite: true,
     };
     let schedules = [
-        (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly, 0),
-        (Schedule::OneFOneB, RecomputePolicy::BoundaryOnly, 0),
-        (composite, RecomputePolicy::None, 8),
+        (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly),
+        (Schedule::OneFOneB, RecomputePolicy::BoundaryOnly),
+        (composite, RecomputePolicy::None),
     ];
     let mut total = Checked::default();
-    for (schedule, recompute, window) in schedules {
+    for (schedule, recompute) in schedules {
         for script in scripts() {
-            let c = check_cell(schedule, recompute, window, &script, horizon);
+            let c = check_cell(schedule, recompute, &script, horizon);
             let name = format!("{schedule}/{}", script.name);
             // All but the first few stops resume past the start.
             assert!(

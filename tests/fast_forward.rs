@@ -332,7 +332,7 @@ fn rate_edges_and_drains_match_with_fast_forward() {
         drain.check(&format!("ED-local draining at mb {stop}"), &WARMUPS[1..3]);
     }
     // Every schedule's pinned drain at mb 8 under a slowdown, and its
-    // reorder window of 4 under the recovering rate edges, which must
+    // strict-order run under the recovering rate edges, which must
     // fast-forward between and past them.
     for schedule in Schedule::ALL {
         let drain = SegmentOpts {
@@ -344,12 +344,11 @@ fn rate_edges_and_drains_match_with_fast_forward() {
             }],
             ..SegmentOpts::default()
         };
-        let reorder = SegmentOpts {
+        let strict = SegmentOpts {
             rate_events: rate_edges(),
-            reorder_window: 4,
             ..SegmentOpts::default()
         };
-        for (kind, opts) in [("drain", drain), ("reorder", reorder)] {
+        for (kind, opts) in [("drain", drain), ("strict", strict)] {
             let run = Run {
                 groups: vec![
                     (0..4).map(DeviceId).collect(),

@@ -70,35 +70,6 @@ fn dp_matches_brute_force() {
     }
 }
 
-/// The greedy binary-search solver never reports a bottleneck below
-/// the exact optimum.
-#[test]
-fn greedy_never_beats_exact() {
-    for case in 0u64..32 {
-        let mut rng = SmallRng::seed_from_u64(0x6EEE_D000 + case);
-        let n_layers = rng.gen_range(3usize..8);
-        let widths: Vec<usize> = (0..n_layers).map(|_| rng.gen_range(8usize..128)).collect();
-        let k = rng.gen_range(2usize..4);
-        let graph = mlp(16, &widths);
-        if graph.len() < k {
-            continue;
-        }
-        let gpus = vec![GpuKind::TitanV.spec(); k];
-        let links = vec![LinkKind::Pcie; k - 1];
-        let problem = PartitionProblem::new(&graph, gpus, links, 1);
-        if let (Ok(exact), Some(greedy)) = (
-            PartitionSolver::solve(&problem),
-            PartitionSolver::solve_greedy(&problem),
-        ) {
-            assert!(
-                greedy.bottleneck_secs >= exact.bottleneck_secs - 1e-12,
-                "case {case}"
-            );
-            assert!(greedy.is_valid_cover(graph.len()), "case {case}");
-        }
-    }
-}
-
 /// Feasibility is monotone in Nm: if Nm is feasible, so is Nm - 1.
 #[test]
 fn feasibility_monotone_in_nm() {

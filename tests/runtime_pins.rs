@@ -12,8 +12,8 @@
 //! each policy, and seeded chaos scripts under `Replan`, on the whimpy
 //! 4×RTX 2060 ResNet-152 configuration (boundary-only recompute,
 //! `Nm` = 4) that `tests/runtime_scenarios.rs` uses; plus the canonical
-//! straggler on composite interleaved 1F1B, the one schedule where
-//! `SkipStraggler` splices. Those cells run without sync transfers.
+//! straggler under each policy on composite interleaved 1F1B. Those
+//! cells run without sync transfers.
 //! One more group runs with them, in the elastic-chaos benchmark's
 //! shape: four ED-built VWs on 16 RTX 2060s, seeded chaos scripts,
 //! `Replan`, so that parameter-server pushes and pulls contend on the
@@ -36,11 +36,7 @@ use hetpipe::schedule::PipelineSchedule;
 const HORIZON_SECS: f64 = 40.0;
 const NM: usize = 4;
 
-const POLICIES: [Policy; 3] = [
-    Policy::Static,
-    Policy::SkipStraggler { window: 8 },
-    Policy::Replan,
-];
+const POLICIES: [Policy; 2] = [Policy::Static, Policy::Replan];
 
 fn whimpy() -> (Cluster, ModelGraph) {
     (
@@ -181,11 +177,7 @@ fn wave_cells(script: ScenarioScript) -> Vec<(String, RuntimeReport)> {
 fn canonical_straggler_reports_are_pinned() {
     check(
         wave_cells(ScenarioScript::canonical_straggler(0, 5.0)),
-        &[
-            0xf302_accc_f604_a828,
-            0xf302_accc_f604_a828,
-            0x6992_0bd4_da3f_4c8f,
-        ],
+        &[0xf302_accc_f604_a828, 0x6992_0bd4_da3f_4c8f],
     );
 }
 
@@ -193,11 +185,7 @@ fn canonical_straggler_reports_are_pinned() {
 fn canonical_gpu_loss_reports_are_pinned() {
     check(
         wave_cells(ScenarioScript::canonical_gpu_loss(2, 5.0)),
-        &[
-            0xdb79_008f_c948_389d,
-            0xdb79_008f_c948_389d,
-            0xe084_be44_1c8c_2505,
-        ],
+        &[0xdb79_008f_c948_389d, 0xe084_be44_1c8c_2505],
     );
 }
 
@@ -205,11 +193,7 @@ fn canonical_gpu_loss_reports_are_pinned() {
 fn canonical_lease_reports_are_pinned() {
     check(
         wave_cells(ScenarioScript::canonical_lease(2, 4.0, 20.0)),
-        &[
-            0xdfbe_5b4c_0dd4_c083,
-            0xdfbe_5b4c_0dd4_c083,
-            0x21f0_c3e0_d597_c401,
-        ],
+        &[0xdfbe_5b4c_0dd4_c083, 0x21f0_c3e0_d597_c401],
     );
 }
 
@@ -301,7 +285,7 @@ fn simulated_events_count_probes_and_resumed_tails() {
         ScenarioScript::canonical_gpu_loss(2, 5.0),
         ScenarioScript::canonical_lease(2, 4.0, 20.0),
     ] {
-        for policy in [Policy::Static, Policy::Replan] {
+        for policy in POLICIES {
             cells.push((wave, script.clone(), policy));
         }
     }
@@ -341,7 +325,7 @@ fn simulated_events_count_probes_and_resumed_tails() {
 }
 
 #[test]
-fn composite_skip_straggler_reports_are_pinned() {
+fn composite_straggler_reports_are_pinned() {
     let schedule = Schedule::Interleaved1F1B {
         chunks: 2,
         composite: true,
@@ -359,14 +343,7 @@ fn composite_skip_straggler_reports_are_pinned() {
             (format!("composite/{}", policy.name()), r)
         })
         .collect();
-    check(
-        cells,
-        &[
-            0x8761_54f8_2f70_d19e,
-            0x8e2f_8524_a769_549f,
-            0xa92d_219b_0e9f_e302,
-        ],
-    );
+    check(cells, &[0x8761_54f8_2f70_d19e, 0xa92d_219b_0e9f_e302]);
 }
 
 /// Seeded chaos scripts under `Replan` with sync transfers on: four

@@ -34,7 +34,7 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{trace_fingerprint, Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
@@ -152,11 +152,7 @@ fn zero_fault_script_keeps_traces_bit_identical() {
             },
             horizon,
         );
-        for policy in [
-            Policy::Static,
-            Policy::SkipStraggler { window: 8 },
-            Policy::Replan,
-        ] {
+        for policy in [Policy::Static, Policy::Replan] {
             let report = runtime::run(
                 runtime_params(
                     &cluster,
@@ -332,110 +328,6 @@ fn replan_recovers_straggler_throughput() {
         "Replan must recover >= 15% over Static on the canonical straggler: \
          {replan_n} vs {static_n} completions ({recovery:.3}x)"
     );
-}
-
-/// `SkipStraggler`'s reorder window must never corrupt a run: on the
-/// composite interleaved schedule under the straggler script it keeps
-/// every epoch audit-sound and does not lose throughput vs Static.
-#[test]
-fn skip_straggler_is_sound_on_composite_streams() {
-    let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
-    let graph = hetpipe::model::resnet152(32);
-    let schedule = Schedule::Interleaved1F1B {
-        chunks: 2,
-        composite: true,
-    };
-    let devices: Vec<_> = (0..4).map(DeviceId).collect();
-    let k = schedule.virtual_stages(4);
-    let expanded: Vec<DeviceId> = (0..k).map(|s| devices[s % 4]).collect();
-    let gpus: Vec<_> = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(&cluster, &expanded);
-    let limit = hetpipe::model::memory::nm_saturation_limit(k);
-    let (nm, _) = max_feasible_nm_with(
-        &graph,
-        &gpus,
-        &links,
-        limit,
-        schedule,
-        RecomputePolicy::None,
-    )
-    .expect("feasible");
-    let horizon = SimTime::from_secs(40.0);
-    let script = ScenarioScript::canonical_straggler(2, 5.0);
-    let run_policy = |policy: Policy| {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            devices.clone(),
-            nm,
-            schedule,
-            RecomputePolicy::None,
-        );
-        runtime::run(
-            runtime_params(
-                &cluster,
-                &graph,
-                vec![vw],
-                nm,
-                schedule,
-                RecomputePolicy::None,
-                script.clone(),
-                policy,
-            ),
-            horizon,
-        )
-    };
-    let st = run_policy(Policy::Static);
-    let skip = run_policy(Policy::SkipStraggler { window: 8 });
-    assert!(st.audits_sound() && skip.audits_sound());
-    let (a, b) = (st.total_completed(), skip.total_completed());
-    assert!(
-        b as f64 >= a as f64 * 0.95,
-        "bounded reorder must not lose throughput: {b} vs {a}"
-    );
-}
-
-/// On the wave schedule every lane hosts one stage, so the reorder
-/// window can overtake nothing: `SkipStraggler` must not splice (a
-/// splice would only cost a refill bubble) and must commit exactly
-/// `Static`'s run.
-#[test]
-fn skip_straggler_never_splices_one_stage_lanes() {
-    let (cluster, graph, _) = whimpy_resnet();
-    let recompute = RecomputePolicy::BoundaryOnly;
-    let nm = 4;
-    let run_policy = |policy: Policy| {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
-        runtime::run(
-            runtime_params(
-                &cluster,
-                &graph,
-                vec![vw],
-                nm,
-                Schedule::HetPipeWave,
-                recompute,
-                ScenarioScript::canonical_straggler(0, 5.0),
-                policy,
-            ),
-            SimTime::from_secs(40.0),
-        )
-    };
-    let st = run_policy(Policy::Static);
-    let skip = run_policy(Policy::SkipStraggler { window: 8 });
-    assert_eq!(skip.epochs.len(), 1, "skip-straggler must not splice");
-    assert_eq!(
-        trace_fingerprint(skip.trace.spans()),
-        trace_fingerprint(st.trace.spans()),
-        "skip-straggler must commit Static's trace"
-    );
-    assert_eq!(skip.completions, st.completions);
 }
 
 /// After a GPU loss, `Replan` shrinks the pipeline to the survivors,
@@ -668,11 +560,7 @@ fn zero_scenario_is_bit_identical_and_matches_golden() {
          (got {fp:#018x}; update the constant only for deliberate \
          executor/schedule changes)"
     );
-    for policy in [
-        Policy::Static,
-        Policy::SkipStraggler { window: 8 },
-        Policy::Replan,
-    ] {
+    for policy in [Policy::Static, Policy::Replan] {
         let report = runtime::run(
             runtime_params(
                 &cluster,

@@ -21,8 +21,8 @@
 //!   and composite interleaved) × recompute {none, boundary-only} ×
 //!   (Nm, D) ∈ {(4, 0), (2, 1)} on two heterogeneous VWs;
 //! - per schedule, one segment that drains at the second wave boundary
-//!   under a GPU slowdown, and one that runs with a reorder window of 4
-//!   under the same slowdown.
+//!   under a GPU slowdown, and one boundary-only segment under the same
+//!   slowdown.
 //!
 //! On a mismatch the failure lists the moved pins in [`PINS`] form.
 
@@ -104,27 +104,27 @@ const PINS: &[(&str, usize, u64, u64)] = &[
     ("fill-drain boundary-only Nm=4 D=0",                        690,  497,    0x6ce60271ec6b376a),
     ("fill-drain boundary-only Nm=2 D=1",                        693,  402,    0xdf2cc7c07ee607ea),
     ("fill-drain drain at mb 8 with slowdown",                   272,  239,    0x4e427b1d7b90767e),
-    ("fill-drain reorder window 4 with slowdown",                690,  498,    0x972636b2941eebd9),
+    ("fill-drain boundary-only with slowdown",                   690,  498,    0x972636b2941eebd9),
     ("1f1b none Nm=4 D=0",                                       923,  863,    0xa9c7238c357dbff5),
     ("1f1b none Nm=2 D=1",                                       678,  465,    0x0d08e188703167de),
     ("1f1b boundary-only Nm=4 D=0",                              917,  754,    0x171c0f05a0488d9d),
     ("1f1b boundary-only Nm=2 D=1",                              596,  362,    0xced31014dc0d904d),
     ("1f1b drain at mb 8 with slowdown",                         272,  239,    0x3027a92155aa895d),
-    ("1f1b reorder window 4 with slowdown",                      917,  753,    0xf64896b730d716b1),
+    ("1f1b boundary-only with slowdown",                         917,  753,    0xf64896b730d716b1),
     ("interleaved-1f1b-depth:2 none Nm=4 D=0",                   630,  808,    0xe429f5328db94139),
     ("interleaved-1f1b-depth:2 none Nm=2 D=1",                   703,  655,    0x9c45eb7a63971130),
     ("interleaved-1f1b-depth:2 boundary-only Nm=4 D=0",          631,  653,    0x2c13e87e0d7c5fa2),
     ("interleaved-1f1b-depth:2 boundary-only Nm=2 D=1",          625,  536,    0xa13503678e7b533f),
     ("interleaved-1f1b-depth:2 drain at mb 8 with slowdown",     440,  495,    0xd0638a5125f56f2d),
-    ("interleaved-1f1b-depth:2 reorder window 4 with slowdown",  629,  652,    0xa2211652104bd6c8),
+    ("interleaved-1f1b-depth:2 boundary-only with slowdown",     629,  652,    0xa2211652104bd6c8),
     ("interleaved-1f1b:2 none Nm=4 D=0",                         1230, 1466,   0x757a5180811396c6),
     ("interleaved-1f1b:2 none Nm=2 D=1",                         1184, 1054,   0x8590f3b8423ddb24),
     ("interleaved-1f1b:2 boundary-only Nm=4 D=0",                975,  991,    0x41c1d6088fe7b4c5),
     ("interleaved-1f1b:2 boundary-only Nm=2 D=1",                972,  787,    0x245ff7b21dd798e6),
     ("interleaved-1f1b:2 drain at mb 8 with slowdown",           440,  495,    0x5819a961f096a388),
-    ("interleaved-1f1b:2 reorder window 4 with slowdown",        976,  994,    0xaa8b18f829e2bcde),
+    ("interleaved-1f1b:2 boundary-only with slowdown",           962,  972,    0x5fd17840526fcf2a),
     ("hetpipe-wave drain at mb 8 with slowdown",                 256,  255,    0x0f0cb7a61d0c6f57),
-    ("hetpipe-wave reorder window 4 with slowdown",              815,  746,    0xfce4b6515f0d8e35),
+    ("hetpipe-wave boundary-only with slowdown",                 815,  746,    0xfce4b6515f0d8e35),
 ];
 
 /// Asserts every labelled run matches its entry in [`PINS`], listing
@@ -326,8 +326,8 @@ fn hetero(schedule: Schedule, nm: usize, d: usize, recompute: RecomputePolicy) -
 }
 
 /// `schedule` as a segment draining at the second wave boundary, and
-/// as a segment with a reorder window of 4, both under a 2× slowdown
-/// of the first VW's second GPU one second in.
+/// as a boundary-only segment, both under a 2× slowdown of the first
+/// VW's second GPU one second in.
 fn segment_runs(schedule: Schedule) -> Vec<(String, RunStats)> {
     let slowdown = vec![RateEvent {
         at: SimTime::from_secs(1.0),
@@ -339,9 +339,8 @@ fn segment_runs(schedule: Schedule) -> Vec<(String, RunStats)> {
         rate_events: slowdown.clone(),
         ..SegmentOpts::default()
     };
-    let reorder = SegmentOpts {
+    let slowed = SegmentOpts {
         rate_events: slowdown,
-        reorder_window: 4,
         ..SegmentOpts::default()
     };
     vec![
@@ -350,8 +349,8 @@ fn segment_runs(schedule: Schedule) -> Vec<(String, RunStats)> {
             hetero(schedule, 4, 0, RecomputePolicy::None).exec(Some(drain)),
         ),
         (
-            format!("{schedule} reorder window 4 with slowdown"),
-            hetero(schedule, 4, 0, RecomputePolicy::BoundaryOnly).exec(Some(reorder)),
+            format!("{schedule} boundary-only with slowdown"),
+            hetero(schedule, 4, 0, RecomputePolicy::BoundaryOnly).exec(Some(slowed)),
         ),
     ]
 }
