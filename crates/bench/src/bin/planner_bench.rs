@@ -338,7 +338,8 @@ fn main() {
         best
     };
     // The optimized pass-1 objective: an incremental NmSweep (O(1)
-    // probes, frontier prune, answer-preserving reuse across Nm).
+    // probes, frontier prune, incumbent bound, answer-preserving reuse
+    // across Nm).
     let optimized_proxy = |order: &[usize], graph: &ModelGraph| -> Option<f64> {
         let ordered: Vec<_> = order.iter().map(|&i| gpus[i].clone()).collect();
         let links = vec![LinkKind::Pcie; 3];

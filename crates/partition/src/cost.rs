@@ -365,6 +365,21 @@ impl StartProbe<'_> {
         secs
     }
 
+    /// A floor of [`Self::stage_secs`]: the same expression without
+    /// the outgoing-gradient term `out_comm[end]`. It is at most
+    /// `stage_secs(end)` and nondecreasing in `end`, bit for bit (see
+    /// the partition DP's doc for why), so once it exceeds a bound,
+    /// no longer range from this start can get under it.
+    #[inline]
+    pub(crate) fn floor_secs(&self, end: usize) -> f64 {
+        let compute = self.prefix[end] - self.secs_before;
+        let mut secs = compute + self.in_comm + 2.0 * STAGE_TASK_OVERHEAD_SECS;
+        if self.recomputes {
+            secs += (self.prefix_fwd[end] - self.fwd_before) + STAGE_TASK_OVERHEAD_SECS;
+        }
+        secs
+    }
+
     /// [`StageCostModel::fits`] of the range ending at `end`.
     #[inline]
     pub(crate) fn fits(&self, end: usize) -> bool {

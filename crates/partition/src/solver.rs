@@ -13,7 +13,12 @@
 //! a frontier prune drops range ends past the first one whose memory
 //! budget is exceeded (infeasibility is monotone in the range end),
 //! and the last stage, whose only read cell ends at layer `L`, probes
-//! that one end per start. [`PartitionSolver::solve_reference`]
+//! that one end per start. An incumbent bound drops most of what is
+//! left: a greedy plan built from the same probes bounds the optimum,
+//! and the DP skips every start, range end and candidate that provably
+//! exceeds its bottleneck, so on the plan-sweep matrix about one cell
+//! in seven remains and every plan stays the same to the bit.
+//! [`PartitionSolver::solve_reference`]
 //! preserves the naive re-summing DP as the parity oracle and timing
 //! baseline; the largest feasible `Nm` is binary-searched over the
 //! monotone feasibility gate of flat schedules
@@ -118,12 +123,26 @@ enum MemMode {
     Alone,
 }
 
+impl MemMode {
+    /// This mode's memory check of `probe`'s range ending at `end`.
+    #[inline]
+    fn fits(self, probe: &StartProbe<'_>, end: usize) -> bool {
+        match self {
+            MemMode::PerStage => probe.fits(end),
+            MemMode::Alone => probe.fits_alone(end),
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// This thread's DP runs as (`Alone`, `PerStage`) — test
     /// instrumentation only: tests run in parallel, so each reads its
     /// own thread's counts.
     static DP_RUNS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// This thread's DP cells: the `(start, end)` pairs whose stage
+    /// time a DP computed. Test instrumentation, like `DP_RUNS`.
+    static DP_CELLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The exact interval-DP solver.
@@ -175,9 +194,117 @@ impl PartitionSolver {
         Self::solve_with_mode(&model, MemMode::PerStage)
     }
 
+    /// One memory mode's optimum: the min–max DP bounded by the
+    /// bottleneck of a greedy plan ([`Self::incumbent`]).
     fn solve_with_mode(
         model: &StageCostModel<'_>,
         mode: MemMode,
+    ) -> Result<PartitionPlan, PartitionError> {
+        Self::min_max_dp(model, mode, Self::incumbent(model, mode))
+    }
+
+    /// The bottleneck of one feasible plan under `mode`, or +∞ when the
+    /// greedy finds none — the bound [`Self::min_max_dp`] prunes by.
+    ///
+    /// A pack under a cap `T` works left to right: each stage but the
+    /// last takes the longest range that passes the mode's memory
+    /// check, has a stage time ≤ `T` and leaves a layer for each later
+    /// stage; the last stage takes the rest. The first pack has
+    /// `T = +∞`, then `T` is bisected between 0 and the best bottleneck
+    /// found so far. A pack reads only the DP's own probes (the mode's
+    /// fit check and [`StartProbe::stage_secs`]), so its plan is one
+    /// the DP could choose and the DP's optimum is at most the result,
+    /// bit for bit. When no pack fits, the DP runs unpruned, so an
+    /// infeasible instance returns the same error as before.
+    fn incumbent(model: &StageCostModel<'_>, mode: MemMode) -> f64 {
+        const BISECTIONS: usize = 5;
+        let k = model.problem().stages();
+        let n = model.problem().graph.len();
+        if k > n {
+            return f64::INFINITY;
+        }
+        let pack = |cap: f64| -> Option<f64> {
+            let mut start = 0;
+            let mut worst = 0.0_f64;
+            for j in 0..k - 1 {
+                let probe = model.probes_from(j, start);
+                let mut take = None;
+                for end in start + 1..=n - (k - 1 - j) {
+                    if !mode.fits(&probe, end) || probe.floor_secs(end) > cap {
+                        break;
+                    }
+                    let secs = probe.stage_secs(end);
+                    if secs <= cap {
+                        take = Some((end, secs));
+                    }
+                }
+                let (end, secs) = take?;
+                worst = worst.max(secs);
+                start = end;
+            }
+            let probe = model.probes_from(k - 1, start);
+            mode.fits(&probe, n).then(|| worst.max(probe.stage_secs(n)))
+        };
+        let Some(mut best) = pack(f64::INFINITY) else {
+            return f64::INFINITY;
+        };
+        let mut lo = 0.0;
+        for _ in 0..BISECTIONS {
+            let cap = 0.5 * (lo + best);
+            match pack(cap) {
+                Some(b) if b <= cap => best = b,
+                other => {
+                    // The last stage overran the cap, or no pack fit.
+                    best = other.map_or(best, |b| best.min(b));
+                    lo = cap;
+                }
+            }
+        }
+        best
+    }
+
+    /// The min–max interval DP, pruned by `bound`: the bottleneck of a
+    /// feasible plan, or +∞ for the unpruned DP.
+    ///
+    /// With a finite bound it skips three kinds of work, all by strict
+    /// tests (`> bound`), so a candidate tied at the bound survives:
+    /// a start whose prefix bottleneck `best[j−1][s]` exceeds the
+    /// bound (such cells are never written, so they stay +∞); the rest
+    /// of a start's walk once [`StartProbe::floor_secs`] exceeds the
+    /// bound; and every candidate whose value exceeds it.
+    ///
+    /// **The floor.** It is the stage time without the outgoing
+    /// gradient term. In `f64` it is ≤ the stage time because
+    /// `out_comm ≥ 0`, so `in_comm + out_comm ≥ in_comm`, and every
+    /// later step (`+ compute`, `+ 2·overhead`, the recompute term)
+    /// is a rounded addition, which is monotone in each argument. It is
+    /// nondecreasing in the range end because the prefix rows are
+    /// running sums of nonnegative terms, hence nondecreasing, and the
+    /// floor is built from a row entry by monotone steps only: a
+    /// rounded subtraction of the start's fixed entry, then the same
+    /// rounded additions. So
+    /// once the floor exceeds the bound, every longer range from that
+    /// start has a stage time above it.
+    ///
+    /// **The output is identical** whenever the bound is at least the
+    /// optimum. By induction over stages, every cell whose unpruned
+    /// value is ≤ the bound gets that value and the same `choice`,
+    /// and every other cell stays +∞. A surviving candidate reads a
+    /// finite, hence exact, prefix cell, so it is one of the unpruned
+    /// DP's candidates with the same value. For a cell of value
+    /// `v ≤ bound`, its first minimal start `s*` survives: its prefix
+    /// cell is ≤ `v`, its stage time and therefore every floor up to
+    /// this end are ≤ `v`, and its value is `v`. Starts before `s*`
+    /// have values > `v` and starts after it ≥ `v`, so the
+    /// strictly-less update in ascending start order keeps `s*`. The
+    /// reconstruction reads `best[k−1][n]` (the optimum) and then
+    /// only cells on the optimal chain, each ≤ the optimum. A bound
+    /// below the optimum leaves `best[k−1][n]` at +∞ and returns
+    /// [`PartitionError::OutOfMemory`].
+    fn min_max_dp(
+        model: &StageCostModel<'_>,
+        mode: MemMode,
+        bound: f64,
     ) -> Result<PartitionPlan, PartitionError> {
         let problem = model.problem();
         let k = problem.stages();
@@ -196,10 +323,8 @@ impl PartitionSolver {
                 MemMode::PerStage => (alone, per_stage + 1),
             });
         });
-        let fits = |probe: &StartProbe<'_>, end: usize| match mode {
-            MemMode::PerStage => probe.fits(end),
-            MemMode::Alone => probe.fits_alone(end),
-        };
+        #[cfg(test)]
+        let count_cell = || DP_CELLS.with(|c| c.set(c.get() + 1));
 
         const INF: f64 = f64::INFINITY;
         // best[j][i]: minimal bottleneck splitting layers 0..i into the
@@ -213,12 +338,18 @@ impl PartitionSolver {
             // Stage 0 covers 0..i. Memory infeasibility is monotone in
             // the range end for a fixed start (params and stored bytes
             // only grow; the input buffer and per-stage multipliers are
-            // fixed), so the first infeasible prefix ends the sweep.
-            if !fits(&first, i) {
+            // fixed), so the first infeasible prefix ends the sweep, and
+            // so does the first floor above the bound.
+            if !mode.fits(&first, i) || first.floor_secs(i) > bound {
                 break;
             }
-            best[0][i] = first.stage_secs(i);
-            choice[0][i] = 0;
+            #[cfg(test)]
+            count_cell();
+            let secs = first.stage_secs(i);
+            if secs <= bound {
+                best[0][i] = secs;
+                choice[0][i] = 0;
+            }
         }
         for j in 1..k {
             // Start-major frontier walk: stage j covering s..i for
@@ -237,17 +368,20 @@ impl PartitionSolver {
             // i ≤ n does, which is when the walk reaches n.
             let last = j + 1 == k;
             for s in j..n {
+                // +∞ also when the prefix bottleneck exceeds the bound.
                 let lo = best[j - 1][s];
                 if lo.is_infinite() {
                     continue;
                 }
                 let probe = model.probes_from(j, s);
                 for i in (if last { n } else { s + 1 })..=n {
-                    if !fits(&probe, i) {
+                    if !mode.fits(&probe, i) || probe.floor_secs(i) > bound {
                         break;
                     }
+                    #[cfg(test)]
+                    count_cell();
                     let b = lo.max(probe.stage_secs(i));
-                    if b < best[j][i] {
+                    if b <= bound && b < best[j][i] {
                         best[j][i] = b;
                         choice[j][i] = s;
                     }
@@ -272,7 +406,8 @@ impl PartitionSolver {
 
     /// Reference DP solver: semantically identical to [`Self::solve`],
     /// but every per-interval probe re-sums the layer slice (naive
-    /// time and memory summation, no frontier prune) — the
+    /// time and memory summation, no frontier prune or incumbent
+    /// bound) — the
     /// pre-optimization planner. Kept as the parity oracle for
     /// `tests/planner_parity.rs` and the timing baseline
     /// `planner_bench` records; not for production use.
@@ -630,7 +765,7 @@ pub fn max_feasible_nm_linear(
 mod tests {
     use super::*;
     use hetpipe_cluster::{GpuKind, LinkKind};
-    use hetpipe_model::{mlp, resnet152, vgg19};
+    use hetpipe_model::{mlp, resnet152, resnet50, vgg19};
 
     fn homo4(graph: &hetpipe_model::ModelGraph, nm: usize) -> PartitionProblem<'_> {
         PartitionProblem::new(
@@ -1076,6 +1211,180 @@ mod tests {
                 RecomputePolicy::BoundaryOnly,
             )
         }));
+    }
+
+    /// One splitmix64 step: the seeded source of the sweeps' choices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Whether two DP results agree bit for bit: the same ranges,
+    /// `stage_secs` bits and `bottleneck_secs` bits, or the same error.
+    fn same_dp_result(
+        a: &Result<PartitionPlan, PartitionError>,
+        b: &Result<PartitionPlan, PartitionError>,
+    ) -> bool {
+        let bits = |p: &PartitionPlan| p.stage_secs.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                a.ranges == b.ranges
+                    && bits(a) == bits(b)
+                    && a.bottleneck_secs.to_bits() == b.bottleneck_secs.to_bits()
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Holds every `(stage, start, end)` floor of `model` to at most
+    /// the stage time and nondecreasing in `end`, bit for bit, and
+    /// returns the number of ranges checked.
+    fn check_floors(model: &StageCostModel<'_>, at: &dyn Fn() -> String) -> u64 {
+        let n = model.problem().graph.len();
+        let mut checked = 0;
+        for stage in 0..model.problem().stages() {
+            for start in 0..n {
+                let probe = model.probes_from(stage, start);
+                let mut prev = f64::NEG_INFINITY;
+                for end in start + 1..=n {
+                    let floor = probe.floor_secs(end);
+                    let secs = probe.stage_secs(end);
+                    assert!(
+                        floor <= secs,
+                        "{}: stage {stage} {start}..{end} floor {floor:e} > {secs:e}",
+                        at()
+                    );
+                    assert!(
+                        floor >= prev,
+                        "{}: stage {stage} {start}..{end} floor {floor:e} < {prev:e}",
+                        at()
+                    );
+                    prev = floor;
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    /// The incumbent bound changes no DP output. A seeded sweep over
+    /// VGG-19, ResNet-152, ResNet-50 and random MLPs × random lists of
+    /// 1–8 GPUs from the four kinds × random PCIe / InfiniBand links
+    /// × every schedule × both recompute policies × both memory modes
+    /// × every `Nm` up to saturation holds the bounded DP
+    /// ([`PartitionSolver::solve_with_mode`]) bit for bit to the
+    /// unbounded one (a +∞ bound), errors included, and holds every
+    /// floor the sweep's cost models can probe to its two laws. An
+    /// incumbent one ulp below the optimum must leave the DP without a
+    /// plan, and the parity check must catch it. Tier: dynamically
+    /// audited.
+    #[test]
+    fn incumbent_bound_keeps_every_plan() {
+        use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+        const CASES: usize = 32;
+        let kinds = [
+            GpuKind::TitanV,
+            GpuKind::TitanRtx,
+            GpuKind::QuadroP4000,
+            GpuKind::Rtx2060,
+        ];
+        let cells = || DP_CELLS.with(|c| c.get());
+        let (mut bounded_cells, mut unbounded_cells) = (0, 0);
+        let (mut plans, mut too_many, mut out_of_memory, mut floors) = (0, 0, 0, 0);
+        let mut rng = 0x4845_5450_4950_4521_u64;
+        for case in 0..CASES {
+            let mut pick = |m: u64| (splitmix(&mut rng) % m) as usize;
+            let graph = match pick(4) {
+                0 => vgg19(32),
+                1 => resnet152(32),
+                2 => resnet50(32),
+                _ => {
+                    let widths: Vec<usize> = (0..2 + pick(8)).map(|_| 8 + pick(248)).collect();
+                    mlp(16, &widths)
+                }
+            };
+            let physical = 1 + pick(8);
+            let gpus: Vec<GpuKind> = (0..physical).map(|_| kinds[pick(4)]).collect();
+            let links: Vec<LinkKind> = (0..2 * physical)
+                .map(|_| [LinkKind::Pcie, LinkKind::Infiniband][pick(2)])
+                .collect();
+            for schedule in Schedule::ALL {
+                let k = schedule.virtual_stages(physical);
+                for recompute in RecomputePolicy::ALL {
+                    for nm in 1..=hetpipe_model::memory::nm_saturation_limit(k) {
+                        let p = PartitionProblem::with_schedule(
+                            &graph,
+                            (0..k).map(|s| gpus[s % physical].spec()).collect(),
+                            links[..k - 1].to_vec(),
+                            nm,
+                            schedule,
+                        )
+                        .with_recompute(recompute);
+                        let model = StageCostModel::new(&p);
+                        let at = || {
+                            format!(
+                                "case {case} {} on {gpus:?} {schedule} {recompute} nm={nm}",
+                                graph.name
+                            )
+                        };
+                        floors += check_floors(&model, &at);
+                        for mode in [MemMode::PerStage, MemMode::Alone] {
+                            let before = cells();
+                            let bounded = PartitionSolver::solve_with_mode(&model, mode);
+                            let mid = cells();
+                            let unbounded =
+                                PartitionSolver::min_max_dp(&model, mode, f64::INFINITY);
+                            bounded_cells += mid - before;
+                            unbounded_cells += cells() - mid;
+                            assert!(
+                                same_dp_result(&bounded, &unbounded),
+                                "{} {mode:?}: bounded {bounded:?} vs unbounded {unbounded:?}",
+                                at()
+                            );
+                            let plan = match &unbounded {
+                                Ok(plan) => plan,
+                                Err(PartitionError::TooManyStages { .. }) => {
+                                    too_many += 1;
+                                    continue;
+                                }
+                                Err(PartitionError::OutOfMemory) => {
+                                    out_of_memory += 1;
+                                    continue;
+                                }
+                            };
+                            plans += 1;
+                            // Negative control: an incumbent one ulp
+                            // below the optimum prunes the optimum.
+                            let below = f64::from_bits(plan.bottleneck_secs.to_bits() - 1);
+                            let control = PartitionSolver::min_max_dp(&model, mode, below);
+                            assert_eq!(
+                                control,
+                                Err(PartitionError::OutOfMemory),
+                                "{} {mode:?}: a bound below the optimum",
+                                at()
+                            );
+                            assert!(!same_dp_result(&control, &unbounded), "{}", at());
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "{plans} plans, {too_many} too many stages, {out_of_memory} out of memory, \
+             {floors} floors; DP cells {bounded_cells} bounded, {unbounded_cells} unbounded"
+        );
+        assert!(
+            plans > 1_000 && too_many > 100 && out_of_memory > 100,
+            "{plans} plans, {too_many} too many stages, {out_of_memory} out of memory"
+        );
+        assert!(
+            unbounded_cells >= 4 * bounded_cells,
+            "the bound saves too little: {bounded_cells} of {unbounded_cells} cells"
+        );
     }
 
     #[test]

@@ -1184,7 +1184,7 @@ mod tests {
                 probes_checked += 1;
             }
         }
-        // Splices add probes past the first of each of the 20 cells,
+        // Splices add probes past the first of each of the 16 cells,
         // every probe judges at each new whole wave, and the cells
         // raise signals of their own.
         assert!(probes_checked > 20, "{probes_checked} probes");

@@ -176,5 +176,8 @@ fn memory_fit_is_monotone_in_the_range_end() {
     }
     // Non-vacuous: about 1.57M probes, 7% of them over budget.
     assert!(probes > 1_000_000, "only {probes} probes");
-    assert!(refused > probes / 20, "only {refused} of {probes} probes refused");
+    assert!(
+        refused > probes / 20,
+        "only {refused} of {probes} probes refused"
+    );
 }

@@ -109,11 +109,11 @@ fn prefix_sums_match_naive_summation() {
     }
 }
 
-/// (b) The optimized solver (O(1) probes + frontier prune) returns
-/// the same plan as the naive reference DP on the wave schedule. Over
-/// every zoo model on the heterogeneous VW × every schedule ×
-/// recompute {none, boundary-only} × all-PCIe or all-InfiniBand
-/// links, the incremental `Nm` sweep returns `solve`'s plan bit for
+/// (b) The optimized solver (O(1) probes + frontier prune +
+/// incumbent bound) returns the same plan as the naive reference DP
+/// on the wave schedule. Over every zoo model on the heterogeneous VW
+/// × every schedule × recompute {none, boundary-only} × all-PCIe or
+/// all-InfiniBand links, the incremental `Nm` sweep returns `solve`'s plan bit for
 /// bit (`HetPipeSystem::build` takes its final plans from the sweep),
 /// the sweep's feasible prefix is the linear `Max_m`, and
 /// `max_feasible_nm_with` (binary-searched on flat schedules, an
