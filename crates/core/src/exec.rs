@@ -336,39 +336,41 @@ impl RunStats {
     }
 }
 
+/// An executor event. VW and stage ids are `u16`, as in span tags
+/// (`Plan::new` asserts that they fit), so an event takes 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     FwdArrive {
-        vw: u32,
-        stage: u32,
+        vw: u16,
+        stage: u16,
         mb: u64,
     },
     FwdDone {
-        vw: u32,
-        stage: u32,
+        vw: u16,
+        stage: u16,
         mb: u64,
     },
     BwdArrive {
-        vw: u32,
-        stage: u32,
+        vw: u16,
+        stage: u16,
         mb: u64,
     },
     BwdDone {
-        vw: u32,
-        stage: u32,
+        vw: u16,
+        stage: u16,
         mb: u64,
     },
     /// The last chunk of `vw`'s push of `wave` has arrived.
     PushDone {
-        vw: u32,
+        vw: u16,
         wave: u64,
     },
     /// The last chunk of `vw`'s pull has arrived.
     PullDone {
-        vw: u32,
+        vw: u16,
     },
     TryInject {
-        vw: u32,
+        vw: u16,
     },
     /// A scheduled service-rate change's instant. The rates live in the
     /// plan's timelines, so handling it changes nothing; it stays an
@@ -616,7 +618,7 @@ impl State {
             engine.schedule_at(ev.at, Ev::Fault);
         }
         for vw in 0..p.vws.len() {
-            engine.schedule_at(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
+            engine.schedule_at(SimTime::ZERO, Ev::TryInject { vw: vw as u16 });
         }
         let lanes: Vec<Lanes> = match plan.dispatch {
             Dispatch::ArrivalFifo => Vec::new(),
@@ -880,7 +882,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
             }
             self.st.states[vw].next_mb += 1;
-            let (engine, vw, stage) = (&mut self.st.engine, vw as u32, 0);
+            let (engine, vw, stage) = (&mut self.st.engine, vw as u16, 0);
             engine.schedule_in(SimTime::ZERO, Ev::FwdArrive { vw, stage, mb: p });
         }
     }
@@ -1050,7 +1052,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         // A recompute is a stage-local forward re-run: nothing waits on
         // it, since its backward is reserved right behind it on the
         // same FIFO timeline.
-        let (vw, stage) = (vw as u32, stage as u32);
+        let (vw, stage) = (vw as u16, stage as u16);
         let done = match tag {
             SpanTag::Forward { mb, .. } => Ev::FwdDone { vw, stage, mb },
             SpanTag::Backward { mb, .. } => Ev::BwdDone { vw, stage, mb },
@@ -1076,7 +1078,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             backward,
         };
         let arrive = self.transfer(from, to, bytes, tag);
-        let (vw, stage) = (vw as u32, next as u32);
+        let (vw, stage) = (vw as u16, next as u16);
         let ev = if backward {
             Ev::BwdArrive { vw, stage, mb }
         } else {
@@ -1125,7 +1127,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             }
             last = last.max(arrive);
         }
-        let vw = vw as u32;
+        let vw = vw as u16;
         let done = if pull {
             Ev::PullDone { vw }
         } else {
@@ -1138,6 +1140,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         let now = self.st.engine.now();
         // Concurrent waves can complete out of order (their chunks take
         // different NIC paths); the clock is monotone.
+        let slowest = self.st.clocks.min();
         self.st.clocks.advance(vw, wave + 1);
         // Request this VW's own pull (Section 5: at the end of clock c,
         // pull weights that cover wave c − D).
@@ -1153,25 +1156,40 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
                 }
             }
         }
-        // A new push may unblock any VW's pending pull.
-        for v in 0..self.st.states.len() {
-            self.try_serve_pull(v);
+        // The gate reads only the slowest clock. A push that raised it
+        // may unblock any VW's pending pull. Any other push can make
+        // only the pushing VW's pull serviceable, by requesting it. No
+        // pull is left serviceable after an event (fast-forward shifts
+        // the clocks and the pull targets alike), so either branch
+        // serves what a scan of every VW would, in the same order.
+        if self.st.clocks.min() > slowest {
+            for v in 0..self.st.states.len() {
+                self.try_serve_pull(v);
+            }
+        } else {
+            debug_assert!(
+                (0..self.st.states.len()).all(|v| v == vw || !self.pull_serviceable(v)),
+                "a pull is serviceable although the slowest push clock did not rise"
+            );
+            self.try_serve_pull(vw);
         }
     }
 
-    /// Serves `vw`'s pending pull if no transfer of it is in flight and
-    /// every VW has pushed its target wave.
+    /// Whether `vw` has a pending pull, no pull transfer in flight, and
+    /// every VW has pushed the pull's target wave.
+    fn pull_serviceable(&self, vw: usize) -> bool {
+        let st = &self.st.states[vw];
+        match st.pull_request {
+            Some((target, _)) => !st.pulling && self.st.clocks.is_open(target),
+            None => false,
+        }
+    }
+
+    /// Serves `vw`'s pending pull if it is serviceable.
     fn try_serve_pull(&mut self, vw: usize) {
-        if self.st.states[vw].pulling {
-            return; // A pull transfer is already in flight.
+        if self.pull_serviceable(vw) {
+            self.serve_pull(vw, self.st.clocks.min() as i64 - 1);
         }
-        let Some((target, _since)) = self.st.states[vw].pull_request else {
-            return;
-        };
-        if !self.st.clocks.is_open(target) {
-            return; // Straggler has not pushed wave `target` yet.
-        }
-        self.serve_pull(vw, self.st.clocks.min() as i64 - 1);
     }
 
     /// Applies a decided pull serve for `vw` at the current instant,
@@ -1213,7 +1231,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
 
     /// Tries `vw`'s injection again, as its own event now.
     fn wake(&mut self, vw: usize) {
-        let (engine, vw) = (&mut self.st.engine, vw as u32);
+        let (engine, vw) = (&mut self.st.engine, vw as u16);
         engine.schedule_in(SimTime::ZERO, Ev::TryInject { vw });
     }
 
@@ -1485,6 +1503,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<hetpipe_des::Span<SpanTag>>(), 40);
     }
 
+    /// An event is 16 bytes: its `u16` ids pack beside the minibatch
+    /// or wave number, so a queued event with its `u128` key is 32.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn events_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+    }
+
     #[test]
     fn pipeline_makes_progress() {
         let stats = run_ed(4, 0, 30.0);
@@ -1750,7 +1776,7 @@ mod tests {
             while let Some(ev) = ex.st.engine.next_event_until(ex.plan.horizon) {
                 ex.handle(ev);
                 // Each queued completion as (vw, wave), a pull's wave `None`.
-                let mut done: Vec<(u32, Option<u64>)> = (ex.st.engine.pending_events())
+                let mut done: Vec<(u16, Option<u64>)> = (ex.st.engine.pending_events())
                     .filter_map(|(_, _, ev)| match *ev {
                         Ev::PushDone { vw, wave } => Some((vw, Some(wave))),
                         Ev::PullDone { vw } => Some((vw, None)),
@@ -1760,7 +1786,7 @@ mod tests {
                 done.sort_unstable();
                 assert!(done.windows(2).all(|w| w[0] != w[1]), "{done:?}");
                 for (vw, st) in ex.st.states.iter().enumerate() {
-                    let pull = done.contains(&(vw as u32, None));
+                    let pull = done.contains(&(vw as u16, None));
                     assert_eq!(pull, st.pulling, "vw{vw}: a pull in flight is one event");
                 }
             }

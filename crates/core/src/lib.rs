@@ -34,6 +34,8 @@
 //!   accuracy-per-update curves into time to accuracy (Figures 5
 //!   and 6).
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod audit;
 pub mod convergence;

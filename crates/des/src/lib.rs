@@ -9,7 +9,8 @@
 //!   nanoseconds) so that event ordering never depends on float rounding.
 //! - [`event`] — a priority queue with total `(time, sequence)` ordering:
 //!   ties are broken by insertion order, which makes every run
-//!   reproducible bit-for-bit.
+//!   reproducible bit-for-bit. It is a keyed binary heap with a FIFO
+//!   lane for events pushed at the instant being processed.
 //! - [`engine`] — the simulation driver: schedule events, pop them in
 //!   order, let a handler schedule more.
 //! - [`resource`] — serially-reusable timeline resources (a GPU, a NIC)
@@ -23,6 +24,8 @@
 //!   triple shared by the trace audit and the static schedule verifier
 //!   (`hetpipe-verify`), with the `measured ≤ structural ≤ declared`
 //!   soundness predicate.
+
+#![forbid(unsafe_code)]
 
 pub mod bounds;
 pub mod engine;

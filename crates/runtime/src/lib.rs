@@ -90,6 +90,8 @@
 //! commits exactly the trace of a plain one-shot run, bit for bit
 //! (`tests/runtime_scenarios.rs` pins both properties).
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod monitor;
 pub mod scenario;

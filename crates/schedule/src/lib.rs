@@ -97,6 +97,8 @@
 //! assert_eq!(ops[5], ScheduleOp::Forward { mb: 5 });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod extract;
 pub mod lane;
 pub mod ops;
