@@ -12,19 +12,15 @@
 //!   prune) against [`PartitionSolver::solve_reference`] (naive
 //!   per-probe layer re-summation, no prune — the pre-optimization
 //!   planner);
-//! - **nm-search** — the binary-searched `Max_m`
-//!   ([`max_feasible_nm_with`]) against the linear rescan
-//!   ([`max_feasible_nm_linear`]);
-//! - **nm-sweep** — one co-located interleaved instance (a VRGQ
-//!   virtual worker × 2 chunks) swept over `Nm = 1, 2, …` up to the
-//!   first infeasible `Nm`: an [`NmSweep`], which reuses each memory
-//!   mode's optimum while it provably stays optimal, against a cold
-//!   [`PartitionSolver::solve`] per `Nm`;
-//! - **order-search** — the paper's 4-node heterogeneous cluster
-//!   configuration (a VRGQ virtual worker, `order_search = true`):
-//!   every distinct kind-order scored by its best proxy rate over the
-//!   feasible `Nm` range, optimized (parallel fan-out + fast solver)
-//!   vs baseline (serial + reference solver);
+//! - **nm-sweep** — one instance walked over `Nm = 1, 2, …` up to the
+//!   first infeasible `Nm`, the one `Max_m` search: an [`NmSweep`]
+//!   ([`NmSweep::feasible_prefix`]), which reuses each memory mode's
+//!   optimum while it provably stays optimal, against a cold
+//!   [`PartitionSolver::solve`] per `Nm`. Flat rows run the wave
+//!   schedule on a VRGQ virtual worker (VGG-19, ResNet-152) and on four
+//!   RTX 2060s (ResNet-152 at batch 64); co-located rows run a VRGQ
+//!   virtual worker × 2 interleaved chunks, each under both recompute
+//!   policies;
 //! - **timetable** — the interleaved composite streams: one joint
 //!   timetable per virtual worker, pulled round-robin from its
 //!   [`Lanes`], vs G standalone per-GPU replays
@@ -38,9 +34,9 @@
 //! Every timing, each side of a pair included, records its sample
 //! count, median and quartiles (`{n, median, q1, q3}`); a pair's
 //! `speedup` is the ratio of its medians. Every timed pair is also a
-//! **parity check**: identical plans, identical `Max_m`, identical
-//! winning order, identical op sequences. Any parity violation exits
-//! non-zero — this is the CI smoke contract.
+//! **parity check**: identical plans, identical `Max_m`, identical op
+//! sequences. Any parity violation exits non-zero — this is the CI
+//! smoke contract.
 //!
 //! Flags: `--quick` (fewer repetitions, CI smoke), `--out <path>`
 //! (default `BENCH_planner.json`).
@@ -51,11 +47,7 @@ use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig};
 use hetpipe_des::SimTime;
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
-use hetpipe_partition::order::{search_orders, search_orders_par};
-use hetpipe_partition::{
-    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
-    PartitionProblem, PartitionSolver,
-};
+use hetpipe_partition::{NmSweep, PartitionPlan, PartitionProblem, PartitionSolver};
 use hetpipe_schedule::{GpuOp, Lanes, PipelineSchedule, RecomputePolicy, Schedule, WspParams};
 use serde_json::json;
 use std::time::Instant;
@@ -84,40 +76,15 @@ fn median(secs: &[f64]) -> f64 {
     median_and_quartiles(secs).0
 }
 
-/// Whether two solver results are the same bit for bit: ranges,
-/// `stage_secs` and bottleneck, or the same error.
-fn same_bits(
-    a: &Result<PartitionPlan, PartitionError>,
-    b: &Result<PartitionPlan, PartitionError>,
-) -> bool {
+/// Whether two plans are the same bit for bit: ranges, `stage_secs`
+/// and bottleneck.
+fn same_bits(a: &PartitionPlan, b: &PartitionPlan) -> bool {
     let bits = |p: &PartitionPlan| {
         let mut v: Vec<u64> = p.stage_secs.iter().map(|s| s.to_bits()).collect();
         v.push(p.bottleneck_secs.to_bits());
         v
     };
-    match (a, b) {
-        (Ok(a), Ok(b)) => a.ranges == b.ranges && bits(a) == bits(b),
-        (Err(a), Err(b)) => a == b,
-        _ => false,
-    }
-}
-
-/// Solves `Nm = 1, 2, …, limit` in turn and returns every result,
-/// up to and including the first infeasible one.
-fn until_infeasible(
-    limit: usize,
-    mut solve: impl FnMut(usize) -> Result<PartitionPlan, PartitionError>,
-) -> Vec<Result<PartitionPlan, PartitionError>> {
-    let mut results = Vec::new();
-    for nm in 1..=limit {
-        let result = solve(nm);
-        let infeasible = result.is_err();
-        results.push(result);
-        if infeasible {
-            break;
-        }
-    }
-    results
+    a.ranges == b.ranges && bits(a) == bits(b)
 }
 
 /// The paper's heterogeneous virtual worker: one GPU of each testbed
@@ -138,8 +105,7 @@ fn main() {
     let out: String = arg_value("--out")
         .unwrap_or_else(|e| usage_error(&e))
         .unwrap_or_else(|| "BENCH_planner.json".into());
-    let (solve_reps, search_reps, tt_reps, sweep_reps) =
-        if quick { (5, 2, 2, 3) } else { (60, 8, 6, 30) };
+    let (solve_reps, tt_reps, sweep_reps) = if quick { (5, 2, 3) } else { (60, 6, 30) };
 
     let mut parity_failures: Vec<String> = Vec::new();
     let mut parity = |ok: bool, what: String| {
@@ -188,80 +154,36 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 2. Max_m searches (binary vs linear), paper + whimpy clusters.
+    // 2. Nm sweeps: every Nm up to the first infeasible one, solved
+    //    cold per Nm (baseline) or walked by one NmSweep (optimized).
+    //    Flat wave rows on the paper and whimpy clusters, co-located
+    //    rows on a VRGQ virtual worker × 2 interleaved chunks. Parity:
+    //    the same Max_m and the same plan at every Nm, bit for bit.
     // ------------------------------------------------------------------
-    let mut nm_rows = Vec::new();
-    let whimpy_gpus = vec![GpuKind::Rtx2060.spec(); 4];
-    let rn64 = resnet152(64);
-    let nm_configs: Vec<(&str, &ModelGraph, Vec<_>)> = vec![
-        ("paper-vrgq/VGG-19", &models[0].1, vrgq()),
-        ("paper-vrgq/ResNet-152", &models[1].1, vrgq()),
-        ("whimpy-gggg/ResNet-152@64", &rn64, whimpy_gpus),
+    let (rn64, whimpy) = (resnet152(64), vec![GpuKind::Rtx2060.spec(); 4]);
+    let wave = Schedule::HetPipeWave;
+    let mut sweep_configs: Vec<(&str, &str, &ModelGraph, Vec<_>, Schedule)> = vec![
+        ("paper-vrgq", "VGG-19", &models[0].1, vrgq(), wave),
+        ("paper-vrgq", "ResNet-152", &models[1].1, vrgq(), wave),
+        ("whimpy-gggg", "ResNet-152@64", &rn64, whimpy, wave),
     ];
-    for (label, graph, gpus) in &nm_configs {
-        let links = vec![LinkKind::Pcie; 3];
-        let limit = nm_saturation_limit(4);
-        let (base_secs, base) = time_each(search_reps, || {
-            max_feasible_nm_linear(
-                graph,
-                gpus,
-                &links,
-                limit,
-                Schedule::HetPipeWave,
-                RecomputePolicy::None,
-            )
-        });
-        let (opt_secs, opt) = time_each(search_reps, || {
-            max_feasible_nm_with(
-                graph,
-                gpus,
-                &links,
-                limit,
-                Schedule::HetPipeWave,
-                RecomputePolicy::None,
-            )
-        });
-        let same = match (&base, &opt) {
-            (None, None) => true,
-            (Some((a, pa)), Some((b, pb))) => a == b && pa.ranges == pb.ranges,
-            _ => false,
-        };
-        parity(same, format!("nm-search {label}: binary != linear"));
-        let speedup = median(&base_secs) / median(&opt_secs);
-        println!(
-            "nm-search    {label:<27} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
-            median(&base_secs) * 1e6,
-            median(&opt_secs) * 1e6
-        );
-        nm_rows.push(json!({
-            "config": label,
-            "limit": limit,
-            "max_m": opt.as_ref().map(|(nm, _)| *nm),
-            "baseline_secs": summary(&base_secs),
-            "optimized_secs": summary(&opt_secs),
-            "speedup": speedup,
-            "parity": same,
-        }));
-    }
-
-    // ------------------------------------------------------------------
-    // 2b. Co-located Nm sweeps: a VRGQ virtual worker × 2 interleaved
-    //     chunks, every Nm up to the first infeasible one, solved cold
-    //     per Nm (baseline) or through one NmSweep (optimized). Parity:
-    //     the same result at every Nm, bit for bit.
-    // ------------------------------------------------------------------
-    let mut sweep_rows = Vec::new();
     for (name, graph) in models.iter().rev() {
         for schedule in ["interleaved-1f1b:2", "interleaved-1f1b-depth:2"] {
             let schedule = Schedule::parse(schedule).expect("a known schedule");
-            for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
-                let k = schedule.virtual_stages(4);
-                let phys = vrgq();
-                let gpus: Vec<_> = (0..k).map(|s| phys[s % 4].clone()).collect();
-                let links = vec![LinkKind::Pcie; k - 1];
-                let limit = nm_saturation_limit(k);
-                let (base_secs, base) = time_each(sweep_reps, || {
-                    until_infeasible(limit, |nm| {
+            sweep_configs.push(("paper-vrgq", name, graph, vrgq(), schedule));
+        }
+    }
+    let mut sweep_rows = Vec::new();
+    for (cluster, name, graph, phys, schedule) in &sweep_configs {
+        let schedule = *schedule;
+        for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
+            let k = schedule.virtual_stages(phys.len());
+            let gpus: Vec<_> = (0..k).map(|s| phys[s % phys.len()].clone()).collect();
+            let links = vec![LinkKind::Pcie; k - 1];
+            let limit = nm_saturation_limit(k);
+            let (base_secs, base) = time_each(sweep_reps, || {
+                (1..=limit)
+                    .map_while(|nm| {
                         let problem = PartitionProblem::with_schedule(
                             graph,
                             gpus.clone(),
@@ -270,133 +192,40 @@ fn main() {
                             schedule,
                         )
                         .with_recompute(recompute);
-                        PartitionSolver::solve(&problem)
+                        PartitionSolver::solve(&problem).ok()
                     })
-                });
-                let (opt_secs, opt) = time_each(sweep_reps, || {
-                    let mut sweep = NmSweep::new(graph, &gpus, &links, schedule, recompute);
-                    until_infeasible(limit, |nm| sweep.solve(nm))
-                });
-                let same =
-                    base.len() == opt.len() && base.iter().zip(&opt).all(|(a, b)| same_bits(a, b));
-                parity(
-                    same,
-                    format!("nm-sweep {name} {schedule} {recompute}: sweep != cold solves"),
-                );
-                let speedup = median(&base_secs) / median(&opt_secs);
-                let label = format!("{name} {schedule} {recompute}");
-                println!(
-                    "nm-sweep     vrgq {label:<49} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
-                    median(&base_secs) * 1e6,
-                    median(&opt_secs) * 1e6
-                );
-                sweep_rows.push(json!({
-                    "cluster": "paper-vrgq",
-                    "model": name,
-                    "schedule": schedule.to_string(),
-                    "recompute": recompute.to_string(),
-                    "nms_solved": opt.len(),
-                    "baseline_secs": summary(&base_secs),
-                    "optimized_secs": summary(&opt_secs),
-                    "speedup": speedup,
-                    "parity": same,
-                }));
-            }
+                    .collect::<Vec<_>>()
+            });
+            let (opt_secs, opt) = time_each(sweep_reps, || {
+                NmSweep::new(graph, &gpus, &links, schedule, recompute).feasible_prefix(limit)
+            });
+            let same =
+                base.len() == opt.len() && base.iter().zip(&opt).all(|(a, b)| same_bits(a, b));
+            let label = format!("{cluster} {name} {schedule} {recompute}");
+            parity(same, format!("nm-sweep {label}: sweep != cold solves"));
+            let speedup = median(&base_secs) / median(&opt_secs);
+            println!(
+                "nm-sweep     {label:<60} baseline {:>9.1}µs  optimized {:>9.1}µs  {speedup:>5.1}x",
+                median(&base_secs) * 1e6,
+                median(&opt_secs) * 1e6
+            );
+            sweep_rows.push(json!({
+                "cluster": cluster,
+                "model": name,
+                "schedule": schedule.to_string(),
+                "recompute": recompute.to_string(),
+                "limit": limit,
+                "max_m": opt.len(),
+                "baseline_secs": summary(&base_secs),
+                "optimized_secs": summary(&opt_secs),
+                "speedup": speedup,
+                "parity": same,
+            }));
         }
     }
 
     // ------------------------------------------------------------------
-    // 3. The acceptance configuration: order search over the paper's
-    //    4-node heterogeneous cluster (order_search=true — every
-    //    distinct kind-order of a VRGQ virtual worker scored by its
-    //    best proxy rate over the feasible Nm range, exactly the
-    //    system builder's pass-1 objective).
-    // ------------------------------------------------------------------
-    let gpus = vrgq();
-    let limit = nm_saturation_limit(4);
-    let rate_of = |plan: &hetpipe_partition::PartitionPlan, nm: usize| {
-        let latency: f64 = plan.stage_secs.iter().sum();
-        (1.0 / plan.bottleneck_secs).min(nm as f64 / latency)
-    };
-    // The pre-optimization pass-1 objective: a fresh naive solve per
-    // Nm (memory is monotone in Nm, so the first infeasible Nm ends
-    // the sweep).
-    let baseline_proxy = |order: &[usize], graph: &ModelGraph| -> Option<f64> {
-        let ordered: Vec<_> = order.iter().map(|&i| gpus[i].clone()).collect();
-        let links = vec![LinkKind::Pcie; 3];
-        let mut best: Option<f64> = None;
-        for nm in 1..=limit {
-            let problem = PartitionProblem::new(graph, ordered.clone(), links.clone(), nm);
-            let Some(plan) = PartitionSolver::solve_reference(&problem).ok() else {
-                break;
-            };
-            let rate = rate_of(&plan, nm);
-            if best.is_none_or(|r| rate > r) {
-                best = Some(rate);
-            }
-        }
-        best
-    };
-    // The optimized pass-1 objective: an incremental NmSweep (O(1)
-    // probes, frontier prune, incumbent bound, answer-preserving reuse
-    // across Nm).
-    let optimized_proxy = |order: &[usize], graph: &ModelGraph| -> Option<f64> {
-        let ordered: Vec<_> = order.iter().map(|&i| gpus[i].clone()).collect();
-        let links = vec![LinkKind::Pcie; 3];
-        let mut sweep = hetpipe_partition::NmSweep::new(
-            graph,
-            &ordered,
-            &links,
-            Schedule::HetPipeWave,
-            RecomputePolicy::None,
-        );
-        let mut best: Option<f64> = None;
-        for nm in 1..=limit {
-            let Ok(plan) = sweep.solve(nm) else { break };
-            let rate = rate_of(&plan, nm);
-            if best.is_none_or(|r| rate > r) {
-                best = Some(rate);
-            }
-        }
-        best
-    };
-    let mut order_rows = Vec::new();
-    let mut order_speedups = Vec::new();
-    for (name, graph) in &models {
-        let (base_secs, base) = time_each(search_reps, || {
-            search_orders(&gpus, |order| baseline_proxy(order, graph))
-        });
-        let (opt_secs, opt) = time_each(search_reps, || {
-            search_orders_par(&gpus, |order| optimized_proxy(order, graph))
-        });
-        let (base, opt) = (base.unwrap(), opt.unwrap());
-        let same =
-            base.0 == opt.0 && (base.1 - opt.1).abs() <= 1e-9 * opt.1.abs() && base.2 == opt.2;
-        parity(
-            same,
-            format!("order-search {name}: serial+reference != parallel+optimized"),
-        );
-        let speedup = median(&base_secs) / median(&opt_secs);
-        order_speedups.push(speedup);
-        println!(
-            "order-search paper-vrgq {name:<11} baseline {:>9.1}ms  optimized {:>9.1}ms  {speedup:>5.1}x",
-            median(&base_secs) * 1e3,
-            median(&opt_secs) * 1e3
-        );
-        order_rows.push(json!({
-            "cluster": "paper-vrgq",
-            "model": name,
-            "order_search": true,
-            "orders": opt.2,
-            "baseline_secs": summary(&base_secs),
-            "optimized_secs": summary(&opt_secs),
-            "speedup": speedup,
-            "parity": same,
-        }));
-    }
-
-    // ------------------------------------------------------------------
-    // 4. One joint timetable per virtual worker vs per-GPU replays.
+    // 3. One joint timetable per virtual worker vs per-GPU replays.
     // ------------------------------------------------------------------
     let mut timetable_rows = Vec::new();
     for (gpus_n, chunks, nm, ops_per_gpu) in [(4usize, 2usize, 8usize, 4000usize), (8, 3, 8, 4000)]
@@ -452,7 +281,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 5. End-to-end plan + short simulate on the paper and whimpy
+    // 4. End-to-end plan + short simulate on the paper and whimpy
     //    clusters (trajectory rows; no baseline counterpart).
     // ------------------------------------------------------------------
     let mut e2e_rows = Vec::new();
@@ -509,11 +338,9 @@ fn main() {
         "build_secs": summary(&matrix_secs),
     }));
 
-    let min_order = order_speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     let min_solve = solve_speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     println!(
-        "\nacceptance: order-search speedup {min_order:.1}x (target ≥5x), \
-         plain solve speedup {min_solve:.1}x (target ≥2x), parity {}",
+        "\nacceptance: plain solve speedup {min_solve:.1}x (target ≥2x), parity {}",
         if parity_failures.is_empty() {
             "ok"
         } else {
@@ -524,16 +351,11 @@ fn main() {
     let doc = json!({
         "bench": "planner",
         "quick": quick,
-        "threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         "solve": solve_rows,
-        "nm_search": nm_rows,
         "nm_sweep": sweep_rows,
-        "order_search": order_rows,
         "timetable": timetable_rows,
         "end_to_end": e2e_rows,
         "acceptance": {
-            "order_search_min_speedup": min_order,
-            "order_search_target": 5.0,
             "solve_min_speedup": min_solve,
             "solve_target": 2.0,
             "parity_ok": parity_failures.is_empty(),

@@ -175,10 +175,8 @@ struct PlanTable<'a> {
     cluster: &'a Cluster,
     graph: &'a ModelGraph,
     config: &'a SystemConfig,
-    /// Every swept instance's best [`pipeline_rate`] over its prefix
-    /// and that rate's `Nm`; `None` when even `Nm = 1` is infeasible.
-    proxies: HashMap<InstanceKey, Option<(f64, usize)>>,
-    /// The prefixes a later phase may still read.
+    /// Every swept instance's prefix (empty when even `Nm = 1` is
+    /// infeasible).
     prefixes: HashMap<InstanceKey, Vec<PartitionPlan>>,
     /// Every simulated refine candidate's standalone rate.
     rates: HashMap<RefineId, f64>,
@@ -215,50 +213,28 @@ impl PlanTable<'_> {
         }
     }
 
-    fn sweep(&self, devices: &[DeviceId]) -> Vec<PartitionPlan> {
-        let gpus: Vec<_> = devices.iter().map(|&d| self.cluster.spec_of(d)).collect();
-        let links = VirtualWorker::links(self.cluster, devices);
-        let (schedule, recompute) = (self.config.schedule, self.config.recompute);
-        let mut sweep = NmSweep::new(self.graph, &gpus, &links, schedule, recompute);
-        (1..=nm_saturation_limit(devices.len()))
-            .map_while(|nm| sweep.solve(nm).ok())
-            .collect()
-    }
-
-    fn insert(&mut self, key: InstanceKey, prefix: Vec<PartitionPlan>) {
-        #[cfg(test)]
-        SWEEPS.with(|s| s.set(s.get() + 1));
-        let rates = (1..)
-            .zip(&prefix)
-            .map(|(nm, plan)| (pipeline_rate(plan, nm), nm));
-        let proxy = rates.reduce(|best, c| if c.0 > best.0 { c } else { best });
-        self.proxies.insert(key.clone(), proxy);
-        self.prefixes.insert(key, prefix);
-    }
-
-    /// The proxy score of `devices`' instance, swept now if unseen.
-    fn proxy(&mut self, devices: &[DeviceId]) -> Option<(f64, usize)> {
-        let key = self.key(devices);
-        if !self.proxies.contains_key(&key) {
-            let prefix = self.sweep(devices);
-            self.insert(key.clone(), prefix);
-        }
-        self.proxies[&key]
-    }
-
-    /// Drops the prefix of `devices`' instance; its proxy stays.
-    fn release(&mut self, devices: &[DeviceId]) {
-        self.prefixes.remove(&self.key(devices));
-    }
-
-    /// The prefix of `devices`' instance, swept now if not held.
+    /// The prefix of `devices`' instance, swept now if unseen.
     fn prefix(&mut self, devices: &[DeviceId]) -> &[PartitionPlan] {
         let key = self.key(devices);
-        if !self.prefixes.contains_key(&key) {
-            let prefix = self.sweep(devices);
-            self.insert(key.clone(), prefix);
-        }
-        &self.prefixes[&key]
+        let (cluster, graph, config) = (self.cluster, self.graph, self.config);
+        self.prefixes.entry(key).or_insert_with(|| {
+            #[cfg(test)]
+            SWEEPS.with(|s| s.set(s.get() + 1));
+            let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
+            let links = VirtualWorker::links(cluster, devices);
+            NmSweep::new(graph, &gpus, &links, config.schedule, config.recompute)
+                .feasible_prefix(nm_saturation_limit(devices.len()))
+        })
+    }
+
+    /// The proxy score of `devices`' instance: the best
+    /// [`pipeline_rate`] over its prefix (the first on ties) and that
+    /// rate's `Nm`, or `None` when even `Nm = 1` is infeasible.
+    fn proxy(&mut self, devices: &[DeviceId]) -> Option<(f64, usize)> {
+        let rates = (1..)
+            .zip(self.prefix(devices))
+            .map(|(nm, plan)| (pipeline_rate(plan, nm), nm));
+        rates.reduce(|best, c| if c.0 > best.0 { c } else { best })
     }
 
     /// Simulated steady-state rate (minibatches/sec past warm-up) of
@@ -392,7 +368,6 @@ impl<'a> HetPipeSystem<'a> {
             cluster,
             graph,
             config,
-            proxies: HashMap::new(),
             prefixes: HashMap::new(),
             rates: HashMap::new(),
         };
@@ -419,12 +394,8 @@ impl<'a> HetPipeSystem<'a> {
                     .filter_map(|devs| table.proxy(devs).map(|(r, nm)| (devs.as_slice(), r, nm)))
                     .collect();
                 // Stable sort: proxy ties keep enumeration order, so
-                // the refinement set is deterministic. Only the
-                // refinement set's prefixes are read again.
+                // the refinement set is deterministic.
                 candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-                for &(devs, ..) in candidates.iter().skip(ORDER_REFINE_CANDIDATES) {
-                    table.release(devs);
-                }
                 candidates.truncate(ORDER_REFINE_CANDIDATES);
                 let winner = match candidates[..] {
                     [] => return Err(BuildError::NoFeasiblePartition { vw: i }),

@@ -14,11 +14,15 @@
 //!   position-dependent memory constraints.
 //! - [`brute`] — exhaustive enumeration of cut sets, used by tests to
 //!   certify the DP's optimality on small instances.
-//! - [`order`] — stage-order search: with heterogeneous GPUs the
-//!   assignment of GPUs to pipeline positions matters (late stages hold
-//!   fewer in-flight minibatches, so memory-poor GPUs prefer late
-//!   positions); enumerates the distinct kind-orders and scores them
-//!   with a caller's evaluator, serially or fanned across threads.
+//! - [`order`] — stage orders: with heterogeneous GPUs the assignment
+//!   of GPUs to pipeline positions matters (late stages hold fewer
+//!   in-flight minibatches, so memory-poor GPUs prefer late positions);
+//!   enumerates the distinct kind-orders and scores them with a
+//!   caller's evaluator.
+//!
+//! [`solver::NmSweep`]'s walk over `Nm = 1, 2, …` up to the first
+//! infeasible `Nm` is the crate's one `Max_m` search
+//! ([`max_feasible_nm_with`] returns its end).
 
 pub mod brute;
 pub mod cost;
@@ -26,8 +30,5 @@ pub mod order;
 pub mod solver;
 
 pub use cost::{PartitionProblem, StageCostModel};
-pub use order::{evaluate_orders, search_orders_par};
-pub use solver::{
-    max_feasible_nm_linear, max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan,
-    PartitionSolver,
-};
+pub use order::evaluate_orders;
+pub use solver::{max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan, PartitionSolver};

@@ -5,15 +5,16 @@
 //! *late* stages (fewer in-flight minibatches to hold, per the
 //! Figure-1 analysis), and the inter-stage links depend on which GPUs
 //! end up adjacent. The paper fixes an assignment per allocation policy;
-//! we additionally search over distinct stage orders and keep the best.
+//! the system builder additionally searches the distinct stage orders
+//! enumerated here and keeps the best.
 
 use hetpipe_cluster::gpu::GpuSpec;
 use std::collections::HashSet;
 
 /// Enumerates the distinct kind-orders of `gpus` (permutations
 /// deduplicated by their GPU-kind name sequence), in a fixed
-/// deterministic order — the enumeration order every search and
-/// reduction below is defined against.
+/// deterministic order — the order [`evaluate_orders`] reports in and
+/// the system builder's order search breaks proxy ties by.
 ///
 /// # Panics
 ///
@@ -33,16 +34,10 @@ pub fn distinct_kind_orders(gpus: &[GpuSpec]) -> Vec<Vec<usize>> {
     orders
 }
 
-/// Evaluates every distinct kind-order of `gpus`, fanning the
-/// (independent) evaluations across `std::thread::scope` worker
-/// threads, and returns the per-order results **in enumeration
-/// order**. Each result lands in the slot of its own index, so the
-/// output — and anything reduced from it — is bit-identical to a
-/// serial evaluation regardless of thread count or completion order.
-///
-/// Each order's evaluation is typically a full partition solve (or an
-/// `Nm` sweep of them), so the fan-out amortizes even at the paper's
-/// 4-GPU scale (24 distinct orders).
+/// Evaluates every distinct kind-order of `gpus` in turn and returns
+/// the per-order results **in enumeration order**: slot `i` holds
+/// `eval` of the `i`-th order of [`distinct_kind_orders`]. `None` marks
+/// an infeasible order.
 ///
 /// # Panics
 ///
@@ -51,88 +46,13 @@ pub fn evaluate_orders<R: Send>(
     gpus: &[GpuSpec],
     eval: impl Fn(&[usize]) -> Option<R> + Sync,
 ) -> Vec<(Vec<usize>, Option<R>)> {
-    let orders = distinct_kind_orders(gpus);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(orders.len());
-    let mut results: Vec<Option<R>> = Vec::with_capacity(orders.len());
-    results.resize_with(orders.len(), || None);
-    if threads <= 1 {
-        for (order, slot) in orders.iter().zip(results.iter_mut()) {
-            *slot = eval(order);
-        }
-    } else {
-        let chunk = orders.len().div_ceil(threads);
-        let eval = &eval;
-        std::thread::scope(|scope| {
-            for (os, rs) in orders.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (order, slot) in os.iter().zip(rs.iter_mut()) {
-                        *slot = eval(order);
-                    }
-                });
-            }
-        });
-    }
-    orders.into_iter().zip(results).collect()
-}
-
-/// Searches all distinct kind-orders of `gpus`, scoring each with a
-/// caller-supplied evaluator (higher is better; `None` = infeasible),
-/// and returns the best `(order, score, evaluated_count)`.
-///
-/// This is the *serial reference* engine behind the parallel
-/// [`search_orders_par`] (kept because `FnMut` evaluators cannot fan
-/// out, and as the parity oracle `tests/planner_parity.rs` holds the
-/// parallel search against); system-level callers use the parallel
-/// form with richer objectives (e.g. an estimated-throughput proxy
-/// that accounts for the memory-limited `Max_m` of each order).
-///
-/// # Panics
-///
-/// Panics if `gpus` is empty.
-pub fn search_orders(
-    gpus: &[GpuSpec],
-    mut eval: impl FnMut(&[usize]) -> Option<f64>,
-) -> Option<(Vec<usize>, f64, usize)> {
-    let orders = distinct_kind_orders(gpus);
-    let evaluated = orders.len();
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    for order in orders {
-        if let Some(score) = eval(&order) {
-            if best.as_ref().is_none_or(|(_, s)| score > *s) {
-                best = Some((order, score));
-            }
-        }
-    }
-    best.map(|(order, score)| (order, score, evaluated))
-}
-
-/// [`search_orders`] with the evaluations fanned across scoped worker
-/// threads. The reduction walks the results in enumeration order and
-/// replaces only on a strictly greater score — exactly the serial
-/// fold — so the winning order is bit-identical to [`search_orders`]
-/// for the same evaluator.
-///
-/// # Panics
-///
-/// Panics if `gpus` is empty.
-pub fn search_orders_par(
-    gpus: &[GpuSpec],
-    eval: impl Fn(&[usize]) -> Option<f64> + Sync,
-) -> Option<(Vec<usize>, f64, usize)> {
-    let results = evaluate_orders(gpus, eval);
-    let evaluated = results.len();
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    for (order, score) in results {
-        if let Some(score) = score {
-            if best.as_ref().is_none_or(|(_, s)| score > *s) {
-                best = Some((order, score));
-            }
-        }
-    }
-    best.map(|(order, score)| (order, score, evaluated))
+    distinct_kind_orders(gpus)
+        .into_iter()
+        .map(|order| {
+            let result = eval(&order);
+            (order, result)
+        })
+        .collect()
 }
 
 /// Heap-style in-place permutation visitor.
@@ -177,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_serial_exactly() {
+    fn evaluate_orders_fills_slots_in_enumeration_order() {
         let g = resnet152(32);
         let gpus = vec![
             GpuKind::QuadroP4000.spec(),
@@ -192,12 +112,6 @@ mod tests {
                 .ok()
                 .map(|plan| -plan.bottleneck_secs)
         };
-        let serial = search_orders(&gpus, eval).unwrap();
-        let parallel = search_orders_par(&gpus, eval).unwrap();
-        assert_eq!(serial.0, parallel.0, "winning order must be bit-identical");
-        assert_eq!(serial.1.to_bits(), parallel.1.to_bits(), "score");
-        assert_eq!(serial.2, parallel.2, "evaluated count");
-        // The raw fan-out result set is in enumeration order.
         let results = evaluate_orders(&gpus, eval);
         assert_eq!(results.len(), 24);
         assert_eq!(

@@ -20,10 +20,7 @@
 //! in seven remains and every plan stays the same to the bit.
 //! [`PartitionSolver::solve_reference`]
 //! preserves the naive re-summing DP as the parity oracle and timing
-//! baseline; the largest feasible `Nm` is binary-searched over the
-//! monotone feasibility gate of flat schedules
-//! ([`max_feasible_nm_linear`] keeps the linear rescan for the same
-//! purpose).
+//! baseline.
 //!
 //! Co-located interleaved chunks run two DPs: a relaxed `Alone` pass
 //! whose plan must then pass the exact joint per-GPU check, and the
@@ -31,7 +28,10 @@
 //! instance over `Nm = 1, 2, …` and skips each mode's DP whenever that
 //! mode's previous optimum provably still is its optimum, on flat and
 //! interleaved schedules alike. The joint check still runs at each
-//! `Nm` before an `Alone` plan is returned.
+//! `Nm` before an `Alone` plan is returned. Its walk up to the first
+//! infeasible `Nm` ([`NmSweep::feasible_prefix`]) is the one `Max_m`
+//! search: [`max_feasible_nm_with`] returns its end, and the system
+//! builder plans from the whole prefix.
 
 use crate::cost::{PartitionProblem, StageCostModel, StartProbe};
 use std::fmt;
@@ -588,6 +588,13 @@ impl<'a> NmSweep<'a> {
         self.solve_mode(MemMode::PerStage, nm, &flags)
     }
 
+    /// The plans at `Nm = 1, 2, …` up to the first infeasible `Nm` or
+    /// `limit`: entry `m − 1` is [`Self::solve`]'s plan at `Nm = m`, and
+    /// the length is the instance's `Max_m` ([`max_feasible_nm_with`]).
+    pub fn feasible_prefix(mut self, limit: usize) -> Vec<PartitionPlan> {
+        (1..=limit).map_while(|nm| self.solve(nm).ok()).collect()
+    }
+
     /// One mode's DP optimum at `nm`: the cached plan when it still
     /// passes the mode's per-stage check under unchanged flags, a
     /// fresh DP otherwise.
@@ -651,17 +658,26 @@ impl<'a> NmSweep<'a> {
     }
 }
 
-/// Finds the largest `Nm` in `1..=limit` for which a feasible partition
-/// exists under `schedule` and `recompute`, together with its plan.
+/// The end of the feasible `Nm` prefix in `1..=limit` under `schedule`
+/// and `recompute`, with its plan: the last `Nm` of the first run of
+/// feasible `Nm = 1, 2, …` ([`NmSweep::feasible_prefix`]), or `None`
+/// when even `Nm = 1` is infeasible.
 ///
 /// This is the paper's `Max_m` (Section 4): the maximum number of
 /// minibatches that can concurrently execute in the virtual worker,
-/// bounded by GPU memory. The schedule's per-stage memory profile
-/// (in-flight activations, pinned weight versions) shapes which `Nm`
-/// fit, and `BoundaryOnly` recomputation shrinks the per-stage memory
-/// term, so it typically admits a larger `Max_m` on memory-bound
-/// clusters (at the cost of one extra forward per backward in the
-/// plan's stage times).
+/// bounded by GPU memory, and the `Max_m` `HetPipeSystem::build` uses.
+/// On flat schedules memory is monotone in `Nm`, so the prefix end is
+/// also the largest feasible `Nm` in `1..=limit`
+/// (`tests/partition_props.rs` audits that monotonicity on a
+/// memory-bound instance). On co-located interleaved
+/// schedules an `Nm` passes only if its plan passes the joint per-GPU
+/// check, which is not provably monotone in `Nm`, so a feasible `Nm`
+/// past the first infeasible one is not counted. The schedule's
+/// per-stage memory profile (in-flight activations, pinned weight
+/// versions) shapes which `Nm` fit, and `BoundaryOnly` recomputation
+/// shrinks the per-stage memory term, so it typically admits a larger
+/// `Max_m` on memory-bound clusters (at the cost of one extra forward
+/// per backward in the plan's stage times).
 pub fn max_feasible_nm_with(
     graph: &hetpipe_model::ModelGraph,
     gpus: &[hetpipe_cluster::gpu::GpuSpec],
@@ -670,95 +686,9 @@ pub fn max_feasible_nm_with(
     schedule: hetpipe_schedule::Schedule,
     recompute: hetpipe_schedule::RecomputePolicy,
 ) -> Option<(usize, PartitionPlan)> {
-    {
-        use hetpipe_schedule::PipelineSchedule;
-        if schedule.colocated_stages() > 1 {
-            // The gallop/binary edge-finding below needs solve()
-            // feasibility to be a *prefix* of 1..=limit. That holds for
-            // flat schedules (memory is monotone in Nm), but an
-            // interleaved solve first certifies its Alone-mode optimum
-            // with the joint per-GPU check — a different plan at every
-            // Nm — so success is not provably monotone there. Walk
-            // every Nm up to the first infeasible one, as
-            // [`max_feasible_nm_linear`] does, through an `NmSweep`:
-            // a reused optimum costs k probes instead of a DP.
-            let mut sweep = NmSweep::new(graph, gpus, links, schedule, recompute);
-            return (1..=limit)
-                .map_while(|nm| sweep.solve(nm).ok().map(|plan| (nm, plan)))
-                .last();
-        }
-    }
-    let solve_at = |nm: usize| {
-        let p = PartitionProblem::with_schedule(graph, gpus.to_vec(), links.to_vec(), nm, schedule)
-            .with_recompute(recompute);
-        PartitionSolver::solve(&p).ok()
-    };
-    if limit == 0 {
-        return None;
-    }
-    // Memory is monotone in Nm (every per-stage charge is
-    // nondecreasing in the in-flight count and pinned versions), so
-    // feasibility over 1..=limit is a prefix — gallop (1, 2, 4, …) to
-    // bracket its edge, then binary-search inside the bracket, instead
-    // of solving a DP per Nm. Galloping keeps the small-Max_m case as
-    // cheap as the linear scan while large Max_m costs O(log) solves.
-    // The gate is pinned by `max_feasible_nm_monotone_gate` /
-    // `tests/planner_parity.rs`, which assert agreement with
-    // [`max_feasible_nm_linear`] across a grid of clusters, models,
-    // and schedules.
-    let mut lo = (1, solve_at(1)?);
-    let mut hi = None; // Smallest Nm proven infeasible, if any.
-    let mut probe = 2;
-    while probe <= limit {
-        match solve_at(probe) {
-            Some(plan) => lo = (probe, plan),
-            None => {
-                hi = Some(probe);
-                break;
-            }
-        }
-        if probe == limit {
-            break;
-        }
-        probe = (probe * 2).min(limit);
-    }
-    if let Some(mut hi) = hi {
-        // Invariant: lo feasible (plan held), hi infeasible.
-        while hi - lo.0 > 1 {
-            let mid = lo.0 + (hi - lo.0) / 2;
-            match solve_at(mid) {
-                Some(plan) => lo = (mid, plan),
-                None => hi = mid,
-            }
-        }
-    }
-    Some((lo.0, lo.1))
-}
-
-/// Reference implementation of [`max_feasible_nm_with`]: the linear
-/// `Nm` rescan the binary search replaced. Kept as the parity oracle
-/// (`max_feasible_nm_monotone_gate`, `tests/planner_parity.rs`) and
-/// the timing baseline `planner_bench` records.
-pub fn max_feasible_nm_linear(
-    graph: &hetpipe_model::ModelGraph,
-    gpus: &[hetpipe_cluster::gpu::GpuSpec],
-    links: &[hetpipe_cluster::network::LinkKind],
-    limit: usize,
-    schedule: hetpipe_schedule::Schedule,
-    recompute: hetpipe_schedule::RecomputePolicy,
-) -> Option<(usize, PartitionPlan)> {
-    let mut best = None;
-    for nm in 1..=limit {
-        let p = PartitionProblem::with_schedule(graph, gpus.to_vec(), links.to_vec(), nm, schedule)
-            .with_recompute(recompute);
-        match PartitionSolver::solve(&p) {
-            Ok(plan) => best = Some((nm, plan)),
-            // Memory is monotone in Nm: once infeasible, larger Nm stays
-            // infeasible.
-            Err(_) => break,
-        }
-    }
-    best
+    let mut prefix = NmSweep::new(graph, gpus, links, schedule, recompute).feasible_prefix(limit);
+    let plan = prefix.pop()?;
+    Some((prefix.len() + 1, plan))
 }
 
 #[cfg(test)]
@@ -925,6 +855,7 @@ mod tests {
 
     #[test]
     fn max_feasible_nm_monotone_gate() {
+        use hetpipe_schedule::{RecomputePolicy, Schedule};
         let g = resnet152(64);
         let gpus = vec![GpuKind::Rtx2060.spec(); 4];
         let links = vec![LinkKind::Pcie; 3];
@@ -941,73 +872,8 @@ mod tests {
         assert!(nm >= 1 && nm < limit, "6 GB GPUs cap concurrency, got {nm}");
         assert!(plan.is_valid_cover(g.len()));
         // One step further must be infeasible.
-        let p = PartitionProblem::new(&g, gpus.clone(), links.clone(), nm + 1);
+        let p = PartitionProblem::new(&g, gpus, links, nm + 1);
         assert!(PartitionSolver::solve(&p).is_err());
-
-        // The binary search exists *because* of this monotone gate:
-        // across a grid of clusters × models × schedules × recompute,
-        // it must agree exactly with the linear rescan it replaced —
-        // same Max_m, same plan.
-        use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
-        let vgg = vgg19(32);
-        let rn64 = resnet152(64);
-        let clusters: Vec<Vec<_>> = vec![
-            vec![GpuKind::Rtx2060.spec(); 4],
-            vec![GpuKind::TitanV.spec(); 4],
-            vec![
-                GpuKind::TitanV.spec(),
-                GpuKind::TitanRtx.spec(),
-                GpuKind::QuadroP4000.spec(),
-                GpuKind::Rtx2060.spec(),
-            ],
-        ];
-        for graph in [&vgg, &rn64] {
-            for gpus in &clusters {
-                for schedule in [
-                    Schedule::HetPipeWave,
-                    Schedule::OneFOneB,
-                    // Colocated: the edge search must defer to an
-                    // Nm-by-Nm sweep (joint-check feasibility is not
-                    // provably monotone in Nm), so agreement here pins
-                    // that walk.
-                    Schedule::Interleaved1F1B {
-                        chunks: 2,
-                        composite: true,
-                    },
-                ] {
-                    for recompute in [RecomputePolicy::None, RecomputePolicy::BoundaryOnly] {
-                        let limit =
-                            hetpipe_model::memory::nm_saturation_limit(schedule.virtual_stages(4));
-                        let links = vec![LinkKind::Pcie; schedule.virtual_stages(4) - 1];
-                        let gpus: Vec<_> = (0..schedule.virtual_stages(4))
-                            .map(|s| gpus[s % 4].clone())
-                            .collect();
-                        let fast =
-                            max_feasible_nm_with(graph, &gpus, &links, limit, schedule, recompute);
-                        let slow = max_feasible_nm_linear(
-                            graph, &gpus, &links, limit, schedule, recompute,
-                        );
-                        match (fast, slow) {
-                            (None, None) => {}
-                            (Some((a, pa)), Some((b, pb))) => {
-                                assert_eq!(
-                                    a, b,
-                                    "{} {schedule} {recompute}: binary {a} vs linear {b}",
-                                    graph.name
-                                );
-                                assert_eq!(pa.ranges, pb.ranges, "{} {schedule}", graph.name);
-                            }
-                            (a, b) => panic!(
-                                "{} {schedule} {recompute}: binary {:?} vs linear {:?}",
-                                graph.name,
-                                a.map(|x| x.0),
-                                b.map(|x| x.0)
-                            ),
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
