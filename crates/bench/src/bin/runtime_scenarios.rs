@@ -39,7 +39,7 @@ use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{trace_fingerprint, RecomputePolicy, Schedule, VirtualWorker, WspParams};
-use hetpipe_des::SimTime;
+use hetpipe_des::{Discard, SimTime};
 use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{
     self as runtime, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript,
@@ -129,25 +129,31 @@ fn main() {
         nm,
     };
 
-    let run_scenario = |script: ScenarioScript, policy: Policy| {
-        runtime::run(
-            RuntimeParams {
-                cluster: &cluster,
-                graph: &graph,
-                vws: vec![vw.clone()],
-                wsp: WspParams::new(nm, 0),
-                placement: Placement::Default,
-                sync_transfers: false,
-                schedule,
-                recompute,
-                script,
-                policy,
-                monitor: MonitorConfig::default(),
-                max_reactions: 8,
-                planner: None,
-            },
-            horizon,
-        )
+    // A cell keeps its spans only when something reads them: the
+    // zero-scenario parity check, and the cells whose chrome trace is
+    // written.
+    let writes = trace_prefix.is_some();
+    let run_scenario = |script: ScenarioScript, policy: Policy, keep: bool| {
+        let params = RuntimeParams {
+            cluster: &cluster,
+            graph: &graph,
+            vws: vec![vw.clone()],
+            wsp: WspParams::new(nm, 0),
+            placement: Placement::Default,
+            sync_transfers: false,
+            schedule,
+            recompute,
+            script,
+            policy,
+            monitor: MonitorConfig::default(),
+            max_reactions: 8,
+            planner: None,
+        };
+        if keep {
+            runtime::run(params, horizon)
+        } else {
+            runtime::run_into(params, horizon, Discard).0
+        }
     };
 
     let mut gate = Gate {
@@ -177,7 +183,7 @@ fn main() {
     // once and each run compares against that.
     let golden_fp = trace_fingerprint(plain.trace.spans());
     for policy in POLICIES {
-        let report = run_scenario(ScenarioScript::none(), policy);
+        let report = run_scenario(ScenarioScript::none(), policy, true);
         if trace_fingerprint(report.trace.spans()) != golden_fp {
             gate.failures.push(format!(
                 "none/{}: zero-scenario trace diverged from the one-shot executor",
@@ -210,7 +216,7 @@ fn main() {
     for (script, policies, replan_floor) in canonical {
         let mut static_completed = None;
         for &policy in policies {
-            let report = run_scenario(script.clone(), policy);
+            let report = run_scenario(script.clone(), policy, writes);
             let completed = report.total_completed();
             match (policy, static_completed) {
                 (Policy::Static, _) => static_completed = Some(completed),
@@ -236,7 +242,9 @@ fn main() {
     for seed in 1..=seeds {
         let script = ScenarioScript::chaos(seed, horizon_secs, 4, 1, 3);
         let events = script.events.len();
-        let report = run_scenario(script.clone(), Policy::Replan);
+        // The first four seeds' chrome traces are written.
+        let traced = seed <= 4;
+        let report = run_scenario(script.clone(), Policy::Replan, writes && traced);
         for epoch in report.epochs.iter().filter(|e| e.action.is_some()) {
             drained += epoch.events;
             resimulated += epoch.resimulated;
@@ -280,7 +288,7 @@ fn main() {
             Policy::Replan,
             &report,
             format!("{live} ({events} ev)"),
-            seed <= 4,
+            traced,
         );
     }
 

@@ -51,7 +51,7 @@ use hetpipe_core::{
     trace_fingerprint, AllocationPolicy, HetPipeSystem, OccupancyAudit, Placement, RecomputePolicy,
     Schedule, SystemConfig,
 };
-use hetpipe_des::{SimTime, Trace};
+use hetpipe_des::{Discard, SimTime, Trace};
 use hetpipe_model::{resnet152, vgg19, ModelGraph};
 use hetpipe_runtime::{MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 use serde_json::json;
@@ -184,8 +184,9 @@ fn main() {
                             // the fault script with the non-reactive
                             // (static) policy — what each schedule's
                             // structure alone does with a straggler.
+                            // Nothing reads its spans, so it keeps none.
                             let faulted_ips = script.as_ref().map(|script| {
-                                let fr = hetpipe_runtime::run(
+                                let (fr, _) = hetpipe_runtime::run_into(
                                     RuntimeParams {
                                         cluster,
                                         graph,
@@ -202,6 +203,7 @@ fn main() {
                                         planner: None,
                                     },
                                     horizon,
+                                    Discard,
                                 );
                                 if !fr.audits_sound() {
                                     violations
@@ -271,7 +273,7 @@ fn main() {
                                         let names = stats.resource_names();
                                         match trace.write_chrome_trace_file(
                                             &path,
-                                            |rid| names[rid.0].clone(),
+                                            |rid| names[rid.index()].clone(),
                                             |tag| tag.label(),
                                             |tag| tag.category(),
                                         ) {

@@ -68,9 +68,9 @@
 //! the sink by value, hands the sink back with the [`RunStats`] and,
 //! given a warm-up, folds the run's report. A [`Trace`] sink keeps
 //! every span, [`hetpipe_des::Discard`] none, and a caller's own sink
-//! sees every span as it is recorded: the elastic runtime's appends
-//! each segment, rebased, to its merged trace and folds its monitor
-//! there. [`run`] is the one shorthand: default options, every span
+//! sees every span as it is recorded: the elastic runtime's hands
+//! each segment's spans, rebased, to its caller's sink and folds its
+//! monitor there. [`run`] is the one shorthand: default options, every span
 //! kept in [`RunStats::trace`]. The occupancy peaks and the report's
 //! integer partials fold while the run executes, so they cost no kept
 //! trace.
@@ -125,25 +125,36 @@ pub use fastforward::FastForward;
 
 /// What a recorded span represents. Virtual worker and stage indices
 /// are `u16` (every run asserts that its virtual workers and their
-/// stages fit), so a tag takes 16 bytes and a kept span 40.
+/// stages fit), and minibatch and wave numbers `u32`, narrowed by
+/// [`SpanTag::index`] wherever a tag is built, so a tag takes 12 bytes
+/// and a kept span 32. The executor's own counters stay `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanTag {
     /// A forward pass of `mb` on `(vw, stage)`.
-    Forward { vw: u16, stage: u16, mb: u64 },
+    Forward { vw: u16, stage: u16, mb: u32 },
     /// A backward pass (or the fused forward+backward at the last
     /// stage).
-    Backward { vw: u16, stage: u16, mb: u64 },
+    Backward { vw: u16, stage: u16, mb: u32 },
     /// A stage-local re-run of `mb`'s forward to rematerialize its
     /// activations directly before the backward
     /// ([`RecomputePolicy::BoundaryOnly`]).
-    Recompute { vw: u16, stage: u16, mb: u64 },
+    Recompute { vw: u16, stage: u16, mb: u32 },
     /// An activation (forward) or gradient (backward) transfer on a NIC.
     ActTransfer { vw: u16, stage: u16, backward: bool },
     /// A parameter push/pull chunk on a NIC.
-    SyncTransfer { vw: u16, wave: u64, pull: bool },
+    SyncTransfer { vw: u16, wave: u32, pull: bool },
 }
 
 impl SpanTag {
+    /// A minibatch or wave number as a tag holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
+    pub fn index(n: u64) -> u32 {
+        u32::try_from(n).expect("span tags number minibatches and waves below 2^32")
+    }
+
     /// A short label for trace exports (e.g. Chrome traces).
     pub fn label(&self) -> String {
         match self {
@@ -327,10 +338,10 @@ impl RunStats {
     pub fn resource_names(&self) -> Vec<String> {
         let mut names = vec![String::new(); self.pool.len()];
         for (d, id) in self.gpu_resources.iter().enumerate() {
-            names[id.0] = format!("gpu{d}");
+            names[id.index()] = format!("gpu{d}");
         }
         for (n, id) in self.nic_resources.iter().enumerate() {
-            names[id.0] = format!("nic{n}");
+            names[id.index()] = format!("nic{n}");
         }
         names
     }
@@ -520,9 +531,9 @@ impl<'a> Plan<'a> {
         );
         let cluster = p.cluster;
         let devices = cluster.device_count();
-        let gpu_res = (0..devices).map(ResourceId).collect();
+        let gpu_res = (0..devices).map(ResourceId::new).collect();
         let nic_res = (devices..devices + cluster.node_count())
-            .map(ResourceId)
+            .map(ResourceId::new)
             .collect();
         let (fwd, bwd) = planned_stage_times(cluster, p.graph, p.vws);
         let chunks: Vec<Vec<SyncChunk>> = (p.vws.iter())
@@ -582,10 +593,10 @@ impl<'a> Plan<'a> {
         // at the segment start.
         let mut edges = vec![Vec::new(); devices + cluster.node_count()];
         for &(target, rate) in &plan.opts.initial_rates {
-            edges[plan.fault_resource(target).0].push((SimTime::ZERO, rate));
+            edges[plan.fault_resource(target).index()].push((SimTime::ZERO, rate));
         }
         for ev in &plan.opts.rate_events {
-            edges[plan.fault_resource(ev.target).0].push((ev.at, ev.rate));
+            edges[plan.fault_resource(ev.target).index()].push((ev.at, ev.rate));
         }
         plan.rates = edges.into_iter().map(RateTimeline::new).collect();
         plan
@@ -734,12 +745,12 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             let a = self.plan.nic_res[from.0];
             let b = self.plan.nic_res[to.0];
             // A degraded link runs at the slower endpoint's rate now.
-            let rate = |r: ResourceId| self.plan.rates[r.0].rate_at(now);
+            let rate = |r: ResourceId| self.plan.rates[r.index()].rate_at(now);
             let slower = if rate(a) <= rate(b) { a } else { b };
             let start = now
                 .max(self.st.pool.get(a).free_at())
                 .max(self.st.pool.get(b).free_at());
-            let dur = self.plan.rates[slower.0].duration_from(start, dur);
+            let dur = self.plan.rates[slower.index()].duration_from(start, dur);
             let (s1, e1) = self.st.pool.get_mut(a).reserve(start, dur);
             let (s2, e2) = self.st.pool.get_mut(b).reserve(start, dur);
             debug_assert_eq!((s1, e1), (s2, e2), "paired NIC slots must align");
@@ -1017,21 +1028,22 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         let (fwd, bwd) = (self.plan.fwd[vw][stage], self.plan.bwd[vw][stage]);
         let (dur, tag) = {
             let (vw, stage) = (vw as u16, stage as u16);
+            let mb = op.minibatch().map_or(0, SpanTag::index);
             match op {
-                ScheduleOp::Forward { mb } => (fwd, SpanTag::Forward { vw, stage, mb }),
-                ScheduleOp::Recompute { mb } => (fwd, SpanTag::Recompute { vw, stage, mb }),
-                ScheduleOp::Backward { mb } => (bwd, SpanTag::Backward { vw, stage, mb }),
+                ScheduleOp::Forward { .. } => (fwd, SpanTag::Forward { vw, stage, mb }),
+                ScheduleOp::Recompute { .. } => (fwd, SpanTag::Recompute { vw, stage, mb }),
+                ScheduleOp::Backward { .. } => (bwd, SpanTag::Backward { vw, stage, mb }),
                 // The wave schedule's fused last stage (Section 4) runs
                 // forward and backward as one task, recorded as the
                 // backward.
-                ScheduleOp::FusedFwdBwd { mb } => (fwd + bwd, SpanTag::Backward { vw, stage, mb }),
+                ScheduleOp::FusedFwdBwd { .. } => (fwd + bwd, SpanTag::Backward { vw, stage, mb }),
                 _ => unreachable!("{op:?} is not a compute op"),
             }
         };
         let device = self.plan.p.vws[vw].devices[stage].0;
         let gpu = self.plan.gpu_res[device];
         let now = self.st.engine.now();
-        let rates = &self.plan.rates[gpu.0];
+        let rates = &self.plan.rates[gpu.index()];
         let (s, e) = self.st.pool.get_mut(gpu).reserve_work(now, dur, rates);
         self.record(gpu, s, e, tag);
         if let Some(report) = &mut self.st.report {
@@ -1053,9 +1065,11 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         // it, since its backward is reserved right behind it on the
         // same FIFO timeline.
         let (vw, stage) = (vw as u16, stage as u16);
-        let done = match tag {
-            SpanTag::Forward { mb, .. } => Ev::FwdDone { vw, stage, mb },
-            SpanTag::Backward { mb, .. } => Ev::BwdDone { vw, stage, mb },
+        let done = match op {
+            ScheduleOp::Forward { mb } => Ev::FwdDone { vw, stage, mb },
+            ScheduleOp::Backward { mb } | ScheduleOp::FusedFwdBwd { mb } => {
+                Ev::BwdDone { vw, stage, mb }
+            }
             _ => return,
         };
         self.st.engine.schedule_at(e, done);
@@ -1118,7 +1132,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
             };
             let tag = SpanTag::SyncTransfer {
                 vw: vw as u16,
-                wave,
+                wave: SpanTag::index(wave),
                 pull,
             };
             let arrive = self.transfer(from, to, ch.bytes, tag);
@@ -1494,13 +1508,30 @@ mod tests {
         run_groups(groups, wsp, Placement::Default, schedule, opts, secs)
     }
 
-    /// A kept span is 40 bytes: its tag's `u16` indices pack beside
-    /// the minibatch or wave number into 16.
+    /// A kept span is 32 bytes: its tag's `u16` indices pack beside
+    /// the `u32` minibatch or wave number into 12, aligned to 4, and
+    /// its resource id is a `u32`.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn kept_spans_are_forty_bytes() {
-        assert_eq!(std::mem::size_of::<SpanTag>(), 16);
-        assert_eq!(std::mem::size_of::<hetpipe_des::Span<SpanTag>>(), 40);
+    fn kept_spans_are_thirty_two_bytes() {
+        assert_eq!(std::mem::size_of::<SpanTag>(), 12);
+        assert_eq!(std::mem::align_of::<SpanTag>(), 4);
+        assert_eq!(std::mem::size_of::<ResourceId>(), 4);
+        assert_eq!(std::mem::size_of::<hetpipe_des::Span<SpanTag>>(), 32);
+    }
+
+    /// Tags narrow minibatch and wave numbers to `u32` through one
+    /// checked helper: the largest `u32` passes, one more panics.
+    #[test]
+    fn tag_indices_narrow_with_a_check() {
+        assert_eq!(SpanTag::index(u64::from(u32::MAX)), u32::MAX);
+        let err = std::panic::catch_unwind(|| SpanTag::index(u64::from(u32::MAX) + 1))
+            .expect_err("2^32 does not fit a tag");
+        let msg = err.downcast_ref::<String>().map(String::as_str);
+        assert!(
+            msg.is_some_and(|m| m.contains("span tags number minibatches and waves below 2^32")),
+            "{msg:?}"
+        );
     }
 
     /// An event is 16 bytes: its `u16` ids pack beside the minibatch
@@ -1818,6 +1849,60 @@ mod tests {
             }
             assert!(between_events > 0, "every cut fell on an event");
         });
+    }
+
+    /// A transfer that starts while both endpoint NICs run at the same
+    /// degraded rate integrates over the sender's timeline, also where
+    /// the receiver recovers first: a tie picks the sender. Both NIC
+    /// spans take the sender's duration. Tier: unit.
+    #[test]
+    fn a_tied_nic_rate_integrates_over_the_senders_timeline() {
+        let (wsp, recompute) = (WspParams::new(4, 0), RecomputePolicy::None);
+        let vws = build_vws(&ed_groups(), wsp.nm, HetPipeWave, recompute);
+        let bytes = 1 << 28;
+        let nominal = SimTime::from_secs(LinkKind::Infiniband.transfer_secs(bytes));
+        // Both NICs at half rate; the receiver's recovers after one
+        // nominal duration, the sender's after four.
+        let recover = |node, k| RateEvent {
+            at: SimTime::from_nanos(k * nominal.as_nanos()),
+            target: RateTarget::Nic(node),
+            rate: 1.0,
+        };
+        let opts = SegmentOpts {
+            initial_rates: vec![(RateTarget::Nic(0), 0.5), (RateTarget::Nic(1), 0.5)],
+            rate_events: vec![recover(1, 1), recover(0, 4)],
+            ..SegmentOpts::default()
+        };
+        with_params(
+            &vws,
+            wsp,
+            Placement::Local,
+            HetPipeWave,
+            recompute,
+            |params| {
+                let plan = Plan::new(params, opts, SimTime::from_secs(60.0));
+                let mut ex = Exec::new(plan, None, Trace::new());
+                let tag = SpanTag::ActTransfer {
+                    vw: 0,
+                    stage: 0,
+                    backward: false,
+                };
+                let arrive = ex.transfer(NodeId(0), NodeId(1), bytes, tag);
+                let (sender, receiver) = (ex.plan.nic_res[0], ex.plan.nic_res[1]);
+                let along =
+                    |r: ResourceId| ex.plan.rates[r.index()].duration_from(SimTime::ZERO, nominal);
+                let dur = along(sender);
+                assert!(along(receiver) < dur, "the receiver recovers first");
+                assert_eq!(arrive, dur);
+                let spans: Vec<_> = (ex.sink.spans().iter())
+                    .map(|s| (s.resource, s.start, s.end))
+                    .collect();
+                assert_eq!(
+                    spans,
+                    [(sender, SimTime::ZERO, dur), (receiver, SimTime::ZERO, dur)]
+                );
+            },
+        );
     }
 
     #[test]

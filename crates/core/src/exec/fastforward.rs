@@ -495,7 +495,7 @@ impl<S> Exec<'_, S> {
         let by = SimTime::from_nanos(k * period.dt.as_nanos());
         // Whether the period reserved a resource: the pool's totals lead
         // `State::totals`, busy time then reservations per resource.
-        let reserved = |id: ResourceId| period.totals[2 * id.0 + 1] > 0;
+        let reserved = |id: ResourceId| period.totals[2 * id.index() + 1] > 0;
         self.st.shift(&self.plan, by, k * period.waves, reserved);
         let mut increments = period.totals.iter();
         self.st
@@ -651,7 +651,7 @@ impl State {
             spans: _,
         } = self;
         engine.fast_forward(by, |ev| ev.shift(mbs, waves));
-        for id in (0..pool.len()).map(ResourceId) {
+        for id in (0..pool.len()).map(ResourceId::new) {
             if reserved(id) {
                 pool.get_mut(id).shift(by);
             }
@@ -732,7 +732,7 @@ impl State {
             last_arrival: _,
             queried: _,
         } = self;
-        for id in (0..pool.len()).map(ResourceId) {
+        for id in (0..pool.len()).map(ResourceId::new) {
             let r = pool.get_mut(id);
             let (busy, n) = (r.busy_time(), r.reservations());
             r.add(SimTime::from_nanos(f(busy.as_nanos())) - busy, f(n) - n);

@@ -65,7 +65,7 @@ mod tests {
     use super::*;
     use hetpipe_des::{ResourceId, SimTime};
 
-    fn span(resource: usize, start: f64, vw: u16, mb: u64) -> Span<SpanTag> {
+    fn span(resource: u32, start: f64, vw: u16, mb: u32) -> Span<SpanTag> {
         Span {
             resource: ResourceId(resource),
             start: SimTime::from_secs(start),

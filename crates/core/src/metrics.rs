@@ -80,17 +80,17 @@ impl SystemReport {
         vw_devices: &[Vec<DeviceId>],
     ) -> SystemReport {
         // Dense resource → device map; NIC resources map to nothing.
-        let rid_end = stats.gpu_resources.iter().map(|r| r.0 + 1).max();
+        let rid_end = stats.gpu_resources.iter().map(|r| r.index() + 1).max();
         let mut device_of = vec![None; rid_end.unwrap_or(0)];
         for (d, r) in stats.gpu_resources.iter().enumerate() {
-            device_of[r.0] = Some(d);
+            device_of[r.index()] = Some(d);
         }
         let mut spans: Vec<_> = stats
             .trace
             .spans()
             .iter()
             .filter(|s| s.end > s.start)
-            .filter_map(|s| Some((device_of.get(s.resource.0).copied().flatten()?, s)))
+            .filter_map(|s| Some((device_of.get(s.resource.index()).copied().flatten()?, s)))
             .collect();
         spans.sort_by_key(|(_, s)| s.start);
         debug_assert!(

@@ -12,9 +12,28 @@
 
 use crate::time::SimTime;
 
-/// Index of a resource within a [`ResourcePool`].
+/// Index of a resource within a [`ResourcePool`]. A `u32`, so that a
+/// kept [`Span`](crate::Span) with a 12-byte tag takes 32 bytes;
+/// [`ResourceId::new`] and [`ResourcePool::add`] check that an index
+/// fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ResourceId(pub usize);
+pub struct ResourceId(pub u32);
+
+impl ResourceId {
+    /// The id of the resource at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in a `u32`.
+    pub fn new(index: usize) -> Self {
+        ResourceId(u32::try_from(index).expect("resource ids fit in a u32"))
+    }
+
+    /// The id as a slice index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A serially-reusable resource with FCFS timeline reservation. Its
 /// service rate is not its own: a run declares each resource's
@@ -192,8 +211,12 @@ impl ResourcePool {
     }
 
     /// Adds a resource and returns its ID.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool already holds `u32::MAX + 1` resources.
     pub fn add(&mut self, resource: Resource) -> ResourceId {
-        let id = ResourceId(self.resources.len());
+        let id = ResourceId::new(self.resources.len());
         self.resources.push(resource);
         id
     }
@@ -204,7 +227,7 @@ impl ResourcePool {
     ///
     /// Panics if `id` is out of range.
     pub fn get(&self, id: ResourceId) -> &Resource {
-        &self.resources[id.0]
+        &self.resources[id.index()]
     }
 
     /// Exclusive access to a resource.
@@ -213,7 +236,7 @@ impl ResourcePool {
     ///
     /// Panics if `id` is out of range.
     pub fn get_mut(&mut self, id: ResourceId) -> &mut Resource {
-        &mut self.resources[id.0]
+        &mut self.resources[id.index()]
     }
 
     /// Number of resources in the pool.
@@ -231,7 +254,7 @@ impl ResourcePool {
         self.resources
             .iter()
             .enumerate()
-            .map(|(i, r)| (ResourceId(i), r))
+            .map(|(i, r)| (ResourceId::new(i), r))
     }
 }
 
@@ -368,6 +391,16 @@ mod tests {
         idle.add(SimTime::ZERO, 0);
         assert_eq!(idle.free_at(), SimTime::from_nanos(10));
         assert_eq!(idle.reservations(), 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn resource_ids_fit_in_a_u32() {
+        assert_eq!(
+            ResourceId::new(u32::MAX as usize).index(),
+            u32::MAX as usize
+        );
+        assert!(std::panic::catch_unwind(|| ResourceId::new(u32::MAX as usize + 1)).is_err());
     }
 
     #[test]

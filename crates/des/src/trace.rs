@@ -47,7 +47,10 @@ impl<T> SpanSink<T> for Trace<T> {
     }
 }
 
-/// A labelled interval on a resource's timeline.
+/// A labelled interval on a resource's timeline: a 4-byte
+/// [`ResourceId`], two 8-byte instants and the tag, so a kept span
+/// takes 20 bytes plus its tag, rounded up to a multiple of 8 (32
+/// bytes with a 12-byte tag).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span<T> {
     /// The resource the span occupied.
@@ -198,12 +201,21 @@ impl<T> Trace<T> {
         let mut out = io::BufWriter::new(out);
         let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         writeln!(out, "[")?;
-        // Track metadata, one per resource seen in the trace.
-        let mut seen: Vec<ResourceId> = self.spans.iter().map(|s| s.resource).collect();
-        seen.sort();
-        seen.dedup();
+        // Track metadata, one per resource seen in the trace, in id
+        // order.
+        let mut seen = Vec::new();
+        for s in &self.spans {
+            let i = s.resource.index();
+            if i >= seen.len() {
+                seen.resize(i + 1, false);
+            }
+            seen[i] = true;
+        }
+        let tracks = (seen.iter().enumerate())
+            .filter(|&(_, &seen)| seen)
+            .map(|(i, _)| ResourceId::new(i));
         let mut first = true;
-        for rid in &seen {
+        for rid in tracks {
             if !first {
                 writeln!(out, ",")?;
             }
@@ -213,7 +225,7 @@ impl<T> Trace<T> {
                 "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 rid.0,
-                escape(&track_names(*rid))
+                escape(&track_names(rid))
             )?;
         }
         for s in &self.spans {
@@ -441,6 +453,39 @@ mod tests {
         // One metadata event per distinct resource + one per span.
         assert_eq!(s.matches("\"ph\":\"M\"").count(), 2);
         assert_eq!(s.matches("\"ph\":\"X\"").count(), 2);
+    }
+
+    /// The track list marks each seen id and walks the marks in id
+    /// order: the same metadata lines as sorting and deduplicating
+    /// every span's id, on ids with gaps, repeats and no span on id 0.
+    #[test]
+    fn chrome_tracks_match_sorted_deduplicated_ids() {
+        let mut tr = Trace::new();
+        let ids = [7u32, 2, 7, 12, 2, 3, 12, 12, 5];
+        for (i, &id) in ids.iter().enumerate() {
+            let at = SimTime::from_micros(i as u64);
+            tr.record(ResourceId(id), at, at + SimTime::from_micros(1), Tag::Fwd);
+        }
+        let mut buf = Vec::new();
+        tr.write_chrome_trace(&mut buf, |r| format!("res{}", r.0), |_| "f".into(), |_| "c")
+            .unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        let metadata: Vec<&str> = s.lines().filter(|l| l.contains("\"ph\":\"M\"")).collect();
+        let mut sorted: Vec<ResourceId> = tr.spans().iter().map(|s| s.resource).collect();
+        sorted.sort();
+        sorted.dedup();
+        let want: Vec<String> = sorted
+            .iter()
+            .map(|r| {
+                format!(
+                    "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
+                     \"args\":{{\"name\":\"res{}\"}}}},",
+                    r.0, r.0
+                )
+            })
+            .collect();
+        assert_eq!(metadata, want);
+        assert_eq!(metadata.len(), 5);
     }
 
     #[test]

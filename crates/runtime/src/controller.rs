@@ -5,12 +5,12 @@
 //!
 //! 1. **Probe.** Simulate the remaining horizon under the current
 //!    configuration (plans and derates) with the fault script's rate
-//!    edges injected as DES events. Every segment records each span
-//!    once, through the controller's span sink, straight into the
-//!    report's merged trace (rebased to global time and to global
-//!    minibatch and wave numbering); no segment keeps a trace of its
-//!    own. The probe also saves wave checkpoints, clones
-//!    of its executor state ([`exec::run_into_checkpointed`]).
+//!    edges injected as DES events. Every segment hands each span
+//!    once, through the controller's segment sink, to the caller's
+//!    [`RuntimeSink`] (rebased to global time and to global minibatch
+//!    and wave numbering); no segment keeps a trace of its own. The
+//!    probe also saves wave checkpoints, clones of its executor state
+//!    ([`exec::run_into_checkpointed`]).
 //! 2. **Observe.** While the probe runs, the same sink folds each span
 //!    into a [`MonitorFold`] (segment-local times, before rebasing),
 //!    and the probe's judge reads the fold's typed signals at each
@@ -29,9 +29,9 @@
 //!      the probe halts ([`Verdict::Halt`]) and the epoch drains at the
 //!      last wave boundary every VW had completed. It resumes from the
 //!      probe's latest checkpoint whose stop queries have not passed
-//!      that boundary ([`Checkpoints::for_stop`]): the report's trace
+//!      that boundary ([`Checkpoints::for_stop`]): the caller's sink
 //!      is cut back to the spans the probe recorded before it
-//!      ([`Trace::truncate`], the only cut), and the drain resumes
+//!      ([`RuntimeSink::cut_back`], the only cut), and the drain resumes
 //!      from there ([`exec::resume_into`]) under the probe's own rates
 //!      and horizon. Only the tail past the checkpoint is simulated
 //!      again ([`Epoch::resimulated`]).
@@ -40,6 +40,16 @@
 //!    the policy never answers runs to the horizon and is the final
 //!    epoch, so a zero-fault run under any policy commits exactly the
 //!    trace a plain [`hetpipe_core::exec::run`] produces, bit for bit.
+//!
+//! **Who keeps spans.** The caller chooses. [`run`] keeps the merged
+//! trace in [`RuntimeReport::trace`]: the runtime pins, chrome export
+//! and the zero-scenario parity check read it. [`run_into`] hands the
+//! spans to the caller's [`RuntimeSink`] instead and returns the
+//! report with an empty trace; with [`Discard`] nothing is kept or
+//! rebased, and the monitor still folds every probe's spans, so every
+//! other report field is the same as [`run`]'s. The controller only
+//! measures the sink ([`RuntimeSink::kept`]) and cuts it back at an
+//! outage splice.
 //!
 //! **What a probe judges.** The judge (`Judge`) reads the signals as
 //! they stand at three kinds of instant: when every VW has completed a
@@ -105,7 +115,7 @@ use hetpipe_core::exec::{
 };
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
-use hetpipe_des::{ResourceId, SimTime, SpanSink, Trace};
+use hetpipe_des::{Discard, ResourceId, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -201,7 +211,8 @@ pub struct RuntimeReport {
     /// Per-VW minibatch completion times, global, across all epochs.
     pub completions: Vec<Vec<SimTime>>,
     /// The merged span trace (tags rebased to global minibatch/wave
-    /// numbering, times rebased to global time).
+    /// numbering, times rebased to global time), kept by [`run`];
+    /// empty from [`run_into`], which hands the spans to its sink.
     pub trace: Trace<SpanTag>,
     /// Resource names by `ResourceId` index (chrome-trace tracks).
     pub resource_names: Vec<String>,
@@ -263,7 +274,7 @@ impl RuntimeReport {
             file,
             |rid| {
                 self.resource_names
-                    .get(rid.0)
+                    .get(rid.index())
                     .cloned()
                     .unwrap_or_else(|| format!("res{}", rid.0))
             },
@@ -341,8 +352,8 @@ struct Reaction {
 /// asks [`Controller::decide`] about the monitor's signals and the
 /// lease transitions as they stand, and stops judging at the first
 /// action.
-struct Judge<'c, 'a> {
-    ctl: &'c Controller<'a>,
+struct Judge<'c, 'a, S> {
+    ctl: &'c Controller<'a, S>,
     /// The stable lease transitions, for [`Controller::lease_signals`].
     leases: Vec<StableLease>,
     /// Lease detection instants still ahead (segment-local), latest
@@ -352,14 +363,14 @@ struct Judge<'c, 'a> {
     waves: u64,
     losses: usize,
     reaction: Option<Reaction>,
-    /// The report trace's length and the signals judged, at each
+    /// The kept span count and the signals judged, at each
     /// judgement, for the monitor fold's parity test.
     #[cfg(test)]
     judged: Vec<(usize, Vec<Signal>)>,
 }
 
-impl<'c, 'a> Judge<'c, 'a> {
-    fn new(ctl: &'c Controller<'a>, remaining: SimTime) -> Self {
+impl<'c, 'a, S: RuntimeSink> Judge<'c, 'a, S> {
+    fn new(ctl: &'c Controller<'a, S>, remaining: SimTime) -> Self {
         let leases = ctl.stable_leases();
         let (from, to) = (ctl.offset, ctl.offset + remaining);
         let mut detections: Vec<SimTime> = (leases.iter())
@@ -383,7 +394,7 @@ impl<'c, 'a> Judge<'c, 'a> {
     /// come: every VW has completed a new whole wave, the fold has
     /// recorded a new GPU loss, or a lease detection instant has
     /// passed (judged at that instant, before the next event).
-    fn judge(&mut self, at: Progress, sink: &SegmentSink) -> Verdict {
+    fn judge(&mut self, at: Progress, sink: &SegmentSink<S>) -> Verdict {
         let fold = sink.monitor.as_ref().expect("a probe folds the monitor");
         let mut instant = None;
         if at.waves > self.waves || fold.losses() > self.losses {
@@ -400,7 +411,7 @@ impl<'c, 'a> Judge<'c, 'a> {
         let lease = self.ctl.lease_signals(&self.leases, now);
         let action = self.ctl.decide(&signals, &lease);
         #[cfg(test)]
-        self.judged.push((sink.trace.len(), signals));
+        self.judged.push((sink.kept.kept(), signals));
         let Some(action) = action else {
             return Verdict::Run;
         };
@@ -426,14 +437,46 @@ struct StableLease {
     detect: SimTime,
 }
 
-/// The sink every segment records into: it appends each span to the
-/// run's merged trace, rebased to global time and to global minibatch
-/// and wave numbering, and — while probing — folds it into the
-/// monitor in segment-local time. So a segment's spans are recorded
-/// once, where the report keeps them.
-struct SegmentSink {
-    /// The report's trace, moved in for the segment.
-    trace: Trace<SpanTag>,
+/// A span sink a runtime run records into, which the controller can
+/// measure and cut back: an outage splice cuts the spans its probe
+/// recorded past a checkpoint and the drain resumed from there records
+/// them again. A [`Trace`] keeps the merged trace; [`Discard`] keeps
+/// nothing and has nothing to cut.
+pub trait RuntimeSink: SpanSink<SpanTag> + Default {
+    /// The number of spans kept so far.
+    fn kept(&self) -> usize;
+
+    /// Drops every kept span past the first `len`.
+    fn cut_back(&mut self, len: usize);
+}
+
+impl RuntimeSink for Trace<SpanTag> {
+    fn kept(&self) -> usize {
+        self.len()
+    }
+
+    fn cut_back(&mut self, len: usize) {
+        self.truncate(len);
+    }
+}
+
+impl RuntimeSink for Discard {
+    fn kept(&self) -> usize {
+        0
+    }
+
+    fn cut_back(&mut self, _: usize) {}
+}
+
+/// The sink every segment records into, wrapped around the run's
+/// [`RuntimeSink`]: it hands each span on rebased to global time and to
+/// global minibatch and wave numbering, and — while probing — folds it
+/// into the monitor in segment-local time. So a segment's spans are
+/// recorded once, where the caller keeps them, and a sink that keeps
+/// none costs no rebasing.
+struct SegmentSink<S> {
+    /// The run's sink, moved in for the segment.
+    kept: S,
     offset: SimTime,
     mb_offset: u64,
     wave_offset: u64,
@@ -441,41 +484,47 @@ struct SegmentSink {
     monitor: Option<MonitorFold>,
 }
 
-impl SpanSink<SpanTag> for SegmentSink {
+impl<S: RuntimeSink> SpanSink<SpanTag> for SegmentSink<S> {
+    const KEEPS_SPANS: bool = S::KEEPS_SPANS;
+
     fn record(&mut self, resource: ResourceId, start: SimTime, end: SimTime, tag: SpanTag) {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe(tag, start, end);
         }
+        if !S::KEEPS_SPANS {
+            return;
+        }
+        let mb = |mb: u32| SpanTag::index(u64::from(mb) + self.mb_offset);
         let tag = match tag {
-            SpanTag::Forward { vw, stage, mb } => SpanTag::Forward {
+            SpanTag::Forward { vw, stage, mb: m } => SpanTag::Forward {
                 vw,
                 stage,
-                mb: mb + self.mb_offset,
+                mb: mb(m),
             },
-            SpanTag::Backward { vw, stage, mb } => SpanTag::Backward {
+            SpanTag::Backward { vw, stage, mb: m } => SpanTag::Backward {
                 vw,
                 stage,
-                mb: mb + self.mb_offset,
+                mb: mb(m),
             },
-            SpanTag::Recompute { vw, stage, mb } => SpanTag::Recompute {
+            SpanTag::Recompute { vw, stage, mb: m } => SpanTag::Recompute {
                 vw,
                 stage,
-                mb: mb + self.mb_offset,
+                mb: mb(m),
             },
             SpanTag::SyncTransfer { vw, wave, pull } => SpanTag::SyncTransfer {
                 vw,
-                wave: wave + self.wave_offset,
+                wave: SpanTag::index(u64::from(wave) + self.wave_offset),
                 pull,
             },
             other => other,
         };
-        self.trace
+        self.kept
             .record(resource, start + self.offset, end + self.offset, tag);
     }
 }
 
 /// Mutable controller state across epochs.
-struct Controller<'a> {
+struct Controller<'a, S> {
     p: RuntimeParams<'a>,
     vws: Vec<VirtualWorker>,
     nm: usize,
@@ -499,14 +548,17 @@ struct Controller<'a> {
     wave_offset: u64,
     reactions: usize,
     report: RuntimeReport,
+    /// The caller's sink, which every segment records into; moved into
+    /// each segment's [`SegmentSink`] and back.
+    kept: S,
     /// Every probe's inputs and in-run signals, for the monitor fold's
     /// parity test.
     #[cfg(test)]
     probes: Vec<tests::Probe>,
 }
 
-impl<'a> Controller<'a> {
-    fn new(p: RuntimeParams<'a>, horizon: SimTime) -> Self {
+impl<'a, S: RuntimeSink> Controller<'a, S> {
+    fn new(p: RuntimeParams<'a>, horizon: SimTime, kept: S) -> Self {
         let vws = p.vws.clone();
         let nm = p.wsp.nm;
         let mut instants: Vec<(SimTime, String, &'static str)> = p
@@ -554,6 +606,7 @@ impl<'a> Controller<'a> {
             wave_offset: 0,
             reactions: 0,
             report,
+            kept,
             p,
             #[cfg(test)]
             probes: Vec::new(),
@@ -570,11 +623,11 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// A sink that records into the report's trace (moved out until
-    /// the segment hands it back) under the current offsets.
-    fn sink(&mut self, monitor: Option<MonitorFold>) -> SegmentSink {
+    /// A sink that records into the run's sink (moved out until the
+    /// segment hands it back) under the current offsets.
+    fn sink(&mut self, monitor: Option<MonitorFold>) -> SegmentSink<S> {
         SegmentSink {
-            trace: std::mem::take(&mut self.report.trace),
+            kept: std::mem::take(&mut self.kept),
             offset: self.offset,
             mb_offset: self.mb_offset,
             wave_offset: self.wave_offset,
@@ -613,7 +666,7 @@ impl<'a> Controller<'a> {
         let (fwd, bwd) = exec::planned_stage_times(self.p.cluster, self.p.graph, &self.vws);
         let monitor = MonitorFold::new(&self.vws, self.p.schedule, &self.applied, &fwd, &bwd);
         #[cfg(test)]
-        let mark = self.report.trace.len();
+        let mark = self.kept.kept();
         let sink = self.sink(Some(monitor));
         let shards = self.shards();
         let mut judge = Judge::new(self, remaining);
@@ -627,7 +680,7 @@ impl<'a> Controller<'a> {
         let reaction = judge.reaction;
         #[cfg(test)]
         let judged = judge.judged;
-        self.report.trace = sink.trace;
+        self.kept = sink.kept;
         #[cfg(test)]
         self.probes.push(tests::Probe {
             vws: self.vws.clone(),
@@ -659,7 +712,7 @@ impl<'a> Controller<'a> {
         checkpoints: &Checkpoints,
     ) -> (RunStats, u64) {
         let from = checkpoints.for_stop(stop);
-        self.report.trace.truncate(mark + from.spans());
+        self.kept.cut_back(mark + from.spans());
         let sink = self.sink(None);
         let (opts, shards) = (self.segment_opts(Some(stop)), self.shards());
         let (stats, sink) = exec::resume_into(
@@ -670,7 +723,7 @@ impl<'a> Controller<'a> {
             from,
             probe,
         );
-        self.report.trace = sink.trace;
+        self.kept = sink.kept;
         let resimulated = stats.events - from.events();
         (stats, resimulated)
     }
@@ -942,13 +995,13 @@ impl<'a> Controller<'a> {
         // No feasible Nm: keep the old configuration.
     }
 
-    fn run(mut self, horizon: SimTime) -> RuntimeReport {
+    fn run(mut self, horizon: SimTime) -> (RuntimeReport, S) {
         self.drive(horizon);
         self.report.instants.sort_by_key(|i| i.0);
         self.report.signals.sort_by_key(|i| i.0);
         self.report.final_vws = self.vws;
         self.report.final_nm = self.nm;
-        self.report
+        (self.report, self.kept)
     }
 
     /// Probes, reacts and commits epochs until the horizon.
@@ -958,9 +1011,9 @@ impl<'a> Controller<'a> {
             if remaining.is_zero() {
                 break;
             }
-            // The probe records into the report's trace; an outage
-            // splice cuts it back to its checkpoint, counted from here.
-            let mark = self.report.trace.len();
+            // The probe records into the run's sink; an outage splice
+            // cuts it back to its checkpoint, counted from here.
+            let mark = self.kept.kept();
             let (probe, monitor, checkpoints, reaction) = self.probe(remaining);
             self.report.simulated_events += probe.events;
             let Some(Reaction { action, stop }) = reaction else {
@@ -971,7 +1024,7 @@ impl<'a> Controller<'a> {
                 let signals = monitor.signals();
                 #[cfg(test)]
                 if let Some(p) = self.probes.last_mut() {
-                    p.judged.push((self.report.trace.len(), signals.clone()));
+                    p.judged.push((self.kept.kept(), signals.clone()));
                 }
                 self.log_signals(&signals);
                 self.commit(&probe, None, 0);
@@ -982,7 +1035,7 @@ impl<'a> Controller<'a> {
             } else {
                 #[cfg(test)]
                 if let Some(p) = self.probes.last_mut() {
-                    p.in_place = Some((stop, probe.clone(), mark..self.report.trace.len()));
+                    p.in_place = Some((stop, probe.clone(), mark..self.kept.kept()));
                 }
                 (probe, 0)
             };
@@ -1002,9 +1055,26 @@ impl<'a> Controller<'a> {
 }
 
 /// Runs a fault-aware simulation: fault injection, monitoring, and
-/// the reactive policy, merged into one global report.
+/// the reactive policy, merged into one global report that keeps the
+/// merged trace ([`RuntimeReport::trace`]). [`run_into`] with a
+/// [`Trace`].
 pub fn run(params: RuntimeParams<'_>, horizon: SimTime) -> RuntimeReport {
-    Controller::new(params, horizon).run(horizon)
+    let (mut report, trace) = run_into(params, horizon, Trace::new());
+    report.trace = trace;
+    report
+}
+
+/// [`run`] with the committed spans handed to `sink`, rebased to
+/// global time and numbering, in the order [`run`]'s trace keeps them.
+/// Returns the report, whose trace is empty, and the sink. Every other
+/// report field is the same for every sink, so a caller that reads no
+/// span passes [`Discard`] and keeps none.
+pub fn run_into<S: RuntimeSink>(
+    params: RuntimeParams<'_>,
+    horizon: SimTime,
+    sink: S,
+) -> (RuntimeReport, S) {
+    Controller::new(params, horizon, sink).run(horizon)
 }
 
 #[cfg(test)]
@@ -1114,14 +1184,16 @@ mod tests {
                     max_reactions: 8,
                     planner: None,
                 };
-                let mut controller = Controller::new(params, horizon);
+                let mut controller = Controller::new(params, horizon, Trace::new());
                 controller.drive(horizon);
+                let mut report = controller.report;
+                report.trace = controller.kept;
                 Cell {
                     name,
                     schedule,
                     recompute,
                     probes: controller.probes,
-                    report: controller.report,
+                    report,
                 }
             })
             .collect()
@@ -1218,7 +1290,7 @@ mod tests {
                     exec::run_into(params, opts, probe.remaining, Trace::new(), None);
                 let (offset, mb_offset, wave_offset) = probe.offsets;
                 let mut rebased = SegmentSink {
-                    trace: Trace::new(),
+                    kept: Trace::new(),
                     offset,
                     mb_offset,
                     wave_offset,
@@ -1228,7 +1300,7 @@ mod tests {
                     rebased.record(span.resource, span.start, span.end, span.tag);
                 }
                 assert_eq!(
-                    rebased.trace.spans(),
+                    rebased.kept.spans(),
                     &cell.report.trace.spans()[range.clone()],
                     "{name}: spans"
                 );

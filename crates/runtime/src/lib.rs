@@ -32,6 +32,16 @@
 //!   [`Policy::Static`] (baseline) and [`Policy::Replan`] (re-run the
 //!   fast planner with observed costs and surviving GPUs, and splice
 //!   the new plan at a wave boundary).
+//! - [`run`] / [`run_into`] — who keeps spans. [`run`] keeps the
+//!   merged trace of every committed segment in
+//!   [`RuntimeReport::trace`], for the runtime pins, chrome export and
+//!   span comparisons. [`run_into`] hands the committed spans to a
+//!   [`RuntimeSink`] the caller chooses, which the controller can
+//!   measure and cut back at an outage splice: a
+//!   [`Trace`](hetpipe_des::Trace) keeps them, and
+//!   [`Discard`](hetpipe_des::Discard) keeps none, for callers that
+//!   read only completions, epochs, signals and audits. Every report
+//!   field but the trace is the same for every sink.
 //!
 //! # Grow-splices: re-admission is as sound as eviction
 //!
@@ -96,6 +106,6 @@ pub mod controller;
 pub mod monitor;
 pub mod scenario;
 
-pub use controller::{run, Epoch, Policy, RuntimeParams, RuntimeReport};
+pub use controller::{run, run_into, Epoch, Policy, RuntimeParams, RuntimeReport, RuntimeSink};
 pub use monitor::{Monitor, MonitorConfig, MonitorFold, Signal};
 pub use scenario::{Fault, LeaseTransition, ScenarioEvent, ScenarioScript};

@@ -455,6 +455,32 @@ mod tests {
             .collect()
     }
 
+    /// The EWMA weighs the newest ratio by 0.3: over ratios 1, 2, 1.5
+    /// and 3 it reads 1, 1.3, 1.36 and 1.852, computed by hand. Tier:
+    /// unit.
+    #[test]
+    fn the_ewma_weighs_the_newest_ratio_by_three_tenths() {
+        let mut fold = one_stage();
+        let planned = SimTime::from_secs(1.0);
+        fold.planned_fwd = vec![planned];
+        let mut t = SimTime::ZERO;
+        let mut read = Vec::new();
+        for secs in [1.0, 2.0, 1.5, 3.0] {
+            let end = t + SimTime::from_secs(secs);
+            let tag = SpanTag::Forward {
+                vw: 0,
+                stage: 0,
+                mb: 1,
+            };
+            fold.observe(tag, t, end);
+            read.push(fold.stages[0].ewma);
+            t = end;
+        }
+        for (got, want) in read.iter().zip([1.0, 1.3, 1.36, 1.852]) {
+            assert!((got - want).abs() < 1e-12, "{read:?}");
+        }
+    }
+
     /// A straggler is raised only once the EWMA has stayed over the
     /// threshold for the hysteresis window, and a dip back under
     /// restarts the window. Tier: unit.

@@ -19,6 +19,10 @@
 //! `Replan`, so that parameter-server pushes and pulls contend on the
 //! NICs and a drain can end mid-transfer at the horizon.
 //!
+//! The same cells, and the scenario gate's 32 chaos scripts, also hold
+//! a report that keeps no span (`runtime::run_into` with `Discard`)
+//! equal to the traced report in every field but the trace.
+//!
 //! Tier: dynamically audited (evidence for the cells that ran).
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
@@ -27,7 +31,7 @@ use hetpipe::core::{
     AllocationPolicy, Fnv, HetPipeSystem, RecomputePolicy, Schedule, SystemConfig, VirtualWorker,
     WspParams,
 };
-use hetpipe::des::SimTime;
+use hetpipe::des::{Discard, SimTime, Trace};
 use hetpipe::model::ModelGraph;
 use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript};
@@ -70,6 +74,34 @@ fn standalone_vw(
     }
 }
 
+/// Hands `f` the runtime inputs of a standalone-VW cell.
+fn with_cell<R>(
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+    nm: usize,
+    script: ScenarioScript,
+    policy: Policy,
+    f: impl FnOnce(RuntimeParams<'_>) -> R,
+) -> R {
+    let (cluster, graph) = whimpy();
+    let vw = standalone_vw(&cluster, &graph, nm, schedule, recompute);
+    f(RuntimeParams {
+        cluster: &cluster,
+        graph: &graph,
+        vws: vec![vw],
+        wsp: WspParams::new(nm, 0),
+        placement: Placement::Default,
+        sync_transfers: false,
+        schedule,
+        recompute,
+        script,
+        policy,
+        monitor: MonitorConfig::default(),
+        max_reactions: 8,
+        planner: None,
+    })
+}
+
 fn run_cell(
     schedule: Schedule,
     recompute: RecomputePolicy,
@@ -77,26 +109,10 @@ fn run_cell(
     script: ScenarioScript,
     policy: Policy,
 ) -> RuntimeReport {
-    let (cluster, graph) = whimpy();
-    let vw = standalone_vw(&cluster, &graph, nm, schedule, recompute);
-    runtime::run(
-        RuntimeParams {
-            cluster: &cluster,
-            graph: &graph,
-            vws: vec![vw],
-            wsp: WspParams::new(nm, 0),
-            placement: Placement::Default,
-            sync_transfers: false,
-            schedule,
-            recompute,
-            script,
-            policy,
-            monitor: MonitorConfig::default(),
-            max_reactions: 8,
-            planner: None,
-        },
-        SimTime::from_secs(HORIZON_SECS),
-    )
+    let horizon = SimTime::from_secs(HORIZON_SECS);
+    with_cell(schedule, recompute, nm, script, policy, |p| {
+        runtime::run(p, horizon)
+    })
 }
 
 /// The report's digest: spans, epochs, signals, final `Nm`,
@@ -271,6 +287,35 @@ fn chaos_drains_resume_from_wave_checkpoints() {
 /// from.
 #[test]
 fn simulated_events_count_probes_and_resumed_tails() {
+    let (mut in_place, mut outage) = (0, 0);
+    for ((schedule, recompute), script, policy) in standalone_pin_cells() {
+        let name = format!("{schedule}/{}/{}", script.name, policy.name());
+        let r = run_cell(schedule, recompute, NM, script, policy);
+        let committed: u64 = r.epochs.iter().map(|e| e.events).sum();
+        let outages = r.epochs.iter().filter_map(|e| e.action.as_deref());
+        let outages = outages
+            .filter(|a| a.contains("gpu lost") || a.contains("lease preempted"))
+            .count();
+        if policy == Policy::Static {
+            assert_eq!(r.epochs.len(), 1, "{name}");
+            assert_eq!(r.simulated_events, r.epochs[0].events, "{name}");
+        } else if outages == 0 {
+            assert_eq!(r.simulated_events, committed, "{name}");
+            in_place += (r.epochs.len() > 1) as usize;
+        } else {
+            assert!(r.simulated_events > committed, "{name}");
+            outage += 1;
+        }
+    }
+    assert!(in_place >= 4, "{in_place} cells spliced only in place");
+    assert!(outage >= 4, "{outage} cells spliced at an outage");
+}
+
+/// The pinned standalone-VW cells: the canonical scripts under each
+/// policy and chaos seeds 1–8 under `Replan` on the wave schedule, and
+/// the canonical straggler under each policy on composite interleaved
+/// 1F1B.
+fn standalone_pin_cells() -> Vec<((Schedule, RecomputePolicy), ScenarioScript, Policy)> {
     let wave = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
     let composite = (
         Schedule::Interleaved1F1B {
@@ -300,28 +345,71 @@ fn simulated_events_count_probes_and_resumed_tails() {
             policy,
         ));
     }
-    let (mut in_place, mut outage) = (0, 0);
-    for ((schedule, recompute), script, policy) in cells {
+    cells
+}
+
+/// Runs `params` into a `Trace` and into `Discard` and checks that the
+/// reports are equal in every field but the trace, and that the traced
+/// run kept a non-trivial trace. Returns the untraced report.
+fn check_sink_parity(name: &str, params: RuntimeParams<'_>, horizon: SimTime) -> RuntimeReport {
+    let (untraced, _) = runtime::run_into(params.clone(), horizon, Discard);
+    let mut traced = runtime::run(params, horizon);
+    let spans = traced.trace.len();
+    assert!(spans > 100, "{name}: a non-trivial trace");
+    assert!(untraced.trace.is_empty(), "{name}: run_into keeps no trace");
+    traced.trace = Trace::new();
+    assert_eq!(
+        format!("{untraced:?}"),
+        format!("{traced:?}"),
+        "{name}: the untraced report differs from the traced one"
+    );
+    untraced
+}
+
+/// Item 15's parity: on every pinned cell and on the scenario gate's
+/// 32 chaos scripts (60 s, `Replan`), a run that keeps no span
+/// (`run_into` with `Discard`) reports exactly what a run that keeps
+/// the merged trace reports, in every field but the trace: epochs and
+/// their audits and event counts, completions, signals, instants,
+/// final VWs and `Nm`, and simulated events. Tier: dynamically audited
+/// (evidence for the cells that ran).
+#[test]
+fn discarded_spans_leave_every_other_report_field_unchanged() {
+    let mut reports = Vec::new();
+    let horizon = SimTime::from_secs(HORIZON_SECS);
+    for ((schedule, recompute), script, policy) in standalone_pin_cells() {
         let name = format!("{schedule}/{}/{}", script.name, policy.name());
-        let r = run_cell(schedule, recompute, NM, script, policy);
-        let committed: u64 = r.epochs.iter().map(|e| e.events).sum();
-        let outages = r.epochs.iter().filter_map(|e| e.action.as_deref());
-        let outages = outages
-            .filter(|a| a.contains("gpu lost") || a.contains("lease preempted"))
-            .count();
-        if policy == Policy::Static {
-            assert_eq!(r.epochs.len(), 1, "{name}");
-            assert_eq!(r.simulated_events, r.epochs[0].events, "{name}");
-        } else if outages == 0 {
-            assert_eq!(r.simulated_events, committed, "{name}");
-            in_place += (r.epochs.len() > 1) as usize;
-        } else {
-            assert!(r.simulated_events > committed, "{name}");
-            outage += 1;
-        }
+        let report = with_cell(schedule, recompute, NM, script, policy, |p| {
+            check_sink_parity(&name, p, horizon)
+        });
+        reports.push(report);
     }
-    assert!(in_place >= 4, "{in_place} cells spliced only in place");
-    assert!(outage >= 4, "{outage} cells spliced at an outage");
+    let (wave, ckpt) = (Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
+    for seed in 1..=32 {
+        let script = ScenarioScript::chaos(seed, 60.0, 4, 1, 3);
+        let name = format!("{}/replan", script.name);
+        let report = with_cell(wave, ckpt, NM, script, Policy::Replan, |p| {
+            check_sink_parity(&name, p, SimTime::from_secs(60.0))
+        });
+        reports.push(report);
+    }
+    with_sync_chaos(|seed, p, horizon| {
+        reports.push(check_sink_parity(
+            &format!("sync-chaos-{seed}/replan"),
+            p,
+            horizon,
+        ));
+    });
+    assert_eq!(reports.len(), 16 + 32 + 6);
+    // Splices exercise the probes, the in-place drains and the cut back
+    // to a checkpoint at an outage.
+    let spliced = reports.iter().filter(|r| r.epochs.len() > 1).count();
+    let resumed = (reports.iter().flat_map(|r| &r.epochs))
+        .filter(|e| e.resimulated > 0)
+        .count();
+    eprintln!("{spliced} cells spliced, {resumed} drains resumed from a checkpoint");
+    assert!(spliced > 30, "{spliced} cells spliced");
+    assert!(resumed > 10, "{resumed} drains resumed from a checkpoint");
 }
 
 #[test]
@@ -346,12 +434,11 @@ fn composite_straggler_reports_are_pinned() {
     check(cells, &[0x8761_54f8_2f70_d19e, 0xa92d_219b_0e9f_e302]);
 }
 
-/// Seeded chaos scripts under `Replan` with sync transfers on: four
+/// Hands `f` each sync-transfer chaos cell's seed, runtime inputs and
+/// horizon: seeds 1–6 under `Replan` with sync transfers on, four
 /// ED-built VWs on 16 RTX 2060s, ResNet-152, boundary-only recompute,
-/// 60 s. Seeds 4 and 6 drain until the horizon cuts them (at
-/// 59.9991 s and 59.9997 s), each leaving a final epoch of no time.
-#[test]
-fn sync_transfer_chaos_reports_are_pinned() {
+/// 60 s.
+fn with_sync_chaos(mut f: impl FnMut(u64, RuntimeParams<'_>, SimTime)) {
     let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
     let graph = hetpipe::model::resnet152(32);
     let config = SystemConfig {
@@ -363,30 +450,40 @@ fn sync_transfer_chaos_reports_are_pinned() {
     let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
     assert_eq!(sys.virtual_workers().len(), 4);
     let horizon_secs = 60.0;
-    let cells = (1..=6)
-        .map(|seed| {
-            let script = ScenarioScript::chaos(seed, horizon_secs, 16, 4, 8);
-            let r = runtime::run(
-                RuntimeParams {
-                    cluster: &cluster,
-                    graph: &graph,
-                    vws: sys.virtual_workers().to_vec(),
-                    wsp: WspParams::new(sys.nm(), config.staleness_bound),
-                    placement: config.placement,
-                    sync_transfers: config.sync_transfers,
-                    schedule: config.schedule,
-                    recompute: config.recompute,
-                    script,
-                    policy: Policy::Replan,
-                    monitor: MonitorConfig::default(),
-                    max_reactions: 8,
-                    planner: None,
-                },
-                SimTime::from_secs(horizon_secs),
-            );
-            (format!("sync-chaos-{seed}/replan"), r)
-        })
-        .collect();
+    for seed in 1..=6 {
+        let script = ScenarioScript::chaos(seed, horizon_secs, 16, 4, 8);
+        let params = RuntimeParams {
+            cluster: &cluster,
+            graph: &graph,
+            vws: sys.virtual_workers().to_vec(),
+            wsp: WspParams::new(sys.nm(), config.staleness_bound),
+            placement: config.placement,
+            sync_transfers: config.sync_transfers,
+            schedule: config.schedule,
+            recompute: config.recompute,
+            script,
+            policy: Policy::Replan,
+            monitor: MonitorConfig::default(),
+            max_reactions: 8,
+            planner: None,
+        };
+        f(seed, params, SimTime::from_secs(horizon_secs));
+    }
+}
+
+/// Seeded chaos scripts under `Replan` with sync transfers on: four
+/// ED-built VWs on 16 RTX 2060s, ResNet-152, boundary-only recompute,
+/// 60 s. Seeds 4 and 6 drain until the horizon cuts them (at
+/// 59.9991 s and 59.9997 s), each leaving a final epoch of no time.
+#[test]
+fn sync_transfer_chaos_reports_are_pinned() {
+    let mut cells = Vec::new();
+    with_sync_chaos(|seed, p, horizon| {
+        cells.push((
+            format!("sync-chaos-{seed}/replan"),
+            runtime::run(p, horizon),
+        ));
+    });
     check(
         cells,
         &[

@@ -73,7 +73,7 @@ fn count_spans(stats: &RunStats, pred: impl Fn(&SpanTag) -> bool) -> usize {
 }
 
 /// `(stage, mb)` → the `(start, end)` of the span carrying that pass.
-type PassSpans = HashMap<(u16, u64), (SimTime, SimTime)>;
+type PassSpans = HashMap<(u16, u32), (SimTime, SimTime)>;
 
 /// (start, end) of the span carrying mb's forward/backward at a stage.
 /// The wave schedule's fused last-stage task carries both.
@@ -284,7 +284,7 @@ fn recompute_rematerializes_before_every_backward() {
         // schedules) never recompute — there is no stash to reclaim,
         // so the forward re-run is skipped for free throughput.
         let (stats, stages, _) = single_vw_run(schedule, RecomputePolicy::BoundaryOnly);
-        let recomputes: HashMap<(u16, u64), (SimTime, SimTime)> = stats
+        let recomputes: HashMap<(u16, u32), (SimTime, SimTime)> = stats
             .trace
             .spans()
             .iter()
