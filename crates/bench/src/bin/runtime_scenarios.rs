@@ -38,9 +38,8 @@ use hetpipe_bench::{arg_value, check_args, check_horizon, check_seeds, print_tab
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
-use hetpipe_core::{trace_fingerprint, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe_core::{trace_fingerprint, Planner, RecomputePolicy, Schedule, WspParams};
 use hetpipe_des::{Discard, SimTime};
-use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{
     self as runtime, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript,
 };
@@ -115,19 +114,9 @@ fn main() {
     let recompute = RecomputePolicy::BoundaryOnly;
     let nm = 4;
     let schedule = Schedule::HetPipeWave;
-    let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(&cluster, &devices);
-    let plan = PartitionSolver::solve(
-        &PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule)
-            .with_recompute(recompute),
-    )
-    .expect("whimpy ResNet-152 must be feasible with recompute");
-    let vw = VirtualWorker {
-        index: 0,
-        devices: devices.clone(),
-        plan,
-        nm,
-    };
+    let vw = Planner::new(&cluster, &graph, schedule, recompute)
+        .worker(0, &devices, nm)
+        .expect("whimpy ResNet-152 must be feasible with recompute");
 
     // A cell keeps its spans only when something reads them: the
     // zero-scenario parity check, and the cells whose chrome trace is

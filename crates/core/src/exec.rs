@@ -1405,7 +1405,6 @@ mod tests {
     use crate::pserver::Placement;
     use hetpipe_cluster::DeviceId;
     use hetpipe_des::Discard;
-    use hetpipe_partition::{PartitionProblem, PartitionSolver};
     use hetpipe_schedule::Schedule::{FillDrain, HetPipeWave, OneFOneB};
 
     /// VWs over `groups` of the paper testbed for VGG-19 (batch 32),
@@ -1419,22 +1418,14 @@ mod tests {
         recompute: RecomputePolicy,
     ) -> Vec<VirtualWorker> {
         let (cluster, graph) = (Cluster::paper_testbed(), hetpipe_model::vgg19(32));
-        let vw = |(index, group): (usize, &Vec<DeviceId>)| {
-            let k = schedule.virtual_stages(group.len());
-            let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
-            let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(&cluster, &devices);
-            let problem = PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule);
-            let plan = PartitionSolver::solve(&problem.with_recompute(recompute));
-            let plan = plan.expect("feasible");
-            VirtualWorker {
-                index,
-                devices,
-                plan,
-                nm,
-            }
-        };
-        groups.iter().enumerate().map(vw).collect()
+        let mut planner = crate::Planner::new(&cluster, &graph, schedule, recompute);
+        let vw = |(index, group): (usize, &Vec<DeviceId>)| planner.worker(index, group, nm);
+        groups
+            .iter()
+            .enumerate()
+            .map(vw)
+            .map(|vw| vw.expect("feasible"))
+            .collect()
     }
 
     /// Hands `f` the executor inputs that run `vws` (from

@@ -24,6 +24,10 @@
 //! - [`audit`] — the measured ≤ declared activation-occupancy audit:
 //!   per-stage/per-GPU peaks measured during the run, checked against the
 //!   schedule's declared memory accounting.
+//! - [`planner`] — the one virtual-worker planner, a memo of `Nm`-sweep
+//!   prefixes the build and every runtime replan read, and the two
+//!   `Nm` rules (the build's §8.3 objective, the replan's highest
+//!   common feasible `Nm`).
 //! - [`system`] — end-to-end assembly and simulation entry point.
 //! - [`metrics`] — throughput, per-GPU utilization, waiting vs true
 //!   idle time (Section 8.4), and traffic split.
@@ -42,6 +46,7 @@ pub mod convergence;
 pub mod exec;
 pub mod fingerprint;
 pub mod metrics;
+pub mod planner;
 pub mod pserver;
 pub mod sync;
 pub mod system;
@@ -53,7 +58,8 @@ pub use exec::{RateEvent, RateTarget, SegmentOpts};
 pub use fingerprint::{trace_fingerprint, Fnv};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
+pub use planner::Planner;
 pub use pserver::Placement;
 pub use sync::WspParams;
-pub use system::{replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig};
+pub use system::{BuildError, HetPipeSystem, SystemConfig};
 pub use vw::VirtualWorker;

@@ -6,34 +6,35 @@
 //! model per VW (model partitioner), place parameter-server shards —
 //! then [`HetPipeSystem::run_into`] simulates training and reports.
 //!
-//! Planning solves each distinct instance (GPU kinds in stage order
-//! plus links) once per build: one [`NmSweep`] over `Nm = 1, 2, …`
-//! up to the first infeasible `Nm`. The sweep re-runs the partition DP
-//! only where a memory mode's previous optimum may have stopped being
-//! its optimum, on flat and interleaved schedules alike; interleaved
-//! plans still pass the joint per-GPU check at every `Nm`. The order
-//! scan scores these
-//! prefixes; the refine simulations, `Max_m` (the prefix length), the
-//! common-`Nm` choice and the final plans index them. Each refine
+//! Planning reads one [`Planner`] per build, which sweeps each
+//! distinct instance (GPU kinds in stage order plus links) once:
+//! one [`NmSweep`](hetpipe_partition::NmSweep) over `Nm = 1, 2, …` up
+//! to the first infeasible `Nm` or the saturation limit. The sweep
+//! re-runs the partition DP only where a memory mode's previous
+//! optimum may have stopped being its optimum, on flat and interleaved
+//! schedules alike; interleaved plans still pass the joint per-GPU
+//! check at every `Nm`. The order scan scores these prefixes; the
+//! refine simulations, `Max_m` (the prefix length), the common-`Nm`
+//! choice ([`build_nm`]) and the final plans index them. Each refine
 //! candidate is simulated at most once per build too, and a group's
-//! lone candidate not at all: it wins without a rival. The table
-//! holding all of this is dropped when `build` returns: the crate keeps
-//! no state between builds, so a build's result depends on its inputs
-//! alone.
+//! lone candidate not at all: it wins without a rival. The planner and
+//! the refine memo are dropped when `build` returns: the crate keeps no
+//! state between builds, so a build's result depends on its inputs
+//! alone. The runtime controller replans through the same planner type.
 
 use crate::alloc::{AllocError, AllocationPolicy};
 use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
 use crate::metrics::SystemReport;
+use crate::planner::{build_nm, pipeline_rate, Planner};
 use crate::pserver::{Placement, ShardMap};
 use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
-use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_des::{Discard, SimTime, SpanSink};
 use hetpipe_model::memory::nm_saturation_limit;
 use hetpipe_model::ModelGraph;
 use hetpipe_partition::order::distinct_kind_orders;
-use hetpipe_partition::{NmSweep, PartitionPlan, PartitionProblem, PartitionSolver};
+use hetpipe_partition::PartitionPlan;
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::HashMap;
 use std::fmt;
@@ -47,8 +48,9 @@ pub struct SystemConfig {
     pub placement: Placement,
     /// WSP clock-distance bound `D`.
     pub staleness_bound: usize,
-    /// Force a specific `Nm` instead of the automatic
-    /// maximum-feasible choice.
+    /// Force a specific `Nm` instead of the automatic choice, which
+    /// stops at the saturation limit `2k − 1`; a forced `Nm` above it
+    /// builds when every VW fits it.
     pub nm_override: Option<usize>,
     /// Search stage orders per VW (otherwise allocation order is kept).
     pub order_search: bool,
@@ -140,54 +142,31 @@ const ORDER_REFINE_CANDIDATES: usize = 6;
 
 #[cfg(test)]
 thread_local! {
-    /// This thread's refine-memo (hits, misses) and `PlanTable` sweeps —
-    /// test instrumentation only: a build plans on its caller's thread,
-    /// and tests run in parallel, so they read their own thread's counts.
+    /// This thread's refine-memo (hits, misses) — test instrumentation
+    /// only: a build plans on its caller's thread, and tests run in
+    /// parallel, so they read their own thread's counts.
     static REFINE_STATS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-    static SWEEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
-
-/// The analytic pipeline rate of `plan` at `nm`,
-/// min(1/bottleneck, Nm/latency) minibatches per second. It is the
-/// order scan's proxy score and the common-`Nm` objective.
-fn pipeline_rate(plan: &PartitionPlan, nm: usize) -> f64 {
-    let latency: f64 = plan.stage_secs.iter().sum();
-    (1.0 / plan.bottleneck_secs).min(nm as f64 / latency)
-}
-
-/// One planning instance: the GPU kinds in stage order plus the
-/// inter-stage links. Graph, schedule and recompute policy are fixed
-/// within one build, so nothing else tells two of its problems apart.
-type InstanceKey = (Vec<&'static str>, Vec<LinkKind>);
 
 /// One refine simulation: the GPU kinds in stage order, the node
 /// pattern ([`PlanTable::node_pattern`]) and the candidate `Nm`. The
 /// rest of a simulation's inputs is fixed within one build.
 type RefineId = (Vec<&'static str>, Vec<usize>, usize);
 
-/// The per-build plan table: each instance's [`NmSweep`] prefix, the
-/// plans at `Nm = 1, 2, …` up to the first infeasible `Nm` or the
-/// saturation limit, and the order search's refine memo. Every
-/// instance is swept once and every refine candidate simulated at most
-/// once; kind- and link-identical virtual workers share its rows. The
-/// table is dropped when `build` returns.
+/// The per-build plan table: the build's [`Planner`], read with
+/// nominal derates, and the order search's refine memo. Every instance is swept once and every refine candidate
+/// simulated at most once; kind- and link-identical virtual workers
+/// share its rows. The table is dropped when `build` returns.
 struct PlanTable<'a> {
     cluster: &'a Cluster,
     graph: &'a ModelGraph,
     config: &'a SystemConfig,
-    /// Every swept instance's prefix (empty when even `Nm = 1` is
-    /// infeasible).
-    prefixes: HashMap<InstanceKey, Vec<PartitionPlan>>,
+    planner: Planner<'a>,
     /// Every simulated refine candidate's standalone rate.
     rates: HashMap<RefineId, f64>,
 }
 
 impl PlanTable<'_> {
-    fn key(&self, devices: &[DeviceId]) -> InstanceKey {
-        let kinds = devices.iter().map(|&d| self.cluster.spec_of(d).name);
-        (kinds.collect(), VirtualWorker::links(self.cluster, devices))
-    }
-
     /// The node layout a refine simulation sees. Under ED-style
     /// *local* shard placement only the co-location pattern matters
     /// (it decides the links, and every shard sits on its stage's own
@@ -213,18 +192,10 @@ impl PlanTable<'_> {
         }
     }
 
-    /// The prefix of `devices`' instance, swept now if unseen.
-    fn prefix(&mut self, devices: &[DeviceId]) -> &[PartitionPlan] {
-        let key = self.key(devices);
-        let (cluster, graph, config) = (self.cluster, self.graph, self.config);
-        self.prefixes.entry(key).or_insert_with(|| {
-            #[cfg(test)]
-            SWEEPS.with(|s| s.set(s.get() + 1));
-            let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(cluster, devices);
-            NmSweep::new(graph, &gpus, &links, config.schedule, config.recompute)
-                .feasible_prefix(nm_saturation_limit(devices.len()))
-        })
+    /// The nominal prefix of `devices`' instance up to `limit`.
+    fn nominal(&mut self, devices: &[DeviceId], limit: usize) -> &[PartitionPlan] {
+        self.planner
+            .prefix(devices, &vec![1.0; devices.len()], limit)
     }
 
     /// The proxy score of `devices`' instance: the best
@@ -232,7 +203,7 @@ impl PlanTable<'_> {
     /// rate's `Nm`, or `None` when even `Nm = 1` is infeasible.
     fn proxy(&mut self, devices: &[DeviceId]) -> Option<(f64, usize)> {
         let rates = (1..)
-            .zip(self.prefix(devices))
+            .zip(self.nominal(devices, nm_saturation_limit(devices.len())))
             .map(|(nm, plan)| (pipeline_rate(plan, nm), nm));
         rates.reduce(|best, c| if c.0 > best.0 { c } else { best })
     }
@@ -257,7 +228,7 @@ impl PlanTable<'_> {
         if let Some(rate) = hit {
             return rate;
         }
-        let plan = self.prefix(devices)[nm - 1].clone();
+        let plan = self.nominal(devices, nm)[nm - 1].clone();
         let (cluster, graph, config) = (self.cluster, self.graph, self.config);
         // Long enough to amortize the pipeline fill several times over.
         let horizon = SimTime::from_secs((60.0 * plan.stage_secs.iter().sum::<f64>()).max(1.0));
@@ -292,46 +263,6 @@ impl PlanTable<'_> {
     }
 }
 
-/// Re-solves one virtual worker's partition from *observed* per-stage
-/// costs — the system rebuild entry point the fault-aware runtime
-/// (`hetpipe-runtime`) calls when its monitor reports stragglers or a
-/// lost GPU. `devices` are the *surviving* stage devices in pipeline
-/// order (drop the lost GPU to shrink the pipeline), and `derate[q]`
-/// is the observed/planned duration ratio of stage `q`. Each stage's
-/// GPU spec is derated to the speed it actually delivers
-/// ([`hetpipe_cluster::gpu::GpuSpec::derated`], ratios below 1 count
-/// as 1), so the min–max DP rebalances layers away from slowed GPUs.
-/// The re-plan is a plain [`PartitionSolver::solve`] of that problem.
-///
-/// Returns the re-planned partition at the requested `nm`, or the
-/// partition error when the shrunk/derated configuration cannot hold
-/// the model there (callers then lower `nm` — WSP requires a common
-/// `Nm`, so the controller owns that decision).
-pub fn replan_vw_from_observed(
-    cluster: &Cluster,
-    graph: &ModelGraph,
-    devices: &[DeviceId],
-    derate: &[f64],
-    nm: usize,
-    schedule: Schedule,
-    recompute: RecomputePolicy,
-) -> Result<PartitionPlan, hetpipe_partition::PartitionError> {
-    assert_eq!(
-        devices.len(),
-        derate.len(),
-        "one observed derate per stage device"
-    );
-    let gpus: Vec<_> = devices
-        .iter()
-        .zip(derate)
-        .map(|(&d, &r)| cluster.spec_of(d).derated(r.max(1.0)))
-        .collect();
-    let links = VirtualWorker::links(cluster, devices);
-    let problem =
-        PartitionProblem::with_schedule(graph, gpus, links, nm, schedule).with_recompute(recompute);
-    PartitionSolver::solve(&problem)
-}
-
 /// A fully-assembled HetPipe deployment, ready to simulate.
 #[derive(Debug, Clone)]
 pub struct HetPipeSystem<'a> {
@@ -345,8 +276,8 @@ pub struct HetPipeSystem<'a> {
 
 impl<'a> HetPipeSystem<'a> {
     /// Assembles the system: allocation → stage order → `Nm` → plans →
-    /// shard placement. Every planning phase reads one per-build table
-    /// of `Nm`-sweep prefixes (see the module docs), dropped on return.
+    /// shard placement. Every planning phase reads one per-build
+    /// [`Planner`] (see the module docs), dropped on return.
     pub fn build(
         cluster: &'a Cluster,
         graph: &'a ModelGraph,
@@ -354,24 +285,20 @@ impl<'a> HetPipeSystem<'a> {
     ) -> Result<Self, BuildError> {
         let groups = config.policy.allocate(cluster)?;
 
-        // Interleaved schedules run `chunks` virtual stages per GPU:
-        // the executor's stage list repeats the physical GPUs
-        // round-robin (virtual stage `s` runs on GPU `s % k`).
-        let expand = |ordered: &[DeviceId]| -> Vec<DeviceId> {
-            let vk = config.schedule.virtual_stages(ordered.len());
-            (0..vk).map(|s| ordered[s % ordered.len()]).collect()
-        };
-
         // Resolve the (expanded) stage order of every VW, optionally
         // searched, with its prefix.
         let mut table = PlanTable {
             cluster,
             graph,
             config,
-            prefixes: HashMap::new(),
+            planner: Planner::new(cluster, graph, config.schedule, config.recompute),
             rates: HashMap::new(),
         };
-        let mut chosen: Vec<(Vec<DeviceId>, Vec<PartitionPlan>)> = Vec::new();
+        // A forced Nm sweeps past the saturation limit; the automatic
+        // choice stops there.
+        let limit = |k| nm_saturation_limit(k).max(config.nm_override.unwrap_or(0));
+        let mut chosen: Vec<Vec<DeviceId>> = Vec::new();
+        let mut prefixes: Vec<Vec<PartitionPlan>> = Vec::new();
         for (i, devices) in groups.iter().enumerate() {
             let ordered = if config.order_search && devices.len() > 1 {
                 // Two-pass order search. Pass 1 scores each distinct
@@ -386,7 +313,10 @@ impl<'a> HetPipeSystem<'a> {
                 let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
                 let orders: Vec<Vec<DeviceId>> = distinct_kind_orders(&gpus)
                     .iter()
-                    .map(|order| expand(&order.iter().map(|&j| devices[j]).collect::<Vec<_>>()))
+                    .map(|order| {
+                        let ordered: Vec<_> = order.iter().map(|&j| devices[j]).collect();
+                        table.planner.stages(&ordered)
+                    })
                     .collect();
                 // (expanded stage devices, proxy score, proxy-best Nm)
                 let mut candidates: Vec<(&[DeviceId], f64, usize)> = orders
@@ -416,48 +346,28 @@ impl<'a> HetPipeSystem<'a> {
                 };
                 winner.to_vec()
             } else {
-                expand(devices)
+                table.planner.stages(devices)
             };
-            let prefix = table.prefix(&ordered).to_vec();
+            let prefix = table.nominal(&ordered, limit(ordered.len())).to_vec();
             if prefix.is_empty() {
                 return Err(BuildError::NoFeasiblePartition { vw: i });
             }
-            chosen.push((ordered, prefix));
+            chosen.push(ordered);
+            prefixes.push(prefix);
         }
 
-        // Each VW's Max_m is its prefix length. Nm must be identical
-        // across VWs (Section 4) and is "set such that performance is
-        // maximized" (Section 8.3): probe every Nm up to the smallest
-        // Max_m and keep the one with the best estimated system
-        // throughput. Under the distance-D bound the slowest VW paces
-        // the system, so the estimate is N times the slowest VW's
-        // `pipeline_rate`.
+        // Each VW's Max_m is its prefix length.
         let nm = match config.nm_override {
-            Some(nm) => match chosen
-                .iter()
-                .position(|(_, p)| !(1..=p.len()).contains(&nm))
-            {
+            Some(nm) => match prefixes.iter().position(|p| !(1..=p.len()).contains(&nm)) {
                 Some(vw) => return Err(BuildError::NmInfeasible { vw, nm }),
                 None => nm,
             },
-            None => {
-                let max_nm = chosen.iter().map(|(_, p)| p.len()).min().unwrap_or(1);
-                let mut best = (1usize, 0.0f64);
-                for nm in 1..=max_nm {
-                    let slowest = chosen
-                        .iter()
-                        .map(|(_, p)| pipeline_rate(&p[nm - 1], nm))
-                        .fold(f64::INFINITY, f64::min);
-                    if slowest > best.1 {
-                        best = (nm, slowest);
-                    }
-                }
-                best.0
-            }
+            None => build_nm(&prefixes),
         };
 
         let vws: Vec<VirtualWorker> = chosen
             .into_iter()
+            .zip(prefixes)
             .enumerate()
             .map(|(index, (devices, mut prefix))| VirtualWorker {
                 index,
@@ -558,13 +468,14 @@ impl<'a> HetPipeSystem<'a> {
 mod tests {
     use super::*;
     use hetpipe_des::Trace;
+    use hetpipe_partition::{PartitionProblem, PartitionSolver};
 
     fn refine_stats_take() -> (u64, u64) {
         REFINE_STATS.with(|s| s.replace((0, 0)))
     }
 
     fn sweeps_take() -> u64 {
-        SWEEPS.with(|s| s.replace(0))
+        crate::planner::SWEEPS.with(|s| s.replace((0, 0))).0
     }
 
     fn cfg(policy: AllocationPolicy, placement: Placement, d: usize) -> SystemConfig {
@@ -619,6 +530,17 @@ mod tests {
         config.nm_override = Some(2);
         let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
         assert_eq!(sys.nm(), 2);
+        // Above the saturation limit (7 for four GPUs) a forced Nm
+        // builds when it fits, with every VW's cold-solved plan.
+        config.nm_override = Some(8);
+        let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+        assert_eq!(sys.nm(), 8);
+        for vw in sys.virtual_workers() {
+            let gpus = vw.devices.iter().map(|&d| cluster.spec_of(d)).collect();
+            let links = VirtualWorker::links(&cluster, &vw.devices);
+            let problem = PartitionProblem::new(&graph, gpus, links, 8);
+            assert_eq!(Ok(&vw.plan), PartitionSolver::solve(&problem).as_ref());
+        }
         config.nm_override = Some(1000);
         assert!(matches!(
             HetPipeSystem::build(&cluster, &graph, &config),

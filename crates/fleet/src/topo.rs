@@ -115,8 +115,8 @@ pub(crate) fn expand(cell: &Cluster, cell_vws: &[VirtualWorker]) -> (Cluster, Ve
 mod tests {
     use super::*;
     use hetpipe_cluster::GpuKind;
+    use hetpipe_core::{Planner, RecomputePolicy, Schedule};
     use hetpipe_model::resnet152;
-    use hetpipe_partition::{PartitionProblem, PartitionSolver};
 
     fn topology(nodes: usize, gpus_per_node: usize, n_vws: usize) -> FleetTopology {
         let mut cell = Cluster::new();
@@ -125,16 +125,9 @@ mod tests {
         }
         let graph = resnet152(32);
         let devices: Vec<DeviceId> = cell.devices().collect();
-        let gpus = devices.iter().map(|&d| cell.spec_of(d)).collect();
-        let links = VirtualWorker::links(&cell, &devices);
-        let plan = PartitionSolver::solve(&PartitionProblem::new(&graph, gpus, links, 4))
+        let vw = Planner::new(&cell, &graph, Schedule::HetPipeWave, RecomputePolicy::None)
+            .worker(0, &devices, 4)
             .expect("feasible cell");
-        let vw = VirtualWorker {
-            index: 0,
-            devices,
-            plan,
-            nm: 4,
-        };
         FleetTopology::new(cell, vw, n_vws)
     }
 

@@ -1,7 +1,7 @@
 //! An inert stand-in for the former plan cache.
 //!
-//! Every runtime replan solves in process
-//! ([`hetpipe_core::replan_vw_from_observed`]), so nothing here plans. These names
+//! Every runtime replan plans in process, through the run's
+//! [`hetpipe_core::Planner`], so nothing here plans. These names
 //! remain only because the standalone `e2e_bench` package still builds
 //! a [`PlanService`] and hands its client to the runtime, which
 //! ignores it (`RuntimeParams::planner`). The stub and that field go

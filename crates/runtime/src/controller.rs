@@ -83,11 +83,15 @@
 //! Policies:
 //!
 //! - [`Policy::Static`] — today's behaviour: observe, never react.
-//! - [`Policy::Replan`] — re-run the fast planner
-//!   ([`hetpipe_core::replan_vw_from_observed`]) with every
+//! - [`Policy::Replan`] — re-plan through the planner the build uses
+//!   ([`hetpipe_core::Planner`], one for the whole run) with every
 //!   straggler's GPU derated to its observed speed, and with lost
-//!   GPUs dropped from the pipeline (shrinking `Nm` when the smaller
-//!   pipeline demands it); splice the new plan in at the boundary.
+//!   GPUs dropped from the pipeline; splice the new plan in at the
+//!   boundary. Each VW's `Nm`-sweep prefix is read up to a ceiling
+//!   (the current `Nm`, or the initial one at a grow-splice), and the
+//!   common `Nm` is the shortest prefix's length
+//!   ([`hetpipe_core::planner::replan_nm`]), so a smaller pipeline
+//!   shrinks `Nm` only when its memory demands it.
 //!
 //! # Elastic leases
 //!
@@ -113,12 +117,13 @@ use hetpipe_cluster::{Cluster, DeviceId};
 use hetpipe_core::exec::{
     self, Checkpoints, ExecParams, Progress, RunStats, SegmentOpts, SpanTag, Verdict,
 };
+use hetpipe_core::planner::{replan_nm, Planner};
 use hetpipe_core::pserver::{Placement, ShardMap};
-use hetpipe_core::{replan_vw_from_observed, OccupancyAudit, VirtualWorker, WspParams};
+use hetpipe_core::{OccupancyAudit, VirtualWorker, WspParams};
 use hetpipe_des::{Discard, ResourceId, SimTime, SpanSink, Trace};
 use hetpipe_model::ModelGraph;
-use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use hetpipe_schedule::{RecomputePolicy, Schedule};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A reactive policy: what the controller does with monitor signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -542,6 +547,10 @@ struct Controller<'a, S> {
     /// draw survivors from here rather than from the current plan, so
     /// a dropped GPU keeps its position and can be re-admitted.
     roster: Vec<Vec<DeviceId>>,
+    /// The run's planner: every replan reads it, so kind- and
+    /// derate-identical VWs share one sweep and a later splice reuses
+    /// the prefixes of earlier ones.
+    planner: Planner<'a>,
     // Global accumulators.
     offset: SimTime,
     mb_offset: u64,
@@ -601,6 +610,7 @@ impl<'a, S: RuntimeSink> Controller<'a, S> {
             dead: BTreeSet::new(),
             initial_nm: nm,
             roster,
+            planner: Planner::new(p.cluster, p.graph, p.schedule, p.recompute),
             offset: SimTime::ZERO,
             mb_offset: 0,
             wave_offset: 0,
@@ -919,80 +929,57 @@ impl<'a, S: RuntimeSink> Controller<'a, S> {
     }
 
     /// Rebuilds every VW's plan from observed costs and surviving
-    /// GPUs, starting at `ceiling` and lowering the common `Nm` until
-    /// the pipeline solves (`ceiling` exceeds the current `Nm` only
-    /// for a grow-splice). Survivors come from the *roster*, not the
-    /// current plan, so a GPU dropped by an earlier shrink keeps its
-    /// pipeline position and is re-admitted the moment it leaves the
-    /// dead set. On total failure the old configuration is kept (the
-    /// reaction budget stops the loop). A plan names no device, so VWs
-    /// whose stages have the same GPU kinds, links and derates share
-    /// one solve at each `Nm`.
+    /// GPUs through the run's [`Planner`]: each VW's prefix up to
+    /// `ceiling` (which exceeds the current `Nm` only for a
+    /// grow-splice), with every stage's GPU derated by the straggler
+    /// severity applied to it, and the common `Nm` by [`replan_nm`].
+    /// Survivors come from the *roster*, not the current plan, so a GPU
+    /// dropped by an earlier shrink keeps its pipeline position and is
+    /// re-admitted the moment it leaves the dead set. When some VW holds
+    /// no `Nm` the old configuration is kept (the reaction budget stops
+    /// the loop).
     fn replan(&mut self, ceiling: usize) {
-        let schedule = self.p.schedule;
-        // Per VW: surviving physical devices (roster order preserved).
-        let mut survivors: Vec<Vec<DeviceId>> = Vec::with_capacity(self.vws.len());
-        for roster in &self.roster {
-            let phys: Vec<DeviceId> = roster
-                .iter()
-                .copied()
+        let mut devices = Vec::with_capacity(self.vws.len());
+        let mut prefixes = Vec::with_capacity(self.vws.len());
+        for (i, roster) in self.roster.iter().enumerate() {
+            // Surviving physical devices, roster order preserved.
+            let phys: Vec<DeviceId> = (roster.iter().copied())
                 .filter(|d| !self.dead.contains(d))
                 .collect();
             if phys.is_empty() {
                 return; // Nothing left to run on; keep the old config.
             }
-            survivors.push(phys);
+            let expanded = self.planner.stages(&phys);
+            let derate: Vec<f64> = (expanded.iter())
+                .map(|d| self.applied_dev.get(&(i, *d)).copied().unwrap_or(1.0))
+                .collect();
+            prefixes.push(self.planner.prefix(&expanded, &derate, ceiling).to_vec());
+            devices.push(expanded);
         }
-        // Try the highest Nm first, lowering until every VW solves.
-        'nm: for nm in (1..=ceiling).rev() {
-            let mut new_vws = Vec::with_capacity(self.vws.len());
-            // Each distinct problem's plan (`None`: infeasible), keyed
-            // by stage GPU kinds, links and derate bits.
-            let mut solved = HashMap::new();
-            for (i, phys) in survivors.iter().enumerate() {
-                let vk = schedule.virtual_stages(phys.len());
-                let expanded: Vec<DeviceId> = (0..vk).map(|s| phys[s % phys.len()]).collect();
-                let derate: Vec<f64> = expanded
-                    .iter()
-                    .map(|d| self.applied_dev.get(&(i, *d)).copied().unwrap_or(1.0))
-                    .collect();
-                let cluster = self.p.cluster;
-                let kinds: Vec<_> = expanded.iter().map(|&d| cluster.kind_of(d)).collect();
-                let links = VirtualWorker::links(cluster, &expanded);
-                let bits: Vec<u64> = derate.iter().map(|r| r.to_bits()).collect();
-                let plan = solved.entry((kinds, links, bits)).or_insert_with(|| {
-                    let (graph, recompute) = (self.p.graph, self.p.recompute);
-                    replan_vw_from_observed(
-                        cluster, graph, &expanded, &derate, nm, schedule, recompute,
-                    )
-                    .ok()
-                });
-                let Some(plan) = plan.clone() else {
-                    continue 'nm;
-                };
-                new_vws.push(VirtualWorker {
-                    index: i,
-                    devices: expanded,
-                    plan,
-                    nm,
-                });
-            }
-            self.vws = new_vws;
-            self.nm = nm;
-            // Re-key the monitor baseline to the (possibly renumbered)
-            // stages of the new pipelines.
-            let mut applied = BTreeMap::new();
-            for (i, vw) in self.vws.iter().enumerate() {
-                for (s, d) in vw.devices.iter().enumerate() {
-                    if let Some(&r) = self.applied_dev.get(&(i, *d)) {
-                        applied.insert((i, s), r);
-                    }
+        let nm = replan_nm(&prefixes);
+        if nm == 0 {
+            return; // No common Nm: keep the old configuration.
+        }
+        self.vws = (devices.into_iter().zip(prefixes).enumerate())
+            .map(|(index, (devices, mut prefix))| VirtualWorker {
+                index,
+                devices,
+                plan: prefix.swap_remove(nm - 1),
+                nm,
+            })
+            .collect();
+        self.nm = nm;
+        // Re-key the monitor baseline to the (possibly renumbered)
+        // stages of the new pipelines.
+        let mut applied = BTreeMap::new();
+        for (i, vw) in self.vws.iter().enumerate() {
+            for (s, d) in vw.devices.iter().enumerate() {
+                if let Some(&r) = self.applied_dev.get(&(i, *d)) {
+                    applied.insert((i, s), r);
                 }
             }
-            self.applied = applied;
-            return;
         }
-        // No feasible Nm: keep the old configuration.
+        self.applied = applied;
     }
 
     fn run(mut self, horizon: SimTime) -> (RuntimeReport, S) {
@@ -1082,7 +1069,6 @@ mod tests {
     use super::*;
     use crate::monitor::Monitor;
     use hetpipe_cluster::GpuKind;
-    use hetpipe_partition::{PartitionProblem, PartitionSolver};
 
     /// One probe as the controller ran it: its inputs, where it
     /// recorded into the report, and what it judged.
@@ -1153,26 +1139,14 @@ mod tests {
         cells
             .into_iter()
             .map(|((schedule, recompute), script, policy)| {
-                let expanded: Vec<DeviceId> = (0..schedule.virtual_stages(4))
-                    .map(|s| DeviceId(s % 4))
-                    .collect();
-                let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(cluster, &expanded);
-                let plan = PartitionSolver::solve(
-                    &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
-                        .with_recompute(recompute),
-                )
-                .expect("feasible");
+                let vw = Planner::new(cluster, graph, schedule, recompute)
+                    .worker(0, &[0, 1, 2, 3].map(DeviceId), nm)
+                    .expect("feasible");
                 let name = format!("{schedule}/{}/{}", script.name, policy.name());
                 let params = RuntimeParams {
                     cluster,
                     graph,
-                    vws: vec![VirtualWorker {
-                        index: 0,
-                        devices: expanded,
-                        plan,
-                        nm,
-                    }],
+                    vws: vec![vw],
                     wsp: WspParams::new(nm, 0),
                     placement: Placement::Default,
                     sync_transfers: false,

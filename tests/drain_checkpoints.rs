@@ -28,12 +28,10 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams, Progress, RunStats, SegmentOpts, SpanTag, Verdict};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Planner, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::{SimTime, Span, Trace};
 use hetpipe::model::ModelGraph;
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::runtime::{Fault, ScenarioEvent, ScenarioScript};
-use hetpipe::schedule::PipelineSchedule;
 
 const NM: usize = 4;
 
@@ -45,24 +43,10 @@ fn ed_vws(
     schedule: Schedule,
     recompute: RecomputePolicy,
 ) -> Vec<VirtualWorker> {
+    let mut planner = Planner::new(cluster, graph, schedule, recompute);
     (0..2)
-        .map(|j| {
-            let k = schedule.virtual_stages(4);
-            let devices: Vec<DeviceId> = (0..k).map(|s| DeviceId(4 * (s % 4) + j)).collect();
-            let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-            let links = VirtualWorker::links(cluster, &devices);
-            let plan = PartitionSolver::solve(
-                &PartitionProblem::with_schedule(graph, gpus, links, NM, schedule)
-                    .with_recompute(recompute),
-            )
-            .expect("feasible");
-            VirtualWorker {
-                index: j,
-                devices,
-                plan,
-                nm: NM,
-            }
-        })
+        .map(|j| planner.worker(j, &[0, 4, 8, 12].map(|d| DeviceId(d + j)), NM))
+        .map(|vw| vw.expect("feasible"))
         .collect()
 }
 

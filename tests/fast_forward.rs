@@ -24,13 +24,12 @@ use hetpipe::cluster::{Cluster, DeviceId, GpuKind, Node};
 use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{
-    AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
-    SystemReport, VirtualWorker, WspParams,
+    AllocationPolicy, HetPipeSystem, OccupancyAudit, Planner, RecomputePolicy, Schedule,
+    SystemConfig, SystemReport, VirtualWorker, WspParams,
 };
 use hetpipe::des::{Discard, SimTime, Trace};
 use hetpipe::fleet::FleetTopology;
 use hetpipe::model::ModelGraph;
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::{Dispatch, PipelineSchedule};
 
 const WARMUPS: [f64; 4] = [0.0, 0.15, 0.5, 2.0];
@@ -69,26 +68,9 @@ impl Run {
     fn check(&self, label: &str, warmups: &[f64]) -> Vec<RunStats> {
         let cluster = Cluster::paper_testbed();
         let nm = self.wsp.nm;
-        let vws: Vec<VirtualWorker> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(index, group)| {
-                let k = self.schedule.virtual_stages(group.len());
-                let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
-                let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(&cluster, &devices);
-                let problem =
-                    PartitionProblem::with_schedule(&self.graph, gpus, links, nm, self.schedule)
-                        .with_recompute(self.recompute);
-                let plan = PartitionSolver::solve(&problem).expect("feasible");
-                VirtualWorker {
-                    index,
-                    devices,
-                    plan,
-                    nm,
-                }
-            })
+        let mut planner = Planner::new(&cluster, &self.graph, self.schedule, self.recompute);
+        let vws: Vec<VirtualWorker> = (self.groups.iter().enumerate())
+            .map(|(index, group)| planner.worker(index, group, nm).expect("feasible"))
             .collect();
         let shards = ShardMap::build(self.placement, &self.graph, &cluster, &vws[0]);
         let params = ExecParams {
@@ -407,16 +389,9 @@ fn fleet_expanded_topology_matches_with_fast_forward() {
         cell.add_node(Node::new(GpuKind::Rtx2060, 1));
     }
     let devices: Vec<DeviceId> = cell.devices().collect();
-    let gpus = devices.iter().map(|&d| cell.spec_of(d)).collect();
-    let links = VirtualWorker::links(&cell, &devices);
-    let plan = PartitionSolver::solve(&PartitionProblem::new(&graph, gpus, links, 4))
+    let vw = Planner::new(&cell, &graph, Schedule::HetPipeWave, RecomputePolicy::None)
+        .worker(0, &devices, 4)
         .expect("feasible cell");
-    let vw = VirtualWorker {
-        index: 0,
-        devices,
-        plan,
-        nm: 4,
-    };
     let (cluster, vws) = FleetTopology::new(cell, vw, 64).expanded();
     let shards = ShardMap::build_vw_local(&graph);
     let params = ExecParams {

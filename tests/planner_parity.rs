@@ -19,13 +19,16 @@
 //!     bit-identical wave-schedule traces — the planner refactor may
 //!     not leak into runtime behaviour (`tests/trace_pins.rs` pins
 //!     that run's digest).
-//! (d) a runtime replan (`replan_vw_from_observed`) returns the cold
-//!     solver's plan bit for bit.
+//! (d) a runtime replan (the run's `Planner` prefix up to a ceiling,
+//!     `Nm` by `planner::replan_nm`) picks the `Nm` of the descending
+//!     cold-solve walk it replaced, with the cold solver's plan bit for
+//!     bit.
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind, LinkKind};
 use hetpipe::core::exec::{self, ExecParams};
+use hetpipe::core::planner::replan_nm;
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{replan_vw_from_observed, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Planner, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::memory::nm_saturation_limit;
 use hetpipe::model::{ModelGraph, StageMemoryTerms, TrainingMemoryModel};
@@ -264,44 +267,89 @@ fn golden_wave_still_bit_identical() {
     }
 }
 
-/// (d) Runtime replans are the cold solve. Over {VGG-19, ResNet-152}
-/// × {wave, 1F1B} × `Nm` {4, 2, 1} × {nominal, one GPU ×1.5} on one
-/// GPU of each kind, every cell's replan must equal a cold
-/// `PartitionSolver::solve` of the derated problem bit for bit.
+/// (d) Runtime replans keep the rule of the walk they replaced. Each
+/// cell replans two VWs at a ceiling, VW 0 nominal and VW 1 with its
+/// first GPU ×1.5 slower: both on one GPU of each kind at ceilings
+/// {2, 4, 7}; at ceiling 7, that pair with VW 1 shrunk to three GPUs
+/// (above their saturation limit of 5), and with VW 1 on four RTX
+/// 2060s, and four and three RTX 2060s (where memory stops some VWs
+/// below the ceiling). Over {VGG-19, ResNet-152} × {wave, 1F1B,
+/// interleaved 1F1B with 2 chunks}, every replan must choose the `Nm`
+/// of the reference walk, which lowers `Nm` from the ceiling until a
+/// cold `PartitionSolver::solve` of every VW's derated problem
+/// succeeds, and every plan must equal that solve bit for bit. One
+/// planner serves each model and schedule, as one serves a whole run.
+/// Tier: dynamically audited.
 #[test]
 fn warm_replans_match_the_cold_solve_across_the_grid() {
     let cluster = Cluster::paper_testbed();
-    let devices = [DeviceId(0), DeviceId(4), DeviceId(8), DeviceId(12)];
     let recompute = RecomputePolicy::None;
+    let (vrgq, gggg) = ([0, 4, 8, 12].map(DeviceId), [8, 9, 10, 11].map(DeviceId));
+    let cells: [(usize, [&[DeviceId]; 2]); 6] = [
+        (2, [&vrgq, &vrgq]),
+        (4, [&vrgq, &vrgq]),
+        (7, [&vrgq, &vrgq]),
+        (7, [&vrgq, &vrgq[..3]]),
+        (7, [&vrgq, &gggg]),
+        (7, [&gggg, &gggg[..3]]),
+    ];
+    let (mut shrunk, mut split) = (0, 0);
     for graph in [hetpipe::model::vgg19(32), hetpipe::model::resnet152(32)] {
-        for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
-            for nm in [4, 2, 1] {
-                for derate in [[1.0; 4], [1.5, 1.0, 1.0, 1.0]] {
-                    let what = format!("{} {schedule:?} nm={nm} derate={derate:?}", graph.name);
-                    let gpus = devices
-                        .iter()
-                        .zip(&derate)
+        for schedule in [
+            Schedule::HetPipeWave,
+            Schedule::OneFOneB,
+            Schedule::Interleaved1F1B {
+                chunks: 2,
+                composite: true,
+            },
+        ] {
+            let mut planner = Planner::new(&cluster, &graph, schedule, recompute);
+            for (ceiling, phys) in cells {
+                let what = format!("{} {schedule} {phys:?} ceiling={ceiling}", graph.name);
+                let vws: Vec<(Vec<DeviceId>, Vec<f64>)> = (phys.iter().zip([1.0, 1.5]))
+                    .map(|(gpus, slowed)| {
+                        let devices = planner.stages(gpus);
+                        let derate = |&d| if d == gpus[0] { slowed } else { 1.0 };
+                        let derate = devices.iter().map(derate).collect();
+                        (devices, derate)
+                    })
+                    .collect();
+                let cold = |nm, (devices, derate): &(Vec<DeviceId>, Vec<f64>)| {
+                    let gpus = (devices.iter().zip(derate))
                         .map(|(&d, &r)| cluster.spec_of(d).derated(r))
                         .collect();
-                    let links = VirtualWorker::links(&cluster, &devices);
-                    let cold = PartitionSolver::solve(
-                        &PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule)
-                            .with_recompute(recompute),
-                    )
-                    .expect(&what);
-                    let plan = replan_vw_from_observed(
-                        &cluster, &graph, &devices, &derate, nm, schedule, recompute,
-                    )
-                    .expect(&what);
+                    let links = VirtualWorker::links(&cluster, devices);
+                    let problem =
+                        PartitionProblem::with_schedule(&graph, gpus, links, nm, schedule);
+                    PartitionSolver::solve(&problem.with_recompute(recompute)).ok()
+                };
+                // The deleted walk: the highest Nm at or below the
+                // ceiling at which every VW's cold solve succeeds.
+                let every = |nm| {
+                    vws.iter()
+                        .map(|vw| cold(nm, vw))
+                        .collect::<Option<Vec<_>>>()
+                };
+                let walk = (1..=ceiling).rev().find_map(|nm| Some((nm, every(nm)?)));
+                let (walk_nm, walk) = walk.expect(&what);
+                let prefixes: Vec<Vec<PartitionPlan>> = (vws.iter())
+                    .map(|(devices, derate)| planner.prefix(devices, derate, ceiling).to_vec())
+                    .collect();
+                let nm = replan_nm(&prefixes);
+                assert_eq!(nm, walk_nm, "{what}: Nm");
+                for (prefix, cold) in prefixes.iter().zip(&walk) {
                     // Bit-identical, not approximately equal.
-                    assert_eq!(plan.ranges, cold.ranges, "{what}: ranges");
-                    assert_eq!(plan.stage_secs, cold.stage_secs, "{what}: stage_secs");
-                    assert_eq!(
-                        plan.bottleneck_secs, cold.bottleneck_secs,
-                        "{what}: bottleneck"
-                    );
+                    assert_eq!(&prefix[nm - 1], cold, "{what}");
                 }
+                shrunk += (nm < ceiling) as usize;
+                split += (prefixes[0].len() != prefixes[1].len()) as usize;
             }
         }
     }
+    // Memory must stop some replans below their ceiling, and some below
+    // one VW's own prefix, or the rule is not exercised.
+    assert!(
+        shrunk > 0 && split > 0,
+        "{shrunk} below the ceiling, {split} split"
+    );
 }

@@ -23,13 +23,12 @@ use hetpipe::core::exec::{
 };
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{
-    AllocationPolicy, HetPipeSystem, OccupancyAudit, RecomputePolicy, Schedule, SystemConfig,
-    SystemReport, VirtualWorker, WspParams,
+    AllocationPolicy, HetPipeSystem, OccupancyAudit, Planner, RecomputePolicy, Schedule,
+    SystemConfig, SystemReport, VirtualWorker, WspParams,
 };
 use hetpipe::des::{
     declared_bounds, peak_of_events, BoundEntity, Discard, ResourceId, ResourcePool, SimTime, Trace,
 };
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::schedule::PipelineSchedule;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -293,27 +292,10 @@ impl Run {
     fn check(&self, label: &str, opts: SegmentOpts) -> (RunStats, SystemReport) {
         let graph = hetpipe::model::vgg19(32);
         let cluster = &self.cluster;
-        let vws: Vec<VirtualWorker> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(index, group)| {
-                let k = self.schedule.virtual_stages(group.len());
-                let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
-                let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(cluster, &devices);
-                let problem =
-                    PartitionProblem::with_schedule(&graph, gpus, links, self.nm, self.schedule)
-                        .with_recompute(self.recompute);
-                let plan = PartitionSolver::solve(&problem)
-                    .unwrap_or_else(|e| panic!("{label}: infeasible: {e}"));
-                VirtualWorker {
-                    index,
-                    devices,
-                    plan,
-                    nm: self.nm,
-                }
-            })
+        let mut planner = Planner::new(cluster, &graph, self.schedule, self.recompute);
+        let vws: Vec<VirtualWorker> = (self.groups.iter().enumerate())
+            .map(|(index, group)| planner.worker(index, group, self.nm))
+            .map(|vw| vw.unwrap_or_else(|| panic!("{label}: infeasible")))
             .collect();
         let shards = ShardMap::build(self.placement, &graph, cluster, &vws[0]);
         let params = ExecParams {

@@ -28,14 +28,12 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::pserver::Placement;
 use hetpipe::core::{
-    AllocationPolicy, Fnv, HetPipeSystem, RecomputePolicy, Schedule, SystemConfig, VirtualWorker,
+    AllocationPolicy, Fnv, HetPipeSystem, Planner, RecomputePolicy, Schedule, SystemConfig,
     WspParams,
 };
 use hetpipe::des::{Discard, SimTime, Trace};
 use hetpipe::model::ModelGraph;
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
 use hetpipe::runtime::{self, MonitorConfig, Policy, RuntimeParams, RuntimeReport, ScenarioScript};
-use hetpipe::schedule::PipelineSchedule;
 
 const HORIZON_SECS: f64 = 40.0;
 const NM: usize = 4;
@@ -49,31 +47,6 @@ fn whimpy() -> (Cluster, ModelGraph) {
     )
 }
 
-/// One standalone VW over the four GPUs, plan solved at `nm`.
-fn standalone_vw(
-    cluster: &Cluster,
-    graph: &ModelGraph,
-    nm: usize,
-    schedule: Schedule,
-    recompute: RecomputePolicy,
-) -> VirtualWorker {
-    let k = schedule.virtual_stages(4);
-    let expanded: Vec<DeviceId> = (0..k).map(|s| DeviceId(s % 4)).collect();
-    let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(cluster, &expanded);
-    let plan = PartitionSolver::solve(
-        &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
-            .with_recompute(recompute),
-    )
-    .expect("feasible");
-    VirtualWorker {
-        index: 0,
-        devices: expanded,
-        plan,
-        nm,
-    }
-}
-
 /// Hands `f` the runtime inputs of a standalone-VW cell.
 fn with_cell<R>(
     schedule: Schedule,
@@ -84,7 +57,10 @@ fn with_cell<R>(
     f: impl FnOnce(RuntimeParams<'_>) -> R,
 ) -> R {
     let (cluster, graph) = whimpy();
-    let vw = standalone_vw(&cluster, &graph, nm, schedule, recompute);
+    // One standalone VW over the four GPUs, planned at `nm`.
+    let vw = Planner::new(&cluster, &graph, schedule, recompute)
+        .worker(0, &[0, 1, 2, 3].map(DeviceId), nm)
+        .expect("feasible");
     f(RuntimeParams {
         cluster: &cluster,
         graph: &graph,

@@ -34,40 +34,27 @@
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe::core::exec::{self, ExecParams};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Fnv, Planner, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::SimTime;
 use hetpipe::model::ModelGraph;
-use hetpipe::partition::{max_feasible_nm_with, PartitionProblem, PartitionSolver};
+use hetpipe::partition::PartitionProblem;
 use hetpipe::runtime::{
     self, Fault, MonitorConfig, Policy, RuntimeParams, ScenarioEvent, ScenarioScript,
 };
-use hetpipe::schedule::PipelineSchedule;
 
-/// One standalone virtual worker over `devices` (the paper's
-/// Figure-3 measurement mode): plan solved at `nm`.
+/// One standalone virtual worker over GPUs 0–3 (the paper's Figure-3
+/// measurement mode), planned at `nm`.
 fn standalone_vw(
     cluster: &Cluster,
     graph: &ModelGraph,
-    devices: Vec<DeviceId>,
     nm: usize,
     schedule: Schedule,
     recompute: RecomputePolicy,
 ) -> VirtualWorker {
-    let k = schedule.virtual_stages(devices.len());
-    let expanded: Vec<DeviceId> = (0..k).map(|s| devices[s % devices.len()]).collect();
-    let gpus = expanded.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(cluster, &expanded);
-    let plan = PartitionSolver::solve(
-        &PartitionProblem::with_schedule(graph, gpus, links, nm, schedule)
-            .with_recompute(recompute),
-    )
-    .expect("feasible");
-    VirtualWorker {
-        index: 0,
-        devices: expanded,
-        plan,
-        nm,
-    }
+    let mut planner = Planner::new(cluster, graph, schedule, recompute);
+    planner
+        .worker(0, &[0, 1, 2, 3].map(DeviceId), nm)
+        .expect("feasible")
 }
 
 /// The acceptance configuration: one whimpy 4×RTX 2060 node running
@@ -76,19 +63,13 @@ fn standalone_vw(
 fn whimpy_resnet() -> (Cluster, ModelGraph, usize) {
     let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
     let graph = hetpipe::model::resnet152(32);
-    let devices: Vec<_> = (0..4).map(DeviceId).collect();
-    let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(&cluster, &devices);
+    // Max_m: the feasible prefix up to the saturation limit.
     let limit = hetpipe::model::memory::nm_saturation_limit(4);
-    let (nm, _) = max_feasible_nm_with(
-        &graph,
-        &gpus,
-        &links,
-        limit,
-        Schedule::HetPipeWave,
-        RecomputePolicy::None,
-    )
-    .expect("feasible");
+    let (wave, none) = (Schedule::HetPipeWave, RecomputePolicy::None);
+    let devices = [0, 1, 2, 3].map(DeviceId);
+    let nm = Planner::new(&cluster, &graph, wave, none)
+        .prefix(&devices, &[1.0; 4], limit)
+        .len();
     (cluster, graph, nm)
 }
 
@@ -129,14 +110,7 @@ fn zero_fault_script_keeps_traces_bit_identical() {
     let (cluster, graph, nm) = whimpy_resnet();
     let horizon = SimTime::from_secs(15.0);
     for schedule in [Schedule::HetPipeWave, Schedule::OneFOneB] {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            schedule,
-            RecomputePolicy::None,
-        );
+        let vw = standalone_vw(&cluster, &graph, nm, schedule, RecomputePolicy::None);
         let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vw);
         let vws = vec![vw];
         let plain = exec::run(
@@ -203,7 +177,6 @@ fn same_seed_and_script_is_deterministic_across_threads() {
         let vw = standalone_vw(
             &cluster,
             &graph,
-            (0..4).map(DeviceId).collect(),
             nm,
             Schedule::HetPipeWave,
             RecomputePolicy::None,
@@ -276,14 +249,7 @@ fn replan_recovers_straggler_throughput() {
     // acceptance bar with margin).
     let script = ScenarioScript::canonical_straggler(0, 5.0);
     let completed_after = |policy: Policy| {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
+        let vw = standalone_vw(&cluster, &graph, nm, Schedule::HetPipeWave, recompute);
         let report = runtime::run(
             runtime_params(
                 &cluster,
@@ -337,25 +303,18 @@ fn replan_recovers_straggler_throughput() {
 fn replan_after_gpu_loss_is_certified_and_continues() {
     let cluster = Cluster::testbed_subset(&[GpuKind::Rtx2060; 4]);
     let graph = hetpipe::model::vgg19(32);
-    let devices: Vec<_> = (0..4).map(DeviceId).collect();
-    let gpus: Vec<_> = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-    let links = VirtualWorker::links(&cluster, &devices);
+    // Max_m: the feasible prefix up to the saturation limit.
     let limit = hetpipe::model::memory::nm_saturation_limit(4);
-    let (nm, _) = max_feasible_nm_with(
-        &graph,
-        &gpus,
-        &links,
-        limit,
-        Schedule::HetPipeWave,
-        RecomputePolicy::None,
-    )
-    .expect("feasible");
+    let (wave, none) = (Schedule::HetPipeWave, RecomputePolicy::None);
+    let devices = [0, 1, 2, 3].map(DeviceId);
+    let nm = Planner::new(&cluster, &graph, wave, none)
+        .prefix(&devices, &[1.0; 4], limit)
+        .len();
     let horizon = SimTime::from_secs(40.0);
     let script = ScenarioScript::canonical_gpu_loss(2, 8.0);
     let vw = standalone_vw(
         &cluster,
         &graph,
-        devices,
         nm,
         Schedule::HetPipeWave,
         RecomputePolicy::None,
@@ -429,14 +388,7 @@ fn canonical_lease_scale_up_recovers_throughput_and_recertifies() {
     // re-granted at 30 s.
     let script = ScenarioScript::canonical_lease(2, 8.0, 30.0);
     let run_policy = |policy: Policy| {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
+        let vw = standalone_vw(&cluster, &graph, nm, Schedule::HetPipeWave, recompute);
         runtime::run(
             runtime_params(
                 &cluster,
@@ -521,14 +473,7 @@ fn zero_scenario_is_bit_identical_and_matches_golden() {
     let (cluster, graph, nm) = whimpy_resnet();
     let horizon = SimTime::from_secs(15.0);
     let schedule = Schedule::HetPipeWave;
-    let vw = standalone_vw(
-        &cluster,
-        &graph,
-        (0..4).map(DeviceId).collect(),
-        nm,
-        schedule,
-        RecomputePolicy::None,
-    );
+    let vw = standalone_vw(&cluster, &graph, nm, schedule, RecomputePolicy::None);
     let shards = ShardMap::build(Placement::Default, &graph, &cluster, &vw);
     let vws = vec![vw];
     let plain = exec::run(
@@ -609,14 +554,7 @@ fn flapping_lease_produces_zero_splices() {
     // loss and straggler thresholds too (a 0.4 s delay on crossing
     // tasks is a blip, not a fault).
     let script = ScenarioScript::canonical_lease(2, 10.0, 10.4);
-    let vw = standalone_vw(
-        &cluster,
-        &graph,
-        (0..4).map(DeviceId).collect(),
-        nm,
-        Schedule::HetPipeWave,
-        recompute,
-    );
+    let vw = standalone_vw(&cluster, &graph, nm, Schedule::HetPipeWave, recompute);
     let report = runtime::run(
         runtime_params(
             &cluster,
@@ -677,14 +615,7 @@ fn transient_slowdown_is_replanned_inside_its_window() {
         })],
     };
     let run_policy = |policy: Policy| {
-        let vw = standalone_vw(
-            &cluster,
-            &graph,
-            (0..4).map(DeviceId).collect(),
-            nm,
-            Schedule::HetPipeWave,
-            recompute,
-        );
+        let vw = standalone_vw(&cluster, &graph, nm, Schedule::HetPipeWave, recompute);
         runtime::run(
             runtime_params(
                 &cluster,

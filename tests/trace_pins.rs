@@ -29,11 +29,9 @@
 use hetpipe::cluster::{Cluster, DeviceId};
 use hetpipe::core::exec::{self, ExecParams, RateEvent, RateTarget, RunStats, SegmentOpts};
 use hetpipe::core::pserver::{Placement, ShardMap};
-use hetpipe::core::{Fnv, RecomputePolicy, Schedule, VirtualWorker, WspParams};
+use hetpipe::core::{Fnv, Planner, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::{SimTime, Trace};
 use hetpipe::model::ModelGraph;
-use hetpipe::partition::{PartitionProblem, PartitionSolver};
-use hetpipe::schedule::PipelineSchedule;
 
 /// Byte-wise FNV-1a fed field by field, little-endian.
 trait Fields {
@@ -171,26 +169,9 @@ impl Run {
     fn exec(&self, opts: Option<SegmentOpts>) -> RunStats {
         let cluster = Cluster::paper_testbed();
         let nm = self.wsp.nm;
-        let vws: Vec<VirtualWorker> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(index, group)| {
-                let k = self.schedule.virtual_stages(group.len());
-                let devices: Vec<DeviceId> = (0..k).map(|s| group[s % group.len()]).collect();
-                let gpus = devices.iter().map(|&d| cluster.spec_of(d)).collect();
-                let links = VirtualWorker::links(&cluster, &devices);
-                let problem =
-                    PartitionProblem::with_schedule(&self.graph, gpus, links, nm, self.schedule)
-                        .with_recompute(self.recompute);
-                let plan = PartitionSolver::solve(&problem).expect("feasible");
-                VirtualWorker {
-                    index,
-                    devices,
-                    plan,
-                    nm,
-                }
-            })
+        let mut planner = Planner::new(&cluster, &self.graph, self.schedule, self.recompute);
+        let vws: Vec<VirtualWorker> = (self.groups.iter().enumerate())
+            .map(|(index, group)| planner.worker(index, group, nm).expect("feasible"))
             .collect();
         let shards = ShardMap::build(self.placement, &self.graph, &cluster, &vws[0]);
         let params = ExecParams {
