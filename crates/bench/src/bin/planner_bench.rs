@@ -29,7 +29,12 @@
 //!   simulate) on the paper and whimpy clusters, and the build of the
 //!   whole 128-cell plan-sweep matrix, recorded for the trajectory (no
 //!   baseline counterpart). A build keeps no state for the next, so
-//!   every repeat is as cold as the first.
+//!   every repeat is as cold as the first;
+//! - **counts** — exact counts of one matrix pass, summed over its
+//!   builds' [`BuildCounts`](hetpipe_core::BuildCounts): the row pairs
+//!   the builds' layer tables built (prefix rows per GPU kind, comm rows
+//!   per link kind), and the refine simulations with the events they
+//!   simulated.
 //!
 //! Every timing, each side of a pair included, records its sample
 //! count, median and quartiles (`{n, median, q1, q3}`); a pair's
@@ -319,7 +324,7 @@ fn main() {
     }
 
     let cells = plan_sweep_matrix();
-    let (matrix_secs, ()) = time_each(if quick { 3 } else { 9 }, || {
+    let (matrix_secs, ()) = time_each(if quick { 3 } else { 15 }, || {
         for (cluster, graph, config) in &cells {
             std::hint::black_box(HetPipeSystem::build(cluster, graph, config).ok());
         }
@@ -338,6 +343,38 @@ fn main() {
         "build_secs": summary(&matrix_secs),
     }));
 
+    // ------------------------------------------------------------------
+    // 5. Exact counts of one matrix pass.
+    // ------------------------------------------------------------------
+    let (mut prefix_rows, mut comm_rows, mut refine_runs, mut refine_events) = (0, 0, 0, 0);
+    for (cluster, graph, config) in &cells {
+        if let Ok(sys) = HetPipeSystem::build(cluster, graph, config) {
+            let c = sys.build_counts();
+            prefix_rows += c.prefix_rows;
+            comm_rows += c.comm_rows;
+            refine_runs += c.refine_runs;
+            refine_events += c.refine_events_simulated;
+        }
+    }
+    println!(
+        "counts       plan-sweep matrix pass: {prefix_rows} prefix-row + {comm_rows} comm-row pairs built, \
+         {refine_runs} refine simulations simulating {refine_events} events"
+    );
+    let count_rows = vec![
+        json!({
+            "cluster": "plan-sweep-matrix",
+            "count": "row_pairs_built_per_pass",
+            "prefix_row_pairs": prefix_rows,
+            "comm_row_pairs": comm_rows,
+        }),
+        json!({
+            "cluster": "plan-sweep-matrix",
+            "count": "refine_events_simulated_per_pass",
+            "refine_runs": refine_runs,
+            "events_simulated": refine_events,
+        }),
+    ];
+
     let min_solve = solve_speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     println!(
         "\nacceptance: plain solve speedup {min_solve:.1}x (target ≥2x), parity {}",
@@ -355,6 +392,7 @@ fn main() {
         "nm_sweep": sweep_rows,
         "timetable": timetable_rows,
         "end_to_end": e2e_rows,
+        "counts": count_rows,
         "acceptance": {
             "solve_min_speedup": min_solve,
             "solve_target": 2.0,

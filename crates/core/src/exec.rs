@@ -736,12 +736,12 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
         };
         *moved += bytes;
         let now = self.st.engine.now();
+        let dur = SimTime::from_secs(link_between(from, to).transfer_secs(bytes));
         if from == to {
             // Dedicated PCIe lanes carry no timeline resource, so link
             // degradation targets NICs (inter-node traffic) only.
-            now + SimTime::from_secs(LinkKind::Pcie.transfer_secs(bytes))
+            now + dur
         } else {
-            let dur = SimTime::from_secs(LinkKind::Infiniband.transfer_secs(bytes));
             let a = self.plan.nic_res[from.0];
             let b = self.plan.nic_res[to.0];
             // A degraded link runs at the slower endpoint's rate now.
@@ -1079,12 +1079,7 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// `backward`, the gradient w.r.t. its inputs to the previous one
     /// (shared by both disciplines).
     fn send(&mut self, vw: usize, stage: usize, mb: u64, backward: bool) {
-        let (p, range) = (&self.plan.p, &self.plan.p.vws[vw].plan.ranges[stage]);
-        let (next, bytes) = if backward {
-            (stage - 1, p.graph.input_bytes_of(range.start))
-        } else {
-            (stage + 1, p.graph.boundary_bytes(range.end - 1))
-        };
+        let (next, bytes) = send_target(self.plan.p.graph, &self.plan.p.vws[vw], stage, backward);
         let (from, to) = (self.node_of(vw, stage), self.node_of(vw, next));
         let tag = SpanTag::ActTransfer {
             vw: vw as u16,
@@ -1252,9 +1247,15 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     /// Simulates on from the current state to the horizon, skipping
     /// whole periods of a steady state when the sink keeps no spans
     /// (the `fastforward` module).
-    fn simulate(mut self) -> (RunStats, S, Option<SystemReport>) {
+    fn simulate(self) -> (RunStats, S, Option<SystemReport>) {
+        self.simulate_with_store(fastforward::STORE_WORDS)
+    }
+
+    /// [`Exec::simulate`] with a fast-forward store of `store_words`
+    /// words.
+    fn simulate_with_store(mut self, store_words: usize) -> (RunStats, S, Option<SystemReport>) {
         let horizon = self.plan.horizon;
-        let mut ff = fastforward::Forward::new(&self);
+        let mut ff = fastforward::Forward::new(&self, store_words);
         while let Some(ev) = self.st.engine.next_event_until(horizon) {
             self.handle(ev);
             if !S::KEEPS_SPANS {
@@ -1324,17 +1325,77 @@ impl<'a, S: SpanSink<SpanTag>> Exec<'a, S> {
     }
 }
 
+/// The link a transfer between two nodes crosses: dedicated PCIe lanes
+/// within a node, InfiniBand between nodes.
+fn link_between(from: NodeId, to: NodeId) -> LinkKind {
+    if from == to {
+        LinkKind::Pcie
+    } else {
+        LinkKind::Infiniband
+    }
+}
+
+/// The stage a send of `vw`'s stage `stage` goes to and its bytes: the
+/// boundary activations to the next stage or, when `backward`, the
+/// gradient w.r.t. the stage's inputs to the previous one.
+fn send_target(
+    graph: &ModelGraph,
+    vw: &VirtualWorker,
+    stage: usize,
+    backward: bool,
+) -> (usize, u64) {
+    let range = &vw.plan.ranges[stage];
+    if backward {
+        (stage - 1, graph.input_bytes_of(range.start))
+    } else {
+        (stage + 1, graph.boundary_bytes(range.end - 1))
+    }
+}
+
+/// The nominal seconds of one activation send of `vw`'s stage `stage`
+/// (its gradient send when `backward`), before the executor rounds them
+/// to a [`SimTime`]: the `transfer_secs` of its bytes over the link
+/// between the two stages' nodes, as the executor's send computes them.
+pub fn send_secs(
+    cluster: &Cluster,
+    graph: &ModelGraph,
+    vw: &VirtualWorker,
+    stage: usize,
+    backward: bool,
+) -> f64 {
+    let (next, bytes) = send_target(graph, vw, stage, backward);
+    let node = |s: usize| cluster.node_of(vw.devices[s]);
+    link_between(node(stage), node(next)).transfer_secs(bytes)
+}
+
 /// The planned (nominal, fault-free) per-VW per-stage forward and
 /// backward compute times, each including the per-task framework
 /// overhead: what the executor dispatches with and returns as
 /// [`RunStats::planned_fwd`] / [`RunStats::planned_bwd`]. A caller
 /// that folds spans while the run executes (the runtime monitor)
-/// reads them before the run.
+/// reads them before the run. Each is [`planned_stage_secs`]' entry
+/// rounded to a [`SimTime`].
 pub fn planned_stage_times(
     cluster: &Cluster,
     graph: &ModelGraph,
     vws: &[VirtualWorker],
 ) -> (Vec<Vec<SimTime>>, Vec<Vec<SimTime>>) {
+    let (fwd, bwd) = planned_stage_secs(cluster, graph, vws);
+    let round = |rows: Vec<Vec<f64>>| -> Vec<Vec<SimTime>> {
+        let row = |r: Vec<f64>| r.into_iter().map(SimTime::from_secs).collect();
+        rows.into_iter().map(row).collect()
+    };
+    (round(fwd), round(bwd))
+}
+
+/// [`planned_stage_times`] before rounding: per VW and stage, the
+/// forward and the backward seconds of the stage's layers on its GPU,
+/// each plus one task's overhead.
+pub fn planned_stage_secs(
+    cluster: &Cluster,
+    graph: &ModelGraph,
+    vws: &[VirtualWorker],
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let mut fwd = Vec::with_capacity(vws.len());
     let mut bwd = Vec::with_capacity(vws.len());
     for vw in vws {
@@ -1352,8 +1413,8 @@ pub fn planned_stage_times(
                 .map(|l| pass_time_secs(l, &spec, Pass::Backward))
                 .sum();
             // Each dispatched stage task pays the framework cost.
-            f.push(SimTime::from_secs(fs + STAGE_TASK_OVERHEAD_SECS));
-            b.push(SimTime::from_secs(bs + STAGE_TASK_OVERHEAD_SECS));
+            f.push(fs + STAGE_TASK_OVERHEAD_SECS);
+            b.push(bs + STAGE_TASK_OVERHEAD_SECS);
         }
         fwd.push(f);
         bwd.push(b);

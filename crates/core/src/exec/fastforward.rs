@@ -13,14 +13,27 @@
 //!   minibatches and waves relative to the slowest VW's wave base,
 //!   pending events in `(time, sequence)` rank, and under lane
 //!   dispatch each lane's buffered ops and each VW's lane generators
-//!   (`hetpipe_schedule::Lanes::write_state`). Only a hash of it is
-//!   kept, with the event count it was first seen at.
-//! - **Confirmation.** A recurring hash proposes a period. The full
-//!   normalized state is captured and one candidate period simulated;
-//!   only a full equality of the two states confirms it. The period's
-//!   increments of every running total (busy time, reservations,
-//!   bytes, waits, the report's partials) and its completions and wait
-//!   windows are taken from that simulated period.
+//!   (`hetpipe_schedule::Lanes::write_state`). Its hash is remembered
+//!   for the rest of the leg.
+//! - **The store.** Each hashed state is also kept whole, in a bounded
+//!   store: its normal form, its instant, event count and wave base,
+//!   its running totals and its list lengths. The store holds 64 Ki
+//!   words ([`STORE_WORDS`], 512 KiB) and evicts its oldest states
+//!   first; the newest always stays, so it fits one state of any size.
+//!   That is some 150 paper-testbed states (about 330 normal-form words
+//!   and 90 totals each), enough for paper-ed's 40-wave period.
+//! - **Confirmation.** A recurring hash proposes a period, and the
+//!   stored state with that hash confirms it at once: only a full
+//!   equality of the two normal forms does. The period's increments of
+//!   every running total (busy time, reservations, bytes, waits, the
+//!   report's partials) and its completions and wait windows are the
+//!   differences between the two states. One state waits outside the
+//!   budget until its own recurrence: the leg's first, so a leg that
+//!   starts past an edge, on the cycle the last leg left, confirms one
+//!   period later whatever the period's length. When a recurring
+//!   state's partner was evicted and the waiting state is shown off
+//!   the cycle (a state first seen after it recurred first), the
+//!   recurring state waits instead and confirms one period later.
 //! - **The jump.** `k` whole periods are added at once. The state
 //!   shifts `k · Δt` later and `k` periods of waves on (`State::shift`:
 //!   pending events, the free instants of the resources the period
@@ -35,8 +48,9 @@
 //!   the state's lookahead (its latest referenced instant, or newest
 //!   minibatch, beyond now). The confirmed period must lie on one side
 //!   of each edge too. After a leg stops at the warm-up or a rate edge,
-//!   the first state past it is confirmed against the last period at
-//!   once; if that fails, detection starts again.
+//!   detection starts again past it with an empty store. A leg's store
+//!   is freed before its jump: `repeat` reserves the lists for the rest
+//!   of the horizon, and no kept state is alive then.
 //!
 //! Soundness. Between edges the handler is shift-equivariant: every
 //! decision compares instants, minibatches or waves with each other,
@@ -64,7 +78,7 @@
 use super::{Ev, Exec, Plan, SpanTag, State, VwState};
 use hetpipe_des::{PeakFold, ResourceId, SimTime, SpanSink};
 use hetpipe_schedule::{Dispatch, StateWriter};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// How a run fast-forwarded through its steady state
 /// ([`RunStats::fast_forward`](super::RunStats::fast_forward)).
@@ -95,6 +109,18 @@ impl FastForward {
 
 /// States hashed per run before detection gives up.
 const MAX_STATES: usize = 4096;
+
+/// The store's word budget: 64 Ki `u64` words (512 KiB).
+pub(super) const STORE_WORDS: usize = 1 << 16;
+
+/// The largest ring of kept words (16 KiB) that grows in small steps.
+const RING_SMALL: usize = 1 << 11;
+
+/// A larger ring takes at least this many words (128 KiB, glibc's
+/// default mmap threshold) at once: one block the allocator maps and
+/// unmaps whole, so a store that grew large leaves no freed heap behind
+/// it when the run goes on to fill its lists.
+const RING_BLOCK: usize = 1 << 14;
 
 /// A normalized executor state: a word sequence two states `Δt`,
 /// `Δmb` and `Δwaves` apart write identically. One buffer serves a
@@ -203,39 +229,193 @@ struct Period {
     windows: Vec<Vec<(SimTime, SimTime)>>,
 }
 
-/// A state captured to confirm a candidate period: its normal form,
-/// its instant, event count and wave base, its running totals and its
-/// list lengths.
-struct Snapshot {
-    words: Vec<u64>,
+/// A stored state's scalars: its hash, instant, event count and wave
+/// base, and how its words divide. Its words are its normal form, then
+/// its running totals ([`State::totals`] order), then two list lengths
+/// per VW (completions, wait windows).
+#[derive(Clone, Copy)]
+struct Mark {
+    hash: u64,
     now: SimTime,
     events: u64,
     base_wave: u64,
-    totals: Vec<u64>,
-    lens: Vec<(usize, usize)>,
-    /// Give up unless the state recurs within this many events.
-    within: u64,
+    /// Normal-form words.
+    normal: usize,
+    /// All words.
+    len: usize,
 }
 
-enum Phase {
-    /// Hashing the state at VW 0's pushes from `from` on, keeping
-    /// each hash with the event count it was first seen at. After a
-    /// leg, `again` holds the last period's event count: the first
-    /// state past the edge is then confirmed against that period
-    /// without waiting for its hash to recur.
-    Detect {
-        seen: BTreeMap<u64, usize>,
-        from: SimTime,
-        again: Option<u64>,
-    },
-    /// A hash recurred: simulating one candidate period.
-    Confirm(Snapshot),
-    Off,
+impl Mark {
+    /// Appends `ex`'s state, whose normal form `normal` hashes to
+    /// `hash` and whose running totals are `totals`, to `out`, and
+    /// returns its mark.
+    fn write<S>(
+        hash: u64,
+        normal: &Normal,
+        totals: &[u64],
+        ex: &Exec<'_, S>,
+        out: &mut impl Extend<u64>,
+    ) -> Mark {
+        out.extend(normal.words.iter().copied());
+        out.extend(totals.iter().copied());
+        let lens = ex.lists.iter();
+        out.extend(lens.flat_map(|l| [l.completions.len() as u64, l.wait_windows.len() as u64]));
+        Mark {
+            hash,
+            now: ex.st.engine.now(),
+            events: ex.st.engine.processed(),
+            base_wave: ex.st.clocks.min(),
+            normal: normal.words.len(),
+            len: normal.words.len() + totals.len() + 2 * ex.lists.len(),
+        }
+    }
+}
+
+/// A stored state whole: its mark and its words.
+struct Kept {
+    mark: Mark,
+    words: Vec<u64>,
+}
+
+impl Kept {
+    /// The period from this state to the equal state `ex` is in.
+    fn period<S>(&self, ex: &mut Exec<'_, S>) -> Option<Period> {
+        let waves = ex.st.clocks.min() - self.mark.base_wave;
+        let dt = ex.st.engine.now() - self.mark.now;
+        if waves == 0 || dt == SimTime::ZERO {
+            return None;
+        }
+        let (totals, lens) = self.words[self.mark.normal..]
+            .split_at(self.mark.len - self.mark.normal - 2 * ex.lists.len());
+        let mut increments = Vec::new();
+        ex.st.read_totals(&mut increments);
+        for (now, before) in increments.iter_mut().zip(totals) {
+            *now = now.wrapping_sub(*before);
+        }
+        let tails = ex.lists.iter().zip(lens.chunks(2));
+        Some(Period {
+            dt,
+            events: ex.st.engine.processed() - self.mark.events,
+            waves,
+            totals: increments,
+            completions: (tails.clone())
+                .map(|(l, n)| l.completions[n[0] as usize..].to_vec())
+                .collect(),
+            windows: tails
+                .map(|(l, n)| l.wait_windows[n[1] as usize..].to_vec())
+                .collect(),
+        })
+    }
+}
+
+/// Detection's memory over one leg (see the module docs).
+struct Store {
+    /// Hash the states from this instant on.
+    from: SimTime,
+    /// Every state hashed this leg: its hash, and the event count it
+    /// was first seen at.
+    seen: BTreeMap<u64, u64>,
+    /// The kept states, oldest first.
+    kept: VecDeque<Mark>,
+    /// Their words, in the same order, in one ring: freed with the
+    /// store as one block, and at most `budget` words unless one state
+    /// takes more.
+    words: VecDeque<u64>,
+    budget: usize,
+    /// The state that waits for its own recurrence outside the budget:
+    /// the leg's first, then a recurring state whose partner was
+    /// evicted.
+    waiting: Option<Kept>,
+    /// Scratch space for the running totals.
+    totals: Vec<u64>,
+}
+
+impl Store {
+    fn new(from: SimTime, budget: usize) -> Store {
+        Store {
+            from,
+            seen: BTreeMap::new(),
+            kept: VecDeque::new(),
+            words: VecDeque::new(),
+            budget,
+            waiting: None,
+            totals: Vec::new(),
+        }
+    }
+
+    /// The stored state that `words`, hashing to `hash`, repeats.
+    fn partner(&mut self, hash: u64, words: &[u64]) -> Option<Kept> {
+        let repeats = |m: &Mark, normal: &mut dyn Iterator<Item = &u64>| {
+            m.hash == hash && m.normal == words.len() && normal.eq(words)
+        };
+        let waiting = |w: &mut Kept| repeats(&w.mark, &mut w.words[..w.mark.normal].iter());
+        if let Some(w) = self.waiting.take_if(waiting) {
+            return Some(w);
+        }
+        let mut end = self.words.len();
+        for mark in self.kept.iter().rev() {
+            let start = end - mark.len;
+            if repeats(mark, &mut self.words.range(start..start + mark.normal)) {
+                let words = self.words.range(start..end).copied().collect();
+                return Some(Kept { mark: *mark, words });
+            }
+            end = start;
+        }
+        None
+    }
+
+    /// Stores `ex`'s state, whose normal form `normal` hashes to `hash`
+    /// and has no stored partner, and returns whether the hash is new
+    /// this leg.
+    ///
+    /// The state waits when none does. It replaces the waiting state
+    /// when it recurs and was first seen after that state was stored:
+    /// a waiting state on the cycle it reached would have recurred
+    /// before any later state of that cycle, so it is not on it. Any
+    /// other state is kept, after the oldest kept states that would
+    /// take the words past the budget are evicted.
+    fn store<S>(&mut self, hash: u64, normal: &Normal, ex: &mut Exec<'_, S>) -> bool {
+        let events = ex.st.engine.processed();
+        let first = *self.seen.entry(hash).or_insert(events);
+        ex.st.read_totals(&mut self.totals);
+        let off_cycle = self.waiting.as_ref().is_none_or(|w| first > w.mark.events);
+        if first < events && off_cycle || self.waiting.is_none() {
+            let mut words = self.waiting.take().map_or_else(Vec::new, |w| w.words);
+            words.clear();
+            let mark = Mark::write(hash, normal, &self.totals, ex, &mut words);
+            self.waiting = Some(Kept { mark, words });
+            return first == events;
+        }
+        let len = normal.words.len() + self.totals.len() + 2 * ex.lists.len();
+        while self.words.len() + len > self.budget {
+            let Some(old) = self.kept.pop_front() else {
+                break;
+            };
+            self.words.drain(..old.len);
+        }
+        let need = self.words.len() + len;
+        if need > self.words.capacity() {
+            // Powers of two up to the budget, and one block once past
+            // the small steps.
+            let block = if need > RING_SMALL { RING_BLOCK } else { 0 };
+            let room = need
+                .next_power_of_two()
+                .max(block)
+                .min(need.max(self.budget));
+            self.words.reserve_exact(room - self.words.len());
+        }
+        let mark = Mark::write(hash, normal, &self.totals, ex, &mut self.words);
+        self.kept.push_back(mark);
+        first == events
+    }
 }
 
 /// The fast-forward driver of one [`Exec::simulate`].
 pub(super) struct Forward {
-    phase: Phase,
+    /// Detection's store; `None` once detection is off.
+    store: Option<Store>,
+    /// The store's word budget.
+    budget: usize,
     /// VW 0's clock when last looked at.
     clock: u64,
     hashed: usize,
@@ -244,17 +424,14 @@ pub(super) struct Forward {
 }
 
 impl Forward {
-    /// The driver of `ex`'s run: off unless `ex` keeps no spans and
-    /// ends early enough for nanosecond counts to stay exact in an
-    /// `f64`.
-    pub(super) fn new<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>) -> Forward {
+    /// The driver of `ex`'s run, with a store of `budget` words: off
+    /// unless `ex` keeps no spans and ends early enough for nanosecond
+    /// counts to stay exact in an `f64`.
+    pub(super) fn new<S: SpanSink<SpanTag>>(ex: &Exec<'_, S>, budget: usize) -> Forward {
         let on = !S::KEEPS_SPANS && ex.plan.horizon.as_nanos() < 1 << 52;
         Forward {
-            phase: if on {
-                detect(SimTime::ZERO, None)
-            } else {
-                Phase::Off
-            },
+            store: on.then(|| Store::new(SimTime::ZERO, budget)),
+            budget,
             clock: 0,
             hashed: 0,
             found: None,
@@ -266,7 +443,7 @@ impl Forward {
     /// has pushed since the last look.
     #[inline]
     pub(super) fn after_event<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
-        if matches!(self.phase, Phase::Off) || ex.st.clocks.get(0) == self.clock {
+        if self.store.is_none() || ex.st.clocks.get(0) == self.clock {
             return;
         }
         self.clock = ex.st.clocks.get(0);
@@ -284,14 +461,13 @@ impl Forward {
     fn at_push<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>) {
         let now = ex.st.engine.now();
         let base_wave = ex.st.clocks.min();
-        if let Phase::Detect { from, .. } = self.phase {
-            // Pull gates and pull targets exist from wave D + 2 on;
-            // before that the handler compares with constants.
-            let nominal = ex.plan.rates.iter().all(|r| r.rate_at(now) == 1.0);
-            let steady = base_wave >= ex.plan.p.wsp.d as u64 + 2 && nominal;
-            if !steady || now < from {
-                return;
-            }
+        let from = self.store.as_ref().map_or(SimTime::MAX, |s| s.from);
+        // Pull gates and pull targets exist from wave D + 2 on; before
+        // that the handler compares with constants.
+        let nominal = ex.plan.rates.iter().all(|r| r.rate_at(now) == 1.0);
+        let steady = base_wave >= ex.plan.p.wsp.d as u64 + 2 && nominal;
+        if !steady || now < from {
+            return;
         }
         let mut normal = std::mem::take(&mut self.normal);
         ex.st.write_normal(&ex.plan, &mut normal, now, base_wave);
@@ -299,65 +475,39 @@ impl Forward {
         self.normal = normal;
     }
 
-    /// Detects or confirms a period at the state `normal` of `ex`.
+    /// Confirms a period at the state `normal` of `ex`, or stores the
+    /// state.
     fn at_state<S: SpanSink<SpanTag>>(&mut self, ex: &mut Exec<'_, S>, normal: &Normal) {
-        let (now, events) = (ex.st.engine.now(), ex.st.engine.processed());
-        match std::mem::replace(&mut self.phase, Phase::Off) {
-            Phase::Detect {
-                mut seen,
-                from,
-                again,
-            } => {
-                let hash = normal.hash();
-                let recurs = seen.get(&hash).map(|&at| events - at as u64);
-                if let Some(within) = recurs.or(again) {
-                    self.phase = Phase::Confirm(Snapshot {
-                        words: normal.words.clone(),
-                        now,
-                        events,
-                        base_wave: ex.st.clocks.min(),
-                        totals: ex.st.read_totals(),
-                        lens: ex.lens(),
-                        within,
-                    });
-                    return;
-                }
-                seen.insert(hash, events as usize);
-                self.hashed += 1;
-                if self.hashed < MAX_STATES {
-                    self.phase = Phase::Detect {
-                        seen,
-                        from,
-                        again: None,
-                    };
-                }
-            }
-            Phase::Confirm(snap) => {
-                self.phase = if normal.words == snap.words {
-                    match snap.period(ex) {
-                        Some(period) => self.jump(ex, snap.now, normal, period),
-                        None => Phase::Off,
-                    }
-                } else if events >= snap.events + snap.within {
-                    detect(now, None)
-                } else {
-                    Phase::Confirm(snap)
-                };
-            }
-            Phase::Off => {}
+        let Some(mut store) = self.store.take() else {
+            return;
+        };
+        let hash = normal.hash();
+        if let Some(partner) = store.partner(hash, &normal.words) {
+            // The store goes before the period's lists are copied out
+            // and before `repeat` reserves the rest of the horizon's.
+            drop(store);
+            let period = partner.period(ex);
+            self.store = period.and_then(|p| self.jump(ex, partner.mark.now, normal, p));
+            return;
+        }
+        if store.store(hash, normal, ex) {
+            self.hashed += 1;
+        }
+        if self.hashed < MAX_STATES {
+            self.store = Some(store);
         }
     }
 
     /// Skips as many whole periods as fit before the nearest edge, for
-    /// a period confirmed from `tc` to now, and returns the phase after
-    /// the leg.
+    /// a period confirmed from `tc` to now, and returns the next leg's
+    /// store (`None`: detection stops).
     fn jump<S: SpanSink<SpanTag>>(
         &mut self,
         ex: &mut Exec<'_, S>,
         tc: SimTime,
         normal: &Normal,
         period: Period,
-    ) -> Phase {
+    ) -> Option<Store> {
         let dt = period.dt.as_nanos();
         // The state's latest instant, and the first instant a skipped
         // period may not reach.
@@ -399,45 +549,7 @@ impl Forward {
         }
         // The jump leaves VW 0's clock `k` periods on.
         self.clock = ex.st.clocks.get(0);
-        match resume {
-            Some(from) => detect(from, Some(period.events)),
-            None => Phase::Off,
-        }
-    }
-}
-
-fn detect(from: SimTime, again: Option<u64>) -> Phase {
-    Phase::Detect {
-        seen: BTreeMap::new(),
-        from,
-        again,
-    }
-}
-
-impl Snapshot {
-    /// The period from this snapshot to the equal state `ex` is in.
-    fn period<S>(&self, ex: &mut Exec<'_, S>) -> Option<Period> {
-        let waves = ex.st.clocks.min() - self.base_wave;
-        let dt = ex.st.engine.now() - self.now;
-        if waves == 0 || dt == SimTime::ZERO {
-            return None;
-        }
-        let totals = (ex.st.read_totals().iter().zip(&self.totals))
-            .map(|(a, b)| a.wrapping_sub(*b))
-            .collect();
-        let tails = ex.lists.iter().zip(&self.lens);
-        Some(Period {
-            dt,
-            events: ex.st.engine.processed() - self.events,
-            waves,
-            totals,
-            completions: (tails.clone())
-                .map(|(l, &(n, _))| l.completions[n..].to_vec())
-                .collect(),
-            windows: tails
-                .map(|(l, &(_, n))| l.wait_windows[n..].to_vec())
-                .collect(),
-        })
+        resume.map(|from| Store::new(from, self.budget))
     }
 }
 
@@ -753,14 +865,13 @@ impl State {
         }
     }
 
-    /// Every running total, in [`State::totals`] order.
-    fn read_totals(&mut self) -> Vec<u64> {
-        let mut t = Vec::new();
+    /// Every running total, in [`State::totals`] order, into `t`.
+    fn read_totals(&mut self, t: &mut Vec<u64>) {
+        t.clear();
         self.totals(|x| {
             t.push(x);
             x
         });
-        t
     }
 }
 
@@ -768,9 +879,10 @@ impl State {
 mod tests {
     use super::super::tests::{build_vws, ed_groups, with_params};
     use super::*;
-    use crate::exec::{run_into, SegmentOpts};
+    use crate::exec::{run_into, RateEvent, RateTarget, RunStats, SegmentOpts};
     use crate::pserver::Placement;
     use crate::sync::WspParams;
+    use hetpipe_cluster::DeviceId;
     use hetpipe_des::Discard;
     use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 
@@ -832,5 +944,105 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// `stats` without its fast-forward record, as `Debug` text.
+    fn stripped(stats: &RunStats) -> String {
+        let mut s = stats.clone();
+        s.fast_forward = None;
+        format!("{s:?}")
+    }
+
+    /// The evicted-partner path: with an empty store (a budget of 0
+    /// words, so besides the waiting state only the newest is kept) a
+    /// recurrence finds its partner only one push back or waiting, so
+    /// most confirmations take the two-period path, and the results
+    /// must not move. `tests/fast_forward.rs`'s standing
+    /// matrix (every schedule × depths {3, 4} × (Nm, D) ∈ {(2, 0),
+    /// (4, 0), (4, 1)} × both recompute policies, two VWs of different
+    /// stage orders, 600 s, one warm-up fraction per cell in turn) and
+    /// its ED-local rate-edge run, each with the empty store and with
+    /// the default one: the same `RunStats` apart from the fast-forward
+    /// record and the same report, bit for bit. Every run must skip,
+    /// and the empty store must simulate more in some cell. A
+    /// dynamically audited invariant, like the file it mirrors.
+    #[test]
+    fn an_empty_store_changes_no_result() {
+        let at = SimTime::from_secs;
+        let edge = |secs, gpu, rate| RateEvent {
+            at: at(secs),
+            target: RateTarget::Gpu(gpu),
+            rate,
+        };
+        let edges = SegmentOpts {
+            rate_events: vec![
+                edge(200.0, 4, 0.5),
+                edge(260.0, 4, 1.0),
+                edge(400.0, 1, 0.0),
+                edge(430.0, 1, 1.0),
+            ],
+            ..SegmentOpts::default()
+        };
+        let mut cells = vec![(
+            "ED-local with rate edges".to_string(),
+            ed_groups(),
+            WspParams::new(4, 0),
+            Placement::Local,
+            Schedule::HetPipeWave,
+            RecomputePolicy::None,
+            edges,
+        )];
+        for schedule in Schedule::ALL {
+            for k in [3usize, 4] {
+                for (nm, d) in [(2, 0), (4, 0), (4, 1)] {
+                    for recompute in RecomputePolicy::ALL {
+                        let groups = vec![
+                            (0..k).map(|n| DeviceId(n * 4 + 1)).collect(),
+                            (0..k).rev().map(|n| DeviceId(n * 4 + 2)).collect(),
+                        ];
+                        cells.push((
+                            format!("{schedule} {recompute} k={k} Nm={nm} D={d}"),
+                            groups,
+                            WspParams::new(nm, d),
+                            Placement::Default,
+                            schedule,
+                            recompute,
+                            SegmentOpts::default(),
+                        ));
+                    }
+                }
+            }
+        }
+        let horizon = at(600.0);
+        let (mut longer, mut events) = (0, [0u64; 2]);
+        for (i, (label, groups, wsp, placement, schedule, recompute, opts)) in
+            cells.into_iter().enumerate()
+        {
+            let warmup = at(600.0 * [0.0, 0.15, 0.5, 2.0][i % 4]);
+            let vws = build_vws(&groups, wsp.nm, schedule, recompute);
+            with_params(&vws, wsp, placement, schedule, recompute, |params| {
+                let plan = Plan::new(params.clone(), opts.clone(), horizon);
+                let empty = Exec::new(plan, Some(warmup), Discard).simulate_with_store(0);
+                let full = run_into(params, opts, horizon, Discard, Some(warmup));
+                assert_eq!(stripped(&empty.0), stripped(&full.0), "{label}: run stats");
+                assert_eq!(
+                    format!("{:?}", empty.2),
+                    format!("{:?}", full.2),
+                    "{label}: report"
+                );
+                let simulated = [&empty.0, &full.0].map(|s| {
+                    let ff = s.fast_forward.unwrap_or_else(|| panic!("{label}: no skip"));
+                    ff.events_simulated
+                });
+                assert!(simulated[0] >= simulated[1], "{label}: {simulated:?}");
+                longer += (simulated[0] > simulated[1]) as usize;
+                events = [events[0] + simulated[0], events[1] + simulated[1]];
+            });
+        }
+        eprintln!(
+            "simulated events: {} with an empty store, {} with the default; longer in {longer} cells",
+            events[0], events[1]
+        );
+        assert!(longer > 0, "the empty store never waited");
     }
 }

@@ -61,5 +61,5 @@ pub use metrics::SystemReport;
 pub use planner::Planner;
 pub use pserver::Placement;
 pub use sync::WspParams;
-pub use system::{BuildError, HetPipeSystem, SystemConfig};
+pub use system::{BuildCounts, BuildError, HetPipeSystem, SystemConfig};
 pub use vw::VirtualWorker;

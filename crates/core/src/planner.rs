@@ -8,12 +8,18 @@
 //! holds one per build with nominal derates, and the runtime controller
 //! one per run, so kind- and derate-identical virtual workers share one
 //! sweep and a recovery reads the prefixes earlier splices swept.
+//!
+//! The planner owns one [`LayerTable`], and every sweep it starts reads
+//! its rows there: a GPU kind's prefix rows (one pair per derate) and a
+//! link kind's comm rows are built once per planner, whatever the
+//! instance, `Nm` or memory mode. The table lives and dies with the
+//! planner.
 
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_model::ModelGraph;
-use hetpipe_partition::{NmSweep, PartitionPlan};
+use hetpipe_partition::{LayerTable, NmSweep, PartitionPlan};
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -35,9 +41,10 @@ type InstanceKey = (Vec<GpuKind>, Vec<LinkKind>, Vec<u64>);
 #[derive(Debug)]
 pub struct Planner<'a> {
     cluster: &'a Cluster,
-    graph: &'a ModelGraph,
     schedule: Schedule,
     recompute: RecomputePolicy,
+    /// The rows every sweep of this planner reads.
+    table: LayerTable<'a>,
     /// Each instance's plans at `Nm = 1, 2, …`, and its sweep until
     /// that meets its first infeasible `Nm`.
     instances: HashMap<InstanceKey, (Vec<PartitionPlan>, Option<NmSweep<'a>>)>,
@@ -53,9 +60,9 @@ impl<'a> Planner<'a> {
     ) -> Self {
         Planner {
             cluster,
-            graph,
             schedule,
             recompute,
+            table: LayerTable::new(graph),
             instances: HashMap::new(),
         }
     }
@@ -81,7 +88,7 @@ impl<'a> Planner<'a> {
         limit: usize,
     ) -> &[PartitionPlan] {
         assert_eq!(devices.len(), derate.len(), "one derate per stage device");
-        let (graph, schedule, recompute) = (self.graph, self.schedule, self.recompute);
+        let (schedule, recompute) = (self.schedule, self.recompute);
         let kinds = devices.iter().map(|&d| self.cluster.kind_of(d)).collect();
         let bits = derate.iter().map(|r| r.max(1.0).to_bits()).collect();
         let key = (kinds, VirtualWorker::links(self.cluster, devices), bits);
@@ -94,7 +101,7 @@ impl<'a> Planner<'a> {
                 let gpus: Vec<_> = (kinds.iter().zip(bits))
                     .map(|(kind, &r)| kind.spec().derated(f64::from_bits(r)))
                     .collect();
-                let sweep = NmSweep::new(graph, &gpus, links, schedule, recompute);
+                let sweep = NmSweep::with_table(&mut self.table, &gpus, links, schedule, recompute);
                 new.insert((Vec::new(), Some(sweep)))
             }
         };
@@ -108,6 +115,12 @@ impl<'a> Planner<'a> {
             }
         }
         &plans[..limit.min(plans.len())]
+    }
+
+    /// The row pairs this planner's [`LayerTable`] has built
+    /// ([`LayerTable::row_builds`]).
+    pub(crate) fn row_builds(&self) -> (usize, usize) {
+        self.table.row_builds()
     }
 
     /// Virtual worker `index` over the physical `gpus` at nominal speed
@@ -231,5 +244,35 @@ mod tests {
                 "request {i}"
             );
         }
+    }
+
+    /// A derated GPU gets a prefix-row pair of its own, keyed by the
+    /// derate's bits, and nothing else is rebuilt: after the nominal
+    /// prefix of an ED group (one GPU of each kind, InfiniBand links),
+    /// a request with one stage ×1.5 adds exactly one row pair, and
+    /// repeating it, or derating that GPU's other virtual stage by the
+    /// same factor, adds none.
+    #[test]
+    fn a_derate_adds_one_prefix_row_pair() {
+        let cluster = Cluster::paper_testbed();
+        let graph = hetpipe_model::resnet152(32);
+        let schedule = Schedule::Interleaved1F1B {
+            chunks: 2,
+            composite: true,
+        };
+        let mut planner = Planner::new(&cluster, &graph, schedule, RecomputePolicy::None);
+        let devices = planner.stages(&[0, 4, 8, 12].map(DeviceId));
+        assert!(!planner.prefix(&devices, &[1.0; 8], 3).is_empty());
+        assert_eq!(planner.row_builds(), (4, 1));
+        let slowed = |stages: &[usize]| {
+            (0..8)
+                .map(|s| if stages.contains(&s) { 1.5 } else { 1.0 })
+                .collect::<Vec<_>>()
+        };
+        planner.prefix(&devices, &slowed(&[0]), 3);
+        assert_eq!(planner.row_builds(), (5, 1));
+        planner.prefix(&devices, &slowed(&[0]), 3);
+        planner.prefix(&devices, &slowed(&[0, 4]), 3);
+        assert_eq!(planner.row_builds(), (5, 1));
     }
 }

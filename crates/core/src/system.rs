@@ -21,6 +21,14 @@
 //! the refine memo are dropped when `build` returns: the crate keeps no
 //! state between builds, so a build's result depends on its inputs
 //! alone. The runtime controller replans through the same planner type.
+//!
+//! The planner owns the build's one
+//! [`LayerTable`](hetpipe_partition::LayerTable): every cost model of
+//! every sweep borrows its per-layer time and comm rows from it, so a
+//! build computes one prefix-row pair per GPU kind and one comm-row
+//! pair per link kind, whatever the orders, instances and `Nm` it
+//! weighs. [`HetPipeSystem::build_counts`] reports those builds and the
+//! refine simulations' events.
 
 use crate::alloc::{AllocError, AllocationPolicy};
 use crate::exec::{self, ExecParams, RunStats, SegmentOpts, SpanTag};
@@ -126,6 +134,23 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Counts of one build's planning work
+/// ([`HetPipeSystem::build_counts`]): exact, and the same for every
+/// build of the same inputs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildCounts {
+    /// Prefix-row pairs the build's layer table built: one per GPU kind
+    /// its virtual workers use.
+    pub prefix_rows: usize,
+    /// Comm-row pairs the build's layer table built: one per link kind.
+    pub comm_rows: usize,
+    /// Refine simulations the order search ran.
+    pub refine_runs: usize,
+    /// Events those simulations simulated, fast-forwarded periods not
+    /// counted.
+    pub refine_events_simulated: u64,
+}
+
 impl From<AllocError> for BuildError {
     fn from(e: AllocError) -> Self {
         BuildError::Alloc(e)
@@ -164,6 +189,9 @@ struct PlanTable<'a> {
     planner: Planner<'a>,
     /// Every simulated refine candidate's standalone rate.
     rates: HashMap<RefineId, f64>,
+    /// The refine simulations' events, fast-forwarded periods not
+    /// counted.
+    refine_events: u64,
 }
 
 impl PlanTable<'_> {
@@ -255,6 +283,9 @@ impl PlanTable<'_> {
             Discard,
             None,
         );
+        self.refine_events += stats
+            .fast_forward
+            .map_or(stats.events, |ff| ff.events_simulated);
         let warmup = SimTime::from_secs(horizon.as_secs() * 0.25);
         let completed = stats.vws[0].completions.iter().filter(|&&t| t >= warmup);
         let rate = completed.count() as f64 / (horizon.as_secs() * 0.75);
@@ -272,6 +303,7 @@ pub struct HetPipeSystem<'a> {
     vws: Vec<VirtualWorker>,
     shards: ShardMap,
     nm: usize,
+    counts: BuildCounts,
 }
 
 impl<'a> HetPipeSystem<'a> {
@@ -293,6 +325,7 @@ impl<'a> HetPipeSystem<'a> {
             config,
             planner: Planner::new(cluster, graph, config.schedule, config.recompute),
             rates: HashMap::new(),
+            refine_events: 0,
         };
         // A forced Nm sweeps past the saturation limit; the automatic
         // choice stops there.
@@ -377,6 +410,13 @@ impl<'a> HetPipeSystem<'a> {
             })
             .collect();
         let shards = ShardMap::build(config.placement, graph, cluster, &vws[0]);
+        let (prefix_rows, comm_rows) = table.planner.row_builds();
+        let counts = BuildCounts {
+            prefix_rows,
+            comm_rows,
+            refine_runs: table.rates.len(),
+            refine_events_simulated: table.refine_events,
+        };
         Ok(HetPipeSystem {
             cluster,
             graph,
@@ -384,7 +424,14 @@ impl<'a> HetPipeSystem<'a> {
             vws,
             shards,
             nm,
+            counts,
         })
+    }
+
+    /// What planning this system did: the row pairs its layer table
+    /// built and its refine simulations.
+    pub fn build_counts(&self) -> BuildCounts {
+        self.counts
     }
 
     /// The common pipeline concurrency `Nm`.
@@ -572,6 +619,30 @@ mod tests {
         };
         HetPipeSystem::build(&cluster, &graph, &config).unwrap();
         assert_eq!(sweeps_take(), 1);
+    }
+
+    /// One build builds each row pair once: the 16-GPU ED build of
+    /// ResNet-152 under composite interleaved 1F1B (every VW one GPU of
+    /// each kind on four nodes, so every link is InfiniBand) builds four
+    /// prefix-row pairs and one comm-row pair for 24 orders × every
+    /// `Nm` × both memory modes. Dynamically audited, for this build.
+    #[test]
+    fn a_build_builds_one_row_pair_per_gpu_kind_and_link_kind() {
+        let cluster = Cluster::paper_testbed();
+        let graph = hetpipe_model::resnet152(32);
+        let config = SystemConfig {
+            schedule: Schedule::Interleaved1F1B {
+                chunks: 2,
+                composite: true,
+            },
+            ..SystemConfig::default()
+        };
+        sweeps_take();
+        let sys = HetPipeSystem::build(&cluster, &graph, &config).unwrap();
+        assert_eq!(sweeps_take(), 24, "distinct instances swept");
+        let counts = sys.build_counts();
+        assert_eq!((counts.prefix_rows, counts.comm_rows), (4, 1), "{counts:?}");
+        assert!(counts.refine_runs > 0, "{counts:?}");
     }
 
     #[test]

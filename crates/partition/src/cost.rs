@@ -4,6 +4,13 @@
 //! sum of the computation time of all the layers in the partition and
 //! the communication time needed for receiving the activations (in the
 //! forward pass) and local gradients (in the backward pass)."*
+//!
+//! Those times depend on the model, the stage's GPU and its links, and
+//! not on `Nm` or the stage's position. A [`LayerTable`] builds them
+//! once per GPU spec and link kind, as prefix and comm rows, and every
+//! [`StageCostModel`] of one pipeline borrows its stages' rows from it.
+//! The model itself owns only what depends on `Nm` and position: the
+//! schedule's memory terms and the byte budgets.
 
 use hetpipe_cluster::gpu::GpuSpec;
 use hetpipe_cluster::network::LinkKind;
@@ -12,7 +19,9 @@ use hetpipe_model::profile;
 use hetpipe_model::profile::{Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
+use std::borrow::Cow;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// A partitioning problem instance: a model, an ordered list of stage
 /// GPUs, the links feeding each stage, the pipeline concurrency, and
@@ -91,31 +100,185 @@ impl<'a> PartitionProblem<'a> {
     }
 }
 
+/// One GPU spec's prefix rows: running sums of every layer's
+/// forward + backward seconds and of its forward seconds, from 0 before
+/// layer 0 to the whole model after layer `n − 1`.
+#[derive(Debug)]
+struct PrefixRows {
+    secs: Box<[f64]>,
+    fwd: Box<[f64]>,
+}
+
+/// One link kind's transfer seconds, boundary by boundary:
+/// `incoming[s]` receives the forward input of a range starting at `s`
+/// (0 at `s = n`), and `outgoing[i]` receives the gradient of the
+/// boundary before layer `i` (0 at `i = 0`).
+#[derive(Debug)]
+struct CommRows {
+    incoming: Box<[f64]>,
+    outgoing: Box<[f64]>,
+}
+
+/// A GPU spec as its rows see it: the kind's name and the bits of the
+/// two rates a derate divides ([`GpuSpec::derated`]).
+type GpuKey = (&'static str, u64, u64);
+
+/// The per-layer rows of one model (see the module docs): prefix rows
+/// per GPU spec, keyed by kind and derate bits, and comm rows per
+/// [`LinkKind`]. A row pair is built the first time a pipeline asks for
+/// it and shared by every later one, so two stages on equal specs read
+/// the same `f64`s, summed in the same order.
+#[derive(Debug)]
+pub struct LayerTable<'g> {
+    graph: &'g ModelGraph,
+    gpus: Vec<(GpuKey, Rc<PrefixRows>)>,
+    links: Vec<(LinkKind, Rc<CommRows>)>,
+    /// The rows of a pipeline's two ends, all zero: stage 0 is not
+    /// charged for its input (the loader overlaps with compute) and the
+    /// last stage receives no gradient.
+    edge: Rc<CommRows>,
+}
+
+impl<'g> LayerTable<'g> {
+    /// An empty table over `graph`.
+    pub fn new(graph: &'g ModelGraph) -> Self {
+        let zeros = vec![0.0; graph.len() + 1].into_boxed_slice();
+        LayerTable {
+            graph,
+            gpus: Vec::new(),
+            links: Vec::new(),
+            edge: Rc::new(CommRows {
+                incoming: zeros.clone(),
+                outgoing: zeros,
+            }),
+        }
+    }
+
+    /// The model the rows are of.
+    pub(crate) fn graph(&self) -> &'g ModelGraph {
+        self.graph
+    }
+
+    /// The row pairs this table has built: (prefix-row pairs, one per
+    /// GPU spec; comm-row pairs, one per link kind).
+    pub fn row_builds(&self) -> (usize, usize) {
+        (self.gpus.len(), self.links.len())
+    }
+
+    /// The rows of a pipeline over `gpus` joined by `links`, each row
+    /// pair built here when the table lacks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links.len() + 1 != gpus.len()`.
+    pub(crate) fn rows(&mut self, gpus: &[GpuSpec], links: &[LinkKind]) -> StageRows {
+        assert_eq!(
+            links.len() + 1,
+            gpus.len(),
+            "need exactly one link between each pair of adjacent stages"
+        );
+        let mut stages = Vec::with_capacity(gpus.len());
+        for (s, gpu) in gpus.iter().enumerate() {
+            let incoming = match s.checked_sub(1) {
+                Some(left) => self.link(links[left]),
+                None => self.edge.clone(),
+            };
+            let outgoing = match links.get(s) {
+                Some(&right) => self.link(right),
+                None => self.edge.clone(),
+            };
+            stages.push((self.gpu(gpu), incoming, outgoing));
+        }
+        StageRows { stages }
+    }
+
+    fn gpu(&mut self, gpu: &GpuSpec) -> Rc<PrefixRows> {
+        let key = (
+            gpu.name,
+            gpu.effective_throughput.to_bits(),
+            gpu.memory_bw_bytes_per_sec.to_bits(),
+        );
+        if let Some((_, rows)) = self.gpus.iter().find(|(k, _)| *k == key) {
+            return rows.clone();
+        }
+        let layers = self.graph.layers();
+        let mut acc = 0.0;
+        let mut acc_fwd = 0.0;
+        let mut secs = Vec::with_capacity(layers.len() + 1);
+        let mut fwd = Vec::with_capacity(layers.len() + 1);
+        secs.push(0.0);
+        fwd.push(0.0);
+        for l in layers {
+            let p = profile::LayerProfile::of(l, gpu);
+            acc += p.total_secs();
+            acc_fwd += profile::pass_time_secs(l, gpu, Pass::Forward);
+            secs.push(acc);
+            fwd.push(acc_fwd);
+        }
+        let rows = Rc::new(PrefixRows {
+            secs: secs.into(),
+            fwd: fwd.into(),
+        });
+        self.gpus.push((key, rows.clone()));
+        rows
+    }
+
+    fn link(&mut self, link: LinkKind) -> Rc<CommRows> {
+        if let Some((_, rows)) = self.links.iter().find(|(l, _)| *l == link) {
+            return rows.clone();
+        }
+        // Transfer times depend only on the boundary a range starts or
+        // ends at, so a probe's comm charge is two lookups instead of
+        // two bandwidth computations.
+        let (g, n) = (self.graph, self.graph.len());
+        let incoming = (0..=n)
+            .map(|s| {
+                if s < n {
+                    link.transfer_secs(g.input_bytes_of(s))
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let outgoing = (0..=n)
+            .map(|i| {
+                if i > 0 {
+                    link.transfer_secs(g.boundary_bytes(i - 1))
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let rows = Rc::new(CommRows { incoming, outgoing });
+        self.links.push((link, rows.clone()));
+        rows
+    }
+}
+
+/// One pipeline's rows in stage order: each stage's GPU prefix rows and
+/// the comm rows of its incoming and outgoing links, shared with the
+/// [`LayerTable`] that built them.
+#[derive(Debug, Clone)]
+pub(crate) struct StageRows {
+    stages: Vec<(Rc<PrefixRows>, Rc<CommRows>, Rc<CommRows>)>,
+}
+
 /// Evaluates stage times and memory feasibility for a problem.
 ///
-/// Every per-range query is O(1): layer times are prefix-summed per
-/// stage GPU, layer bytes are prefix-summed on the graph itself, and
-/// the schedule's per-stage terms (in-flight window, pinned versions,
-/// checkpoint decision, memory budgets) are resolved **once** at
-/// construction — the partition DP issues O(k·L²) probes per solve,
+/// Every per-range query is O(1): layer times are prefix rows per stage
+/// GPU and transfer times comm rows per link, both borrowed from a
+/// [`LayerTable`]; layer bytes are prefix-summed on the graph itself;
+/// and the schedule's per-stage terms (in-flight window, pinned
+/// versions, checkpoint decision, memory budgets) are resolved **once**
+/// at construction — the partition DP issues O(k·L²) probes per solve,
 /// so per-probe schedule resolution dominated plan time as thoroughly
 /// as per-probe re-summation did.
 #[derive(Debug, Clone)]
 pub struct StageCostModel<'a> {
     problem: &'a PartitionProblem<'a>,
-    /// Prefix sums of per-layer fwd+bwd seconds, one row per stage GPU.
-    prefix_secs: Vec<Vec<f64>>,
-    /// Prefix sums of per-layer forward-only seconds (the recompute
-    /// term re-runs exactly the forward), one row per stage GPU.
-    prefix_fwd_secs: Vec<Vec<f64>>,
-    /// Per stage: incoming-activation transfer seconds by range start
-    /// (`in_comm[stage][s]` = receive the forward input cut at `s`;
-    /// 0 for stage 0, whose loader overlaps with compute).
-    in_comm: Vec<Vec<f64>>,
-    /// Per stage: incoming-gradient transfer seconds by range end
-    /// (`out_comm[stage][i]` = receive the gradient of the boundary
-    /// before layer `i`; 0 for the last stage). Index 0 is unused.
-    out_comm: Vec<Vec<f64>>,
+    /// Each stage's rows: borrowed from a sweep's table, or built for
+    /// this model alone by [`StageCostModel::new`].
+    rows: Cow<'a, StageRows>,
     /// Per stage: the schedule's memory terms, hoisted.
     terms: Vec<hetpipe_model::StageMemoryTerms>,
     /// Per stage: the equal-split byte budget ([`Self::fits`]).
@@ -125,62 +288,18 @@ pub struct StageCostModel<'a> {
 }
 
 impl<'a> StageCostModel<'a> {
-    /// Precomputes prefix sums of layer times for every stage GPU and
-    /// the per-stage schedule terms and budgets.
+    /// The cost model of `problem` over rows of its own, from a one-off
+    /// [`LayerTable`], with the per-stage schedule terms and budgets.
     pub fn new(problem: &'a PartitionProblem<'a>) -> Self {
-        let layers = problem.graph.layers();
-        let mut prefix_secs = Vec::with_capacity(problem.gpus.len());
-        let mut prefix_fwd_secs = Vec::with_capacity(problem.gpus.len());
-        for gpu in &problem.gpus {
-            let mut acc = 0.0;
-            let mut acc_fwd = 0.0;
-            let mut row = Vec::with_capacity(layers.len() + 1);
-            let mut row_fwd = Vec::with_capacity(layers.len() + 1);
-            row.push(0.0);
-            row_fwd.push(0.0);
-            for l in layers {
-                let p = profile::LayerProfile::of(l, gpu);
-                acc += p.total_secs();
-                acc_fwd += profile::pass_time_secs(l, gpu, Pass::Forward);
-                row.push(acc);
-                row_fwd.push(acc_fwd);
-            }
-            prefix_secs.push(row);
-            prefix_fwd_secs.push(row_fwd);
-        }
+        let rows = LayerTable::new(problem.graph).rows(&problem.gpus, &problem.links);
+        Self::with_rows(problem, Cow::Owned(rows))
+    }
+
+    /// The cost model of `problem` reading `rows`, which must be the
+    /// rows of `problem`'s GPUs and links.
+    pub(crate) fn with_rows(problem: &'a PartitionProblem<'a>, rows: Cow<'a, StageRows>) -> Self {
         let k = problem.gpus.len();
-        let n = layers.len();
-        let g = problem.graph;
-        // Per-stage comm tables: transfer times depend only on the
-        // boundary a range starts or ends at, so the DP's per-probe
-        // comm charge is two lookups instead of two bandwidth
-        // computations.
-        let in_comm: Vec<Vec<f64>> = (0..k)
-            .map(|stage| {
-                (0..=n)
-                    .map(|s| {
-                        if stage > 0 && s < n {
-                            problem.links[stage - 1].transfer_secs(g.input_bytes_of(s))
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let out_comm: Vec<Vec<f64>> = (0..k)
-            .map(|stage| {
-                (0..=n)
-                    .map(|i| {
-                        if stage + 1 < k && i > 0 {
-                            problem.links[stage].transfer_secs(g.boundary_bytes(i - 1))
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        debug_assert_eq!(rows.stages.len(), k, "one row set per stage");
         let terms: Vec<_> = (0..k)
             .map(|s| {
                 hetpipe_model::StageMemoryTerms::new(
@@ -200,10 +319,7 @@ impl<'a> StageCostModel<'a> {
         let budget_alone = problem.gpus.iter().map(|gpu| gpu.memory_bytes).collect();
         StageCostModel {
             problem,
-            prefix_secs,
-            prefix_fwd_secs,
-            in_comm,
-            out_comm,
+            rows,
             terms,
             budget_equal,
             budget_alone,
@@ -212,13 +328,15 @@ impl<'a> StageCostModel<'a> {
 
     /// Pure compute time of layers `range` on stage `stage`'s GPU.
     pub fn compute_secs(&self, stage: usize, range: Range<usize>) -> f64 {
-        self.prefix_secs[stage][range.end] - self.prefix_secs[stage][range.start]
+        let secs = &self.rows.stages[stage].0.secs;
+        secs[range.end] - secs[range.start]
     }
 
     /// Forward-only compute time of layers `range` on stage `stage`'s
     /// GPU — what one activation recomputation costs.
     pub fn forward_secs(&self, stage: usize, range: Range<usize>) -> f64 {
-        self.prefix_fwd_secs[stage][range.end] - self.prefix_fwd_secs[stage][range.start]
+        let fwd = &self.rows.stages[stage].0.fwd;
+        fwd[range.end] - fwd[range.start]
     }
 
     /// Communication time charged to stage `stage` for the layer range:
@@ -231,9 +349,10 @@ impl<'a> StageCostModel<'a> {
     pub fn comm_secs(&self, stage: usize, range: Range<usize>) -> f64 {
         // Forward activations arriving from the left neighbour, plus
         // gradients w.r.t. our outputs arriving from the right (same
-        // size as the boundary activations) — precomputed per-stage
-        // boundary tables, since the DP probes every (start, end) pair.
-        self.in_comm[stage][range.start] + self.out_comm[stage][range.end]
+        // size as the boundary activations) — the links' comm rows,
+        // since the DP probes every (start, end) pair.
+        let (_, incoming, outgoing) = &self.rows.stages[stage];
+        incoming.incoming[range.start] + outgoing.outgoing[range.end]
     }
 
     /// Full execution time of a stage: compute, plus incoming
@@ -298,14 +417,14 @@ impl<'a> StageCostModel<'a> {
     /// terms and the budgets looked up once. [`Self::stage_secs`],
     /// [`Self::fits`] and [`Self::fits_alone`] are its one-probe forms.
     pub(crate) fn probes_from(&self, stage: usize, start: usize) -> StartProbe<'_> {
-        let (prefix, prefix_fwd) = (&self.prefix_secs[stage], &self.prefix_fwd_secs[stage]);
+        let (gpu, incoming, outgoing) = &self.rows.stages[stage];
         StartProbe {
-            prefix,
-            prefix_fwd,
-            out_comm: &self.out_comm[stage],
-            secs_before: prefix[start],
-            fwd_before: prefix_fwd[start],
-            in_comm: self.in_comm[stage][start],
+            prefix: &gpu.secs,
+            prefix_fwd: &gpu.fwd,
+            out_comm: &outgoing.outgoing,
+            secs_before: gpu.secs[start],
+            fwd_before: gpu.fwd[start],
+            in_comm: incoming.incoming[start],
             recomputes: self.terms[stage].recomputes(),
             bytes: self.terms[stage].bytes_from(self.problem.graph, start),
             budget_equal: self.budget_equal[stage],

@@ -8,7 +8,8 @@
 //!
 //! - [`cost`] — per-stage execution time: layer compute on the stage's
 //!   GPU plus the time to receive activations (forward) and local
-//!   gradients (backward) over the stage's incoming links.
+//!   gradients (backward) over the stage's incoming links, read from
+//!   one [`LayerTable`] of per-layer rows per GPU spec and link kind.
 //! - [`solver`] — an interval dynamic program over contiguous layer
 //!   ranges, O(k · L²), exact for the min–max objective with
 //!   position-dependent memory constraints.
@@ -29,6 +30,6 @@ pub mod cost;
 pub mod order;
 pub mod solver;
 
-pub use cost::{PartitionProblem, StageCostModel};
+pub use cost::{LayerTable, PartitionProblem, StageCostModel};
 pub use order::evaluate_orders;
 pub use solver::{max_feasible_nm_with, NmSweep, PartitionError, PartitionPlan, PartitionSolver};

@@ -33,7 +33,8 @@
 //! search: [`max_feasible_nm_with`] returns its end, and the system
 //! builder plans from the whole prefix.
 
-use crate::cost::{PartitionProblem, StageCostModel, StartProbe};
+use crate::cost::{LayerTable, PartitionProblem, StageCostModel, StageRows, StartProbe};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
@@ -526,11 +527,17 @@ impl PartitionSolver {
 /// `Nm` may not fit now), and the `PerStage` optimum otherwise.
 /// `tests/planner_parity.rs` holds every sweep cell against a fresh
 /// [`PartitionSolver::solve`].
+///
+/// Every DP of the sweep reads its stages' time and comm rows from one
+/// [`LayerTable`]: a one-off table of its own ([`NmSweep::new`]), or a
+/// caller's table shared with other sweeps ([`NmSweep::with_table`]).
+/// The rows are the same `f64`s either way.
 #[derive(Debug, Clone)]
 pub struct NmSweep<'a> {
     graph: &'a hetpipe_model::ModelGraph,
     gpus: Vec<hetpipe_cluster::gpu::GpuSpec>,
     links: Vec<hetpipe_cluster::network::LinkKind>,
+    rows: StageRows,
     schedule: hetpipe_schedule::Schedule,
     recompute: hetpipe_schedule::RecomputePolicy,
     /// The `Alone` DP's last `(nm, plan, per-stage checkpoint flags)`.
@@ -540,7 +547,8 @@ pub struct NmSweep<'a> {
 }
 
 impl<'a> NmSweep<'a> {
-    /// Creates a sweep over the fixed configuration.
+    /// Creates a sweep over the fixed configuration, with a layer table
+    /// of its own.
     pub fn new(
         graph: &'a hetpipe_model::ModelGraph,
         gpus: &[hetpipe_cluster::gpu::GpuSpec],
@@ -548,10 +556,30 @@ impl<'a> NmSweep<'a> {
         schedule: hetpipe_schedule::Schedule,
         recompute: hetpipe_schedule::RecomputePolicy,
     ) -> Self {
+        Self::with_table(
+            &mut LayerTable::new(graph),
+            gpus,
+            links,
+            schedule,
+            recompute,
+        )
+    }
+
+    /// Creates a sweep over the fixed configuration on `table`'s model
+    /// that reads its rows from `table`, which builds the row pairs it
+    /// lacks.
+    pub fn with_table(
+        table: &mut LayerTable<'a>,
+        gpus: &[hetpipe_cluster::gpu::GpuSpec],
+        links: &[hetpipe_cluster::network::LinkKind],
+        schedule: hetpipe_schedule::Schedule,
+        recompute: hetpipe_schedule::RecomputePolicy,
+    ) -> Self {
         NmSweep {
-            graph,
+            graph: table.graph(),
             gpus: gpus.to_vec(),
             links: links.to_vec(),
+            rows: table.rows(gpus, links),
             schedule,
             recompute,
             alone: None,
@@ -613,9 +641,8 @@ impl<'a> NmSweep<'a> {
         if let Some((prev_nm, plan, prev_flags)) = cached {
             if *prev_nm <= nm && prev_flags.as_slice() == flags {
                 // k O(1) probes via the unhoisted memory-model entry
-                // points — the fast path must not build a
-                // StageCostModel (its O(k·n) prefix/comm tables are
-                // exactly what the reuse step saves).
+                // points — the fast path builds no StageCostModel (its
+                // O(k) terms and budgets are what the reuse step saves).
                 let fits = match mode {
                     MemMode::PerStage => TrainingMemoryModel::stage_fits_with,
                     MemMode::Alone => TrainingMemoryModel::stage_fits_alone,
@@ -650,7 +677,8 @@ impl<'a> NmSweep<'a> {
             self.schedule,
         )
         .with_recompute(self.recompute);
-        let result = PartitionSolver::solve_with_mode(&StageCostModel::new(&problem), mode);
+        let model = StageCostModel::with_rows(&problem, Cow::Borrowed(&self.rows));
+        let result = PartitionSolver::solve_with_mode(&model, mode);
         if let Ok(plan) = &result {
             *cached = Some((nm, plan.clone(), flags.to_vec()));
         }

@@ -15,7 +15,8 @@
 //! horizons, long enough to engage, and warm-up fractions {0, 0.15,
 //! 0.5, 2.0}; and a 64-cell fleet's expanded topology, the run
 //! `hetpipe_fleet::run_fleet` makes. The paper-ed configuration's
-//! period is pinned too.
+//! period and simulated events are pinned too; an empty fast-forward
+//! store runs the standing matrix in `exec::fastforward::tests`.
 //!
 //! This is a dynamically audited invariant: evidence for the runs
 //! below, not a proof for other configurations.
@@ -352,7 +353,8 @@ fn rate_edges_and_drains_match_with_fast_forward() {
 }
 
 /// paper-ed, `e2e_bench`'s long-horizon workload: the state recurs with
-/// a 40-wave period, and nearly every event is extrapolated.
+/// a 40-wave period, and nearly every event is extrapolated. The
+/// simulated events are pinned: 35,045 of 2,252,645.
 #[test]
 fn paper_ed_fast_forwards_its_steady_state() {
     let cluster = Cluster::paper_testbed();
@@ -369,6 +371,9 @@ fn paper_ed_fast_forwards_its_steady_state() {
     let ff = stats.fast_forward.expect("paper-ed fast-forwards");
     assert_eq!(ff.period, SimTime::from_nanos(44_747_841_527), "{ff:?}");
     assert_eq!(ff.period_waves, 40, "{ff:?}");
+    // One period to confirm before the warm-up and one after it; each
+    // confirms at the state's first recurrence.
+    assert_eq!(ff.events_simulated, 35_045, "{ff:?}");
     assert!(
         skipped(&stats) * 10 >= stats.events * 9,
         "only {} of {} events extrapolated",
