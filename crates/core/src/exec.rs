@@ -84,11 +84,11 @@
 //!
 //! A probe that runs through [`run_into_checkpointed`] also saves wave
 //! checkpoints (the `checkpoint` module), and [`resume_into`] commits a
-//! drain of the same segment from one of them, bit for bit the drain
-//! run from the start (`tests/drain_checkpoints.rs`). The probe's judge
-//! may also drain it in place ([`Verdict::Drain`]): it sets its stop
-//! point at a wave boundary no stop query has passed and runs on as
-//! that drain.
+//! drain of the same segment from one of them, given only its stop
+//! point, bit for bit the drain run from the start
+//! (`tests/drain_checkpoints.rs`). The probe's judge may halt it, and
+//! the state it halts in is its last checkpoint: a drain at a wave
+//! boundary no stop query has passed resumes there and re-runs nothing.
 //!
 //! The executor is a plan, fixed when the run starts, and one owned
 //! state the handler mutates. A checkpoint clones the state;
@@ -118,9 +118,7 @@ use hetpipe_schedule::{
 
 mod checkpoint;
 pub(crate) mod fastforward;
-pub use checkpoint::{
-    resume_into, run_into_checkpointed, Checkpoint, Checkpoints, Progress, Verdict,
-};
+pub use checkpoint::{resume_into, run_into_checkpointed, Checkpoint, Checkpoints, Progress};
 pub use fastforward::FastForward;
 
 /// What a recorded span represents. Virtual worker and stage indices
@@ -253,7 +251,9 @@ pub struct SegmentOpts {
     /// push/pull traffic completes. Must be a wave boundary
     /// (a multiple of `Nm`) so the WSP clock is whole at the splice;
     /// the executor's constructor asserts it, so [`run_into`] and
-    /// [`resume_into`] panic otherwise.
+    /// [`resume_into`] panic otherwise. Fixed for the whole run: a
+    /// probe ([`run_into_checkpointed`]) has none, and a drain of it
+    /// resumes from one of its checkpoints under its stop point.
     pub stop_after_mb: Option<u64>,
     /// Rates already in effect when the segment starts (fault windows
     /// opened in an earlier segment).

@@ -21,8 +21,8 @@
 //! run cuts their prefixes from the probe's final [`RunStats`]. What a
 //! run only reads (its plan: stage times, sync chunks, declared
 //! windows, rate timelines) is not copied: a resumed run builds it
-//! again from the same arguments, which is why a drain must share its
-//! probe's segment options.
+//! again from the probe's segment options and horizon, which the
+//! checkpoints keep, under the drain's stop point.
 //!
 //! **Spacing.** The segment-start state is always the first
 //! checkpoint, so every stop can resume. Later ones are taken each
@@ -31,30 +31,29 @@
 //! stays) and the spacing doubles. So a probe keeps a bounded number of
 //! checkpoints however long it runs, spread over the whole run.
 //!
-//! **Draining in place.** The same argument lets a probe become its
-//! own drain. When its judge answers [`Verdict::Drain`], the run sets
-//! its stop point to a wave boundary at or past `State::queried` and
-//! runs on. No stop query has yet tested a minibatch past that stop,
-//! so the state is the one the drain run from the segment start
-//! reaches after the same events, and the rest of the run is that
-//! drain. The stop point is set once, and no checkpoint is taken after
-//! it. A judge that answers [`Verdict::Halt`] stops the run instead,
-//! and the caller commits a drain from a checkpoint.
+//! **The halt state.** A probe's judge may halt it after any event,
+//! and the run then saves its state as its last checkpoint. A drain at
+//! a wave boundary at or past [`Progress::queried`] resumes from that
+//! state and re-runs nothing: no stop query has yet tested a minibatch
+//! past the stop, so the halt state is the one the drain from the
+//! segment start reaches after the same events. A drain at an earlier
+//! boundary resumes from an earlier checkpoint.
 //!
 //! A checkpointed run simulates every event: fast-forward would skip
 //! the stop queries a checkpoint's validity rests on.
-
 use super::{Exec, ExecParams, Plan, RunStats, SegmentOpts, SpanTag, State, VwLists};
 use hetpipe_des::{SimTime, SpanSink};
+use std::ops::ControlFlow;
 
 /// Waves between checkpoints until the list first fills.
 const FIRST_SPACING_WAVES: u64 = 1;
 
-/// The most checkpoints a run keeps.
+/// The most checkpoints the spacing rule keeps; a halted run keeps its
+/// halt state besides.
 const MAX_KEPT: usize = 48;
 
-/// What a drain must share with the probe whose checkpoint it resumes.
-#[derive(Debug, PartialEq)]
+/// What a drain resumed from a probe's checkpoint runs under besides
+/// its stop point.
 struct Probe {
     /// The probe's segment options; its stop point is `None`.
     opts: SegmentOpts,
@@ -123,14 +122,20 @@ impl Checkpoints {
     /// block.
     #[inline]
     fn after_event<S: SpanSink<SpanTag>>(&mut self, ex: &Exec<'_, S>) {
-        if ex.st.queried < self.next {
-            return;
+        if ex.st.queried >= self.next {
+            if self.saved.len() == MAX_KEPT {
+                self.thin();
+            }
+            self.save(ex);
+            self.next = (ex.st.queried / self.every + 1) * self.every;
         }
-        if self.saved.len() == MAX_KEPT {
-            self.thin();
-        }
+    }
+
+    /// Saves `ex`'s state as the latest checkpoint. The halt state is
+    /// saved past a full list, so that it thins none of the checkpoints
+    /// an earlier stop resumes from.
+    fn save<S: SpanSink<SpanTag>>(&mut self, ex: &Exec<'_, S>) {
         self.saved.push((ex.st.clone(), ex.lens()));
-        self.next = (ex.st.queried / self.every + 1) * self.every;
     }
 
     /// Drops every other checkpoint, the first kept, and doubles the
@@ -181,28 +186,9 @@ pub struct Progress {
     pub until: SimTime,
     /// Whole waves every virtual worker has completed.
     pub waves: u64,
-    /// The newest minibatch any stop query has tested: a drain in place
-    /// may stop at any wave boundary at or past it.
+    /// The newest minibatch any stop query has tested: a drain from the
+    /// state halted here may stop at any wave boundary at or past it.
     pub queried: u64,
-}
-
-/// What a checkpointed run does after a judgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Run on.
-    Run,
-    /// Drain in place: stop after minibatch `stop`, a wave boundary at
-    /// or past [`Progress::queried`], and run on until the drain ends.
-    /// The rest of the run is the drain run with that stop point from
-    /// the segment start (see the module docs). The judge is not asked
-    /// again.
-    Drain {
-        /// The stop point.
-        stop: u64,
-    },
-    /// Stop the run now; a drain from one of its checkpoints
-    /// ([`resume_into`]) commits the segment instead.
-    Halt,
 }
 
 /// [`run_into`](super::run_into) for a probe: simulates the segment to
@@ -211,20 +197,20 @@ pub enum Verdict {
 /// commits a drain at any wave boundary without re-running the segment
 /// from its start. Simulates every event (no fast-forward).
 ///
-/// After each event `judge` reads the run's [`Progress`] and its sink,
-/// and its [`Verdict`] may drain the run in place or halt it. A judge
-/// that always answers [`Verdict::Run`] leaves the run to the horizon.
+/// After each event `judge` reads the run's [`Progress`] and its sink.
+/// When it breaks, the run halts and saves its state as its last
+/// checkpoint (the halt state, see the module docs); a judge that
+/// always continues leaves the run to the horizon.
 ///
 /// # Panics
 ///
-/// Panics if `opts` sets a stop point, or if a drain verdict's stop
-/// point is off a wave boundary or below [`Progress::queried`].
+/// Panics if `opts` sets a stop point.
 pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
     opts: SegmentOpts,
     horizon: SimTime,
     sink: S,
-    mut judge: impl FnMut(Progress, &S) -> Verdict,
+    mut judge: impl FnMut(Progress, &S) -> ControlFlow<()>,
 ) -> (RunStats, S, Checkpoints) {
     assert!(
         opts.stop_after_mb.is_none(),
@@ -233,12 +219,8 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
     let mut ex = Exec::new(Plan::new(params, opts, horizon), None, sink);
     let mut checkpoints = Checkpoints::start(&ex);
     let nm = ex.plan.p.wsp.nm as u64;
-    let mut judging = true;
     while let Some(ev) = ex.st.engine.next_event_until(horizon) {
         ex.handle(ev);
-        if !judging {
-            continue;
-        }
         checkpoints.after_event(&ex);
         let engine = &ex.st.engine;
         let progress = Progress {
@@ -247,29 +229,20 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
             waves: ex.st.states.iter().map(|s| s.completed).min().unwrap_or(0) / nm,
             queried: ex.st.queried,
         };
-        match judge(progress, &ex.sink) {
-            Verdict::Run => {}
-            Verdict::Drain { stop } => {
-                assert!(
-                    stop.is_multiple_of(nm) && stop >= ex.st.queried,
-                    "a drain in place stops at a wave boundary at or past minibatch {} \
-                     (stop {stop}, Nm {nm})",
-                    ex.st.queried
-                );
-                ex.plan.opts.stop_after_mb = Some(stop);
-                judging = false;
-            }
-            Verdict::Halt => break,
+        if judge(progress, &ex.sink).is_break() {
+            checkpoints.save(&ex);
+            break;
         }
     }
     let (stats, sink, _) = ex.finish();
     (stats, sink, checkpoints)
 }
 
-/// Commits a drain from a probe's checkpoint: the [`RunStats`] equal
-/// [`run_into`](super::run_into)'s with the same arguments and no
-/// warm-up bit for bit, and `sink` receives exactly the spans that run
-/// records after the first [`Checkpoint::spans`].
+/// Commits a drain at `stop` from a probe's checkpoint: the
+/// [`RunStats`] equal [`run_into`](super::run_into)'s under the probe's
+/// segment options with that stop point, its horizon and no warm-up,
+/// bit for bit, and `sink` receives exactly the spans that run records
+/// after the first [`Checkpoint::spans`].
 ///
 /// `params` must be the probe's; `from` and `probe` are the checkpoint
 /// and the result of that [`run_into_checkpointed`] run, and the stop
@@ -278,33 +251,18 @@ pub fn run_into_checkpointed<S: SpanSink<SpanTag>>(
 ///
 /// # Panics
 ///
-/// Panics if `opts` sets no stop point, a stop point below
-/// `from.queried()` or off a wave boundary, or if `horizon` or `opts`
-/// but its stop point differ from the probe's.
+/// Panics if `stop` lies below `from.queried()` or off a wave boundary.
 pub fn resume_into<S: SpanSink<SpanTag>>(
     params: ExecParams<'_>,
-    opts: SegmentOpts,
-    horizon: SimTime,
+    stop: u64,
     sink: S,
     from: Checkpoint<'_>,
     probe: &RunStats,
 ) -> (RunStats, S) {
-    let stop = opts.stop_after_mb.expect("a resumed run is a drain");
     assert!(
         stop >= from.queried(),
         "the checkpoint queried minibatch {} past the stop point {stop}",
         from.queried()
-    );
-    let drain = Probe {
-        opts: SegmentOpts {
-            stop_after_mb: None,
-            ..opts.clone()
-        },
-        horizon,
-    };
-    assert_eq!(
-        &drain, from.probe,
-        "a drain shares its probe's segment options and horizon"
     );
     let (state, lens) = from.saved;
     let lists = (lens.iter().zip(&probe.vws))
@@ -313,7 +271,11 @@ pub fn resume_into<S: SpanSink<SpanTag>>(
             wait_windows: stats.wait_windows[..windows].to_vec(),
         })
         .collect();
-    let plan = Plan::new(params, opts, horizon);
+    let opts = SegmentOpts {
+        stop_after_mb: Some(stop),
+        ..from.probe.opts.clone()
+    };
+    let plan = Plan::new(params, opts, from.probe.horizon);
     let st = state.clone();
     let (stats, sink, _) = Exec {
         plan,

@@ -72,15 +72,15 @@
 //! nothing in flight, so "fresh + offset" *is* the correct resumed
 //! state, and the refill bubble is the reconfiguration's honest cost.
 //! A drain is its probe, event for event, until its first stop query
-//! past the boundary. So when the probe's judge acts, the probe sets
-//! its own stop point to the first boundary no stop query has passed
-//! and becomes the drained epoch in place, simulating nothing twice
-//! ([`hetpipe_core::exec::Verdict::Drain`]). Only an outage (a lost GPU
-//! or a lease preemption) halts the probe instead: its epoch drains at
-//! the last boundary every VW had completed, resumed from the probe's
-//! latest wave checkpoint before it, a clone of the probe's executor
-//! state ([`hetpipe_core::exec::resume_into`]), so only the tail is
-//! simulated again.
+//! past the boundary. So when the probe's judge acts, the probe halts
+//! and saves its state, and the epoch drains from the probe's latest
+//! wave checkpoint valid for the stop, a clone of the probe's executor
+//! state ([`hetpipe_core::exec::resume_into`], given only the stop).
+//! At the first boundary no stop query has passed, that checkpoint is
+//! the halt state itself, so nothing is simulated twice. Only an
+//! outage (a lost GPU or a lease preemption) drains at the last
+//! boundary every VW had completed, from an earlier checkpoint, so
+//! only the tail past it is simulated again.
 //! At a boundary every VW has pushed the same whole number of waves
 //! and holds no in-flight minibatch, so the only weight state a
 //! continuation needs is the version the boundary wave closed —

@@ -13,8 +13,11 @@
 //! resource's busy time, reservations and free instant, and the byte
 //! counters (compared through `Debug`, which prints every field
 //! exactly). Each stop resumes twice from its checkpoint, and the two
-//! drains must agree; a drain under other rates than its probe's must
-//! panic.
+//! drains must agree. A second probe of each cell halts at its
+//! judgement after 2, 5 and 9 whole waves (or its last whole wave, if
+//! earlier), and the drain at the first
+//! wave boundary no stop query has passed must resume from that halt
+//! state and equal the drain from the start too.
 //!
 //! Matrix: the wave schedule (arrival-FIFO), 1F1B (one lane per stage)
 //! and composite interleaved 1F1B with two chunks, each fault-free,
@@ -26,12 +29,13 @@
 //! Tier: dynamically audited (evidence for the runs below).
 
 use hetpipe::cluster::{Cluster, DeviceId, GpuKind};
-use hetpipe::core::exec::{self, ExecParams, Progress, RunStats, SegmentOpts, SpanTag, Verdict};
+use hetpipe::core::exec::{self, ExecParams, Progress, RunStats, SegmentOpts, SpanTag};
 use hetpipe::core::pserver::{Placement, ShardMap};
 use hetpipe::core::{Planner, RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe::des::{SimTime, Span, Trace};
 use hetpipe::model::ModelGraph;
 use hetpipe::runtime::{Fault, ScenarioEvent, ScenarioScript};
+use std::ops::ControlFlow;
 
 const NM: usize = 4;
 
@@ -118,9 +122,9 @@ fn scripts() -> Vec<ScenarioScript> {
     ]
 }
 
-/// A probe's judge that never stops it.
-fn run(_: Progress, _: &Trace<SpanTag>) -> Verdict {
-    Verdict::Run
+/// A probe's judge that never halts it.
+fn run(_: Progress, _: &Trace<SpanTag>) -> ControlFlow<()> {
+    ControlFlow::Continue(())
 }
 
 /// Every field of `stats`, printed exactly.
@@ -134,6 +138,8 @@ struct Checked {
     stops: usize,
     /// Stops resumed from a checkpoint past the segment start.
     resumed_mid: usize,
+    /// Drains resumed from a halted probe's halt state.
+    halts: usize,
     /// Spans compared, from the checkpoints on.
     spans: usize,
     /// Events the drains ran, and those the resumed ones simulated.
@@ -189,16 +195,8 @@ fn check_cell(
         );
         // Resumed twice: restoring leaves the checkpoint intact, and
         // forked lanes do not alias the saved ones.
-        let [(resumed, tail), (again, again_tail)] = [(); 2].map(|()| {
-            exec::resume_into(
-                params.clone(),
-                opts(Some(stop)),
-                horizon,
-                Trace::new(),
-                from,
-                &probe,
-            )
-        });
+        let [(resumed, tail), (again, again_tail)] =
+            [(); 2].map(|()| exec::resume_into(params.clone(), stop, Trace::new(), from, &probe));
         assert_eq!(again_tail.spans(), tail.spans(), "{name} stop {stop}");
         assert_eq!(fields(&again), fields(&resumed), "{name} stop {stop}");
         let cut = from.spans();
@@ -217,6 +215,46 @@ fn check_cell(
         checked.resumed_mid += (from.events() > 0) as usize;
     }
     assert!(full_waves >= 8, "{name}: only {full_waves} whole waves");
+
+    // A probe halted at a judgement: the drain at the first wave
+    // boundary no stop query has passed resumes from the halt state.
+    // (The composite cell under the GPU loss completes 8 whole waves.)
+    for waves in [2, 5, 9.min(full_waves)] {
+        let name = format!("{name} halted after {waves} waves");
+        let mut queried = 0;
+        let (halted, halted_trace, checkpoints) = exec::run_into_checkpointed(
+            params.clone(),
+            opts(None),
+            horizon,
+            Trace::new(),
+            |at, _| {
+                queried = at.queried;
+                if at.waves >= waves {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
+        let stop = queried.div_ceil(NM as u64) * NM as u64;
+        let from = checkpoints.for_stop(stop);
+        assert_eq!(from.events(), halted.events, "{name}: the halt state");
+        assert_eq!(from.spans(), halted_trace.len(), "{name}: the halt state");
+        let (oracle, oracle_trace, _) = exec::run_into(
+            params.clone(),
+            opts(Some(stop)),
+            horizon,
+            Trace::new(),
+            None,
+        );
+        let (resumed, tail) = exec::resume_into(params.clone(), stop, Trace::new(), from, &halted);
+        let spans: &[Span<SpanTag>] = oracle_trace.spans();
+        assert_eq!(&spans[..from.spans()], halted_trace.spans(), "{name}");
+        assert_eq!(tail.spans(), &spans[from.spans()..], "{name}: spans");
+        assert_eq!(fields(&resumed), fields(&oracle), "{name}");
+        checked.halts += 1;
+        checked.spans += tail.len();
+    }
     checked
 }
 
@@ -245,16 +283,18 @@ fn resumed_drains_equal_drains_from_the_segment_start() {
                 c.stops
             );
             total.stops += c.stops;
+            total.halts += c.halts;
             total.spans += c.spans;
             total.events += c.events;
             total.tails += c.tails;
         }
     }
     eprintln!(
-        "{} stops, {} spans compared; tails {} of {} drain events",
-        total.stops, total.spans, total.tails, total.events
+        "{} stops and {} halts, {} spans compared; tails {} of {} drain events",
+        total.stops, total.halts, total.spans, total.tails, total.events
     );
     assert!(total.stops > 9 * 10, "{} stops", total.stops);
+    assert_eq!(total.halts, 9 * 3, "halted probes");
     assert!(total.spans > 1000, "{} spans", total.spans);
     // The resumed tails are a small part of what the drains ran.
     assert!(
@@ -298,32 +338,9 @@ fn a_long_probe_keeps_a_bounded_checkpoint_list() {
             ..SegmentOpts::default()
         };
         let from = checkpoints.for_stop(stop);
-        let (oracle, kept, _) =
-            exec::run_into(params.clone(), opts.clone(), horizon, Trace::new(), None);
-        let (resumed, tail) =
-            exec::resume_into(params.clone(), opts, horizon, Trace::new(), from, &probe);
+        let (oracle, kept, _) = exec::run_into(params.clone(), opts, horizon, Trace::new(), None);
+        let (resumed, tail) = exec::resume_into(params.clone(), stop, Trace::new(), from, &probe);
         assert_eq!(tail.spans(), &kept.spans()[from.spans()..], "stop {stop}");
         assert_eq!(fields(&resumed), fields(&oracle), "stop {stop}");
     }
-}
-
-/// A checkpoint carries its probe's rate timelines, so a drain under
-/// other segment options than its probe's is refused, not silently
-/// simulated under the probe's rates.
-#[test]
-#[should_panic(expected = "a drain shares its probe's segment options")]
-fn a_drain_under_other_rates_than_its_probe_panics() {
-    let setup = Setup::new(Schedule::HetPipeWave, RecomputePolicy::BoundaryOnly);
-    let horizon = SimTime::from_secs(4.0);
-    let fault_free = SegmentOpts::default();
-    let (probe, _, checkpoints) =
-        exec::run_into_checkpointed(setup.params(), fault_free, horizon, Trace::new(), run);
-    let (_, rate_events) = ScenarioScript::canonical_gpu_loss(4, 2.0).segment_rates(SimTime::ZERO);
-    let drain = SegmentOpts {
-        stop_after_mb: Some(NM as u64),
-        rate_events,
-        ..SegmentOpts::default()
-    };
-    let from = checkpoints.for_stop(NM as u64);
-    exec::resume_into(setup.params(), drain, horizon, Trace::new(), from, &probe);
 }

@@ -256,14 +256,14 @@ fn chaos_drains_resume_from_wave_checkpoints() {
 }
 
 /// `RuntimeReport::simulated_events` counts every probe's events and
-/// every tail an outage splice resumed. A static run simulates its one
-/// epoch; a run whose every splice drained in place simulates exactly
-/// its committed epochs; a run with an outage splice simulates more,
-/// because its halted probe ran past the checkpoint its drain resumed
-/// from.
+/// every drain's tail past the checkpoint it resumed from. A static run
+/// simulates its one epoch; a run whose every drain resumed from its
+/// probe's halt state simulates exactly its committed epochs; a run
+/// with an outage splice simulates more, because its halted probe ran
+/// past the checkpoint its drain resumed from.
 #[test]
 fn simulated_events_count_probes_and_resumed_tails() {
-    let (mut in_place, mut outage) = (0, 0);
+    let (mut from_halt, mut outage) = (0, 0);
     for ((schedule, recompute), script, policy) in standalone_pin_cells() {
         let name = format!("{schedule}/{}/{}", script.name, policy.name());
         let r = run_cell(schedule, recompute, NM, script, policy);
@@ -277,13 +277,13 @@ fn simulated_events_count_probes_and_resumed_tails() {
             assert_eq!(r.simulated_events, r.epochs[0].events, "{name}");
         } else if outages == 0 {
             assert_eq!(r.simulated_events, committed, "{name}");
-            in_place += (r.epochs.len() > 1) as usize;
+            from_halt += (r.epochs.len() > 1) as usize;
         } else {
             assert!(r.simulated_events > committed, "{name}");
             outage += 1;
         }
     }
-    assert!(in_place >= 4, "{in_place} cells spliced only in place");
+    assert!(from_halt >= 4, "{from_halt} cells drained from halts only");
     assert!(outage >= 4, "{outage} cells spliced at an outage");
 }
 
@@ -377,8 +377,8 @@ fn discarded_spans_leave_every_other_report_field_unchanged() {
         ));
     });
     assert_eq!(reports.len(), 16 + 32 + 6);
-    // Splices exercise the probes, the in-place drains and the cut back
-    // to a checkpoint at an outage.
+    // Splices exercise the probes, the drains from halt states and the
+    // cut back to an earlier checkpoint at an outage.
     let spliced = reports.iter().filter(|r| r.epochs.len() > 1).count();
     let resumed = (reports.iter().flat_map(|r| &r.epochs))
         .filter(|e| e.resimulated > 0)
